@@ -4,6 +4,14 @@
 #   ci/check.sh                  run every stage (fmt -> lint -> test -> smoke -> tournament -> analyze)
 #   ci/check.sh --stage lint     run one stage
 #
+#   fmt         cargo fmt --check
+#   lint        clippy -D warnings + shellcheck
+#   test        workspace tests, HARL_SIMD=0 pass, thread-width matrix
+#   smoke       micro-bench gates, benchmark/run.sh --smoke + benchmark tests,
+#               lint-schedules, traced quickstart, serve + federation runs
+#   tournament  five-searcher tournament self-checks
+#   analyze     lint-concurrency + --cfg harl_check tests (+ miri/TSan if present)
+#
 # Stages live in their own scripts (ci/fmt.sh, ci/lint.sh, ci/test.sh,
 # ci/smoke.sh, ci/tournament.sh, ci/analyze.sh) so CI systems can run them
 # as separate fail-fast jobs; this orchestrator adds per-stage timing lines

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Stage: end-to-end smoke runs — bench-regression gate, schedule lints,
-# traced quickstart (trace parseable, >=95% coverage), warm-start via the
-# record store, and the serve daemon (warm-start across jobs, kill -9
-# resume).
+# Stage: end-to-end smoke runs — bench-regression gate, the end-to-end
+# benchmark's smoke mode and its own tests, schedule lints, traced
+# quickstart (trace parseable, >=95% coverage), warm-start via the record
+# store, and the serve daemon (warm-start across jobs, kill -9 resume).
 #
 # All scratch state lives under one SMOKE_TMP with a single cleanup trap;
 # earlier revisions registered a second `trap ... EXIT` for the serve
@@ -27,6 +27,20 @@ trap cleanup EXIT
 
 echo "==> scoring bench-regression gate"
 ci/bench_gate.sh
+
+echo "==> end-to-end benchmark smoke (benchmark/run.sh --smoke, all four workloads)"
+# a failed result check exits 1 (and `set -e` stops here); the count guards
+# against a run that printed no result line at all
+bench_out=$(bash benchmark/run.sh --smoke --out "$SMOKE_TMP/benchmark")
+bench_ok=$(printf '%s\n' "$bench_out" | grep -c '"correct":true' || true)
+if [ "$bench_ok" -eq 0 ] || printf '%s\n' "$bench_out" | grep -q '"correct":false'; then
+    printf '%s\n' "$bench_out" | tail -n 20
+    echo "FAIL: benchmark smoke did not report \"correct\":true on every result line"
+    exit 1
+fi
+echo "benchmark smoke OK: $bench_ok result lines, all correct"
+# shellcheck disable=SC2086
+cargo test $CARGO_FLAGS --release -q --manifest-path benchmark/Cargo.toml
 
 echo "==> lint-schedules smoke run"
 # shellcheck disable=SC2086

@@ -26,8 +26,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use harl_check::CMutex;
-
 use crate::cost_model::CostModel;
 use harl_obs::{Counter, Tracer};
 use harl_par::ThreadPool;
@@ -90,11 +88,18 @@ impl ScoreStats {
     }
 }
 
-/// One cached scoring result: the extracted feature row and the model's
-/// score for it.
+/// Slab index meaning "no entry" (ends of the recency list).
+const NIL: u32 = u32::MAX;
+
+/// One cached scoring result — the extracted feature row and the model's
+/// score for it — threaded on the recency list.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    tick: u64,
+    key: u64,
+    /// Neighbour used more recently (`NIL` at the head).
+    prev: u32,
+    /// Neighbour used less recently (`NIL` at the tail).
+    next: u32,
     features: Vec<f32>,
     score: f64,
 }
@@ -106,80 +111,123 @@ struct CacheEntry {
 /// ([`ScoringPipeline::begin_episode`]) so a key never outlives the
 /// (graph, sketch-set, target, model) context it was computed under —
 /// cost-model updates happen between rounds, never inside an episode.
-/// Recency ticks are assigned on the coordinator in input order, so
-/// eviction is deterministic.
+///
+/// Entries live in a slab threaded on an intrusive doubly-linked recency
+/// list (`head` most recent, `tail` least), with a map from fingerprint to
+/// slab index, so hit, insert and evict are all O(1). Every touch happens
+/// on the coordinator in input order, so eviction is deterministic. Live
+/// entries always occupy `slab[..map.len()]`: a new key takes the next
+/// slot until the cache is full and the tail's slot afterwards, and the
+/// only removal is [`FeatureCache::clear`], which keeps the slab — the
+/// feature buffers are recycled by the next episode.
 #[derive(Debug, Clone)]
 pub struct FeatureCache {
-    map: HashMap<u64, CacheEntry>,
+    map: HashMap<u64, u32>,
+    slab: Vec<CacheEntry>,
+    head: u32,
+    tail: u32,
     cap: usize,
-    tick: u64,
 }
 
 impl FeatureCache {
-    /// A cache holding at most `cap.max(1)` entries.
+    /// A cache holding at most `cap.max(1)` entries (slab indices are
+    /// `u32` with `NIL` reserved, which bounds `cap` from above).
     pub fn new(cap: usize) -> Self {
         FeatureCache {
             map: HashMap::new(),
-            cap: cap.max(1),
-            tick: 0,
+            slab: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            cap: cap.clamp(1, NIL as usize),
         }
     }
 
     /// Looks a fingerprint up, refreshing its recency on hit.
     pub fn get(&mut self, key: u64) -> Option<(&[f32], f64)> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(&key) {
-            Some(entry) => {
-                entry.tick = tick;
-                Some((&entry.features, entry.score))
-            }
-            None => None,
-        }
+        let idx = *self.map.get(&key)?;
+        self.unlink(idx);
+        self.push_front(idx);
+        let entry = &self.slab[idx as usize];
+        Some((&entry.features, entry.score))
     }
 
     /// Inserts a scoring result, evicting the least-recently-used entry
     /// when full.
     pub fn insert(&mut self, key: u64, features: Vec<f32>, score: f64) {
-        self.tick += 1;
-        self.evict_if_full(key);
-        self.map.insert(
-            key,
-            CacheEntry {
-                tick: self.tick,
-                features,
-                score,
-            },
-        );
+        let entry = self.claim(key);
+        entry.features = features;
+        entry.score = score;
     }
 
-    /// Inserts a scoring result from a borrowed row, reusing the evicted
-    /// entry's allocation when full — so once the cache reaches capacity,
-    /// caching a miss allocates nothing.
+    /// Inserts a scoring result from a borrowed row into the claimed
+    /// slot's buffer — the evicted entry's when full, a previous episode's
+    /// after `clear` — so caching a miss allocates only while the slab is
+    /// still growing towards `cap`.
     pub fn insert_from_slice(&mut self, key: u64, features: &[f32], score: f64) {
-        self.tick += 1;
-        let mut buf = self.evict_if_full(key).unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(features);
-        self.map.insert(
-            key,
-            CacheEntry {
-                tick: self.tick,
-                features: buf,
-                score,
-            },
-        );
+        let entry = self.claim(key);
+        entry.features.clear();
+        entry.features.extend_from_slice(features);
+        entry.score = score;
     }
 
-    /// Evicts the LRU entry if inserting `key` would exceed capacity,
-    /// returning the evicted feature buffer for reuse.
-    fn evict_if_full(&mut self, key: u64) -> Option<Vec<f32>> {
-        if self.map.len() >= self.cap && !self.map.contains_key(&key) {
-            if let Some(&lru) = self.map.iter().min_by_key(|(_, e)| e.tick).map(|(k, _)| k) {
-                return self.map.remove(&lru).map(|e| e.features);
-            }
+    /// Makes `key` the most recent entry and returns it for filling: its
+    /// own slot when present (a refresh, nothing is evicted), else the
+    /// next unused slot, else the least-recently-used entry's.
+    fn claim(&mut self, key: u64) -> &mut CacheEntry {
+        let idx = if let Some(&idx) = self.map.get(&key) {
+            self.unlink(idx);
+            idx
+        } else {
+            let idx = if self.map.len() < self.cap {
+                let idx = self.map.len() as u32;
+                if idx as usize == self.slab.len() {
+                    self.slab.push(CacheEntry {
+                        key,
+                        prev: NIL,
+                        next: NIL,
+                        features: Vec::new(),
+                        score: 0.0,
+                    });
+                }
+                idx
+            } else {
+                let lru = self.tail;
+                self.unlink(lru);
+                self.map.remove(&self.slab[lru as usize].key);
+                lru
+            };
+            self.slab[idx as usize].key = key;
+            self.map.insert(key, idx);
+            idx
+        };
+        self.push_front(idx);
+        &mut self.slab[idx as usize]
+    }
+
+    /// Detaches `idx` from the recency list.
+    fn unlink(&mut self, idx: u32) {
+        let (prev, next) = (self.slab[idx as usize].prev, self.slab[idx as usize].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slab[p as usize].next = next,
         }
-        None
+        match next {
+            NIL => self.tail = prev,
+            n => self.slab[n as usize].prev = prev,
+        }
+    }
+
+    /// Links a detached `idx` in as the most recent entry.
+    fn push_front(&mut self, idx: u32) {
+        let old = self.head;
+        let entry = &mut self.slab[idx as usize];
+        entry.prev = NIL;
+        entry.next = old;
+        match old {
+            NIL => self.tail = idx,
+            h => self.slab[h as usize].prev = idx,
+        }
+        self.head = idx;
     }
 
     /// Number of cached feature vectors.
@@ -192,10 +240,26 @@ impl FeatureCache {
         self.map.is_empty()
     }
 
-    /// Drops every entry (episode boundary).
+    /// Drops every entry (episode boundary); the slab and its feature
+    /// buffers stay for the next episode to refill.
     pub fn clear(&mut self) {
         self.map.clear();
-        self.tick = 0;
+        self.head = NIL;
+        self.tail = NIL;
+    }
+
+    /// Live entries from most to least recently used, without touching
+    /// recency.
+    #[cfg(test)]
+    fn entries_by_recency(&self) -> Vec<(u64, Vec<f32>, u64)> {
+        let mut out = Vec::new();
+        let mut idx = self.head;
+        while idx != NIL {
+            let e = &self.slab[idx as usize];
+            out.push((e.key, e.features.clone(), e.score.to_bits()));
+            idx = e.next;
+        }
+        out
     }
 }
 
@@ -208,10 +272,9 @@ pub const DEFAULT_CACHE_CAP: usize = 4096;
 #[derive(Debug)]
 pub struct ScoringPipeline {
     pool: ThreadPool,
-    /// Shared with pool workers in spirit (probed before and filled
-    /// after the parallel extraction), so it lives behind a named lock
-    /// the concurrency lints can see.
-    cache: CMutex<FeatureCache>,
+    /// Probed before and filled after the parallel extraction, both on
+    /// the coordinator; pool workers never see it.
+    cache: FeatureCache,
     stats: ScoreStats,
     /// Scratch: fingerprints of the current batch, input order.
     keys: Vec<u64>,
@@ -221,8 +284,9 @@ pub struct ScoringPipeline {
     /// batches, so steady-state hits allocate nothing.
     rows: Vec<Vec<f32>>,
     /// Scratch extraction buffers, one per miss, reused across batches:
-    /// pool workers extract into these in place (`for_each_mut`), so
-    /// steady-state misses allocate nothing either.
+    /// pool workers extract into these in place (`for_each_mut`), the
+    /// model predicts straight off them, and each then trades places with
+    /// its `rows` slot — so steady-state misses allocate nothing either.
     miss_rows: Vec<Vec<f32>>,
     /// Scratch: scores of the current batch's misses.
     miss_scores: Vec<f64>,
@@ -242,7 +306,7 @@ impl ScoringPipeline {
         };
         ScoringPipeline {
             pool,
-            cache: CMutex::new("gbt.score_cache", FeatureCache::new(cache_cap)),
+            cache: FeatureCache::new(cache_cap),
             stats,
             keys: Vec::new(),
             misses: Vec::new(),
@@ -288,7 +352,7 @@ impl ScoringPipeline {
     /// (graph, sketch-set, target) context — nor across a cost-model
     /// update, since cached entries hold the model's scores.
     pub fn begin_episode(&mut self) {
-        self.cache.lock().expect("score cache poisoned").clear();
+        self.cache.clear();
     }
 
     /// Feature row `i` of the last batch (valid until the next call).
@@ -326,23 +390,20 @@ impl ScoringPipeline {
 
         // 1. cache probe, coordinator thread, input order: a hit fills
         // both the feature row and the final score
-        {
-            let mut cache = self.cache.lock().expect("score cache poisoned");
-            for (i, item) in items.iter().enumerate() {
-                let key = fingerprint(item);
-                self.keys.push(key);
-                match cache.get(key) {
-                    Some((feat, score)) => {
-                        self.stats.cache_hits += 1;
-                        let row = &mut self.rows[i];
-                        row.clear();
-                        row.extend_from_slice(feat);
-                        out[i] = score;
-                    }
-                    None => {
-                        self.stats.cache_misses += 1;
-                        self.misses.push(i);
-                    }
+        for (i, item) in items.iter().enumerate() {
+            let key = fingerprint(item);
+            self.keys.push(key);
+            match self.cache.get(key) {
+                Some((feat, score)) => {
+                    self.stats.cache_hits += 1;
+                    let row = &mut self.rows[i];
+                    row.clear();
+                    row.extend_from_slice(feat);
+                    out[i] = score;
+                }
+                None => {
+                    self.stats.cache_misses += 1;
+                    self.misses.push(i);
                 }
             }
         }
@@ -370,35 +431,29 @@ impl ScoringPipeline {
         // 2. extract misses over the pool, in place into the persistent
         // per-miss buffers (buffers keep their capacity across batches,
         // so steady-state misses allocate nothing here)
-        if self.miss_rows.len() < self.misses.len() {
-            self.miss_rows.resize_with(self.misses.len(), Vec::new);
+        let m = self.misses.len();
+        if self.miss_rows.len() < m {
+            self.miss_rows.resize_with(m, Vec::new);
         }
         let misses = &self.misses;
-        self.pool
-            .for_each_mut(&mut self.miss_rows[..misses.len()], |j, buf| {
-                buf.clear();
-                extract(&items[misses[j]], buf);
-            });
-        for (j, &i) in self.misses.iter().enumerate() {
-            let row = &mut self.rows[i];
-            row.clear();
-            row.extend_from_slice(&self.miss_rows[j]);
-        }
+        self.pool.for_each_mut(&mut self.miss_rows[..m], |j, buf| {
+            buf.clear();
+            extract(&items[misses[j]], buf);
+        });
 
-        // 3. batched prediction of the misses with the flattened kernel.
-        // Per-sample accumulation is independent, so scoring the misses
-        // alone is bit-identical to scoring them inside the full batch.
-        let miss_refs: Vec<&[f32]> = self.miss_rows[..self.misses.len()]
-            .iter()
-            .map(|r| r.as_slice())
-            .collect();
-        cost.score_batch_into(&miss_refs, &mut self.miss_scores);
-        let mut cache = self.cache.lock().expect("score cache poisoned");
-        for ((j, &i), &score) in self.misses.iter().enumerate().zip(self.miss_scores.iter()) {
+        // 3. batched prediction of the misses with the flattened kernel,
+        // straight off the extraction buffers. Per-sample accumulation is
+        // independent, so scoring the misses alone is bit-identical to
+        // scoring them inside the full batch.
+        cost.score_batch_into(&self.miss_rows[..m], &mut self.miss_scores);
+        for (j, &i) in self.misses.iter().enumerate() {
+            let score = self.miss_scores[j];
             out[i] = score;
-            // once the cache is full, this recycles the evicted entry's
-            // buffer instead of allocating
-            cache.insert_from_slice(self.keys[i], &self.miss_rows[j], score);
+            // the one copy of a miss row goes into the cache slot's buffer;
+            // the extraction buffer itself becomes row `i` by swap
+            self.cache
+                .insert_from_slice(self.keys[i], &self.miss_rows[j], score);
+            std::mem::swap(&mut self.rows[i], &mut self.miss_rows[j]);
             self.stats.features_cached += 1;
         }
     }
@@ -502,6 +557,143 @@ mod tests {
         assert!(cache.get(2).is_none(), "entry 2 was least recently used");
         assert!(cache.get(1).is_some());
         assert!(cache.get(3).is_some());
+    }
+
+    /// The tick-scanned cache the slab LRU replaced, kept verbatim as the
+    /// reference model: every entry carries the tick of its last touch and
+    /// eviction scans for the smallest.
+    struct TickScanCache {
+        map: HashMap<u64, (u64, Vec<f32>, f64)>,
+        cap: usize,
+        tick: u64,
+    }
+
+    impl TickScanCache {
+        fn new(cap: usize) -> Self {
+            TickScanCache {
+                map: HashMap::new(),
+                cap: cap.max(1),
+                tick: 0,
+            }
+        }
+
+        fn get(&mut self, key: u64) -> Option<(&[f32], f64)> {
+            self.tick += 1;
+            let tick = self.tick;
+            match self.map.get_mut(&key) {
+                Some(entry) => {
+                    entry.0 = tick;
+                    Some((&entry.1, entry.2))
+                }
+                None => None,
+            }
+        }
+
+        fn insert(&mut self, key: u64, features: Vec<f32>, score: f64) {
+            self.tick += 1;
+            self.evict_if_full(key);
+            self.map.insert(key, (self.tick, features, score));
+        }
+
+        fn insert_from_slice(&mut self, key: u64, features: &[f32], score: f64) {
+            self.tick += 1;
+            let mut buf = self.evict_if_full(key).unwrap_or_default();
+            buf.clear();
+            buf.extend_from_slice(features);
+            self.map.insert(key, (self.tick, buf, score));
+        }
+
+        fn evict_if_full(&mut self, key: u64) -> Option<Vec<f32>> {
+            if self.map.len() >= self.cap && !self.map.contains_key(&key) {
+                if let Some(&lru) = self.map.iter().min_by_key(|(_, e)| e.0).map(|(k, _)| k) {
+                    return self.map.remove(&lru).map(|e| e.1);
+                }
+            }
+            None
+        }
+
+        fn clear(&mut self) {
+            self.map.clear();
+            self.tick = 0;
+        }
+
+        fn entries_by_recency(&self) -> Vec<(u64, Vec<f32>, u64)> {
+            let mut live: Vec<_> = self.map.iter().collect();
+            live.sort_by_key(|(_, e)| std::cmp::Reverse(e.0));
+            live.into_iter()
+                .map(|(&k, e)| (k, e.1.clone(), e.2.to_bits()))
+                .collect()
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The slab LRU and the tick scan agree after every operation: same
+        /// hit or miss with the same row and score bits, and the same live
+        /// entries in the same recency order (so the same next victim).
+        /// Key ranges start below the capacity (refreshes, duplicate keys
+        /// inside one batch) and reach far above it (eviction on every miss).
+        #[test]
+        fn slab_lru_matches_the_tick_scan_it_replaced(
+            cap in prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(8usize)],
+            spread in 1u64..=4,
+            seed in any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let keys = (cap as u64 * spread).div_ceil(2).max(1);
+            let mut new = FeatureCache::new(cap);
+            let mut old = TickScanCache::new(cap);
+            for op in 0..200u32 {
+                let key = rng.gen_range(0..keys);
+                let row = [op as f32, key as f32 + 0.5];
+                let score = f64::from(op) / 3.0;
+                match rng.gen_range(0..16) {
+                    0..=4 => {
+                        let (a, b) = (new.get(key), old.get(key));
+                        prop_assert_eq!(
+                            a.map(|(f, s)| (f.to_vec(), s.to_bits())),
+                            b.map(|(f, s)| (f.to_vec(), s.to_bits()))
+                        );
+                    }
+                    5..=7 => {
+                        new.insert(key, row.to_vec(), score);
+                        old.insert(key, row.to_vec(), score);
+                    }
+                    8..=10 => {
+                        new.insert_from_slice(key, &row, score);
+                        old.insert_from_slice(key, &row, score);
+                    }
+                    11..=14 => {
+                        // one `score_into` batch: probe every key in input
+                        // order, then cache the misses in the same order
+                        let batch: Vec<u64> =
+                            (0..rng.gen_range(1..=6)).map(|_| rng.gen_range(0..keys)).collect();
+                        let mut misses = Vec::new();
+                        for &k in &batch {
+                            let hit = new.get(k).is_some();
+                            prop_assert_eq!(hit, old.get(k).is_some());
+                            if !hit {
+                                misses.push(k);
+                            }
+                        }
+                        for k in misses {
+                            new.insert_from_slice(k, &row, score);
+                            old.insert_from_slice(k, &row, score);
+                        }
+                    }
+                    _ => {
+                        new.clear();
+                        old.clear();
+                    }
+                }
+                prop_assert_eq!(new.len(), old.map.len());
+                prop_assert_eq!(new.entries_by_recency(), old.entries_by_recency());
+            }
+        }
     }
 
     #[test]

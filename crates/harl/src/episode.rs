@@ -51,7 +51,8 @@ struct Track {
     /// Warm-started from a measured elite (excluded from critical-step
     /// statistics: it starts at its peak by construction).
     seeded: bool,
-    schedule: Schedule,
+    /// Index into `visited` of the track's current schedule.
+    at: usize,
     features: Vec<f32>,
     score: f64,
     window: TrackWindow,
@@ -95,7 +96,7 @@ pub fn run_episode(
     pipeline.begin_episode();
     let mut scores: Vec<f64> = Vec::new();
     let extract =
-        |s: &&Schedule, buf: &mut Vec<f32>| extract_features_into(graph, sketch, target, s, buf);
+        |s: &Schedule, buf: &mut Vec<f32>| extract_features_into(graph, sketch, target, s, buf);
 
     // --- initial schedule tracks (Algorithm 1, line 5) --------------------
     let n_seeded =
@@ -116,20 +117,17 @@ pub fn run_episode(
             s
         })
         .collect();
-    {
-        let refs: Vec<&Schedule> = initial.iter().collect();
-        pipeline.score_into(cost, &refs, |s| s.fingerprint(), extract, &mut scores);
-    }
+    pipeline.score_into(cost, &initial, |s| s.fingerprint(), extract, &mut scores);
     let mut tracks: Vec<Track> = initial
         .into_iter()
         .enumerate()
         .map(|(i, s)| {
             let score = scores[i];
-            visited.push((score, s.clone(), i));
+            visited.push((score, s, i));
             Track {
                 id: i,
                 seeded: i < n_seeded,
-                schedule: s,
+                at: visited.len() - 1,
                 features: pipeline.row(i).to_vec(),
                 score,
                 window: TrackWindow::default(),
@@ -148,6 +146,15 @@ pub fn run_episode(
         cfg.fixed_length
     };
 
+    // Step scratch, reused across steps: per-track action masks (the inner
+    // mask sets move into the replay buffer, the outer `Vec` stays), the
+    // batched policy input, and this step's legal proposals flattened in
+    // track-major order with `prop_counts[k]` of them belonging to track `k`.
+    let mut step_masks: Vec<Vec<Vec<bool>>> = Vec::new();
+    let mut flat_features: Vec<f32> = Vec::new();
+    let mut props: Vec<Proposal> = Vec::new();
+    let mut prop_counts: Vec<usize> = Vec::new();
+
     // Algorithm 1, line 6: while |S| ≥ p̂ (adaptive) / fixed length.
     while !tracks.is_empty() && step < max_steps {
         step += 1;
@@ -162,21 +169,21 @@ pub fn run_episode(
         // Illegal candidates are dropped before cost-model scoring.
         let samples = cfg.action_samples.max(1);
         let act_span = tracer.span_with("ppo_act", &[("tracks", tracks.len().into())]);
-        let mut step_masks: Vec<Vec<Vec<bool>>> = Vec::with_capacity(tracks.len());
-        let mut flat_features: Vec<f32> = Vec::new();
+        flat_features.clear();
         for t in tracks.iter() {
+            let schedule = &visited[t.at].1;
             step_masks.push(vec![
-                tile_action_mask(sketch, &t.schedule, &space),
-                compute_at_mask(sketch, &t.schedule).to_vec(),
-                parallel_mask(sketch, &t.schedule).to_vec(),
-                unroll_mask(target, &t.schedule).to_vec(),
+                tile_action_mask(sketch, schedule, &space),
+                compute_at_mask(sketch, schedule).to_vec(),
+                parallel_mask(sketch, schedule).to_vec(),
+                unroll_mask(target, schedule).to_vec(),
             ]);
             flat_features.extend_from_slice(&t.features);
         }
         let draws = agent.act_batch(&flat_features, tracks.len(), &step_masks, samples, rng);
-        let mut step_props: Vec<Vec<Proposal>> = Vec::with_capacity(tracks.len());
+        prop_counts.clear();
         for (t, track_draws) in tracks.iter().zip(draws) {
-            let mut props = Vec::with_capacity(samples);
+            let before = props.len();
             for (acts, logp) in track_draws {
                 let action = Action {
                     tile: acts[0],
@@ -184,55 +191,57 @@ pub fn run_episode(
                     parallel: StepDir::from_index(acts[2]),
                     unroll: StepDir::from_index(acts[3]),
                 };
-                let cand = apply_action(sketch, target, &t.schedule, &action);
+                let cand = apply_action(sketch, target, &visited[t.at].1, &action);
                 if lint_stats.record(&analyzer.analyze(graph, sketch, target, &cand)) {
                     continue;
                 }
                 props.push(Proposal { acts, logp, cand });
             }
-            step_props.push(props);
+            prop_counts.push(props.len() - before);
         }
         drop(act_span);
 
         // Phase B: one batched scoring pass over every legal candidate of
-        // this step, flattened in the same track-major order.
+        // this step, in the same track-major order.
         {
             let _score_span = tracer.span("score");
-            let flat: Vec<&Schedule> = step_props
-                .iter()
-                .flat_map(|ps| ps.iter().map(|p| &p.cand))
-                .collect();
-            pipeline.score_into(cost, &flat, |s| s.fingerprint(), extract, &mut scores);
+            pipeline.score_into(
+                cost,
+                &props,
+                |p| p.cand.fingerprint(),
+                |p, buf| extract(&p.cand, buf),
+                &mut scores,
+            );
         }
 
         // Phase C: pick each track's best proposal and record the PPO
-        // transition, in the original visit order.
+        // transition, in the original visit order. Every candidate moves
+        // into `visited`; a track only remembers where its winner landed.
         let update_span = tracer.span("ppo_update");
-        let mut cursor = 0usize;
-        for ((t, props), masks) in tracks.iter_mut().zip(step_props).zip(step_masks) {
-            let base = cursor;
-            cursor += props.len();
+        // proposal `g` of this step scored `scores[g]` and lands at
+        // `visited[first + g]`
+        let first = visited.len();
+        let mut pending = props.drain(..).enumerate();
+        for ((t, &count), masks) in tracks
+            .iter_mut()
+            .zip(&prop_counts)
+            .zip(step_masks.drain(..))
+        {
             // the cost model prunes all but the best-scored proposal
-            let mut best: Option<usize> = None;
-            for (pi, p) in props.iter().enumerate() {
-                let cand_score = scores[base + pi];
-                visited.push((cand_score, p.cand.clone(), t.id));
-                if best.map(|b| cand_score > scores[base + b]).unwrap_or(true) {
-                    best = Some(pi);
+            let mut best: Option<(usize, Vec<usize>, f32)> = None;
+            for (g, p) in pending.by_ref().take(count) {
+                visited.push((scores[g], p.cand, t.id));
+                if best.as_ref().is_none_or(|b| scores[g] > scores[b.0]) {
+                    best = Some((g, p.acts, p.logp));
                 }
             }
             // every sampled action may have been rejected by the analyzer;
             // the track then stays put for this step
-            let Some(bpi) = best else {
+            let Some((g, acts, logp)) = best else {
                 continue;
             };
-            let Proposal {
-                acts,
-                logp,
-                cand: next,
-            } = props.into_iter().nth(bpi).expect("best index in bounds");
-            let next_score = scores[base + bpi];
-            let next_features = pipeline.row(base + bpi);
+            let next_score = scores[g];
+            let next_features = pipeline.row(g);
             // reward: relative predicted improvement (line 9)
             let mut reward = ((next_score - t.score) / t.score.max(1e-9)) as f32;
             if check_finite("episode reward", reward as f64).is_some() {
@@ -259,7 +268,7 @@ pub fn run_episode(
                 t.best_score = next_score;
                 t.best_pos = step;
             }
-            t.schedule = next;
+            t.at = first + g;
             t.features = next_features.to_vec();
             t.score = next_score;
         }

@@ -542,12 +542,20 @@ pub mod de {
                     *pos += 1;
                 }
                 Some(_) => {
-                    // Advance one full UTF-8 character.
-                    let rest = std::str::from_utf8(&b[*pos..])
+                    // Copy the run of plain bytes up to the next quote or
+                    // backslash. Both are ASCII and so never occur inside
+                    // a multi-byte character: the run ends on a character
+                    // boundary, and validating it alone (not the rest of
+                    // the input) keeps parsing linear.
+                    let run = &b[*pos..];
+                    let len = run
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .unwrap_or(run.len());
+                    let run = std::str::from_utf8(&run[..len])
                         .map_err(|_| DeError::new("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    *pos += c.len_utf8();
+                    out.push_str(run);
+                    *pos += len;
                 }
             }
         }
@@ -778,6 +786,35 @@ mod tests {
         assert!(from_value::<f64>(v.get("c").unwrap()).unwrap().is_nan());
         assert!(Value::parse("[1, 2").is_err());
         assert!(Value::parse("[1] junk").is_err());
+    }
+
+    /// `parse_string` used to re-validate the whole remaining input for
+    /// every plain character, which made parsing quadratic: this document
+    /// took minutes. Linear parsing takes well under a second even in a
+    /// debug build; the bound is generous on purpose.
+    #[test]
+    fn large_string_heavy_document_parses_in_linear_time() {
+        use super::de::{from_value, Value};
+        let mut strings: Vec<String> = (0..200_000)
+            .map(|i| match i % 4 {
+                0 => format!("plain ascii string {i}"),
+                1 => format!("naïve – 日本語 – 🦀 {i}"),
+                2 => format!("quote \" slash \\ {i}\n\r\t"),
+                _ => format!("control \u{1}\u{8}\u{c}\u{1f} {i}"),
+            })
+            .collect();
+        let mut text = to_json(&strings);
+        assert!(text.len() >= 4 << 20, "document is {} bytes", text.len());
+        // the escapes the writer never emits itself
+        text.pop();
+        text.push_str(",\"caf\\u00e9 \\/ \\b \\f\"]");
+        strings.push("café / \u{8} \u{c}".to_string());
+
+        let start = std::time::Instant::now();
+        let parsed: Vec<String> = from_value(&Value::parse(&text).unwrap()).unwrap();
+        let took = start.elapsed();
+        assert!(parsed == strings, "round trip changed a string");
+        assert!(took.as_secs() < 5, "parsing took {took:?}");
     }
 
     #[test]

@@ -397,3 +397,41 @@ fn killed_session_resumes_bit_equal_under_scoring_pool() {
     assert_eq!(m2.sim_seconds().to_bits(), m_ref.sim_seconds().to_bits());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn score_stats_match_golden_counts_at_widths_1_and_4() {
+    // Best-latency bits cannot see the cache's eviction order (a score is
+    // the same on a hit or a miss); the hit/miss split can. Recorded at
+    // the last commit with the tick-scanned cache (64c4e83): any
+    // replacement must evict the same entries. HARL/fast visits 7744
+    // candidates per episode against 4096 slots, so both rounds run the
+    // cache full; the Ansor run never fills it (no-eviction control).
+    // Columns: scored, cache_hits, cache_misses, features_cached.
+    const HARL_GOLDEN: [u64; 4] = [15488, 1044, 14444, 14444];
+    const ANSOR_GOLDEN: [u64; 4] = [1280, 188, 1092, 1092];
+    let counts = |s: &harl_repro::gbt::ScoreStats| {
+        [s.scored, s.cache_hits, s.cache_misses, s.features_cached]
+    };
+    for threads in [1, 4] {
+        let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        let big = harl_repro::ir::workload::gemm(1024, 1024, 1024);
+        let mut t = HarlOperatorTuner::new(big, &m, HarlConfig::fast());
+        t.set_parallelism(ParallelismOpts::uniform(threads));
+        t.tune(32);
+        assert_eq!(
+            counts(t.score_stats()),
+            HARL_GOLDEN,
+            "HARL, width {threads}"
+        );
+
+        let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        let mut a = AnsorTuner::new(gemm(), &m, AnsorConfig::default());
+        a.set_parallelism(ParallelismOpts::uniform(threads));
+        a.tune(64);
+        assert_eq!(
+            counts(a.score_stats()),
+            ANSOR_GOLDEN,
+            "Ansor, width {threads}"
+        );
+    }
+}
