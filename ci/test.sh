@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Stage: the full test suite, plus the scoring-determinism suite re-run
-# under both pool-width env values.
+# Stage: the full test suite, plus the determinism suites re-run under the
+# forced-scalar backend and both values of either pool-width variable.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +16,10 @@ echo "==> kernel-dispatch crates with HARL_SIMD=0 (forced-scalar dispatch)"
 # fallback path stays green on hosts without vector ISAs
 # shellcheck disable=SC2086
 HARL_SIMD=0 cargo test $CARGO_FLAGS -q -p harl-simd -p harl-nnet -p harl-gbt -p harl-tensor-ir
+# the golden PPO update was recorded under vector dispatch: the scalar
+# kernels must reproduce its bits
+# shellcheck disable=SC2086
+HARL_SIMD=0 cargo test $CARGO_FLAGS -q --test ppo_golden
 
 echo "==> scoring determinism suite at pool widths 1 and 4"
 # the suite pins explicit widths internally; running it under both env
@@ -24,3 +28,11 @@ echo "==> scoring determinism suite at pool widths 1 and 4"
 HARL_SCORE_THREADS=1 cargo test $CARGO_FLAGS -q --test scoring_determinism
 # shellcheck disable=SC2086
 HARL_SCORE_THREADS=4 cargo test $CARGO_FLAGS -q --test scoring_determinism
+
+echo "==> PPO determinism at pool widths 1 and 4"
+# same reasoning for the PPO pool: the golden update and the determinism
+# suite under both HARL_PPO_THREADS values
+for width in 1 4; do
+    # shellcheck disable=SC2086
+    HARL_PPO_THREADS=$width cargo test $CARGO_FLAGS -q --test ppo_golden --test scoring_determinism
+done

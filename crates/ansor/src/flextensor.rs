@@ -48,6 +48,15 @@ impl Default for FlextensorConfig {
     }
 }
 
+/// A measured move of one track, awaiting the step's critic pass.
+struct Move {
+    feat: Vec<f32>,
+    acts: Vec<usize>,
+    logp: f32,
+    reward: f32,
+    masks: Vec<Vec<bool>>,
+}
+
 /// Relative position of the best-performing schedule on one track.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CriticalStep {
@@ -222,13 +231,19 @@ impl<'m> FlextensorTuner<'m> {
         }
 
         let mut steps_taken = 0usize;
-        // scratch for the post-action feature vector: `record` only borrows
-        // it, so one buffer serves every step of the episode
+        // scratch for the post-action feature vector, and the step's
+        // measured moves awaiting its one critic pass: nothing trains
+        // inside a step, so the `(S', S)` pairs of all tracks are valued
+        // together and recorded in track order
         let mut next_feat: Vec<f32> = Vec::new();
-        'outer: for step in 1..=self.cfg.episode_len {
+        let mut moves: Vec<Move> = Vec::new();
+        let mut value_pairs: Vec<f32> = Vec::new();
+        for step in 1..=self.cfg.episode_len {
+            let mut out_of_budget = false;
             for i in 0..states.len() {
                 if used >= budget {
-                    break 'outer;
+                    out_of_budget = true;
+                    break;
                 }
                 let feat = extract_features(&self.graph, &self.sketch, target, &states[i]);
                 let masks = self.masks(&states[i]);
@@ -253,14 +268,32 @@ impl<'m> FlextensorTuner<'m> {
                 let new_perf = 1.0 / m.time;
                 let reward = ((new_perf - perf[i]) / perf[i]) as f32;
                 extract_features_into(&self.graph, &self.sketch, target, &next, &mut next_feat);
-                self.agent
-                    .record(feat, acts, logp, reward, &next_feat, masks);
+                value_pairs.extend_from_slice(&next_feat);
+                value_pairs.extend_from_slice(&feat);
+                moves.push(Move {
+                    feat,
+                    acts,
+                    logp,
+                    reward,
+                    masks,
+                });
                 if new_perf > best_perf[i] {
                     best_perf[i] = new_perf;
                     best_pos[i] = step;
                 }
                 perf[i] = new_perf;
                 states[i] = next;
+            }
+            if !moves.is_empty() {
+                let values = self.agent.values(&value_pairs, 2 * moves.len()).to_vec();
+                value_pairs.clear();
+                for (mv, v) in moves.drain(..).zip(values.chunks_exact(2)) {
+                    self.agent
+                        .record_valued(mv.feat, mv.acts, mv.logp, mv.reward, v[0], v[1], mv.masks);
+                }
+            }
+            if out_of_budget {
+                break;
             }
             steps_taken = step;
             if step % self.cfg.train_interval == 0 {

@@ -197,7 +197,6 @@ fn run_batched(
 ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let mut logits = Vec::new();
     let mut ws = Workspace::new();
-    let mut wt = Vec::new();
     let mut head_y = Vec::new();
     let mut trunk_out = Vec::new();
     for step in act_steps {
@@ -208,7 +207,7 @@ fn run_batched(
             *v = v.tanh();
         }
         for h in &n.heads {
-            h.forward_batch_into(&trunk_out, tracks, &mut wt, &mut head_y);
+            h.forward_batch_into(&trunk_out, tracks, &mut head_y);
             logits.push((h.b.len(), head_y.clone()));
         }
     }
@@ -232,7 +231,7 @@ fn run_batched(
         for s in 0..MINIBATCH {
             grad[s] = 2.0 * (values[s] - targets[s]) * inv;
         }
-        n.critic.backward_batch(&grad, &mut ws, pool);
+        n.critic.backward_batch(&grad, &mut ws, pool, None);
     }
     let grads: Vec<f32> = n
         .critic

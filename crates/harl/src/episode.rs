@@ -46,6 +46,19 @@ struct Proposal {
     cand: Schedule,
 }
 
+/// A track's best-scored proposal of the step, awaiting the step's one
+/// critic pass.
+struct Winner {
+    /// Index into `tracks`.
+    track: usize,
+    /// Index into the step's proposals (and `scores`).
+    proposal: usize,
+    acts: Vec<usize>,
+    logp: f32,
+    reward: f32,
+    masks: Vec<Vec<bool>>,
+}
+
 struct Track {
     id: usize,
     /// Warm-started from a measured elite (excluded from critical-step
@@ -154,6 +167,11 @@ pub fn run_episode(
     let mut flat_features: Vec<f32> = Vec::new();
     let mut props: Vec<Proposal> = Vec::new();
     let mut prop_counts: Vec<usize> = Vec::new();
+    // ... and the step's winning proposals in track order, their
+    // `(next, current)` feature rows for the critic, and its answers.
+    let mut winners: Vec<Winner> = Vec::new();
+    let mut value_pairs: Vec<f32> = Vec::new();
+    let mut values: Vec<f32> = Vec::new();
 
     // Algorithm 1, line 6: while |S| ≥ p̂ (adaptive) / fixed length.
     while !tracks.is_empty() && step < max_steps {
@@ -222,8 +240,9 @@ pub fn run_episode(
         // `visited[first + g]`
         let first = visited.len();
         let mut pending = props.drain(..).enumerate();
-        for ((t, &count), masks) in tracks
-            .iter_mut()
+        for (((k, t), &count), masks) in tracks
+            .iter()
+            .enumerate()
             .zip(&prop_counts)
             .zip(step_masks.drain(..))
         {
@@ -240,23 +259,44 @@ pub fn run_episode(
             let Some((g, acts, logp)) = best else {
                 continue;
             };
-            let next_score = scores[g];
-            let next_features = pipeline.row(g);
             // reward: relative predicted improvement (line 9)
-            let mut reward = ((next_score - t.score) / t.score.max(1e-9)) as f32;
+            let mut reward = ((scores[g] - t.score) / t.score.max(1e-9)) as f32;
             if check_finite("episode reward", reward as f64).is_some() {
                 lint_stats.record_finding(LintCode::NonFiniteValue);
                 reward = 0.0;
             }
-            // record (S, M, S', R, Y) (lines 10–12): advantage computed by
-            // the critic inside `record`
-            let adv = agent.record(
-                std::mem::take(&mut t.features),
+            value_pairs.extend_from_slice(pipeline.row(g));
+            value_pairs.extend_from_slice(&t.features);
+            winners.push(Winner {
+                track: k,
+                proposal: g,
                 acts,
                 logp,
                 reward,
-                next_features,
                 masks,
+            });
+        }
+        // record (S, M, S', R, Y) (lines 10–12). Nothing trains inside a
+        // step, so one critic pass values the (S', S) pairs of every
+        // winner — row for row the bits of a pass per track — and the
+        // transitions enter the buffer in track order.
+        values.clear();
+        if !winners.is_empty() {
+            values.extend_from_slice(agent.values(&value_pairs, 2 * winners.len()));
+        }
+        value_pairs.clear();
+        for (w, v) in winners.drain(..).zip(values.chunks_exact(2)) {
+            let t = &mut tracks[w.track];
+            let g = w.proposal;
+            let next_features = pipeline.row(g);
+            let adv = agent.record_valued(
+                std::mem::take(&mut t.features),
+                w.acts,
+                w.logp,
+                w.reward,
+                v[0],
+                v[1],
+                w.masks,
             );
             let mut adv = adv as f64;
             if check_finite("PPO advantage", adv).is_some() {
@@ -264,13 +304,13 @@ pub fn run_episode(
                 adv = 0.0;
             }
             t.window.push(adv);
-            if next_score > t.best_score {
-                t.best_score = next_score;
+            if scores[g] > t.best_score {
+                t.best_score = scores[g];
                 t.best_pos = step;
             }
             t.at = first + g;
             t.features = next_features.to_vec();
-            t.score = next_score;
+            t.score = scores[g];
         }
         drop(update_span);
 
@@ -481,6 +521,111 @@ mod tests {
             &mut rng,
         );
         assert!(agent.num_updates() > before);
+    }
+
+    /// Pins the whole episode — visit order and scores, every recorded
+    /// transition (critic-computed advantages included) and the critical
+    /// steps — to values recorded with the per-track `record` loop. The
+    /// lint rejects a third of all schedules by fingerprint, so some
+    /// track-steps lose both proposals and must neither record nor move.
+    #[test]
+    fn episode_matches_golden_digests() {
+        use harl_verify::{Component, Diagnostic, LintContext, ScheduleLint};
+
+        struct RejectThird;
+        impl ScheduleLint for RejectThird {
+            fn code(&self) -> LintCode {
+                LintCode::ParallelReductionRace
+            }
+            fn requires_well_formed(&self) -> bool {
+                false
+            }
+            fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+                if ctx.schedule.fingerprint().is_multiple_of(3) {
+                    out.push(Diagnostic::new(
+                        LintCode::ParallelReductionRace,
+                        Component::Schedule,
+                        "rejected by test lint".into(),
+                    ));
+                }
+            }
+        }
+
+        fn fnv(h: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *h = (*h ^ b as u64).wrapping_mul(0x100000001b3);
+            }
+        }
+
+        let (g, sk, mut agent, mut rng) = setup();
+        // a trained cost model, so scores, rewards and winners differ
+        let mut cost = CostModel::new(GbtParams {
+            n_rounds: 8,
+            ..Default::default()
+        });
+        cost.update_batch((0..64).map(|_| {
+            let s = Schedule::random(&sk, Target::Cpu, &mut rng);
+            let mut f = Vec::new();
+            extract_features_into(&g, &sk, Target::Cpu, &s, &mut f);
+            (f, 1e9 * (1 + s.fingerprint() % 97) as f64)
+        }));
+        let mut an = Analyzer::empty(harl_verify::CacheBudget::for_target(Target::Cpu));
+        an.register(Box::new(RejectThird));
+        let cfg = HarlConfig::tiny();
+        let res = run_episode(
+            &g,
+            &sk,
+            Target::Cpu,
+            &mut agent,
+            &cost,
+            &cfg,
+            &[],
+            &an,
+            &mut ScoringPipeline::new(1, 1024),
+            &Tracer::disabled(),
+            &mut rng,
+        );
+
+        let mut visited = 0xcbf29ce484222325u64;
+        for (score, s, track) in &res.visited {
+            fnv(&mut visited, &score.to_bits().to_le_bytes());
+            fnv(&mut visited, &s.fingerprint().to_le_bytes());
+            fnv(&mut visited, &track.to_le_bytes());
+        }
+        let mut buffer = 0xcbf29ce484222325u64;
+        fnv(
+            &mut buffer,
+            serde_json::to_string(&agent.buffer).unwrap().as_bytes(),
+        );
+        let critical: Vec<(usize, usize)> = res
+            .critical_steps
+            .iter()
+            .map(|c| (c.position, c.length))
+            .collect();
+
+        assert_eq!(res.steps, 6);
+        assert_eq!(res.lint_stats.rejected, 21);
+        assert_eq!(res.visited.len(), 64);
+        assert_eq!(
+            visited, 0xedf24948579d6d4d,
+            "visit order, scores or tracks moved"
+        );
+        // 36 track-steps, two of which lost both proposals to the lint
+        assert_eq!(agent.buffer.len(), 34);
+        assert_eq!(buffer, 0xb9f13f7a15163132, "replay buffer contents moved");
+        assert_eq!(
+            critical,
+            [
+                (0, 3),
+                (3, 3),
+                (0, 3),
+                (0, 3),
+                (2, 6),
+                (1, 6),
+                (1, 6),
+                (2, 6)
+            ]
+        );
     }
 
     /// A lint that rejects everything: the episode must drop every candidate

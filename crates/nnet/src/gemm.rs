@@ -3,11 +3,13 @@
 //! The layers store weights row-major `out_dim × in_dim` (one contiguous
 //! row per output unit) because that is the natural layout for Adam and
 //! serde. For a batch-major forward pass `Y = X·Wᵀ + b` that layout is
-//! hostile: the inner product over `k` strides `W` by `in_dim`. So the
-//! kernel first transposes the weights into a k-major scratch buffer
-//! `wt[k·out_dim + o]` and then hands the blocked sweep to the
+//! hostile: the inner product over `k` strides `W` by `in_dim`. So each
+//! layer keeps a k-major copy `wt[k·out_dim + o]`, rebuilt whenever Adam
+//! moves the weights, and hands the blocked sweep to the
 //! runtime-dispatched `harl-simd` MR×NR microkernel, whose vector lanes run
-//! across `o` cells (AVX2/SSE2/NEON, scalar fallback, FMA never used).
+//! across `o` cells (AVX2/SSE2/NEON, scalar fallback, FMA never used). The
+//! backward pass needs no transposed weights: the stored layout is already
+//! k-major for `dX = gy·W` (see [`crate::layers::Linear::backward_batch`]).
 //!
 //! ## Determinism contract
 //!
@@ -34,7 +36,7 @@
 //! all produce identical bits (pinned by harl-simd's own backend-matrix
 //! tests and by `tests/scoring_determinism.rs`).
 
-pub use harl_simd::gemm_bias_into;
+pub use harl_simd::{gemm_bias_into, gemm_bias_slice};
 
 /// Transposes row-major `w` (`out_dim × in_dim`) into k-major `wt`
 /// (`in_dim × out_dim`), i.e. `wt[k·out_dim + o] = w[o·in_dim + k]`.

@@ -9,11 +9,29 @@
 //! batched backward whose per-parameter reductions keep one fixed
 //! summation order no matter the batch size or pool width.
 
+use std::ops::Deref;
+use std::sync::OnceLock;
+
 use harl_par::ThreadPool;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::gemm::{gemm_bias_into, transpose_into};
+use crate::gemm::{gemm_bias_into, gemm_bias_slice, transpose_into};
+
+/// A layer's row-major `out_dim × in_dim` weight matrix. It reads as a
+/// plain `[f32]` (and serializes as one), but only [`Linear`] can write
+/// it: every write goes through a method that also refreshes the layer's
+/// cached transpose, so the forward pass can never see a stale one.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Weights(Vec<f32>);
+
+impl Deref for Weights {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.0
+    }
+}
 
 /// A fully-connected layer `Y = X·Wᵀ + b` with gradient accumulators and
 /// Adam moments.
@@ -24,7 +42,7 @@ pub struct Linear {
     /// Output dimensionality.
     pub out_dim: usize,
     /// Row-major `out_dim × in_dim`.
-    pub w: Vec<f32>,
+    pub w: Weights,
     /// Bias vector.
     pub b: Vec<f32>,
     /// Accumulated weight gradients.
@@ -35,6 +53,60 @@ pub struct Linear {
     vw: Vec<f32>,
     mb: Vec<f32>,
     vb: Vec<f32>,
+    /// The k-major transpose of `w` the forward GEMM reads. Built on first
+    /// use (a new, cloned-before-use or deserialized layer has none) and
+    /// rebuilt by [`Linear::adam_step`], the only writer of `w`.
+    #[serde(skip)]
+    wt: OnceLock<Vec<f32>>,
+}
+
+/// Caller-owned scratch of [`Linear::backward_batch`], reusable across
+/// layers and calls: the transposed output gradient, the weight-gradient
+/// partial, and the `+0.0` bias both backward GEMMs start from.
+#[derive(Debug, Clone, Default)]
+pub struct GradScratch {
+    gyt: Vec<f32>,
+    dw: Vec<f32>,
+    zeros: Vec<f32>,
+}
+
+/// `y = x·wt` (`rows × k` times k-major `k × n`), every cell a
+/// `+0.0`-seeded ascending-`k` chain, with the output rows split into
+/// blocks across `pool`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_on_pool(
+    pool: &ThreadPool,
+    x: &[f32],
+    wt: &[f32],
+    zeros: &[f32],
+    rows: usize,
+    k: usize,
+    n: usize,
+    y: &mut Vec<f32>,
+) {
+    y.resize(rows * n, 0.0);
+    pool.for_each_row_block(y, n, |first, block| {
+        let r = block.len() / n;
+        gemm_bias_slice(&x[first * k..(first + r) * k], wt, zeros, r, k, n, block);
+    });
+}
+
+/// One Adam step over a parameter slice and its gradient and moment
+/// slices. The lock-step iteration has no bounds checks, so the
+/// elementwise chain (exact `sqrt` and divisions included) vectorizes
+/// without changing a bit.
+fn adam(p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], lr: f32, t: u64, scale: f32) {
+    const B1: f32 = 0.9;
+    const B2: f32 = 0.999;
+    const EPS: f32 = 1e-8;
+    let bc1 = 1.0 - B1.powi(t as i32);
+    let bc2 = 1.0 - B2.powi(t as i32);
+    for (((p, &g), m), v) in p.iter_mut().zip(g).zip(m).zip(v) {
+        let g = g * scale;
+        *m = B1 * *m + (1.0 - B1) * g;
+        *v = B2 * *v + (1.0 - B2) * g * g;
+        *p -= lr * (*m / bc1) / ((*v / bc2).sqrt() + EPS);
+    }
 }
 
 impl Linear {
@@ -48,7 +120,7 @@ impl Linear {
         Linear {
             in_dim,
             out_dim,
-            w,
+            w: Weights(w),
             b: vec![0.0; out_dim],
             gw: vec![0.0; in_dim * out_dim],
             gb: vec![0.0; out_dim],
@@ -56,80 +128,74 @@ impl Linear {
             vw: vec![0.0; in_dim * out_dim],
             mb: vec![0.0; out_dim],
             vb: vec![0.0; out_dim],
+            wt: OnceLock::new(),
         }
     }
 
     /// Batch-major forward: `y[b·out + o] = b[o] + Σ_k w[o·in + k]·x[b·in + k]`
-    /// for every row `b < batch`, through the blocked GEMM. `wt` is caller
-    /// scratch for the weight transpose (reused across calls to amortize
-    /// the allocation); every row comes out bit-equal to a batch-1 call.
-    pub fn forward_batch_into(&self, x: &[f32], batch: usize, wt: &mut Vec<f32>, y: &mut Vec<f32>) {
+    /// for every row `b < batch`, through the blocked GEMM over the cached
+    /// weight transpose; every row comes out bit-equal to a batch-1 call.
+    pub fn forward_batch_into(&self, x: &[f32], batch: usize, y: &mut Vec<f32>) {
         debug_assert_eq!(x.len(), batch * self.in_dim);
-        transpose_into(&self.w, self.out_dim, self.in_dim, wt);
+        let wt = self.wt.get_or_init(|| {
+            let mut wt = Vec::new();
+            transpose_into(&self.w, self.out_dim, self.in_dim, &mut wt);
+            wt
+        });
         gemm_bias_into(x, wt, &self.b, batch, self.in_dim, self.out_dim, y);
     }
 
     /// Batched backward: accumulates `∂L/∂W` and `∂L/∂b` over the whole
-    /// batch and writes `∂L/∂X` (batch-major) into `gx`.
+    /// batch and, when the caller asks for it, writes `∂L/∂X` (batch-major)
+    /// into `gx`.
     ///
-    /// The parameter reduction is parallelized over output rows on `pool`:
-    /// each row `o` sums its batch contributions in ascending-`b` order
-    /// into a private accumulator (starting at +0.0), and the private sums
-    /// are folded into `gw`/`gb` serially in ascending-`o` order. Both
-    /// orders are independent of the pool width, and adding a private
-    /// ascending-`b` partial into the accumulator produces the same bits
-    /// as accumulating the terms directly (the partial of a `+0.0`-seeded
-    /// chain is never `-0.0`), so any width — and any batch split — equals
-    /// the serial per-sample loop bit-for-bit.
+    /// Both gradients are products whose reduction operand is already
+    /// k-major, so both run on the forward's GEMM microkernel:
+    /// `dW = gyᵀ·X` reduces over the batch with `X` (`batch × in`) as the
+    /// k-major operand, `dX = gy·W` reduces over the outputs with the
+    /// stored `W` (`out × in`) as the k-major operand. The kernel gives
+    /// every cell one chain — the `+0.0` bias, then ascending `b` (resp.
+    /// ascending `o`) multiply-then-add, `g` always the left factor — which
+    /// is the chain of the serial per-sample loop. `dW` lands in a private
+    /// partial that is then added to `gw`; adding an ascending-`b` partial
+    /// produces the same bits as accumulating the terms directly (the
+    /// partial of a `+0.0`-seeded chain is never `-0.0`). `pool` splits the
+    /// output rows of either product into blocks; rows are independent, so
+    /// any width — and any batch split — equals the serial loop
+    /// bit-for-bit, on every backend.
     pub fn backward_batch(
         &mut self,
         x: &[f32],
         gy: &[f32],
         batch: usize,
         pool: &ThreadPool,
-        gx: &mut Vec<f32>,
+        scratch: &mut GradScratch,
+        gx: Option<&mut Vec<f32>>,
     ) {
         debug_assert_eq!(x.len(), batch * self.in_dim);
         debug_assert_eq!(gy.len(), batch * self.out_dim);
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
+        let GradScratch { gyt, dw, zeros } = scratch;
+        zeros.clear();
+        zeros.resize(in_dim, 0.0);
 
-        // dL/dW, dL/db: one task per output row, batch summed in order.
-        // The rank-1 update `gw_row += g·x_row` is elementwise, so the
-        // harl-simd lanes (one cell per lane, mul-then-add, no FMA) keep
-        // the serial bits at every backend.
-        let row_grads = pool.map_range(out_dim, |o| {
-            let mut gw_row = vec![0.0f32; in_dim];
+        // dL/dW = gyᵀ·X; dL/db sums each row of gyᵀ, batch in order
+        transpose_into(gy, batch, out_dim, gyt);
+        gemm_on_pool(pool, gyt, x, zeros, out_dim, batch, in_dim, dw);
+        for (acc, &g) in self.gw.iter_mut().zip(dw.iter()) {
+            *acc += g;
+        }
+        for (o, acc) in self.gb.iter_mut().enumerate() {
             let mut gb_o = 0.0f32;
-            for b in 0..batch {
-                let g = gy[b * out_dim + o];
+            for &g in &gyt[o * batch..(o + 1) * batch] {
                 gb_o += g;
-                harl_simd::axpy_lanes(g, &x[b * in_dim..(b + 1) * in_dim], &mut gw_row);
             }
-            (gw_row, gb_o)
-        });
-        for (o, (gw_row, gb_o)) in row_grads.iter().enumerate() {
-            self.gb[o] += gb_o;
-            let row = &mut self.gw[o * in_dim..(o + 1) * in_dim];
-            for (acc, &g) in row.iter_mut().zip(gw_row) {
-                *acc += g;
-            }
+            *acc += gb_o;
         }
 
-        // dL/dX: rows are independent, ascending-o accumulation per row
-        let w = &self.w;
-        let gx_rows = pool.map_range(batch, |b| {
-            let mut gx_row = vec![0.0f32; in_dim];
-            for o in 0..out_dim {
-                let g = gy[b * out_dim + o];
-                // w·g vs g·w: IEEE-754 multiplication commutes bitwise
-                harl_simd::axpy_lanes(g, &w[o * in_dim..(o + 1) * in_dim], &mut gx_row);
-            }
-            gx_row
-        });
-        gx.clear();
-        gx.reserve(batch * in_dim);
-        for row in gx_rows {
-            gx.extend_from_slice(&row);
+        // dL/dX = gy·W
+        if let Some(gx) = gx {
+            gemm_on_pool(pool, gy, &self.w, zeros, batch, out_dim, in_dim, gx);
         }
     }
 
@@ -141,23 +207,28 @@ impl Linear {
 
     /// Adam update with bias correction; `t` is the 1-based step count and
     /// `scale` divides accumulated gradients (e.g. by the minibatch size).
+    /// Refreshes the cached weight transpose.
     pub fn adam_step(&mut self, lr: f32, t: u64, scale: f32) {
-        const B1: f32 = 0.9;
-        const B2: f32 = 0.999;
-        const EPS: f32 = 1e-8;
-        let bc1 = 1.0 - B1.powi(t as i32);
-        let bc2 = 1.0 - B2.powi(t as i32);
-        for i in 0..self.w.len() {
-            let g = self.gw[i] * scale;
-            self.mw[i] = B1 * self.mw[i] + (1.0 - B1) * g;
-            self.vw[i] = B2 * self.vw[i] + (1.0 - B2) * g * g;
-            self.w[i] -= lr * (self.mw[i] / bc1) / ((self.vw[i] / bc2).sqrt() + EPS);
-        }
-        for i in 0..self.b.len() {
-            let g = self.gb[i] * scale;
-            self.mb[i] = B1 * self.mb[i] + (1.0 - B1) * g;
-            self.vb[i] = B2 * self.vb[i] + (1.0 - B2) * g * g;
-            self.b[i] -= lr * (self.mb[i] / bc1) / ((self.vb[i] / bc2).sqrt() + EPS);
+        adam(
+            &mut self.w.0,
+            &self.gw,
+            &mut self.mw,
+            &mut self.vw,
+            lr,
+            t,
+            scale,
+        );
+        adam(
+            &mut self.b,
+            &self.gb,
+            &mut self.mb,
+            &mut self.vb,
+            lr,
+            t,
+            scale,
+        );
+        if let Some(wt) = self.wt.get_mut() {
+            transpose_into(&self.w, self.out_dim, self.in_dim, wt);
         }
     }
 
@@ -182,22 +253,76 @@ pub fn tanh_backward(y: &[f32], gy: &mut [f32]) {
 }
 
 #[cfg(test)]
+impl Linear {
+    /// Test-only single-weight write (finite differences); drops the
+    /// cached transpose like any writer of `w` must.
+    pub(crate) fn set_w(&mut self, i: usize, v: f32) {
+        self.w.0[i] = v;
+        self.wt = OnceLock::new();
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn forward1(l: &Linear, x: &[f32]) -> Vec<f32> {
-        let (mut wt, mut y) = (Vec::new(), Vec::new());
-        l.forward_batch_into(x, 1, &mut wt, &mut y);
+        let mut y = Vec::new();
+        l.forward_batch_into(x, 1, &mut y);
         y
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// The backward this crate shipped before the GEMM one: one private
+    /// `+0.0` row per output unit (resp. per sample), rank-1 updates
+    /// `row += g·x_row` in ascending `b` (resp. `o`), partials folded into
+    /// `gw`/`gb` afterwards. Kept as the bit oracle of the rewrite.
+    fn backward_per_row(l: &mut Linear, x: &[f32], gy: &[f32], batch: usize) -> Vec<f32> {
+        let (in_dim, out_dim) = (l.in_dim, l.out_dim);
+        let axpy = |a: f32, x: &[f32], y: &mut [f32]| {
+            for (yi, &xi) in y.iter_mut().zip(x) {
+                *yi += a * xi;
+            }
+        };
+        for o in 0..out_dim {
+            let mut gw_row = vec![0.0f32; in_dim];
+            let mut gb_o = 0.0f32;
+            for b in 0..batch {
+                let g = gy[b * out_dim + o];
+                gb_o += g;
+                axpy(g, &x[b * in_dim..(b + 1) * in_dim], &mut gw_row);
+            }
+            l.gb[o] += gb_o;
+            for (acc, &g) in l.gw[o * in_dim..(o + 1) * in_dim].iter_mut().zip(&gw_row) {
+                *acc += g;
+            }
+        }
+        let mut gx = vec![0.0f32; batch * in_dim];
+        for b in 0..batch {
+            for o in 0..out_dim {
+                let g = gy[b * out_dim + o];
+                axpy(
+                    g,
+                    &l.w[o * in_dim..(o + 1) * in_dim],
+                    &mut gx[b * in_dim..(b + 1) * in_dim],
+                );
+            }
+        }
+        gx
     }
 
     #[test]
     fn forward_matches_manual() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut l = Linear::new(2, 2, &mut rng);
-        l.w = vec![1.0, 2.0, 3.0, 4.0];
+        for (i, v) in [1.0, 2.0, 3.0, 4.0].into_iter().enumerate() {
+            l.set_w(i, v);
+        }
         l.b = vec![0.5, -0.5];
         let y = forward1(&l, &[1.0, -1.0]);
         assert_eq!(y, vec![1.0 - 2.0 + 0.5, 3.0 - 4.0 - 0.5]);
@@ -213,16 +338,23 @@ mod tests {
         let gy = [1.0f32, 1.0];
         let mut gx = Vec::new();
         l.zero_grad();
-        l.backward_batch(&x, &gy, 1, &pool, &mut gx);
+        l.backward_batch(
+            &x,
+            &gy,
+            1,
+            &pool,
+            &mut GradScratch::default(),
+            Some(&mut gx),
+        );
 
         let eps = 1e-3f32;
         for i in 0..l.w.len() {
             let orig = l.w[i];
-            l.w[i] = orig + eps;
+            l.set_w(i, orig + eps);
             let lp: f32 = forward1(&l, &x).iter().sum();
-            l.w[i] = orig - eps;
+            l.set_w(i, orig - eps);
             let lm: f32 = forward1(&l, &x).iter().sum();
-            l.w[i] = orig;
+            l.set_w(i, orig);
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
                 (fd - l.gw[i]).abs() < 1e-2,
@@ -250,6 +382,7 @@ mod tests {
         let l0 = Linear::new(5, 4, &mut rng);
         let x: Vec<f32> = (0..15).map(|i| (i as f32 * 0.37).sin()).collect();
         let gy: Vec<f32> = (0..12).map(|i| (i as f32 * 0.53).cos()).collect();
+        let mut scratch = GradScratch::default();
 
         let mut serial = l0.clone();
         let pool1 = ThreadPool::new(1);
@@ -261,7 +394,8 @@ mod tests {
                 &gy[b * 4..(b + 1) * 4],
                 1,
                 &pool1,
-                &mut gx_b,
+                &mut scratch,
+                Some(&mut gx_b),
             );
             gx_serial.extend_from_slice(&gx_b);
         }
@@ -270,11 +404,101 @@ mod tests {
             let mut batched = l0.clone();
             let pool = ThreadPool::new(threads);
             let mut gx = Vec::new();
-            batched.backward_batch(&x, &gy, 3, &pool, &mut gx);
-            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            batched.backward_batch(&x, &gy, 3, &pool, &mut scratch, Some(&mut gx));
             assert_eq!(bits(&batched.gw), bits(&serial.gw), "gw, width {threads}");
             assert_eq!(bits(&batched.gb), bits(&serial.gb), "gb, width {threads}");
             assert_eq!(bits(&gx), bits(&gx_serial), "gx, width {threads}");
+        }
+    }
+
+    #[test]
+    fn gemm_backward_equals_the_per_row_backward_bit_for_bit() {
+        // shapes straddle the kernel's MB = 8 row block, its KC = 256
+        // reduction panel (`batch` is dW's reduction length, `out_dim` dX's),
+        // the 8-lane column tail, and the pool's 64-rows-per-worker inline
+        // threshold (width 2 splits dX at batch 300 and dW at out_dim 130);
+        // gradients start non-zero so the fold into `gw`/`gb` is covered
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut scratch = GradScratch::default();
+        let backends: Vec<_> = harl_simd::Backend::ALL
+            .into_iter()
+            .filter(|b| b.is_supported())
+            .collect();
+        for &batch in &[1usize, 7, 64, 65, 300] {
+            for &out_dim in &[1usize, 3, 64, 101, 130] {
+                for &in_dim in &[5usize, 64, 257] {
+                    let mut l0 = Linear::new(in_dim, out_dim, &mut rng);
+                    l0.gw.iter_mut().for_each(|g| *g = rng.gen_range(-1.0..1.0));
+                    l0.gb.iter_mut().for_each(|g| *g = rng.gen_range(-1.0..1.0));
+                    let x: Vec<f32> = (0..batch * in_dim)
+                        .map(|_| rng.gen_range(-1.0..1.0))
+                        .collect();
+                    let gy: Vec<f32> = (0..batch * out_dim)
+                        .map(|_| rng.gen_range(-1.0..1.0))
+                        .collect();
+                    let mut want = l0.clone();
+                    let want_gx = backward_per_row(&mut want, &x, &gy, batch);
+                    for &backend in &backends {
+                        for threads in [1, 2, 7] {
+                            let shape = format!(
+                                "{}: {batch}×{in_dim}→{out_dim}, width {threads}",
+                                backend.name()
+                            );
+                            let mut got = l0.clone();
+                            let mut gx = Vec::new();
+                            let prev = harl_simd::force_backend(Some(backend));
+                            got.backward_batch(
+                                &x,
+                                &gy,
+                                batch,
+                                &ThreadPool::new(threads),
+                                &mut scratch,
+                                Some(&mut gx),
+                            );
+                            harl_simd::force_backend(prev);
+                            assert_eq!(bits(&got.gw), bits(&want.gw), "gw, {shape}");
+                            assert_eq!(bits(&got.gb), bits(&want.gb), "gb, {shape}");
+                            assert_eq!(bits(&gx), bits(&want_gx), "gx, {shape}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_follows_every_weight_update() {
+        // the cached transpose must track `adam_step`, and a clone taken
+        // after the cache was built must keep tracking its own updates
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut l = Linear::new(7, 5, &mut rng);
+        let pool = ThreadPool::new(1);
+        let x: Vec<f32> = (0..14).map(|i| (i as f32 * 0.41).sin()).collect();
+        let gy: Vec<f32> = (0..10).map(|i| (i as f32 * 0.29).cos()).collect();
+        let fresh = |l: &Linear| {
+            // an independent forward straight from the public weights
+            let (mut wt, mut y) = (Vec::new(), Vec::new());
+            transpose_into(&l.w, l.out_dim, l.in_dim, &mut wt);
+            gemm_bias_into(&x, &wt, &l.b, 2, l.in_dim, l.out_dim, &mut y);
+            bits(&y)
+        };
+        let cached = |l: &Linear| {
+            let mut y = Vec::new();
+            l.forward_batch_into(&x, 2, &mut y);
+            bits(&y)
+        };
+        assert_eq!(cached(&l), fresh(&l));
+        let mut twin = l.clone();
+        for t in 1..=3 {
+            for net in [&mut l, &mut twin] {
+                net.zero_grad();
+                net.backward_batch(&x, &gy, 2, &pool, &mut GradScratch::default(), None);
+            }
+            l.adam_step(0.05, t, 1.0);
+            twin.adam_step(0.01, t, 1.0);
+            assert_eq!(cached(&l), fresh(&l), "after update {t}");
+            assert_eq!(cached(&twin), fresh(&twin), "clone, after update {t}");
+            assert_ne!(cached(&l), cached(&twin), "the clone trains apart");
         }
     }
 
@@ -283,14 +507,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut l = Linear::new(1, 1, &mut rng);
         let pool = ThreadPool::new(1);
+        let mut scratch = GradScratch::default();
         // learn y = 2x: loss = (y - 2x)^2 on x=1
         let mut t = 0;
         for _ in 0..500 {
             let y = forward1(&l, &[1.0]);
             let err = y[0] - 2.0;
             l.zero_grad();
-            let mut gx = Vec::new();
-            l.backward_batch(&[1.0], &[2.0 * err], 1, &pool, &mut gx);
+            l.backward_batch(&[1.0], &[2.0 * err], 1, &pool, &mut scratch, None);
             t += 1;
             l.adam_step(0.05, t, 1.0);
         }

@@ -19,7 +19,7 @@ pub mod mlp;
 pub mod policy;
 pub mod ppo;
 
-pub use layers::Linear;
-pub use mlp::{masked_softmax, Mlp, MlpConfig, MlpConfigBuilder, Workspace};
+pub use layers::{GradScratch, Linear, Weights};
+pub use mlp::{masked_softmax, masked_softmax_into, Mlp, MlpConfig, MlpConfigBuilder, Workspace};
 pub use policy::{sample_categorical, MultiHeadPolicy, PolicyWorkspace};
 pub use ppo::{PpoAgent, PpoConfig, PpoConfigBuilder, ReplayBuffer, Transition};

@@ -1,8 +1,8 @@
 //! Multi-layer perceptron with tanh hidden activations.
 //!
 //! The forward/backward API is batch-major and `&self`-shareable: all
-//! mutable per-pass state (activation caches, transpose scratch, gradient
-//! buffers) lives in a caller-owned [`Workspace`], not inside the network.
+//! mutable per-pass state (activation caches, gradient buffers, backward
+//! scratch) lives in a caller-owned [`Workspace`], not inside the network.
 //! That is what lets one set of weights serve any batch shape without
 //! interior mutability, and it keeps serde state identical to the old
 //! per-sample design (the caches were `#[serde(skip)]` there too).
@@ -12,7 +12,7 @@ use harl_tensor_sim::ConfigError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::layers::{tanh_backward, tanh_forward, Linear};
+use crate::layers::{tanh_backward, tanh_forward, GradScratch, Linear};
 
 /// Validated MLP shape: `in_dim → hidden (tanh) × hidden_layers → out_dim`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -112,8 +112,8 @@ impl MlpConfigBuilder {
 }
 
 /// Caller-owned scratch for one network's forward/backward passes:
-/// batch-major activations, weight-transpose scratch, and gradient
-/// buffers. Reusing one workspace across calls amortizes every allocation
+/// batch-major activations, gradient buffers, and the layers' backward
+/// scratch. Reusing one workspace across calls amortizes every allocation
 /// in the hot path; distinct workspaces make the same `&Mlp` usable from
 /// several call sites without aliasing.
 #[derive(Debug, Clone, Default)]
@@ -121,9 +121,9 @@ pub struct Workspace {
     batch: usize,
     input: Vec<f32>,
     acts: Vec<Vec<f32>>,
-    wt: Vec<f32>,
     gy: Vec<f32>,
     gx: Vec<f32>,
+    pub(crate) grad: GradScratch,
 }
 
 impl Workspace {
@@ -186,13 +186,11 @@ impl Mlp {
         ws.input.clear();
         ws.input.extend_from_slice(x);
         ws.acts.resize(n, Vec::new());
-        let Workspace {
-            acts, wt, input, ..
-        } = ws;
+        let Workspace { acts, input, .. } = ws;
         for li in 0..n {
             let (prev, rest) = acts.split_at_mut(li);
             let inp: &[f32] = if li == 0 { input } else { &prev[li - 1] };
-            self.layers[li].forward_batch_into(inp, batch, wt, &mut rest[0]);
+            self.layers[li].forward_batch_into(inp, batch, &mut rest[0]);
             if li + 1 < n {
                 tanh_forward(&mut rest[0]);
             }
@@ -202,14 +200,16 @@ impl Mlp {
 
     /// Backward pass for the most recent [`Mlp::forward_batch`] through
     /// the same workspace; accumulates parameter gradients (reduction on
-    /// `pool`, order fixed — see [`Linear::backward_batch`]) and returns
-    /// the batch-major `∂L/∂input`.
+    /// `pool`, order fixed — see [`Linear::backward_batch`]). The
+    /// batch-major `∂L/∂input` costs one more GEMM that no training loop
+    /// reads, so it is computed only when `input_grad` asks for it.
     pub fn backward_batch(
         &mut self,
         grad_out: &[f32],
         ws: &mut Workspace,
         pool: &ThreadPool,
-    ) -> Vec<f32> {
+        mut input_grad: Option<&mut Vec<f32>>,
+    ) {
         let n = self.layers.len();
         assert_eq!(ws.acts.len(), n, "backward without forward");
         let batch = ws.batch;
@@ -221,6 +221,7 @@ impl Mlp {
             input,
             gy,
             gx,
+            grad,
             ..
         } = ws;
         for li in (0..n).rev() {
@@ -228,11 +229,13 @@ impl Mlp {
                 // gy is w.r.t. the post-tanh output of layer li
                 tanh_backward(&acts[li], gy);
             }
-            let inp: &[f32] = if li == 0 { input } else { &acts[li - 1] };
-            self.layers[li].backward_batch(inp, gy, batch, pool, gx);
-            std::mem::swap(gy, gx);
+            if li == 0 {
+                self.layers[0].backward_batch(input, gy, batch, pool, grad, input_grad.take());
+            } else {
+                self.layers[li].backward_batch(&acts[li - 1], gy, batch, pool, grad, Some(gx));
+                std::mem::swap(gy, gx);
+            }
         }
-        std::mem::take(gy)
     }
 
     /// Clears accumulated gradients.
@@ -259,32 +262,39 @@ impl Mlp {
 /// Softmax over logits with an optional validity mask; invalid entries get
 /// probability 0. Returns the probability vector.
 pub fn masked_softmax(logits: &[f32], mask: Option<&[bool]>) -> Vec<f32> {
+    let mut probs = Vec::with_capacity(logits.len());
+    masked_softmax_into(logits, mask, &mut probs);
+    probs
+}
+
+/// [`masked_softmax`] into a reused row (`probs` is cleared first).
+pub fn masked_softmax_into(logits: &[f32], mask: Option<&[bool]>, probs: &mut Vec<f32>) {
+    probs.clear();
+    let valid = |i: usize| mask.map(|m| m[i]).unwrap_or(true);
     let mut mx = f32::NEG_INFINITY;
     for (i, &z) in logits.iter().enumerate() {
-        if mask.map(|m| m[i]).unwrap_or(true) {
+        if valid(i) {
             mx = mx.max(z);
         }
     }
     if mx == f32::NEG_INFINITY {
         // no valid action: uniform (caller should avoid this)
-        return vec![1.0 / logits.len() as f32; logits.len()];
+        probs.resize(logits.len(), 1.0 / logits.len() as f32);
+        return;
     }
-    let mut probs: Vec<f32> = logits
-        .iter()
-        .enumerate()
-        .map(|(i, &z)| {
-            if mask.map(|m| m[i]).unwrap_or(true) {
+    probs.extend(logits.iter().enumerate().map(
+        |(i, &z)| {
+            if valid(i) {
                 (z - mx).exp()
             } else {
                 0.0
             }
-        })
-        .collect();
+        },
+    ));
     let sum: f32 = probs.iter().sum();
-    for p in &mut probs {
+    for p in probs {
         *p /= sum;
     }
-    probs
 }
 
 #[cfg(test)]
@@ -339,17 +349,18 @@ mod tests {
         let mut ws = Workspace::new();
         let _ = mlp.forward_batch(&x, 1, &mut ws);
         mlp.zero_grad();
-        let gin = mlp.backward_batch(&[1.0, 1.0], &mut ws, &pool);
+        let mut gin = Vec::new();
+        mlp.backward_batch(&[1.0, 1.0], &mut ws, &pool, Some(&mut gin));
 
         let eps = 1e-3f32;
         // check one weight in each layer
         for li in 0..mlp.layers.len() {
             let orig = mlp.layers[li].w[0];
-            mlp.layers[li].w[0] = orig + eps;
+            mlp.layers[li].set_w(0, orig + eps);
             let lp: f32 = infer1(&mlp, &x).iter().sum();
-            mlp.layers[li].w[0] = orig - eps;
+            mlp.layers[li].set_w(0, orig - eps);
             let lm: f32 = infer1(&mlp, &x).iter().sum();
-            mlp.layers[li].w[0] = orig;
+            mlp.layers[li].set_w(0, orig);
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
                 (fd - mlp.layers[li].gw[0]).abs() < 2e-2,
@@ -381,7 +392,7 @@ mod tests {
             mlp.zero_grad();
             let y = mlp.forward_batch(&xs, 4, &mut ws).to_vec();
             let grad: Vec<f32> = y.iter().zip(&ts).map(|(yi, ti)| 2.0 * (yi - ti)).collect();
-            mlp.backward_batch(&grad, &mut ws, &pool);
+            mlp.backward_batch(&grad, &mut ws, &pool, None);
             mlp.adam_step(0.01, 0.25);
         }
         for (i, t) in ts.iter().enumerate() {

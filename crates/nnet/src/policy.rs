@@ -26,7 +26,6 @@ pub struct PolicyWorkspace {
     trunk: Workspace,
     trunk_out: Vec<f32>,
     logits: Vec<Vec<f32>>,
-    wt: Vec<f32>,
     gx: Vec<f32>,
     g_trunk: Vec<f32>,
     batch: usize,
@@ -104,7 +103,7 @@ impl MultiHeadPolicy {
         tanh_forward(&mut ws.trunk_out);
         ws.logits.resize(self.heads.len(), Vec::new());
         for (h, head) in self.heads.iter().enumerate() {
-            head.forward_batch_into(&ws.trunk_out, batch, &mut ws.wt, &mut ws.logits[h]);
+            head.forward_batch_into(&ws.trunk_out, batch, &mut ws.logits[h]);
         }
     }
 
@@ -124,13 +123,15 @@ impl MultiHeadPolicy {
         ws.g_trunk.clear();
         ws.g_trunk.resize(ws.trunk_out.len(), 0.0);
         for (h, gl) in self.heads.iter_mut().zip(grad_logits) {
-            h.backward_batch(&ws.trunk_out, gl, batch, pool, &mut ws.gx);
+            let scratch = &mut ws.trunk.grad;
+            h.backward_batch(&ws.trunk_out, gl, batch, pool, scratch, Some(&mut ws.gx));
             for (a, b) in ws.g_trunk.iter_mut().zip(&ws.gx) {
                 *a += *b;
             }
         }
         tanh_backward(&ws.trunk_out, &mut ws.g_trunk);
-        let _ = self.trunk.backward_batch(&ws.g_trunk, &mut ws.trunk, pool);
+        self.trunk
+            .backward_batch(&ws.g_trunk, &mut ws.trunk, pool, None);
     }
 
     /// Clears accumulated gradients.

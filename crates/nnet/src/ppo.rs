@@ -24,7 +24,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::mlp::{masked_softmax, Mlp, Workspace};
+use crate::mlp::{masked_softmax_into, Mlp, Workspace};
 use crate::policy::{sample_categorical, MultiHeadPolicy, PolicyWorkspace};
 
 /// PPO hyper-parameters (defaults = Table 5).
@@ -256,12 +256,18 @@ impl ReplayBuffer {
         self.items.is_empty()
     }
 
-    /// Samples up to `n` distinct transitions uniformly.
-    pub fn sample<'a, R: Rng + ?Sized>(&'a self, n: usize, rng: &mut R) -> Vec<&'a Transition> {
-        let mut idx: Vec<usize> = (0..self.items.len()).collect();
-        idx.shuffle(rng);
-        idx.truncate(n);
-        idx.into_iter().map(|i| &self.items[i]).collect()
+    /// Samples the positions of up to `n` distinct transitions uniformly
+    /// into `positions` (cleared first); [`ReplayBuffer::get`] resolves them.
+    pub fn sample_into<R: Rng + ?Sized>(&self, n: usize, rng: &mut R, positions: &mut Vec<usize>) {
+        positions.clear();
+        positions.extend(0..self.items.len());
+        positions.shuffle(rng);
+        positions.truncate(n);
+    }
+
+    /// The transition at `position` (0 = oldest).
+    pub fn get(&self, position: usize) -> &Transition {
+        &self.items[position]
     }
 
     /// Drops all stored transitions.
@@ -270,12 +276,29 @@ impl ReplayBuffer {
     }
 }
 
+/// Reused rows of [`PpoAgent::act_batch`] and the PPO update: nothing here
+/// outlives a call, it only keeps its allocations.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Buffer positions of the sampled minibatch.
+    sample: Vec<usize>,
+    /// Batch-major states of the minibatch.
+    x: Vec<f32>,
+    /// One softmax row per head, for the sample (or track) at hand.
+    probs: Vec<Vec<f32>>,
+    /// Per-head batch-major logit gradients.
+    grad_logits: Vec<Vec<f32>>,
+    /// Critic output gradient, one per sample.
+    grad_v: Vec<f32>,
+}
+
 /// The actor-critic agent.
 ///
 /// The networks are plain weights (`&self`-shareable, serde-stable); all
-/// per-pass scratch lives in the agent's two workspaces, and the gradient
-/// reduction pool plus tracer are runtime wiring a checkpoint restore
-/// re-applies (`#[serde(skip)]`, like the scoring pipeline's pool).
+/// per-pass scratch lives in the agent's two workspaces and its reused
+/// rows, and the gradient reduction pool plus tracer are runtime wiring a
+/// checkpoint restore re-applies (`#[serde(skip)]`, like the scoring
+/// pipeline's pool).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PpoAgent {
     /// The multi-head actor network π_θ.
@@ -291,6 +314,8 @@ pub struct PpoAgent {
     ws_policy: PolicyWorkspace,
     #[serde(skip)]
     ws_critic: Workspace,
+    #[serde(skip)]
+    scratch: Scratch,
     #[serde(skip)]
     pool: ThreadPool,
     #[serde(skip)]
@@ -316,6 +341,7 @@ impl PpoAgent {
             updates: 0,
             ws_policy: PolicyWorkspace::new(),
             ws_critic: Workspace::new(),
+            scratch: Scratch::default(),
             pool: ThreadPool::default(),
             tracer: Tracer::default(),
         }
@@ -340,7 +366,14 @@ impl PpoAgent {
 
     /// Value estimate `V(s)`.
     pub fn value(&mut self, state: &[f32]) -> f32 {
-        self.critic.forward_batch(state, 1, &mut self.ws_critic)[0]
+        self.values(state, 1)[0]
+    }
+
+    /// Value estimates of `batch` row-major states in one critic pass;
+    /// entry `i` is bit-equal to [`PpoAgent::value`] of row `i`.
+    pub fn values(&mut self, states: &[f32], batch: usize) -> &[f32] {
+        self.critic
+            .forward_batch(states, batch, &mut self.ws_critic)
     }
 
     /// Samples actions for a single state; returns `(actions, logp)`.
@@ -387,22 +420,19 @@ impl PpoAgent {
                 .forward_batch(states, batch, &mut self.ws_policy);
         }
         let num_heads = self.policy.num_heads();
+        let probs = &mut self.scratch.probs;
+        probs.resize(num_heads, Vec::new());
         let mut out = Vec::with_capacity(batch);
         for (b, row_masks) in masks.iter().enumerate().take(batch) {
-            let probs: Vec<Vec<f32>> = (0..num_heads)
-                .map(|h| {
-                    let mask = row_masks
-                        .get(h)
-                        .filter(|m| !m.is_empty())
-                        .map(|m| m.as_slice());
-                    masked_softmax(self.ws_policy.head_logits(h, b), mask)
-                })
-                .collect();
+            for (h, p) in probs.iter_mut().enumerate() {
+                let mask = head_mask(row_masks, h);
+                masked_softmax_into(self.ws_policy.head_logits(h, b), mask, p);
+            }
             let mut draws = Vec::with_capacity(samples);
             for _ in 0..samples {
                 let mut actions = Vec::with_capacity(num_heads);
                 let mut logp = 0.0f32;
-                for p in &probs {
+                for p in probs.iter() {
                     let a = sample_categorical(p, rng);
                     actions.push(a);
                     logp += p[a].max(1e-12).ln();
@@ -433,8 +463,27 @@ impl PpoAgent {
         let mut x = Vec::with_capacity(next_state.len() + state.len());
         x.extend_from_slice(next_state);
         x.extend_from_slice(&state);
-        let out = self.critic.forward_batch(&x, 2, &mut self.ws_critic);
+        let out = self.values(&x, 2);
         let (v_next, v) = (out[0], out[1]);
+        self.record_valued(state, actions, logp, reward, v_next, v, masks)
+    }
+
+    /// [`PpoAgent::record`] for a caller that already holds
+    /// `v_next = V(s′)` and `v = V(s)` — an episode step scores the
+    /// `(s′, s)` pairs of all its tracks in one [`PpoAgent::values`] pass
+    /// and then records them in track order. No update may run between
+    /// that pass and this call, or the estimates are not the critic's.
+    #[allow(clippy::too_many_arguments)]
+    pub fn record_valued(
+        &mut self,
+        state: Vec<f32>,
+        actions: Vec<usize>,
+        logp: f32,
+        reward: f32,
+        v_next: f32,
+        v: f32,
+        masks: Vec<Vec<bool>>,
+    ) -> f32 {
         let advantage = reward + self.cfg.gamma * v_next - v;
         let value_target = reward + self.cfg.gamma * v_next;
         self.buffer.push(Transition {
@@ -456,22 +505,31 @@ impl PpoAgent {
 
     /// One PPO update on a sampled minibatch (Algorithm 1, lines 14–17).
     /// Returns `(policy_loss, value_loss)` averaged over the batch, or
-    /// `None` when the buffer is empty.
+    /// `None` when the buffer is empty. Samples buffer positions and
+    /// updates over references into the buffer, which steps out of the
+    /// agent for the duration of the update.
     pub fn train_step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<(f32, f32)> {
         if self.buffer.is_empty() {
             return None;
         }
-        let batch: Vec<Transition> = self
-            .buffer
-            .sample(self.cfg.minibatch, rng)
-            .into_iter()
-            .cloned()
-            .collect();
-        Some(self.train_minibatch(&batch))
+        let mut sample = std::mem::take(&mut self.scratch.sample);
+        self.buffer
+            .sample_into(self.cfg.minibatch, rng, &mut sample);
+        let buffer = std::mem::take(&mut self.buffer);
+        let losses = self.update(sample.len(), |s| buffer.get(sample[s]));
+        self.buffer = buffer;
+        self.scratch.sample = sample;
+        Some(losses)
     }
 
-    /// One PPO update on an explicit minibatch: a single batched policy
-    /// and critic forward, the per-sample surrogate-loss scalars in
+    /// One PPO update on an explicit minibatch; see [`PpoAgent::train_step`]
+    /// for the sampled one.
+    pub fn train_minibatch(&mut self, batch: &[Transition]) -> (f32, f32) {
+        self.update(batch.len(), |s| &batch[s])
+    }
+
+    /// The PPO update over samples `at(0..n_samples)`: a single batched
+    /// policy and critic forward, the per-sample surrogate-loss scalars in
     /// sample order, then one batched backward with the parameter
     /// reduction on the agent's pool.
     ///
@@ -483,25 +541,28 @@ impl PpoAgent {
     /// [`crate::layers::Linear::backward_batch`] regardless of pool
     /// width; and the policy-then-critic phase split is exact because the
     /// two networks share no accumulator.
-    pub fn train_minibatch(&mut self, batch: &[Transition]) -> (f32, f32) {
-        let n_samples = batch.len();
+    fn update<'a>(&mut self, n_samples: usize, at: impl Fn(usize) -> &'a Transition) -> (f32, f32) {
         let n = n_samples.max(1) as f32;
+        let batch = || (0..n_samples).map(&at);
         self.policy.zero_grad();
         self.critic.zero_grad();
         let mut policy_loss_acc = 0.0f32;
         let mut value_loss_acc = 0.0f32;
 
         // advantage normalisation stabilises small batches
-        let mean_a: f32 = batch.iter().map(|t| t.advantage).sum::<f32>() / n;
-        let var_a: f32 = batch
-            .iter()
-            .map(|t| (t.advantage - mean_a).powi(2))
-            .sum::<f32>()
-            / n;
+        let mean_a: f32 = batch().map(|t| t.advantage).sum::<f32>() / n;
+        let var_a: f32 = batch().map(|t| (t.advantage - mean_a).powi(2)).sum::<f32>() / n;
         let std_a = var_a.sqrt().max(1e-6);
 
-        let mut x = Vec::with_capacity(n_samples * batch.first().map_or(0, |t| t.state.len()));
-        for t in batch {
+        let Scratch {
+            x,
+            probs,
+            grad_logits,
+            grad_v,
+            ..
+        } = &mut self.scratch;
+        x.clear();
+        for t in batch() {
             x.extend_from_slice(&t.state);
         }
 
@@ -515,28 +576,22 @@ impl PpoAgent {
                     ("backend", harl_simd::backend_name().into()),
                 ],
             );
-            self.policy
-                .forward_batch(&x, n_samples, &mut self.ws_policy);
+            self.policy.forward_batch(x, n_samples, &mut self.ws_policy);
         }
         let head_sizes = self.policy.head_sizes();
-        let mut grad_logits: Vec<Vec<f32>> = head_sizes
-            .iter()
-            .map(|&hs| vec![0.0f32; n_samples * hs])
-            .collect();
-        for (s, t) in batch.iter().enumerate() {
+        probs.resize(head_sizes.len(), Vec::new());
+        grad_logits.resize(head_sizes.len(), Vec::new());
+        for (g, &hs) in grad_logits.iter_mut().zip(&head_sizes) {
+            // masked actions keep a zero gradient
+            g.clear();
+            g.resize(n_samples * hs, 0.0);
+        }
+        for (s, t) in batch().enumerate() {
             let adv = (t.advantage - mean_a) / std_a;
             let mut logp_new = 0.0f32;
-            let mut per_head: Vec<(Vec<f32>, usize)> = Vec::with_capacity(head_sizes.len());
-            for h in 0..head_sizes.len() {
-                let mask = t
-                    .masks
-                    .get(h)
-                    .filter(|m| !m.is_empty())
-                    .map(|m| m.as_slice());
-                let probs = masked_softmax(self.ws_policy.head_logits(h, s), mask);
-                let a = t.actions[h].min(probs.len() - 1);
-                logp_new += probs[a].max(1e-12).ln();
-                per_head.push((probs, a));
+            for (h, p) in probs.iter_mut().enumerate() {
+                masked_softmax_into(self.ws_policy.head_logits(h, s), head_mask(&t.masks, h), p);
+                logp_new += p[t.actions[h].min(p.len() - 1)].max(1e-12).ln();
             }
             let ratio = (logp_new - t.logp).clamp(-20.0, 20.0).exp();
             let surr1 = ratio * adv;
@@ -546,18 +601,15 @@ impl PpoAgent {
             // dL/dlogp_new: −A·ratio when the unclipped branch is active
             let dlogp = if surr1 <= surr2 { -adv * ratio } else { 0.0 };
 
-            for (h, (probs, a)) in per_head.iter().enumerate() {
-                let entropy: f32 = probs
-                    .iter()
-                    .filter(|&&p| p > 0.0)
-                    .map(|&p| -p * p.ln())
-                    .sum();
+            for (h, p) in probs.iter().enumerate() {
+                let a = t.actions[h].min(p.len() - 1);
+                let entropy: f32 = p.iter().filter(|&&p| p > 0.0).map(|&p| -p * p.ln()).sum();
                 let dst = &mut grad_logits[h][s * head_sizes[h]..(s + 1) * head_sizes[h]];
-                for (i, (&p, slot)) in probs.iter().zip(dst.iter_mut()).enumerate() {
+                for (i, (&p, slot)) in p.iter().zip(dst.iter_mut()).enumerate() {
                     if p <= 0.0 {
                         continue; // masked action: no gradient
                     }
-                    let d_logp = (if i == *a { 1.0 } else { 0.0 }) - p;
+                    let d_logp = (if i == a { 1.0 } else { 0.0 }) - p;
                     let d_ent = -p * (p.ln() + entropy);
                     *slot = dlogp * d_logp - self.cfg.entropy_weight * d_ent;
                 }
@@ -565,7 +617,7 @@ impl PpoAgent {
         }
 
         // --- critic: one batched forward, per-sample MSE scalars --------
-        let values: Vec<f32> = {
+        let values = {
             let _gemm = self.tracer.span_with(
                 "gemm",
                 &[
@@ -574,13 +626,11 @@ impl PpoAgent {
                     ("backend", harl_simd::backend_name().into()),
                 ],
             );
-            self.critic
-                .forward_batch(&x, n_samples, &mut self.ws_critic)
-                .to_vec()
+            self.critic.forward_batch(x, n_samples, &mut self.ws_critic)
         };
-        let mut grad_v = Vec::with_capacity(n_samples);
-        for (s, t) in batch.iter().enumerate() {
-            let err = values[s] - t.value_target;
+        grad_v.clear();
+        for (t, &value) in batch().zip(values) {
+            let err = value - t.value_target;
             value_loss_acc += self.cfg.value_weight * err * err;
             grad_v.push(2.0 * self.cfg.value_weight * err);
         }
@@ -595,10 +645,9 @@ impl PpoAgent {
                 ],
             );
             self.policy
-                .backward_batch(&grad_logits, &mut self.ws_policy, &self.pool);
-            let _ = self
-                .critic
-                .backward_batch(&grad_v, &mut self.ws_critic, &self.pool);
+                .backward_batch(grad_logits, &mut self.ws_policy, &self.pool);
+            self.critic
+                .backward_batch(grad_v, &mut self.ws_critic, &self.pool, None);
         }
 
         self.policy.adam_step(self.cfg.lr_actor, 1.0 / n);
@@ -606,6 +655,12 @@ impl PpoAgent {
         self.updates += 1;
         (policy_loss_acc / n, value_loss_acc / n)
     }
+}
+
+/// Head `h`'s mask among a transition's (or track's) masks; a missing or
+/// empty mask means "all valid".
+fn head_mask(masks: &[Vec<bool>], h: usize) -> Option<&[bool]> {
+    masks.get(h).filter(|m| !m.is_empty()).map(|m| m.as_slice())
 }
 
 #[cfg(test)]
@@ -653,6 +708,70 @@ mod tests {
         }
         let s = corridor_state(2);
         assert_eq!(agent.value(&s).to_bits(), restored.value(&s).to_bits());
+    }
+
+    /// Critic values and policy logits of `agent` on a fixed probe batch.
+    fn probe(agent: &mut PpoAgent) -> Vec<u32> {
+        let x: Vec<f32> = (0..15).map(|i| (i as f32 * 0.19).cos()).collect();
+        let mut bits: Vec<u32> = agent.values(&x, 3).iter().map(|v| v.to_bits()).collect();
+        let mut ws = PolicyWorkspace::new();
+        agent.policy.forward_batch(&x, 3, &mut ws);
+        for h in 0..agent.policy.num_heads() {
+            bits.extend(ws.logits(h).iter().map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    /// A copy whose layers hold no cached transpose: `#[serde(skip)]` drops
+    /// them, so its first forward rebuilds each one from the weights.
+    fn uncached(agent: &PpoAgent) -> PpoAgent {
+        serde_json::from_str(&serde_json::to_string(agent).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn cached_transposes_are_never_stale() {
+        // wherever weights change hands — Adam, clone, serde — a forward
+        // through the live agent must equal one that transposes afresh
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut agent = PpoAgent::new(5, &[7, 3], PpoConfig::default(), &mut rng);
+        for pos in 0..4usize {
+            let (actions, logp) = agent.act(&corridor_state(pos), &[], &mut rng);
+            let next = corridor_state(pos + 1);
+            agent.record(corridor_state(pos), actions, logp, 0.5, &next, vec![]);
+        }
+        let untrained = probe(&mut agent);
+        for _ in 0..3 {
+            agent.train_step(&mut rng).unwrap();
+            assert_eq!(
+                probe(&mut agent),
+                probe(&mut uncached(&agent)),
+                "after adam_step"
+            );
+        }
+        let trained = probe(&mut agent);
+        assert_ne!(trained, untrained);
+
+        let mut twin = agent.clone();
+        twin.train_step(&mut rng).unwrap();
+        assert_eq!(
+            probe(&mut twin),
+            probe(&mut uncached(&twin)),
+            "trained clone"
+        );
+        assert_eq!(
+            probe(&mut agent),
+            trained,
+            "the original must not follow its clone"
+        );
+
+        let mut restored = uncached(&agent);
+        assert_eq!(probe(&mut restored), trained, "serde round-trip");
+        restored.train_step(&mut rng).unwrap();
+        assert_eq!(
+            probe(&mut restored),
+            probe(&mut uncached(&restored)),
+            "restored, then trained"
+        );
     }
 
     #[test]

@@ -198,36 +198,50 @@ impl ThreadPool {
     /// mutable sibling of [`ThreadPool::map_indexed`] for callers that own
     /// reusable per-item buffers (e.g. the scoring pipeline's persistent
     /// miss-row scratch) and must not allocate a result `Vec` per call.
-    ///
-    /// Items are split into one contiguous chunk per worker via
-    /// `chunks_mut` (no `unsafe`, no stealing: mutation pins each item to
-    /// exactly one worker). Every slot is written by the closure that got
-    /// its index, so results are independent of scheduling, like every
-    /// other pool primitive. The same inline threshold applies.
+    /// [`ThreadPool::for_each_row_block`] with one-item rows.
     pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
-        let n = items.len();
-        if self.threads == 1 || n < self.threads * MIN_ITEMS_PER_WORKER {
-            map_counter("inline").inc();
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
+        self.for_each_row_block(items, 1, |first, block| {
+            for (i, item) in block.iter_mut().enumerate() {
+                f(first + i, item);
             }
+        });
+    }
+
+    /// Calls `f(first_row, block)` on contiguous blocks of whole rows of
+    /// `data` (`data.len() / row_len` rows of `row_len` elements each) that
+    /// together cover it exactly once — for work that wants a block, not a
+    /// row, at a time (a register-blocked GEMM over output rows).
+    ///
+    /// Rows are split into one block per worker via `chunks_mut` (no
+    /// `unsafe`, no stealing: mutation pins each row to exactly one
+    /// worker). Every row is written by the call that got its index, so
+    /// results are independent of scheduling provided `f` computes a row
+    /// the same way whatever block it lands in. The same inline threshold
+    /// applies, counted in rows: below it `f(0, data)` runs on the caller.
+    pub fn for_each_row_block<T, F>(&self, data: &mut [T], row_len: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        assert!(row_len > 0, "for_each_row_block: empty rows");
+        let rows = data.len() / row_len;
+        debug_assert_eq!(data.len(), rows * row_len);
+        if self.threads == 1 || rows < self.threads * MIN_ITEMS_PER_WORKER {
+            map_counter("inline").inc();
+            f(0, data);
             return;
         }
         map_counter("parallel").inc();
-        let workers = self.threads.min(n);
-        let chunk = n.div_ceil(workers);
+        let workers = self.threads.min(rows);
+        let chunk = rows.div_ceil(workers);
         std::thread::scope(|scope| {
-            for (c, slice) in items.chunks_mut(chunk).enumerate() {
+            for (c, block) in data.chunks_mut(chunk * row_len).enumerate() {
                 let f = &f;
-                scope.spawn(move || {
-                    for (i, item) in slice.iter_mut().enumerate() {
-                        f(c * chunk + i, item);
-                    }
-                });
+                scope.spawn(move || f(c * chunk, block));
             }
         });
     }
@@ -389,6 +403,28 @@ mod tests {
         for (i, (row, &ptr)) in rows.iter().zip(&ptrs).enumerate() {
             assert_eq!(row.as_slice(), &[i as f32]);
             assert_eq!(row.as_ptr(), ptr, "row {i} must keep its allocation");
+        }
+    }
+
+    #[test]
+    fn row_blocks_cover_every_row_once_at_any_width() {
+        // 3-element rows; blocks must start on row boundaries, carry the
+        // right first-row index and together touch each row exactly once
+        for rows in [0usize, 1, 127, 128, 301] {
+            let reference: Vec<usize> = (0..rows * 3).map(|i| i / 3 + 1).collect();
+            for threads in [1, 2, 7] {
+                let pool = ThreadPool::new(threads);
+                let mut data = vec![0usize; rows * 3];
+                pool.for_each_row_block(&mut data, 3, |first, block| {
+                    assert_eq!(block.len() % 3, 0);
+                    for (r, row) in block.chunks_mut(3).enumerate() {
+                        for v in row {
+                            *v += first + r + 1;
+                        }
+                    }
+                });
+                assert_eq!(data, reference, "rows={rows} width {threads}");
+            }
         }
     }
 

@@ -258,37 +258,6 @@ pub fn record_score_batch(vector_cells: u64, scalar_cells: u64) {
 // ---------------------------------------------------------------------------
 // Kernels
 
-/// `y[i] += a · x[i]` — one independent multiply-then-add per cell, so any
-/// backend produces the scalar bits exactly. Panics if lengths differ.
-pub fn axpy_lanes(a: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy_lanes: length mismatch");
-    match active_backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::axpy_avx2(a, x, y) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::axpy_sse2(a, x, y) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::axpy(a, x, y),
-        _ => scalar::axpy(a, x, y),
-    }
-}
-
-/// `y[o] += Σ_k x[k] · wt[k·n + o]` with `n = y.len()` and k-major `wt`
-/// (`wt.len() = x.len()·n`): one row of the GEMM, vector lanes across the
-/// `o` cells, each cell accumulating ascending `k` in a register.
-pub fn dot_lanes(x: &[f32], wt: &[f32], y: &mut [f32]) {
-    let n = y.len();
-    assert_eq!(
-        wt.len(),
-        x.len() * n,
-        "dot_lanes: wt must be x.len()·y.len()"
-    );
-    if n == 0 {
-        return;
-    }
-    panel_dispatch(active_backend(), x, x.len(), 0, 1, wt, n, 0, x.len(), y);
-}
-
 /// Batch rows swept per panel pass: small enough that `MB` rows of `x`
 /// plus one `wt` panel stay cache-resident.
 pub const MB: usize = 8;
@@ -314,11 +283,34 @@ pub fn gemm_bias_into(
     out_dim: usize,
     y: &mut Vec<f32>,
 ) {
-    debug_assert_eq!(x.len(), batch * in_dim);
-    debug_assert_eq!(wt.len(), in_dim * out_dim);
-    debug_assert_eq!(bias.len(), out_dim);
-    y.clear();
     y.resize(batch * out_dim, 0.0);
+    gemm_bias_slice(x, wt, bias, batch, in_dim, out_dim, y);
+}
+
+/// [`gemm_bias_into`] over a caller-sized `y` of exactly `batch · out_dim`
+/// cells — the entry point for callers that hand out row blocks of one
+/// output to several threads. Rows are independent, so any split into row
+/// blocks produces the bits of the unsplit call.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_bias_slice(
+    x: &[f32],
+    wt: &[f32],
+    bias: &[f32],
+    batch: usize,
+    in_dim: usize,
+    out_dim: usize,
+    y: &mut [f32],
+) {
+    // the vector panels write `y` through raw pointers: sizes are checked
+    // in release builds too
+    assert_eq!(x.len(), batch * in_dim, "gemm: x is not batch × in_dim");
+    assert_eq!(
+        wt.len(),
+        in_dim * out_dim,
+        "gemm: wt is not in_dim × out_dim"
+    );
+    assert_eq!(bias.len(), out_dim, "gemm: bias is not out_dim");
+    assert_eq!(y.len(), batch * out_dim, "gemm: y is not batch × out_dim");
     let backend = active_backend();
     GEMM_CALLS.fetch_add(1, Ordering::Relaxed);
     let lanes = backend.lanes();
@@ -424,35 +416,6 @@ mod tests {
         assert!(best_supported().is_supported());
     }
 
-    fn axpy_reference(a: f32, x: &[f32], y: &mut [f32]) {
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += a * xi;
-        }
-    }
-
-    #[test]
-    fn axpy_bits_match_scalar_on_every_backend() {
-        let _g = force_lock();
-        let prev = force_backend(None);
-        let mut rng = StdRng::seed_from_u64(7);
-        for n in [0usize, 1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 33, 64, 101] {
-            let a: f32 = rng.gen_range(-2.0..2.0);
-            let x: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let y0: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut want = y0.clone();
-            axpy_reference(a, &x, &mut want);
-            for b in supported_non_scalar() {
-                force_backend(Some(b));
-                let mut got = y0.clone();
-                axpy_lanes(a, &x, &mut got);
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(g.to_bits(), w.to_bits(), "{}: n={n} cell {i}", b.name());
-                }
-            }
-        }
-        force_backend(prev);
-    }
-
     fn gemm_reference(
         x: &[f32],
         wt: &[f32],
@@ -515,35 +478,6 @@ mod tests {
                         g.to_bits(),
                         w.to_bits(),
                         "{}: ({batch}×{in_dim}→{out_dim}) cell {i}",
-                        b.name()
-                    );
-                }
-            }
-        }
-        force_backend(prev);
-    }
-
-    #[test]
-    fn dot_lanes_bits_match_scalar_on_every_backend() {
-        let _g = force_lock();
-        let prev = force_backend(None);
-        let mut rng = StdRng::seed_from_u64(33);
-        for &(k, n) in &[(1usize, 1usize), (3, 7), (64, 101), (257, 16), (70, 33)] {
-            let x: Vec<f32> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let wt: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let y0: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            force_backend(Some(Backend::Scalar));
-            let mut want = y0.clone();
-            dot_lanes(&x, &wt, &mut want);
-            for b in supported_non_scalar() {
-                force_backend(Some(b));
-                let mut got = y0.clone();
-                dot_lanes(&x, &wt, &mut got);
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "{}: k={k} n={n} cell {i}",
                         b.name()
                     );
                 }

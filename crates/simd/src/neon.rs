@@ -8,26 +8,6 @@
 
 use core::arch::aarch64::*;
 
-/// `y[i] += a · x[i]` in 4-lane blocks, scalar tail.
-pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-    let n = y.len();
-    // NEON is part of the aarch64 baseline; intrinsics are still `unsafe`.
-    unsafe {
-        let ab = vdupq_n_f32(a);
-        let mut i = 0;
-        while i + 4 <= n {
-            let xv = vld1q_f32(x.as_ptr().add(i));
-            let yv = vld1q_f32(y.as_ptr().add(i));
-            vst1q_f32(y.as_mut_ptr().add(i), vaddq_f32(yv, vmulq_f32(ab, xv)));
-            i += 4;
-        }
-        while i < n {
-            *y.get_unchecked_mut(i) += a * x.get_unchecked(i);
-            i += 1;
-        }
-    }
-}
-
 /// 4 rows × 8 cells (2 vectors), accumulators in registers over [k0, k1).
 unsafe fn k4x8(
     x: &[f32],

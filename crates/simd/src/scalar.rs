@@ -1,13 +1,6 @@
 //! Reference kernels: plain Rust loops with the pinned per-cell
 //! accumulation order. Every SIMD backend must bit-match these.
 
-/// `y[i] += a · x[i]`.
-pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += a * xi;
-    }
-}
-
 /// Accumulates `y[b][o] += Σ_{k∈[k0,k1)} x[b][k] · wt[k][o]` for batch rows
 /// `b ∈ [b0, b1)`. The k-outer / o-inner sweep keeps the inner loop
 /// contiguous (autovectorizable); per cell the order is still ascending `k`.

@@ -217,52 +217,3 @@ macro_rules! panel_driver {
 
 panel_driver!(panel_avx2, "avx2", 16, 8, k4x16_avx2, k4x8_avx2, k1x16_avx2, k1x8_avx2);
 panel_driver!(panel_sse2, "sse2", 8, 4, k4x8_sse2, k4x4_sse2, k1x8_sse2, k1x4_sse2);
-
-macro_rules! axpy_kernel {
-    ($name:ident, $feat:literal, $lanes:expr,
-     $load:ident, $store:ident, $set1:ident, $mul:ident, $add:ident) => {
-        /// `y[i] += a · x[i]` — elementwise, so vector mul/add is bitwise
-        /// the scalar mul/add per cell.
-        ///
-        /// # Safety
-        /// Caller must have verified the `$feat` CPU feature is present;
-        /// `x.len() == y.len()` is asserted by the dispatching wrapper.
-        #[target_feature(enable = $feat)]
-        pub unsafe fn $name(a: f32, x: &[f32], y: &mut [f32]) {
-            let n = y.len();
-            let ab = $set1(a);
-            let mut i = 0;
-            while i + $lanes <= n {
-                let xv = $load(x.as_ptr().add(i));
-                let yv = $load(y.as_ptr().add(i));
-                $store(y.as_mut_ptr().add(i), $add(yv, $mul(ab, xv)));
-                i += $lanes;
-            }
-            while i < n {
-                *y.get_unchecked_mut(i) += a * x.get_unchecked(i);
-                i += 1;
-            }
-        }
-    };
-}
-
-axpy_kernel!(
-    axpy_avx2,
-    "avx2",
-    8,
-    _mm256_loadu_ps,
-    _mm256_storeu_ps,
-    _mm256_set1_ps,
-    _mm256_mul_ps,
-    _mm256_add_ps
-);
-axpy_kernel!(
-    axpy_sse2,
-    "sse2",
-    4,
-    _mm_loadu_ps,
-    _mm_storeu_ps,
-    _mm_set1_ps,
-    _mm_mul_ps,
-    _mm_add_ps
-);
