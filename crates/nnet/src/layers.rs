@@ -236,6 +236,19 @@ impl Linear {
     pub fn num_params(&self) -> usize {
         self.w.len() + self.b.len()
     }
+
+    /// Everything the layer stores — dimensions, then the bit patterns of
+    /// weights, biases, gradients and Adam moments in declaration order.
+    /// Golden tests digest this rather than the serialized text, which may
+    /// change layout without a bit of state moving.
+    pub fn state_bits(&self) -> impl Iterator<Item = u64> + '_ {
+        let arrays: [&[f32]; 8] = [
+            &self.w, &self.b, &self.gw, &self.gb, &self.mw, &self.vw, &self.mb, &self.vb,
+        ];
+        [self.in_dim as u64, self.out_dim as u64]
+            .into_iter()
+            .chain(arrays.into_iter().flatten().map(|v| u64::from(v.to_bits())))
+    }
 }
 
 /// In-place tanh and its backward pass.

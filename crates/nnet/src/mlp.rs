@@ -257,6 +257,15 @@ impl Mlp {
     pub fn num_params(&self) -> usize {
         self.layers.iter().map(Linear::num_params).sum()
     }
+
+    /// Every layer's [`Linear::state_bits`] in forward order, then the
+    /// Adam step count.
+    pub fn state_bits(&self) -> impl Iterator<Item = u64> + '_ {
+        self.layers
+            .iter()
+            .flat_map(Linear::state_bits)
+            .chain([self.adam_t])
+    }
 }
 
 /// Softmax over logits with an optional validity mask; invalid entries get

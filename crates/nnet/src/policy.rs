@@ -194,6 +194,15 @@ impl MultiHeadPolicy {
     pub fn num_params(&self) -> usize {
         self.trunk.num_params() + self.heads.iter().map(Linear::num_params).sum::<usize>()
     }
+
+    /// The trunk's [`Mlp::state_bits`], every head's
+    /// [`Linear::state_bits`], then the Adam step count.
+    pub fn state_bits(&self) -> impl Iterator<Item = u64> + '_ {
+        self.trunk
+            .state_bits()
+            .chain(self.heads.iter().flat_map(Linear::state_bits))
+            .chain([self.adam_t])
+    }
 }
 
 /// Samples an index from a probability vector.

@@ -1,9 +1,10 @@
 //! Golden PPO update at paper shape, and the resumed tuner's transposes.
 //!
-//! The loss bits of six `train_step`s and the checksum of the trained
-//! networks below were recorded with the per-row `axpy` backward, the
-//! per-forward transposes and the cloned minibatch that the GEMM backward
-//! replaced. Any rewrite of the update — kernel, summation order, scratch
+//! The loss bits of six `train_step`s below were recorded with the
+//! per-row `axpy` backward, the per-forward transposes and the cloned
+//! minibatch that the GEMM backward replaced; the checksums of the trained
+//! networks digest their bit patterns (`state_bits`, not their JSON) and
+//! were recorded before the packed checkpoint layout. Any rewrite of the update — kernel, summation order, scratch
 //! reuse, RNG draws of the sampler — that moves a single bit fails here,
 //! at every pool width (and, via `ci/test.sh`, under `HARL_PPO_THREADS`
 //! and the forced-scalar backend). The second test kills and resumes a
@@ -27,8 +28,8 @@ const GOLDEN_LOSSES: [(u32, u32); 6] = [
     (3177551428, 1033044342),
     (3179494288, 1033941420),
 ];
-const GOLDEN_POLICY: u64 = 0x52e14008377a8806;
-const GOLDEN_CRITIC: u64 = 0xf503944a976b110a;
+const GOLDEN_POLICY: u64 = 0xacc88b32b49c4c31;
+const GOLDEN_CRITIC: u64 = 0xc71940a37fb96563;
 
 fn state(i: usize) -> Vec<f32> {
     (0..FEATURE_DIM)
@@ -54,10 +55,13 @@ fn masks(i: usize) -> Vec<Vec<bool>> {
         .collect()
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf29ce484222325u64, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x100000001b3)
-    })
+/// FNV-1a over the little-endian bytes of each word.
+fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+    words
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf29ce484222325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        })
 }
 
 /// (loss bits of six updates, policy checksum, critic checksum).
@@ -77,9 +81,10 @@ fn train(threads: usize) -> (Vec<(u32, u32)>, u64, u64) {
             (p.to_bits(), v.to_bits())
         })
         .collect();
-    // the serialized networks hold weights, gradients and Adam moments
-    let policy = fnv(serde_json::to_string(&agent.policy).unwrap().as_bytes());
-    let critic = fnv(serde_json::to_string(&agent.critic).unwrap().as_bytes());
+    // weights, gradients, Adam moments and step counts, as bits: the
+    // checksums do not depend on how a checkpoint spells them
+    let policy = fnv(agent.policy.state_bits());
+    let critic = fnv(agent.critic.state_bits());
     (losses, policy, critic)
 }
 
