@@ -164,6 +164,12 @@ if [ ! -f "$SERVE_ROOT/jobs/$job3/store/checkpoint.json" ]; then
     echo "FAIL: killed job left no checkpoint"
     exit 1
 fi
+# the survivor carries the current layout's version stamp
+ckpt_head=$(head -c 13 "$SERVE_ROOT/jobs/$job3/store/checkpoint.json")
+if [ "$ckpt_head" != '{"version":3,' ]; then
+    echo "FAIL: surviving checkpoint begins '$ckpt_head', expected '{\"version\":3,'"
+    exit 1
+fi
 
 start_daemon
 resumed=0

@@ -17,9 +17,10 @@ echo "==> kernel-dispatch crates with HARL_SIMD=0 (forced-scalar dispatch)"
 # shellcheck disable=SC2086
 HARL_SIMD=0 cargo test $CARGO_FLAGS -q -p harl-simd -p harl-nnet -p harl-gbt -p harl-tensor-ir
 # the golden PPO update was recorded under vector dispatch: the scalar
-# kernels must reproduce its bits
+# kernels must reproduce its bits, and a checkpoint written under them must
+# round-trip, resume and fit its size budget like any other
 # shellcheck disable=SC2086
-HARL_SIMD=0 cargo test $CARGO_FLAGS -q --test ppo_golden
+HARL_SIMD=0 cargo test $CARGO_FLAGS -q --test ppo_golden --test checkpoint_layout
 
 echo "==> scoring determinism suite at pool widths 1 and 4"
 # the suite pins explicit widths internally; running it under both env
@@ -30,9 +31,11 @@ HARL_SCORE_THREADS=1 cargo test $CARGO_FLAGS -q --test scoring_determinism
 HARL_SCORE_THREADS=4 cargo test $CARGO_FLAGS -q --test scoring_determinism
 
 echo "==> PPO determinism at pool widths 1 and 4"
-# same reasoning for the PPO pool: the golden update and the determinism
-# suite under both HARL_PPO_THREADS values
+# same reasoning for the PPO pool: the golden update, the determinism suite
+# (which compares checkpoint bytes across backends and widths) and the
+# checkpoint layout under both HARL_PPO_THREADS values
 for width in 1 4; do
     # shellcheck disable=SC2086
-    HARL_PPO_THREADS=$width cargo test $CARGO_FLAGS -q --test ppo_golden --test scoring_determinism
+    HARL_PPO_THREADS=$width cargo test $CARGO_FLAGS -q \
+        --test ppo_golden --test scoring_determinism --test checkpoint_layout
 done

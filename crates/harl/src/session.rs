@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use serde::de::{self, DeError, Value};
 use serde::{Deserialize, Serialize};
 
 use harl_ansor::{AnsorTuner, AnsorTunerState, FlextensorTuner, FlextensorTunerState};
@@ -456,8 +457,11 @@ pub struct SessionCheckpoint {
     pub tuner: TunerState,
 }
 
-/// Version of the [`SessionCheckpoint`] JSON payload.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Version of the [`SessionCheckpoint`] JSON payload. Version 3 packs the
+/// PPO agent's bulk fields (`harl_nnet`'s `Linear` and `Transition`) into
+/// hex strings; a version-2 file is rejected, not migrated — a checkpoint
+/// lives only as long as its job.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Configures how a [`TuningSession`] uses its record store.
 #[derive(Debug, Clone)]
@@ -564,14 +568,17 @@ impl SessionBuilder {
         };
         match checkpoint {
             Some(json) => {
-                let ck: SessionCheckpoint = serde_json::from_str(&json)
-                    .map_err(|e| StoreError::Format(format!("bad checkpoint: {e}")))?;
-                if ck.version != CHECKPOINT_VERSION {
+                let bad = |e: DeError| StoreError::Format(format!("bad checkpoint: {e}"));
+                let value = Value::parse(&json).map_err(bad)?;
+                // the version first: another version's payload need not
+                // decode under this one's layout
+                let version: u32 = de::field(&value, "version").map_err(bad)?;
+                if version != CHECKPOINT_VERSION {
                     return Err(StoreError::Format(format!(
-                        "unsupported checkpoint version {} (supported: {})",
-                        ck.version, CHECKPOINT_VERSION
+                        "unsupported checkpoint version {version} (supported: {CHECKPOINT_VERSION})"
                     )));
                 }
+                let ck = SessionCheckpoint::deserialize_value(&value).map_err(bad)?;
                 if let Some(want) = &self.job_key {
                     if ck.job_key.as_deref() != Some(want.as_str()) {
                         return Err(StoreError::Format(format!(

@@ -14,15 +14,18 @@ use std::sync::OnceLock;
 
 use harl_par::ThreadPool;
 use rand::Rng;
+use serde::de::{self, DeError, Value};
+use serde::ser::JsonWriter;
 use serde::{Deserialize, Serialize};
 
 use crate::gemm::{gemm_bias_into, gemm_bias_slice, transpose_into};
+use crate::packed;
 
 /// A layer's row-major `out_dim × in_dim` weight matrix. It reads as a
-/// plain `[f32]` (and serializes as one), but only [`Linear`] can write
-/// it: every write goes through a method that also refreshes the layer's
-/// cached transpose, so the forward pass can never see a stale one.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// plain `[f32]`, but only [`Linear`] can write it: every write goes
+/// through a method that also refreshes the layer's cached transpose, so
+/// the forward pass can never see a stale one.
+#[derive(Debug, Clone)]
 pub struct Weights(Vec<f32>);
 
 impl Deref for Weights {
@@ -35,7 +38,11 @@ impl Deref for Weights {
 
 /// A fully-connected layer `Y = X·Wᵀ + b` with gradient accumulators and
 /// Adam moments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serialized by hand: the two dimensions as numbers, then the eight
+/// arrays as [`crate::packed`] strings, whose lengths a decode checks
+/// against the dimensions.
+#[derive(Debug, Clone)]
 pub struct Linear {
     /// Input dimensionality.
     pub in_dim: usize,
@@ -56,8 +63,55 @@ pub struct Linear {
     /// The k-major transpose of `w` the forward GEMM reads. Built on first
     /// use (a new, cloned-before-use or deserialized layer has none) and
     /// rebuilt by [`Linear::adam_step`], the only writer of `w`.
-    #[serde(skip)]
     wt: OnceLock<Vec<f32>>,
+}
+
+impl Serialize for Linear {
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("in_dim");
+        self.in_dim.serialize(w);
+        w.key("out_dim");
+        self.out_dim.serialize(w);
+        for (name, values) in self.arrays() {
+            packed::write_f32s(w, name, values);
+        }
+        w.end_object();
+    }
+}
+
+impl<'de> Deserialize<'de> for Linear {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        let in_dim: usize = de::field(v, "in_dim")?;
+        let out_dim: usize = de::field(v, "out_dim")?;
+        let weights = in_dim
+            .checked_mul(out_dim)
+            .ok_or_else(|| DeError::new(format!("a {out_dim}×{in_dim} layer overflows usize")))?;
+        let read = |name: &str, len: usize| {
+            let values = packed::read_f32s(v, name)?;
+            if values.len() == len {
+                Ok(values)
+            } else {
+                Err(DeError::new(format!(
+                    "field `{name}`: {} values in a {out_dim}×{in_dim} layer, expected {len}",
+                    values.len()
+                )))
+            }
+        };
+        Ok(Linear {
+            in_dim,
+            out_dim,
+            w: Weights(read("w", weights)?),
+            b: read("b", out_dim)?,
+            gw: read("gw", weights)?,
+            gb: read("gb", out_dim)?,
+            mw: read("mw", weights)?,
+            vw: read("vw", weights)?,
+            mb: read("mb", out_dim)?,
+            vb: read("vb", out_dim)?,
+            wt: OnceLock::new(),
+        })
+    }
 }
 
 /// Caller-owned scratch of [`Linear::backward_batch`], reusable across
@@ -242,12 +296,25 @@ impl Linear {
     /// Golden tests digest this rather than the serialized text, which may
     /// change layout without a bit of state moving.
     pub fn state_bits(&self) -> impl Iterator<Item = u64> + '_ {
-        let arrays: [&[f32]; 8] = [
-            &self.w, &self.b, &self.gw, &self.gb, &self.mw, &self.vw, &self.mb, &self.vb,
-        ];
+        let values = self.arrays().into_iter().flat_map(|(_, values)| values);
         [self.in_dim as u64, self.out_dim as u64]
             .into_iter()
-            .chain(arrays.into_iter().flatten().map(|v| u64::from(v.to_bits())))
+            .chain(values.map(|v| u64::from(v.to_bits())))
+    }
+
+    /// The eight stored arrays under their serialized names, in
+    /// declaration order.
+    fn arrays(&self) -> [(&'static str, &[f32]); 8] {
+        [
+            ("w", &self.w),
+            ("b", &self.b),
+            ("gw", &self.gw),
+            ("gb", &self.gb),
+            ("mw", &self.mw),
+            ("vw", &self.vw),
+            ("mb", &self.mb),
+            ("vb", &self.vb),
+        ]
     }
 }
 

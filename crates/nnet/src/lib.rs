@@ -16,6 +16,7 @@
 pub mod gemm;
 pub mod layers;
 pub mod mlp;
+mod packed;
 pub mod policy;
 pub mod ppo;
 

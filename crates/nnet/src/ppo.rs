@@ -22,9 +22,12 @@ use harl_par::ThreadPool;
 use harl_tensor_sim::ConfigError;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use serde::de::{self, DeError, Value};
+use serde::ser::JsonWriter;
 use serde::{Deserialize, Serialize};
 
 use crate::mlp::{masked_softmax_into, Mlp, Workspace};
+use crate::packed;
 use crate::policy::{sample_categorical, MultiHeadPolicy, PolicyWorkspace};
 
 /// PPO hyper-parameters (defaults = Table 5).
@@ -204,7 +207,11 @@ impl PpoConfigBuilder {
 }
 
 /// One recorded `(S, M, S', R, Y)` tuple (Algorithm 1, line 12).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serialized by hand, a full replay buffer being four fifths of a
+/// checkpoint: every `f32` and every mask row is a [`crate::packed`]
+/// string, `actions` stays an array of numbers.
+#[derive(Debug, Clone)]
 pub struct Transition {
     /// Feature vector of the state the action was taken in.
     pub state: Vec<f32>,
@@ -220,6 +227,35 @@ pub struct Transition {
     pub value_target: f32,
     /// Per-head masks at the time of action (empty vec = all valid).
     pub masks: Vec<Vec<bool>>,
+}
+
+impl Serialize for Transition {
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        packed::write_f32s(w, "state", &self.state);
+        w.key("actions");
+        self.actions.serialize(w);
+        packed::write_f32s(w, "logp", &[self.logp]);
+        packed::write_f32s(w, "reward", &[self.reward]);
+        packed::write_f32s(w, "advantage", &[self.advantage]);
+        packed::write_f32s(w, "value_target", &[self.value_target]);
+        packed::write_masks(w, "masks", &self.masks);
+        w.end_object();
+    }
+}
+
+impl<'de> Deserialize<'de> for Transition {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        Ok(Transition {
+            state: packed::read_f32s(v, "state")?,
+            actions: de::field(v, "actions")?,
+            logp: packed::read_f32(v, "logp")?,
+            reward: packed::read_f32(v, "reward")?,
+            advantage: packed::read_f32(v, "advantage")?,
+            value_target: packed::read_f32(v, "value_target")?,
+            masks: packed::read_masks(v, "masks")?,
+        })
+    }
 }
 
 /// Bounded FIFO replay buffer with uniform minibatch sampling.

@@ -10,7 +10,10 @@
 //!
 //! Numbers are kept as raw source tokens in the `Value` tree and parsed at
 //! the target width, so `u64` beyond 2^53 and `f32`/`f64` round-trip
-//! exactly (Rust's float `Display` is shortest-round-trip).
+//! exactly (Rust's float `Display` is shortest-round-trip). The writer
+//! formats scalars straight into its output buffer, and the parser — which
+//! reads the wire, peers and disk — refuses nesting deeper than
+//! [`de::MAX_DEPTH`] instead of recursing until the stack overflows.
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -32,6 +35,8 @@ pub trait Deserialize<'de>: Sized {
 
 pub mod ser {
     //! The JSON writer the derive macros target.
+
+    use std::fmt::{self, Write};
 
     /// Incremental JSON writer with optional pretty-printing.
     pub struct JsonWriter {
@@ -117,7 +122,7 @@ pub mod ser {
         /// Starts an object entry with the given key.
         pub fn key(&mut self, k: &str) {
             self.begin_entry();
-            self.write_escaped(k);
+            self.string(k);
             self.out.push(':');
             if self.pretty {
                 self.out.push(' ');
@@ -131,12 +136,24 @@ pub mod ser {
 
         /// Writes a string scalar (escaped).
         pub fn string(&mut self, s: &str) {
-            self.write_escaped(s);
+            self.out.push('"');
+            escape_into(&mut self.out, s);
+            self.out.push('"');
         }
 
-        /// Writes a pre-formatted number token.
-        pub fn number(&mut self, token: &str) {
-            self.out.push_str(token);
+        /// Writes `value`'s `Display` text as a string scalar (escaped),
+        /// formatted straight into the output: a long string can be
+        /// produced piece by piece without ever existing as a `String`.
+        pub fn collect_str<T: fmt::Display + ?Sized>(&mut self, value: &T) {
+            self.out.push('"');
+            write!(Escaped(&mut self.out), "{value}").expect("writing to a String cannot fail");
+            self.out.push('"');
+        }
+
+        /// Writes a number token: `n`'s `Display` text, formatted straight
+        /// into the output.
+        pub fn number(&mut self, n: impl fmt::Display) {
+            write!(self.out, "{n}").expect("writing to a String cannot fail");
         }
 
         /// Writes a boolean scalar.
@@ -148,23 +165,40 @@ pub mod ser {
         pub fn null(&mut self) {
             self.out.push_str("null");
         }
+    }
 
-        fn write_escaped(&mut self, s: &str) {
-            self.out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => self.out.push_str("\\\""),
-                    '\\' => self.out.push_str("\\\\"),
-                    '\n' => self.out.push_str("\\n"),
-                    '\r' => self.out.push_str("\\r"),
-                    '\t' => self.out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        self.out.push_str(&format!("\\u{:04x}", c as u32));
-                    }
-                    c => self.out.push(c),
+    /// Appends `s` to `out` as the body of a JSON string.
+    fn escape_into(out: &mut String, s: &str) {
+        // `"`, `\` and the control characters are ASCII, so they never
+        // occur inside a multi-byte character and runs between them copy
+        // whole. The common case has none: one branch-free pass finds that
+        // out before anything is copied.
+        let needs_escape = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
+        let mut rest = s;
+        if s.bytes().fold(false, |any, b| any | needs_escape(b)) {
+            while let Some(at) = rest.bytes().position(needs_escape) {
+                out.push_str(&rest[..at]);
+                match rest.as_bytes()[at] {
+                    b'"' => out.push_str("\\\""),
+                    b'\\' => out.push_str("\\\\"),
+                    b'\n' => out.push_str("\\n"),
+                    b'\r' => out.push_str("\\r"),
+                    b'\t' => out.push_str("\\t"),
+                    c => write!(out, "\\u{c:04x}").expect("writing to a String cannot fail"),
                 }
+                rest = &rest[at + 1..];
             }
-            self.out.push('"');
+        }
+        out.push_str(rest);
+    }
+
+    /// Escapes what is formatted through it into the output.
+    struct Escaped<'a>(&'a mut String);
+
+    impl Write for Escaped<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            escape_into(self.0, s);
+            Ok(())
         }
     }
 
@@ -181,7 +215,7 @@ macro_rules! impl_ser_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize(&self, w: &mut JsonWriter) {
-                w.number(&self.to_string());
+                w.number(self);
             }
         }
     )*};
@@ -194,7 +228,7 @@ macro_rules! impl_ser_float {
         impl Serialize for $t {
             fn serialize(&self, w: &mut JsonWriter) {
                 if self.is_finite() {
-                    w.number(&format!("{self}"));
+                    w.number(self);
                 } else {
                     // JSON has no Inf/NaN; serde_json errors, this shim is
                     // lenient and writes null
@@ -387,7 +421,7 @@ pub mod de {
         pub fn parse(text: &str) -> Result<Value, DeError> {
             let bytes = text.as_bytes();
             let mut pos = 0usize;
-            let v = parse_value(bytes, &mut pos)?;
+            let v = parse_value(bytes, &mut pos, 0)?;
             skip_ws(bytes, &mut pos);
             if pos != bytes.len() {
                 return Err(DeError::new(format!("trailing characters at byte {pos}")));
@@ -411,10 +445,19 @@ pub mod de {
         }
     }
 
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, DeError> {
+    /// Arrays and objects may nest this deep. The parser recurses once per
+    /// level, so without a bound a line of `[`s from the wire or a damaged
+    /// file overflows the stack, which aborts the process.
+    pub const MAX_DEPTH: usize = 128;
+
+    /// Parses one value; `depth` counts the arrays and objects around it.
+    fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, DeError> {
         skip_ws(b, pos);
         match b.get(*pos) {
             None => Err(DeError::new("unexpected end of input")),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(DeError::new(format!("nesting deeper than {MAX_DEPTH}")))
+            }
             Some(b'n') => expect(b, pos, "null").map(|_| Value::Null),
             Some(b't') => expect(b, pos, "true").map(|_| Value::Bool(true)),
             Some(b'f') => expect(b, pos, "false").map(|_| Value::Bool(false)),
@@ -428,7 +471,7 @@ pub mod de {
                     return Ok(Value::Arr(items));
                 }
                 loop {
-                    items.push(parse_value(b, pos)?);
+                    items.push(parse_value(b, pos, depth + 1)?);
                     skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -458,7 +501,7 @@ pub mod de {
                     let key = parse_string(b, pos)?;
                     skip_ws(b, pos);
                     expect(b, pos, ":")?;
-                    let val = parse_value(b, pos)?;
+                    let val = parse_value(b, pos, depth + 1)?;
                     entries.push((key, val));
                     skip_ws(b, pos);
                     match b.get(*pos) {
@@ -759,6 +802,24 @@ mod tests {
         assert_eq!(to_json(&f64::NAN), "null");
         assert_eq!(to_json(&true), "true");
         assert_eq!(to_json(&"a\"b".to_string()), "\"a\\\"b\"");
+    }
+
+    #[test]
+    fn collect_str_escapes_every_piece() {
+        struct Pieces;
+        impl std::fmt::Display for Pieces {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str("plain")?;
+                f.write_str("q\" \u{1}")?;
+                write!(f, "{}\\\né", 7)
+            }
+        }
+        let mut w = JsonWriter::new();
+        w.collect_str(&Pieces);
+        let text = w.finish();
+        assert_eq!(text, "\"plainq\\\" \\u00017\\\\\\né\"");
+        // and it is what `string` writes for the same characters
+        assert_eq!(text, to_json(&"plainq\" \u{1}7\\\né".to_string()));
     }
 
     #[test]

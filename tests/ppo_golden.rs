@@ -4,12 +4,13 @@
 //! per-row `axpy` backward, the per-forward transposes and the cloned
 //! minibatch that the GEMM backward replaced; the checksums of the trained
 //! networks digest their bit patterns (`state_bits`, not their JSON) and
-//! were recorded before the packed checkpoint layout. Any rewrite of the update — kernel, summation order, scratch
-//! reuse, RNG draws of the sampler — that moves a single bit fails here,
-//! at every pool width (and, via `ci/test.sh`, under `HARL_PPO_THREADS`
-//! and the forced-scalar backend). The second test kills and resumes a
-//! `HarlOperatorTuner` and checks that the agent it keeps training
-//! forwards through transposes of its current weights.
+//! were recorded before the packed checkpoint layout. Any rewrite of the
+//! update — kernel, summation order, scratch reuse, RNG draws of the
+//! sampler — that moves a single bit fails here, at every pool width (and,
+//! via `ci/test.sh`, under `HARL_PPO_THREADS` and the forced-scalar
+//! backend). The second test kills and resumes a `HarlOperatorTuner` and
+//! checks that the agent it keeps training forwards through transposes of
+//! its current weights.
 
 use harl_repro::ir::FEATURE_DIM;
 use harl_repro::nnet::{PpoAgent, PpoConfig};
