@@ -18,24 +18,28 @@ echo "==> kernel-dispatch crates with HARL_SIMD=0 (forced-scalar dispatch)"
 HARL_SIMD=0 cargo test $CARGO_FLAGS -q -p harl-simd -p harl-nnet -p harl-gbt -p harl-tensor-ir
 # the golden PPO update was recorded under vector dispatch: the scalar
 # kernels must reproduce its bits, and a checkpoint written under them must
-# round-trip, resume and fit its size budget like any other
+# round-trip, resume and fit its size budget like any other; the five
+# searchers' pinned state digests must hold under them too
 # shellcheck disable=SC2086
-HARL_SIMD=0 cargo test $CARGO_FLAGS -q --test ppo_golden --test checkpoint_layout
+HARL_SIMD=0 cargo test $CARGO_FLAGS -q --test ppo_golden --test checkpoint_layout \
+    --test search_golden
 
 echo "==> scoring determinism suite at pool widths 1 and 4"
 # the suite pins explicit widths internally; running it under both env
 # values additionally exercises the from_env construction paths
 # shellcheck disable=SC2086
-HARL_SCORE_THREADS=1 cargo test $CARGO_FLAGS -q --test scoring_determinism
+HARL_SCORE_THREADS=1 cargo test $CARGO_FLAGS -q --test scoring_determinism --test search_golden
 # shellcheck disable=SC2086
-HARL_SCORE_THREADS=4 cargo test $CARGO_FLAGS -q --test scoring_determinism
+HARL_SCORE_THREADS=4 cargo test $CARGO_FLAGS -q --test scoring_determinism --test search_golden
 
 echo "==> PPO determinism at pool widths 1 and 4"
 # same reasoning for the PPO pool: the golden update, the determinism suite
-# (which compares checkpoint bytes across backends and widths) and the
-# checkpoint layout under both HARL_PPO_THREADS values
+# (which compares checkpoint bytes across backends and widths), the
+# checkpoint layout and the searchers' state digests under both
+# HARL_PPO_THREADS values
 for width in 1 4; do
     # shellcheck disable=SC2086
     HARL_PPO_THREADS=$width cargo test $CARGO_FLAGS -q \
-        --test ppo_golden --test scoring_determinism --test checkpoint_layout
+        --test ppo_golden --test scoring_determinism --test checkpoint_layout \
+        --test search_golden
 done

@@ -7,19 +7,21 @@
 //! track (the *critical step*) is recorded, showing that most tracks peak
 //! early and the remaining steps are wasted.
 
+use std::ops::Deref;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use harl_mcts::SearchCore;
 use harl_nnet::{PpoAgent, PpoConfig};
 use harl_par::ParallelismOpts;
 use harl_tensor_ir::{
-    apply_action, compute_at_mask, extract_features, extract_features_into, generate_sketches,
-    parallel_mask, tile_action_mask, unroll_mask, Action, ActionSpace, Schedule, Sketch, StepDir,
-    Subgraph,
+    apply_action, compute_at_mask, parallel_mask, tile_action_mask, unroll_mask, Action,
+    ActionSpace, Schedule, Sketch, StepDir, Subgraph,
 };
 use harl_tensor_sim::{Measurer, TuneTrace};
-use harl_verify::{Analyzer, LintStats};
+use harl_verify::LintStats;
 
 /// Configuration of the fixed-length tuner.
 #[derive(Debug, Clone)]
@@ -103,43 +105,34 @@ pub struct FlextensorTunerState {
 
 /// The fixed-length RL tuner.
 pub struct FlextensorTuner<'m> {
-    /// The operator being tuned (fixed first sketch).
-    pub graph: Subgraph,
-    sketch: Sketch,
+    /// Shared search state, cut down to the fixed first sketch. Every
+    /// visited schedule is measured, so the core's seen-set is never
+    /// consulted (nor checkpointed).
+    core: SearchCore<'m>,
     space: ActionSpace,
     agent: PpoAgent,
-    measurer: &'m Measurer,
-    /// Best noise-free execution time found.
-    pub best_time: f64,
-    /// The schedule achieving `best_time`.
-    pub best_schedule: Option<Schedule>,
     /// Per-track critical steps (Fig. 1(c)).
     pub critical_steps: Vec<CriticalStep>,
-    /// Hardware measurements consumed.
-    pub trials_used: u64,
-    /// Best-so-far curve.
-    pub trace: TuneTrace,
-    /// Lint findings over every proposed schedule; rejected ones are never
-    /// measured on hardware.
-    pub lint_stats: LintStats,
-    analyzer: Analyzer,
-    /// Observation only; never part of [`FlextensorTunerState`].
-    tracer: harl_obs::Tracer,
     cfg: FlextensorConfig,
     rng: StdRng,
+}
+
+impl<'m> Deref for FlextensorTuner<'m> {
+    type Target = SearchCore<'m>;
+
+    fn deref(&self) -> &SearchCore<'m> {
+        &self.core
+    }
 }
 
 impl<'m> FlextensorTuner<'m> {
     /// Creates a tuner over the first (fixed) sketch of `graph`.
     pub fn new(graph: Subgraph, measurer: &'m Measurer, cfg: FlextensorConfig) -> Self {
-        let target = measurer.hardware().target();
+        let mut core = SearchCore::new(graph, measurer);
         // fixed sketch: the first (plain multi-level tiling) — Table 1.
-        let sketch = generate_sketches(&graph, target)
-            .into_iter()
-            .next()
-            .expect("subgraph has at least one sketch");
-        let space = ActionSpace::of(&sketch);
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ graph.name.len() as u64);
+        core.sketches.truncate(1);
+        let space = ActionSpace::of(&core.sketches[0]);
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ core.graph.name.len() as u64);
         let head_sizes = [
             space.tile_actions(),
             StepDir::COUNT,
@@ -154,19 +147,10 @@ impl<'m> FlextensorTuner<'m> {
         );
         agent.set_threads(harl_par::ppo_threads_from_env());
         FlextensorTuner {
-            graph,
-            sketch,
+            core,
             space,
             agent,
-            measurer,
-            best_time: f64::INFINITY,
-            best_schedule: None,
             critical_steps: Vec::new(),
-            trials_used: 0,
-            trace: TuneTrace::new(),
-            lint_stats: LintStats::new(),
-            analyzer: Analyzer::for_hardware(measurer.hardware()),
-            tracer: harl_obs::Tracer::disabled(),
             cfg,
             rng,
         }
@@ -177,7 +161,7 @@ impl<'m> FlextensorTuner<'m> {
     /// with it on or off.
     pub fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
         self.agent.set_tracer(tracer.clone());
-        self.tracer = tracer;
+        self.core.set_tracer(tracer);
     }
 
     /// Applies thread-pool widths. Flextensor measures every candidate on
@@ -187,13 +171,12 @@ impl<'m> FlextensorTuner<'m> {
         self.agent.set_threads(opts.ppo_threads);
     }
 
-    fn masks(&self, s: &Schedule) -> Vec<Vec<bool>> {
-        let target = self.measurer.hardware().target();
+    fn masks(&self, sketch: &Sketch, s: &Schedule) -> Vec<Vec<bool>> {
         vec![
-            tile_action_mask(&self.sketch, s, &self.space),
-            compute_at_mask(&self.sketch, s).to_vec(),
-            parallel_mask(&self.sketch, s).to_vec(),
-            unroll_mask(target, s).to_vec(),
+            tile_action_mask(sketch, s, &self.space),
+            compute_at_mask(sketch, s).to_vec(),
+            parallel_mask(sketch, s).to_vec(),
+            unroll_mask(self.core.target(), s).to_vec(),
         ]
     }
 
@@ -203,9 +186,11 @@ impl<'m> FlextensorTuner<'m> {
             return 0;
         }
         let _episode_span = self
-            .tracer
+            .core
+            .tracer()
             .span_with("flex_episode", &[("tracks", self.cfg.tracks.into())]);
-        let target = self.measurer.hardware().target();
+        let target = self.core.target();
+        let sketch = self.core.sketches[0].clone();
         let mut used = 0u64;
 
         // sample and measure the initial schedules
@@ -217,14 +202,12 @@ impl<'m> FlextensorTuner<'m> {
             if used >= budget {
                 break;
             }
-            let s = Schedule::random(&self.sketch, target, &mut self.rng);
-            let diags = self.analyzer.analyze(&self.graph, &self.sketch, target, &s);
-            if self.lint_stats.record(&diags) {
+            let s = Schedule::random(&sketch, target, &mut self.rng);
+            if self.core.lint_rejects(&s) {
                 continue;
             }
-            let m = self.measurer.measure(&self.graph, &self.sketch, &s);
+            let m = self.core.measure(&s);
             used += 1;
-            self.note_measurement(&s, m.time);
             perf.push(1.0 / m.time);
             best_perf.push(1.0 / m.time);
             states.push(s);
@@ -245,8 +228,8 @@ impl<'m> FlextensorTuner<'m> {
                     out_of_budget = true;
                     break;
                 }
-                let feat = extract_features(&self.graph, &self.sketch, target, &states[i]);
-                let masks = self.masks(&states[i]);
+                let feat = self.core.features(&states[i]);
+                let masks = self.masks(&sketch, &states[i]);
                 let (acts, logp) = self.agent.act(&feat, &masks, &mut self.rng);
                 let action = Action {
                     tile: acts[0],
@@ -254,20 +237,16 @@ impl<'m> FlextensorTuner<'m> {
                     parallel: StepDir::from_index(acts[2]),
                     unroll: StepDir::from_index(acts[3]),
                 };
-                let next = apply_action(&self.sketch, target, &states[i], &action);
+                let next = apply_action(&sketch, target, &states[i], &action);
                 // reject illegal proposals before spending a measurement
-                let diags = self
-                    .analyzer
-                    .analyze(&self.graph, &self.sketch, target, &next);
-                if self.lint_stats.record(&diags) {
+                if self.core.lint_rejects(&next) {
                     continue;
                 }
-                let m = self.measurer.measure(&self.graph, &self.sketch, &next);
+                let m = self.core.measure(&next);
                 used += 1;
-                self.note_measurement(&next, m.time);
                 let new_perf = 1.0 / m.time;
                 let reward = ((new_perf - perf[i]) / perf[i]) as f32;
-                extract_features_into(&self.graph, &self.sketch, target, &next, &mut next_feat);
+                self.core.features_into(&next, &mut next_feat);
                 value_pairs.extend_from_slice(&next_feat);
                 value_pairs.extend_from_slice(&feat);
                 moves.push(Move {
@@ -298,7 +277,7 @@ impl<'m> FlextensorTuner<'m> {
             steps_taken = step;
             if step % self.cfg.train_interval == 0 {
                 self.agent.train_step(&mut self.rng);
-                self.measurer.charge_search_time(0.3);
+                self.core.measurer().charge_search_time(0.3);
             }
         }
 
@@ -308,21 +287,9 @@ impl<'m> FlextensorTuner<'m> {
                 length: steps_taken,
             });
         }
-        self.trials_used += used;
-        self.trace.record(
-            self.measurer.trials(),
-            self.measurer.sim_seconds(),
-            self.best_time,
-        );
+        // training time was charged step by step above
+        self.core.end_round(0.0, used);
         used
-    }
-
-    fn note_measurement(&mut self, s: &Schedule, _measured: f64) {
-        let truth = self.measurer.true_time(&self.graph, &self.sketch, s);
-        if truth < self.best_time {
-            self.best_time = truth;
-            self.best_schedule = Some(s.clone());
-        }
     }
 
     /// Tunes with a total measurement budget.
@@ -337,26 +304,9 @@ impl<'m> FlextensorTuner<'m> {
 
     /// Coordinate-descent fine-tune pass over the current best schedule
     /// (see [`harl_mcts::coordinate_descent`]); monotone — `best_time`
-    /// never regresses. Returns the trials spent. Flextensor keeps no
-    /// dedup set (it measures every visited schedule), so nothing extra
-    /// is recorded per measurement.
+    /// never regresses. Returns the trials spent.
     pub fn finetune(&mut self, cfg: &harl_mcts::FinetuneConfig) -> u64 {
-        let _span = self.tracer.span("flextensor_finetune");
-        let target = self.measurer.hardware().target();
-        harl_mcts::finetune_fields(
-            cfg,
-            &self.graph,
-            std::slice::from_ref(&self.sketch),
-            target,
-            self.measurer,
-            &self.analyzer,
-            &mut self.lint_stats,
-            |_| {},
-            &mut self.best_time,
-            &mut self.best_schedule,
-            &mut self.trials_used,
-            &mut self.trace,
-        )
+        self.core.finetune(cfg, "flextensor_finetune")
     }
 
     /// Snapshots the mutable search state for checkpointing.
@@ -376,23 +326,21 @@ impl<'m> FlextensorTuner<'m> {
     /// Overwrites the mutable search state from a checkpoint. The tuner
     /// must have been constructed with the same graph, config, and seed.
     pub fn restore_state(&mut self, state: FlextensorTunerState) {
+        self.core.restore(
+            Vec::new(),
+            state.best_time,
+            state.best_schedule,
+            state.trials_used,
+            state.trace,
+            state.lint_stats,
+        );
         // the agent's pool width and tracer are runtime config, not search
         // state: carry them across the overwrite
         let ppo_threads = self.agent.threads();
         self.agent = state.agent;
         self.agent.set_threads(ppo_threads);
-        self.agent.set_tracer(self.tracer.clone());
-        // "no best yet" round-trips through JSON as null/NaN
-        self.best_time = if state.best_time.is_finite() {
-            state.best_time
-        } else {
-            f64::INFINITY
-        };
-        self.best_schedule = state.best_schedule;
+        self.agent.set_tracer(self.core.tracer().clone());
         self.critical_steps = state.critical_steps;
-        self.trials_used = state.trials_used;
-        self.trace = state.trace;
-        self.lint_stats = state.lint_stats;
         self.rng = StdRng::from_state(state.rng);
     }
 }

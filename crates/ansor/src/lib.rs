@@ -21,6 +21,5 @@ pub use task_sched::{
     task_gradient, weighted_latency, GradientParams, GreedyTaskScheduler, TaskInfo, TaskState,
 };
 pub use tuner::{
-    similarity_key, AnsorConfig, AnsorConfigBuilder, AnsorNetworkTuner, AnsorTuner,
-    AnsorTunerState, NetRound,
+    AnsorConfig, AnsorConfigBuilder, AnsorNetworkTuner, AnsorTuner, AnsorTunerState, NetRound,
 };

@@ -1,18 +1,19 @@
 //! The Ansor baseline tuner: per-subgraph evolutionary rounds and the
 //! greedy gradient task scheduler for end-to-end networks.
 
-use std::collections::HashSet;
+use std::ops::Deref;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use harl_gbt::{CostModel, GbtParams, ScoreStats, ScoringPipeline};
+use harl_mcts::SearchCore;
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
-use harl_tensor_ir::{extract_features, generate_sketches, Schedule, Sketch, Subgraph, Target};
+use harl_tensor_ir::{Schedule, Subgraph};
 use harl_tensor_sim::{ConfigError, Measurer, TuneTrace};
-use harl_verify::{Analyzer, LintStats};
+use harl_verify::LintStats;
 
 use crate::evolution::{evolve_candidates, EvoConfig};
 use crate::task_sched::{
@@ -180,61 +181,38 @@ pub struct AnsorTunerState {
 
 /// Tunes one subgraph with evolutionary search (Ansor §5).
 pub struct AnsorTuner<'m> {
-    /// The subgraph being tuned.
-    pub graph: Subgraph,
-    /// Its generated sketches.
-    pub sketches: Vec<Sketch>,
-    target: Target,
-    measurer: &'m Measurer,
+    /// Shared search state; lint-rejected candidates never reach the
+    /// measurer.
+    core: SearchCore<'m>,
     cost_model: CostModel,
-    seen: HashSet<u64>,
     /// `(measured time, schedule)` sorted best-first.
     elites: Vec<(f64, Schedule)>,
-    /// Best noise-free execution time found.
-    pub best_time: f64,
-    /// The schedule achieving `best_time`.
-    pub best_schedule: Option<Schedule>,
-    /// Hardware measurements consumed so far.
-    pub trials_used: u64,
-    /// Best-so-far curve.
-    pub trace: TuneTrace,
-    /// Lint findings over every evolved candidate; rejected ones never
-    /// reach the measurer.
-    pub lint_stats: LintStats,
-    analyzer: Analyzer,
     /// Batched fitness scoring (thread pool + feature cache). Runtime
     /// machinery, deliberately outside [`AnsorTunerState`]: its counters
     /// and thread width must not leak into checkpoints, which stay
     /// byte-equal across `HARL_SCORE_THREADS` settings.
     pipeline: ScoringPipeline,
-    /// Observation only; like the pipeline, never part of checkpoints.
-    tracer: harl_obs::Tracer,
     cfg: AnsorConfig,
     rng: StdRng,
+}
+
+impl<'m> Deref for AnsorTuner<'m> {
+    type Target = SearchCore<'m>;
+
+    fn deref(&self) -> &SearchCore<'m> {
+        &self.core
+    }
 }
 
 impl<'m> AnsorTuner<'m> {
     /// Creates a tuner; sketches are generated for the measurer's target.
     pub fn new(graph: Subgraph, measurer: &'m Measurer, cfg: AnsorConfig) -> Self {
-        let target = measurer.hardware().target();
-        let sketches = generate_sketches(&graph, target);
         let seed = cfg.seed ^ graph.name.len() as u64;
         AnsorTuner {
-            graph,
-            sketches,
-            target,
-            measurer,
+            core: SearchCore::new(graph, measurer),
             cost_model: CostModel::new(cfg.gbt.clone()),
-            seen: HashSet::new(),
             elites: Vec::new(),
-            best_time: f64::INFINITY,
-            best_schedule: None,
-            trials_used: 0,
-            trace: TuneTrace::new(),
-            lint_stats: LintStats::new(),
-            analyzer: Analyzer::for_hardware(measurer.hardware()),
             pipeline: ScoringPipeline::from_env(),
-            tracer: harl_obs::Tracer::disabled(),
             cfg,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -245,7 +223,7 @@ impl<'m> AnsorTuner<'m> {
     /// the search — checkpoints stay byte-equal with it on or off.
     pub fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
         self.pipeline.set_tracer(tracer.clone());
-        self.tracer = tracer;
+        self.core.set_tracer(tracer);
     }
 
     /// Counters of the batched scoring pipeline (cache hits, batches,
@@ -267,80 +245,59 @@ impl<'m> AnsorTuner<'m> {
         &self.cost_model
     }
 
+    /// Re-sorts the elite pool best-first and cuts it to `elite_pool`.
+    fn trim_elites(&mut self) {
+        self.elites
+            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        self.elites.truncate(self.cfg.elite_pool);
+    }
+
     /// One exploration round with up to `budget` measurements; returns the
     /// number of trials actually used.
     pub fn round(&mut self, budget: usize) -> usize {
         if budget == 0 {
             return 0;
         }
-        let round_span = self.tracer.span("ansor_round");
+        let _round_span = self.core.tracer().span("ansor_round");
         let k = budget.min(self.cfg.measure_per_round);
-        let evolve_span = self.tracer.span_with("evolve", &[("k", k.into())]);
+        let evolve_span = self.core.tracer().span_with("evolve", &[("k", k.into())]);
         let elite_scheds: Vec<Schedule> = self.elites.iter().map(|(_, s)| s.clone()).collect();
         let mut cands = evolve_candidates(
-            &self.graph,
-            &self.sketches,
-            self.target,
+            &self.core.graph,
+            &self.core.sketches,
+            self.core.target(),
             &self.cost_model,
             &elite_scheds,
-            &self.seen,
+            self.core.seen(),
             k,
             &self.cfg.evo,
             &mut self.pipeline,
             &mut self.rng,
         );
         // drop illegal candidates before they reach the measurer
-        cands.retain(|s| {
-            let sk = &self.sketches[s.sketch_id];
-            let diags = self.analyzer.analyze(&self.graph, sk, self.target, s);
-            !self.lint_stats.record(&diags)
-        });
+        cands.retain(|s| !self.core.lint_rejects(s));
         drop(evolve_span);
         if cands.is_empty() {
             return 0;
         }
 
-        let measure_span = self
-            .tracer
-            .span_with("measure", &[("k", cands.len().into())]);
         let mut updates = Vec::with_capacity(cands.len());
-        for s in &cands {
-            let sk = &self.sketches[s.sketch_id];
-            let m = self.measurer.measure(&self.graph, sk, s);
-            self.seen.insert(s.dedup_key());
-            let truth = self.measurer.true_time(&self.graph, sk, s);
-            if truth < self.best_time {
-                self.best_time = truth;
-                self.best_schedule = Some(s.clone());
-            }
-            self.elites.push((m.time, s.clone()));
-            updates.push((
-                extract_features(&self.graph, sk, self.target, s),
-                m.flops_per_sec,
-            ));
+        for (m, features) in self.core.measure_all(&cands) {
+            updates.push((features, m.flops_per_sec));
+            self.elites.push((m.time, m.schedule));
         }
-        drop(measure_span);
         {
-            let _retrain_span = self.tracer.span("gbt_retrain");
+            let _retrain_span = self.core.tracer().span("gbt_retrain");
             self.cost_model.update_batch(updates);
         }
-
-        self.elites
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        self.elites.truncate(self.cfg.elite_pool);
+        self.trim_elites();
 
         // simulated algorithm overhead: fixed + per-fitness-evaluation
-        self.measurer.charge_search_time(
+        self.core.end_round(
             self.cfg.round_overhead
                 + (self.cfg.evo.population * self.cfg.evo.generations) as f64 * self.cfg.eval_cost,
+            cands.len() as u64,
         );
-        self.trials_used += cands.len() as u64;
-        self.trace.record(
-            self.measurer.trials(),
-            self.measurer.sim_seconds(),
-            self.best_time,
-        );
-        drop(round_span);
         cands.len()
     }
 
@@ -356,11 +313,9 @@ impl<'m> AnsorTuner<'m> {
 
     /// Snapshots the mutable search state for checkpointing.
     pub fn checkpoint_state(&self) -> AnsorTunerState {
-        let mut seen: Vec<u64> = self.seen.iter().copied().collect();
-        seen.sort_unstable();
         AnsorTunerState {
             cost_model: self.cost_model.clone(),
-            seen,
+            seen: self.seen_sorted(),
             elites: self.elites.clone(),
             best_time: self.best_time,
             best_schedule: self.best_schedule.clone(),
@@ -374,20 +329,16 @@ impl<'m> AnsorTuner<'m> {
     /// Overwrites the mutable search state from a checkpoint. The tuner
     /// must have been constructed with the same graph, config, and seed.
     pub fn restore_state(&mut self, state: AnsorTunerState) {
+        self.core.restore(
+            state.seen,
+            state.best_time,
+            state.best_schedule,
+            state.trials_used,
+            state.trace,
+            state.lint_stats,
+        );
         self.cost_model = state.cost_model;
-        self.seen = state.seen.into_iter().collect();
         self.elites = state.elites;
-        // JSON has no Infinity literal; the writer emits null which decodes
-        // to NaN, so normalize "no best yet" back to +inf.
-        self.best_time = if state.best_time.is_finite() {
-            state.best_time
-        } else {
-            f64::INFINITY
-        };
-        self.best_schedule = state.best_schedule;
-        self.trials_used = state.trials_used;
-        self.trace = state.trace;
-        self.lint_stats = state.lint_stats;
         self.rng = StdRng::from_state(state.rng);
     }
 
@@ -395,24 +346,7 @@ impl<'m> AnsorTuner<'m> {
     /// (see [`harl_mcts::coordinate_descent`]); monotone — `best_time`
     /// never regresses. Returns the trials spent.
     pub fn finetune(&mut self, cfg: &harl_mcts::FinetuneConfig) -> u64 {
-        let _span = self.tracer.span("ansor_finetune");
-        let seen = &mut self.seen;
-        harl_mcts::finetune_fields(
-            cfg,
-            &self.graph,
-            &self.sketches,
-            self.target,
-            self.measurer,
-            &self.analyzer,
-            &mut self.lint_stats,
-            |s| {
-                seen.insert(s.dedup_key());
-            },
-            &mut self.best_time,
-            &mut self.best_schedule,
-            &mut self.trials_used,
-            &mut self.trace,
-        )
+        self.core.finetune(cfg, "ansor_finetune")
     }
 
     /// Warm-starts from prior measurement records of similar workloads:
@@ -420,32 +354,20 @@ impl<'m> AnsorTuner<'m> {
     /// with their schedules, without spending any fresh measurements.
     /// Returns how many records were usable.
     pub fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
-        let key = self.graph.similarity_key();
-        let mut updates = Vec::new();
-        for r in records {
-            if r.similarity_key != key || r.sketch_id >= self.sketches.len() {
-                continue;
-            }
-            let sk = &self.sketches[r.sketch_id];
-            if r.schedule.sketch_id != r.sketch_id || r.schedule.validate(sk, self.target).is_err()
-            {
-                continue;
-            }
-            updates.push((
-                extract_features(&self.graph, sk, self.target, &r.schedule),
-                r.flops_per_sec,
-            ));
-            self.elites.push((r.time, r.schedule.clone()));
-        }
-        let used = updates.len();
-        if used == 0 {
+        let usable = self.core.usable_records(records);
+        if usable.is_empty() {
             return 0;
         }
-        self.cost_model.update_batch(updates);
+        let core = &self.core;
+        self.cost_model.update_batch(
+            usable
+                .iter()
+                .map(|r| (core.features(&r.schedule), r.flops_per_sec)),
+        );
         self.elites
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        self.elites.truncate(self.cfg.elite_pool);
-        used
+            .extend(usable.iter().map(|r| (r.time, r.schedule.clone())));
+        self.trim_elites();
+        usable.len()
     }
 }
 
@@ -478,11 +400,6 @@ pub struct AnsorNetworkTuner<'m> {
     tracer: harl_obs::Tracer,
 }
 
-/// Builds the similarity key of a subgraph (anchor kind + iterator shape).
-pub fn similarity_key(graph: &Subgraph) -> u64 {
-    graph.similarity_key()
-}
-
 impl<'m> AnsorNetworkTuner<'m> {
     /// Creates one Ansor tuner per subgraph sharing `measurer`.
     pub fn new(
@@ -497,7 +414,7 @@ impl<'m> AnsorNetworkTuner<'m> {
                 name: g.name.clone(),
                 weight: g.weight,
                 flops: g.flops(),
-                similarity_key: similarity_key(g),
+                similarity_key: g.similarity_key(),
             })
             .collect();
         let states = subgraphs.iter().map(|_| TaskState::default()).collect();
@@ -557,7 +474,7 @@ impl<'m> AnsorNetworkTuner<'m> {
             latency,
         });
         if latency.is_finite() {
-            let m = &self.tuners[0].measurer;
+            let m = self.tuners[0].measurer();
             self.trace.record(m.trials(), m.sim_seconds(), latency);
         }
         used

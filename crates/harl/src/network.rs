@@ -50,7 +50,7 @@ impl<'m> HarlNetworkTuner<'m> {
                 name: g.name.clone(),
                 weight: g.weight,
                 flops: g.flops(),
-                similarity_key: harl_ansor::similarity_key(g),
+                similarity_key: g.similarity_key(),
             })
             .collect();
         let states = subgraphs.iter().map(|_| TaskState::default()).collect();

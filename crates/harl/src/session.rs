@@ -1,7 +1,8 @@
 //! The unified tuner session API.
 //!
-//! [`Tuner`] abstracts over the three search algorithms of the repo (HARL,
-//! Ansor, Flextensor-like) with a common round/checkpoint/restore surface.
+//! [`Tuner`] abstracts over the five search algorithms of the repo (HARL,
+//! Ansor, Flextensor-like, MCTS, coordinate descent) with a common
+//! round/checkpoint/restore surface over their shared [`SearchCore`].
 //! [`TuningSession`] drives any `dyn Tuner` while persisting everything a
 //! deployment wants kept between runs into a [`RecordStore`] directory:
 //!
@@ -19,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use harl_ansor::{AnsorTuner, AnsorTunerState, FlextensorTuner, FlextensorTunerState};
 use harl_gbt::ScoreStats;
-use harl_mcts::{CdTuner, CdTunerState, FinetuneConfig, MctsTuner, MctsTunerState};
+use harl_mcts::{CdTuner, CdTunerState, FinetuneConfig, MctsTuner, MctsTunerState, SearchCore};
 use harl_par::ParallelismOpts;
 use harl_store::{MeasureRecord, RecordStore, StoreError};
 use harl_tensor_sim::{Measurer, MeasurerState, TuneTrace};
@@ -62,18 +63,27 @@ impl TunerState {
 /// restore contract is to construct the tuner with the identical workload,
 /// config, and seed, then call [`Tuner::restore`] with the saved state.
 pub trait Tuner {
-    /// Short algorithm name (`"harl"`, `"ansor"`, `"flextensor"`).
+    /// Short algorithm name (`"harl"`, `"ansor"`, `"flextensor"`,
+    /// `"mcts"`, `"cd"`).
     fn name(&self) -> &str;
+
+    /// The search state every tuner shares: workload, sketches, best
+    /// schedule, trial count, trace, lint counters.
+    fn core(&self) -> &SearchCore<'_>;
 
     /// Runs one tuning round with up to `budget` measurements; returns the
     /// trials actually used (0 means the tuner cannot make progress).
     fn round(&mut self, budget: usize) -> usize;
 
     /// Best latency found so far (seconds; `+inf` before any measurement).
-    fn best_latency(&self) -> f64;
+    fn best_latency(&self) -> f64 {
+        self.core().best_time
+    }
 
     /// Total hardware measurements consumed.
-    fn trials_used(&self) -> u64;
+    fn trials_used(&self) -> u64 {
+        self.core().trials_used
+    }
 
     /// Snapshots the mutable search state.
     fn checkpoint(&self) -> TunerState;
@@ -103,10 +113,10 @@ pub trait Tuner {
         0
     }
 
-    /// The best-so-far trace (trials / sim-seconds / best time), when the
-    /// tuner keeps one. Drives per-job metrics in serving deployments.
+    /// The best-so-far trace (trials / sim-seconds / best time), one point
+    /// per round. Drives per-job metrics in serving deployments.
     fn trace(&self) -> Option<&TuneTrace> {
-        None
+        Some(&self.core().trace)
     }
 
     /// Counters of the tuner's batched scoring pipeline (cache hits, batch
@@ -139,16 +149,12 @@ impl<T: Tuner + ?Sized> Tuner for &mut T {
         (**self).name()
     }
 
+    fn core(&self) -> &SearchCore<'_> {
+        (**self).core()
+    }
+
     fn round(&mut self, budget: usize) -> usize {
         (**self).round(budget)
-    }
-
-    fn best_latency(&self) -> f64 {
-        (**self).best_latency()
-    }
-
-    fn trials_used(&self) -> u64 {
-        (**self).trials_used()
     }
 
     fn checkpoint(&self) -> TunerState {
@@ -165,10 +171,6 @@ impl<T: Tuner + ?Sized> Tuner for &mut T {
 
     fn finetune(&mut self, cfg: &FinetuneConfig) -> u64 {
         (**self).finetune(cfg)
-    }
-
-    fn trace(&self) -> Option<&TuneTrace> {
-        (**self).trace()
     }
 
     fn score_stats(&self) -> Option<&ScoreStats> {
@@ -189,16 +191,12 @@ impl Tuner for HarlOperatorTuner<'_> {
         "harl"
     }
 
+    fn core(&self) -> &SearchCore<'_> {
+        self
+    }
+
     fn round(&mut self, budget: usize) -> usize {
         HarlOperatorTuner::round(self, budget)
-    }
-
-    fn best_latency(&self) -> f64 {
-        self.best_time
-    }
-
-    fn trials_used(&self) -> u64 {
-        self.trials_used
     }
 
     fn checkpoint(&self) -> TunerState {
@@ -220,10 +218,6 @@ impl Tuner for HarlOperatorTuner<'_> {
         HarlOperatorTuner::finetune(self, cfg)
     }
 
-    fn trace(&self) -> Option<&TuneTrace> {
-        Some(&self.trace)
-    }
-
     fn score_stats(&self) -> Option<&ScoreStats> {
         Some(HarlOperatorTuner::score_stats(self))
     }
@@ -242,16 +236,12 @@ impl Tuner for AnsorTuner<'_> {
         "ansor"
     }
 
+    fn core(&self) -> &SearchCore<'_> {
+        self
+    }
+
     fn round(&mut self, budget: usize) -> usize {
         AnsorTuner::round(self, budget)
-    }
-
-    fn best_latency(&self) -> f64 {
-        self.best_time
-    }
-
-    fn trials_used(&self) -> u64 {
-        self.trials_used
     }
 
     fn checkpoint(&self) -> TunerState {
@@ -273,10 +263,6 @@ impl Tuner for AnsorTuner<'_> {
         AnsorTuner::finetune(self, cfg)
     }
 
-    fn trace(&self) -> Option<&TuneTrace> {
-        Some(&self.trace)
-    }
-
     fn score_stats(&self) -> Option<&ScoreStats> {
         Some(AnsorTuner::score_stats(self))
     }
@@ -295,16 +281,12 @@ impl Tuner for FlextensorTuner<'_> {
         "flextensor"
     }
 
+    fn core(&self) -> &SearchCore<'_> {
+        self
+    }
+
     fn round(&mut self, budget: usize) -> usize {
         self.episode(budget as u64) as usize
-    }
-
-    fn best_latency(&self) -> f64 {
-        self.best_time
-    }
-
-    fn trials_used(&self) -> u64 {
-        self.trials_used
     }
 
     fn checkpoint(&self) -> TunerState {
@@ -325,10 +307,6 @@ impl Tuner for FlextensorTuner<'_> {
         FlextensorTuner::finetune(self, cfg)
     }
 
-    fn trace(&self) -> Option<&TuneTrace> {
-        Some(&self.trace)
-    }
-
     fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
         FlextensorTuner::set_tracer(self, tracer)
     }
@@ -343,16 +321,12 @@ impl Tuner for MctsTuner<'_> {
         "mcts"
     }
 
+    fn core(&self) -> &SearchCore<'_> {
+        self
+    }
+
     fn round(&mut self, budget: usize) -> usize {
         MctsTuner::round(self, budget)
-    }
-
-    fn best_latency(&self) -> f64 {
-        self.best_time
-    }
-
-    fn trials_used(&self) -> u64 {
-        self.trials_used
     }
 
     fn checkpoint(&self) -> TunerState {
@@ -374,10 +348,6 @@ impl Tuner for MctsTuner<'_> {
         MctsTuner::finetune(self, cfg)
     }
 
-    fn trace(&self) -> Option<&TuneTrace> {
-        Some(&self.trace)
-    }
-
     fn score_stats(&self) -> Option<&ScoreStats> {
         Some(MctsTuner::score_stats(self))
     }
@@ -396,16 +366,12 @@ impl Tuner for CdTuner<'_> {
         "cd"
     }
 
+    fn core(&self) -> &SearchCore<'_> {
+        self
+    }
+
     fn round(&mut self, budget: usize) -> usize {
         CdTuner::round(self, budget)
-    }
-
-    fn best_latency(&self) -> f64 {
-        self.best_time
-    }
-
-    fn trials_used(&self) -> u64 {
-        self.trials_used
     }
 
     fn checkpoint(&self) -> TunerState {
@@ -425,10 +391,6 @@ impl Tuner for CdTuner<'_> {
 
     fn finetune(&mut self, cfg: &FinetuneConfig) -> u64 {
         CdTuner::finetune(self, cfg)
-    }
-
-    fn trace(&self) -> Option<&TuneTrace> {
-        Some(&self.trace)
     }
 
     fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
@@ -719,7 +681,7 @@ impl<'m> TuningSession<'m> {
         self.tuner.trials_used()
     }
 
-    /// The tuner's best-so-far trace, when it keeps one.
+    /// The tuner's best-so-far trace.
     pub fn trace(&self) -> Option<&TuneTrace> {
         self.tuner.trace()
     }
@@ -807,7 +769,9 @@ impl<'m> TuningSession<'m> {
     /// `after <= before` always holds (pinned by tests). Runs at most once
     /// per session lifecycle: a session resumed from a checkpoint written
     /// after a completed fine-tune skips the descent, keeping the
-    /// kill/resume replay bit-identical.
+    /// kill/resume replay bit-identical. A call before anything was
+    /// measured has no best schedule to descend from; it spends nothing
+    /// and does not use up that one run.
     pub fn then_finetune(&mut self, cfg: &FinetuneConfig) -> Result<FinetuneOutcome, StoreError> {
         let before = self.tuner.best_latency();
         if self.finetuned {
@@ -818,6 +782,7 @@ impl<'m> TuningSession<'m> {
                 skipped: true,
             });
         }
+        let had_best = self.tuner.core().best_schedule.is_some();
         let trials = self.tuner.finetune(cfg);
         let after = self.tuner.best_latency();
         // `!(after > before)` rather than `after <= before`: a never-measured
@@ -831,7 +796,7 @@ impl<'m> TuningSession<'m> {
                 "finetune regressed best latency: {before} -> {after}"
             );
         }
-        self.finetuned = true;
+        self.finetuned = had_best;
         self.checkpoint_now()?;
         Ok(FinetuneOutcome {
             before,
@@ -1263,6 +1228,33 @@ mod tests {
         let resumed = s2.then_finetune(&cfg).unwrap();
         assert!(resumed.skipped);
         assert_eq!(resumed.after.to_bits(), out.after.to_bits());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn then_finetune_before_any_measurement_does_not_latch() {
+        let dir = temp_dir("finetune-empty");
+        let cfg = harl_mcts::FinetuneConfig::default();
+        let store = Arc::new(RecordStore::open(&dir).unwrap());
+        let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        let tuner =
+            HarlOperatorTuner::new(workload::gemm(128, 128, 128), &measurer, HarlConfig::tiny());
+        let mut session = TuningSession::builder()
+            .launch(Box::new(tuner), &measurer, Some(store))
+            .unwrap();
+
+        // nothing measured: no best schedule, so nothing to descend from
+        let empty = session.then_finetune(&cfg).unwrap();
+        assert!(!empty.skipped);
+        assert_eq!(empty.trials, 0);
+        assert!(empty.before.is_infinite() && empty.after.is_infinite());
+
+        // the session's one fine-tune is still available after a search
+        session.run(16).unwrap();
+        let real = session.then_finetune(&cfg).unwrap();
+        assert!(!real.skipped, "the empty descent used up the fine-tune");
+        assert!(real.trials > 0);
+        assert!(session.then_finetune(&cfg).unwrap().skipped);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

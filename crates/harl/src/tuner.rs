@@ -2,7 +2,7 @@
 //! parameter search, with top-K measurement and on-line cost-model
 //! training (Algorithm 1's outer loop, §4).
 
-use std::collections::HashSet;
+use std::ops::Deref;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -10,15 +10,14 @@ use serde::{Deserialize, Serialize};
 
 use harl_bandit::{AnyBandit, Bandit};
 use harl_gbt::{CostModel, ScoreStats, ScoringPipeline};
+use harl_mcts::{best_last_seeds, Picks, SearchCore};
 use harl_nnet::PpoAgent;
 use harl_obs::Tracer;
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
-use harl_tensor_ir::{
-    extract_features, generate_sketches, ActionSpace, Schedule, Sketch, Subgraph, Target,
-};
+use harl_tensor_ir::{ActionSpace, Schedule, Subgraph};
 use harl_tensor_sim::{Measurer, TuneTrace};
-use harl_verify::{check_finite, Analyzer, LintCode, LintStats};
+use harl_verify::{check_finite, LintCode, LintStats};
 
 use crate::adaptive::CriticalStep;
 use crate::config::HarlConfig;
@@ -37,14 +36,12 @@ pub struct RoundLog {
 /// sketch MAB → PPO parameter search with adaptive stopping → top-K
 /// measurement → cost-model update.
 pub struct HarlOperatorTuner<'m> {
-    pub graph: Subgraph,
-    pub sketches: Vec<Sketch>,
-    target: Target,
-    measurer: &'m Measurer,
+    /// Shared search state; the lint counters cover every candidate
+    /// considered, across all rounds.
+    core: SearchCore<'m>,
     cost_model: CostModel,
     agent: PpoAgent,
     sketch_bandit: AnyBandit,
-    seen: HashSet<u64>,
     /// Best measured schedules per sketch, `(measured time, schedule)`
     /// sorted best-first — warm-start seeds for later episodes.
     elites: Vec<Vec<(f64, Schedule)>>,
@@ -52,36 +49,31 @@ pub struct HarlOperatorTuner<'m> {
     /// by [`HarlOperatorTuner::warm_start`] with the best prior records so
     /// a warm run re-establishes the old best immediately.
     pending_seeds: Vec<Schedule>,
-    /// Best noise-free execution time found.
-    pub best_time: f64,
-    pub best_schedule: Option<Schedule>,
-    pub trials_used: u64,
-    pub trace: TuneTrace,
     /// Critical steps of every schedule track explored (Fig. 7(b)).
     pub critical_steps: Vec<CriticalStep>,
     pub rounds: Vec<RoundLog>,
-    /// Lint findings over every candidate considered, across all rounds.
-    pub lint_stats: LintStats,
-    analyzer: Analyzer,
     /// Batched candidate scoring (thread pool + feature cache). Runtime
     /// machinery, deliberately outside [`HarlTunerState`]: its counters and
     /// thread width must not leak into checkpoints, which stay byte-equal
     /// across `HARL_SCORE_THREADS` settings.
     pipeline: ScoringPipeline,
-    /// Span tracer for round/episode phases. Like the pipeline, runtime
-    /// machinery only: never serialized, never feeds back into search
-    /// state, so traced and untraced runs are bit-identical.
-    tracer: Tracer,
     cfg: HarlConfig,
     rng: StdRng,
 }
 
+impl<'m> Deref for HarlOperatorTuner<'m> {
+    type Target = SearchCore<'m>;
+
+    fn deref(&self) -> &SearchCore<'m> {
+        &self.core
+    }
+}
+
 impl<'m> HarlOperatorTuner<'m> {
     pub fn new(graph: Subgraph, measurer: &'m Measurer, cfg: HarlConfig) -> Self {
-        let target = measurer.hardware().target();
-        let sketches = generate_sketches(&graph, target);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ (graph.name.len() as u64) << 3);
-        let space = ActionSpace::of(&sketches[0]);
+        let core = SearchCore::new(graph, measurer);
+        let space = ActionSpace::of(&core.sketches[0]);
         let mut agent = PpoAgent::new(
             harl_tensor_ir::FEATURE_DIM,
             &[space.tile_actions(), 3, 3, 3],
@@ -94,29 +86,18 @@ impl<'m> HarlOperatorTuner<'m> {
             *c = cfg.mab_c;
             *tau = cfg.mab_tau;
         }
-        let sketch_bandit = mab_kind.build(sketches.len());
-        let elites = vec![Vec::new(); sketches.len()];
+        let sketch_bandit = mab_kind.build(core.sketches.len());
+        let elites = vec![Vec::new(); core.sketches.len()];
         HarlOperatorTuner {
-            graph,
-            sketches,
-            target,
-            measurer,
+            core,
             cost_model: CostModel::new(cfg.gbt.clone()),
             agent,
             sketch_bandit,
-            seen: HashSet::new(),
             elites,
             pending_seeds: Vec::new(),
-            best_time: f64::INFINITY,
-            best_schedule: None,
-            trials_used: 0,
-            trace: TuneTrace::new(),
             critical_steps: Vec::new(),
             rounds: Vec::new(),
-            lint_stats: LintStats::new(),
-            analyzer: Analyzer::for_hardware(measurer.hardware()),
             pipeline: ScoringPipeline::from_env(),
-            tracer: Tracer::disabled(),
             cfg,
             rng,
         }
@@ -143,7 +124,7 @@ impl<'m> HarlOperatorTuner<'m> {
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.pipeline.set_tracer(tracer.clone());
         self.agent.set_tracer(tracer.clone());
-        self.tracer = tracer;
+        self.core.set_tracer(tracer);
     }
 
     /// Current cost-model sample count (for diagnostics).
@@ -156,9 +137,12 @@ impl<'m> HarlOperatorTuner<'m> {
         &self.cost_model
     }
 
-    /// The shared measurer this tuner charges trials to.
-    pub fn measurer(&self) -> &'m Measurer {
-        self.measurer
+    /// Re-sorts every elite pool best-first and cuts it to 32 entries.
+    fn trim_elites(&mut self) {
+        for pool in &mut self.elites {
+            pool.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            pool.truncate(32);
+        }
     }
 
     /// One tuning round (sketch selection → episode → top-K measurement).
@@ -167,17 +151,16 @@ impl<'m> HarlOperatorTuner<'m> {
         if budget == 0 {
             return 0;
         }
-        let round_span = self.tracer.span("harl_round");
+        let _round_span = self.core.tracer().span("harl_round");
         // --- sketch selection (§4.1, Eq. 2) -------------------------------
         let sketch_id = {
-            let _pick_span = self.tracer.span("sketch_pick");
+            let _pick_span = self.core.tracer().span("sketch_pick");
             if self.cfg.sketch_mab {
                 self.sketch_bandit.select(&mut self.rng)
             } else {
-                self.rng.gen_range(0..self.sketches.len())
+                self.rng.gen_range(0..self.core.sketches.len())
             }
         };
-        let sketch = self.sketches[sketch_id].clone();
 
         // --- parameter modification phase (Algorithm 1) --------------------
         let seeds: Vec<Schedule> = self.elites[sketch_id]
@@ -185,118 +168,77 @@ impl<'m> HarlOperatorTuner<'m> {
             .map(|(_, s)| s.clone())
             .collect();
         let episode_span = self
-            .tracer
+            .core
+            .tracer()
             .span_with("episode", &[("sketch", sketch_id.into())]);
         let episode = run_episode(
-            &self.graph,
-            &sketch,
-            self.target,
+            &self.core.graph,
+            &self.core.sketches[sketch_id],
+            self.core.target(),
             &mut self.agent,
             &self.cost_model,
             &self.cfg,
             &seeds,
-            &self.analyzer,
+            self.core.analyzer(),
             &mut self.pipeline,
-            &self.tracer,
+            self.core.tracer(),
             &mut self.rng,
         );
         drop(episode_span);
         self.critical_steps
             .extend(episode.critical_steps.iter().copied());
-        self.lint_stats.merge(&episode.lint_stats);
+        self.core.lint_stats.merge(&episode.lint_stats);
 
         // --- top-K selection phase (lines 20–22) ----------------------------
         // Schedules are ranked by predicted score; picks are capped per
         // schedule track so the measurement set stays diverse instead of
         // collapsing onto the single best-predicted track's neighbourhood.
-        let topk_span = self.tracer.span("topk_select");
+        let topk_span = self.core.tracer().span("topk_select");
         let k = budget.min(self.cfg.measure_per_round);
         let mut scored = episode.visited;
         scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
         let per_track_cap = (k / 8).max(2);
         let mut track_counts: std::collections::HashMap<usize, usize> =
             std::collections::HashMap::new();
-        let mut picks: Vec<Schedule> = Vec::with_capacity(k);
-        let mut local = HashSet::new();
+        let mut picks = Picks::new(k);
         // forced warm-start seeds jump the queue: prior-run bests are
         // re-measured before any fresh candidates
-        while picks.len() < k {
-            let Some(s) = self.pending_seeds.pop() else {
-                break;
-            };
-            let key = s.dedup_key();
-            if self.seen.contains(&key) || !local.insert(key) {
-                continue;
-            }
-            picks.push(s);
-        }
+        self.core.pick_seeds(&mut picks, &mut self.pending_seeds);
         for pass in 0..2 {
             for (_, s, track) in &scored {
-                if picks.len() >= k {
+                if picks.is_full() {
                     break;
                 }
                 // pass 0 enforces the diversity cap; pass 1 fills leftovers
                 if pass == 0 && track_counts.get(track).copied().unwrap_or(0) >= per_track_cap {
                     continue;
                 }
-                let key = s.dedup_key();
-                if self.seen.contains(&key) || !local.insert(key) {
-                    continue;
+                if self.core.pick(&mut picks, s) {
+                    *track_counts.entry(*track).or_insert(0) += 1;
                 }
-                *track_counts.entry(*track).or_insert(0) += 1;
-                picks.push(s.clone());
             }
         }
         // fall back to random sampling when the episode didn't yield enough
         // unseen schedules
-        let mut guard = 0;
-        while picks.len() < k && guard < 50 * k {
-            guard += 1;
-            let s = Schedule::random(&sketch, self.target, &mut self.rng);
-            let diags = self.analyzer.analyze(&self.graph, &sketch, self.target, &s);
-            if self.lint_stats.record(&diags) {
-                continue;
-            }
-            let key = s.dedup_key();
-            if self.seen.contains(&key) || !local.insert(key) {
-                continue;
-            }
-            picks.push(s);
-        }
+        self.core
+            .pick_random(&mut picks, Some(sketch_id), k, &mut self.rng);
         drop(topk_span);
+        let picks = picks.schedules;
         if picks.is_empty() {
             return 0;
         }
 
-        let measure_span = self
-            .tracer
-            .span_with("measure", &[("k", picks.len().into())]);
         let mut round_best_flops = 0.0f64;
         let mut updates = Vec::with_capacity(picks.len());
-        for s in &picks {
-            let sk = &self.sketches[s.sketch_id];
-            let m = self.measurer.measure(&self.graph, sk, s);
-            self.seen.insert(s.dedup_key());
+        for (m, features) in self.core.measure_all(&picks) {
             round_best_flops = round_best_flops.max(m.flops_per_sec);
-            let truth = self.measurer.true_time(&self.graph, sk, s);
-            if truth < self.best_time {
-                self.best_time = truth;
-                self.best_schedule = Some(s.clone());
-            }
-            self.elites[s.sketch_id].push((m.time, s.clone()));
-            updates.push((
-                extract_features(&self.graph, sk, self.target, s),
-                m.flops_per_sec,
-            ));
+            updates.push((features, m.flops_per_sec));
+            self.elites[m.schedule.sketch_id].push((m.time, m.schedule));
         }
-        drop(measure_span);
-        for pool in &mut self.elites {
-            pool.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            pool.truncate(32);
-        }
+        self.trim_elites();
         // train the cost model with the measurements (line 22)
         {
-            let _retrain_span = self.tracer.span("gbt_retrain");
+            let _retrain_span = self.core.tracer().span("gbt_retrain");
             self.cost_model.update_batch(updates);
         }
 
@@ -307,29 +249,25 @@ impl<'m> HarlOperatorTuner<'m> {
             0.0
         };
         if check_finite("sketch MAB reward", x_t).is_some() {
-            self.lint_stats.record_finding(LintCode::NonFiniteValue);
+            self.core
+                .lint_stats
+                .record_finding(LintCode::NonFiniteValue);
             x_t = 0.0;
         }
         self.sketch_bandit.update(sketch_id, x_t);
 
-        // simulated algorithm overhead: fixed + per-evaluation + per-RL-step
-        self.measurer.charge_search_time(
-            self.cfg.round_overhead
-                + scored.len() as f64 * self.cfg.eval_cost
-                + episode.steps as f64 * self.cfg.ppo_step_cost,
-        );
-        self.trials_used += picks.len() as u64;
         self.rounds.push(RoundLog {
             sketch: sketch_id,
             trials: picks.len() as u64,
             round_best_flops,
         });
-        self.trace.record(
-            self.measurer.trials(),
-            self.measurer.sim_seconds(),
-            self.best_time,
+        // simulated algorithm overhead: fixed + per-evaluation + per-RL-step
+        self.core.end_round(
+            self.cfg.round_overhead
+                + scored.len() as f64 * self.cfg.eval_cost
+                + episode.steps as f64 * self.cfg.ppo_step_cost,
+            picks.len() as u64,
         );
-        drop(round_span);
         picks.len()
     }
 
@@ -353,13 +291,11 @@ impl<'m> HarlOperatorTuner<'m> {
 
     /// Snapshots the mutable search state for checkpointing.
     pub fn checkpoint_state(&self) -> HarlTunerState {
-        let mut seen: Vec<u64> = self.seen.iter().copied().collect();
-        seen.sort_unstable();
         HarlTunerState {
             cost_model: self.cost_model.clone(),
             agent: self.agent.clone(),
             sketch_bandit: self.sketch_bandit.clone(),
-            seen,
+            seen: self.seen_sorted(),
             elites: self.elites.clone(),
             pending_seeds: self.pending_seeds.clone(),
             best_time: self.best_time,
@@ -376,29 +312,26 @@ impl<'m> HarlOperatorTuner<'m> {
     /// Overwrites the mutable search state from a checkpoint. The tuner
     /// must have been constructed with the same graph, config, and seed.
     pub fn restore_state(&mut self, state: HarlTunerState) {
+        self.core.restore(
+            state.seen,
+            state.best_time,
+            state.best_schedule,
+            state.trials_used,
+            state.trace,
+            state.lint_stats,
+        );
         self.cost_model = state.cost_model;
         // the agent's pool width and tracer are runtime wiring outside the
         // checkpoint (like the scoring pipeline's) — carry them across
         let ppo_threads = self.agent.threads();
         self.agent = state.agent;
         self.agent.set_threads(ppo_threads);
-        self.agent.set_tracer(self.tracer.clone());
+        self.agent.set_tracer(self.core.tracer().clone());
         self.sketch_bandit = state.sketch_bandit;
-        self.seen = state.seen.into_iter().collect();
         self.elites = state.elites;
         self.pending_seeds = state.pending_seeds;
-        // "no best yet" round-trips through JSON as null/NaN
-        self.best_time = if state.best_time.is_finite() {
-            state.best_time
-        } else {
-            f64::INFINITY
-        };
-        self.best_schedule = state.best_schedule;
-        self.trials_used = state.trials_used;
-        self.trace = state.trace;
         self.critical_steps = state.critical_steps;
         self.rounds = state.rounds;
-        self.lint_stats = state.lint_stats;
         self.rng = StdRng::from_state(state.rng);
     }
 
@@ -406,24 +339,7 @@ impl<'m> HarlOperatorTuner<'m> {
     /// (see [`harl_mcts::coordinate_descent`]); monotone — `best_time`
     /// never regresses. Returns the trials spent.
     pub fn finetune(&mut self, cfg: &harl_mcts::FinetuneConfig) -> u64 {
-        let _span = self.tracer.span("harl_finetune");
-        let seen = &mut self.seen;
-        harl_mcts::finetune_fields(
-            cfg,
-            &self.graph,
-            &self.sketches,
-            self.target,
-            self.measurer,
-            &self.analyzer,
-            &mut self.lint_stats,
-            |s| {
-                seen.insert(s.dedup_key());
-            },
-            &mut self.best_time,
-            &mut self.best_schedule,
-            &mut self.trials_used,
-            &mut self.trace,
-        )
+        self.core.finetune(cfg, "harl_finetune")
     }
 
     /// Warm-starts from prior measurement records of similar workloads:
@@ -432,42 +348,23 @@ impl<'m> HarlOperatorTuner<'m> {
     /// re-measurement in the next rounds. Returns how many records were
     /// usable. Costs no fresh measurement trials.
     pub fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
-        let key = self.graph.similarity_key();
-        let mut updates = Vec::new();
-        let mut usable: Vec<&MeasureRecord> = Vec::new();
-        for r in records {
-            if r.similarity_key != key || r.sketch_id >= self.sketches.len() {
-                continue;
-            }
-            let sk = &self.sketches[r.sketch_id];
-            if r.schedule.sketch_id != r.sketch_id || r.schedule.validate(sk, self.target).is_err()
-            {
-                continue;
-            }
-            updates.push((
-                extract_features(&self.graph, sk, self.target, &r.schedule),
-                r.flops_per_sec,
-            ));
-            self.elites[r.sketch_id].push((r.time, r.schedule.clone()));
-            usable.push(r);
-        }
-        let used = updates.len();
-        if used == 0 {
+        let usable = self.core.usable_records(records);
+        if usable.is_empty() {
             return 0;
         }
-        self.cost_model.update_batch(updates);
-        for pool in &mut self.elites {
-            pool.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            pool.truncate(32);
+        let core = &self.core;
+        self.cost_model.update_batch(
+            usable
+                .iter()
+                .map(|r| (core.features(&r.schedule), r.flops_per_sec)),
+        );
+        for r in &usable {
+            self.elites[r.sketch_id].push((r.time, r.schedule.clone()));
         }
-        // queue the distinct best prior schedules, worst-first so `pop`
-        // measures the best one first
-        let owned: Vec<MeasureRecord> = usable.into_iter().cloned().collect();
-        let mut best = harl_store::best_records(&owned, self.cfg.measure_per_round);
-        best.reverse();
+        self.trim_elites();
         self.pending_seeds
-            .extend(best.into_iter().map(|r| r.schedule));
-        used
+            .extend(best_last_seeds(&usable, self.cfg.measure_per_round));
+        usable.len()
     }
 }
 
@@ -578,7 +475,7 @@ mod tests {
         let mut t = HarlOperatorTuner::new(g, &measurer, HarlConfig::tiny());
         t.tune(64);
         // `seen` is exactly the set of measured keys; sizes must agree
-        assert_eq!(t.seen.len() as u64, t.trials_used);
+        assert_eq!(t.seen().len() as u64, t.trials_used);
     }
 
     #[test]

@@ -10,16 +10,19 @@
 //! fine-tune pass never perturbs the driving tuner's RNG stream.
 
 use std::collections::HashSet;
+use std::ops::Deref;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use harl_store::MeasureRecord;
 use harl_tensor_ir::factorization::move_smallest_factor;
-use harl_tensor_ir::{generate_sketches, Schedule, Sketch, Subgraph, Target};
+use harl_tensor_ir::{Schedule, Sketch, Subgraph, Target};
 use harl_tensor_sim::{ConfigError, Measurer, TuneTrace};
-use harl_verify::{Analyzer, LintStats};
+use harl_verify::LintStats;
+
+use crate::core::{best_last_seeds, Picks, SearchCore};
 
 /// Configuration of a fine-tune phase ([`coordinate_descent`]).
 #[derive(Debug, Clone)]
@@ -244,51 +247,6 @@ pub fn coordinate_descent(
     out
 }
 
-/// Shared `Tuner::finetune` body: descends from the tuner's current best
-/// schedule and folds the outcome back into its bookkeeping. Returns the
-/// trials spent (0 when the tuner has no best schedule yet). The caller
-/// guarantees `best_time`/`best_schedule` describe the same measurement.
-#[allow(clippy::too_many_arguments)] // deliberately flat: borrows stay disjoint
-pub fn finetune_fields(
-    cfg: &FinetuneConfig,
-    graph: &Subgraph,
-    sketches: &[Sketch],
-    target: Target,
-    measurer: &Measurer,
-    analyzer: &Analyzer,
-    lint_stats: &mut LintStats,
-    mut note_measured: impl FnMut(&Schedule),
-    best_time: &mut f64,
-    best_schedule: &mut Option<Schedule>,
-    trials_used: &mut u64,
-    trace: &mut TuneTrace,
-) -> u64 {
-    let Some(start) = best_schedule.clone() else {
-        return 0;
-    };
-    let sk = &sketches[start.sketch_id];
-    let valid = |s: &Schedule| {
-        let diags = analyzer.analyze(graph, sk, target, s);
-        !lint_stats.record(&diags)
-    };
-    let measure = |s: &Schedule| {
-        measurer.measure(graph, sk, s);
-        note_measured(s);
-        measurer.true_time(graph, sk, s)
-    };
-    let out = coordinate_descent(cfg, sk, target, start, *best_time, valid, measure);
-    if out.best_time < *best_time || !best_time.is_finite() {
-        *best_time = out.best_time;
-        *best_schedule = Some(out.best_schedule);
-    }
-    measurer.charge_search_time(cfg.sweep_overhead * out.sweeps as f64);
-    *trials_used += out.trials as u64;
-    if out.trials > 0 {
-        trace.record(measurer.trials(), measurer.sim_seconds(), *best_time);
-    }
-    out.trials as u64
-}
-
 /// Configuration of the standalone [`CdTuner`].
 #[derive(Debug, Clone)]
 pub struct CdConfig {
@@ -415,55 +373,31 @@ pub struct CdTunerState {
 /// round is one "raindrop" — a fresh (or warm-started) schedule descended
 /// axis-by-axis on direct hardware measurements, no cost model at all.
 pub struct CdTuner<'m> {
-    /// The subgraph being tuned.
-    pub graph: Subgraph,
-    /// Its generated sketches.
-    pub sketches: Vec<Sketch>,
-    target: Target,
-    measurer: &'m Measurer,
-    seen: HashSet<u64>,
+    core: SearchCore<'m>,
+    /// Queued restart points (warm-start bests, best last).
     pending_seeds: Vec<Schedule>,
     /// Restarts (rounds) completed.
     pub restarts: u64,
-    /// Best noise-free execution time found.
-    pub best_time: f64,
-    /// The schedule achieving `best_time`.
-    pub best_schedule: Option<Schedule>,
-    /// Hardware measurements consumed so far.
-    pub trials_used: u64,
-    /// Best-so-far curve.
-    pub trace: TuneTrace,
-    /// Lint findings over every candidate; rejected ones are never
-    /// measured.
-    pub lint_stats: LintStats,
-    analyzer: Analyzer,
-    /// Observation only; never part of [`CdTunerState`].
-    tracer: harl_obs::Tracer,
     cfg: CdConfig,
     rng: StdRng,
+}
+
+impl<'m> Deref for CdTuner<'m> {
+    type Target = SearchCore<'m>;
+
+    fn deref(&self) -> &SearchCore<'m> {
+        &self.core
+    }
 }
 
 impl<'m> CdTuner<'m> {
     /// Creates a tuner; sketches are generated for the measurer's target.
     pub fn new(graph: Subgraph, measurer: &'m Measurer, cfg: CdConfig) -> Self {
-        let target = measurer.hardware().target();
-        let sketches = generate_sketches(&graph, target);
         let seed = cfg.seed ^ graph.name.len() as u64;
         CdTuner {
-            graph,
-            sketches,
-            target,
-            measurer,
-            seen: HashSet::new(),
+            core: SearchCore::new(graph, measurer),
             pending_seeds: Vec::new(),
             restarts: 0,
-            best_time: f64::INFINITY,
-            best_schedule: None,
-            trials_used: 0,
-            trace: TuneTrace::new(),
-            lint_stats: LintStats::new(),
-            analyzer: Analyzer::for_hardware(measurer.hardware()),
-            tracer: harl_obs::Tracer::disabled(),
             cfg,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -471,7 +405,7 @@ impl<'m> CdTuner<'m> {
 
     /// Attaches a tracer (`cd_round` spans). Observation only.
     pub fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
-        self.tracer = tracer;
+        self.core.set_tracer(tracer);
     }
 
     /// One restart: pick a starting schedule (queued warm-start best or a
@@ -481,29 +415,12 @@ impl<'m> CdTuner<'m> {
         if budget == 0 {
             return 0;
         }
-        let round_span = self.tracer.span("cd_round");
+        let _round_span = self.core.tracer().span("cd_round");
         let k = budget.min(self.cfg.measure_per_round);
-        // starting point: warm-start seeds first (best queued last)
-        let mut start = None;
-        while let Some(s) = self.pending_seeds.pop() {
-            if !self.seen.contains(&s.dedup_key()) {
-                start = Some(s);
-                break;
-            }
-        }
-        let mut guard = 0;
-        while start.is_none() && guard < 50 * k {
-            guard += 1;
-            let sid = self.rng.gen_range(0..self.sketches.len());
-            let sk = &self.sketches[sid];
-            let s = Schedule::random(sk, self.target, &mut self.rng);
-            let diags = self.analyzer.analyze(&self.graph, sk, self.target, &s);
-            if self.lint_stats.record(&diags) || self.seen.contains(&s.dedup_key()) {
-                continue;
-            }
-            start = Some(s);
-        }
-        let Some(start) = start else {
+        let mut start = Picks::new(1);
+        self.core.pick_seeds(&mut start, &mut self.pending_seeds);
+        self.core.pick_random(&mut start, None, k, &mut self.rng);
+        let Some(start) = start.schedules.pop() else {
             return 0;
         };
 
@@ -512,49 +429,15 @@ impl<'m> CdTuner<'m> {
             max_sweeps: self.cfg.max_sweeps,
             sweep_overhead: self.cfg.sweep_overhead,
         };
-        let sk = &self.sketches[start.sketch_id];
-        let analyzer = &self.analyzer;
-        let lint_stats = &mut self.lint_stats;
-        let graph = &self.graph;
-        let target = self.target;
-        let measurer = self.measurer;
-        let seen = &mut self.seen;
-        let valid = |s: &Schedule| {
-            let diags = analyzer.analyze(graph, sk, target, s);
-            !lint_stats.record(&diags)
-        };
-        let measure = |s: &Schedule| {
-            measurer.measure(graph, sk, s);
-            seen.insert(s.dedup_key());
-            measurer.true_time(graph, sk, s)
-        };
-        let out = coordinate_descent(
-            &descend_cfg,
-            sk,
-            target,
-            start,
-            f64::INFINITY,
-            valid,
-            measure,
-        );
+        let out = self.core.descend(&descend_cfg, start, f64::INFINITY);
         if out.trials == 0 {
             return 0;
         }
-        if out.best_time < self.best_time {
-            self.best_time = out.best_time;
-            self.best_schedule = Some(out.best_schedule);
-        }
         self.restarts += 1;
-        self.trials_used += out.trials as u64;
-        self.measurer.charge_search_time(
+        self.core.end_round(
             self.cfg.round_overhead + self.cfg.sweep_overhead * out.sweeps as f64,
+            out.trials as u64,
         );
-        self.trace.record(
-            self.measurer.trials(),
-            self.measurer.sim_seconds(),
-            self.best_time,
-        );
-        drop(round_span);
         out.trials
     }
 
@@ -570,10 +453,8 @@ impl<'m> CdTuner<'m> {
 
     /// Snapshots the mutable search state for checkpointing.
     pub fn checkpoint_state(&self) -> CdTunerState {
-        let mut seen: Vec<u64> = self.seen.iter().copied().collect();
-        seen.sort_unstable();
         CdTunerState {
-            seen,
+            seen: self.seen_sorted(),
             pending_seeds: self.pending_seeds.clone(),
             restarts: self.restarts,
             best_time: self.best_time,
@@ -588,19 +469,16 @@ impl<'m> CdTuner<'m> {
     /// Overwrites the mutable search state from a checkpoint. The tuner
     /// must have been constructed with the same graph, config, and seed.
     pub fn restore_state(&mut self, state: CdTunerState) {
-        self.seen = state.seen.into_iter().collect();
+        self.core.restore(
+            state.seen,
+            state.best_time,
+            state.best_schedule,
+            state.trials_used,
+            state.trace,
+            state.lint_stats,
+        );
         self.pending_seeds = state.pending_seeds;
         self.restarts = state.restarts;
-        // "no best yet" round-trips through JSON as null/NaN
-        self.best_time = if state.best_time.is_finite() {
-            state.best_time
-        } else {
-            f64::INFINITY
-        };
-        self.best_schedule = state.best_schedule;
-        self.trials_used = state.trials_used;
-        self.trace = state.trace;
-        self.lint_stats = state.lint_stats;
         self.rng = StdRng::from_state(state.rng);
     }
 
@@ -609,50 +487,16 @@ impl<'m> CdTuner<'m> {
     /// best instead of a fresh restart. Monotone like every fine-tune.
     /// Returns the trials spent.
     pub fn finetune(&mut self, cfg: &FinetuneConfig) -> u64 {
-        let _span = self.tracer.span("cd_finetune");
-        let seen = &mut self.seen;
-        finetune_fields(
-            cfg,
-            &self.graph,
-            &self.sketches,
-            self.target,
-            self.measurer,
-            &self.analyzer,
-            &mut self.lint_stats,
-            |s| {
-                seen.insert(s.dedup_key());
-            },
-            &mut self.best_time,
-            &mut self.best_schedule,
-            &mut self.trials_used,
-            &mut self.trace,
-        )
+        self.core.finetune(cfg, "cd_finetune")
     }
 
     /// Warm-starts by queueing the best matching prior schedules as
     /// restart points (best popped first). No cost model to pre-train;
     /// returns how many records were usable.
     pub fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
-        let key = self.graph.similarity_key();
-        let mut usable: Vec<MeasureRecord> = Vec::new();
-        for r in records {
-            if r.similarity_key != key || r.sketch_id >= self.sketches.len() {
-                continue;
-            }
-            let sk = &self.sketches[r.sketch_id];
-            if r.schedule.sketch_id != r.sketch_id || r.schedule.validate(sk, self.target).is_err()
-            {
-                continue;
-            }
-            usable.push(r.clone());
-        }
-        if usable.is_empty() {
-            return 0;
-        }
-        let mut best = harl_store::best_records(&usable, self.cfg.measure_per_round);
-        best.reverse();
+        let usable = self.core.usable_records(records);
         self.pending_seeds
-            .extend(best.into_iter().map(|r| r.schedule));
+            .extend(best_last_seeds(&usable, self.cfg.measure_per_round));
         usable.len()
     }
 }
@@ -660,7 +504,7 @@ impl<'m> CdTuner<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harl_tensor_ir::workload;
+    use harl_tensor_ir::{generate_sketches, workload};
     use harl_tensor_sim::{Hardware, MeasureConfig};
 
     #[test]

@@ -9,21 +9,20 @@
 //! round's playouts see the sharper model (the pipeline's score cache is
 //! cleared at the round boundary exactly like the other tuners).
 
-use std::collections::HashSet;
+use std::ops::Deref;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use harl_gbt::{CostModel, GbtParams, ScoreStats, ScoringPipeline};
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
-use harl_tensor_ir::{
-    extract_features, extract_features_into, generate_sketches, mutate, Schedule, Sketch, Subgraph,
-    Target,
-};
+use harl_tensor_ir::{extract_features_into, mutate, Schedule, Subgraph};
 use harl_tensor_sim::{ConfigError, Measurer, TuneTrace};
-use harl_verify::{Analyzer, LintStats};
+use harl_verify::LintStats;
+
+use crate::core::{best_last_seeds, Picks, SearchCore};
 
 /// Configuration of the [`MctsTuner`].
 #[derive(Debug, Clone)]
@@ -236,68 +235,45 @@ pub struct MctsTunerState {
 
 /// Tunes one subgraph with UCT search over modification trees.
 pub struct MctsTuner<'m> {
-    /// The subgraph being tuned.
-    pub graph: Subgraph,
-    /// Its generated sketches (one tree root each).
-    pub sketches: Vec<Sketch>,
-    target: Target,
-    measurer: &'m Measurer,
+    /// Shared search state; every sketch is one tree root, and lint
+    /// rejects never enter the tree or reach the measurer.
+    core: SearchCore<'m>,
     cost_model: CostModel,
     nodes: Vec<MctsNode>,
     roots: Vec<usize>,
-    seen: HashSet<u64>,
     pending_seeds: Vec<Schedule>,
     warm_seeds: Vec<Schedule>,
     reward_scale: f64,
-    /// Best noise-free execution time found.
-    pub best_time: f64,
-    /// The schedule achieving `best_time`.
-    pub best_schedule: Option<Schedule>,
-    /// Hardware measurements consumed so far.
-    pub trials_used: u64,
-    /// Best-so-far curve.
-    pub trace: TuneTrace,
-    /// Lint findings over every expanded candidate; rejected ones never
-    /// enter the tree or reach the measurer.
-    pub lint_stats: LintStats,
-    analyzer: Analyzer,
     /// Batched rollout scoring (thread pool + feature cache). Runtime
     /// machinery, deliberately outside [`MctsTunerState`]: its counters
     /// and thread width must not leak into checkpoints, which stay
     /// byte-equal across `HARL_SCORE_THREADS` settings.
     pipeline: ScoringPipeline,
-    /// Observation only; like the pipeline, never part of checkpoints.
-    tracer: harl_obs::Tracer,
     cfg: MctsConfig,
     rng: StdRng,
+}
+
+impl<'m> Deref for MctsTuner<'m> {
+    type Target = SearchCore<'m>;
+
+    fn deref(&self) -> &SearchCore<'m> {
+        &self.core
+    }
 }
 
 impl<'m> MctsTuner<'m> {
     /// Creates a tuner; sketches are generated for the measurer's target.
     pub fn new(graph: Subgraph, measurer: &'m Measurer, cfg: MctsConfig) -> Self {
-        let target = measurer.hardware().target();
-        let sketches = generate_sketches(&graph, target);
         let seed = cfg.seed ^ graph.name.len() as u64;
         MctsTuner {
-            graph,
-            sketches,
-            target,
-            measurer,
+            core: SearchCore::new(graph, measurer),
             cost_model: CostModel::new(cfg.gbt.clone()),
             nodes: Vec::new(),
             roots: Vec::new(),
-            seen: HashSet::new(),
             pending_seeds: Vec::new(),
             warm_seeds: Vec::new(),
             reward_scale: 0.0,
-            best_time: f64::INFINITY,
-            best_schedule: None,
-            trials_used: 0,
-            trace: TuneTrace::new(),
-            lint_stats: LintStats::new(),
-            analyzer: Analyzer::for_hardware(measurer.hardware()),
             pipeline: ScoringPipeline::from_env(),
-            tracer: harl_obs::Tracer::disabled(),
             cfg,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -308,7 +284,7 @@ impl<'m> MctsTuner<'m> {
     /// the search — checkpoints stay byte-equal with it on or off.
     pub fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
         self.pipeline.set_tracer(tracer.clone());
-        self.tracer = tracer;
+        self.core.set_tracer(tracer);
     }
 
     /// Counters of the batched scoring pipeline.
@@ -339,15 +315,15 @@ impl<'m> MctsTuner<'m> {
         if !self.nodes.is_empty() {
             return;
         }
-        for sk in &self.sketches {
+        for sid in 0..self.core.sketches.len() {
             // draw a few candidates so roots start lint-clean when possible
-            let mut root = Schedule::random(sk, self.target, &mut self.rng);
+            let target = self.core.target();
+            let mut root = Schedule::random(&self.core.sketches[sid], target, &mut self.rng);
             for _ in 0..4 {
-                let diags = self.analyzer.analyze(&self.graph, sk, self.target, &root);
-                if !self.lint_stats.record(&diags) {
+                if !self.core.lint_rejects(&root) {
                     break;
                 }
-                root = Schedule::random(sk, self.target, &mut self.rng);
+                root = Schedule::random(&self.core.sketches[sid], target, &mut self.rng);
             }
             let idx = self.nodes.len();
             self.nodes.push(MctsNode {
@@ -435,9 +411,14 @@ impl<'m> MctsTuner<'m> {
         {
             return None;
         }
-        let sk = self.sketches[self.nodes[at].schedule.sketch_id].clone();
+        let sid = self.nodes[at].schedule.sketch_id;
         for _ in 0..8 {
-            let cand = mutate(&sk, self.target, &self.nodes[at].schedule, &mut self.rng);
+            let cand = mutate(
+                &self.core.sketches[sid],
+                self.core.target(),
+                &self.nodes[at].schedule,
+                &mut self.rng,
+            );
             let key = cand.dedup_key();
             let dup = self.nodes[at]
                 .children
@@ -446,8 +427,7 @@ impl<'m> MctsTuner<'m> {
             if dup {
                 continue;
             }
-            let diags = self.analyzer.analyze(&self.graph, &sk, self.target, &cand);
-            if self.lint_stats.record(&diags) {
+            if self.core.lint_rejects(&cand) {
                 continue;
             }
             let idx = self.nodes.len();
@@ -470,14 +450,15 @@ impl<'m> MctsTuner<'m> {
         if budget == 0 {
             return 0;
         }
-        let round_span = self.tracer.span("mcts_round");
+        let _round_span = self.core.tracer().span("mcts_round");
         self.init_tree();
         // cached scores are stale the moment the model retrains, so each
         // round starts with a cold cache like every other tuner
         self.pipeline.begin_episode();
 
         let playout_span = self
-            .tracer
+            .core
+            .tracer()
             .span_with("playouts", &[("n", self.cfg.playouts_per_round.into())]);
         // (score, schedule) candidates visited this round, playout order
         let mut visited: Vec<(f64, Schedule)> = Vec::new();
@@ -487,19 +468,24 @@ impl<'m> MctsTuner<'m> {
             let picked = self.select();
             let leaf = self.expand(picked).unwrap_or(picked);
             // rollout: a short chain of random modifications from the leaf
-            let sk = self.sketches[self.nodes[leaf].schedule.sketch_id].clone();
+            let sid = self.nodes[leaf].schedule.sketch_id;
             let mut path = vec![self.nodes[leaf].schedule.clone()];
             for _ in 1..self.cfg.rollout_depth {
-                let cand = mutate(&sk, self.target, path.last().unwrap(), &mut self.rng);
-                let diags = self.analyzer.analyze(&self.graph, &sk, self.target, &cand);
-                if self.lint_stats.record(&diags) {
+                let cand = mutate(
+                    &self.core.sketches[sid],
+                    self.core.target(),
+                    path.last().unwrap(),
+                    &mut self.rng,
+                );
+                if self.core.lint_rejects(&cand) {
                     continue;
                 }
                 path.push(cand);
             }
-            let graph = &self.graph;
-            let sketches = &self.sketches;
-            let target = self.target;
+            // the analyzer is not `Sync`, so the pool's extractor borrows
+            // the core's fields, not the core
+            let (graph, sketches, target) =
+                (&self.core.graph, &self.core.sketches, self.core.target());
             let extract = |s: &Schedule, buf: &mut Vec<f32>| {
                 extract_features_into(graph, &sketches[s.sketch_id], target, s, buf)
             };
@@ -518,7 +504,7 @@ impl<'m> MctsTuner<'m> {
                 if raw.is_finite() && raw > best_raw {
                     best_raw = raw;
                 }
-                if !self.seen.contains(&s.dedup_key()) {
+                if self.core.is_fresh(s) {
                     visited.push((raw, s.clone()));
                 }
             }
@@ -542,87 +528,41 @@ impl<'m> MctsTuner<'m> {
 
         // --- top-K measurement --------------------------------------------
         let k = budget.min(self.cfg.measure_per_round);
-        let mut picks: Vec<Schedule> = Vec::with_capacity(k);
-        let mut local = HashSet::new();
+        let mut picks = Picks::new(k);
         // forced warm-start seeds jump the queue: prior-run bests are
         // re-measured before any fresh candidates
-        while picks.len() < k {
-            let Some(s) = self.pending_seeds.pop() else {
-                break;
-            };
-            let key = s.dedup_key();
-            if self.seen.contains(&key) || !local.insert(key) {
-                continue;
-            }
-            picks.push(s);
-        }
+        self.core.pick_seeds(&mut picks, &mut self.pending_seeds);
         visited.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
         for (_, s) in &visited {
-            if picks.len() >= k {
+            if picks.is_full() {
                 break;
             }
-            let key = s.dedup_key();
-            if self.seen.contains(&key) || !local.insert(key) {
-                continue;
-            }
-            picks.push(s.clone());
+            self.core.pick(&mut picks, s);
         }
         // fall back to random sampling when playouts stayed inside seen
         // territory, so a round always makes progress
-        let mut guard = 0;
-        while picks.len() < k && guard < 50 * k {
-            guard += 1;
-            let sid = self.rng.gen_range(0..self.sketches.len());
-            let sk = &self.sketches[sid];
-            let s = Schedule::random(sk, self.target, &mut self.rng);
-            let diags = self.analyzer.analyze(&self.graph, sk, self.target, &s);
-            if self.lint_stats.record(&diags) {
-                continue;
-            }
-            let key = s.dedup_key();
-            if self.seen.contains(&key) || !local.insert(key) {
-                continue;
-            }
-            picks.push(s);
-        }
+        self.core.pick_random(&mut picks, None, k, &mut self.rng);
+        let picks = picks.schedules;
         if picks.is_empty() {
             return 0;
         }
 
-        let measure_span = self
-            .tracer
-            .span_with("measure", &[("k", picks.len().into())]);
-        let mut updates = Vec::with_capacity(picks.len());
-        for s in &picks {
-            let sk = &self.sketches[s.sketch_id];
-            let m = self.measurer.measure(&self.graph, sk, s);
-            self.seen.insert(s.dedup_key());
-            let truth = self.measurer.true_time(&self.graph, sk, s);
-            if truth < self.best_time {
-                self.best_time = truth;
-                self.best_schedule = Some(s.clone());
-            }
-            updates.push((
-                extract_features(&self.graph, sk, self.target, s),
-                m.flops_per_sec,
-            ));
-        }
-        drop(measure_span);
+        let updates: Vec<(Vec<f32>, f64)> = self
+            .core
+            .measure_all(&picks)
+            .into_iter()
+            .map(|(m, features)| (features, m.flops_per_sec))
+            .collect();
         {
-            let _retrain_span = self.tracer.span("gbt_retrain");
+            let _retrain_span = self.core.tracer().span("gbt_retrain");
             self.cost_model.update_batch(updates);
         }
 
         // simulated algorithm overhead: fixed + per-model-evaluation
-        self.measurer
-            .charge_search_time(self.cfg.round_overhead + scored_evals as f64 * self.cfg.eval_cost);
-        self.trials_used += picks.len() as u64;
-        self.trace.record(
-            self.measurer.trials(),
-            self.measurer.sim_seconds(),
-            self.best_time,
+        self.core.end_round(
+            self.cfg.round_overhead + scored_evals as f64 * self.cfg.eval_cost,
+            picks.len() as u64,
         );
-        drop(round_span);
         picks.len()
     }
 
@@ -638,13 +578,11 @@ impl<'m> MctsTuner<'m> {
 
     /// Snapshots the mutable search state for checkpointing.
     pub fn checkpoint_state(&self) -> MctsTunerState {
-        let mut seen: Vec<u64> = self.seen.iter().copied().collect();
-        seen.sort_unstable();
         MctsTunerState {
             cost_model: self.cost_model.clone(),
             nodes: self.nodes.clone(),
             roots: self.roots.clone(),
-            seen,
+            seen: self.seen_sorted(),
             pending_seeds: self.pending_seeds.clone(),
             warm_seeds: self.warm_seeds.clone(),
             reward_scale: self.reward_scale,
@@ -660,10 +598,17 @@ impl<'m> MctsTuner<'m> {
     /// Overwrites the mutable search state from a checkpoint. The tuner
     /// must have been constructed with the same graph, config, and seed.
     pub fn restore_state(&mut self, state: MctsTunerState) {
+        self.core.restore(
+            state.seen,
+            state.best_time,
+            state.best_schedule,
+            state.trials_used,
+            state.trace,
+            state.lint_stats,
+        );
         self.cost_model = state.cost_model;
         self.nodes = state.nodes;
         self.roots = state.roots;
-        self.seen = state.seen.into_iter().collect();
         self.pending_seeds = state.pending_seeds;
         self.warm_seeds = state.warm_seeds;
         self.reward_scale = if state.reward_scale.is_finite() {
@@ -671,17 +616,6 @@ impl<'m> MctsTuner<'m> {
         } else {
             0.0
         };
-        // JSON has no Infinity literal; the writer emits null which
-        // decodes to NaN, so normalize "no best yet" back to +inf
-        self.best_time = if state.best_time.is_finite() {
-            state.best_time
-        } else {
-            f64::INFINITY
-        };
-        self.best_schedule = state.best_schedule;
-        self.trials_used = state.trials_used;
-        self.trace = state.trace;
-        self.lint_stats = state.lint_stats;
         self.rng = StdRng::from_state(state.rng);
     }
 
@@ -689,24 +623,7 @@ impl<'m> MctsTuner<'m> {
     /// (see [`crate::coordinate_descent`]); monotone — `best_time` never
     /// regresses. Returns the trials spent.
     pub fn finetune(&mut self, cfg: &crate::FinetuneConfig) -> u64 {
-        let _span = self.tracer.span("mcts_finetune");
-        let seen = &mut self.seen;
-        crate::finetune_fields(
-            cfg,
-            &self.graph,
-            &self.sketches,
-            self.target,
-            self.measurer,
-            &self.analyzer,
-            &mut self.lint_stats,
-            |s| {
-                seen.insert(s.dedup_key());
-            },
-            &mut self.best_time,
-            &mut self.best_schedule,
-            &mut self.trials_used,
-            &mut self.trace,
-        )
+        self.core.finetune(cfg, "mcts_finetune")
     }
 
     /// Warm-starts from prior measurement records of similar workloads:
@@ -715,39 +632,20 @@ impl<'m> MctsTuner<'m> {
     /// prior schedules for forced re-measurement. Returns how many
     /// records were usable; costs no fresh trials.
     pub fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
-        let key = self.graph.similarity_key();
-        let mut updates = Vec::new();
-        let mut usable: Vec<&MeasureRecord> = Vec::new();
-        for r in records {
-            if r.similarity_key != key || r.sketch_id >= self.sketches.len() {
-                continue;
-            }
-            let sk = &self.sketches[r.sketch_id];
-            if r.schedule.sketch_id != r.sketch_id || r.schedule.validate(sk, self.target).is_err()
-            {
-                continue;
-            }
-            updates.push((
-                extract_features(&self.graph, sk, self.target, &r.schedule),
-                r.flops_per_sec,
-            ));
-            usable.push(r);
-        }
-        let used = updates.len();
-        if used == 0 {
+        let usable = self.core.usable_records(records);
+        if usable.is_empty() {
             return 0;
         }
-        self.cost_model.update_batch(updates);
-        let owned: Vec<MeasureRecord> = usable.into_iter().cloned().collect();
-        // queue the distinct best prior schedules, worst-first so `pop`
-        // measures the best one first
-        let mut best = harl_store::best_records(&owned, self.cfg.measure_per_round);
-        self.warm_seeds
-            .extend(best.iter().map(|r| r.schedule.clone()));
-        best.reverse();
-        self.pending_seeds
-            .extend(best.into_iter().map(|r| r.schedule));
-        used
+        let core = &self.core;
+        self.cost_model.update_batch(
+            usable
+                .iter()
+                .map(|r| (core.features(&r.schedule), r.flops_per_sec)),
+        );
+        let seeds = best_last_seeds(&usable, self.cfg.measure_per_round);
+        self.warm_seeds.extend(seeds.iter().rev().cloned());
+        self.pending_seeds.extend(seeds);
+        usable.len()
     }
 }
 
