@@ -358,12 +358,8 @@ impl<'m> AnsorTuner<'m> {
         if usable.is_empty() {
             return 0;
         }
-        let core = &self.core;
-        self.cost_model.update_batch(
-            usable
-                .iter()
-                .map(|r| (core.features(&r.schedule), r.flops_per_sec)),
-        );
+        self.cost_model
+            .update_batch(self.core.training_rows(&usable));
         self.elites
             .extend(usable.iter().map(|r| (r.time, r.schedule.clone())));
         self.trim_elites();

@@ -352,12 +352,8 @@ impl<'m> HarlOperatorTuner<'m> {
         if usable.is_empty() {
             return 0;
         }
-        let core = &self.core;
-        self.cost_model.update_batch(
-            usable
-                .iter()
-                .map(|r| (core.features(&r.schedule), r.flops_per_sec)),
-        );
+        self.cost_model
+            .update_batch(self.core.training_rows(&usable));
         for r in &usable {
             self.elites[r.sketch_id].push((r.time, r.schedule.clone()));
         }

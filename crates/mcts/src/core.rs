@@ -280,6 +280,15 @@ impl<'m> SearchCore<'m> {
             .collect()
     }
 
+    /// The cost-model training rows of `usable` records: features of each
+    /// schedule with the throughput it was measured at.
+    pub fn training_rows(&self, usable: &[&MeasureRecord]) -> Vec<(Vec<f32>, f64)> {
+        usable
+            .iter()
+            .map(|r| (self.features(&r.schedule), r.flops_per_sec))
+            .collect()
+    }
+
     /// Coordinate descent from `start` (see [`coordinate_descent`]) on
     /// real measurements, lint-gated; every measured neighbour is marked
     /// seen and a better end point becomes the best. `start_time` is

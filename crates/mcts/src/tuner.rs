@@ -315,9 +315,9 @@ impl<'m> MctsTuner<'m> {
         if !self.nodes.is_empty() {
             return;
         }
+        let target = self.core.target();
         for sid in 0..self.core.sketches.len() {
             // draw a few candidates so roots start lint-clean when possible
-            let target = self.core.target();
             let mut root = Schedule::random(&self.core.sketches[sid], target, &mut self.rng);
             for _ in 0..4 {
                 if !self.core.lint_rejects(&root) {
@@ -636,12 +636,8 @@ impl<'m> MctsTuner<'m> {
         if usable.is_empty() {
             return 0;
         }
-        let core = &self.core;
-        self.cost_model.update_batch(
-            usable
-                .iter()
-                .map(|r| (core.features(&r.schedule), r.flops_per_sec)),
-        );
+        self.cost_model
+            .update_batch(self.core.training_rows(&usable));
         let seeds = best_last_seeds(&usable, self.cfg.measure_per_round);
         self.warm_seeds.extend(seeds.iter().rev().cloned());
         self.pending_seeds.extend(seeds);
