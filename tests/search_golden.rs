@@ -1,8 +1,10 @@
 //! Golden search results of all five searchers, recorded before the
 //! shared search core was extracted: a cold run, then a warm-started and
-//! fine-tuned run from the cold run's store. Any refactor of the searchers
-//! must leave every number here — and with the state digests, every bit of
-//! checkpointed search state — where it was.
+//! fine-tuned run from the cold run's store. Below them, the network
+//! allocation loop (HARL with and without the subgraph bandit, Ansor),
+//! recorded before the two network tuners were folded into one. Any
+//! refactor of the searchers must leave every number here — and with the
+//! state digests, every bit of checkpointed search state — where it was.
 
 use std::sync::Arc;
 
@@ -181,5 +183,119 @@ fn cd_matches_golden() {
             cold_sim_bits: 4635224363354816512,
             warm_sim_bits: 4635083625866461184,
         },
+    );
+}
+
+/// What one network-tuning run must reproduce: the allocation loop above
+/// the per-subgraph tuners, pinned bit by bit.
+#[derive(Debug, PartialEq, Eq)]
+struct NetGolden {
+    /// Allocation decisions made.
+    rounds: usize,
+    /// FNV-1a over every `NetRound` (`task`, `trials_after`, `latency`
+    /// bits), then every trace point (`trials`, `sim_seconds` bits,
+    /// `best_time` bits).
+    digest: u64,
+    latency_bits: u64,
+    sim_bits: u64,
+}
+
+fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf29ce484222325u64, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+    })
+}
+
+fn net_graphs() -> Vec<Subgraph> {
+    use harl_repro::ir::workload;
+    vec![
+        workload::gemm(128, 128, 128),
+        workload::gemm(256, 256, 256),
+        workload::softmax(512, 128),
+    ]
+}
+
+/// Tunes `$nt` for 144 trials on `$m` and digests what the loop did. A
+/// macro because the two network tuners need not be one type.
+macro_rules! net_golden {
+    ($nt:expr, $m:expr) => {{
+        let mut nt = $nt;
+        nt.tune(144);
+        let rounds = nt
+            .rounds
+            .iter()
+            .flat_map(|r| [r.task as u64, r.trials_after, r.latency.to_bits()]);
+        let trace = nt
+            .trace
+            .points
+            .iter()
+            .flat_map(|p| [p.trials, p.sim_seconds.to_bits(), p.best_time.to_bits()]);
+        NetGolden {
+            rounds: nt.rounds.len(),
+            digest: fnv_words(rounds.chain(trace)),
+            latency_bits: nt.network_latency().to_bits(),
+            sim_bits: $m.sim_seconds().to_bits(),
+        }
+    }};
+}
+
+fn harl_network(subgraph_mab: bool) -> NetGolden {
+    let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+    let cfg = HarlConfig {
+        subgraph_mab,
+        ..HarlConfig::tiny()
+    };
+    net_golden!(HarlNetworkTuner::new(net_graphs(), &m, cfg), m)
+}
+
+#[test]
+fn harl_network_with_subgraph_mab_matches_golden() {
+    assert_eq!(
+        harl_network(true),
+        NetGolden {
+            rounds: 18,
+            digest: 1329298395977755521,
+            latency_bits: 4543512974373931242,
+            sim_bits: 4643171809322241883,
+        }
+    );
+}
+
+#[test]
+fn harl_network_without_subgraph_mab_matches_golden() {
+    assert_eq!(
+        harl_network(false),
+        NetGolden {
+            rounds: 18,
+            digest: 525807408547616717,
+            latency_bits: 4543479239036064672,
+            sim_bits: 4643171809322241883,
+        }
+    );
+}
+
+#[test]
+fn ansor_network_matches_golden() {
+    let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+    let cfg = AnsorConfig {
+        measure_per_round: 16,
+        evo: harl_repro::ansor::EvoConfig {
+            population: 64,
+            generations: 2,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let grad = harl_repro::ansor::GradientParams::default();
+    assert_eq!(
+        net_golden!(AnsorNetworkTuner::new(net_graphs(), &m, cfg, grad), m),
+        NetGolden {
+            rounds: 9,
+            digest: 1435409793717632684,
+            latency_bits: 4543300690401644847,
+            sim_bits: 4642457425831350238,
+        }
     );
 }
