@@ -7,20 +7,19 @@
 //! track (the *critical step*) is recorded, showing that most tracks peak
 //! early and the remaining steps are wasted.
 
-use std::ops::Deref;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use harl_mcts::SearchCore;
+use harl_mcts::{Proposer, SearchCore, Searcher};
 use harl_nnet::{PpoAgent, PpoConfig};
+use harl_obs::Tracer;
 use harl_par::ParallelismOpts;
 use harl_tensor_ir::{
     apply_action, compute_at_mask, parallel_mask, tile_action_mask, unroll_mask, Action,
-    ActionSpace, Schedule, Sketch, StepDir, Subgraph,
+    ActionSpace, Schedule, Sketch, StepDir, Target,
 };
-use harl_tensor_sim::{Measurer, TuneTrace};
+use harl_tensor_sim::TuneTrace;
 use harl_verify::LintStats;
 
 /// Configuration of the fixed-length tuner.
@@ -79,10 +78,8 @@ impl CriticalStep {
     }
 }
 
-/// Serializable snapshot of a [`FlextensorTuner`]'s mutable search state.
-///
-/// The graph, config, and measurer are not captured; restore into a tuner
-/// constructed with the identical workload, config, and seed.
+/// Serializable snapshot of a [`FlextensorTuner`]'s mutable search state
+/// (see [`Proposer::State`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlextensorTunerState {
     /// PPO agent (networks, optimizer moments, replay buffer).
@@ -103,12 +100,14 @@ pub struct FlextensorTunerState {
     pub rng: [u64; 4],
 }
 
-/// The fixed-length RL tuner.
-pub struct FlextensorTuner<'m> {
-    /// Shared search state, cut down to the fixed first sketch. Every
-    /// visited schedule is measured, so the core's seen-set is never
-    /// consulted (nor checkpointed).
-    core: SearchCore<'m>,
+/// The fixed-length RL tuner; a round is one episode.
+pub type FlextensorTuner<'m> = Searcher<'m, FlextensorProposer>;
+
+/// The fixed-length episode over a core cut down to the fixed first
+/// sketch. Every visited schedule is measured, so the core's seen-set is
+/// never consulted (nor checkpointed), and there is no model to
+/// warm-start.
+pub struct FlextensorProposer {
     space: ActionSpace,
     agent: PpoAgent,
     /// Per-track critical steps (Fig. 1(c)).
@@ -117,18 +116,23 @@ pub struct FlextensorTuner<'m> {
     rng: StdRng,
 }
 
-impl<'m> Deref for FlextensorTuner<'m> {
-    type Target = SearchCore<'m>;
-
-    fn deref(&self) -> &SearchCore<'m> {
-        &self.core
+impl FlextensorProposer {
+    fn masks(&self, sketch: &Sketch, target: Target, s: &Schedule) -> Vec<Vec<bool>> {
+        vec![
+            tile_action_mask(sketch, s, &self.space),
+            compute_at_mask(sketch, s).to_vec(),
+            parallel_mask(sketch, s).to_vec(),
+            unroll_mask(target, s).to_vec(),
+        ]
     }
 }
 
-impl<'m> FlextensorTuner<'m> {
-    /// Creates a tuner over the first (fixed) sketch of `graph`.
-    pub fn new(graph: Subgraph, measurer: &'m Measurer, cfg: FlextensorConfig) -> Self {
-        let mut core = SearchCore::new(graph, measurer);
+impl Proposer for FlextensorProposer {
+    const NAME: &'static str = "flextensor";
+    type Config = FlextensorConfig;
+    type State = FlextensorTunerState;
+
+    fn new(core: &mut SearchCore<'_>, cfg: FlextensorConfig) -> Self {
         // fixed sketch: the first (plain multi-level tiling) — Table 1.
         core.sketches.truncate(1);
         let space = ActionSpace::of(&core.sketches[0]);
@@ -146,8 +150,7 @@ impl<'m> FlextensorTuner<'m> {
             &mut rng,
         );
         agent.set_threads(harl_par::ppo_threads_from_env());
-        FlextensorTuner {
-            core,
+        FlextensorProposer {
             space,
             agent,
             critical_steps: Vec::new(),
@@ -156,42 +159,14 @@ impl<'m> FlextensorTuner<'m> {
         }
     }
 
-    /// Attaches a tracer: each episode becomes a `flex_episode` span.
-    /// Tracing never changes the search — checkpoints stay byte-equal
-    /// with it on or off.
-    pub fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
-        self.agent.set_tracer(tracer.clone());
-        self.core.set_tracer(tracer);
-    }
-
-    /// Applies thread-pool widths. Flextensor measures every candidate on
-    /// hardware (no scoring pipeline), so only the PPO width applies.
-    /// Results are bit-identical at any width.
-    pub fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        self.agent.set_threads(opts.ppo_threads);
-    }
-
-    fn masks(&self, sketch: &Sketch, s: &Schedule) -> Vec<Vec<bool>> {
-        vec![
-            tile_action_mask(sketch, s, &self.space),
-            compute_at_mask(sketch, s).to_vec(),
-            parallel_mask(sketch, s).to_vec(),
-            unroll_mask(self.core.target(), s).to_vec(),
-        ]
-    }
-
-    /// Runs one fixed-length episode; returns trials used.
-    pub fn episode(&mut self, budget: u64) -> u64 {
-        if budget == 0 {
-            return 0;
-        }
-        let _episode_span = self
-            .core
+    /// One fixed-length episode (a `flex_episode` span).
+    fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize {
+        let _episode_span = core
             .tracer()
             .span_with("flex_episode", &[("tracks", self.cfg.tracks.into())]);
-        let target = self.core.target();
-        let sketch = self.core.sketches[0].clone();
-        let mut used = 0u64;
+        let target = core.target();
+        let sketch = core.sketches[0].clone();
+        let mut used = 0usize;
 
         // sample and measure the initial schedules
         let mut states: Vec<Schedule> = Vec::with_capacity(self.cfg.tracks);
@@ -203,10 +178,10 @@ impl<'m> FlextensorTuner<'m> {
                 break;
             }
             let s = Schedule::random(&sketch, target, &mut self.rng);
-            if self.core.lint_rejects(&s) {
+            if core.lint_rejects(&s) {
                 continue;
             }
-            let m = self.core.measure(&s);
+            let m = core.measure(&s);
             used += 1;
             perf.push(1.0 / m.time);
             best_perf.push(1.0 / m.time);
@@ -228,8 +203,8 @@ impl<'m> FlextensorTuner<'m> {
                     out_of_budget = true;
                     break;
                 }
-                let feat = self.core.features(&states[i]);
-                let masks = self.masks(&sketch, &states[i]);
+                let feat = core.features(&states[i]);
+                let masks = self.masks(&sketch, target, &states[i]);
                 let (acts, logp) = self.agent.act(&feat, &masks, &mut self.rng);
                 let action = Action {
                     tile: acts[0],
@@ -239,14 +214,14 @@ impl<'m> FlextensorTuner<'m> {
                 };
                 let next = apply_action(&sketch, target, &states[i], &action);
                 // reject illegal proposals before spending a measurement
-                if self.core.lint_rejects(&next) {
+                if core.lint_rejects(&next) {
                     continue;
                 }
-                let m = self.core.measure(&next);
+                let m = core.measure(&next);
                 used += 1;
                 let new_perf = 1.0 / m.time;
                 let reward = ((new_perf - perf[i]) / perf[i]) as f32;
-                self.core.features_into(&next, &mut next_feat);
+                core.features_into(&next, &mut next_feat);
                 value_pairs.extend_from_slice(&next_feat);
                 value_pairs.extend_from_slice(&feat);
                 moves.push(Move {
@@ -277,7 +252,7 @@ impl<'m> FlextensorTuner<'m> {
             steps_taken = step;
             if step % self.cfg.train_interval == 0 {
                 self.agent.train_step(&mut self.rng);
-                self.core.measurer().charge_search_time(0.3);
+                core.measurer().charge_search_time(0.3);
             }
         }
 
@@ -288,45 +263,25 @@ impl<'m> FlextensorTuner<'m> {
             });
         }
         // training time was charged step by step above
-        self.core.end_round(0.0, used);
+        core.end_round(0.0, used as u64);
         used
     }
 
-    /// Tunes with a total measurement budget.
-    pub fn tune(&mut self, total_trials: u64) {
-        while self.trials_used < total_trials {
-            let remaining = total_trials - self.trials_used;
-            if self.episode(remaining) == 0 {
-                break;
-            }
-        }
-    }
-
-    /// Coordinate-descent fine-tune pass over the current best schedule
-    /// (see [`harl_mcts::coordinate_descent`]); monotone — `best_time`
-    /// never regresses. Returns the trials spent.
-    pub fn finetune(&mut self, cfg: &harl_mcts::FinetuneConfig) -> u64 {
-        self.core.finetune(cfg, "flextensor_finetune")
-    }
-
-    /// Snapshots the mutable search state for checkpointing.
-    pub fn checkpoint_state(&self) -> FlextensorTunerState {
+    fn checkpoint(&self, core: &SearchCore<'_>) -> FlextensorTunerState {
         FlextensorTunerState {
             agent: self.agent.clone(),
-            best_time: self.best_time,
-            best_schedule: self.best_schedule.clone(),
+            best_time: core.best_time,
+            best_schedule: core.best_schedule.clone(),
             critical_steps: self.critical_steps.clone(),
-            trials_used: self.trials_used,
-            trace: self.trace.clone(),
-            lint_stats: self.lint_stats.clone(),
+            trials_used: core.trials_used,
+            trace: core.trace.clone(),
+            lint_stats: core.lint_stats.clone(),
             rng: self.rng.state(),
         }
     }
 
-    /// Overwrites the mutable search state from a checkpoint. The tuner
-    /// must have been constructed with the same graph, config, and seed.
-    pub fn restore_state(&mut self, state: FlextensorTunerState) {
-        self.core.restore(
+    fn restore(&mut self, core: &mut SearchCore<'_>, state: FlextensorTunerState) {
+        core.restore(
             Vec::new(),
             state.best_time,
             state.best_schedule,
@@ -339,9 +294,18 @@ impl<'m> FlextensorTuner<'m> {
         let ppo_threads = self.agent.threads();
         self.agent = state.agent;
         self.agent.set_threads(ppo_threads);
-        self.agent.set_tracer(self.core.tracer().clone());
+        self.agent.set_tracer(core.tracer().clone());
         self.critical_steps = state.critical_steps;
         self.rng = StdRng::from_state(state.rng);
+    }
+
+    fn set_tracer(&mut self, tracer: &Tracer) {
+        self.agent.set_tracer(tracer.clone());
+    }
+
+    /// No scoring pipeline, so only the PPO width applies.
+    fn set_parallelism(&mut self, opts: ParallelismOpts) {
+        self.agent.set_threads(opts.ppo_threads);
     }
 }
 
@@ -349,7 +313,7 @@ impl<'m> FlextensorTuner<'m> {
 mod tests {
     use super::*;
     use harl_tensor_ir::workload;
-    use harl_tensor_sim::{Hardware, MeasureConfig};
+    use harl_tensor_sim::{Hardware, MeasureConfig, Measurer};
 
     fn cfg() -> FlextensorConfig {
         FlextensorConfig {
@@ -364,7 +328,7 @@ mod tests {
         let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
         let g = workload::gemm(128, 128, 128);
         let mut t = FlextensorTuner::new(g, &measurer, cfg());
-        let used = t.episode(10);
+        let used = t.round(10) as u64;
         assert!(used <= 10);
         assert_eq!(t.trials_used, used);
         assert_eq!(measurer.trials(), used);
@@ -379,8 +343,8 @@ mod tests {
         let g = workload::gemm(128, 128, 128);
         let mut t = FlextensorTuner::new(g, &measurer, cfg());
         t.tune(120);
-        assert!(!t.critical_steps.is_empty());
-        for cs in &t.critical_steps {
+        assert!(!t.proposer().critical_steps.is_empty());
+        for cs in &t.proposer().critical_steps {
             assert!(cs.position <= cs.length);
             assert!((0.0..=1.0).contains(&cs.relative()));
         }
@@ -391,10 +355,10 @@ mod tests {
         let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
         let g = workload::gemm(256, 256, 256);
         let mut t = FlextensorTuner::new(g, &measurer, cfg());
-        t.episode(u64::MAX >> 1);
+        t.round(usize::MAX >> 1);
         let first = t.best_time;
         for _ in 0..5 {
-            t.episode(u64::MAX >> 1);
+            t.round(usize::MAX >> 1);
         }
         assert!(t.best_time <= first);
         assert!(t.best_schedule.is_some());
@@ -405,16 +369,16 @@ mod tests {
         let g = workload::gemm(128, 128, 128);
         let m_ref = Measurer::new(Hardware::cpu(), MeasureConfig::default());
         let mut t_ref = FlextensorTuner::new(g.clone(), &m_ref, cfg());
-        t_ref.episode(40);
+        t_ref.round(40);
         let ck_tuner = serde_json::to_string(&t_ref.checkpoint_state()).unwrap();
         let ck_measurer = serde_json::to_string(&m_ref.state()).unwrap();
-        t_ref.episode(40);
+        t_ref.round(40);
 
         let m2 = Measurer::new(Hardware::cpu(), MeasureConfig::default());
         m2.restore_state(&serde_json::from_str(&ck_measurer).unwrap());
         let mut t2 = FlextensorTuner::new(g, &m2, cfg());
         t2.restore_state(serde_json::from_str(&ck_tuner).unwrap());
-        t2.episode(40);
+        t2.round(40);
 
         assert_eq!(t2.best_time.to_bits(), t_ref.best_time.to_bits());
         assert_eq!(t2.trials_used, t_ref.trials_used);

@@ -6,7 +6,8 @@
 //!   auto-scheduler HARL compares against: evolutionary parameter search
 //!   guided by an on-line cost model, uniform sketch selection, ε-greedy
 //!   measurement selection, and the greedy gradient task scheduler for
-//!   end-to-end networks (the formulas HARL reuses in Eq. 3).
+//!   end-to-end networks (the formulas HARL reuses in Eq. 3; the network
+//!   loop it schedules is `harl_core::NetworkTuner`, shared with HARL).
 //! * **Flextensor-like** fixed-length RL tuner — backs Observation 2 /
 //!   Fig. 1(c) and the fixed-vs-adaptive comparisons.
 
@@ -16,10 +17,10 @@ pub mod task_sched;
 pub mod tuner;
 
 pub use evolution::{evolve_candidates, EvoConfig};
-pub use flextensor::{CriticalStep, FlextensorConfig, FlextensorTuner, FlextensorTunerState};
+pub use flextensor::{
+    CriticalStep, FlextensorConfig, FlextensorProposer, FlextensorTuner, FlextensorTunerState,
+};
 pub use task_sched::{
     task_gradient, weighted_latency, GradientParams, GreedyTaskScheduler, TaskInfo, TaskState,
 };
-pub use tuner::{
-    AnsorConfig, AnsorConfigBuilder, AnsorNetworkTuner, AnsorTuner, AnsorTunerState, NetRound,
-};
+pub use tuner::{AnsorConfig, AnsorConfigBuilder, AnsorProposer, AnsorTuner, AnsorTunerState};

@@ -1,24 +1,21 @@
-//! The Ansor baseline tuner: per-subgraph evolutionary rounds and the
-//! greedy gradient task scheduler for end-to-end networks.
-
-use std::ops::Deref;
+//! The Ansor baseline tuner: per-subgraph evolutionary rounds. (Its
+//! end-to-end network form is `harl_core::AnsorNetworkTuner`: the one
+//! network loop under the greedy gradient task scheduler.)
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use harl_gbt::{CostModel, GbtParams, ScoreStats, ScoringPipeline};
-use harl_mcts::SearchCore;
+use harl_gbt::{CostModel, GbtParams, ScoringPipeline};
+use harl_mcts::{Proposer, SearchCore, Searcher};
+use harl_obs::Tracer;
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
-use harl_tensor_ir::{Schedule, Subgraph};
-use harl_tensor_sim::{ConfigError, Measurer, TuneTrace};
+use harl_tensor_ir::Schedule;
+use harl_tensor_sim::{ConfigError, TuneTrace};
 use harl_verify::LintStats;
 
 use crate::evolution::{evolve_candidates, EvoConfig};
-use crate::task_sched::{
-    weighted_latency, GradientParams, GreedyTaskScheduler, TaskInfo, TaskState,
-};
 
 /// Configuration shared by Ansor operator and network tuning.
 #[derive(Debug, Clone)]
@@ -151,12 +148,8 @@ impl AnsorConfigBuilder {
     }
 }
 
-/// Serializable snapshot of an [`AnsorTuner`]'s mutable search state.
-///
-/// The graph, config, and measurer are *not* captured: restoring requires a
-/// tuner constructed with the identical workload, config, and seed, after
-/// which [`AnsorTuner::restore_state`] overwrites the mutable fields so the
-/// search continues exactly where the checkpoint left off.
+/// Serializable snapshot of an [`AnsorTuner`]'s mutable search state (see
+/// [`Proposer::State`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AnsorTunerState {
     /// On-line cost model (dataset + fitted booster).
@@ -180,10 +173,11 @@ pub struct AnsorTunerState {
 }
 
 /// Tunes one subgraph with evolutionary search (Ansor §5).
-pub struct AnsorTuner<'m> {
-    /// Shared search state; lint-rejected candidates never reach the
-    /// measurer.
-    core: SearchCore<'m>,
+pub type AnsorTuner<'m> = Searcher<'m, AnsorProposer>;
+
+/// The evolutionary proposer; lint-rejected candidates never reach the
+/// measurer.
+pub struct AnsorProposer {
     cost_model: CostModel,
     /// `(measured time, schedule)` sorted best-first.
     elites: Vec<(f64, Schedule)>,
@@ -196,50 +190,7 @@ pub struct AnsorTuner<'m> {
     rng: StdRng,
 }
 
-impl<'m> Deref for AnsorTuner<'m> {
-    type Target = SearchCore<'m>;
-
-    fn deref(&self) -> &SearchCore<'m> {
-        &self.core
-    }
-}
-
-impl<'m> AnsorTuner<'m> {
-    /// Creates a tuner; sketches are generated for the measurer's target.
-    pub fn new(graph: Subgraph, measurer: &'m Measurer, cfg: AnsorConfig) -> Self {
-        let seed = cfg.seed ^ graph.name.len() as u64;
-        AnsorTuner {
-            core: SearchCore::new(graph, measurer),
-            cost_model: CostModel::new(cfg.gbt.clone()),
-            elites: Vec::new(),
-            pipeline: ScoringPipeline::from_env(),
-            cfg,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Attaches a tracer: rounds become `ansor_round` spans with
-    /// `evolve`/`measure`/`gbt_retrain` children. Tracing never changes
-    /// the search — checkpoints stay byte-equal with it on or off.
-    pub fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
-        self.pipeline.set_tracer(tracer.clone());
-        self.core.set_tracer(tracer);
-    }
-
-    /// Counters of the batched scoring pipeline (cache hits, batches,
-    /// thread width).
-    pub fn score_stats(&self) -> &ScoreStats {
-        self.pipeline.stats()
-    }
-
-    /// Applies thread-pool widths (tests and explicit config; normally
-    /// inherited from `HARL_SCORE_THREADS`). Ansor has no PPO stage, so
-    /// only the scoring width applies. Scores are bit-identical at any
-    /// width.
-    pub fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        self.pipeline.set_threads(opts.score_threads);
-    }
-
+impl AnsorProposer {
     /// The on-line cost model (diagnostics; e.g. warm-start checks).
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
@@ -251,49 +202,63 @@ impl<'m> AnsorTuner<'m> {
             .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         self.elites.truncate(self.cfg.elite_pool);
     }
+}
 
-    /// One exploration round with up to `budget` measurements; returns the
-    /// number of trials actually used.
-    pub fn round(&mut self, budget: usize) -> usize {
-        if budget == 0 {
-            return 0;
+impl Proposer for AnsorProposer {
+    const NAME: &'static str = "ansor";
+    type Config = AnsorConfig;
+    type State = AnsorTunerState;
+
+    fn new(core: &mut SearchCore<'_>, cfg: AnsorConfig) -> Self {
+        let seed = cfg.seed ^ core.graph.name.len() as u64;
+        AnsorProposer {
+            cost_model: CostModel::new(cfg.gbt.clone()),
+            elites: Vec::new(),
+            pipeline: ScoringPipeline::from_env(),
+            cfg,
+            rng: StdRng::seed_from_u64(seed),
         }
-        let _round_span = self.core.tracer().span("ansor_round");
+    }
+
+    /// One exploration round: an `ansor_round` span with `evolve`/
+    /// `measure`/`gbt_retrain` children.
+    fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize {
+        let _round_span = core.tracer().span("ansor_round");
         let k = budget.min(self.cfg.measure_per_round);
-        let evolve_span = self.core.tracer().span_with("evolve", &[("k", k.into())]);
+        let evolve_span = core.tracer().span_with("evolve", &[("k", k.into())]);
         let elite_scheds: Vec<Schedule> = self.elites.iter().map(|(_, s)| s.clone()).collect();
         let mut cands = evolve_candidates(
-            &self.core.graph,
-            &self.core.sketches,
-            self.core.target(),
+            &core.graph,
+            &core.sketches,
+            core.target(),
             &self.cost_model,
             &elite_scheds,
-            self.core.seen(),
+            core.seen(),
             k,
             &self.cfg.evo,
             &mut self.pipeline,
             &mut self.rng,
         );
         // drop illegal candidates before they reach the measurer
-        cands.retain(|s| !self.core.lint_rejects(s));
+        cands.retain(|s| !core.lint_rejects(s));
         drop(evolve_span);
         if cands.is_empty() {
             return 0;
         }
 
         let mut updates = Vec::with_capacity(cands.len());
-        for (m, features) in self.core.measure_all(&cands) {
+        for (m, features) in core.measure_all(&cands) {
             updates.push((features, m.flops_per_sec));
             self.elites.push((m.time, m.schedule));
         }
         {
-            let _retrain_span = self.core.tracer().span("gbt_retrain");
+            let _retrain_span = core.tracer().span("gbt_retrain");
             self.cost_model.update_batch(updates);
         }
         self.trim_elites();
 
         // simulated algorithm overhead: fixed + per-fitness-evaluation
-        self.core.end_round(
+        core.end_round(
             self.cfg.round_overhead
                 + (self.cfg.evo.population * self.cfg.evo.generations) as f64 * self.cfg.eval_cost,
             cands.len() as u64,
@@ -301,35 +266,22 @@ impl<'m> AnsorTuner<'m> {
         cands.len()
     }
 
-    /// Runs rounds until `total_trials` measurements have been used.
-    pub fn tune(&mut self, total_trials: u64) {
-        while self.trials_used < total_trials {
-            let remaining = (total_trials - self.trials_used) as usize;
-            if self.round(remaining) == 0 {
-                break;
-            }
-        }
-    }
-
-    /// Snapshots the mutable search state for checkpointing.
-    pub fn checkpoint_state(&self) -> AnsorTunerState {
+    fn checkpoint(&self, core: &SearchCore<'_>) -> AnsorTunerState {
         AnsorTunerState {
             cost_model: self.cost_model.clone(),
-            seen: self.seen_sorted(),
+            seen: core.seen_sorted(),
             elites: self.elites.clone(),
-            best_time: self.best_time,
-            best_schedule: self.best_schedule.clone(),
-            trials_used: self.trials_used,
-            trace: self.trace.clone(),
-            lint_stats: self.lint_stats.clone(),
+            best_time: core.best_time,
+            best_schedule: core.best_schedule.clone(),
+            trials_used: core.trials_used,
+            trace: core.trace.clone(),
+            lint_stats: core.lint_stats.clone(),
             rng: self.rng.state(),
         }
     }
 
-    /// Overwrites the mutable search state from a checkpoint. The tuner
-    /// must have been constructed with the same graph, config, and seed.
-    pub fn restore_state(&mut self, state: AnsorTunerState) {
-        self.core.restore(
+    fn restore(&mut self, core: &mut SearchCore<'_>, state: AnsorTunerState) {
+        core.restore(
             state.seen,
             state.best_time,
             state.best_schedule,
@@ -342,153 +294,27 @@ impl<'m> AnsorTuner<'m> {
         self.rng = StdRng::from_state(state.rng);
     }
 
-    /// Coordinate-descent fine-tune pass over the current best schedule
-    /// (see [`harl_mcts::coordinate_descent`]); monotone — `best_time`
-    /// never regresses. Returns the trials spent.
-    pub fn finetune(&mut self, cfg: &harl_mcts::FinetuneConfig) -> u64 {
-        self.core.finetune(cfg, "ansor_finetune")
-    }
-
-    /// Warm-starts from prior measurement records of similar workloads:
-    /// pre-trains the cost model on their features and seeds the elite pool
-    /// with their schedules, without spending any fresh measurements.
-    /// Returns how many records were usable.
-    pub fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
-        let usable = self.core.usable_records(records);
-        if usable.is_empty() {
-            return 0;
-        }
-        self.cost_model
-            .update_batch(self.core.training_rows(&usable));
+    /// Pre-trains the cost model on the records' features and seeds the
+    /// elite pool with their schedules.
+    fn warm_start(&mut self, core: &SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
+        self.cost_model.update_batch(core.training_rows(usable));
         self.elites
             .extend(usable.iter().map(|r| (r.time, r.schedule.clone())));
         self.trim_elites();
         usable.len()
     }
-}
 
-/// One allocation decision in a network tuning run.
-#[derive(Debug, Clone, Copy)]
-pub struct NetRound {
-    /// Index of the tuned task.
-    pub task: usize,
-    /// Cumulative trials after this round.
-    pub trials_after: u64,
-    /// Weighted network latency estimate after this round.
-    pub latency: f64,
-}
-
-/// End-to-end network tuning with Ansor's greedy gradient task scheduler.
-pub struct AnsorNetworkTuner<'m> {
-    /// Per-subgraph tuners.
-    pub tuners: Vec<AnsorTuner<'m>>,
-    /// Static task descriptions.
-    pub infos: Vec<TaskInfo>,
-    /// Mutable tuning state per task.
-    pub states: Vec<TaskState>,
-    scheduler: GreedyTaskScheduler,
-    /// Allocation decisions in order.
-    pub rounds: Vec<NetRound>,
-    /// Weighted-latency best-so-far curve.
-    pub trace: TuneTrace,
-    total_trials_used: u64,
-    /// Observation only — see [`AnsorTuner::set_tracer`].
-    tracer: harl_obs::Tracer,
-}
-
-impl<'m> AnsorNetworkTuner<'m> {
-    /// Creates one Ansor tuner per subgraph sharing `measurer`.
-    pub fn new(
-        subgraphs: Vec<Subgraph>,
-        measurer: &'m Measurer,
-        cfg: AnsorConfig,
-        grad: GradientParams,
-    ) -> Self {
-        let infos = subgraphs
-            .iter()
-            .map(|g| TaskInfo {
-                name: g.name.clone(),
-                weight: g.weight,
-                flops: g.flops(),
-                similarity_key: g.similarity_key(),
-            })
-            .collect();
-        let states = subgraphs.iter().map(|_| TaskState::default()).collect();
-        let tuners = subgraphs
-            .into_iter()
-            .enumerate()
-            .map(|(i, g)| {
-                let mut c = cfg.clone();
-                c.seed = cfg.seed.wrapping_add(i as u64 * 0x9e37);
-                AnsorTuner::new(g, measurer, c)
-            })
-            .collect();
-        AnsorNetworkTuner {
-            tuners,
-            infos,
-            states,
-            scheduler: GreedyTaskScheduler::new(grad),
-            rounds: Vec::new(),
-            trace: TuneTrace::new(),
-            total_trials_used: 0,
-            tracer: harl_obs::Tracer::disabled(),
-        }
+    fn pipeline(&self) -> Option<&ScoringPipeline> {
+        Some(&self.pipeline)
     }
 
-    /// Attaches a tracer to the scheduler and every per-task tuner.
-    pub fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
-        for t in &mut self.tuners {
-            t.set_tracer(tracer.clone());
-        }
-        self.tracer = tracer;
+    fn set_tracer(&mut self, tracer: &Tracer) {
+        self.pipeline.set_tracer(tracer.clone());
     }
 
-    /// Weighted latency estimate `Σ w_n g_n` of the current bests.
-    pub fn network_latency(&self) -> f64 {
-        weighted_latency(&self.infos, &self.states)
-    }
-
-    /// One task-scheduler round: pick a task, run one tuning round on it.
-    /// Returns the trials used (0 when `budget` is exhausted).
-    pub fn round(&mut self, budget: u64) -> u64 {
-        if budget == 0 {
-            return 0;
-        }
-        let _net_span = self.tracer.span("net_round");
-        let task = self.scheduler.select(&self.infos, &self.states);
-        self.tracer.event("task_pick", &[("task", task.into())]);
-        let used = self.tuners[task].round(budget as usize) as u64;
-        if used == 0 {
-            return 0;
-        }
-        self.states[task].record_round(used, self.tuners[task].best_time);
-        self.total_trials_used += used;
-        let latency = self.network_latency();
-        self.rounds.push(NetRound {
-            task,
-            trials_after: self.total_trials_used,
-            latency,
-        });
-        if latency.is_finite() {
-            let m = self.tuners[0].measurer();
-            self.trace.record(m.trials(), m.sim_seconds(), latency);
-        }
-        used
-    }
-
-    /// Tunes the whole network for `total_trials` measurements.
-    pub fn tune(&mut self, total_trials: u64) {
-        while self.total_trials_used < total_trials {
-            let remaining = total_trials - self.total_trials_used;
-            if self.round(remaining) == 0 {
-                break;
-            }
-        }
-    }
-
-    /// Per-task trial allocations `{T^n}`.
-    pub fn allocations(&self) -> Vec<u64> {
-        self.states.iter().map(|s| s.trials).collect()
+    /// Ansor has no PPO stage, so only the scoring width applies.
+    fn set_parallelism(&mut self, opts: ParallelismOpts) {
+        self.pipeline.set_threads(opts.score_threads);
     }
 }
 
@@ -496,7 +322,7 @@ impl<'m> AnsorNetworkTuner<'m> {
 mod tests {
     use super::*;
     use harl_tensor_ir::workload;
-    use harl_tensor_sim::{Hardware, MeasureConfig};
+    use harl_tensor_sim::{Hardware, MeasureConfig, Measurer};
 
     fn small_cfg() -> AnsorConfig {
         AnsorConfig {
@@ -541,27 +367,6 @@ mod tests {
         assert_eq!(t.trace.total_trials(), measurer.trials());
         let times: Vec<f64> = t.trace.points.iter().map(|p| p.best_time).collect();
         assert!(times.windows(2).all(|w| w[1] <= w[0]));
-    }
-
-    #[test]
-    fn network_tuning_allocates_all_tasks() {
-        let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-        let graphs = vec![
-            workload::gemm(128, 128, 128),
-            workload::gemm(256, 256, 256),
-            workload::softmax(512, 128),
-        ];
-        let mut nt =
-            AnsorNetworkTuner::new(graphs, &measurer, small_cfg(), GradientParams::default());
-        nt.tune(32 * 6);
-        let alloc = nt.allocations();
-        assert!(
-            alloc.iter().all(|&a| a > 0),
-            "warm-up must touch all tasks: {alloc:?}"
-        );
-        assert_eq!(alloc.iter().sum::<u64>(), nt.total_trials_used);
-        assert!(nt.network_latency().is_finite());
-        assert!(!nt.rounds.is_empty());
     }
 
     #[test]
@@ -628,6 +433,7 @@ mod tests {
         let mut cold = AnsorTuner::new(g.clone(), &m1, small_cfg());
         cold.tune(64);
         let records: Vec<MeasureRecord> = cold
+            .proposer()
             .elites
             .iter()
             .map(|(time, s)| MeasureRecord {
@@ -645,10 +451,10 @@ mod tests {
         let mut warm = AnsorTuner::new(g, &m2, small_cfg());
         let used = warm.warm_start(&records);
         assert!(used > 0, "no records were usable");
-        assert!(warm.cost_model.is_trained());
+        assert!(warm.proposer().cost_model.is_trained());
         assert_eq!(warm.trials_used, 0);
         assert_eq!(m2.trials(), 0);
-        assert!(!warm.elites.is_empty());
+        assert!(!warm.proposer().elites.is_empty());
 
         // mismatched similarity keys are ignored
         let mut bogus = records.clone();
@@ -659,6 +465,6 @@ mod tests {
         let g3 = workload::gemm(256, 256, 256);
         let mut t3 = AnsorTuner::new(g3, &m3, small_cfg());
         assert_eq!(t3.warm_start(&bogus), 0);
-        assert!(!t3.cost_model.is_trained());
+        assert!(!t3.proposer().cost_model.is_trained());
     }
 }

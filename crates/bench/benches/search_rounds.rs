@@ -6,10 +6,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use harl_ansor::{
-    AnsorConfig, AnsorNetworkTuner, AnsorTuner, EvoConfig, FlextensorConfig, FlextensorTuner,
-    GradientParams,
+    AnsorConfig, AnsorTuner, EvoConfig, FlextensorConfig, FlextensorTuner, GradientParams,
 };
-use harl_core::{HarlConfig, HarlNetworkTuner, HarlOperatorTuner};
+use harl_core::{AnsorNetworkTuner, HarlConfig, HarlNetworkTuner, HarlOperatorTuner};
 use harl_gbt::GbtParams;
 use harl_tensor_ir::workload;
 use harl_tensor_sim::{Hardware, MeasureConfig, Measurer};
@@ -83,7 +82,7 @@ fn bench_flextensor_episode(c: &mut Criterion) {
                     ..Default::default()
                 };
                 let mut t = FlextensorTuner::new(g, &m, cfg);
-                t.episode(64)
+                t.round(64)
             },
             BatchSize::SmallInput,
         )

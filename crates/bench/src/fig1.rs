@@ -12,7 +12,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use harl_ansor::{AnsorNetworkTuner, FlextensorConfig, FlextensorTuner, GradientParams};
+use harl_ansor::{FlextensorConfig, FlextensorTuner, GradientParams};
+use harl_core::AnsorNetworkTuner;
 use harl_nn_models::{bert, operators};
 use harl_tensor_ir::{generate_sketches, mutate, Schedule, Target};
 use harl_tensor_sim::{Hardware, MeasureConfig, Measurer};
@@ -220,7 +221,7 @@ pub fn fig1c(scale: &Scale) -> Fig1c {
         };
         let mut t = FlextensorTuner::new(g, &measurer, cfg);
         t.tune(scale.op_trials);
-        all_steps.extend(t.critical_steps.iter().map(|c| c.relative()));
+        all_steps.extend(t.proposer().critical_steps.iter().map(|c| c.relative()));
     }
     let mut histogram = vec![0u64; 10];
     for &r in &all_steps {

@@ -2,8 +2,7 @@
 
 use serde::Serialize;
 
-use harl_ansor::AnsorNetworkTuner;
-use harl_core::{HarlConfig, HarlNetworkTuner};
+use harl_core::{AnsorNetworkTuner, HarlConfig, HarlNetworkTuner};
 use harl_nn_models::Network;
 use harl_tensor_sim::{Hardware, MeasureConfig, Measurer};
 

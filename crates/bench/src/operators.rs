@@ -259,10 +259,10 @@ pub fn fig7a(scale: &Scale, hw: &Hardware) -> (Fig7a, Fig7b) {
         harl: normalize_curve(&harl.trace, best),
     };
     let f7b = Fig7b {
-        fixed_histogram: critical_step_histogram(&fixed.critical_steps, 10),
-        adaptive_histogram: critical_step_histogram(&harl.critical_steps, 10),
-        fixed_last10: last_bin_fraction(&fixed.critical_steps),
-        adaptive_last10: last_bin_fraction(&harl.critical_steps),
+        fixed_histogram: critical_step_histogram(&fixed.proposer().critical_steps, 10),
+        adaptive_histogram: critical_step_histogram(&harl.proposer().critical_steps, 10),
+        fixed_last10: last_bin_fraction(&fixed.proposer().critical_steps),
+        adaptive_last10: last_bin_fraction(&harl.proposer().critical_steps),
     };
     (f7a, f7b)
 }
@@ -362,7 +362,7 @@ fn sensitivity_run(
         let m = Measurer::new(hw.clone(), MeasureConfig::default());
         let mut t = HarlOperatorTuner::new(g.clone(), &m, cfg);
         t.tune(scale.op_trials);
-        let iters = t.rounds.len().max(1) as f64;
+        let iters = t.proposer().rounds.len().max(1) as f64;
         raw.push((value, 1.0 / t.best_time, m.sim_seconds() / iters));
     }
     let max_perf = raw.iter().map(|r| r.1).fold(0.0f64, f64::max);

@@ -6,8 +6,6 @@
 //! expected future rewards therefore get longer exploration paths inside
 //! the same per-episode candidate budget (Fig. 4).
 
-use serde::{Deserialize, Serialize};
-
 /// Picks the indices of the tracks that *survive* an elimination round:
 /// keeps the `ceil((1-ρ)·n)` tracks with the highest advantage scores.
 /// Returned indices are in ascending order.
@@ -59,22 +57,9 @@ impl TrackWindow {
 }
 
 /// Relative position of the best-scored schedule on one track — the
-/// *critical step* of §6.2's ablation (Fig. 7(b)).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct CriticalStep {
-    pub position: usize,
-    pub length: usize,
-}
-
-impl CriticalStep {
-    pub fn relative(&self) -> f64 {
-        if self.length == 0 {
-            0.0
-        } else {
-            self.position as f64 / self.length as f64
-        }
-    }
-}
+/// *critical step* of §6.2's ablation (Fig. 7(b)). The fixed-length
+/// baseline records the same thing (Fig. 1(c)); this is its type.
+pub use harl_ansor::CriticalStep;
 
 /// Histogram of relative critical-step positions (the y-axis of
 /// Fig. 1(c) / Fig. 7(b)).

@@ -2,7 +2,7 @@
 //! toggles used in §6.
 
 use harl_ansor::GradientParams;
-use harl_bandit::BanditKind;
+use harl_bandit::{AnyBandit, BanditKind};
 use harl_gbt::GbtParams;
 use harl_nnet::PpoConfig;
 use harl_tensor_sim::ConfigError;
@@ -84,6 +84,18 @@ pub struct HarlConfig {
 }
 
 impl HarlConfig {
+    /// A bandit of `mab_kind` over `arms` arms (the sketch and the subgraph
+    /// level build theirs the same way); SW-UCB takes `mab_c` and
+    /// `mab_tau` over the kind's own constants.
+    pub(crate) fn bandit(&self, arms: usize) -> AnyBandit {
+        let mut kind = self.mab_kind;
+        if let BanditKind::SwUcb { c, tau } = &mut kind {
+            *c = self.mab_c;
+            *tau = self.mab_tau;
+        }
+        kind.build(arms)
+    }
+
     /// The paper's default settings (Table 5 / §6.2).
     pub fn paper() -> Self {
         HarlConfig {

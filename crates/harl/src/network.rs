@@ -1,50 +1,126 @@
-//! End-to-end network tuning: the subgraph-level non-stationary MAB
-//! (§4.1, Eq. 3 + Eq. 4) on top of per-subgraph HARL operator tuners.
+//! End-to-end network tuning: one allocation loop over per-subgraph
+//! tuners, under either task policy.
 //!
-//! Each step pulls a subgraph arm with SW-UCB (reward = the normalized
-//! gradient estimate of Eq. 3), runs one HARL tuning round on it, and
-//! updates the weighted network latency `f(S) ≈ Σ w_n g_n`. Setting
-//! `subgraph_mab = false` reverts to Ansor's greedy gradient selection (the
-//! "w/o subgraph MAB" ablation of Table 4 / Fig. 10).
+//! Each step picks a subgraph, runs one tuning round on it, and updates
+//! the weighted network latency `f(S) ≈ Σ w_n g_n`. HARL pulls the
+//! subgraph arm with the non-stationary SW-UCB of §4.1 (reward = the
+//! normalized gradient estimate of Eq. 3, Eq. 4); Ansor — and HARL with
+//! `subgraph_mab = false`, the "w/o subgraph MAB" ablation of Table 4 /
+//! Fig. 10 — takes the greedy gradient argmax.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use harl_ansor::{task_gradient, weighted_latency, GreedyTaskScheduler, TaskInfo, TaskState};
+use harl_ansor::{
+    task_gradient, weighted_latency, AnsorConfig, AnsorProposer, GradientParams,
+    GreedyTaskScheduler, TaskInfo, TaskState,
+};
 use harl_bandit::{AnyBandit, Bandit};
+use harl_mcts::{Proposer, Searcher};
 use harl_tensor_ir::Subgraph;
 use harl_tensor_sim::{Measurer, TuneTrace};
 
 use crate::config::HarlConfig;
-use crate::tuner::HarlOperatorTuner;
+use crate::tuner::HarlProposer;
 
 /// Log entry of one network-level allocation decision.
 #[derive(Debug, Clone, Copy)]
 pub struct NetRound {
+    /// Index of the tuned task.
     pub task: usize,
+    /// Cumulative trials after this round.
     pub trials_after: u64,
+    /// Weighted network latency estimate after this round.
     pub latency: f64,
 }
 
-/// HARL end-to-end network tuner.
-pub struct HarlNetworkTuner<'m> {
-    pub tuners: Vec<HarlOperatorTuner<'m>>,
-    pub infos: Vec<TaskInfo>,
-    pub states: Vec<TaskState>,
-    subgraph_bandit: AnyBandit,
-    greedy_fallback: GreedyTaskScheduler,
-    pub rounds: Vec<NetRound>,
-    pub trace: TuneTrace,
-    total_trials_used: u64,
-    /// Observation only — see [`HarlOperatorTuner::set_tracer`].
-    tracer: harl_obs::Tracer,
-    cfg: HarlConfig,
-    rng: StdRng,
+/// How the next subgraph is chosen.
+enum TaskPolicy {
+    /// Ansor's greedy gradient task scheduler.
+    Greedy(GreedyTaskScheduler),
+    /// The subgraph-level bandit `π_t(n)`, rewarded with the pulled arm's
+    /// normalized Eq. 3 gradient.
+    Bandit {
+        bandit: AnyBandit,
+        grad: GradientParams,
+        rng: StdRng,
+    },
 }
 
+/// End-to-end network tuner: one `P` searcher per subgraph sharing a
+/// measurer, and the task policy that allocates rounds among them.
+pub struct NetworkTuner<'m, P> {
+    /// Per-subgraph tuners.
+    pub tuners: Vec<Searcher<'m, P>>,
+    /// Static task descriptions.
+    pub infos: Vec<TaskInfo>,
+    /// Mutable tuning state per task.
+    pub states: Vec<TaskState>,
+    policy: TaskPolicy,
+    /// Allocation decisions in order.
+    pub rounds: Vec<NetRound>,
+    /// Weighted-latency best-so-far curve.
+    pub trace: TuneTrace,
+    total_trials_used: u64,
+    /// Observation only — see [`Searcher::set_tracer`].
+    tracer: harl_obs::Tracer,
+}
+
+/// HARL's network tuner: the subgraph bandit (or, with `subgraph_mab`
+/// off, the greedy scheduler) over HARL operator tuners.
+pub type HarlNetworkTuner<'m> = NetworkTuner<'m, HarlProposer>;
+
+/// Ansor's network tuner: the greedy gradient task scheduler over Ansor
+/// operator tuners.
+pub type AnsorNetworkTuner<'m> = NetworkTuner<'m, AnsorProposer>;
+
+/// Seed-domain separator for the network-level RNG ("net_seed" in ASCII).
+const NET_SEED: u64 = 0x6e65745f73656564;
+
 impl<'m> HarlNetworkTuner<'m> {
+    /// Creates one HARL tuner per subgraph sharing `measurer`.
     pub fn new(subgraphs: Vec<Subgraph>, measurer: &'m Measurer, cfg: HarlConfig) -> Self {
-        let infos: Vec<TaskInfo> = subgraphs
+        let policy = if cfg.subgraph_mab {
+            TaskPolicy::Bandit {
+                bandit: cfg.bandit(subgraphs.len()),
+                grad: cfg.grad,
+                rng: StdRng::seed_from_u64(cfg.seed ^ NET_SEED),
+            }
+        } else {
+            TaskPolicy::Greedy(GreedyTaskScheduler::new(cfg.grad))
+        };
+        Self::with_policy(subgraphs, measurer, policy, |i| HarlConfig {
+            seed: cfg.seed.wrapping_add(i * 0x51ed),
+            ..cfg.clone()
+        })
+    }
+}
+
+impl<'m> AnsorNetworkTuner<'m> {
+    /// Creates one Ansor tuner per subgraph sharing `measurer`.
+    pub fn new(
+        subgraphs: Vec<Subgraph>,
+        measurer: &'m Measurer,
+        cfg: AnsorConfig,
+        grad: GradientParams,
+    ) -> Self {
+        let policy = TaskPolicy::Greedy(GreedyTaskScheduler::new(grad));
+        Self::with_policy(subgraphs, measurer, policy, |i| AnsorConfig {
+            seed: cfg.seed.wrapping_add(i * 0x9e37),
+            ..cfg.clone()
+        })
+    }
+}
+
+impl<'m, P: Proposer> NetworkTuner<'m, P> {
+    /// `task_cfg(i)` is the config of subgraph `i`'s tuner (its own seed).
+    fn with_policy(
+        subgraphs: Vec<Subgraph>,
+        measurer: &'m Measurer,
+        policy: TaskPolicy,
+        task_cfg: impl Fn(u64) -> P::Config,
+    ) -> Self {
+        let infos = subgraphs
             .iter()
             .map(|g| TaskInfo {
                 name: g.name.clone(),
@@ -54,35 +130,20 @@ impl<'m> HarlNetworkTuner<'m> {
             })
             .collect();
         let states = subgraphs.iter().map(|_| TaskState::default()).collect();
-        let tuners: Vec<HarlOperatorTuner<'m>> = subgraphs
+        let tuners = subgraphs
             .into_iter()
             .enumerate()
-            .map(|(i, g)| {
-                let mut c = cfg.clone();
-                c.seed = cfg.seed.wrapping_add(i as u64 * 0x51ed);
-                HarlOperatorTuner::new(g, measurer, c)
-            })
+            .map(|(i, g)| Searcher::new(g, measurer, task_cfg(i as u64)))
             .collect();
-        let mut mab_kind = cfg.mab_kind;
-        if let harl_bandit::BanditKind::SwUcb { c, tau } = &mut mab_kind {
-            *c = cfg.mab_c;
-            *tau = cfg.mab_tau;
-        }
-        let subgraph_bandit = mab_kind.build(tuners.len());
-        let greedy_fallback = GreedyTaskScheduler::new(cfg.grad);
-        let rng = StdRng::seed_from_u64(cfg.seed ^ NET_SEED);
-        HarlNetworkTuner {
+        NetworkTuner {
             tuners,
             infos,
             states,
-            subgraph_bandit,
-            greedy_fallback,
+            policy,
             rounds: Vec::new(),
             trace: TuneTrace::new(),
             total_trials_used: 0,
             tracer: harl_obs::Tracer::disabled(),
-            cfg,
-            rng,
         }
     }
 
@@ -101,17 +162,17 @@ impl<'m> HarlNetworkTuner<'m> {
         weighted_latency(&self.infos, &self.states)
     }
 
-    /// One allocation round; returns the trials used.
+    /// One allocation round: pick a task, run one tuning round on it.
+    /// Returns the trials used (0 when `budget` is exhausted).
     pub fn round(&mut self, budget: u64) -> u64 {
         if budget == 0 {
             return 0;
         }
         let _net_span = self.tracer.span("net_round");
         // subgraph selection π_t(n)
-        let task = if self.cfg.subgraph_mab {
-            self.subgraph_bandit.select(&mut self.rng)
-        } else {
-            self.greedy_fallback.select(&self.infos, &self.states)
+        let task = match &mut self.policy {
+            TaskPolicy::Greedy(scheduler) => scheduler.select(&self.infos, &self.states),
+            TaskPolicy::Bandit { bandit, rng, .. } => bandit.select(rng),
         };
         self.tracer.event("task_pick", &[("task", task.into())]);
 
@@ -123,9 +184,9 @@ impl<'m> HarlNetworkTuner<'m> {
         self.total_trials_used += used;
 
         // reward: the normalized Eq. 3 gradient of the pulled arm
-        if self.cfg.subgraph_mab {
+        if let TaskPolicy::Bandit { bandit, grad, .. } = &mut self.policy {
             let grads: Vec<f64> = (0..self.infos.len())
-                .map(|i| task_gradient(&self.infos, &self.states, i, &self.cfg.grad))
+                .map(|i| task_gradient(&self.infos, &self.states, i, grad))
                 .collect();
             let gmax = grads
                 .iter()
@@ -138,7 +199,7 @@ impl<'m> HarlNetworkTuner<'m> {
             } else {
                 1.0
             };
-            self.subgraph_bandit.update(task, reward);
+            bandit.update(task, reward);
         }
 
         let latency = self.network_latency();
@@ -148,15 +209,11 @@ impl<'m> HarlNetworkTuner<'m> {
             latency,
         });
         if latency.is_finite() {
-            let m = self.measurer();
+            // all tuners share the same measurer
+            let m = self.tuners[0].measurer();
             self.trace.record(m.trials(), m.sim_seconds(), latency);
         }
         used
-    }
-
-    fn measurer(&self) -> &'m Measurer {
-        // all tuners share the same measurer
-        self.tuners[0].measurer()
     }
 
     /// Tunes the network for a total measurement budget.
@@ -179,9 +236,6 @@ impl<'m> HarlNetworkTuner<'m> {
         self.total_trials_used
     }
 }
-
-/// Seed-domain separator for the network-level RNG ("net_seed" in ASCII).
-const NET_SEED: u64 = 0x6e65745f73656564;
 
 #[cfg(test)]
 mod tests {
@@ -232,5 +286,29 @@ mod tests {
             late <= early,
             "latency should not regress: {early} → {late}"
         );
+    }
+
+    #[test]
+    fn ansor_network_tuning_allocates_all_tasks() {
+        let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        let cfg = AnsorConfig {
+            measure_per_round: 16,
+            evo: harl_ansor::EvoConfig {
+                population: 64,
+                generations: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut nt = AnsorNetworkTuner::new(graphs(), &measurer, cfg, GradientParams::default());
+        nt.tune(32 * 6);
+        let alloc = nt.allocations();
+        assert!(
+            alloc.iter().all(|&a| a > 0),
+            "warm-up must touch all tasks: {alloc:?}"
+        );
+        assert_eq!(alloc.iter().sum::<u64>(), nt.trials_used());
+        assert!(nt.network_latency().is_finite());
+        assert!(!nt.rounds.is_empty());
     }
 }

@@ -18,14 +18,14 @@ use std::sync::Arc;
 use serde::de::{self, DeError, Value};
 use serde::{Deserialize, Serialize};
 
-use harl_ansor::{AnsorTuner, AnsorTunerState, FlextensorTuner, FlextensorTunerState};
+use harl_ansor::{AnsorTunerState, FlextensorTunerState};
 use harl_gbt::ScoreStats;
-use harl_mcts::{CdTuner, CdTunerState, FinetuneConfig, MctsTuner, MctsTunerState, SearchCore};
+use harl_mcts::{CdTunerState, FinetuneConfig, MctsTunerState, Proposer, SearchCore, Searcher};
 use harl_par::ParallelismOpts;
 use harl_store::{MeasureRecord, RecordStore, StoreError};
 use harl_tensor_sim::{Measurer, MeasurerState, TuneTrace};
 
-use crate::tuner::{HarlOperatorTuner, HarlTunerState};
+use crate::tuner::HarlTunerState;
 
 /// Serialized search state of any [`Tuner`] implementation.
 // checkpoints are created once per round, so variant-size skew is irrelevant
@@ -186,9 +186,45 @@ impl<T: Tuner + ?Sized> Tuner for &mut T {
     }
 }
 
-impl Tuner for HarlOperatorTuner<'_> {
+/// A searcher's typed state as its [`TunerState`] variant, and back (or
+/// the tuner name of the foreign variant that was offered).
+trait Variant: Sized {
+    fn wrap(self) -> TunerState;
+    fn unwrap(state: TunerState) -> Result<Self, &'static str>;
+}
+
+macro_rules! variants {
+    ($($variant:ident($state:ty)),*) => {$(
+        impl Variant for $state {
+            fn wrap(self) -> TunerState {
+                TunerState::$variant(self)
+            }
+            fn unwrap(state: TunerState) -> Result<Self, &'static str> {
+                match state {
+                    TunerState::$variant(s) => Ok(s),
+                    other => Err(other.tuner_name()),
+                }
+            }
+        }
+    )*};
+}
+
+variants!(
+    Harl(HarlTunerState),
+    Ansor(AnsorTunerState),
+    Flextensor(FlextensorTunerState),
+    Mcts(MctsTunerState),
+    Cd(CdTunerState)
+);
+
+// The one place a typed searcher is erased: every method is the shell's,
+// and the state crosses as its `TunerState` variant.
+impl<P: Proposer> Tuner for Searcher<'_, P>
+where
+    P::State: Variant,
+{
     fn name(&self) -> &str {
-        "harl"
+        P::NAME
     }
 
     fn core(&self) -> &SearchCore<'_> {
@@ -196,205 +232,38 @@ impl Tuner for HarlOperatorTuner<'_> {
     }
 
     fn round(&mut self, budget: usize) -> usize {
-        HarlOperatorTuner::round(self, budget)
+        Searcher::round(self, budget)
     }
 
     fn checkpoint(&self) -> TunerState {
-        TunerState::Harl(self.checkpoint_state())
+        self.checkpoint_state().wrap()
     }
 
     fn restore(&mut self, state: TunerState) {
-        match state {
-            TunerState::Harl(s) => self.restore_state(s),
-            other => panic!("cannot restore {} state into harl", other.tuner_name()),
+        match P::State::unwrap(state) {
+            Ok(s) => self.restore_state(s),
+            Err(other) => panic!("cannot restore {other} state into {}", P::NAME),
         }
     }
 
     fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
-        HarlOperatorTuner::warm_start(self, records)
+        Searcher::warm_start(self, records)
     }
 
     fn finetune(&mut self, cfg: &FinetuneConfig) -> u64 {
-        HarlOperatorTuner::finetune(self, cfg)
+        Searcher::finetune(self, cfg)
     }
 
     fn score_stats(&self) -> Option<&ScoreStats> {
-        Some(HarlOperatorTuner::score_stats(self))
+        self.proposer().pipeline().map(|p| p.stats())
     }
 
     fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
-        HarlOperatorTuner::set_tracer(self, tracer)
+        Searcher::set_tracer(self, tracer)
     }
 
     fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        HarlOperatorTuner::set_parallelism(self, opts)
-    }
-}
-
-impl Tuner for AnsorTuner<'_> {
-    fn name(&self) -> &str {
-        "ansor"
-    }
-
-    fn core(&self) -> &SearchCore<'_> {
-        self
-    }
-
-    fn round(&mut self, budget: usize) -> usize {
-        AnsorTuner::round(self, budget)
-    }
-
-    fn checkpoint(&self) -> TunerState {
-        TunerState::Ansor(self.checkpoint_state())
-    }
-
-    fn restore(&mut self, state: TunerState) {
-        match state {
-            TunerState::Ansor(s) => self.restore_state(s),
-            other => panic!("cannot restore {} state into ansor", other.tuner_name()),
-        }
-    }
-
-    fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
-        AnsorTuner::warm_start(self, records)
-    }
-
-    fn finetune(&mut self, cfg: &FinetuneConfig) -> u64 {
-        AnsorTuner::finetune(self, cfg)
-    }
-
-    fn score_stats(&self) -> Option<&ScoreStats> {
-        Some(AnsorTuner::score_stats(self))
-    }
-
-    fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
-        AnsorTuner::set_tracer(self, tracer)
-    }
-
-    fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        AnsorTuner::set_parallelism(self, opts)
-    }
-}
-
-impl Tuner for FlextensorTuner<'_> {
-    fn name(&self) -> &str {
-        "flextensor"
-    }
-
-    fn core(&self) -> &SearchCore<'_> {
-        self
-    }
-
-    fn round(&mut self, budget: usize) -> usize {
-        self.episode(budget as u64) as usize
-    }
-
-    fn checkpoint(&self) -> TunerState {
-        TunerState::Flextensor(self.checkpoint_state())
-    }
-
-    fn restore(&mut self, state: TunerState) {
-        match state {
-            TunerState::Flextensor(s) => self.restore_state(s),
-            other => panic!(
-                "cannot restore {} state into flextensor",
-                other.tuner_name()
-            ),
-        }
-    }
-
-    fn finetune(&mut self, cfg: &FinetuneConfig) -> u64 {
-        FlextensorTuner::finetune(self, cfg)
-    }
-
-    fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
-        FlextensorTuner::set_tracer(self, tracer)
-    }
-
-    fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        FlextensorTuner::set_parallelism(self, opts)
-    }
-}
-
-impl Tuner for MctsTuner<'_> {
-    fn name(&self) -> &str {
-        "mcts"
-    }
-
-    fn core(&self) -> &SearchCore<'_> {
-        self
-    }
-
-    fn round(&mut self, budget: usize) -> usize {
-        MctsTuner::round(self, budget)
-    }
-
-    fn checkpoint(&self) -> TunerState {
-        TunerState::Mcts(self.checkpoint_state())
-    }
-
-    fn restore(&mut self, state: TunerState) {
-        match state {
-            TunerState::Mcts(s) => self.restore_state(s),
-            other => panic!("cannot restore {} state into mcts", other.tuner_name()),
-        }
-    }
-
-    fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
-        MctsTuner::warm_start(self, records)
-    }
-
-    fn finetune(&mut self, cfg: &FinetuneConfig) -> u64 {
-        MctsTuner::finetune(self, cfg)
-    }
-
-    fn score_stats(&self) -> Option<&ScoreStats> {
-        Some(MctsTuner::score_stats(self))
-    }
-
-    fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
-        MctsTuner::set_tracer(self, tracer)
-    }
-
-    fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        MctsTuner::set_parallelism(self, opts)
-    }
-}
-
-impl Tuner for CdTuner<'_> {
-    fn name(&self) -> &str {
-        "cd"
-    }
-
-    fn core(&self) -> &SearchCore<'_> {
-        self
-    }
-
-    fn round(&mut self, budget: usize) -> usize {
-        CdTuner::round(self, budget)
-    }
-
-    fn checkpoint(&self) -> TunerState {
-        TunerState::Cd(self.checkpoint_state())
-    }
-
-    fn restore(&mut self, state: TunerState) {
-        match state {
-            TunerState::Cd(s) => self.restore_state(s),
-            other => panic!("cannot restore {} state into cd", other.tuner_name()),
-        }
-    }
-
-    fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
-        CdTuner::warm_start(self, records)
-    }
-
-    fn finetune(&mut self, cfg: &FinetuneConfig) -> u64 {
-        CdTuner::finetune(self, cfg)
-    }
-
-    fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
-        CdTuner::set_tracer(self, tracer)
+        Searcher::set_parallelism(self, opts)
     }
 }
 
@@ -848,7 +717,9 @@ impl Drop for TuningSession<'_> {
 mod tests {
     use super::*;
     use crate::config::HarlConfig;
-    use harl_ansor::AnsorConfig;
+    use crate::tuner::HarlOperatorTuner;
+    use harl_ansor::{AnsorConfig, AnsorTuner, FlextensorTuner};
+    use harl_mcts::{CdTuner, MctsTuner};
     use harl_tensor_ir::workload;
     use harl_tensor_sim::{Hardware, MeasureConfig};
 
@@ -972,6 +843,18 @@ mod tests {
         let err = TuningSession::builder().launch(Box::new(t2), &m2, Some(store2));
         assert!(matches!(err, Err(StoreError::Format(_))));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // `launch` turns the mismatch above into an error before it gets here;
+    // a direct caller has only the panic, which must name both kinds
+    #[test]
+    #[should_panic(expected = "cannot restore ansor state into harl")]
+    fn restoring_a_foreign_variant_panics_with_both_names() {
+        let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        let g = workload::gemm(128, 128, 128);
+        let ansor = AnsorTuner::new(g.clone(), &m, AnsorConfig::default());
+        let mut harl = HarlOperatorTuner::new(g, &m, HarlConfig::tiny());
+        Tuner::restore(&mut harl, Tuner::checkpoint(&ansor));
     }
 
     #[test]

@@ -2,21 +2,19 @@
 //! parameter search, with top-K measurement and on-line cost-model
 //! training (Algorithm 1's outer loop, §4).
 
-use std::ops::Deref;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use harl_bandit::{AnyBandit, Bandit};
-use harl_gbt::{CostModel, ScoreStats, ScoringPipeline};
-use harl_mcts::{best_last_seeds, Picks, SearchCore};
+use harl_gbt::{CostModel, ScoringPipeline};
+use harl_mcts::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
 use harl_nnet::PpoAgent;
 use harl_obs::Tracer;
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
-use harl_tensor_ir::{ActionSpace, Schedule, Subgraph};
-use harl_tensor_sim::{Measurer, TuneTrace};
+use harl_tensor_ir::{ActionSpace, Schedule};
+use harl_tensor_sim::TuneTrace;
 use harl_verify::{check_finite, LintCode, LintStats};
 
 use crate::adaptive::CriticalStep;
@@ -35,10 +33,11 @@ pub struct RoundLog {
 /// Tunes one subgraph with the full HARL stack below the subgraph level:
 /// sketch MAB → PPO parameter search with adaptive stopping → top-K
 /// measurement → cost-model update.
-pub struct HarlOperatorTuner<'m> {
-    /// Shared search state; the lint counters cover every candidate
-    /// considered, across all rounds.
-    core: SearchCore<'m>,
+pub type HarlOperatorTuner<'m> = Searcher<'m, HarlProposer>;
+
+/// The HARL proposer. The core's lint counters cover every candidate its
+/// episodes considered, across all rounds.
+pub struct HarlProposer {
     cost_model: CostModel,
     agent: PpoAgent,
     sketch_bandit: AnyBandit,
@@ -46,8 +45,8 @@ pub struct HarlOperatorTuner<'m> {
     /// sorted best-first — warm-start seeds for later episodes.
     elites: Vec<Vec<(f64, Schedule)>>,
     /// Schedules queued for forced measurement in upcoming rounds — filled
-    /// by [`HarlOperatorTuner::warm_start`] with the best prior records so
-    /// a warm run re-establishes the old best immediately.
+    /// by the warm-start with the best prior records so a warm run
+    /// re-establishes the old best immediately.
     pending_seeds: Vec<Schedule>,
     /// Critical steps of every schedule track explored (Fig. 7(b)).
     pub critical_steps: Vec<CriticalStep>,
@@ -61,72 +60,7 @@ pub struct HarlOperatorTuner<'m> {
     rng: StdRng,
 }
 
-impl<'m> Deref for HarlOperatorTuner<'m> {
-    type Target = SearchCore<'m>;
-
-    fn deref(&self) -> &SearchCore<'m> {
-        &self.core
-    }
-}
-
-impl<'m> HarlOperatorTuner<'m> {
-    pub fn new(graph: Subgraph, measurer: &'m Measurer, cfg: HarlConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ (graph.name.len() as u64) << 3);
-        let core = SearchCore::new(graph, measurer);
-        let space = ActionSpace::of(&core.sketches[0]);
-        let mut agent = PpoAgent::new(
-            harl_tensor_ir::FEATURE_DIM,
-            &[space.tile_actions(), 3, 3, 3],
-            cfg.ppo.clone(),
-            &mut rng,
-        );
-        agent.set_threads(harl_par::ppo_threads_from_env());
-        let mut mab_kind = cfg.mab_kind;
-        if let harl_bandit::BanditKind::SwUcb { c, tau } = &mut mab_kind {
-            *c = cfg.mab_c;
-            *tau = cfg.mab_tau;
-        }
-        let sketch_bandit = mab_kind.build(core.sketches.len());
-        let elites = vec![Vec::new(); core.sketches.len()];
-        HarlOperatorTuner {
-            core,
-            cost_model: CostModel::new(cfg.gbt.clone()),
-            agent,
-            sketch_bandit,
-            elites,
-            pending_seeds: Vec::new(),
-            critical_steps: Vec::new(),
-            rounds: Vec::new(),
-            pipeline: ScoringPipeline::from_env(),
-            cfg,
-            rng,
-        }
-    }
-
-    /// Counters of the batched scoring pipeline (cache hits, batches,
-    /// thread width).
-    pub fn score_stats(&self) -> &ScoreStats {
-        self.pipeline.stats()
-    }
-
-    /// Overrides every pool width the tuner owns (tests and explicit
-    /// config; normally inherited from `HARL_SCORE_THREADS` /
-    /// `HARL_PPO_THREADS`). Results are bit-identical at any width.
-    pub fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        self.pipeline.set_threads(opts.score_threads);
-        self.agent.set_threads(opts.ppo_threads);
-    }
-
-    /// Attaches a tracer; rounds then emit `harl_round`/`episode`/
-    /// `measure`/`gbt_retrain` spans (and the agent its
-    /// `ppo_act_batch`/`gemm`/`ppo_backward` spans). Pure observation —
-    /// the search is bit-identical with or without it.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.pipeline.set_tracer(tracer.clone());
-        self.agent.set_tracer(tracer.clone());
-        self.core.set_tracer(tracer);
-    }
-
+impl HarlProposer {
     /// Current cost-model sample count (for diagnostics).
     pub fn cost_model_samples(&self) -> usize {
         self.cost_model.num_samples()
@@ -145,20 +79,56 @@ impl<'m> HarlOperatorTuner<'m> {
         }
     }
 
-    /// One tuning round (sketch selection → episode → top-K measurement).
-    /// Returns the trials used (≤ `budget`).
-    pub fn round(&mut self, budget: usize) -> usize {
-        if budget == 0 {
-            return 0;
+    /// Per-sketch windowed pull counts of the sketch bandit
+    /// (diagnostics/tests; NaN for policies without counts).
+    pub fn sketch_pulls(&self) -> Vec<f64> {
+        (0..self.elites.len())
+            .map(|a| self.sketch_bandit.pulls(a))
+            .collect()
+    }
+}
+
+impl Proposer for HarlProposer {
+    const NAME: &'static str = "harl";
+    type Config = HarlConfig;
+    type State = HarlTunerState;
+
+    fn new(core: &mut SearchCore<'_>, cfg: HarlConfig) -> Self {
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ (core.graph.name.len() as u64) << 3);
+        let space = ActionSpace::of(&core.sketches[0]);
+        let mut agent = PpoAgent::new(
+            harl_tensor_ir::FEATURE_DIM,
+            &[space.tile_actions(), 3, 3, 3],
+            cfg.ppo.clone(),
+            &mut rng,
+        );
+        agent.set_threads(harl_par::ppo_threads_from_env());
+        HarlProposer {
+            cost_model: CostModel::new(cfg.gbt.clone()),
+            agent,
+            sketch_bandit: cfg.bandit(core.sketches.len()),
+            elites: vec![Vec::new(); core.sketches.len()],
+            pending_seeds: Vec::new(),
+            critical_steps: Vec::new(),
+            rounds: Vec::new(),
+            pipeline: ScoringPipeline::from_env(),
+            cfg,
+            rng,
         }
-        let _round_span = self.core.tracer().span("harl_round");
+    }
+
+    /// One tuning round (sketch selection → episode → top-K measurement):
+    /// a `harl_round` span with `sketch_pick`/`episode`/`topk_select`/
+    /// `measure`/`gbt_retrain` children.
+    fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize {
+        let _round_span = core.tracer().span("harl_round");
         // --- sketch selection (§4.1, Eq. 2) -------------------------------
         let sketch_id = {
-            let _pick_span = self.core.tracer().span("sketch_pick");
+            let _pick_span = core.tracer().span("sketch_pick");
             if self.cfg.sketch_mab {
                 self.sketch_bandit.select(&mut self.rng)
             } else {
-                self.rng.gen_range(0..self.core.sketches.len())
+                self.rng.gen_range(0..core.sketches.len())
             }
         };
 
@@ -167,33 +137,32 @@ impl<'m> HarlOperatorTuner<'m> {
             .iter()
             .map(|(_, s)| s.clone())
             .collect();
-        let episode_span = self
-            .core
+        let episode_span = core
             .tracer()
             .span_with("episode", &[("sketch", sketch_id.into())]);
         let episode = run_episode(
-            &self.core.graph,
-            &self.core.sketches[sketch_id],
-            self.core.target(),
+            &core.graph,
+            &core.sketches[sketch_id],
+            core.target(),
             &mut self.agent,
             &self.cost_model,
             &self.cfg,
             &seeds,
-            self.core.analyzer(),
+            core.analyzer(),
             &mut self.pipeline,
-            self.core.tracer(),
+            core.tracer(),
             &mut self.rng,
         );
         drop(episode_span);
         self.critical_steps
             .extend(episode.critical_steps.iter().copied());
-        self.core.lint_stats.merge(&episode.lint_stats);
+        core.lint_stats.merge(&episode.lint_stats);
 
         // --- top-K selection phase (lines 20–22) ----------------------------
         // Schedules are ranked by predicted score; picks are capped per
         // schedule track so the measurement set stays diverse instead of
         // collapsing onto the single best-predicted track's neighbourhood.
-        let topk_span = self.core.tracer().span("topk_select");
+        let topk_span = core.tracer().span("topk_select");
         let k = budget.min(self.cfg.measure_per_round);
         let mut scored = episode.visited;
         scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
@@ -203,7 +172,7 @@ impl<'m> HarlOperatorTuner<'m> {
         let mut picks = Picks::new(k);
         // forced warm-start seeds jump the queue: prior-run bests are
         // re-measured before any fresh candidates
-        self.core.pick_seeds(&mut picks, &mut self.pending_seeds);
+        core.pick_seeds(&mut picks, &mut self.pending_seeds);
         for pass in 0..2 {
             for (_, s, track) in &scored {
                 if picks.is_full() {
@@ -213,15 +182,14 @@ impl<'m> HarlOperatorTuner<'m> {
                 if pass == 0 && track_counts.get(track).copied().unwrap_or(0) >= per_track_cap {
                     continue;
                 }
-                if self.core.pick(&mut picks, s) {
+                if core.pick(&mut picks, s) {
                     *track_counts.entry(*track).or_insert(0) += 1;
                 }
             }
         }
         // fall back to random sampling when the episode didn't yield enough
         // unseen schedules
-        self.core
-            .pick_random(&mut picks, Some(sketch_id), k, &mut self.rng);
+        core.pick_random(&mut picks, Some(sketch_id), k, &mut self.rng);
         drop(topk_span);
         let picks = picks.schedules;
         if picks.is_empty() {
@@ -230,7 +198,7 @@ impl<'m> HarlOperatorTuner<'m> {
 
         let mut round_best_flops = 0.0f64;
         let mut updates = Vec::with_capacity(picks.len());
-        for (m, features) in self.core.measure_all(&picks) {
+        for (m, features) in core.measure_all(&picks) {
             round_best_flops = round_best_flops.max(m.flops_per_sec);
             updates.push((features, m.flops_per_sec));
             self.elites[m.schedule.sketch_id].push((m.time, m.schedule));
@@ -238,7 +206,7 @@ impl<'m> HarlOperatorTuner<'m> {
         self.trim_elites();
         // train the cost model with the measurements (line 22)
         {
-            let _retrain_span = self.core.tracer().span("gbt_retrain");
+            let _retrain_span = core.tracer().span("gbt_retrain");
             self.cost_model.update_batch(updates);
         }
 
@@ -249,9 +217,7 @@ impl<'m> HarlOperatorTuner<'m> {
             0.0
         };
         if check_finite("sketch MAB reward", x_t).is_some() {
-            self.core
-                .lint_stats
-                .record_finding(LintCode::NonFiniteValue);
+            core.lint_stats.record_finding(LintCode::NonFiniteValue);
             x_t = 0.0;
         }
         self.sketch_bandit.update(sketch_id, x_t);
@@ -262,7 +228,7 @@ impl<'m> HarlOperatorTuner<'m> {
             round_best_flops,
         });
         // simulated algorithm overhead: fixed + per-evaluation + per-RL-step
-        self.core.end_round(
+        core.end_round(
             self.cfg.round_overhead
                 + scored.len() as f64 * self.cfg.eval_cost
                 + episode.steps as f64 * self.cfg.ppo_step_cost,
@@ -271,48 +237,27 @@ impl<'m> HarlOperatorTuner<'m> {
         picks.len()
     }
 
-    /// Tunes until `total_trials` measurements have been used.
-    pub fn tune(&mut self, total_trials: u64) {
-        while self.trials_used < total_trials {
-            let remaining = (total_trials - self.trials_used) as usize;
-            if self.round(remaining) == 0 {
-                break;
-            }
-        }
-    }
-
-    /// Per-sketch windowed pull counts of the sketch bandit
-    /// (diagnostics/tests; NaN for policies without counts).
-    pub fn sketch_pulls(&self) -> Vec<f64> {
-        (0..self.sketches.len())
-            .map(|a| self.sketch_bandit.pulls(a))
-            .collect()
-    }
-
-    /// Snapshots the mutable search state for checkpointing.
-    pub fn checkpoint_state(&self) -> HarlTunerState {
+    fn checkpoint(&self, core: &SearchCore<'_>) -> HarlTunerState {
         HarlTunerState {
             cost_model: self.cost_model.clone(),
             agent: self.agent.clone(),
             sketch_bandit: self.sketch_bandit.clone(),
-            seen: self.seen_sorted(),
+            seen: core.seen_sorted(),
             elites: self.elites.clone(),
             pending_seeds: self.pending_seeds.clone(),
-            best_time: self.best_time,
-            best_schedule: self.best_schedule.clone(),
-            trials_used: self.trials_used,
-            trace: self.trace.clone(),
+            best_time: core.best_time,
+            best_schedule: core.best_schedule.clone(),
+            trials_used: core.trials_used,
+            trace: core.trace.clone(),
             critical_steps: self.critical_steps.clone(),
             rounds: self.rounds.clone(),
-            lint_stats: self.lint_stats.clone(),
+            lint_stats: core.lint_stats.clone(),
             rng: self.rng.state(),
         }
     }
 
-    /// Overwrites the mutable search state from a checkpoint. The tuner
-    /// must have been constructed with the same graph, config, and seed.
-    pub fn restore_state(&mut self, state: HarlTunerState) {
-        self.core.restore(
+    fn restore(&mut self, core: &mut SearchCore<'_>, state: HarlTunerState) {
+        core.restore(
             state.seen,
             state.best_time,
             state.best_schedule,
@@ -326,7 +271,7 @@ impl<'m> HarlOperatorTuner<'m> {
         let ppo_threads = self.agent.threads();
         self.agent = state.agent;
         self.agent.set_threads(ppo_threads);
-        self.agent.set_tracer(self.core.tracer().clone());
+        self.agent.set_tracer(core.tracer().clone());
         self.sketch_bandit = state.sketch_bandit;
         self.elites = state.elites;
         self.pending_seeds = state.pending_seeds;
@@ -335,41 +280,39 @@ impl<'m> HarlOperatorTuner<'m> {
         self.rng = StdRng::from_state(state.rng);
     }
 
-    /// Coordinate-descent fine-tune pass over the current best schedule
-    /// (see [`harl_mcts::coordinate_descent`]); monotone — `best_time`
-    /// never regresses. Returns the trials spent.
-    pub fn finetune(&mut self, cfg: &harl_mcts::FinetuneConfig) -> u64 {
-        self.core.finetune(cfg, "harl_finetune")
-    }
-
-    /// Warm-starts from prior measurement records of similar workloads:
-    /// pre-trains the cost model, seeds the per-sketch elite pools (episode
+    /// Pre-trains the cost model, seeds the per-sketch elite pools (episode
     /// warm-start tracks), and queues the best prior schedules for forced
-    /// re-measurement in the next rounds. Returns how many records were
-    /// usable. Costs no fresh measurement trials.
-    pub fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
-        let usable = self.core.usable_records(records);
-        if usable.is_empty() {
-            return 0;
-        }
-        self.cost_model
-            .update_batch(self.core.training_rows(&usable));
-        for r in &usable {
+    /// re-measurement in the next rounds.
+    fn warm_start(&mut self, core: &SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
+        self.cost_model.update_batch(core.training_rows(usable));
+        for r in usable {
             self.elites[r.sketch_id].push((r.time, r.schedule.clone()));
         }
         self.trim_elites();
         self.pending_seeds
-            .extend(best_last_seeds(&usable, self.cfg.measure_per_round));
+            .extend(best_last_seeds(usable, self.cfg.measure_per_round));
         usable.len()
+    }
+
+    fn pipeline(&self) -> Option<&ScoringPipeline> {
+        Some(&self.pipeline)
+    }
+
+    /// The agent then emits its `ppo_act_batch`/`gemm`/`ppo_backward`
+    /// spans and the pipeline its `score` spans.
+    fn set_tracer(&mut self, tracer: &Tracer) {
+        self.pipeline.set_tracer(tracer.clone());
+        self.agent.set_tracer(tracer.clone());
+    }
+
+    fn set_parallelism(&mut self, opts: ParallelismOpts) {
+        self.pipeline.set_threads(opts.score_threads);
+        self.agent.set_threads(opts.ppo_threads);
     }
 }
 
-/// Serializable snapshot of a [`HarlOperatorTuner`]'s mutable search state.
-///
-/// The graph, config, and measurer are *not* captured: restoring requires a
-/// tuner constructed with the identical workload, config, and seed, after
-/// which [`HarlOperatorTuner::restore_state`] overwrites the mutable fields
-/// so the search continues exactly where the checkpoint left off.
+/// Serializable snapshot of a [`HarlOperatorTuner`]'s mutable search state
+/// (see [`Proposer::State`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HarlTunerState {
     /// On-line cost model (dataset + fitted booster).
@@ -406,7 +349,7 @@ pub struct HarlTunerState {
 mod tests {
     use super::*;
     use harl_tensor_ir::workload;
-    use harl_tensor_sim::{Hardware, MeasureConfig};
+    use harl_tensor_sim::{Hardware, MeasureConfig, Measurer};
 
     #[test]
     fn operator_tuning_improves() {
@@ -437,7 +380,7 @@ mod tests {
         assert_eq!(t.trials_used, measurer.trials());
         assert_eq!(
             t.trials_used,
-            t.rounds.iter().map(|r| r.trials).sum::<u64>()
+            t.proposer().rounds.iter().map(|r| r.trials).sum::<u64>()
         );
         assert!(t.trials_used >= 48);
     }
@@ -451,7 +394,7 @@ mod tests {
         for _ in 0..6 {
             t.round(8);
         }
-        let pulls = t.sketch_pulls();
+        let pulls = t.proposer().sketch_pulls();
         assert!(pulls.iter().all(|&p| p > 0.0), "sketch pulls {pulls:?}");
     }
 
@@ -461,7 +404,10 @@ mod tests {
         let g = workload::gemm(128, 256, 128);
         let mut t = HarlOperatorTuner::new(g, &measurer, HarlConfig::tiny());
         t.round(8);
-        assert_eq!(t.critical_steps.len(), HarlConfig::tiny().tracks_per_round);
+        assert_eq!(
+            t.proposer().critical_steps.len(),
+            HarlConfig::tiny().tracks_per_round
+        );
     }
 
     #[test]
@@ -512,6 +458,7 @@ mod tests {
         let mut cold = HarlOperatorTuner::new(g.clone(), &m1, HarlConfig::tiny());
         cold.tune(48);
         let records: Vec<MeasureRecord> = cold
+            .proposer()
             .elites
             .iter()
             .flatten()
@@ -529,10 +476,10 @@ mod tests {
         let mut warm = HarlOperatorTuner::new(g, &m2, HarlConfig::tiny());
         let used = warm.warm_start(&records);
         assert!(used > 0, "no records were usable");
-        assert!(warm.cost_model.is_trained());
+        assert!(warm.proposer().cost_model.is_trained());
         assert_eq!(warm.trials_used, 0);
         assert_eq!(m2.trials(), 0);
-        assert!(!warm.pending_seeds.is_empty());
+        assert!(!warm.proposer().pending_seeds.is_empty());
 
         // the queued seeds are measured first, so one round re-establishes
         // a best at least as good as the best prior record

@@ -5,16 +5,23 @@
 //! only the *propose* step differs. [`SearchCore`] owns the state that loop
 //! shares (workload, sketches, measurer, analyzer, lint counters, the set
 //! of measured schedules, the best schedule, the trial count and the
-//! best-so-far trace) and the steps over it, each written once. A searcher
-//! is a `SearchCore` plus its proposer state (cost model, agent, bandit,
-//! elites, tree, queued seeds, RNG, config).
+//! best-so-far trace) and the steps over it, each written once. A
+//! [`Proposer`] is the propose step and the state only it needs (cost
+//! model, agent, bandit, elites, tree, queued seeds, RNG, config);
+//! [`Searcher`] puts one on a core and is the whole tuner shell: budget
+//! guard, `tune` loop, fine-tune, warm-start filter, checkpoint/restore.
+//! A new searcher is one `impl Proposer` (the tests below hold a
+//! 30-line one).
 
 use std::collections::HashSet;
+use std::ops::Deref;
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use harl_gbt::{ScoreStats, ScoringPipeline};
 use harl_obs::Tracer;
+use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::{
     extract_features_into, generate_sketches, Schedule, Sketch, Subgraph, Target,
@@ -24,10 +31,11 @@ use harl_verify::{Analyzer, LintStats};
 
 use crate::finetune::{coordinate_descent, DescentOutcome, FinetuneConfig};
 
-/// State and steps shared by every searcher. Searchers hand it out
-/// read-only (`Deref`, `Tuner::core`), so `best_time`, `best_schedule`,
-/// `trials_used` and `trace` only ever change through the steps below and
-/// always describe the same measurements.
+/// State and steps shared by every searcher. A [`Searcher`] hands it out
+/// read-only (`Deref`, `Tuner::core`) and mutably only to its own
+/// proposer, so `best_time`, `best_schedule`, `trials_used` and `trace`
+/// only ever change through the steps below and always describe the same
+/// measurements.
 pub struct SearchCore<'m> {
     /// The subgraph being tuned.
     pub graph: Subgraph,
@@ -368,6 +376,175 @@ impl<'m> SearchCore<'m> {
     }
 }
 
+/// The propose step of one searcher, and the state only that step needs.
+/// Everything else a tuner does is [`Searcher`], written once.
+pub trait Proposer: Sized {
+    /// Short searcher name (`"harl"`, `"ansor"`, …): the `Tuner` name and
+    /// the prefix of the `<NAME>_finetune` span.
+    const NAME: &'static str;
+    /// The searcher's configuration.
+    type Config;
+    /// Serializable snapshot of the core's and the proposer's mutable
+    /// state. The graph, config and measurer are *not* captured: restoring
+    /// needs a searcher built from the identical workload, config and
+    /// seed.
+    type State;
+
+    /// Proposer state for a fresh search over `core` (which it may cut
+    /// down, e.g. to one fixed sketch).
+    fn new(core: &mut SearchCore<'_>, cfg: Self::Config) -> Self;
+
+    /// One round: propose a measurement set of at most `budget > 0`
+    /// schedules, measure it through `core`, learn from the results and
+    /// close the round with [`SearchCore::end_round`]. Returns the trials
+    /// used; 0 means no progress is possible.
+    fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize;
+
+    /// Snapshots the mutable search state.
+    fn checkpoint(&self, core: &SearchCore<'_>) -> Self::State;
+
+    /// Overwrites the mutable search state, the core's through
+    /// [`SearchCore::restore`]. Runtime wiring (tracer, pool widths) is
+    /// not part of a checkpoint and must survive.
+    fn restore(&mut self, core: &mut SearchCore<'_>, state: Self::State);
+
+    /// Seeds the search from `usable` (never empty: already filtered by
+    /// [`SearchCore::usable_records`]) without spending a trial; returns
+    /// how many records were used. The default uses none.
+    fn warm_start(&mut self, core: &SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
+        let _ = (core, usable);
+        0
+    }
+
+    /// The batched scoring pipeline, for proposers that rank candidates
+    /// with a cost model.
+    fn pipeline(&self) -> Option<&ScoringPipeline> {
+        None
+    }
+
+    /// Hands the proposer's own stages (pipeline, agent) the tracer the
+    /// core is about to get.
+    fn set_tracer(&mut self, tracer: &Tracer) {
+        let _ = tracer;
+    }
+
+    /// Applies the pool widths of the proposer's parallel stages.
+    fn set_parallelism(&mut self, opts: ParallelismOpts) {
+        let _ = opts;
+    }
+}
+
+/// A tuner: one [`SearchCore`] and the [`Proposer`] that drives it. The
+/// core derefs read-only and the proposer is reachable only by `&`, so
+/// search state changes through rounds, fine-tunes and restores alone.
+pub struct Searcher<'m, P> {
+    core: SearchCore<'m>,
+    proposer: P,
+}
+
+impl<'m, P> Deref for Searcher<'m, P> {
+    type Target = SearchCore<'m>;
+
+    fn deref(&self) -> &SearchCore<'m> {
+        &self.core
+    }
+}
+
+/// What [`Searcher::score_stats`] reports without a pipeline.
+static NOTHING_SCORED: ScoreStats = ScoreStats {
+    batch_count: 0,
+    scored: 0,
+    cache_hits: 0,
+    cache_misses: 0,
+    features_cached: 0,
+    threads: 0,
+};
+
+impl<'m, P: Proposer> Searcher<'m, P> {
+    /// A searcher over every sketch `graph` has on the measurer's target.
+    pub fn new(graph: Subgraph, measurer: &'m Measurer, cfg: P::Config) -> Self {
+        let mut core = SearchCore::new(graph, measurer);
+        let proposer = P::new(&mut core, cfg);
+        Searcher { core, proposer }
+    }
+
+    /// The proposer's own state and diagnostics (cost model, round log,
+    /// critical steps, tree size, …).
+    pub fn proposer(&self) -> &P {
+        &self.proposer
+    }
+
+    /// One tuning round with up to `budget` measurements; returns the
+    /// trials used (0 when the budget is spent or nothing is left to try).
+    pub fn round(&mut self, budget: usize) -> usize {
+        if budget == 0 {
+            return 0;
+        }
+        self.proposer.round(&mut self.core, budget)
+    }
+
+    /// Runs rounds until `total_trials` measurements have been used.
+    pub fn tune(&mut self, total_trials: u64) {
+        while self.core.trials_used < total_trials {
+            let remaining = (total_trials - self.core.trials_used) as usize;
+            if self.round(remaining) == 0 {
+                break;
+            }
+        }
+    }
+
+    /// Coordinate-descent fine-tune pass over the current best schedule
+    /// (see [`SearchCore::finetune`]) under a `<NAME>_finetune` span;
+    /// monotone — `best_time` never regresses. Returns the trials spent.
+    pub fn finetune(&mut self, cfg: &FinetuneConfig) -> u64 {
+        self.core.finetune(cfg, &format!("{}_finetune", P::NAME))
+    }
+
+    /// Warm-starts from prior measurement records of similar workloads
+    /// without spending a trial; returns how many records were used.
+    pub fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
+        let usable = self.core.usable_records(records);
+        if usable.is_empty() {
+            return 0;
+        }
+        self.proposer.warm_start(&self.core, &usable)
+    }
+
+    /// Snapshots the mutable search state for checkpointing.
+    pub fn checkpoint_state(&self) -> P::State {
+        self.proposer.checkpoint(&self.core)
+    }
+
+    /// Overwrites the mutable search state from a checkpoint. The searcher
+    /// must have been built from the same graph, config and seed.
+    pub fn restore_state(&mut self, state: P::State) {
+        self.proposer.restore(&mut self.core, state);
+    }
+
+    /// Counters of the proposer's scoring pipeline (cache hits, batches,
+    /// thread width); all zero for a proposer that scores nothing.
+    pub fn score_stats(&self) -> &ScoreStats {
+        self.proposer
+            .pipeline()
+            .map_or(&NOTHING_SCORED, ScoringPipeline::stats)
+    }
+
+    /// Attaches a tracer: rounds, measurements, fine-tunes and the
+    /// proposer's stages become spans. Observation only — the search is
+    /// bit-identical with or without it.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.proposer.set_tracer(&tracer);
+        self.core.set_tracer(tracer);
+    }
+
+    /// Overrides the proposer's pool widths (normally inherited from
+    /// `HARL_SCORE_THREADS` / `HARL_PPO_THREADS`). Results are
+    /// bit-identical at any width.
+    pub fn set_parallelism(&mut self, opts: ParallelismOpts) {
+        self.proposer.set_parallelism(opts);
+    }
+}
+
 /// The schedules of the `limit` best distinct `usable` records, best
 /// *last*: queued like this, `pop` (see [`SearchCore::pick_seeds`])
 /// re-measures the best prior schedule first.
@@ -383,6 +560,148 @@ mod tests {
     use harl_tensor_ir::workload;
     use harl_tensor_sim::{Hardware, MeasureConfig};
     use rand::SeedableRng;
+
+    /// The smallest searcher, and the template for a new one: each round
+    /// measures up to four random lint-clean schedules; no model, no
+    /// learning. It stops proposing after `max_rounds` calls, and counts
+    /// the calls that reached it.
+    struct Toy {
+        max_rounds: usize,
+        round_calls: usize,
+        warm_start_calls: usize,
+        rng: StdRng,
+    }
+
+    #[derive(serde::Serialize)]
+    struct ToyState {
+        seen: Vec<u64>,
+        best_time: f64,
+        best_schedule: Option<Schedule>,
+        trials_used: u64,
+        trace: TuneTrace,
+        lint_stats: LintStats,
+        rng: [u64; 4],
+    }
+
+    impl Proposer for Toy {
+        const NAME: &'static str = "toy";
+        /// `(seed, max_rounds)`.
+        type Config = (u64, usize);
+        type State = ToyState;
+
+        fn new(_core: &mut SearchCore<'_>, (seed, max_rounds): (u64, usize)) -> Self {
+            Toy {
+                max_rounds,
+                round_calls: 0,
+                warm_start_calls: 0,
+                rng: StdRng::seed_from_u64(seed),
+            }
+        }
+
+        fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize {
+            self.round_calls += 1;
+            if self.round_calls > self.max_rounds {
+                return 0;
+            }
+            let k = budget.min(4);
+            let mut picks = Picks::new(k);
+            core.pick_random(&mut picks, None, k, &mut self.rng);
+            let measured = core.measure_all(&picks.schedules).len();
+            core.end_round(1.0, measured as u64);
+            measured
+        }
+
+        fn checkpoint(&self, core: &SearchCore<'_>) -> ToyState {
+            ToyState {
+                seen: core.seen_sorted(),
+                best_time: core.best_time,
+                best_schedule: core.best_schedule.clone(),
+                trials_used: core.trials_used,
+                trace: core.trace.clone(),
+                lint_stats: core.lint_stats.clone(),
+                rng: self.rng.state(),
+            }
+        }
+
+        fn restore(&mut self, core: &mut SearchCore<'_>, s: ToyState) {
+            core.restore(
+                s.seen,
+                s.best_time,
+                s.best_schedule,
+                s.trials_used,
+                s.trace,
+                s.lint_stats,
+            );
+            self.rng = StdRng::from_state(s.rng);
+        }
+
+        fn warm_start(&mut self, _core: &SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
+            self.warm_start_calls += 1;
+            usable.len()
+        }
+    }
+
+    fn toy<'m>(measurer: &'m Measurer, max_rounds: usize) -> Searcher<'m, Toy> {
+        Searcher::new(workload::gemm(128, 128, 128), measurer, (9, max_rounds))
+    }
+
+    #[test]
+    fn a_zero_budget_or_an_unusable_warm_start_never_reaches_the_proposer() {
+        let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        let mut t = toy(&measurer, usize::MAX);
+        assert_eq!(t.round(0), 0);
+        assert_eq!(t.proposer().round_calls, 0);
+
+        let mut rng = StdRng::seed_from_u64(3);
+        let good = Schedule::random(&t.sketches[0], t.target(), &mut rng);
+        let good = record(&t, good, 1e-3);
+        let mut foreign = good.clone();
+        foreign.similarity_key ^= 1;
+        assert_eq!(t.warm_start(&[]), 0);
+        assert_eq!(t.warm_start(&[foreign.clone()]), 0);
+        assert_eq!(t.proposer().warm_start_calls, 0);
+        assert_eq!(t.warm_start(&[foreign, good]), 1, "the usable one");
+        assert_eq!(t.proposer().warm_start_calls, 1);
+        assert_eq!((t.trials_used, measurer.trials()), (0, 0));
+        assert_eq!(t.score_stats().scored, 0, "no pipeline, nothing scored");
+    }
+
+    #[test]
+    fn tune_stops_at_the_budget_or_when_the_proposer_gives_up() {
+        let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        let mut t = toy(&measurer, usize::MAX);
+        t.tune(10);
+        assert_eq!(t.trials_used, 10, "4 + 4 + the 2 that were left");
+        assert_eq!(t.proposer().round_calls, 3);
+
+        let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        let mut t = toy(&measurer, 2);
+        t.tune(100);
+        assert_eq!(t.trials_used, 8);
+        assert_eq!(t.proposer().round_calls, 3, "the third returned 0");
+        assert_eq!(t.trace.points.len(), 2);
+    }
+
+    #[test]
+    fn checkpoint_restore_and_two_rounds_equal_four_straight_rounds() {
+        let json = |t: &Searcher<'_, Toy>| serde_json::to_string(&t.checkpoint_state()).unwrap();
+        let m_ref = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        let mut t_ref = toy(&m_ref, usize::MAX);
+        t_ref.tune(8);
+        let (ck, ck_measurer) = (t_ref.checkpoint_state(), m_ref.state());
+        t_ref.tune(16);
+
+        let m2 = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        m2.restore_state(&ck_measurer);
+        let mut t2 = toy(&m2, usize::MAX);
+        t2.restore_state(ck);
+        assert_eq!(t2.trials_used, 8);
+        t2.tune(16);
+
+        assert_eq!(json(&t2), json(&t_ref));
+        assert_eq!(t2.best_time.to_bits(), t_ref.best_time.to_bits());
+        assert_eq!(m2.sim_seconds().to_bits(), m_ref.sim_seconds().to_bits());
+    }
 
     fn record(core: &SearchCore<'_>, s: Schedule, time: f64) -> MeasureRecord {
         MeasureRecord {

@@ -10,7 +10,6 @@
 //! fine-tune pass never perturbs the driving tuner's RNG stream.
 
 use std::collections::HashSet;
-use std::ops::Deref;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,11 +17,11 @@ use serde::{Deserialize, Serialize};
 
 use harl_store::MeasureRecord;
 use harl_tensor_ir::factorization::move_smallest_factor;
-use harl_tensor_ir::{Schedule, Sketch, Subgraph, Target};
-use harl_tensor_sim::{ConfigError, Measurer, TuneTrace};
+use harl_tensor_ir::{Schedule, Sketch, Target};
+use harl_tensor_sim::{ConfigError, TuneTrace};
 use harl_verify::LintStats;
 
-use crate::core::{best_last_seeds, Picks, SearchCore};
+use crate::core::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
 
 /// Configuration of a fine-tune phase ([`coordinate_descent`]).
 #[derive(Debug, Clone)]
@@ -346,7 +345,8 @@ impl CdConfigBuilder {
     }
 }
 
-/// Serializable snapshot of a [`CdTuner`]'s mutable search state.
+/// Serializable snapshot of a [`CdTuner`]'s mutable search state (see
+/// [`Proposer::State`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CdTunerState {
     /// Dedup keys of every schedule measured so far (sorted).
@@ -372,8 +372,12 @@ pub struct CdTunerState {
 /// Multi-start coordinate descent as a searcher in its own right: every
 /// round is one "raindrop" — a fresh (or warm-started) schedule descended
 /// axis-by-axis on direct hardware measurements, no cost model at all.
-pub struct CdTuner<'m> {
-    core: SearchCore<'m>,
+/// Its fine-tune phase is one extra (deeper) descent from the global best
+/// instead of a fresh restart.
+pub type CdTuner<'m> = Searcher<'m, CdProposer>;
+
+/// The raindrop proposer: where the next descent starts.
+pub struct CdProposer {
     /// Queued restart points (warm-start bests, best last).
     pending_seeds: Vec<Schedule>,
     /// Restarts (rounds) completed.
@@ -382,20 +386,14 @@ pub struct CdTuner<'m> {
     rng: StdRng,
 }
 
-impl<'m> Deref for CdTuner<'m> {
-    type Target = SearchCore<'m>;
+impl Proposer for CdProposer {
+    const NAME: &'static str = "cd";
+    type Config = CdConfig;
+    type State = CdTunerState;
 
-    fn deref(&self) -> &SearchCore<'m> {
-        &self.core
-    }
-}
-
-impl<'m> CdTuner<'m> {
-    /// Creates a tuner; sketches are generated for the measurer's target.
-    pub fn new(graph: Subgraph, measurer: &'m Measurer, cfg: CdConfig) -> Self {
-        let seed = cfg.seed ^ graph.name.len() as u64;
-        CdTuner {
-            core: SearchCore::new(graph, measurer),
+    fn new(core: &mut SearchCore<'_>, cfg: CdConfig) -> Self {
+        let seed = cfg.seed ^ core.graph.name.len() as u64;
+        CdProposer {
             pending_seeds: Vec::new(),
             restarts: 0,
             cfg,
@@ -403,23 +401,15 @@ impl<'m> CdTuner<'m> {
         }
     }
 
-    /// Attaches a tracer (`cd_round` spans). Observation only.
-    pub fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
-        self.core.set_tracer(tracer);
-    }
-
-    /// One restart: pick a starting schedule (queued warm-start best or a
-    /// fresh lint-valid random draw), measure it, then descend with the
-    /// rest of the round budget. Returns the trials used (≤ `budget`).
-    pub fn round(&mut self, budget: usize) -> usize {
-        if budget == 0 {
-            return 0;
-        }
-        let _round_span = self.core.tracer().span("cd_round");
+    /// One restart (a `cd_round` span): pick a starting schedule (queued
+    /// warm-start best or a fresh lint-valid random draw), measure it,
+    /// then descend with the rest of the round budget.
+    fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize {
+        let _round_span = core.tracer().span("cd_round");
         let k = budget.min(self.cfg.measure_per_round);
         let mut start = Picks::new(1);
-        self.core.pick_seeds(&mut start, &mut self.pending_seeds);
-        self.core.pick_random(&mut start, None, k, &mut self.rng);
+        core.pick_seeds(&mut start, &mut self.pending_seeds);
+        core.pick_random(&mut start, None, k, &mut self.rng);
         let Some(start) = start.schedules.pop() else {
             return 0;
         };
@@ -429,47 +419,34 @@ impl<'m> CdTuner<'m> {
             max_sweeps: self.cfg.max_sweeps,
             sweep_overhead: self.cfg.sweep_overhead,
         };
-        let out = self.core.descend(&descend_cfg, start, f64::INFINITY);
+        let out = core.descend(&descend_cfg, start, f64::INFINITY);
         if out.trials == 0 {
             return 0;
         }
         self.restarts += 1;
-        self.core.end_round(
+        core.end_round(
             self.cfg.round_overhead + self.cfg.sweep_overhead * out.sweeps as f64,
             out.trials as u64,
         );
         out.trials
     }
 
-    /// Runs rounds until `total_trials` measurements have been used.
-    pub fn tune(&mut self, total_trials: u64) {
-        while self.trials_used < total_trials {
-            let remaining = (total_trials - self.trials_used) as usize;
-            if self.round(remaining) == 0 {
-                break;
-            }
-        }
-    }
-
-    /// Snapshots the mutable search state for checkpointing.
-    pub fn checkpoint_state(&self) -> CdTunerState {
+    fn checkpoint(&self, core: &SearchCore<'_>) -> CdTunerState {
         CdTunerState {
-            seen: self.seen_sorted(),
+            seen: core.seen_sorted(),
             pending_seeds: self.pending_seeds.clone(),
             restarts: self.restarts,
-            best_time: self.best_time,
-            best_schedule: self.best_schedule.clone(),
-            trials_used: self.trials_used,
-            trace: self.trace.clone(),
-            lint_stats: self.lint_stats.clone(),
+            best_time: core.best_time,
+            best_schedule: core.best_schedule.clone(),
+            trials_used: core.trials_used,
+            trace: core.trace.clone(),
+            lint_stats: core.lint_stats.clone(),
             rng: self.rng.state(),
         }
     }
 
-    /// Overwrites the mutable search state from a checkpoint. The tuner
-    /// must have been constructed with the same graph, config, and seed.
-    pub fn restore_state(&mut self, state: CdTunerState) {
-        self.core.restore(
+    fn restore(&mut self, core: &mut SearchCore<'_>, state: CdTunerState) {
+        core.restore(
             state.seen,
             state.best_time,
             state.best_schedule,
@@ -482,21 +459,11 @@ impl<'m> CdTuner<'m> {
         self.rng = StdRng::from_state(state.rng);
     }
 
-    /// Coordinate-descent fine-tune pass over the current best schedule;
-    /// for this tuner it is one extra (deeper) descent from the global
-    /// best instead of a fresh restart. Monotone like every fine-tune.
-    /// Returns the trials spent.
-    pub fn finetune(&mut self, cfg: &FinetuneConfig) -> u64 {
-        self.core.finetune(cfg, "cd_finetune")
-    }
-
-    /// Warm-starts by queueing the best matching prior schedules as
-    /// restart points (best popped first). No cost model to pre-train;
-    /// returns how many records were usable.
-    pub fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
-        let usable = self.core.usable_records(records);
+    /// Queues the best matching prior schedules as restart points (best
+    /// popped first); there is no cost model to pre-train.
+    fn warm_start(&mut self, _core: &SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
         self.pending_seeds
-            .extend(best_last_seeds(&usable, self.cfg.measure_per_round));
+            .extend(best_last_seeds(usable, self.cfg.measure_per_round));
         usable.len()
     }
 }
@@ -505,7 +472,7 @@ impl<'m> CdTuner<'m> {
 mod tests {
     use super::*;
     use harl_tensor_ir::{generate_sketches, workload};
-    use harl_tensor_sim::{Hardware, MeasureConfig};
+    use harl_tensor_sim::{Hardware, MeasureConfig, Measurer};
 
     #[test]
     fn descent_is_monotone_and_respects_budget() {
@@ -576,7 +543,8 @@ mod tests {
         t.tune(96);
         assert!(t.best_time.is_finite());
         assert!(t.best_schedule.is_some());
-        assert!(t.restarts >= 2, "only {} restarts", t.restarts);
+        let restarts = t.proposer().restarts;
+        assert!(restarts >= 2, "only {restarts} restarts");
         assert_eq!(t.trials_used, measurer.trials());
         let times: Vec<f64> = t.trace.points.iter().map(|p| p.best_time).collect();
         assert!(times.windows(2).all(|w| w[1] <= w[0]));

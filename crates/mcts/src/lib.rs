@@ -35,9 +35,9 @@ mod core;
 mod finetune;
 mod tuner;
 
-pub use crate::core::{best_last_seeds, Picks, SearchCore};
+pub use crate::core::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
 pub use finetune::{
-    coordinate_descent, CdConfig, CdConfigBuilder, CdTuner, CdTunerState, DescentOutcome,
-    FinetuneConfig, FinetuneConfigBuilder,
+    coordinate_descent, CdConfig, CdConfigBuilder, CdProposer, CdTuner, CdTunerState,
+    DescentOutcome, FinetuneConfig, FinetuneConfigBuilder,
 };
-pub use tuner::{MctsConfig, MctsConfigBuilder, MctsNode, MctsTuner, MctsTunerState};
+pub use tuner::{MctsConfig, MctsConfigBuilder, MctsNode, MctsProposer, MctsTuner, MctsTunerState};

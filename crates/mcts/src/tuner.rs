@@ -9,20 +9,19 @@
 //! round's playouts see the sharper model (the pipeline's score cache is
 //! cleared at the round boundary exactly like the other tuners).
 
-use std::ops::Deref;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use harl_gbt::{CostModel, GbtParams, ScoreStats, ScoringPipeline};
+use harl_gbt::{CostModel, GbtParams, ScoringPipeline};
+use harl_obs::Tracer;
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
-use harl_tensor_ir::{extract_features_into, mutate, Schedule, Subgraph};
-use harl_tensor_sim::{ConfigError, Measurer, TuneTrace};
+use harl_tensor_ir::{extract_features_into, mutate, Schedule};
+use harl_tensor_sim::{ConfigError, TuneTrace};
 use harl_verify::LintStats;
 
-use crate::core::{best_last_seeds, Picks, SearchCore};
+use crate::core::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
 
 /// Configuration of the [`MctsTuner`].
 #[derive(Debug, Clone)]
@@ -197,12 +196,8 @@ pub struct MctsNode {
     pub total_reward: f64,
 }
 
-/// Serializable snapshot of an [`MctsTuner`]'s mutable search state.
-///
-/// The graph, config, and measurer are *not* captured: restoring requires
-/// a tuner constructed with the identical workload, config, and seed,
-/// after which [`MctsTuner::restore_state`] overwrites the mutable fields
-/// (including the whole tree) so the search continues bit-identically.
+/// Serializable snapshot of an [`MctsTuner`]'s mutable search state,
+/// the whole tree included (see [`Proposer::State`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MctsTunerState {
     /// On-line cost model (dataset + fitted booster).
@@ -234,10 +229,11 @@ pub struct MctsTunerState {
 }
 
 /// Tunes one subgraph with UCT search over modification trees.
-pub struct MctsTuner<'m> {
-    /// Shared search state; every sketch is one tree root, and lint
-    /// rejects never enter the tree or reach the measurer.
-    core: SearchCore<'m>,
+pub type MctsTuner<'m> = Searcher<'m, MctsProposer>;
+
+/// The UCT proposer: every sketch is one tree root, and lint rejects
+/// never enter the tree or reach the measurer.
+pub struct MctsProposer {
     cost_model: CostModel,
     nodes: Vec<MctsNode>,
     roots: Vec<usize>,
@@ -253,51 +249,7 @@ pub struct MctsTuner<'m> {
     rng: StdRng,
 }
 
-impl<'m> Deref for MctsTuner<'m> {
-    type Target = SearchCore<'m>;
-
-    fn deref(&self) -> &SearchCore<'m> {
-        &self.core
-    }
-}
-
-impl<'m> MctsTuner<'m> {
-    /// Creates a tuner; sketches are generated for the measurer's target.
-    pub fn new(graph: Subgraph, measurer: &'m Measurer, cfg: MctsConfig) -> Self {
-        let seed = cfg.seed ^ graph.name.len() as u64;
-        MctsTuner {
-            core: SearchCore::new(graph, measurer),
-            cost_model: CostModel::new(cfg.gbt.clone()),
-            nodes: Vec::new(),
-            roots: Vec::new(),
-            pending_seeds: Vec::new(),
-            warm_seeds: Vec::new(),
-            reward_scale: 0.0,
-            pipeline: ScoringPipeline::from_env(),
-            cfg,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Attaches a tracer: rounds become `mcts_round` spans with
-    /// `playouts`/`measure`/`gbt_retrain` children. Tracing never changes
-    /// the search — checkpoints stay byte-equal with it on or off.
-    pub fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
-        self.pipeline.set_tracer(tracer.clone());
-        self.core.set_tracer(tracer);
-    }
-
-    /// Counters of the batched scoring pipeline.
-    pub fn score_stats(&self) -> &ScoreStats {
-        self.pipeline.stats()
-    }
-
-    /// Applies thread-pool widths. MCTS has no PPO stage, so only the
-    /// scoring width applies; scores are bit-identical at any width.
-    pub fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        self.pipeline.set_threads(opts.score_threads);
-    }
-
+impl MctsProposer {
     /// The on-line cost model (diagnostics; e.g. warm-start checks).
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
@@ -311,19 +263,19 @@ impl<'m> MctsTuner<'m> {
     /// Lazily builds one root per sketch (plus any warm-start grafts).
     /// Runs at most once; the whole tree lives in the checkpoint, so a
     /// restored tuner never re-enters this.
-    fn init_tree(&mut self) {
+    fn init_tree(&mut self, core: &mut SearchCore<'_>) {
         if !self.nodes.is_empty() {
             return;
         }
-        let target = self.core.target();
-        for sid in 0..self.core.sketches.len() {
+        let target = core.target();
+        for sid in 0..core.sketches.len() {
             // draw a few candidates so roots start lint-clean when possible
-            let mut root = Schedule::random(&self.core.sketches[sid], target, &mut self.rng);
+            let mut root = Schedule::random(&core.sketches[sid], target, &mut self.rng);
             for _ in 0..4 {
-                if !self.core.lint_rejects(&root) {
+                if !core.lint_rejects(&root) {
                     break;
                 }
-                root = Schedule::random(&self.core.sketches[sid], target, &mut self.rng);
+                root = Schedule::random(&core.sketches[sid], target, &mut self.rng);
             }
             let idx = self.nodes.len();
             self.nodes.push(MctsNode {
@@ -405,7 +357,7 @@ impl<'m> MctsTuner<'m> {
     /// Expands `at` with one fresh single-modification child; returns the
     /// child index, or `None` when every attempt was a lint reject, a
     /// sibling duplicate, or the tree is full.
-    fn expand(&mut self, at: usize) -> Option<usize> {
+    fn expand(&mut self, core: &mut SearchCore<'_>, at: usize) -> Option<usize> {
         if self.nodes.len() >= self.cfg.max_nodes
             || self.nodes[at].children.len() >= self.cfg.max_children
         {
@@ -414,8 +366,8 @@ impl<'m> MctsTuner<'m> {
         let sid = self.nodes[at].schedule.sketch_id;
         for _ in 0..8 {
             let cand = mutate(
-                &self.core.sketches[sid],
-                self.core.target(),
+                &core.sketches[sid],
+                core.target(),
                 &self.nodes[at].schedule,
                 &mut self.rng,
             );
@@ -427,7 +379,7 @@ impl<'m> MctsTuner<'m> {
             if dup {
                 continue;
             }
-            if self.core.lint_rejects(&cand) {
+            if core.lint_rejects(&cand) {
                 continue;
             }
             let idx = self.nodes.len();
@@ -443,21 +395,39 @@ impl<'m> MctsTuner<'m> {
         }
         None
     }
+}
 
-    /// One exploration round: playouts, top-K measurement, model retrain.
-    /// Returns the trials used (≤ `budget`).
-    pub fn round(&mut self, budget: usize) -> usize {
-        if budget == 0 {
-            return 0;
+impl Proposer for MctsProposer {
+    const NAME: &'static str = "mcts";
+    type Config = MctsConfig;
+    type State = MctsTunerState;
+
+    fn new(core: &mut SearchCore<'_>, cfg: MctsConfig) -> Self {
+        let seed = cfg.seed ^ core.graph.name.len() as u64;
+        MctsProposer {
+            cost_model: CostModel::new(cfg.gbt.clone()),
+            nodes: Vec::new(),
+            roots: Vec::new(),
+            pending_seeds: Vec::new(),
+            warm_seeds: Vec::new(),
+            reward_scale: 0.0,
+            pipeline: ScoringPipeline::from_env(),
+            cfg,
+            rng: StdRng::seed_from_u64(seed),
         }
-        let _round_span = self.core.tracer().span("mcts_round");
-        self.init_tree();
+    }
+
+    /// One exploration round (an `mcts_round` span with `playouts`/
+    /// `measure`/`gbt_retrain` children): playouts, top-K measurement,
+    /// model retrain.
+    fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize {
+        let _round_span = core.tracer().span("mcts_round");
+        self.init_tree(core);
         // cached scores are stale the moment the model retrains, so each
         // round starts with a cold cache like every other tuner
         self.pipeline.begin_episode();
 
-        let playout_span = self
-            .core
+        let playout_span = core
             .tracer()
             .span_with("playouts", &[("n", self.cfg.playouts_per_round.into())]);
         // (score, schedule) candidates visited this round, playout order
@@ -466,26 +436,25 @@ impl<'m> MctsTuner<'m> {
         let mut scores = Vec::new();
         for _ in 0..self.cfg.playouts_per_round {
             let picked = self.select();
-            let leaf = self.expand(picked).unwrap_or(picked);
+            let leaf = self.expand(core, picked).unwrap_or(picked);
             // rollout: a short chain of random modifications from the leaf
             let sid = self.nodes[leaf].schedule.sketch_id;
             let mut path = vec![self.nodes[leaf].schedule.clone()];
             for _ in 1..self.cfg.rollout_depth {
                 let cand = mutate(
-                    &self.core.sketches[sid],
-                    self.core.target(),
+                    &core.sketches[sid],
+                    core.target(),
                     path.last().unwrap(),
                     &mut self.rng,
                 );
-                if self.core.lint_rejects(&cand) {
+                if core.lint_rejects(&cand) {
                     continue;
                 }
                 path.push(cand);
             }
             // the analyzer is not `Sync`, so the pool's extractor borrows
             // the core's fields, not the core
-            let (graph, sketches, target) =
-                (&self.core.graph, &self.core.sketches, self.core.target());
+            let (graph, sketches, target) = (&core.graph, &core.sketches, core.target());
             let extract = |s: &Schedule, buf: &mut Vec<f32>| {
                 extract_features_into(graph, &sketches[s.sketch_id], target, s, buf)
             };
@@ -504,7 +473,7 @@ impl<'m> MctsTuner<'m> {
                 if raw.is_finite() && raw > best_raw {
                     best_raw = raw;
                 }
-                if self.core.is_fresh(s) {
+                if core.is_fresh(s) {
                     visited.push((raw, s.clone()));
                 }
             }
@@ -531,74 +500,60 @@ impl<'m> MctsTuner<'m> {
         let mut picks = Picks::new(k);
         // forced warm-start seeds jump the queue: prior-run bests are
         // re-measured before any fresh candidates
-        self.core.pick_seeds(&mut picks, &mut self.pending_seeds);
+        core.pick_seeds(&mut picks, &mut self.pending_seeds);
         visited.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
         for (_, s) in &visited {
             if picks.is_full() {
                 break;
             }
-            self.core.pick(&mut picks, s);
+            core.pick(&mut picks, s);
         }
         // fall back to random sampling when playouts stayed inside seen
         // territory, so a round always makes progress
-        self.core.pick_random(&mut picks, None, k, &mut self.rng);
+        core.pick_random(&mut picks, None, k, &mut self.rng);
         let picks = picks.schedules;
         if picks.is_empty() {
             return 0;
         }
 
-        let updates: Vec<(Vec<f32>, f64)> = self
-            .core
+        let updates: Vec<(Vec<f32>, f64)> = core
             .measure_all(&picks)
             .into_iter()
             .map(|(m, features)| (features, m.flops_per_sec))
             .collect();
         {
-            let _retrain_span = self.core.tracer().span("gbt_retrain");
+            let _retrain_span = core.tracer().span("gbt_retrain");
             self.cost_model.update_batch(updates);
         }
 
         // simulated algorithm overhead: fixed + per-model-evaluation
-        self.core.end_round(
+        core.end_round(
             self.cfg.round_overhead + scored_evals as f64 * self.cfg.eval_cost,
             picks.len() as u64,
         );
         picks.len()
     }
 
-    /// Runs rounds until `total_trials` measurements have been used.
-    pub fn tune(&mut self, total_trials: u64) {
-        while self.trials_used < total_trials {
-            let remaining = (total_trials - self.trials_used) as usize;
-            if self.round(remaining) == 0 {
-                break;
-            }
-        }
-    }
-
-    /// Snapshots the mutable search state for checkpointing.
-    pub fn checkpoint_state(&self) -> MctsTunerState {
+    fn checkpoint(&self, core: &SearchCore<'_>) -> MctsTunerState {
         MctsTunerState {
             cost_model: self.cost_model.clone(),
             nodes: self.nodes.clone(),
             roots: self.roots.clone(),
-            seen: self.seen_sorted(),
+            seen: core.seen_sorted(),
             pending_seeds: self.pending_seeds.clone(),
             warm_seeds: self.warm_seeds.clone(),
             reward_scale: self.reward_scale,
-            best_time: self.best_time,
-            best_schedule: self.best_schedule.clone(),
-            trials_used: self.trials_used,
-            trace: self.trace.clone(),
-            lint_stats: self.lint_stats.clone(),
+            best_time: core.best_time,
+            best_schedule: core.best_schedule.clone(),
+            trials_used: core.trials_used,
+            trace: core.trace.clone(),
+            lint_stats: core.lint_stats.clone(),
             rng: self.rng.state(),
         }
     }
 
-    /// Overwrites the mutable search state from a checkpoint. The tuner
-    /// must have been constructed with the same graph, config, and seed.
-    pub fn restore_state(&mut self, state: MctsTunerState) {
-        self.core.restore(
+    fn restore(&mut self, core: &mut SearchCore<'_>, state: MctsTunerState) {
+        core.restore(
             state.seen,
             state.best_time,
             state.best_schedule,
@@ -619,29 +574,28 @@ impl<'m> MctsTuner<'m> {
         self.rng = StdRng::from_state(state.rng);
     }
 
-    /// Coordinate-descent fine-tune pass over the current best schedule
-    /// (see [`crate::coordinate_descent`]); monotone — `best_time` never
-    /// regresses. Returns the trials spent.
-    pub fn finetune(&mut self, cfg: &crate::FinetuneConfig) -> u64 {
-        self.core.finetune(cfg, "mcts_finetune")
-    }
-
-    /// Warm-starts from prior measurement records of similar workloads:
-    /// pre-trains the cost model, grafts record schedules onto the sketch
+    /// Pre-trains the cost model, grafts record schedules onto the sketch
     /// roots (explored before fresh modifications), and queues the best
-    /// prior schedules for forced re-measurement. Returns how many
-    /// records were usable; costs no fresh trials.
-    pub fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
-        let usable = self.core.usable_records(records);
-        if usable.is_empty() {
-            return 0;
-        }
-        self.cost_model
-            .update_batch(self.core.training_rows(&usable));
-        let seeds = best_last_seeds(&usable, self.cfg.measure_per_round);
+    /// prior schedules for forced re-measurement.
+    fn warm_start(&mut self, core: &SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
+        self.cost_model.update_batch(core.training_rows(usable));
+        let seeds = best_last_seeds(usable, self.cfg.measure_per_round);
         self.warm_seeds.extend(seeds.iter().rev().cloned());
         self.pending_seeds.extend(seeds);
         usable.len()
+    }
+
+    fn pipeline(&self) -> Option<&ScoringPipeline> {
+        Some(&self.pipeline)
+    }
+
+    fn set_tracer(&mut self, tracer: &Tracer) {
+        self.pipeline.set_tracer(tracer.clone());
+    }
+
+    /// MCTS has no PPO stage, so only the scoring width applies.
+    fn set_parallelism(&mut self, opts: ParallelismOpts) {
+        self.pipeline.set_threads(opts.score_threads);
     }
 }
 
@@ -649,7 +603,7 @@ impl<'m> MctsTuner<'m> {
 mod tests {
     use super::*;
     use harl_tensor_ir::workload;
-    use harl_tensor_sim::{Hardware, MeasureConfig};
+    use harl_tensor_sim::{Hardware, MeasureConfig, Measurer};
 
     fn small_cfg() -> MctsConfig {
         MctsConfig {
@@ -671,7 +625,10 @@ mod tests {
         assert!(t.best_time <= first);
         assert!(t.best_schedule.is_some());
         assert!(t.trials_used >= 150, "used {}", t.trials_used);
-        assert!(t.tree_size() > t.sketches.len(), "tree never expanded");
+        assert!(
+            t.proposer().tree_size() > t.sketches.len(),
+            "tree never expanded"
+        );
         assert!(
             t.best_time < first * 0.999,
             "no improvement: first {first}, final {}",
@@ -745,10 +702,10 @@ mod tests {
         let mut warm = MctsTuner::new(g, &m2, small_cfg());
         let used = warm.warm_start(&records);
         assert_eq!(used, 1);
-        assert!(warm.cost_model().is_trained());
+        assert!(warm.proposer().cost_model().is_trained());
         assert_eq!(warm.trials_used, 0);
         assert_eq!(m2.trials(), 0);
-        assert!(!warm.pending_seeds.is_empty());
+        assert!(!warm.proposer().pending_seeds.is_empty());
         // the first round measures the grafted seed before anything fresh
         warm.round(4);
         assert!(warm.best_time <= records[0].time * 1.05);
@@ -760,7 +717,7 @@ mod tests {
         let g3 = workload::gemm(256, 256, 256);
         let mut t3 = MctsTuner::new(g3, &m3, small_cfg());
         assert_eq!(t3.warm_start(&bogus), 0);
-        assert!(!t3.cost_model().is_trained());
+        assert!(!t3.proposer().cost_model().is_trained());
     }
 
     #[test]

@@ -55,8 +55,8 @@ fn main() {
     );
 
     // Fig 7(b): where along each schedule track was the best schedule found?
-    let hf = critical_step_histogram(&fixed.critical_steps, 10);
-    let ha = critical_step_histogram(&adaptive.critical_steps, 10);
+    let hf = critical_step_histogram(&fixed.proposer().critical_steps, 10);
+    let ha = critical_step_histogram(&adaptive.proposer().critical_steps, 10);
     println!("critical-step position histogram (relative position on track):");
     println!("{:>10} {:>8} {:>9}", "bin", "fixed", "adaptive");
     for i in 0..10 {

@@ -62,10 +62,10 @@ pub use harl_verify as verify;
 
 /// The most commonly used types, one import away.
 pub mod prelude {
-    pub use harl_ansor::{AnsorConfig, AnsorNetworkTuner, AnsorTuner, FlextensorTuner};
+    pub use harl_ansor::{AnsorConfig, AnsorTuner, FlextensorTuner};
     pub use harl_core::{
-        HarlConfig, HarlNetworkTuner, HarlOperatorTuner, ParallelismOpts, Tuner, TunerState,
-        TuningSession,
+        AnsorNetworkTuner, HarlConfig, HarlNetworkTuner, HarlOperatorTuner, ParallelismOpts, Tuner,
+        TunerState, TuningSession,
     };
     pub use harl_mcts::{CdConfig, CdTuner, FinetuneConfig, MctsConfig, MctsTuner};
     pub use harl_nn_models::{operator_suite, Network, OperatorClass};

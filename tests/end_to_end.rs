@@ -138,7 +138,7 @@ fn flextensor_baseline_runs_through_prelude() {
     let mut t = FlextensorTuner::new(g, &measurer, Default::default());
     t.tune(60);
     assert!(t.best_time.is_finite());
-    assert!(!t.critical_steps.is_empty());
+    assert!(!t.proposer().critical_steps.is_empty());
 }
 
 #[test]

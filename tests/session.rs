@@ -120,7 +120,7 @@ fn warm_start_trains_cost_model_with_zero_fresh_trials() {
     assert!(s.warm_records() > 0);
     drop(s);
     assert!(
-        t2.cost_model().is_trained(),
+        t2.proposer().cost_model().is_trained(),
         "warm-start must pre-train the cost model"
     );
     assert_eq!(t2.trials_used, 0, "warm-start spends no trials");
