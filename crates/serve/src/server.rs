@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -211,6 +211,17 @@ pub(crate) fn job_counter(state: &str) -> harl_obs::Counter {
     harl_obs::global().counter(&format!("harl_serve_jobs_total{{state=\"{state}\"}}"))
 }
 
+/// Publishes the readiness file `<root>/serve.addr` in one step (write
+/// `serve.addr.tmp`, rename it over, as `federation` does for its cursors):
+/// whoever polls the file sees none, a previous daemon's, or this complete
+/// `host:port\n` — never the empty or partial file that creating and then
+/// writing it in place shows in between.
+fn publish_addr(root: &Path, addr: SocketAddr) -> std::io::Result<()> {
+    let tmp = root.join("serve.addr.tmp");
+    fs::write(&tmp, format!("{addr}\n"))?;
+    fs::rename(&tmp, root.join("serve.addr"))
+}
+
 /// A running daemon: one event-loop thread + worker pool over a state
 /// root, plus a federation puller when peers are configured.
 pub struct Daemon {
@@ -259,7 +270,7 @@ impl Daemon {
                 event_loop.run(|| shared.shutdown.load(Ordering::SeqCst));
             })
         };
-        fs::write(shared.cfg.root.join("serve.addr"), format!("{addr}\n"))?;
+        publish_addr(&shared.cfg.root, addr)?;
 
         let workers = (0..shared.cfg.workers.max(1))
             .map(|_| {
@@ -586,4 +597,39 @@ fn cancel(shared: &Arc<Shared>, id: &str) -> Response {
         shared.mark_cancelled(id);
     }
     Response::Cancelled { id: id.to_string() }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    /// A restarted daemon replaces the previous run's `serve.addr`. Done
+    /// in place (truncate, then write), a reader that already opened the
+    /// file would read an empty, partial or spliced address; a rename
+    /// leaves what it holds complete.
+    #[test]
+    fn republishing_serve_addr_leaves_an_open_readers_file_whole() {
+        let root = std::env::temp_dir().join(format!("harl-serve-addr-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        fs::create_dir_all(&root).expect("mkdir");
+        let path = root.join("serve.addr");
+
+        publish_addr(&root, "127.0.0.1:1111".parse().unwrap()).expect("first publish");
+        let mut held = fs::File::open(&path).expect("open");
+        publish_addr(&root, "127.0.0.1:22222".parse().unwrap()).expect("second publish");
+
+        let mut old = String::new();
+        held.read_to_string(&mut old).expect("read held");
+        assert_eq!(
+            old, "127.0.0.1:1111\n",
+            "the held file was written in place"
+        );
+        assert_eq!(fs::read_to_string(&path).unwrap(), "127.0.0.1:22222\n");
+        assert!(
+            !root.join("serve.addr.tmp").exists(),
+            "tmp file left behind"
+        );
+        let _ = fs::remove_dir_all(&root);
+    }
 }
