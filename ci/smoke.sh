@@ -41,6 +41,14 @@ fi
 echo "benchmark smoke OK: $bench_ok result lines, all correct"
 # shellcheck disable=SC2086
 cargo test $CARGO_FLAGS --release -q --manifest-path benchmark/Cargo.toml
+# benchmark/ is frozen between the PRs that may edit it, and it resolves its
+# own lock file from the workspace's manifests: an edit to any manifest it
+# reaches makes the builds above rewrite benchmark/Cargo.lock
+if ! git diff --exit-code -- benchmark/Cargo.lock; then
+    echo "FAIL: building benchmark/ rewrote benchmark/Cargo.lock — a manifest edit" \
+        "reached the frozen benchmark; undo it or land it with a benchmark re-baseline"
+    exit 1
+fi
 
 echo "==> lint-schedules smoke run"
 # shellcheck disable=SC2086

@@ -4,7 +4,8 @@
 //! for tensor programs.
 //!
 //! * **Subgraph selection** `π_t(n)` — non-stationary SW-UCB with the
-//!   gradient estimate of Eq. 3 as reward ([`network::HarlNetworkTuner`]).
+//!   gradient estimate of Eq. 3 as reward ([`network::HarlNetworkTuner`],
+//!   one [`network::NetworkTuner`] with Ansor's greedy baseline).
 //! * **Sketch selection** `π_t^n(u)` — SW-UCB with the normalized maximal
 //!   performance `X_t` as reward ([`tuner::HarlOperatorTuner`]).
 //! * **Parameter modification** `π_t^{n,u}(s_t|s_{t-1})` — PPO actor-critic

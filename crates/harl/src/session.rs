@@ -1,8 +1,14 @@
 //! The unified tuner session API.
 //!
-//! [`Tuner`] abstracts over the five search algorithms of the repo (HARL,
-//! Ansor, Flextensor-like, MCTS, coordinate descent) with a common
-//! round/checkpoint/restore surface over their shared [`SearchCore`].
+//! A searcher has two faces. Typed, per searcher: a
+//! [`harl_mcts::Proposer`] (its config, its state struct, its propose
+//! step) inside the one tuner shell [`Searcher`], which is what tests,
+//! reports and the network tuner hold. Erased, per session: [`Tuner`], the
+//! object-safe handle with a common round/checkpoint/restore surface over
+//! the shared [`SearchCore`], whose state is the [`TunerState`] enum. Its
+//! one impl over every `Searcher<'_, P>`, below, is the whole bridge
+//! between the two.
+//!
 //! [`TuningSession`] drives any `dyn Tuner` while persisting everything a
 //! deployment wants kept between runs into a [`RecordStore`] directory:
 //!
@@ -27,20 +33,21 @@ use harl_tensor_sim::{Measurer, MeasurerState, TuneTrace};
 
 use crate::tuner::HarlTunerState;
 
-/// Serialized search state of any [`Tuner`] implementation.
+/// Serialized search state of any [`Tuner`]: one variant per
+/// [`harl_mcts::Proposer::State`].
 // checkpoints are created once per round, so variant-size skew is irrelevant
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum TunerState {
-    /// State of a [`HarlOperatorTuner`].
+    /// State of a [`crate::HarlOperatorTuner`].
     Harl(HarlTunerState),
-    /// State of an [`AnsorTuner`].
+    /// State of an [`harl_ansor::AnsorTuner`].
     Ansor(AnsorTunerState),
-    /// State of a [`FlextensorTuner`].
+    /// State of a [`harl_ansor::FlextensorTuner`].
     Flextensor(FlextensorTunerState),
-    /// State of an [`MctsTuner`].
+    /// State of an [`harl_mcts::MctsTuner`].
     Mcts(MctsTunerState),
-    /// State of a [`CdTuner`].
+    /// State of a [`harl_mcts::CdTuner`].
     Cd(CdTunerState),
 }
 
@@ -57,7 +64,10 @@ impl TunerState {
     }
 }
 
-/// Object-safe interface shared by all tuners.
+/// Object-safe interface shared by all tuners: what a session, the
+/// daemon or a `Box<dyn Tuner>` needs, with the searcher's types erased.
+/// Implemented once, for every [`Searcher`] (and for `&mut T`); a new
+/// searcher implements [`harl_mcts::Proposer`], not this.
 ///
 /// `checkpoint`/`restore` capture only the *mutable* search state; the
 /// restore contract is to construct the tuner with the identical workload,

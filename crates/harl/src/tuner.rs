@@ -82,7 +82,7 @@ impl HarlProposer {
     /// Per-sketch windowed pull counts of the sketch bandit
     /// (diagnostics/tests; NaN for policies without counts).
     pub fn sketch_pulls(&self) -> Vec<f64> {
-        (0..self.elites.len())
+        (0..self.sketch_bandit.num_arms())
             .map(|a| self.sketch_bandit.pulls(a))
             .collect()
     }

@@ -11,7 +11,7 @@
 //! [`Searcher`] puts one on a core and is the whole tuner shell: budget
 //! guard, `tune` loop, fine-tune, warm-start filter, checkpoint/restore.
 //! A new searcher is one `impl Proposer` (the tests below hold a
-//! 30-line one).
+//! complete toy one).
 
 use std::collections::HashSet;
 use std::ops::Deref;

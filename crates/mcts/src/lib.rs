@@ -1,15 +1,25 @@
-//! The search core every searcher is built on, and the two searchers
-//! that round out the HARL algorithm zoo:
+//! The search core and tuner shell every searcher is built on, and the
+//! two searchers that round out the HARL algorithm zoo:
 //!
 //! * [`SearchCore`] — the state Algorithm 1's outer loop shares across
 //!   all five searchers (workload, sketches, measurer, analyzer, lint
 //!   counters, measured set, best schedule, trials, trace) and its
 //!   steps, written once: lint, measure, pick (queued seeds, ranked
 //!   candidates, random fallback), end of round, warm-start record
-//!   filtering, coordinate-descent fine-tuning, checkpoint restore. A
-//!   searcher is a core plus a proposer. It lives here, beside the
-//!   descent every searcher crate already reaches, until a PR that may
-//!   touch manifests gives it a crate below the searchers.
+//!   filtering, coordinate-descent fine-tuning, checkpoint restore.
+//! * [`Proposer`] and [`Searcher`] — the typed, per-searcher side of the
+//!   tuner API. A `Proposer` is the propose step alone (its config, its
+//!   state struct, one `round`, checkpoint/restore of its own fields,
+//!   optional warm-start and wiring hooks); `Searcher<'m, P>` is a core
+//!   plus a `P` and is the whole tuner shell, written once: budget guard,
+//!   `tune` loop, fine-tune, warm-start prologue, checkpoint/restore,
+//!   tracer and pool widths. Every `*Tuner` in the workspace is an alias
+//!   of it (the alias, not an inherent `new`, because the orphan rule
+//!   forbids inherent impls on a downstream alias). The erased,
+//!   per-session side is the object-safe `Tuner` trait in `harl-core`,
+//!   implemented there once for every `Searcher`. Both live here, beside
+//!   the descent every searcher crate already reaches, until a PR that
+//!   may touch manifests gives them a crate below the searchers.
 //! * [`MctsTuner`] — Monte-Carlo tree search (UCT) over
 //!   schedule-modification trees, after ProTuner (arXiv 2005.13685).
 //!   Nodes hold schedules, edges are single modifications from the
@@ -26,10 +36,9 @@
 //!   phase, which polishes any tuner's best schedule without ever
 //!   regressing it.
 //!
-//! Both searchers conform to the `Tuner` trait in `harl-core` (the impls
-//! live there, next to the HARL/Ansor/Flextensor ones) and therefore get
-//! checkpoint/resume, warm-start, serving, and tracing for free. All
-//! search state serializes bit-identically for kill/resume.
+//! Being `Searcher`s, both get checkpoint/resume, warm-start, serving and
+//! tracing from the shell. All search state serializes bit-identically
+//! for kill/resume.
 
 mod core;
 mod finetune;
