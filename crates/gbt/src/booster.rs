@@ -4,7 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{FitMatrix, RegressionTree, TreeParams};
 
 /// Booster hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -43,12 +43,13 @@ impl Gbt {
         assert_eq!(features.len(), targets.len());
         let mut preds = vec![params.base_score; targets.len()];
         let mut trees = Vec::with_capacity(params.n_rounds);
+        let matrix = FitMatrix::new(features);
         for _ in 0..params.n_rounds {
             if features.is_empty() {
                 break;
             }
             let grad: Vec<f64> = preds.iter().zip(targets).map(|(p, t)| p - t).collect();
-            let tree = RegressionTree::fit(features, &grad, &params.tree);
+            let tree = RegressionTree::fit_matrix(&matrix, &grad, &params.tree);
             for (p, x) in preds.iter_mut().zip(features) {
                 *p += params.eta * tree.predict(x);
             }
@@ -331,6 +332,36 @@ mod tests {
             },
         );
         assert!(many.rmse(&xs, &ys) < few.rmse(&xs, &ys));
+    }
+
+    #[test]
+    fn shared_root_orders_give_the_trees_of_per_tree_matrices() {
+        // the root's sorted orders depend on the features alone, so the 30
+        // rounds may share them; duplicate-heavy columns make any slip in
+        // the shared order show up as a different split
+        let (mut xs, ys) = synthetic(300, 5);
+        for (i, x) in xs.iter_mut().enumerate() {
+            x[1] = (i % 4) as f32;
+            x[3] = x[1] * 0.5;
+        }
+        let params = GbtParams::default();
+        let shared = Gbt::fit(&xs, &ys, params.clone());
+        let mut preds = vec![params.base_score; ys.len()];
+        let mut trees = Vec::new();
+        for _ in 0..params.n_rounds {
+            let grad: Vec<f64> = preds.iter().zip(&ys).map(|(p, t)| p - t).collect();
+            let tree = RegressionTree::fit(&xs, &grad, &params.tree);
+            for (p, x) in preds.iter_mut().zip(&xs) {
+                *p += params.eta * tree.predict(x);
+            }
+            trees.push(tree);
+        }
+        let fresh = Gbt { params, trees };
+        assert_eq!(shared.num_trees(), 30);
+        assert_eq!(
+            serde_json::to_string(&shared).unwrap(),
+            serde_json::to_string(&fresh).unwrap()
+        );
     }
 
     #[test]

@@ -23,6 +23,12 @@ fn retrain_metrics() -> &'static (harl_obs::Counter, harl_obs::Histogram) {
     })
 }
 
+/// Samples refused for a non-finite feature or target.
+fn rejected_samples() -> &'static harl_obs::Counter {
+    static CELL: OnceLock<harl_obs::Counter> = OnceLock::new();
+    CELL.get_or_init(|| harl_obs::global().counter("harl_gbt_rejected_samples_total"))
+}
+
 /// On-line cost model over feature vectors.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CostModel {
@@ -63,14 +69,30 @@ impl CostModel {
         self.model.is_some()
     }
 
+    /// Stores one sample, unless its target or any feature is non-finite:
+    /// the split search orders keys with `partial_cmp`, which is a total
+    /// order (and safe to hand to std's sort) only without NaN, and an
+    /// infinite target would turn every gradient non-finite.
+    fn absorb(&mut self, features: Vec<f32>, flops_per_sec: f64) -> bool {
+        if !flops_per_sec.is_finite() || features.iter().any(|v| !v.is_finite()) {
+            rejected_samples().inc();
+            return false;
+        }
+        self.scale = self.scale.max(flops_per_sec);
+        self.data.push(features, flops_per_sec);
+        true
+    }
+
     /// Records a measured `(features, flops_per_sec)` pair and retrains
-    /// periodically. Returns `true` when a retrain happened.
+    /// periodically. Returns `true` when a retrain happened. A sample with
+    /// a non-finite value is dropped.
     ///
     /// Raw throughputs are stored; normalization by the running maximum
     /// happens at retrain time so early samples are rescaled consistently.
     pub fn update(&mut self, features: Vec<f32>, flops_per_sec: f64) -> bool {
-        self.scale = self.scale.max(flops_per_sec);
-        self.data.push(features, flops_per_sec);
+        if !self.absorb(features, flops_per_sec) {
+            return false;
+        }
         self.since_train += 1;
         if self.since_train >= self.retrain_every || self.model.is_none() {
             self.retrain();
@@ -80,11 +102,11 @@ impl CostModel {
         }
     }
 
-    /// Records a whole batch, then retrains once.
+    /// Records a whole batch (dropping samples with a non-finite value),
+    /// then retrains once.
     pub fn update_batch(&mut self, batch: impl IntoIterator<Item = (Vec<f32>, f64)>) {
         for (f, y) in batch {
-            self.scale = self.scale.max(y);
-            self.data.push(f, y);
+            self.absorb(f, y);
         }
         self.retrain();
     }

@@ -1,6 +1,7 @@
 //! Single regression tree with XGBoost-style split gain.
 //!
-//! Exact greedy splitting on pre-sorted feature columns. Squared-error
+//! Exact greedy splitting over a column-major `FitMatrix`, each node
+//! re-sorting `(key, row)` pairs per feature. Squared-error
 //! objective: gradient `g = pred - target`, hessian `h = 1`, leaf weight
 //! `w = -G / (H + λ)`, split gain `½ [G_L²/(H_L+λ) + G_R²/(H_R+λ) −
 //! G²/(H+λ)] − γ`.
@@ -237,101 +238,208 @@ pub struct RegressionTree {
     flat: std::sync::OnceLock<FlatTree>,
 }
 
-impl RegressionTree {
-    /// Fits a tree to gradients `g` (hessians are all 1).
-    ///
-    /// `features` is row-major: `features[i]` is sample `i`.
-    pub fn fit(features: &[Vec<f32>], grad: &[f64], params: &TreeParams) -> Self {
-        assert_eq!(features.len(), grad.len());
+/// One `(key, row)` entry of a node's sort buffer. Eight bytes with the
+/// key inline: the comparator reads no other memory, and std picks the same
+/// small-sort and partition for it as for the `usize` row index the buffer
+/// used to hold (see [`FitMatrix`] for why that matters).
+type Pair = (f32, u32);
+
+/// Orders `pairs` by key; the comparator every sort of the fit path uses.
+fn by_key(a: &Pair, b: &Pair) -> std::cmp::Ordering {
+    a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal)
+}
+
+/// Loads feature column `col` into the keys of `pairs` and sorts them by
+/// it, continuing from the order the previous feature's sort left. Returns
+/// `false`, with the order untouched, when every key is equal: such a
+/// column offers no split, and std's sort leaves an already-ordered slice
+/// as it is.
+fn resort(pairs: &mut [Pair], col: &[f32]) -> bool {
+    let Some(&(_, first)) = pairs.first() else {
+        return false;
+    };
+    let first = col[first as usize];
+    let mut constant = true;
+    for p in pairs.iter_mut() {
+        p.0 = col[p.1 as usize];
+        constant &= p.0 == first;
+    }
+    if !constant {
+        pairs.sort_unstable_by(by_key);
+    }
+    !constant
+}
+
+/// The training matrix in the layout the split search reads: column-major
+/// `f32`, transposed once per fit and shared by every tree of the ensemble,
+/// plus the root node's sorted order of every feature.
+///
+/// The search accumulates the left gradient sum in sorted order, so the
+/// order *inside a run of equal keys* reaches the last bits of every gain
+/// and decides which of two correlated features wins a split. That order is
+/// whatever `sort_unstable_by` leaves when started from the previous
+/// feature's sorted order, which makes the sequence of sort calls — not
+/// "rows ordered by key" — the specification of a fit: per node, features
+/// in ascending index, each sort starting from the last one's result, the
+/// first from the node's rows in ascending order. The root's sequence
+/// depends on the features alone, so it runs once here and all trees scan
+/// its results; below the root every node re-runs its own.
+pub(crate) struct FitMatrix {
+    n_rows: usize,
+    n_features: usize,
+    /// `data[f * n_rows + i]` is feature `f` of sample `i`.
+    data: Vec<f32>,
+    /// Per feature, the root's pairs after that feature's sort; empty for a
+    /// feature whose keys are all equal.
+    root_orders: Vec<Vec<Pair>>,
+}
+
+impl FitMatrix {
+    /// Transposes row-major `features`. The first row sets the width; a
+    /// shorter row reads as `0.0` beyond its end and columns beyond the
+    /// width are ignored — what `predict` does with `x.get(f)`.
+    pub(crate) fn new(features: &[Vec<f32>]) -> Self {
+        let n_rows = features.len();
+        assert!(n_rows <= u32::MAX as usize, "row indices are u32");
         let n_features = features.first().map(|f| f.len()).unwrap_or(0);
-        let mut tree = RegressionTree {
-            nodes: Vec::new(),
+        let mut data = vec![0.0f32; n_features * n_rows];
+        for (i, row) in features.iter().enumerate() {
+            for (f, &v) in row.iter().take(n_features).enumerate() {
+                data[f * n_rows + i] = v;
+            }
+        }
+        let mut pairs: Vec<Pair> = (0..n_rows as u32).map(|i| (0.0, i)).collect();
+        let root_orders = (0..n_features)
+            .map(|f| {
+                if resort(&mut pairs, &data[f * n_rows..(f + 1) * n_rows]) {
+                    pairs.clone()
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        FitMatrix {
+            n_rows,
             n_features,
-            flat: std::sync::OnceLock::new(),
-        };
-        let idx: Vec<usize> = (0..features.len()).collect();
-        tree.build(features, grad, idx, params, 0);
-        tree
+            data,
+            root_orders,
+        }
     }
 
-    fn build(
-        &mut self,
-        features: &[Vec<f32>],
-        grad: &[f64],
-        idx: Vec<usize>,
-        params: &TreeParams,
-        depth: usize,
-    ) -> usize {
-        let g_sum: f64 = idx.iter().map(|&i| grad[i]).sum();
-        let h_sum = idx.len() as f64;
+    fn column(&self, f: usize) -> &[f32] {
+        &self.data[f * self.n_rows..(f + 1) * self.n_rows]
+    }
+}
 
-        let make_leaf = |tree: &mut Self| {
-            let weight = -g_sum / (h_sum + params.lambda);
-            tree.nodes.push(Node::Leaf { weight });
-            tree.nodes.len() - 1
+/// One tree under construction over a [`FitMatrix`].
+struct Builder<'a> {
+    matrix: &'a FitMatrix,
+    grad: &'a [f64],
+    params: &'a TreeParams,
+    nodes: Vec<Node>,
+    /// Sort buffer of the node being searched (its children reuse it: a
+    /// node is done with it before it recurses).
+    pairs: Vec<Pair>,
+}
+
+/// Gradient statistics of the node being searched, and its best split.
+struct Search<'a> {
+    grad: &'a [f64],
+    params: &'a TreeParams,
+    g_sum: f64,
+    h_sum: f64,
+    parent_score: f64,
+    /// (feature, threshold, gain)
+    best: Option<(usize, f32, f64)>,
+}
+
+impl Search<'_> {
+    /// Scans the split points of feature `f` off its sorted pairs.
+    fn scan(&mut self, f: usize, pairs: &[Pair]) {
+        let params = self.params;
+        let mut gl = 0.0f64;
+        let mut hl = 0.0f64;
+        for w in pairs.windows(2) {
+            let (va, row) = w[0];
+            let vb = w[1].0;
+            gl += self.grad[row as usize];
+            hl += 1.0;
+            if va == vb {
+                continue; // can't split between equal values
+            }
+            let hr = self.h_sum - hl;
+            if hl < params.min_child_weight || hr < params.min_child_weight {
+                continue;
+            }
+            let gr = self.g_sum - gl;
+            let gain = 0.5
+                * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda)
+                    - self.parent_score)
+                - params.gamma;
+            if gain > self.best.map(|(_, _, g)| g).unwrap_or(0.0) {
+                self.best = Some((f, (va + vb) * 0.5, gain));
+            }
+        }
+    }
+}
+
+impl Builder<'_> {
+    /// Builds the subtree over rows `idx` (ascending) and returns its slot
+    /// in the node arena.
+    fn build(&mut self, idx: Vec<u32>, depth: usize) -> usize {
+        let (grad, params) = (self.grad, self.params);
+        let g_sum: f64 = idx.iter().map(|&i| grad[i as usize]).sum();
+        let h_sum = idx.len() as f64;
+        let leaf = Node::Leaf {
+            weight: -g_sum / (h_sum + params.lambda),
         };
 
         if depth >= params.max_depth || idx.len() < 2 * params.min_child_weight.ceil() as usize {
-            return make_leaf(self);
+            self.nodes.push(leaf);
+            return self.nodes.len() - 1;
         }
 
-        // best split over all features
-        let parent_score = g_sum * g_sum / (h_sum + params.lambda);
-        let mut best: Option<(usize, f32, f64)> = None; // (feature, threshold, gain)
-
-        let mut order = idx.clone();
-        #[allow(clippy::needless_range_loop)]
-        for f in 0..self.n_features {
-            order.sort_unstable_by(|&a, &b| {
-                features[a][f]
-                    .partial_cmp(&features[b][f])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let mut gl = 0.0f64;
-            let mut hl = 0.0f64;
-            for w in 0..order.len().saturating_sub(1) {
-                gl += grad[order[w]];
-                hl += 1.0;
-                let va = features[order[w]][f];
-                let vb = features[order[w + 1]][f];
-                if va == vb {
-                    continue; // can't split between equal values
-                }
-                let hr = h_sum - hl;
-                if hl < params.min_child_weight || hr < params.min_child_weight {
-                    continue;
-                }
-                let gr = g_sum - gl;
-                let gain = 0.5
-                    * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda)
-                        - parent_score)
-                    - params.gamma;
-                if gain > best.map(|(_, _, g)| g).unwrap_or(0.0) {
-                    best = Some((f, (va + vb) * 0.5, gain));
+        let mut search = Search {
+            grad,
+            params,
+            g_sum,
+            h_sum,
+            parent_score: g_sum * g_sum / (h_sum + params.lambda),
+            best: None,
+        };
+        if depth == 0 {
+            for (f, pairs) in self.matrix.root_orders.iter().enumerate() {
+                search.scan(f, pairs);
+            }
+        } else {
+            self.pairs.clear();
+            self.pairs.extend(idx.iter().map(|&i| (0.0, i)));
+            for f in 0..self.matrix.n_features {
+                if resort(&mut self.pairs, self.matrix.column(f)) {
+                    search.scan(f, &self.pairs);
                 }
             }
         }
 
-        let (feature, threshold, _) = match best {
-            Some(b) => b,
-            None => return make_leaf(self),
+        let Some((feature, threshold, _)) = search.best else {
+            self.nodes.push(leaf);
+            return self.nodes.len() - 1;
         };
 
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = idx
-            .into_iter()
-            .partition(|&i| features[i][feature] < threshold);
+        let col = self.matrix.column(feature);
+        let (left_idx, right_idx): (Vec<u32>, Vec<u32>) =
+            idx.into_iter().partition(|&i| col[i as usize] < threshold);
         if left_idx.is_empty() || right_idx.is_empty() {
             // numeric degeneracy: fall back to leaf
-            let weight = -g_sum / (h_sum + params.lambda);
-            self.nodes.push(Node::Leaf { weight });
+            self.nodes.push(leaf);
             return self.nodes.len() - 1;
         }
 
         // reserve this node's slot, then build children
         self.nodes.push(Node::Leaf { weight: 0.0 });
         let me = self.nodes.len() - 1;
-        let left = self.build(features, grad, left_idx, params, depth + 1);
-        let right = self.build(features, grad, right_idx, params, depth + 1);
+        let left = self.build(left_idx, depth + 1);
+        let right = self.build(right_idx, depth + 1);
         self.nodes[me] = Node::Split {
             feature,
             threshold,
@@ -339,6 +447,34 @@ impl RegressionTree {
             right,
         };
         me
+    }
+}
+
+impl RegressionTree {
+    /// Fits a tree to gradients `g` (hessians are all 1).
+    ///
+    /// `features` is row-major: `features[i]` is sample `i`.
+    pub fn fit(features: &[Vec<f32>], grad: &[f64], params: &TreeParams) -> Self {
+        Self::fit_matrix(&FitMatrix::new(features), grad, params)
+    }
+
+    /// Fits a tree over an already transposed matrix: what every boosting
+    /// round of one `Gbt::fit` calls.
+    pub(crate) fn fit_matrix(matrix: &FitMatrix, grad: &[f64], params: &TreeParams) -> Self {
+        assert_eq!(matrix.n_rows, grad.len());
+        let mut builder = Builder {
+            matrix,
+            grad,
+            params,
+            nodes: Vec::new(),
+            pairs: Vec::with_capacity(matrix.n_rows),
+        };
+        builder.build((0..matrix.n_rows as u32).collect(), 0);
+        RegressionTree {
+            nodes: builder.nodes,
+            n_features: matrix.n_features,
+            flat: std::sync::OnceLock::new(),
+        }
     }
 
     /// Predicts the leaf weight for one sample. The tree's root is the node
@@ -400,6 +536,206 @@ mod tests {
 
     fn grid(n: usize) -> Vec<Vec<f32>> {
         (0..n).map(|i| vec![i as f32, (i % 7) as f32]).collect()
+    }
+
+    /// The row-major fit that `FitMatrix` replaced, kept as the reference
+    /// the new builder must match byte for byte: one `Vec<usize>` per node,
+    /// re-sorted per feature through `features[a][f]`, no sort skipped and
+    /// none cached.
+    fn reference_fit(features: &[Vec<f32>], grad: &[f64], params: &TreeParams) -> RegressionTree {
+        let mut tree = RegressionTree {
+            nodes: Vec::new(),
+            n_features: features.first().map(|f| f.len()).unwrap_or(0),
+            flat: std::sync::OnceLock::new(),
+        };
+        let idx: Vec<usize> = (0..features.len()).collect();
+        reference_build(&mut tree, features, grad, idx, params, 0);
+        tree
+    }
+
+    fn reference_build(
+        tree: &mut RegressionTree,
+        features: &[Vec<f32>],
+        grad: &[f64],
+        idx: Vec<usize>,
+        params: &TreeParams,
+        depth: usize,
+    ) -> usize {
+        let g_sum: f64 = idx.iter().map(|&i| grad[i]).sum();
+        let h_sum = idx.len() as f64;
+        let leaf = Node::Leaf {
+            weight: -g_sum / (h_sum + params.lambda),
+        };
+        if depth >= params.max_depth || idx.len() < 2 * params.min_child_weight.ceil() as usize {
+            tree.nodes.push(leaf);
+            return tree.nodes.len() - 1;
+        }
+        let parent_score = g_sum * g_sum / (h_sum + params.lambda);
+        let mut best: Option<(usize, f32, f64)> = None;
+        let mut order = idx.clone();
+        #[allow(clippy::needless_range_loop)]
+        for f in 0..tree.n_features {
+            order.sort_unstable_by(|&a, &b| {
+                features[a][f]
+                    .partial_cmp(&features[b][f])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            let mut gl = 0.0f64;
+            let mut hl = 0.0f64;
+            for w in 0..order.len().saturating_sub(1) {
+                gl += grad[order[w]];
+                hl += 1.0;
+                let va = features[order[w]][f];
+                let vb = features[order[w + 1]][f];
+                if va == vb {
+                    continue;
+                }
+                let hr = h_sum - hl;
+                if hl < params.min_child_weight || hr < params.min_child_weight {
+                    continue;
+                }
+                let gr = g_sum - gl;
+                let gain = 0.5
+                    * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda)
+                        - parent_score)
+                    - params.gamma;
+                if gain > best.map(|(_, _, g)| g).unwrap_or(0.0) {
+                    best = Some((f, (va + vb) * 0.5, gain));
+                }
+            }
+        }
+        let Some((feature, threshold, _)) = best else {
+            tree.nodes.push(leaf);
+            return tree.nodes.len() - 1;
+        };
+        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = idx
+            .into_iter()
+            .partition(|&i| features[i][feature] < threshold);
+        if left_idx.is_empty() || right_idx.is_empty() {
+            tree.nodes.push(leaf);
+            return tree.nodes.len() - 1;
+        }
+        tree.nodes.push(Node::Leaf { weight: 0.0 });
+        let me = tree.nodes.len() - 1;
+        let left = reference_build(tree, features, grad, left_idx, params, depth + 1);
+        let right = reference_build(tree, features, grad, right_idx, params, depth + 1);
+        tree.nodes[me] = Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        me
+    }
+
+    fn json(tree: &RegressionTree) -> String {
+        serde_json::to_string(tree).unwrap()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Inline keys, skipped constant columns and the root's cached
+        /// orders change no tree: on duplicate-heavy columns (a few levels
+        /// each, one constant, `-0.0` among the zeros, one a copy of
+        /// another) the tie order inside equal runs decides splits, and the
+        /// serialised tree must still equal the reference's.
+        #[test]
+        fn fit_matches_the_row_major_build_it_replaced(
+            n in 0usize..160,
+            levels in 1u32..=6,
+            min_child in prop_oneof![Just(1.0f64), Just(2.0), Just(3.5)],
+            max_depth in 1usize..=6,
+            seed in any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let xs: Vec<Vec<f32>> = (0..n)
+                .map(|_| {
+                    let a = rng.gen_range(0..levels) as f32;
+                    let b = rng.gen_range(0..levels * 3) as f32 * 0.25;
+                    let z = if rng.gen_range(0..2) == 0 { 0.0f32 } else { -0.0 };
+                    vec![a, 7.5, b, a * 2.0, z * a, rng.gen_range(-1.0f32..1.0)]
+                })
+                .collect();
+            let grad: Vec<f64> = xs
+                .iter()
+                .map(|x| x[0] as f64 - 0.5 * x[2] as f64 + rng.gen_range(-0.3f64..0.3))
+                .collect();
+            let params = TreeParams {
+                max_depth,
+                min_child_weight: min_child,
+                ..Default::default()
+            };
+            let new = RegressionTree::fit(&xs, &grad, &params);
+            let old = reference_fit(&xs, &grad, &params);
+            prop_assert_eq!(json(&new), json(&old));
+        }
+    }
+
+    #[test]
+    fn all_constant_node_is_a_leaf_with_the_closed_form_weight() {
+        // rows 0..4 agree on every feature: once x0 splits them off, the
+        // search skips all their columns and must leave the plain leaf
+        let xs: Vec<Vec<f32>> = (0..10)
+            .map(|i| {
+                if i < 4 {
+                    vec![0.0, 5.0]
+                } else {
+                    vec![1.0, i as f32]
+                }
+            })
+            .collect();
+        let grad: Vec<f64> = (0..10)
+            .map(|i| if i < 4 { 1.0 + i as f64 } else { -3.0 })
+            .collect();
+        let params = TreeParams::default();
+        let t = RegressionTree::fit(&xs, &grad, &params);
+        assert!(t.num_nodes() >= 3, "x0 separates the two groups");
+        let want = -(1.0 + 2.0 + 3.0 + 4.0) / (4.0 + params.lambda);
+        assert_eq!(t.predict(&[0.0, 5.0]).to_bits(), want.to_bits());
+        assert_eq!(json(&t), json(&reference_fit(&xs, &grad, &params)));
+    }
+
+    #[test]
+    fn ragged_rows_fit_like_their_zero_padded_copies() {
+        // the first row sets the width; shorter rows read 0.0 there (as
+        // `predict` does) and columns beyond the width are ignored
+        let padded: Vec<Vec<f32>> = (0..40)
+            .map(|i| {
+                let keep = if i == 0 { 3 } else { i % 4 };
+                (0..3)
+                    .map(|f| {
+                        if f < keep {
+                            ((i * (f + 3)) % 11) as f32 - 4.0
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let ragged: Vec<Vec<f32>> = padded
+            .iter()
+            .enumerate()
+            .map(|(i, row)| match i % 4 {
+                _ if i == 0 => row.clone(),
+                0 => row.iter().copied().chain([9.0, -9.0]).collect(),
+                keep => row[..keep].to_vec(),
+            })
+            .collect();
+        assert!(ragged.iter().any(|r| r.len() < 3) && ragged.iter().any(|r| r.len() > 3));
+        let grad: Vec<f64> = (0..40).map(|i| (i as f64 * 0.7).sin()).collect();
+        let params = TreeParams::default();
+        let a = RegressionTree::fit(&ragged, &grad, &params);
+        let b = RegressionTree::fit(&padded, &grad, &params);
+        assert!(b.num_nodes() > 1);
+        assert_eq!(json(&a), json(&b));
+        for (r, p) in ragged.iter().zip(&padded) {
+            assert_eq!(a.predict(r).to_bits(), b.predict(p).to_bits());
+        }
     }
 
     #[test]

@@ -142,3 +142,47 @@ fn weighted_latency_respects_weights() {
     let t2 = nt.states[1].best_time;
     assert!((lat - (t1 + t2)).abs() / lat < 1e-9);
 }
+
+#[test]
+fn cost_model_skips_non_finite_samples() {
+    // a NaN key makes `partial_cmp(..).unwrap_or(Equal)` a non-total order,
+    // which std's sort answers with a panic: one bad measurement row used
+    // to abort the whole search from inside `Gbt::fit`
+    use harl_repro::gbt::{CostModel, GbtParams};
+    let row = |i: usize| vec![i as f32, (i % 5) as f32, 1.0];
+    let good: Vec<(Vec<f32>, f64)> = (0..30).map(|i| (row(i), 1e9 * (1.0 + i as f64))).collect();
+    let bad = [
+        (vec![f32::NAN, 0.0, 1.0], 1e9),
+        (vec![3.0, f32::INFINITY, 1.0], 1e9),
+        (vec![3.0, 0.0, f32::NEG_INFINITY], 1e9),
+        (row(3), f64::NAN),
+        (row(4), f64::INFINITY),
+    ];
+
+    let mut clean = CostModel::new(GbtParams::default());
+    clean.update_batch(good.clone());
+
+    let mut batched = CostModel::new(GbtParams::default());
+    batched.update_batch(bad.iter().cloned().chain(good.clone()));
+    assert_eq!(batched.num_samples(), 30);
+    assert!(batched.is_trained());
+
+    let mut single = CostModel::new(GbtParams::default());
+    for (x, y) in bad.iter().cloned() {
+        assert!(!single.update(x, y), "a dropped sample retrains nothing");
+    }
+    assert_eq!(single.num_samples(), 0);
+    assert!(!single.is_trained());
+    for (x, y) in good.iter().cloned() {
+        single.update(x, y);
+    }
+    assert_eq!(single.num_samples(), 30);
+
+    // the surviving rows train the model a clean run gets
+    assert_eq!(batched.scale(), clean.scale());
+    for i in 0..30 {
+        let score = batched.score(&row(i));
+        assert!(score.is_finite());
+        assert_eq!(score.to_bits(), clean.score(&row(i)).to_bits());
+    }
+}
