@@ -342,47 +342,6 @@ struct Builder<'a> {
     pairs: Vec<Pair>,
 }
 
-/// Gradient statistics of the node being searched, and its best split.
-struct Search<'a> {
-    grad: &'a [f64],
-    params: &'a TreeParams,
-    g_sum: f64,
-    h_sum: f64,
-    parent_score: f64,
-    /// (feature, threshold, gain)
-    best: Option<(usize, f32, f64)>,
-}
-
-impl Search<'_> {
-    /// Scans the split points of feature `f` off its sorted pairs.
-    fn scan(&mut self, f: usize, pairs: &[Pair]) {
-        let params = self.params;
-        let mut gl = 0.0f64;
-        let mut hl = 0.0f64;
-        for w in pairs.windows(2) {
-            let (va, row) = w[0];
-            let vb = w[1].0;
-            gl += self.grad[row as usize];
-            hl += 1.0;
-            if va == vb {
-                continue; // can't split between equal values
-            }
-            let hr = self.h_sum - hl;
-            if hl < params.min_child_weight || hr < params.min_child_weight {
-                continue;
-            }
-            let gr = self.g_sum - gl;
-            let gain = 0.5
-                * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda)
-                    - self.parent_score)
-                - params.gamma;
-            if gain > self.best.map(|(_, _, g)| g).unwrap_or(0.0) {
-                self.best = Some((f, (va + vb) * 0.5, gain));
-            }
-        }
-    }
-}
-
 impl Builder<'_> {
     /// Builds the subtree over rows `idx` (ascending) and returns its slot
     /// in the node arena.
@@ -399,29 +358,49 @@ impl Builder<'_> {
             return self.nodes.len() - 1;
         }
 
-        let mut search = Search {
-            grad,
-            params,
-            g_sum,
-            h_sum,
-            parent_score: g_sum * g_sum / (h_sum + params.lambda),
-            best: None,
+        // best split over all features: (feature, threshold, gain)
+        let parent_score = g_sum * g_sum / (h_sum + params.lambda);
+        let mut best: Option<(usize, f32, f64)> = None;
+        let mut scan = |f: usize, pairs: &[Pair]| {
+            let mut gl = 0.0f64;
+            let mut hl = 0.0f64;
+            for w in pairs.windows(2) {
+                let (va, row) = w[0];
+                let vb = w[1].0;
+                gl += grad[row as usize];
+                hl += 1.0;
+                if va == vb {
+                    continue; // can't split between equal values
+                }
+                let hr = h_sum - hl;
+                if hl < params.min_child_weight || hr < params.min_child_weight {
+                    continue;
+                }
+                let gr = g_sum - gl;
+                let gain = 0.5
+                    * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda)
+                        - parent_score)
+                    - params.gamma;
+                if gain > best.map(|(_, _, g)| g).unwrap_or(0.0) {
+                    best = Some((f, (va + vb) * 0.5, gain));
+                }
+            }
         };
         if depth == 0 {
             for (f, pairs) in self.matrix.root_orders.iter().enumerate() {
-                search.scan(f, pairs);
+                scan(f, pairs);
             }
         } else {
             self.pairs.clear();
             self.pairs.extend(idx.iter().map(|&i| (0.0, i)));
             for f in 0..self.matrix.n_features {
                 if resort(&mut self.pairs, self.matrix.column(f)) {
-                    search.scan(f, &self.pairs);
+                    scan(f, &self.pairs);
                 }
             }
         }
 
-        let Some((feature, threshold, _)) = search.best else {
+        let Some((feature, threshold, _)) = best else {
             self.nodes.push(leaf);
             return self.nodes.len() - 1;
         };
