@@ -10,11 +10,18 @@ echo "==> cargo test -q"
 # shellcheck disable=SC2086  # CARGO_FLAGS is a flag list, word-splitting intended
 cargo test $CARGO_FLAGS -q --workspace
 
-echo "==> tree-fit golden in a release build"
+echo "==> tree-fit and tanh goldens in a release build"
 # tier-1 is a debug build and benchmark/ a release one: the tie order the
-# pinned trees depend on must hold in both
+# pinned trees depend on, and the activation's bits, must hold in both
 # shellcheck disable=SC2086
-cargo test $CARGO_FLAGS -q --release --test gbt_golden
+cargo test $CARGO_FLAGS -q --release --test gbt_golden --test tanh_golden
+
+echo "==> lane tanh against every backend and the host tanhf, all 2^32 inputs"
+# the proof that tanh_inplace is the libm function and not an approximation
+# of it; two threads, about 2.5 minutes. The 1-in-1021 version of the same
+# comparison ran above in the debug build, overflow checks on
+# shellcheck disable=SC2086
+cargo test $CARGO_FLAGS -q --release -p harl-simd --lib -- --ignored exhaustive_sweep
 
 echo "==> kernel-dispatch crates with HARL_SIMD=0 (forced-scalar dispatch)"
 # the SIMD backends are bit-identical to scalar by construction; rerunning
@@ -25,11 +32,11 @@ HARL_SIMD=0 cargo test $CARGO_FLAGS -q -p harl-simd -p harl-nnet -p harl-gbt -p 
 # the golden PPO update was recorded under vector dispatch: the scalar
 # kernels must reproduce its bits, and a checkpoint written under them must
 # round-trip, resume and fit its size budget like any other; the five
-# searchers' pinned state digests and the pinned tree fits must hold under
-# them too
+# searchers' pinned state digests, the pinned tree fits and the pinned
+# activation bits must hold under them too
 # shellcheck disable=SC2086
 HARL_SIMD=0 cargo test $CARGO_FLAGS -q --test ppo_golden --test checkpoint_layout \
-    --test search_golden --test gbt_golden
+    --test search_golden --test gbt_golden --test tanh_golden
 
 echo "==> scoring determinism suite at pool widths 1 and 4"
 # the suite pins explicit widths internally; running it under both env

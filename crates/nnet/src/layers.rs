@@ -318,11 +318,11 @@ impl Linear {
     }
 }
 
-/// In-place tanh and its backward pass.
+/// In-place tanh and its backward pass. The kernel is `harl-simd`'s lane
+/// form of fdlibm's `tanhf`: the bits the goldens were recorded with, on
+/// every backend and whatever libm the host links.
 pub fn tanh_forward(x: &mut [f32]) {
-    for v in x {
-        *v = v.tanh();
-    }
+    harl_simd::tanh_inplace(x);
 }
 
 /// `gx = gy * (1 - y²)` where `y = tanh(x)` is the forward output.

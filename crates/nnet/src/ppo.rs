@@ -322,6 +322,8 @@ struct Scratch {
     x: Vec<f32>,
     /// One softmax row per head, for the sample (or track) at hand.
     probs: Vec<Vec<f32>>,
+    /// `ln p` of the head row at hand (0 where `p` is masked to 0).
+    ln_probs: Vec<f32>,
     /// Per-head batch-major logit gradients.
     grad_logits: Vec<Vec<f32>>,
     /// Critic output gradient, one per sample.
@@ -593,6 +595,7 @@ impl PpoAgent {
         let Scratch {
             x,
             probs,
+            ln_probs,
             grad_logits,
             grad_v,
             ..
@@ -639,14 +642,26 @@ impl PpoAgent {
 
             for (h, p) in probs.iter().enumerate() {
                 let a = t.actions[h].min(p.len() - 1);
-                let entropy: f32 = p.iter().filter(|&&p| p > 0.0).map(|&p| -p * p.ln()).sum();
+                // one `logf` per probability: the entropy sum and the
+                // gradient below read the same bits
+                ln_probs.clear();
+                ln_probs.extend(p.iter().map(|&p| if p > 0.0 { p.ln() } else { 0.0 }));
+                let entropy: f32 = (p.iter().zip(ln_probs.iter()))
+                    .filter(|(&p, _)| p > 0.0)
+                    .map(|(&p, &ln_p)| -p * ln_p)
+                    .sum();
                 let dst = &mut grad_logits[h][s * head_sizes[h]..(s + 1) * head_sizes[h]];
-                for (i, (&p, slot)) in p.iter().zip(dst.iter_mut()).enumerate() {
+                for (i, ((&p, &ln_p), slot)) in p
+                    .iter()
+                    .zip(ln_probs.iter())
+                    .zip(dst.iter_mut())
+                    .enumerate()
+                {
                     if p <= 0.0 {
                         continue; // masked action: no gradient
                     }
                     let d_logp = (if i == a { 1.0 } else { 0.0 }) - p;
-                    let d_ent = -p * (p.ln() + entropy);
+                    let d_ent = -p * (ln_p + entropy);
                     *slot = dlogp * d_logp - self.cfg.entropy_weight * d_ent;
                 }
             }

@@ -481,6 +481,8 @@ fn publish_simd_metrics() {
         .set(stats.gemm_calls as f64);
     reg.gauge("harl_simd_score_batch_calls")
         .set(stats.score_batch_calls as f64);
+    reg.gauge("harl_simd_tanh_calls")
+        .set(stats.tanh_calls as f64);
     reg.gauge("harl_simd_vector_lane_fraction")
         .set(stats.vector_fraction());
 }

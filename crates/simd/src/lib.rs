@@ -11,13 +11,18 @@
 //!   8 partial sums of the *same* cell. Each cell keeps its existing
 //!   bias-then-ascending-`k` serial accumulation chain.
 //! * **No FMA, ever.** A fused multiply-add rounds once where `mul` + `add`
-//!   round twice, so `_mm256_fmadd_ps` would change the bits of every cell.
+//!   round twice, so the fused instruction would change the bits of every cell.
 //!   All backends use separate multiply and add instructions; IEEE-754
 //!   elementwise vector `mul`/`add` is bitwise-identical to the scalar ops.
 //! * **Register spills go through `f32`.** The GEMM microkernel loads the
 //!   partial `y` cells (holding bias or the previous k-panel's partial sum)
 //!   into registers, accumulates ascending `k`, and stores back; `f32`
 //!   load/store is exact, so panel boundaries don't perturb the chain.
+//! * **Activations are the host function re-expressed, not approximated.**
+//!   [`tanh_inplace`] is fdlibm's `tanhf` (the one the goldens were recorded
+//!   with) with every branch turned into a lane select: bit-equal to it on
+//!   all 2³² inputs, checked exhaustively, so the search bits no longer
+//!   depend on which libm the host links. See `tanh.rs`.
 //!
 //! Backend selection: runtime detection (AVX2 → SSE2 on x86-64, NEON on
 //! aarch64, scalar otherwise), overridable with `HARL_SIMD=0|scalar|sse2|
@@ -27,6 +32,7 @@
 
 mod feature_math;
 mod scalar;
+mod tanh;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
@@ -34,6 +40,7 @@ mod x86;
 mod neon;
 
 pub use feature_math::log2p_int;
+pub use tanh::{tanh_inplace, tanh_lane};
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -206,6 +213,7 @@ pub fn backend_name() -> &'static str {
 
 static GEMM_CALLS: AtomicU64 = AtomicU64::new(0);
 static SCORE_BATCH_CALLS: AtomicU64 = AtomicU64::new(0);
+static TANH_CALLS: AtomicU64 = AtomicU64::new(0);
 static VECTOR_CELLS: AtomicU64 = AtomicU64::new(0);
 static SCALAR_CELLS: AtomicU64 = AtomicU64::new(0);
 
@@ -217,7 +225,10 @@ pub struct SimdStats {
     pub gemm_calls: u64,
     /// GBT batch-prediction invocations routed through the lane walk.
     pub score_batch_calls: u64,
-    /// Output cells computed in vector lanes.
+    /// `tanh_inplace` invocations.
+    pub tanh_calls: u64,
+    /// Output cells (GEMM cells, scored samples, activations) computed in
+    /// vector lanes.
     pub vector_cells: u64,
     /// Output cells computed by scalar remainder loops (tails, fallbacks).
     pub scalar_cells: u64,
@@ -241,6 +252,7 @@ pub fn stats() -> SimdStats {
         backend: active_backend(),
         gemm_calls: GEMM_CALLS.load(Ordering::Relaxed),
         score_batch_calls: SCORE_BATCH_CALLS.load(Ordering::Relaxed),
+        tanh_calls: TANH_CALLS.load(Ordering::Relaxed),
         vector_cells: VECTOR_CELLS.load(Ordering::Relaxed),
         scalar_cells: SCALAR_CELLS.load(Ordering::Relaxed),
     }
@@ -371,16 +383,22 @@ mod tests {
     use std::sync::{Mutex, MutexGuard};
 
     /// Tests that flip the global forced backend serialize on this lock.
-    fn force_lock() -> MutexGuard<'static, ()> {
+    pub(crate) fn force_lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn supported_non_scalar() -> Vec<Backend> {
+    pub(crate) fn supported() -> Vec<Backend> {
         Backend::ALL
             .into_iter()
-            .filter(|b| *b != Backend::Scalar && b.is_supported())
+            .filter(|b| b.is_supported())
             .collect()
+    }
+
+    fn supported_non_scalar() -> Vec<Backend> {
+        let mut backends = supported();
+        backends.retain(|b| *b != Backend::Scalar);
+        backends
     }
 
     #[test]
