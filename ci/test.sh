@@ -21,7 +21,7 @@ echo "==> lane tanh against every backend and the host tanhf, all 2^32 inputs"
 # of it; two threads, about 2.5 minutes. The 1-in-1021 version of the same
 # comparison ran above in the debug build, overflow checks on
 # shellcheck disable=SC2086
-cargo test $CARGO_FLAGS -q --release -p harl-simd --lib -- --ignored exhaustive_sweep
+cargo test $CARGO_FLAGS -q --release -p harl-simd --lib -- --ignored --nocapture exhaustive_sweep
 
 echo "==> kernel-dispatch crates with HARL_SIMD=0 (forced-scalar dispatch)"
 # the SIMD backends are bit-identical to scalar by construction; rerunning

@@ -27,8 +27,7 @@
 //! is `2|x|` with `|x| ≥ 1`, which is past `1½ln2`. Finite inputs below 22
 //! give `k` in −3…63.
 
-use crate::{active_backend, Backend};
-use crate::{SCALAR_CELLS, TANH_CALLS, VECTOR_CELLS};
+use crate::{active_backend, Backend, SCALAR_CELLS, TANH_CALLS, VECTOR_CELLS};
 use std::sync::atomic::Ordering;
 
 const ABS: u32 = 0x7fff_ffff;
