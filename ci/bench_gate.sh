@@ -1,274 +1,59 @@
 #!/usr/bin/env bash
-# Bench-regression gate for the batched scoring pipeline, the batched
-# PPO kernels, the SIMD microkernels, and (in `serve` mode) the daemon's
-# request-serving latency under concurrent load.
+# The one performance gate: a timed run of every workload of benchmark/
+# (about two minutes) must be correct — four `"correct":true` lines,
+# `ops_failed=0`, `digest_changed=false` — and hold each workload's
+# calibrated `trials_per_s` and `job_turnaround_s` to the 25 % bound
+# BENCHMARK.json gives them, against ci/benchmark_gate.json (calibrated
+# seconds cancel machine speed, so one baseline serves every box). Best of
+# 2: a second run only when the first misses; a metric's better value counts.
 #
-# Reruns each cargo bench in smoke mode (HARL_BENCH_SMOKE=1) with a raised
-# rep count (HARL_BENCH_REPS=15 — the 2-rep CI smoke median is too noisy
-# to gate on) and fails when the measured batched/serial time ratio
-# regresses more than 25% over the committed baseline ratio in
-# ci/BENCH_<name>_smoke.json. Comparing the *ratio* of two timings from
-# the same run cancels machine speed, so one committed baseline serves
-# every box. A run that is not bit-identical always fails, and a gate
-# whose committed baseline file is missing is a hard error — a gate that
-# silently skips is a gate that silently rots.
-#
-# Best-of-2: a second attempt only runs when the first misses the budget,
-# absorbing one-off scheduling noise without hiding a real regression.
-#
-# BENCH_GATE_INJECT_SLOWDOWN=<factor> multiplies the measured batched time
-# before the comparison — the manual hook used to verify the gate fires
-# (factor 2 must fail; see EXPERIMENTS.md).
-#
-# Usage:
-#   ci/bench_gate.sh                   run every cargo-bench gate (scoring, ppo, simd)
-#   ci/bench_gate.sh scoring|ppo|simd  run one gate
-#   ci/bench_gate.sh serve REPORT.json gate a harl-cli bench-load report
-#   ci/bench_gate.sh --list            print the gated benches + their baselines
-#
-# The serve gate has no in-run ratio to cancel machine speed with, so its
-# margins are deliberately generous — status p99 within 4x of baseline,
-# throughput within 4x the other way — to catch order-of-magnitude
-# regressions (an accidental sleep in the event loop, a per-request
-# thread spawn) and nothing subtler.
+#   ci/bench_gate.sh            gate this tree
+#   ci/bench_gate.sh --record   rewrite the baseline: median of three runs
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CARGO_FLAGS=${CARGO_FLAGS:---offline}
-MARGIN=1.25
-SERVE_MARGIN=4
+BASELINE=ci/benchmark_gate.json
+WORKLOADS=(op_search net_search baseline_search served_jobs)
+OUT=$(mktemp -d)
+trap 'rm -rf "$OUT"' EXIT
+fail() { echo "FAIL: bench gate: $*"; exit 1; }
 
-# The gate table: every gated bench, its kind, and its committed baseline.
-#   ratio — cargo bench, gated on the in-run batched/serial time ratio
-#   simd  — cargo bench, gated on the scalar/dispatched ratio + bit-identity
-#   serve — harl-cli bench-load report, gated on absolute p99/throughput
-GATES=(
-    "scoring ratio ci/BENCH_scoring_smoke.json"
-    "ppo ratio ci/BENCH_ppo_smoke.json"
-    "simd simd ci/BENCH_simd_smoke.json"
-    "serve serve ci/BENCH_serve_smoke.json"
-)
+# run N: one timed run into $OUT/N.txt, checked for correctness
+run() {
+    bash benchmark/run.sh --trace 0 --out "$OUT/$1" >"$OUT/$1.txt" || fail "benchmark/run.sh exited $?"
+    grep -E '^[a-z_]+ (trials_per_s|job_turnaround_s) |^# .* timed ' "$OUT/$1.txt"
+    [ "$(grep -c '"correct":true' "$OUT/$1.txt")" -eq ${#WORKLOADS[@]} ] || fail "a result is missing or not correct"
+    [ "$(grep -c ' timed .* ops_failed=0 .* digest_changed=false' "$OUT/$1.txt")" -eq ${#WORKLOADS[@]} ] ||
+        fail "a workload failed operations or changed its digest"
+}
+# values WORKLOAD METRIC: that metric of every run so far, ascending
+values() { cat "$OUT"/*.txt | awk -v w="$1" -v m="$2" '$1 == w && $2 == m { print $3 }' | sort -g; }
+baseline() { sed -n "s/.*\"$1\": {.*\"$2\": \([0-9.eE+-]*\).*/\1/p" "$BASELINE"; }
+# outside VALUE OP FACTOR BASE: true when VALUE OP FACTOR * BASE, i.e. past the bound
+outside() { [ -n "$4" ] || fail "$BASELINE lacks an entry; run ci/bench_gate.sh --record"; awk "BEGIN { exit !($1 $2 $3 * $4) }"; }
 
-json_num() { sed -n "s/.*\"$2\": *\([0-9.eE+-]*\).*/\1/p" "$1" | head -1; }
-# verb_stat FILE VERB FIELD: FIELD inside VERB's one-line stats object
-verb_stat() { sed -n "s/.*\"$2\": {[^}]*\"$3\": \([0-9.eE+-]*\).*/\1/p" "$1" | head -1; }
+if [ "${1:-}" = "--record" ]; then
+    for n in 1 2 3; do run "$n"; done
+    for w in "${WORKLOADS[@]}"; do
+        echo "  \"$w\": {\"trials_per_s\": $(values "$w" trials_per_s | sed -n 2p)," \
+            "\"job_turnaround_s\": $(values "$w" job_turnaround_s | sed -n 2p)}"
+    done | sed -e '$!s/$/,/' -e '1s/^/{\n/' -e '$s/$/\n}/' | tee "$BASELINE"
+    exit 0
+fi
 
-# require_baseline NAME FILE FIELD...: the committed baseline must exist
-# and carry every field the gate reads, else the gate errors out instead
-# of comparing against garbage.
-require_baseline() {
-    local name=$1 file=$2 field
-    shift 2
-    if [ ! -f "$file" ]; then
-        echo "FAIL: $name: committed baseline $file is missing; re-commit it (see EXPERIMENTS.md)"
-        exit 1
-    fi
-    for field in "$@"; do
-        if [ -z "$(json_num "$file" "$field")$(verb_stat "$file" status "$field")" ]; then
-            echo "FAIL: $name: baseline $file has no \`$field\` field"
-            exit 1
-        fi
+for attempt in 1 2; do
+    run "$attempt"
+    missed=""
+    for w in "${WORKLOADS[@]}"; do
+        rate=$(values "$w" trials_per_s | tail -n 1)
+        turn=$(values "$w" job_turnaround_s | head -n 1)
+        if outside "$rate" "<" 0.75 "$(baseline "$w" trials_per_s)"; then missed+=" $w.trials_per_s=$rate"; fi
+        if outside "$turn" ">" 1.25 "$(baseline "$w" job_turnaround_s)"; then missed+=" $w.job_turnaround_s=$turn"; fi
     done
-}
-
-list_gates() {
-    echo "gated benches (baseline ratios re-derived from the committed files):"
-    local name kind baseline
-    for entry in "${GATES[@]}"; do
-        read -r name kind baseline <<<"$entry"
-        if [ ! -f "$baseline" ]; then
-            printf '  %-8s %-6s %s  (MISSING)\n' "$name" "$kind" "$baseline"
-            continue
-        fi
-        case "$kind" in
-        ratio)
-            printf '  %-8s %-6s %s  batched/serial=%s (margin x%s)\n' "$name" "$kind" "$baseline" \
-                "$(awk "BEGIN{printf \"%.4f\", $(json_num "$baseline" batched_ms)/$(json_num "$baseline" serial_ms)}")" \
-                "$MARGIN"
-            ;;
-        simd)
-            printf '  %-8s %-6s %s  simd/scalar=%s (margin x%s)\n' "$name" "$kind" "$baseline" \
-                "$(awk "BEGIN{printf \"%.4f\", $(json_num "$baseline" gemm_simd_ms)/$(json_num "$baseline" gemm_scalar_ms)}")" \
-                "$MARGIN"
-            ;;
-        serve)
-            printf '  %-8s %-6s %s  status_p99=%sms throughput=%srps (margin x%s)\n' "$name" "$kind" "$baseline" \
-                "$(verb_stat "$baseline" status p99_ms)" \
-                "$(json_num "$baseline" throughput_rps)" \
-                "$SERVE_MARGIN"
-            ;;
-        esac
-    done
-}
-
-gate_serve() {
-    local report=$1
-    local baseline=ci/BENCH_serve_smoke.json
-    require_baseline serve "$baseline" throughput_rps p99_ms
-    local errors base_p99 base_rps p99 rps p99_budget rps_floor
-    errors=$(json_num "$report" errors)
-    if [ -z "$errors" ] || [ "$errors" -ne 0 ]; then
-        echo "FAIL: serve: bench-load saw ${errors:-?} request errors"
-        exit 1
+    if [ -z "$missed" ]; then
+        echo "bench gate OK: every workload within 25 % of $BASELINE"
+        exit 0
     fi
-    base_p99=$(verb_stat "$baseline" status p99_ms)
-    base_rps=$(json_num "$baseline" throughput_rps)
-    p99=$(verb_stat "$report" status p99_ms)
-    rps=$(json_num "$report" throughput_rps)
-    if [ -z "$p99" ] || [ -z "$rps" ]; then
-        echo "FAIL: serve: report $report is missing status p99 or throughput"
-        exit 1
-    fi
-    p99_budget=$(awk "BEGIN{printf \"%.4f\", $base_p99*$SERVE_MARGIN}")
-    rps_floor=$(awk "BEGIN{printf \"%.1f\", $base_rps/$SERVE_MARGIN}")
-    echo "bench gate [serve]: status p99=${p99}ms (budget ${p99_budget}ms), throughput=${rps}rps (floor ${rps_floor}rps)"
-    if awk "BEGIN{exit !($p99 > $p99_budget)}"; then
-        echo "FAIL: serve: status p99 ${p99}ms exceeds budget ${p99_budget}ms (baseline ${base_p99}ms x$SERVE_MARGIN)"
-        exit 1
-    fi
-    if awk "BEGIN{exit !($rps < $rps_floor)}"; then
-        echo "FAIL: serve: throughput ${rps}rps below floor ${rps_floor}rps (baseline ${base_rps}rps /$SERVE_MARGIN)"
-        exit 1
-    fi
-    echo "bench gate OK [serve]"
-}
-
-# The simd bench reports scalar-forced vs runtime-dispatched times for the
-# same kernels. Bit-identity is gated unconditionally — a vector backend
-# that changes bits is a correctness bug regardless of speed. The timing
-# ratio is only gated when the dispatcher picked a vector backend; on
-# scalar-only hosts the ratio is ~1.0 by construction and timing noise
-# must not fail CI there.
-gate_simd() {
-    local baseline=ci/BENCH_simd_smoke.json
-    require_baseline simd "$baseline" gemm_scalar_ms gemm_simd_ms
-    local base_scalar base_simd base_ratio budget
-    base_scalar=$(json_num "$baseline" gemm_scalar_ms)
-    base_simd=$(json_num "$baseline" gemm_simd_ms)
-    base_ratio=$(awk "BEGIN{printf \"%.4f\", $base_simd/$base_scalar}")
-    budget=$(awk "BEGIN{printf \"%.4f\", $base_ratio*$MARGIN}")
-
-    local best_ratio="" attempt OUT backend scalar simd ratio
-    for attempt in 1 2; do
-        OUT=$(mktemp)
-        # shellcheck disable=SC2086  # CARGO_FLAGS is a flag list, word-splitting intended
-        HARL_BENCH_SMOKE=1 HARL_BENCH_REPS=15 HARL_BENCH_OUT="$OUT" \
-            cargo bench $CARGO_FLAGS -q -p harl-bench --bench simd
-        if ! grep -q '"bit_identical": true' "$OUT"; then
-            rm -f "$OUT"
-            echo "FAIL: simd: dispatched kernels are not bit-identical to scalar"
-            exit 1
-        fi
-        backend=$(sed -n 's/.*"backend": *"\([a-z0-9]*\)".*/\1/p' "$OUT" | head -1)
-        scalar=$(json_num "$OUT" gemm_scalar_ms)
-        simd=$(json_num "$OUT" gemm_simd_ms)
-        rm -f "$OUT"
-        if [ "$backend" = "scalar" ]; then
-            echo "bench gate [simd]: host dispatches scalar; bit-identity OK, ratio check skipped"
-            echo "bench gate OK [simd]"
-            return 0
-        fi
-        if [ -n "${BENCH_GATE_INJECT_SLOWDOWN:-}" ]; then
-            simd=$(awk "BEGIN{print $simd*$BENCH_GATE_INJECT_SLOWDOWN}")
-            echo "note: simd: injected ${BENCH_GATE_INJECT_SLOWDOWN}x slowdown into gemm_simd_ms"
-        fi
-        ratio=$(awk "BEGIN{printf \"%.4f\", $simd/$scalar}")
-        echo "bench gate [simd] attempt $attempt: backend=$backend scalar=${scalar}ms simd=${simd}ms ratio=$ratio (budget $budget, baseline $base_ratio)"
-        if [ -z "$best_ratio" ] || awk "BEGIN{exit !($ratio < $best_ratio)}"; then
-            best_ratio=$ratio
-        fi
-        if awk "BEGIN{exit !($best_ratio <= $budget)}"; then
-            break
-        fi
-    done
-
-    if awk "BEGIN{exit !($best_ratio > $budget)}"; then
-        echo "FAIL: simd: simd/scalar gemm ratio $best_ratio exceeds budget $budget (baseline $base_ratio +25%)"
-        exit 1
-    fi
-    echo "bench gate OK [simd]: ratio $best_ratio within budget $budget"
-}
-
-gate_bench() {
-    local bench=$1
-    local baseline=ci/BENCH_${bench}_smoke.json
-    require_baseline "$bench" "$baseline" serial_ms batched_ms
-    local base_serial base_batched base_ratio budget
-    base_serial=$(json_num "$baseline" serial_ms)
-    base_batched=$(json_num "$baseline" batched_ms)
-    base_ratio=$(awk "BEGIN{printf \"%.4f\", $base_batched/$base_serial}")
-    budget=$(awk "BEGIN{printf \"%.4f\", $base_ratio*$MARGIN}")
-
-    local best_ratio="" attempt OUT serial batched ratio
-    for attempt in 1 2; do
-        OUT=$(mktemp)
-        # shellcheck disable=SC2086  # CARGO_FLAGS is a flag list, word-splitting intended
-        HARL_BENCH_SMOKE=1 HARL_BENCH_REPS=15 HARL_BENCH_OUT="$OUT" \
-            cargo bench $CARGO_FLAGS -q -p harl-bench --bench "$bench"
-        if ! grep -q '"bit_identical": true' "$OUT"; then
-            rm -f "$OUT"
-            echo "FAIL: $bench: batched path is not bit-identical to the serial path"
-            exit 1
-        fi
-        serial=$(json_num "$OUT" serial_ms)
-        batched=$(json_num "$OUT" batched_ms)
-        rm -f "$OUT"
-        if [ -n "${BENCH_GATE_INJECT_SLOWDOWN:-}" ]; then
-            batched=$(awk "BEGIN{print $batched*$BENCH_GATE_INJECT_SLOWDOWN}")
-            echo "note: $bench: injected ${BENCH_GATE_INJECT_SLOWDOWN}x slowdown into batched_ms"
-        fi
-        ratio=$(awk "BEGIN{printf \"%.4f\", $batched/$serial}")
-        echo "bench gate [$bench] attempt $attempt: serial=${serial}ms batched=${batched}ms ratio=$ratio (budget $budget, baseline $base_ratio)"
-        if [ -z "$best_ratio" ] || awk "BEGIN{exit !($ratio < $best_ratio)}"; then
-            best_ratio=$ratio
-        fi
-        if awk "BEGIN{exit !($best_ratio <= $budget)}"; then
-            break
-        fi
-    done
-
-    if awk "BEGIN{exit !($best_ratio > $budget)}"; then
-        echo "FAIL: $bench: batched/serial ratio $best_ratio exceeds budget $budget (baseline $base_ratio +25%)"
-        exit 1
-    fi
-    echo "bench gate OK [$bench]: ratio $best_ratio within budget $budget"
-}
-
-# run_gate NAME [REPORT]: dispatch one table entry by kind
-run_gate() {
-    local want=$1 report=${2:-} name kind baseline
-    for entry in "${GATES[@]}"; do
-        read -r name kind baseline <<<"$entry"
-        [ "$name" = "$want" ] || continue
-        case "$kind" in
-        ratio) gate_bench "$name" ;;
-        simd) gate_simd ;;
-        serve)
-            if [ -z "$report" ]; then
-                echo "usage: ci/bench_gate.sh serve REPORT.json"
-                exit 2
-            fi
-            gate_serve "$report"
-            ;;
-        esac
-        return 0
-    done
-    echo "usage: ci/bench_gate.sh [--list | scoring | ppo | simd | serve REPORT.json]"
-    exit 2
-}
-
-case "${1:-}" in
---list)
-    list_gates
-    ;;
-"")
-    # every gate that runs its own bench; serve needs a live-daemon report
-    # and is driven from ci/smoke.sh
-    run_gate scoring
-    run_gate ppo
-    run_gate simd
-    ;;
-*)
-    run_gate "$1" "${2:-}"
-    ;;
-esac
+    echo "bench gate attempt $attempt: worse than $BASELINE by more than 25 %:$missed"
+done
+fail "still outside the bound after two runs"

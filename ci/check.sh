@@ -6,9 +6,10 @@
 #
 #   fmt         cargo fmt --check
 #   lint        clippy -D warnings + shellcheck
-#   test        workspace tests, HARL_SIMD=0 pass, thread-width matrix
-#   smoke       micro-bench gates, benchmark/run.sh --smoke + benchmark tests,
-#               lint-schedules, traced quickstart, serve + federation runs
+#   test        workspace tests, release goldens, tanh sweep, HARL_SIMD=0 pass
+#   smoke       benchmark gate (ci/bench_gate.sh), benchmark/run.sh --smoke +
+#               benchmark tests, lint-schedules, traced quickstart, serve
+#               (bench-load included) + federation runs
 #   tournament  five-searcher tournament self-checks
 #   analyze     lint-concurrency + --cfg harl_check tests (+ miri/TSan if present)
 #

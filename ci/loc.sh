@@ -3,18 +3,22 @@
 # quote it: lines of crates/{harl,ansor,mcts}/src/*.rs above each file's
 # `#[cfg(test)]`, not counting blank and `//` lines — then the structural
 # counts the search-core PRs track (how many times each piece of the tuner
-# shell is spelled). Quote this output, never a hand count.
+# shell is spelled) and the counts of the yardstick PR. Quote this output,
+# never a hand count.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# non_test FILE...: the files' lines above their `#[cfg(test)]`
 non_test() {
-    for f in crates/{harl,ansor,mcts}/src/*.rs; do
+    for f in "$@"; do
         awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
     done
 }
+# code_lines FILE...: the non-blank, non-`//` ones among them
+code_lines() { non_test "$@" | grep -vcE '^\s*(//|$)' || true; }
+searchers=(crates/{harl,ansor,mcts}/src/*.rs)
 
-echo "non-test, non-comment lines in crates/{harl,ansor,mcts}/src:" \
-    "$(non_test | grep -vcE '^\s*(//|$)')"
+echo "non-test, non-comment lines in crates/{harl,ansor,mcts}/src:" "$(code_lines "${searchers[@]}")"
 for pattern in \
     'Tuner for ' \
     'fn tune\(' \
@@ -25,5 +29,16 @@ for pattern in \
     'struct NetRound' \
     'fn finetune\(' \
     'fn checkpoint_state|fn restore_state'; do
-    printf '  %-42s %s\n' "$pattern" "$(non_test | grep -cE "$pattern" || true)"
+    printf '  %-42s %s\n' "$pattern" "$(non_test "${searchers[@]}" | grep -cE "$pattern" || true)"
 done
+
+# the yardstick PR's counts: knobs, bench-only code, committed micro-bench
+# numbers, and the two files it shrank
+echo "distinct HARL_* names in crates src examples tests ci:" \
+    "$(grep -rhoE 'HARL_[A-Z_]*[A-Z]' crates src examples tests ci | sort -u | wc -l)"
+echo "*.rs lines under crates/bench/benches and shims/criterion:" \
+    "$(find crates/bench/benches shims/criterion -name '*.rs' -exec cat {} + 2>/dev/null | wc -l)"
+echo "BENCH_*.json files at the root and under ci/:" \
+    "$(find . ci -maxdepth 1 -name 'BENCH_*.json' | wc -l)"
+echo "non-test, non-comment lines in crates/par/src/lib.rs:" "$(code_lines crates/par/src/lib.rs)"
+echo "non-test, non-comment lines in crates/check/src/models.rs:" "$(code_lines crates/check/src/models.rs)"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Stage: end-to-end smoke runs — bench-regression gate, the end-to-end
-# benchmark's smoke mode and its own tests, schedule lints, traced
+# Stage: end-to-end smoke runs — the benchmark gate (ci/bench_gate.sh), the
+# end-to-end benchmark's smoke mode and its own tests, schedule lints, traced
 # quickstart (trace parseable, >=95% coverage), warm-start via the record
 # store, and the serve daemon (warm-start across jobs, kill -9 resume).
 #
@@ -25,7 +25,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "==> scoring bench-regression gate"
+echo "==> benchmark gate (benchmark/run.sh --trace 0 against ci/benchmark_gate.json)"
 ci/bench_gate.sh
 
 echo "==> end-to-end benchmark smoke (benchmark/run.sh --smoke, all four workloads)"
@@ -196,14 +196,18 @@ wait "$SERVE_PID"
 SERVE_PID=""
 echo "serve restart OK: job $job3 resumed from its checkpoint after kill -9"
 
-echo "==> serve bench-load smoke (event-loop latency gate)"
+echo "==> serve bench-load smoke (four concurrent clients, no request may fail)"
 start_daemon
 "$CLI_BIN" --addr "$ADDR" bench-load --clients 4 --requests 80 --smoke \
-    --out "$SMOKE_TMP/BENCH_serve_run.json"
+    --out "$SMOKE_TMP/bench_load.json"
 "$CLI_BIN" --addr "$ADDR" shutdown
 wait "$SERVE_PID"
 SERVE_PID=""
-ci/bench_gate.sh serve "$SMOKE_TMP/BENCH_serve_run.json"
+if ! grep -q '"errors": 0,' "$SMOKE_TMP/bench_load.json"; then
+    cat "$SMOKE_TMP/bench_load.json"
+    echo "FAIL: bench-load saw request errors"
+    exit 1
+fi
 
 echo "==> federation smoke (two daemons, one logical pool)"
 FED_A="$SMOKE_TMP/fed-a"

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Stage: the full test suite, plus the determinism suites re-run under the
-# forced-scalar backend and both values of either pool-width variable.
+# forced-scalar backend. Pool widths need no rerun: a width is an argument,
+# and the suites pin widths 1, 2, 4 and 7 themselves.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,23 +38,3 @@ HARL_SIMD=0 cargo test $CARGO_FLAGS -q -p harl-simd -p harl-nnet -p harl-gbt -p 
 # shellcheck disable=SC2086
 HARL_SIMD=0 cargo test $CARGO_FLAGS -q --test ppo_golden --test checkpoint_layout \
     --test search_golden --test gbt_golden --test tanh_golden
-
-echo "==> scoring determinism suite at pool widths 1 and 4"
-# the suite pins explicit widths internally; running it under both env
-# values additionally exercises the from_env construction paths
-# shellcheck disable=SC2086
-HARL_SCORE_THREADS=1 cargo test $CARGO_FLAGS -q --test scoring_determinism --test search_golden
-# shellcheck disable=SC2086
-HARL_SCORE_THREADS=4 cargo test $CARGO_FLAGS -q --test scoring_determinism --test search_golden
-
-echo "==> PPO determinism at pool widths 1 and 4"
-# same reasoning for the PPO pool: the golden update, the determinism suite
-# (which compares checkpoint bytes across backends and widths), the
-# checkpoint layout and the searchers' state digests under both
-# HARL_PPO_THREADS values
-for width in 1 4; do
-    # shellcheck disable=SC2086
-    HARL_PPO_THREADS=$width cargo test $CARGO_FLAGS -q \
-        --test ppo_golden --test scoring_determinism --test checkpoint_layout \
-        --test search_golden
-done

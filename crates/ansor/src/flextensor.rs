@@ -143,13 +143,12 @@ impl Proposer for FlextensorProposer {
             StepDir::COUNT,
             StepDir::COUNT,
         ];
-        let mut agent = PpoAgent::new(
+        let agent = PpoAgent::new(
             harl_tensor_ir::FEATURE_DIM,
             &head_sizes,
             cfg.ppo.clone(),
             &mut rng,
         );
-        agent.set_threads(harl_par::ppo_threads_from_env());
         FlextensorProposer {
             space,
             agent,

@@ -184,7 +184,7 @@ pub struct AnsorProposer {
     /// Batched fitness scoring (thread pool + feature cache). Runtime
     /// machinery, deliberately outside [`AnsorTunerState`]: its counters
     /// and thread width must not leak into checkpoints, which stay
-    /// byte-equal across `HARL_SCORE_THREADS` settings.
+    /// byte-equal across pool widths.
     pipeline: ScoringPipeline,
     cfg: AnsorConfig,
     rng: StdRng,
@@ -214,7 +214,7 @@ impl Proposer for AnsorProposer {
         AnsorProposer {
             cost_model: CostModel::new(cfg.gbt.clone()),
             elites: Vec::new(),
-            pipeline: ScoringPipeline::from_env(),
+            pipeline: ScoringPipeline::default(),
             cfg,
             rng: StdRng::seed_from_u64(seed),
         }

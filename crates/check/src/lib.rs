@@ -21,8 +21,8 @@
 //! 2. [`model`] — a small explicit-state model checker that exhaustively
 //!    explores thread interleavings of [`models`] of the workspace's
 //!    concurrency primitives (the serve `JobQueue`, the store `DirLock`
-//!    steal protocol, `harl-par` chunk stealing), checking an invariant
-//!    after every transition and a completion invariant at quiescence.
+//!    steal protocol), checking an invariant after every transition and
+//!    a completion invariant at quiescence.
 //!    Violations are reported as **C005** with the exact thread schedule
 //!    that reproduces them. `cargo test -p harl-check` runs the models;
 //!    the `lint-concurrency` binary runs them standalone (mirroring

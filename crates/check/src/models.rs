@@ -18,10 +18,6 @@
 //!   legacy read-check-`remove_file`-`create_new` sequence, where the
 //!   second stealer's `remove_file` deletes the first winner's fresh
 //!   lock and both end up holding it.
-//! - [`ChunkStealModel`] — `harl-par`'s `map_indexed` work cursor. Good
-//!   variant claims a chunk with one `fetch_add`; bad variant splits it
-//!   into a read step and a write step, so two workers claim the same
-//!   chunk.
 
 use crate::model::{Checker, Model, Report, Step};
 
@@ -562,109 +558,6 @@ impl Model for DirLockModel {
 }
 
 // ---------------------------------------------------------------------------
-// harl-par chunk stealing
-// ---------------------------------------------------------------------------
-
-/// Model of `ThreadPool::map_indexed`'s shared work cursor: two workers
-/// claiming chunks of one item from a pool of `total`.
-#[derive(Clone, Hash)]
-pub struct ChunkStealModel {
-    name: &'static str,
-    racy: bool,
-    total: u8,
-    cursor: u8,
-    /// How many times each item was claimed.
-    counts: Vec<u8>,
-    pcs: [u8; 2],
-    tmp: [u8; 2],
-}
-
-impl ChunkStealModel {
-    /// The shipped cursor: one `fetch_add` claims the chunk atomically.
-    pub fn atomic_cursor() -> Self {
-        ChunkStealModel {
-            name: "par/atomic-cursor",
-            racy: false,
-            total: 3,
-            cursor: 0,
-            counts: vec![0; 3],
-            pcs: [0; 2],
-            tmp: [0; 2],
-        }
-    }
-
-    /// Broken variant: the claim is a separate load and store, so two
-    /// workers can claim the same chunk.
-    pub fn racy_cursor() -> Self {
-        ChunkStealModel {
-            name: "par/racy-read-then-write",
-            racy: true,
-            ..Self::atomic_cursor()
-        }
-    }
-}
-
-impl Model for ChunkStealModel {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn thread_count(&self) -> usize {
-        2
-    }
-
-    fn step(&mut self, tid: usize) -> Step {
-        if !self.racy {
-            if self.cursor >= self.total {
-                return Step::Done;
-            }
-            // fetch_add: claim + advance in one step
-            self.counts[self.cursor as usize] += 1;
-            self.cursor += 1;
-            Step::Ran
-        } else {
-            match self.pcs[tid] {
-                0 => {
-                    if self.cursor >= self.total {
-                        return Step::Done;
-                    }
-                    self.tmp[tid] = self.cursor; // load
-                    self.pcs[tid] = 1;
-                    Step::Ran
-                }
-                _ => {
-                    let at = self.tmp[tid];
-                    if at < self.total {
-                        self.counts[at as usize] += 1;
-                    }
-                    self.cursor = at + 1; // store
-                    self.pcs[tid] = 0;
-                    Step::Ran
-                }
-            }
-        }
-    }
-
-    fn invariant(&self) -> Result<(), String> {
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 1 {
-                return Err(format!("chunk {i} claimed {c} times"));
-            }
-        }
-        Ok(())
-    }
-
-    fn finale(&self) -> Result<(), String> {
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c != 1 {
-                return Err(format!("chunk {i} claimed {c} times at quiescence"));
-            }
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Suite
 // ---------------------------------------------------------------------------
 
@@ -692,19 +585,11 @@ pub fn run_suite(checker: &Checker) -> Vec<SuiteEntry> {
             expect_violation: false,
         },
         SuiteEntry {
-            report: checker.check(ChunkStealModel::atomic_cursor()),
-            expect_violation: false,
-        },
-        SuiteEntry {
             report: checker.check(QueueModel::broken_wait()),
             expect_violation: true,
         },
         SuiteEntry {
             report: checker.check(DirLockModel::legacy_remove()),
-            expect_violation: true,
-        },
-        SuiteEntry {
-            report: checker.check(ChunkStealModel::racy_cursor()),
             expect_violation: true,
         },
     ]
@@ -758,19 +643,6 @@ mod tests {
         );
         let (_, err) = replay(DirLockModel::legacy_remove(), &v.schedule);
         assert!(err.is_some(), "counterexample must replay to a failure");
-    }
-
-    #[test]
-    fn chunk_atomic_cursor_claims_each_once() {
-        let r = Checker::default().check(ChunkStealModel::atomic_cursor());
-        assert!(r.passed(), "violation: {:?}", r.violation);
-    }
-
-    #[test]
-    fn chunk_racy_cursor_double_claims() {
-        let r = Checker::default().check(ChunkStealModel::racy_cursor());
-        let v = r.violation.expect("racy cursor must be caught");
-        assert!(v.message.contains("claimed"), "unexpected: {}", v.message);
     }
 
     #[test]

@@ -318,11 +318,6 @@ impl ScoringPipeline {
         }
     }
 
-    /// A pipeline sized by `HARL_SCORE_THREADS` (default serial).
-    pub fn from_env() -> Self {
-        ScoringPipeline::new(harl_par::threads_from_env(), DEFAULT_CACHE_CAP)
-    }
-
     /// Pool width.
     pub fn threads(&self) -> usize {
         self.pool.threads()
@@ -460,8 +455,10 @@ impl ScoringPipeline {
 }
 
 impl Default for ScoringPipeline {
+    /// A serial pipeline with the default cache capacity; a tuner's
+    /// `set_parallelism` widens it.
     fn default() -> Self {
-        ScoringPipeline::from_env()
+        ScoringPipeline::new(1, DEFAULT_CACHE_CAP)
     }
 }
 
@@ -489,17 +486,27 @@ mod tests {
     #[test]
     fn pipeline_matches_serial_scoring_bit_for_bit() {
         let cm = trained_model();
-        let items: Vec<f32> = (0..97).map(|i| i as f32 / 97.0).collect();
-        for threads in [1, 4] {
+        // the last batch has enough misses for the width-2 pool to split
+        // the extraction across its workers instead of running it inline
+        let split = 2 * harl_par::MIN_ITEMS_PER_WORKER + 5;
+        let spawned = harl_obs::global().counter("harl_par_maps_total{mode=\"parallel\"}");
+        let spawned_before = spawned.get();
+        for (threads, n) in [(1, 97), (4, 97), (2, split)] {
+            let items: Vec<f32> = (0..n).map(|i| i as f32 / n as f32).collect();
             let mut pipe = ScoringPipeline::new(threads, 64);
             let mut out = Vec::new();
             pipe.score_into(&cm, &items, |x| x.to_bits() as u64, feat_of, &mut out);
+            assert_eq!(pipe.stats().cache_misses, n as u64);
             for (o, x) in out.iter().zip(&items) {
                 let mut f = Vec::new();
                 feat_of(x, &mut f);
                 assert_eq!(o.to_bits(), cm.score(&f).to_bits());
             }
         }
+        assert!(
+            spawned.get() > spawned_before,
+            "the {split}-miss batch must spawn at width 2"
+        );
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! * warm-starts: replaying matching prior records pre-trains the cost
 //!   model and seeds the search before any fresh trial is spent.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use serde::de::{self, DeError, Value};
@@ -370,8 +371,8 @@ impl SessionBuilder {
     /// Thread-pool widths applied to the tuner via
     /// [`Tuner::set_parallelism`] before the first round (after any
     /// resume/warm-start). Performance only — results are bit-identical at
-    /// any width. Defaults to the tuner's own construction-time widths
-    /// (typically read from `HARL_SCORE_THREADS` / `HARL_PPO_THREADS`).
+    /// any width. Without it the tuner keeps the widths it has (serial,
+    /// unless the caller set them on the tuner).
     pub fn parallelism(mut self, opts: ParallelismOpts) -> Self {
         self.parallelism = Some(opts);
         self
@@ -396,6 +397,7 @@ impl SessionBuilder {
             resumed: false,
             warm_records: 0,
             job_key: self.job_key.clone(),
+            saved: Cell::new(false),
         };
         let checkpoint = if let Some(store) = &session.store {
             measurer.set_sink(store.clone() as Arc<dyn harl_tensor_sim::RecordSink>);
@@ -441,6 +443,7 @@ impl SessionBuilder {
                 session.rounds_done = ck.rounds_done;
                 session.finetuned = ck.finetuned;
                 session.resumed = true;
+                session.saved.set(true);
             }
             None if self.warm_start => {
                 let mut records = match &session.store {
@@ -490,7 +493,8 @@ pub struct RunOutcome {
     /// Fresh trials used by this call.
     pub trials: u64,
     /// True when the controller stopped the run before the budget was
-    /// exhausted (a checkpoint was written either way).
+    /// exhausted (the store's checkpoint holds the final state either
+    /// way).
     pub stopped: bool,
 }
 
@@ -520,6 +524,10 @@ pub struct TuningSession<'m> {
     resumed: bool,
     warm_records: usize,
     job_key: Option<String>,
+    /// True while the store's checkpoint is this session's state: after
+    /// [`TuningSession::checkpoint_now`] and after a resume, until the
+    /// next round or fine-tune.
+    saved: Cell<bool>,
 }
 
 impl<'m> TuningSession<'m> {
@@ -580,6 +588,7 @@ impl<'m> TuningSession<'m> {
     /// Runs one tuning round with up to `budget` measurements, then writes
     /// a checkpoint when the cadence says so. Returns the trials used.
     pub fn round(&mut self, budget: usize) -> Result<usize, StoreError> {
+        self.saved.set(false);
         let used = self.tuner.round(budget);
         if used == 0 {
             return Ok(0);
@@ -592,8 +601,10 @@ impl<'m> TuningSession<'m> {
     }
 
     /// Runs rounds until `total_trials` fresh measurements have been used
-    /// in this process (resumed trials are not re-counted), then writes a
-    /// final checkpoint. Returns the trials used.
+    /// in this process (resumed trials are not re-counted), then makes
+    /// sure the store's checkpoint holds the final state (one write, not
+    /// two, when the last round's cadence checkpoint already does).
+    /// Returns the trials used.
     pub fn run(&mut self, total_trials: u64) -> Result<u64, StoreError> {
         self.run_with(total_trials, |_| SessionControl::Continue)
             .map(|outcome| outcome.trials)
@@ -633,7 +644,11 @@ impl<'m> TuningSession<'m> {
             }
             used_here += used as u64;
         }
-        self.checkpoint_now()?;
+        // at the default cadence the last round has already written this
+        // state; encoding and writing the same bytes again buys nothing
+        if !self.saved.get() {
+            self.checkpoint_now()?;
+        }
         Ok(RunOutcome {
             trials: used_here,
             stopped,
@@ -662,6 +677,7 @@ impl<'m> TuningSession<'m> {
             });
         }
         let had_best = self.tuner.core().best_schedule.is_some();
+        self.saved.set(false);
         let trials = self.tuner.finetune(cfg);
         let after = self.tuner.best_latency();
         // `!(after > before)` rather than `after <= before`: a never-measured
@@ -698,7 +714,9 @@ impl<'m> TuningSession<'m> {
             measurer: self.measurer.state(),
             tuner: self.tuner.checkpoint(),
         };
-        store.save_checkpoint(&serde_json::to_string(&ck)?)
+        store.save_checkpoint(&serde_json::to_string(&ck)?)?;
+        self.saved.set(true);
+        Ok(())
     }
 
     /// Removes the store's checkpoint (e.g. after a completed run) and

@@ -54,7 +54,7 @@ pub struct HarlProposer {
     /// Batched candidate scoring (thread pool + feature cache). Runtime
     /// machinery, deliberately outside [`HarlTunerState`]: its counters and
     /// thread width must not leak into checkpoints, which stay byte-equal
-    /// across `HARL_SCORE_THREADS` settings.
+    /// across pool widths.
     pipeline: ScoringPipeline,
     cfg: HarlConfig,
     rng: StdRng,
@@ -96,13 +96,12 @@ impl Proposer for HarlProposer {
     fn new(core: &mut SearchCore<'_>, cfg: HarlConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ (core.graph.name.len() as u64) << 3);
         let space = ActionSpace::of(&core.sketches[0]);
-        let mut agent = PpoAgent::new(
+        let agent = PpoAgent::new(
             harl_tensor_ir::FEATURE_DIM,
             &[space.tile_actions(), 3, 3, 3],
             cfg.ppo.clone(),
             &mut rng,
         );
-        agent.set_threads(harl_par::ppo_threads_from_env());
         HarlProposer {
             cost_model: CostModel::new(cfg.gbt.clone()),
             agent,
@@ -111,7 +110,7 @@ impl Proposer for HarlProposer {
             pending_seeds: Vec::new(),
             critical_steps: Vec::new(),
             rounds: Vec::new(),
-            pipeline: ScoringPipeline::from_env(),
+            pipeline: ScoringPipeline::default(),
             cfg,
             rng,
         }

@@ -537,8 +537,7 @@ impl<'m, P: Proposer> Searcher<'m, P> {
         self.core.set_tracer(tracer);
     }
 
-    /// Overrides the proposer's pool widths (normally inherited from
-    /// `HARL_SCORE_THREADS` / `HARL_PPO_THREADS`). Results are
+    /// Sets the proposer's pool widths (serial until then). Results are
     /// bit-identical at any width.
     pub fn set_parallelism(&mut self, opts: ParallelismOpts) {
         self.proposer.set_parallelism(opts);

@@ -243,7 +243,7 @@ pub struct MctsProposer {
     /// Batched rollout scoring (thread pool + feature cache). Runtime
     /// machinery, deliberately outside [`MctsTunerState`]: its counters
     /// and thread width must not leak into checkpoints, which stay
-    /// byte-equal across `HARL_SCORE_THREADS` settings.
+    /// byte-equal across pool widths.
     pipeline: ScoringPipeline,
     cfg: MctsConfig,
     rng: StdRng,
@@ -411,7 +411,7 @@ impl Proposer for MctsProposer {
             pending_seeds: Vec::new(),
             warm_seeds: Vec::new(),
             reward_scale: 0.0,
-            pipeline: ScoringPipeline::from_env(),
+            pipeline: ScoringPipeline::default(),
             cfg,
             rng: StdRng::seed_from_u64(seed),
         }

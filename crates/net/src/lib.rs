@@ -77,16 +77,18 @@ pub struct LoopConfig {
     /// A connection whose buffered partial line exceeds this is dropped
     /// (protocol abuse / runaway peer protection).
     pub max_line_bytes: usize,
-    /// Upper bound of the idle back-off sleep. Bounds worst-case added
-    /// latency for a request arriving on a fully idle loop.
-    pub max_idle_sleep: Duration,
 }
+
+/// Sleep after the first sweep that found nothing to do; it doubles per
+/// further empty sweep up to [`MAX_IDLE_SLEEP`].
+const MIN_IDLE_SLEEP: Duration = Duration::from_millis(1);
+/// Bounds the latency added to a request arriving on a fully idle loop.
+const MAX_IDLE_SLEEP: Duration = Duration::from_millis(10);
 
 impl Default for LoopConfig {
     fn default() -> LoopConfig {
         LoopConfig {
             max_line_bytes: 16 * 1024 * 1024,
-            max_idle_sleep: Duration::from_millis(10),
         }
     }
 }
@@ -234,9 +236,7 @@ impl<S: Service> EventLoop<S> {
             if progressed {
                 idle_sleep = Duration::ZERO;
             } else {
-                idle_sleep = (idle_sleep * 2)
-                    .max(Duration::from_millis(1))
-                    .min(self.cfg.max_idle_sleep);
+                idle_sleep = (idle_sleep * 2).clamp(MIN_IDLE_SLEEP, MAX_IDLE_SLEEP);
                 std::thread::sleep(idle_sleep);
             }
         }
@@ -530,7 +530,6 @@ mod tests {
         let stop2 = stop.clone();
         let cfg = LoopConfig {
             max_line_bytes: 1024,
-            ..LoopConfig::default()
         };
         let handle = std::thread::spawn(move || {
             let mut el = EventLoop::new(listener, Echo, cfg).unwrap();

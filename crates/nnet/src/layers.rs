@@ -494,56 +494,69 @@ mod tests {
     #[test]
     fn gemm_backward_equals_the_per_row_backward_bit_for_bit() {
         // shapes straddle the kernel's MB = 8 row block, its KC = 256
-        // reduction panel (`batch` is dW's reduction length, `out_dim` dX's),
-        // the 8-lane column tail, and the pool's 64-rows-per-worker inline
-        // threshold (width 2 splits dX at batch 300 and dW at out_dim 130);
-        // gradients start non-zero so the fold into `gw`/`gb` is covered
+        // reduction panel (`batch` is dW's reduction length, `out_dim` dX's)
+        // and the 8-lane column tail; the two thin shapes at the end cross
+        // the pool's inline threshold at width 2 (dW has `out_dim` rows, dX
+        // `batch`), so its workers really spawn; gradients start non-zero so
+        // the fold into `gw`/`gb` is covered
         let mut rng = StdRng::seed_from_u64(77);
         let mut scratch = GradScratch::default();
         let backends: Vec<_> = harl_simd::Backend::ALL
             .into_iter()
             .filter(|b| b.is_supported())
             .collect();
+        let mut shapes = Vec::new();
         for &batch in &[1usize, 7, 64, 65, 300] {
             for &out_dim in &[1usize, 3, 64, 101, 130] {
                 for &in_dim in &[5usize, 64, 257] {
-                    let mut l0 = Linear::new(in_dim, out_dim, &mut rng);
-                    l0.gw.iter_mut().for_each(|g| *g = rng.gen_range(-1.0..1.0));
-                    l0.gb.iter_mut().for_each(|g| *g = rng.gen_range(-1.0..1.0));
-                    let x: Vec<f32> = (0..batch * in_dim)
-                        .map(|_| rng.gen_range(-1.0..1.0))
-                        .collect();
-                    let gy: Vec<f32> = (0..batch * out_dim)
-                        .map(|_| rng.gen_range(-1.0..1.0))
-                        .collect();
-                    let mut want = l0.clone();
-                    let want_gx = backward_per_row(&mut want, &x, &gy, batch);
-                    for &backend in &backends {
-                        for threads in [1, 2, 7] {
-                            let shape = format!(
-                                "{}: {batch}×{in_dim}→{out_dim}, width {threads}",
-                                backend.name()
-                            );
-                            let mut got = l0.clone();
-                            let mut gx = Vec::new();
-                            let prev = harl_simd::force_backend(Some(backend));
-                            got.backward_batch(
-                                &x,
-                                &gy,
-                                batch,
-                                &ThreadPool::new(threads),
-                                &mut scratch,
-                                Some(&mut gx),
-                            );
-                            harl_simd::force_backend(prev);
-                            assert_eq!(bits(&got.gw), bits(&want.gw), "gw, {shape}");
-                            assert_eq!(bits(&got.gb), bits(&want.gb), "gb, {shape}");
-                            assert_eq!(bits(&gx), bits(&want_gx), "gx, {shape}");
-                        }
-                    }
+                    shapes.push((batch, out_dim, in_dim));
                 }
             }
         }
+        let split = 2 * harl_par::MIN_ITEMS_PER_WORKER + 8;
+        shapes.extend([(2, split, 4), (split, 1, 4)]);
+        let spawned = harl_obs::global().counter("harl_par_maps_total{mode=\"parallel\"}");
+        let spawned_before = spawned.get();
+        for (batch, out_dim, in_dim) in shapes {
+            let mut l0 = Linear::new(in_dim, out_dim, &mut rng);
+            l0.gw.iter_mut().for_each(|g| *g = rng.gen_range(-1.0..1.0));
+            l0.gb.iter_mut().for_each(|g| *g = rng.gen_range(-1.0..1.0));
+            let x: Vec<f32> = (0..batch * in_dim)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            let gy: Vec<f32> = (0..batch * out_dim)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            let mut want = l0.clone();
+            let want_gx = backward_per_row(&mut want, &x, &gy, batch);
+            for &backend in &backends {
+                for threads in [1, 2, 7] {
+                    let shape = format!(
+                        "{}: {batch}×{in_dim}→{out_dim}, width {threads}",
+                        backend.name()
+                    );
+                    let mut got = l0.clone();
+                    let mut gx = Vec::new();
+                    let prev = harl_simd::force_backend(Some(backend));
+                    got.backward_batch(
+                        &x,
+                        &gy,
+                        batch,
+                        &ThreadPool::new(threads),
+                        &mut scratch,
+                        Some(&mut gx),
+                    );
+                    harl_simd::force_backend(prev);
+                    assert_eq!(bits(&got.gw), bits(&want.gw), "gw, {shape}");
+                    assert_eq!(bits(&got.gb), bits(&want.gb), "gb, {shape}");
+                    assert_eq!(bits(&gx), bits(&want_gx), "gx, {shape}");
+                }
+            }
+        }
+        assert!(
+            spawned.get() > spawned_before,
+            "the two thin shapes must split across workers at width 2"
+        );
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! matrix-matrix forward for every live schedule track of a step, and
 //! [`PpoAgent::train_minibatch`] runs one batched forward/backward over
 //! the whole minibatch with the gradient reduction parallelized on the
-//! agent's `harl-par` pool (`HARL_PPO_THREADS`). Both are bit-identical
-//! to their per-sample equivalents at any batch size and any pool width —
-//! the same contract `tests/scoring_determinism.rs` pins for scoring.
+//! agent's `harl-par` pool ([`PpoAgent::set_threads`]). Both are
+//! bit-identical to their per-sample equivalents at any batch size and any
+//! pool width — the same contract `tests/scoring_determinism.rs` pins for
+//! scoring.
 
 use std::collections::VecDeque;
 

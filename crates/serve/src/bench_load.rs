@@ -5,9 +5,9 @@
 //! Latencies go into a *local* [`harl_obs::MetricsRegistry`] (the global
 //! one belongs to the daemon under test), using the fine-grained bucket
 //! ladder so sub-millisecond wire round-trips still resolve a p50. The
-//! JSON report is rendered by hand with a stable key order, so committed
-//! baselines diff cleanly (`BENCH_serve.json`, gated by
-//! `ci/bench_gate.sh serve`).
+//! JSON report is rendered by hand with a stable key order, so two
+//! reports diff cleanly. `ci/smoke.sh` runs it as the concurrent-client
+//! traffic generator and requires `"errors": 0`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,8 +29,8 @@ pub struct BenchLoadConfig {
     /// Every Nth request is a `list` (0 disables); the rest are
     /// watch-style `status` polls of a seed job.
     pub list_every: usize,
-    /// Marks the report as a reduced smoke run (CI) rather than the
-    /// committed full benchmark.
+    /// Marks the report as a reduced smoke run (CI) rather than a
+    /// full-size one.
     pub smoke: bool,
 }
 

@@ -166,7 +166,7 @@ fn submit(client: &Client, rest: &[String]) {
                     .parse()
                     .unwrap_or_else(|e| die(format!("--score-threads: {e}")));
                 spec.parallelism
-                    .get_or_insert_with(ParallelismOpts::from_env)
+                    .get_or_insert_with(ParallelismOpts::serial)
                     .score_threads = n;
             }
             "--ppo-threads" => {
@@ -174,7 +174,7 @@ fn submit(client: &Client, rest: &[String]) {
                     .parse()
                     .unwrap_or_else(|e| die(format!("--ppo-threads: {e}")));
                 spec.parallelism
-                    .get_or_insert_with(ParallelismOpts::from_env)
+                    .get_or_insert_with(ParallelismOpts::serial)
                     .ppo_threads = n;
             }
             "--watch" => watch_it = true,

@@ -276,8 +276,8 @@ pub struct JobSpec {
     pub target_ms: Option<f64>,
     /// Thread-pool widths for the job's parallel stages (scoring, PPO).
     /// Performance only — results are bit-identical at any width — so it
-    /// is excluded from [`JobSpec::job_key`]. `None` uses the daemon's
-    /// environment (`HARL_SCORE_THREADS` / `HARL_PPO_THREADS`).
+    /// is excluded from [`JobSpec::job_key`]. `None` runs every stage
+    /// serially.
     #[serde(default)]
     pub parallelism: Option<ParallelismOpts>,
     /// Run a coordinate-descent fine-tuning phase after the search

@@ -262,7 +262,11 @@ impl Daemon {
             ServeService {
                 shared: shared.clone(),
             },
-            LoopConfig::default(),
+            // requests are under 1 KiB; only `PoolSegment` replies are large,
+            // and those are read by the blocking `Client`, not by this loop
+            LoopConfig {
+                max_line_bytes: 64 * 1024,
+            },
         )?;
         let event_loop = {
             let shared = shared.clone();

@@ -386,3 +386,34 @@ fn metrics_verb_exposes_lifecycle_and_request_counters() {
     daemon.wait();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn oversized_request_line_is_dropped_and_the_daemon_keeps_serving() {
+    use std::io::{Read, Write};
+
+    let root = temp_root("line-cap");
+    let (daemon, client) = start(&root, 1, 8);
+    let id = client.submit(&gemm_spec(8)).expect("submit");
+    let dropped = harl_obs::global().counter("harl_net_conns_total{event=\"dropped\"}");
+    let dropped_before = dropped.get();
+
+    // 65 KiB and no newline: past the daemon's 64 KiB request-line cap
+    let mut hostile = std::net::TcpStream::connect(daemon.addr()).expect("connect");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let _ = hostile.write_all(&vec![b'x'; 65 * 1024]);
+    let mut reply = Vec::new();
+    // EOF or a reset, never a reply
+    let _ = hostile.read_to_end(&mut reply);
+    assert!(reply.is_empty(), "an oversized line must not be answered");
+    assert!(dropped.get() > dropped_before, "the connection was dropped");
+
+    // a fresh connection is served as before
+    let fresh = Client::new(daemon.addr().to_string());
+    assert_eq!(fresh.status(&id).expect("status").id, id);
+
+    client.shutdown().expect("shutdown");
+    daemon.wait();
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -3,9 +3,9 @@
 //! or foreign files that fail with a reason instead of a panic, and the
 //! size the layout was introduced for.
 //!
-//! `ci/test.sh` reruns this file under `HARL_SIMD=0` and both
-//! `HARL_PPO_THREADS` values; that the checkpoint bytes are the same under
-//! all of them is `tests/scoring_determinism.rs`'s to compare.
+//! `ci/test.sh` reruns this file under `HARL_SIMD=0`; that the checkpoint
+//! bytes are the same across backends and pool widths is
+//! `tests/scoring_determinism.rs`'s to compare.
 
 use std::path::PathBuf;
 use std::sync::Arc;

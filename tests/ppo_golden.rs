@@ -7,8 +7,7 @@
 //! were recorded before the packed checkpoint layout. Any rewrite of the
 //! update — kernel, summation order, scratch reuse, RNG draws of the
 //! sampler — that moves a single bit fails here, at every pool width (and,
-//! via `ci/test.sh`, under `HARL_PPO_THREADS` and the forced-scalar
-//! backend). The second test kills and resumes a `HarlOperatorTuner` and
+//! via `ci/test.sh`, under the forced-scalar backend). The second test kills and resumes a `HarlOperatorTuner` and
 //! checks that the agent it keeps training forwards through transposes of
 //! its current weights.
 

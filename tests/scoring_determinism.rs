@@ -1,9 +1,9 @@
 //! Bit-determinism of the parallel stages across pool widths.
 //!
 //! Two pools exist: the scoring pipeline (fingerprint, cache, extract,
-//! batch-predict — `HARL_SCORE_THREADS`) and the PPO gradient reduction
-//! (`HARL_PPO_THREADS`), plus the batched `ppo_act` matrix pass over all
-//! live tracks. Every one of them must come out bit-equal to the seed's
+//! batch-predict — `ParallelismOpts::score_threads`) and the PPO gradient
+//! reduction (`ppo_threads`), plus the batched `ppo_act` matrix pass over
+//! all live tracks. Every one of them must come out bit-equal to the seed's
 //! serial loops no matter how many threads run or how wide the batch is.
 //! These tests pin that guarantee end-to-end: a full tuning run with both
 //! pools at width 4 must produce the same best latency, the same trace,
