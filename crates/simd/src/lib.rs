@@ -30,6 +30,7 @@
 //! one process, [`force_backend`]. Unsupported requests clamp to the best
 //! supported tier — never undefined behaviour.
 
+mod explog;
 mod feature_math;
 mod scalar;
 mod tanh;
@@ -39,6 +40,7 @@ mod x86;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 
+pub use explog::{exp_inplace, ln_inplace};
 pub use feature_math::log2p_int;
 pub use tanh::{tanh_inplace, tanh_lane};
 
