@@ -42,3 +42,8 @@ echo "BENCH_*.json files at the root and under ci/:" \
     "$(find . ci -maxdepth 1 -name 'BENCH_*.json' | wc -l)"
 echo "non-test, non-comment lines in crates/par/src/lib.rs:" "$(code_lines crates/par/src/lib.rs)"
 echo "non-test, non-comment lines in crates/check/src/models.rs:" "$(code_lines crates/check/src/models.rs)"
+
+# the lane PR's count: what the masked tails, the AVX-512 tier and the lane
+# exp/ln cost in kernel code (tests and tables are above and beyond it)
+echo "non-test, non-comment lines in crates/simd/src:" "$(code_lines crates/simd/src/*.rs)"
+echo "all lines in crates/simd/src (tests and tables included):" "$(cat crates/simd/src/*.rs | wc -l)"

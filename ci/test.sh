@@ -11,18 +11,21 @@ echo "==> cargo test -q"
 # shellcheck disable=SC2086  # CARGO_FLAGS is a flag list, word-splitting intended
 cargo test $CARGO_FLAGS -q --workspace
 
-echo "==> tree-fit and tanh goldens in a release build"
+echo "==> tree-fit, tanh and exp/ln goldens in a release build"
 # tier-1 is a debug build and benchmark/ a release one: the tie order the
-# pinned trees depend on, and the activation's bits, must hold in both
+# pinned trees depend on, and the bits of the activation, the softmax and
+# the log-probabilities, must hold in both
 # shellcheck disable=SC2086
-cargo test $CARGO_FLAGS -q --release --test gbt_golden --test tanh_golden
+cargo test $CARGO_FLAGS -q --release --test gbt_golden --test tanh_golden --test explog_golden
 
-echo "==> lane tanh against every backend and the host tanhf, all 2^32 inputs"
-# the proof that tanh_inplace is the libm function and not an approximation
-# of it; two threads, about 2.5 minutes. The 1-in-1021 version of the same
-# comparison ran above in the debug build, overflow checks on
+echo "==> lane tanh, exp and ln against every backend and the host libm, all 2^32 inputs"
+# the proof that tanh_inplace, exp_inplace and ln_inplace are the libm
+# functions and not approximations of them; three sweeps, one after the
+# other, two threads and about 3.5 minutes each. The 1-in-1021 versions of
+# the same comparisons ran above in the debug build, overflow checks on
 # shellcheck disable=SC2086
-cargo test $CARGO_FLAGS -q --release -p harl-simd --lib -- --ignored --nocapture exhaustive_sweep
+cargo test $CARGO_FLAGS -q --release -p harl-simd --lib -- --ignored --nocapture \
+    --test-threads 1 exhaustive_sweep
 
 echo "==> kernel-dispatch crates with HARL_SIMD=0 (forced-scalar dispatch)"
 # the SIMD backends are bit-identical to scalar by construction; rerunning
@@ -34,7 +37,16 @@ HARL_SIMD=0 cargo test $CARGO_FLAGS -q -p harl-simd -p harl-nnet -p harl-gbt -p 
 # kernels must reproduce its bits, and a checkpoint written under them must
 # round-trip, resume and fit its size budget like any other; the five
 # searchers' pinned state digests, the pinned tree fits and the pinned
-# activation bits must hold under them too
+# activation, exp and ln bits must hold under them too
 # shellcheck disable=SC2086
 HARL_SIMD=0 cargo test $CARGO_FLAGS -q --test ppo_golden --test checkpoint_layout \
-    --test search_golden --test gbt_golden --test tanh_golden
+    --test search_golden --test gbt_golden --test tanh_golden --test explog_golden
+
+echo "==> PPO, search, tanh and exp/ln goldens with HARL_SIMD=avx2"
+# where the best tier is avx512 nothing above dispatched the 256-bit
+# kernels outside the backend-matrix unit tests: the pinned update and
+# searches must come out of them too (on a host without AVX2 the request
+# clamps to the best tier with a warning, and this repeats the run above)
+# shellcheck disable=SC2086
+HARL_SIMD=avx2 cargo test $CARGO_FLAGS -q --test ppo_golden --test search_golden \
+    --test tanh_golden --test explog_golden

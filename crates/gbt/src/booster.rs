@@ -88,7 +88,8 @@ impl Gbt {
         let backend = harl_simd::active_backend();
         let vec_samples = match backend {
             #[cfg(target_arch = "x86_64")]
-            harl_simd::Backend::Avx2 => self.sweep_avx2(xs, out),
+            // the gather walk is 8 lanes wide on both AVX tiers
+            harl_simd::Backend::Avx2 | harl_simd::Backend::Avx512 => self.sweep_avx2(xs, out),
             harl_simd::Backend::Sse2 | harl_simd::Backend::Neon => {
                 for tree in &self.trees {
                     let flat = tree.flat();
@@ -172,8 +173,10 @@ impl Gbt {
                     let mut leaves = [0.0f64; 8];
                     let mut s = 0;
                     while s + 8 <= n {
-                        // SAFETY: AVX2 is active (dispatch), lanes_ok(dim)
-                        // holds, and xflat has (s+8)·dim floats.
+                        // SAFETY: AVX2 is present (dispatch: the `Avx2`
+                        // tier, or `Avx512`, whose support check includes
+                        // it), lanes_ok(dim) holds, and xflat has
+                        // (s+8)·dim floats.
                         unsafe { flat.predict8_avx2(&xflat, dim, s, &mut leaves) };
                         for (acc, leaf) in out[s..s + 8].iter_mut().zip(leaves) {
                             *acc += eta * leaf;

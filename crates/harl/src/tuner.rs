@@ -10,7 +10,7 @@ use harl_bandit::{AnyBandit, Bandit};
 use harl_gbt::{CostModel, ScoringPipeline};
 use harl_mcts::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
 use harl_nnet::PpoAgent;
-use harl_obs::Tracer;
+use harl_obs::{FieldValue, Tracer};
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::{ActionSpace, Schedule};
@@ -86,6 +86,33 @@ impl HarlProposer {
             .map(|a| self.sketch_bandit.pulls(a))
             .collect()
     }
+
+    /// One `ppo_health` trace event for the PPO updates of the episode that
+    /// just ran (observation only: the agent's running sums feed nothing,
+    /// and are taken — reset — traced or not).
+    fn trace_ppo_health(&mut self, tracer: &Tracer) {
+        let health = self.agent.take_health();
+        if !tracer.is_enabled() {
+            return;
+        }
+        let heads: Vec<String> = (0..health.entropy_per_head.len())
+            .map(|h| format!("entropy_head{h}"))
+            .collect();
+        let mut fields: Vec<(&str, FieldValue)> = vec![
+            ("updates", health.updates.into()),
+            ("samples", health.samples.into()),
+            ("clip_fraction", health.clip_fraction.into()),
+            ("approx_kl", health.approx_kl.into()),
+            ("value_loss", health.value_loss.into()),
+            ("adv_mean", health.adv_mean.into()),
+            ("adv_var", health.adv_var.into()),
+        ];
+        fields.extend(
+            (heads.iter().map(String::as_str))
+                .zip(health.entropy_per_head.iter().map(|&e| e.into())),
+        );
+        tracer.event("ppo_health", &fields);
+    }
 }
 
 impl Proposer for HarlProposer {
@@ -153,6 +180,7 @@ impl Proposer for HarlProposer {
             &mut self.rng,
         );
         drop(episode_span);
+        self.trace_ppo_health(core.tracer());
         self.critical_steps
             .extend(episode.critical_steps.iter().copied());
         core.lint_stats.merge(&episode.lint_stats);

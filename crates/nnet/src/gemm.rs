@@ -7,7 +7,8 @@
 //! layer keeps a k-major copy `wt[k·out_dim + o]`, rebuilt whenever Adam
 //! moves the weights, and hands the blocked sweep to the
 //! runtime-dispatched `harl-simd` MR×NR microkernel, whose vector lanes run
-//! across `o` cells (AVX2/SSE2/NEON, scalar fallback, FMA never used). The
+//! across `o` cells (AVX-512/AVX2/SSE2/NEON, scalar fallback, FMA never
+//! used). The
 //! backward pass needs no transposed weights: the stored layout is already
 //! k-major for `dX = gy·W` (see [`crate::layers::Linear::backward_batch`]).
 //!
@@ -32,8 +33,8 @@
 //! The same argument extends to vector backends: `harl-simd` holds each
 //! cell's accumulator in one vector *lane*, multiplies and adds separately
 //! (no FMA, which would round once instead of twice), and spills between
-//! k-panels through exact f32 load/store — so AVX2, SSE2, NEON, and scalar
-//! all produce identical bits (pinned by harl-simd's own backend-matrix
+//! k-panels through exact f32 load/store — so AVX-512, AVX2, SSE2, NEON, and
+//! scalar all produce identical bits (pinned by harl-simd's own backend-matrix
 //! tests and by `tests/scoring_determinism.rs`).
 
 pub use harl_simd::{gemm_bias_into, gemm_bias_slice};
@@ -92,14 +93,23 @@ mod tests {
 
     #[test]
     fn matches_per_sample_bits_across_blocking_boundaries() {
-        // dims straddle both MB (batch) and KC (reduction) boundaries
+        // dims straddle both MB (batch) and KC (reduction) boundaries, then
+        // every masked column-tail width of the 8- and 16-lane kernels
+        // against every row-tile remainder of their 8/4/1-row tiles
         let mut rng = StdRng::seed_from_u64(99);
-        for &(batch, in_dim, out_dim) in &[
+        let mut shapes = vec![
             (1usize, 3usize, 2usize),
             (7, 300, 5),
             (9, 257, 64),
             (17, 64, 101),
-        ] {
+        ];
+        let odd = [1usize, 3, 7, 9, 15, 17, 31, 33, 101, 110];
+        for (i, &out_dim) in odd.iter().enumerate() {
+            for (j, &batch) in [1usize, 3, 5, 9].iter().enumerate() {
+                shapes.push((batch, odd[(i + j) % odd.len()], out_dim));
+            }
+        }
+        for (batch, in_dim, out_dim) in shapes {
             let x: Vec<f32> = (0..batch * in_dim)
                 .map(|_| rng.gen_range(-1.0..1.0))
                 .collect();

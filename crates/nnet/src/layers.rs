@@ -495,10 +495,13 @@ mod tests {
     fn gemm_backward_equals_the_per_row_backward_bit_for_bit() {
         // shapes straddle the kernel's MB = 8 row block, its KC = 256
         // reduction panel (`batch` is dW's reduction length, `out_dim` dX's)
-        // and the 8-lane column tail; the two thin shapes at the end cross
-        // the pool's inline threshold at width 2 (dW has `out_dim` rows, dX
-        // `batch`), so its workers really spawn; gradients start non-zero so
-        // the fold into `gw`/`gb` is covered
+        // and the 8-lane column tail; the odd sizes after them put every
+        // masked column-tail width of the 8- and 16-lane kernels (`in_dim`
+        // is both products' column count) against every row-tile remainder
+        // (dW has `out_dim` rows, dX `batch`); the two thin shapes at the
+        // end cross the pool's inline threshold at width 2, so its workers
+        // really spawn; gradients start non-zero so the fold into `gw`/`gb`
+        // is covered
         let mut rng = StdRng::seed_from_u64(77);
         let mut scratch = GradScratch::default();
         let backends: Vec<_> = harl_simd::Backend::ALL
@@ -511,6 +514,12 @@ mod tests {
                 for &in_dim in &[5usize, 64, 257] {
                     shapes.push((batch, out_dim, in_dim));
                 }
+            }
+        }
+        let odd = [1usize, 3, 7, 9, 15, 17, 31, 33, 101, 110];
+        for (i, &in_dim) in odd.iter().enumerate() {
+            for (j, &batch) in [1usize, 3, 5, 9].iter().enumerate() {
+                shapes.push((batch, odd[(i + j) % odd.len()], in_dim));
             }
         }
         let split = 2 * harl_par::MIN_ITEMS_PER_WORKER + 8;

@@ -279,6 +279,19 @@ pub fn masked_softmax(logits: &[f32], mask: Option<&[bool]>) -> Vec<f32> {
 /// [`masked_softmax`] into a reused row (`probs` is cleared first).
 pub fn masked_softmax_into(logits: &[f32], mask: Option<&[bool]>, probs: &mut Vec<f32>) {
     probs.clear();
+    probs.resize(logits.len(), 0.0);
+    shift_logits(logits, mask, probs);
+    harl_simd::exp_inplace(probs);
+    normalize(probs);
+}
+
+/// The softmax exponents of one row: `z − max` over the valid cells, and
+/// `-inf` for a masked one (its `exp` is the `+0` a masked probability
+/// is). With no valid action (the caller should avoid this) every cell
+/// gets `0`, which the `exp` and [`normalize`] that follow turn into the
+/// uniform row. Split from [`masked_softmax_into`] so a batch of rows can
+/// share one `exp` call.
+pub(crate) fn shift_logits(logits: &[f32], mask: Option<&[bool]>, row: &mut [f32]) {
     let valid = |i: usize| mask.map(|m| m[i]).unwrap_or(true);
     let mut mx = f32::NEG_INFINITY;
     for (i, &z) in logits.iter().enumerate() {
@@ -287,21 +300,18 @@ pub fn masked_softmax_into(logits: &[f32], mask: Option<&[bool]>, probs: &mut Ve
         }
     }
     if mx == f32::NEG_INFINITY {
-        // no valid action: uniform (caller should avoid this)
-        probs.resize(logits.len(), 1.0 / logits.len() as f32);
+        row.fill(0.0);
         return;
     }
-    probs.extend(logits.iter().enumerate().map(
-        |(i, &z)| {
-            if valid(i) {
-                (z - mx).exp()
-            } else {
-                0.0
-            }
-        },
-    ));
-    let sum: f32 = probs.iter().sum();
-    for p in probs {
+    for (i, (e, &z)) in row.iter_mut().zip(logits).enumerate() {
+        *e = if valid(i) { z - mx } else { f32::NEG_INFINITY };
+    }
+}
+
+/// Divides one row of exponentials by its sum, taken in ascending order.
+pub(crate) fn normalize(row: &mut [f32]) {
+    let sum: f32 = row.iter().sum();
+    for p in row {
         *p /= sum;
     }
 }

@@ -168,7 +168,7 @@ impl MultiHeadPolicy {
             let probs = masked_softmax(ws.head_logits(h, 0), mask);
             let a = sample_categorical(&probs, rng);
             actions.push(a);
-            logp += probs[a].max(1e-12).ln();
+            logp += harl_simd::ln_lane(probs[a].max(1e-12));
         }
         (actions, logp)
     }

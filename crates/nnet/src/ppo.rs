@@ -11,7 +11,9 @@
 //! matrix-matrix forward for every live schedule track of a step, and
 //! [`PpoAgent::train_minibatch`] runs one batched forward/backward over
 //! the whole minibatch with the gradient reduction parallelized on the
-//! agent's `harl-par` pool ([`PpoAgent::set_threads`]). Both are
+//! agent's `harl-par` pool ([`PpoAgent::set_threads`]); the softmax, the
+//! log-probabilities and the ratios go through `harl-simd`'s lane `exp`
+//! and `ln` a head at a time, never through the host's libm. Both are
 //! bit-identical to their per-sample equivalents at any batch size and any
 //! pool width — the same contract `tests/scoring_determinism.rs` pins for
 //! scoring.
@@ -27,7 +29,7 @@ use serde::de::{self, DeError, Value};
 use serde::ser::JsonWriter;
 use serde::{Deserialize, Serialize};
 
-use crate::mlp::{masked_softmax_into, Mlp, Workspace};
+use crate::mlp::{normalize, shift_logits, Mlp, Workspace};
 use crate::packed;
 use crate::policy::{sample_categorical, MultiHeadPolicy, PolicyWorkspace};
 
@@ -321,14 +323,57 @@ struct Scratch {
     sample: Vec<usize>,
     /// Batch-major states of the minibatch.
     x: Vec<f32>,
-    /// One softmax row per head, for the sample (or track) at hand.
+    /// Per-head batch-major softmax rows of the minibatch (or tracks).
     probs: Vec<Vec<f32>>,
-    /// `ln p` of the head row at hand (0 where `p` is masked to 0).
-    ln_probs: Vec<f32>,
+    /// `ln` of each of those cells (`-inf` where `p` is masked to 0).
+    ln_probs: Vec<Vec<f32>>,
+    /// `−p·ln p` per cell of the head at hand, batch-major.
+    entropy_terms: Vec<f32>,
+    /// Per sample: `logp_new − logp_old`, then the probability ratio.
+    ratios: Vec<f32>,
+    /// Per sample: `dL/dlogp_new`.
+    dlogp: Vec<f32>,
     /// Per-head batch-major logit gradients.
     grad_logits: Vec<Vec<f32>>,
     /// Critic output gradient, one per sample.
     grad_v: Vec<f32>,
+}
+
+/// How the learner looked over the updates since the last
+/// [`PpoAgent::take_health`]: means over every sample of those updates'
+/// minibatches. Observation only — nothing here feeds an update.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PpoHealth {
+    /// Updates folded in.
+    pub updates: u64,
+    /// Minibatch samples folded in.
+    pub samples: u64,
+    /// Mean policy entropy (nats) of each action head.
+    pub entropy_per_head: Vec<f64>,
+    /// Share of samples whose probability ratio left `1 ± clip`.
+    pub clip_fraction: f64,
+    /// Mean of `logp_old − logp_new`, the first-order estimate of
+    /// KL(π_old ‖ π_new).
+    pub approx_kl: f64,
+    /// Mean squared critic error `(V(s) − target)²`, before `value_weight`.
+    pub value_loss: f64,
+    /// Mean of the raw (un-normalised) advantages.
+    pub adv_mean: f64,
+    /// Their variance.
+    pub adv_var: f64,
+}
+
+/// The running sums behind [`PpoHealth`].
+#[derive(Debug, Clone, Default)]
+struct HealthSums {
+    updates: u64,
+    samples: u64,
+    entropy: Vec<f64>,
+    clipped: u64,
+    kl: f64,
+    value_err_sq: f64,
+    adv: f64,
+    adv_sq: f64,
 }
 
 /// The actor-critic agent.
@@ -356,6 +401,8 @@ pub struct PpoAgent {
     #[serde(skip)]
     scratch: Scratch,
     #[serde(skip)]
+    health: HealthSums,
+    #[serde(skip)]
     pool: ThreadPool,
     #[serde(skip)]
     tracer: Tracer,
@@ -381,6 +428,7 @@ impl PpoAgent {
             ws_policy: PolicyWorkspace::new(),
             ws_critic: Workspace::new(),
             scratch: Scratch::default(),
+            health: HealthSums::default(),
             pool: ThreadPool::default(),
             tracer: Tracer::default(),
         }
@@ -458,23 +506,27 @@ impl PpoAgent {
             self.policy
                 .forward_batch(states, batch, &mut self.ws_policy);
         }
-        let num_heads = self.policy.num_heads();
-        let probs = &mut self.scratch.probs;
-        probs.resize(num_heads, Vec::new());
+        let head_sizes = self.policy.head_sizes();
+        let Scratch {
+            probs, ln_probs, ..
+        } = &mut self.scratch;
+        probs.resize(head_sizes.len(), Vec::new());
+        ln_probs.resize(head_sizes.len(), Vec::new());
+        for (h, (p, ln_p)) in probs.iter_mut().zip(ln_probs.iter_mut()).enumerate() {
+            let mask_of = |b: usize| head_mask(&masks[b], h);
+            softmax_rows(self.ws_policy.logits(h), head_sizes[h], mask_of, p, ln_p);
+        }
         let mut out = Vec::with_capacity(batch);
-        for (b, row_masks) in masks.iter().enumerate().take(batch) {
-            for (h, p) in probs.iter_mut().enumerate() {
-                let mask = head_mask(row_masks, h);
-                masked_softmax_into(self.ws_policy.head_logits(h, b), mask, p);
-            }
+        for b in 0..batch {
             let mut draws = Vec::with_capacity(samples);
             for _ in 0..samples {
-                let mut actions = Vec::with_capacity(num_heads);
+                let mut actions = Vec::with_capacity(head_sizes.len());
                 let mut logp = 0.0f32;
-                for p in probs.iter() {
-                    let a = sample_categorical(p, rng);
+                for ((p, ln_p), &hs) in probs.iter().zip(ln_probs.iter()).zip(&head_sizes) {
+                    let row = b * hs..(b + 1) * hs;
+                    let a = sample_categorical(&p[row.clone()], rng);
                     actions.push(a);
-                    logp += p[a].max(1e-12).ln();
+                    logp += ln_prob(&p[row.clone()], &ln_p[row], a);
                 }
                 draws.push((actions, logp));
             }
@@ -542,6 +594,24 @@ impl PpoAgent {
         self.updates
     }
 
+    /// The learner's health over the updates since the last call (all
+    /// zeros, no heads, when there were none); resets the running sums.
+    pub fn take_health(&mut self) -> PpoHealth {
+        let sums = std::mem::take(&mut self.health);
+        let n = sums.samples.max(1) as f64;
+        let adv_mean = sums.adv / n;
+        PpoHealth {
+            updates: sums.updates,
+            samples: sums.samples,
+            entropy_per_head: sums.entropy.iter().map(|e| e / n).collect(),
+            clip_fraction: sums.clipped as f64 / n,
+            approx_kl: sums.kl / n,
+            value_loss: sums.value_err_sq / n,
+            adv_mean,
+            adv_var: (sums.adv_sq / n - adv_mean * adv_mean).max(0.0),
+        }
+    }
+
     /// One PPO update on a sampled minibatch (Algorithm 1, lines 14–17).
     /// Returns `(policy_loss, value_loss)` averaged over the batch, or
     /// `None` when the buffer is empty. Samples buffer positions and
@@ -562,7 +632,8 @@ impl PpoAgent {
     }
 
     /// One PPO update on an explicit minibatch; see [`PpoAgent::train_step`]
-    /// for the sampled one.
+    /// for the sampled one. An empty minibatch is no update: `(0.0, 0.0)`
+    /// and not a weight, moment or counter moves.
     pub fn train_minibatch(&mut self, batch: &[Transition]) -> (f32, f32) {
         self.update(batch.len(), |s| &batch[s])
     }
@@ -575,13 +646,21 @@ impl PpoAgent {
     /// Summation-order inventory (why this is bit-equal to the serial
     /// per-sample loop): loss accumulators and logit gradients are
     /// computed per sample in ascending order from the batched logits
-    /// (whose rows are bit-equal to per-sample forwards); parameter
+    /// (whose rows are bit-equal to per-sample forwards); `exp` and `ln`
+    /// are elementwise, so taking them a head (or a minibatch of ratios)
+    /// at a time changes no cell, and each row's softmax denominator and
+    /// entropy stay ascending sums over that row; parameter
     /// gradients accumulate per cell in ascending sample order inside
     /// [`crate::layers::Linear::backward_batch`] regardless of pool
     /// width; and the policy-then-critic phase split is exact because the
     /// two networks share no accumulator.
     fn update<'a>(&mut self, n_samples: usize, at: impl Fn(usize) -> &'a Transition) -> (f32, f32) {
-        let n = n_samples.max(1) as f32;
+        if n_samples == 0 {
+            // no sample, no gradient: an Adam step on zeros would still
+            // move every weight by its momentum
+            return (0.0, 0.0);
+        }
+        let n = n_samples as f32;
         let batch = || (0..n_samples).map(&at);
         self.policy.zero_grad();
         self.critic.zero_grad();
@@ -597,6 +676,9 @@ impl PpoAgent {
             x,
             probs,
             ln_probs,
+            entropy_terms,
+            ratios,
+            dlogp,
             grad_logits,
             grad_v,
             ..
@@ -619,51 +701,86 @@ impl PpoAgent {
             self.policy.forward_batch(x, n_samples, &mut self.ws_policy);
         }
         let head_sizes = self.policy.head_sizes();
+        let chosen = |t: &Transition, h: usize| t.actions[h].min(head_sizes[h] - 1);
         probs.resize(head_sizes.len(), Vec::new());
+        ln_probs.resize(head_sizes.len(), Vec::new());
         grad_logits.resize(head_sizes.len(), Vec::new());
-        for (g, &hs) in grad_logits.iter_mut().zip(&head_sizes) {
-            // masked actions keep a zero gradient
-            g.clear();
-            g.resize(n_samples * hs, 0.0);
+        let health = &mut self.health;
+        health.updates += 1;
+        health.samples += n_samples as u64;
+        health.entropy.resize(head_sizes.len(), 0.0);
+
+        // every probability and logarithm of the minibatch: one `exp` and
+        // one `ln` call per head, whole vectors even for a 3-wide head
+        for (h, (p, ln_p)) in probs.iter_mut().zip(ln_probs.iter_mut()).enumerate() {
+            let mask_of = |s: usize| head_mask(&at(s).masks, h);
+            softmax_rows(self.ws_policy.logits(h), head_sizes[h], mask_of, p, ln_p);
         }
+        // the ratios, through one `exp` call
+        ratios.clear();
         for (s, t) in batch().enumerate() {
-            let adv = (t.advantage - mean_a) / std_a;
             let mut logp_new = 0.0f32;
-            for (h, p) in probs.iter_mut().enumerate() {
-                masked_softmax_into(self.ws_policy.head_logits(h, s), head_mask(&t.masks, h), p);
-                logp_new += p[t.actions[h].min(p.len() - 1)].max(1e-12).ln();
+            for (h, &hs) in head_sizes.iter().enumerate() {
+                let row = s * hs..(s + 1) * hs;
+                logp_new += ln_prob(&probs[h][row.clone()], &ln_probs[h][row], chosen(t, h));
             }
-            let ratio = (logp_new - t.logp).clamp(-20.0, 20.0).exp();
+            let log_ratio = logp_new - t.logp;
+            health.kl -= f64::from(log_ratio);
+            ratios.push(log_ratio.clamp(-20.0, 20.0));
+        }
+        harl_simd::exp_inplace(ratios);
+        let (clip_lo, clip_hi) = (1.0 - self.cfg.clip, 1.0 + self.cfg.clip);
+        dlogp.clear();
+        for (t, &ratio) in batch().zip(ratios.iter()) {
+            let adv = (t.advantage - mean_a) / std_a;
             let surr1 = ratio * adv;
-            let surr2 = ratio.clamp(1.0 - self.cfg.clip, 1.0 + self.cfg.clip) * adv;
+            let surr2 = ratio.clamp(clip_lo, clip_hi) * adv;
             let loss_pi = -surr1.min(surr2);
             policy_loss_acc += loss_pi;
             // dL/dlogp_new: −A·ratio when the unclipped branch is active
-            let dlogp = if surr1 <= surr2 { -adv * ratio } else { 0.0 };
-
-            for (h, p) in probs.iter().enumerate() {
-                let a = t.actions[h].min(p.len() - 1);
-                // one `logf` per probability: the entropy sum and the
-                // gradient below read the same bits
-                ln_probs.clear();
-                ln_probs.extend(p.iter().map(|&p| if p > 0.0 { p.ln() } else { 0.0 }));
-                let entropy: f32 = (p.iter().zip(ln_probs.iter()))
-                    .filter(|(&p, _)| p > 0.0)
-                    .map(|(&p, &ln_p)| -p * ln_p)
-                    .sum();
-                let dst = &mut grad_logits[h][s * head_sizes[h]..(s + 1) * head_sizes[h]];
-                for (i, ((&p, &ln_p), slot)) in p
-                    .iter()
-                    .zip(ln_probs.iter())
-                    .zip(dst.iter_mut())
-                    .enumerate()
-                {
-                    if p <= 0.0 {
-                        continue; // masked action: no gradient
+            dlogp.push(if surr1 <= surr2 { -adv * ratio } else { 0.0 });
+            health.clipped += u64::from(!(clip_lo..=clip_hi).contains(&ratio));
+            health.adv += f64::from(t.advantage);
+            health.adv_sq += f64::from(t.advantage) * f64::from(t.advantage);
+        }
+        // entropy and logit gradients. Both passes are selects over whole
+        // rows, so they run in vector lanes: a masked cell adds −0.0 to the
+        // entropy (the identity of the sum, which stays one ascending chain
+        // per row) and gets a +0.0 gradient; the chosen action's cell is
+        // patched after its row's pass
+        let entropy_weight = self.cfg.entropy_weight;
+        for (h, &hs) in head_sizes.iter().enumerate() {
+            let (p, ln_p) = (&probs[h], &ln_probs[h]);
+            entropy_terms.clear();
+            entropy_terms.extend(p.iter().zip(ln_p).map(
+                |(&p, &ln_p)| {
+                    if p > 0.0 {
+                        -p * ln_p
+                    } else {
+                        -0.0
                     }
-                    let d_logp = (if i == a { 1.0 } else { 0.0 }) - p;
+                },
+            ));
+            let grad = &mut grad_logits[h];
+            grad.clear();
+            grad.resize(n_samples * hs, 0.0);
+            for (s, t) in batch().enumerate() {
+                let row = s * hs..(s + 1) * hs;
+                let entropy: f32 = entropy_terms[row.clone()].iter().sum();
+                health.entropy[h] += f64::from(entropy);
+                let dlogp = dlogp[s];
+                let cell = |p: f32, ln_p: f32, onehot: f32| {
+                    let d_logp = onehot - p;
                     let d_ent = -p * (ln_p + entropy);
-                    *slot = dlogp * d_logp - self.cfg.entropy_weight * d_ent;
+                    dlogp * d_logp - entropy_weight * d_ent
+                };
+                let (p, ln_p, grad) = (&p[row.clone()], &ln_p[row.clone()], &mut grad[row]);
+                for ((&p, &ln_p), slot) in p.iter().zip(ln_p).zip(grad.iter_mut()) {
+                    *slot = if p > 0.0 { cell(p, ln_p, 0.0) } else { 0.0 };
+                }
+                let a = chosen(t, h);
+                if p[a] > 0.0 {
+                    grad[a] = cell(p[a], ln_p[a], 1.0);
                 }
             }
         }
@@ -685,6 +802,7 @@ impl PpoAgent {
             let err = value - t.value_target;
             value_loss_acc += self.cfg.value_weight * err * err;
             grad_v.push(2.0 * self.cfg.value_weight * err);
+            health.value_err_sq += f64::from(err) * f64::from(err);
         }
 
         // --- batched backward, parameter reduction on the pool ----------
@@ -706,6 +824,41 @@ impl PpoAgent {
         self.critic.adam_step(self.cfg.lr_critic, 1.0 / n);
         self.updates += 1;
         (policy_loss_acc / n, value_loss_acc / n)
+    }
+}
+
+/// One head's softmax rows for a whole batch (`logits` is batch-major,
+/// `width` cells a row, row `b` masked by `mask_of(b)`) into `p`, and their
+/// logarithms into `ln_p`: one lane `exp` and one lane `ln` call, each row
+/// bit-equal to [`crate::mlp::masked_softmax_into`] of that row.
+fn softmax_rows<'m>(
+    logits: &[f32],
+    width: usize,
+    mask_of: impl Fn(usize) -> Option<&'m [bool]>,
+    p: &mut Vec<f32>,
+    ln_p: &mut Vec<f32>,
+) {
+    p.clear();
+    p.resize(logits.len(), 0.0);
+    let rows = logits.chunks_exact(width).zip(p.chunks_exact_mut(width));
+    for (b, (z, row)) in rows.enumerate() {
+        shift_logits(z, mask_of(b), row);
+    }
+    harl_simd::exp_inplace(p);
+    p.chunks_exact_mut(width).for_each(normalize);
+    ln_p.clear();
+    ln_p.extend_from_slice(p);
+    harl_simd::ln_inplace(ln_p);
+}
+
+/// `ln(max(p[a], 1e-12))`, read from the row's logarithms.
+fn ln_prob(p: &[f32], ln_p: &[f32], a: usize) -> f32 {
+    const FLOOR: f32 = 1e-12;
+    // a NaN probability takes the floor, as `f32::max` made it
+    if p[a] >= FLOOR {
+        ln_p[a]
+    } else {
+        harl_simd::ln_lane(FLOOR)
     }
 }
 
@@ -1005,6 +1158,82 @@ mod tests {
             });
         }
         assert_eq!(buf.len(), 4);
+    }
+
+    /// An agent with `n` recorded corridor transitions.
+    fn corridor_agent(heads: &[usize], n: usize, seed: u64) -> (PpoAgent, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut agent = PpoAgent::new(5, heads, PpoConfig::default(), &mut rng);
+        for i in 0..n {
+            let pos = i % 4;
+            let (actions, logp) = agent.act(&corridor_state(pos), &[], &mut rng);
+            let reward = if pos == 3 { 1.0 } else { -0.05 };
+            let next = corridor_state(pos + 1);
+            agent.record(corridor_state(pos), actions, logp, reward, &next, vec![]);
+        }
+        (agent, rng)
+    }
+
+    #[test]
+    fn an_empty_minibatch_trains_nothing() {
+        // after real updates the Adam moments are non-zero: a step on an
+        // all-zero gradient would still move every weight
+        let (mut agent, mut rng) = corridor_agent(&[3, 3], 12, 23);
+        for _ in 0..3 {
+            agent.train_step(&mut rng).unwrap();
+        }
+        let state = |a: &PpoAgent| -> (Vec<u64>, Vec<u64>, u64) {
+            (
+                a.policy.state_bits().collect(),
+                a.critic.state_bits().collect(),
+                a.num_updates(),
+            )
+        };
+        let before = state(&agent);
+        let probe = agent.value(&corridor_state(2)).to_bits();
+        agent.take_health();
+        assert_eq!(agent.train_minibatch(&[]), (0.0, 0.0));
+        assert_eq!(state(&agent), before);
+        assert_eq!(agent.value(&corridor_state(2)).to_bits(), probe);
+        assert_eq!(agent.take_health(), PpoHealth::default());
+    }
+
+    #[test]
+    fn health_reports_the_updates_since_the_last_take_and_feeds_nothing() {
+        let (mut watched, mut rng) = corridor_agent(&[3, 2], 40, 29);
+        let mut unwatched = watched.clone();
+        let mut rng_u = rng.clone();
+        assert_eq!(watched.take_health(), PpoHealth::default());
+        for round in 0..3 {
+            for _ in 0..2 {
+                let a = watched.train_step(&mut rng).unwrap();
+                let b = unwatched.train_step(&mut rng_u).unwrap();
+                assert_eq!(
+                    (a.0.to_bits(), a.1.to_bits()),
+                    (b.0.to_bits(), b.1.to_bits())
+                );
+            }
+            let h = watched.take_health();
+            assert_eq!((h.updates, h.samples), (2, 80), "round {round}");
+            assert_eq!(h.entropy_per_head.len(), 2);
+            for (e, actions) in h.entropy_per_head.iter().zip([3f64, 2.0]) {
+                assert!(*e > 0.0 && *e <= actions.ln() + 1e-6, "entropy {e}");
+            }
+            assert!((0.0..=1.0).contains(&h.clip_fraction));
+            assert!(h.approx_kl.is_finite() && h.value_loss >= 0.0 && h.adv_var >= 0.0);
+            if round == 0 {
+                // the first update starts from the behaviour policy itself
+                assert!(h.approx_kl.abs() < 0.05, "kl {}", h.approx_kl);
+            }
+        }
+        assert_eq!(watched.take_health().updates, 0, "take resets");
+        let bits = |a: &PpoAgent| {
+            a.policy
+                .state_bits()
+                .chain(a.critic.state_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&watched), bits(&unwatched));
     }
 
     #[test]

@@ -469,7 +469,7 @@ fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
 /// Snapshots the process-wide SIMD kernel stats into the metrics
 /// registry so every `metrics` reply reports the dispatched backend and
 /// kernel counters. The gauge value of `harl_simd_backend` is the
-/// backend code (0 scalar, 1 sse2, 2 avx2, 3 neon); the labeled
+/// backend code (0 scalar, 1 sse2, 2 avx2, 3 neon, 4 avx512); the labeled
 /// `harl_simd_backend_info` gauge carries the name for humans.
 fn publish_simd_metrics() {
     let reg = harl_obs::global();
@@ -487,6 +487,8 @@ fn publish_simd_metrics() {
         .set(stats.score_batch_calls as f64);
     reg.gauge("harl_simd_tanh_calls")
         .set(stats.tanh_calls as f64);
+    reg.gauge("harl_simd_exp_calls").set(stats.exp_calls as f64);
+    reg.gauge("harl_simd_ln_calls").set(stats.ln_calls as f64);
     reg.gauge("harl_simd_vector_lane_fraction")
         .set(stats.vector_fraction());
 }

@@ -374,6 +374,8 @@ fn metrics_verb_exposes_lifecycle_and_request_counters() {
     assert!(dump.contains("harl_simd_gemm_calls"));
     assert!(dump.contains("harl_simd_score_batch_calls"));
     assert!(dump.contains("harl_simd_tanh_calls"));
+    assert!(dump.contains("harl_simd_exp_calls"));
+    assert!(dump.contains("harl_simd_ln_calls"));
     assert!(dump.contains("harl_simd_vector_lane_fraction"));
 
     // raw wire shape: one Metrics request line -> one Metrics response line

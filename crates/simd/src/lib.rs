@@ -6,14 +6,18 @@
 //! compatible with that invariant **by construction** instead of by hope:
 //!
 //! * **Lanes run across independent output cells.** A vector register holds
-//!   8 (AVX2) or 4 (SSE2/NEON) *different* output cells — the `o` dimension
-//!   of `gemm_bias_into`, distinct samples in GBT batch prediction — never
-//!   8 partial sums of the *same* cell. Each cell keeps its existing
-//!   bias-then-ascending-`k` serial accumulation chain.
-//! * **No FMA, ever.** A fused multiply-add rounds once where `mul` + `add`
-//!   round twice, so the fused instruction would change the bits of every cell.
-//!   All backends use separate multiply and add instructions; IEEE-754
-//!   elementwise vector `mul`/`add` is bitwise-identical to the scalar ops.
+//!   16 (AVX-512), 8 (AVX2) or 4 (SSE2/NEON) *different* output cells — the
+//!   `o` dimension of `gemm_bias_into`, distinct samples in GBT batch
+//!   prediction — never partial sums of the *same* cell. Each cell keeps its
+//!   existing bias-then-ascending-`k` serial accumulation chain. A row's
+//!   last `out_dim mod lanes` cells ride a masked vector on the AVX tiers
+//!   (a masked-off lane touches no memory and is never stored).
+//! * **No FMA in any accumulation chain.** A fused multiply-add rounds once
+//!   where `mul` + `add` round twice, so the fused instruction would change
+//!   the bits of every cell. All backends use separate multiply and add
+//!   instructions; IEEE-754 elementwise vector `mul`/`add` is
+//!   bitwise-identical to the scalar ops. `exp`/`ln` use FMA because the
+//!   host function they re-express does (next bullet but one).
 //! * **Register spills go through `f32`.** The GEMM microkernel loads the
 //!   partial `y` cells (holding bias or the previous k-panel's partial sum)
 //!   into registers, accumulates ascending `k`, and stores back; `f32`
@@ -22,12 +26,16 @@
 //!   [`tanh_inplace`] is fdlibm's `tanhf` (the one the goldens were recorded
 //!   with) with every branch turned into a lane select: bit-equal to it on
 //!   all 2³² inputs, checked exhaustively, so the search bits no longer
-//!   depend on which libm the host links. See `tanh.rs`.
+//!   depend on which libm the host links. See `tanh.rs`. [`exp_inplace`]
+//!   and [`ln_inplace`] are glibc's `expf`/`logf` the same way — the FMA
+//!   variants a CPU with FMA runs, spelled with exact `f64` fused
+//!   operations so a host without FMA computes the same bits. See
+//!   `explog.rs`.
 //!
-//! Backend selection: runtime detection (AVX2 → SSE2 on x86-64, NEON on
-//! aarch64, scalar otherwise), overridable with `HARL_SIMD=0|scalar|sse2|
-//! avx2|neon|auto` and, for tests/benches that need to compare backends in
-//! one process, [`force_backend`]. Unsupported requests clamp to the best
+//! Backend selection: runtime detection (AVX-512 → AVX2 → SSE2 on x86-64,
+//! NEON on aarch64, scalar otherwise), overridable with `HARL_SIMD=0|scalar|
+//! sse2|avx2|avx512|neon|auto` and, for tests that need to compare backends
+//! in one process, [`force_backend`]. Unsupported requests clamp to the best
 //! supported tier — never undefined behaviour.
 
 mod explog;
@@ -40,7 +48,7 @@ mod x86;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 
-pub use explog::{exp_inplace, ln_inplace};
+pub use explog::{exp_inplace, exp_lane, ln_inplace, ln_lane};
 pub use feature_math::log2p_int;
 pub use tanh::{tanh_inplace, tanh_lane};
 
@@ -55,21 +63,30 @@ pub enum Backend {
     Scalar = 0,
     /// 128-bit SSE2 (x86-64 baseline, always present there).
     Sse2 = 1,
-    /// 256-bit AVX2 with FMA deliberately unused (see module docs).
+    /// 256-bit AVX2; FMA only inside `exp`/`ln` (see module docs).
     Avx2 = 2,
     /// 128-bit NEON (aarch64 baseline).
     Neon = 3,
+    /// 512-bit AVX-512F, preferred over AVX2 where the CPU has it.
+    Avx512 = 4,
 }
 
 impl Backend {
     /// Every backend, for `--list-backends` style enumeration.
-    pub const ALL: [Backend; 4] = [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon];
+    pub const ALL: [Backend; 5] = [
+        Backend::Scalar,
+        Backend::Sse2,
+        Backend::Avx2,
+        Backend::Avx512,
+        Backend::Neon,
+    ];
 
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
             Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
             Backend::Neon => "neon",
         }
     }
@@ -84,6 +101,7 @@ impl Backend {
             1 => Backend::Sse2,
             2 => Backend::Avx2,
             3 => Backend::Neon,
+            4 => Backend::Avx512,
             _ => Backend::Scalar,
         }
     }
@@ -96,6 +114,14 @@ impl Backend {
             Backend::Sse2 => true, // part of the x86-64 baseline
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => {
+                // every AVX-512 CPU has AVX2 and FMA; asking keeps the
+                // 256-bit kernels other crates run under this tier sound
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
             #[cfg(target_arch = "aarch64")]
             Backend::Neon => true, // part of the aarch64 baseline
             #[allow(unreachable_patterns)]
@@ -109,6 +135,7 @@ impl Backend {
             Backend::Scalar => 1,
             Backend::Sse2 | Backend::Neon => 4,
             Backend::Avx2 => 8,
+            Backend::Avx512 => 16,
         }
     }
 }
@@ -116,11 +143,10 @@ impl Backend {
 fn best_supported() -> Backend {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            Backend::Avx2
-        } else {
-            Backend::Sse2
-        }
+        [Backend::Avx512, Backend::Avx2]
+            .into_iter()
+            .find(|b| b.is_supported())
+            .unwrap_or(Backend::Sse2)
     }
     #[cfg(target_arch = "aarch64")]
     {
@@ -139,6 +165,7 @@ fn parse_override(v: &str) -> Result<Option<Backend>, ()> {
         "0" | "off" | "scalar" => Ok(Some(Backend::Scalar)),
         "sse2" => Ok(Some(Backend::Sse2)),
         "avx2" => Ok(Some(Backend::Avx2)),
+        "avx512" => Ok(Some(Backend::Avx512)),
         "neon" => Ok(Some(Backend::Neon)),
         _ => Err(()),
     }
@@ -164,7 +191,7 @@ fn detected() -> Backend {
                 Err(()) => {
                     eprintln!(
                         "harl-simd: unrecognized HARL_SIMD={v:?} \
-                         (expected 0|scalar|sse2|avx2|neon|auto); using {}",
+                         (expected 0|scalar|sse2|avx2|avx512|neon|auto); using {}",
                         best.name()
                     );
                     best
@@ -216,6 +243,8 @@ pub fn backend_name() -> &'static str {
 static GEMM_CALLS: AtomicU64 = AtomicU64::new(0);
 static SCORE_BATCH_CALLS: AtomicU64 = AtomicU64::new(0);
 static TANH_CALLS: AtomicU64 = AtomicU64::new(0);
+static EXP_CALLS: AtomicU64 = AtomicU64::new(0);
+static LN_CALLS: AtomicU64 = AtomicU64::new(0);
 static VECTOR_CELLS: AtomicU64 = AtomicU64::new(0);
 static SCALAR_CELLS: AtomicU64 = AtomicU64::new(0);
 
@@ -229,6 +258,10 @@ pub struct SimdStats {
     pub score_batch_calls: u64,
     /// `tanh_inplace` invocations.
     pub tanh_calls: u64,
+    /// `exp_inplace` invocations.
+    pub exp_calls: u64,
+    /// `ln_inplace` invocations.
+    pub ln_calls: u64,
     /// Output cells (GEMM cells, scored samples, activations) computed in
     /// vector lanes.
     pub vector_cells: u64,
@@ -255,6 +288,8 @@ pub fn stats() -> SimdStats {
         gemm_calls: GEMM_CALLS.load(Ordering::Relaxed),
         score_batch_calls: SCORE_BATCH_CALLS.load(Ordering::Relaxed),
         tanh_calls: TANH_CALLS.load(Ordering::Relaxed),
+        exp_calls: EXP_CALLS.load(Ordering::Relaxed),
+        ln_calls: LN_CALLS.load(Ordering::Relaxed),
         vector_cells: VECTOR_CELLS.load(Ordering::Relaxed),
         scalar_cells: SCALAR_CELLS.load(Ordering::Relaxed),
     }
@@ -327,11 +362,12 @@ pub fn gemm_bias_slice(
     assert_eq!(y.len(), batch * out_dim, "gemm: y is not batch × out_dim");
     let backend = active_backend();
     GEMM_CALLS.fetch_add(1, Ordering::Relaxed);
-    let lanes = backend.lanes();
-    let vec_cols = if lanes > 1 {
-        out_dim - out_dim % lanes
-    } else {
-        0
+    // the AVX tiers run the column tail through masked vectors; SSE2 and
+    // NEON finish it with scalar cells
+    let vec_cols = match backend {
+        Backend::Scalar => 0,
+        Backend::Avx2 | Backend::Avx512 => out_dim,
+        Backend::Sse2 | Backend::Neon => out_dim - out_dim % backend.lanes(),
     };
     VECTOR_CELLS.fetch_add((batch * vec_cols) as u64, Ordering::Relaxed);
     SCALAR_CELLS.fetch_add((batch * (out_dim - vec_cols)) as u64, Ordering::Relaxed);
@@ -368,6 +404,8 @@ fn panel_dispatch(
 ) {
     match backend {
         #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => unsafe { x86::panel_avx512(x, in_dim, b0, b1, wt, out_dim, k0, k1, y) },
+        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { x86::panel_avx2(x, in_dim, b0, b1, wt, out_dim, k0, k1, y) },
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => unsafe { x86::panel_sse2(x, in_dim, b0, b1, wt, out_dim, k0, k1, y) },
@@ -397,10 +435,93 @@ mod tests {
             .collect()
     }
 
-    fn supported_non_scalar() -> Vec<Backend> {
-        let mut backends = supported();
-        backends.retain(|b| *b != Backend::Scalar);
-        backends
+    /// One elementwise kernel under the exhaustive comparison: its scalar
+    /// lane form, the host function it re-expresses and its per-backend
+    /// slice kernel (returning the count of vector cells).
+    pub(crate) struct Sweep {
+        pub name: &'static str,
+        pub lane: fn(f32) -> f32,
+        pub host: fn(f32) -> f32,
+        pub dispatch: fn(Backend, &mut [f32]) -> usize,
+    }
+
+    impl Sweep {
+        /// Compares, on the bit patterns `first, first + stride, …` below
+        /// `end`, every supported backend's kernel with the lane form and,
+        /// if `against_host`, the lane form with the host function. Returns
+        /// the number of inputs checked; panics on the first mismatch.
+        fn run(&self, first: u64, end: u64, stride: u64, against_host: bool) -> u64 {
+            let name = self.name;
+            let backends = supported();
+            let mut next = first;
+            let mut checked = 0;
+            let mut xs = Vec::with_capacity(4096);
+            let mut ys = Vec::with_capacity(4096);
+            while next < end {
+                xs.clear();
+                while xs.len() < 4096 && next < end {
+                    xs.push(f32::from_bits(next as u32));
+                    next += stride;
+                }
+                let want: Vec<u32> = xs.iter().map(|&x| (self.lane)(x).to_bits()).collect();
+                if against_host {
+                    for (&x, &w) in xs.iter().zip(&want) {
+                        let host = (self.host)(x).to_bits();
+                        assert_eq!(
+                            host,
+                            w,
+                            "{name}_lane vs f32::{name} at {:#010x}",
+                            x.to_bits()
+                        );
+                    }
+                }
+                for &b in &backends {
+                    ys.clone_from(&xs);
+                    (self.dispatch)(b, &mut ys);
+                    for ((x, y), &w) in xs.iter().zip(&ys).zip(&want) {
+                        let (y, x) = (y.to_bits(), x.to_bits());
+                        assert_eq!(y, w, "{} vs {name}_lane at {x:#010x}", b.name());
+                    }
+                }
+                checked += xs.len() as u64;
+            }
+            checked
+        }
+
+        /// Every 1 021st bit pattern (prime: the sweep lands on every
+        /// exponent and both signs), in the normal suite's debug build.
+        pub fn strided(&self, against_host: bool) {
+            let checked = self.run(0, 1 << 32, 1021, against_host);
+            assert_eq!(checked, (1u64 << 32).div_ceil(1021));
+        }
+
+        /// All 2³² bit patterns on two threads, with the report line
+        /// `ci/test.sh` prints.
+        pub fn exhaustive(&self, against_host: bool) {
+            let name = self.name;
+            if !against_host {
+                println!("host {name}f differs — lane form is now the reference");
+            }
+            let half = 1u64 << 31;
+            let checked: u64 = std::thread::scope(|s| {
+                let halves =
+                    [0, half].map(|lo| s.spawn(move || self.run(lo, lo + half, 1, against_host)));
+                halves
+                    .into_iter()
+                    .map(|h| h.join().expect("a sweep thread found a mismatch"))
+                    .sum()
+            });
+            assert_eq!(checked, 1 << 32);
+            println!(
+                "0 mismatches over {checked} inputs: {:?} vs {name}_lane{}",
+                supported().iter().map(|b| b.name()).collect::<Vec<_>>(),
+                if against_host {
+                    format!(", {name}_lane vs f32::{name}")
+                } else {
+                    String::new()
+                }
+            );
+        }
     }
 
     #[test]
@@ -414,7 +535,8 @@ mod tests {
         assert_eq!(parse_override(" sse2 "), Ok(Some(Backend::Sse2)));
         assert_eq!(parse_override("AVX2"), Ok(Some(Backend::Avx2)));
         assert_eq!(parse_override("neon"), Ok(Some(Backend::Neon)));
-        assert_eq!(parse_override("avx512"), Err(()));
+        assert_eq!(parse_override("avx512"), Ok(Some(Backend::Avx512)));
+        assert_eq!(parse_override("avx1024"), Err(()));
     }
 
     #[test]
@@ -458,12 +580,39 @@ mod tests {
         y
     }
 
+    /// Runs one GEMM on every supported backend and compares each cell
+    /// with the per-cell reference under `same`.
+    fn check_gemm_on_every_backend(
+        x: &[f32],
+        wt: &[f32],
+        bias: &[f32],
+        (batch, in_dim, out_dim): (usize, usize, usize),
+        same: fn(f32, f32) -> bool,
+    ) {
+        let want = gemm_reference(x, wt, bias, batch, in_dim, out_dim);
+        for b in supported() {
+            force_backend(Some(b));
+            let mut y = Vec::new();
+            gemm_bias_into(x, wt, bias, batch, in_dim, out_dim, &mut y);
+            assert_eq!(y.len(), want.len());
+            for (i, (&g, &w)) in y.iter().zip(&want).enumerate() {
+                assert!(
+                    same(g, w),
+                    "{}: ({batch}×{in_dim}→{out_dim}) cell {i}: {g} ({:#010x}) vs {w} ({:#010x})",
+                    b.name(),
+                    g.to_bits(),
+                    w.to_bits()
+                );
+            }
+        }
+    }
+
     #[test]
     fn gemm_bits_match_scalar_on_every_backend() {
         let _g = force_lock();
         let prev = force_backend(None);
         let mut rng = StdRng::seed_from_u64(21);
-        for &(batch, in_dim, out_dim) in &[
+        let mut shapes = vec![
             (1usize, 1usize, 1usize),
             (3, 5, 7),
             (4, 16, 16),
@@ -472,7 +621,20 @@ mod tests {
             (9, 64, 101),
             (13, 31, 8),
             (17, 64, 64),
-        ] {
+        ];
+        // every column-tail width of the 8- and 16-lane kernels (1…15, then
+        // the widths around two and several vectors) against every row-tile
+        // remainder of the 8/4/1-row kernels, the reduction length cycling
+        // through the same odd sizes
+        let dims = [1usize, 3, 7, 9, 15, 17, 31, 33, 101, 110];
+        let out_dims = (1..=17).chain([31, 33, 101, 110]);
+        for (i, out_dim) in out_dims.enumerate() {
+            for (j, batch) in [1usize, 3, 5, 9, 13, 16].into_iter().enumerate() {
+                shapes.push((batch, dims[(i + j) % dims.len()], out_dim));
+            }
+        }
+        for shape in shapes {
+            let (batch, in_dim, out_dim) = shape;
             let x: Vec<f32> = (0..batch * in_dim)
                 .map(|_| rng.gen_range(-1.0..1.0))
                 .collect();
@@ -480,28 +642,34 @@ mod tests {
                 .map(|_| rng.gen_range(-1.0..1.0))
                 .collect();
             let bias: Vec<f32> = (0..out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let want = gemm_reference(&x, &wt, &bias, batch, in_dim, out_dim);
-            force_backend(Some(Backend::Scalar));
-            let mut scalar_y = Vec::new();
-            gemm_bias_into(&x, &wt, &bias, batch, in_dim, out_dim, &mut scalar_y);
-            assert_eq!(
-                scalar_y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "scalar blocked sweep vs per-cell reference ({batch}×{in_dim}→{out_dim})"
-            );
-            for b in supported_non_scalar() {
-                force_backend(Some(b));
-                let mut y = Vec::new();
-                gemm_bias_into(&x, &wt, &bias, batch, in_dim, out_dim, &mut y);
-                for (i, (g, w)) in y.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "{}: ({batch}×{in_dim}→{out_dim}) cell {i}",
-                        b.name()
-                    );
-                }
+            check_gemm_on_every_backend(&x, &wt, &bias, shape, |g, w| g.to_bits() == w.to_bits());
+        }
+        force_backend(prev);
+    }
+
+    #[test]
+    fn non_finite_inputs_stay_in_their_own_cells() {
+        // a masked-off tail lane multiplies the row's NaN or inf by its zero
+        // weight; nothing of that may reach a live cell, and the rows
+        // without one must keep their exact bits
+        let _g = force_lock();
+        let prev = force_backend(None);
+        let mut rng = StdRng::seed_from_u64(22);
+        for shape in [(9usize, 17usize, 3usize), (13, 9, 101), (5, 33, 21)] {
+            let (batch, in_dim, out_dim) = shape;
+            let mut x: Vec<f32> = (0..batch * in_dim)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            for (row, poison) in [(1, f32::NAN), (2, f32::INFINITY), (4, f32::NEG_INFINITY)] {
+                x[row * in_dim + row % in_dim] = poison;
             }
+            let wt: Vec<f32> = (0..in_dim * out_dim)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            let bias: Vec<f32> = (0..out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            check_gemm_on_every_backend(&x, &wt, &bias, shape, |g, w| {
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan())
+            });
         }
         force_backend(prev);
     }

@@ -6,7 +6,8 @@
 //! so eight inputs can take eight different paths in one register, and it is
 //! bit-equal to the libm function on all 2³² inputs (NaN payloads included;
 //! `exhaustive_sweep_of_all_bit_patterns` below is the proof, and what to
-//! rerun on a new host). The AVX2 form is the same recipe line by line.
+//! rerun on a new host). The AVX2 and AVX-512 forms are the same recipe
+//! line by line.
 //!
 //! With `ix = bits(|x|)`, `a = ±2|x|` and `ha = bits(|a|)`:
 //!
@@ -118,9 +119,10 @@ pub fn tanh_lane(x: f32) -> f32 {
 }
 
 /// Replaces every element of `x` with its `tanh`, bit-equal to
-/// [`tanh_lane`] on every backend and for every slice length. Full
-/// 8-element groups ride AVX2 lanes; the tail (and every element on the
-/// other backends) is counted as scalar cells in [`crate::stats`].
+/// [`tanh_lane`] on every backend and for every slice length. Full groups
+/// of 16 (AVX-512) or 8 (AVX2) elements are counted as vector cells in
+/// [`crate::stats`], the tail (and every element on the other backends) as
+/// scalar cells.
 pub fn tanh_inplace(x: &mut [f32]) {
     let vector = dispatch(active_backend(), x);
     TANH_CALLS.fetch_add(1, Ordering::Relaxed);
@@ -132,6 +134,12 @@ pub fn tanh_inplace(x: &mut [f32]) {
 /// full vectors. `backend` must be supported, as `active_backend()` is.
 fn dispatch(backend: Backend, x: &mut [f32]) -> usize {
     match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => {
+            // SAFETY: as for `Avx2` below.
+            unsafe { avx512::tanh_inplace(x) };
+            x.len() - x.len() % 16
+        }
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
             // SAFETY: callers pass `active_backend()` (detection,
@@ -258,11 +266,119 @@ mod avx2 {
     }
 }
 
+/// [`tanh_lane`] over sixteen lanes: the AVX2 form with every compare
+/// landing in a mask register and every blend reading one. AVX-512F only,
+/// so the bitwise float operations go through the integer domain.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::*;
+    use core::arch::x86_64::*;
+
+    /// # Safety
+    /// Caller must have verified the `avx512f` CPU feature is present.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn tanh_inplace(x: &mut [f32]) {
+        let mut groups = x.chunks_exact_mut(16);
+        for g in &mut groups {
+            let y = tanh16(_mm512_loadu_ps(g.as_ptr()));
+            _mm512_storeu_ps(g.as_mut_ptr(), y);
+        }
+        let tail = groups.into_remainder();
+        if !tail.is_empty() {
+            // a masked-off lane reads as +0, whose tanh is discarded
+            let live: __mmask16 = (1 << tail.len()) - 1;
+            let y = tanh16(_mm512_maskz_loadu_ps(live, tail.as_ptr()));
+            _mm512_mask_storeu_ps(tail.as_mut_ptr(), live, y);
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tanh16(x: __m512) -> __m512 {
+        let f = |v: f32| _mm512_set1_ps(v);
+        let i = |v: i32| _mm512_set1_epi32(v);
+        let bits = |v: __m512| _mm512_castps_si512(v);
+        let float = |v: __m512i| _mm512_castsi512_ps(v);
+        // `c ? a : b` per lane
+        let sel = |c: __mmask16, a: __m512, b: __m512| _mm512_mask_blend_ps(c, b, a);
+        // `a < b` on lanes that are non-negative as signed integers
+        let lt = |a: __m512i, b: __m512i| _mm512_cmplt_epi32_mask(a, b);
+
+        let abs = i(ABS as i32);
+        let ix = _mm512_and_si512(bits(x), abs);
+        let ax = float(ix);
+        let big = lt(i(0x3f7f_ffff), ix);
+
+        let a = _mm512_mul_ps(sel(big, f(2.0), f(-2.0)), ax);
+        let ha = _mm512_and_si512(bits(a), abs);
+        let far_k = _mm512_cvttps_epi32(_mm512_add_ps(
+            _mm512_mul_ps(f(INVLN2), a),
+            sel(big, f(0.5), f(-0.5)),
+        ));
+        let k = _mm512_mask_blend_epi32(lt(ha, i(0x3f85_1592)), far_k, i(-1));
+        let k = _mm512_maskz_mov_epi32(lt(i(0x3eb1_7218), ha), k);
+        let k = _mm512_max_epi32(_mm512_min_epi32(k, i(63)), i(-3));
+        let t = _mm512_cvtepi32_ps(k);
+        let hi = _mm512_sub_ps(a, _mm512_mul_ps(t, f(LN2_HI)));
+        let lo = _mm512_mul_ps(t, f(LN2_LO));
+        let xr = _mm512_sub_ps(hi, lo);
+        let c = _mm512_sub_ps(_mm512_sub_ps(hi, xr), lo);
+
+        let hfx = _mm512_mul_ps(f(0.5), xr);
+        let hxs = _mm512_mul_ps(xr, hfx);
+        let mut r1 = f(Q5);
+        for q in [Q4, Q3, Q2, Q1, 1.0] {
+            r1 = _mm512_add_ps(f(q), _mm512_mul_ps(hxs, r1));
+        }
+        let tt = _mm512_sub_ps(f(3.0), _mm512_mul_ps(r1, hfx));
+        let e = _mm512_mul_ps(
+            hxs,
+            _mm512_div_ps(
+                _mm512_sub_ps(r1, tt),
+                _mm512_sub_ps(f(6.0), _mm512_mul_ps(xr, tt)),
+            ),
+        );
+
+        let k_exp = _mm512_slli_epi32::<23>(k);
+        let scale = |y: __m512| float(_mm512_add_epi32(bits(y), k_exp));
+        let unreduced = _mm512_sub_ps(xr, _mm512_sub_ps(_mm512_mul_ps(xr, e), hxs));
+        let e = _mm512_sub_ps(
+            _mm512_sub_ps(_mm512_mul_ps(xr, _mm512_sub_ps(e, c)), c),
+            hxs,
+        );
+        let minus_one = _mm512_sub_ps(_mm512_mul_ps(f(0.5), _mm512_sub_ps(xr, e)), f(0.5));
+        let e_minus_xr = _mm512_sub_ps(e, xr);
+        let far = _mm512_sub_ps(scale(_mm512_sub_ps(f(1.0), e_minus_xr)), f(1.0));
+        let below_one = _mm512_sub_epi32(i(0x3f80_0000), _mm512_srlv_epi32(i(0x0100_0000), k));
+        let low = scale(_mm512_sub_ps(float(below_one), e_minus_xr));
+        let two_pow_minus_k = float(_mm512_slli_epi32::<23>(_mm512_sub_epi32(i(0x7f), k)));
+        let high = scale(_mm512_add_ps(
+            _mm512_sub_ps(xr, _mm512_add_ps(e, two_pow_minus_k)),
+            f(1.0),
+        ));
+        let em1 = sel(lt(k, i(23)), low, high);
+        let outside = lt(k, i(-1)) | lt(i(56), k);
+        let em1 = sel(outside, far, em1);
+        let em1 = sel(_mm512_cmpeq_epi32_mask(k, i(-1)), minus_one, em1);
+        let em1 = sel(_mm512_cmpeq_epi32_mask(k, i(0)), unreduced, em1);
+        let em1 = sel(lt(ha, i(0x3300_0000)), a, em1);
+
+        let sign = i(!ABS as i32);
+        let minus_em1 = float(_mm512_xor_si512(bits(em1), sign));
+        let q = _mm512_div_ps(sel(big, f(2.0), minus_em1), _mm512_add_ps(em1, f(2.0)));
+        let z = sel(big, _mm512_sub_ps(f(1.0), q), q);
+        let z = sel(lt(i(0x41af_ffff), ix), f(1.0), z);
+        let z = float(_mm512_or_si512(bits(z), _mm512_and_si512(bits(x), sign)));
+        let tiny = _mm512_mul_ps(x, _mm512_add_ps(f(1.0), x));
+        let z = sel(lt(ix, i(0x2400_0000)), tiny, z);
+        sel(lt(i(0x7f80_0000), ix), _mm512_add_ps(x, x), z)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::force_backend;
-    use crate::tests::{force_lock, supported};
+    use crate::tests::{force_lock, supported, Sweep};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -279,47 +395,16 @@ mod tests {
         })
     }
 
-    /// Compares, on the bit patterns `first, first + stride, …` below
-    /// `end`, every supported backend's kernel with [`tanh_lane`] and, if
-    /// `against_host`, [`tanh_lane`] with `f32::tanh`. Returns the number
-    /// of inputs checked; panics on the first mismatch.
-    fn sweep(first: u64, end: u64, stride: u64, against_host: bool) -> u64 {
-        let backends = supported();
-        let mut next = first;
-        let mut checked = 0;
-        let mut xs = Vec::with_capacity(4096);
-        let mut ys = Vec::with_capacity(4096);
-        while next < end {
-            xs.clear();
-            while xs.len() < 4096 && next < end {
-                xs.push(f32::from_bits(next as u32));
-                next += stride;
-            }
-            let want = lane_bits(&xs);
-            if against_host {
-                for (x, &w) in xs.iter().zip(&want) {
-                    let host = x.tanh().to_bits();
-                    assert_eq!(host, w, "tanh_lane vs f32::tanh at {:#010x}", x.to_bits());
-                }
-            }
-            for &b in &backends {
-                ys.clone_from(&xs);
-                dispatch(b, &mut ys);
-                for ((x, y), &w) in xs.iter().zip(&ys).zip(&want) {
-                    let (y, x) = (y.to_bits(), x.to_bits());
-                    assert_eq!(y, w, "{} vs tanh_lane at {x:#010x}", b.name());
-                }
-            }
-            checked += xs.len() as u64;
-        }
-        checked
-    }
+    const TANH: Sweep = Sweep {
+        name: "tanh",
+        lane: tanh_lane,
+        host: f32::tanh,
+        dispatch,
+    };
 
     #[test]
     fn strided_sweep_matches_lane_form_and_host() {
-        // 1 021 is prime: the sweep lands on every exponent and both signs
-        let checked = sweep(0, 1 << 32, 1021, host_tanhf_is_fdlibm());
-        assert_eq!(checked, (1u64 << 32).div_ceil(1021));
+        TANH.strided(host_tanhf_is_fdlibm());
     }
 
     /// The proof behind the module docs; `ci/test.sh` runs it in a release
@@ -328,28 +413,7 @@ mod tests {
     #[test]
     #[ignore = "all 2^32 inputs: minutes in a release build, hours in a debug one"]
     fn exhaustive_sweep_of_all_bit_patterns() {
-        let against_host = host_tanhf_is_fdlibm();
-        if !against_host {
-            println!("host tanhf differs — lane form is now the reference");
-        }
-        let half = 1u64 << 31;
-        let checked: u64 = std::thread::scope(|s| {
-            let halves = [0, half].map(|lo| s.spawn(move || sweep(lo, lo + half, 1, against_host)));
-            halves
-                .into_iter()
-                .map(|h| h.join().expect("a sweep thread found a mismatch"))
-                .sum()
-        });
-        assert_eq!(checked, 1 << 32);
-        println!(
-            "0 mismatches over {checked} inputs: {:?} vs tanh_lane{}",
-            supported().iter().map(|b| b.name()).collect::<Vec<_>>(),
-            if against_host {
-                ", tanh_lane vs f32::tanh"
-            } else {
-                ""
-            }
-        );
+        TANH.exhaustive(host_tanhf_is_fdlibm());
     }
 
     #[test]

@@ -183,6 +183,65 @@ fn harl_trace_contains_episode_phases() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Floating-point field of one trace line; `None` if absent or written
+/// as `null` (the tracer's spelling of a non-finite value).
+fn f64_field(line: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\":");
+    let i = line.find(&pat)? + pat.len();
+    let rest = &line[i..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+#[test]
+fn every_harl_round_reports_ppo_health() {
+    // the learner's health rides the trace, one event per round, and being
+    // an event it cannot move a search bit: the bit-identity test above
+    // runs with it in place
+    let path = trace_path("health");
+    let _ = std::fs::remove_file(&path);
+    let tracer = Tracer::to_file(&path).expect("open trace file");
+    harl_run(Some(tracer), 48);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let named = |name: &str| {
+        let pat = format!("\"name\":\"{name}\"");
+        text.lines().filter(move |l| l.contains(&pat))
+    };
+    let rounds = named("harl_round").count();
+    assert!(rounds > 0);
+    assert_eq!(named("ppo_health").count(), rounds, "one event per round");
+    let mut updates = 0;
+    for line in named("ppo_health") {
+        assert_eq!(str_field(line, "t"), Some("event"));
+        for key in [
+            "clip_fraction",
+            "approx_kl",
+            "value_loss",
+            "adv_mean",
+            "adv_var",
+            "entropy_head0",
+            "entropy_head3",
+        ] {
+            let v = f64_field(line, key).unwrap_or_else(|| panic!("`{key}` in {line}"));
+            assert!(v.is_finite(), "`{key}` = {v}");
+        }
+        let clip = f64_field(line, "clip_fraction").unwrap();
+        assert!((0.0..=1.0).contains(&clip), "clip_fraction {clip}");
+        assert!(f64_field(line, "value_loss").unwrap() >= 0.0);
+        assert!(f64_field(line, "adv_var").unwrap() >= 0.0);
+        let n = num_field(line, "updates").expect("updates");
+        let samples = num_field(line, "samples").expect("samples");
+        assert_eq!(n == 0, samples == 0);
+        // a three-action head's entropy lies in [0, ln 3] (0 when the mask
+        // leaves one action)
+        let h = f64_field(line, "entropy_head1").unwrap();
+        assert!((0.0..=3f64.ln() + 1e-6).contains(&h), "entropy {h}");
+        updates += n;
+    }
+    assert!(updates > 0, "the run must have trained");
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn global_metrics_render_after_a_run() {
     harl_run(None, 16);
