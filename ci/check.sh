@@ -6,7 +6,7 @@
 #
 #   fmt         cargo fmt --check
 #   lint        clippy -D warnings + shellcheck
-#   test        workspace tests, release goldens, tanh sweep, HARL_SIMD=0 pass
+#   test        workspace tests, release goldens, tanh/exp/ln sweeps, HARL_SIMD=0 and =avx2 passes
 #   smoke       benchmark gate (ci/bench_gate.sh), benchmark/run.sh --smoke +
 #               benchmark tests, lint-schedules, traced quickstart, serve
 #               (bench-load included) + federation runs

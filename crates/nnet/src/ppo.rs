@@ -1182,18 +1182,16 @@ mod tests {
         for _ in 0..3 {
             agent.train_step(&mut rng).unwrap();
         }
-        let state = |a: &PpoAgent| -> (Vec<u64>, Vec<u64>, u64) {
-            (
-                a.policy.state_bits().collect(),
-                a.critic.state_bits().collect(),
-                a.num_updates(),
-            )
-        };
-        let before = state(&agent);
+        let policy: Vec<u64> = agent.policy.state_bits().collect();
+        let critic: Vec<u64> = agent.critic.state_bits().collect();
+        let updates = agent.num_updates();
         let probe = agent.value(&corridor_state(2)).to_bits();
         agent.take_health();
         assert_eq!(agent.train_minibatch(&[]), (0.0, 0.0));
-        assert_eq!(state(&agent), before);
+        // (not `assert_eq!`: a failure would print every weight)
+        assert!(agent.policy.state_bits().eq(policy), "policy state moved");
+        assert!(agent.critic.state_bits().eq(critic), "critic state moved");
+        assert_eq!(agent.num_updates(), updates);
         assert_eq!(agent.value(&corridor_state(2)).to_bits(), probe);
         assert_eq!(agent.take_health(), PpoHealth::default());
     }

@@ -43,7 +43,7 @@
 //! | subnormal | `bits(x) < 0x00800000` | as normal, from `bits(x·2²³) − (23 << 23)` |
 //! | otherwise | | `(f32)(k·ln2 + logc + poly(r))` |
 
-use crate::{active_backend, Backend, EXP_CALLS, LN_CALLS, SCALAR_CELLS, VECTOR_CELLS};
+use crate::{active_backend, count_cells, Backend, EXP_CALLS, LN_CALLS};
 use std::sync::atomic::Ordering;
 
 /// `32/ln2`, `0x1.71547652b82fep+5`.
@@ -183,11 +183,6 @@ pub fn ln_inplace(x: &mut [f32]) {
     count_cells(vector, x.len());
 }
 
-fn count_cells(vector: usize, total: usize) {
-    VECTOR_CELLS.fetch_add(vector as u64, Ordering::Relaxed);
-    SCALAR_CELLS.fetch_add((total - vector) as u64, Ordering::Relaxed);
-}
-
 macro_rules! dispatch {
     ($name:ident, $lane:ident, $kernel:ident) => {
         /// Runs `backend`'s kernel over `x`; returns how many cells went
@@ -223,31 +218,6 @@ macro_rules! dispatch {
 
 dispatch!(dispatch_exp, exp_lane, exp_inplace);
 dispatch!(dispatch_ln, ln_lane, ln_inplace);
-
-/// The slice loop shared by the four vector kernels: full groups of
-/// `$lanes` through `$f`, then the tail through a zero-padded copy (whose
-/// extra lanes compute `exp(0)` or `ln(0)` and are dropped).
-#[cfg(target_arch = "x86_64")]
-macro_rules! inplace_kernel {
-    ($name:ident, $feat:literal, $lanes:expr, $f:ident, $load:ident, $store:ident) => {
-        /// # Safety
-        /// Caller must have verified the `$feat` CPU features are present.
-        #[target_feature(enable = $feat)]
-        pub unsafe fn $name(x: &mut [f32]) {
-            let mut groups = x.chunks_exact_mut($lanes);
-            for g in &mut groups {
-                $store(g.as_mut_ptr(), $f($load(g.as_ptr())));
-            }
-            let tail = groups.into_remainder();
-            if !tail.is_empty() {
-                let mut padded = [0.0f32; $lanes];
-                padded[..tail.len()].copy_from_slice(tail);
-                $store(padded.as_mut_ptr(), $f($load(padded.as_ptr())));
-                tail.copy_from_slice(&padded[..tail.len()]);
-            }
-        }
-    };
-}
 
 /// [`exp_lane`] and [`ln_lane`] over eight lanes: the integer steps on the
 /// eight `f32` patterns, the `f64` arithmetic on two halves of four.

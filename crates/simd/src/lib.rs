@@ -38,6 +38,32 @@
 //! in one process, [`force_backend`]. Unsupported requests clamp to the best
 //! supported tier — never undefined behaviour.
 
+/// The slice loop of the vector forms of `tanh`, `exp` and `ln`: full groups
+/// of `$lanes` through `$f`, then the tail through a zero-padded copy
+/// (whose extra lanes compute `f(0)` and are dropped), so a value's bits do
+/// not depend on where in a slice it sits.
+#[cfg(target_arch = "x86_64")]
+macro_rules! inplace_kernel {
+    ($name:ident, $feat:literal, $lanes:expr, $f:ident, $load:ident, $store:ident) => {
+        /// # Safety
+        /// Caller must have verified the `$feat` CPU features are present.
+        #[target_feature(enable = $feat)]
+        pub unsafe fn $name(x: &mut [f32]) {
+            let mut groups = x.chunks_exact_mut($lanes);
+            for g in &mut groups {
+                $store(g.as_mut_ptr(), $f($load(g.as_ptr())));
+            }
+            let tail = groups.into_remainder();
+            if !tail.is_empty() {
+                let mut padded = [0.0f32; $lanes];
+                padded[..tail.len()].copy_from_slice(tail);
+                $store(padded.as_mut_ptr(), $f($load(padded.as_ptr())));
+                tail.copy_from_slice(&padded[..tail.len()]);
+            }
+        }
+    };
+}
+
 mod explog;
 mod feature_math;
 mod scalar;
@@ -293,6 +319,12 @@ pub fn stats() -> SimdStats {
         vector_cells: VECTOR_CELLS.load(Ordering::Relaxed),
         scalar_cells: SCALAR_CELLS.load(Ordering::Relaxed),
     }
+}
+
+/// Adds one elementwise kernel call's cells to the lane counters.
+fn count_cells(vector: usize, total: usize) {
+    VECTOR_CELLS.fetch_add(vector as u64, Ordering::Relaxed);
+    SCALAR_CELLS.fetch_add((total - vector) as u64, Ordering::Relaxed);
 }
 
 /// Records one batch-prediction call: how many samples rode vector lanes

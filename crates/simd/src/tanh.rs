@@ -28,7 +28,7 @@
 //! is `2|x|` with `|x| ≥ 1`, which is past `1½ln2`. Finite inputs below 22
 //! give `k` in −3…63.
 
-use crate::{active_backend, Backend, SCALAR_CELLS, TANH_CALLS, VECTOR_CELLS};
+use crate::{active_backend, count_cells, Backend, TANH_CALLS};
 use std::sync::atomic::Ordering;
 
 const ABS: u32 = 0x7fff_ffff;
@@ -126,8 +126,7 @@ pub fn tanh_lane(x: f32) -> f32 {
 pub fn tanh_inplace(x: &mut [f32]) {
     let vector = dispatch(active_backend(), x);
     TANH_CALLS.fetch_add(1, Ordering::Relaxed);
-    VECTOR_CELLS.fetch_add(vector as u64, Ordering::Relaxed);
-    SCALAR_CELLS.fetch_add((x.len() - vector) as u64, Ordering::Relaxed);
+    count_cells(vector, x.len());
 }
 
 /// Runs `backend`'s kernel over `x`; returns how many cells went through
@@ -165,24 +164,14 @@ mod avx2 {
     use super::*;
     use core::arch::x86_64::*;
 
-    /// # Safety
-    /// Caller must have verified the `avx2` CPU feature is present.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn tanh_inplace(x: &mut [f32]) {
-        let mut groups = x.chunks_exact_mut(8);
-        for g in &mut groups {
-            let y = tanh8(_mm256_loadu_ps(g.as_ptr()));
-            _mm256_storeu_ps(g.as_mut_ptr(), y);
-        }
-        let tail = groups.into_remainder();
-        if !tail.is_empty() {
-            let mut padded = [0.0f32; 8];
-            padded[..tail.len()].copy_from_slice(tail);
-            let y = tanh8(_mm256_loadu_ps(padded.as_ptr()));
-            _mm256_storeu_ps(padded.as_mut_ptr(), y);
-            tail.copy_from_slice(&padded[..tail.len()]);
-        }
-    }
+    inplace_kernel!(
+        tanh_inplace,
+        "avx2",
+        8,
+        tanh8,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps
+    );
 
     #[target_feature(enable = "avx2")]
     unsafe fn tanh8(x: __m256) -> __m256 {
@@ -274,23 +263,14 @@ mod avx512 {
     use super::*;
     use core::arch::x86_64::*;
 
-    /// # Safety
-    /// Caller must have verified the `avx512f` CPU feature is present.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn tanh_inplace(x: &mut [f32]) {
-        let mut groups = x.chunks_exact_mut(16);
-        for g in &mut groups {
-            let y = tanh16(_mm512_loadu_ps(g.as_ptr()));
-            _mm512_storeu_ps(g.as_mut_ptr(), y);
-        }
-        let tail = groups.into_remainder();
-        if !tail.is_empty() {
-            // a masked-off lane reads as +0, whose tanh is discarded
-            let live: __mmask16 = (1 << tail.len()) - 1;
-            let y = tanh16(_mm512_maskz_loadu_ps(live, tail.as_ptr()));
-            _mm512_mask_storeu_ps(tail.as_mut_ptr(), live, y);
-        }
-    }
+    inplace_kernel!(
+        tanh_inplace,
+        "avx512f",
+        16,
+        tanh16,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps
+    );
 
     #[target_feature(enable = "avx512f")]
     unsafe fn tanh16(x: __m512) -> __m512 {
