@@ -26,6 +26,21 @@ if awk '
     exit 1
 fi
 
+echo "==> no message-building lint call on the candidate path"
+# `Analyzer::analyze` formats a message per finding; the loops that lint
+# every candidate ask for `Analyzer::verdict`, which only counts. Same
+# reading rule: up to the first `#[cfg(test)]`, `//` comments skipped.
+if awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /\.analyze\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }
+' crates/harl/src/episode.rs crates/mcts/src/core.rs; then
+    echo "FAIL: Analyzer::analyze on the candidate path (use Analyzer::verdict)"
+    exit 1
+fi
+
 echo "==> shellcheck ci/*.sh"
 if command -v shellcheck >/dev/null 2>&1; then
     shellcheck ci/*.sh ci/github/*.sh

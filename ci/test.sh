@@ -11,12 +11,15 @@ echo "==> cargo test -q"
 # shellcheck disable=SC2086  # CARGO_FLAGS is a flag list, word-splitting intended
 cargo test $CARGO_FLAGS -q --workspace
 
-echo "==> tree-fit, tanh and exp/ln goldens in a release build"
+echo "==> tree-fit, tanh and exp/ln goldens and the candidate path in a release build"
 # tier-1 is a debug build and benchmark/ a release one: the tie order the
-# pinned trees depend on, and the bits of the activation, the softmax and
-# the log-probabilities, must hold in both
+# pinned trees depend on, the bits of the activation, the softmax and the
+# log-probabilities, and the feature plan's and the folded hash's equality
+# with their references (wrapping arithmetic, no overflow checks) must
+# hold in both
 # shellcheck disable=SC2086
-cargo test $CARGO_FLAGS -q --release --test gbt_golden --test tanh_golden --test explog_golden
+cargo test $CARGO_FLAGS -q --release --test gbt_golden --test tanh_golden --test explog_golden \
+    --test candidate_path
 
 echo "==> lane tanh, exp and ln against every backend and the host libm, all 2^32 inputs"
 # the proof that tanh_inplace, exp_inplace and ln_inplace are the libm
@@ -37,10 +40,12 @@ HARL_SIMD=0 cargo test $CARGO_FLAGS -q -p harl-simd -p harl-nnet -p harl-gbt -p 
 # kernels must reproduce its bits, and a checkpoint written under them must
 # round-trip, resume and fit its size budget like any other; the five
 # searchers' pinned state digests, the pinned tree fits and the pinned
-# activation, exp and ln bits must hold under them too
+# activation, exp and ln bits must hold under them too, and the feature
+# plan must equal its reference with the scalar `log2p_int`
 # shellcheck disable=SC2086
 HARL_SIMD=0 cargo test $CARGO_FLAGS -q --test ppo_golden --test checkpoint_layout \
-    --test search_golden --test gbt_golden --test tanh_golden --test explog_golden
+    --test search_golden --test gbt_golden --test tanh_golden --test explog_golden \
+    --test candidate_path
 
 echo "==> PPO, search, tanh and exp/ln goldens with HARL_SIMD=avx2"
 # where the best tier is avx512 nothing above dispatched the 256-bit

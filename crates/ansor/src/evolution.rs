@@ -13,9 +13,7 @@ use std::collections::HashSet;
 use rand::Rng;
 
 use harl_gbt::{CostModel, ScoringPipeline};
-use harl_tensor_ir::{
-    crossover, extract_features_into, mutate, Schedule, Sketch, Subgraph, Target,
-};
+use harl_tensor_ir::{crossover, mutate, FeaturePlan, Schedule, Sketch, Target};
 
 /// Evolutionary-search hyper-parameters (defaults follow Ansor's published
 /// settings scaled to this simulator).
@@ -55,6 +53,7 @@ impl Default for EvoConfig {
 ///
 /// `elites` are previously measured good schedules (best first); sketches
 /// are chosen uniformly for random seeding (Ansor's sketch policy).
+/// `plans[i]` is the feature plan of `sketches[i]`.
 ///
 /// Fitness evaluation goes through `pipeline`: each generation (and the
 /// final ε-greedy pass) scores the whole population in one batch, with
@@ -63,7 +62,7 @@ impl Default for EvoConfig {
 /// RNG stream and selection are unchanged from the serial implementation.
 #[allow(clippy::too_many_arguments)]
 pub fn evolve_candidates<R: Rng + ?Sized>(
-    graph: &Subgraph,
+    plans: &[FeaturePlan],
     sketches: &[Sketch],
     target: Target,
     cost_model: &CostModel,
@@ -81,9 +80,7 @@ pub fn evolve_candidates<R: Rng + ?Sized>(
     // cache keys are schedule fingerprints, valid only for this round's
     // fixed (graph, sketch-set, target) context
     pipeline.begin_episode();
-    let extract = |s: &Schedule, buf: &mut Vec<f32>| {
-        extract_features_into(graph, &sketches[s.sketch_id], target, s, buf)
-    };
+    let extract = |s: &Schedule, buf: &mut Vec<f32>| plans[s.sketch_id].extract_into(s, buf);
 
     // --- initial population ---------------------------------------------
     let n_elite = ((cfg.population as f64 * cfg.elite_ratio) as usize).min(elites.len());
@@ -179,23 +176,26 @@ pub fn evolve_candidates<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use harl_gbt::GbtParams;
-    use harl_tensor_ir::{extract_features, generate_sketches, workload};
+    use harl_tensor_ir::{extract_features, generate_sketches, workload, Subgraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn setup() -> (Subgraph, Vec<Sketch>) {
+    fn setup() -> (Subgraph, Vec<Sketch>, Vec<FeaturePlan>) {
         let g = workload::gemm(256, 256, 256);
         let sk = generate_sketches(&g, Target::Cpu);
-        (g, sk)
+        let plans = (sk.iter())
+            .map(|s| FeaturePlan::new(&g, s, Target::Cpu))
+            .collect();
+        (g, sk, plans)
     }
 
     #[test]
     fn produces_requested_distinct_candidates() {
-        let (g, sk) = setup();
+        let (_, sk, plans) = setup();
         let cm = CostModel::new(GbtParams::default());
         let mut rng = StdRng::seed_from_u64(1);
         let cands = evolve_candidates(
-            &g,
+            &plans,
             &sk,
             Target::Cpu,
             &cm,
@@ -216,11 +216,11 @@ mod tests {
 
     #[test]
     fn avoids_already_measured() {
-        let (g, sk) = setup();
+        let (_, sk, plans) = setup();
         let cm = CostModel::new(GbtParams::default());
         let mut rng = StdRng::seed_from_u64(2);
         let first = evolve_candidates(
-            &g,
+            &plans,
             &sk,
             Target::Cpu,
             &cm,
@@ -233,7 +233,7 @@ mod tests {
         );
         let seen: HashSet<u64> = first.iter().map(Schedule::dedup_key).collect();
         let second = evolve_candidates(
-            &g,
+            &plans,
             &sk,
             Target::Cpu,
             &cm,
@@ -253,7 +253,7 @@ mod tests {
     fn trained_model_biases_selection() {
         // train the cost model to prefer high unroll_idx; evolution should
         // then emit mostly high-unroll candidates.
-        let (g, sk) = setup();
+        let (g, sk, plans) = setup();
         let mut cm = CostModel::new(GbtParams::default());
         let mut rng = StdRng::seed_from_u64(3);
         let mut batch = Vec::new();
@@ -265,7 +265,7 @@ mod tests {
         }
         cm.update_batch(batch);
         let cands = evolve_candidates(
-            &g,
+            &plans,
             &sk,
             Target::Cpu,
             &cm,

@@ -228,7 +228,7 @@ impl Proposer for AnsorProposer {
         let evolve_span = core.tracer().span_with("evolve", &[("k", k.into())]);
         let elite_scheds: Vec<Schedule> = self.elites.iter().map(|(_, s)| s.clone()).collect();
         let mut cands = evolve_candidates(
-            &core.graph,
+            core.plans(),
             &core.sketches,
             core.target(),
             &self.cost_model,

@@ -14,21 +14,41 @@ use harl_gbt::{CostModel, ScoringPipeline};
 use harl_nnet::PpoAgent;
 use harl_obs::Tracer;
 use harl_tensor_ir::{
-    apply_action, compute_at_mask, extract_features_into, parallel_mask, tile_action_mask,
-    unroll_mask, Action, ActionSpace, Schedule, Sketch, StepDir, Subgraph, Target,
+    apply_action_in_place, compute_at_mask, parallel_mask, tile_action_mask, unroll_mask, Action,
+    ActionSpace, FeaturePlan, Schedule, Sketch, StepDir, Subgraph,
 };
 use harl_verify::{check_finite, Analyzer, LintCode, LintStats};
 
-use crate::adaptive::{select_survivors, CriticalStep, TrackWindow};
+use crate::adaptive::{critical_step_histogram, select_survivors, CriticalStep, TrackWindow};
 use crate::config::HarlConfig;
+
+/// One traversed schedule: an entry of Algorithm 1's heap `H`.
+#[derive(Debug)]
+pub struct Visit {
+    /// The cost model's score.
+    pub score: f64,
+    /// Id of the schedule track that produced it.
+    pub track: usize,
+    state: VisitState,
+}
+
+/// What a [`Visit`] holds of its schedule. Seven of a track-step's eight
+/// proposals lose and are never looked at again unless the top-K walk
+/// reaches them, so they are kept as the recipe that rebuilds them.
+#[derive(Debug)]
+enum VisitState {
+    /// An initial schedule or a step's winner: a track stood on it.
+    Kept(Schedule),
+    /// A proposal that lost its step: `action` applied to the kept schedule
+    /// of `visited[parent]`.
+    Lost { parent: usize, action: Action },
+}
 
 /// Everything an episode produces.
 #[derive(Debug)]
 pub struct EpisodeResult {
-    /// All traversed schedules with their cost-model scores and the id of
-    /// the schedule track that produced them (Algorithm 1's heap `H`), in
-    /// visit order.
-    pub visited: Vec<(f64, Schedule, usize)>,
+    /// All traversed schedules, in visit order.
+    pub visited: Vec<Visit>,
     /// Per-track critical steps (position of the best-scored schedule).
     pub critical_steps: Vec<CriticalStep>,
     /// Steps executed before the episode ended.
@@ -38,11 +58,42 @@ pub struct EpisodeResult {
     pub lint_stats: LintStats,
 }
 
-/// One legal actor proposal awaiting batched scoring:
-/// `(sub-actions, log-prob, candidate schedule)`.
+impl EpisodeResult {
+    /// The schedule of `visited[i]`, a schedule of `sketch` (the episode's):
+    /// the kept one, or a lost proposal rebuilt in `slot`.
+    pub fn schedule<'a>(
+        &'a self,
+        i: usize,
+        sketch: &Sketch,
+        plan: &FeaturePlan,
+        slot: &'a mut Schedule,
+    ) -> &'a Schedule {
+        match &self.visited[i].state {
+            VisitState::Kept(s) => s,
+            VisitState::Lost { parent, action } => {
+                slot.clone_from(kept_at(&self.visited, *parent));
+                apply_action_in_place(sketch, plan.target(), slot, action);
+                slot
+            }
+        }
+    }
+}
+
+/// The schedule a track stands on at `visited[at]`.
+fn kept_at(visited: &[Visit], at: usize) -> &Schedule {
+    match &visited[at].state {
+        VisitState::Kept(s) => s,
+        VisitState::Lost { .. } => unreachable!("tracks only stand on kept schedules"),
+    }
+}
+
+/// One legal actor proposal awaiting batched scoring. The slots are
+/// recycled from step to step, so proposing allocates nothing once they
+/// have grown to a step's width.
 struct Proposal {
-    acts: Vec<usize>,
-    logp: f32,
+    /// Which of its track's draws proposed it.
+    draw: usize,
+    action: Action,
     cand: Schedule,
 }
 
@@ -73,7 +124,8 @@ struct Track {
     best_pos: usize,
 }
 
-/// Runs one episode of parameter modification on `sketch`.
+/// Runs one episode of parameter modification on `sketch`, whose feature
+/// plan on the search's target is `plan`.
 ///
 /// `seeds` warm-start a fraction of the schedule tracks from previously
 /// measured good schedules of the *same sketch* (exploitation); the rest
@@ -90,7 +142,7 @@ struct Track {
 pub fn run_episode(
     graph: &Subgraph,
     sketch: &Sketch,
-    target: Target,
+    plan: &FeaturePlan,
     agent: &mut PpoAgent,
     cost: &CostModel,
     cfg: &HarlConfig,
@@ -100,47 +152,64 @@ pub fn run_episode(
     tracer: &Tracer,
     rng: &mut StdRng,
 ) -> EpisodeResult {
+    let target = plan.target();
     let space = ActionSpace::of(sketch);
-    let mut visited: Vec<(f64, Schedule, usize)> = Vec::new();
+    let mut visited: Vec<Visit> = Vec::new();
     let mut critical: Vec<CriticalStep> = Vec::new();
     let mut lint_stats = LintStats::new();
     // the cache key is a schedule fingerprint: valid only within this
     // episode's fixed (graph, sketch, target) context
     pipeline.begin_episode();
     let mut scores: Vec<f64> = Vec::new();
-    let extract =
-        |s: &Schedule, buf: &mut Vec<f32>| extract_features_into(graph, sketch, target, s, buf);
+    // counts the findings; true when `s` must not be scored
+    let lint_rejects = |stats: &mut LintStats, s: &Schedule| {
+        stats.record(&analyzer.verdict(graph, sketch, plan, s))
+    };
 
     // --- initial schedule tracks (Algorithm 1, line 5) --------------------
     let n_seeded =
         ((cfg.tracks_per_round as f64 * cfg.elite_track_fraction) as usize).min(seeds.len());
-    let initial: Vec<Schedule> = (0..cfg.tracks_per_round)
+    // `(schedule, seeded)`: a slot is seeded only while it holds the elite
+    let initial: Vec<(Schedule, bool)> = (0..cfg.tracks_per_round)
         .map(|i| {
-            let mut s = if i < n_seeded {
+            let mut seeded = i < n_seeded;
+            let mut s = if seeded {
                 seeds[i].clone()
             } else {
                 Schedule::random(sketch, target, rng)
             };
             // reject illegal starting points before they can seed a track
             let mut guard = 0;
-            while lint_stats.record(&analyzer.analyze(graph, sketch, target, &s)) && guard < 8 {
+            while lint_rejects(&mut lint_stats, &s) && guard < 8 {
                 s = Schedule::random(sketch, target, rng);
+                seeded = false;
                 guard += 1;
             }
-            s
+            (s, seeded)
         })
         .collect();
-    pipeline.score_into(cost, &initial, |s| s.fingerprint(), extract, &mut scores);
+    pipeline.score_into(
+        cost,
+        &initial,
+        |(s, _)| s.fingerprint(),
+        |(s, _), buf| plan.extract_into(s, buf),
+        &mut scores,
+    );
+    let cache_hits_before = pipeline.stats().cache_hits;
     let mut tracks: Vec<Track> = initial
         .into_iter()
         .enumerate()
-        .map(|(i, s)| {
+        .map(|(i, (s, seeded))| {
             let score = scores[i];
-            visited.push((score, s, i));
+            visited.push(Visit {
+                score,
+                track: i,
+                state: VisitState::Kept(s),
+            });
             Track {
                 id: i,
-                seeded: i < n_seeded,
-                at: visited.len() - 1,
+                seeded,
+                at: i,
                 features: pipeline.row(i).to_vec(),
                 score,
                 window: TrackWindow::default(),
@@ -161,8 +230,9 @@ pub fn run_episode(
 
     // Step scratch, reused across steps: per-track action masks (the inner
     // mask sets move into the replay buffer, the outer `Vec` stays), the
-    // batched policy input, and this step's legal proposals flattened in
-    // track-major order with `prop_counts[k]` of them belonging to track `k`.
+    // batched policy input, and the proposal slots — the step's legal
+    // proposals are `props[..n]` in track-major order, `prop_counts[k]` of
+    // them belonging to track `k`.
     let mut step_masks: Vec<Vec<Vec<bool>>> = Vec::new();
     let mut flat_features: Vec<f32> = Vec::new();
     let mut props: Vec<Proposal> = Vec::new();
@@ -172,6 +242,10 @@ pub fn run_episode(
     let mut winners: Vec<Winner> = Vec::new();
     let mut value_pairs: Vec<f32> = Vec::new();
     let mut values: Vec<f32> = Vec::new();
+    // observation only: what the round's `episode_summary` event reports
+    let mut proposed = 0usize;
+    let mut legal = 0usize;
+    let mut pruned: Vec<u64> = Vec::new();
 
     // Algorithm 1, line 6: while |S| ≥ p̂ (adaptive) / fixed length.
     while !tracks.is_empty() && step < max_steps {
@@ -189,7 +263,7 @@ pub fn run_episode(
         let act_span = tracer.span_with("ppo_act", &[("tracks", tracks.len().into())]);
         flat_features.clear();
         for t in tracks.iter() {
-            let schedule = &visited[t.at].1;
+            let schedule = kept_at(&visited, t.at);
             step_masks.push(vec![
                 tile_action_mask(sketch, schedule, &space),
                 compute_at_mask(sketch, schedule).to_vec(),
@@ -200,23 +274,37 @@ pub fn run_episode(
         }
         let draws = agent.act_batch(&flat_features, tracks.len(), &step_masks, samples, rng);
         prop_counts.clear();
-        for (t, track_draws) in tracks.iter().zip(draws) {
-            let before = props.len();
-            for (acts, logp) in track_draws {
+        let mut n = 0;
+        for (t, track_draws) in tracks.iter().zip(draws.iter()) {
+            let before = n;
+            let current = kept_at(&visited, t.at);
+            for (draw, (acts, _)) in track_draws.iter().enumerate() {
                 let action = Action {
                     tile: acts[0],
                     compute_at: StepDir::from_index(acts[1]),
                     parallel: StepDir::from_index(acts[2]),
                     unroll: StepDir::from_index(acts[3]),
                 };
-                let cand = apply_action(sketch, target, &visited[t.at].1, &action);
-                if lint_stats.record(&analyzer.analyze(graph, sketch, target, &cand)) {
-                    continue;
+                if n == props.len() {
+                    props.push(Proposal {
+                        draw,
+                        action,
+                        cand: Schedule::default(),
+                    });
                 }
-                props.push(Proposal { acts, logp, cand });
+                // slot `n` is reused by the next draw when this one is rejected
+                let p = &mut props[n];
+                (p.draw, p.action) = (draw, action);
+                p.cand.clone_from(current);
+                apply_action_in_place(sketch, target, &mut p.cand, &action);
+                if !lint_rejects(&mut lint_stats, &p.cand) {
+                    n += 1;
+                }
             }
-            prop_counts.push(props.len() - before);
+            prop_counts.push(n - before);
         }
+        proposed += tracks.len() * samples;
+        legal += n;
         drop(act_span);
 
         // Phase B: one batched scoring pass over every legal candidate of
@@ -225,40 +313,51 @@ pub fn run_episode(
             let _score_span = tracer.span("score");
             pipeline.score_into(
                 cost,
-                &props,
+                &props[..n],
                 |p| p.cand.fingerprint(),
-                |p, buf| extract(&p.cand, buf),
+                |p, buf| plan.extract_into(&p.cand, buf),
                 &mut scores,
             );
         }
 
         // Phase C: pick each track's best proposal and record the PPO
-        // transition, in the original visit order. Every candidate moves
-        // into `visited`; a track only remembers where its winner landed.
+        // transition, in the original visit order. Every candidate enters
+        // `visited` as the action that rebuilds it; a step's winner also
+        // keeps its schedule, and its track remembers where it landed.
         let update_span = tracer.span("ppo_update");
         // proposal `g` of this step scored `scores[g]` and lands at
         // `visited[first + g]`
         let first = visited.len();
-        let mut pending = props.drain(..).enumerate();
-        for (((k, t), &count), masks) in tracks
+        let mut pending = props[..n].iter().enumerate();
+        for ((((k, t), &count), masks), track_draws) in tracks
             .iter()
             .enumerate()
             .zip(&prop_counts)
             .zip(step_masks.drain(..))
+            .zip(draws.iter())
         {
             // the cost model prunes all but the best-scored proposal
-            let mut best: Option<(usize, Vec<usize>, f32)> = None;
+            let mut best: Option<(usize, &Proposal)> = None;
             for (g, p) in pending.by_ref().take(count) {
-                visited.push((scores[g], p.cand, t.id));
-                if best.as_ref().is_none_or(|b| scores[g] > scores[b.0]) {
-                    best = Some((g, p.acts, p.logp));
+                visited.push(Visit {
+                    score: scores[g],
+                    track: t.id,
+                    state: VisitState::Lost {
+                        parent: t.at,
+                        action: p.action,
+                    },
+                });
+                if best.is_none_or(|b| scores[g] > scores[b.0]) {
+                    best = Some((g, p));
                 }
             }
             // every sampled action may have been rejected by the analyzer;
             // the track then stays put for this step
-            let Some((g, acts, logp)) = best else {
+            let Some((g, p)) = best else {
                 continue;
             };
+            visited[first + g].state = VisitState::Kept(p.cand.clone());
+            let (acts, logp) = &track_draws[p.draw];
             // reward: relative predicted improvement (line 9)
             let mut reward = ((scores[g] - t.score) / t.score.max(1e-9)) as f32;
             if check_finite("episode reward", reward as f64).is_some() {
@@ -270,8 +369,8 @@ pub fn run_episode(
             winners.push(Winner {
                 track: k,
                 proposal: g,
-                acts,
-                logp,
+                acts: acts.clone(),
+                logp: *logp,
                 reward,
                 masks,
             });
@@ -348,6 +447,7 @@ pub fn run_episode(
                 }
             }
             let dropped = kept_set.len() - survivors.len();
+            pruned.push(dropped as u64);
             tracks = survivors;
             tracer.event(
                 "adaptive_prune",
@@ -370,6 +470,30 @@ pub fn run_episode(
         });
     }
 
+    if tracer.is_enabled() {
+        let list = |counts: &[u64]| {
+            let counts: Vec<String> = counts.iter().map(u64::to_string).collect();
+            counts.join(",")
+        };
+        tracer.event(
+            "episode_summary",
+            &[
+                ("steps", step.into()),
+                ("proposals", proposed.into()),
+                ("lint_rejected", (proposed - legal).into()),
+                (
+                    "cache_hits",
+                    (pipeline.stats().cache_hits - cache_hits_before).into(),
+                ),
+                ("pruned_per_window", list(&pruned).into()),
+                (
+                    "critical_step_deciles",
+                    list(&critical_step_histogram(&critical, 10)).into(),
+                ),
+            ],
+        );
+    }
+
     EpisodeResult {
         visited,
         critical_steps: critical,
@@ -383,12 +507,13 @@ mod tests {
     use super::*;
     use harl_gbt::GbtParams;
     use harl_nnet::PpoConfig;
-    use harl_tensor_ir::{generate_sketches, workload};
+    use harl_tensor_ir::{generate_sketches, workload, Target};
     use rand::SeedableRng;
 
-    fn setup() -> (Subgraph, Sketch, PpoAgent, StdRng) {
+    fn setup() -> (Subgraph, Sketch, FeaturePlan, PpoAgent, StdRng) {
         let g = workload::gemm(256, 256, 256);
         let sk = generate_sketches(&g, Target::Cpu)[0].clone();
+        let plan = FeaturePlan::new(&g, &sk, Target::Cpu);
         let mut rng = StdRng::seed_from_u64(7);
         let space = ActionSpace::of(&sk);
         let agent = PpoAgent::new(
@@ -400,12 +525,12 @@ mod tests {
             },
             &mut rng,
         );
-        (g, sk, agent, rng)
+        (g, sk, plan, agent, rng)
     }
 
     #[test]
     fn adaptive_episode_ends_below_min_tracks() {
-        let (g, sk, mut agent, mut rng) = setup();
+        let (g, sk, plan, mut agent, mut rng) = setup();
         let cost = CostModel::new(GbtParams::default());
         let an = Analyzer::for_target(Target::Cpu);
         let cfg = HarlConfig {
@@ -417,7 +542,7 @@ mod tests {
         let res = run_episode(
             &g,
             &sk,
-            Target::Cpu,
+            &plan,
             &mut agent,
             &cost,
             &cfg,
@@ -442,7 +567,7 @@ mod tests {
 
     #[test]
     fn fixed_episode_runs_exact_length() {
-        let (g, sk, mut agent, mut rng) = setup();
+        let (g, sk, plan, mut agent, mut rng) = setup();
         let cost = CostModel::new(GbtParams::default());
         let an = Analyzer::for_target(Target::Cpu);
         let cfg = HarlConfig {
@@ -454,7 +579,7 @@ mod tests {
         let res = run_episode(
             &g,
             &sk,
-            Target::Cpu,
+            &plan,
             &mut agent,
             &cost,
             &cfg,
@@ -472,14 +597,14 @@ mod tests {
 
     #[test]
     fn visited_schedules_are_valid() {
-        let (g, sk, mut agent, mut rng) = setup();
+        let (g, sk, plan, mut agent, mut rng) = setup();
         let cost = CostModel::new(GbtParams::default());
         let an = Analyzer::for_target(Target::Cpu);
         let cfg = HarlConfig::tiny();
         let res = run_episode(
             &g,
             &sk,
-            Target::Cpu,
+            &plan,
             &mut agent,
             &cost,
             &cfg,
@@ -489,8 +614,10 @@ mod tests {
             &Tracer::disabled(),
             &mut rng,
         );
-        for (score, s, _) in &res.visited {
-            assert!(score.is_finite());
+        let mut slot = Schedule::default();
+        for (i, v) in res.visited.iter().enumerate() {
+            assert!(v.score.is_finite());
+            let s = res.schedule(i, &sk, &plan, &mut slot);
             s.validate(&sk, Target::Cpu)
                 .expect("visited schedule valid");
             assert!(an.is_legal(&g, &sk, Target::Cpu, s));
@@ -499,7 +626,7 @@ mod tests {
 
     #[test]
     fn episode_trains_the_agent() {
-        let (g, sk, mut agent, mut rng) = setup();
+        let (g, sk, plan, mut agent, mut rng) = setup();
         let cost = CostModel::new(GbtParams::default());
         let an = Analyzer::for_target(Target::Cpu);
         let cfg = HarlConfig {
@@ -510,7 +637,7 @@ mod tests {
         run_episode(
             &g,
             &sk,
-            Target::Cpu,
+            &plan,
             &mut agent,
             &cost,
             &cfg,
@@ -523,6 +650,40 @@ mod tests {
         assert!(agent.num_updates() > before);
     }
 
+    /// A seeded slot whose elite the analyzer rejects holds a random
+    /// schedule afterwards, and a random track counts in the critical-step
+    /// statistics like any other.
+    #[test]
+    fn a_rejected_elite_leaves_a_random_track_that_counts() {
+        let critical_steps_with = |elite: Schedule| {
+            let (g, sk, plan, mut agent, mut rng) = setup();
+            let res = run_episode(
+                &g,
+                &sk,
+                &plan,
+                &mut agent,
+                &CostModel::new(GbtParams::default()),
+                &HarlConfig::tiny(),
+                &[elite],
+                &Analyzer::for_target(Target::Cpu),
+                &mut ScoringPipeline::new(1, 1024),
+                &Tracer::disabled(),
+                &mut rng,
+            );
+            (res.critical_steps.len(), res.lint_stats.rejected)
+        };
+        let (_, sk, _, _, mut rng) = setup();
+        let legal = Schedule::random(&sk, Target::Cpu, &mut rng);
+        // GEMM has two spatial iterators: a band of three covers the reduction
+        let racing = Schedule {
+            parallel_fuse: 3,
+            ..legal.clone()
+        };
+        let tracks = HarlConfig::tiny().tracks_per_round;
+        assert_eq!(critical_steps_with(legal), (tracks - 1, 0));
+        assert_eq!(critical_steps_with(racing), (tracks, 1));
+    }
+
     /// Pins the whole episode — visit order and scores, every recorded
     /// transition (critic-computed advantages included) and the critical
     /// steps — to values recorded with the per-track `record` loop. The
@@ -530,7 +691,7 @@ mod tests {
     /// track-steps lose both proposals and must neither record nor move.
     #[test]
     fn episode_matches_golden_digests() {
-        use harl_verify::{Component, Diagnostic, LintContext, ScheduleLint};
+        use harl_verify::{Component, LintContext, LintSink, ScheduleLint};
 
         struct RejectThird;
         impl ScheduleLint for RejectThird {
@@ -540,13 +701,11 @@ mod tests {
             fn requires_well_formed(&self) -> bool {
                 false
             }
-            fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+            fn check(&self, ctx: &LintContext<'_>, out: &mut LintSink<'_>) {
                 if ctx.schedule.fingerprint().is_multiple_of(3) {
-                    out.push(Diagnostic::new(
-                        LintCode::ParallelReductionRace,
-                        Component::Schedule,
-                        "rejected by test lint".into(),
-                    ));
+                    out.report(self.code(), Component::Schedule, || {
+                        "rejected by test lint".into()
+                    });
                 }
             }
         }
@@ -557,7 +716,7 @@ mod tests {
             }
         }
 
-        let (g, sk, mut agent, mut rng) = setup();
+        let (g, sk, plan, mut agent, mut rng) = setup();
         // a trained cost model, so scores, rewards and winners differ
         let mut cost = CostModel::new(GbtParams {
             n_rounds: 8,
@@ -566,7 +725,7 @@ mod tests {
         cost.update_batch((0..64).map(|_| {
             let s = Schedule::random(&sk, Target::Cpu, &mut rng);
             let mut f = Vec::new();
-            extract_features_into(&g, &sk, Target::Cpu, &s, &mut f);
+            plan.extract_into(&s, &mut f);
             (f, 1e9 * (1 + s.fingerprint() % 97) as f64)
         }));
         let mut an = Analyzer::empty(harl_verify::CacheBudget::for_target(Target::Cpu));
@@ -575,7 +734,7 @@ mod tests {
         let res = run_episode(
             &g,
             &sk,
-            Target::Cpu,
+            &plan,
             &mut agent,
             &cost,
             &cfg,
@@ -587,10 +746,12 @@ mod tests {
         );
 
         let mut visited = 0xcbf29ce484222325u64;
-        for (score, s, track) in &res.visited {
-            fnv(&mut visited, &score.to_bits().to_le_bytes());
+        let mut slot = Schedule::default();
+        for (i, v) in res.visited.iter().enumerate() {
+            let s = res.schedule(i, &sk, &plan, &mut slot);
+            fnv(&mut visited, &v.score.to_bits().to_le_bytes());
             fnv(&mut visited, &s.fingerprint().to_le_bytes());
-            fnv(&mut visited, &track.to_le_bytes());
+            fnv(&mut visited, &v.track.to_le_bytes());
         }
         // every field of every transition, oldest first, as bits rather
         // than as checkpoint text (whose layout may change)
@@ -649,7 +810,7 @@ mod tests {
     /// the rejections instead of panicking.
     #[test]
     fn rejected_candidates_never_reach_the_cost_model() {
-        use harl_verify::{Component, Diagnostic, LintContext, ScheduleLint};
+        use harl_verify::{Component, LintContext, LintSink, ScheduleLint};
 
         struct RejectAll;
         impl ScheduleLint for RejectAll {
@@ -659,16 +820,14 @@ mod tests {
             fn requires_well_formed(&self) -> bool {
                 false
             }
-            fn check(&self, _ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-                out.push(Diagnostic::new(
-                    LintCode::ParallelReductionRace,
-                    Component::Schedule,
-                    "rejected by test lint".into(),
-                ));
+            fn check(&self, _ctx: &LintContext<'_>, out: &mut LintSink<'_>) {
+                out.report(self.code(), Component::Schedule, || {
+                    "rejected by test lint".into()
+                });
             }
         }
 
-        let (g, sk, mut agent, mut rng) = setup();
+        let (g, sk, plan, mut agent, mut rng) = setup();
         let cost = CostModel::new(GbtParams::default());
         let mut an = Analyzer::empty(harl_verify::CacheBudget::for_target(Target::Cpu));
         an.register(Box::new(RejectAll));
@@ -681,7 +840,7 @@ mod tests {
         let res = run_episode(
             &g,
             &sk,
-            Target::Cpu,
+            &plan,
             &mut agent,
             &cost,
             &cfg,

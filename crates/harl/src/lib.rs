@@ -27,13 +27,13 @@ pub mod tuner;
 
 pub use adaptive::{critical_step_histogram, select_survivors, CriticalStep, TrackWindow};
 pub use config::{HarlConfig, HarlConfigBuilder};
-pub use episode::{run_episode, EpisodeResult};
+pub use episode::{run_episode, EpisodeResult, Visit};
 pub use network::{AnsorNetworkTuner, HarlNetworkTuner, NetRound, NetworkTuner};
 pub use report::{NetworkReport, OperatorReport, SubgraphSummary};
 pub use session::{
     FinetuneOutcome, RunOutcome, SessionBuilder, SessionCheckpoint, SessionControl,
     SessionProgress, Tuner, TunerState, TuningSession, CHECKPOINT_VERSION,
 };
-pub use tuner::{HarlOperatorTuner, HarlProposer, HarlTunerState, RoundLog};
+pub use tuner::{pick_top_k, HarlOperatorTuner, HarlProposer, HarlTunerState, RoundLog};
 
 pub use harl_par::ParallelismOpts;

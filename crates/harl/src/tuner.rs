@@ -19,7 +19,7 @@ use harl_verify::{check_finite, LintCode, LintStats};
 
 use crate::adaptive::CriticalStep;
 use crate::config::HarlConfig;
-use crate::episode::run_episode;
+use crate::episode::{run_episode, EpisodeResult};
 
 /// Log entry of one tuning round.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -169,7 +169,7 @@ impl Proposer for HarlProposer {
         let episode = run_episode(
             &core.graph,
             &core.sketches[sketch_id],
-            core.target(),
+            &core.plans()[sketch_id],
             &mut self.agent,
             &self.cost_model,
             &self.cfg,
@@ -186,34 +186,13 @@ impl Proposer for HarlProposer {
         core.lint_stats.merge(&episode.lint_stats);
 
         // --- top-K selection phase (lines 20–22) ----------------------------
-        // Schedules are ranked by predicted score; picks are capped per
-        // schedule track so the measurement set stays diverse instead of
-        // collapsing onto the single best-predicted track's neighbourhood.
         let topk_span = core.tracer().span("topk_select");
         let k = budget.min(self.cfg.measure_per_round);
-        let mut scored = episode.visited;
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        let per_track_cap = (k / 8).max(2);
-        let mut track_counts: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
         let mut picks = Picks::new(k);
         // forced warm-start seeds jump the queue: prior-run bests are
         // re-measured before any fresh candidates
         core.pick_seeds(&mut picks, &mut self.pending_seeds);
-        for pass in 0..2 {
-            for (_, s, track) in &scored {
-                if picks.is_full() {
-                    break;
-                }
-                // pass 0 enforces the diversity cap; pass 1 fills leftovers
-                if pass == 0 && track_counts.get(track).copied().unwrap_or(0) >= per_track_cap {
-                    continue;
-                }
-                if core.pick(&mut picks, s) {
-                    *track_counts.entry(*track).or_insert(0) += 1;
-                }
-            }
-        }
+        pick_top_k(core, &episode, sketch_id, &mut picks, (k / 8).max(2));
         // fall back to random sampling when the episode didn't yield enough
         // unseen schedules
         core.pick_random(&mut picks, Some(sketch_id), k, &mut self.rng);
@@ -257,7 +236,7 @@ impl Proposer for HarlProposer {
         // simulated algorithm overhead: fixed + per-evaluation + per-RL-step
         core.end_round(
             self.cfg.round_overhead
-                + scored.len() as f64 * self.cfg.eval_cost
+                + episode.visited.len() as f64 * self.cfg.eval_cost
                 + episode.steps as f64 * self.cfg.ppo_step_cost,
             picks.len() as u64,
         );
@@ -335,6 +314,46 @@ impl Proposer for HarlProposer {
     fn set_parallelism(&mut self, opts: ParallelismOpts) {
         self.pipeline.set_threads(opts.score_threads);
         self.agent.set_threads(opts.ppo_threads);
+    }
+}
+
+/// The top-K walk over an episode of sketch `sketch_id`: fills `picks` with
+/// its best-predicted schedules never measured before, at most
+/// `per_track_cap` per schedule track — so the measurement set stays
+/// diverse instead of collapsing onto the single best-predicted track's
+/// neighbourhood — and without the cap if that leaves room. Only the
+/// entries the walk reaches before `picks` is full are rebuilt as
+/// schedules; ties in score keep visit order.
+pub fn pick_top_k(
+    core: &SearchCore<'_>,
+    episode: &EpisodeResult,
+    sketch_id: usize,
+    picks: &mut Picks,
+    per_track_cap: usize,
+) {
+    let (sketch, plan) = (&core.sketches[sketch_id], &core.plans()[sketch_id]);
+    let visited = &episode.visited;
+    let mut ranked: Vec<usize> = (0..visited.len()).collect();
+    ranked.sort_by(|&a, &b| {
+        (visited[b].score.partial_cmp(&visited[a].score)).unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let mut track_counts: std::collections::HashMap<usize, usize> =
+        std::collections::HashMap::new();
+    let mut slot = Schedule::default();
+    for pass in 0..2 {
+        for &i in &ranked {
+            if picks.is_full() {
+                return;
+            }
+            let picked = track_counts.entry(visited[i].track).or_insert(0);
+            // pass 0 enforces the diversity cap; pass 1 fills leftovers
+            if pass == 0 && *picked >= per_track_cap {
+                continue;
+            }
+            if core.pick(picks, episode.schedule(i, sketch, plan, &mut slot)) {
+                *picked += 1;
+            }
+        }
     }
 }
 

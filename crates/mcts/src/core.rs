@@ -23,9 +23,7 @@ use harl_gbt::{ScoreStats, ScoringPipeline};
 use harl_obs::Tracer;
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
-use harl_tensor_ir::{
-    extract_features_into, generate_sketches, Schedule, Sketch, Subgraph, Target,
-};
+use harl_tensor_ir::{generate_sketches, FeaturePlan, Schedule, Sketch, Subgraph, Target};
 use harl_tensor_sim::{Measurement, Measurer, TuneTrace};
 use harl_verify::{Analyzer, LintStats};
 
@@ -53,6 +51,9 @@ pub struct SearchCore<'m> {
     /// reach the measurer.
     pub lint_stats: LintStats,
     target: Target,
+    /// One feature plan per generated sketch, indexed by sketch id: every
+    /// searcher lints and scores its candidates through these.
+    plans: Vec<FeaturePlan>,
     measurer: &'m Measurer,
     analyzer: Analyzer,
     /// Dedup keys of every schedule measured so far.
@@ -91,8 +92,12 @@ impl<'m> SearchCore<'m> {
     /// A core over every sketch `graph` has on the measurer's target.
     pub fn new(graph: Subgraph, measurer: &'m Measurer) -> Self {
         let target = measurer.hardware().target();
+        let sketches = generate_sketches(&graph, target);
         SearchCore {
-            sketches: generate_sketches(&graph, target),
+            plans: (sketches.iter())
+                .map(|sk| FeaturePlan::new(&graph, sk, target))
+                .collect(),
+            sketches,
             graph,
             best_time: f64::INFINITY,
             best_schedule: None,
@@ -115,6 +120,11 @@ impl<'m> SearchCore<'m> {
     /// The shared measurer this search charges trials to.
     pub fn measurer(&self) -> &'m Measurer {
         self.measurer
+    }
+
+    /// The feature plans of the generated sketches, indexed by sketch id.
+    pub fn plans(&self) -> &[FeaturePlan] {
+        &self.plans
     }
 
     /// The schedule analyzer behind [`SearchCore::lint_rejects`].
@@ -147,9 +157,9 @@ impl<'m> SearchCore<'m> {
     /// Lints `s` on its sketch and counts the findings; true when it must
     /// not be measured.
     pub fn lint_rejects(&mut self, s: &Schedule) -> bool {
-        let sk = &self.sketches[s.sketch_id];
-        let diags = self.analyzer.analyze(&self.graph, sk, self.target, s);
-        self.lint_stats.record(&diags)
+        let (sk, plan) = (&self.sketches[s.sketch_id], &self.plans[s.sketch_id]);
+        let verdict = self.analyzer.verdict(&self.graph, sk, plan, s);
+        self.lint_stats.record(&verdict)
     }
 
     /// Cost-model features of `s` on its sketch.
@@ -161,13 +171,7 @@ impl<'m> SearchCore<'m> {
 
     /// [`SearchCore::features`] into a reused buffer.
     pub fn features_into(&self, s: &Schedule, buf: &mut Vec<f32>) {
-        extract_features_into(
-            &self.graph,
-            &self.sketches[s.sketch_id],
-            self.target,
-            s,
-            buf,
-        );
+        self.plans[s.sketch_id].extract_into(s, buf);
     }
 
     /// Spends one trial on `s`: measures it, marks it seen and keeps it as
@@ -311,14 +315,15 @@ impl<'m> SearchCore<'m> {
             graph,
             sketches,
             target,
+            plans,
             measurer,
             analyzer,
             lint_stats,
             seen,
             ..
         } = &mut *self;
-        let sk = &sketches[start.sketch_id];
-        let valid = |s: &Schedule| !lint_stats.record(&analyzer.analyze(graph, sk, *target, s));
+        let (sk, plan) = (&sketches[start.sketch_id], &plans[start.sketch_id]);
+        let valid = |s: &Schedule| !lint_stats.record(&analyzer.verdict(graph, sk, plan, s));
         let measure = |s: &Schedule| {
             measurer.measure(graph, sk, s);
             seen.insert(s.dedup_key());

@@ -17,7 +17,7 @@ use harl_gbt::{CostModel, GbtParams, ScoringPipeline};
 use harl_obs::Tracer;
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
-use harl_tensor_ir::{extract_features_into, mutate, Schedule};
+use harl_tensor_ir::{mutate, Schedule};
 use harl_tensor_sim::{ConfigError, TuneTrace};
 use harl_verify::LintStats;
 
@@ -453,11 +453,10 @@ impl Proposer for MctsProposer {
                 path.push(cand);
             }
             // the analyzer is not `Sync`, so the pool's extractor borrows
-            // the core's fields, not the core
-            let (graph, sketches, target) = (&core.graph, &core.sketches, core.target());
-            let extract = |s: &Schedule, buf: &mut Vec<f32>| {
-                extract_features_into(graph, &sketches[s.sketch_id], target, s, buf)
-            };
+            // the core's plans, not the core
+            let plans = core.plans();
+            let extract =
+                |s: &Schedule, buf: &mut Vec<f32>| plans[s.sketch_id].extract_into(s, buf);
             self.pipeline.score_into(
                 &self.cost_model,
                 &path,

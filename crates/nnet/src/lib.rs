@@ -23,4 +23,4 @@ pub mod ppo;
 pub use layers::{GradScratch, Linear, Weights};
 pub use mlp::{masked_softmax, masked_softmax_into, Mlp, MlpConfig, MlpConfigBuilder, Workspace};
 pub use policy::{sample_categorical, MultiHeadPolicy, PolicyWorkspace};
-pub use ppo::{PpoAgent, PpoConfig, PpoConfigBuilder, PpoHealth, ReplayBuffer, Transition};
+pub use ppo::{Draws, PpoAgent, PpoConfig, PpoConfigBuilder, PpoHealth, ReplayBuffer, Transition};

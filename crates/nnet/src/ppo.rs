@@ -337,6 +337,32 @@ struct Scratch {
     grad_logits: Vec<Vec<f32>>,
     /// Critic output gradient, one per sample.
     grad_v: Vec<f32>,
+    /// The draws of the last [`PpoAgent::act_batch`], row-major.
+    draws: Vec<(Vec<usize>, f32)>,
+}
+
+/// The draws of one [`PpoAgent::act_batch`] call, borrowed from the
+/// agent's reused buffer: `draws[b]` are row `b`'s `samples`
+/// `(actions, logp)` pairs in draw order.
+#[derive(Debug, Clone, Copy)]
+pub struct Draws<'a> {
+    flat: &'a [(Vec<usize>, f32)],
+    samples: usize,
+}
+
+impl<'a> Draws<'a> {
+    /// Each row's draws, in row order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a [(Vec<usize>, f32)]> {
+        self.flat.chunks_exact(self.samples.max(1))
+    }
+}
+
+impl std::ops::Index<usize> for Draws<'_> {
+    type Output = [(Vec<usize>, f32)];
+
+    fn index(&self, row: usize) -> &Self::Output {
+        &self.flat[row * self.samples..(row + 1) * self.samples]
+    }
 }
 
 /// How the learner looked over the updates since the last
@@ -481,7 +507,8 @@ impl PpoAgent {
     /// (the state, logits, and masks are constant across a row's draws).
     /// RNG consumption order is row-major, then draw, then head — the
     /// same stream the equivalent `act` loop would consume, so batching
-    /// changes no downstream byte.
+    /// changes no downstream byte. The draws land in one buffer the agent
+    /// reuses, valid until the next call.
     pub fn act_batch<R: Rng + ?Sized>(
         &mut self,
         states: &[f32],
@@ -489,7 +516,7 @@ impl PpoAgent {
         masks: &[Vec<Vec<bool>>],
         samples: usize,
         rng: &mut R,
-    ) -> Vec<Vec<(Vec<usize>, f32)>> {
+    ) -> Draws<'_> {
         debug_assert_eq!(masks.len(), batch);
         let _span = self.tracer.span_with(
             "ppo_act_batch",
@@ -508,7 +535,10 @@ impl PpoAgent {
         }
         let head_sizes = self.policy.head_sizes();
         let Scratch {
-            probs, ln_probs, ..
+            probs,
+            ln_probs,
+            draws,
+            ..
         } = &mut self.scratch;
         probs.resize(head_sizes.len(), Vec::new());
         ln_probs.resize(head_sizes.len(), Vec::new());
@@ -516,23 +546,23 @@ impl PpoAgent {
             let mask_of = |b: usize| head_mask(&masks[b], h);
             softmax_rows(self.ws_policy.logits(h), head_sizes[h], mask_of, p, ln_p);
         }
-        let mut out = Vec::with_capacity(batch);
-        for b in 0..batch {
-            let mut draws = Vec::with_capacity(samples);
-            for _ in 0..samples {
-                let mut actions = Vec::with_capacity(head_sizes.len());
-                let mut logp = 0.0f32;
-                for ((p, ln_p), &hs) in probs.iter().zip(ln_probs.iter()).zip(&head_sizes) {
-                    let row = b * hs..(b + 1) * hs;
-                    let a = sample_categorical(&p[row.clone()], rng);
-                    actions.push(a);
-                    logp += ln_prob(&p[row.clone()], &ln_p[row], a);
-                }
-                draws.push((actions, logp));
+        // every slot keeps its action list's allocation across calls
+        draws.resize_with(batch * samples, Default::default);
+        for (i, (actions, logp)) in draws.iter_mut().enumerate() {
+            let b = i / samples;
+            actions.clear();
+            *logp = 0.0;
+            for ((p, ln_p), &hs) in probs.iter().zip(ln_probs.iter()).zip(&head_sizes) {
+                let row = b * hs..(b + 1) * hs;
+                let a = sample_categorical(&p[row.clone()], rng);
+                actions.push(a);
+                *logp += ln_prob(&p[row.clone()], &ln_p[row], a);
             }
-            out.push(draws);
         }
-        out
+        Draws {
+            flat: draws,
+            samples,
+        }
     }
 
     /// One-step TD advantage (Eq. 6): `A = r + γ V(s') − V(s)`.
@@ -997,6 +1027,7 @@ mod tests {
         let mut rng_a = StdRng::seed_from_u64(91);
         let mut rng_b = StdRng::seed_from_u64(91);
         let batched = a1.act_batch(&states, 3, &masks, samples, &mut rng_a);
+        assert_eq!(batched.iter().count(), 3);
         for (b, draws) in batched.iter().enumerate() {
             for (acts, logp) in draws {
                 let (sa, sl) = a2.act(&states[b * 6..(b + 1) * 6], &masks[b], &mut rng_b);

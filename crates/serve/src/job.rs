@@ -81,6 +81,63 @@ impl WorkloadSpec {
         }
     }
 
+    /// Rejects shapes [`WorkloadSpec::build`] cannot turn into a subgraph
+    /// the searchers accept: a zero extent, a convolution window larger
+    /// than its padded input, or an iteration space past
+    /// [`WorkloadSpec::MAX_POINTS`]. A spec off the wire never went through
+    /// [`WorkloadSpec::parse`].
+    pub fn validate(&self) -> Result<(), String> {
+        let extents: Vec<u64> = match *self {
+            WorkloadSpec::Gemm { m, k, n } => vec![m.into(), k.into(), n.into()],
+            WorkloadSpec::BatchGemm { b, m, k, n } => {
+                vec![b.into(), m.into(), k.into(), n.into()]
+            }
+            WorkloadSpec::Conv2d {
+                batch,
+                height,
+                width,
+                ci,
+                co,
+                kernel,
+                stride,
+                pad,
+            } => {
+                let padded = |len: u32| u64::from(len) + 2 * u64::from(pad);
+                if stride == 0 || u64::from(kernel) > padded(height).min(padded(width)) {
+                    return Err(format!(
+                        "workload `{}`: the stride must be > 0 and the kernel fit the padded input",
+                        self.summary()
+                    ));
+                }
+                let k = u64::from(kernel);
+                let taps = [batch.into(), ci.into(), co.into(), k, k];
+                [padded(height), padded(width)]
+                    .into_iter()
+                    .chain(taps)
+                    .collect()
+            }
+            WorkloadSpec::Softmax { rows, cols } => vec![rows.into(), cols.into()],
+        };
+        if extents.contains(&0) {
+            return Err(format!(
+                "workload `{}`: dimensions must be > 0",
+                self.summary()
+            ));
+        }
+        let points = (extents.iter()).try_fold(1u64, |p, &e| p.checked_mul(e));
+        if points.is_none_or(|p| p > Self::MAX_POINTS) {
+            return Err(format!(
+                "workload `{}` iterates over more than 2^40 points",
+                self.summary()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Largest iteration space a job may ask for; sizes stay far inside
+    /// `u64` and every extent inside `u32` below it.
+    pub const MAX_POINTS: u64 = 1 << 40;
+
     /// The compact CLI form, e.g. `gemm:1024x1024x1024`.
     pub fn summary(&self) -> String {
         match *self {
@@ -167,9 +224,7 @@ impl WorkloadSpec {
                 ))
             }
         };
-        if nums.contains(&0) {
-            return Err(format!("workload `{s}`: dimensions must be > 0"));
-        }
+        spec.validate()?;
         Ok(spec)
     }
 }
@@ -294,6 +349,7 @@ impl JobSpec {
         if self.trials == 0 {
             return Err("trials must be > 0".into());
         }
+        self.workload.validate()?;
         if Hardware::from_name(&self.hardware).is_none() {
             return Err(format!(
                 "unknown hardware `{}` (expected cpu, xeon-6226r, avx2-desktop, gpu, rtx-3090, or a100)",
@@ -501,6 +557,7 @@ mod tests {
             "gemm:1024x1024x1024",
             "bgemm:8x128x64x128",
             "conv2d:1x56x56x64x64x3x1x1",
+            "conv2d:1x56x56x64x64x1x2x0",
             "softmax:1024x1024",
         ] {
             let w = WorkloadSpec::parse(s).unwrap();
@@ -513,11 +570,12 @@ mod tests {
     #[test]
     fn workload_parse_rejects_malformed_strings() {
         for bad in [
-            "gemm",             // no dims
-            "gemm:1024x1024",   // wrong arity
-            "gemm:1024xax1024", // non-numeric
-            "gemm:0x8x8",       // zero dim
-            "lstm:8x8",         // unknown op
+            "gemm",                   // no dims
+            "gemm:1024x1024",         // wrong arity
+            "gemm:1024xax1024",       // non-numeric
+            "gemm:0x8x8",             // zero dim
+            "conv2d:1x8x8x4x4x3x0x1", // zero stride
+            "lstm:8x8",               // unknown op
         ] {
             assert!(WorkloadSpec::parse(bad).is_err(), "`{bad}` must fail");
         }

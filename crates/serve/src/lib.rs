@@ -46,5 +46,5 @@ pub use client::{Client, ClientConfig};
 pub use error::ServeError;
 pub use harl_par::ParallelismOpts;
 pub use job::{JobOutcome, JobSpec, JobState, JobView, Preset, TunerKind, WorkloadSpec};
-pub use protocol::{ErrorCode, Request, Response};
+pub use protocol::{decode_request, ErrorCode, Request, Response};
 pub use server::{Daemon, ServeConfig};

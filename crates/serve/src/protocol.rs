@@ -121,6 +121,18 @@ impl Response {
     }
 }
 
+/// Decodes one request line as the daemon does. A line that is empty or
+/// not a [`Request`] comes back as the message of the
+/// [`ErrorCode::BadRequest`] reply the daemon sends before it hangs up
+/// (framing is unrecoverable mid-line).
+pub fn decode_request(line: &str) -> Result<Request, String> {
+    let trimmed = line.trim();
+    if trimmed.is_empty() {
+        return Err("empty message line".into());
+    }
+    serde_json::from_str(trimmed).map_err(|e| format!("bad message `{trimmed}`: {e}"))
+}
+
 /// Writes one value as a single JSON line.
 pub fn write_message<T: Serialize>(w: &mut impl Write, value: &T) -> Result<(), ServeError> {
     let line = serde_json::to_string(value).map_err(|e| ServeError::Protocol(e.to_string()))?;

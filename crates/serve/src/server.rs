@@ -42,7 +42,7 @@ use harl_store::RecordStore;
 use crate::error::ServeError;
 use crate::federation;
 use crate::job::{JobOutcome, JobSpec, JobState, JobView};
-use crate::protocol::{ErrorCode, Request, Response};
+use crate::protocol::{decode_request, ErrorCode, Request, Response};
 use crate::queue::{JobQueue, PushError};
 use crate::worker;
 
@@ -385,23 +385,10 @@ struct ServeService {
 
 impl Service for ServeService {
     fn on_line(&mut self, _token: Token, line: &str, out: &mut Outbox) {
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            out.line(encode(&Response::error(
-                ErrorCode::BadRequest,
-                "empty message line",
-            )));
-            out.close_after_flush();
-            return;
-        }
-        let req: Request = match serde_json::from_str(trimmed) {
+        let req = match decode_request(line) {
             Ok(req) => req,
-            Err(e) => {
-                // framing is unrecoverable mid-line: answer and hang up
-                out.line(encode(&Response::error(
-                    ErrorCode::BadRequest,
-                    format!("bad message `{trimmed}`: {e}"),
-                )));
+            Err(message) => {
+                out.line(encode(&Response::error(ErrorCode::BadRequest, message)));
                 out.close_after_flush();
                 return;
             }

@@ -185,6 +185,19 @@ pub fn apply_action(
     action: &Action,
 ) -> Schedule {
     let mut next = schedule.clone();
+    apply_action_in_place(sketch, target, &mut next, action);
+    next
+}
+
+/// [`apply_action`] on the schedule itself: `next.clone_from(current)`
+/// into a recycled slot, then this, proposes a candidate without
+/// allocating.
+pub fn apply_action_in_place(
+    sketch: &Sketch,
+    target: Target,
+    next: &mut Schedule,
+    action: &Action,
+) {
     let space = ActionSpace::of(sketch);
 
     if let Some((i, j)) = space.decode_tile(action.tile) {
@@ -213,8 +226,6 @@ pub fn apply_action(
     if un >= 0 && (un as usize) < target.unroll_depths().len() {
         next.unroll_idx = un as usize;
     }
-
-    next
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@
 //! the RL state observation. All magnitudes are log-compressed so trees and
 //! MLPs both see well-scaled inputs.
 
-use crate::schedule::Schedule;
+use crate::schedule::{working_set_bytes, Schedule};
 use crate::sketch::{Sketch, Target};
-use crate::stage::{IterKind, Subgraph};
+use crate::stage::{InputAccess, IterKind, Subgraph};
 
 /// Maximum number of flattened tiled loops encoded positionally
 /// (C3D on GPU needs 5*5 + 4*3 = 37).
@@ -28,6 +28,14 @@ fn log2p_int(x: u64) -> f32 {
     harl_simd::log2p_int(x)
 }
 
+fn flag(on: bool) -> f32 {
+    if on {
+        1.0
+    } else {
+        0.0
+    }
+}
+
 /// Extracts the feature vector for a schedule.
 pub fn extract_features(
     graph: &Subgraph,
@@ -41,8 +49,9 @@ pub fn extract_features(
 }
 
 /// Extracts the feature vector into a caller-provided buffer (cleared and
-/// resized to [`FEATURE_DIM`] first), so hot scoring loops can reuse one
-/// allocation per candidate batch instead of allocating per candidate.
+/// resized to [`FEATURE_DIM`] first). One-shot: it builds the
+/// [`FeaturePlan`] it extracts through, so a loop over many schedules of
+/// one sketch should build the plan once instead.
 pub fn extract_features_into(
     graph: &Subgraph,
     sketch: &Sketch,
@@ -50,100 +59,186 @@ pub fn extract_features_into(
     schedule: &Schedule,
     f: &mut Vec<f32>,
 ) {
-    f.clear();
-    f.resize(FEATURE_DIM, 0.0);
-    let anchor = graph.anchor_stage();
+    FeaturePlan::new(graph, sketch, target).extract_into(schedule, f);
+}
 
-    // --- positional: log2 of every tile factor --------------------------
-    let mut slot = 0;
-    for tiles in &schedule.tiles {
-        for &factor in tiles {
-            if slot < MAX_LOOPS {
-                f[slot] = log2p_int(factor as u64);
-            }
-            slot += 1;
+/// Tile geometry of one schedule: what the working-set and unroll
+/// features are computed from, and what lints V003/V004 judge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileStats {
+    /// Working-set bytes of the tiles keeping the deepest 1, 2 and 3
+    /// levels of every iterator ([`Schedule::tile_working_set`]).
+    pub working_set: [u64; 3],
+    /// Size of the loop body auto-unroll sees
+    /// ([`Schedule::inner_body_size`]).
+    pub body: u64,
+}
+
+/// Everything about a (subgraph, sketch, target) triple that feature
+/// extraction needs and no schedule changes, derived once: a search scores
+/// hundreds of candidates of one sketch per measured trial. Owns its data,
+/// so a searcher keeps one plan per sketch next to the sketches.
+#[derive(Debug, Clone)]
+pub struct FeaturePlan {
+    target: Target,
+    /// A feature row holding the eleven cells that depend on the triple
+    /// alone; every other cell is overwritten per schedule.
+    template: [f32; FEATURE_DIM],
+    flops: f64,
+    /// Compute-at candidate positions, at least 1: the divisor of the
+    /// normalized position.
+    compute_at_slots: f32,
+    rfactor: bool,
+    anchor_has_reduction: bool,
+    /// The anchor's input accesses (names dropped).
+    inputs: Vec<InputAccess>,
+    /// Tiled iterator of each anchor iterator.
+    tiled_of_iter: Vec<Option<usize>>,
+    /// Tile levels of each tiled iterator.
+    levels: Vec<usize>,
+    /// Spatial tiled iterators, in loop order.
+    spatial: Vec<usize>,
+    /// Reduction tiled iterators, in loop order.
+    reduction: Vec<usize>,
+}
+
+impl FeaturePlan {
+    /// The plan of `sketch`, a sketch of `graph` on `target`.
+    pub fn new(graph: &Subgraph, sketch: &Sketch, target: Target) -> Self {
+        let anchor = graph.anchor_stage();
+        let flops = graph.flops();
+        let bytes = (graph.input_bytes() + graph.output_bytes()) as f64;
+
+        let mut template = [0.0; FEATURE_DIM];
+        let base = MAX_LOOPS;
+        template[base] = log2p(flops);
+        template[base + 1] = log2p_int(anchor.output_elems());
+        template[base + 2] = log2p_int(anchor.reduction_elems());
+        template[base + 3] = log2p(flops / bytes.max(1.0)); // arithmetic intensity
+        template[base + 12] = flag(sketch.fused_consumer.is_some());
+        // structure flags
+        template[base + 16] = flag(sketch.cache_write);
+        template[base + 17] = flag(sketch.rfactor);
+        template[base + 18] = sketch.inlined.len() as f32;
+        template[base + 19] = flag(target == Target::Gpu);
+        template[base + 22] = sketch.num_loops() as f32 / MAX_LOOPS as f32;
+        template[base + 23] = log2p_int(anchor.inputs.len() as u64);
+
+        FeaturePlan {
+            target,
+            template,
+            flops,
+            compute_at_slots: sketch.compute_at_candidates.len().max(1) as f32,
+            rfactor: sketch.rfactor,
+            anchor_has_reduction: anchor.reduction_elems() > 1,
+            inputs: (anchor.inputs.iter())
+                .map(|a| InputAccess {
+                    name: String::new(),
+                    dims: a.dims.clone(),
+                    elem_bytes: a.elem_bytes,
+                })
+                .collect(),
+            tiled_of_iter: (0..anchor.iters.len())
+                .map(|i| sketch.tiled_iters.iter().position(|t| t.iter == i))
+                .collect(),
+            levels: sketch.tiled_iters.iter().map(|t| t.levels).collect(),
+            spatial: sketch.iters_of(IterKind::Spatial).collect(),
+            reduction: sketch.iters_of(IterKind::Reduction).collect(),
         }
     }
-    // Factors past MAX_LOOPS are dropped on the floor above. The constant is
-    // sized for the worst known sketch (C3D on GPU: 5*5 + 4*3 = 37 loops);
-    // trip this in debug builds if a new workload silently outgrows it.
-    debug_assert!(
-        slot <= MAX_LOOPS,
-        "schedule has {slot} flattened tile factors but MAX_LOOPS = {MAX_LOOPS}; \
-         positional features past the limit are silently truncated"
-    );
 
-    let base = MAX_LOOPS;
-    let flops = graph.flops();
-    let bytes = (graph.input_bytes() + graph.output_bytes()) as f64;
+    /// The target the plan was built for.
+    pub fn target(&self) -> Target {
+        self.target
+    }
 
-    // --- aggregates ------------------------------------------------------
-    f[base] = log2p(flops);
-    f[base + 1] = log2p_int(anchor.output_elems());
-    f[base + 2] = log2p_int(anchor.reduction_elems());
-    f[base + 3] = log2p(flops / bytes.max(1.0)); // arithmetic intensity
+    /// Whether the anchor stage reduces over more than one element.
+    pub fn anchor_has_reduction(&self) -> bool {
+        self.anchor_has_reduction
+    }
 
-    // vectorization-related: innermost factor of the innermost spatial iter
-    let innermost_spatial = sketch
-        .tiled_iters
-        .iter()
-        .enumerate()
-        .rfind(|(_, t)| t.kind == IterKind::Spatial)
-        .map(|(k, _)| schedule.innermost(k))
-        .unwrap_or(1);
-    f[base + 4] = log2p_int(innermost_spatial as u64);
-    f[base + 5] = if innermost_spatial % 8 == 0 { 1.0 } else { 0.0 };
-    f[base + 6] = if innermost_spatial % 16 == 0 {
-        1.0
-    } else {
-        0.0
-    };
+    /// Tile geometry of `schedule`, which must have the sketch's shape
+    /// (lint V001).
+    pub fn tile_stats(&self, schedule: &Schedule) -> TileStats {
+        let at_depth = |depth: usize| {
+            working_set_bytes(
+                &self.inputs,
+                |iter_idx| self.tiled_of_iter.get(iter_idx).copied().flatten(),
+                |k| schedule.inner_extent(k, self.levels[k].saturating_sub(depth)),
+                self.spatial.iter().copied(),
+            )
+        };
+        TileStats {
+            working_set: [at_depth(1), at_depth(2), at_depth(3)],
+            body: schedule.inner_body_size(),
+        }
+    }
 
-    // parallelism
-    let tasks = schedule.parallel_tasks(sketch) * schedule.rfactor_tasks(sketch);
-    f[base + 7] = log2p_int(tasks);
-    f[base + 8] = schedule.parallel_fuse as f32;
+    /// Extracts the feature vector of `schedule` into `f` (cleared and
+    /// resized to [`FEATURE_DIM`] first), so hot scoring loops can reuse
+    /// one allocation per candidate batch instead of allocating per
+    /// candidate.
+    pub fn extract_into(&self, schedule: &Schedule, f: &mut Vec<f32>) {
+        f.clear();
+        f.extend_from_slice(&self.template);
 
-    // unroll
-    f[base + 9] = log2p_int(schedule.unroll_depth(target) as u64);
-    f[base + 10] = log2p_int(schedule.inner_body_size());
+        // --- positional: log2 of every tile factor --------------------------
+        let mut slot = 0;
+        for tiles in &schedule.tiles {
+            for &factor in tiles {
+                if slot < MAX_LOOPS {
+                    f[slot] = log2p_int(factor as u64);
+                }
+                slot += 1;
+            }
+        }
+        // Factors past MAX_LOOPS are dropped on the floor above. The constant is
+        // sized for the worst known sketch (C3D on GPU: 5*5 + 4*3 = 37 loops);
+        // trip this in debug builds if a new workload silently outgrows it.
+        debug_assert!(
+            slot <= MAX_LOOPS,
+            "schedule has {slot} flattened tile factors but MAX_LOOPS = {MAX_LOOPS}; \
+             positional features past the limit are silently truncated"
+        );
 
-    // compute-at position (normalized)
-    let nca = sketch.compute_at_candidates.len().max(1);
-    f[base + 11] = schedule.compute_at as f32 / nca as f32;
-    f[base + 12] = if sketch.fused_consumer.is_some() {
-        1.0
-    } else {
-        0.0
-    };
+        let base = MAX_LOOPS;
+        let spatial = || self.spatial.iter().copied();
 
-    // working sets at three tile depths
-    f[base + 13] = log2p_int(schedule.tile_working_set(graph, sketch, 1));
-    f[base + 14] = log2p_int(schedule.tile_working_set(graph, sketch, 2));
-    f[base + 15] = log2p_int(schedule.tile_working_set(graph, sketch, 3));
+        // vectorization-related: innermost factor of the innermost spatial iter
+        let innermost_spatial = self.spatial.last().map_or(1, |&k| schedule.innermost(k));
+        f[base + 4] = log2p_int(innermost_spatial as u64);
+        f[base + 5] = flag(innermost_spatial.is_multiple_of(8));
+        f[base + 6] = flag(innermost_spatial.is_multiple_of(16));
 
-    // structure flags
-    f[base + 16] = if sketch.cache_write { 1.0 } else { 0.0 };
-    f[base + 17] = if sketch.rfactor { 1.0 } else { 0.0 };
-    f[base + 18] = sketch.inlined.len() as f32;
-    f[base + 19] = match target {
-        Target::Cpu => 0.0,
-        Target::Gpu => 1.0,
-    };
+        // parallelism ([`Schedule::parallel_tasks`] × [`Schedule::rfactor_tasks`])
+        let parallel = schedule.outer_product(spatial().take(schedule.parallel_fuse));
+        let rfactor = if self.rfactor {
+            schedule.outer_product(self.reduction.iter().copied())
+        } else {
+            1
+        };
+        let tasks = parallel.max(1) * rfactor.max(1);
+        f[base + 7] = log2p_int(tasks);
+        f[base + 8] = schedule.parallel_fuse as f32;
 
-    // per-task grain (work per parallel task)
-    f[base + 20] = log2p(flops / tasks as f64);
-    // outermost tile factor product over all spatial iterators
-    let outer: u64 = sketch
-        .tiled_iters
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.kind == IterKind::Spatial)
-        .map(|(k, _)| schedule.tiles[k][0] as u64)
-        .product();
-    f[base + 21] = log2p_int(outer);
-    f[base + 22] = sketch.num_loops() as f32 / MAX_LOOPS as f32;
-    f[base + 23] = log2p_int(anchor.inputs.len() as u64);
+        // unroll
+        let tile = self.tile_stats(schedule);
+        f[base + 9] = log2p_int(schedule.unroll_depth(self.target) as u64);
+        f[base + 10] = log2p_int(tile.body);
+
+        // compute-at position (normalized)
+        f[base + 11] = schedule.compute_at as f32 / self.compute_at_slots;
+
+        // working sets at three tile depths
+        for (cell, &bytes) in f[base + 13..base + 16].iter_mut().zip(&tile.working_set) {
+            *cell = log2p_int(bytes);
+        }
+
+        // per-task grain (work per parallel task)
+        f[base + 20] = log2p(self.flops / tasks as f64);
+        // outermost tile factor product over all spatial iterators
+        f[base + 21] = log2p_int(schedule.outer_product(spatial()));
+    }
 }
 
 #[cfg(test)]

@@ -24,13 +24,15 @@ pub mod workload;
 pub mod workload_ext;
 
 pub use action::{
-    apply_action, compute_at_mask, parallel_mask, tile_action_mask, unroll_mask, Action,
-    ActionSpace, StepDir,
+    apply_action, apply_action_in_place, compute_at_mask, parallel_mask, tile_action_mask,
+    unroll_mask, Action, ActionSpace, StepDir,
 };
 pub use exec::{visit_schedule_order, Tensor};
-pub use features::{extract_features, extract_features_into, FEATURE_DIM, MAX_LOOPS};
+pub use features::{
+    extract_features, extract_features_into, FeaturePlan, TileStats, FEATURE_DIM, MAX_LOOPS,
+};
 pub use mutate::{crossover, mutate, mutate_kind, MutationKind};
 pub use pretty::render_program;
-pub use schedule::Schedule;
+pub use schedule::{fnv_eat, Schedule};
 pub use sketch::{generate_sketches, ComputeAt, Sketch, Target, TiledIter};
 pub use stage::{AccessDim, InputAccess, IterKind, IterVar, Stage, StageKind, Subgraph};

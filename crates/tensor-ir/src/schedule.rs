@@ -10,10 +10,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::factorization::random_factorization;
 use crate::sketch::{Sketch, Target};
-use crate::stage::{IterKind, Subgraph};
+use crate::stage::{InputAccess, IterKind, Subgraph};
 
 /// A fully-specified tensor program candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Schedule {
     /// Which sketch of the subgraph this schedule instantiates.
     pub sketch_id: usize,
@@ -28,6 +28,55 @@ pub struct Schedule {
     pub parallel_fuse: usize,
     /// Index into `target.unroll_depths()`.
     pub unroll_idx: usize,
+}
+
+impl Clone for Schedule {
+    fn clone(&self) -> Self {
+        Schedule {
+            sketch_id: self.sketch_id,
+            tiles: self.tiles.clone(),
+            compute_at: self.compute_at,
+            parallel_fuse: self.parallel_fuse,
+            unroll_idx: self.unroll_idx,
+        }
+    }
+
+    /// Overwrites `self` keeping its factor lists' allocations, so a
+    /// recycled proposal slot costs no allocation per candidate.
+    fn clone_from(&mut self, source: &Self) {
+        self.sketch_id = source.sketch_id;
+        self.tiles.clone_from(&source.tiles);
+        self.compute_at = source.compute_at;
+        self.parallel_fuse = source.parallel_fuse;
+        self.unroll_idx = source.unroll_idx;
+    }
+}
+
+/// The FNV-1a prime.
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// `FNV_PRIME^k` for `k = 0..=8` (wrapping).
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// One FNV-1a step over the eight little-endian bytes of `v`. A zero byte
+/// only multiplies by the prime, so the zero high bytes — seven of eight
+/// for nearly every schedule parameter — fold into one multiply by
+/// `FNV_PRIME^k`: the same `u64` as the byte loop, in two multiplies.
+#[inline]
+pub fn fnv_eat(mut h: u64, v: u64) -> u64 {
+    let significant = 8 - v.leading_zeros() as usize / 8;
+    for b in &v.to_le_bytes()[..significant] {
+        h = (h ^ *b as u64).wrapping_mul(FNV_PRIME);
+    }
+    h.wrapping_mul(FNV_PRIME_POW[8 - significant])
 }
 
 impl Schedule {
@@ -124,17 +173,15 @@ impl Schedule {
             .expect("tiled iterator has at least one level")
     }
 
+    /// Product of the outermost factors of the tiled iterators `iters`.
+    pub fn outer_product(&self, iters: impl IntoIterator<Item = usize>) -> u64 {
+        iters.into_iter().map(|k| self.tiles[k][0] as u64).product()
+    }
+
     /// Number of parallel tasks: the product of the outermost factors of
     /// the first `parallel_fuse` spatial iterators.
     pub fn parallel_tasks(&self, sketch: &Sketch) -> u64 {
-        sketch
-            .tiled_iters
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.kind == IterKind::Spatial)
-            .take(self.parallel_fuse)
-            .map(|(k, _)| self.tiles[k][0] as u64)
-            .product::<u64>()
+        self.outer_product(sketch.iters_of(IterKind::Spatial).take(self.parallel_fuse))
             .max(1)
     }
 
@@ -144,13 +191,7 @@ impl Schedule {
         if !sketch.rfactor {
             return 1;
         }
-        sketch
-            .tiled_iters
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.kind == IterKind::Reduction)
-            .map(|(k, _)| self.tiles[k][0] as u64)
-            .product::<u64>()
+        self.outer_product(sketch.iters_of(IterKind::Reduction))
             .max(1)
     }
 
@@ -171,58 +212,34 @@ impl Schedule {
     /// that keeps the deepest `depth` levels of every iterator
     /// (`depth = 1` → register tile, `2` → L1-ish tile, `3` → L2-ish tile).
     pub fn tile_working_set(&self, graph: &Subgraph, sketch: &Sketch, depth: usize) -> u64 {
-        let anchor = graph.anchor_stage();
-        // map anchor iterator index -> inner extent at the requested depth
-        let extent_of = |iter_idx: usize| -> u64 {
-            sketch
-                .tiled_iters
-                .iter()
-                .enumerate()
-                .find(|(_, t)| t.iter == iter_idx)
-                .map(|(k, t)| {
-                    let level = t.levels.saturating_sub(depth);
-                    self.inner_extent(k, level)
-                })
-                .unwrap_or(1)
-        };
-        let mut bytes: u64 = anchor.inputs.iter().map(|a| a.tile_bytes(&extent_of)).sum();
-        // output tile (spatial dims only)
-        let out_tile: u64 = sketch
-            .tiled_iters
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.kind == IterKind::Spatial)
-            .map(|(k, t)| {
-                let level = t.levels.saturating_sub(depth);
-                self.inner_extent(k, level)
-            })
-            .product::<u64>()
-            .max(1);
-        bytes += out_tile * 4;
-        bytes
+        let tile =
+            |k: usize| self.inner_extent(k, sketch.tiled_iters[k].levels.saturating_sub(depth));
+        working_set_bytes(
+            &graph.anchor_stage().inputs,
+            |iter_idx| sketch.tiled_iters.iter().position(|t| t.iter == iter_idx),
+            tile,
+            sketch.iters_of(IterKind::Spatial),
+        )
+    }
+
+    /// FNV-1a over the parameter stream, from the offset basis `h`.
+    fn param_hash(&self, mut h: u64) -> u64 {
+        h = fnv_eat(h, self.sketch_id as u64);
+        for t in &self.tiles {
+            for &f in t {
+                h = fnv_eat(h, f as u64);
+            }
+        }
+        h = fnv_eat(h, self.compute_at as u64);
+        h = fnv_eat(h, self.parallel_fuse as u64);
+        fnv_eat(h, self.unroll_idx as u64)
     }
 
     /// A compact stable key for deduplication in search populations.
     pub fn dedup_key(&self) -> u64 {
-        // FNV-1a over the parameter stream; collisions only cost a little
-        // duplicated search effort, never correctness.
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(self.sketch_id as u64);
-        for t in &self.tiles {
-            for &f in t {
-                eat(f as u64);
-            }
-        }
-        eat(self.compute_at as u64);
-        eat(self.parallel_fuse as u64);
-        eat(self.unroll_idx as u64);
-        h
+        // collisions only cost a little duplicated search effort, never
+        // correctness.
+        self.param_hash(0xcbf29ce484222325)
     }
 
     /// A stable key for the feature cache of the batched scoring pipeline.
@@ -233,25 +250,24 @@ impl Schedule {
     /// (graph, sketch, target, schedule); within one episode the first
     /// three are fixed, so this key alone identifies a feature vector.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a with the offset basis perturbed by a scoring-domain tag.
-        let mut h: u64 = 0xcbf29ce484222325 ^ 0x5343_4f52_4500_0001; // "SCORE"
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(self.sketch_id as u64);
-        for t in &self.tiles {
-            for &f in t {
-                eat(f as u64);
-            }
-        }
-        eat(self.compute_at as u64);
-        eat(self.parallel_fuse as u64);
-        eat(self.unroll_idx as u64);
-        h
+        // the offset basis perturbed by a scoring-domain tag ("SCORE")
+        self.param_hash(0xcbf29ce484222325 ^ 0x5343_4f52_4500_0001)
     }
+}
+
+/// Bytes a tile touches: the anchor's `inputs` sliced to the tile plus the
+/// `f32` output tile. `tiled(i)` is the tiled iterator of anchor iterator
+/// `i` (an untiled one has extent 1), `tile(k)` the tile's extent along
+/// tiled iterator `k`, `spatial` the tiled iterators indexing the output.
+pub(crate) fn working_set_bytes(
+    inputs: &[InputAccess],
+    tiled: impl Fn(usize) -> Option<usize>,
+    tile: impl Fn(usize) -> u64,
+    spatial: impl Iterator<Item = usize>,
+) -> u64 {
+    let extent_of = |iter_idx: usize| tiled(iter_idx).map_or(1, &tile);
+    let inputs: u64 = inputs.iter().map(|a| a.tile_bytes(&extent_of)).sum();
+    inputs + spatial.map(&tile).product::<u64>().max(1) * 4
 }
 
 #[cfg(test)]

@@ -125,12 +125,14 @@ impl Sketch {
         None
     }
 
+    /// Indices of the tiled iterators of `kind`, in loop order.
+    pub fn iters_of(&self, kind: IterKind) -> impl Iterator<Item = usize> + '_ {
+        (0..self.tiled_iters.len()).filter(move |&k| self.tiled_iters[k].kind == kind)
+    }
+
     /// Number of spatial tiled iterators (outer parallel candidates).
     pub fn num_spatial_iters(&self) -> usize {
-        self.tiled_iters
-            .iter()
-            .filter(|t| t.kind == IterKind::Spatial)
-            .count()
+        self.iters_of(IterKind::Spatial).count()
     }
 }
 

@@ -15,7 +15,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use harl_nn_models::{operator_suite, OperatorClass};
-use harl_tensor_ir::{generate_sketches, mutate, workload, Schedule, Sketch, Subgraph, Target};
+use harl_tensor_ir::{
+    generate_sketches, mutate, workload, FeaturePlan, Schedule, Sketch, Subgraph, Target,
+};
 use harl_verify::{check_finite, Analyzer, LintCode, LintStats, Severity};
 
 /// One deliberate corruption of a legal schedule.
@@ -126,24 +128,25 @@ fn main() {
 
     for g in &workloads {
         for sk in generate_sketches(g, target) {
+            let plan = FeaturePlan::new(g, &sk, target);
             for _ in 0..per_sketch {
                 let s = Schedule::random(&sk, target, &mut rng);
-                let diags = analyzer.analyze(g, &sk, target, &s);
-                pops[0].stats.record(&diags);
-                total.record(&diags);
+                let verdict = analyzer.verdict(g, &sk, &plan, &s);
+                pops[0].stats.record(&verdict);
+                total.record(&verdict);
 
                 let mut m = s.clone();
                 for _ in 0..5 {
                     m = mutate(&sk, target, &m, &mut rng);
                 }
-                let diags = analyzer.analyze(g, &sk, target, &m);
-                pops[1].stats.record(&diags);
-                total.record(&diags);
+                let verdict = analyzer.verdict(g, &sk, &plan, &m);
+                pops[1].stats.record(&verdict);
+                total.record(&verdict);
 
                 let c = corrupt(&s, &sk, target, &mut rng);
-                let diags = analyzer.analyze(g, &sk, target, &c);
-                pops[2].stats.record(&diags);
-                total.record(&diags);
+                let verdict = analyzer.verdict(g, &sk, &plan, &c);
+                pops[2].stats.record(&verdict);
+                total.record(&verdict);
             }
         }
     }

@@ -5,9 +5,12 @@
 //! wastes a measurement at best and corrupts the search state at worst.
 //! This crate provides a lint framework over tensor programs: each
 //! [`ScheduleLint`] inspects one `(subgraph, sketch, schedule)` triple and
-//! emits structured [`Diagnostic`]s; an [`Analyzer`] runs a registry of
-//! lints and lets callers reject candidates carrying [`Severity::Error`]
-//! diagnostics *before* cost-model scoring or simulated measurement.
+//! reports its findings to a [`LintSink`]; an [`Analyzer`] runs a registry
+//! of lints and hands back either the structured [`Diagnostic`]s
+//! ([`Analyzer::analyze`]) or only their counts ([`Analyzer::verdict`],
+//! which formats nothing), so callers reject candidates carrying
+//! [`Severity::Error`] findings *before* cost-model scoring or simulated
+//! measurement.
 //!
 //! Severity policy: correctness lints (V001 tile factorization, V002
 //! parallel-reduction race, V005 illegal compute-at, V006 non-finite
@@ -20,7 +23,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use harl_tensor_ir::{Schedule, Sketch, Subgraph, Target};
+use std::cell::OnceCell;
+
+use harl_tensor_ir::{FeaturePlan, Schedule, Sketch, Subgraph, Target, TileStats};
 use harl_tensor_sim::Hardware;
 
 pub mod lints;
@@ -398,6 +403,74 @@ pub struct LintContext<'a> {
     pub target: Target,
     /// Cache capacities for footprint checks.
     pub budget: CacheBudget,
+    /// What feature extraction derived once for this (graph, sketch,
+    /// target); the lints share its tile geometry.
+    pub plan: &'a FeaturePlan,
+    tile_stats: OnceCell<TileStats>,
+}
+
+impl LintContext<'_> {
+    /// Tile geometry of the schedule, derived on first use and shared by
+    /// the lints that judge it (V003, V004). Indexes the factor lists, so
+    /// only lints that `requires_well_formed` may call it.
+    pub fn tile_stats(&self) -> &TileStats {
+        self.tile_stats
+            .get_or_init(|| self.plan.tile_stats(self.schedule))
+    }
+}
+
+/// What one schedule's lint run found, without the words: findings per
+/// code and how many of them reject. All the search loops read.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Verdict {
+    /// Findings per lint code, indexed by [`LintCode::index`].
+    pub counts: [u32; LintCode::COUNT],
+    /// Error-severity findings among them.
+    pub errors: u32,
+}
+
+impl Verdict {
+    /// True when the schedule must not be scored or measured.
+    pub fn rejects(&self) -> bool {
+        self.errors > 0
+    }
+
+    /// The verdict a list of diagnostics amounts to.
+    pub fn of(diags: &[Diagnostic]) -> Self {
+        let mut v = Verdict::default();
+        for d in diags {
+            v.count(d.code, d.severity);
+        }
+        v
+    }
+
+    fn count(&mut self, code: LintCode, severity: Severity) {
+        self.counts[code.index()] += 1;
+        self.errors += (severity == Severity::Error) as u32;
+    }
+}
+
+/// Where lints report. Every finding is counted into the [`Verdict`]; its
+/// message is built only when the caller asked for [`Diagnostic`]s, which
+/// no search loop does.
+pub struct LintSink<'a> {
+    verdict: Verdict,
+    diagnostics: Option<&'a mut Vec<Diagnostic>>,
+}
+
+impl LintSink<'_> {
+    /// Reports one finding of `code`, at the code's severity.
+    pub fn report(
+        &mut self,
+        code: LintCode,
+        component: Component,
+        message: impl FnOnce() -> String,
+    ) {
+        self.verdict.count(code, code.severity());
+        if let Some(out) = &mut self.diagnostics {
+            out.push(Diagnostic::new(code, component, message()));
+        }
+    }
 }
 
 /// One static check over a schedule.
@@ -411,8 +484,8 @@ pub trait ScheduleLint {
         true
     }
 
-    /// Inspects the schedule, appending any findings to `out`.
-    fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>);
+    /// Inspects the schedule, reporting any findings to `out`.
+    fn check(&self, ctx: &LintContext<'_>, out: &mut LintSink<'_>);
 }
 
 /// A lint registry with the cache budget it checks against.
@@ -466,9 +539,59 @@ impl Analyzer {
         self.budget
     }
 
-    /// Runs every registered lint, returning all findings. Lints that
-    /// index the tile lists are skipped when the shape lint (V001) found
-    /// the schedule malformed, so `analyze` never panics on corrupt input.
+    /// Runs every registered lint into `sink`. Lints that index the tile
+    /// lists are skipped when the shape lint (V001) found the schedule
+    /// malformed, so no caller panics on corrupt input.
+    fn run(
+        &self,
+        graph: &Subgraph,
+        sketch: &Sketch,
+        plan: &FeaturePlan,
+        schedule: &Schedule,
+        diagnostics: Option<&mut Vec<Diagnostic>>,
+    ) -> Verdict {
+        let ctx = LintContext {
+            graph,
+            sketch,
+            schedule,
+            target: plan.target(),
+            budget: self.budget,
+            plan,
+            tile_stats: OnceCell::new(),
+        };
+        let mut sink = LintSink {
+            verdict: Verdict::default(),
+            diagnostics,
+        };
+        let mut malformed = false;
+        for lint in &self.lints {
+            if malformed && lint.requires_well_formed() {
+                continue;
+            }
+            let errors_before = sink.verdict.errors;
+            lint.check(&ctx, &mut sink);
+            if lint.code() == LintCode::TileFactorization && sink.verdict.errors > errors_before {
+                malformed = true;
+            }
+        }
+        sink.verdict
+    }
+
+    /// Counts what every registered lint finds in `schedule`, a schedule
+    /// of `sketch` under its `plan`, building no message: the form search
+    /// loops use, one call per candidate.
+    pub fn verdict(
+        &self,
+        graph: &Subgraph,
+        sketch: &Sketch,
+        plan: &FeaturePlan,
+        schedule: &Schedule,
+    ) -> Verdict {
+        self.run(graph, sketch, plan, schedule, None)
+    }
+
+    /// Runs every registered lint, returning all findings with their
+    /// messages. One-shot: it builds the [`FeaturePlan`] the lints read.
     pub fn analyze(
         &self,
         graph: &Subgraph,
@@ -476,31 +599,13 @@ impl Analyzer {
         target: Target,
         schedule: &Schedule,
     ) -> Vec<Diagnostic> {
-        let ctx = LintContext {
-            graph,
-            sketch,
-            schedule,
-            target,
-            budget: self.budget,
-        };
         let mut out = Vec::new();
-        let mut malformed = false;
-        for lint in &self.lints {
-            if malformed && lint.requires_well_formed() {
-                continue;
-            }
-            let before = out.len();
-            lint.check(&ctx, &mut out);
-            if lint.code() == LintCode::TileFactorization
-                && out[before..].iter().any(|d| d.severity == Severity::Error)
-            {
-                malformed = true;
-            }
-        }
+        let plan = FeaturePlan::new(graph, sketch, target);
+        self.run(graph, sketch, &plan, schedule, Some(&mut out));
         out
     }
 
-    /// The first error-severity finding, if any (cheap rejection check).
+    /// The first error-severity finding, if any.
     pub fn first_error(
         &self,
         graph: &Subgraph,
@@ -508,9 +613,13 @@ impl Analyzer {
         target: Target,
         schedule: &Schedule,
     ) -> Option<Diagnostic> {
-        self.analyze(graph, sketch, target, schedule)
-            .into_iter()
-            .find(|d| d.severity == Severity::Error)
+        let plan = FeaturePlan::new(graph, sketch, target);
+        if !self.verdict(graph, sketch, &plan, schedule).rejects() {
+            return None;
+        }
+        let mut out = Vec::new();
+        self.run(graph, sketch, &plan, schedule, Some(&mut out));
+        out.into_iter().find(|d| d.severity == Severity::Error)
     }
 
     /// True when the schedule carries no error-severity findings.
@@ -521,7 +630,8 @@ impl Analyzer {
         target: Target,
         schedule: &Schedule,
     ) -> bool {
-        self.first_error(graph, sketch, target, schedule).is_none()
+        let plan = FeaturePlan::new(graph, sketch, target);
+        !self.verdict(graph, sketch, &plan, schedule).rejects()
     }
 }
 
@@ -558,18 +668,15 @@ impl LintStats {
         Self::default()
     }
 
-    /// Folds one schedule's findings into the counters. Returns `true`
+    /// Folds one schedule's verdict into the counters. Returns `true`
     /// when the schedule must be rejected (any error-severity finding).
-    pub fn record(&mut self, diags: &[Diagnostic]) -> bool {
+    pub fn record(&mut self, verdict: &Verdict) -> bool {
         self.checked += 1;
-        let mut reject = false;
-        for d in diags {
-            self.counts[d.code.index()] += 1;
-            reject |= d.severity == Severity::Error;
+        for (total, &n) in self.counts.iter_mut().zip(&verdict.counts) {
+            *total += n as u64;
         }
-        if reject {
-            self.rejected += 1;
-        }
+        let reject = verdict.rejects();
+        self.rejected += reject as u64;
         reject
     }
 
@@ -734,8 +841,8 @@ mod tests {
             Component::ParallelFuse,
             "e".into(),
         );
-        assert!(!s.record(std::slice::from_ref(&warn)));
-        assert!(s.record(&[warn, err]));
+        assert!(!s.record(&Verdict::of(std::slice::from_ref(&warn))));
+        assert!(s.record(&Verdict::of(&[warn, err])));
         assert_eq!(s.checked, 2);
         assert_eq!(s.rejected, 1);
         assert_eq!(s.count(LintCode::DegenerateUnroll), 2);

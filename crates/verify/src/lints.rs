@@ -7,7 +7,7 @@
 
 use harl_tensor_ir::{ComputeAt, IterKind};
 
-use crate::{Component, Diagnostic, LintCode, LintContext, ScheduleLint};
+use crate::{Component, LintCode, LintContext, LintSink, ScheduleLint};
 
 /// V001 — the shape lint: tile factor lists must match the sketch's tiled
 /// iterators level-for-level, contain no zero factor, and multiply to the
@@ -25,68 +25,56 @@ impl ScheduleLint for TileFactorizationLint {
         false
     }
 
-    fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    fn check(&self, ctx: &LintContext<'_>, out: &mut LintSink<'_>) {
         let s = ctx.schedule;
         let sk = ctx.sketch;
         if s.tiles.len() != sk.tiled_iters.len() {
-            out.push(Diagnostic::new(
-                self.code(),
-                Component::Schedule,
+            out.report(self.code(), Component::Schedule, || {
                 format!(
                     "tile list length {} != tiled iterator count {}",
                     s.tiles.len(),
                     sk.tiled_iters.len()
-                ),
-            ));
+                )
+            });
         }
         for (k, t) in sk.tiled_iters.iter().enumerate().take(s.tiles.len()) {
             let factors = &s.tiles[k];
             if factors.len() != t.levels {
-                out.push(Diagnostic::new(
-                    self.code(),
-                    Component::TiledIter(k),
+                out.report(self.code(), Component::TiledIter(k), || {
                     format!(
                         "iterator {k} has {} levels, expected {}",
                         factors.len(),
                         t.levels
-                    ),
-                ));
+                    )
+                });
                 continue;
             }
             if factors.contains(&0) {
-                out.push(Diagnostic::new(
-                    self.code(),
-                    Component::TiledIter(k),
-                    format!("iterator {k} has a zero tile factor"),
-                ));
+                out.report(self.code(), Component::TiledIter(k), || {
+                    format!("iterator {k} has a zero tile factor")
+                });
                 continue;
             }
             let prod: u64 = factors.iter().map(|&f| f as u64).product();
             if prod != t.extent as u64 {
-                out.push(Diagnostic::new(
-                    self.code(),
-                    Component::TiledIter(k),
+                out.report(self.code(), Component::TiledIter(k), || {
                     format!(
                         "iterator {k} factors multiply to {prod}, extent is {}",
                         t.extent
-                    ),
-                ));
+                    )
+                });
             }
         }
         if s.parallel_fuse == 0 {
-            out.push(Diagnostic::new(
-                self.code(),
-                Component::ParallelFuse,
-                "parallel_fuse is 0; at least one outer loop must remain".into(),
-            ));
+            out.report(self.code(), Component::ParallelFuse, || {
+                "parallel_fuse is 0; at least one outer loop must remain".into()
+            });
         }
         let n_unroll = ctx.target.unroll_depths().len();
         if s.unroll_idx >= n_unroll {
-            out.push(Diagnostic::new(
-                self.code(),
-                Component::Unroll,
-                format!("unroll index {} out of range 0..{n_unroll}", s.unroll_idx),
-            ));
+            out.report(self.code(), Component::Unroll, || {
+                format!("unroll index {} out of range 0..{n_unroll}", s.unroll_idx)
+            });
         }
     }
 }
@@ -107,7 +95,7 @@ impl ScheduleLint for ParallelReductionRaceLint {
         false
     }
 
-    fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    fn check(&self, ctx: &LintContext<'_>, out: &mut LintSink<'_>) {
         let sk = ctx.sketch;
         let pf = ctx.schedule.parallel_fuse;
         let ns = sk.num_spatial_iters().max(1);
@@ -116,22 +104,18 @@ impl ScheduleLint for ParallelReductionRaceLint {
         for (k, t) in sk.tiled_iters.iter().enumerate().take(band) {
             if t.kind == IterKind::Reduction && !sk.rfactor {
                 raced = true;
-                out.push(Diagnostic::new(
-                    self.code(),
-                    Component::TiledIter(k),
+                out.report(self.code(), Component::TiledIter(k), || {
                     format!(
                         "fused parallel band of {pf} loops covers reduction iterator {k}: \
                          concurrent tasks race on the accumulator (no rfactor)"
-                    ),
-                ));
+                    )
+                });
             }
         }
         if pf > ns && !raced {
-            out.push(Diagnostic::new(
-                self.code(),
-                Component::ParallelFuse,
-                format!("parallel_fuse {pf} exceeds the {ns} fusable spatial iterator(s)"),
-            ));
+            out.report(self.code(), Component::ParallelFuse, || {
+                format!("parallel_fuse {pf} exceeds the {ns} fusable spatial iterator(s)")
+            });
         }
     }
 }
@@ -146,28 +130,23 @@ impl ScheduleLint for CacheFootprintLint {
         LintCode::CacheOverSubscription
     }
 
-    fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let ws_l1 = ctx.schedule.tile_working_set(ctx.graph, ctx.sketch, 2);
+    fn check(&self, ctx: &LintContext<'_>, out: &mut LintSink<'_>) {
+        let [_, ws_l1, ws_l2] = ctx.tile_stats().working_set;
         if ws_l1 > ctx.budget.l1_bytes {
-            out.push(Diagnostic::new(
-                self.code(),
-                Component::Schedule,
+            out.report(self.code(), Component::Schedule, || {
                 format!(
                     "depth-2 tile working set {ws_l1} B exceeds the {} B innermost-cache budget",
                     ctx.budget.l1_bytes
-                ),
-            ));
+                )
+            });
         }
-        let ws_l2 = ctx.schedule.tile_working_set(ctx.graph, ctx.sketch, 3);
         if ws_l2 > ctx.budget.l2_bytes {
-            out.push(Diagnostic::new(
-                self.code(),
-                Component::Schedule,
+            out.report(self.code(), Component::Schedule, || {
                 format!(
                     "depth-3 tile working set {ws_l2} B exceeds the {} B L2 budget",
                     ctx.budget.l2_bytes
-                ),
-            ));
+                )
+            });
         }
     }
 }
@@ -183,15 +162,13 @@ impl ScheduleLint for DegenerateUnrollLint {
         LintCode::DegenerateUnroll
     }
 
-    fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    fn check(&self, ctx: &LintContext<'_>, out: &mut LintSink<'_>) {
         let depth = ctx.schedule.unroll_depth(ctx.target);
-        let body = ctx.schedule.inner_body_size().max(1);
+        let body = ctx.tile_stats().body.max(1);
         if depth > 0 && depth as u64 >= body {
-            out.push(Diagnostic::new(
-                self.code(),
-                Component::Unroll,
-                format!("unroll depth {depth} ≥ innermost body size {body}: degenerate unroll"),
-            ));
+            out.report(self.code(), Component::Unroll, || {
+                format!("unroll depth {depth} ≥ innermost body size {body}: degenerate unroll")
+            });
         }
     }
 }
@@ -213,48 +190,39 @@ impl ScheduleLint for ComputeAtLint {
         false
     }
 
-    fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    fn check(&self, ctx: &LintContext<'_>, out: &mut LintSink<'_>) {
         let sk = ctx.sketch;
         let ca = ctx.schedule.compute_at;
         let n = sk.compute_at_candidates.len();
         if n == 0 {
             if ca != 0 {
-                out.push(Diagnostic::new(
-                    self.code(),
-                    Component::ComputeAt,
-                    format!("compute_at {ca} but the sketch has no candidate positions"),
-                ));
+                out.report(self.code(), Component::ComputeAt, || {
+                    format!("compute_at {ca} but the sketch has no candidate positions")
+                });
             }
             return;
         }
         if ca >= n {
-            out.push(Diagnostic::new(
-                self.code(),
-                Component::ComputeAt,
-                format!("compute_at index {ca} out of range 0..{n}"),
-            ));
+            out.report(self.code(), Component::ComputeAt, || {
+                format!("compute_at index {ca} out of range 0..{n}")
+            });
             return;
         }
         if let ComputeAt::TileLevel(level) = sk.compute_at_candidates[ca] {
             let sl = ctx.target.spatial_levels();
-            let has_reduction = ctx.graph.anchor_stage().reduction_elems() > 1;
-            let max = ctx.target.max_fuse_level(has_reduction);
+            let max = ctx.target.max_fuse_level(ctx.plan.anchor_has_reduction());
             if level == 0 || level >= sl {
-                out.push(Diagnostic::new(
-                    self.code(),
-                    Component::ComputeAt,
-                    format!("compute-at tile level {level} outside the 1..{sl} tile structure"),
-                ));
+                out.report(self.code(), Component::ComputeAt, || {
+                    format!("compute-at tile level {level} outside the 1..{sl} tile structure")
+                });
             } else if level > max {
-                out.push(Diagnostic::new(
-                    self.code(),
-                    Component::ComputeAt,
+                out.report(self.code(), Component::ComputeAt, || {
                     format!(
                         "fusion at tile level {level} crosses the reduction boundary \
                          (deepest legal level is {max}): the fused stage would read \
                          partial accumulations"
-                    ),
-                ));
+                    )
+                });
             }
         }
     }
@@ -263,7 +231,7 @@ impl ScheduleLint for ComputeAtLint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Analyzer, CacheBudget, Severity};
+    use crate::{Analyzer, CacheBudget, Diagnostic, Severity};
     use harl_tensor_ir::{generate_sketches, workload, Schedule, Target};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -137,7 +137,57 @@ fn traced_harl_run_is_bit_identical_to_untraced() {
     assert_eq!(plain.2, traced.2, "tuning trace must match");
     assert_eq!(plain.3, traced.3, "checkpoint bytes must match");
     check_trace(&path, "harl_round");
+    check_episode_summaries(&path);
     let _ = std::fs::remove_file(&path);
+}
+
+/// Every `harl_round` carries one `episode_summary` event whose counts
+/// agree with the spans around it: the proposals are the live tracks of
+/// every `ppo_act` step times `action_samples`, the pruned tracks are the
+/// `adaptive_prune` events', and no generated candidate is rejected.
+fn check_episode_summaries(path: &std::path::Path) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let named = |line: &str, kind: &str, name: &str| {
+        str_field(line, "t") == Some(kind) && str_field(line, "name") == Some(name)
+    };
+    let list = |line: &str, key: &str| -> Vec<u64> {
+        let field = str_field(line, key).unwrap_or_else(|| panic!("`{key}` in {line}"));
+        (field.split(',').filter(|n| !n.is_empty()))
+            .map(|n| n.parse().expect("a count"))
+            .collect()
+    };
+    let samples = HarlConfig::tiny().action_samples as u64;
+    let (mut rounds, mut summaries) = (0, 0);
+    let (mut steps, mut live_tracks, mut pruned) = (0, 0, Vec::new());
+    for line in text.lines() {
+        if named(line, "span_start", "harl_round") {
+            rounds += 1;
+        } else if named(line, "span_start", "ppo_act") {
+            steps += 1;
+            live_tracks += num_field(line, "tracks").expect("tracks");
+        } else if named(line, "event", "adaptive_prune") {
+            pruned.push(num_field(line, "dropped").expect("dropped"));
+        } else if named(line, "event", "episode_summary") {
+            summaries += 1;
+            assert_eq!(num_field(line, "steps"), Some(steps), "{line}");
+            assert_eq!(num_field(line, "proposals"), Some(live_tracks * samples));
+            assert_eq!(num_field(line, "lint_rejected"), Some(0));
+            assert!(num_field(line, "cache_hits").expect("cache_hits") <= live_tracks * samples);
+            assert_eq!(list(line, "pruned_per_window"), pruned);
+            let deciles = list(line, "critical_step_deciles");
+            assert_eq!(deciles.len(), 10);
+            // one per track that did not start on a measured elite
+            let cfg = HarlConfig::tiny();
+            let tracks = cfg.tracks_per_round as u64;
+            let seeded = (tracks as f64 * cfg.elite_track_fraction) as u64;
+            let counted = deciles.iter().sum::<u64>();
+            assert!((tracks - seeded..=tracks).contains(&counted), "{line}");
+            (steps, live_tracks) = (0, 0);
+            pruned.clear();
+        }
+    }
+    assert!(rounds > 0);
+    assert_eq!(summaries, rounds, "one summary per round");
 }
 
 #[test]
