@@ -13,6 +13,10 @@ use crate::stage::{InputAccess, IterKind, Subgraph};
 /// (C3D on GPU needs 5*5 + 4*3 = 37).
 pub const MAX_LOOPS: usize = 40;
 
+/// Maximum number of tiled iterators of a sketch: each has at least two
+/// levels, so more could not be encoded positionally either.
+pub const MAX_TILED_ITERS: usize = MAX_LOOPS / 2;
+
 /// Length of the feature vector.
 pub const FEATURE_DIM: usize = MAX_LOOPS + 24;
 
@@ -94,8 +98,6 @@ pub struct FeaturePlan {
     inputs: Vec<InputAccess>,
     /// Tiled iterator of each anchor iterator.
     tiled_of_iter: Vec<Option<usize>>,
-    /// Tile levels of each tiled iterator.
-    levels: Vec<usize>,
     /// Spatial tiled iterators, in loop order.
     spatial: Vec<usize>,
     /// Reduction tiled iterators, in loop order.
@@ -105,6 +107,11 @@ pub struct FeaturePlan {
 impl FeaturePlan {
     /// The plan of `sketch`, a sketch of `graph` on `target`.
     pub fn new(graph: &Subgraph, sketch: &Sketch, target: Target) -> Self {
+        assert!(
+            sketch.tiled_iters.len() <= MAX_TILED_ITERS,
+            "{} tiled iterators, MAX_TILED_ITERS = {MAX_TILED_ITERS}",
+            sketch.tiled_iters.len()
+        );
         let anchor = graph.anchor_stage();
         let flops = graph.flops();
         let bytes = (graph.input_bytes() + graph.output_bytes()) as f64;
@@ -141,7 +148,6 @@ impl FeaturePlan {
             tiled_of_iter: (0..anchor.iters.len())
                 .map(|i| sketch.tiled_iters.iter().position(|t| t.iter == i))
                 .collect(),
-            levels: sketch.tiled_iters.iter().map(|t| t.levels).collect(),
             spatial: sketch.iters_of(IterKind::Spatial).collect(),
             reduction: sketch.iters_of(IterKind::Reduction).collect(),
         }
@@ -160,16 +166,25 @@ impl FeaturePlan {
     /// Tile geometry of `schedule`, which must have the sketch's shape
     /// (lint V001).
     pub fn tile_stats(&self, schedule: &Schedule) -> TileStats {
-        let at_depth = |depth: usize| {
-            working_set_bytes(
+        // `inner[k][d - 1]`: what `Schedule::inner_extent` gives for the
+        // deepest `d` levels of tiled iterator `k` (all of them when it
+        // has fewer), from one pass over each factor list
+        let mut inner = [[1u64; 3]; MAX_TILED_ITERS];
+        for (inner, factors) in inner.iter_mut().zip(&schedule.tiles) {
+            let mut deepest_first = factors.iter().rev();
+            let mut extent = 1u64;
+            for cell in inner {
+                extent *= deepest_first.next().map_or(1, |&f| f as u64);
+                *cell = extent;
+            }
+        }
+        TileStats {
+            working_set: working_set_bytes(
                 &self.inputs,
                 |iter_idx| self.tiled_of_iter.get(iter_idx).copied().flatten(),
-                |k| schedule.inner_extent(k, self.levels[k].saturating_sub(depth)),
+                |k| inner[k],
                 self.spatial.iter().copied(),
-            )
-        };
-        TileStats {
-            working_set: [at_depth(1), at_depth(2), at_depth(3)],
+            ),
             body: schedule.inner_body_size(),
         }
     }

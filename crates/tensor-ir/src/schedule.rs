@@ -213,13 +213,14 @@ impl Schedule {
     /// (`depth = 1` → register tile, `2` → L1-ish tile, `3` → L2-ish tile).
     pub fn tile_working_set(&self, graph: &Subgraph, sketch: &Sketch, depth: usize) -> u64 {
         let tile =
-            |k: usize| self.inner_extent(k, sketch.tiled_iters[k].levels.saturating_sub(depth));
-        working_set_bytes(
+            |k: usize| [self.inner_extent(k, sketch.tiled_iters[k].levels.saturating_sub(depth))];
+        let [bytes] = working_set_bytes(
             &graph.anchor_stage().inputs,
             |iter_idx| sketch.tiled_iters.iter().position(|t| t.iter == iter_idx),
             tile,
             sketch.iters_of(IterKind::Spatial),
-        )
+        );
+        bytes
     }
 
     /// FNV-1a over the parameter stream, from the offset basis `h`.
@@ -255,19 +256,34 @@ impl Schedule {
     }
 }
 
-/// Bytes a tile touches: the anchor's `inputs` sliced to the tile plus the
-/// `f32` output tile. `tiled(i)` is the tiled iterator of anchor iterator
-/// `i` (an untiled one has extent 1), `tile(k)` the tile's extent along
-/// tiled iterator `k`, `spatial` the tiled iterators indexing the output.
-pub(crate) fn working_set_bytes(
+/// Bytes each of `N` tiles touches: the anchor's `inputs` sliced to the
+/// tile plus the `f32` output tile. `tiled(i)` is the tiled iterator of
+/// anchor iterator `i` (an untiled one has extent 1), `tile(k)` the tiles'
+/// extents along tiled iterator `k`, `spatial` the tiled iterators indexing
+/// the output.
+pub(crate) fn working_set_bytes<const N: usize>(
     inputs: &[InputAccess],
     tiled: impl Fn(usize) -> Option<usize>,
-    tile: impl Fn(usize) -> u64,
+    tile: impl Fn(usize) -> [u64; N],
     spatial: impl Iterator<Item = usize>,
-) -> u64 {
-    let extent_of = |iter_idx: usize| tiled(iter_idx).map_or(1, &tile);
-    let inputs: u64 = inputs.iter().map(|a| a.tile_bytes(&extent_of)).sum();
-    inputs + spatial.map(&tile).product::<u64>().max(1) * 4
+) -> [u64; N] {
+    let extents_of = |iter_idx: usize| tiled(iter_idx).map_or([1; N], &tile);
+    let mut bytes = [0u64; N];
+    for input in inputs {
+        for (b, i) in bytes.iter_mut().zip(input.tiles_bytes(&extents_of)) {
+            *b += i;
+        }
+    }
+    let mut out_tile = [1u64; N];
+    for k in spatial {
+        for (o, e) in out_tile.iter_mut().zip(tile(k)) {
+            *o *= e;
+        }
+    }
+    for (b, o) in bytes.iter_mut().zip(out_tile) {
+        *b += o.max(1) * 4;
+    }
+    bytes
 }
 
 #[cfg(test)]

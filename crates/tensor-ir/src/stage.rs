@@ -89,8 +89,20 @@ impl AccessDim {
     /// Footprint (elements) of this dimension for given per-iterator tile
     /// extents.
     pub fn footprint(&self, tile_extent: impl Fn(usize) -> u64) -> u64 {
-        let base: u64 = self.iters.iter().map(|&i| tile_extent(i).max(1)).product();
-        base.saturating_mul(self.stride.max(1) as u64) + self.window as u64
+        self.footprints(|i| [tile_extent(i)])[0]
+    }
+
+    /// [`AccessDim::footprint`] of `N` tiles in one walk of the access:
+    /// `tile_extents(i)[t]` is tile `t`'s extent along iterator `i`.
+    pub fn footprints<const N: usize>(&self, tile_extents: impl Fn(usize) -> [u64; N]) -> [u64; N] {
+        let mut base = [1u64; N];
+        for &i in &self.iters {
+            let extents = tile_extents(i);
+            for (b, e) in base.iter_mut().zip(extents) {
+                *b *= e.max(1);
+            }
+        }
+        base.map(|b| b.saturating_mul(self.stride.max(1) as u64) + self.window as u64)
     }
 }
 
@@ -109,8 +121,21 @@ impl InputAccess {
     /// Footprint in bytes of the slice of this input touched by a tile with
     /// the given per-iterator extents.
     pub fn tile_bytes(&self, tile_extent: &impl Fn(usize) -> u64) -> u64 {
-        let elems: u64 = self.dims.iter().map(|d| d.footprint(tile_extent)).product();
-        elems.saturating_mul(self.elem_bytes as u64)
+        self.tiles_bytes(&|i| [tile_extent(i)])[0]
+    }
+
+    /// [`InputAccess::tile_bytes`] of `N` tiles in one walk of the access.
+    pub fn tiles_bytes<const N: usize>(
+        &self,
+        tile_extents: &impl Fn(usize) -> [u64; N],
+    ) -> [u64; N] {
+        let mut elems = [1u64; N];
+        for d in &self.dims {
+            for (e, f) in elems.iter_mut().zip(d.footprints(tile_extents)) {
+                *e *= f;
+            }
+        }
+        elems.map(|e| e.saturating_mul(self.elem_bytes as u64))
     }
 
     /// Total footprint in bytes (full iteration extents).
