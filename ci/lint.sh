@@ -41,6 +41,36 @@ if awk '
     exit 1
 fi
 
+echo "==> no staging copy in Linear::backward_batch, no per-step allocation in run_episode"
+# the backward reads `gy` through the kernel's strides, and the episode's
+# step loop records into the replay ring from buffers it reuses: a
+# `transpose_into(` in the first or a `.to_vec()` / `vec![` in the second
+# brings back a copy (resp. an allocation per track-step) that PR 23
+# removed. Each region runs from its opening line to the first line that
+# closes it at the same indentation; `//` comments are skipped.
+if awk '
+    /^    pub fn backward_batch\(/ { inside = 1 }
+    inside && !/^[[:space:]]*\/\// && /transpose_into\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    inside && /^    }$/ { inside = 0 }
+    END { exit !found }
+' crates/nnet/src/layers.rs; then
+    echo "FAIL: transpose_into( inside Linear::backward_batch (read gy through Strided)"
+    exit 1
+fi
+if ! grep -q '^    while !tracks.is_empty() && step < max_steps {$' crates/harl/src/episode.rs; then
+    echo "FAIL: ci/lint.sh no longer finds run_episode's step loop"
+    exit 1
+fi
+if awk '
+    /^    while !tracks.is_empty\(\) && step < max_steps \{$/ { inside = 1 }
+    inside && !/^[[:space:]]*\/\// && /\.to_vec\(\)|vec!\[/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    inside && /^    }$/ { inside = 0 }
+    END { exit !found }
+' crates/harl/src/episode.rs; then
+    echo "FAIL: .to_vec() or vec![ inside run_episode's step loop (reuse the step scratch)"
+    exit 1
+fi
+
 echo "==> shellcheck ci/*.sh"
 if command -v shellcheck >/dev/null 2>&1; then
     shellcheck ci/*.sh ci/github/*.sh

@@ -47,3 +47,8 @@ echo "non-test, non-comment lines in crates/check/src/models.rs:" "$(code_lines 
 # exp/ln cost in kernel code (tests and tables are above and beyond it)
 echo "non-test, non-comment lines in crates/simd/src:" "$(code_lines crates/simd/src/*.rs)"
 echo "all lines in crates/simd/src (tests and tables included):" "$(cat crates/simd/src/*.rs | wc -l)"
+
+# the minibatch PR's count: the replay ring, the fused head block and the
+# copy-free backward against the deque, the four head GEMMs and the staged
+# transposes they replaced
+echo "non-test, non-comment lines in crates/nnet/src:" "$(code_lines crates/nnet/src/*.rs)"

@@ -17,10 +17,11 @@ echo "==> tree-fit, tanh, exp/ln and minibatch goldens and the candidate path in
 # log-probabilities, and the feature plan's and the folded hash's equality
 # with their references (wrapping arithmetic, no overflow checks) must
 # hold in both; so must the replay buffer's text and the bits of the
-# minibatch path around the pinned update
+# minibatch path around the pinned update, and a damaged checkpoint must
+# be refused by the optimized decoder as by the checked one
 # shellcheck disable=SC2086
 cargo test $CARGO_FLAGS -q --release --test gbt_golden --test tanh_golden --test explog_golden \
-    --test candidate_path --test minibatch_golden
+    --test candidate_path --test minibatch_golden --test checkpoint_fuzz
 
 echo "==> lane tanh, exp and ln against every backend and the host libm, all 2^32 inputs"
 # the proof that tanh_inplace, exp_inplace and ln_inplace are the libm
@@ -46,7 +47,7 @@ HARL_SIMD=0 cargo test $CARGO_FLAGS -q -p harl-simd -p harl-nnet -p harl-gbt -p 
 # shellcheck disable=SC2086
 HARL_SIMD=0 cargo test $CARGO_FLAGS -q --test ppo_golden --test checkpoint_layout \
     --test search_golden --test gbt_golden --test tanh_golden --test explog_golden \
-    --test candidate_path --test minibatch_golden
+    --test candidate_path --test minibatch_golden --test checkpoint_fuzz
 
 echo "==> PPO, search, tanh and exp/ln goldens with HARL_SIMD=avx2"
 # where the best tier is avx512 nothing above dispatched the 256-bit
@@ -55,4 +56,4 @@ echo "==> PPO, search, tanh and exp/ln goldens with HARL_SIMD=avx2"
 # clamps to the best tier with a warning, and this repeats the run above)
 # shellcheck disable=SC2086
 HARL_SIMD=avx2 cargo test $CARGO_FLAGS -q --test ppo_golden --test search_golden \
-    --test tanh_golden --test explog_golden --test minibatch_golden
+    --test tanh_golden --test explog_golden --test minibatch_golden --test checkpoint_fuzz

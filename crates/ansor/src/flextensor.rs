@@ -241,8 +241,9 @@ impl Proposer for FlextensorProposer {
                 let values = self.agent.values(&value_pairs, 2 * moves.len()).to_vec();
                 value_pairs.clear();
                 for (mv, v) in moves.drain(..).zip(values.chunks_exact(2)) {
-                    self.agent
-                        .record_valued(mv.feat, mv.acts, mv.logp, mv.reward, v[0], v[1], mv.masks);
+                    self.agent.record_valued(
+                        &mv.feat, &mv.acts, mv.logp, mv.reward, v[0], v[1], &mv.masks,
+                    );
                 }
             }
             if out_of_budget {

@@ -14,13 +14,17 @@ use harl_gbt::{CostModel, ScoringPipeline};
 use harl_nnet::PpoAgent;
 use harl_obs::Tracer;
 use harl_tensor_ir::{
-    apply_action_in_place, compute_at_mask, parallel_mask, tile_action_mask, unroll_mask, Action,
-    ActionSpace, FeaturePlan, Schedule, Sketch, StepDir, Subgraph,
+    apply_action_in_place, compute_at_mask, parallel_mask, tile_action_mask_into, unroll_mask,
+    Action, ActionSpace, FeaturePlan, Schedule, Sketch, StepDir, Subgraph,
 };
 use harl_verify::{check_finite, Analyzer, LintCode, LintStats};
 
 use crate::adaptive::{critical_step_histogram, select_survivors, CriticalStep, TrackWindow};
 use crate::config::HarlConfig;
+
+/// The actor's heads, one per modification type (Appendix A.1): tiling,
+/// compute-at, parallel loops, auto-unroll.
+const HEADS: usize = 4;
 
 /// One traversed schedule: an entry of Algorithm 1's heap `H`.
 #[derive(Debug)]
@@ -98,16 +102,15 @@ struct Proposal {
 }
 
 /// A track's best-scored proposal of the step, awaiting the step's one
-/// critic pass.
+/// critic pass. Its action list is the winner's run of the step's
+/// `winner_acts`, its masks the track's entry of the step's mask scratch.
 struct Winner {
-    /// Index into `tracks`.
+    /// Index into `tracks` (and the step's masks).
     track: usize,
     /// Index into the step's proposals (and `scores`).
     proposal: usize,
-    acts: Vec<usize>,
     logp: f32,
     reward: f32,
-    masks: Vec<Vec<bool>>,
 }
 
 struct Track {
@@ -228,20 +231,24 @@ pub fn run_episode(
         cfg.fixed_length
     };
 
-    // Step scratch, reused across steps: per-track action masks (the inner
-    // mask sets move into the replay buffer, the outer `Vec` stays), the
+    // Step scratch, reused across steps: the four action masks of each
+    // live track (the replay buffer copies a winner's out of them), the
     // batched policy input, and the proposal slots — the step's legal
     // proposals are `props[..n]` in track-major order, `prop_counts[k]` of
     // them belonging to track `k`.
-    let mut step_masks: Vec<Vec<Vec<bool>>> = Vec::new();
+    let mut step_masks: Vec<Vec<Vec<bool>>> = vec![vec![Vec::new(); HEADS]; tracks.len()];
     let mut flat_features: Vec<f32> = Vec::new();
     let mut props: Vec<Proposal> = Vec::new();
     let mut prop_counts: Vec<usize> = Vec::new();
-    // ... and the step's winning proposals in track order, their
-    // `(next, current)` feature rows for the critic, and its answers.
+    // ... and the step's winning proposals in track order with their
+    // action lists end to end, their `(next, current)` feature rows for
+    // the critic, and its answers.
     let mut winners: Vec<Winner> = Vec::new();
+    let mut winner_acts: Vec<usize> = Vec::new();
     let mut value_pairs: Vec<f32> = Vec::new();
     let mut values: Vec<f32> = Vec::new();
+    // ... and the adaptive-stopping window's survivor flags.
+    let mut kept_set: Vec<bool> = Vec::new();
     // observation only: what the round's `episode_summary` event reports
     let mut proposed = 0usize;
     let mut legal = 0usize;
@@ -262,17 +269,21 @@ pub fn run_episode(
         let samples = cfg.action_samples.max(1);
         let act_span = tracer.span_with("ppo_act", &[("tracks", tracks.len().into())]);
         flat_features.clear();
-        for t in tracks.iter() {
+        for (t, masks) in tracks.iter().zip(&mut step_masks) {
             let schedule = kept_at(&visited, t.at);
-            step_masks.push(vec![
-                tile_action_mask(sketch, schedule, &space),
-                compute_at_mask(sketch, schedule).to_vec(),
-                parallel_mask(sketch, schedule).to_vec(),
-                unroll_mask(target, schedule).to_vec(),
-            ]);
+            tile_action_mask_into(sketch, schedule, &space, &mut masks[0]);
+            for (mask, of_schedule) in masks[1..].iter_mut().zip([
+                compute_at_mask(sketch, schedule),
+                parallel_mask(sketch, schedule),
+                unroll_mask(target, schedule),
+            ]) {
+                mask.clear();
+                mask.extend_from_slice(&of_schedule);
+            }
             flat_features.extend_from_slice(&t.features);
         }
-        let draws = agent.act_batch(&flat_features, tracks.len(), &step_masks, samples, rng);
+        let live_masks = &step_masks[..tracks.len()];
+        let draws = agent.act_batch(&flat_features, tracks.len(), live_masks, samples, rng);
         prop_counts.clear();
         let mut n = 0;
         for (t, track_draws) in tracks.iter().zip(draws.iter()) {
@@ -329,11 +340,10 @@ pub fn run_episode(
         // `visited[first + g]`
         let first = visited.len();
         let mut pending = props[..n].iter().enumerate();
-        for ((((k, t), &count), masks), track_draws) in tracks
+        for (((k, t), &count), track_draws) in tracks
             .iter()
             .enumerate()
             .zip(&prop_counts)
-            .zip(step_masks.drain(..))
             .zip(draws.iter())
         {
             // the cost model prunes all but the best-scored proposal
@@ -366,13 +376,12 @@ pub fn run_episode(
             }
             value_pairs.extend_from_slice(pipeline.row(g));
             value_pairs.extend_from_slice(&t.features);
+            winner_acts.extend_from_slice(acts);
             winners.push(Winner {
                 track: k,
                 proposal: g,
-                acts: acts.clone(),
                 logp: *logp,
                 reward,
-                masks,
             });
         }
         // record (S, M, S', R, Y) (lines 10–12). Nothing trains inside a
@@ -384,18 +393,21 @@ pub fn run_episode(
             values.extend_from_slice(agent.values(&value_pairs, 2 * winners.len()));
         }
         value_pairs.clear();
-        for (w, v) in winners.drain(..).zip(values.chunks_exact(2)) {
+        for ((w, v), acts) in winners
+            .drain(..)
+            .zip(values.chunks_exact(2))
+            .zip(winner_acts.chunks_exact(HEADS))
+        {
             let t = &mut tracks[w.track];
             let g = w.proposal;
-            let next_features = pipeline.row(g);
             let adv = agent.record_valued(
-                std::mem::take(&mut t.features),
-                w.acts,
+                &t.features,
+                acts,
                 w.logp,
                 w.reward,
                 v[0],
                 v[1],
-                w.masks,
+                &step_masks[w.track],
             );
             let mut adv = adv as f64;
             if check_finite("PPO advantage", adv).is_some() {
@@ -408,9 +420,11 @@ pub fn run_episode(
                 t.best_pos = step;
             }
             t.at = first + g;
-            t.features = next_features.to_vec();
+            t.features.clear();
+            t.features.extend_from_slice(pipeline.row(g));
             t.score = scores[g];
         }
+        winner_acts.clear();
         drop(update_span);
 
         // Train actor + critic every T_rl steps (lines 14–17).
@@ -425,13 +439,11 @@ pub fn run_episode(
         if cfg.adaptive_stopping && step.is_multiple_of(cfg.lambda) {
             let advs: Vec<f64> = tracks.iter().map(|t| t.window.mean()).collect();
             let kept = select_survivors(&advs, cfg.rho);
-            let kept_set: Vec<bool> = {
-                let mut v = vec![false; tracks.len()];
-                for &k in &kept {
-                    v[k] = true;
-                }
-                v
-            };
+            kept_set.clear();
+            kept_set.resize(tracks.len(), false);
+            for &k in &kept {
+                kept_set[k] = true;
+            }
             let mut survivors = Vec::with_capacity(kept.len());
             for (i, mut t) in tracks.drain(..).enumerate() {
                 if kept_set[i] {

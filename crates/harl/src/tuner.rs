@@ -106,6 +106,9 @@ impl HarlProposer {
             ("value_loss", health.value_loss.into()),
             ("adv_mean", health.adv_mean.into()),
             ("adv_var", health.adv_var.into()),
+            ("buffer_len", health.buffer_len.into()),
+            ("evicted", health.evicted.into()),
+            ("sample_age_mean", health.sample_age_mean.into()),
         ];
         fields.extend(
             (heads.iter().map(String::as_str))

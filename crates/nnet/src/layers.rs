@@ -18,7 +18,9 @@ use serde::de::{self, DeError, Value};
 use serde::ser::JsonWriter;
 use serde::{Deserialize, Serialize};
 
-use crate::gemm::{gemm_bias_into, gemm_bias_slice, transpose_into};
+use harl_simd::{gemm_bias_strided, Strided};
+
+use crate::gemm::{gemm_bias_into, transpose_into};
 use crate::packed;
 
 /// A layer's row-major `out_dim × in_dim` weight matrix. It reads as a
@@ -64,6 +66,10 @@ pub struct Linear {
     /// use (a new, cloned-before-use or deserialized layer has none) and
     /// rebuilt by [`Linear::adam_step`], the only writer of `w`.
     wt: OnceLock<Vec<f32>>,
+    /// Every cell of `gw` is `+0.0` because [`Linear::zero_grad`] just
+    /// wrote it: the next backward may write its `dW` instead of adding it.
+    /// A layer that was only constructed or decoded never claims this.
+    zeroed: bool,
 }
 
 impl Serialize for Linear {
@@ -110,39 +116,66 @@ impl<'de> Deserialize<'de> for Linear {
             mb: read("mb", out_dim)?,
             vb: read("vb", out_dim)?,
             wt: OnceLock::new(),
+            zeroed: false,
         })
     }
 }
 
 /// Caller-owned scratch of [`Linear::backward_batch`], reusable across
-/// layers and calls: the transposed output gradient, the weight-gradient
-/// partial, and the `+0.0` bias both backward GEMMs start from.
+/// layers and calls: the weight-gradient partial of a backward that has to
+/// add to `gw`, the column sums of the output gradient, and the `+0.0`
+/// bias both backward GEMMs start from.
 #[derive(Debug, Clone, Default)]
 pub struct GradScratch {
-    gyt: Vec<f32>,
-    dw: Vec<f32>,
-    zeros: Vec<f32>,
+    pub(crate) dw: Vec<f32>,
+    pub(crate) sums: Vec<f32>,
+    pub(crate) zeros: Vec<f32>,
 }
 
-/// `y = x·wt` (`rows × k` times k-major `k × n`), every cell a
-/// `+0.0`-seeded ascending-`k` chain, with the output rows split into
-/// blocks across `pool`.
+/// `y = x·wt` (`rows × k` through `x`'s strides, times k-major `k × n`),
+/// every cell a `+0.0`-seeded ascending-`k` chain, with the output rows
+/// split into blocks across `pool`. `zeros` is resized to the `n` zeros
+/// the chains start from.
 #[allow(clippy::too_many_arguments)]
-fn gemm_on_pool(
+pub(crate) fn gemm_on_pool(
     pool: &ThreadPool,
-    x: &[f32],
+    x: Strided<'_>,
     wt: &[f32],
-    zeros: &[f32],
-    rows: usize,
+    zeros: &mut Vec<f32>,
     k: usize,
     n: usize,
-    y: &mut Vec<f32>,
+    y: &mut [f32],
 ) {
-    y.resize(rows * n, 0.0);
+    zeros.clear();
+    zeros.resize(n, 0.0);
+    if n == 0 {
+        return;
+    }
     pool.for_each_row_block(y, n, |first, block| {
-        let r = block.len() / n;
-        gemm_bias_slice(&x[first * k..(first + r) * k], wt, zeros, r, k, n, block);
+        gemm_bias_strided(x.from_row(first), wt, zeros, block.len() / n, k, n, block);
     });
+}
+
+/// The sum of every column of batch-major `gy` (rows of `out_dim` cells)
+/// into `sums`: row after row added into all columns at once, so column
+/// `o` is the chain `+0.0 + gy[0][o] + gy[1][o] + …` — the per-output-unit
+/// sum in ascending sample order, across vector lanes instead of down a
+/// transposed row.
+pub(crate) fn column_sums(gy: &[f32], out_dim: usize, sums: &mut Vec<f32>) {
+    sums.clear();
+    sums.resize(out_dim, 0.0);
+    for row in gy.chunks_exact(out_dim.max(1)) {
+        for (s, &g) in sums.iter_mut().zip(row) {
+            *s += g;
+        }
+    }
+}
+
+/// `acc[i] += g[i]`.
+fn add_into(acc: &mut [f32], g: &[f32]) {
+    for (acc, &g) in acc.iter_mut().zip(g) {
+        *acc += g;
+    }
 }
 
 /// One Adam step over a parameter slice and its gradient and moment
@@ -183,6 +216,7 @@ impl Linear {
             mb: vec![0.0; out_dim],
             vb: vec![0.0; out_dim],
             wt: OnceLock::new(),
+            zeroed: false,
         }
     }
 
@@ -206,17 +240,19 @@ impl Linear {
     /// Both gradients are products whose reduction operand is already
     /// k-major, so both run on the forward's GEMM microkernel:
     /// `dW = gyᵀ·X` reduces over the batch with `X` (`batch × in`) as the
-    /// k-major operand, `dX = gy·W` reduces over the outputs with the
-    /// stored `W` (`out × in`) as the k-major operand. The kernel gives
-    /// every cell one chain — the `+0.0` bias, then ascending `b` (resp.
-    /// ascending `o`) multiply-then-add, `g` always the left factor — which
-    /// is the chain of the serial per-sample loop. `dW` lands in a private
-    /// partial that is then added to `gw`; adding an ascending-`b` partial
-    /// produces the same bits as accumulating the terms directly (the
-    /// partial of a `+0.0`-seeded chain is never `-0.0`). `pool` splits the
-    /// output rows of either product into blocks; rows are independent, so
-    /// any width — and any batch split — equals the serial loop
-    /// bit-for-bit, on every backend.
+    /// k-major operand and `gy` read in place through its strides as the
+    /// left one, `dX = gy·W` reduces over the outputs with the stored `W`
+    /// (`out × in`) as the k-major operand. The kernel gives every cell
+    /// one chain — the `+0.0` bias, then ascending `b` (resp. ascending
+    /// `o`) multiply-then-add, `g` always the left factor — which is the
+    /// chain of the serial per-sample loop. Right after
+    /// [`Linear::zero_grad`] the `dW` product is written straight into
+    /// `gw`; otherwise it lands in a private partial that is then added.
+    /// Both leave the bits of accumulating the terms directly: the partial
+    /// of a `+0.0`-seeded chain is never `-0.0`, so `+0.0 + dw` is `dw`.
+    /// `pool` splits the output rows of either product into blocks; rows
+    /// are independent, so any width — and any batch split — equals the
+    /// serial loop bit-for-bit, on every backend.
     pub fn backward_batch(
         &mut self,
         x: &[f32],
@@ -229,34 +265,61 @@ impl Linear {
         debug_assert_eq!(x.len(), batch * self.in_dim);
         debug_assert_eq!(gy.len(), batch * self.out_dim);
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
-        let GradScratch { gyt, dw, zeros } = scratch;
-        zeros.clear();
-        zeros.resize(in_dim, 0.0);
+        let GradScratch { dw, sums, zeros } = scratch;
 
-        // dL/dW = gyᵀ·X; dL/db sums each row of gyᵀ, batch in order
-        transpose_into(gy, batch, out_dim, gyt);
-        gemm_on_pool(pool, gyt, x, zeros, out_dim, batch, in_dim, dw);
-        for (acc, &g) in self.gw.iter_mut().zip(dw.iter()) {
-            *acc += g;
+        // dL/dW = gyᵀ·X; dL/db sums each column of gy, batch in order
+        let gyt = Strided::columns(gy, out_dim, 0);
+        if std::mem::take(&mut self.zeroed) {
+            gemm_on_pool(pool, gyt, x, zeros, batch, in_dim, &mut self.gw);
+        } else {
+            dw.resize(out_dim * in_dim, 0.0);
+            gemm_on_pool(pool, gyt, x, zeros, batch, in_dim, dw);
+            add_into(&mut self.gw, dw);
         }
-        for (o, acc) in self.gb.iter_mut().enumerate() {
-            let mut gb_o = 0.0f32;
-            for &g in &gyt[o * batch..(o + 1) * batch] {
-                gb_o += g;
-            }
-            *acc += gb_o;
-        }
+        column_sums(gy, out_dim, sums);
+        add_into(&mut self.gb, sums);
 
         // dL/dX = gy·W
         if let Some(gx) = gx {
-            gemm_on_pool(pool, gy, &self.w, zeros, batch, out_dim, in_dim, gx);
+            self.input_grad(Strided::rows(gy, out_dim), batch, pool, zeros, gx);
         }
     }
 
-    /// Clears accumulated gradients.
+    /// [`Linear::backward_batch`]'s parameter half for a caller that
+    /// computed the layer's `dW` (`out × in`) and `db` as rows of a larger
+    /// product: `gw += dw` — a plain copy right after
+    /// [`Linear::zero_grad`], which leaves the same bits — and `gb += db`.
+    pub(crate) fn add_grads(&mut self, dw: &[f32], db: &[f32]) {
+        debug_assert_eq!(dw.len(), self.gw.len());
+        if std::mem::take(&mut self.zeroed) {
+            self.gw.copy_from_slice(dw);
+        } else {
+            add_into(&mut self.gw, dw);
+        }
+        add_into(&mut self.gb, db);
+    }
+
+    /// `∂L/∂X = gy·W` into `gx` (`batch × in`), `gy` read through its
+    /// strides: the input-gradient half of [`Linear::backward_batch`].
+    pub(crate) fn input_grad(
+        &self,
+        gy: Strided<'_>,
+        batch: usize,
+        pool: &ThreadPool,
+        zeros: &mut Vec<f32>,
+        gx: &mut Vec<f32>,
+    ) {
+        gx.resize(batch * self.in_dim, 0.0);
+        gemm_on_pool(pool, gy, &self.w, zeros, self.out_dim, self.in_dim, gx);
+    }
+
+    /// Clears accumulated gradients. The backward that follows writes its
+    /// `dW` over `gw` instead of adding to it, so `gw` must not be filled
+    /// by hand in between.
     pub fn zero_grad(&mut self) {
         self.gw.iter_mut().for_each(|g| *g = 0.0);
         self.gb.iter_mut().for_each(|g| *g = 0.0);
+        self.zeroed = true;
     }
 
     /// Adam update with bias correction; `t` is the 1-based step count and
@@ -491,23 +554,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gemm_backward_equals_the_per_row_backward_bit_for_bit() {
-        // shapes straddle the kernel's MB = 8 row block, its KC = 256
-        // reduction panel (`batch` is dW's reduction length, `out_dim` dX's)
-        // and the 8-lane column tail; the odd sizes after them put every
-        // masked column-tail width of the 8- and 16-lane kernels (`in_dim`
-        // is both products' column count) against every row-tile remainder
-        // (dW has `out_dim` rows, dX `batch`); the two thin shapes at the
-        // end cross the pool's inline threshold at width 2, so its workers
-        // really spawn; gradients start non-zero so the fold into `gw`/`gb`
-        // is covered
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut scratch = GradScratch::default();
-        let backends: Vec<_> = harl_simd::Backend::ALL
-            .into_iter()
-            .filter(|b| b.is_supported())
-            .collect();
+    /// `(batch, out_dim, in_dim)` of the backward comparisons. The shapes
+    /// straddle the kernel's MB = 8 row block, its KC = 256 reduction panel
+    /// (`batch` is dW's reduction length, `out_dim` dX's) and the 8-lane
+    /// column tail; the odd sizes after them put every masked column-tail
+    /// width of the 8- and 16-lane kernels (`in_dim` is both products'
+    /// column count) against every row-tile remainder (dW has `out_dim`
+    /// rows, dX `batch`); the two thin shapes at the end cross the pool's
+    /// inline threshold at width 2, so its workers really spawn.
+    fn backward_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = Vec::new();
         for &batch in &[1usize, 7, 64, 65, 300] {
             for &out_dim in &[1usize, 3, 64, 101, 130] {
@@ -524,9 +579,27 @@ mod tests {
         }
         let split = 2 * harl_par::MIN_ITEMS_PER_WORKER + 8;
         shapes.extend([(2, split, 4), (split, 1, 4)]);
+        shapes
+    }
+
+    fn supported_backends() -> Vec<harl_simd::Backend> {
+        harl_simd::Backend::ALL
+            .into_iter()
+            .filter(|b| b.is_supported())
+            .collect()
+    }
+
+    #[test]
+    fn gemm_backward_equals_the_per_row_backward_bit_for_bit() {
+        // every shape once with gradients that start non-zero, so the fold
+        // of a partial into `gw`/`gb` is covered, and once right after
+        // `zero_grad`, where `dW` is written into `gw` itself
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut scratch = GradScratch::default();
+        let backends = supported_backends();
         let spawned = harl_obs::global().counter("harl_par_maps_total{mode=\"parallel\"}");
         let spawned_before = spawned.get();
-        for (batch, out_dim, in_dim) in shapes {
+        for (batch, out_dim, in_dim) in backward_shapes() {
             let mut l0 = Linear::new(in_dim, out_dim, &mut rng);
             l0.gw.iter_mut().for_each(|g| *g = rng.gen_range(-1.0..1.0));
             l0.gb.iter_mut().for_each(|g| *g = rng.gen_range(-1.0..1.0));
@@ -536,29 +609,34 @@ mod tests {
             let gy: Vec<f32> = (0..batch * out_dim)
                 .map(|_| rng.gen_range(-1.0..1.0))
                 .collect();
-            let mut want = l0.clone();
-            let want_gx = backward_per_row(&mut want, &x, &gy, batch);
-            for &backend in &backends {
-                for threads in [1, 2, 7] {
-                    let shape = format!(
-                        "{}: {batch}×{in_dim}→{out_dim}, width {threads}",
-                        backend.name()
-                    );
-                    let mut got = l0.clone();
-                    let mut gx = Vec::new();
-                    let prev = harl_simd::force_backend(Some(backend));
-                    got.backward_batch(
-                        &x,
-                        &gy,
-                        batch,
-                        &ThreadPool::new(threads),
-                        &mut scratch,
-                        Some(&mut gx),
-                    );
-                    harl_simd::force_backend(prev);
-                    assert_eq!(bits(&got.gw), bits(&want.gw), "gw, {shape}");
-                    assert_eq!(bits(&got.gb), bits(&want.gb), "gb, {shape}");
-                    assert_eq!(bits(&gx), bits(&want_gx), "gx, {shape}");
+            for zeroed in [false, true] {
+                if zeroed {
+                    l0.zero_grad();
+                }
+                let mut want = l0.clone();
+                let want_gx = backward_per_row(&mut want, &x, &gy, batch);
+                for &backend in &backends {
+                    for threads in [1, 2, 7] {
+                        let shape = format!(
+                            "{}: {batch}×{in_dim}→{out_dim}, width {threads}, zeroed {zeroed}",
+                            backend.name()
+                        );
+                        let mut got = l0.clone();
+                        let mut gx = Vec::new();
+                        let prev = harl_simd::force_backend(Some(backend));
+                        got.backward_batch(
+                            &x,
+                            &gy,
+                            batch,
+                            &ThreadPool::new(threads),
+                            &mut scratch,
+                            Some(&mut gx),
+                        );
+                        harl_simd::force_backend(prev);
+                        assert_eq!(bits(&got.gw), bits(&want.gw), "gw, {shape}");
+                        assert_eq!(bits(&got.gb), bits(&want.gb), "gb, {shape}");
+                        assert_eq!(bits(&gx), bits(&want_gx), "gx, {shape}");
+                    }
                 }
             }
         }
@@ -566,6 +644,79 @@ mod tests {
             spawned.get() > spawned_before,
             "the two thin shapes must split across workers at width 2"
         );
+    }
+
+    #[test]
+    fn a_second_backward_without_zero_grad_accumulates() {
+        // `zero_grad` arms one direct write, not two: the second backward
+        // must add to what the first left
+        let mut rng = StdRng::seed_from_u64(78);
+        let mut l = Linear::new(9, 5, &mut rng);
+        let pool = ThreadPool::new(1);
+        let mut scratch = GradScratch::default();
+        let x: Vec<f32> = (0..27).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let gy: Vec<f32> = (0..15).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut want = l.clone();
+        backward_per_row(&mut want, &x, &gy, 3);
+        backward_per_row(&mut want, &x, &gy, 3);
+        l.zero_grad();
+        l.backward_batch(&x, &gy, 3, &pool, &mut scratch, None);
+        l.backward_batch(&x, &gy, 3, &pool, &mut scratch, None);
+        assert_eq!(bits(&l.gw), bits(&want.gw));
+        assert_eq!(bits(&l.gb), bits(&want.gb));
+    }
+
+    #[test]
+    fn a_strided_left_operand_equals_its_transposed_copy() {
+        // `dW = gyᵀ·X` with `gy` read through strides against the product
+        // over `transpose_into(gy)`, and a column range of a wider matrix
+        // (one head's `gy` inside the fused gradient) against its gathered
+        // copy, over the shapes of the backward comparison
+        let mut rng = StdRng::seed_from_u64(79);
+        for (batch, out_dim, in_dim) in backward_shapes() {
+            let x: Vec<f32> = (0..batch * in_dim)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            let gy: Vec<f32> = (0..batch * out_dim)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            let bias: Vec<f32> = (0..in_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut gyt = Vec::new();
+            transpose_into(&gy, batch, out_dim, &mut gyt);
+            // columns `first..` of `gy`, as `width` rows (dW) or as a
+            // `batch × width` left operand (dX)
+            let first = out_dim / 3;
+            let width = out_dim - first;
+            let gathered: Vec<f32> = gy
+                .chunks_exact(out_dim)
+                .flat_map(|row| row[first..].iter().copied())
+                .collect();
+            let w: Vec<f32> = (0..width * in_dim)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            for backend in supported_backends() {
+                let shape = format!("{}: {batch}×{in_dim}→{out_dim}", backend.name());
+                let prev = harl_simd::force_backend(Some(backend));
+                let (mut want, mut got) = (Vec::new(), vec![0.0; out_dim * in_dim]);
+                gemm_bias_into(&gyt, &x, &bias, out_dim, batch, in_dim, &mut want);
+                let view = Strided::columns(&gy, out_dim, 0);
+                gemm_bias_strided(view, &x, &bias, out_dim, batch, in_dim, &mut got);
+                assert_eq!(bits(&got), bits(&want), "all columns, {shape}");
+
+                let rows = width * in_dim;
+                got.truncate(rows);
+                let view = Strided::columns(&gy, out_dim, first);
+                gemm_bias_strided(view, &x, &bias, width, batch, in_dim, &mut got);
+                assert_eq!(bits(&got), bits(&want[first * in_dim..]), "tail, {shape}");
+
+                got.resize(batch * in_dim, 0.0);
+                gemm_bias_into(&gathered, &w, &bias, batch, width, in_dim, &mut want);
+                let view = Strided::rows(&gy[first..], out_dim);
+                gemm_bias_strided(view, &w, &bias, batch, width, in_dim, &mut got);
+                harl_simd::force_backend(prev);
+                assert_eq!(bits(&got), bits(&want), "column range, {shape}");
+            }
+        }
     }
 
     #[test]

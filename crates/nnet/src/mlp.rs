@@ -165,6 +165,25 @@ impl Mlp {
         Ok(Mlp::new(&cfg.sizes(), rng))
     }
 
+    /// Why a decoded network cannot be run — no layers, or a layer whose
+    /// input is not its predecessor's output; `Ok` for any network
+    /// [`Mlp::new`] builds. ([`Linear`]'s decoder has checked every array
+    /// against its layer's own dimensions.)
+    pub(crate) fn check_shapes(&self) -> Result<(), String> {
+        if self.layers.is_empty() {
+            return Err("a network without layers".into());
+        }
+        match (self.layers.windows(2)).position(|pair| pair[0].out_dim != pair[1].in_dim) {
+            Some(i) => Err(format!(
+                "layer {i} has {} outputs, layer {} takes {}",
+                self.layers[i].out_dim,
+                i + 1,
+                self.layers[i + 1].in_dim
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.layers.first().expect("non-empty").in_dim
@@ -291,20 +310,39 @@ pub fn masked_softmax_into(logits: &[f32], mask: Option<&[bool]>, probs: &mut Ve
 /// gets `0`, which the `exp` and [`normalize`] that follow turn into the
 /// uniform row. Split from [`masked_softmax_into`] so a batch of rows can
 /// share one `exp` call.
+///
+/// The maximum is taken over eight interleaved runs of the row instead of
+/// down one chain of 101 dependent `max`es. `f32::max` skips NaN, so the
+/// runs meet at the same value whatever the order — up to the sign of a
+/// zero maximum, which only shows in the cells that are themselves `±0`,
+/// and `exp(−0) = exp(+0) = 1`: no probability can tell.
 pub(crate) fn shift_logits(logits: &[f32], mask: Option<&[bool]>, row: &mut [f32]) {
-    let valid = |i: usize| mask.map(|m| m[i]).unwrap_or(true);
-    let mut mx = f32::NEG_INFINITY;
-    for (i, &z) in logits.iter().enumerate() {
-        if valid(i) {
-            mx = mx.max(z);
+    const RUNS: usize = 8;
+    debug_assert_eq!(logits.len(), row.len());
+    // the candidates of the maximum: a masked cell stands back as `-inf`
+    match mask {
+        None => row.copy_from_slice(logits),
+        Some(mask) => {
+            for ((c, &z), &valid) in row.iter_mut().zip(logits).zip(&mask[..logits.len()]) {
+                *c = if valid { z } else { f32::NEG_INFINITY };
+            }
         }
     }
+    let mut runs = [f32::NEG_INFINITY; RUNS];
+    let mut groups = row.chunks_exact(RUNS);
+    for group in &mut groups {
+        for (run, &c) in runs.iter_mut().zip(group) {
+            *run = run.max(c);
+        }
+    }
+    let mx = (runs.iter().chain(groups.remainder())).fold(f32::NEG_INFINITY, |mx, &c| mx.max(c));
     if mx == f32::NEG_INFINITY {
         row.fill(0.0);
         return;
     }
-    for (i, (e, &z)) in row.iter_mut().zip(logits).enumerate() {
-        *e = if valid(i) { z - mx } else { f32::NEG_INFINITY };
+    // `-inf − mx` is the `-inf` of a masked cell
+    for c in row {
+        *c -= mx;
     }
 }
 

@@ -81,7 +81,11 @@ pub(crate) fn write_f32s(w: &mut JsonWriter, name: &str, values: &[f32]) {
 }
 
 /// Writes the object entry `name` holding one mask row per string.
-pub(crate) fn write_masks(w: &mut JsonWriter, name: &str, masks: &[Vec<bool>]) {
+pub(crate) fn write_masks<'a>(
+    w: &mut JsonWriter,
+    name: &str,
+    masks: impl Iterator<Item = &'a [bool]>,
+) {
     w.key(name);
     w.begin_array();
     for mask in masks {
@@ -218,7 +222,7 @@ mod tests {
             vec![true, false, false, true],
             (0..2 * CHUNK + 3).map(|i| i % 3 == 0).collect(),
         ];
-        let text = object(|w| write_masks(w, "m", &masks));
+        let text = object(|w| write_masks(w, "m", masks.iter().map(Vec::as_slice)));
         assert!(text.starts_with(r#"{"m":["","1001","1001001"#), "{text}");
         assert_eq!(
             read_masks(&Value::parse(&text).unwrap(), "m").unwrap(),

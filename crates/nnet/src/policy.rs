@@ -11,21 +11,30 @@
 //! forward path is batch-major so one matrix-matrix pass serves every
 //! live schedule track of an episode step.
 
+use std::sync::OnceLock;
+
 use harl_par::ThreadPool;
+use harl_simd::Strided;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::layers::{tanh_backward, tanh_forward, Linear};
+use crate::gemm::gemm_bias_into;
+use crate::layers::{column_sums, gemm_on_pool, tanh_backward, tanh_forward, Linear};
 use crate::mlp::{masked_softmax, Mlp, Workspace};
 
 /// Caller-owned scratch for the policy's batched passes: the trunk's own
-/// [`Workspace`], the post-tanh trunk output, per-head batch-major logits,
-/// and gradient buffers.
+/// [`Workspace`], the post-tanh trunk output, the batch-major logits of all
+/// heads side by side, and gradient buffers.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyWorkspace {
     trunk: Workspace,
     trunk_out: Vec<f32>,
-    logits: Vec<Vec<f32>>,
+    /// `batch × Σ head sizes`: head `h` is columns
+    /// `offsets[h]..offsets[h + 1]` of every row.
+    logits: Vec<f32>,
+    offsets: Vec<usize>,
+    /// `dW` of all heads, `Σ head sizes × hidden`.
+    dw: Vec<f32>,
     gx: Vec<f32>,
     g_trunk: Vec<f32>,
     batch: usize,
@@ -42,24 +51,83 @@ impl PolicyWorkspace {
         self.batch
     }
 
-    /// Batch-major logits of head `h` from the last forward pass.
-    pub fn logits(&self, h: usize) -> &[f32] {
-        &self.logits[h]
+    /// The logits of the last forward pass, batch-major, each row holding
+    /// every head's logits side by side (see
+    /// [`MultiHeadPolicy::head_offsets`]).
+    pub fn all_logits(&self) -> &[f32] {
+        &self.logits
+    }
+
+    /// Batch-major logits of head `h` from the last forward pass, gathered
+    /// out of [`Self::all_logits`] (for tests and probes).
+    pub fn logits(&self, h: usize) -> Vec<f32> {
+        (0..self.batch)
+            .flat_map(|b| self.head_logits(h, b).iter().copied())
+            .collect()
     }
 
     /// Logits of head `h` for batch row `b` from the last forward pass.
     pub fn head_logits(&self, h: usize, b: usize) -> &[f32] {
-        let out = self.logits[h].len() / self.batch.max(1);
-        &self.logits[h][b * out..(b + 1) * out]
+        let total = self.offsets.last().copied().unwrap_or(0);
+        &self.logits[b * total + self.offsets[h]..b * total + self.offsets[h + 1]]
+    }
+}
+
+/// The heads' weights as the one matrix the forward GEMM reads: the
+/// k-major `hidden × Σ head sizes` block whose column range
+/// `offsets[h]..offsets[h + 1]` is head `h`'s transposed weights, and the
+/// heads' biases side by side.
+#[derive(Debug, Clone, Default)]
+struct HeadBlock {
+    wt: Vec<f32>,
+    bias: Vec<f32>,
+    offsets: Vec<usize>,
+}
+
+impl HeadBlock {
+    fn of(heads: &[Linear]) -> Self {
+        let mut block = HeadBlock::default();
+        block.offsets.push(0);
+        for head in heads {
+            block
+                .offsets
+                .push(block.offsets.last().expect("starts at 0") + head.out_dim);
+        }
+        block.refill(heads);
+        block
+    }
+
+    /// Re-reads every head's weights and biases.
+    fn refill(&mut self, heads: &[Linear]) {
+        let total = *self.offsets.last().expect("starts at 0");
+        let hidden = heads.first().map_or(0, |h| h.in_dim);
+        self.wt.resize(hidden * total, 0.0);
+        self.bias.clear();
+        for (head, &first) in heads.iter().zip(&self.offsets) {
+            for (o, row) in head.w.chunks_exact(hidden.max(1)).enumerate() {
+                for (k, &v) in row.iter().enumerate() {
+                    self.wt[k * total + first + o] = v;
+                }
+            }
+            self.bias.extend_from_slice(&head.b);
+        }
     }
 }
 
 /// Shared-trunk, multi-head categorical policy.
+///
+/// The heads are stored (and serialized) as one [`Linear`] each, but run
+/// as one matrix: a cached [`HeadBlock`] — built on first use and rebuilt
+/// by [`MultiHeadPolicy::adam_step`], like a layer's own transpose — gives
+/// all logits in one GEMM, and the backward takes `dW` and `db` of all
+/// heads from one product and one pass of column sums.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MultiHeadPolicy {
     trunk: Mlp,
     heads: Vec<Linear>,
     adam_t: u64,
+    #[serde(skip)]
+    block: OnceLock<HeadBlock>,
 }
 
 impl MultiHeadPolicy {
@@ -79,7 +147,31 @@ impl MultiHeadPolicy {
             trunk,
             heads,
             adam_t: 0,
+            block: OnceLock::new(),
         }
+    }
+
+    fn block(&self) -> &HeadBlock {
+        self.block.get_or_init(|| HeadBlock::of(&self.heads))
+    }
+
+    /// [`Mlp::check_shapes`] of the trunk, and every head — of at least one
+    /// action — must take the trunk's output.
+    pub(crate) fn check_shapes(&self) -> Result<(), String> {
+        self.trunk.check_shapes()?;
+        let hidden = self.trunk.out_dim();
+        match (self.heads.iter()).position(|h| h.in_dim != hidden || h.out_dim == 0) {
+            Some(h) => Err(format!(
+                "head {h} maps {} inputs to {} actions, the trunk has {hidden} outputs",
+                self.heads[h].in_dim, self.heads[h].out_dim
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// Input dimensionality.
+    pub fn state_dim(&self) -> usize {
+        self.trunk.in_dim()
     }
 
     /// Number of action heads.
@@ -92,41 +184,92 @@ impl MultiHeadPolicy {
         self.heads.iter().map(|h| h.out_dim).collect()
     }
 
+    /// Where each head sits in a row of logits: head `h` is columns
+    /// `offsets[h]..offsets[h + 1]`, the last entry the row length.
+    pub fn head_offsets(&self) -> &[usize] {
+        &self.block().offsets
+    }
+
     /// Batch-major forward pass: `x` is `batch × state_dim` row-major.
-    /// Leaves per-head logits (and everything a subsequent
-    /// [`Self::backward_batch`] needs) in `ws`.
+    /// Leaves the logits (and everything a subsequent
+    /// [`Self::backward_batch`] needs) in `ws`. Each logit is its head's
+    /// bias plus an ascending-`k` chain over the trunk output, whichever
+    /// columns stand next to it: the bits of a GEMM per head.
     pub fn forward_batch(&self, x: &[f32], batch: usize, ws: &mut PolicyWorkspace) {
         ws.batch = batch;
         let t = self.trunk.forward_batch(x, batch, &mut ws.trunk);
         ws.trunk_out.clear();
         ws.trunk_out.extend_from_slice(t);
         tanh_forward(&mut ws.trunk_out);
-        ws.logits.resize(self.heads.len(), Vec::new());
-        for (h, head) in self.heads.iter().enumerate() {
-            head.forward_batch_into(&ws.trunk_out, batch, &mut ws.logits[h]);
-        }
+        let block = self.block();
+        ws.offsets.clone_from(&block.offsets);
+        let (hidden, total) = (self.trunk.out_dim(), block.bias.len());
+        gemm_bias_into(
+            &ws.trunk_out,
+            &block.wt,
+            &block.bias,
+            batch,
+            hidden,
+            total,
+            &mut ws.logits,
+        );
     }
 
     /// Batched backward for the most recent [`Self::forward_batch`]
-    /// through the same workspace: `grad_logits[h]` is the batch-major
-    /// logit gradient of head `h`. Heads are reduced in ascending head
-    /// order into the trunk gradient, so the accumulation order matches
-    /// the per-sample loop regardless of batch size or pool width.
+    /// through the same workspace: `grad_logits` is the batch-major logit
+    /// gradient laid out like [`PolicyWorkspace::all_logits`]. `dW` of all
+    /// heads is one product over `grad_logits` read through its strides
+    /// and `db` one pass of column sums, each cell the chain a backward
+    /// per head gives it. `dX` stays one `+0.0`-seeded product per head,
+    /// added into the trunk gradient in ascending head order: that order
+    /// is the per-sample loop's, whatever the batch size or pool width
+    /// (head 0's product is the first term, so it is written, not added).
     pub fn backward_batch(
         &mut self,
-        grad_logits: &[Vec<f32>],
+        grad_logits: &[f32],
         ws: &mut PolicyWorkspace,
         pool: &ThreadPool,
     ) {
-        assert_eq!(grad_logits.len(), self.heads.len());
         let batch = ws.batch;
-        ws.g_trunk.clear();
-        ws.g_trunk.resize(ws.trunk_out.len(), 0.0);
-        for (h, gl) in self.heads.iter_mut().zip(grad_logits) {
-            let scratch = &mut ws.trunk.grad;
-            h.backward_batch(&ws.trunk_out, gl, batch, pool, scratch, Some(&mut ws.gx));
-            for (a, b) in ws.g_trunk.iter_mut().zip(&ws.gx) {
-                *a += *b;
+        let hidden = self.trunk.out_dim();
+        let offsets = &ws.offsets;
+        let total = offsets.last().copied().unwrap_or(0);
+        assert_eq!(
+            offsets.len(),
+            self.heads.len() + 1,
+            "backward without forward"
+        );
+        assert_eq!(grad_logits.len(), batch * total);
+        let scratch = &mut ws.trunk.grad;
+
+        ws.dw.resize(total * hidden, 0.0);
+        gemm_on_pool(
+            pool,
+            Strided::columns(grad_logits, total, 0),
+            &ws.trunk_out,
+            &mut scratch.zeros,
+            batch,
+            hidden,
+            &mut ws.dw,
+        );
+        column_sums(grad_logits, total, &mut scratch.sums);
+        for (head, at) in self.heads.iter_mut().zip(offsets.windows(2)) {
+            head.add_grads(
+                &ws.dw[at[0] * hidden..at[1] * hidden],
+                &scratch.sums[at[0]..at[1]],
+            );
+        }
+
+        ws.g_trunk.resize(batch * hidden, 0.0);
+        for (h, (head, &first)) in self.heads.iter().zip(offsets).enumerate() {
+            let gy = Strided::rows(grad_logits.get(first..).unwrap_or(&[]), total);
+            if h == 0 {
+                head.input_grad(gy, batch, pool, &mut scratch.zeros, &mut ws.g_trunk);
+            } else {
+                head.input_grad(gy, batch, pool, &mut scratch.zeros, &mut ws.gx);
+                for (a, b) in ws.g_trunk.iter_mut().zip(&ws.gx) {
+                    *a += *b;
+                }
             }
         }
         tanh_backward(&ws.trunk_out, &mut ws.g_trunk);
@@ -148,6 +291,9 @@ impl MultiHeadPolicy {
         self.trunk.adam_step(lr, scale);
         for h in &mut self.heads {
             h.adam_step(lr, self.adam_t, scale);
+        }
+        if let Some(block) = self.block.get_mut() {
+            block.refill(&self.heads);
         }
     }
 
@@ -265,6 +411,87 @@ mod tests {
     }
 
     #[test]
+    fn the_fused_heads_are_the_heads_one_by_one() {
+        // logits against a GEMM per head, then `gw`, `gb` and the trunk
+        // gradient against a `Linear::backward_batch` per head folded in
+        // ascending head order — once right after `zero_grad` and once on
+        // top of those gradients — for batches 1…65 on every backend
+        use crate::layers::GradScratch;
+        use rand::Rng;
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let pool = ThreadPool::new(1);
+        let backends: Vec<_> = harl_simd::Backend::ALL
+            .into_iter()
+            .filter(|b| b.is_supported())
+            .collect();
+        for head_sizes in [&[101usize, 3, 3, 3][..], &[1, 3], &[257]] {
+            let mut rng = StdRng::seed_from_u64(14 + head_sizes.len() as u64);
+            let mut p = MultiHeadPolicy::new(7, 16, head_sizes, &mut rng);
+            let total: usize = head_sizes.iter().sum();
+            assert_eq!(p.head_offsets().last(), Some(&total));
+            let mut ws = PolicyWorkspace::new();
+            let mut scratch = GradScratch::default();
+            for batch in 1..=65usize {
+                let x: Vec<f32> = (0..batch * 7).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let gy: Vec<f32> = (0..batch * total)
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect();
+                for &backend in &backends {
+                    let what = format!("{head_sizes:?}, batch {batch}, {}", backend.name());
+                    let prev = harl_simd::force_backend(Some(backend));
+                    p.forward_batch(&x, batch, &mut ws);
+                    let trunk_out = ws.trunk_out.clone();
+                    let mut reference = p.heads.clone();
+                    let mut g_trunk = vec![0.0f32; batch * 16];
+                    p.zero_grad();
+                    reference.iter_mut().for_each(Linear::zero_grad);
+                    for pass in 0..2 {
+                        p.backward_batch(&gy, &mut ws, &pool);
+                        g_trunk.iter_mut().for_each(|g| *g = 0.0);
+                        for (h, head) in reference.iter_mut().enumerate() {
+                            let first = p.head_offsets()[h];
+                            let mut y = Vec::new();
+                            head.forward_batch_into(&trunk_out, batch, &mut y);
+                            assert_eq!(bits(&ws.logits(h)), bits(&y), "logits {h}, {what}");
+                            let gy_h: Vec<f32> = gy
+                                .chunks_exact(total)
+                                .flat_map(|row| row[first..first + head.out_dim].iter().copied())
+                                .collect();
+                            let mut gx = Vec::new();
+                            head.backward_batch(
+                                &trunk_out,
+                                &gy_h,
+                                batch,
+                                &pool,
+                                &mut scratch,
+                                Some(&mut gx),
+                            );
+                            for (a, b) in g_trunk.iter_mut().zip(&gx) {
+                                *a += *b;
+                            }
+                            assert_eq!(
+                                bits(&p.heads[h].gw),
+                                bits(&head.gw),
+                                "gw {h}/{pass}, {what}"
+                            );
+                            assert_eq!(
+                                bits(&p.heads[h].gb),
+                                bits(&head.gb),
+                                "gb {h}/{pass}, {what}"
+                            );
+                        }
+                        tanh_backward(&trunk_out, &mut g_trunk);
+                        assert_eq!(bits(&ws.g_trunk), bits(&g_trunk), "g_trunk/{pass}, {what}");
+                    }
+                    harl_simd::force_backend(prev);
+                }
+                // move the weights, so the block is rebuilt along the way
+                p.adam_step(0.01, 1.0 / batch as f32);
+            }
+        }
+    }
+
+    #[test]
     fn sample_respects_masks() {
         let mut rng = StdRng::seed_from_u64(9);
         let p = MultiHeadPolicy::new(4, 8, &[5, 3], &mut rng);
@@ -299,7 +526,7 @@ mod tests {
                 .map(|(i, &pi)| pi - if i == target { 1.0 } else { 0.0 })
                 .collect();
             p.zero_grad();
-            p.backward_batch(&[g], &mut ws, &pool);
+            p.backward_batch(&g, &mut ws, &pool);
             p.adam_step(0.01, 1.0);
         }
         p.forward_batch(&x, 1, &mut ws);

@@ -18,8 +18,6 @@
 //! pool width — the same contract `tests/scoring_determinism.rs` pins for
 //! scoring.
 
-use std::collections::VecDeque;
-
 use harl_obs::Tracer;
 use harl_par::ThreadPool;
 use harl_tensor_sim::ConfigError;
@@ -209,7 +207,9 @@ impl PpoConfigBuilder {
     }
 }
 
-/// One recorded `(S, M, S', R, Y)` tuple (Algorithm 1, line 12).
+/// One recorded `(S, M, S', R, Y)` tuple (Algorithm 1, line 12): the owned
+/// form, for handing transitions in and out of the crate. The replay
+/// buffer stores rows, not these.
 ///
 /// Serialized by hand, a full replay buffer being four fifths of a
 /// checkpoint: every `f32` and every mask row is a [`crate::packed`]
@@ -232,18 +232,23 @@ pub struct Transition {
     pub masks: Vec<Vec<bool>>,
 }
 
+impl Transition {
+    fn row(&self) -> Row<'_> {
+        Row {
+            state: &self.state,
+            actions: &self.actions,
+            logp: self.logp,
+            reward: self.reward,
+            advantage: self.advantage,
+            value_target: self.value_target,
+            masks: RowMasks::Lists(&self.masks),
+        }
+    }
+}
+
 impl Serialize for Transition {
     fn serialize(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        packed::write_f32s(w, "state", &self.state);
-        w.key("actions");
-        self.actions.serialize(w);
-        packed::write_f32s(w, "logp", &[self.logp]);
-        packed::write_f32s(w, "reward", &[self.reward]);
-        packed::write_f32s(w, "advantage", &[self.advantage]);
-        packed::write_f32s(w, "value_target", &[self.value_target]);
-        packed::write_masks(w, "masks", &self.masks);
-        w.end_object();
+        self.row().serialize(w);
     }
 }
 
@@ -261,80 +266,442 @@ impl<'de> Deserialize<'de> for Transition {
     }
 }
 
-/// Bounded FIFO replay buffer with uniform minibatch sampling.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ReplayBuffer {
-    items: VecDeque<Transition>,
-    cap: usize,
+/// One recorded tuple, borrowed: how a [`Transition`], a row of the
+/// [`ReplayBuffer`] and a step's record all reach the buffer, the update
+/// and the checkpoint writer.
+#[derive(Debug, Clone, Copy)]
+struct Row<'a> {
+    state: &'a [f32],
+    actions: &'a [usize],
+    logp: f32,
+    reward: f32,
+    advantage: f32,
+    value_target: f32,
+    masks: RowMasks<'a>,
 }
 
-impl ReplayBuffer {
-    /// A buffer holding at most `cap` transitions (0 = unbounded).
-    pub fn with_capacity(cap: usize) -> Self {
-        ReplayBuffer {
-            items: VecDeque::new(),
-            cap,
+impl Serialize for Row<'_> {
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        packed::write_f32s(w, "state", self.state);
+        w.key("actions");
+        self.actions.serialize(w);
+        packed::write_f32s(w, "logp", &[self.logp]);
+        packed::write_f32s(w, "reward", &[self.reward]);
+        packed::write_f32s(w, "advantage", &[self.advantage]);
+        packed::write_f32s(w, "value_target", &[self.value_target]);
+        let masks = self.masks;
+        packed::write_masks(w, "masks", (0..masks.listed()).map(|h| masks.entry(h)));
+        w.end_object();
+    }
+}
+
+/// A row's masks: a list with an entry for each of its first
+/// [`RowMasks::listed`] heads, an entry being empty ("all valid") or one
+/// `bool` per action of its head.
+#[derive(Debug, Clone, Copy)]
+enum RowMasks<'a> {
+    /// One `Vec` per entry: a [`Transition`]'s, or a schedule track's.
+    Lists(&'a [Vec<bool>]),
+    /// A replay-buffer row: one byte per head ([`UNLISTED`], [`EMPTY`] or
+    /// [`FULL`]) and the mask cells of all heads side by side, head `h` at
+    /// `offsets[h]..offsets[h + 1]`.
+    Flat {
+        kinds: &'a [u8],
+        cells: &'a [bool],
+        offsets: &'a [usize],
+    },
+}
+
+/// What a replay-buffer row holds of one head's mask: nothing, because
+/// the row's list ends before this head; an empty entry (all valid); or
+/// the entry, in the head's cells.
+const UNLISTED: u8 = 0;
+const EMPTY: u8 = 1;
+const FULL: u8 = 2;
+
+impl<'a> RowMasks<'a> {
+    /// Number of list entries.
+    fn listed(self) -> usize {
+        match self {
+            RowMasks::Lists(lists) => lists.len(),
+            RowMasks::Flat { kinds, .. } => kinds.iter().take_while(|&&k| k != UNLISTED).count(),
         }
     }
 
-    /// Appends a transition, evicting the oldest beyond capacity.
-    pub fn push(&mut self, t: Transition) {
-        self.items.push_back(t);
-        while self.cap > 0 && self.items.len() > self.cap {
-            self.items.pop_front();
+    /// Entry `h < listed()` of the list.
+    fn entry(self, h: usize) -> &'a [bool] {
+        match self {
+            RowMasks::Lists(lists) => &lists[h],
+            RowMasks::Flat {
+                kinds,
+                cells,
+                offsets,
+            } if kinds[h] == FULL => &cells[offsets[h]..offsets[h + 1]],
+            RowMasks::Flat { .. } => &[],
         }
+    }
+
+    /// Head `h`'s mask; `None` — all valid — for a missing or empty entry.
+    fn head(self, h: usize) -> Option<&'a [bool]> {
+        match self {
+            RowMasks::Lists(lists) => lists.get(h).filter(|m| !m.is_empty()).map(Vec::as_slice),
+            RowMasks::Flat { kinds, .. } => (kinds[h] == FULL).then(|| self.entry(h)),
+        }
+    }
+}
+
+/// Bounded FIFO replay buffer with uniform minibatch sampling.
+///
+/// A ring of structure-of-arrays rows for an agent of one shape
+/// (`state_dim` inputs, the heads' sizes): states, actions, the four
+/// scalars and the masks each in one allocation that grows with the rows
+/// recorded until the buffer is full, after which the oldest row's slot is
+/// overwritten. A row's masks are a fixed-stride run of `bool`s plus one
+/// kind byte per head, so a minibatch touches four arrays instead of
+/// seven heap blocks per transition. Serialized as the list of
+/// transitions it stands for, oldest first.
+#[derive(Debug, Clone)]
+pub struct ReplayBuffer {
+    cap: usize,
+    state_dim: usize,
+    /// Head `h`'s mask cells are `offsets[h]..offsets[h + 1]` of a row's;
+    /// one entry more than there are heads.
+    offsets: Vec<usize>,
+    /// Slot of the oldest row. Rows are appended until the buffer is full,
+    /// so this leaves 0 only once every slot exists.
+    head: usize,
+    /// Rows overwritten since the last [`ReplayBuffer::take_evicted`].
+    evicted: u64,
+    states: Vec<f32>,
+    actions: Vec<usize>,
+    /// `[logp, reward, advantage, value_target]` per row.
+    scalars: Vec<[f32; 4]>,
+    mask_kinds: Vec<u8>,
+    mask_cells: Vec<bool>,
+}
+
+impl ReplayBuffer {
+    /// A buffer holding at most `cap` transitions (0 = unbounded) of an
+    /// agent with `state_dim` inputs and heads of `head_sizes` actions.
+    pub fn new(cap: usize, state_dim: usize, head_sizes: &[usize]) -> Self {
+        let mut offsets = vec![0];
+        for &size in head_sizes {
+            offsets.push(offsets.last().expect("starts at 0") + size);
+        }
+        ReplayBuffer {
+            cap,
+            state_dim,
+            offsets,
+            head: 0,
+            evicted: 0,
+            states: Vec::new(),
+            actions: Vec::new(),
+            scalars: Vec::new(),
+            mask_kinds: Vec::new(),
+            mask_cells: Vec::new(),
+        }
+    }
+
+    fn heads(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Mask cells per row.
+    fn cells(&self) -> usize {
+        *self.offsets.last().expect("starts at 0")
+    }
+
+    /// Appends a transition, evicting the oldest beyond capacity.
+    ///
+    /// # Panics
+    /// If the transition does not have the buffer's shape: `state_dim`
+    /// state values, one action per head, at most one mask per head, each
+    /// empty or as long as its head.
+    pub fn push(&mut self, t: Transition) {
+        self.push_row(t.row());
+    }
+
+    fn push_row(&mut self, row: Row<'_>) {
+        if let Err(misfit) = self.fit(&row) {
+            panic!("replay buffer: {misfit}");
+        }
+        let slot = if self.cap > 0 && self.len() == self.cap {
+            self.evicted += 1;
+            let oldest = self.head;
+            self.head = (oldest + 1) % self.cap;
+            oldest
+        } else {
+            let rows = self.len() + 1;
+            self.states.resize(rows * self.state_dim, 0.0);
+            self.actions.resize(rows * self.heads(), 0);
+            self.scalars.push([0.0; 4]);
+            self.mask_kinds.resize(rows * self.heads(), 0);
+            self.mask_cells.resize(rows * self.cells(), false);
+            rows - 1
+        };
+        let (dim, heads, cells) = (self.state_dim, self.heads(), self.cells());
+        self.states[slot * dim..][..dim].copy_from_slice(row.state);
+        self.actions[slot * heads..][..heads].copy_from_slice(row.actions);
+        self.scalars[slot] = [row.logp, row.reward, row.advantage, row.value_target];
+        let kinds = &mut self.mask_kinds[slot * heads..][..heads];
+        let row_cells = &mut self.mask_cells[slot * cells..][..cells];
+        let listed = row.masks.listed();
+        for (h, (kind, at)) in kinds.iter_mut().zip(self.offsets.windows(2)).enumerate() {
+            *kind = if h >= listed {
+                UNLISTED
+            } else if row.masks.entry(h).is_empty() {
+                EMPTY
+            } else {
+                // the cells of the other kinds are never read
+                row_cells[at[0]..at[1]].copy_from_slice(row.masks.entry(h));
+                FULL
+            };
+        }
+    }
+
+    /// Why `row` cannot be stored here, naming the field; `Ok` if it can.
+    fn fit(&self, row: &Row<'_>) -> Result<(), String> {
+        if row.state.len() != self.state_dim {
+            return Err(format!(
+                "field `state`: {} values, the agent takes {}",
+                row.state.len(),
+                self.state_dim
+            ));
+        }
+        if row.actions.len() != self.heads() {
+            return Err(format!(
+                "field `actions`: {} actions, the agent has {} heads",
+                row.actions.len(),
+                self.heads()
+            ));
+        }
+        if row.masks.listed() > self.heads() {
+            return Err(format!(
+                "field `masks`: {} masks, the agent has {} heads",
+                row.masks.listed(),
+                self.heads()
+            ));
+        }
+        for h in 0..row.masks.listed() {
+            let (len, size) = (
+                row.masks.entry(h).len(),
+                self.offsets[h + 1] - self.offsets[h],
+            );
+            if len != 0 && len != size {
+                return Err(format!(
+                    "field `masks`: mask {h} has {len} entries, its head {size} actions"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Number of stored transitions.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.scalars.len()
     }
 
     /// True when no transitions are stored.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.scalars.is_empty()
     }
 
     /// Samples the positions of up to `n` distinct transitions uniformly
     /// into `positions` (cleared first); [`ReplayBuffer::get`] resolves them.
     pub fn sample_into<R: Rng + ?Sized>(&self, n: usize, rng: &mut R, positions: &mut Vec<usize>) {
         positions.clear();
-        positions.extend(0..self.items.len());
+        positions.extend(0..self.len());
         positions.shuffle(rng);
         positions.truncate(n);
     }
 
-    /// The transition at `position` (0 = oldest).
-    pub fn get(&self, position: usize) -> &Transition {
-        &self.items[position]
+    /// The row at `position` (0 = oldest).
+    fn row(&self, position: usize) -> Row<'_> {
+        assert!(position < self.len(), "replay buffer: no row {position}");
+        // `head` is 0 until the buffer is full
+        let slot = (self.head + position) % self.len();
+        let (dim, heads, cells) = (self.state_dim, self.heads(), self.cells());
+        let [logp, reward, advantage, value_target] = self.scalars[slot];
+        Row {
+            state: &self.states[slot * dim..][..dim],
+            actions: &self.actions[slot * heads..][..heads],
+            logp,
+            reward,
+            advantage,
+            value_target,
+            masks: RowMasks::Flat {
+                kinds: &self.mask_kinds[slot * heads..][..heads],
+                cells: &self.mask_cells[slot * cells..][..cells],
+                offsets: &self.offsets,
+            },
+        }
+    }
+
+    fn rows(&self) -> impl Iterator<Item = Row<'_>> {
+        (0..self.len()).map(|position| self.row(position))
+    }
+
+    /// The transition at `position` (0 = oldest), copied out of its row.
+    pub fn get(&self, position: usize) -> Transition {
+        let row = self.row(position);
+        Transition {
+            state: row.state.to_vec(),
+            actions: row.actions.to_vec(),
+            logp: row.logp,
+            reward: row.reward,
+            advantage: row.advantage,
+            value_target: row.value_target,
+            masks: (0..row.masks.listed())
+                .map(|h| row.masks.entry(h).to_vec())
+                .collect(),
+        }
     }
 
     /// Drops all stored transitions.
     pub fn clear(&mut self) {
-        self.items.clear();
+        self.head = 0;
+        self.states.clear();
+        self.actions.clear();
+        self.scalars.clear();
+        self.mask_kinds.clear();
+        self.mask_cells.clear();
+    }
+
+    /// Transitions overwritten by newer ones since the last call.
+    fn take_evicted(&mut self) -> u64 {
+        std::mem::take(&mut self.evicted)
+    }
+
+    /// Decodes what [`Serialize`] wrote into a buffer of the given shape,
+    /// checking every transition against it: a checkpoint whose rows the
+    /// agent's networks cannot take is an error that names the row and
+    /// the field, not a panic in the next update.
+    fn decode(v: &Value, state_dim: usize, head_sizes: &[usize]) -> Result<Self, DeError> {
+        let cap: usize = de::field(v, "cap")?;
+        let items = v
+            .get("items")
+            .ok_or_else(|| DeError::new("missing field `items`"))?
+            .as_array()
+            .map_err(|e| DeError::new(format!("field `items`: {}", e.0)))?;
+        if cap > 0 && items.len() > cap {
+            return Err(DeError::new(format!(
+                "field `items`: {} transitions in a buffer of capacity {cap}",
+                items.len()
+            )));
+        }
+        let mut buffer = ReplayBuffer::new(cap, state_dim, head_sizes);
+        for (i, item) in items.iter().enumerate() {
+            let checked = Transition::deserialize_value(item)
+                .map_err(|e| e.0)
+                .and_then(|t| {
+                    buffer.fit(&t.row())?;
+                    match (t.actions.iter().zip(head_sizes)).position(|(a, size)| a >= size) {
+                        Some(h) => Err(format!(
+                            "field `actions`: action {} of head {h}, which has {}",
+                            t.actions[h], head_sizes[h]
+                        )),
+                        None => Ok(t),
+                    }
+                });
+            match checked {
+                Ok(t) => buffer.push_row(t.row()),
+                Err(e) => return Err(DeError::new(format!("transition {i}: {e}"))),
+            }
+        }
+        Ok(buffer)
+    }
+}
+
+impl Serialize for ReplayBuffer {
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("items");
+        w.begin_array();
+        for row in self.rows() {
+            w.elem();
+            row.serialize(w);
+        }
+        w.end_array();
+        w.key("cap");
+        self.cap.serialize(w);
+        w.end_object();
+    }
+}
+
+/// The minibatch of one update, gathered row by row into contiguous
+/// arrays: the update reads nothing else of its transitions.
+#[derive(Debug, Clone, Default)]
+struct Minibatch {
+    /// Batch-major states.
+    x: Vec<f32>,
+    /// Batch-major chosen actions, one per head.
+    actions: Vec<usize>,
+    logp: Vec<f32>,
+    advantage: Vec<f32>,
+    value_target: Vec<f32>,
+    /// Batch-major validity of every action, laid out like a row of
+    /// logits; a head without a mask is all `true`.
+    valid: Vec<bool>,
+}
+
+impl Minibatch {
+    /// Refills the arrays from `rows`, for heads at `offsets`.
+    fn gather<'a>(&mut self, rows: impl Iterator<Item = Row<'a>>, offsets: &[usize]) {
+        let heads = offsets.len() - 1;
+        let total = offsets[heads];
+        self.x.clear();
+        self.actions.clear();
+        self.logp.clear();
+        self.advantage.clear();
+        self.value_target.clear();
+        self.valid.clear();
+        for row in rows {
+            self.x.extend_from_slice(row.state);
+            self.actions.extend_from_slice(&row.actions[..heads]);
+            self.logp.push(row.logp);
+            self.advantage.push(row.advantage);
+            self.value_target.push(row.value_target);
+            let first = self.valid.len();
+            self.valid.resize(first + total, true);
+            for (h, at) in offsets.windows(2).enumerate() {
+                if let Some(mask) = row.masks.head(h) {
+                    self.valid[first + at[0]..first + at[1]]
+                        .copy_from_slice(&mask[..at[1] - at[0]]);
+                }
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.logp.len()
     }
 }
 
 /// Reused rows of [`PpoAgent::act_batch`] and the PPO update: nothing here
-/// outlives a call, it only keeps its allocations.
+/// outlives a call, it only keeps its allocations. Every per-action array
+/// is batch-major and laid out like a row of logits — the heads side by
+/// side at the policy's [`MultiHeadPolicy::head_offsets`].
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// Buffer positions of the sampled minibatch.
     sample: Vec<usize>,
-    /// Batch-major states of the minibatch.
-    x: Vec<f32>,
-    /// Per-head batch-major softmax rows of the minibatch (or tracks).
-    probs: Vec<Vec<f32>>,
+    /// The minibatch itself.
+    batch: Minibatch,
+    /// The policy's head offsets, copied out of its borrow.
+    offsets: Vec<usize>,
+    /// Softmax rows of the minibatch (or tracks).
+    probs: Vec<f32>,
     /// `ln` of each of those cells (`-inf` where `p` is masked to 0).
-    ln_probs: Vec<Vec<f32>>,
-    /// `−p·ln p` per cell of the head at hand, batch-major.
+    ln_probs: Vec<f32>,
+    /// `−p·ln p` per cell.
     entropy_terms: Vec<f32>,
     /// Per sample: `logp_new − logp_old`, then the probability ratio.
     ratios: Vec<f32>,
     /// Per sample: `dL/dlogp_new`.
     dlogp: Vec<f32>,
-    /// Per-head batch-major logit gradients.
-    grad_logits: Vec<Vec<f32>>,
+    /// Logit gradients.
+    grad_logits: Vec<f32>,
     /// Critic output gradient, one per sample.
     grad_v: Vec<f32>,
     /// The draws of the last [`PpoAgent::act_batch`], row-major.
@@ -387,6 +754,14 @@ pub struct PpoHealth {
     pub adv_mean: f64,
     /// Their variance.
     pub adv_var: f64,
+    /// Transitions in the replay buffer now.
+    pub buffer_len: u64,
+    /// Transitions the buffer overwrote since the last take.
+    pub evicted: u64,
+    /// Mean, over the samples [`PpoAgent::train_step`] drew, of how many
+    /// transitions were recorded after the sampled one before it was used:
+    /// how far off-policy the minibatches are.
+    pub sample_age_mean: f64,
 }
 
 /// The running sums behind [`PpoHealth`].
@@ -400,6 +775,9 @@ struct HealthSums {
     value_err_sq: f64,
     adv: f64,
     adv_sq: f64,
+    /// Samples drawn from the buffer, and the sum of their ages.
+    drawn: u64,
+    age: u64,
 }
 
 /// The actor-critic agent.
@@ -408,8 +786,9 @@ struct HealthSums {
 /// per-pass scratch lives in the agent's two workspaces and its reused
 /// rows, and the gradient reduction pool plus tracer are runtime wiring a
 /// checkpoint restore re-applies (`#[serde(skip)]`, like the scoring
-/// pipeline's pool).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// pipeline's pool). Decoded by hand: the replay buffer's rows are
+/// checked against the shapes of the networks decoded before it.
+#[derive(Debug, Clone, Serialize)]
 pub struct PpoAgent {
     /// The multi-head actor network π_θ.
     pub policy: MultiHeadPolicy,
@@ -434,6 +813,45 @@ pub struct PpoAgent {
     tracer: Tracer,
 }
 
+impl<'de> Deserialize<'de> for PpoAgent {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        let policy: MultiHeadPolicy = de::field(v, "policy")?;
+        let critic: Mlp = de::field(v, "critic")?;
+        let shapes = policy.check_shapes().and_then(|()| {
+            critic.check_shapes()?;
+            if (critic.in_dim(), critic.out_dim()) == (policy.state_dim(), 1) {
+                Ok(())
+            } else {
+                Err(format!(
+                    "the critic maps {} inputs to {} outputs, the policy takes {}",
+                    critic.in_dim(),
+                    critic.out_dim(),
+                    policy.state_dim()
+                ))
+            }
+        });
+        shapes.map_err(DeError::new)?;
+        let buffer = v
+            .get("buffer")
+            .ok_or_else(|| DeError::new("missing field `buffer`"))
+            .and_then(|b| ReplayBuffer::decode(b, policy.state_dim(), &policy.head_sizes()))
+            .map_err(|e| DeError::new(format!("field `buffer`: {}", e.0)))?;
+        Ok(PpoAgent {
+            cfg: de::field(v, "cfg")?,
+            updates: de::field(v, "updates")?,
+            policy,
+            critic,
+            buffer,
+            ws_policy: PolicyWorkspace::new(),
+            ws_critic: Workspace::new(),
+            scratch: Scratch::default(),
+            health: HealthSums::default(),
+            pool: ThreadPool::default(),
+            tracer: Tracer::default(),
+        })
+    }
+}
+
 impl PpoAgent {
     /// Fresh agent with randomly initialized actor and critic.
     pub fn new<R: Rng + ?Sized>(
@@ -444,12 +862,12 @@ impl PpoAgent {
     ) -> Self {
         let policy = MultiHeadPolicy::new(state_dim, cfg.hidden, head_sizes, rng);
         let critic = Mlp::new(&[state_dim, cfg.hidden, cfg.hidden, 1], rng);
-        let cap = cfg.buffer_capacity;
+        let buffer = ReplayBuffer::new(cfg.buffer_capacity, state_dim, head_sizes);
         PpoAgent {
             policy,
             critic,
             cfg,
-            buffer: ReplayBuffer::with_capacity(cap),
+            buffer,
             updates: 0,
             ws_policy: PolicyWorkspace::new(),
             ws_critic: Workspace::new(),
@@ -533,30 +951,28 @@ impl PpoAgent {
             self.policy
                 .forward_batch(states, batch, &mut self.ws_policy);
         }
-        let head_sizes = self.policy.head_sizes();
+        let offsets = self.policy.head_offsets();
+        let total = *offsets.last().expect("starts at 0");
         let Scratch {
             probs,
             ln_probs,
             draws,
             ..
         } = &mut self.scratch;
-        probs.resize(head_sizes.len(), Vec::new());
-        ln_probs.resize(head_sizes.len(), Vec::new());
-        for (h, (p, ln_p)) in probs.iter_mut().zip(ln_probs.iter_mut()).enumerate() {
-            let mask_of = |b: usize| head_mask(&masks[b], h);
-            softmax_rows(self.ws_policy.logits(h), head_sizes[h], mask_of, p, ln_p);
-        }
+        let mask_of = |b: usize, h: usize| RowMasks::Lists(&masks[b]).head(h);
+        let logits = self.ws_policy.all_logits();
+        softmax_rows(logits, offsets, mask_of, probs, ln_probs);
         // every slot keeps its action list's allocation across calls
         draws.resize_with(batch * samples, Default::default);
         for (i, (actions, logp)) in draws.iter_mut().enumerate() {
             let b = i / samples;
             actions.clear();
             *logp = 0.0;
-            for ((p, ln_p), &hs) in probs.iter().zip(ln_probs.iter()).zip(&head_sizes) {
-                let row = b * hs..(b + 1) * hs;
-                let a = sample_categorical(&p[row.clone()], rng);
+            for at in offsets.windows(2) {
+                let row = b * total + at[0]..b * total + at[1];
+                let a = sample_categorical(&probs[row.clone()], rng);
                 actions.push(a);
-                *logp += ln_prob(&p[row.clone()], &ln_p[row], a);
+                *logp += ln_prob(&probs[row.clone()], &ln_probs[row], a);
             }
         }
         Draws {
@@ -586,7 +1002,7 @@ impl PpoAgent {
         x.extend_from_slice(&state);
         let out = self.values(&x, 2);
         let (v_next, v) = (out[0], out[1]);
-        self.record_valued(state, actions, logp, reward, v_next, v, masks)
+        self.record_valued(&state, &actions, logp, reward, v_next, v, &masks)
     }
 
     /// [`PpoAgent::record`] for a caller that already holds
@@ -594,27 +1010,29 @@ impl PpoAgent {
     /// `(s′, s)` pairs of all its tracks in one [`PpoAgent::values`] pass
     /// and then records them in track order. No update may run between
     /// that pass and this call, or the estimates are not the critic's.
+    /// Everything is borrowed: the row is copied into the replay buffer's
+    /// own arrays, so the caller keeps (and reuses) its buffers.
     #[allow(clippy::too_many_arguments)]
     pub fn record_valued(
         &mut self,
-        state: Vec<f32>,
-        actions: Vec<usize>,
+        state: &[f32],
+        actions: &[usize],
         logp: f32,
         reward: f32,
         v_next: f32,
         v: f32,
-        masks: Vec<Vec<bool>>,
+        masks: &[Vec<bool>],
     ) -> f32 {
         let advantage = reward + self.cfg.gamma * v_next - v;
         let value_target = reward + self.cfg.gamma * v_next;
-        self.buffer.push(Transition {
+        self.buffer.push_row(Row {
             state,
             actions,
             logp,
             reward,
             advantage,
             value_target,
-            masks,
+            masks: RowMasks::Lists(masks),
         });
         advantage
     }
@@ -625,7 +1043,8 @@ impl PpoAgent {
     }
 
     /// The learner's health over the updates since the last call (all
-    /// zeros, no heads, when there were none); resets the running sums.
+    /// zeros, no heads, when there were none), with the replay buffer's
+    /// length now; resets the running sums.
     pub fn take_health(&mut self) -> PpoHealth {
         let sums = std::mem::take(&mut self.health);
         let n = sums.samples.max(1) as f64;
@@ -639,36 +1058,41 @@ impl PpoAgent {
             value_loss: sums.value_err_sq / n,
             adv_mean,
             adv_var: (sums.adv_sq / n - adv_mean * adv_mean).max(0.0),
+            buffer_len: self.buffer.len() as u64,
+            evicted: self.buffer.take_evicted(),
+            sample_age_mean: sums.age as f64 / sums.drawn.max(1) as f64,
         }
     }
 
     /// One PPO update on a sampled minibatch (Algorithm 1, lines 14–17).
     /// Returns `(policy_loss, value_loss)` averaged over the batch, or
     /// `None` when the buffer is empty. Samples buffer positions and
-    /// updates over references into the buffer, which steps out of the
-    /// agent for the duration of the update.
+    /// gathers their rows out of the buffer's arrays.
     pub fn train_step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<(f32, f32)> {
         if self.buffer.is_empty() {
             return None;
         }
-        let mut sample = std::mem::take(&mut self.scratch.sample);
-        self.buffer
-            .sample_into(self.cfg.minibatch, rng, &mut sample);
-        let buffer = std::mem::take(&mut self.buffer);
-        let losses = self.update(sample.len(), |s| buffer.get(sample[s]));
-        self.buffer = buffer;
-        self.scratch.sample = sample;
-        Some(losses)
+        let Scratch { sample, batch, .. } = &mut self.scratch;
+        self.buffer.sample_into(self.cfg.minibatch, rng, sample);
+        let rows = sample.iter().map(|&position| self.buffer.row(position));
+        batch.gather(rows, self.policy.head_offsets());
+        // rows are oldest first: `len − 1 − position` pushes came after
+        let newest = self.buffer.len() - 1;
+        self.health.drawn += sample.len() as u64;
+        self.health.age += sample.iter().map(|&p| (newest - p) as u64).sum::<u64>();
+        Some(self.update())
     }
 
     /// One PPO update on an explicit minibatch; see [`PpoAgent::train_step`]
     /// for the sampled one. An empty minibatch is no update: `(0.0, 0.0)`
     /// and not a weight, moment or counter moves.
     pub fn train_minibatch(&mut self, batch: &[Transition]) -> (f32, f32) {
-        self.update(batch.len(), |s| &batch[s])
+        let rows = batch.iter().map(Transition::row);
+        self.scratch.batch.gather(rows, self.policy.head_offsets());
+        self.update()
     }
 
-    /// The PPO update over samples `at(0..n_samples)`: a single batched
+    /// The PPO update over the gathered minibatch: a single batched
     /// policy and critic forward, the per-sample surrogate-loss scalars in
     /// sample order, then one batched backward with the parameter
     /// reduction on the agent's pool.
@@ -676,34 +1100,31 @@ impl PpoAgent {
     /// Summation-order inventory (why this is bit-equal to the serial
     /// per-sample loop): loss accumulators and logit gradients are
     /// computed per sample in ascending order from the batched logits
-    /// (whose rows are bit-equal to per-sample forwards); `exp` and `ln`
-    /// are elementwise, so taking them a head (or a minibatch of ratios)
-    /// at a time changes no cell, and each row's softmax denominator and
-    /// entropy stay ascending sums over that row; parameter
+    /// (whose rows are bit-equal to per-sample forwards, one head's
+    /// columns to that head's own GEMM); `exp` and `ln` are elementwise,
+    /// so taking them a minibatch at a time changes no cell, and each
+    /// head's softmax denominator and entropy stay ascending sums over
+    /// that head's cells of the row; parameter
     /// gradients accumulate per cell in ascending sample order inside
     /// [`crate::layers::Linear::backward_batch`] regardless of pool
     /// width; and the policy-then-critic phase split is exact because the
     /// two networks share no accumulator.
-    fn update<'a>(&mut self, n_samples: usize, at: impl Fn(usize) -> &'a Transition) -> (f32, f32) {
+    fn update(&mut self) -> (f32, f32) {
+        let n_samples = self.scratch.batch.len();
         if n_samples == 0 {
             // no sample, no gradient: an Adam step on zeros would still
             // move every weight by its momentum
             return (0.0, 0.0);
         }
         let n = n_samples as f32;
-        let batch = || (0..n_samples).map(&at);
         self.policy.zero_grad();
         self.critic.zero_grad();
         let mut policy_loss_acc = 0.0f32;
         let mut value_loss_acc = 0.0f32;
 
-        // advantage normalisation stabilises small batches
-        let mean_a: f32 = batch().map(|t| t.advantage).sum::<f32>() / n;
-        let var_a: f32 = batch().map(|t| (t.advantage - mean_a).powi(2)).sum::<f32>() / n;
-        let std_a = var_a.sqrt().max(1e-6);
-
         let Scratch {
-            x,
+            batch,
+            offsets,
             probs,
             ln_probs,
             entropy_terms,
@@ -713,10 +1134,18 @@ impl PpoAgent {
             grad_v,
             ..
         } = &mut self.scratch;
-        x.clear();
-        for t in batch() {
-            x.extend_from_slice(&t.state);
-        }
+        offsets.clear();
+        offsets.extend_from_slice(self.policy.head_offsets());
+        let heads = offsets.len() - 1;
+        let total = offsets[heads];
+
+        // advantage normalisation stabilises small batches
+        let mean_a: f32 = batch.advantage.iter().sum::<f32>() / n;
+        let var_a: f32 = (batch.advantage.iter())
+            .map(|a| (a - mean_a).powi(2))
+            .sum::<f32>()
+            / n;
+        let std_a = var_a.sqrt().max(1e-6);
 
         // --- actor: one batched forward, per-sample surrogate scalars ---
         {
@@ -728,41 +1157,41 @@ impl PpoAgent {
                     ("backend", harl_simd::backend_name().into()),
                 ],
             );
-            self.policy.forward_batch(x, n_samples, &mut self.ws_policy);
+            self.policy
+                .forward_batch(&batch.x, n_samples, &mut self.ws_policy);
         }
-        let head_sizes = self.policy.head_sizes();
-        let chosen = |t: &Transition, h: usize| t.actions[h].min(head_sizes[h] - 1);
-        probs.resize(head_sizes.len(), Vec::new());
-        ln_probs.resize(head_sizes.len(), Vec::new());
-        grad_logits.resize(head_sizes.len(), Vec::new());
+        let chosen =
+            |s: usize, h: usize| batch.actions[s * heads + h].min(offsets[h + 1] - offsets[h] - 1);
         let health = &mut self.health;
         health.updates += 1;
         health.samples += n_samples as u64;
-        health.entropy.resize(head_sizes.len(), 0.0);
+        health.entropy.resize(heads, 0.0);
 
         // every probability and logarithm of the minibatch: one `exp` and
-        // one `ln` call per head, whole vectors even for a 3-wide head
-        for (h, (p, ln_p)) in probs.iter_mut().zip(ln_probs.iter_mut()).enumerate() {
-            let mask_of = |s: usize| head_mask(&at(s).masks, h);
-            softmax_rows(self.ws_policy.logits(h), head_sizes[h], mask_of, p, ln_p);
-        }
+        // one `ln` call, whole vectors even for a 3-wide head
+        let valid = &batch.valid;
+        let mask_of = |s: usize, h: usize| {
+            Some(&valid[s * total + offsets[h]..][..offsets[h + 1] - offsets[h]])
+        };
+        let logits = self.ws_policy.all_logits();
+        softmax_rows(logits, offsets, mask_of, probs, ln_probs);
         // the ratios, through one `exp` call
         ratios.clear();
-        for (s, t) in batch().enumerate() {
+        for (s, &logp_old) in batch.logp.iter().enumerate() {
             let mut logp_new = 0.0f32;
-            for (h, &hs) in head_sizes.iter().enumerate() {
-                let row = s * hs..(s + 1) * hs;
-                logp_new += ln_prob(&probs[h][row.clone()], &ln_probs[h][row], chosen(t, h));
+            for (h, at) in offsets.windows(2).enumerate() {
+                let row = s * total + at[0]..s * total + at[1];
+                logp_new += ln_prob(&probs[row.clone()], &ln_probs[row], chosen(s, h));
             }
-            let log_ratio = logp_new - t.logp;
+            let log_ratio = logp_new - logp_old;
             health.kl -= f64::from(log_ratio);
             ratios.push(log_ratio.clamp(-20.0, 20.0));
         }
         harl_simd::exp_inplace(ratios);
         let (clip_lo, clip_hi) = (1.0 - self.cfg.clip, 1.0 + self.cfg.clip);
         dlogp.clear();
-        for (t, &ratio) in batch().zip(ratios.iter()) {
-            let adv = (t.advantage - mean_a) / std_a;
+        for (&advantage, &ratio) in batch.advantage.iter().zip(ratios.iter()) {
+            let adv = (advantage - mean_a) / std_a;
             let surr1 = ratio * adv;
             let surr2 = ratio.clamp(clip_lo, clip_hi) * adv;
             let loss_pi = -surr1.min(surr2);
@@ -770,45 +1199,41 @@ impl PpoAgent {
             // dL/dlogp_new: −A·ratio when the unclipped branch is active
             dlogp.push(if surr1 <= surr2 { -adv * ratio } else { 0.0 });
             health.clipped += u64::from(!(clip_lo..=clip_hi).contains(&ratio));
-            health.adv += f64::from(t.advantage);
-            health.adv_sq += f64::from(t.advantage) * f64::from(t.advantage);
+            health.adv += f64::from(advantage);
+            health.adv_sq += f64::from(advantage) * f64::from(advantage);
         }
         // entropy and logit gradients. Both passes are selects over whole
         // rows, so they run in vector lanes: a masked cell adds −0.0 to the
         // entropy (the identity of the sum, which stays one ascending chain
-        // per row) and gets a +0.0 gradient; the chosen action's cell is
-        // patched after its row's pass
+        // per head and row) and gets a +0.0 gradient; the chosen action's
+        // cell is patched after its head's pass
         let entropy_weight = self.cfg.entropy_weight;
-        for (h, &hs) in head_sizes.iter().enumerate() {
-            let (p, ln_p) = (&probs[h], &ln_probs[h]);
-            entropy_terms.clear();
-            entropy_terms.extend(p.iter().zip(ln_p).map(
-                |(&p, &ln_p)| {
-                    if p > 0.0 {
-                        -p * ln_p
-                    } else {
-                        -0.0
-                    }
-                },
-            ));
-            let grad = &mut grad_logits[h];
-            grad.clear();
-            grad.resize(n_samples * hs, 0.0);
-            for (s, t) in batch().enumerate() {
-                let row = s * hs..(s + 1) * hs;
+        entropy_terms.clear();
+        entropy_terms.extend(probs.iter().zip(ln_probs.iter()).map(|(&p, &ln_p)| {
+            if p > 0.0 {
+                -p * ln_p
+            } else {
+                -0.0
+            }
+        }));
+        grad_logits.clear();
+        grad_logits.resize(n_samples * total, 0.0);
+        for (s, &dlogp) in dlogp.iter().enumerate() {
+            for (h, at) in offsets.windows(2).enumerate() {
+                let row = s * total + at[0]..s * total + at[1];
                 let entropy: f32 = entropy_terms[row.clone()].iter().sum();
                 health.entropy[h] += f64::from(entropy);
-                let dlogp = dlogp[s];
                 let cell = |p: f32, ln_p: f32, onehot: f32| {
                     let d_logp = onehot - p;
                     let d_ent = -p * (ln_p + entropy);
                     dlogp * d_logp - entropy_weight * d_ent
                 };
-                let (p, ln_p, grad) = (&p[row.clone()], &ln_p[row.clone()], &mut grad[row]);
+                let (p, ln_p) = (&probs[row.clone()], &ln_probs[row.clone()]);
+                let grad = &mut grad_logits[row];
                 for ((&p, &ln_p), slot) in p.iter().zip(ln_p).zip(grad.iter_mut()) {
                     *slot = if p > 0.0 { cell(p, ln_p, 0.0) } else { 0.0 };
                 }
-                let a = chosen(t, h);
+                let a = chosen(s, h);
                 if p[a] > 0.0 {
                     grad[a] = cell(p[a], ln_p[a], 1.0);
                 }
@@ -825,11 +1250,12 @@ impl PpoAgent {
                     ("backend", harl_simd::backend_name().into()),
                 ],
             );
-            self.critic.forward_batch(x, n_samples, &mut self.ws_critic)
+            self.critic
+                .forward_batch(&batch.x, n_samples, &mut self.ws_critic)
         };
         grad_v.clear();
-        for (t, &value) in batch().zip(values) {
-            let err = value - t.value_target;
+        for (&target, &value) in batch.value_target.iter().zip(values) {
+            let err = value - target;
             value_loss_acc += self.cfg.value_weight * err * err;
             grad_v.push(2.0 * self.cfg.value_weight * err);
             health.value_err_sq += f64::from(err) * f64::from(err);
@@ -857,25 +1283,36 @@ impl PpoAgent {
     }
 }
 
-/// One head's softmax rows for a whole batch (`logits` is batch-major,
-/// `width` cells a row, row `b` masked by `mask_of(b)`) into `p`, and their
-/// logarithms into `ln_p`: one lane `exp` and one lane `ln` call, each row
-/// bit-equal to [`crate::mlp::masked_softmax_into`] of that row.
+/// The softmax of every head of every row (`logits` is batch-major, a row
+/// holding the heads side by side at `offsets`, head `h` of row `b` masked
+/// by `mask_of(b, h)`) into `p`, and their logarithms into `ln_p`: one lane
+/// `exp` and one lane `ln` call for the whole batch, each head's cells of
+/// each row bit-equal to [`crate::mlp::masked_softmax_into`] of them.
 fn softmax_rows<'m>(
     logits: &[f32],
-    width: usize,
-    mask_of: impl Fn(usize) -> Option<&'m [bool]>,
+    offsets: &[usize],
+    mask_of: impl Fn(usize, usize) -> Option<&'m [bool]>,
     p: &mut Vec<f32>,
     ln_p: &mut Vec<f32>,
 ) {
+    let total = *offsets.last().expect("starts at 0");
     p.clear();
     p.resize(logits.len(), 0.0);
-    let rows = logits.chunks_exact(width).zip(p.chunks_exact_mut(width));
+    if total == 0 {
+        return;
+    }
+    let rows = logits.chunks_exact(total).zip(p.chunks_exact_mut(total));
     for (b, (z, row)) in rows.enumerate() {
-        shift_logits(z, mask_of(b), row);
+        for (h, at) in offsets.windows(2).enumerate() {
+            shift_logits(&z[at[0]..at[1]], mask_of(b, h), &mut row[at[0]..at[1]]);
+        }
     }
     harl_simd::exp_inplace(p);
-    p.chunks_exact_mut(width).for_each(normalize);
+    for row in p.chunks_exact_mut(total) {
+        for at in offsets.windows(2) {
+            normalize(&mut row[at[0]..at[1]]);
+        }
+    }
     ln_p.clear();
     ln_p.extend_from_slice(p);
     harl_simd::ln_inplace(ln_p);
@@ -890,12 +1327,6 @@ fn ln_prob(p: &[f32], ln_p: &[f32], a: usize) -> f32 {
     } else {
         harl_simd::ln_lane(FLOOR)
     }
-}
-
-/// Head `h`'s mask among a transition's (or track's) masks; a missing or
-/// empty mask means "all valid".
-fn head_mask(masks: &[Vec<bool>], h: usize) -> Option<&[bool]> {
-    masks.get(h).filter(|m| !m.is_empty()).map(|m| m.as_slice())
 }
 
 #[cfg(test)]
@@ -1176,7 +1607,7 @@ mod tests {
 
     #[test]
     fn replay_buffer_caps() {
-        let mut buf = ReplayBuffer::with_capacity(4);
+        let mut buf = ReplayBuffer::new(4, 1, &[1]);
         for i in 0..10 {
             buf.push(Transition {
                 state: vec![i as f32],
@@ -1189,6 +1620,280 @@ mod tests {
             });
         }
         assert_eq!(buf.len(), 4);
+        assert_eq!(buf.take_evicted(), 6);
+        let kept: Vec<f32> = (0..4).map(|i| buf.get(i).state[0]).collect();
+        assert_eq!(kept, [6.0, 7.0, 8.0, 9.0], "oldest first");
+    }
+
+    /// The replay buffer this crate shipped before the ring, kept as its
+    /// oracle: a deque of owned transitions, serialized by the derive.
+    #[derive(Serialize)]
+    struct DequeBuffer {
+        items: std::collections::VecDeque<Transition>,
+        cap: usize,
+    }
+
+    impl DequeBuffer {
+        fn push(&mut self, t: Transition) {
+            self.items.push_back(t);
+            while self.cap > 0 && self.items.len() > self.cap {
+                self.items.pop_front();
+            }
+        }
+
+        fn sample_into(&self, n: usize, rng: &mut StdRng, positions: &mut Vec<usize>) {
+            positions.clear();
+            positions.extend(0..self.items.len());
+            positions.shuffle(rng);
+            positions.truncate(n);
+        }
+    }
+
+    /// A transition that fits `heads` after a `STATE_DIM`-wide state:
+    /// short or full mask lists, empty and full entries.
+    fn random_transition(rng: &mut StdRng, state_dim: usize, heads: &[usize]) -> Transition {
+        let listed = rng.gen_range(0..=heads.len());
+        Transition {
+            state: (0..state_dim).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+            actions: heads.iter().map(|&n| rng.gen_range(0..n)).collect(),
+            logp: rng.gen_range(-3.0..0.0),
+            reward: rng.gen_range(-1.0..1.0),
+            advantage: rng.gen_range(-1.0..1.0),
+            value_target: rng.gen_range(-1.0..1.0),
+            masks: heads[..listed]
+                .iter()
+                .map(|&n| {
+                    if rng.gen_range(0..3) == 0 {
+                        Vec::new()
+                    } else {
+                        (0..n).map(|_| rng.gen_range(0..3) != 0).collect()
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    fn transition_text(t: &Transition) -> String {
+        serde_json::to_string(t).unwrap()
+    }
+
+    #[test]
+    fn the_ring_is_the_deque_it_replaced() {
+        // random pushes through eviction and wrap-around, a `clear`, and
+        // samples in between: same rows in the same order, same serialized
+        // text, same sampled positions from the same RNG stream, and a
+        // decode of that text is the same buffer again
+        const STATE_DIM: usize = 3;
+        const HEADS: [usize; 3] = [5, 1, 3];
+        for cap in [1usize, 2, 3, 4096, 0] {
+            let mut rng = StdRng::seed_from_u64(900 + cap as u64);
+            let mut ring = ReplayBuffer::new(cap, STATE_DIM, &HEADS);
+            let mut deque = DequeBuffer {
+                items: Default::default(),
+                cap,
+            };
+            let (mut rng_r, mut rng_d) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+            let (mut picked_r, mut picked_d) = (Vec::new(), Vec::new());
+            let mut evicted = 0;
+            for round in 0..40 {
+                for _ in 0..rng.gen_range(0..9usize) {
+                    let t = random_transition(&mut rng, STATE_DIM, &HEADS);
+                    evicted += u64::from(cap > 0 && deque.items.len() == cap);
+                    deque.push(t.clone());
+                    ring.push(t);
+                }
+                if round == 17 {
+                    ring.clear();
+                    deque.items.clear();
+                }
+                assert_eq!(ring.len(), deque.items.len(), "cap {cap}, round {round}");
+                assert_eq!(ring.is_empty(), deque.items.is_empty());
+                for (i, want) in deque.items.iter().enumerate() {
+                    let got = transition_text(&ring.get(i));
+                    assert_eq!(got, transition_text(want), "cap {cap}, row {i}");
+                }
+                let text = serde_json::to_string(&ring).unwrap();
+                assert_eq!(text, serde_json::to_string(&deque).unwrap(), "cap {cap}");
+                let back = ReplayBuffer::decode(&Value::parse(&text).unwrap(), STATE_DIM, &HEADS)
+                    .expect("its own text decodes");
+                assert_eq!(serde_json::to_string(&back).unwrap(), text, "cap {cap}");
+                ring.sample_into(4, &mut rng_r, &mut picked_r);
+                deque.sample_into(4, &mut rng_d, &mut picked_d);
+                assert_eq!(picked_r, picked_d, "cap {cap}, round {round}");
+            }
+            assert_eq!(ring.take_evicted(), evicted, "cap {cap}");
+            assert_eq!(rng_r.gen::<u64>(), rng_d.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn a_minibatch_gathers_the_same_arrays_from_rows_and_from_transitions() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let heads = [4usize, 3];
+        let offsets = [0usize, 4, 7];
+        let mut ring = ReplayBuffer::new(5, 6, &heads);
+        let mut owned = std::collections::VecDeque::new();
+        for _ in 0..12 {
+            let t = random_transition(&mut rng, 6, &heads);
+            owned.push_back(t.clone());
+            if owned.len() > 5 {
+                owned.pop_front();
+            }
+            ring.push(t);
+        }
+        let (mut from_rows, mut from_owned) = (Minibatch::default(), Minibatch::default());
+        from_rows.gather(ring.rows(), &offsets);
+        from_owned.gather(owned.iter().map(Transition::row), &offsets);
+        assert_eq!(from_rows.len(), 5);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (a, b) in [
+            (&from_rows.x, &from_owned.x),
+            (&from_rows.logp, &from_owned.logp),
+            (&from_rows.advantage, &from_owned.advantage),
+            (&from_rows.value_target, &from_owned.value_target),
+        ] {
+            assert_eq!(bits(a), bits(b));
+        }
+        assert_eq!(from_rows.actions, from_owned.actions);
+        assert_eq!(from_rows.valid, from_owned.valid);
+        // a missing or empty entry is all valid, a full one itself
+        for (s, t) in owned.iter().enumerate() {
+            for (h, at) in offsets.windows(2).enumerate() {
+                let got = &from_rows.valid[s * 7 + at[0]..s * 7 + at[1]];
+                match t.masks.get(h).filter(|m| !m.is_empty()) {
+                    Some(mask) => assert_eq!(got, &mask[..]),
+                    None => assert!(got.iter().all(|&v| v)),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transitions_that_do_not_fit_the_agent_are_decode_errors() {
+        // a checkpoint is outside input: every way a row can miss the
+        // networks' shapes is refused with the row and the field named,
+        // where it used to panic in the first update
+        let (agent, _) = corridor_agent(&[3, 2], 6, 47);
+        let good = serde_json::to_string(&agent).unwrap();
+        assert!(serde_json::from_str::<PpoAgent>(&good).is_ok());
+        let row = |state: &str, actions: &str, masks: &str| {
+            format!(
+                r#"{{"state":"{state}","actions":{actions},"logp":"00000000","reward":"00000000","advantage":"00000000","value_target":"00000000","masks":{masks}}}"#
+            )
+        };
+        let state = "0000803f".repeat(5);
+        let ok = row(&state, "[2,1]", r#"["101",""]"#);
+        let with_buffer = |items: &str, cap: usize| {
+            let at = good.find(r#""buffer":"#).unwrap();
+            let end = good[at..].find(r#","updates""#).unwrap() + at;
+            format!(
+                r#"{}"buffer":{{"items":[{items}],"cap":{cap}}}{}"#,
+                &good[..at],
+                &good[end..]
+            )
+        };
+        let decoded = serde_json::from_str::<PpoAgent>(&with_buffer(&ok, 4)).unwrap();
+        assert_eq!(decoded.buffer.len(), 1);
+        let two = format!("{ok},{ok}");
+        for (what, text, reasons) in [
+            (
+                "short state",
+                with_buffer(&row(&state[8..], "[2,1]", "[]"), 4),
+                ["transition 0", "`state`"],
+            ),
+            (
+                "too few actions",
+                with_buffer(&format!("{ok},{}", row(&state, "[2]", "[]")), 4),
+                ["transition 1", "`actions`"],
+            ),
+            (
+                "action outside its head",
+                with_buffer(&row(&state, "[2,2]", "[]"), 4),
+                ["transition 0", "`actions`"],
+            ),
+            (
+                "more masks than heads",
+                with_buffer(&row(&state, "[0,0]", r#"["","",""]"#), 4),
+                ["transition 0", "`masks`"],
+            ),
+            (
+                "a mask of the wrong length",
+                with_buffer(&row(&state, "[0,0]", r#"["","101"]"#), 4),
+                ["transition 0", "`masks`"],
+            ),
+            (
+                "more items than the capacity",
+                with_buffer(&two, 1),
+                ["`items`", "capacity 1"],
+            ),
+        ] {
+            let err = serde_json::from_str::<PpoAgent>(&text).unwrap_err();
+            let msg = err.to_string();
+            for reason in reasons {
+                assert!(msg.contains(reason), "{what}: {msg}");
+            }
+            assert!(msg.contains("`buffer`"), "{what}: {msg}");
+        }
+        // an unbounded buffer takes any number of rows
+        assert_eq!(
+            serde_json::from_str::<PpoAgent>(&with_buffer(&two, 0))
+                .unwrap()
+                .buffer
+                .len(),
+            2
+        );
+    }
+
+    #[test]
+    fn networks_that_do_not_fit_each_other_are_decode_errors() {
+        let (agent, _) = corridor_agent(&[3], 1, 48);
+        let good = serde_json::to_string(&agent).unwrap();
+        // a critic over 4 inputs under a policy over 5
+        let mut rng = StdRng::seed_from_u64(1);
+        let narrow = serde_json::to_string(&Mlp::new(&[4, 8, 1], &mut rng)).unwrap();
+        let critic_at = good.find(r#""critic":"#).unwrap() + r#""critic":"#.len();
+        let critic_end = good.find(r#","cfg""#).unwrap();
+        let swapped = format!("{}{narrow}{}", &good[..critic_at], &good[critic_end..]);
+        let msg = serde_json::from_str::<PpoAgent>(&swapped)
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("critic"), "{msg}");
+        let empty = format!(
+            r#"{}{{"layers":[],"adam_t":0}}{}"#,
+            &good[..critic_at],
+            &good[critic_end..]
+        );
+        let msg = serde_json::from_str::<PpoAgent>(&empty)
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("without layers"), "{msg}");
+    }
+
+    #[test]
+    fn health_reports_the_buffer_and_how_old_its_samples_were() {
+        // capacity 8, minibatch 64: every update draws the whole buffer,
+        // whose ages are 0…7
+        let mut rng = StdRng::seed_from_u64(53);
+        let cfg = PpoConfig {
+            buffer_capacity: 8,
+            ..Default::default()
+        };
+        let mut agent = PpoAgent::new(5, &[3], cfg, &mut rng);
+        for i in 0..11usize {
+            let (actions, logp) = agent.act(&corridor_state(i % 4), &[], &mut rng);
+            let next = corridor_state(i % 4 + 1);
+            agent.record(corridor_state(i % 4), actions, logp, 0.1, &next, vec![]);
+        }
+        agent.train_step(&mut rng).unwrap();
+        agent.train_step(&mut rng).unwrap();
+        let h = agent.take_health();
+        assert_eq!((h.buffer_len, h.evicted, h.samples), (8, 3, 16));
+        assert_eq!(h.sample_age_mean, 3.5);
+        // explicit minibatches were never in the buffer: no age
+        agent.train_minibatch(&[agent.buffer.get(0)]);
+        let h = agent.take_health();
+        assert_eq!((h.buffer_len, h.evicted, h.samples), (8, 0, 1));
+        assert_eq!(h.sample_age_mean, 0.0);
     }
 
     /// An agent with `n` recorded corridor transitions.
@@ -1224,7 +1929,11 @@ mod tests {
         assert!(agent.critic.state_bits().eq(critic), "critic state moved");
         assert_eq!(agent.num_updates(), updates);
         assert_eq!(agent.value(&corridor_state(2)).to_bits(), probe);
-        assert_eq!(agent.take_health(), PpoHealth::default());
+        let idle = PpoHealth {
+            buffer_len: 12,
+            ..Default::default()
+        };
+        assert_eq!(agent.take_health(), idle);
     }
 
     #[test]
@@ -1232,7 +1941,11 @@ mod tests {
         let (mut watched, mut rng) = corridor_agent(&[3, 2], 40, 29);
         let mut unwatched = watched.clone();
         let mut rng_u = rng.clone();
-        assert_eq!(watched.take_health(), PpoHealth::default());
+        let idle = PpoHealth {
+            buffer_len: 40,
+            ..Default::default()
+        };
+        assert_eq!(watched.take_health(), idle);
         for round in 0..3 {
             for _ in 0..2 {
                 let a = watched.train_step(&mut rng).unwrap();

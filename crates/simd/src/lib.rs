@@ -382,16 +382,95 @@ pub fn gemm_bias_slice(
     out_dim: usize,
     y: &mut [f32],
 ) {
-    // the vector panels write `y` through raw pointers: sizes are checked
-    // in release builds too
     assert_eq!(x.len(), batch * in_dim, "gemm: x is not batch × in_dim");
+    gemm_bias_strided(
+        Strided::rows(x, in_dim),
+        wt,
+        bias,
+        batch,
+        in_dim,
+        out_dim,
+        y,
+    );
+}
+
+/// The left operand of a GEMM, read in place: element `(row, k)` is
+/// `data[row · row_stride + k · k_stride]`. The kernels only ever broadcast
+/// it — one scalar load per row and `k` — so any two strides cost the same
+/// instructions, and a transposed matrix needs no transposed copy.
+#[derive(Debug, Clone, Copy)]
+pub struct Strided<'a> {
+    pub data: &'a [f32],
+    pub row_stride: usize,
+    pub k_stride: usize,
+}
+
+impl<'a> Strided<'a> {
+    /// Row-major `rows × in_dim`: the plain forward operand.
+    pub fn rows(data: &'a [f32], in_dim: usize) -> Self {
+        Strided {
+            data,
+            row_stride: in_dim,
+            k_stride: 1,
+        }
+    }
+
+    /// The transpose of row-major `data` whose rows are `ld` long, from
+    /// its column `first`: row `r` of the operand is column `first + r` of
+    /// `data`, and `k` walks down `data`'s rows.
+    pub fn columns(data: &'a [f32], ld: usize, first: usize) -> Self {
+        Strided {
+            data: &data[first.min(data.len())..],
+            row_stride: 1,
+            k_stride: ld,
+        }
+    }
+
+    /// The same operand from its row `first` on.
+    pub fn from_row(self, first: usize) -> Self {
+        let skip = (first * self.row_stride).min(self.data.len());
+        Strided {
+            data: &self.data[skip..],
+            ..self
+        }
+    }
+}
+
+/// [`gemm_bias_slice`] with the left operand read through its strides:
+/// `y[r·out_dim + o] = bias[o] + Σ_k x(r, k) · wt[k·out_dim + o]` for
+/// `r < rows`, every cell the same bias-then-ascending-`k` chain. `x(r, k)`
+/// is the value the row-major form would hold at `[r][k]`, so a product
+/// over a transposed view has the bits of the product over its transposed
+/// copy.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_bias_strided(
+    x: Strided<'_>,
+    wt: &[f32],
+    bias: &[f32],
+    rows: usize,
+    in_dim: usize,
+    out_dim: usize,
+    y: &mut [f32],
+) {
+    // the vector panels read `x` unchecked and write `y` through raw
+    // pointers: sizes are checked in release builds too
+    if rows > 0 && in_dim > 0 {
+        let last = (rows - 1)
+            .checked_mul(x.row_stride)
+            .zip((in_dim - 1).checked_mul(x.k_stride))
+            .and_then(|(r, k)| r.checked_add(k));
+        assert!(
+            last.is_some_and(|last| last < x.data.len()),
+            "gemm: x ends before rows × in_dim"
+        );
+    }
     assert_eq!(
         wt.len(),
         in_dim * out_dim,
         "gemm: wt is not in_dim × out_dim"
     );
     assert_eq!(bias.len(), out_dim, "gemm: bias is not out_dim");
-    assert_eq!(y.len(), batch * out_dim, "gemm: y is not batch × out_dim");
+    assert_eq!(y.len(), rows * out_dim, "gemm: y is not rows × out_dim");
     let backend = active_backend();
     GEMM_CALLS.fetch_add(1, Ordering::Relaxed);
     // the AVX tiers run the column tail through masked vectors; SSE2 and
@@ -401,18 +480,19 @@ pub fn gemm_bias_slice(
         Backend::Avx2 | Backend::Avx512 => out_dim,
         Backend::Sse2 | Backend::Neon => out_dim - out_dim % backend.lanes(),
     };
-    VECTOR_CELLS.fetch_add((batch * vec_cols) as u64, Ordering::Relaxed);
-    SCALAR_CELLS.fetch_add((batch * (out_dim - vec_cols)) as u64, Ordering::Relaxed);
+    VECTOR_CELLS.fetch_add((rows * vec_cols) as u64, Ordering::Relaxed);
+    SCALAR_CELLS.fetch_add((rows * (out_dim - vec_cols)) as u64, Ordering::Relaxed);
+    let strides = (x.row_stride, x.k_stride);
     let mut bb = 0;
-    while bb < batch {
-        let bend = (bb + MB).min(batch);
+    while bb < rows {
+        let bend = (bb + MB).min(rows);
         for b in bb..bend {
             y[b * out_dim..(b + 1) * out_dim].copy_from_slice(bias);
         }
         let mut kk = 0;
         while kk < in_dim {
             let kend = (kk + KC).min(in_dim);
-            panel_dispatch(backend, x, in_dim, bb, bend, wt, out_dim, kk, kend, y);
+            panel_dispatch(backend, x.data, strides, bb, bend, wt, out_dim, kk, kend, y);
             kk = kend;
         }
         bb = bend;
@@ -425,7 +505,7 @@ pub fn gemm_bias_slice(
 fn panel_dispatch(
     backend: Backend,
     x: &[f32],
-    in_dim: usize,
+    strides: (usize, usize),
     b0: usize,
     b1: usize,
     wt: &[f32],
@@ -436,14 +516,14 @@ fn panel_dispatch(
 ) {
     match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::panel_avx512(x, in_dim, b0, b1, wt, out_dim, k0, k1, y) },
+        Backend::Avx512 => unsafe { x86::panel_avx512(x, strides, b0, b1, wt, out_dim, k0, k1, y) },
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::panel_avx2(x, in_dim, b0, b1, wt, out_dim, k0, k1, y) },
+        Backend::Avx2 => unsafe { x86::panel_avx2(x, strides, b0, b1, wt, out_dim, k0, k1, y) },
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::panel_sse2(x, in_dim, b0, b1, wt, out_dim, k0, k1, y) },
+        Backend::Sse2 => unsafe { x86::panel_sse2(x, strides, b0, b1, wt, out_dim, k0, k1, y) },
         #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::panel(x, in_dim, b0, b1, wt, out_dim, k0, k1, y),
-        _ => scalar::panel(x, in_dim, b0, b1, wt, out_dim, k0, k1, y),
+        Backend::Neon => neon::panel(x, strides, b0, b1, wt, out_dim, k0, k1, y),
+        _ => scalar::panel(x, strides, b0, b1, wt, out_dim, k0, k1, y),
     }
 }
 

@@ -11,7 +11,7 @@ use core::arch::aarch64::*;
 /// 4 rows × 8 cells (2 vectors), accumulators in registers over [k0, k1).
 unsafe fn k4x8(
     x: &[f32],
-    in_dim: usize,
+    (rs, ks): (usize, usize),
     b0: usize,
     wt: &[f32],
     out_dim: usize,
@@ -32,7 +32,7 @@ unsafe fn k4x8(
         let wp = wt.as_ptr().add(k * out_dim + j);
         let w = [vld1q_f32(wp), vld1q_f32(wp.add(4))];
         for r in 0..4 {
-            let xb = vdupq_n_f32(*x.get_unchecked((b0 + r) * in_dim + k));
+            let xb = vdupq_n_f32(*x.get_unchecked((b0 + r) * rs + k * ks));
             for v in 0..2 {
                 acc[r][v] = vaddq_f32(acc[r][v], vmulq_f32(xb, w[v]));
             }
@@ -49,7 +49,7 @@ unsafe fn k4x8(
 /// 1 row × 8 cells (2 vectors).
 unsafe fn k1x8(
     x: &[f32],
-    in_dim: usize,
+    (rs, ks): (usize, usize),
     b0: usize,
     wt: &[f32],
     out_dim: usize,
@@ -62,7 +62,7 @@ unsafe fn k1x8(
     let mut acc = [vld1q_f32(yp0), vld1q_f32(yp0.add(4))];
     for k in k0..k1 {
         let wp = wt.as_ptr().add(k * out_dim + j);
-        let xb = vdupq_n_f32(*x.get_unchecked(b0 * in_dim + k));
+        let xb = vdupq_n_f32(*x.get_unchecked(b0 * rs + k * ks));
         acc[0] = vaddq_f32(acc[0], vmulq_f32(xb, vld1q_f32(wp)));
         acc[1] = vaddq_f32(acc[1], vmulq_f32(xb, vld1q_f32(wp.add(4))));
     }
@@ -75,7 +75,7 @@ unsafe fn k1x8(
 /// scalar column tail last — same shape as the x86 drivers.
 pub fn panel(
     x: &[f32],
-    in_dim: usize,
+    (rs, ks): (usize, usize),
     b0: usize,
     b1: usize,
     wt: &[f32],
@@ -89,22 +89,22 @@ pub fn panel(
         while b + 4 <= b1 {
             let mut j = 0;
             while j + 8 <= out_dim {
-                k4x8(x, in_dim, b, wt, out_dim, j, k0, k1, y);
+                k4x8(x, (rs, ks), b, wt, out_dim, j, k0, k1, y);
                 j += 8;
             }
             if j < out_dim {
-                crate::scalar::panel_cols(x, in_dim, b, b + 4, wt, out_dim, j, k0, k1, y);
+                crate::scalar::panel_cols(x, (rs, ks), b, b + 4, wt, out_dim, j, k0, k1, y);
             }
             b += 4;
         }
         while b < b1 {
             let mut j = 0;
             while j + 8 <= out_dim {
-                k1x8(x, in_dim, b, wt, out_dim, j, k0, k1, y);
+                k1x8(x, (rs, ks), b, wt, out_dim, j, k0, k1, y);
                 j += 8;
             }
             if j < out_dim {
-                crate::scalar::panel_cols(x, in_dim, b, b + 1, wt, out_dim, j, k0, k1, y);
+                crate::scalar::panel_cols(x, (rs, ks), b, b + 1, wt, out_dim, j, k0, k1, y);
             }
             b += 1;
         }

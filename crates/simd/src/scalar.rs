@@ -2,12 +2,13 @@
 //! accumulation order. Every SIMD backend must bit-match these.
 
 /// Accumulates `y[b][o] += Σ_{k∈[k0,k1)} x[b][k] · wt[k][o]` for batch rows
-/// `b ∈ [b0, b1)`. The k-outer / o-inner sweep keeps the inner loop
-/// contiguous (autovectorizable); per cell the order is still ascending `k`.
+/// `b ∈ [b0, b1)`, `x[b][k]` being `x[b · rs + k · ks]`. The k-outer /
+/// o-inner sweep keeps the inner loop contiguous (autovectorizable); per
+/// cell the order is still ascending `k`.
 #[allow(clippy::too_many_arguments)]
 pub fn panel(
     x: &[f32],
-    in_dim: usize,
+    (rs, ks): (usize, usize),
     b0: usize,
     b1: usize,
     wt: &[f32],
@@ -17,10 +18,9 @@ pub fn panel(
     y: &mut [f32],
 ) {
     for b in b0..b1 {
-        let x_row = &x[b * in_dim..(b + 1) * in_dim];
         let y_row = &mut y[b * out_dim..(b + 1) * out_dim];
         for k in k0..k1 {
-            let xv = x_row[k];
+            let xv = x[b * rs + k * ks];
             let w_row = &wt[k * out_dim..(k + 1) * out_dim];
             for (yo, &wo) in y_row.iter_mut().zip(w_row) {
                 *yo += xv * wo;
@@ -35,7 +35,7 @@ pub fn panel(
 #[allow(clippy::too_many_arguments)]
 pub fn panel_cols(
     x: &[f32],
-    in_dim: usize,
+    (rs, ks): (usize, usize),
     b0: usize,
     b1: usize,
     wt: &[f32],
@@ -49,7 +49,7 @@ pub fn panel_cols(
         for j in j0..out_dim {
             let mut acc = y[b * out_dim + j];
             for k in k0..k1 {
-                acc += x[b * in_dim + k] * wt[k * out_dim + j];
+                acc += x[b * rs + k * ks] * wt[k * out_dim + j];
             }
             y[b * out_dim + j] = acc;
         }

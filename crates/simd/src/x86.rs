@@ -23,13 +23,16 @@ use core::arch::x86_64::*;
 
 /// `$mr` rows × `$nv` vectors of `$lanes` cells, k ∈ [k0, k1). `m` is the
 /// lane mask handed to `$load`/`$store` (`()` for the full-width forms).
+/// The left operand is read in place through its strides — element
+/// `(row, k)` at `x[row · rs + k · ks]` — so a transposed view costs no
+/// copy; it is only ever broadcast, one scalar load per row and `k`.
 macro_rules! gemm_kernel {
     ($name:ident, $feat:literal, $lanes:expr, $mr:expr, $nv:expr, $mask:ty,
      $load:expr, $store:expr, $set1:ident, $mul:ident, $add:ident) => {
         #[target_feature(enable = $feat)]
         unsafe fn $name(
             x: &[f32],
-            in_dim: usize,
+            (rs, ks): (usize, usize),
             b0: usize,
             wt: &[f32],
             out_dim: usize,
@@ -55,7 +58,7 @@ macro_rules! gemm_kernel {
                     w[v] = load(wp.add(v * $lanes), m);
                 }
                 for r in 0..$mr {
-                    let xb = $set1(*x.get_unchecked((b0 + r) * in_dim + k));
+                    let xb = $set1(*x.get_unchecked((b0 + r) * rs + k * ks));
                     for v in 0..$nv {
                         acc[r][v] = $add(acc[r][v], $mul(xb, w[v]));
                     }
@@ -184,7 +187,7 @@ sse2_kernel!(k1x4_sse2, 1, 1);
 /// The scalar column tail of `MR` rows, with a tail kernel's signature.
 unsafe fn scalar_tail<const MR: usize>(
     x: &[f32],
-    in_dim: usize,
+    strides: (usize, usize),
     b0: usize,
     wt: &[f32],
     out_dim: usize,
@@ -194,7 +197,7 @@ unsafe fn scalar_tail<const MR: usize>(
     y: &mut [f32],
     (): (),
 ) {
-    crate::scalar::panel_cols(x, in_dim, b0, b0 + MR, wt, out_dim, j, k0, k1, y);
+    crate::scalar::panel_cols(x, strides, b0, b0 + MR, wt, out_dim, j, k0, k1, y);
 }
 
 /// Lane mask of the first `live` (< 16) cells of a zmm vector.
@@ -219,12 +222,12 @@ macro_rules! panel_driver {
         ///
         /// # Safety
         /// Caller must have verified the `$feat` CPU feature is present,
-        /// and that `x`, `wt` and `y` hold `b1 × in_dim`, `k1 × out_dim`
-        /// and `b1 × out_dim` cells.
+        /// that `wt` and `y` hold `k1 × out_dim` and `b1 × out_dim` cells,
+        /// and that `(b1 − 1) · rs + (k1 − 1) · ks` indexes into `x`.
         #[target_feature(enable = $feat)]
         pub unsafe fn $name(
             x: &[f32],
-            in_dim: usize,
+            strides: (usize, usize),
             b0: usize,
             b1: usize,
             wt: &[f32],
@@ -239,15 +242,15 @@ macro_rules! panel_driver {
                 while b + $mr <= b1 {
                     let mut j = 0;
                     while j + $wide <= out_dim {
-                        $k_wide(x, in_dim, b, wt, out_dim, j, k0, k1, y, ());
+                        $k_wide(x, strides, b, wt, out_dim, j, k0, k1, y, ());
                         j += $wide;
                     }
                     while j + $narrow <= out_dim {
-                        $k_narrow(x, in_dim, b, wt, out_dim, j, k0, k1, y, ());
+                        $k_narrow(x, strides, b, wt, out_dim, j, k0, k1, y, ());
                         j += $narrow;
                     }
                     if j < out_dim {
-                        $k_tail(x, in_dim, b, wt, out_dim, j, k0, k1, y, tail);
+                        $k_tail(x, strides, b, wt, out_dim, j, k0, k1, y, tail);
                     }
                     b += $mr;
                 }

@@ -513,13 +513,17 @@ impl RecordStore {
         Ok(())
     }
 
-    /// The latest session checkpoint, if one was written.
+    /// The latest session checkpoint, if one was written. Bytes that are
+    /// not text are damage to the file's contents, like any other byte a
+    /// decoder refuses: a `Format` error, not an I/O one.
     pub fn load_checkpoint(&self) -> Result<Option<String>, StoreError> {
         let path = self.dir.join(CHECKPOINT_FILE);
         if !path.exists() {
             return Ok(None);
         }
-        Ok(Some(fs::read_to_string(path)?))
+        String::from_utf8(fs::read(path)?)
+            .map(Some)
+            .map_err(|e| StoreError::Format(format!("bad checkpoint: {e}")))
     }
 
     /// Removes a previously written checkpoint (e.g. after a completed run).

@@ -128,8 +128,21 @@ impl ActionSpace {
 /// (moving factors across iterators would change loop extents), `i != j`,
 /// and loop `i` currently has a factor > 1 to give away.
 pub fn tile_action_mask(sketch: &Sketch, schedule: &Schedule, space: &ActionSpace) -> Vec<bool> {
+    let mut mask = Vec::new();
+    tile_action_mask_into(sketch, schedule, space, &mut mask);
+    mask
+}
+
+/// [`tile_action_mask`] into a reused row (`mask` is cleared first).
+pub fn tile_action_mask_into(
+    sketch: &Sketch,
+    schedule: &Schedule,
+    space: &ActionSpace,
+    mask: &mut Vec<bool>,
+) {
     let n = space.num_loops;
-    let mut mask = vec![false; space.tile_actions()];
+    mask.clear();
+    mask.resize(space.tile_actions(), false);
     mask[space.tile_dummy()] = true;
     for i in 0..n {
         let (ki, li) = match sketch.loop_position(i) {
@@ -150,7 +163,6 @@ pub fn tile_action_mask(sketch: &Sketch, schedule: &Schedule, space: &ActionSpac
             }
         }
     }
-    mask
 }
 
 /// Mask for the compute-at head.

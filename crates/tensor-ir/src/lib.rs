@@ -25,7 +25,7 @@ pub mod workload_ext;
 
 pub use action::{
     apply_action, apply_action_in_place, compute_at_mask, parallel_mask, tile_action_mask,
-    unroll_mask, Action, ActionSpace, StepDir,
+    tile_action_mask_into, unroll_mask, Action, ActionSpace, StepDir,
 };
 pub use exec::{visit_schedule_order, Tensor};
 pub use features::{

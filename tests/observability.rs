@@ -282,6 +282,16 @@ fn every_harl_round_reports_ppo_health() {
         let n = num_field(line, "updates").expect("updates");
         let samples = num_field(line, "samples").expect("samples");
         assert_eq!(n == 0, samples == 0);
+        // the replay buffer behind those samples: it only fills in a run
+        // this short, and a sample is at most the whole buffer old
+        let buffered = num_field(line, "buffer_len").expect("buffer_len");
+        assert!(buffered > 0 && buffered <= 4096, "buffer_len {buffered}");
+        assert_eq!(num_field(line, "evicted"), Some(0));
+        let age = f64_field(line, "sample_age_mean").expect("sample_age_mean");
+        assert!(
+            (0.0..buffered as f64).contains(&age),
+            "sample_age_mean {age}"
+        );
         // a three-action head's entropy lies in [0, ln 3] (0 when the mask
         // leaves one action)
         let h = f64_field(line, "entropy_head1").unwrap();
