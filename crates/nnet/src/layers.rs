@@ -268,7 +268,7 @@ impl Linear {
         let GradScratch { dw, sums, zeros } = scratch;
 
         // dL/dW = gyᵀ·X; dL/db sums each column of gy, batch in order
-        let gyt = Strided::columns(gy, out_dim, 0);
+        let gyt = Strided::columns(gy, out_dim);
         if std::mem::take(&mut self.zeroed) {
             gemm_on_pool(pool, gyt, x, zeros, batch, in_dim, &mut self.gw);
         } else {
@@ -699,19 +699,19 @@ mod tests {
                 let prev = harl_simd::force_backend(Some(backend));
                 let (mut want, mut got) = (Vec::new(), vec![0.0; out_dim * in_dim]);
                 gemm_bias_into(&gyt, &x, &bias, out_dim, batch, in_dim, &mut want);
-                let view = Strided::columns(&gy, out_dim, 0);
+                let view = Strided::columns(&gy, out_dim);
                 gemm_bias_strided(view, &x, &bias, out_dim, batch, in_dim, &mut got);
                 assert_eq!(bits(&got), bits(&want), "all columns, {shape}");
 
                 let rows = width * in_dim;
                 got.truncate(rows);
-                let view = Strided::columns(&gy, out_dim, first);
+                let view = Strided::columns(&gy, out_dim).from_row(first);
                 gemm_bias_strided(view, &x, &bias, width, batch, in_dim, &mut got);
                 assert_eq!(bits(&got), bits(&want[first * in_dim..]), "tail, {shape}");
 
                 got.resize(batch * in_dim, 0.0);
                 gemm_bias_into(&gathered, &w, &bias, batch, width, in_dim, &mut want);
-                let view = Strided::rows(&gy[first..], out_dim);
+                let view = Strided::rows(&gy, out_dim).from_k(first);
                 gemm_bias_strided(view, &w, &bias, batch, width, in_dim, &mut got);
                 harl_simd::force_backend(prev);
                 assert_eq!(bits(&got), bits(&want), "column range, {shape}");

@@ -245,7 +245,7 @@ impl MultiHeadPolicy {
         ws.dw.resize(total * hidden, 0.0);
         gemm_on_pool(
             pool,
-            Strided::columns(grad_logits, total, 0),
+            Strided::columns(grad_logits, total),
             &ws.trunk_out,
             &mut scratch.zeros,
             batch,
@@ -262,7 +262,7 @@ impl MultiHeadPolicy {
 
         ws.g_trunk.resize(batch * hidden, 0.0);
         for (h, (head, &first)) in self.heads.iter().zip(offsets).enumerate() {
-            let gy = Strided::rows(grad_logits.get(first..).unwrap_or(&[]), total);
+            let gy = Strided::rows(grad_logits, total).from_k(first);
             if h == 0 {
                 head.input_grad(gy, batch, pool, &mut scratch.zeros, &mut ws.g_trunk);
             } else {

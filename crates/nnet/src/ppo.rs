@@ -290,14 +290,13 @@ impl Serialize for Row<'_> {
         packed::write_f32s(w, "reward", &[self.reward]);
         packed::write_f32s(w, "advantage", &[self.advantage]);
         packed::write_f32s(w, "value_target", &[self.value_target]);
-        let masks = self.masks;
-        packed::write_masks(w, "masks", (0..masks.listed()).map(|h| masks.entry(h)));
+        packed::write_masks(w, "masks", self.masks.entries());
         w.end_object();
     }
 }
 
-/// A row's masks: a list with an entry for each of its first
-/// [`RowMasks::listed`] heads, an entry being empty ("all valid") or one
+/// A row's masks: a list with an entry for each of its first few heads
+/// ([`RowMasks::entries`]), an entry being empty ("all valid") or one
 /// `bool` per action of its head.
 #[derive(Debug, Clone, Copy)]
 enum RowMasks<'a> {
@@ -327,6 +326,11 @@ impl<'a> RowMasks<'a> {
             RowMasks::Lists(lists) => lists.len(),
             RowMasks::Flat { kinds, .. } => kinds.iter().take_while(|&&k| k != UNLISTED).count(),
         }
+    }
+
+    /// The list, entry by entry.
+    fn entries(self) -> impl Iterator<Item = &'a [bool]> {
+        (0..self.listed()).map(move |h| self.entry(h))
     }
 
     /// Entry `h < listed()` of the list.
@@ -403,6 +407,13 @@ impl ReplayBuffer {
         }
     }
 
+    /// Where each head's cells sit in a row of masks — and of logits:
+    /// head `h` at `offsets[h]..offsets[h + 1]`, the layout of
+    /// [`MultiHeadPolicy::head_offsets`] for the agent the buffer belongs to.
+    fn head_offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
     fn heads(&self) -> usize {
         self.offsets.len() - 1
     }
@@ -416,8 +427,8 @@ impl ReplayBuffer {
     ///
     /// # Panics
     /// If the transition does not have the buffer's shape: `state_dim`
-    /// state values, one action per head, at most one mask per head, each
-    /// empty or as long as its head.
+    /// state values, one action per head and inside it, at most one mask
+    /// per head, each empty or as long as its head.
     pub fn push(&mut self, t: Transition) {
         self.push_row(t.row());
     }
@@ -446,16 +457,16 @@ impl ReplayBuffer {
         self.scalars[slot] = [row.logp, row.reward, row.advantage, row.value_target];
         let kinds = &mut self.mask_kinds[slot * heads..][..heads];
         let row_cells = &mut self.mask_cells[slot * cells..][..cells];
-        let listed = row.masks.listed();
-        for (h, (kind, at)) in kinds.iter_mut().zip(self.offsets.windows(2)).enumerate() {
-            *kind = if h >= listed {
-                UNLISTED
-            } else if row.masks.entry(h).is_empty() {
-                EMPTY
-            } else {
-                // the cells of the other kinds are never read
-                row_cells[at[0]..at[1]].copy_from_slice(row.masks.entry(h));
-                FULL
+        let mut entries = row.masks.entries();
+        for (kind, at) in kinds.iter_mut().zip(self.offsets.windows(2)) {
+            *kind = match entries.next() {
+                None => UNLISTED,
+                Some([]) => EMPTY,
+                Some(mask) => {
+                    // the cells of the other kinds are never read
+                    row_cells[at[0]..at[1]].copy_from_slice(mask);
+                    FULL
+                }
             };
         }
     }
@@ -476,6 +487,14 @@ impl ReplayBuffer {
                 self.heads()
             ));
         }
+        let sizes = self.offsets.windows(2).map(|at| at[1] - at[0]);
+        if let Some(h) = (row.actions.iter().zip(sizes.clone())).position(|(a, size)| *a >= size) {
+            return Err(format!(
+                "field `actions`: action {} of head {h}, which has {}",
+                row.actions[h],
+                self.offsets[h + 1] - self.offsets[h]
+            ));
+        }
         if row.masks.listed() > self.heads() {
             return Err(format!(
                 "field `masks`: {} masks, the agent has {} heads",
@@ -483,14 +502,11 @@ impl ReplayBuffer {
                 self.heads()
             ));
         }
-        for h in 0..row.masks.listed() {
-            let (len, size) = (
-                row.masks.entry(h).len(),
-                self.offsets[h + 1] - self.offsets[h],
-            );
-            if len != 0 && len != size {
+        for (h, (mask, size)) in row.masks.entries().zip(sizes).enumerate() {
+            if !mask.is_empty() && mask.len() != size {
                 return Err(format!(
-                    "field `masks`: mask {h} has {len} entries, its head {size} actions"
+                    "field `masks`: mask {h} has {} entries, its head {size} actions",
+                    mask.len()
                 ));
             }
         }
@@ -552,9 +568,7 @@ impl ReplayBuffer {
             reward: row.reward,
             advantage: row.advantage,
             value_target: row.value_target,
-            masks: (0..row.masks.listed())
-                .map(|h| row.masks.entry(h).to_vec())
-                .collect(),
+            masks: row.masks.entries().map(<[bool]>::to_vec).collect(),
         }
     }
 
@@ -592,22 +606,11 @@ impl ReplayBuffer {
         }
         let mut buffer = ReplayBuffer::new(cap, state_dim, head_sizes);
         for (i, item) in items.iter().enumerate() {
-            let checked = Transition::deserialize_value(item)
+            let t = Transition::deserialize_value(item)
                 .map_err(|e| e.0)
-                .and_then(|t| {
-                    buffer.fit(&t.row())?;
-                    match (t.actions.iter().zip(head_sizes)).position(|(a, size)| a >= size) {
-                        Some(h) => Err(format!(
-                            "field `actions`: action {} of head {h}, which has {}",
-                            t.actions[h], head_sizes[h]
-                        )),
-                        None => Ok(t),
-                    }
-                });
-            match checked {
-                Ok(t) => buffer.push_row(t.row()),
-                Err(e) => return Err(DeError::new(format!("transition {i}: {e}"))),
-            }
+                .and_then(|t| buffer.fit(&t.row()).map(|()| t))
+                .map_err(|e| DeError::new(format!("transition {i}: {e}")))?;
+            buffer.push_row(t.row());
         }
         Ok(buffer)
     }
@@ -688,8 +691,6 @@ struct Scratch {
     sample: Vec<usize>,
     /// The minibatch itself.
     batch: Minibatch,
-    /// The policy's head offsets, copied out of its borrow.
-    offsets: Vec<usize>,
     /// Softmax rows of the minibatch (or tracks).
     probs: Vec<f32>,
     /// `ln` of each of those cells (`-inf` where `p` is masked to 0).
@@ -817,20 +818,17 @@ impl<'de> Deserialize<'de> for PpoAgent {
     fn deserialize_value(v: &Value) -> Result<Self, DeError> {
         let policy: MultiHeadPolicy = de::field(v, "policy")?;
         let critic: Mlp = de::field(v, "critic")?;
-        let shapes = policy.check_shapes().and_then(|()| {
-            critic.check_shapes()?;
-            if (critic.in_dim(), critic.out_dim()) == (policy.state_dim(), 1) {
-                Ok(())
-            } else {
-                Err(format!(
-                    "the critic maps {} inputs to {} outputs, the policy takes {}",
-                    critic.in_dim(),
-                    critic.out_dim(),
-                    policy.state_dim()
-                ))
-            }
-        });
-        shapes.map_err(DeError::new)?;
+        (policy.check_shapes())
+            .and_then(|()| critic.check_shapes())
+            .map_err(DeError::new)?;
+        if (critic.in_dim(), critic.out_dim()) != (policy.state_dim(), 1) {
+            return Err(DeError::new(format!(
+                "the critic maps {} inputs to {} outputs, the policy takes {}",
+                critic.in_dim(),
+                critic.out_dim(),
+                policy.state_dim()
+            )));
+        }
         let buffer = v
             .get("buffer")
             .ok_or_else(|| DeError::new("missing field `buffer`"))
@@ -1075,7 +1073,7 @@ impl PpoAgent {
         let Scratch { sample, batch, .. } = &mut self.scratch;
         self.buffer.sample_into(self.cfg.minibatch, rng, sample);
         let rows = sample.iter().map(|&position| self.buffer.row(position));
-        batch.gather(rows, self.policy.head_offsets());
+        batch.gather(rows, self.buffer.head_offsets());
         // rows are oldest first: `len − 1 − position` pushes came after
         let newest = self.buffer.len() - 1;
         self.health.drawn += sample.len() as u64;
@@ -1088,7 +1086,8 @@ impl PpoAgent {
     /// and not a weight, moment or counter moves.
     pub fn train_minibatch(&mut self, batch: &[Transition]) -> (f32, f32) {
         let rows = batch.iter().map(Transition::row);
-        self.scratch.batch.gather(rows, self.policy.head_offsets());
+        let offsets = self.buffer.head_offsets();
+        self.scratch.batch.gather(rows, offsets);
         self.update()
     }
 
@@ -1122,9 +1121,11 @@ impl PpoAgent {
         let mut policy_loss_acc = 0.0f32;
         let mut value_loss_acc = 0.0f32;
 
+        // the row layout the buffer shares with the policy, from the side
+        // the backward does not borrow
+        let offsets = self.buffer.head_offsets();
         let Scratch {
             batch,
-            offsets,
             probs,
             ln_probs,
             entropy_terms,
@@ -1134,8 +1135,6 @@ impl PpoAgent {
             grad_v,
             ..
         } = &mut self.scratch;
-        offsets.clear();
-        offsets.extend_from_slice(self.policy.head_offsets());
         let heads = offsets.len() - 1;
         let total = offsets[heads];
 

@@ -406,21 +406,22 @@ pub struct Strided<'a> {
 }
 
 impl<'a> Strided<'a> {
-    /// Row-major `rows × in_dim`: the plain forward operand.
-    pub fn rows(data: &'a [f32], in_dim: usize) -> Self {
+    /// Row-major `data` whose rows are `ld` long: the plain forward
+    /// operand.
+    pub fn rows(data: &'a [f32], ld: usize) -> Self {
         Strided {
             data,
-            row_stride: in_dim,
+            row_stride: ld,
             k_stride: 1,
         }
     }
 
-    /// The transpose of row-major `data` whose rows are `ld` long, from
-    /// its column `first`: row `r` of the operand is column `first + r` of
-    /// `data`, and `k` walks down `data`'s rows.
-    pub fn columns(data: &'a [f32], ld: usize, first: usize) -> Self {
+    /// The transpose of row-major `data` whose rows are `ld` long: row `r`
+    /// of the operand is column `r` of `data`, and `k` walks down `data`'s
+    /// rows.
+    pub fn columns(data: &'a [f32], ld: usize) -> Self {
         Strided {
-            data: &data[first.min(data.len())..],
+            data,
             row_stride: 1,
             k_stride: ld,
         }
@@ -428,9 +429,17 @@ impl<'a> Strided<'a> {
 
     /// The same operand from its row `first` on.
     pub fn from_row(self, first: usize) -> Self {
-        let skip = (first * self.row_stride).min(self.data.len());
+        self.skip(first * self.row_stride)
+    }
+
+    /// The same operand from its reduction index `first` on.
+    pub fn from_k(self, first: usize) -> Self {
+        self.skip(first * self.k_stride)
+    }
+
+    fn skip(self, cells: usize) -> Self {
         Strided {
-            data: &self.data[skip..],
+            data: &self.data[cells.min(self.data.len())..],
             ..self
         }
     }
