@@ -71,6 +71,17 @@ if awk '
     exit 1
 fi
 
+echo "==> no config builder"
+# a config is a pub-field struct, a preset or `Default`, struct-update
+# syntax and `validate()`, checked by the constructor that consumes it: a
+# builder is a second spelling whose check the struct-update sites skip
+# (`SessionBuilder` / `TuningSession::builder()` build a session, not a
+# config, and do not match)
+if grep -rnE 'struct \w+ConfigBuilder|Config::builder\(' crates src examples tests; then
+    echo "FAIL: a *ConfigBuilder or Config::builder( (write the struct literal; the constructor validates)"
+    exit 1
+fi
+
 echo "==> shellcheck ci/*.sh"
 if command -v shellcheck >/dev/null 2>&1; then
     shellcheck ci/*.sh ci/github/*.sh

@@ -34,8 +34,11 @@ done
 
 # the yardstick PR's counts: knobs, bench-only code, committed micro-bench
 # numbers, and the two files it shrank
-echo "distinct HARL_* names in crates src examples tests ci:" \
-    "$(grep -rhoE 'HARL_[A-Z_]*[A-Z]' crates src examples tests ci | sort -u | wc -l)"
+# (environment names only: an identifier a Rust `const`/`static` declares is
+# a name of the program, not of its environment)
+harl_names() { grep -rhoE "$1"'HARL_[A-Z_]*[A-Z]' crates src examples tests ci | grep -oE 'HARL_.*' | sort -u; }
+echo "distinct HARL_* environment names in crates src examples tests ci:" \
+    "$(comm -23 <(harl_names '') <(harl_names '(const|static) ') | wc -l)"
 echo "*.rs lines under crates/bench/benches and shims/criterion:" \
     "$(find crates/bench/benches shims/criterion -name '*.rs' -exec cat {} + 2>/dev/null | wc -l)"
 echo "BENCH_*.json files at the root and under ci/:" \
@@ -52,3 +55,12 @@ echo "all lines in crates/simd/src (tests and tables included):" "$(cat crates/s
 # copy-free backward against the deque, the four head GEMMs and the staged
 # transposes they replaced
 echo "non-test, non-comment lines in crates/nnet/src:" "$(code_lines crates/nnet/src/*.rs)"
+
+# the config PR's counts: the builder types (a config is a struct, a
+# preset or `Default`, struct-update syntax and `validate()`), and the
+# seven files that held the eight of them and `MlpConfig`
+echo "*ConfigBuilder types in crates src examples tests:" \
+    "$(grep -rhoE 'struct \w+ConfigBuilder' crates src examples tests | sort -u | wc -l)"
+echo "non-test, non-comment lines in the seven config files:" \
+    "$(code_lines crates/tensor-sim/src/measure.rs crates/nnet/src/{mlp,ppo}.rs \
+        crates/ansor/src/tuner.rs crates/mcts/src/{tuner,finetune}.rs crates/harl/src/config.rs)"

@@ -11,17 +11,18 @@ echo "==> cargo test -q"
 # shellcheck disable=SC2086  # CARGO_FLAGS is a flag list, word-splitting intended
 cargo test $CARGO_FLAGS -q --workspace
 
-echo "==> tree-fit, tanh, exp/ln and minibatch goldens and the candidate path in a release build"
+echo "==> tree-fit, tanh, exp/ln and minibatch goldens, the candidate path and the two disk fuzzers in a release build"
 # tier-1 is a debug build and benchmark/ a release one: the tie order the
 # pinned trees depend on, the bits of the activation, the softmax and the
 # log-probabilities, and the feature plan's and the folded hash's equality
 # with their references (wrapping arithmetic, no overflow checks) must
 # hold in both; so must the replay buffer's text and the bits of the
-# minibatch path around the pinned update, and a damaged checkpoint must
-# be refused by the optimized decoder as by the checked one
+# minibatch path around the pinned update, and a damaged checkpoint or
+# records file must be refused by the optimized decoder as by the checked
+# one
 # shellcheck disable=SC2086
 cargo test $CARGO_FLAGS -q --release --test gbt_golden --test tanh_golden --test explog_golden \
-    --test candidate_path --test minibatch_golden --test checkpoint_fuzz
+    --test candidate_path --test minibatch_golden --test checkpoint_fuzz --test store_fuzz
 
 echo "==> lane tanh, exp and ln against every backend and the host libm, all 2^32 inputs"
 # the proof that tanh_inplace, exp_inplace and ln_inplace are the libm

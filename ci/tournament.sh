@@ -13,7 +13,7 @@ CARGO_FLAGS=${CARGO_FLAGS:---offline}
 
 echo "==> tournament smoke (2 classes x 5 searchers)"
 # shellcheck disable=SC2086  # CARGO_FLAGS is a flag list, word-splitting intended
-out=$(HARL_TOURNAMENT_SMOKE=1 cargo run $CARGO_FLAGS -q --release --example tournament)
+out=$(cargo run $CARGO_FLAGS -q --release --example tournament -- --smoke)
 printf '%s\n' "$out"
 
 rows=$(printf '%s\n' "$out" | grep -c '^tournament: class=' || true)

@@ -19,7 +19,7 @@ use harl_tensor_ir::{
     apply_action, compute_at_mask, parallel_mask, tile_action_mask, unroll_mask, Action,
     ActionSpace, Schedule, Sketch, StepDir, Target,
 };
-use harl_tensor_sim::TuneTrace;
+use harl_tensor_sim::{ConfigError, TuneTrace};
 use harl_verify::LintStats;
 
 /// Configuration of the fixed-length tuner.
@@ -46,6 +46,22 @@ impl Default for FlextensorConfig {
             train_interval: 2,
             seed: 0xf1e,
         }
+    }
+}
+
+impl FlextensorConfig {
+    /// Checks every field, the nested PPO settings included.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (field, v) in [
+            ("flextensor.episode_len", self.episode_len),
+            ("flextensor.tracks", self.tracks),
+            ("flextensor.train_interval", self.train_interval),
+        ] {
+            if v == 0 {
+                return Err(ConfigError::new(field, "must be positive"));
+            }
+        }
+        self.ppo.validate()
     }
 }
 
@@ -131,6 +147,10 @@ impl Proposer for FlextensorProposer {
     const NAME: &'static str = "flextensor";
     type Config = FlextensorConfig;
     type State = FlextensorTunerState;
+
+    fn validate(cfg: &FlextensorConfig) -> Result<(), ConfigError> {
+        cfg.validate()
+    }
 
     fn new(core: &mut SearchCore<'_>, cfg: FlextensorConfig) -> Self {
         // fixed sketch: the first (plain multi-level tiling) — Table 1.

@@ -23,4 +23,4 @@ pub use flextensor::{
 pub use task_sched::{
     task_gradient, weighted_latency, GradientParams, GreedyTaskScheduler, TaskInfo, TaskState,
 };
-pub use tuner::{AnsorConfig, AnsorConfigBuilder, AnsorProposer, AnsorTuner, AnsorTunerState};
+pub use tuner::{AnsorConfig, AnsorProposer, AnsorTuner, AnsorTunerState};

@@ -53,13 +53,6 @@ impl Default for AnsorConfig {
 }
 
 impl AnsorConfig {
-    /// Starts a validating builder from the defaults.
-    pub fn builder() -> AnsorConfigBuilder {
-        AnsorConfigBuilder {
-            cfg: AnsorConfig::default(),
-        }
-    }
-
     /// Checks every field without consuming the config.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.measure_per_round == 0 {
@@ -89,62 +82,6 @@ impl AnsorConfig {
             }
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`AnsorConfig`].
-#[derive(Debug, Clone)]
-pub struct AnsorConfigBuilder {
-    cfg: AnsorConfig,
-}
-
-impl AnsorConfigBuilder {
-    /// Measurement candidates per exploration round.
-    pub fn measure_per_round(mut self, n: usize) -> Self {
-        self.cfg.measure_per_round = n;
-        self
-    }
-
-    /// Evolutionary-search parameters.
-    pub fn evo(mut self, evo: EvoConfig) -> Self {
-        self.cfg.evo = evo;
-        self
-    }
-
-    /// Cost-model parameters.
-    pub fn gbt(mut self, gbt: GbtParams) -> Self {
-        self.cfg.gbt = gbt;
-        self
-    }
-
-    /// Fixed simulated overhead charged per round.
-    pub fn round_overhead(mut self, secs: f64) -> Self {
-        self.cfg.round_overhead = secs;
-        self
-    }
-
-    /// Simulated seconds per cost-model evaluation.
-    pub fn eval_cost(mut self, secs: f64) -> Self {
-        self.cfg.eval_cost = secs;
-        self
-    }
-
-    /// RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Elite pool size carried between rounds.
-    pub fn elite_pool(mut self, n: usize) -> Self {
-        self.cfg.elite_pool = n;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<AnsorConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -208,6 +145,10 @@ impl Proposer for AnsorProposer {
     const NAME: &'static str = "ansor";
     type Config = AnsorConfig;
     type State = AnsorTunerState;
+
+    fn validate(cfg: &AnsorConfig) -> Result<(), ConfigError> {
+        cfg.validate()
+    }
 
     fn new(core: &mut SearchCore<'_>, cfg: AnsorConfig) -> Self {
         let seed = cfg.seed ^ core.graph.name.len() as u64;
@@ -380,16 +321,19 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_fields() {
-        assert!(AnsorConfig::builder().build().is_ok());
-        let err = AnsorConfig::builder().measure_per_round(0).build();
-        assert_eq!(err.unwrap_err().field, "ansor.measure_per_round");
-        let err = AnsorConfig::builder().elite_pool(0).build();
-        assert_eq!(err.unwrap_err().field, "ansor.elite_pool");
-        let err = AnsorConfig::builder().eval_cost(-1.0).build();
-        assert_eq!(err.unwrap_err().field, "ansor.eval_cost");
-        let err = AnsorConfig::builder().round_overhead(f64::NAN).build();
-        assert_eq!(err.unwrap_err().field, "ansor.round_overhead");
+    fn validate_names_the_bad_field() {
+        let base = AnsorConfig::default;
+        assert!(base().validate().is_ok());
+        #[rustfmt::skip]
+        let bad = [
+            ("ansor.measure_per_round", AnsorConfig { measure_per_round: 0, ..base() }),
+            ("ansor.elite_pool", AnsorConfig { elite_pool: 0, ..base() }),
+            ("ansor.eval_cost", AnsorConfig { eval_cost: -1.0, ..base() }),
+            ("ansor.round_overhead", AnsorConfig { round_overhead: f64::NAN, ..base() }),
+        ];
+        for (field, cfg) in bad {
+            assert_eq!(cfg.validate().unwrap_err().field, field);
+        }
     }
 
     #[test]

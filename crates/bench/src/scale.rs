@@ -157,6 +157,14 @@ mod tests {
     }
 
     #[test]
+    fn every_scale_builds_configs_the_searchers_accept() {
+        for s in [Scale::paper(), Scale::fast(), Scale::tiny()] {
+            s.harl_config().validate().unwrap();
+            s.ansor_config().validate().unwrap();
+        }
+    }
+
+    #[test]
     fn fast_scale_is_smaller() {
         let f = Scale::fast();
         let p = Scale::paper();

@@ -196,11 +196,6 @@ impl Default for HarlConfig {
 }
 
 impl HarlConfig {
-    /// Starts a validating builder from the paper defaults.
-    pub fn builder() -> HarlConfigBuilder {
-        HarlConfigBuilder { cfg: Self::paper() }
-    }
-
     /// Checks every field without consuming the config.
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (field, v) in [
@@ -242,117 +237,6 @@ impl HarlConfig {
     }
 }
 
-/// Validating builder for [`HarlConfig`], starting from [`HarlConfig::paper`].
-#[derive(Debug, Clone)]
-pub struct HarlConfigBuilder {
-    cfg: HarlConfig,
-}
-
-impl From<HarlConfig> for HarlConfigBuilder {
-    /// Starts the builder from an existing config (e.g. [`HarlConfig::fast`]).
-    fn from(cfg: HarlConfig) -> Self {
-        HarlConfigBuilder { cfg }
-    }
-}
-
-impl HarlConfigBuilder {
-    /// Window size λ between track eliminations.
-    pub fn lambda(mut self, v: usize) -> Self {
-        self.cfg.lambda = v;
-        self
-    }
-
-    /// Elimination rate ρ per window.
-    pub fn rho(mut self, v: f64) -> Self {
-        self.cfg.rho = v;
-        self
-    }
-
-    /// Minimum surviving track count p̂.
-    pub fn min_tracks(mut self, v: usize) -> Self {
-        self.cfg.min_tracks = v;
-        self
-    }
-
-    /// Schedule tracks sampled per round.
-    pub fn tracks_per_round(mut self, v: usize) -> Self {
-        self.cfg.tracks_per_round = v;
-        self
-    }
-
-    /// Adaptive-stopping toggle.
-    pub fn adaptive_stopping(mut self, v: bool) -> Self {
-        self.cfg.adaptive_stopping = v;
-        self
-    }
-
-    /// Fraction of tracks warm-started from elites.
-    pub fn elite_track_fraction(mut self, v: f64) -> Self {
-        self.cfg.elite_track_fraction = v;
-        self
-    }
-
-    /// PPO settings.
-    pub fn ppo(mut self, v: PpoConfig) -> Self {
-        self.cfg.ppo = v;
-        self
-    }
-
-    /// Cost-model settings.
-    pub fn gbt(mut self, v: GbtParams) -> Self {
-        self.cfg.gbt = v;
-        self
-    }
-
-    /// Top-K measurement candidates per round.
-    pub fn measure_per_round(mut self, v: usize) -> Self {
-        self.cfg.measure_per_round = v;
-        self
-    }
-
-    /// SW-UCB exploration constant `c`.
-    pub fn mab_c(mut self, v: f64) -> Self {
-        self.cfg.mab_c = v;
-        self
-    }
-
-    /// SW-UCB window τ.
-    pub fn mab_tau(mut self, v: usize) -> Self {
-        self.cfg.mab_tau = v;
-        self
-    }
-
-    /// Subgraph-level MAB toggle.
-    pub fn subgraph_mab(mut self, v: bool) -> Self {
-        self.cfg.subgraph_mab = v;
-        self
-    }
-
-    /// Sketch-level MAB toggle.
-    pub fn sketch_mab(mut self, v: bool) -> Self {
-        self.cfg.sketch_mab = v;
-        self
-    }
-
-    /// Bandit algorithm for both MAB levels.
-    pub fn mab_kind(mut self, v: BanditKind) -> Self {
-        self.cfg.mab_kind = v;
-        self
-    }
-
-    /// RNG seed.
-    pub fn seed(mut self, v: u64) -> Self {
-        self.cfg.seed = v;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<HarlConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,29 +260,24 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_fields() {
-        assert!(HarlConfig::builder().build().is_ok());
-        assert!(HarlConfig::tiny().validate().is_ok());
-        assert!(HarlConfig::fast().validate().is_ok());
-        let err = HarlConfig::builder().measure_per_round(0).build();
-        assert_eq!(err.unwrap_err().field, "harl.measure_per_round");
-        let err = HarlConfig::builder().mab_tau(0).build();
-        assert_eq!(err.unwrap_err().field, "harl.mab_tau");
-        let err = HarlConfig::builder().rho(1.5).build();
-        assert_eq!(err.unwrap_err().field, "harl.rho");
-        let err = HarlConfig::builder().mab_c(f64::NAN).build();
-        assert_eq!(err.unwrap_err().field, "harl.mab_c");
-        let err = HarlConfig::builder().elite_track_fraction(-0.1).build();
-        assert_eq!(err.unwrap_err().field, "harl.elite_track_fraction");
-        let ok = HarlConfig::builder()
-            .lambda(10)
-            .seed(7)
-            .sketch_mab(false)
-            .build()
-            .unwrap();
-        assert_eq!(ok.lambda, 10);
-        assert_eq!(ok.seed, 7);
-        assert!(!ok.sketch_mab);
+    fn validate_names_the_bad_field() {
+        for preset in [HarlConfig::paper, HarlConfig::fast, HarlConfig::tiny] {
+            assert!(preset().validate().is_ok());
+        }
+        let base = HarlConfig::paper;
+        #[rustfmt::skip]
+        let bad = [
+            ("harl.lambda", HarlConfig { lambda: 0, ..base() }),
+            ("harl.measure_per_round", HarlConfig { measure_per_round: 0, ..base() }),
+            ("harl.mab_tau", HarlConfig { mab_tau: 0, ..base() }),
+            ("harl.rho", HarlConfig { rho: 1.5, ..base() }),
+            ("harl.mab_c", HarlConfig { mab_c: f64::NAN, ..base() }),
+            ("harl.elite_track_fraction", HarlConfig { elite_track_fraction: -0.1, ..base() }),
+            ("ppo.minibatch", HarlConfig { ppo: PpoConfig { minibatch: 0, ..Default::default() }, ..base() }),
+        ];
+        for (field, cfg) in bad {
+            assert_eq!(cfg.validate().unwrap_err().field, field);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod session;
 pub mod tuner;
 
 pub use adaptive::{critical_step_histogram, select_survivors, CriticalStep, TrackWindow};
-pub use config::{HarlConfig, HarlConfigBuilder};
+pub use config::HarlConfig;
 pub use episode::{run_episode, EpisodeResult, Visit};
 pub use network::{AnsorNetworkTuner, HarlNetworkTuner, NetRound, NetworkTuner};
 pub use report::{NetworkReport, OperatorReport, SubgraphSummary};

@@ -1172,10 +1172,10 @@ mod tests {
     #[test]
     fn then_finetune_composes_after_every_searcher() {
         let g = workload::gemm(128, 128, 128);
-        let cfg = harl_mcts::FinetuneConfig::builder()
-            .max_trials(24)
-            .build()
-            .unwrap();
+        let cfg = harl_mcts::FinetuneConfig {
+            max_trials: 24,
+            ..Default::default()
+        };
         // storeless sessions keep this test cheap; monotonicity is the
         // property under test, persistence is covered elsewhere
         for which in ["harl", "ansor", "flextensor", "mcts", "cd"] {

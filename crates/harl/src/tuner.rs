@@ -14,7 +14,7 @@ use harl_obs::{FieldValue, Tracer};
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::{ActionSpace, Schedule};
-use harl_tensor_sim::TuneTrace;
+use harl_tensor_sim::{ConfigError, TuneTrace};
 use harl_verify::{check_finite, LintCode, LintStats};
 
 use crate::adaptive::CriticalStep;
@@ -61,11 +61,6 @@ pub struct HarlProposer {
 }
 
 impl HarlProposer {
-    /// Current cost-model sample count (for diagnostics).
-    pub fn cost_model_samples(&self) -> usize {
-        self.cost_model.num_samples()
-    }
-
     /// The on-line cost model (diagnostics; e.g. warm-start checks).
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
@@ -122,6 +117,10 @@ impl Proposer for HarlProposer {
     const NAME: &'static str = "harl";
     type Config = HarlConfig;
     type State = HarlTunerState;
+
+    fn validate(cfg: &HarlConfig) -> Result<(), ConfigError> {
+        cfg.validate()
+    }
 
     fn new(core: &mut SearchCore<'_>, cfg: HarlConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ (core.graph.name.len() as u64) << 3);

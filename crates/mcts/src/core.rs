@@ -24,7 +24,7 @@ use harl_obs::Tracer;
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::{generate_sketches, FeaturePlan, Schedule, Sketch, Subgraph, Target};
-use harl_tensor_sim::{Measurement, Measurer, TuneTrace};
+use harl_tensor_sim::{ConfigError, Measurement, Measurer, TuneTrace};
 use harl_verify::{Analyzer, LintStats};
 
 use crate::finetune::{coordinate_descent, DescentOutcome, FinetuneConfig};
@@ -341,7 +341,11 @@ impl<'m> SearchCore<'m> {
     /// current best schedule under a span named `span`. Monotone —
     /// `best_time` never regresses. Returns the trials spent; without a
     /// best schedule it spends nothing and records nothing.
+    ///
+    /// # Panics
+    /// If `cfg` fails [`FinetuneConfig::validate`].
     pub fn finetune(&mut self, cfg: &FinetuneConfig, span: &str) -> u64 {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let _span = self.tracer.span(span);
         let Some(start) = self.best_schedule.clone() else {
             return 0;
@@ -394,6 +398,11 @@ pub trait Proposer: Sized {
     /// needs a searcher built from the identical workload, config and
     /// seed.
     type State;
+
+    /// The first field of `cfg` that is out of range, if any:
+    /// [`Searcher::new`] refuses such a config before [`Proposer::new`]
+    /// sees it.
+    fn validate(cfg: &Self::Config) -> Result<(), ConfigError>;
 
     /// Proposer state for a fresh search over `core` (which it may cut
     /// down, e.g. to one fixed sketch).
@@ -467,7 +476,11 @@ static NOTHING_SCORED: ScoreStats = ScoreStats {
 
 impl<'m, P: Proposer> Searcher<'m, P> {
     /// A searcher over every sketch `graph` has on the measurer's target.
+    ///
+    /// # Panics
+    /// If `cfg` fails [`Proposer::validate`].
     pub fn new(graph: Subgraph, measurer: &'m Measurer, cfg: P::Config) -> Self {
+        P::validate(&cfg).unwrap_or_else(|e| panic!("{e}"));
         let mut core = SearchCore::new(graph, measurer);
         let proposer = P::new(&mut core, cfg);
         Searcher { core, proposer }
@@ -592,6 +605,10 @@ mod tests {
         /// `(seed, max_rounds)`.
         type Config = (u64, usize);
         type State = ToyState;
+
+        fn validate(_cfg: &(u64, usize)) -> Result<(), ConfigError> {
+            Ok(())
+        }
 
         fn new(_core: &mut SearchCore<'_>, (seed, max_rounds): (u64, usize)) -> Self {
             Toy {

@@ -45,13 +45,6 @@ impl Default for FinetuneConfig {
 }
 
 impl FinetuneConfig {
-    /// Starts a validating builder from the defaults.
-    pub fn builder() -> FinetuneConfigBuilder {
-        FinetuneConfigBuilder {
-            cfg: FinetuneConfig::default(),
-        }
-    }
-
     /// Checks every field without consuming the config.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.max_sweeps == 0 {
@@ -64,38 +57,6 @@ impl FinetuneConfig {
             ));
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`FinetuneConfig`].
-#[derive(Debug, Clone)]
-pub struct FinetuneConfigBuilder {
-    cfg: FinetuneConfig,
-}
-
-impl FinetuneConfigBuilder {
-    /// Hardware-measurement budget for the descent.
-    pub fn max_trials(mut self, n: usize) -> Self {
-        self.cfg.max_trials = n;
-        self
-    }
-
-    /// Full sweeps over all axes before declaring convergence.
-    pub fn max_sweeps(mut self, n: usize) -> Self {
-        self.cfg.max_sweeps = n;
-        self
-    }
-
-    /// Simulated bookkeeping seconds charged per sweep.
-    pub fn sweep_overhead(mut self, secs: f64) -> Self {
-        self.cfg.sweep_overhead = secs;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<FinetuneConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -274,13 +235,6 @@ impl Default for CdConfig {
 }
 
 impl CdConfig {
-    /// Starts a validating builder from the defaults.
-    pub fn builder() -> CdConfigBuilder {
-        CdConfigBuilder {
-            cfg: CdConfig::default(),
-        }
-    }
-
     /// Checks every field without consuming the config.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.measure_per_round == 0 {
@@ -298,50 +252,6 @@ impl CdConfig {
             }
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`CdConfig`].
-#[derive(Debug, Clone)]
-pub struct CdConfigBuilder {
-    cfg: CdConfig,
-}
-
-impl CdConfigBuilder {
-    /// Measurement budget per round.
-    pub fn measure_per_round(mut self, n: usize) -> Self {
-        self.cfg.measure_per_round = n;
-        self
-    }
-
-    /// Axis sweeps per restart.
-    pub fn max_sweeps(mut self, n: usize) -> Self {
-        self.cfg.max_sweeps = n;
-        self
-    }
-
-    /// Fixed simulated overhead charged per round.
-    pub fn round_overhead(mut self, secs: f64) -> Self {
-        self.cfg.round_overhead = secs;
-        self
-    }
-
-    /// Simulated bookkeeping seconds charged per sweep.
-    pub fn sweep_overhead(mut self, secs: f64) -> Self {
-        self.cfg.sweep_overhead = secs;
-        self
-    }
-
-    /// RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<CdConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -390,6 +300,10 @@ impl Proposer for CdProposer {
     const NAME: &'static str = "cd";
     type Config = CdConfig;
     type State = CdTunerState;
+
+    fn validate(cfg: &CdConfig) -> Result<(), ConfigError> {
+        cfg.validate()
+    }
 
     fn new(core: &mut SearchCore<'_>, cfg: CdConfig) -> Self {
         let seed = cfg.seed ^ core.graph.name.len() as u64;
@@ -605,16 +519,26 @@ mod tests {
     }
 
     #[test]
-    fn builders_validate_fields() {
-        assert!(FinetuneConfig::builder().build().is_ok());
-        let err = FinetuneConfig::builder().max_sweeps(0).build();
-        assert_eq!(err.unwrap_err().field, "finetune.max_sweeps");
-        let err = FinetuneConfig::builder().sweep_overhead(-1.0).build();
-        assert_eq!(err.unwrap_err().field, "finetune.sweep_overhead");
-        assert!(CdConfig::builder().build().is_ok());
-        let err = CdConfig::builder().measure_per_round(0).build();
-        assert_eq!(err.unwrap_err().field, "cd.measure_per_round");
-        let err = CdConfig::builder().round_overhead(f64::NAN).build();
-        assert_eq!(err.unwrap_err().field, "cd.round_overhead");
+    fn validate_names_the_bad_field() {
+        let ft = FinetuneConfig::default;
+        assert!(ft().validate().is_ok());
+        #[rustfmt::skip]
+        let bad = [
+            ("finetune.max_sweeps", FinetuneConfig { max_sweeps: 0, ..ft() }),
+            ("finetune.sweep_overhead", FinetuneConfig { sweep_overhead: -1.0, ..ft() }),
+        ];
+        for (field, cfg) in bad {
+            assert_eq!(cfg.validate().unwrap_err().field, field);
+        }
+        let cd = CdConfig::default;
+        assert!(cd().validate().is_ok());
+        #[rustfmt::skip]
+        let bad = [
+            ("cd.measure_per_round", CdConfig { measure_per_round: 0, ..cd() }),
+            ("cd.round_overhead", CdConfig { round_overhead: f64::NAN, ..cd() }),
+        ];
+        for (field, cfg) in bad {
+            assert_eq!(cfg.validate().unwrap_err().field, field);
+        }
     }
 }

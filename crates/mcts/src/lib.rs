@@ -46,7 +46,6 @@ mod tuner;
 
 pub use crate::core::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
 pub use finetune::{
-    coordinate_descent, CdConfig, CdConfigBuilder, CdProposer, CdTuner, CdTunerState,
-    DescentOutcome, FinetuneConfig, FinetuneConfigBuilder,
+    coordinate_descent, CdConfig, CdProposer, CdTuner, CdTunerState, DescentOutcome, FinetuneConfig,
 };
-pub use tuner::{MctsConfig, MctsConfigBuilder, MctsNode, MctsProposer, MctsTuner, MctsTunerState};
+pub use tuner::{MctsConfig, MctsNode, MctsProposer, MctsTuner, MctsTunerState};

@@ -66,13 +66,6 @@ impl Default for MctsConfig {
 }
 
 impl MctsConfig {
-    /// Starts a validating builder from the defaults.
-    pub fn builder() -> MctsConfigBuilder {
-        MctsConfigBuilder {
-            cfg: MctsConfig::default(),
-        }
-    }
-
     /// Checks every field without consuming the config.
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (field, v) in [
@@ -103,80 +96,6 @@ impl MctsConfig {
             }
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`MctsConfig`].
-#[derive(Debug, Clone)]
-pub struct MctsConfigBuilder {
-    cfg: MctsConfig,
-}
-
-impl MctsConfigBuilder {
-    /// Measurement candidates per round.
-    pub fn measure_per_round(mut self, n: usize) -> Self {
-        self.cfg.measure_per_round = n;
-        self
-    }
-
-    /// UCT playouts per round.
-    pub fn playouts_per_round(mut self, n: usize) -> Self {
-        self.cfg.playouts_per_round = n;
-        self
-    }
-
-    /// Random modifications per rollout.
-    pub fn rollout_depth(mut self, n: usize) -> Self {
-        self.cfg.rollout_depth = n;
-        self
-    }
-
-    /// UCB1 exploration constant.
-    pub fn exploration(mut self, c: f64) -> Self {
-        self.cfg.exploration = c;
-        self
-    }
-
-    /// Progressive-widening cap per node.
-    pub fn max_children(mut self, n: usize) -> Self {
-        self.cfg.max_children = n;
-        self
-    }
-
-    /// Tree-size cap.
-    pub fn max_nodes(mut self, n: usize) -> Self {
-        self.cfg.max_nodes = n;
-        self
-    }
-
-    /// Cost-model parameters.
-    pub fn gbt(mut self, gbt: GbtParams) -> Self {
-        self.cfg.gbt = gbt;
-        self
-    }
-
-    /// Fixed simulated overhead charged per round.
-    pub fn round_overhead(mut self, secs: f64) -> Self {
-        self.cfg.round_overhead = secs;
-        self
-    }
-
-    /// Simulated seconds per cost-model evaluation.
-    pub fn eval_cost(mut self, secs: f64) -> Self {
-        self.cfg.eval_cost = secs;
-        self
-    }
-
-    /// RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<MctsConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -401,6 +320,10 @@ impl Proposer for MctsProposer {
     const NAME: &'static str = "mcts";
     type Config = MctsConfig;
     type State = MctsTunerState;
+
+    fn validate(cfg: &MctsConfig) -> Result<(), ConfigError> {
+        cfg.validate()
+    }
 
     fn new(core: &mut SearchCore<'_>, cfg: MctsConfig) -> Self {
         let seed = cfg.seed ^ core.graph.name.len() as u64;
@@ -720,18 +643,20 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_fields() {
-        assert!(MctsConfig::builder().build().is_ok());
-        let err = MctsConfig::builder().measure_per_round(0).build();
-        assert_eq!(err.unwrap_err().field, "mcts.measure_per_round");
-        let err = MctsConfig::builder().playouts_per_round(0).build();
-        assert_eq!(err.unwrap_err().field, "mcts.playouts_per_round");
-        let err = MctsConfig::builder().exploration(f64::NAN).build();
-        assert_eq!(err.unwrap_err().field, "mcts.exploration");
-        let err = MctsConfig::builder().max_nodes(1).build();
-        assert_eq!(err.unwrap_err().field, "mcts.max_nodes");
-        let err = MctsConfig::builder().eval_cost(-1.0).build();
-        assert_eq!(err.unwrap_err().field, "mcts.eval_cost");
+    fn validate_names_the_bad_field() {
+        let base = MctsConfig::default;
+        assert!(base().validate().is_ok());
+        #[rustfmt::skip]
+        let bad = [
+            ("mcts.measure_per_round", MctsConfig { measure_per_round: 0, ..base() }),
+            ("mcts.playouts_per_round", MctsConfig { playouts_per_round: 0, ..base() }),
+            ("mcts.exploration", MctsConfig { exploration: f64::NAN, ..base() }),
+            ("mcts.max_nodes", MctsConfig { max_nodes: 1, ..base() }),
+            ("mcts.eval_cost", MctsConfig { eval_cost: -1.0, ..base() }),
+        ];
+        for (field, cfg) in bad {
+            assert_eq!(cfg.validate().unwrap_err().field, field);
+        }
     }
 
     #[test]

@@ -21,6 +21,6 @@ pub mod policy;
 pub mod ppo;
 
 pub use layers::{GradScratch, Linear, Weights};
-pub use mlp::{masked_softmax, masked_softmax_into, Mlp, MlpConfig, MlpConfigBuilder, Workspace};
+pub use mlp::{masked_softmax, masked_softmax_into, Mlp, Workspace};
 pub use policy::{sample_categorical, MultiHeadPolicy, PolicyWorkspace};
-pub use ppo::{Draws, PpoAgent, PpoConfig, PpoConfigBuilder, PpoHealth, ReplayBuffer, Transition};
+pub use ppo::{Draws, PpoAgent, PpoConfig, PpoHealth, ReplayBuffer, Transition};

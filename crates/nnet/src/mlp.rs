@@ -8,108 +8,10 @@
 //! per-sample design (the caches were `#[serde(skip)]` there too).
 
 use harl_par::ThreadPool;
-use harl_tensor_sim::ConfigError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::layers::{tanh_backward, tanh_forward, GradScratch, Linear};
-
-/// Validated MLP shape: `in_dim → hidden (tanh) × hidden_layers → out_dim`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MlpConfig {
-    /// Input dimensionality.
-    pub in_dim: usize,
-    /// Width of every hidden layer.
-    pub hidden: usize,
-    /// Number of hidden tanh layers.
-    pub hidden_layers: usize,
-    /// Output dimensionality (linear, no activation).
-    pub out_dim: usize,
-}
-
-impl Default for MlpConfig {
-    /// The paper's value/actor trunk shape: two hidden tanh layers of 64.
-    fn default() -> Self {
-        MlpConfig {
-            in_dim: 1,
-            hidden: 64,
-            hidden_layers: 2,
-            out_dim: 1,
-        }
-    }
-}
-
-impl MlpConfig {
-    /// Fluent builder starting from [`MlpConfig::default`].
-    pub fn builder() -> MlpConfigBuilder {
-        MlpConfigBuilder {
-            cfg: MlpConfig::default(),
-        }
-    }
-
-    /// Rejects degenerate shapes before they panic (or silently collapse
-    /// the network) deep inside training.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.in_dim == 0 {
-            return Err(ConfigError::new("mlp.in_dim", "must be at least 1"));
-        }
-        if self.out_dim == 0 {
-            return Err(ConfigError::new("mlp.out_dim", "must be at least 1"));
-        }
-        if self.hidden == 0 {
-            return Err(ConfigError::new("mlp.hidden", "must be at least 1"));
-        }
-        Ok(())
-    }
-
-    /// The layer-size vector `[in, hidden, …, out]` this config describes.
-    pub fn sizes(&self) -> Vec<usize> {
-        let mut sizes = Vec::with_capacity(self.hidden_layers + 2);
-        sizes.push(self.in_dim);
-        sizes.extend(std::iter::repeat_n(self.hidden, self.hidden_layers));
-        sizes.push(self.out_dim);
-        sizes
-    }
-}
-
-/// Builder for [`MlpConfig`]; `build` validates and returns the shared
-/// [`ConfigError`] on rejection.
-#[derive(Debug, Clone)]
-pub struct MlpConfigBuilder {
-    cfg: MlpConfig,
-}
-
-impl MlpConfigBuilder {
-    /// Sets the input dimensionality.
-    pub fn in_dim(mut self, v: usize) -> Self {
-        self.cfg.in_dim = v;
-        self
-    }
-
-    /// Sets the hidden width.
-    pub fn hidden(mut self, v: usize) -> Self {
-        self.cfg.hidden = v;
-        self
-    }
-
-    /// Sets the number of hidden tanh layers.
-    pub fn hidden_layers(mut self, v: usize) -> Self {
-        self.cfg.hidden_layers = v;
-        self
-    }
-
-    /// Sets the output dimensionality.
-    pub fn out_dim(mut self, v: usize) -> Self {
-        self.cfg.out_dim = v;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<MlpConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
 
 /// Caller-owned scratch for one network's forward/backward passes:
 /// batch-major activations, gradient buffers, and the layers' backward
@@ -157,12 +59,6 @@ impl Mlp {
             .map(|w| Linear::new(w[0], w[1], rng))
             .collect();
         Mlp { layers, adam_t: 0 }
-    }
-
-    /// Builds an MLP from a validated [`MlpConfig`].
-    pub fn from_config<R: Rng + ?Sized>(cfg: &MlpConfig, rng: &mut R) -> Result<Self, ConfigError> {
-        cfg.validate()?;
-        Ok(Mlp::new(&cfg.sizes(), rng))
     }
 
     /// Why a decoded network cannot be run — no layers, or a layer whose
@@ -456,28 +352,6 @@ mod tests {
             let y = infer1(&mlp, &xs[i * 2..(i + 1) * 2])[0];
             assert!((y - t).abs() < 0.2, "xor case {i} = {y}, want {t}");
         }
-    }
-
-    #[test]
-    fn mlp_config_builder_validates() {
-        let cfg = MlpConfig::builder()
-            .in_dim(8)
-            .hidden(16)
-            .hidden_layers(2)
-            .out_dim(3)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.sizes(), vec![8, 16, 16, 3]);
-        let mut rng = StdRng::seed_from_u64(30);
-        let mlp = Mlp::from_config(&cfg, &mut rng).unwrap();
-        assert_eq!((mlp.in_dim(), mlp.out_dim()), (8, 3));
-
-        let err = MlpConfig::builder().hidden(0).build().unwrap_err();
-        assert_eq!(err.field, "mlp.hidden");
-        let err = MlpConfig::builder().in_dim(0).build().unwrap_err();
-        assert_eq!(err.field, "mlp.in_dim");
-        let err = MlpConfig::builder().out_dim(0).build().unwrap_err();
-        assert_eq!(err.field, "mlp.out_dim");
     }
 
     #[test]

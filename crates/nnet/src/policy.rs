@@ -174,6 +174,11 @@ impl MultiHeadPolicy {
         self.trunk.in_dim()
     }
 
+    /// Width of the trunk's output, which every head takes.
+    pub(crate) fn hidden(&self) -> usize {
+        self.trunk.out_dim()
+    }
+
     /// Number of action heads.
     pub fn num_heads(&self) -> usize {
         self.heads.len()

@@ -71,13 +71,6 @@ impl Default for PpoConfig {
 }
 
 impl PpoConfig {
-    /// Fluent builder starting from [`PpoConfig::default`].
-    pub fn builder() -> PpoConfigBuilder {
-        PpoConfigBuilder {
-            cfg: PpoConfig::default(),
-        }
-    }
-
     /// Rejects hyper-parameters that would panic or silently diverge deep
     /// inside training (a zero minibatch samples nothing forever, a zero
     /// hidden width collapses both networks, a non-finite learning rate
@@ -89,121 +82,54 @@ impl PpoConfig {
         if self.hidden == 0 {
             return Err(ConfigError::new("ppo.hidden", "must be at least 1"));
         }
-        if !self.lr_actor.is_finite() || self.lr_actor <= 0.0 {
-            return Err(ConfigError::new(
-                "ppo.lr_actor",
-                format!(
-                    "must be a finite positive learning rate, got {}",
-                    self.lr_actor
-                ),
-            ));
+        for (field, v) in [
+            ("ppo.lr_actor", self.lr_actor),
+            ("ppo.lr_critic", self.lr_critic),
+            ("ppo.clip", self.clip),
+        ] {
+            if !v.is_finite() || v <= 0.0 {
+                return Err(ConfigError::new(
+                    field,
+                    format!("must be finite and positive, got {v}"),
+                ));
+            }
         }
-        if !self.lr_critic.is_finite() || self.lr_critic <= 0.0 {
-            return Err(ConfigError::new(
-                "ppo.lr_critic",
-                format!(
-                    "must be a finite positive learning rate, got {}",
-                    self.lr_critic
-                ),
-            ));
-        }
-        if !self.gamma.is_finite() || !(0.0..=1.0).contains(&self.gamma) {
+        if !(0.0..=1.0).contains(&self.gamma) {
             return Err(ConfigError::new(
                 "ppo.gamma",
                 format!("discount must lie in [0, 1], got {}", self.gamma),
             ));
         }
-        if !self.clip.is_finite() || self.clip <= 0.0 {
-            return Err(ConfigError::new(
-                "ppo.clip",
-                format!("clip range must be finite and positive, got {}", self.clip),
-            ));
-        }
-        if !self.entropy_weight.is_finite() || self.entropy_weight < 0.0 {
-            return Err(ConfigError::new(
-                "ppo.entropy_weight",
-                format!(
-                    "must be finite and non-negative, got {}",
-                    self.entropy_weight
-                ),
-            ));
-        }
-        if !self.value_weight.is_finite() || self.value_weight < 0.0 {
-            return Err(ConfigError::new(
-                "ppo.value_weight",
-                format!("must be finite and non-negative, got {}", self.value_weight),
-            ));
+        for (field, v) in [
+            ("ppo.entropy_weight", self.entropy_weight),
+            ("ppo.value_weight", self.value_weight),
+        ] {
+            if !v.is_finite() || v < 0.0 {
+                return Err(ConfigError::new(
+                    field,
+                    format!("must be finite and non-negative, got {v}"),
+                ));
+            }
         }
         Ok(())
     }
-}
 
-/// Builder for [`PpoConfig`]; `build` validates and returns the shared
-/// [`ConfigError`] on rejection.
-#[derive(Debug, Clone)]
-pub struct PpoConfigBuilder {
-    cfg: PpoConfig,
-}
-
-impl PpoConfigBuilder {
-    /// Sets the actor learning rate.
-    pub fn lr_actor(mut self, v: f32) -> Self {
-        self.cfg.lr_actor = v;
-        self
-    }
-
-    /// Sets the critic learning rate.
-    pub fn lr_critic(mut self, v: f32) -> Self {
-        self.cfg.lr_critic = v;
-        self
-    }
-
-    /// Sets the discount factor γ.
-    pub fn gamma(mut self, v: f32) -> Self {
-        self.cfg.gamma = v;
-        self
-    }
-
-    /// Sets the PPO clip range ε.
-    pub fn clip(mut self, v: f32) -> Self {
-        self.cfg.clip = v;
-        self
-    }
-
-    /// Sets the entropy bonus weight.
-    pub fn entropy_weight(mut self, v: f32) -> Self {
-        self.cfg.entropy_weight = v;
-        self
-    }
-
-    /// Sets the critic MSE weight.
-    pub fn value_weight(mut self, v: f32) -> Self {
-        self.cfg.value_weight = v;
-        self
-    }
-
-    /// Sets the minibatch size.
-    pub fn minibatch(mut self, v: usize) -> Self {
-        self.cfg.minibatch = v;
-        self
-    }
-
-    /// Sets the replay buffer capacity (0 = unbounded).
-    pub fn buffer_capacity(mut self, v: usize) -> Self {
-        self.cfg.buffer_capacity = v;
-        self
-    }
-
-    /// Sets the hidden layer width of actor and critic.
-    pub fn hidden(mut self, v: usize) -> Self {
-        self.cfg.hidden = v;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<PpoConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
+    /// Why a decoded config is not the one its agent was built from: the
+    /// two values [`PpoAgent::new`] spends on construction — `hidden` and
+    /// `buffer_capacity` — must be the decoded trunk's width and the
+    /// decoded buffer's capacity.
+    fn agrees_with(&self, policy: &MultiHeadPolicy, buffer: &ReplayBuffer) -> Result<(), String> {
+        for (field, is, built_with) in [
+            ("ppo.hidden", self.hidden, policy.hidden()),
+            ("ppo.buffer_capacity", self.buffer_capacity, buffer.cap),
+        ] {
+            if is != built_with {
+                return Err(format!(
+                    "{field}: is {is}, the decoded agent was built with {built_with}"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -834,8 +760,12 @@ impl<'de> Deserialize<'de> for PpoAgent {
             .ok_or_else(|| DeError::new("missing field `buffer`"))
             .and_then(|b| ReplayBuffer::decode(b, policy.state_dim(), &policy.head_sizes()))
             .map_err(|e| DeError::new(format!("field `buffer`: {}", e.0)))?;
+        let cfg: PpoConfig = de::field(v, "cfg")?;
+        (cfg.validate().map_err(|e| e.to_string()))
+            .and_then(|()| cfg.agrees_with(&policy, &buffer))
+            .map_err(|e| DeError::new(format!("field `cfg`: {e}")))?;
         Ok(PpoAgent {
-            cfg: de::field(v, "cfg")?,
+            cfg,
             updates: de::field(v, "updates")?,
             policy,
             critic,
@@ -852,12 +782,16 @@ impl<'de> Deserialize<'de> for PpoAgent {
 
 impl PpoAgent {
     /// Fresh agent with randomly initialized actor and critic.
+    ///
+    /// # Panics
+    /// If `cfg` fails [`PpoConfig::validate`].
     pub fn new<R: Rng + ?Sized>(
         state_dim: usize,
         head_sizes: &[usize],
         cfg: PpoConfig,
         rng: &mut R,
     ) -> Self {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let policy = MultiHeadPolicy::new(state_dim, cfg.hidden, head_sizes, rng);
         let critic = Mlp::new(&[state_dim, cfg.hidden, cfg.hidden, 1], rng);
         let buffer = ReplayBuffer::new(cfg.buffer_capacity, state_dim, head_sizes);
@@ -1516,30 +1450,27 @@ mod tests {
     }
 
     #[test]
-    fn ppo_config_builder_validates() {
-        let cfg = PpoConfig::builder()
-            .minibatch(16)
-            .hidden(32)
-            .lr_actor(1e-3)
-            .build()
-            .unwrap();
-        assert_eq!((cfg.minibatch, cfg.hidden), (16, 32));
-
-        let err = PpoConfig::builder().minibatch(0).build().unwrap_err();
-        assert_eq!(err.field, "ppo.minibatch");
-        let err = PpoConfig::builder().hidden(0).build().unwrap_err();
-        assert_eq!(err.field, "ppo.hidden");
-        let err = PpoConfig::builder().lr_actor(f32::NAN).build().unwrap_err();
-        assert_eq!(err.field, "ppo.lr_actor");
-        let err = PpoConfig::builder()
-            .lr_critic(f32::INFINITY)
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field, "ppo.lr_critic");
-        let err = PpoConfig::builder().gamma(1.5).build().unwrap_err();
-        assert_eq!(err.field, "ppo.gamma");
-        let err = PpoConfig::builder().clip(0.0).build().unwrap_err();
-        assert_eq!(err.field, "ppo.clip");
+    fn ppo_config_validate_names_the_bad_field() {
+        let base = PpoConfig::default;
+        let ok = PpoConfig {
+            minibatch: 16,
+            hidden: 32,
+            lr_actor: 1e-3,
+            ..base()
+        };
+        assert!(ok.validate().is_ok());
+        #[rustfmt::skip]
+        let bad = [
+            ("ppo.minibatch", PpoConfig { minibatch: 0, ..base() }),
+            ("ppo.hidden", PpoConfig { hidden: 0, ..base() }),
+            ("ppo.lr_actor", PpoConfig { lr_actor: f32::NAN, ..base() }),
+            ("ppo.lr_critic", PpoConfig { lr_critic: f32::INFINITY, ..base() }),
+            ("ppo.gamma", PpoConfig { gamma: 1.5, ..base() }),
+            ("ppo.clip", PpoConfig { clip: 0.0, ..base() }),
+        ];
+        for (field, cfg) in bad {
+            assert_eq!(cfg.validate().unwrap_err().field, field);
+        }
     }
 
     #[test]
@@ -1785,9 +1716,10 @@ mod tests {
         let with_buffer = |items: &str, cap: usize| {
             let at = good.find(r#""buffer":"#).unwrap();
             let end = good[at..].find(r#","updates""#).unwrap() + at;
+            let capacity = format!(r#""buffer_capacity":{cap}"#);
             format!(
                 r#"{}"buffer":{{"items":[{items}],"cap":{cap}}}{}"#,
-                &good[..at],
+                good[..at].replace(r#""buffer_capacity":4096"#, &capacity),
                 &good[end..]
             )
         };
@@ -1832,6 +1764,19 @@ mod tests {
                 assert!(msg.contains(reason), "{what}: {msg}");
             }
             assert!(msg.contains("`buffer`"), "{what}: {msg}");
+        }
+        // a config the decoded networks and ring were not built with, or
+        // that no agent is built with
+        for (field, find, with) in [
+            ("ppo.buffer_capacity", r#""cap":4096"#, r#""cap":8"#),
+            ("ppo.hidden", r#""hidden":64"#, r#""hidden":32"#),
+            ("ppo.minibatch", r#""minibatch":64"#, r#""minibatch":0"#),
+            ("ppo.gamma", r#""gamma":0.9"#, r#""gamma":7"#),
+        ] {
+            assert!(good.contains(find), "{find}");
+            let err = serde_json::from_str::<PpoAgent>(&good.replace(find, with)).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("`cfg`") && msg.contains(field), "{msg}");
         }
         // an unbounded buffer takes any number of rows
         assert_eq!(

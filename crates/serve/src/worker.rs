@@ -177,9 +177,11 @@ fn run_job(shared: &Arc<Shared>, id: &str) -> Result<(), ServeError> {
     // metrics are collected. Never on the stopped path above — a resumed
     // job must replay the search first, then fine-tune exactly once.
     let finetune_trials = if spec.finetune {
-        let cfg = FinetuneConfig::builder()
-            .max_trials((spec.trials / 4).max(8) as usize)
-            .build()
+        let cfg = FinetuneConfig {
+            max_trials: (spec.trials / 4).max(8) as usize,
+            ..Default::default()
+        };
+        cfg.validate()
             .map_err(|e| ServeError::Job(format!("finetune config: {e}")))?;
         Some(session.then_finetune(&cfg)?.trials)
     } else {

@@ -270,54 +270,49 @@ impl Drop for DirLock {
     }
 }
 
-/// Parses a `records.jsonl` file: header check, then one record per line,
-/// tolerating a torn (crash-truncated) final line.
-fn parse_records_file(path: &Path) -> Result<Vec<MeasureRecord>, StoreError> {
+/// Parses a `records.jsonl` file: header check, then one record per line.
+/// A line counts once its newline is on disk: what follows the last
+/// newline is the torn tail of a crashed append (of the header's first
+/// write, even) and is left out. Returns the records and the length of
+/// the part that was parsed, which is where the next append belongs.
+/// Bytes that are not text are damage like any other byte a decoder
+/// refuses: a `Format` error, not an I/O one.
+fn parse_records_file(path: &Path) -> Result<(Vec<MeasureRecord>, u64), StoreError> {
     let mut records = Vec::new();
     if !path.exists() {
-        return Ok(records);
+        return Ok((records, 0));
     }
-    let text = fs::read_to_string(path)?;
+    let bytes = fs::read(path)?;
+    let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+    let text = std::str::from_utf8(&bytes[..whole])
+        .map_err(|e| StoreError::Format(format!("bad records file: {e}")))?;
     let mut lines = text.lines().enumerate();
-    match lines.next() {
-        None => {} // empty file: treated as new
-        Some((_, first)) => {
-            let header: StoreHeader = serde_json::from_str(first)
-                .map_err(|e| StoreError::Format(format!("bad header line: {e}")))?;
-            if header.format != "harl-store" {
-                return Err(StoreError::Format(format!(
-                    "not a harl-store file (format `{}`)",
-                    header.format
-                )));
+    // no whole line: treated as new
+    if let Some((_, first)) = lines.next() {
+        let header: StoreHeader = serde_json::from_str(first)
+            .map_err(|e| StoreError::Format(format!("bad header line: {e}")))?;
+        if header.format != "harl-store" {
+            return Err(StoreError::Format(format!(
+                "not a harl-store file (format `{}`)",
+                header.format
+            )));
+        }
+        if header.version != FORMAT_VERSION {
+            return Err(StoreError::Format(format!(
+                "unsupported store version {} (supported: {})",
+                header.version, FORMAT_VERSION
+            )));
+        }
+        for (i, line) in lines {
+            if line.trim().is_empty() {
+                continue;
             }
-            if header.version != FORMAT_VERSION {
-                return Err(StoreError::Format(format!(
-                    "unsupported store version {} (supported: {})",
-                    header.version, FORMAT_VERSION
-                )));
-            }
-            let ends_complete = text.ends_with('\n');
-            let last_idx = text.lines().count() - 1;
-            for (i, line) in lines {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match serde_json::from_str::<MeasureRecord>(line) {
-                    Ok(r) => records.push(r),
-                    // A torn final line is expected after a crash
-                    // mid-append; anything else is corruption.
-                    Err(_) if i == last_idx && !ends_complete => {}
-                    Err(e) => {
-                        return Err(StoreError::Format(format!(
-                            "bad record at line {}: {e}",
-                            i + 1
-                        )))
-                    }
-                }
-            }
+            let record = serde_json::from_str(line)
+                .map_err(|e| StoreError::Format(format!("bad record at line {}: {e}", i + 1)))?;
+            records.push(record);
         }
     }
-    Ok(records)
+    Ok((records, whole as u64))
 }
 
 /// Loads a store directory's records without taking the writer lock.
@@ -326,7 +321,7 @@ fn parse_records_file(path: &Path) -> Result<Vec<MeasureRecord>, StoreError> {
 /// final line is skipped exactly as [`RecordStore::open`] would after a
 /// crash. Returns an empty vector for a missing or empty store.
 pub fn read_records(dir: impl AsRef<Path>) -> Result<Vec<MeasureRecord>, StoreError> {
-    parse_records_file(&dir.as_ref().join(RECORDS_FILE))
+    parse_records_file(&dir.as_ref().join(RECORDS_FILE)).map(|(records, _)| records)
 }
 
 /// Append-only store of measurement records in a directory.
@@ -360,29 +355,15 @@ impl RecordStore {
         fs::create_dir_all(&dir)?;
         let lock = DirLock::acquire(&dir)?;
         let path = dir.join(RECORDS_FILE);
-        let records = parse_records_file(&path)?;
-        // Crash repair: a torn final line (kill -9 mid-append) is skipped
-        // by the parse above, but it must also be cut from the file —
-        // otherwise the append handle below would glue the next record
-        // onto the torn bytes, corrupting *that* line too.
-        if path.exists() {
-            let bytes = fs::read(&path)?;
-            if !bytes.is_empty() && bytes.last() != Some(&b'\n') {
-                let clean = bytes
-                    .iter()
-                    .rposition(|&b| b == b'\n')
-                    .map(|p| p + 1)
-                    .unwrap_or(0);
-                OpenOptions::new()
-                    .write(true)
-                    .open(&path)?
-                    .set_len(clean as u64)?;
-            }
-        }
-        let is_new = !path.exists();
+        let (records, whole) = parse_records_file(&path)?;
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        // Crash repair: the torn tail the parse left out (kill -9
+        // mid-append) must also be cut from the file — otherwise the next
+        // record would be glued onto the torn bytes, corrupting *that*
+        // line too.
+        file.set_len(whole)?;
         let mut writer = BufWriter::new(file);
-        if is_new || fs::metadata(&path)?.len() == 0 {
+        if whole == 0 {
             let header = StoreHeader {
                 format: "harl-store".to_string(),
                 version: FORMAT_VERSION,

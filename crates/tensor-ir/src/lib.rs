@@ -21,7 +21,6 @@ pub mod schedule;
 pub mod sketch;
 pub mod stage;
 pub mod workload;
-pub mod workload_ext;
 
 pub use action::{
     apply_action, apply_action_in_place, compute_at_mask, parallel_mask, tile_action_mask,

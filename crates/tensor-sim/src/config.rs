@@ -1,8 +1,11 @@
 //! Shared configuration validation error.
 //!
-//! All tuning-stack config builders (`MeasureConfig`, `HarlConfig`,
-//! `AnsorConfig`) validate on `build()` and report problems through
-//! [`ConfigError`] instead of panicking mid-search.
+//! A config is a `pub`-field struct, a preset or `Default`, struct-update
+//! syntax, and a `validate()` that reports the first bad field as a
+//! [`ConfigError`]. The constructors that consume a config
+//! (`Measurer::new`, `PpoAgent::new`, `Searcher::new`,
+//! `SearchCore::finetune`) call it and panic with the error's `Display`,
+//! so a bad value stops at construction instead of mid-search.
 
 use std::fmt;
 
@@ -27,7 +30,7 @@ impl ConfigError {
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid config `{}`: {}", self.field, self.message)
+        write!(f, "{}: {}", self.field, self.message)
     }
 }
 

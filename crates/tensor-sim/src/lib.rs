@@ -14,9 +14,6 @@ pub mod trace;
 
 pub use config::ConfigError;
 pub use hardware::{CpuModel, GpuModel, Hardware};
-pub use measure::{
-    MeasureConfig, MeasureConfigBuilder, MeasureEvent, Measurement, Measurer, MeasurerState,
-    RecordSink,
-};
+pub use measure::{MeasureConfig, MeasureEvent, Measurement, Measurer, MeasurerState, RecordSink};
 pub use rugged::{mix64, rugged_factor, unit_hash};
 pub use trace::{TracePoint, TuneTrace};

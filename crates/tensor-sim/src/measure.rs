@@ -50,72 +50,21 @@ impl Default for MeasureConfig {
 }
 
 impl MeasureConfig {
-    /// A validating builder starting from the defaults.
-    pub fn builder() -> MeasureConfigBuilder {
-        MeasureConfigBuilder {
-            cfg: MeasureConfig::default(),
-        }
-    }
-
     /// Checks every field against its constraint.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if !self.noise.is_finite() || self.noise < 0.0 {
-            return Err(ConfigError::new(
-                "measure.noise",
-                format!("must be finite and >= 0, got {}", self.noise),
-            ));
-        }
-        if !self.r_min.is_finite() || self.r_min < 0.0 {
-            return Err(ConfigError::new(
-                "measure.r_min",
-                format!("must be finite and >= 0, got {}", self.r_min),
-            ));
-        }
-        if !self.build_overhead.is_finite() || self.build_overhead < 0.0 {
-            return Err(ConfigError::new(
-                "measure.build_overhead",
-                format!("must be finite and >= 0, got {}", self.build_overhead),
-            ));
+        for (field, v) in [
+            ("measure.noise", self.noise),
+            ("measure.r_min", self.r_min),
+            ("measure.build_overhead", self.build_overhead),
+        ] {
+            if !v.is_finite() || v < 0.0 {
+                return Err(ConfigError::new(
+                    field,
+                    format!("must be finite and >= 0, got {v}"),
+                ));
+            }
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`MeasureConfig`].
-#[derive(Debug, Clone)]
-pub struct MeasureConfigBuilder {
-    cfg: MeasureConfig,
-}
-
-impl MeasureConfigBuilder {
-    /// Relative measurement noise (lognormal std-dev).
-    pub fn noise(mut self, noise: f64) -> Self {
-        self.cfg.noise = noise;
-        self
-    }
-
-    /// Minimum repeated-execution seconds per measurement.
-    pub fn r_min(mut self, r_min: f64) -> Self {
-        self.cfg.r_min = r_min;
-        self
-    }
-
-    /// Simulated compile + RPC overhead per measurement.
-    pub fn build_overhead(mut self, secs: f64) -> Self {
-        self.cfg.build_overhead = secs;
-        self
-    }
-
-    /// Noise-stream RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<MeasureConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -186,7 +135,11 @@ struct MeasureState {
 
 impl Measurer {
     /// Creates a measurer over a hardware model.
+    ///
+    /// # Panics
+    /// If `cfg` fails [`MeasureConfig::validate`].
     pub fn new(hw: Hardware, cfg: MeasureConfig) -> Self {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let seed = cfg.seed;
         Measurer {
             hw,
@@ -454,16 +407,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_fields() {
-        assert!(MeasureConfig::builder().noise(0.05).build().is_ok());
-        assert!(MeasureConfig::builder().noise(-0.1).build().is_err());
-        assert!(MeasureConfig::builder().r_min(f64::NAN).build().is_err());
-        assert!(MeasureConfig::builder()
-            .build_overhead(-1.0)
-            .build()
-            .is_err());
-        let err = MeasureConfig::builder().noise(-0.1).build().unwrap_err();
-        assert_eq!(err.field, "measure.noise");
+    fn validate_names_the_bad_field() {
+        let base = MeasureConfig::default;
+        assert!(base().validate().is_ok());
+        #[rustfmt::skip]
+        let bad = [
+            ("measure.noise", MeasureConfig { noise: -0.1, ..base() }),
+            ("measure.r_min", MeasureConfig { r_min: f64::NAN, ..base() }),
+            ("measure.build_overhead", MeasureConfig { build_overhead: -1.0, ..base() }),
+        ];
+        for (field, cfg) in bad {
+            assert_eq!(cfg.validate().unwrap_err().field, field);
+        }
     }
 
     #[test]

@@ -38,10 +38,10 @@ fn main() {
     let mut ansor = AnsorTuner::new(
         gemm.clone(),
         &ansor_m,
-        AnsorConfig::builder()
-            .measure_per_round(16)
-            .build()
-            .expect("valid ansor config"),
+        AnsorConfig {
+            measure_per_round: 16,
+            ..Default::default()
+        },
     );
     run_session("Ansor", Box::new(&mut ansor), &ansor_m, trials);
 
@@ -50,10 +50,10 @@ fn main() {
     let mut harl = HarlOperatorTuner::new(
         gemm.clone(),
         &harl_m,
-        harl_repro::harl::HarlConfigBuilder::from(HarlConfig::fast())
-            .measure_per_round(16)
-            .build()
-            .expect("valid harl config"),
+        HarlConfig {
+            measure_per_round: 16,
+            ..HarlConfig::fast()
+        },
     );
     run_session("HARL", Box::new(&mut harl), &harl_m, trials);
 

@@ -4,13 +4,14 @@
 //! phase composed after the search.
 //!
 //! ```text
-//! cargo run --release --example tournament [-- trials]
+//! cargo run --release --example tournament [-- [--smoke] [--trials N]]
 //! ```
 //!
-//! Environment:
-//! - `HARL_TOURNAMENT_SMOKE=1` — CI smoke mode: two operator classes, a tiny
-//!   budget, and the kill/resume + monotonicity checks (the part CI gates).
-//! - `HARL_TOURNAMENT_TRIALS=n` — override the per-searcher trial budget.
+//! Arguments (anything else is rejected):
+//! - `--smoke` — CI smoke mode: two operator classes, a tiny budget, and
+//!   the kill/resume + monotonicity checks (the part CI gates).
+//! - `--trials N` — the per-searcher trial budget (default 160; 48 in
+//!   smoke mode).
 //!
 //! Every result row is machine readable:
 //!
@@ -24,41 +25,41 @@ use std::sync::Arc;
 
 const SEARCHERS: [&str; 5] = ["harl", "ansor", "flextensor", "mcts", "cd"];
 
+fn mcts_config() -> MctsConfig {
+    MctsConfig {
+        measure_per_round: 16,
+        playouts_per_round: 48,
+        ..Default::default()
+    }
+}
+
 fn make_tuner<'m>(searcher: &str, g: Subgraph, m: &'m Measurer) -> Box<dyn Tuner + 'm> {
     match searcher {
         "harl" => Box::new(HarlOperatorTuner::new(
             g,
             m,
-            harl_repro::harl::HarlConfigBuilder::from(HarlConfig::tiny())
-                .measure_per_round(16)
-                .build()
-                .expect("valid harl config"),
+            HarlConfig {
+                measure_per_round: 16,
+                ..HarlConfig::tiny()
+            },
         )),
         "ansor" => Box::new(AnsorTuner::new(
             g,
             m,
-            AnsorConfig::builder()
-                .measure_per_round(16)
-                .build()
-                .expect("valid ansor config"),
+            AnsorConfig {
+                measure_per_round: 16,
+                ..Default::default()
+            },
         )),
         "flextensor" => Box::new(FlextensorTuner::new(g, m, Default::default())),
-        "mcts" => Box::new(MctsTuner::new(
-            g,
-            m,
-            MctsConfig::builder()
-                .measure_per_round(16)
-                .playouts_per_round(48)
-                .build()
-                .expect("valid mcts config"),
-        )),
+        "mcts" => Box::new(MctsTuner::new(g, m, mcts_config())),
         "cd" => Box::new(CdTuner::new(
             g,
             m,
-            CdConfig::builder()
-                .measure_per_round(16)
-                .build()
-                .expect("valid cd config"),
+            CdConfig {
+                measure_per_round: 16,
+                ..Default::default()
+            },
         )),
         other => panic!("unknown searcher {other}"),
     }
@@ -83,16 +84,8 @@ fn ms(x: f64) -> String {
 /// resumed run over the same budget must land on bit-equal best latencies
 /// and serialized tuner state.
 fn mcts_resume_check(g: &Subgraph, trials: u64) -> bool {
-    let cfg = || {
-        MctsConfig::builder()
-            .measure_per_round(16)
-            .playouts_per_round(48)
-            .build()
-            .expect("valid mcts config")
-    };
-
     let m_ref = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-    let t_ref = MctsTuner::new(g.clone(), &m_ref, cfg());
+    let t_ref = MctsTuner::new(g.clone(), &m_ref, mcts_config());
     let mut s_ref = TuningSession::builder()
         .launch(Box::new(t_ref), &m_ref, None)
         .expect("launch reference session");
@@ -110,7 +103,7 @@ fn mcts_resume_check(g: &Subgraph, trials: u64) -> bool {
     {
         let store = Arc::new(RecordStore::open(&dir).expect("open store"));
         let m1 = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-        let t1 = MctsTuner::new(g.clone(), &m1, cfg());
+        let t1 = MctsTuner::new(g.clone(), &m1, mcts_config());
         let mut s1 = TuningSession::builder()
             .launch(Box::new(t1), &m1, Some(store))
             .expect("launch first session");
@@ -119,7 +112,7 @@ fn mcts_resume_check(g: &Subgraph, trials: u64) -> bool {
 
         let store2 = Arc::new(RecordStore::open(&dir).expect("reopen store"));
         let m2 = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-        let t2 = MctsTuner::new(g.clone(), &m2, cfg());
+        let t2 = MctsTuner::new(g.clone(), &m2, mcts_config());
         let mut s2 = TuningSession::builder()
             .launch(Box::new(t2), &m2, Some(store2))
             .expect("launch resumed session");
@@ -133,22 +126,41 @@ fn mcts_resume_check(g: &Subgraph, trials: u64) -> bool {
     best_ref.to_bits() == best_resumed.to_bits() && state_ref == state_resumed
 }
 
+/// `(smoke, trials)` from the command line; any other argument, a
+/// repeated one or a malformed count is an error.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(bool, Option<u64>), String> {
+    let (mut smoke, mut trials) = (false, None);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" if !smoke => smoke = true,
+            "--trials" if trials.is_none() => {
+                let n = args.next().ok_or("--trials needs a count")?;
+                trials = Some(
+                    n.parse()
+                        .map_err(|e| format!("--trials `{n}` is not a count: {e}"))?,
+                );
+            }
+            other => return Err(format!("unexpected argument `{other}`")),
+        }
+    }
+    Ok((smoke, trials))
+}
+
 fn main() {
-    let smoke = std::env::var("HARL_TOURNAMENT_SMOKE").as_deref() == Ok("1");
-    let trials: u64 = std::env::var("HARL_TOURNAMENT_TRIALS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .or_else(|| std::env::args().nth(1).and_then(|s| s.parse().ok()))
-        .unwrap_or(if smoke { 48 } else { 160 });
+    let (smoke, trials) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: tournament [--smoke] [--trials N]");
+        std::process::exit(2);
+    });
+    let trials = trials.unwrap_or(if smoke { 48 } else { 160 });
     let classes: &[OperatorClass] = if smoke {
         &[OperatorClass::GemmS, OperatorClass::C1d]
     } else {
         &OperatorClass::ALL
     };
-    let finetune_cfg = FinetuneConfig::builder()
-        .max_trials((trials / 4).max(8) as usize)
-        .build()
-        .expect("valid finetune config");
+    let finetune_cfg = FinetuneConfig {
+        max_trials: (trials / 4).max(8) as usize,
+        ..Default::default()
+    };
 
     println!(
         "tournament: {} classes x {} searchers, {trials} trials each{}",

@@ -11,7 +11,10 @@
 //! miss the agent's shapes — a state one value short, an action list one
 //! short or long, an action outside its head, a fifth mask, a mask one
 //! entry short, more rows than the capacity. Those used to decode and then
-//! index out of bounds in a worker's first update.
+//! index out of bounds in a worker's first update. Edits of the agent's
+//! `cfg` (a zero minibatch, a negative learning rate, a width or a
+//! capacity the decoded networks and ring do not have) used to resume
+//! into a learner other than the one that was saved.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -202,19 +205,55 @@ fn rows_that_miss_the_agents_shapes_are_refused_with_row_and_field() {
         Outcome::Refused(msg) => assert!(msg.contains("capacity 3"), "{msg}"),
         Outcome::Resumed(_) => panic!("an overfull buffer was resumed"),
     }
-    // ... while an unbounded one of the same rows is a different, valid
-    // checkpoint, and whitespace between tokens is the same one
-    assert!(matches!(
-        check(
-            &harness,
-            edit(good, from, r#""cap":4096"#, r#""cap":0"#).as_bytes()
-        ),
-        Outcome::Resumed(_)
-    ));
+    // ... while whitespace between tokens is the same checkpoint
     let spaced = good.replacen(r#","actions":["#, " ,\n\"actions\" : [ ", 1);
     match check(&harness, spaced.as_bytes()) {
         Outcome::Resumed(state) => assert!(state == fixture().next_round),
         Outcome::Refused(msg) => panic!("whitespace was refused: {msg}"),
+    }
+}
+
+#[test]
+fn a_config_that_is_not_the_saved_learners_is_refused_by_field() {
+    let good = &fixture().good;
+    let harness = Harness::new("cfg");
+    let cfg = r#""cfg":{"#;
+    // values `PpoConfig::validate` refuses, then values that are fine by
+    // themselves and disagree with the networks and the ring decoded
+    // beside them (an unbounded ring of the same rows among them)
+    let cases = [
+        (
+            "ppo.minibatch",
+            cfg,
+            r#""minibatch":64"#,
+            r#""minibatch":0"#,
+        ),
+        ("ppo.lr_actor", cfg, r#""lr_actor":"#, r#""lr_actor":-"#),
+        ("ppo.gamma", cfg, r#""gamma":0.9"#, r#""gamma":7"#),
+        ("ppo.hidden", cfg, r#""hidden":32"#, r#""hidden":0"#),
+        ("ppo.hidden", cfg, r#""hidden":32"#, r#""hidden":64"#),
+        (
+            "ppo.buffer_capacity",
+            cfg,
+            r#""buffer_capacity":4096"#,
+            r#""buffer_capacity":8"#,
+        ),
+        (
+            "ppo.buffer_capacity",
+            r#""items":[{"#,
+            r#""cap":4096"#,
+            r#""cap":0"#,
+        ),
+    ];
+    for (named, from, find, with) in cases {
+        match check(&harness, edit(good, from, find, with).as_bytes()) {
+            Outcome::Refused(msg) => {
+                for part in ["bad checkpoint", "`cfg`", named] {
+                    assert!(msg.contains(part), "{find} -> {with}: {msg}");
+                }
+            }
+            Outcome::Resumed(_) => panic!("{find} -> {with} was resumed"),
+        }
     }
 }
 

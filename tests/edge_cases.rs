@@ -186,3 +186,64 @@ fn cost_model_skips_non_finite_samples() {
         assert_eq!(score.to_bits(), clean.score(&row(i)).to_bits());
     }
 }
+
+#[test]
+fn a_bad_config_field_panics_at_construction_by_name_and_every_preset_constructs() {
+    use harl_repro::ansor::FlextensorConfig;
+    use harl_repro::nnet::{PpoAgent, PpoConfig};
+    use harl_repro::serve::Preset;
+    use rand::{rngs::StdRng, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    type Construct<'a> = Box<dyn FnOnce() + 'a>;
+
+    let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+    let g = || workload::gemm(64, 64, 64);
+    let agent = |cfg: PpoConfig| PpoAgent::new(8, &[3, 2], cfg, &mut StdRng::seed_from_u64(1));
+    let finetune = |cfg: FinetuneConfig| CdTuner::new(g(), &m, CdConfig::default()).finetune(&cfg);
+    let bad_ppo = || PpoConfig {
+        lr_actor: f32::NAN,
+        ..Default::default()
+    };
+
+    // one bad field each: refused where the config is consumed, the
+    // message opening with the field
+    #[rustfmt::skip]
+    let bad: Vec<(&str, Construct<'_>)> = vec![
+        ("harl.lambda", Box::new(|| { HarlOperatorTuner::new(g(), &m, HarlConfig { lambda: 0, ..HarlConfig::fast() }); })),
+        ("harl.rho", Box::new(|| { HarlOperatorTuner::new(g(), &m, HarlConfig { rho: 1.5, ..HarlConfig::paper() }); })),
+        ("ppo.lr_actor", Box::new(|| { HarlOperatorTuner::new(g(), &m, HarlConfig { ppo: bad_ppo(), ..HarlConfig::tiny() }); })),
+        ("harl.lambda", Box::new(|| { HarlNetworkTuner::new(vec![g()], &m, HarlConfig { lambda: 0, ..HarlConfig::tiny() }); })),
+        ("ansor.measure_per_round", Box::new(|| { AnsorTuner::new(g(), &m, AnsorConfig { measure_per_round: 0, ..Default::default() }); })),
+        ("flextensor.tracks", Box::new(|| { FlextensorTuner::new(g(), &m, FlextensorConfig { tracks: 0, ..Default::default() }); })),
+        ("ppo.lr_actor", Box::new(|| { FlextensorTuner::new(g(), &m, FlextensorConfig { ppo: bad_ppo(), ..Default::default() }); })),
+        ("mcts.max_nodes", Box::new(|| { MctsTuner::new(g(), &m, MctsConfig { max_nodes: 1, ..Default::default() }); })),
+        ("cd.max_sweeps", Box::new(|| { CdTuner::new(g(), &m, CdConfig { max_sweeps: 0, ..Default::default() }); })),
+        ("ppo.lr_actor", Box::new(|| { agent(bad_ppo()); })),
+        ("ppo.minibatch", Box::new(|| { agent(PpoConfig { minibatch: 0, ..Default::default() }); })),
+        ("measure.noise", Box::new(|| { Measurer::new(Hardware::cpu(), MeasureConfig { noise: -0.1, ..Default::default() }); })),
+        ("finetune.max_sweeps", Box::new(|| { finetune(FinetuneConfig { max_sweeps: 0, ..Default::default() }); })),
+    ];
+    for (field, construct) in bad {
+        let panic = catch_unwind(AssertUnwindSafe(construct)).expect_err(field);
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.starts_with(field), "`{field}`: {msg}");
+    }
+
+    // every preset and default goes through the same constructors
+    let presets = [Preset::Tiny, Preset::Fast, Preset::Paper].map(|p| p.harl_config());
+    let harl = [
+        HarlConfig::paper(),
+        HarlConfig::fast(),
+        HarlConfig::tiny(),
+        HarlConfig::default(),
+    ];
+    for cfg in harl.into_iter().chain(presets) {
+        HarlOperatorTuner::new(g(), &m, cfg);
+    }
+    AnsorTuner::new(g(), &m, AnsorConfig::default());
+    FlextensorTuner::new(g(), &m, FlextensorConfig::default());
+    MctsTuner::new(g(), &m, MctsConfig::default());
+    CdTuner::new(g(), &m, CdConfig::default());
+    agent(PpoConfig::default());
+    finetune(FinetuneConfig::default());
+}

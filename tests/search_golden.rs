@@ -76,7 +76,10 @@ fn run_both_legs(searcher: &str) -> Golden {
     );
     let warm_records = warm.warm_records();
     warm.run(32).unwrap();
-    let cfg = FinetuneConfig::builder().max_trials(24).build().unwrap();
+    let cfg = FinetuneConfig {
+        max_trials: 24,
+        ..Default::default()
+    };
     let finetune_trials = warm.then_finetune(&cfg).unwrap().trials;
     let golden = Golden {
         cold_state,

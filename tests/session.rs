@@ -229,7 +229,10 @@ fn mcts_warm_run_reaches_cold_best_in_strictly_fewer_trials() {
 
 #[test]
 fn then_finetune_is_monotone_for_every_searcher() {
-    let cfg = FinetuneConfig::builder().max_trials(24).build().unwrap();
+    let cfg = FinetuneConfig {
+        max_trials: 24,
+        ..Default::default()
+    };
     let g = gemm();
 
     // five sessions, one per searcher, all driven through the same trait
