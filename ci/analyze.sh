@@ -1,39 +1,36 @@
 #!/usr/bin/env bash
-# Stage: concurrency analysis, in three escalating tiers.
+# Stage: concurrency analysis, in two escalating tiers.
 #
-#   1. Model checking   — `lint-concurrency` exhaustively explores the small
-#      interleaving models of the daemon queue, the DirLock steal, and the
-#      chunk-stealing cursor (harl_check::models). Always runs; fails the
-#      stage on any counterexample against a known-good model.
-#   2. Instrumented run — the migrated crates' test suites rebuilt under
-#      `--cfg harl_check` with HARL_CHECK=1, so every CMutex/CCondvar/
-#      CAtomic records lock order and fails fast on C001/C002/C004.
-#      Always runs; uses its own target dir to keep the main cache warm.
-#   3. Sanitizers       — miri and ThreadSanitizer need a nightly toolchain
+#   1. Checked build    — the test suites of the crates that use the
+#      harl-check wrappers, rebuilt under `--cfg harl_check`: every
+#      CMutex/CCondvar/CAtomic records lock order and fails fast on
+#      C001/C002/C004, and the schedule explorer (harl_check::model) runs
+#      the real JobQueue (crates/serve/tests/queue_explore.rs) and the real
+#      DirLock steal (crates/store, `explore`) through every schedule up to
+#      two preemptions, plus harl-check's own fixtures that prove it still
+#      catches a lost update, a missing recheck, a remove-then-create steal
+#      and a missing notify. Always runs; uses its own target dir to keep
+#      the main cache warm.
+#   2. Sanitizers       — miri and ThreadSanitizer need a nightly toolchain
 #      with the right components; where unavailable they are skipped with
 #      a warning rather than failing, so the stage is useful offline too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CARGO_FLAGS=${CARGO_FLAGS:---offline}
-# Crates that went through the harl-check sync migration.
-CHECKED_CRATES=(-p harl-check -p harl-par -p harl-store -p harl-serve -p harl-gbt)
+# The crates that use the harl-check wrappers, and harl-check itself.
+CHECKED_CRATES=(-p harl-check -p harl-store -p harl-serve)
 
-echo "==> interleaving model checker (lint-concurrency)"
+echo "==> checked build: instrumented tests and schedule explorations (--cfg harl_check)"
 # shellcheck disable=SC2086  # CARGO_FLAGS is a flag list, word-splitting intended
-cargo run $CARGO_FLAGS -q -p harl-check --bin lint-concurrency
-
-echo "==> instrumented tests (--cfg harl_check, HARL_CHECK=1)"
-# shellcheck disable=SC2086
 RUSTFLAGS="${RUSTFLAGS:-} --cfg harl_check" \
-    HARL_CHECK=1 \
     CARGO_TARGET_DIR=target/check \
     cargo test $CARGO_FLAGS -q "${CHECKED_CRATES[@]}"
 
 echo "==> miri (undefined behaviour / data races, interpreted)"
 if cargo +nightly miri --version >/dev/null 2>&1; then
-    # Interpreted execution is slow: restrict to the sync layer and model
-    # checker, whose unit tests are the concurrency-critical surface.
+    # Interpreted execution is slow: restrict to the sync layer, whose unit
+    # tests are the concurrency-critical surface of a normal build.
     # shellcheck disable=SC2086
     cargo +nightly miri test $CARGO_FLAGS -q -p harl-check
 else

@@ -11,7 +11,7 @@
 #               benchmark tests, lint-schedules, traced quickstart, serve
 #               (bench-load included) + federation runs
 #   tournament  five-searcher tournament self-checks
-#   analyze     lint-concurrency + --cfg harl_check tests (+ miri/TSan if present)
+#   analyze     --cfg harl_check tests and schedule explorations (+ miri/TSan if present)
 #
 # Stages live in their own scripts (ci/fmt.sh, ci/lint.sh, ci/test.sh,
 # ci/smoke.sh, ci/tournament.sh, ci/analyze.sh) so CI systems can run them

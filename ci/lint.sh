@@ -82,6 +82,15 @@ if grep -rnE 'struct \w+ConfigBuilder|Config::builder\(' crates src examples tes
     exit 1
 fi
 
+echo "==> no hand-written concurrency model"
+# the schedule explorer runs the shipped JobQueue and DirLock themselves: a
+# state machine that re-states them (a `Model` impl, the deleted
+# `harl_check::models`) is a second copy nothing keeps in step with the code
+if grep -rnE 'impl +Model +for|harl_check::models' crates src examples tests; then
+    echo "FAIL: a hand-written concurrency model (check the real code with harl_check::model::check)"
+    exit 1
+fi
+
 echo "==> shellcheck ci/*.sh"
 if command -v shellcheck >/dev/null 2>&1; then
     shellcheck ci/*.sh ci/github/*.sh

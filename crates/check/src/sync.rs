@@ -3,12 +3,13 @@
 //! Without `--cfg harl_check` every type here is a `#[repr(transparent)]`
 //! newtype over its `std::sync` counterpart with `#[inline]` forwarding
 //! methods — release builds pay nothing (the `passthrough` tests pin the
-//! layout). With `--cfg harl_check` and `HARL_CHECK=1` in the
-//! environment, acquisitions feed a per-thread held-lock stack and a
-//! global *class-level* acquisition-order graph ("class" = the static
-//! name given at construction, e.g. `"serve.queue"`), and the wrappers
-//! fail fast on C001/C002/C004 or record C003 warnings (see the crate
-//! docs for the code meanings).
+//! layout). With `--cfg harl_check`, acquisitions feed a per-thread
+//! held-lock stack and a global *class-level* acquisition-order graph
+//! ("class" = the static name given at construction, e.g.
+//! `"serve.queue"`), and the wrappers fail fast on C001/C002/C004 or
+//! record C003 warnings (see the crate docs for the code meanings). Inside
+//! a `model::check` exploration every operation is also a scheduling
+//! point, and blocking is the explorer's, not the OS's.
 //!
 //! Atomics additionally declare a [`AtomicRole`]: a `Counter` is a pure
 //! statistic where `Ordering::Relaxed` is fine; a `Flag` publishes a
@@ -24,7 +25,7 @@ pub enum AtomicRole {
     Counter,
     /// A flag other threads make control-flow decisions on (shutdown,
     /// cancel, "results ready"). `Relaxed` loads/stores are reported as
-    /// C004 under checking.
+    /// C004 in the checked build.
     Flag,
 }
 
@@ -35,7 +36,7 @@ pub enum AtomicRole {
 #[cfg(not(harl_check))]
 mod passthrough {
     use super::AtomicRole;
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Condvar, LockResult, Mutex, MutexGuard};
 
     /// `std::sync::Mutex` with a lock-class name (discarded in this
@@ -56,22 +57,6 @@ mod passthrough {
         pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
             self.0.lock()
         }
-
-        #[inline]
-        pub fn into_inner(self) -> LockResult<T> {
-            self.0.into_inner()
-        }
-
-        /// The lock-class name (only retained by the checked build).
-        #[inline]
-        pub fn name(&self) -> &'static str {
-            "<unchecked>"
-        }
-
-        /// Checked builds panic (C004) when the current thread does not
-        /// hold this lock; a no-op here.
-        #[inline]
-        pub fn assert_held(&self) {}
     }
 
     /// `std::sync::Condvar` usable with [`CMutex`] guards.
@@ -130,7 +115,6 @@ mod passthrough {
 
     passthrough_atomic!(CAtomicBool, AtomicBool, bool);
     passthrough_atomic!(CAtomicU64, AtomicU64, u64);
-    passthrough_atomic!(CAtomicUsize, AtomicUsize, usize);
 
     impl CAtomicU64 {
         #[inline]
@@ -138,50 +122,69 @@ mod passthrough {
             self.0.fetch_add(value, order)
         }
     }
-
-    impl CAtomicUsize {
-        #[inline]
-        pub fn fetch_add(&self, value: usize, order: Ordering) -> usize {
-            self.0.fetch_add(value, order)
-        }
-    }
 }
 
 #[cfg(not(harl_check))]
-pub use passthrough::{CAtomicBool, CAtomicU64, CAtomicUsize, CCondvar, CMutex};
+pub use passthrough::{CAtomicBool, CAtomicU64, CCondvar, CMutex};
 
 // ---------------------------------------------------------------------------
-// Checked build: lock-graph recording, fail-fast diagnostics.
+// Checked build: lock-graph recording, fail-fast diagnostics, scheduling
+// points for the explorer.
 // ---------------------------------------------------------------------------
 
 #[cfg(harl_check)]
 mod checked {
     use super::AtomicRole;
-    use crate::active::{checking_enabled, fail, record_warning};
-    use crate::{DEFAULT_HOLD_MS, HOLD_MS_ENV};
+    use crate::model;
     use harl_verify::{Component, Diagnostic, LintCode};
     use std::cell::RefCell;
     use std::collections::{HashMap, HashSet};
     use std::ops::{Deref, DerefMut};
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Condvar, LockResult, Mutex, MutexGuard, OnceLock, PoisonError};
     use std::time::{Duration, Instant};
+
+    /// A lock held longer than this is a C003 warning.
+    const HOLD_THRESHOLD: Duration = Duration::from_millis(100);
 
     fn diag(code: LintCode, message: String) -> Diagnostic {
         Diagnostic::new(code, Component::SyncPrimitive, message)
     }
 
-    fn hold_threshold() -> Duration {
-        static MS: OnceLock<u64> = OnceLock::new();
-        Duration::from_millis(*MS.get_or_init(|| {
-            std::env::var(HOLD_MS_ENV)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(DEFAULT_HOLD_MS)
-        }))
+    static WARNINGS: Mutex<Vec<Diagnostic>> = Mutex::new(Vec::new());
+
+    fn violation_counter(d: &Diagnostic) -> harl_obs::Counter {
+        let code = d.code.code();
+        harl_obs::global().counter(&format!("harl_check_violations_total{{code=\"{code}\"}}"))
     }
 
-    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+    fn record_warning(d: Diagnostic) {
+        violation_counter(&d).inc();
+        WARNINGS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(d);
+    }
+
+    /// Drains the warn-severity findings recorded so far (C003).
+    pub fn take_warnings() -> Vec<Diagnostic> {
+        std::mem::take(&mut *WARNINGS.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Reports an error-severity violation: counts it, then panics with
+    /// the rendered diagnostic (fail fast — the whole point of the
+    /// checked build).
+    fn fail(d: Diagnostic) -> ! {
+        violation_counter(&d).inc();
+        panic!("harl-check: {d}");
+    }
+
+    /// Identities of mutexes and condvars (the explorer keys its
+    /// ownership, wait queues and step footprints on them).
+    fn next_id() -> u64 {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        model::object_id().unwrap_or_else(|| NEXT_ID.fetch_add(1, Ordering::Relaxed))
+    }
 
     struct Held {
         id: u64,
@@ -195,70 +198,49 @@ mod checked {
 
     /// Class-level acquisition graph: an edge `a -> b` means some thread
     /// acquired a lock of class `b` while holding one of class `a`.
-    fn graph() -> &'static Mutex<HashMap<&'static str, HashSet<&'static str>>> {
-        static GRAPH: OnceLock<Mutex<HashMap<&'static str, HashSet<&'static str>>>> =
-            OnceLock::new();
+    type Graph = HashMap<&'static str, HashSet<&'static str>>;
+
+    fn graph() -> &'static Mutex<Graph> {
+        static GRAPH: OnceLock<Mutex<Graph>> = OnceLock::new();
         GRAPH.get_or_init(|| Mutex::new(HashMap::new()))
     }
 
-    fn reaches(
-        g: &HashMap<&'static str, HashSet<&'static str>>,
-        from: &'static str,
-        to: &'static str,
-    ) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut stack = vec![from];
-        let mut seen: HashSet<&'static str> = HashSet::new();
+    fn reaches(g: &Graph, from: &'static str, to: &'static str) -> bool {
+        let (mut stack, mut seen) = (vec![from], HashSet::new());
         while let Some(n) = stack.pop() {
-            if !seen.insert(n) {
-                continue;
+            if n == to {
+                return true;
             }
-            if let Some(next) = g.get(n) {
-                for &m in next {
-                    if m == to {
-                        return true;
-                    }
-                    stack.push(m);
-                }
+            if seen.insert(n) {
+                stack.extend(g.get(n).into_iter().flatten());
             }
         }
         false
     }
 
-    /// Records an acquisition of `(id, class)` on the current thread.
-    /// Returns `true` when the acquisition is tracked (checking on).
-    /// Must run *before* the real `Mutex::lock` so a self-deadlock
-    /// panics instead of hanging.
-    fn on_acquire(id: u64, class: &'static str) -> bool {
-        if !checking_enabled() {
-            return false;
-        }
+    /// Checks an acquisition of `(id, class)` by the current thread
+    /// against the locks it holds and the acquisition graph. Runs *before*
+    /// the real `Mutex::lock` (and the explorer's scheduling point) so a
+    /// self-deadlock panics instead of hanging.
+    fn check_acquire(id: u64, class: &'static str) {
         // Same-instance or same-class nesting → C002.
-        let nested: Option<Diagnostic> = HELD.with(|h| {
-            let h = h.borrow();
-            for held in h.iter() {
-                if held.id == id {
-                    return Some(diag(
-                        LintCode::DoubleLock,
-                        format!(
-                            "thread re-locked mutex `{class}` (id {id}) it already \
-                             holds; std::sync::Mutex is not reentrant, this deadlocks"
-                        ),
-                    ));
-                }
-                if held.class == class {
-                    return Some(diag(
-                        LintCode::DoubleLock,
-                        format!(
-                            "thread acquired a second lock of class `{class}` while \
-                             holding one; same-class nesting has no defined order"
-                        ),
-                    ));
-                }
-            }
-            None
+        let nested = HELD.with(|h| {
+            h.borrow().iter().find_map(|held| {
+                let message = if held.id == id {
+                    format!(
+                        "thread re-locked mutex `{class}` (id {id}) it already \
+                         holds; std::sync::Mutex is not reentrant, this deadlocks"
+                    )
+                } else if held.class == class {
+                    format!(
+                        "thread acquired a second lock of class `{class}` while \
+                         holding one; same-class nesting has no defined order"
+                    )
+                } else {
+                    return None;
+                };
+                Some(diag(LintCode::DoubleLock, message))
+            })
         });
         if let Some(d) = nested {
             fail(d);
@@ -266,42 +248,35 @@ mod checked {
         // Order inversion: acquiring `class` while holding `h` creates
         // the edge h -> class; if class already reaches h, that's a
         // cycle → C001.
-        let inversion: Option<Diagnostic> = {
+        let inverted = {
             let mut g = graph().lock().unwrap_or_else(PoisonError::into_inner);
-            let held_classes: Vec<&'static str> =
-                HELD.with(|h| h.borrow().iter().map(|e| e.class).collect());
-            let mut found = None;
-            for hc in &held_classes {
-                if reaches(&g, class, hc) {
-                    found = Some(diag(
-                        LintCode::LockOrderInversion,
-                        format!(
-                            "acquiring `{class}` while holding `{hc}` inverts the \
-                             established order `{class}` -> `{hc}`; two threads taking \
-                             the classes in opposite orders can deadlock"
-                        ),
-                    ));
-                    break;
-                }
-            }
-            if found.is_none() {
-                for hc in held_classes {
+            let held = held_classes();
+            let inverted = held.iter().copied().find(|hc| reaches(&g, class, hc));
+            if inverted.is_none() {
+                for hc in held {
                     g.entry(hc).or_default().insert(class);
                 }
             }
-            found
+            inverted
         };
-        if let Some(d) = inversion {
-            fail(d);
+        if let Some(hc) = inverted {
+            fail(diag(
+                LintCode::LockOrderInversion,
+                format!(
+                    "acquiring `{class}` while holding `{hc}` inverts the \
+                     established order `{class}` -> `{hc}`; two threads taking \
+                     the classes in opposite orders can deadlock"
+                ),
+            ));
         }
-        HELD.with(|h| {
-            h.borrow_mut().push(Held {
-                id,
-                class,
-                since: Instant::now(),
-            })
-        });
-        true
+    }
+
+    /// Records that the current thread now holds `(id, class)`: only once
+    /// the real lock is taken, so a thread unwound while it waited for the
+    /// lock leaves nothing behind.
+    fn hold(id: u64, class: &'static str) {
+        let since = Instant::now();
+        HELD.with(|h| h.borrow_mut().push(Held { id, class, since }));
     }
 
     fn on_release(id: u64) {
@@ -311,16 +286,14 @@ mod checked {
         });
         if let Some(e) = released {
             let held_for = e.since.elapsed();
-            if held_for > hold_threshold() {
+            if held_for > HOLD_THRESHOLD {
                 record_warning(diag(
                     LintCode::LongLockHold,
                     format!(
                         "lock `{}` held for {:?} (threshold {:?}); long holds \
                          serialize the pipeline — move slow work (measurement, I/O) \
                          outside the critical section",
-                        e.class,
-                        held_for,
-                        hold_threshold()
+                        e.class, held_for, HOLD_THRESHOLD
                     ),
                 ));
             }
@@ -332,9 +305,6 @@ mod checked {
     }
 
     pub(crate) fn assert_lock_free_impl(context: &str) {
-        if !checking_enabled() {
-            return;
-        }
         let held = held_classes();
         if !held.is_empty() {
             record_warning(diag(
@@ -360,57 +330,28 @@ mod checked {
     impl<T> CMutex<T> {
         pub fn new(name: &'static str, value: T) -> Self {
             CMutex {
-                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+                id: next_id(),
                 name,
                 inner: Mutex::new(value),
             }
         }
 
         pub fn lock(&self) -> LockResult<CMutexGuard<'_, T>> {
-            // Before the real lock: a self-deadlock must panic, not hang.
-            let tracked = on_acquire(self.id, self.name);
-            match self.inner.lock() {
-                Ok(g) => Ok(CMutexGuard {
+            check_acquire(self.id, self.name);
+            model::lock_mutex(self.id, self.name);
+            let wrap = |g| {
+                hold(self.id, self.name);
+                CMutexGuard {
                     id: self.id,
                     class: self.name,
+                    mutex: &self.inner,
                     inner: Some(g),
-                    tracked,
-                }),
-                Err(e) => Err(PoisonError::new(CMutexGuard {
-                    id: self.id,
-                    class: self.name,
-                    inner: Some(e.into_inner()),
-                    tracked,
-                })),
-            }
-        }
-
-        pub fn into_inner(self) -> LockResult<T> {
-            self.inner.into_inner()
-        }
-
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
-
-        /// Panics (C004) when checking is on and the current thread does
-        /// not hold this mutex — guards data documented as
-        /// "protected by" it against unprotected access paths.
-        pub fn assert_held(&self) {
-            if !checking_enabled() {
-                return;
-            }
-            let held = HELD.with(|h| h.borrow().iter().any(|e| e.id == self.id));
-            if !held {
-                fail(diag(
-                    LintCode::UnorderedSharedWrite,
-                    format!(
-                        "data protected by `{}` accessed without holding it \
-                         (assert_held failed)",
-                        self.name
-                    ),
-                ));
-            }
+                }
+            };
+            self.inner
+                .lock()
+                .map(wrap)
+                .map_err(|e| PoisonError::new(wrap(e.into_inner())))
         }
     }
 
@@ -426,8 +367,8 @@ mod checked {
     pub struct CMutexGuard<'a, T> {
         id: u64,
         class: &'static str,
+        mutex: &'a Mutex<T>,
         inner: Option<MutexGuard<'a, T>>,
-        tracked: bool,
     }
 
     impl<T> Deref for CMutexGuard<'_, T> {
@@ -445,8 +386,11 @@ mod checked {
 
     impl<T> Drop for CMutexGuard<'_, T> {
         fn drop(&mut self) {
-            if self.tracked {
+            // The real unlock comes first: once the explorer sees the
+            // mutex free, the thread it schedules next may take it.
+            if self.inner.take().is_some() {
                 on_release(self.id);
+                model::unlock_mutex(self.id);
             }
         }
     }
@@ -455,62 +399,81 @@ mod checked {
     /// releases the guard's slot in the held stack and re-records it on
     /// wake, and waiting while holding *other* locks is a C003 warning
     /// (those locks stay held for the whole sleep).
-    #[derive(Debug, Default)]
+    #[derive(Debug)]
     pub struct CCondvar {
+        id: u64,
         inner: Condvar,
+    }
+
+    impl Default for CCondvar {
+        fn default() -> Self {
+            Self::new()
+        }
     }
 
     impl CCondvar {
         pub fn new() -> Self {
             CCondvar {
+                id: next_id(),
                 inner: Condvar::new(),
             }
         }
 
         pub fn wait<'a, T>(&self, mut guard: CMutexGuard<'a, T>) -> LockResult<CMutexGuard<'a, T>> {
-            let id = guard.id;
-            let class = guard.class;
-            if guard.tracked {
-                let others: Vec<&'static str> =
-                    held_classes().into_iter().filter(|c| *c != class).collect();
-                if !others.is_empty() {
-                    record_warning(diag(
-                        LintCode::LongLockHold,
-                        format!(
-                            "condvar wait on `{class}` while still holding \
-                             [{}]; those locks stay blocked for the whole sleep",
-                            others.join(", ")
-                        ),
-                    ));
-                }
-                on_release(id);
-                guard.tracked = false;
+            let (id, class, mutex) = (guard.id, guard.class, guard.mutex);
+            let others: Vec<&'static str> =
+                held_classes().into_iter().filter(|c| *c != class).collect();
+            if !others.is_empty() {
+                record_warning(diag(
+                    LintCode::LongLockHold,
+                    format!(
+                        "condvar wait on `{class}` while still holding \
+                         [{}]; those locks stay blocked for the whole sleep",
+                        others.join(", ")
+                    ),
+                ));
             }
+            on_release(id);
             let inner = guard.inner.take().expect("guard taken");
             drop(guard);
-            let rewrap = |g: MutexGuard<'a, T>| CMutexGuard {
-                id,
-                class,
-                inner: Some(g),
-                tracked: on_acquire(id, class),
+            let relocked = if model::exploring() {
+                // The explorer owns the blocking: drop the real guard,
+                // wait for a notify and for the mutex, then re-lock it
+                // (uncontended: no other thread runs meanwhile).
+                drop(inner);
+                model::wait(self.id, id, class);
+                mutex.lock()
+            } else {
+                self.inner.wait(inner)
             };
-            match self.inner.wait(inner) {
-                Ok(g) => Ok(rewrap(g)),
-                Err(e) => Err(PoisonError::new(rewrap(e.into_inner()))),
-            }
+            check_acquire(id, class);
+            let wrap = |g| {
+                hold(id, class);
+                CMutexGuard {
+                    id,
+                    class,
+                    mutex,
+                    inner: Some(g),
+                }
+            };
+            relocked
+                .map(wrap)
+                .map_err(|e| PoisonError::new(wrap(e.into_inner())))
         }
 
         pub fn notify_one(&self) {
+            model::notify(self.id, false);
             self.inner.notify_one();
         }
 
         pub fn notify_all(&self) {
+            model::notify(self.id, true);
             self.inner.notify_all();
         }
     }
 
     fn check_flag_ordering(name: &'static str, role: AtomicRole, order: Ordering, op: &str) {
-        if role == AtomicRole::Flag && order == Ordering::Relaxed && checking_enabled() {
+        if role == AtomicRole::Flag && order == Ordering::Relaxed {
             fail(diag(
                 LintCode::UnorderedSharedWrite,
                 format!(
@@ -520,6 +483,7 @@ mod checked {
                 ),
             ));
         }
+        model::yield_point(name);
     }
 
     macro_rules! checked_atomic {
@@ -556,7 +520,6 @@ mod checked {
 
     checked_atomic!(CAtomicBool, AtomicBool, bool);
     checked_atomic!(CAtomicU64, AtomicU64, u64);
-    checked_atomic!(CAtomicUsize, AtomicUsize, usize);
 
     impl CAtomicU64 {
         pub fn fetch_add(&self, value: u64, order: Ordering) -> u64 {
@@ -564,17 +527,10 @@ mod checked {
             self.inner.fetch_add(value, order)
         }
     }
-
-    impl CAtomicUsize {
-        pub fn fetch_add(&self, value: usize, order: Ordering) -> usize {
-            check_flag_ordering(self.name, self.role, order, "fetch_add");
-            self.inner.fetch_add(value, order)
-        }
-    }
 }
 
 #[cfg(harl_check)]
-pub use checked::{CAtomicBool, CAtomicU64, CAtomicUsize, CCondvar, CMutex, CMutexGuard};
+pub use checked::{take_warnings, CAtomicBool, CAtomicU64, CCondvar, CMutex, CMutexGuard};
 
 #[cfg(harl_check)]
 pub(crate) use checked::assert_lock_free_impl;
@@ -587,7 +543,7 @@ pub(crate) use checked::assert_lock_free_impl;
 mod passthrough_tests {
     use super::*;
     use std::mem::size_of;
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Condvar, Mutex};
 
     /// The whole point of the passthrough build: the wrappers add no
@@ -603,16 +559,13 @@ mod passthrough_tests {
         assert_eq!(size_of::<CCondvar>(), size_of::<Condvar>());
         assert_eq!(size_of::<CAtomicBool>(), size_of::<AtomicBool>());
         assert_eq!(size_of::<CAtomicU64>(), size_of::<AtomicU64>());
-        assert_eq!(size_of::<CAtomicUsize>(), size_of::<AtomicUsize>());
     }
 
     #[test]
     fn passthrough_mutex_and_atomics_behave_like_std() {
         let m = CMutex::new("test.plain", 1u64);
         *m.lock().expect("lock") += 41;
-        m.assert_held(); // no-op here
-        assert_eq!(m.into_inner().expect("into_inner"), 42);
-        assert_eq!(CMutex::new("test.plain", 7u8).name(), "<unchecked>");
+        assert_eq!(*m.lock().expect("lock"), 42);
 
         let b = CAtomicBool::new(false, "test.flag", AtomicRole::Flag);
         b.store(true, Ordering::SeqCst);
@@ -620,18 +573,12 @@ mod passthrough_tests {
         let c = CAtomicU64::new(5, "test.ctr", AtomicRole::Counter);
         assert_eq!(c.fetch_add(3, Ordering::Relaxed), 5);
         assert_eq!(c.load(Ordering::Relaxed), 8);
-        let u = CAtomicUsize::new(0, "test.cursor", AtomicRole::Counter);
-        u.fetch_add(2, Ordering::Relaxed);
-        assert_eq!(u.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn checking_is_compiled_out() {
-        assert!(!crate::checking_enabled());
-        crate::force_enable();
-        assert!(!crate::checking_enabled());
         crate::assert_lock_free("anywhere");
-        assert!(crate::take_warnings().is_empty());
+        crate::yield_point("anywhere");
     }
 }
 
@@ -659,7 +606,6 @@ mod checked_tests {
 
     #[test]
     fn double_lock_same_instance_is_c002() {
-        crate::force_enable();
         let m = CMutex::new("t.double", 0u32);
         let _g = m.lock().expect("first lock");
         let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
@@ -670,7 +616,6 @@ mod checked_tests {
 
     #[test]
     fn same_class_nesting_is_c002() {
-        crate::force_enable();
         let a = CMutex::new("t.sameclass", 0u32);
         let b = CMutex::new("t.sameclass", 0u32);
         let _g = a.lock().expect("lock a");
@@ -682,7 +627,6 @@ mod checked_tests {
 
     #[test]
     fn abba_inversion_is_c001() {
-        crate::force_enable();
         let a = CMutex::new("t.inv_a", ());
         let b = CMutex::new("t.inv_b", ());
         {
@@ -698,7 +642,6 @@ mod checked_tests {
 
     #[test]
     fn relaxed_flag_access_is_c004() {
-        crate::force_enable();
         let f = CAtomicBool::new(false, "t.flag_relaxed", AtomicRole::Flag);
         f.store(true, Ordering::SeqCst); // fine
         assert!(f.load(Ordering::Acquire));
@@ -707,33 +650,18 @@ mod checked_tests {
         })));
         assert!(msg.contains("C004"), "got: {msg}");
         // Counters may be Relaxed.
-        let c = CAtomicUsize::new(0, "t.ctr_relaxed", AtomicRole::Counter);
+        let c = CAtomicU64::new(0, "t.ctr_relaxed", AtomicRole::Counter);
         c.fetch_add(1, Ordering::Relaxed);
         assert_eq!(c.load(Ordering::Relaxed), 1);
     }
 
     #[test]
-    fn assert_held_outside_lock_is_c004() {
-        crate::force_enable();
-        let m = CMutex::new("t.assert_held", 0u32);
-        {
-            let _g = m.lock().expect("lock");
-            m.assert_held(); // fine while held
-        }
-        let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
-            m.assert_held();
-        })));
-        assert!(msg.contains("C004"), "got: {msg}");
-    }
-
-    #[test]
     fn long_hold_records_c003_warning() {
-        crate::force_enable();
         let _sink = WARNINGS_SINK.lock().unwrap_or_else(|e| e.into_inner());
         let m = CMutex::new("t.long_hold", ());
         {
             let _g = m.lock().expect("lock");
-            std::thread::sleep(Duration::from_millis(crate::DEFAULT_HOLD_MS + 50));
+            std::thread::sleep(Duration::from_millis(150));
         }
         let warned = crate::take_warnings()
             .iter()
@@ -743,7 +671,6 @@ mod checked_tests {
 
     #[test]
     fn assert_lock_free_under_lock_records_c003() {
-        crate::force_enable();
         let _sink = WARNINGS_SINK.lock().unwrap_or_else(|e| e.into_inner());
         let m = CMutex::new("t.lock_free_zone", ());
         {
@@ -760,7 +687,6 @@ mod checked_tests {
 
     #[test]
     fn condvar_wait_holding_another_lock_records_c003() {
-        crate::force_enable();
         let _sink = WARNINGS_SINK.lock().unwrap_or_else(|e| e.into_inner());
         let outer = CMutex::new("t.wait_outer", ());
         let pair = Arc::new((CMutex::new("t.wait_inner", false), CCondvar::new()));

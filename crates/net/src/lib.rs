@@ -84,6 +84,10 @@ pub struct LoopConfig {
 const MIN_IDLE_SLEEP: Duration = Duration::from_millis(1);
 /// Bounds the latency added to a request arriving on a fully idle loop.
 const MAX_IDLE_SLEEP: Duration = Duration::from_millis(10);
+/// A connection whose replies not yet taken by its peer exceed this is
+/// neither read from nor dispatched until they drain: a client that writes
+/// without reading cannot grow the daemon's memory without bound.
+const MAX_UNSENT_BYTES: usize = 1 << 20;
 
 impl Default for LoopConfig {
     fn default() -> LoopConfig {
@@ -127,7 +131,12 @@ impl Conn {
     }
 
     fn idle(&self) -> bool {
-        self.rbuf.is_empty() && self.wpos >= self.wbuf.len()
+        self.rbuf.is_empty() && self.unsent() == 0
+    }
+
+    /// Queued reply bytes the peer has not taken yet.
+    fn unsent(&self) -> usize {
+        self.wbuf.len() - self.wpos
     }
 
     /// Nonblocking write of everything pending. Returns true on progress.
@@ -157,6 +166,10 @@ impl Conn {
             if self.close_after_flush && self.gone.is_none() {
                 self.gone = Some(Gone::Closed);
             }
+        } else if self.wpos >= self.wbuf.len() / 2 {
+            // a slow reader never empties the buffer: drop the written half
+            self.wbuf.drain(..self.wpos);
+            self.wpos = 0;
         }
         progressed
     }
@@ -297,10 +310,13 @@ impl<S: Service> EventLoop<S> {
             return progressed;
         }
 
-        // nonblocking read sweep
+        // nonblocking read sweep, until a whole line is buffered: not at all
+        // while lines wait for dispatch (`scanned` stops short of the end
+        // only then) or the peer is not taking its replies
         let mut eof = false;
         let mut chunk = [0u8; 16 * 1024];
-        loop {
+        let mut line_ready = conn.scanned < conn.rbuf.len();
+        while !line_ready && conn.unsent() <= MAX_UNSENT_BYTES {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     eof = true;
@@ -308,6 +324,7 @@ impl<S: Service> EventLoop<S> {
                 }
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&chunk[..n]);
+                    line_ready = chunk[..n].contains(&b'\n');
                     progressed = true;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -319,13 +336,20 @@ impl<S: Service> EventLoop<S> {
             }
         }
 
-        // frame + dispatch complete lines
+        // frame + dispatch complete lines; `start` is where the next line
+        // begins, and the dispatched prefix is drained once, below
+        let mut start = 0;
+        let mut backlog = false;
         while let Some(nl) = conn.rbuf[conn.scanned..].iter().position(|&b| b == b'\n') {
+            if conn.unsent() > MAX_UNSENT_BYTES {
+                backlog = true;
+                break;
+            }
             let end = conn.scanned + nl;
-            let line_bytes: Vec<u8> = conn.rbuf.drain(..=end).collect();
-            conn.scanned = 0;
-            let line = String::from_utf8_lossy(&line_bytes);
-            let line = line.trim_end_matches(['\n', '\r']);
+            let line = String::from_utf8_lossy(&conn.rbuf[start..end]);
+            let line = line.trim_end_matches('\r');
+            (start, conn.scanned) = (end + 1, end + 1);
+            progressed = true;
             let started = Instant::now();
             let mut out = Outbox::default();
             self.service.on_line(token, line, &mut out);
@@ -340,14 +364,16 @@ impl<S: Service> EventLoop<S> {
                 break;
             }
         }
-        conn.scanned = conn.rbuf.len();
-        if conn.rbuf.len() > self.cfg.max_line_bytes {
+        conn.rbuf.drain(..start);
+        // lines left for later are rescanned then; the rest holds none
+        conn.scanned = if backlog { 0 } else { conn.rbuf.len() };
+        if !backlog && conn.rbuf.len() > self.cfg.max_line_bytes {
             conn.gone = Some(Gone::Dropped);
             return progressed;
         }
 
         progressed |= conn.flush();
-        if conn.gone.is_none() && eof {
+        if conn.gone.is_none() && eof && !backlog {
             // a partial line at EOF is a torn frame, not a clean close
             conn.gone = Some(if conn.rbuf.is_empty() {
                 Gone::Closed
@@ -555,6 +581,84 @@ mod tests {
         line.clear();
         reader.read_line(&mut line).unwrap();
         assert_eq!(line.trim_end(), "echo:still-alive");
+        finish(stop, handle);
+    }
+
+    /// One `ping` round trip on a fresh connection, or the reason it failed
+    /// to come back within `limit`.
+    fn ping(addr: std::net::SocketAddr, limit: Duration) -> Result<Duration, String> {
+        let started = Instant::now();
+        let stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
+        stream.set_read_timeout(Some(limit)).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        writeln!(writer, "ping").map_err(|e| e.to_string())?;
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .map_err(|e| format!("no echo within {limit:?}: {e}"))?;
+        assert_eq!(line, "echo:ping\n");
+        Ok(started.elapsed())
+    }
+
+    #[test]
+    fn a_pipelined_flood_does_not_stall_other_connections() {
+        let (addr, stop, handle) = spawn_echo();
+        let flood = TcpStream::connect(addr).unwrap();
+        // the flooding client takes its replies, on a thread of its own
+        let mut replies = flood.try_clone().unwrap();
+        let sink = std::thread::spawn(move || {
+            let mut chunk = [0u8; 64 * 1024];
+            while replies.read(&mut chunk).is_ok_and(|n| n > 0) {}
+        });
+        // 2 MiB of one-byte lines, all handed to the kernel before the
+        // probe connects: the loop is still framing them when it does
+        (&flood).write_all(&b"x\n".repeat(1 << 20)).unwrap();
+        let waited = ping(addr, Duration::from_secs(5));
+        assert!(
+            waited.is_ok(),
+            "while 2 MiB of lines are framed: {waited:?}"
+        );
+        flood.shutdown(std::net::Shutdown::Both).unwrap();
+        sink.join().unwrap();
+        finish(stop, handle);
+    }
+
+    #[test]
+    fn a_client_that_never_reads_is_stopped_by_backpressure() {
+        let (addr, stop, handle) = spawn_echo();
+        let hog = TcpStream::connect(addr).unwrap();
+        hog.set_nonblocking(true).unwrap();
+        // 64 KiB lines, so that framing costs nothing at any buffer size
+        let mut line = vec![b'x'; 64 * 1024];
+        *line.last_mut().unwrap() = b'\n';
+        let (mut written, mut at) = (0usize, 0usize);
+        let mut blocked_since = None;
+        while written < 32 << 20 {
+            match (&hog).write(&line[at..]) {
+                Ok(n) => {
+                    (written, at) = (written + n, (at + n) % line.len());
+                    blocked_since = None;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    // a loop that keeps reading unblocks the writer again
+                    // within a sweep; one that stopped reading does not
+                    let since = *blocked_since.get_or_insert_with(Instant::now);
+                    if since.elapsed() > Duration::from_secs(2) {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => panic!("write failed after {written} bytes: {e}"),
+            }
+        }
+        assert!(
+            written < 32 << 20,
+            "wrote {written} bytes without reading a reply and never saw WouldBlock last"
+        );
+        // the loop keeps serving new connections
+        let waited = ping(addr, Duration::from_secs(5));
+        assert!(waited.is_ok(), "with a blocked writer: {waited:?}");
+        drop(hog);
         finish(stop, handle);
     }
 

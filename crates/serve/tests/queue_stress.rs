@@ -1,6 +1,7 @@
-//! Stress tests for `JobQueue` under real thread contention — the
-//! statistical companion to the exhaustive-but-small interleaving models
-//! in `harl-check` (`cargo run -p harl-check --bin lint-concurrency`).
+//! Stress tests for `JobQueue` under real thread contention and the real
+//! memory model — the statistical companion to `queue_explore.rs`, which
+//! runs the same queue through every schedule up to two preemptions at
+//! small thread counts (in the `--cfg harl_check` build).
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};

@@ -198,12 +198,14 @@ impl DirLock {
     /// stale lock file via `rename` and verifies the claim.
     fn acquire_file(dir: &Path, path: &Path, pid: u32) -> Result<(), StoreError> {
         let read_pid = |p: &Path| {
+            harl_check::yield_point("read");
             fs::read_to_string(p)
                 .ok()
                 .and_then(|s| s.trim().parse::<u32>().ok())
         };
         let tmp = dir.join(format!("{LOCK_FILE}.tmp.{pid}"));
         for _ in 0..8 {
+            harl_check::yield_point("hard_link");
             match fs::hard_link(&tmp, path) {
                 Ok(()) => return Ok(()),
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
@@ -223,6 +225,7 @@ impl DirLock {
                         // verify what we actually took before discarding it.
                         _ => {
                             let tomb = dir.join(format!("{LOCK_FILE}.steal.{pid}"));
+                            harl_check::yield_point("rename");
                             match fs::rename(path, &tomb) {
                                 Ok(()) => match read_pid(&tomb) {
                                     Some(stolen) if stolen != pid && pid_alive(stolen) => {
@@ -231,7 +234,9 @@ impl DirLock {
                                         // lock: restore it (unless they
                                         // already re-created it) and back
                                         // off.
+                                        harl_check::yield_point("hard_link");
                                         let _ = fs::hard_link(&tomb, path);
+                                        harl_check::yield_point("remove_file");
                                         let _ = fs::remove_file(&tomb);
                                         return Err(StoreError::Locked(format!(
                                             "{} is locked by live process {stolen}",
@@ -240,6 +245,7 @@ impl DirLock {
                                     }
                                     // Genuinely stale: discard and retry.
                                     _ => {
+                                        harl_check::yield_point("remove_file");
                                         let _ = fs::remove_file(&tomb);
                                     }
                                 },
@@ -929,5 +935,78 @@ mod tests {
         // sample_records reuses only two distinct schedules (unroll_idx 0/1)
         assert_eq!(best.len(), 2);
         assert!(best[0].time <= best[1].time);
+    }
+}
+
+/// `DirLock::acquire_file` under the schedule explorer (`--cfg harl_check`
+/// builds only): the real function, its file operations the scheduling
+/// points, every schedule up to two preemptions.
+#[cfg(all(test, harl_check))]
+mod explore {
+    use super::*;
+    use harl_check::model::{self, spawn};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A fresh directory per run, removed when dropped (a failing run
+    /// unwinds through it).
+    struct RunDir(PathBuf);
+
+    impl Drop for RunDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Two live processes — this one and init — race the steal of a lock
+    /// left by a dead PID.
+    fn two_stealers() {
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let n = RUNS.fetch_add(1, Ordering::Relaxed);
+        let dir = RunDir(
+            std::env::temp_dir().join(format!("harl-store-steal-{}-{n}", std::process::id())),
+        );
+        fs::create_dir_all(&dir.0).unwrap();
+        let path = dir.0.join(LOCK_FILE);
+        // u32::MAX exceeds any real pid_max, so the holder is provably dead
+        fs::write(&path, format!("{}\n", u32::MAX)).unwrap();
+        let pids = [std::process::id(), 1];
+        let stealers: Vec<_> = pids
+            .iter()
+            .map(|&pid| {
+                let tmp = dir.0.join(format!("{LOCK_FILE}.tmp.{pid}"));
+                fs::write(tmp, format!("{pid}\n")).unwrap();
+                let (dir, path) = (dir.0.clone(), path.clone());
+                spawn(move || DirLock::acquire_file(&dir, &path, pid))
+            })
+            .collect();
+        let outcomes: Vec<_> = stealers.into_iter().map(|s| s.join()).collect();
+        let winners: Vec<u32> = (pids.iter().zip(&outcomes))
+            .filter(|(_, r)| r.is_ok())
+            .map(|(&pid, _)| pid)
+            .collect();
+        assert_eq!(
+            winners.len(),
+            1,
+            "winners {winners:?}, outcomes {outcomes:?}"
+        );
+        assert!(
+            outcomes
+                .iter()
+                .any(|r| matches!(r, Err(StoreError::Locked(_)))),
+            "the loser must see the lock held: {outcomes:?}"
+        );
+        let holder = fs::read_to_string(&path).unwrap();
+        assert_eq!(holder.trim(), winners[0].to_string(), "lock file content");
+    }
+
+    #[test]
+    fn two_stealers_of_a_dead_lock_leave_exactly_one_owner() {
+        if !Path::new("/proc/1").exists() {
+            return; // liveness needs /proc, and PID 1 must be alive
+        }
+        let started = std::time::Instant::now();
+        let report = model::check("store.dirlock/steal", two_stealers);
+        eprintln!("{report:?} in {:?}", started.elapsed());
+        assert!(report.passed(), "{report:?}");
     }
 }

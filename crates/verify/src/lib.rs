@@ -73,16 +73,15 @@ pub enum LintCode {
     /// class on one thread.
     DoubleLock,
     /// C003 — long lock hold: a lock held across a blocking region (a
-    /// `Measurer` call, a condvar wait with other locks held, or past the
-    /// configured hold-time threshold).
+    /// `Measurer` call, a condvar wait with other locks held, or past
+    /// 100 ms).
     LongLockHold,
-    /// C004 — unprotected shared write: mutating shared state without the
-    /// guarding lock held, or publishing through an atomic flag with
-    /// `Ordering::Relaxed`.
+    /// C004 — unprotected shared write: publishing through an atomic flag
+    /// with `Ordering::Relaxed`.
     UnorderedSharedWrite,
-    /// C005 — model-checker violation: an interleaving of a concurrency
-    /// model (job queue, directory lock, chunk stealing) that breaks its
-    /// invariant — lost/duplicated items, two writers, deadlock.
+    /// C005 — model-checker violation: a schedule of the real code under
+    /// the schedule explorer (job queue, directory lock) that panics,
+    /// deadlocks or livelocks — lost/duplicated items, two writers.
     ModelCheckViolation,
 }
 
@@ -263,25 +262,25 @@ impl LintCode {
                 "C003 long-lock-hold (warn)\n\
                  A lock was held across a blocking region: a simulated-measurement\n\
                  (Measurer) call, a condvar wait with other locks held, or longer\n\
-                 than the HARL_CHECK_HOLD_MS threshold. Long holds serialize the\n\
-                 scoring pool and the serve workers. Copy what you need out of the\n\
-                 guard and drop it before blocking."
+                 than 100 ms. Long holds serialize the serve workers and the store\n\
+                 writers. Copy what you need out of the guard and drop it before\n\
+                 blocking."
             }
             LintCode::UnorderedSharedWrite => {
                 "C004 unprotected-shared-write (error)\n\
-                 Shared state was mutated without its guarding lock held\n\
-                 (CMutex::assert_held failed), or a cross-thread publish flag was\n\
-                 accessed with Ordering::Relaxed. Relaxed flags reorder against the\n\
-                 data they publish; use Acquire/Release (or SeqCst), or declare the\n\
-                 atomic a Counter if it never publishes."
+                 A cross-thread publish flag (an atomic declared AtomicRole::Flag)\n\
+                 was accessed with Ordering::Relaxed. Relaxed flags reorder against\n\
+                 the data they publish; use Acquire/Release (or SeqCst), or declare\n\
+                 the atomic a Counter if it never publishes."
             }
             LintCode::ModelCheckViolation => {
                 "C005 model-check-violation (error)\n\
-                 The interleaving model checker found a schedule of a concurrency\n\
-                 model (job queue, directory lock, chunk-stealing map) that breaks\n\
-                 its invariant: a lost or duplicated job, two processes holding one\n\
-                 store directory, a lost wakeup, or a deadlock. The reported thread\n\
-                 schedule reproduces the violation deterministically."
+                 The schedule explorer (harl_check::model, --cfg harl_check builds)\n\
+                 found a schedule of the real code under test (the job queue, the\n\
+                 directory-lock steal) that fails: a panic or failed assertion in\n\
+                 any thread (a lost or duplicated job, two owners of one store\n\
+                 directory), a deadlock, or a livelock. The reported schedule\n\
+                 replays the failure deterministically (harl_check::model::replay)."
             }
         }
     }
