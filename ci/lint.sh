@@ -36,7 +36,7 @@ if awk '
     in_tests || /^[[:space:]]*\/\// { next }
     /\.analyze\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
     END { exit !found }
-' crates/harl/src/episode.rs crates/mcts/src/core.rs; then
+' crates/harl/src/episode.rs crates/harl/src/search.rs; then
     echo "FAIL: Analyzer::analyze on the candidate path (use Analyzer::verdict)"
     exit 1
 fi
@@ -88,6 +88,25 @@ echo "==> no hand-written concurrency model"
 # `harl_check::models`) is a second copy nothing keeps in step with the code
 if grep -rnE 'impl +Model +for|harl_check::models' crates src examples tests; then
     echo "FAIL: a hand-written concurrency model (check the real code with harl_check::model::check)"
+    exit 1
+fi
+
+echo "==> no unused internal dependency"
+# a `harl-*` entry under a crate's [dependencies] that none of the crate's
+# Rust files names as `harl_*` is a crate edge the build pays for and the
+# code does not use ([dev-dependencies] are not read)
+unused=0
+for manifest in crates/*/Cargo.toml; do
+    crate=$(dirname "$manifest")
+    for dep in $(awk '/^\[/ { deps = ($0 == "[dependencies]") } deps && /^harl-/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+        if ! grep -rqw --include='*.rs' "${dep//-/_}" "$crate"; then
+            echo "$manifest: $dep is never named as ${dep//-/_}"
+            unused=1
+        fi
+    done
+done
+if [ "$unused" -ne 0 ]; then
+    echo "FAIL: an internal dependency no source file uses (drop it from the manifest)"
     exit 1
 fi
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Prints the size of the searcher crates the way ISSUE/CHANGES/EXPERIMENTS
-# quote it: lines of crates/{harl,ansor,mcts}/src/*.rs above each file's
+# Prints the size of the searcher code the way ISSUE/CHANGES/EXPERIMENTS
+# quote it: lines of the .rs files under crates/harl/src above each file's
 # `#[cfg(test)]`, not counting blank and `//` lines — then the structural
 # counts the search-core PRs track (how many times each piece of the tuner
 # shell is spelled) and the counts of the yardstick PR. Quote this output,
@@ -18,9 +18,9 @@ non_test() {
 }
 # code_lines FILE...: the non-blank, non-`//` ones among them
 code_lines() { non_test "$@" | grep -vcE '^\s*(//|$)' || true; }
-searchers=(crates/{harl,ansor,mcts}/src/*.rs)
+mapfile -t searchers < <(find crates/harl/src -name '*.rs' | sort)
 
-echo "non-test, non-comment lines in crates/{harl,ansor,mcts}/src:" "$(code_lines "${searchers[@]}")"
+echo "non-test, non-comment lines in crates/harl/src:" "$(code_lines "${searchers[@]}")"
 for pattern in \
     'Tuner for ' \
     'fn tune\(' \
@@ -69,4 +69,13 @@ echo "*ConfigBuilder types in crates src examples tests:" \
     "$(grep -rhoE 'struct \w+ConfigBuilder' crates src examples tests | sort -u | wc -l)"
 echo "non-test, non-comment lines in the seven config files:" \
     "$(code_lines crates/tensor-sim/src/measure.rs crates/nnet/src/{mlp,ppo}.rs \
-        crates/ansor/src/tuner.rs crates/mcts/src/{tuner,finetune}.rs crates/harl/src/config.rs)"
+        crates/harl/src/{ansor/tuner,mcts/tuner,mcts/finetune,config}.rs)"
+
+# the crate-graph PR's counts: workspace crates under crates/, and the
+# `harl-*` lines under [dependencies] of the root and crates/* manifests
+# (the internal edges the build resolves; [dev-dependencies] not counted)
+echo "crates under crates/:" "$(find crates -mindepth 2 -maxdepth 2 -name Cargo.toml | wc -l)"
+echo "harl-* [dependencies] lines in the root and crates/* manifests:" \
+    "$(for m in Cargo.toml crates/*/Cargo.toml; do
+        awk '/^\[/ { deps = ($0 == "[dependencies]") } deps && /^harl-/' "$m"
+    done | wc -l)"

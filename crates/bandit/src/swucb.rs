@@ -114,12 +114,11 @@ impl Bandit for SlidingWindowUcb {
     fn update(&mut self, arm: usize, reward: f64) {
         assert!(arm < self.arms);
         // V006: a single NaN reward would poison the windowed sums forever
-        let reward = match harl_verify::check_finite("SW-UCB reward", reward) {
-            Some(_) => {
-                self.non_finite += 1;
-                0.0
-            }
-            None => reward,
+        let reward = if reward.is_finite() {
+            reward
+        } else {
+            self.non_finite += 1;
+            0.0
         };
         self.window.push_back((arm, reward));
         self.sums[arm] += reward;

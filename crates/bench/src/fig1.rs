@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use harl_ansor::{FlextensorConfig, FlextensorTuner, GradientParams};
+use harl_core::ansor::{FlextensorConfig, FlextensorTuner, GradientParams};
 use harl_core::AnsorNetworkTuner;
 use harl_nn_models::{bert, operators};
 use harl_tensor_ir::{generate_sketches, mutate, Schedule, Target};

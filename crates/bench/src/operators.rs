@@ -2,7 +2,7 @@
 
 use serde::Serialize;
 
-use harl_ansor::{AnsorConfig, AnsorTuner};
+use harl_core::ansor::{AnsorConfig, AnsorTuner};
 use harl_core::{critical_step_histogram, HarlConfig, HarlOperatorTuner};
 use harl_nn_models::operators::{operator_suite, OperatorClass};
 use harl_tensor_ir::Subgraph;

@@ -6,7 +6,7 @@
 //! scale trims trial counts and shape counts while keeping every algorithm
 //! identical. `--paper` restores the published scale.
 
-use harl_ansor::{AnsorConfig, EvoConfig};
+use harl_core::ansor::{AnsorConfig, EvoConfig};
 use harl_core::HarlConfig;
 use harl_gbt::GbtParams;
 

@@ -57,9 +57,25 @@ impl TrackWindow {
 }
 
 /// Relative position of the best-scored schedule on one track — the
-/// *critical step* of §6.2's ablation (Fig. 7(b)). The fixed-length
-/// baseline records the same thing (Fig. 1(c)); this is its type.
-pub use harl_ansor::CriticalStep;
+/// *critical step* of §6.2's ablation (Fig. 7(b)), recorded the same way
+/// by the fixed-length baseline (Fig. 1(c)).
+#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+pub struct CriticalStep {
+    /// Step index of the best schedule (0 = initial sample).
+    pub position: usize,
+    /// Track length (steps actually taken).
+    pub length: usize,
+}
+
+impl CriticalStep {
+    /// Position normalized to `[0, 1]` (the x-axis of Fig. 1(c) / 7(b)).
+    pub fn relative(&self) -> f64 {
+        match self.length {
+            0 => 0.0,
+            n => self.position as f64 / n as f64,
+        }
+    }
+}
 
 /// Histogram of relative critical-step positions (the y-axis of
 /// Fig. 1(c) / Fig. 7(b)).

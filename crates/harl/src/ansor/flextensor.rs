@@ -11,7 +11,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use harl_mcts::{Proposer, SearchCore, Searcher};
 use harl_nnet::{PpoAgent, PpoConfig};
 use harl_obs::Tracer;
 use harl_par::ParallelismOpts;
@@ -21,6 +20,9 @@ use harl_tensor_ir::{
 };
 use harl_tensor_sim::{ConfigError, TuneTrace};
 use harl_verify::LintStats;
+
+use crate::adaptive::CriticalStep;
+use crate::search::{Proposer, SearchCore, Searcher};
 
 /// Configuration of the fixed-length tuner.
 #[derive(Debug, Clone)]
@@ -72,26 +74,6 @@ struct Move {
     logp: f32,
     reward: f32,
     masks: Vec<Vec<bool>>,
-}
-
-/// Relative position of the best-performing schedule on one track.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct CriticalStep {
-    /// Step index of the best schedule (0 = initial sample).
-    pub position: usize,
-    /// Track length (steps actually taken).
-    pub length: usize,
-}
-
-impl CriticalStep {
-    /// Position normalized to `[0, 1]` (the x-axis of Fig. 1(c) / 7(b)).
-    pub fn relative(&self) -> f64 {
-        if self.length == 0 {
-            0.0
-        } else {
-            self.position as f64 / self.length as f64
-        }
-    }
 }
 
 /// Serializable snapshot of a [`FlextensorTuner`]'s mutable search state

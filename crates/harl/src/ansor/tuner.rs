@@ -1,13 +1,12 @@
-//! The Ansor baseline tuner: per-subgraph evolutionary rounds. (Its
-//! end-to-end network form is `harl_core::AnsorNetworkTuner`: the one
-//! network loop under the greedy gradient task scheduler.)
+//! The Ansor baseline tuner: per-subgraph evolutionary rounds. Its
+//! end-to-end network form is [`crate::AnsorNetworkTuner`]: the one
+//! network loop under the greedy gradient task scheduler.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use harl_gbt::{CostModel, GbtParams, ScoringPipeline};
-use harl_mcts::{Proposer, SearchCore, Searcher};
 use harl_obs::Tracer;
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
@@ -15,7 +14,8 @@ use harl_tensor_ir::Schedule;
 use harl_tensor_sim::{ConfigError, TuneTrace};
 use harl_verify::LintStats;
 
-use crate::evolution::{evolve_candidates, EvoConfig};
+use crate::ansor::evolution::{evolve_candidates, EvoConfig};
+use crate::search::{Proposer, SearchCore, Searcher};
 
 /// Configuration shared by Ansor operator and network tuning.
 #[derive(Debug, Clone)]

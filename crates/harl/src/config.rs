@@ -1,11 +1,12 @@
 //! HARL configuration — every hyper-parameter of Table 5 plus the ablation
 //! toggles used in §6.
 
-use harl_ansor::GradientParams;
 use harl_bandit::{AnyBandit, BanditKind};
 use harl_gbt::GbtParams;
 use harl_nnet::PpoConfig;
 use harl_tensor_sim::ConfigError;
+
+use crate::ansor::GradientParams;
 
 /// Full HARL configuration. [`HarlConfig::paper`] reproduces Table 5;
 /// [`HarlConfig::fast`] scales the search down for tests and quick runs

@@ -1,7 +1,8 @@
 //! # harl-core
 //!
-//! The paper's system: a hierarchical, adaptive, RL-based auto-scheduler
-//! for tensor programs.
+//! The paper's system — a hierarchical, adaptive, RL-based auto-scheduler
+//! for tensor programs — and the searchers it is compared with, all on
+//! one search core ([`search`]).
 //!
 //! * **Subgraph selection** `π_t(n)` — non-stationary SW-UCB with the
 //!   gradient estimate of Eq. 3 as reward ([`network::HarlNetworkTuner`],
@@ -12,16 +13,21 @@
 //!   over the Table 3 action space ([`episode::run_episode`]).
 //! * **Adaptive stopping** — track elimination every λ steps by critic
 //!   advantage ([`adaptive`]).
+//! * **Baselines** — Ansor and the Flextensor-like fixed-length tuner
+//!   ([`ansor`]), MCTS and coordinate descent ([`mcts`]).
 //!
 //! All Table 5 hyper-parameters live in [`config::HarlConfig`]; ablation
 //! toggles (`adaptive_stopping`, `subgraph_mab`, `sketch_mab`) reproduce the
 //! paper's §6 ablations.
 
 pub mod adaptive;
+pub mod ansor;
 pub mod config;
 pub mod episode;
+pub mod mcts;
 pub mod network;
 pub mod report;
+pub mod search;
 pub mod session;
 pub mod tuner;
 

@@ -21,7 +21,7 @@ use harl_tensor_ir::{Schedule, Sketch, Target};
 use harl_tensor_sim::{ConfigError, TuneTrace};
 use harl_verify::LintStats;
 
-use crate::core::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
+use crate::search::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
 
 /// Configuration of a fine-tune phase ([`coordinate_descent`]).
 #[derive(Debug, Clone)]

@@ -21,7 +21,7 @@ use harl_tensor_ir::{mutate, Schedule};
 use harl_tensor_sim::{ConfigError, TuneTrace};
 use harl_verify::LintStats;
 
-use crate::core::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
+use crate::search::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
 
 /// Configuration of the [`MctsTuner`].
 #[derive(Debug, Clone)]

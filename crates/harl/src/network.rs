@@ -11,16 +11,16 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use harl_ansor::{
-    task_gradient, weighted_latency, AnsorConfig, AnsorProposer, GradientParams,
-    GreedyTaskScheduler, TaskInfo, TaskState,
-};
 use harl_bandit::{AnyBandit, Bandit};
-use harl_mcts::{Proposer, Searcher};
 use harl_tensor_ir::Subgraph;
 use harl_tensor_sim::{Measurer, TuneTrace};
 
+use crate::ansor::{
+    task_gradient, weighted_latency, AnsorConfig, AnsorProposer, GradientParams,
+    GreedyTaskScheduler, TaskInfo, TaskState,
+};
 use crate::config::HarlConfig;
+use crate::search::{Proposer, Searcher};
 use crate::tuner::HarlProposer;
 
 /// Log entry of one network-level allocation decision.
@@ -293,7 +293,7 @@ mod tests {
         let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
         let cfg = AnsorConfig {
             measure_per_round: 16,
-            evo: harl_ansor::EvoConfig {
+            evo: crate::ansor::EvoConfig {
                 population: 64,
                 generations: 2,
                 ..Default::default()

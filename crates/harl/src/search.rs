@@ -10,8 +10,10 @@
 //! model, agent, bandit, elites, tree, queued seeds, RNG, config);
 //! [`Searcher`] puts one on a core and is the whole tuner shell: budget
 //! guard, `tune` loop, fine-tune, warm-start filter, checkpoint/restore.
-//! A new searcher is one `impl Proposer` (the tests below hold a
-//! complete toy one).
+//! Every `*Tuner` is an alias of it, and the erased, per-session side —
+//! the object-safe [`Tuner`](crate::Tuner) — is implemented once for
+//! every `Searcher`. A new searcher is one `impl Proposer` (the tests
+//! below hold a complete toy one).
 
 use std::collections::HashSet;
 use std::ops::Deref;
@@ -27,7 +29,7 @@ use harl_tensor_ir::{generate_sketches, FeaturePlan, Schedule, Sketch, Subgraph,
 use harl_tensor_sim::{ConfigError, Measurement, Measurer, TuneTrace};
 use harl_verify::{Analyzer, LintStats};
 
-use crate::finetune::{coordinate_descent, DescentOutcome, FinetuneConfig};
+use crate::mcts::{coordinate_descent, DescentOutcome, FinetuneConfig};
 
 /// State and steps shared by every searcher. A [`Searcher`] hands it out
 /// read-only (`Deref`, `Tuner::core`) and mutably only to its own

@@ -1,7 +1,7 @@
 //! The unified tuner session API.
 //!
 //! A searcher has two faces. Typed, per searcher: a
-//! [`harl_mcts::Proposer`] (its config, its state struct, its propose
+//! [`Proposer`] (its config, its state struct, its propose
 //! step) inside the one tuner shell [`Searcher`], which is what tests,
 //! reports and the network tuner hold. Erased, per session: [`Tuner`], the
 //! object-safe handle with a common round/checkpoint/restore surface over
@@ -25,30 +25,31 @@ use std::sync::Arc;
 use serde::de::{self, DeError, Value};
 use serde::{Deserialize, Serialize};
 
-use harl_ansor::{AnsorTunerState, FlextensorTunerState};
 use harl_gbt::ScoreStats;
-use harl_mcts::{CdTunerState, FinetuneConfig, MctsTunerState, Proposer, SearchCore, Searcher};
 use harl_par::ParallelismOpts;
 use harl_store::{MeasureRecord, RecordStore, StoreError};
 use harl_tensor_sim::{Measurer, MeasurerState, TuneTrace};
 
+use crate::ansor::{AnsorTunerState, FlextensorTunerState};
+use crate::mcts::{CdTunerState, FinetuneConfig, MctsTunerState};
+use crate::search::{Proposer, SearchCore, Searcher};
 use crate::tuner::HarlTunerState;
 
 /// Serialized search state of any [`Tuner`]: one variant per
-/// [`harl_mcts::Proposer::State`].
+/// [`Proposer::State`].
 // checkpoints are created once per round, so variant-size skew is irrelevant
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum TunerState {
     /// State of a [`crate::HarlOperatorTuner`].
     Harl(HarlTunerState),
-    /// State of an [`harl_ansor::AnsorTuner`].
+    /// State of an [`crate::ansor::AnsorTuner`].
     Ansor(AnsorTunerState),
-    /// State of a [`harl_ansor::FlextensorTuner`].
+    /// State of a [`crate::ansor::FlextensorTuner`].
     Flextensor(FlextensorTunerState),
-    /// State of an [`harl_mcts::MctsTuner`].
+    /// State of an [`crate::mcts::MctsTuner`].
     Mcts(MctsTunerState),
-    /// State of a [`harl_mcts::CdTuner`].
+    /// State of a [`crate::mcts::CdTuner`].
     Cd(CdTunerState),
 }
 
@@ -68,7 +69,7 @@ impl TunerState {
 /// Object-safe interface shared by all tuners: what a session, the
 /// daemon or a `Box<dyn Tuner>` needs, with the searcher's types erased.
 /// Implemented once, for every [`Searcher`] (and for `&mut T`); a new
-/// searcher implements [`harl_mcts::Proposer`], not this.
+/// searcher implements [`Proposer`], not this.
 ///
 /// `checkpoint`/`restore` capture only the *mutable* search state; the
 /// restore contract is to construct the tuner with the identical workload,
@@ -656,7 +657,7 @@ impl<'m> TuningSession<'m> {
     }
 
     /// Runs a coordinate-descent fine-tuning phase on the tuner's current
-    /// best schedule (see [`harl_mcts::coordinate_descent`]), then writes a
+    /// best schedule (see [`crate::mcts::coordinate_descent`]), then writes a
     /// checkpoint. Composes after *any* search phase — HARL, Ansor,
     /// Flextensor, or MCTS — and never regresses `best_latency`: the
     /// descent only accepts strictly better measured neighbours, so
@@ -744,10 +745,10 @@ impl Drop for TuningSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ansor::{AnsorConfig, AnsorTuner, FlextensorTuner};
     use crate::config::HarlConfig;
+    use crate::mcts::{CdTuner, MctsTuner};
     use crate::tuner::HarlOperatorTuner;
-    use harl_ansor::{AnsorConfig, AnsorTuner, FlextensorTuner};
-    use harl_mcts::{CdTuner, MctsTuner};
     use harl_tensor_ir::workload;
     use harl_tensor_sim::{Hardware, MeasureConfig};
 
@@ -1032,7 +1033,7 @@ mod tests {
         let g = workload::gemm(128, 128, 128);
 
         let m1 = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-        let tuner = MctsTuner::new(g.clone(), &m1, harl_mcts::MctsConfig::default());
+        let tuner = MctsTuner::new(g.clone(), &m1, crate::mcts::MctsConfig::default());
         let mut session = TuningSession::builder()
             .launch(Box::new(tuner), &m1, None)
             .unwrap();
@@ -1044,7 +1045,7 @@ mod tests {
         assert!(session.score_stats().is_some());
 
         let m2 = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-        let tuner = CdTuner::new(g, &m2, harl_mcts::CdConfig::default());
+        let tuner = CdTuner::new(g, &m2, crate::mcts::CdConfig::default());
         let mut session = TuningSession::builder()
             .launch(Box::new(tuner), &m2, None)
             .unwrap();
@@ -1062,7 +1063,7 @@ mod tests {
 
         // uninterrupted reference: two rounds straight through, no store
         let m_ref = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-        let t_ref = MctsTuner::new(g.clone(), &m_ref, harl_mcts::MctsConfig::default());
+        let t_ref = MctsTuner::new(g.clone(), &m_ref, crate::mcts::MctsConfig::default());
         let mut s_ref = TuningSession::builder()
             .launch(Box::new(t_ref), &m_ref, None)
             .unwrap();
@@ -1073,7 +1074,7 @@ mod tests {
         // same run killed after the first 24 trials, resumed from the store
         let store = Arc::new(RecordStore::open(&dir).unwrap());
         let m1 = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-        let t1 = MctsTuner::new(g.clone(), &m1, harl_mcts::MctsConfig::default());
+        let t1 = MctsTuner::new(g.clone(), &m1, crate::mcts::MctsConfig::default());
         let mut s1 = TuningSession::builder()
             .launch(Box::new(t1), &m1, Some(store.clone()))
             .unwrap();
@@ -1083,7 +1084,7 @@ mod tests {
 
         let store2 = Arc::new(RecordStore::open(&dir).unwrap());
         let m2 = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-        let t2 = MctsTuner::new(g, &m2, harl_mcts::MctsConfig::default());
+        let t2 = MctsTuner::new(g, &m2, crate::mcts::MctsConfig::default());
         let mut s2 = TuningSession::builder()
             .launch(Box::new(t2), &m2, Some(store2))
             .unwrap();
@@ -1102,7 +1103,7 @@ mod tests {
     fn then_finetune_never_regresses_and_runs_once() {
         let dir = temp_dir("finetune");
         let g = workload::gemm(256, 256, 256);
-        let cfg = harl_mcts::FinetuneConfig::default();
+        let cfg = crate::mcts::FinetuneConfig::default();
 
         let store = Arc::new(RecordStore::open(&dir).unwrap());
         let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
@@ -1145,7 +1146,7 @@ mod tests {
     #[test]
     fn then_finetune_before_any_measurement_does_not_latch() {
         let dir = temp_dir("finetune-empty");
-        let cfg = harl_mcts::FinetuneConfig::default();
+        let cfg = crate::mcts::FinetuneConfig::default();
         let store = Arc::new(RecordStore::open(&dir).unwrap());
         let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
         let tuner =
@@ -1172,7 +1173,7 @@ mod tests {
     #[test]
     fn then_finetune_composes_after_every_searcher() {
         let g = workload::gemm(128, 128, 128);
-        let cfg = harl_mcts::FinetuneConfig {
+        let cfg = crate::mcts::FinetuneConfig {
             max_trials: 24,
             ..Default::default()
         };
@@ -1187,9 +1188,13 @@ mod tests {
                 "mcts" => Box::new(MctsTuner::new(
                     g.clone(),
                     &m,
-                    harl_mcts::MctsConfig::default(),
+                    crate::mcts::MctsConfig::default(),
                 )),
-                _ => Box::new(CdTuner::new(g.clone(), &m, harl_mcts::CdConfig::default())),
+                _ => Box::new(CdTuner::new(
+                    g.clone(),
+                    &m,
+                    crate::mcts::CdConfig::default(),
+                )),
             };
             let mut session = TuningSession::builder().launch(tuner, &m, None).unwrap();
             session.run(16).unwrap();

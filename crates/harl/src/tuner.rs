@@ -8,7 +8,6 @@ use serde::{Deserialize, Serialize};
 
 use harl_bandit::{AnyBandit, Bandit};
 use harl_gbt::{CostModel, ScoringPipeline};
-use harl_mcts::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
 use harl_nnet::PpoAgent;
 use harl_obs::{FieldValue, Tracer};
 use harl_par::ParallelismOpts;
@@ -20,6 +19,7 @@ use harl_verify::{check_finite, LintCode, LintStats};
 use crate::adaptive::CriticalStep;
 use crate::config::HarlConfig;
 use crate::episode::{run_episode, EpisodeResult};
+use crate::search::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
 
 /// Log entry of one tuning round.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]

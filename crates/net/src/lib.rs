@@ -89,10 +89,14 @@ const MAX_IDLE_SLEEP: Duration = Duration::from_millis(10);
 /// without reading cannot grow the daemon's memory without bound.
 const MAX_UNSENT_BYTES: usize = 1 << 20;
 
+/// The default line cap: [`LoopConfig::default`]'s `max_line_bytes`, and
+/// the longest line a client of the protocol reads.
+pub const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
+
 impl Default for LoopConfig {
     fn default() -> LoopConfig {
         LoopConfig {
-            max_line_bytes: 16 * 1024 * 1024,
+            max_line_bytes: MAX_LINE_BYTES,
         }
     }
 }

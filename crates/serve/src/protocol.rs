@@ -6,7 +6,7 @@
 //! See DESIGN.md §8 for the full shapes, error codes, and backpressure
 //! semantics.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use serde::{Deserialize, Serialize};
 
@@ -130,8 +130,22 @@ pub fn decode_request(line: &str) -> Result<Request, String> {
     if trimmed.is_empty() {
         return Err("empty message line".into());
     }
-    serde_json::from_str(trimmed).map_err(|e| format!("bad message `{trimmed}`: {e}"))
+    serde_json::from_str(trimmed).map_err(|e| bad_message(trimmed, e))
 }
+
+/// The error text of an undecodable line, quoting at most its first
+/// [`QUOTED_BYTES`] bytes.
+fn bad_message(line: &str, e: impl std::fmt::Display) -> String {
+    let mut end = line.len().min(QUOTED_BYTES);
+    while !line.is_char_boundary(end) {
+        end -= 1;
+    }
+    let more = if end < line.len() { "…" } else { "" };
+    format!("bad message `{}{more}`: {e}", &line[..end])
+}
+
+/// How much of a bad line an error message repeats.
+const QUOTED_BYTES: usize = 120;
 
 /// Writes one value as a single JSON line.
 pub fn write_message<T: Serialize>(w: &mut impl Write, value: &T) -> Result<(), ServeError> {
@@ -143,21 +157,32 @@ pub fn write_message<T: Serialize>(w: &mut impl Write, value: &T) -> Result<(), 
 }
 
 /// Reads one JSON line and decodes it. Returns `Ok(None)` on a clean EOF
-/// before any bytes of a line.
+/// before any bytes of a line. A line longer than
+/// [`harl_net::MAX_LINE_BYTES`] (a full `pool_sync` page is far shorter)
+/// is refused after reading one byte past the cap, so a peer that never
+/// sends a newline cannot grow the reader's memory.
 pub fn read_message<T: for<'de> Deserialize<'de>>(
     r: &mut impl BufRead,
 ) -> Result<Option<T>, ServeError> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    let cap = harl_net::MAX_LINE_BYTES;
+    let mut line = Vec::new();
+    if r.take(cap as u64 + 1).read_until(b'\n', &mut line)? == 0 {
         return Ok(None);
     }
+    if line.len() > cap && line.last() != Some(&b'\n') {
+        return Err(ServeError::Protocol(format!(
+            "message line over {cap} bytes"
+        )));
+    }
+    let line = std::str::from_utf8(&line)
+        .map_err(|_| ServeError::Protocol("message line is not UTF-8".into()))?;
     let trimmed = line.trim();
     if trimmed.is_empty() {
         return Err(ServeError::Protocol("empty message line".into()));
     }
     serde_json::from_str(trimmed)
         .map(Some)
-        .map_err(|e| ServeError::Protocol(format!("bad message `{trimmed}`: {e}")))
+        .map_err(|e| ServeError::Protocol(bad_message(trimmed, e)))
 }
 
 #[cfg(test)]
@@ -254,6 +279,19 @@ mod tests {
         for want in &resps {
             let got: Response = read_message(&mut cursor).unwrap().unwrap();
             assert_eq!(&got, want);
+        }
+    }
+
+    #[test]
+    fn a_line_of_exactly_the_cap_is_decoded_not_refused_for_length() {
+        let mut at_cap = vec![b'x'; harl_net::MAX_LINE_BYTES];
+        at_cap.push(b'\n');
+        match read_message::<Response>(&mut std::io::Cursor::new(at_cap)) {
+            Err(ServeError::Protocol(m)) => {
+                assert!(m.starts_with("bad message `xxx"), "{m}");
+                assert!(m.len() < 2 * QUOTED_BYTES, "{} bytes", m.len());
+            }
+            other => panic!("{other:?}"),
         }
     }
 

@@ -11,9 +11,9 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use harl_ansor::{AnsorConfig, AnsorTuner, FlextensorConfig, FlextensorTuner};
+use harl_core::ansor::{AnsorConfig, AnsorTuner, FlextensorConfig, FlextensorTuner};
+use harl_core::mcts::{FinetuneConfig, MctsConfig, MctsTuner};
 use harl_core::{HarlOperatorTuner, SessionControl, Tuner, TuningSession};
-use harl_mcts::{FinetuneConfig, MctsConfig, MctsTuner};
 use harl_store::RecordStore;
 use harl_tensor_sim::{Hardware, MeasureConfig, Measurer};
 

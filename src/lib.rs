@@ -46,11 +46,10 @@
 
 pub mod envopts;
 
-pub use harl_ansor as ansor;
 pub use harl_bandit as bandit;
 pub use harl_core as harl;
+pub use harl_core::{ansor, mcts};
 pub use harl_gbt as gbt;
-pub use harl_mcts as mcts;
 pub use harl_nn_models as models;
 pub use harl_nnet as nnet;
 pub use harl_obs as obs;
@@ -62,12 +61,12 @@ pub use harl_verify as verify;
 
 /// The most commonly used types, one import away.
 pub mod prelude {
-    pub use harl_ansor::{AnsorConfig, AnsorTuner, FlextensorTuner};
+    pub use harl_core::ansor::{AnsorConfig, AnsorTuner, FlextensorTuner};
+    pub use harl_core::mcts::{CdConfig, CdTuner, FinetuneConfig, MctsConfig, MctsTuner};
     pub use harl_core::{
         AnsorNetworkTuner, HarlConfig, HarlNetworkTuner, HarlOperatorTuner, ParallelismOpts, Tuner,
         TunerState, TuningSession,
     };
-    pub use harl_mcts::{CdConfig, CdTuner, FinetuneConfig, MctsConfig, MctsTuner};
     pub use harl_nn_models::{operator_suite, Network, OperatorClass};
     pub use harl_store::{MeasureRecord, RecordStore};
     pub use harl_tensor_ir::{generate_sketches, Schedule, Sketch, Subgraph, Target};

@@ -3,8 +3,10 @@
 //! error or a request the daemon can act on. They never panic, and a
 //! `submit` that passes both describes a subgraph the searchers accept.
 
+use harl_repro::serve::protocol::read_message;
 use harl_repro::serve::{
-    decode_request, ErrorCode, JobSpec, ParallelismOpts, Preset, Request, TunerKind, WorkloadSpec,
+    decode_request, ErrorCode, JobSpec, ParallelismOpts, Preset, Request, Response, ServeError,
+    TunerKind, WorkloadSpec,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -300,4 +302,20 @@ fn the_known_bad_specs_are_refused_as_invalid() {
         workload: gemm(4096, 4096, 4096),
         ..good_spec()
     }));
+}
+
+/// A reply line that never ends — a peer streaming a `metrics` text with
+/// no newline — is refused once it passes the 16 MiB line cap, with an
+/// error that does not repeat it.
+#[test]
+fn an_over_cap_reply_line_is_refused_with_a_short_message() {
+    const CAP: usize = 16 << 20;
+    let mut line = br#"{"Metrics":{"text":""#.to_vec();
+    line.resize(CAP + 2, b'x');
+    match read_message::<Response>(&mut std::io::Cursor::new(line)) {
+        Err(ServeError::Protocol(message)) => {
+            assert!(message.len() < 1024, "a {}-byte message", message.len())
+        }
+        other => panic!("an over-cap line came back as {other:?}"),
+    }
 }
