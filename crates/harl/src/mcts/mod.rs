@@ -1,5 +1,5 @@
 //! The two searchers that round out the HARL algorithm zoo, both
-//! [`Searcher`](crate::search::Searcher)s, so checkpoint/resume,
+//! [`Searcher`]s, so checkpoint/resume,
 //! warm-start, serving and tracing come from the shell and all search
 //! state serializes bit-identically for kill/resume:
 //!
@@ -22,6 +22,7 @@
 mod finetune;
 mod tuner;
 
+// the shell's path before it moved to `crate::search` (`harl_repro::mcts::SearchCore`, …)
 pub use crate::search::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
 pub use finetune::{
     coordinate_descent, CdConfig, CdProposer, CdTuner, CdTunerState, DescentOutcome, FinetuneConfig,
