@@ -19,10 +19,12 @@
 //! * warm-starts: replaying matching prior records pre-trains the cost
 //!   model and seeds the search before any fresh trial is spent.
 
-use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use serde::de::{self, DeError, Value};
+use serde::ser::JsonWriter;
 use serde::{Deserialize, Serialize};
 
 use harl_gbt::ScoreStats;
@@ -398,7 +400,9 @@ impl SessionBuilder {
             resumed: false,
             warm_records: 0,
             job_key: self.job_key.clone(),
-            saved: Cell::new(false),
+            saved: false,
+            buffer: String::new(),
+            writer: None,
         };
         let checkpoint = if let Some(store) = &session.store {
             measurer.set_sink(store.clone() as Arc<dyn harl_tensor_sim::RecordSink>);
@@ -444,7 +448,7 @@ impl SessionBuilder {
                 session.rounds_done = ck.rounds_done;
                 session.finetuned = ck.finetuned;
                 session.resumed = true;
-                session.saved.set(true);
+                session.saved = true;
             }
             None if self.warm_start => {
                 let mut records = match &session.store {
@@ -525,10 +529,28 @@ pub struct TuningSession<'m> {
     resumed: bool,
     warm_records: usize,
     job_key: Option<String>,
-    /// True while the store's checkpoint is this session's state: after
-    /// [`TuningSession::checkpoint_now`] and after a resume, until the
-    /// next round or fine-tune.
-    saved: Cell<bool>,
+    /// True while the store's checkpoint is this session's state, or will
+    /// be once the write in flight lands: after a checkpoint and after a
+    /// resume, until the next round or fine-tune.
+    saved: bool,
+    /// The checkpoint text buffer, reused from one checkpoint to the next;
+    /// empty while it is out with the writer.
+    buffer: String,
+    /// The cadence checkpoint being written behind the rounds, at most
+    /// one: it hands back the buffer and the write's result when joined.
+    writer: Option<JoinHandle<(String, Result<(), StoreError>)>>,
+}
+
+/// `harl_session_checkpoint_wait_seconds`: how long a session's thread
+/// waited on its background checkpoint write, one sample per write.
+fn checkpoint_wait() -> &'static harl_obs::Histogram {
+    static CELL: OnceLock<harl_obs::Histogram> = OnceLock::new();
+    CELL.get_or_init(|| {
+        harl_obs::global().histogram(
+            "harl_session_checkpoint_wait_seconds",
+            harl_obs::FINE_SECONDS_BOUNDS,
+        )
+    })
 }
 
 impl<'m> TuningSession<'m> {
@@ -586,17 +608,23 @@ impl<'m> TuningSession<'m> {
         self.tuner.checkpoint()
     }
 
-    /// Runs one tuning round with up to `budget` measurements, then writes
-    /// a checkpoint when the cadence says so. Returns the trials used.
+    /// Runs one tuning round with up to `budget` measurements, then
+    /// checkpoints when the cadence says so. Returns the trials used.
+    ///
+    /// The cadence checkpoint is written behind: the state is encoded
+    /// here, and a writer thread puts the text on disk while the next
+    /// round runs. A write that fails is reported by whatever waits for
+    /// it next: the next `round`, `run_with`, `checkpoint_now` or
+    /// `finish`.
     pub fn round(&mut self, budget: usize) -> Result<usize, StoreError> {
-        self.saved.set(false);
+        self.saved = false;
         let used = self.tuner.round(budget);
         if used == 0 {
             return Ok(0);
         }
         self.rounds_done += 1;
         if self.checkpoint_every > 0 && self.rounds_done.is_multiple_of(self.checkpoint_every) {
-            self.checkpoint_now()?;
+            self.write_behind()?;
         }
         Ok(used)
     }
@@ -645,9 +673,11 @@ impl<'m> TuningSession<'m> {
             }
             used_here += used as u64;
         }
-        // at the default cadence the last round has already written this
-        // state; encoding and writing the same bytes again buys nothing
-        if !self.saved.get() {
+        // the last round's write lands before this returns. At the default
+        // cadence it holds this very state, and encoding and writing the
+        // same bytes again would buy nothing
+        self.join_writer()?;
+        if !self.saved {
             self.checkpoint_now()?;
         }
         Ok(RunOutcome {
@@ -678,7 +708,7 @@ impl<'m> TuningSession<'m> {
             });
         }
         let had_best = self.tuner.core().best_schedule.is_some();
-        self.saved.set(false);
+        self.saved = false;
         let trials = self.tuner.finetune(cfg);
         let after = self.tuner.best_latency();
         // `!(after > before)` rather than `after <= before`: a never-measured
@@ -702,11 +732,24 @@ impl<'m> TuningSession<'m> {
         })
     }
 
-    /// Writes a checkpoint immediately (no-op without a store).
-    pub fn checkpoint_now(&self) -> Result<(), StoreError> {
-        let Some(store) = &self.store else {
+    /// Writes a checkpoint immediately and waits for it (no-op without a
+    /// store); a background write still in flight lands first, and its
+    /// error, if any, is this call's.
+    pub fn checkpoint_now(&mut self) -> Result<(), StoreError> {
+        self.join_writer()?;
+        let Some(store) = self.store.clone() else {
             return Ok(());
         };
+        let json = self.encode();
+        let written = store.save_checkpoint(&json);
+        self.buffer = json;
+        written?;
+        self.saved = true;
+        Ok(())
+    }
+
+    /// The session's state as checkpoint text, in the reused buffer.
+    fn encode(&mut self) -> String {
         let ck = SessionCheckpoint {
             version: CHECKPOINT_VERSION,
             job_key: self.job_key.clone(),
@@ -715,14 +758,69 @@ impl<'m> TuningSession<'m> {
             measurer: self.measurer.state(),
             tuner: self.tuner.checkpoint(),
         };
-        store.save_checkpoint(&serde_json::to_string(&ck)?)?;
-        self.saved.set(true);
+        let mut w = JsonWriter::with_buffer(std::mem::take(&mut self.buffer));
+        ck.serialize(&mut w);
+        w.finish()
+    }
+
+    /// Encodes the state on this thread, then hands the text to a writer
+    /// thread (no-op without a store). Encoding stays here: the state
+    /// changes with the next round, and a snapshot on the writer would
+    /// have to clone it first.
+    fn write_behind(&mut self) -> Result<(), StoreError> {
+        self.join_writer()?;
+        let Some(store) = self.store.clone() else {
+            return Ok(());
+        };
+        let json = self.encode();
+        let writer = std::thread::Builder::new()
+            .name("harl-checkpoint".into())
+            .spawn(move || {
+                let written = store.save_checkpoint(&json);
+                (json, written)
+            })?;
+        self.writer = Some(writer);
+        self.saved = true;
         Ok(())
     }
 
+    /// Waits for the background write, if one is in flight, and returns
+    /// its result; a panic on the writer comes back as an error.
+    fn join_writer(&mut self) -> Result<(), StoreError> {
+        let Some(writer) = self.writer.take() else {
+            return Ok(());
+        };
+        let waited = Instant::now();
+        let joined = writer.join();
+        checkpoint_wait().observe(waited.elapsed().as_secs_f64());
+        let written = match joined {
+            Ok((buffer, written)) => {
+                self.buffer = buffer;
+                written
+            }
+            Err(panic) => {
+                let why = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("no message");
+                Err(StoreError::Io(std::io::Error::other(format!(
+                    "checkpoint writer panicked: {why}"
+                ))))
+            }
+        };
+        if written.is_err() {
+            // the store holds an older state, or none
+            self.saved = false;
+        }
+        written
+    }
+
     /// Removes the store's checkpoint (e.g. after a completed run) and
-    /// detaches the record sink, consuming the session.
-    pub fn finish(self) -> Result<(), StoreError> {
+    /// detaches the record sink, consuming the session. A background
+    /// write lands first, so it cannot bring the file back.
+    pub fn finish(mut self) -> Result<(), StoreError> {
+        self.join_writer()?;
         self.measurer.clear_sink();
         if let Some(store) = &self.store {
             store.clear_checkpoint()?;
@@ -732,12 +830,15 @@ impl<'m> TuningSession<'m> {
 }
 
 impl Drop for TuningSession<'_> {
-    /// Detaches the record sink so the measurer stops holding the store
-    /// (and its single-writer lock) once the session is gone. Unlike
-    /// [`TuningSession::finish`], the checkpoint is left on disk — a
-    /// dropped-without-finish session is the crash/interruption path and
-    /// must stay resumable.
+    /// Lets a background write land, then detaches the record sink so the
+    /// measurer stops holding the store (and its single-writer lock) once
+    /// the session is gone. Unlike [`TuningSession::finish`], the
+    /// checkpoint is left on disk — a dropped-without-finish session is
+    /// the crash/interruption path and must stay resumable. A write that
+    /// fails here has no caller left to tell; the previous checkpoint
+    /// stays, as after a kill.
     fn drop(&mut self) {
+        let _ = self.join_writer();
         self.measurer.clear_sink();
     }
 }

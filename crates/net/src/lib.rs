@@ -9,13 +9,12 @@
 //! which is what lets a daemon hold thousands of open `watch`/`status`
 //! clients on a fixed-size thread count.
 //!
-//! The loop is *level-polled*: with no epoll/kqueue binding available
-//! (the workspace is dependency-free), readiness is discovered by
-//! attempting nonblocking I/O on every connection each tick and backing
-//! off to a bounded sleep when a full sweep makes no progress. A sweep
-//! over N idle sockets is N `read(2)` calls returning `EWOULDBLOCK` —
-//! cheap enough for thousands of connections at the verb rates the wire
-//! protocol sees (see DESIGN.md §14 for the readiness state machine).
+//! The loop waits for readiness in `poll(2)`, declared here against the C
+//! library std already links (the workspace is dependency-free): the
+//! listener and every connection are polled, and only the ready ones are
+//! pumped, so a request on an idle loop is served as soon as it arrives.
+//! The wait times out every [`POLL_TIMEOUT`] to look at the stop flag
+//! (see DESIGN.md §14 for the readiness state machine).
 //!
 //! Observability (all in the global [`harl_obs`] registry):
 //! `harl_net_conns_total{event=accepted|closed|dropped}`,
@@ -24,8 +23,10 @@
 //! `harl_net_dispatch_seconds` (per-line service latency).
 
 use std::collections::BTreeMap;
+use std::ffi::{c_int, c_short, c_ulong};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
 
 /// Identity of one live connection, unique within an [`EventLoop`]'s
@@ -79,11 +80,8 @@ pub struct LoopConfig {
     pub max_line_bytes: usize,
 }
 
-/// Sleep after the first sweep that found nothing to do; it doubles per
-/// further empty sweep up to [`MAX_IDLE_SLEEP`].
-const MIN_IDLE_SLEEP: Duration = Duration::from_millis(1);
-/// Bounds the latency added to a request arriving on a fully idle loop.
-const MAX_IDLE_SLEEP: Duration = Duration::from_millis(10);
+/// Longest readiness wait: how late the loop may see its stop flag.
+const POLL_TIMEOUT: Duration = Duration::from_millis(10);
 /// A connection whose replies not yet taken by its peer exceed this is
 /// neither read from nor dispatched until they drain: a client that writes
 /// without reading cannot grow the daemon's memory without bound.
@@ -97,6 +95,47 @@ impl Default for LoopConfig {
     fn default() -> LoopConfig {
         LoopConfig {
             max_line_bytes: MAX_LINE_BYTES,
+        }
+    }
+}
+
+/// `struct pollfd` of `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+impl PollFd {
+    fn new(fd: RawFd, events: c_short) -> PollFd {
+        PollFd {
+            fd,
+            events,
+            revents: 0,
+        }
+    }
+}
+
+/// Waits until one of `fds` is ready or `timeout` passes, and leaves
+/// what happened in their `revents`. A failed wait (an interrupt, say)
+/// marks every descriptor ready for what it asked: the pump then finds
+/// out with nonblocking I/O, as a level-polled sweep would.
+fn wait_ready(fds: &mut [PollFd], timeout: Duration) {
+    let millis = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `fds` is an exclusively borrowed array of `fds.len()`
+    // initialised `struct pollfd`s, valid for the whole call.
+    let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, millis) };
+    if ready < 0 {
+        for fd in fds.iter_mut() {
+            fd.revents = fd.events;
         }
     }
 }
@@ -143,19 +182,15 @@ impl Conn {
         self.wbuf.len() - self.wpos
     }
 
-    /// Nonblocking write of everything pending. Returns true on progress.
-    fn flush(&mut self) -> bool {
-        let mut progressed = false;
+    /// Nonblocking write of everything pending.
+    fn flush(&mut self) {
         while self.wpos < self.wbuf.len() {
             match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => {
                     self.gone = Some(Gone::Dropped);
                     break;
                 }
-                Ok(n) => {
-                    self.wpos += n;
-                    progressed = true;
-                }
+                Ok(n) => self.wpos += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -175,7 +210,6 @@ impl Conn {
             self.wbuf.drain(..self.wpos);
             self.wpos = 0;
         }
-        progressed
     }
 }
 
@@ -234,28 +268,45 @@ impl<S: Service> EventLoop<S> {
     /// Runs until `stop()` turns true, then flushes pending replies
     /// (briefly, best-effort) and drops every connection.
     pub fn run(&mut self, stop: impl Fn() -> bool) {
-        let mut idle_sleep = Duration::ZERO;
         let mut last_wake = Instant::now();
+        let mut fds = Vec::new();
+        let mut tokens = Vec::new();
         while !stop() {
+            // the listener, then every connection: for input unless it is
+            // backlogged (it is not read until its replies drain), for
+            // output while it has replies its peer has not taken
+            fds.clear();
+            tokens.clear();
+            fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+            for (&token, conn) in &self.conns {
+                let mut events = 0;
+                if conn.unsent() <= MAX_UNSENT_BYTES {
+                    events |= POLLIN;
+                }
+                if conn.unsent() > 0 {
+                    events |= POLLOUT;
+                }
+                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+                tokens.push(token);
+            }
+            wait_ready(&mut fds, POLL_TIMEOUT);
+
             self.wakeups.inc();
             let now = Instant::now();
             self.wakeup_interval
                 .observe(now.duration_since(last_wake).as_secs_f64());
             last_wake = now;
 
-            let mut progressed = self.accept_pending();
-            let tokens: Vec<Token> = self.conns.keys().copied().collect();
-            for t in tokens {
-                progressed |= self.pump(t);
+            // hang-ups and errors come back whatever was asked for
+            if fds[0].revents != 0 {
+                self.accept_pending();
+            }
+            for (fd, &token) in fds[1..].iter().zip(&tokens) {
+                if fd.revents != 0 {
+                    self.pump(token);
+                }
             }
             self.sweep();
-
-            if progressed {
-                idle_sleep = Duration::ZERO;
-            } else {
-                idle_sleep = (idle_sleep * 2).clamp(MIN_IDLE_SLEEP, MAX_IDLE_SLEEP);
-                std::thread::sleep(idle_sleep);
-            }
         }
         // Shutdown: give queued replies (e.g. the `shutdown` ack) a short
         // grace window to reach their sockets before everything drops.
@@ -277,9 +328,8 @@ impl<S: Service> EventLoop<S> {
         }
     }
 
-    /// Accepts every pending connect. Returns true if any arrived.
-    fn accept_pending(&mut self) -> bool {
-        let mut any = false;
+    /// Accepts every pending connect.
+    fn accept_pending(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
@@ -293,25 +343,23 @@ impl<S: Service> EventLoop<S> {
                     self.conns.insert(token, Conn::new(stream));
                     self.accepted.inc();
                     self.service.on_open(token);
-                    any = true;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
         }
-        any
     }
 
-    /// One connection's tick: flush pending writes, read what's there,
-    /// dispatch complete lines. Returns true on any I/O progress.
-    fn pump(&mut self, token: Token) -> bool {
+    /// One ready connection's turn: flush pending writes, read what's
+    /// there, dispatch complete lines.
+    fn pump(&mut self, token: Token) {
         let Some(conn) = self.conns.get_mut(&token) else {
-            return false;
+            return;
         };
-        let mut progressed = conn.flush();
+        conn.flush();
         if conn.gone.is_some() {
-            return progressed;
+            return;
         }
 
         // nonblocking read sweep, until a whole line is buffered: not at all
@@ -329,13 +377,12 @@ impl<S: Service> EventLoop<S> {
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&chunk[..n]);
                     line_ready = chunk[..n].contains(&b'\n');
-                    progressed = true;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.gone = Some(Gone::Dropped);
-                    return progressed;
+                    return;
                 }
             }
         }
@@ -353,7 +400,6 @@ impl<S: Service> EventLoop<S> {
             let line = String::from_utf8_lossy(&conn.rbuf[start..end]);
             let line = line.trim_end_matches('\r');
             (start, conn.scanned) = (end + 1, end + 1);
-            progressed = true;
             let started = Instant::now();
             let mut out = Outbox::default();
             self.service.on_line(token, line, &mut out);
@@ -373,10 +419,10 @@ impl<S: Service> EventLoop<S> {
         conn.scanned = if backlog { 0 } else { conn.rbuf.len() };
         if !backlog && conn.rbuf.len() > self.cfg.max_line_bytes {
             conn.gone = Some(Gone::Dropped);
-            return progressed;
+            return;
         }
 
-        progressed |= conn.flush();
+        conn.flush();
         if conn.gone.is_none() && eof && !backlog {
             // a partial line at EOF is a torn frame, not a clean close
             conn.gone = Some(if conn.rbuf.is_empty() {
@@ -385,7 +431,6 @@ impl<S: Service> EventLoop<S> {
                 Gone::Dropped
             });
         }
-        progressed
     }
 
     /// Removes finished connections and republishes the gauges.
@@ -663,6 +708,34 @@ mod tests {
         let waited = ping(addr, Duration::from_secs(5));
         assert!(waited.is_ok(), "with a blocked writer: {waited:?}");
         drop(hog);
+        finish(stop, handle);
+    }
+
+    #[test]
+    fn a_line_on_an_idle_loop_is_answered_without_a_back_off() {
+        let (addr, stop, handle) = spawn_echo();
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut rtts: Vec<Duration> = (0..200)
+            .map(|i| {
+                // long enough for a loop that sleeps when idle to be asleep
+                std::thread::sleep(Duration::from_millis(2));
+                let started = Instant::now();
+                // one write: pieces of a line would wait out Nagle's delay
+                writer.write_all(format!("r{i}\n").as_bytes()).unwrap();
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                assert_eq!(line, format!("echo:r{i}\n"));
+                started.elapsed()
+            })
+            .collect();
+        rtts.sort();
+        let median = rtts[rtts.len() / 2];
+        assert!(
+            median < Duration::from_micros(500),
+            "median round trip {median:?}"
+        );
         finish(stop, handle);
     }
 

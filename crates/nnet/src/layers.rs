@@ -421,6 +421,50 @@ mod tests {
         v.iter().map(|f| f.to_bits()).collect()
     }
 
+    /// A layer's text as the generic writer made it before the hex table,
+    /// kept as the oracle of the table's.
+    fn reference_text(l: &Linear) -> String {
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("in_dim");
+        l.in_dim.serialize(&mut w);
+        w.key("out_dim");
+        l.out_dim.serialize(&mut w);
+        for (name, values) in l.arrays() {
+            crate::packed::reference::write_f32s(&mut w, name, values);
+        }
+        w.end_object();
+        w.finish()
+    }
+
+    #[test]
+    fn the_hex_table_writes_what_the_formatter_wrote() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for (in_dim, out_dim) in [(0, 0), (1, 1), (3, 5), (64, 110), (37, 9)] {
+            let mut l = Linear::new(in_dim, out_dim, &mut rng);
+            // every stored array, with the bit patterns text gets wrong
+            let specials = [f32::NAN, -0.0, f32::INFINITY, f32::from_bits(0xff80_0001)];
+            for (i, v) in (l.w.0.iter_mut())
+                .chain(&mut l.b)
+                .chain(&mut l.gw)
+                .chain(&mut l.gb)
+                .chain(&mut l.mw)
+                .chain(&mut l.vw)
+                .chain(&mut l.mb)
+                .chain(&mut l.vb)
+                .enumerate()
+            {
+                *v = match i % 7 {
+                    0..=3 => specials[i % 7],
+                    4 => f32::from_bits(rng.gen::<u32>() & 0x807f_ffff),
+                    _ => f32::from_bits(rng.gen()),
+                };
+            }
+            let text = serde_json::to_string(&l).unwrap();
+            assert_eq!(text, reference_text(&l), "{out_dim}×{in_dim}");
+        }
+    }
+
     /// The backward this crate shipped before the GEMM one: one private
     /// `+0.0` row per output unit (resp. per sample), rank-1 updates
     /// `row += g·x_row` in ascending `b` (resp. `o`), partials folded into

@@ -206,18 +206,43 @@ struct Row<'a> {
     masks: RowMasks<'a>,
 }
 
+/// A row's text from the end of `actions` to the start of `masks`, with
+/// the digits of its four packed scalars zeroed; they go at [`SCALARS_AT`].
+const SCALARS: [u8; 98] = *br#"],"logp":"00000000","reward":"00000000","advantage":"00000000","value_target":"00000000","masks":["#;
+const SCALARS_AT: [usize; 4] = [10, 30, 53, 79];
+
+impl Row<'_> {
+    /// Appends the row's compact JSON object to `out` in one pass: the
+    /// keys as literals, the fields straight from the row's slices. The
+    /// text is what a writer call per field made of it, byte for byte.
+    fn write_json(&self, out: &mut String) {
+        out.push_str(r#"{"state":""#);
+        packed::push_f32s(out, self.state);
+        out.push_str(r#"","actions":["#);
+        for (i, &action) in self.actions.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            packed::push_usize(out, action);
+        }
+        let mut scalars = SCALARS;
+        let values = [self.logp, self.reward, self.advantage, self.value_target];
+        for (at, value) in SCALARS_AT.into_iter().zip(values) {
+            scalars[at..at + 8].copy_from_slice(&packed::hex8(value));
+        }
+        out.push_str(std::str::from_utf8(&scalars).expect("the row text is ASCII"));
+        for (i, mask) in self.masks.entries().enumerate() {
+            out.push_str(if i > 0 { r#",""# } else { r#"""# });
+            packed::push_bits(out, mask);
+            out.push('"');
+        }
+        out.push_str("]}");
+    }
+}
+
 impl Serialize for Row<'_> {
     fn serialize(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        packed::write_f32s(w, "state", self.state);
-        w.key("actions");
-        self.actions.serialize(w);
-        packed::write_f32s(w, "logp", &[self.logp]);
-        packed::write_f32s(w, "reward", &[self.reward]);
-        packed::write_f32s(w, "advantage", &[self.advantage]);
-        packed::write_f32s(w, "value_target", &[self.value_target]);
-        packed::write_masks(w, "masks", self.masks.entries());
-        w.end_object();
+        w.raw(|out| self.write_json(out));
     }
 }
 
@@ -546,12 +571,16 @@ impl Serialize for ReplayBuffer {
     fn serialize(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("items");
-        w.begin_array();
-        for row in self.rows() {
-            w.elem();
-            row.serialize(w);
-        }
-        w.end_array();
+        w.raw(|out| {
+            out.push('[');
+            for (i, row) in self.rows().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                row.write_json(out);
+            }
+            out.push(']');
+        });
         w.key("cap");
         self.cap.serialize(w);
         w.end_object();
@@ -1653,6 +1682,85 @@ mod tests {
             }
             assert_eq!(ring.take_evicted(), evicted, "cap {cap}");
             assert_eq!(rng_r.gen::<u64>(), rng_d.gen::<u64>());
+        }
+    }
+
+    /// The row writer before the one-pass one, kept as its oracle: a
+    /// generic writer call per field.
+    fn reference_row(row: &Row<'_>, w: &mut JsonWriter) {
+        w.begin_object();
+        packed::reference::write_f32s(w, "state", row.state);
+        w.key("actions");
+        row.actions.serialize(w);
+        packed::reference::write_f32s(w, "logp", &[row.logp]);
+        packed::reference::write_f32s(w, "reward", &[row.reward]);
+        packed::reference::write_f32s(w, "advantage", &[row.advantage]);
+        packed::reference::write_f32s(w, "value_target", &[row.value_target]);
+        packed::reference::write_masks(w, "masks", row.masks.entries());
+        w.end_object();
+    }
+
+    /// What the buffer's text was before the one-pass writer.
+    fn reference_buffer(buffer: &ReplayBuffer) -> String {
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("items");
+        w.begin_array();
+        for row in buffer.rows() {
+            w.elem();
+            reference_row(&row, &mut w);
+        }
+        w.end_array();
+        w.key("cap");
+        buffer.cap.serialize(&mut w);
+        w.end_object();
+        w.finish()
+    }
+
+    /// An `f32` from the classes a text encoding gets wrong: NaN payloads
+    /// of either sign, ±0, ±inf, subnormals, or any bits at all.
+    fn awkward_f32(rng: &mut StdRng) -> f32 {
+        let sign = rng.gen::<u32>() & 0x8000_0000;
+        let mantissa = rng.gen::<u32>() & 0x007f_ffff;
+        f32::from_bits(match rng.gen_range(0..5) {
+            0 => sign | 0x7f80_0000 | mantissa.max(1),
+            1 => sign,
+            2 => sign | 0x7f80_0000,
+            3 => sign | mantissa,
+            _ => rng.gen(),
+        })
+    }
+
+    #[test]
+    fn the_one_pass_writer_is_the_field_by_field_one_byte_for_byte() {
+        for cap in [1usize, 2, 3, 64] {
+            for case in 0..40u64 {
+                let mut rng = StdRng::seed_from_u64(cap as u64 * 1000 + case);
+                // widths on both sides of the writers' staging chunks
+                let state_dim = rng.gen_range(0..40);
+                let heads: Vec<usize> = (0..rng.gen_range(0..4))
+                    .map(|_| rng.gen_range(1..150))
+                    .collect();
+                let mut buffer = ReplayBuffer::new(cap, state_dim, &heads);
+                // none, some, or enough to wrap the ring more than once
+                for _ in 0..rng.gen_range(0..3 * cap + 2) {
+                    let mut t = random_transition(&mut rng, state_dim, &heads);
+                    for v in t.state.iter_mut().chain([
+                        &mut t.logp,
+                        &mut t.reward,
+                        &mut t.advantage,
+                        &mut t.value_target,
+                    ]) {
+                        *v = awkward_f32(&mut rng);
+                    }
+                    let mut w = JsonWriter::new();
+                    reference_row(&t.row(), &mut w);
+                    assert_eq!(transition_text(&t), w.finish(), "cap {cap}, case {case}");
+                    buffer.push(t);
+                }
+                let text = serde_json::to_string(&buffer).unwrap();
+                assert_eq!(text, reference_buffer(&buffer), "cap {cap}, case {case}");
+            }
         }
     }
 

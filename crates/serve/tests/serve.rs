@@ -98,6 +98,43 @@ fn job_lifecycle_submit_status_result() {
 }
 
 #[test]
+fn a_failed_checkpoint_write_fails_its_job_and_the_next_job_completes() {
+    let root = temp_root("ckpt-fault");
+    let (daemon, client) = start(&root, 1, 8);
+
+    // the first job's checkpoint cannot be written: a directory stands
+    // where its temp file goes. The write fails behind the round, and the
+    // job fails at the next wait for it
+    let store = root.join("jobs").join("j000001").join("store");
+    std::fs::create_dir_all(store.join("checkpoint.json.tmp")).expect("plant the fault");
+    let id = client.submit(&gemm_spec(32)).expect("submit");
+    assert_eq!(id, "j000001");
+    wait_until(&client, &id, "job failed", |view| {
+        view.state == JobState::Failed
+    });
+    let reason = std::fs::read_to_string(root.join("jobs").join(&id).join("failed.txt"))
+        .expect("failed.txt written");
+    assert!(reason.contains("I/O"), "{reason}");
+    assert!(client.result(&id).is_err());
+
+    let next = client.submit(&gemm_spec(32)).expect("submit");
+    let outcome = client
+        .wait(&next, Duration::from_millis(10), |_| {})
+        .expect("the next job completes");
+    assert!(outcome.trials >= 32);
+    assert!(!root
+        .join("jobs")
+        .join(&next)
+        .join("store")
+        .join("checkpoint.json")
+        .exists());
+
+    client.shutdown().expect("shutdown");
+    daemon.wait();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn cancel_mid_run_stops_at_round_boundary() {
     let root = temp_root("cancel");
     let (daemon, client) = start(&root, 1, 8);

@@ -513,11 +513,15 @@ impl RecordStore {
             .map_err(|e| StoreError::Format(format!("bad checkpoint: {e}")))
     }
 
-    /// Removes a previously written checkpoint (e.g. after a completed run).
+    /// Removes a previously written checkpoint (e.g. after a completed
+    /// run), and the partial temp file of a write that was killed or
+    /// failed before its rename.
     pub fn clear_checkpoint(&self) -> Result<(), StoreError> {
-        let path = self.dir.join(CHECKPOINT_FILE);
-        if path.exists() {
-            fs::remove_file(path)?;
+        for name in [CHECKPOINT_FILE, &format!("{CHECKPOINT_FILE}.tmp")] {
+            match fs::remove_file(self.dir.join(name)) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+                _ => {}
+            }
         }
         Ok(())
     }
@@ -684,6 +688,26 @@ mod tests {
         );
         store.clear_checkpoint().unwrap();
         assert!(store.load_checkpoint().unwrap().is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn clearing_removes_the_tmp_file_of_an_unfinished_write() {
+        let dir = tmp_dir("ckpt-tmp");
+        let store = RecordStore::open(&dir).unwrap();
+        let tmp = dir.join("checkpoint.json.tmp");
+        // a write killed before its rename, over an earlier checkpoint
+        store.save_checkpoint("{\"round\":3}").unwrap();
+        fs::write(&tmp, "{\"rou").unwrap();
+        store.clear_checkpoint().unwrap();
+        assert!(store.load_checkpoint().unwrap().is_none());
+        assert!(!tmp.exists(), "the partial write outlived the job");
+        // the tmp file alone, as a resumed job that never wrote leaves it
+        fs::write(&tmp, "{").unwrap();
+        store.clear_checkpoint().unwrap();
+        assert!(!tmp.exists());
+        // and nothing at all is no error
+        store.clear_checkpoint().unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -65,6 +65,18 @@ pub mod ser {
             }
         }
 
+        /// A compact writer appending to `out`, cleared first: a caller
+        /// that encodes over and over keeps one allocation, handed back by
+        /// [`JsonWriter::finish`].
+        pub fn with_buffer(mut out: String) -> Self {
+            out.clear();
+            JsonWriter {
+                out,
+                pretty: false,
+                stack: Vec::new(),
+            }
+        }
+
         /// The accumulated JSON text.
         pub fn finish(self) -> String {
             self.out
@@ -150,6 +162,30 @@ pub mod ser {
             self.out.push('"');
         }
 
+        /// Writes a string scalar whose body `write` appends straight to
+        /// the output, with no escape pass: for text that never needs one,
+        /// such as hex or binary digits.
+        pub fn unescaped_str(&mut self, write: impl FnOnce(&mut String)) {
+            self.out.push('"');
+            let start = self.out.len();
+            write(&mut self.out);
+            debug_assert!(
+                !self.out.as_bytes()[start..]
+                    .iter()
+                    .copied()
+                    .any(needs_escape),
+                "unescaped_str was given text that needs escaping"
+            );
+            self.out.push('"');
+        }
+
+        /// Writes a value whose compact JSON text `write` appends straight
+        /// to the output. The text stays compact in a pretty writer; the
+        /// caller answers for it being one well-formed value.
+        pub fn raw(&mut self, write: impl FnOnce(&mut String)) {
+            write(&mut self.out);
+        }
+
         /// Writes a number token: `n`'s `Display` text, formatted straight
         /// into the output.
         pub fn number(&mut self, n: impl fmt::Display) {
@@ -167,13 +203,17 @@ pub mod ser {
         }
     }
 
+    /// True for the bytes a JSON string body must escape.
+    fn needs_escape(b: u8) -> bool {
+        b < 0x20 || b == b'"' || b == b'\\'
+    }
+
     /// Appends `s` to `out` as the body of a JSON string.
     fn escape_into(out: &mut String, s: &str) {
         // `"`, `\` and the control characters are ASCII, so they never
         // occur inside a multi-byte character and runs between them copy
         // whole. The common case has none: one branch-free pass finds that
         // out before anything is copied.
-        let needs_escape = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
         let mut rest = s;
         if s.bytes().fold(false, |any, b| any | needs_escape(b)) {
             while let Some(at) = rest.bytes().position(needs_escape) {
@@ -820,6 +860,27 @@ mod tests {
         assert_eq!(text, "\"plainq\\\" \\u00017\\\\\\né\"");
         // and it is what `string` writes for the same characters
         assert_eq!(text, to_json(&"plainq\" \u{1}7\\\né".to_string()));
+    }
+
+    #[test]
+    fn a_reused_buffer_takes_unescaped_and_raw_values_in_place() {
+        let mut w = JsonWriter::with_buffer("stale text".to_string());
+        w.begin_array();
+        w.elem();
+        w.unescaped_str(|out| out.push_str("0a1b"));
+        w.elem();
+        w.raw(|out| out.push_str(r#"{"k":[1,2]}"#));
+        w.elem();
+        w.string("x");
+        w.end_array();
+        assert_eq!(w.finish(), r#"["0a1b",{"k":[1,2]},"x"]"#);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "needs escaping")]
+    fn unescaped_str_refuses_text_that_needs_escaping() {
+        JsonWriter::new().unescaped_str(|out| out.push_str("a\"b"));
     }
 
     #[test]
