@@ -91,13 +91,28 @@ if grep -rnE 'impl +Model +for|harl_check::models' crates src examples tests; th
     exit 1
 fi
 
+echo "==> no thread pool on the search path"
+# every round runs on its caller's thread; the pool's remaining names are
+# compatibility entries only the frozen benchmark/ crate calls, until the
+# benchmark re-baseline deletes them (ROADMAP item 7)
+if grep -rnw --include='*.rs' ThreadPool crates src examples tests | grep -v '^crates/par/'; then
+    echo "FAIL: ThreadPool named outside crates/par (rounds are single-threaded)"
+    exit 1
+fi
+if grep -rnE --include='*.rs' '\.(set_parallelism|set_threads|parallelism)\(' crates src examples tests; then
+    echo "FAIL: a call to an ignored width setter (only benchmark/ may still call one)"
+    exit 1
+fi
+
 echo "==> no unused internal dependency"
 # a `harl-*` entry under a crate's [dependencies] that none of the crate's
 # Rust files names as `harl_*` is a crate edge the build pays for and the
-# code does not use ([dev-dependencies] are not read)
+# code does not use ([dev-dependencies] are not read); the root package's
+# entries are read against src/ alone
 unused=0
-for manifest in crates/*/Cargo.toml; do
-    crate=$(dirname "$manifest")
+for pair in $(for m in crates/*/Cargo.toml; do echo "$m:$(dirname "$m")"; done) Cargo.toml:src; do
+    manifest=${pair%%:*}
+    crate=${pair#*:}
     for dep in $(awk '/^\[/ { deps = ($0 == "[dependencies]") } deps && /^harl-/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
         if ! grep -rqw --include='*.rs' "${dep//-/_}" "$crate"; then
             echo "$manifest: $dep is never named as ${dep//-/_}"

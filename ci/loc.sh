@@ -79,3 +79,12 @@ echo "harl-* [dependencies] lines in the root and crates/* manifests:" \
     "$(for m in Cargo.toml crates/*/Cargo.toml; do
         awk '/^\[/ { deps = ($0 == "[dependencies]") } deps && /^harl-/' "$m"
     done | wc -l)"
+
+# the pool PR's counts: the .rs files that still name a pool or a width
+# setter (compatibility entries until the benchmark re-baseline), and the
+# crates it shrank (crates/par and crates/nnet are printed above)
+echo ".rs files in crates src examples tests naming a pool or width setter:" \
+    "$(grep -rlE --include='*.rs' 'ParallelismOpts|ThreadPool|set_threads|set_parallelism' \
+        crates src examples tests | wc -l)"
+echo "non-test, non-comment lines in crates/gbt/src:" "$(code_lines crates/gbt/src/*.rs)"
+echo "non-test, non-comment lines in crates/bandit/src:" "$(code_lines crates/bandit/src/*.rs)"

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Stage: the full test suite, plus the determinism suites re-run under the
-# forced-scalar backend. Pool widths need no rerun: a width is an argument,
-# and the suites pin widths 1, 2, 4 and 7 themselves.
+# forced-scalar backend. There are no pool widths: every round runs on its
+# caller's thread.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

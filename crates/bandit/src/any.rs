@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::ducb::{DiscountedUcb, GaussianThompson};
 use crate::swucb::SlidingWindowUcb;
-use crate::{Bandit, EpsilonGreedy, GreedyBandit, RoundRobin, Ucb1, UniformBandit};
+use crate::{Bandit, UniformBandit};
 
 /// Which bandit algorithm to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -34,22 +34,8 @@ pub enum BanditKind {
         /// Geometric forgetting factor.
         gamma: f64,
     },
-    /// Stationary UCB1.
-    Ucb1 {
-        /// Exploration constant.
-        c: f64,
-    },
-    /// Greedy argmax over mean reward (Ansor's subgraph behaviour).
-    Greedy,
-    /// ε-greedy.
-    EpsilonGreedy {
-        /// Exploration probability.
-        epsilon: f64,
-    },
     /// Time-independent uniform (Ansor's sketch behaviour).
     Uniform,
-    /// Deterministic round-robin.
-    RoundRobin,
 }
 
 impl BanditKind {
@@ -66,13 +52,7 @@ impl BanditKind {
             BanditKind::Thompson { gamma } => {
                 AnyBandit::Thompson(GaussianThompson::new(arms, gamma))
             }
-            BanditKind::Ucb1 { c } => AnyBandit::Ucb1(Ucb1::new(arms, c)),
-            BanditKind::Greedy => AnyBandit::Greedy(GreedyBandit::new(arms)),
-            BanditKind::EpsilonGreedy { epsilon } => {
-                AnyBandit::EpsilonGreedy(EpsilonGreedy::new(arms, epsilon))
-            }
             BanditKind::Uniform => AnyBandit::Uniform(UniformBandit::new(arms)),
-            BanditKind::RoundRobin => AnyBandit::RoundRobin(RoundRobin::new(arms)),
         }
     }
 }
@@ -86,16 +66,8 @@ pub enum AnyBandit {
     DUcb(DiscountedUcb),
     /// Gaussian Thompson sampling.
     Thompson(GaussianThompson),
-    /// Stationary UCB1.
-    Ucb1(Ucb1),
-    /// Greedy mean-reward argmax.
-    Greedy(GreedyBandit),
-    /// ε-greedy.
-    EpsilonGreedy(EpsilonGreedy),
     /// Uniform random.
     Uniform(UniformBandit),
-    /// Deterministic round-robin.
-    RoundRobin(RoundRobin),
 }
 
 impl Bandit for AnyBandit {
@@ -104,11 +76,7 @@ impl Bandit for AnyBandit {
             AnyBandit::SwUcb(b) => b.num_arms(),
             AnyBandit::DUcb(b) => b.num_arms(),
             AnyBandit::Thompson(b) => b.num_arms(),
-            AnyBandit::Ucb1(b) => b.num_arms(),
-            AnyBandit::Greedy(b) => b.num_arms(),
-            AnyBandit::EpsilonGreedy(b) => b.num_arms(),
             AnyBandit::Uniform(b) => b.num_arms(),
-            AnyBandit::RoundRobin(b) => b.num_arms(),
         }
     }
 
@@ -117,11 +85,7 @@ impl Bandit for AnyBandit {
             AnyBandit::SwUcb(b) => b.select(rng),
             AnyBandit::DUcb(b) => b.select(rng),
             AnyBandit::Thompson(b) => b.select(rng),
-            AnyBandit::Ucb1(b) => b.select(rng),
-            AnyBandit::Greedy(b) => b.select(rng),
-            AnyBandit::EpsilonGreedy(b) => b.select(rng),
             AnyBandit::Uniform(b) => b.select(rng),
-            AnyBandit::RoundRobin(b) => b.select(rng),
         }
     }
 
@@ -130,11 +94,7 @@ impl Bandit for AnyBandit {
             AnyBandit::SwUcb(b) => b.update(arm, reward),
             AnyBandit::DUcb(b) => b.update(arm, reward),
             AnyBandit::Thompson(b) => b.update(arm, reward),
-            AnyBandit::Ucb1(b) => b.update(arm, reward),
-            AnyBandit::Greedy(b) => b.update(arm, reward),
-            AnyBandit::EpsilonGreedy(b) => b.update(arm, reward),
             AnyBandit::Uniform(b) => b.update(arm, reward),
-            AnyBandit::RoundRobin(b) => b.update(arm, reward),
         }
     }
 }
@@ -157,18 +117,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    const ALL_KINDS: [BanditKind; 8] = [
+    const ALL_KINDS: [BanditKind; 4] = [
         BanditKind::SwUcb { c: 0.25, tau: 64 },
         BanditKind::DUcb {
             c: 0.25,
             gamma: 0.98,
         },
         BanditKind::Thompson { gamma: 0.99 },
-        BanditKind::Ucb1 { c: 0.5 },
-        BanditKind::Greedy,
-        BanditKind::EpsilonGreedy { epsilon: 0.1 },
         BanditKind::Uniform,
-        BanditKind::RoundRobin,
     ];
 
     #[test]
@@ -194,8 +150,6 @@ mod tests {
                 c: 0.25,
                 gamma: 0.98,
             },
-            BanditKind::Ucb1 { c: 0.5 },
-            BanditKind::EpsilonGreedy { epsilon: 0.1 },
         ] {
             let mut b = kind.build(3);
             let mut pulls = [0u64; 3];

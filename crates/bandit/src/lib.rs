@@ -2,9 +2,9 @@
 //!
 //! Multi-armed bandit policies for the high-level decisions of the search
 //! hierarchy (§4.1): Sliding-Window UCB for the non-stationary subgraph and
-//! sketch selection problems (Eq. 1), plus the baselines the paper compares
-//! against or that back the ablations — greedy, uniform, ε-greedy, UCB1 and
-//! round-robin.
+//! sketch selection problems (Eq. 1), plus the policies the selection
+//! ablation compares it with: discounted UCB, Thompson sampling and
+//! Ansor's uniform choice.
 
 pub mod any;
 pub mod ducb;
@@ -29,53 +29,6 @@ pub trait Bandit {
     fn update(&mut self, arm: usize, reward: f64);
 }
 
-/// Greedy selection with deterministic argmax over mean observed reward —
-/// the subgraph-selection behaviour the paper attributes to Ansor
-/// (Table 1: "Greedy Selection"). Unvisited arms are tried first in index
-/// order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GreedyBandit {
-    sums: Vec<f64>,
-    counts: Vec<u64>,
-}
-
-impl GreedyBandit {
-    /// Greedy policy over `arms` arms.
-    pub fn new(arms: usize) -> Self {
-        GreedyBandit {
-            sums: vec![0.0; arms],
-            counts: vec![0; arms],
-        }
-    }
-}
-
-impl Bandit for GreedyBandit {
-    fn num_arms(&self) -> usize {
-        self.sums.len()
-    }
-
-    fn select<R: Rng + ?Sized>(&mut self, _rng: &mut R) -> usize {
-        if let Some(unvisited) = self.counts.iter().position(|&c| c == 0) {
-            return unvisited;
-        }
-        let mut best = 0usize;
-        let mut best_v = f64::NEG_INFINITY;
-        for i in 0..self.sums.len() {
-            let v = self.sums[i] / self.counts[i] as f64;
-            if v > best_v {
-                best_v = v;
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn update(&mut self, arm: usize, reward: f64) {
-        self.sums[arm] += reward;
-        self.counts[arm] += 1;
-    }
-}
-
 /// Time-independent uniform selection — Ansor's sketch-selection behaviour
 /// (Table 1: "Uniform Distribution").
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -97,118 +50,6 @@ impl Bandit for UniformBandit {
 
     fn select<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
         rng.gen_range(0..self.arms)
-    }
-
-    fn update(&mut self, _arm: usize, _reward: f64) {}
-}
-
-/// ε-greedy over mean reward.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EpsilonGreedy {
-    inner: GreedyBandit,
-    epsilon: f64,
-}
-
-impl EpsilonGreedy {
-    /// ε-greedy policy over `arms` arms.
-    pub fn new(arms: usize, epsilon: f64) -> Self {
-        EpsilonGreedy {
-            inner: GreedyBandit::new(arms),
-            epsilon,
-        }
-    }
-}
-
-impl Bandit for EpsilonGreedy {
-    fn num_arms(&self) -> usize {
-        self.inner.num_arms()
-    }
-
-    fn select<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
-        if rng.gen::<f64>() < self.epsilon {
-            rng.gen_range(0..self.inner.num_arms())
-        } else {
-            self.inner.select(rng)
-        }
-    }
-
-    fn update(&mut self, arm: usize, reward: f64) {
-        self.inner.update(arm, reward);
-    }
-}
-
-/// Classic UCB1 (stationary): `argmax_a Q(a) + c √(ln t / N(a))`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Ucb1 {
-    sums: Vec<f64>,
-    counts: Vec<u64>,
-    t: u64,
-    c: f64,
-}
-
-impl Ucb1 {
-    /// UCB1 over `arms` arms with exploration constant `c`.
-    pub fn new(arms: usize, c: f64) -> Self {
-        Ucb1 {
-            sums: vec![0.0; arms],
-            counts: vec![0; arms],
-            t: 0,
-            c,
-        }
-    }
-}
-
-impl Bandit for Ucb1 {
-    fn num_arms(&self) -> usize {
-        self.sums.len()
-    }
-
-    fn select<R: Rng + ?Sized>(&mut self, _rng: &mut R) -> usize {
-        if let Some(unvisited) = self.counts.iter().position(|&c| c == 0) {
-            return unvisited;
-        }
-        let t = self.t.max(1) as f64;
-        (0..self.sums.len())
-            .max_by(|&a, &b| {
-                let ua = self.sums[a] / self.counts[a] as f64
-                    + self.c * (t.ln() / self.counts[a] as f64).sqrt();
-                let ub = self.sums[b] / self.counts[b] as f64
-                    + self.c * (t.ln() / self.counts[b] as f64).sqrt();
-                ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .unwrap_or(0)
-    }
-
-    fn update(&mut self, arm: usize, reward: f64) {
-        self.sums[arm] += reward;
-        self.counts[arm] += 1;
-        self.t += 1;
-    }
-}
-
-/// Deterministic round-robin (warm-up / ablation baseline).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RoundRobin {
-    arms: usize,
-    next: usize,
-}
-
-impl RoundRobin {
-    /// Round-robin over `arms` arms starting at arm 0.
-    pub fn new(arms: usize) -> Self {
-        RoundRobin { arms, next: 0 }
-    }
-}
-
-impl Bandit for RoundRobin {
-    fn num_arms(&self) -> usize {
-        self.arms
-    }
-
-    fn select<R: Rng + ?Sized>(&mut self, _rng: &mut R) -> usize {
-        let a = self.next;
-        self.next = (self.next + 1) % self.arms;
-        a
     }
 
     fn update(&mut self, _arm: usize, _reward: f64) {}
@@ -242,46 +83,11 @@ mod tests {
     }
 
     #[test]
-    fn greedy_locks_on_best_arm_in_deterministic_env() {
-        let mut b = GreedyBandit::new(3);
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..30 {
-            let a = b.select(&mut rng);
-            b.update(a, [0.1, 0.9, 0.5][a]);
-        }
-        assert_eq!(b.select(&mut rng), 1);
-    }
-
-    #[test]
-    fn ucb1_prefers_best_arm() {
-        let mut b = Ucb1::new(4, 1.0);
-        let pulls = bernoulli_env(&mut b, &[0.2, 0.8, 0.3, 0.4], 2000, 2);
-        assert!(pulls[1] > pulls[0] + pulls[2] + pulls[3], "pulls {pulls:?}");
-    }
-
-    #[test]
-    fn epsilon_greedy_keeps_exploring() {
-        let mut b = EpsilonGreedy::new(3, 0.2);
-        let pulls = bernoulli_env(&mut b, &[0.9, 0.1, 0.1], 3000, 3);
-        // each non-best arm still gets roughly ε/3 of pulls
-        assert!(pulls[1] > 100 && pulls[2] > 100, "pulls {pulls:?}");
-        assert!(pulls[0] > 2000);
-    }
-
-    #[test]
     fn uniform_is_roughly_uniform() {
         let mut b = UniformBandit::new(4);
         let pulls = bernoulli_env(&mut b, &[0.5; 4], 4000, 4);
         for &p in &pulls {
             assert!((800..1200).contains(&(p as usize)), "pulls {pulls:?}");
         }
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let mut b = RoundRobin::new(3);
-        let mut rng = StdRng::seed_from_u64(5);
-        let seq: Vec<usize> = (0..6).map(|_| b.select(&mut rng)).collect();
-        assert_eq!(seq, vec![0, 1, 2, 0, 1, 2]);
     }
 }

@@ -1,26 +1,25 @@
-//! Batched, parallel candidate scoring.
+//! Batched candidate scoring.
 //!
 //! All three tuners score candidates the same way: extract a feature
 //! vector per schedule, then ask the [`CostModel`] for a predicted score.
 //! The seed implementation did both serially, one candidate at a time.
 //! This module collects a whole candidate set and runs the pipeline
 //!
-//! 1. **fingerprint + cache probe** (coordinator thread, input order):
+//! 1. **fingerprint + cache probe** (input order):
 //!    schedules revisited inside an episode — mutation neighbourhoods,
 //!    surviving elites, re-scored populations — skip extraction *and*
 //!    model inference entirely (the cache holds both the feature row and
 //!    the model's score, valid because the model is fixed between
 //!    [`ScoringPipeline::begin_episode`] boundaries);
-//! 2. **miss extraction** over the [`harl_par::ThreadPool`], order-preserved;
+//! 2. **miss extraction**, in input order, into reused buffers;
 //! 3. **batched prediction of the misses** with the flattened tree kernel
 //!    ([`CostModel::score_batch_into`]), tree-major over the miss matrix.
 //!
-//! Determinism: fingerprints and cache updates happen on the coordinator
-//! in input order, extraction is a pure function scattered back by index,
-//! and prediction accumulates per sample independently — so scores are
-//! bit-identical at any thread count, and bit-identical to the seed's
-//! per-candidate `extract → score` loop (scoring a sample alone or inside
-//! any batch walks the same trees in the same order).
+//! Determinism: fingerprints and cache updates happen in input order,
+//! extraction is a pure function scattered back by index, and prediction
+//! accumulates per sample independently — so scores are bit-identical to
+//! the seed's per-candidate `extract → score` loop (scoring a sample alone
+//! or inside any batch walks the same trees in the same order).
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -28,7 +27,6 @@ use std::sync::OnceLock;
 
 use crate::cost_model::CostModel;
 use harl_obs::{Counter, Tracer};
-use harl_par::ThreadPool;
 
 /// Global scoring counters, aggregated across every pipeline in the
 /// process so the serve `metrics` verb can report an overall cache hit
@@ -47,8 +45,7 @@ fn scoring_counters() -> &'static (Counter, Counter, Counter) {
 
 /// Monotonic counters of the scoring pipeline (`LintStats`-style): cheap
 /// to keep, merged into reports and serve status replies. Never serialized
-/// into tuner checkpoints — `threads` is an environment property and would
-/// break 1-vs-4-thread checkpoint byte-equality.
+/// into tuner checkpoints.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScoreStats {
     /// `score_into` calls issued.
@@ -62,20 +59,16 @@ pub struct ScoreStats {
     pub cache_misses: u64,
     /// Feature vectors inserted into the cache.
     pub features_cached: u64,
-    /// Pool width the pipeline ran with.
-    pub threads: u64,
 }
 
 impl ScoreStats {
-    /// Adds another pipeline's counters into this one (`threads` keeps the
-    /// wider of the two — it is a configuration echo, not a counter).
+    /// Adds another pipeline's counters into this one.
     pub fn merge(&mut self, other: &ScoreStats) {
         self.batch_count += other.batch_count;
         self.scored += other.scored;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.features_cached += other.features_cached;
-        self.threads = self.threads.max(other.threads);
     }
 
     /// Fraction of scored candidates served from the cache.
@@ -115,11 +108,11 @@ struct CacheEntry {
 /// Entries live in a slab threaded on an intrusive doubly-linked recency
 /// list (`head` most recent, `tail` least), with a map from fingerprint to
 /// slab index, so hit, insert and evict are all O(1). Every touch happens
-/// on the coordinator in input order, so eviction is deterministic. Live
-/// entries always occupy `slab[..map.len()]`: a new key takes the next
-/// slot until the cache is full and the tail's slot afterwards, and the
-/// only removal is [`FeatureCache::clear`], which keeps the slab — the
-/// feature buffers are recycled by the next episode.
+/// in input order, so eviction is deterministic. Live entries always
+/// occupy `slab[..map.len()]`: a new key takes the next slot until the
+/// cache is full and the tail's slot afterwards, and the only removal is
+/// [`FeatureCache::clear`], which keeps the slab — the feature buffers are
+/// recycled by the next episode.
 #[derive(Debug, Clone)]
 pub struct FeatureCache {
     map: HashMap<u64, u32>,
@@ -267,13 +260,11 @@ impl FeatureCache {
 /// each, so the worst case is ~1 MiB).
 pub const DEFAULT_CACHE_CAP: usize = 4096;
 
-/// The batched scoring pipeline: thread pool + feature cache + counters
-/// + reusable scratch. One per tuner; **not** part of checkpoint state.
+/// The batched scoring pipeline: feature cache + counters + reusable
+/// scratch. One per tuner; **not** part of checkpoint state.
 #[derive(Debug)]
 pub struct ScoringPipeline {
-    pool: ThreadPool,
-    /// Probed before and filled after the parallel extraction, both on
-    /// the coordinator; pool workers never see it.
+    /// Probed before and filled after the extraction.
     cache: FeatureCache,
     stats: ScoreStats,
     /// Scratch: fingerprints of the current batch, input order.
@@ -284,9 +275,9 @@ pub struct ScoringPipeline {
     /// batches, so steady-state hits allocate nothing.
     rows: Vec<Vec<f32>>,
     /// Scratch extraction buffers, one per miss, reused across batches:
-    /// pool workers extract into these in place (`for_each_mut`), the
-    /// model predicts straight off them, and each then trades places with
-    /// its `rows` slot — so steady-state misses allocate nothing either.
+    /// misses are extracted into these in place, the model predicts
+    /// straight off them, and each then trades places with its `rows`
+    /// slot — so steady-state misses allocate nothing either.
     miss_rows: Vec<Vec<f32>>,
     /// Scratch: scores of the current batch's misses.
     miss_scores: Vec<f64>,
@@ -297,17 +288,13 @@ pub struct ScoringPipeline {
 }
 
 impl ScoringPipeline {
-    /// A pipeline with an explicit pool width and cache capacity.
-    pub fn new(threads: usize, cache_cap: usize) -> Self {
-        let pool = ThreadPool::new(threads);
-        let stats = ScoreStats {
-            threads: pool.threads() as u64,
-            ..Default::default()
-        };
+    /// A pipeline with the given cache capacity. `_threads` is accepted
+    /// and ignored; the search runs on the caller's thread; removed with
+    /// the benchmark re-baseline (ROADMAP item 7).
+    pub fn new(_threads: usize, cache_cap: usize) -> Self {
         ScoringPipeline {
-            pool,
             cache: FeatureCache::new(cache_cap),
-            stats,
+            stats: ScoreStats::default(),
             keys: Vec::new(),
             misses: Vec::new(),
             rows: Vec::new(),
@@ -316,18 +303,6 @@ impl ScoringPipeline {
             last_n: 0,
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Pool width.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Re-sizes the pool (e.g. from a tuner config override). Counters and
-    /// cache survive; `stats.threads` echoes the widest width used.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.pool = ThreadPool::new(threads);
-        self.stats.threads = self.stats.threads.max(self.pool.threads() as u64);
     }
 
     /// The pipeline counters.
@@ -359,15 +334,15 @@ impl ScoringPipeline {
     /// Scores `items` into `out` (cleared first), in input order.
     ///
     /// `fingerprint` keys the feature cache; `extract` fills a feature
-    /// vector for one item and must be a pure function of the item (it
-    /// runs on pool workers). After the call, [`ScoringPipeline::row`]
-    /// exposes each item's features without re-extraction.
-    pub fn score_into<S: Sync>(
+    /// vector for one item and must be a pure function of the item. After
+    /// the call, [`ScoringPipeline::row`] exposes each item's features
+    /// without re-extraction.
+    pub fn score_into<S>(
         &mut self,
         cost: &CostModel,
         items: &[S],
         fingerprint: impl Fn(&S) -> u64,
-        extract: impl Fn(&S, &mut Vec<f32>) + Sync,
+        extract: impl Fn(&S, &mut Vec<f32>),
         out: &mut Vec<f64>,
     ) {
         let n = items.len();
@@ -383,7 +358,7 @@ impl ScoringPipeline {
         out.clear();
         out.resize(n, 0.0);
 
-        // 1. cache probe, coordinator thread, input order: a hit fills
+        // 1. cache probe, input order: a hit fills
         // both the feature row and the final score
         for (i, item) in items.iter().enumerate() {
             let key = fingerprint(item);
@@ -414,7 +389,6 @@ impl ScoringPipeline {
                     ("n", n.into()),
                     ("hits", hits.into()),
                     ("misses", self.misses.len().into()),
-                    ("threads", self.pool.threads().into()),
                     ("backend", harl_simd::backend_name().into()),
                 ],
             );
@@ -423,18 +397,17 @@ impl ScoringPipeline {
             return;
         }
 
-        // 2. extract misses over the pool, in place into the persistent
-        // per-miss buffers (buffers keep their capacity across batches,
-        // so steady-state misses allocate nothing here)
+        // 2. extract misses in place into the persistent per-miss buffers
+        // (buffers keep their capacity across batches, so steady-state
+        // misses allocate nothing here)
         let m = self.misses.len();
         if self.miss_rows.len() < m {
             self.miss_rows.resize_with(m, Vec::new);
         }
-        let misses = &self.misses;
-        self.pool.for_each_mut(&mut self.miss_rows[..m], |j, buf| {
+        for (buf, &i) in self.miss_rows.iter_mut().zip(&self.misses) {
             buf.clear();
-            extract(&items[misses[j]], buf);
-        });
+            extract(&items[i], buf);
+        }
 
         // 3. batched prediction of the misses with the flattened kernel,
         // straight off the extraction buffers. Per-sample accumulation is
@@ -455,8 +428,7 @@ impl ScoringPipeline {
 }
 
 impl Default for ScoringPipeline {
-    /// A serial pipeline with the default cache capacity; a tuner's
-    /// `set_parallelism` widens it.
+    /// A pipeline with the default cache capacity.
     fn default() -> Self {
         ScoringPipeline::new(1, DEFAULT_CACHE_CAP)
     }
@@ -486,14 +458,9 @@ mod tests {
     #[test]
     fn pipeline_matches_serial_scoring_bit_for_bit() {
         let cm = trained_model();
-        // the last batch has enough misses for the width-2 pool to split
-        // the extraction across its workers instead of running it inline
-        let split = 2 * harl_par::MIN_ITEMS_PER_WORKER + 5;
-        let spawned = harl_obs::global().counter("harl_par_maps_total{mode=\"parallel\"}");
-        let spawned_before = spawned.get();
-        for (threads, n) in [(1, 97), (4, 97), (2, split)] {
+        for n in [1, 97] {
             let items: Vec<f32> = (0..n).map(|i| i as f32 / n as f32).collect();
-            let mut pipe = ScoringPipeline::new(threads, 64);
+            let mut pipe = ScoringPipeline::new(1, 64);
             let mut out = Vec::new();
             pipe.score_into(&cm, &items, |x| x.to_bits() as u64, feat_of, &mut out);
             assert_eq!(pipe.stats().cache_misses, n as u64);
@@ -503,10 +470,6 @@ mod tests {
                 assert_eq!(o.to_bits(), cm.score(&f).to_bits());
             }
         }
-        assert!(
-            spawned.get() > spawned_before,
-            "the {split}-miss batch must spawn at width 2"
-        );
     }
 
     #[test]
@@ -711,7 +674,6 @@ mod tests {
             cache_hits: 4,
             cache_misses: 6,
             features_cached: 6,
-            threads: 1,
         };
         let b = ScoreStats {
             batch_count: 2,
@@ -719,12 +681,10 @@ mod tests {
             cache_hits: 5,
             cache_misses: 15,
             features_cached: 15,
-            threads: 4,
         };
         a.merge(&b);
         assert_eq!(a.batch_count, 3);
         assert_eq!(a.scored, 30);
         assert_eq!(a.cache_hits, 9);
-        assert_eq!(a.threads, 4, "threads echoes the widest pool");
     }
 }

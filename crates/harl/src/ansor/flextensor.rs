@@ -13,7 +13,6 @@ use serde::{Deserialize, Serialize};
 
 use harl_nnet::{PpoAgent, PpoConfig};
 use harl_obs::Tracer;
-use harl_par::ParallelismOpts;
 use harl_tensor_ir::{
     apply_action, compute_at_mask, parallel_mask, tile_action_mask, unroll_mask, Action,
     ActionSpace, Schedule, Sketch, StepDir, Target,
@@ -291,11 +290,9 @@ impl Proposer for FlextensorProposer {
             state.trace,
             state.lint_stats,
         );
-        // the agent's pool width and tracer are runtime config, not search
-        // state: carry them across the overwrite
-        let ppo_threads = self.agent.threads();
+        // the agent's tracer is runtime config, not search state: carry it
+        // across the overwrite
         self.agent = state.agent;
-        self.agent.set_threads(ppo_threads);
         self.agent.set_tracer(core.tracer().clone());
         self.critical_steps = state.critical_steps;
         self.rng = StdRng::from_state(state.rng);
@@ -303,11 +300,6 @@ impl Proposer for FlextensorProposer {
 
     fn set_tracer(&mut self, tracer: &Tracer) {
         self.agent.set_tracer(tracer.clone());
-    }
-
-    /// No scoring pipeline, so only the PPO width applies.
-    fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        self.agent.set_threads(opts.ppo_threads);
     }
 }
 

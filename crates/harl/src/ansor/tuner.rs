@@ -8,7 +8,6 @@ use serde::{Deserialize, Serialize};
 
 use harl_gbt::{CostModel, GbtParams, ScoringPipeline};
 use harl_obs::Tracer;
-use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::Schedule;
 use harl_tensor_sim::{ConfigError, TuneTrace};
@@ -118,10 +117,9 @@ pub struct AnsorProposer {
     cost_model: CostModel,
     /// `(measured time, schedule)` sorted best-first.
     elites: Vec<(f64, Schedule)>,
-    /// Batched fitness scoring (thread pool + feature cache). Runtime
+    /// Batched fitness scoring (feature cache + counters). Runtime
     /// machinery, deliberately outside [`AnsorTunerState`]: its counters
-    /// and thread width must not leak into checkpoints, which stay
-    /// byte-equal across pool widths.
+    /// must not leak into checkpoints.
     pipeline: ScoringPipeline,
     cfg: AnsorConfig,
     rng: StdRng,
@@ -251,11 +249,6 @@ impl Proposer for AnsorProposer {
 
     fn set_tracer(&mut self, tracer: &Tracer) {
         self.pipeline.set_tracer(tracer.clone());
-    }
-
-    /// Ansor has no PPO stage, so only the scoring width applies.
-    fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        self.pipeline.set_threads(opts.score_threads);
     }
 }
 

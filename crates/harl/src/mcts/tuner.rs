@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 
 use harl_gbt::{CostModel, GbtParams, ScoringPipeline};
 use harl_obs::Tracer;
-use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::{mutate, Schedule};
 use harl_tensor_sim::{ConfigError, TuneTrace};
@@ -159,10 +158,9 @@ pub struct MctsProposer {
     pending_seeds: Vec<Schedule>,
     warm_seeds: Vec<Schedule>,
     reward_scale: f64,
-    /// Batched rollout scoring (thread pool + feature cache). Runtime
+    /// Batched rollout scoring (feature cache + counters). Runtime
     /// machinery, deliberately outside [`MctsTunerState`]: its counters
-    /// and thread width must not leak into checkpoints, which stay
-    /// byte-equal across pool widths.
+    /// must not leak into checkpoints.
     pipeline: ScoringPipeline,
     cfg: MctsConfig,
     rng: StdRng,
@@ -513,11 +511,6 @@ impl Proposer for MctsProposer {
 
     fn set_tracer(&mut self, tracer: &Tracer) {
         self.pipeline.set_tracer(tracer.clone());
-    }
-
-    /// MCTS has no PPO stage, so only the scoring width applies.
-    fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        self.pipeline.set_threads(opts.score_threads);
     }
 }
 

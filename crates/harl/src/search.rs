@@ -420,8 +420,8 @@ pub trait Proposer: Sized {
     fn checkpoint(&self, core: &SearchCore<'_>) -> Self::State;
 
     /// Overwrites the mutable search state, the core's through
-    /// [`SearchCore::restore`]. Runtime wiring (tracer, pool widths) is
-    /// not part of a checkpoint and must survive.
+    /// [`SearchCore::restore`]. Runtime wiring (the tracer) is not part
+    /// of a checkpoint and must survive.
     fn restore(&mut self, core: &mut SearchCore<'_>, state: Self::State);
 
     /// Seeds the search from `usable` (never empty: already filtered by
@@ -442,11 +442,6 @@ pub trait Proposer: Sized {
     /// core is about to get.
     fn set_tracer(&mut self, tracer: &Tracer) {
         let _ = tracer;
-    }
-
-    /// Applies the pool widths of the proposer's parallel stages.
-    fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        let _ = opts;
     }
 }
 
@@ -473,7 +468,6 @@ static NOTHING_SCORED: ScoreStats = ScoreStats {
     cache_hits: 0,
     cache_misses: 0,
     features_cached: 0,
-    threads: 0,
 };
 
 impl<'m, P: Proposer> Searcher<'m, P> {
@@ -557,11 +551,9 @@ impl<'m, P: Proposer> Searcher<'m, P> {
         self.core.set_tracer(tracer);
     }
 
-    /// Sets the proposer's pool widths (serial until then). Results are
-    /// bit-identical at any width.
-    pub fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        self.proposer.set_parallelism(opts);
-    }
+    /// Accepted and ignored; the search runs on the caller's thread;
+    /// removed with the benchmark re-baseline (ROADMAP item 7).
+    pub fn set_parallelism(&mut self, _opts: ParallelismOpts) {}
 }
 
 /// The schedules of the `limit` best distinct `usable` records, best

@@ -146,14 +146,6 @@ pub trait Tuner {
     fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
         let _ = tracer;
     }
-
-    /// Applies thread-pool widths for the tuner's parallel stages (candidate
-    /// scoring, PPO gradient reduction). Performance only: any width is
-    /// bit-identical to serial. The default implementation discards the
-    /// options (for tuners without parallel stages).
-    fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        let _ = opts;
-    }
 }
 
 // A mutable borrow drives the same way, so callers can keep ownership of
@@ -193,10 +185,6 @@ impl<T: Tuner + ?Sized> Tuner for &mut T {
 
     fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
         (**self).set_tracer(tracer)
-    }
-
-    fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        (**self).set_parallelism(opts)
     }
 }
 
@@ -275,10 +263,6 @@ where
     fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
         Searcher::set_tracer(self, tracer)
     }
-
-    fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        Searcher::set_parallelism(self, opts)
-    }
 }
 
 /// On-disk session checkpoint: tuner + measurer state plus bookkeeping.
@@ -316,7 +300,6 @@ pub struct SessionBuilder {
     resume: bool,
     job_key: Option<String>,
     warm_pool: Vec<MeasureRecord>,
-    parallelism: Option<ParallelismOpts>,
 }
 
 impl Default for SessionBuilder {
@@ -327,7 +310,6 @@ impl Default for SessionBuilder {
             resume: true,
             job_key: None,
             warm_pool: Vec::new(),
-            parallelism: None,
         }
     }
 }
@@ -371,13 +353,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Thread-pool widths applied to the tuner via
-    /// [`Tuner::set_parallelism`] before the first round (after any
-    /// resume/warm-start). Performance only — results are bit-identical at
-    /// any width. Without it the tuner keeps the widths it has (serial,
-    /// unless the caller set them on the tuner).
-    pub fn parallelism(mut self, opts: ParallelismOpts) -> Self {
-        self.parallelism = Some(opts);
+    /// Accepted and ignored; the search runs on the caller's thread;
+    /// removed with the benchmark re-baseline (ROADMAP item 7).
+    pub fn parallelism(self, _opts: ParallelismOpts) -> Self {
         self
     }
 
@@ -461,9 +439,6 @@ impl SessionBuilder {
                 }
             }
             None => {}
-        }
-        if let Some(opts) = self.parallelism {
-            session.tuner.set_parallelism(opts);
         }
         Ok(session)
     }

@@ -10,7 +10,6 @@ use harl_bandit::{AnyBandit, Bandit};
 use harl_gbt::{CostModel, ScoringPipeline};
 use harl_nnet::PpoAgent;
 use harl_obs::{FieldValue, Tracer};
-use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::{ActionSpace, Schedule};
 use harl_tensor_sim::{ConfigError, TuneTrace};
@@ -51,10 +50,9 @@ pub struct HarlProposer {
     /// Critical steps of every schedule track explored (Fig. 7(b)).
     pub critical_steps: Vec<CriticalStep>,
     pub rounds: Vec<RoundLog>,
-    /// Batched candidate scoring (thread pool + feature cache). Runtime
-    /// machinery, deliberately outside [`HarlTunerState`]: its counters and
-    /// thread width must not leak into checkpoints, which stay byte-equal
-    /// across pool widths.
+    /// Batched candidate scoring (feature cache + counters). Runtime
+    /// machinery, deliberately outside [`HarlTunerState`]: its counters
+    /// must not leak into checkpoints.
     pipeline: ScoringPipeline,
     cfg: HarlConfig,
     rng: StdRng,
@@ -274,11 +272,8 @@ impl Proposer for HarlProposer {
             state.lint_stats,
         );
         self.cost_model = state.cost_model;
-        // the agent's pool width and tracer are runtime wiring outside the
-        // checkpoint (like the scoring pipeline's) — carry them across
-        let ppo_threads = self.agent.threads();
+        // the agent's tracer is runtime wiring outside the checkpoint
         self.agent = state.agent;
-        self.agent.set_threads(ppo_threads);
         self.agent.set_tracer(core.tracer().clone());
         self.sketch_bandit = state.sketch_bandit;
         self.elites = state.elites;
@@ -311,11 +306,6 @@ impl Proposer for HarlProposer {
     fn set_tracer(&mut self, tracer: &Tracer) {
         self.pipeline.set_tracer(tracer.clone());
         self.agent.set_tracer(tracer.clone());
-    }
-
-    fn set_parallelism(&mut self, opts: ParallelismOpts) {
-        self.pipeline.set_threads(opts.score_threads);
-        self.agent.set_threads(opts.ppo_threads);
     }
 }
 

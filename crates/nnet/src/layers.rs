@@ -7,12 +7,11 @@
 //! embarrassingly batchable shape. The layer API is therefore batch-major:
 //! `&self` forward through the blocked GEMM in [`crate::gemm`], and a
 //! batched backward whose per-parameter reductions keep one fixed
-//! summation order no matter the batch size or pool width.
+//! summation order no matter the batch size.
 
 use std::ops::Deref;
 use std::sync::OnceLock;
 
-use harl_par::ThreadPool;
 use rand::Rng;
 use serde::de::{self, DeError, Value};
 use serde::ser::JsonWriter;
@@ -133,12 +132,9 @@ pub struct GradScratch {
 }
 
 /// `y = x·wt` (`rows × k` through `x`'s strides, times k-major `k × n`),
-/// every cell a `+0.0`-seeded ascending-`k` chain, with the output rows
-/// split into blocks across `pool`. `zeros` is resized to the `n` zeros
-/// the chains start from.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_on_pool(
-    pool: &ThreadPool,
+/// every cell a `+0.0`-seeded ascending-`k` chain. `zeros` is resized to
+/// the `n` zeros the chains start from.
+pub(crate) fn gemm_from_zero(
     x: Strided<'_>,
     wt: &[f32],
     zeros: &mut Vec<f32>,
@@ -151,9 +147,7 @@ pub(crate) fn gemm_on_pool(
     if n == 0 {
         return;
     }
-    pool.for_each_row_block(y, n, |first, block| {
-        gemm_bias_strided(x.from_row(first), wt, zeros, block.len() / n, k, n, block);
-    });
+    gemm_bias_strided(x, wt, zeros, y.len() / n, k, n, y);
 }
 
 /// The sum of every column of batch-major `gy` (rows of `out_dim` cells)
@@ -250,15 +244,13 @@ impl Linear {
     /// `gw`; otherwise it lands in a private partial that is then added.
     /// Both leave the bits of accumulating the terms directly: the partial
     /// of a `+0.0`-seeded chain is never `-0.0`, so `+0.0 + dw` is `dw`.
-    /// `pool` splits the output rows of either product into blocks; rows
-    /// are independent, so any width — and any batch split — equals the
-    /// serial loop bit-for-bit, on every backend.
+    /// Rows are independent, so any batch split equals the serial loop
+    /// bit-for-bit, on every backend.
     pub fn backward_batch(
         &mut self,
         x: &[f32],
         gy: &[f32],
         batch: usize,
-        pool: &ThreadPool,
         scratch: &mut GradScratch,
         gx: Option<&mut Vec<f32>>,
     ) {
@@ -270,10 +262,10 @@ impl Linear {
         // dL/dW = gyᵀ·X; dL/db sums each column of gy, batch in order
         let gyt = Strided::columns(gy, out_dim);
         if std::mem::take(&mut self.zeroed) {
-            gemm_on_pool(pool, gyt, x, zeros, batch, in_dim, &mut self.gw);
+            gemm_from_zero(gyt, x, zeros, batch, in_dim, &mut self.gw);
         } else {
             dw.resize(out_dim * in_dim, 0.0);
-            gemm_on_pool(pool, gyt, x, zeros, batch, in_dim, dw);
+            gemm_from_zero(gyt, x, zeros, batch, in_dim, dw);
             add_into(&mut self.gw, dw);
         }
         column_sums(gy, out_dim, sums);
@@ -281,7 +273,7 @@ impl Linear {
 
         // dL/dX = gy·W
         if let Some(gx) = gx {
-            self.input_grad(Strided::rows(gy, out_dim), batch, pool, zeros, gx);
+            self.input_grad(Strided::rows(gy, out_dim), batch, zeros, gx);
         }
     }
 
@@ -305,12 +297,11 @@ impl Linear {
         &self,
         gy: Strided<'_>,
         batch: usize,
-        pool: &ThreadPool,
         zeros: &mut Vec<f32>,
         gx: &mut Vec<f32>,
     ) {
         gx.resize(batch * self.in_dim, 0.0);
-        gemm_on_pool(pool, gy, &self.w, zeros, self.out_dim, self.in_dim, gx);
+        gemm_from_zero(gy, &self.w, zeros, self.out_dim, self.in_dim, gx);
     }
 
     /// Clears accumulated gradients. The backward that follows writes its
@@ -519,20 +510,12 @@ mod tests {
     fn backward_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut l = Linear::new(3, 2, &mut rng);
-        let pool = ThreadPool::new(1);
         let x = [0.3f32, -0.7, 1.1];
         // loss = sum(y)
         let gy = [1.0f32, 1.0];
         let mut gx = Vec::new();
         l.zero_grad();
-        l.backward_batch(
-            &x,
-            &gy,
-            1,
-            &pool,
-            &mut GradScratch::default(),
-            Some(&mut gx),
-        );
+        l.backward_batch(&x, &gy, 1, &mut GradScratch::default(), Some(&mut gx));
 
         let eps = 1e-3f32;
         for i in 0..l.w.len() {
@@ -564,7 +547,7 @@ mod tests {
     #[test]
     fn batched_backward_equals_per_sample_accumulation() {
         // one batch-3 backward must leave the exact gradient bits of three
-        // batch-1 backwards, at every pool width
+        // batch-1 backwards
         let mut rng = StdRng::seed_from_u64(21);
         let l0 = Linear::new(5, 4, &mut rng);
         let x: Vec<f32> = (0..15).map(|i| (i as f32 * 0.37).sin()).collect();
@@ -572,7 +555,6 @@ mod tests {
         let mut scratch = GradScratch::default();
 
         let mut serial = l0.clone();
-        let pool1 = ThreadPool::new(1);
         let mut gx_serial = Vec::new();
         for b in 0..3 {
             let mut gx_b = Vec::new();
@@ -580,22 +562,18 @@ mod tests {
                 &x[b * 5..(b + 1) * 5],
                 &gy[b * 4..(b + 1) * 4],
                 1,
-                &pool1,
                 &mut scratch,
                 Some(&mut gx_b),
             );
             gx_serial.extend_from_slice(&gx_b);
         }
 
-        for threads in [1, 2, 7] {
-            let mut batched = l0.clone();
-            let pool = ThreadPool::new(threads);
-            let mut gx = Vec::new();
-            batched.backward_batch(&x, &gy, 3, &pool, &mut scratch, Some(&mut gx));
-            assert_eq!(bits(&batched.gw), bits(&serial.gw), "gw, width {threads}");
-            assert_eq!(bits(&batched.gb), bits(&serial.gb), "gb, width {threads}");
-            assert_eq!(bits(&gx), bits(&gx_serial), "gx, width {threads}");
-        }
+        let mut batched = l0.clone();
+        let mut gx = Vec::new();
+        batched.backward_batch(&x, &gy, 3, &mut scratch, Some(&mut gx));
+        assert_eq!(bits(&batched.gw), bits(&serial.gw), "gw");
+        assert_eq!(bits(&batched.gb), bits(&serial.gb), "gb");
+        assert_eq!(bits(&gx), bits(&gx_serial), "gx");
     }
 
     /// `(batch, out_dim, in_dim)` of the backward comparisons. The shapes
@@ -604,8 +582,8 @@ mod tests {
     /// column tail; the odd sizes after them put every masked column-tail
     /// width of the 8- and 16-lane kernels (`in_dim` is both products'
     /// column count) against every row-tile remainder (dW has `out_dim`
-    /// rows, dX `batch`); the two thin shapes at the end cross the pool's
-    /// inline threshold at width 2, so its workers really spawn.
+    /// rows, dX `batch`); the two thin shapes at the end are 8 200 rows
+    /// tall, one of dW and one of dX.
     fn backward_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = Vec::new();
         for &batch in &[1usize, 7, 64, 65, 300] {
@@ -621,8 +599,7 @@ mod tests {
                 shapes.push((batch, odd[(i + j) % odd.len()], in_dim));
             }
         }
-        let split = 2 * harl_par::MIN_ITEMS_PER_WORKER + 8;
-        shapes.extend([(2, split, 4), (split, 1, 4)]);
+        shapes.extend([(2, 8200, 4), (8200, 1, 4)]);
         shapes
     }
 
@@ -641,8 +618,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         let mut scratch = GradScratch::default();
         let backends = supported_backends();
-        let spawned = harl_obs::global().counter("harl_par_maps_total{mode=\"parallel\"}");
-        let spawned_before = spawned.get();
         for (batch, out_dim, in_dim) in backward_shapes() {
             let mut l0 = Linear::new(in_dim, out_dim, &mut rng);
             l0.gw.iter_mut().for_each(|g| *g = rng.gen_range(-1.0..1.0));
@@ -660,34 +635,21 @@ mod tests {
                 let mut want = l0.clone();
                 let want_gx = backward_per_row(&mut want, &x, &gy, batch);
                 for &backend in &backends {
-                    for threads in [1, 2, 7] {
-                        let shape = format!(
-                            "{}: {batch}×{in_dim}→{out_dim}, width {threads}, zeroed {zeroed}",
-                            backend.name()
-                        );
-                        let mut got = l0.clone();
-                        let mut gx = Vec::new();
-                        let prev = harl_simd::force_backend(Some(backend));
-                        got.backward_batch(
-                            &x,
-                            &gy,
-                            batch,
-                            &ThreadPool::new(threads),
-                            &mut scratch,
-                            Some(&mut gx),
-                        );
-                        harl_simd::force_backend(prev);
-                        assert_eq!(bits(&got.gw), bits(&want.gw), "gw, {shape}");
-                        assert_eq!(bits(&got.gb), bits(&want.gb), "gb, {shape}");
-                        assert_eq!(bits(&gx), bits(&want_gx), "gx, {shape}");
-                    }
+                    let shape = format!(
+                        "{}: {batch}×{in_dim}→{out_dim}, zeroed {zeroed}",
+                        backend.name()
+                    );
+                    let mut got = l0.clone();
+                    let mut gx = Vec::new();
+                    let prev = harl_simd::force_backend(Some(backend));
+                    got.backward_batch(&x, &gy, batch, &mut scratch, Some(&mut gx));
+                    harl_simd::force_backend(prev);
+                    assert_eq!(bits(&got.gw), bits(&want.gw), "gw, {shape}");
+                    assert_eq!(bits(&got.gb), bits(&want.gb), "gb, {shape}");
+                    assert_eq!(bits(&gx), bits(&want_gx), "gx, {shape}");
                 }
             }
         }
-        assert!(
-            spawned.get() > spawned_before,
-            "the two thin shapes must split across workers at width 2"
-        );
     }
 
     #[test]
@@ -696,7 +658,6 @@ mod tests {
         // must add to what the first left
         let mut rng = StdRng::seed_from_u64(78);
         let mut l = Linear::new(9, 5, &mut rng);
-        let pool = ThreadPool::new(1);
         let mut scratch = GradScratch::default();
         let x: Vec<f32> = (0..27).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let gy: Vec<f32> = (0..15).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -704,8 +665,8 @@ mod tests {
         backward_per_row(&mut want, &x, &gy, 3);
         backward_per_row(&mut want, &x, &gy, 3);
         l.zero_grad();
-        l.backward_batch(&x, &gy, 3, &pool, &mut scratch, None);
-        l.backward_batch(&x, &gy, 3, &pool, &mut scratch, None);
+        l.backward_batch(&x, &gy, 3, &mut scratch, None);
+        l.backward_batch(&x, &gy, 3, &mut scratch, None);
         assert_eq!(bits(&l.gw), bits(&want.gw));
         assert_eq!(bits(&l.gb), bits(&want.gb));
     }
@@ -769,7 +730,6 @@ mod tests {
         // after the cache was built must keep tracking its own updates
         let mut rng = StdRng::seed_from_u64(5);
         let mut l = Linear::new(7, 5, &mut rng);
-        let pool = ThreadPool::new(1);
         let x: Vec<f32> = (0..14).map(|i| (i as f32 * 0.41).sin()).collect();
         let gy: Vec<f32> = (0..10).map(|i| (i as f32 * 0.29).cos()).collect();
         let fresh = |l: &Linear| {
@@ -789,7 +749,7 @@ mod tests {
         for t in 1..=3 {
             for net in [&mut l, &mut twin] {
                 net.zero_grad();
-                net.backward_batch(&x, &gy, 2, &pool, &mut GradScratch::default(), None);
+                net.backward_batch(&x, &gy, 2, &mut GradScratch::default(), None);
             }
             l.adam_step(0.05, t, 1.0);
             twin.adam_step(0.01, t, 1.0);
@@ -803,7 +763,6 @@ mod tests {
     fn adam_reduces_quadratic_loss() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut l = Linear::new(1, 1, &mut rng);
-        let pool = ThreadPool::new(1);
         let mut scratch = GradScratch::default();
         // learn y = 2x: loss = (y - 2x)^2 on x=1
         let mut t = 0;
@@ -811,7 +770,7 @@ mod tests {
             let y = forward1(&l, &[1.0]);
             let err = y[0] - 2.0;
             l.zero_grad();
-            l.backward_batch(&[1.0], &[2.0 * err], 1, &pool, &mut scratch, None);
+            l.backward_batch(&[1.0], &[2.0 * err], 1, &mut scratch, None);
             t += 1;
             l.adam_step(0.05, t, 1.0);
         }

@@ -9,9 +9,8 @@
 //! holders, all per-pass state lives in caller-owned workspaces
 //! ([`Workspace`], [`PolicyWorkspace`]), and the forward path runs through
 //! the blocked GEMM in [`gemm`]. Every batched result is bit-identical to
-//! its per-sample equivalent at any batch size and any pool width — the
-//! summation-order argument lives in [`gemm`] and
-//! [`layers::Linear::backward_batch`].
+//! its per-sample equivalent at any batch size — the summation-order
+//! argument lives in [`gemm`] and [`layers::Linear::backward_batch`].
 
 pub mod gemm;
 pub mod layers;

@@ -7,7 +7,6 @@
 //! interior mutability, and it keeps serde state identical to the old
 //! per-sample design (the caches were `#[serde(skip)]` there too).
 
-use harl_par::ThreadPool;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -114,15 +113,14 @@ impl Mlp {
     }
 
     /// Backward pass for the most recent [`Mlp::forward_batch`] through
-    /// the same workspace; accumulates parameter gradients (reduction on
-    /// `pool`, order fixed — see [`Linear::backward_batch`]). The
+    /// the same workspace; accumulates parameter gradients (reduction
+    /// order fixed — see [`Linear::backward_batch`]). The
     /// batch-major `∂L/∂input` costs one more GEMM that no training loop
     /// reads, so it is computed only when `input_grad` asks for it.
     pub fn backward_batch(
         &mut self,
         grad_out: &[f32],
         ws: &mut Workspace,
-        pool: &ThreadPool,
         mut input_grad: Option<&mut Vec<f32>>,
     ) {
         let n = self.layers.len();
@@ -145,9 +143,9 @@ impl Mlp {
                 tanh_backward(&acts[li], gy);
             }
             if li == 0 {
-                self.layers[0].backward_batch(input, gy, batch, pool, grad, input_grad.take());
+                self.layers[0].backward_batch(input, gy, batch, grad, input_grad.take());
             } else {
-                self.layers[li].backward_batch(&acts[li - 1], gy, batch, pool, grad, Some(gx));
+                self.layers[li].backward_batch(&acts[li - 1], gy, batch, grad, Some(gx));
                 std::mem::swap(gy, gx);
             }
         }
@@ -296,14 +294,13 @@ mod tests {
     fn gradcheck_full_network() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut mlp = Mlp::new(&[3, 5, 2], &mut rng);
-        let pool = ThreadPool::new(1);
         let x = vec![0.2f32, -0.4, 0.9];
         // loss = sum of outputs
         let mut ws = Workspace::new();
         let _ = mlp.forward_batch(&x, 1, &mut ws);
         mlp.zero_grad();
         let mut gin = Vec::new();
-        mlp.backward_batch(&[1.0, 1.0], &mut ws, &pool, Some(&mut gin));
+        mlp.backward_batch(&[1.0, 1.0], &mut ws, Some(&mut gin));
 
         let eps = 1e-3f32;
         // check one weight in each layer
@@ -337,7 +334,6 @@ mod tests {
     fn can_learn_xor() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut mlp = Mlp::new(&[2, 16, 1], &mut rng);
-        let pool = ThreadPool::new(1);
         let mut ws = Workspace::new();
         let xs: Vec<f32> = vec![0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0];
         let ts = [0.0f32, 1.0, 1.0, 0.0];
@@ -345,7 +341,7 @@ mod tests {
             mlp.zero_grad();
             let y = mlp.forward_batch(&xs, 4, &mut ws).to_vec();
             let grad: Vec<f32> = y.iter().zip(&ts).map(|(yi, ti)| 2.0 * (yi - ti)).collect();
-            mlp.backward_batch(&grad, &mut ws, &pool, None);
+            mlp.backward_batch(&grad, &mut ws, None);
             mlp.adam_step(0.01, 0.25);
         }
         for (i, t) in ts.iter().enumerate() {

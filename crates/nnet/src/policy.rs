@@ -13,13 +13,12 @@
 
 use std::sync::OnceLock;
 
-use harl_par::ThreadPool;
 use harl_simd::Strided;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::gemm::gemm_bias_into;
-use crate::layers::{column_sums, gemm_on_pool, tanh_backward, tanh_forward, Linear};
+use crate::layers::{column_sums, gemm_from_zero, tanh_backward, tanh_forward, Linear};
 use crate::mlp::{masked_softmax, Mlp, Workspace};
 
 /// Caller-owned scratch for the policy's batched passes: the trunk's own
@@ -227,14 +226,9 @@ impl MultiHeadPolicy {
     /// and `db` one pass of column sums, each cell the chain a backward
     /// per head gives it. `dX` stays one `+0.0`-seeded product per head,
     /// added into the trunk gradient in ascending head order: that order
-    /// is the per-sample loop's, whatever the batch size or pool width
-    /// (head 0's product is the first term, so it is written, not added).
-    pub fn backward_batch(
-        &mut self,
-        grad_logits: &[f32],
-        ws: &mut PolicyWorkspace,
-        pool: &ThreadPool,
-    ) {
+    /// is the per-sample loop's, whatever the batch size (head 0's
+    /// product is the first term, so it is written, not added).
+    pub fn backward_batch(&mut self, grad_logits: &[f32], ws: &mut PolicyWorkspace) {
         let batch = ws.batch;
         let hidden = self.trunk.out_dim();
         let offsets = &ws.offsets;
@@ -248,8 +242,7 @@ impl MultiHeadPolicy {
         let scratch = &mut ws.trunk.grad;
 
         ws.dw.resize(total * hidden, 0.0);
-        gemm_on_pool(
-            pool,
+        gemm_from_zero(
             Strided::columns(grad_logits, total),
             &ws.trunk_out,
             &mut scratch.zeros,
@@ -269,17 +262,16 @@ impl MultiHeadPolicy {
         for (h, (head, &first)) in self.heads.iter().zip(offsets).enumerate() {
             let gy = Strided::rows(grad_logits, total).from_k(first);
             if h == 0 {
-                head.input_grad(gy, batch, pool, &mut scratch.zeros, &mut ws.g_trunk);
+                head.input_grad(gy, batch, &mut scratch.zeros, &mut ws.g_trunk);
             } else {
-                head.input_grad(gy, batch, pool, &mut scratch.zeros, &mut ws.gx);
+                head.input_grad(gy, batch, &mut scratch.zeros, &mut ws.gx);
                 for (a, b) in ws.g_trunk.iter_mut().zip(&ws.gx) {
                     *a += *b;
                 }
             }
         }
         tanh_backward(&ws.trunk_out, &mut ws.g_trunk);
-        self.trunk
-            .backward_batch(&ws.g_trunk, &mut ws.trunk, pool, None);
+        self.trunk.backward_batch(&ws.g_trunk, &mut ws.trunk, None);
     }
 
     /// Clears accumulated gradients.
@@ -424,7 +416,6 @@ mod tests {
         use crate::layers::GradScratch;
         use rand::Rng;
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        let pool = ThreadPool::new(1);
         let backends: Vec<_> = harl_simd::Backend::ALL
             .into_iter()
             .filter(|b| b.is_supported())
@@ -451,7 +442,7 @@ mod tests {
                     p.zero_grad();
                     reference.iter_mut().for_each(Linear::zero_grad);
                     for pass in 0..2 {
-                        p.backward_batch(&gy, &mut ws, &pool);
+                        p.backward_batch(&gy, &mut ws);
                         g_trunk.iter_mut().for_each(|g| *g = 0.0);
                         for (h, head) in reference.iter_mut().enumerate() {
                             let first = p.head_offsets()[h];
@@ -467,7 +458,6 @@ mod tests {
                                 &trunk_out,
                                 &gy_h,
                                 batch,
-                                &pool,
                                 &mut scratch,
                                 Some(&mut gx),
                             );
@@ -517,7 +507,6 @@ mod tests {
         // pushing gradient toward an action should raise its probability
         let mut rng = StdRng::seed_from_u64(10);
         let mut p = MultiHeadPolicy::new(3, 8, &[4], &mut rng);
-        let pool = ThreadPool::new(1);
         let mut ws = PolicyWorkspace::new();
         let x = [0.5f32, -0.5, 0.25];
         let target = 2usize;
@@ -531,7 +520,7 @@ mod tests {
                 .map(|(i, &pi)| pi - if i == target { 1.0 } else { 0.0 })
                 .collect();
             p.zero_grad();
-            p.backward_batch(&g, &mut ws, &pool);
+            p.backward_batch(&g, &mut ws);
             p.adam_step(0.01, 1.0);
         }
         p.forward_batch(&x, 1, &mut ws);

@@ -10,16 +10,12 @@
 //! Both hot phases are batch-major: [`PpoAgent::act_batch`] runs one
 //! matrix-matrix forward for every live schedule track of a step, and
 //! [`PpoAgent::train_minibatch`] runs one batched forward/backward over
-//! the whole minibatch with the gradient reduction parallelized on the
-//! agent's `harl-par` pool ([`PpoAgent::set_threads`]); the softmax, the
-//! log-probabilities and the ratios go through `harl-simd`'s lane `exp`
-//! and `ln` a head at a time, never through the host's libm. Both are
-//! bit-identical to their per-sample equivalents at any batch size and any
-//! pool width — the same contract `tests/scoring_determinism.rs` pins for
-//! scoring.
+//! the whole minibatch; the softmax, the log-probabilities and the ratios
+//! go through `harl-simd`'s lane `exp` and `ln` a head at a time, never
+//! through the host's libm. Both are bit-identical to their per-sample
+//! equivalents at any batch size.
 
 use harl_obs::Tracer;
-use harl_par::ThreadPool;
 use harl_tensor_sim::ConfigError;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -740,9 +736,8 @@ struct HealthSums {
 ///
 /// The networks are plain weights (`&self`-shareable, serde-stable); all
 /// per-pass scratch lives in the agent's two workspaces and its reused
-/// rows, and the gradient reduction pool plus tracer are runtime wiring a
-/// checkpoint restore re-applies (`#[serde(skip)]`, like the scoring
-/// pipeline's pool). Decoded by hand: the replay buffer's rows are
+/// rows, and the tracer is runtime wiring a checkpoint restore re-applies
+/// (`#[serde(skip)]`). Decoded by hand: the replay buffer's rows are
 /// checked against the shapes of the networks decoded before it.
 #[derive(Debug, Clone, Serialize)]
 pub struct PpoAgent {
@@ -763,8 +758,6 @@ pub struct PpoAgent {
     scratch: Scratch,
     #[serde(skip)]
     health: HealthSums,
-    #[serde(skip)]
-    pool: ThreadPool,
     #[serde(skip)]
     tracer: Tracer,
 }
@@ -803,7 +796,6 @@ impl<'de> Deserialize<'de> for PpoAgent {
             ws_critic: Workspace::new(),
             scratch: Scratch::default(),
             health: HealthSums::default(),
-            pool: ThreadPool::default(),
             tracer: Tracer::default(),
         })
     }
@@ -834,21 +826,13 @@ impl PpoAgent {
             ws_critic: Workspace::new(),
             scratch: Scratch::default(),
             health: HealthSums::default(),
-            pool: ThreadPool::default(),
             tracer: Tracer::default(),
         }
     }
 
-    /// Resizes the gradient-reduction pool (results are bit-identical at
-    /// any width; this trades wall time only).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.pool = ThreadPool::new(threads);
-    }
-
-    /// Width of the gradient-reduction pool.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
+    /// Accepted and ignored; the search runs on the caller's thread; removed
+    /// with the benchmark re-baseline (ROADMAP item 7).
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Attaches a tracer for the `ppo_act_batch` / `gemm` /
     /// `ppo_backward` spans.
@@ -1056,8 +1040,7 @@ impl PpoAgent {
 
     /// The PPO update over the gathered minibatch: a single batched
     /// policy and critic forward, the per-sample surrogate-loss scalars in
-    /// sample order, then one batched backward with the parameter
-    /// reduction on the agent's pool.
+    /// sample order, then one batched backward.
     ///
     /// Summation-order inventory (why this is bit-equal to the serial
     /// per-sample loop): loss accumulators and logit gradients are
@@ -1068,8 +1051,7 @@ impl PpoAgent {
     /// head's softmax denominator and entropy stay ascending sums over
     /// that head's cells of the row; parameter
     /// gradients accumulate per cell in ascending sample order inside
-    /// [`crate::layers::Linear::backward_batch`] regardless of pool
-    /// width; and the policy-then-critic phase split is exact because the
+    /// [`crate::layers::Linear::backward_batch`]; and the policy-then-critic phase split is exact because the
     /// two networks share no accumulator.
     fn update(&mut self) -> (f32, f32) {
         let n_samples = self.scratch.batch.len();
@@ -1223,19 +1205,14 @@ impl PpoAgent {
             health.value_err_sq += f64::from(err) * f64::from(err);
         }
 
-        // --- batched backward, parameter reduction on the pool ----------
+        // --- batched backward ------------------------------------------
         {
-            let _span = self.tracer.span_with(
-                "ppo_backward",
-                &[
-                    ("minibatch", n_samples.into()),
-                    ("threads", self.pool.threads().into()),
-                ],
-            );
-            self.policy
-                .backward_batch(grad_logits, &mut self.ws_policy, &self.pool);
+            let _span = self
+                .tracer
+                .span_with("ppo_backward", &[("minibatch", n_samples.into())]);
+            self.policy.backward_batch(grad_logits, &mut self.ws_policy);
             self.critic
-                .backward_batch(grad_v, &mut self.ws_critic, &self.pool, None);
+                .backward_batch(grad_v, &mut self.ws_critic, None);
         }
 
         self.policy.adam_step(self.cfg.lr_actor, 1.0 / n);
@@ -1430,52 +1407,6 @@ mod tests {
         }
         // both agents must have drawn the same stream length
         assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
-    }
-
-    #[test]
-    fn train_is_bit_identical_across_pool_widths() {
-        let mut rng = StdRng::seed_from_u64(61);
-        let mut reference = PpoAgent::new(5, &[3, 3], PpoConfig::default(), &mut rng);
-        for pos in 0..4usize {
-            let (actions, logp) = reference.act(&corridor_state(pos), &[], &mut rng);
-            reference.record(
-                corridor_state(pos),
-                actions,
-                logp,
-                0.25,
-                &corridor_state(pos + 1),
-                vec![],
-            );
-        }
-        let pristine = reference.clone();
-        reference.set_threads(1);
-        let mut rng_ref = StdRng::seed_from_u64(7);
-        let losses_ref: Vec<(u32, u32)> = (0..3)
-            .map(|_| {
-                let (p, v) = reference.train_step(&mut rng_ref).unwrap();
-                (p.to_bits(), v.to_bits())
-            })
-            .collect();
-        let probe = corridor_state(2);
-        let value_ref = reference.value(&probe).to_bits();
-
-        for threads in [2, 3, 7] {
-            let mut agent = pristine.clone();
-            agent.set_threads(threads);
-            let mut rng_t = StdRng::seed_from_u64(7);
-            let losses: Vec<(u32, u32)> = (0..3)
-                .map(|_| {
-                    let (p, v) = agent.train_step(&mut rng_t).unwrap();
-                    (p.to_bits(), v.to_bits())
-                })
-                .collect();
-            assert_eq!(losses, losses_ref, "width {threads} losses diverged");
-            assert_eq!(
-                agent.value(&probe).to_bits(),
-                value_ref,
-                "width {threads} weights diverged"
-            );
-        }
     }
 
     #[test]

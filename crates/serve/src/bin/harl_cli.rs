@@ -3,7 +3,7 @@
 //! ```text
 //! harl-cli [--addr HOST:PORT] submit WORKLOAD [--tuner T] [--preset P]
 //!          [--hardware H] [--trials N] [--priority P] [--target-ms MS]
-//!          [--score-threads N] [--ppo-threads N] [--watch]
+//!          [--watch]
 //! harl-cli [--addr HOST:PORT] status|result|cancel|watch JOB_ID
 //! harl-cli [--addr HOST:PORT] list
 //! harl-cli [--addr HOST:PORT] metrics
@@ -19,8 +19,8 @@
 use std::time::Duration;
 
 use harl_serve::{
-    bench_load, BenchLoadConfig, Client, JobSpec, JobState, JobView, ParallelismOpts, Preset,
-    TunerKind, WorkloadSpec,
+    bench_load, BenchLoadConfig, Client, JobSpec, JobState, JobView, Preset, TunerKind,
+    WorkloadSpec,
 };
 
 fn usage() -> ! {
@@ -29,8 +29,7 @@ fn usage() -> ! {
          commands:\n\
          \x20 submit WORKLOAD [--searcher harl|ansor|flextensor|mcts] [--finetune]\n\
          \x20        [--preset tiny|fast|paper] [--hardware NAME] [--trials N]\n\
-         \x20        [--priority P] [--target-ms MS]\n\
-         \x20        [--score-threads N] [--ppo-threads N] [--watch]\n\
+         \x20        [--priority P] [--target-ms MS] [--watch]\n\
          \x20 status JOB_ID      one job's live state\n\
          \x20 result JOB_ID      a finished job's metrics\n\
          \x20 watch JOB_ID       follow a job to completion\n\
@@ -160,22 +159,6 @@ fn submit(client: &Client, rest: &[String]) {
                         .parse()
                         .unwrap_or_else(|e| die(format!("--target-ms: {e}"))),
                 )
-            }
-            "--score-threads" => {
-                let n = value("--score-threads")
-                    .parse()
-                    .unwrap_or_else(|e| die(format!("--score-threads: {e}")));
-                spec.parallelism
-                    .get_or_insert_with(ParallelismOpts::serial)
-                    .score_threads = n;
-            }
-            "--ppo-threads" => {
-                let n = value("--ppo-threads")
-                    .parse()
-                    .unwrap_or_else(|e| die(format!("--ppo-threads: {e}")));
-                spec.parallelism
-                    .get_or_insert_with(ParallelismOpts::serial)
-                    .ppo_threads = n;
             }
             "--watch" => watch_it = true,
             other => die(format!("unknown submit flag `{other}`")),

@@ -3,8 +3,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use harl_core::ParallelismOpts;
 use harl_gbt::ScoreStats;
-use harl_par::ParallelismOpts;
 use harl_tensor_ir::{workload, Subgraph};
 use harl_tensor_sim::Hardware;
 
@@ -329,10 +329,10 @@ pub struct JobSpec {
     pub priority: i32,
     /// Optional target latency (ms) to report `trials_to_target` against.
     pub target_ms: Option<f64>,
-    /// Thread-pool widths for the job's parallel stages (scoring, PPO).
-    /// Performance only — results are bit-identical at any width — so it
-    /// is excluded from [`JobSpec::job_key`]. `None` runs every stage
-    /// serially.
+    /// Accepted and ignored; the search runs on the caller's thread;
+    /// removed with the benchmark re-baseline (ROADMAP item 7). Still on
+    /// the wire and still validated (it is outside input), never part of
+    /// [`JobSpec::job_key`].
     #[serde(default)]
     pub parallelism: Option<ParallelismOpts>,
     /// Run a coordinate-descent fine-tuning phase after the search
@@ -369,10 +369,9 @@ impl JobSpec {
 
     /// Stable identity of the *search* this spec describes, used to stamp
     /// and guard session checkpoints. Priority, reporting targets, and
-    /// thread widths do not change the search (parallelism is
-    /// bit-identical at any width), so they are excluded: re-submitting
-    /// the same workload at a different priority or width still resumes
-    /// its checkpoint.
+    /// the ignored thread widths do not change the search, so they are
+    /// excluded: re-submitting the same workload at a different priority
+    /// or width still resumes its checkpoint.
     pub fn job_key(&self) -> String {
         let canon = format!(
             "{}|{}|{}|{}|{}|ft={}",
@@ -671,7 +670,6 @@ mod tests {
                 cache_hits: 100,
                 cache_misses: 540,
                 features_cached: 540,
-                threads: 1,
             }),
             finetune_trials: Some(9),
         };

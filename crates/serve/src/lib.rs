@@ -44,7 +44,7 @@ pub mod client;
 pub use bench_load::{BenchLoadConfig, BenchLoadReport};
 pub use client::{Client, ClientConfig};
 pub use error::ServeError;
-pub use harl_par::ParallelismOpts;
+pub use harl_core::ParallelismOpts;
 pub use job::{JobOutcome, JobSpec, JobState, JobView, Preset, TunerKind, WorkloadSpec};
 pub use protocol::{decode_request, ErrorCode, Request, Response};
 pub use server::{Daemon, ServeConfig};

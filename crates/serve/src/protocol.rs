@@ -205,7 +205,7 @@ mod tests {
                 trials: 32,
                 priority: 1,
                 target_ms: Some(2.0),
-                parallelism: Some(harl_par::ParallelismOpts::uniform(2)),
+                parallelism: Some(crate::ParallelismOpts::uniform(2)),
                 finetune: true,
             }),
             Request::Status("j000001".into()),
@@ -257,7 +257,6 @@ mod tests {
                     cache_hits: 10,
                     cache_misses: 86,
                     features_cached: 86,
-                    threads: 4,
                 }),
                 error: None,
             }]),
@@ -280,6 +279,46 @@ mod tests {
             let got: Response = read_message(&mut cursor).unwrap().unwrap();
             assert_eq!(&got, want);
         }
+    }
+
+    #[test]
+    fn a_status_reply_that_still_carries_threads_reads() {
+        // daemons before the pools were removed sent the scoring pool's
+        // width inside every job's `score_stats`
+        let stats = harl_gbt::ScoreStats {
+            batch_count: 3,
+            scored: 96,
+            cache_hits: 10,
+            cache_misses: 86,
+            features_cached: 86,
+        };
+        let want = Response::Jobs(vec![JobView {
+            id: "j000001".into(),
+            state: JobState::Done,
+            workload: "gemm:64x64x64".into(),
+            tuner: "harl".into(),
+            priority: 0,
+            trials_total: 32,
+            trials_used: 32,
+            rounds_done: 4,
+            best_latency_ms: 1.5,
+            resumed: false,
+            warm_records: 0,
+            score_stats: Some(stats),
+            error: None,
+        }]);
+        let mut buf = Vec::new();
+        write_message(&mut buf, &want).unwrap();
+        let line = String::from_utf8(buf).unwrap();
+        let old = line.replace(
+            "\"features_cached\":86",
+            "\"features_cached\":86,\"threads\":4",
+        );
+        assert_ne!(old, line, "the reply carries the cache counters");
+        let got: Response = read_message(&mut std::io::Cursor::new(old))
+            .unwrap()
+            .unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -97,14 +97,11 @@ fn run_job(shared: &Arc<Shared>, id: &str) -> Result<(), ServeError> {
         TunerKind::Mcts => Box::new(MctsTuner::new(graph, &measurer, MctsConfig::default())),
     };
     tuner.set_tracer(tracer.clone());
-    let mut builder = TuningSession::builder()
+    let mut session = TuningSession::builder()
         .job_key(spec.job_key())
         .warm_pool(warm_pool)
-        .checkpoint_every(shared.cfg.checkpoint_every);
-    if let Some(par) = spec.parallelism {
-        builder = builder.parallelism(par);
-    }
-    let mut session = builder.launch(tuner, &measurer, Some(store.clone()))?;
+        .checkpoint_every(shared.cfg.checkpoint_every)
+        .launch(tuner, &measurer, Some(store.clone()))?;
 
     let resumed = session.resumed();
     if resumed {

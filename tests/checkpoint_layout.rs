@@ -4,8 +4,8 @@
 //! size the layout was introduced for.
 //!
 //! `ci/test.sh` reruns this file under `HARL_SIMD=0`; that the checkpoint
-//! bytes are the same across backends and pool widths is
-//! `tests/scoring_determinism.rs`'s to compare.
+//! bytes are the same across backends is `tests/scoring_determinism.rs`'s
+//! to compare.
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -6,10 +6,10 @@
 //! networks digest their bit patterns (`state_bits`, not their JSON) and
 //! were recorded before the packed checkpoint layout. Any rewrite of the
 //! update — kernel, summation order, scratch reuse, RNG draws of the
-//! sampler — that moves a single bit fails here, at every pool width (and,
-//! via `ci/test.sh`, under the forced-scalar backend). The second test kills and resumes a `HarlOperatorTuner` and
-//! checks that the agent it keeps training forwards through transposes of
-//! its current weights.
+//! sampler — that moves a single bit fails here (and, via `ci/test.sh`,
+//! under the forced-scalar backend). The second test kills and resumes a
+//! `HarlOperatorTuner` and checks that the agent it keeps training
+//! forwards through transposes of its current weights.
 
 use harl_repro::ir::FEATURE_DIM;
 use harl_repro::nnet::{PpoAgent, PpoConfig};
@@ -65,10 +65,9 @@ fn fnv(words: impl Iterator<Item = u64>) -> u64 {
 }
 
 /// (loss bits of six updates, policy checksum, critic checksum).
-fn train(threads: usize) -> (Vec<(u32, u32)>, u64, u64) {
+fn train() -> (Vec<(u32, u32)>, u64, u64) {
     let mut rng = StdRng::seed_from_u64(2022);
     let mut agent = PpoAgent::new(FEATURE_DIM, &HEADS, PpoConfig::default(), &mut rng);
-    agent.set_threads(threads);
     for i in 0..TRANSITIONS {
         let (s, m) = (state(i), masks(i));
         let (actions, logp) = agent.act(&s, &m, &mut rng);
@@ -89,13 +88,11 @@ fn train(threads: usize) -> (Vec<(u32, u32)>, u64, u64) {
 }
 
 #[test]
-fn ppo_update_matches_golden_bits_at_every_pool_width() {
-    for threads in [1, 2, 7] {
-        let (losses, policy, critic) = train(threads);
-        assert_eq!(losses, GOLDEN_LOSSES, "losses, width {threads}");
-        assert_eq!(policy, GOLDEN_POLICY, "policy checksum, width {threads}");
-        assert_eq!(critic, GOLDEN_CRITIC, "critic checksum, width {threads}");
-    }
+fn ppo_update_matches_golden_bits() {
+    let (losses, policy, critic) = train();
+    assert_eq!(losses, GOLDEN_LOSSES, "losses");
+    assert_eq!(policy, GOLDEN_POLICY, "policy checksum");
+    assert_eq!(critic, GOLDEN_CRITIC, "critic checksum");
 }
 
 #[test]

@@ -1,17 +1,10 @@
-//! Bit-determinism of the parallel stages across pool widths.
+//! Bit-determinism of the batched stages.
 //!
-//! Two pools exist: the scoring pipeline (fingerprint, cache, extract,
-//! batch-predict — `ParallelismOpts::score_threads`) and the PPO gradient
-//! reduction (`ppo_threads`), plus the batched `ppo_act` matrix pass over
-//! all live tracks. Every one of them must come out bit-equal to the seed's
-//! serial loops no matter how many threads run or how wide the batch is.
-//! These tests pin that guarantee end-to-end: a full tuning run with both
-//! pools at width 4 must produce the same best latency, the same trace,
-//! and the same checkpoint bytes as the width-1 run, and the PR-2
-//! kill/resume bit-equality must survive with the pools and batching on.
-//!
-//! PR-9 adds a third axis: the runtime-dispatched SIMD backends
-//! (`harl-simd`). Scalar-forced, every supported vector backend, and
+//! The scoring pipeline (fingerprint, cache, extract, batch-predict) and
+//! the batched `ppo_act` matrix pass over all live tracks must come out
+//! bit-equal to the seed's per-candidate loops, and the cache must really
+//! engage. The runtime-dispatched SIMD backends (`harl-simd`) are the
+//! other axis: scalar-forced, every supported vector backend, and
 //! auto-dispatched runs must all be bit-equal, and a checkpoint written
 //! under one backend must resume bit-equal under another.
 
@@ -31,12 +24,10 @@ fn temp_store(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// (best_time bits, trials, trace JSON, checkpoint JSON) of a HARL run
-/// with both the scoring and the PPO pool at `threads`.
-fn harl_run(threads: usize, trials: u64) -> (u64, u64, String, String) {
+/// (best_time bits, trials, trace JSON, checkpoint JSON) of a HARL run.
+fn harl_run(trials: u64) -> (u64, u64, String, String) {
     let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
     let mut t = HarlOperatorTuner::new(gemm(), &m, HarlConfig::tiny());
-    t.set_parallelism(ParallelismOpts::uniform(threads));
     {
         let mut s = TuningSession::builder()
             .launch(Box::new(&mut t), &m, None)
@@ -51,28 +42,9 @@ fn harl_run(threads: usize, trials: u64) -> (u64, u64, String, String) {
     )
 }
 
-fn ansor_run(threads: usize, trials: u64) -> (u64, u64, String, String) {
+fn ansor_run(trials: u64) -> (u64, u64, String, String) {
     let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
     let mut t = AnsorTuner::new(gemm(), &m, AnsorConfig::default());
-    t.set_parallelism(ParallelismOpts::uniform(threads));
-    {
-        let mut s = TuningSession::builder()
-            .launch(Box::new(&mut t), &m, None)
-            .unwrap();
-        s.run(trials).unwrap();
-    }
-    (
-        t.best_time.to_bits(),
-        t.trials_used,
-        serde_json::to_string(&t.trace).unwrap(),
-        serde_json::to_string(&t.checkpoint_state()).unwrap(),
-    )
-}
-
-fn mcts_run(threads: usize, trials: u64) -> (u64, u64, String, String) {
-    let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-    let mut t = MctsTuner::new(gemm(), &m, MctsConfig::default());
-    t.set_parallelism(ParallelismOpts::uniform(threads));
     {
         let mut s = TuningSession::builder()
             .launch(Box::new(&mut t), &m, None)
@@ -117,8 +89,8 @@ fn full_runs_are_bit_identical_across_simd_backends() {
     let _restore = RestoreDispatch;
 
     harl_simd::force_backend(Some(Backend::Scalar));
-    let harl_ref = harl_run(4, 32);
-    let ansor_ref = ansor_run(4, 24);
+    let harl_ref = harl_run(32);
+    let ansor_ref = ansor_run(24);
 
     let mut cases: Vec<(&str, Option<Backend>)> = Backend::ALL
         .into_iter()
@@ -129,12 +101,12 @@ fn full_runs_are_bit_identical_across_simd_backends() {
 
     for (name, force) in cases {
         harl_simd::force_backend(force);
-        let harl = harl_run(4, 32);
+        let harl = harl_run(32);
         assert_eq!(harl_ref.0, harl.0, "{name}: HARL best latency bits");
         assert_eq!(harl_ref.1, harl.1, "{name}: HARL trial count");
         assert_eq!(harl_ref.2, harl.2, "{name}: HARL trace bytes");
         assert_eq!(harl_ref.3, harl.3, "{name}: HARL checkpoint bytes");
-        let ansor = ansor_run(4, 24);
+        let ansor = ansor_run(24);
         assert_eq!(ansor_ref.0, ansor.0, "{name}: Ansor best latency bits");
         assert_eq!(ansor_ref.1, ansor.1, "{name}: Ansor trial count");
         assert_eq!(ansor_ref.2, ansor.2, "{name}: Ansor trace bytes");
@@ -156,7 +128,6 @@ fn killed_session_resumes_bit_equal_across_backend_flip() {
     harl_simd::force_backend(None);
     let m_ref = Measurer::new(Hardware::cpu(), MeasureConfig::default());
     let mut t_ref = HarlOperatorTuner::new(gemm(), &m_ref, HarlConfig::tiny());
-    t_ref.set_parallelism(ParallelismOpts::uniform(4));
     {
         let mut s = TuningSession::builder()
             .launch(Box::new(&mut t_ref), &m_ref, None)
@@ -168,7 +139,6 @@ fn killed_session_resumes_bit_equal_across_backend_flip() {
     let store = Arc::new(RecordStore::open(&dir).unwrap());
     let m1 = Measurer::new(Hardware::cpu(), MeasureConfig::default());
     let mut t1 = HarlOperatorTuner::new(gemm(), &m1, HarlConfig::tiny());
-    t1.set_parallelism(ParallelismOpts::uniform(4));
     {
         let mut s = TuningSession::builder()
             .launch(Box::new(&mut t1), &m1, Some(store.clone()))
@@ -182,7 +152,6 @@ fn killed_session_resumes_bit_equal_across_backend_flip() {
     let store2 = Arc::new(RecordStore::open(&dir).unwrap());
     let m2 = Measurer::new(Hardware::cpu(), MeasureConfig::default());
     let mut t2 = HarlOperatorTuner::new(gemm(), &m2, HarlConfig::tiny());
-    t2.set_parallelism(ParallelismOpts::uniform(4));
     {
         let mut s = TuningSession::builder()
             .launch(Box::new(&mut t2), &m2, Some(store2))
@@ -200,70 +169,6 @@ fn killed_session_resumes_bit_equal_across_backend_flip() {
     assert_eq!(m2.trials(), m_ref.trials());
     assert_eq!(m2.sim_seconds().to_bits(), m_ref.sim_seconds().to_bits());
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn harl_scoring_is_bit_identical_at_widths_1_and_4() {
-    let serial = harl_run(1, 48);
-    let pooled = harl_run(4, 48);
-    assert_eq!(serial.0, pooled.0, "best latency must match bit-for-bit");
-    assert_eq!(serial.1, pooled.1, "trial count must match");
-    assert_eq!(serial.2, pooled.2, "trace must match byte-for-byte");
-    assert_eq!(serial.3, pooled.3, "checkpoint must match byte-for-byte");
-}
-
-#[test]
-fn harl_scoring_is_bit_identical_across_width_matrix() {
-    // The pairwise 1-vs-4 test catches most regressions; this matrix
-    // pins the awkward widths too — 2 (minimal real parallelism), 3 and
-    // 7 (odd widths whose chunk boundaries never divide the batch
-    // evenly, so any chunk-shape dependence in float accumulation or
-    // cache fill order would surface here). `uniform` drives both pools,
-    // so the PPO gradient reduction is exercised at every width — the
-    // checkpoint byte-compare covers the agent's weights after training.
-    let serial = harl_run(1, 48);
-    for threads in [2, 3, 7] {
-        let pooled = harl_run(threads, 48);
-        assert_eq!(
-            serial.0, pooled.0,
-            "width {threads}: best latency must match bit-for-bit"
-        );
-        assert_eq!(
-            serial.1, pooled.1,
-            "width {threads}: trial count must match"
-        );
-        assert_eq!(
-            serial.2, pooled.2,
-            "width {threads}: trace must match byte-for-byte"
-        );
-        assert_eq!(
-            serial.3, pooled.3,
-            "width {threads}: checkpoint must match byte-for-byte"
-        );
-    }
-}
-
-#[test]
-fn ansor_scoring_is_bit_identical_at_widths_1_and_4() {
-    let serial = ansor_run(1, 32);
-    let pooled = ansor_run(4, 32);
-    assert_eq!(serial.0, pooled.0, "best latency must match bit-for-bit");
-    assert_eq!(serial.1, pooled.1, "trial count must match");
-    assert_eq!(serial.2, pooled.2, "trace must match byte-for-byte");
-    assert_eq!(serial.3, pooled.3, "checkpoint must match byte-for-byte");
-}
-
-#[test]
-fn mcts_scoring_is_bit_identical_at_widths_1_and_4() {
-    // MCTS rollouts score through the same batched pipeline; the search
-    // tree (serialized into the checkpoint) must come out byte-equal at
-    // any pool width
-    let serial = mcts_run(1, 48);
-    let pooled = mcts_run(4, 48);
-    assert_eq!(serial.0, pooled.0, "best latency must match bit-for-bit");
-    assert_eq!(serial.1, pooled.1, "trial count must match");
-    assert_eq!(serial.2, pooled.2, "trace must match byte-for-byte");
-    assert_eq!(serial.3, pooled.3, "checkpoint must match byte-for-byte");
 }
 
 #[test]
@@ -326,7 +231,6 @@ fn scoring_pool_reports_cache_traffic() {
     // a real run has to show both batches and hits
     let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
     let mut t = HarlOperatorTuner::new(gemm(), &m, HarlConfig::tiny());
-    t.set_parallelism(ParallelismOpts::uniform(4));
     {
         let mut s = TuningSession::builder()
             .launch(Box::new(&mut t), &m, None)
@@ -341,65 +245,10 @@ fn scoring_pool_reports_cache_traffic() {
         stats.cache_hits > 0,
         "episodes revisit candidates: {stats:?}"
     );
-    assert_eq!(stats.threads, 4);
 }
 
 #[test]
-fn killed_session_resumes_bit_equal_under_scoring_pool() {
-    // PR-2's kill/resume bit-equality, now with both pools at width 4 on
-    // both sides of the kill (the batched ppo_act path is always on) —
-    // and a width-1 uninterrupted reference, so this also proves resume
-    // does not depend on pool width.
-    let dir = temp_store("pool-resume");
-
-    let m_ref = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-    let mut t_ref = HarlOperatorTuner::new(gemm(), &m_ref, HarlConfig::tiny());
-    t_ref.set_parallelism(ParallelismOpts::serial());
-    {
-        let mut s = TuningSession::builder()
-            .launch(Box::new(&mut t_ref), &m_ref, None)
-            .unwrap();
-        s.run(48).unwrap();
-    }
-
-    let store = Arc::new(RecordStore::open(&dir).unwrap());
-    let m1 = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-    let mut t1 = HarlOperatorTuner::new(gemm(), &m1, HarlConfig::tiny());
-    t1.set_parallelism(ParallelismOpts::uniform(4));
-    {
-        let mut s = TuningSession::builder()
-            .launch(Box::new(&mut t1), &m1, Some(store.clone()))
-            .unwrap();
-        s.run(24).unwrap();
-        // no finish(): checkpoint stays, as after a crash
-    }
-    drop(store);
-
-    let store2 = Arc::new(RecordStore::open(&dir).unwrap());
-    let m2 = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-    let mut t2 = HarlOperatorTuner::new(gemm(), &m2, HarlConfig::tiny());
-    t2.set_parallelism(ParallelismOpts::uniform(4));
-    {
-        let mut s = TuningSession::builder()
-            .launch(Box::new(&mut t2), &m2, Some(store2))
-            .unwrap();
-        assert!(s.resumed(), "checkpoint must be picked up");
-        s.run(24).unwrap();
-    }
-
-    assert_eq!(
-        t2.best_time.to_bits(),
-        t_ref.best_time.to_bits(),
-        "pool-width-4 kill/resume must match the serial uninterrupted run"
-    );
-    assert_eq!(t2.trials_used, t_ref.trials_used);
-    assert_eq!(m2.trials(), m_ref.trials());
-    assert_eq!(m2.sim_seconds().to_bits(), m_ref.sim_seconds().to_bits());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn score_stats_match_golden_counts_at_widths_1_and_4() {
+fn score_stats_match_golden_counts() {
     // Best-latency bits cannot see the cache's eviction order (a score is
     // the same on a hit or a miss); the hit/miss split can. Recorded at
     // the last commit with the tick-scanned cache (64c4e83): any
@@ -412,26 +261,14 @@ fn score_stats_match_golden_counts_at_widths_1_and_4() {
     let counts = |s: &harl_repro::gbt::ScoreStats| {
         [s.scored, s.cache_hits, s.cache_misses, s.features_cached]
     };
-    for threads in [1, 4] {
-        let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-        let big = harl_repro::ir::workload::gemm(1024, 1024, 1024);
-        let mut t = HarlOperatorTuner::new(big, &m, HarlConfig::fast());
-        t.set_parallelism(ParallelismOpts::uniform(threads));
-        t.tune(32);
-        assert_eq!(
-            counts(t.score_stats()),
-            HARL_GOLDEN,
-            "HARL, width {threads}"
-        );
+    let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+    let big = harl_repro::ir::workload::gemm(1024, 1024, 1024);
+    let mut t = HarlOperatorTuner::new(big, &m, HarlConfig::fast());
+    t.tune(32);
+    assert_eq!(counts(t.score_stats()), HARL_GOLDEN, "HARL");
 
-        let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-        let mut a = AnsorTuner::new(gemm(), &m, AnsorConfig::default());
-        a.set_parallelism(ParallelismOpts::uniform(threads));
-        a.tune(64);
-        assert_eq!(
-            counts(a.score_stats()),
-            ANSOR_GOLDEN,
-            "Ansor, width {threads}"
-        );
-    }
+    let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+    let mut a = AnsorTuner::new(gemm(), &m, AnsorConfig::default());
+    a.tune(64);
+    assert_eq!(counts(a.score_stats()), ANSOR_GOLDEN, "Ansor");
 }
