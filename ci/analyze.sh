@@ -5,8 +5,9 @@
 #      harl-check wrappers, rebuilt under `--cfg harl_check`: every
 #      CMutex/CCondvar/CAtomic records lock order and fails fast on
 #      C001/C002/C004, and the schedule explorer (harl_check::model) runs
-#      the real JobQueue (crates/serve/tests/queue_explore.rs) and the real
-#      DirLock steal (crates/store, `explore`) through every schedule up to
+#      the real JobQueue (crates/serve/tests/queue_explore.rs), the real
+#      DirLock steal (crates/store, `explore`) and the GBT fit's node queue
+#      (crates/gbt, `queue::tests::explore`) through every schedule up to
 #      two preemptions, plus harl-check's own fixtures that prove it still
 #      catches a lost update, a missing recheck, a remove-then-create steal
 #      and a missing notify. Always runs; uses its own target dir to keep
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 
 CARGO_FLAGS=${CARGO_FLAGS:---offline}
 # The crates that use the harl-check wrappers, and harl-check itself.
-CHECKED_CRATES=(-p harl-check -p harl-store -p harl-serve)
+CHECKED_CRATES=(-p harl-check -p harl-gbt -p harl-store -p harl-serve)
 
 echo "==> checked build: instrumented tests and schedule explorations (--cfg harl_check)"
 # shellcheck disable=SC2086  # CARGO_FLAGS is a flag list, word-splitting intended

@@ -96,11 +96,32 @@ echo "==> no thread pool on the search path"
 # compatibility entries only the frozen benchmark/ crate calls, until the
 # benchmark re-baseline deletes them (ROADMAP item 7)
 if grep -rnw --include='*.rs' ThreadPool crates src examples tests | grep -v '^crates/par/'; then
-    echo "FAIL: ThreadPool named outside crates/par (rounds are single-threaded)"
+    echo "FAIL: ThreadPool named outside crates/par (a round runs on its caller's thread; its one parallel region is the allowed GBT fit queue)"
     exit 1
 fi
 if grep -rnE --include='*.rs' '\.(set_parallelism|set_threads|parallelism)\(' crates src examples tests; then
     echo "FAIL: a call to an ignored width setter (only benchmark/ may still call one)"
+    exit 1
+fi
+
+echo "==> no thread spawn on the search path outside the allowed regions"
+# a round runs on its caller's thread: a scoped spawn + join costs about 50 us
+# on a 2-core host, more than most maps inside a round take (DESIGN.md §11).
+# A parallel region in these crates is deliberate, and named here with its
+# reason: one entry per file, `path|reason`. `//` comments are skipped.
+SEARCH_CRATES=(harl gbt nnet simd tensor-ir tensor-sim verify bandit)
+ALLOWED_SPAWNS=(
+    "crates/gbt/src/booster.rs|the fit's node queue: one scoped helper per Gbt::fit of at least 2*QUEUE_MIN_ROWS rows, 6.5-50 ms of work"
+    "crates/gbt/src/queue.rs|test-only: a real helper thread that holds a node until the caller has computed it too"
+    "crates/harl/src/session.rs|the write-behind checkpoint: one writer per checkpoint, spawned between rounds, so no round waits on the disk"
+    "crates/simd/src/lib.rs|test-only exhaustive sweep over all 2^32 inputs, one task per core"
+)
+spawn_dirs=()
+for c in "${SEARCH_CRATES[@]}"; do spawn_dirs+=("crates/$c/src"); done
+if grep -rnE --include='*.rs' 'thread::(scope|spawn|Builder)' "${spawn_dirs[@]}" |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+    grep -vF -f <(printf '%s\n' "${ALLOWED_SPAWNS[@]}" | sed 's/|.*/:/'); then
+    echo "FAIL: a thread spawn in a search-path crate outside ci/lint.sh's ALLOWED_SPAWNS (add an entry with its reason, or run it on the caller's thread)"
     exit 1
 fi
 

@@ -4,7 +4,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::tree::{FitMatrix, RegressionTree, TreeParams};
+use std::sync::OnceLock;
+
+use crate::queue::NodeQueue;
+use crate::tree::{FitMatrix, RegressionTree, TreeParams, QUEUE_MIN_ROWS};
 
 /// Booster hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -39,22 +42,44 @@ pub struct Gbt {
 
 impl Gbt {
     /// Fits a fresh ensemble to `(features, targets)`.
+    ///
+    /// A fit of at least `2 · QUEUE_MIN_ROWS` rows on a host with a second
+    /// core builds its trees through a node queue that one scoped helper
+    /// drains alongside this thread; the trees are the same bits either way.
     pub fn fit(features: &[Vec<f32>], targets: &[f64], params: GbtParams) -> Self {
+        let helper = features.len() >= 2 * QUEUE_MIN_ROWS && second_core();
+        Self::fit_with(features, targets, params, helper)
+    }
+
+    /// [`fit`](Self::fit), with the helper chosen by the caller.
+    fn fit_with(features: &[Vec<f32>], targets: &[f64], params: GbtParams, helper: bool) -> Self {
         assert_eq!(features.len(), targets.len());
-        let mut preds = vec![params.base_score; targets.len()];
-        let mut trees = Vec::with_capacity(params.n_rounds);
         let matrix = FitMatrix::new(features);
-        for _ in 0..params.n_rounds {
-            if features.is_empty() {
-                break;
-            }
-            let grad: Vec<f64> = preds.iter().zip(targets).map(|(p, t)| p - t).collect();
-            let tree = RegressionTree::fit_matrix(&matrix, &grad, &params.tree);
-            for (p, x) in preds.iter_mut().zip(features) {
-                *p += params.eta * tree.predict(x);
-            }
-            trees.push(tree);
-        }
+        let trees = if helper {
+            let queue = NodeQueue::new();
+            std::thread::scope(|scope| {
+                // a helper that cannot be spawned leaves the caller to
+                // drain the queue alone
+                let helper = std::thread::Builder::new()
+                    .name("gbt-fit-helper".into())
+                    .spawn_scoped(scope, || queue.help())
+                    .ok();
+                let trees = {
+                    let _close = queue.close_on_drop();
+                    boost(features, targets, &params, &mut |grad| {
+                        RegressionTree::fit_queued(&queue, &matrix, grad, &params.tree)
+                    })
+                };
+                if let Some(Err(panic)) = helper.map(|h| h.join()) {
+                    std::panic::resume_unwind(panic);
+                }
+                trees
+            })
+        } else {
+            boost(features, targets, &params, &mut |grad| {
+                RegressionTree::fit_matrix(&matrix, &grad, &params.tree)
+            })
+        };
         Gbt { params, trees }
     }
 
@@ -235,6 +260,36 @@ impl Gbt {
     }
 }
 
+/// The boosting rounds: each fits a tree to the gradients of the current
+/// predictions (squared error: `pred − target`) and adds its shrunk output.
+fn boost(
+    features: &[Vec<f32>],
+    targets: &[f64],
+    params: &GbtParams,
+    fit_tree: &mut dyn FnMut(Vec<f64>) -> RegressionTree,
+) -> Vec<RegressionTree> {
+    let mut preds = vec![params.base_score; targets.len()];
+    let mut trees = Vec::with_capacity(params.n_rounds);
+    if features.is_empty() {
+        return trees;
+    }
+    for _ in 0..params.n_rounds {
+        let grad: Vec<f64> = preds.iter().zip(targets).map(|(p, t)| p - t).collect();
+        let tree = fit_tree(grad);
+        for (p, x) in preds.iter_mut().zip(features) {
+            *p += params.eta * tree.predict(x);
+        }
+        trees.push(tree);
+    }
+    trees
+}
+
+/// Whether the host runs two threads at once; asked once per process.
+fn second_core() -> bool {
+    static CELL: OnceLock<bool> = OnceLock::new();
+    *CELL.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
+}
+
 /// On-line training dataset with a capacity cap (keeps the most recent
 /// samples, as the cost model is retrained on the fly from measurements).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -340,31 +395,95 @@ mod tests {
     #[test]
     fn shared_root_orders_give_the_trees_of_per_tree_matrices() {
         // the root's sorted orders depend on the features alone, so the 30
-        // rounds may share them; duplicate-heavy columns make any slip in
-        // the shared order show up as a different split
+        // rounds may share them, with or without the helper; duplicate-heavy
+        // columns make any slip in the shared order show up as a different
+        // split
         let (mut xs, ys) = synthetic(300, 5);
         for (i, x) in xs.iter_mut().enumerate() {
             x[1] = (i % 4) as f32;
             x[3] = x[1] * 0.5;
         }
         let params = GbtParams::default();
-        let shared = Gbt::fit(&xs, &ys, params.clone());
+        let want = json(&round_loop(&xs, &ys, &params));
+        for helper in [false, true] {
+            let shared = Gbt::fit_with(&xs, &ys, params.clone(), helper);
+            assert_eq!(shared.num_trees(), 30);
+            assert_eq!(json(&shared), want, "helper: {helper}");
+        }
+    }
+
+    /// The trees of a one-thread round loop of `RegressionTree::fit`, each
+    /// over its own matrix: the reference every fit path must equal.
+    fn round_loop(xs: &[Vec<f32>], ys: &[f64], params: &GbtParams) -> Gbt {
         let mut preds = vec![params.base_score; ys.len()];
         let mut trees = Vec::new();
         for _ in 0..params.n_rounds {
-            let grad: Vec<f64> = preds.iter().zip(&ys).map(|(p, t)| p - t).collect();
-            let tree = RegressionTree::fit(&xs, &grad, &params.tree);
-            for (p, x) in preds.iter_mut().zip(&xs) {
+            let grad: Vec<f64> = preds.iter().zip(ys).map(|(p, t)| p - t).collect();
+            let tree = RegressionTree::fit(xs, &grad, &params.tree);
+            for (p, x) in preds.iter_mut().zip(xs) {
                 *p += params.eta * tree.predict(x);
             }
             trees.push(tree);
         }
-        let fresh = Gbt { params, trees };
-        assert_eq!(shared.num_trees(), 30);
-        assert_eq!(
-            serde_json::to_string(&shared).unwrap(),
-            serde_json::to_string(&fresh).unwrap()
-        );
+        Gbt {
+            params: params.clone(),
+            trees,
+        }
+    }
+
+    fn json(model: &Gbt) -> String {
+        serde_json::to_string(model).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The node queue changes no tree: whether the helper computes a
+        /// node, the caller computes it twice or nobody helps, the fit
+        /// serialises byte-equal to the one-thread round loop. Sizes
+        /// straddle `QUEUE_MIN_ROWS` and twice it; the duplicate-heavy
+        /// columns (one constant at the root, one constant only where
+        /// `x0 < 1`, `0.0`/`-0.0` mixed, one a copy of another) make the
+        /// tie order inside equal runs decide splits.
+        #[test]
+        fn queued_fits_equal_the_one_thread_round_loop(
+            n in (QUEUE_MIN_ROWS - 8)..(2 * QUEUE_MIN_ROWS + 40),
+            levels in 2u32..=6,
+            max_depth in 2usize..=12,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let xs: Vec<Vec<f32>> = (0..n)
+                .map(|_| {
+                    let a = rng.gen_range(0..levels) as f32;
+                    let b = rng.gen_range(0..levels * 3) as f32 * 0.25;
+                    let z = if rng.gen_range(0..2) == 0 { 0.0f32 } else { -0.0 };
+                    let inside = if a < 1.0 { 2.5 } else { rng.gen_range(0..4) as f32 };
+                    vec![a, 7.5, b, inside, z * (b - 1.0), a * 2.0, rng.gen_range(-1.0f32..1.0)]
+                })
+                .collect();
+            let ys: Vec<f64> = xs
+                .iter()
+                .map(|x| x[0] as f64 - 0.5 * x[2] as f64 + 0.3 * x[3] as f64 + rng.gen_range(-0.3f64..0.3))
+                .collect();
+            let params = GbtParams {
+                n_rounds: 8,
+                tree: TreeParams { max_depth, ..Default::default() },
+                ..Default::default()
+            };
+            let want = json(&round_loop(&xs, &ys, &params));
+            proptest::prop_assert_eq!(json(&Gbt::fit(&xs, &ys, params.clone())), want.clone());
+            proptest::prop_assert_eq!(json(&Gbt::fit_with(&xs, &ys, params.clone(), true)), want.clone());
+            proptest::prop_assert_eq!(json(&Gbt::fit_with(&xs, &ys, params, false)), want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "injected helper panic")]
+    fn a_helper_panic_surfaces_from_the_fit() {
+        let (xs, ys) = synthetic(4 * QUEUE_MIN_ROWS, 21);
+        crate::queue::tests::PANIC_IN_HELPER.with(|p| p.set(true));
+        Gbt::fit_with(&xs, &ys, GbtParams::default(), true);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 pub mod booster;
 pub mod cost_model;
+mod queue;
 pub mod scoring;
 pub mod tree;
 

@@ -1,12 +1,17 @@
 //! Single regression tree with XGBoost-style split gain.
 //!
 //! Exact greedy splitting over a column-major `FitMatrix`, each node
-//! re-sorting `(key, row)` pairs per feature. Squared-error
+//! re-sorting `(key, row)` pairs per live feature. A tree is built by one
+//! per-node function under two drivers: the inline recursion, and the
+//! fit's node queue (`queue.rs`) for nodes of at least
+//! `QUEUE_MIN_ROWS` rows, assembled into the same arena. Squared-error
 //! objective: gradient `g = pred - target`, hessian `h = 1`, leaf weight
 //! `w = -G / (H + λ)`, split gain `½ [G_L²/(H_L+λ) + G_R²/(H_R+λ) −
 //! G²/(H+λ)] − γ`.
 
 use serde::{Deserialize, Serialize};
+
+use crate::queue::{self, NodeQueue, Recorded, Work};
 
 /// Hyper-parameters of one tree (shared with the booster).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -33,7 +38,7 @@ impl Default for TreeParams {
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-enum Node {
+pub(crate) enum Node {
     Leaf {
         weight: f64,
     },
@@ -272,7 +277,7 @@ fn resort(pairs: &mut [Pair], col: &[f32]) -> bool {
 
 /// The training matrix in the layout the split search reads: column-major
 /// `f32`, transposed once per fit and shared by every tree of the ensemble,
-/// plus the root node's sorted order of every feature.
+/// plus the root node's sorted order of every live feature.
 ///
 /// The search accumulates the left gradient sum in sorted order, so the
 /// order *inside a run of equal keys* reaches the last bits of every gain
@@ -284,14 +289,18 @@ fn resort(pairs: &mut [Pair], col: &[f32]) -> bool {
 /// first from the node's rows in ascending order. The root's sequence
 /// depends on the features alone, so it runs once here and all trees scan
 /// its results; below the root every node re-runs its own.
+///
+/// A feature constant over all rows is constant over every subset of them,
+/// where [`resort`] would find it so and leave the order as it was: nodes
+/// skip such a feature outright and loop over the live ones alone.
 pub(crate) struct FitMatrix {
     n_rows: usize,
     n_features: usize,
     /// `data[f * n_rows + i]` is feature `f` of sample `i`.
     data: Vec<f32>,
-    /// Per feature, the root's pairs after that feature's sort; empty for a
-    /// feature whose keys are all equal.
-    root_orders: Vec<Vec<Pair>>,
+    /// Per live feature (one not constant over all rows), in ascending
+    /// index: the feature and the root's pairs after its sort.
+    live: Vec<(usize, Vec<Pair>)>,
 }
 
 impl FitMatrix {
@@ -309,20 +318,17 @@ impl FitMatrix {
             }
         }
         let mut pairs: Vec<Pair> = (0..n_rows as u32).map(|i| (0.0, i)).collect();
-        let root_orders = (0..n_features)
-            .map(|f| {
-                if resort(&mut pairs, &data[f * n_rows..(f + 1) * n_rows]) {
-                    pairs.clone()
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
+        let mut live = Vec::new();
+        for f in 0..n_features {
+            if resort(&mut pairs, &data[f * n_rows..(f + 1) * n_rows]) {
+                live.push((f, pairs.clone()));
+            }
+        }
         FitMatrix {
             n_rows,
             n_features,
             data,
-            root_orders,
+            live,
         }
     }
 
@@ -331,31 +337,44 @@ impl FitMatrix {
     }
 }
 
-/// One tree under construction over a [`FitMatrix`].
+/// What the split search decides for one node.
+enum Decision {
+    Leaf(f64),
+    Split {
+        feature: usize,
+        threshold: f32,
+        /// The node's rows below the threshold, ascending.
+        left: Vec<u32>,
+        /// The rest, ascending.
+        right: Vec<u32>,
+    },
+}
+
+/// One tree's fit: the shared matrix, this round's gradients, the params.
+#[derive(Clone, Copy)]
 struct Builder<'a> {
     matrix: &'a FitMatrix,
     grad: &'a [f64],
     params: &'a TreeParams,
-    nodes: Vec<Node>,
-    /// Sort buffer of the node being searched (its children reuse it: a
-    /// node is done with it before it recurses).
-    pairs: Vec<Pair>,
 }
 
 impl Builder<'_> {
-    /// Builds the subtree over rows `idx` (ascending) and returns its slot
-    /// in the node arena.
-    fn build(&mut self, idx: Vec<u32>, depth: usize) -> usize {
-        let (grad, params) = (self.grad, self.params);
-        let g_sum: f64 = idx.iter().map(|&i| grad[i as usize]).sum();
-        let h_sum = idx.len() as f64;
-        let leaf = Node::Leaf {
-            weight: -g_sum / (h_sum + params.lambda),
-        };
+    /// The work of one node over `rows` (ascending): the leaf-or-split
+    /// decision, the split search and the partition. It reads nothing but
+    /// the matrix, the gradients and `rows`, so any thread computes the
+    /// same bits; `pairs` is only a sort buffer.
+    fn decide(&self, rows: &[u32], depth: usize, pairs: &mut Vec<Pair>) -> Decision {
+        let Builder {
+            matrix,
+            grad,
+            params,
+        } = *self;
+        let g_sum: f64 = rows.iter().map(|&i| grad[i as usize]).sum();
+        let h_sum = rows.len() as f64;
+        let leaf = Decision::Leaf(-g_sum / (h_sum + params.lambda));
 
-        if depth >= params.max_depth || idx.len() < 2 * params.min_child_weight.ceil() as usize {
-            self.nodes.push(leaf);
-            return self.nodes.len() - 1;
+        if depth >= params.max_depth || rows.len() < 2 * params.min_child_weight.ceil() as usize {
+            return leaf;
         }
 
         // best split over all features: (feature, threshold, gain)
@@ -387,46 +406,186 @@ impl Builder<'_> {
             }
         };
         if depth == 0 {
-            for (f, pairs) in self.matrix.root_orders.iter().enumerate() {
-                scan(f, pairs);
+            for (f, order) in &matrix.live {
+                scan(*f, order);
             }
         } else {
-            self.pairs.clear();
-            self.pairs.extend(idx.iter().map(|&i| (0.0, i)));
-            for f in 0..self.matrix.n_features {
-                if resort(&mut self.pairs, self.matrix.column(f)) {
-                    scan(f, &self.pairs);
+            pairs.clear();
+            pairs.extend(rows.iter().map(|&i| (0.0, i)));
+            for &(f, _) in &matrix.live {
+                if resort(pairs, matrix.column(f)) {
+                    scan(f, pairs);
                 }
             }
         }
 
         let Some((feature, threshold, _)) = best else {
-            self.nodes.push(leaf);
-            return self.nodes.len() - 1;
+            return leaf;
         };
-
-        let col = self.matrix.column(feature);
-        let (left_idx, right_idx): (Vec<u32>, Vec<u32>) =
-            idx.into_iter().partition(|&i| col[i as usize] < threshold);
-        if left_idx.is_empty() || right_idx.is_empty() {
+        let col = matrix.column(feature);
+        let (left, right): (Vec<u32>, Vec<u32>) = rows
+            .iter()
+            .copied()
+            .partition(|&i| col[i as usize] < threshold);
+        if left.is_empty() || right.is_empty() {
             // numeric degeneracy: fall back to leaf
-            self.nodes.push(leaf);
-            return self.nodes.len() - 1;
+            return leaf;
         }
-
-        // reserve this node's slot, then build children
-        self.nodes.push(Node::Leaf { weight: 0.0 });
-        let me = self.nodes.len() - 1;
-        let left = self.build(left_idx, depth + 1);
-        let right = self.build(right_idx, depth + 1);
-        self.nodes[me] = Node::Split {
+        Decision::Split {
             feature,
             threshold,
             left,
             right,
-        };
-        me
+        }
     }
+
+    /// The inline driver: builds the subtree over `rows` (ascending) on this
+    /// thread, appending it to `nodes` in DFS preorder (a split reserves its
+    /// slot, then its left subtree, then its right), and returns its slot.
+    fn build(
+        &self,
+        rows: &[u32],
+        depth: usize,
+        nodes: &mut Vec<Node>,
+        pairs: &mut Vec<Pair>,
+    ) -> usize {
+        match self.decide(rows, depth, pairs) {
+            Decision::Leaf(weight) => {
+                nodes.push(Node::Leaf { weight });
+                nodes.len() - 1
+            }
+            Decision::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => {
+                nodes.push(Node::Leaf { weight: 0.0 });
+                let me = nodes.len() - 1;
+                let left = self.build(&left, depth + 1, nodes, pairs);
+                let right = self.build(&right, depth + 1, nodes, pairs);
+                nodes[me] = Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                };
+                me
+            }
+        }
+    }
+}
+
+/// Nodes with fewer rows than this build their whole subtree on the thread
+/// that takes them; larger ones each go through the fit's node queue, and
+/// a fit needs twice this many rows for a helper. Below that the first
+/// spawn would move glibc's malloc onto its multi-threaded paths for the
+/// rest of the process for no gain: at 64, the HARL workloads' 128–192-row
+/// fits spawned and `net_search` read 2.8 % slower (DESIGN.md §9).
+pub(crate) const QUEUE_MIN_ROWS: usize = 128;
+
+/// A node of a queued tree: its rows (ascending) and depth.
+pub(crate) struct NodeRows {
+    rows: Vec<u32>,
+    depth: usize,
+}
+
+/// What one queued node computes: a whole subtree (a node under
+/// [`QUEUE_MIN_ROWS`] rows, or a leaf), or a split whose two children are
+/// queued.
+pub(crate) enum Step {
+    Subtree(Vec<Node>),
+    Split { feature: usize, threshold: f32 },
+}
+
+/// One tree's fit as the node queue runs it. Owns the round's gradients,
+/// since the queue outlives the round.
+pub(crate) struct QueuedTree<'a> {
+    matrix: &'a FitMatrix,
+    grad: Vec<f64>,
+    params: &'a TreeParams,
+}
+
+impl Work for QueuedTree<'_> {
+    type Job = NodeRows;
+    type Done = Step;
+    type Scratch = Vec<Pair>;
+
+    fn run(&self, job: &NodeRows, pairs: &mut Vec<Pair>) -> (Step, Option<[NodeRows; 2]>) {
+        let builder = Builder {
+            matrix: self.matrix,
+            grad: &self.grad,
+            params: self.params,
+        };
+        if job.rows.len() < QUEUE_MIN_ROWS {
+            let mut nodes = Vec::new();
+            builder.build(&job.rows, job.depth, &mut nodes, pairs);
+            return (Step::Subtree(nodes), None);
+        }
+        match builder.decide(&job.rows, job.depth, pairs) {
+            Decision::Leaf(weight) => (Step::Subtree(vec![Node::Leaf { weight }]), None),
+            Decision::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => {
+                let depth = job.depth + 1;
+                (
+                    Step::Split { feature, threshold },
+                    Some([
+                        NodeRows { rows: left, depth },
+                        NodeRows { rows: right, depth },
+                    ]),
+                )
+            }
+        }
+    }
+
+    fn nodes(done: &Step) -> usize {
+        match done {
+            Step::Subtree(nodes) => nodes.len(),
+            Step::Split { .. } => 1,
+        }
+    }
+}
+
+/// Writes the subtree of queue slot `slot` into `nodes` in the inline
+/// driver's DFS preorder and returns its slot: a recorded subtree is
+/// appended with its child links shifted, a split reserves its slot, then
+/// writes its left subtree, then its right. The arena is therefore the one
+/// the inline driver builds, whichever thread computed which node.
+fn assemble(recorded: &mut [Recorded<Step>], slot: usize, nodes: &mut Vec<Node>) -> usize {
+    let me = nodes.len();
+    match (&mut recorded[slot].done, recorded[slot].children) {
+        (Step::Subtree(subtree), _) => nodes.extend(subtree.drain(..).map(|node| match node {
+            Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => Node::Split {
+                feature,
+                threshold,
+                left: left + me,
+                right: right + me,
+            },
+            leaf => leaf,
+        })),
+        (&mut Step::Split { feature, threshold }, Some([l, r])) => {
+            nodes.push(Node::Leaf { weight: 0.0 });
+            let left = assemble(recorded, l, nodes);
+            let right = assemble(recorded, r, nodes);
+            nodes[me] = Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            };
+        }
+        (Step::Split { .. }, None) => unreachable!("a recorded split has two children"),
+    }
+    me
 }
 
 impl RegressionTree {
@@ -437,20 +596,54 @@ impl RegressionTree {
         Self::fit_matrix(&FitMatrix::new(features), grad, params)
     }
 
-    /// Fits a tree over an already transposed matrix: what every boosting
-    /// round of one `Gbt::fit` calls.
+    /// Fits a tree over an already transposed matrix on this thread: what
+    /// every boosting round of a `Gbt::fit` without a helper calls.
     pub(crate) fn fit_matrix(matrix: &FitMatrix, grad: &[f64], params: &TreeParams) -> Self {
         assert_eq!(matrix.n_rows, grad.len());
-        let mut builder = Builder {
+        let builder = Builder {
             matrix,
             grad,
             params,
-            nodes: Vec::new(),
-            pairs: Vec::with_capacity(matrix.n_rows),
         };
-        builder.build((0..matrix.n_rows as u32).collect(), 0);
+        let mut nodes = Vec::new();
+        let mut pairs = Vec::with_capacity(matrix.n_rows);
+        let rows: Vec<u32> = (0..matrix.n_rows as u32).collect();
+        builder.build(&rows, 0, &mut nodes, &mut pairs);
+        queue::counters().caller.add(nodes.len() as u64);
         RegressionTree {
-            nodes: builder.nodes,
+            nodes,
+            n_features: matrix.n_features,
+            flat: std::sync::OnceLock::new(),
+        }
+    }
+
+    /// Fits a tree over `matrix` through `queue`, whose helper may compute
+    /// any of its nodes: the same tree as [`fit_matrix`](Self::fit_matrix),
+    /// node for node.
+    pub(crate) fn fit_queued<'a>(
+        queue: &NodeQueue<QueuedTree<'a>>,
+        matrix: &'a FitMatrix,
+        grad: Vec<f64>,
+        params: &'a TreeParams,
+    ) -> Self {
+        assert_eq!(matrix.n_rows, grad.len());
+        let root = NodeRows {
+            rows: (0..matrix.n_rows as u32).collect(),
+            depth: 0,
+        };
+        let mut recorded = queue.build(
+            QueuedTree {
+                matrix,
+                grad,
+                params,
+            },
+            root,
+        );
+        let mut nodes =
+            Vec::with_capacity(recorded.iter().map(|r| QueuedTree::nodes(&r.done)).sum());
+        assemble(&mut recorded, 0, &mut nodes);
+        RegressionTree {
+            nodes,
             n_features: matrix.n_features,
             flat: std::sync::OnceLock::new(),
         }

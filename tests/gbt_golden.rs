@@ -126,3 +126,20 @@ fn cost_model_matches_golden_after_three_batches() {
         "CostModel digest after three update_batch calls (got {got:#018x}): {TOOLCHAIN_NOTE}"
     );
 }
+
+/// A fit this size builds its trees through the node queue on a host with a
+/// second core, where which thread computes which node varies run to run:
+/// none of that may reach the trees.
+#[test]
+fn repeated_queued_fits_give_the_golden_trees_every_time() {
+    let n = SIZES[7];
+    let (xs, ys) = dataset(n, 17 + n as u64);
+    for run in 0..16 {
+        let model = Gbt::fit(&xs, &ys, GbtParams::default());
+        let got = fnv(&serde_json::to_string(&model).unwrap());
+        assert_eq!(
+            got, GOLDEN_FITS[7],
+            "fit {run} of the {n}-row dataset (got {got:#018x}): {TOOLCHAIN_NOTE}"
+        );
+    }
+}
