@@ -109,7 +109,7 @@ echo "==> no thread spawn on the search path outside the allowed regions"
 # on a 2-core host, more than most maps inside a round take (DESIGN.md §11).
 # A parallel region in these crates is deliberate, and named here with its
 # reason: one entry per file, `path|reason`. `//` comments are skipped.
-SEARCH_CRATES=(harl gbt nnet simd tensor-ir tensor-sim verify bandit)
+SEARCH_CRATES=(harl gbt nnet simd tensor-ir tensor-sim verify)
 ALLOWED_SPAWNS=(
     "crates/gbt/src/booster.rs|the fit's node queue: one scoped helper per Gbt::fit of at least 2*QUEUE_MIN_ROWS rows, 6.5-50 ms of work"
     "crates/gbt/src/queue.rs|test-only: a real helper thread that holds a node until the caller has computed it too"
@@ -117,7 +117,14 @@ ALLOWED_SPAWNS=(
     "crates/simd/src/lib.rs|test-only exhaustive sweep over all 2^32 inputs, one task per core"
 )
 spawn_dirs=()
-for c in "${SEARCH_CRATES[@]}"; do spawn_dirs+=("crates/$c/src"); done
+for c in "${SEARCH_CRATES[@]}"; do
+    # a stale entry would make the grep below fail to read it, unseen
+    if [ ! -d "crates/$c/src" ]; then
+        echo "FAIL: ci/lint.sh's SEARCH_CRATES lists $c, but crates/$c/src does not exist"
+        exit 1
+    fi
+    spawn_dirs+=("crates/$c/src")
+done
 if grep -rnE --include='*.rs' 'thread::(scope|spawn|Builder)' "${spawn_dirs[@]}" |
     grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
     grep -vF -f <(printf '%s\n' "${ALLOWED_SPAWNS[@]}" | sed 's/|.*/:/'); then

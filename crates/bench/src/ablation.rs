@@ -5,9 +5,9 @@
 
 use serde::Serialize;
 
-use harl_bandit::BanditKind;
+use harl_core::bandit::BanditKind;
 use harl_core::{HarlConfig, HarlOperatorTuner};
-use harl_nn_models::operators::{operator_suite, OperatorClass};
+use harl_tensor_ir::models::operators::{operator_suite, OperatorClass};
 use harl_tensor_sim::{Hardware, MeasureConfig, Measurer};
 
 use crate::report::{f3, Table};

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 
 use harl_bench::scale::Scale;
 use harl_bench::{ablation, fig1, networks, operators, save_json};
-use harl_nn_models::bert;
+use harl_tensor_ir::models::bert;
 use harl_tensor_sim::Hardware;
 
 fn main() {

@@ -14,7 +14,7 @@ use serde::Serialize;
 
 use harl_core::ansor::{FlextensorConfig, FlextensorTuner, GradientParams};
 use harl_core::AnsorNetworkTuner;
-use harl_nn_models::{bert, operators};
+use harl_tensor_ir::models::{bert, operators};
 use harl_tensor_ir::{generate_sketches, mutate, Schedule, Target};
 use harl_tensor_sim::{Hardware, MeasureConfig, Measurer};
 
@@ -47,7 +47,7 @@ pub fn fig1a(scale: &Scale) -> Fig1a {
         scale.ansor_config(),
         GradientParams::default(),
     );
-    nt.tune(scale.net_budget(harl_nn_models::Network::Bert));
+    nt.tune(scale.net_budget(harl_tensor_ir::models::Network::Bert));
 
     let final_latency = nt.network_latency();
     // the round after which only the last 1% of improvement remains

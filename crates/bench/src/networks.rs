@@ -3,7 +3,7 @@
 use serde::Serialize;
 
 use harl_core::{AnsorNetworkTuner, HarlConfig, HarlNetworkTuner};
-use harl_nn_models::Network;
+use harl_tensor_ir::models::Network;
 use harl_tensor_sim::{Hardware, MeasureConfig, Measurer};
 
 use crate::report::{f3, fx, Table};

@@ -131,7 +131,7 @@ impl Scale {
     }
 
     /// Trial budget for a network run.
-    pub fn net_budget(&self, net: harl_nn_models::Network) -> u64 {
+    pub fn net_budget(&self, net: harl_tensor_ir::models::Network) -> u64 {
         if let Some(n) = self.net_trials {
             return n;
         }
@@ -152,7 +152,7 @@ mod tests {
         assert_eq!(s.op_trials, 1000);
         assert_eq!(s.shapes_per_class, 4);
         assert_eq!(s.batches, vec![1, 16]);
-        assert_eq!(s.net_budget(harl_nn_models::Network::Bert), 12_000);
+        assert_eq!(s.net_budget(harl_tensor_ir::models::Network::Bert), 12_000);
         assert_eq!(s.measure_per_round, 64);
     }
 
@@ -169,12 +169,12 @@ mod tests {
         let f = Scale::fast();
         let p = Scale::paper();
         assert!(f.op_trials < p.op_trials);
-        assert!(f.net_budget(harl_nn_models::Network::Bert) < 12_000);
+        assert!(f.net_budget(harl_tensor_ir::models::Network::Bert) < 12_000);
         // per-task scaling: ResNet-50 (24 tasks) gets a larger fast budget
         // than BERT (10 tasks)
         assert!(
-            f.net_budget(harl_nn_models::Network::ResNet50)
-                > f.net_budget(harl_nn_models::Network::Bert)
+            f.net_budget(harl_tensor_ir::models::Network::ResNet50)
+                > f.net_budget(harl_tensor_ir::models::Network::Bert)
         );
     }
 }

@@ -8,9 +8,9 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::ducb::{DiscountedUcb, GaussianThompson};
-use crate::swucb::SlidingWindowUcb;
-use crate::{Bandit, UniformBandit};
+use super::ducb::{DiscountedUcb, GaussianThompson};
+use super::swucb::SlidingWindowUcb;
+use super::{Bandit, UniformBandit};
 
 /// Which bandit algorithm to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -14,7 +14,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::Bandit;
+use super::Bandit;
 
 /// Discounted UCB policy state.
 #[derive(Debug, Clone, Serialize, Deserialize)]

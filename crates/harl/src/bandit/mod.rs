@@ -1,5 +1,3 @@
-//! # harl-bandit
-//!
 //! Multi-armed bandit policies for the high-level decisions of the search
 //! hierarchy (§4.1): Sliding-Window UCB for the non-stationary subgraph and
 //! sketch selection problems (Eq. 1), plus the policies the selection

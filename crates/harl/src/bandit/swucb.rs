@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::Bandit;
+use super::Bandit;
 
 /// SW-UCB policy state.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -1,7 +1,7 @@
 //! HARL configuration — every hyper-parameter of Table 5 plus the ablation
 //! toggles used in §6.
 
-use harl_bandit::{AnyBandit, BanditKind};
+use crate::bandit::{AnyBandit, BanditKind};
 use harl_gbt::GbtParams;
 use harl_nnet::PpoConfig;
 use harl_tensor_sim::ConfigError;

@@ -22,6 +22,7 @@
 
 pub mod adaptive;
 pub mod ansor;
+pub mod bandit;
 pub mod config;
 pub mod episode;
 pub mod mcts;

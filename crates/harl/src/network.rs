@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use harl_bandit::{AnyBandit, Bandit};
+use crate::bandit::{AnyBandit, Bandit};
 use harl_tensor_ir::Subgraph;
 use harl_tensor_sim::{Measurer, TuneTrace};
 

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use harl_bandit::{AnyBandit, Bandit};
+use crate::bandit::{AnyBandit, Bandit};
 use harl_gbt::{CostModel, ScoringPipeline};
 use harl_nnet::PpoAgent;
 use harl_obs::{FieldValue, Tracer};

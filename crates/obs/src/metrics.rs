@@ -211,7 +211,7 @@ pub const SECONDS_BOUNDS: &[f64] = &[
 /// Loopback request/response round trips and event-loop dispatch sit in
 /// the tens-of-microseconds to low-milliseconds range, below the useful
 /// resolution of [`SECONDS_BOUNDS`]; these bounds keep p50/p99 quantile
-/// estimates meaningful there (used by `harl-net` and `bench-load`).
+/// estimates meaningful there (used by `harl_serve::net` and `bench-load`).
 pub const FINE_SECONDS_BOUNDS: &[f64] = &[
     0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5,

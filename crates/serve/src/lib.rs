@@ -7,8 +7,8 @@
 //! * **Wire protocol** ([`protocol`]) — line-delimited JSON with verbs
 //!   `submit` / `status` / `result` / `cancel` / `list` / `pool_sync` /
 //!   `shutdown`; the full shapes are documented in DESIGN.md §8.
-//! * **Event-loop frontend** — all connections are multiplexed onto one
-//!   `harl-net` loop thread, so thousands of idle `watch` clients cost
+//! * **Event-loop frontend** ([`net`]) — all connections are multiplexed
+//!   onto one loop thread, so thousands of idle `watch` clients cost
 //!   buffers, not threads; the daemon runs exactly `workers + 1` threads
 //!   (plus one federation puller when peers are configured).
 //! * **Priority queue with backpressure** ([`queue`]) — a full queue
@@ -34,6 +34,7 @@ pub mod bench_load;
 mod error;
 mod federation;
 pub mod job;
+pub mod net;
 pub mod protocol;
 pub mod queue;
 mod server;

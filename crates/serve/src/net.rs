@@ -1,13 +1,11 @@
-//! # harl-net
-//!
-//! A dependency-free, mio-style nonblocking TCP event loop with
-//! line-delimited framing. One thread multiplexes a listener plus any
-//! number of connections: each tick accepts pending connects, pumps
-//! nonblocking reads into per-connection buffers, hands every complete
-//! line to a [`Service`], and drains the queued replies back out. Idle
-//! connections cost nothing but their buffers — no thread, no wakeup —
-//! which is what lets a daemon hold thousands of open `watch`/`status`
-//! clients on a fixed-size thread count.
+//! The daemon's front end: a dependency-free, mio-style nonblocking TCP
+//! event loop with line-delimited framing. One thread multiplexes a
+//! listener plus any number of connections: each tick accepts pending
+//! connects, pumps nonblocking reads into per-connection buffers, hands
+//! every complete line to a [`Service`], and drains the queued replies
+//! back out. Idle connections cost nothing but their buffers — no
+//! thread, no wakeup — which is what lets a daemon hold thousands of open
+//! `watch`/`status` clients on a fixed-size thread count.
 //!
 //! The loop waits for readiness in `poll(2)`, declared here against the C
 //! library std already links (the workspace is dependency-free): the
@@ -173,6 +171,20 @@ impl Conn {
         }
     }
 
+    /// What to poll for: input unless the connection is closing (a peer
+    /// at EOF stays readable for ever) or backlogged (it is not read until
+    /// its replies drain), output while its peer has not taken them all.
+    fn interest(&self) -> c_short {
+        let mut events = 0;
+        if !self.close_after_flush && self.unsent() <= MAX_UNSENT_BYTES {
+            events |= POLLIN;
+        }
+        if self.unsent() > 0 {
+            events |= POLLOUT;
+        }
+        events
+    }
+
     fn idle(&self) -> bool {
         self.rbuf.is_empty() && self.unsent() == 0
     }
@@ -272,21 +284,12 @@ impl<S: Service> EventLoop<S> {
         let mut fds = Vec::new();
         let mut tokens = Vec::new();
         while !stop() {
-            // the listener, then every connection: for input unless it is
-            // backlogged (it is not read until its replies drain), for
-            // output while it has replies its peer has not taken
+            // the listener, then every connection
             fds.clear();
             tokens.clear();
             fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
             for (&token, conn) in &self.conns {
-                let mut events = 0;
-                if conn.unsent() <= MAX_UNSENT_BYTES {
-                    events |= POLLIN;
-                }
-                if conn.unsent() > 0 {
-                    events |= POLLOUT;
-                }
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+                fds.push(PollFd::new(conn.stream.as_raw_fd(), conn.interest()));
                 tokens.push(token);
             }
             wait_ready(&mut fds, POLL_TIMEOUT);
@@ -352,13 +355,14 @@ impl<S: Service> EventLoop<S> {
     }
 
     /// One ready connection's turn: flush pending writes, read what's
-    /// there, dispatch complete lines.
+    /// there, dispatch complete lines. A closing connection is only
+    /// flushed.
     fn pump(&mut self, token: Token) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         conn.flush();
-        if conn.gone.is_some() {
+        if conn.gone.is_some() || conn.close_after_flush {
             return;
         }
 
@@ -424,12 +428,15 @@ impl<S: Service> EventLoop<S> {
 
         conn.flush();
         if conn.gone.is_none() && eof && !backlog {
-            // a partial line at EOF is a torn frame, not a clean close
-            conn.gone = Some(if conn.rbuf.is_empty() {
-                Gone::Closed
+            if !conn.rbuf.is_empty() {
+                // a partial line at EOF is a torn frame, not a clean close
+                conn.gone = Some(Gone::Dropped);
+            } else if conn.unsent() == 0 {
+                conn.gone = Some(Gone::Closed);
             } else {
-                Gone::Dropped
-            });
+                // a half-closed peer still takes every reply queued for it
+                conn.close_after_flush = true;
+            }
         }
     }
 
@@ -737,6 +744,18 @@ mod tests {
             "median round trip {median:?}"
         );
         finish(stop, handle);
+    }
+
+    #[test]
+    fn a_closing_connection_is_polled_for_output_only() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Conn::new(listener.accept().unwrap().0);
+        assert_eq!(conn.interest(), POLLIN);
+        conn.wbuf.extend_from_slice(b"reply\n");
+        assert_eq!(conn.interest(), POLLIN | POLLOUT);
+        conn.close_after_flush = true;
+        assert_eq!(conn.interest(), POLLOUT);
     }
 
     #[test]

@@ -158,13 +158,13 @@ pub fn write_message<T: Serialize>(w: &mut impl Write, value: &T) -> Result<(), 
 
 /// Reads one JSON line and decodes it. Returns `Ok(None)` on a clean EOF
 /// before any bytes of a line. A line longer than
-/// [`harl_net::MAX_LINE_BYTES`] (a full `pool_sync` page is far shorter)
+/// [`crate::net::MAX_LINE_BYTES`] (a full `pool_sync` page is far shorter)
 /// is refused after reading one byte past the cap, so a peer that never
 /// sends a newline cannot grow the reader's memory.
 pub fn read_message<T: for<'de> Deserialize<'de>>(
     r: &mut impl BufRead,
 ) -> Result<Option<T>, ServeError> {
-    let cap = harl_net::MAX_LINE_BYTES;
+    let cap = crate::net::MAX_LINE_BYTES;
     let mut line = Vec::new();
     if r.take(cap as u64 + 1).read_until(b'\n', &mut line)? == 0 {
         return Ok(None);
@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn a_line_of_exactly_the_cap_is_decoded_not_refused_for_length() {
-        let mut at_cap = vec![b'x'; harl_net::MAX_LINE_BYTES];
+        let mut at_cap = vec![b'x'; crate::net::MAX_LINE_BYTES];
         at_cap.push(b'\n');
         match read_message::<Response>(&mut std::io::Cursor::new(at_cap)) {
             Err(ServeError::Protocol(m)) => {

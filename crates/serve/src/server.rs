@@ -20,9 +20,9 @@
 //! client that can connect at all is guaranteed to see the full
 //! recovered registry — `serve.addr` appearing means recovery is done.
 //!
-//! All connections are multiplexed onto a single `harl-net` event-loop
-//! thread: a thousand idle `watch` clients cost buffers, not threads.
-//! The daemon's thread count is fixed at `workers + 1` (plus one
+//! All connections are multiplexed onto a single [`net`](crate::net)
+//! event-loop thread: a thousand idle `watch` clients cost buffers, not
+//! threads. The daemon's thread count is fixed at `workers + 1` (plus one
 //! federation puller when [`ServeConfig::peers`] is non-empty).
 
 use std::collections::BTreeMap;
@@ -36,12 +36,12 @@ use harl_check::{AtomicRole, CAtomicBool, CAtomicU64, CMutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use harl_net::{EventLoop, LoopConfig, Outbox, Service, Token};
 use harl_store::RecordStore;
 
 use crate::error::ServeError;
 use crate::federation;
 use crate::job::{JobOutcome, JobSpec, JobState, JobView};
+use crate::net::{EventLoop, LoopConfig, Outbox, Service, Token};
 use crate::protocol::{decode_request, ErrorCode, Request, Response};
 use crate::queue::{JobQueue, PushError};
 use crate::worker;

@@ -15,6 +15,7 @@ pub mod action;
 pub mod exec;
 pub mod factorization;
 pub mod features;
+pub mod models;
 pub mod mutate;
 pub mod pretty;
 pub mod schedule;

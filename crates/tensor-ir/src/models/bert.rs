@@ -5,7 +5,7 @@
 //! length 128, 12 encoder layers, plus the pooler. Weight = number of times
 //! the subgraph appears across the network (`f(S) ≈ Σ w_n g_n`, §2.2).
 
-use harl_tensor_ir::{workload, Subgraph};
+use crate::{workload, Subgraph};
 
 /// BERT-base structural constants.
 /// Hidden (model) dimension.

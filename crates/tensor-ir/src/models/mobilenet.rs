@@ -3,7 +3,7 @@
 //! appearance weights from the standard `(t, c, n, s)` table of Sandler et
 //! al. 2018.
 
-use harl_tensor_ir::{workload, Subgraph};
+use crate::{workload, Subgraph};
 
 /// One distinct conv shape with its appearance count.
 struct Conv {
@@ -174,7 +174,7 @@ mod tests {
     fn flops_much_smaller_than_resnet() {
         // MobileNet-V2 ≈ 0.6 GFLOPs vs ResNet-50 ≈ 8 GFLOPs
         let m: f64 = mobilenet_v2(1).iter().map(|g| g.weight * g.flops()).sum();
-        let r: f64 = crate::resnet::resnet50(1)
+        let r: f64 = crate::models::resnet::resnet50(1)
             .iter()
             .map(|g| g.weight * g.flops())
             .sum();

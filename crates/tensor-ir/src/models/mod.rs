@@ -1,10 +1,9 @@
-//! # harl-nn-models
-//!
-//! The evaluation workloads of §6: the Table 6 tensor-operator suite
-//! (GEMM-S/M/L, C1D, C2D, C3D, T2D with 4 parameter sets each) and the
-//! end-to-end networks — BERT (10 distinct subgraphs, Table 4), ResNet-50
-//! (24 distinct subgraphs) and MobileNet-V2 — expressed as weighted
-//! subgraph lists `{(w_n, subgraph_n)}` for the task schedulers.
+//! The evaluation workloads of §6, built from the [`workload`](crate::workload)
+//! constructors: the Table 6 tensor-operator suite (GEMM-S/M/L, C1D, C2D,
+//! C3D, T2D with 4 parameter sets each) and the end-to-end networks — BERT
+//! (10 distinct subgraphs, Table 4), ResNet-50 (24 distinct subgraphs) and
+//! MobileNet-V2 — expressed as weighted subgraph lists `{(w_n, subgraph_n)}`
+//! for the task schedulers.
 
 pub mod bert;
 pub mod mobilenet;
@@ -41,7 +40,7 @@ impl Network {
     }
 
     /// Builds the network's weighted subgraph list at a batch size.
-    pub fn subgraphs(&self, batch: u32) -> Vec<harl_tensor_ir::Subgraph> {
+    pub fn subgraphs(&self, batch: u32) -> Vec<crate::Subgraph> {
         match self {
             Network::ResNet50 => resnet50(batch),
             Network::MobileNetV2 => mobilenet_v2(batch),

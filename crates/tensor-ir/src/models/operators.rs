@@ -2,7 +2,7 @@
 //! Table 6 (Appendix A.3), each class with 4 parameter sets, tested with
 //! batch sizes 1 and 16.
 
-use harl_tensor_ir::{workload, Subgraph};
+use crate::{workload, Subgraph};
 
 /// Operator classes of the paper's Figure 5/6 x-axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -2,7 +2,7 @@
 //! classifier GEMM) with appearance weights — matching §4.1's "the number
 //! of distinct subgraphs of ResNet-50 is 24".
 
-use harl_tensor_ir::{workload, Subgraph};
+use crate::{workload, Subgraph};
 
 /// Distinct convolution shapes of ResNet-50:
 /// `(H, W, Ci, Co, K, stride, pad, weight)`.

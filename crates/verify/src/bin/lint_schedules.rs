@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use harl_nn_models::{operator_suite, OperatorClass};
+use harl_tensor_ir::models::{operator_suite, OperatorClass};
 use harl_tensor_ir::{
     generate_sketches, mutate, workload, FeaturePlan, Schedule, Sketch, Subgraph, Target,
 };

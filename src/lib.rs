@@ -46,16 +46,15 @@
 
 pub mod envopts;
 
-pub use harl_bandit as bandit;
 pub use harl_core as harl;
-pub use harl_core::{ansor, mcts};
+pub use harl_core::{ansor, bandit, mcts};
 pub use harl_gbt as gbt;
-pub use harl_nn_models as models;
 pub use harl_nnet as nnet;
 pub use harl_obs as obs;
 pub use harl_serve as serve;
 pub use harl_store as store;
 pub use harl_tensor_ir as ir;
+pub use harl_tensor_ir::models;
 pub use harl_tensor_sim as sim;
 pub use harl_verify as verify;
 
@@ -67,8 +66,8 @@ pub mod prelude {
         AnsorNetworkTuner, HarlConfig, HarlNetworkTuner, HarlOperatorTuner, ParallelismOpts, Tuner,
         TunerState, TuningSession,
     };
-    pub use harl_nn_models::{operator_suite, Network, OperatorClass};
     pub use harl_store::{MeasureRecord, RecordStore};
+    pub use harl_tensor_ir::models::{operator_suite, Network, OperatorClass};
     pub use harl_tensor_ir::{generate_sketches, Schedule, Sketch, Subgraph, Target};
     pub use harl_tensor_sim::{ConfigError, Hardware, MeasureConfig, Measurer, TuneTrace};
     pub use harl_verify::{Analyzer, Diagnostic, LintCode, LintStats, Severity};
