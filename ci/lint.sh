@@ -71,6 +71,25 @@ if awk '
     exit 1
 fi
 
+echo "==> no literal price on the simulated clock"
+# every price the simulated search clock charges is an entry of the one
+# table beside `Measurer::charge_search_time` (`harl_tensor_sim::PRICES`);
+# a number at a call site is a second price list the other searchers do
+# not read. Same reading rule: up to the first `#[cfg(test)]`, `//`
+# comments skipped.
+mapfile -t clock_callers < <(find crates src examples tests -name '*.rs' \
+    ! -path crates/tensor-sim/src/measure.rs | sort)
+if awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /charge_search_time\([[:space:]]*[0-9]/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }
+' "${clock_callers[@]}"; then
+    echo "FAIL: a literal price passed to charge_search_time (add an entry to harl_tensor_sim::PRICES)"
+    exit 1
+fi
+
 echo "==> no config builder"
 # a config is a pub-field struct, a preset or `Default`, struct-update
 # syntax and `validate()`, checked by the constructor that consumes it: a

@@ -38,6 +38,18 @@ row "harl-* [dependencies] lines in the root and crates/* manifests:" \
 # knobs, and second spellings of a config or a thread width
 row "distinct HARL_* environment names in crates src examples tests ci:" \
     "$(comm -23 <(harl_names '') <(harl_names '(const|static) ') | wc -l)"
+# a config field is a knob some caller turns: count the `    pub name:`
+# lines of every top-level `pub struct …Config|…Params|…Opts {` (a nested
+# config is one field of its parent)
+mapfile -t crate_src < <(rs_in crates/*/src)
+row "pub fields of *Config/*Params/*Opts structs in crates/*/src:" \
+    "$(awk '
+        FNR == 1 { inside = 0 }
+        /^pub struct [A-Za-z0-9_]*(Config|Params|Opts)[<[:space:]].*\{$/ { inside = 1; next }
+        inside && /^\}/ { inside = 0 }
+        inside && /^    pub [a-z_0-9]+:/ { n++ }
+        END { print n + 0 }
+    ' "${crate_src[@]}")"
 row "*ConfigBuilder types in crates src examples tests:" \
     "$(grep -rhoE 'struct \w+ConfigBuilder' crates src examples tests | sort -u | wc -l)"
 # compatibility entries that only the benchmark still calls (ROADMAP item 7)

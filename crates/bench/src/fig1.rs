@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use harl_core::ansor::{FlextensorConfig, FlextensorTuner, GradientParams};
+use harl_core::ansor::{FlextensorConfig, FlextensorTuner};
 use harl_core::AnsorNetworkTuner;
 use harl_tensor_ir::models::{bert, operators};
 use harl_tensor_ir::{generate_sketches, mutate, Schedule, Target};
@@ -41,12 +41,7 @@ pub fn fig1a(scale: &Scale) -> Fig1a {
     let subgraphs = bert(1);
     let names: Vec<String> = subgraphs.iter().map(|g| g.name.clone()).collect();
     let weights: Vec<f64> = subgraphs.iter().map(|g| g.weight).collect();
-    let mut nt = AnsorNetworkTuner::new(
-        subgraphs,
-        &measurer,
-        scale.ansor_config(),
-        GradientParams::default(),
-    );
+    let mut nt = AnsorNetworkTuner::new(subgraphs, &measurer, scale.ansor_config());
     nt.tune(scale.net_budget(harl_tensor_ir::models::Network::Bert));
 
     let final_latency = nt.network_latency();

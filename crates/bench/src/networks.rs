@@ -46,12 +46,7 @@ pub fn run_net_pair(scale: &Scale, net: Network, hw: &Hardware, batch: u32) -> N
     let trials = scale.net_budget(net);
 
     let am = Measurer::new(hw.clone(), MeasureConfig::default());
-    let mut ansor = AnsorNetworkTuner::new(
-        net.subgraphs(batch),
-        &am,
-        scale.ansor_config(),
-        scale.harl_config().grad,
-    );
+    let mut ansor = AnsorNetworkTuner::new(net.subgraphs(batch), &am, scale.ansor_config());
     ansor.tune(trials);
 
     let hm = Measurer::new(hw.clone(), MeasureConfig::default());
@@ -227,12 +222,7 @@ pub fn bert_study(scale: &Scale) -> BertStudy {
     let hw = Hardware::cpu();
 
     let am = Measurer::new(hw.clone(), MeasureConfig::default());
-    let mut ansor = AnsorNetworkTuner::new(
-        net.subgraphs(batch),
-        &am,
-        scale.ansor_config(),
-        scale.harl_config().grad,
-    );
+    let mut ansor = AnsorNetworkTuner::new(net.subgraphs(batch), &am, scale.ansor_config());
     ansor.tune(trials);
     let ansor_latency = ansor.network_latency();
 

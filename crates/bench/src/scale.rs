@@ -96,14 +96,12 @@ impl Scale {
                 evo: EvoConfig {
                     population: 128,
                     generations: 3,
-                    ..Default::default()
                 },
                 gbt: GbtParams {
                     n_rounds: 12,
                     ..Default::default()
                 },
                 seed: self.seed,
-                ..Default::default()
             }
         }
     }

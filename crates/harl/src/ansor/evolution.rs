@@ -23,16 +23,6 @@ pub struct EvoConfig {
     pub population: usize,
     /// Generations evolved per round.
     pub generations: usize,
-    /// Fraction of the initial population seeded from best measured
-    /// schedules.
-    pub elite_ratio: f64,
-    /// Probability a child is produced by crossover (same-sketch parents);
-    /// otherwise by mutation.
-    pub crossover_prob: f64,
-    /// Mutations applied to every child.
-    pub mutations_per_child: usize,
-    /// Fraction of measurement candidates picked at random (ε-greedy).
-    pub eps_greedy: f64,
 }
 
 impl Default for EvoConfig {
@@ -40,13 +30,19 @@ impl Default for EvoConfig {
         EvoConfig {
             population: 256,
             generations: 4,
-            elite_ratio: 0.25,
-            crossover_prob: 0.3,
-            mutations_per_child: 2,
-            eps_greedy: 0.05,
         }
     }
 }
+
+/// Fraction of the initial population seeded from best measured schedules.
+const ELITE_RATIO: f64 = 0.25;
+/// Probability a child is produced by crossover (same-sketch parents);
+/// otherwise by mutation.
+const CROSSOVER_PROB: f64 = 0.3;
+/// Mutations applied to every child.
+const MUTATIONS_PER_CHILD: usize = 2;
+/// Fraction of measurement candidates picked at random (ε-greedy).
+const EPS_GREEDY: f64 = 0.05;
 
 /// One evolutionary round: returns up to `num_candidates` distinct
 /// schedules to measure, avoiding anything whose dedup key is in `seen`.
@@ -83,7 +79,7 @@ pub fn evolve_candidates<R: Rng + ?Sized>(
     let extract = |s: &Schedule, buf: &mut Vec<f32>| plans[s.sketch_id].extract_into(s, buf);
 
     // --- initial population ---------------------------------------------
-    let n_elite = ((cfg.population as f64 * cfg.elite_ratio) as usize).min(elites.len());
+    let n_elite = ((cfg.population as f64 * ELITE_RATIO) as usize).min(elites.len());
     let mut pop: Vec<Schedule> = elites.iter().take(n_elite).cloned().collect();
     while pop.len() < cfg.population {
         let sk = &sketches[rng.gen_range(0..sketches.len())];
@@ -121,7 +117,7 @@ pub fn evolve_candidates<R: Rng + ?Sized>(
         }
         while next.len() < cfg.population {
             let pa = pick_parent(rng);
-            let mut child = if rng.gen::<f64>() < cfg.crossover_prob {
+            let mut child = if rng.gen::<f64>() < CROSSOVER_PROB {
                 let pb = pick_parent(rng);
                 if pop[pa].sketch_id == pop[pb].sketch_id {
                     crossover(&pop[pa], &pop[pb], rng)
@@ -131,7 +127,7 @@ pub fn evolve_candidates<R: Rng + ?Sized>(
             } else {
                 pop[pa].clone()
             };
-            for _ in 0..cfg.mutations_per_child {
+            for _ in 0..MUTATIONS_PER_CHILD {
                 child = mutate(&sketches[child.sketch_id], target, &child, rng);
             }
             next.push(child);
@@ -144,7 +140,7 @@ pub fn evolve_candidates<R: Rng + ?Sized>(
     let mut scored: Vec<(f64, Schedule)> = scores.iter().copied().zip(pop).collect();
     scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
 
-    let n_random = (num_candidates as f64 * cfg.eps_greedy).round() as usize;
+    let n_random = (num_candidates as f64 * EPS_GREEDY).round() as usize;
     let mut out: Vec<Schedule> = Vec::with_capacity(num_candidates);
     let mut local_seen: HashSet<u64> = HashSet::new();
     for (_, s) in &scored {

@@ -17,7 +17,7 @@ use harl_tensor_ir::{
     apply_action, compute_at_mask, parallel_mask, tile_action_mask, unroll_mask, Action,
     ActionSpace, Schedule, Sketch, StepDir, Target,
 };
-use harl_tensor_sim::{ConfigError, TuneTrace};
+use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
 use harl_verify::LintStats;
 
 use crate::adaptive::CriticalStep;
@@ -32,8 +32,6 @@ pub struct FlextensorConfig {
     pub tracks: usize,
     /// PPO settings for the fixed-length agent.
     pub ppo: PpoConfig,
-    /// Train the networks every `T_rl` steps.
-    pub train_interval: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -44,7 +42,6 @@ impl Default for FlextensorConfig {
             episode_len: 16,
             tracks: 8,
             ppo: PpoConfig::default(),
-            train_interval: 2,
             seed: 0xf1e,
         }
     }
@@ -56,7 +53,6 @@ impl FlextensorConfig {
         for (field, v) in [
             ("flextensor.episode_len", self.episode_len),
             ("flextensor.tracks", self.tracks),
-            ("flextensor.train_interval", self.train_interval),
         ] {
             if v == 0 {
                 return Err(ConfigError::new(field, "must be positive"));
@@ -65,6 +61,9 @@ impl FlextensorConfig {
         self.ppo.validate()
     }
 }
+
+/// Train the networks every `T_rl` steps.
+const TRAIN_INTERVAL: usize = 2;
 
 /// A measured move of one track, awaiting the step's critic pass.
 struct Move {
@@ -251,9 +250,10 @@ impl Proposer for FlextensorProposer {
                 break;
             }
             steps_taken = step;
-            if step % self.cfg.train_interval == 0 {
+            if step % TRAIN_INTERVAL == 0 {
                 self.agent.train_step(&mut self.rng);
-                core.measurer().charge_search_time(0.3);
+                core.measurer()
+                    .charge_search_time(PRICES.flextensor_train_step);
             }
         }
 

@@ -17,7 +17,5 @@ pub mod tuner;
 
 pub use evolution::{evolve_candidates, EvoConfig};
 pub use flextensor::{FlextensorConfig, FlextensorProposer, FlextensorTuner, FlextensorTunerState};
-pub use task_sched::{
-    task_gradient, weighted_latency, GradientParams, GreedyTaskScheduler, TaskInfo, TaskState,
-};
+pub use task_sched::{task_gradient, weighted_latency, GreedyTaskScheduler, TaskInfo, TaskState};
 pub use tuner::{AnsorConfig, AnsorProposer, AnsorTuner, AnsorTunerState};

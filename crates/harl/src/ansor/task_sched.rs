@@ -78,35 +78,16 @@ impl TaskState {
     }
 }
 
-/// Parameters of the gradient estimate (Table 5: α = 0.2, β = 2).
-#[derive(Debug, Clone, Copy)]
-pub struct GradientParams {
-    /// Weight of the history slope term (Table 5: 0.2).
-    pub alpha: f64,
-    /// Similar-task bound multiplier (Table 5: 2).
-    pub beta: f64,
-    /// Backward window Δt in trials.
-    pub dt: u64,
-}
-
-impl Default for GradientParams {
-    fn default() -> Self {
-        GradientParams {
-            alpha: 0.2,
-            beta: 2.0,
-            dt: 64,
-        }
-    }
-}
+/// Weight α of the history slope term (Table 5: 0.2).
+const ALPHA: f64 = 0.2;
+/// Similar-task bound multiplier β (Table 5: 2).
+const BETA: f64 = 2.0;
+/// Backward window Δt in trials.
+const DT: u64 = 64;
 
 /// Computes `|grad_i|` for task `i`. Returns `f64::INFINITY` for untried
 /// tasks so they are explored first.
-pub fn task_gradient(
-    infos: &[TaskInfo],
-    states: &[TaskState],
-    i: usize,
-    p: &GradientParams,
-) -> f64 {
+pub fn task_gradient(infos: &[TaskInfo], states: &[TaskState], i: usize) -> f64 {
     let info = &infos[i];
     let st = &states[i];
     if st.trials == 0 || !st.best_time.is_finite() {
@@ -115,9 +96,9 @@ pub fn task_gradient(
     let g = st.best_time;
 
     // history slope (≤ 0 when improving)
-    let g_prev = st.best_time_before(p.dt);
+    let g_prev = st.best_time_before(DT);
     let term1 = if g_prev.is_finite() {
-        (g - g_prev) / p.dt as f64
+        (g - g_prev) / DT as f64
     } else {
         0.0
     };
@@ -135,27 +116,24 @@ pub fn task_gradient(
         .map(|(_, (inf, s))| inf.flops / s.best_time)
         .fold(f64::NAN, f64::max);
     let term2 = if max_v.is_finite() && max_v > 0.0 {
-        let predicted = p.beta * info.flops / max_v;
+        let predicted = BETA * info.flops / max_v;
         term2a.min(predicted - g)
     } else {
         term2a
     };
 
-    (info.weight * (p.alpha * term1 + (1.0 - p.alpha) * term2)).abs()
+    (info.weight * (ALPHA * term1 + (1.0 - ALPHA) * term2)).abs()
 }
 
 /// Ansor's greedy task scheduler: round-robin warm-up, then
 /// `argmax |grad|` (deterministic).
-#[derive(Debug, Clone)]
-pub struct GreedyTaskScheduler {
-    /// Gradient-estimate parameters.
-    pub params: GradientParams,
-}
+#[derive(Debug, Clone, Default)]
+pub struct GreedyTaskScheduler;
 
 impl GreedyTaskScheduler {
-    /// A greedy scheduler with the given gradient parameters.
-    pub fn new(params: GradientParams) -> Self {
-        GreedyTaskScheduler { params }
+    /// The greedy scheduler.
+    pub fn new() -> Self {
+        GreedyTaskScheduler
     }
 
     /// Picks the next task to tune.
@@ -166,8 +144,8 @@ impl GreedyTaskScheduler {
         }
         (0..infos.len())
             .max_by(|&a, &b| {
-                task_gradient(infos, states, a, &self.params)
-                    .partial_cmp(&task_gradient(infos, states, b, &self.params))
+                task_gradient(infos, states, a)
+                    .partial_cmp(&task_gradient(infos, states, b))
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
             .unwrap_or(0)
@@ -209,7 +187,7 @@ mod tests {
     #[test]
     fn warmup_visits_all_tasks() {
         let (infos, mut states) = mk_tasks(3);
-        let sched = GreedyTaskScheduler::new(GradientParams::default());
+        let sched = GreedyTaskScheduler::new();
         let mut visited = [false; 3];
         for _ in 0..3 {
             let i = sched.select(&infos, &states);
@@ -229,20 +207,19 @@ mod tests {
         // task 0 keeps improving, task 1 stagnates
         states[0].record_round(64, 0.5);
         states[1].record_round(64, 1.0);
-        let sched = GreedyTaskScheduler::new(GradientParams::default());
+        let sched = GreedyTaskScheduler::new();
         assert_eq!(sched.select(&infos, &states), 0);
     }
 
     #[test]
     fn similar_task_bound_raises_priority() {
-        let p = GradientParams::default();
         let (infos, mut states) = mk_tasks(2);
         // both tried; task 1 is 100x slower than its similar peer task 0,
         // so the similarity bound predicts big headroom for task 1.
         states[0].record_round(64, 0.001);
         states[1].record_round(64, 0.1);
-        let g0 = task_gradient(&infos, &states, 0, &p);
-        let g1 = task_gradient(&infos, &states, 1, &p);
+        let g0 = task_gradient(&infos, &states, 0);
+        let g1 = task_gradient(&infos, &states, 1);
         assert!(
             g1 > g0,
             "lagging similar task should be prioritised: {g1} vs {g0}"
@@ -252,7 +229,7 @@ mod tests {
     #[test]
     fn untried_task_has_infinite_gradient() {
         let (infos, states) = mk_tasks(2);
-        assert!(task_gradient(&infos, &states, 0, &GradientParams::default()).is_infinite());
+        assert!(task_gradient(&infos, &states, 0).is_infinite());
     }
 
     #[test]

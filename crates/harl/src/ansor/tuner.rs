@@ -10,7 +10,7 @@ use harl_gbt::{CostModel, GbtParams, ScoringPipeline};
 use harl_obs::Tracer;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::Schedule;
-use harl_tensor_sim::{ConfigError, TuneTrace};
+use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
 use harl_verify::LintStats;
 
 use crate::ansor::evolution::{evolve_candidates, EvoConfig};
@@ -26,15 +26,8 @@ pub struct AnsorConfig {
     pub evo: EvoConfig,
     /// Cost-model parameters.
     pub gbt: GbtParams,
-    /// Simulated seconds of fixed algorithm overhead charged per round
-    /// (cost-model retraining, bookkeeping).
-    pub round_overhead: f64,
-    /// Simulated seconds per cost-model evaluation during evolution.
-    pub eval_cost: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Elite pool size carried between rounds.
-    pub elite_pool: usize,
 }
 
 impl Default for AnsorConfig {
@@ -43,10 +36,7 @@ impl Default for AnsorConfig {
             measure_per_round: 64,
             evo: EvoConfig::default(),
             gbt: GbtParams::default(),
-            round_overhead: 2.0,
-            eval_cost: 5e-4,
             seed: 0xa5,
-            elite_pool: 32,
         }
     }
 }
@@ -60,9 +50,6 @@ impl AnsorConfig {
                 "must be positive",
             ));
         }
-        if self.elite_pool == 0 {
-            return Err(ConfigError::new("ansor.elite_pool", "must be positive"));
-        }
         if self.evo.population == 0 {
             return Err(ConfigError::new("ansor.evo.population", "must be positive"));
         }
@@ -72,17 +59,12 @@ impl AnsorConfig {
                 "must be positive",
             ));
         }
-        for (field, v) in [
-            ("ansor.round_overhead", self.round_overhead),
-            ("ansor.eval_cost", self.eval_cost),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(ConfigError::new(field, "must be finite and non-negative"));
-            }
-        }
         Ok(())
     }
 }
+
+/// Elite pool size carried between rounds.
+const ELITE_POOL: usize = 32;
 
 /// Serializable snapshot of an [`AnsorTuner`]'s mutable search state (see
 /// [`Proposer::State`]).
@@ -131,11 +113,11 @@ impl AnsorProposer {
         &self.cost_model
     }
 
-    /// Re-sorts the elite pool best-first and cuts it to `elite_pool`.
+    /// Re-sorts the elite pool best-first and cuts it to [`ELITE_POOL`].
     fn trim_elites(&mut self) {
         self.elites
             .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        self.elites.truncate(self.cfg.elite_pool);
+        self.elites.truncate(ELITE_POOL);
     }
 }
 
@@ -198,8 +180,8 @@ impl Proposer for AnsorProposer {
 
         // simulated algorithm overhead: fixed + per-fitness-evaluation
         core.end_round(
-            self.cfg.round_overhead
-                + (self.cfg.evo.population * self.cfg.evo.generations) as f64 * self.cfg.eval_cost,
+            PRICES.round_overhead
+                + (self.cfg.evo.population * self.cfg.evo.generations) as f64 * PRICES.eval_cost,
             cands.len() as u64,
         );
         cands.len()
@@ -264,7 +246,6 @@ mod tests {
             evo: EvoConfig {
                 population: 64,
                 generations: 2,
-                ..Default::default()
             },
             ..Default::default()
         }
@@ -320,9 +301,6 @@ mod tests {
         #[rustfmt::skip]
         let bad = [
             ("ansor.measure_per_round", AnsorConfig { measure_per_round: 0, ..base() }),
-            ("ansor.elite_pool", AnsorConfig { elite_pool: 0, ..base() }),
-            ("ansor.eval_cost", AnsorConfig { eval_cost: -1.0, ..base() }),
-            ("ansor.round_overhead", AnsorConfig { round_overhead: f64::NAN, ..base() }),
         ];
         for (field, cfg) in bad {
             assert_eq!(cfg.validate().unwrap_err().field, field);

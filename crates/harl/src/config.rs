@@ -1,12 +1,17 @@
-//! HARL configuration — every hyper-parameter of Table 5 plus the ablation
-//! toggles used in §6.
+//! HARL configuration — the hyper-parameters of Table 5 a caller varies,
+//! plus the ablation toggles used in §6. The rest of Table 5 are named
+//! constants beside the code that reads them: `T_rl` is
+//! `episode::TRAIN_INTERVAL`, α, β and Δt are in `ansor::task_sched`, and
+//! SW-UCB's `c` and `τ` are [`BanditKind::paper_default`].
 
 use crate::bandit::{AnyBandit, BanditKind};
 use harl_gbt::GbtParams;
 use harl_nnet::PpoConfig;
 use harl_tensor_sim::ConfigError;
 
-use crate::ansor::GradientParams;
+/// Windows an adaptive episode runs at most: the bound that ends it even
+/// when an elimination drops nobody (ρ = 0, or ⌊alive·ρ⌋ = 0).
+pub(crate) const MAX_WINDOWS: usize = 64;
 
 /// Full HARL configuration. [`HarlConfig::paper`] reproduces Table 5;
 /// [`HarlConfig::fast`] scales the search down for tests and quick runs
@@ -38,8 +43,6 @@ pub struct HarlConfig {
     /// PPO settings (Table 5: lr_a 3e-4, lr_c 1e-3, γ 0.9, w_MSE 0.5,
     /// w_entropy 0.01).
     pub ppo: PpoConfig,
-    /// Train the actor-critic every `T_rl` steps (Table 5: 2).
-    pub train_interval: usize,
     /// Minibatches per training point.
     pub train_epochs: usize,
     /// Candidate modifications the actor proposes per step; the cost model
@@ -56,45 +59,22 @@ pub struct HarlConfig {
     pub measure_per_round: usize,
 
     // --- high-level MABs (§4.1) -------------------------------------------
-    /// SW-UCB exploration constant `c` (Table 5: 0.25).
-    pub mab_c: f64,
-    /// SW-UCB window τ (Table 5: 256).
-    pub mab_tau: usize,
     /// Subgraph-level MAB toggle; `false` falls back to Ansor's greedy
     /// gradient selection (the "w/o subgraph MAB" ablation of Table 4).
     pub subgraph_mab: bool,
-    /// Sketch-level MAB toggle; `false` falls back to uniform selection.
-    pub sketch_mab: bool,
-    /// Gradient-formula parameters (Eq. 3; Table 5: α 0.2, β 2).
-    pub grad: GradientParams,
-    /// Bandit algorithm used for both MAB levels when they are enabled
-    /// (the paper uses SW-UCB; other kinds back the bandit ablation).
+    /// Bandit algorithm of both MAB levels (the paper's SW-UCB with
+    /// Table 5's `c = 0.25`, `τ = 256`; the other kinds back the bandit
+    /// ablation, `Uniform` being Ansor's sketch selection).
     pub mab_kind: BanditKind,
 
-    // --- bookkeeping --------------------------------------------------------
-    /// Simulated seconds of fixed overhead charged per round (cost-model
-    /// retrain, bookkeeping).
-    pub round_overhead: f64,
-    /// Simulated seconds per cost-model evaluation during the episode.
-    /// Longer episodes (larger λ, lower ρ) therefore cost proportionally
-    /// more search time, which is what Tables 7–8 measure.
-    pub eval_cost: f64,
-    /// Simulated seconds per RL training step.
-    pub ppo_step_cost: f64,
     pub seed: u64,
 }
 
 impl HarlConfig {
     /// A bandit of `mab_kind` over `arms` arms (the sketch and the subgraph
-    /// level build theirs the same way); SW-UCB takes `mab_c` and
-    /// `mab_tau` over the kind's own constants.
+    /// level build theirs the same way).
     pub(crate) fn bandit(&self, arms: usize) -> AnyBandit {
-        let mut kind = self.mab_kind;
-        if let BanditKind::SwUcb { c, tau } = &mut kind {
-            *c = self.mab_c;
-            *tau = self.mab_tau;
-        }
-        kind.build(arms)
+        self.mab_kind.build(arms)
     }
 
     /// The paper's default settings (Table 5 / §6.2).
@@ -108,20 +88,12 @@ impl HarlConfig {
             elite_track_fraction: 0.25,
             fixed_length: 40,
             ppo: PpoConfig::default(),
-            train_interval: 2,
             train_epochs: 4,
             action_samples: 8,
             gbt: GbtParams::default(),
             measure_per_round: 64,
-            mab_c: 0.25,
-            mab_tau: 256,
             subgraph_mab: true,
-            sketch_mab: true,
-            grad: GradientParams::default(),
             mab_kind: BanditKind::paper_default(),
-            round_overhead: 2.0,
-            eval_cost: 5e-4,
-            ppo_step_cost: 0.02,
             seed: 0x4a21,
         }
     }
@@ -177,13 +149,18 @@ impl HarlConfig {
     /// Episode candidate budget sanity: with `ρ = 0.5` and `λ = L/2` the
     /// adaptive episode visits the same number of schedules as a
     /// fixed-length-`L` episode (Fig. 4). Returns (adaptive, fixed)
-    /// estimated visit counts for the current settings.
+    /// estimated visit counts for the current settings. Like an episode,
+    /// the estimate stops after [`MAX_WINDOWS`] windows, so a ρ that
+    /// eliminates nobody still gives an answer.
     pub fn visit_counts(&self) -> (usize, usize) {
         let mut alive = self.tracks_per_round;
         let mut adaptive = alive; // initial samples
-        while alive >= self.min_tracks {
+        for _ in 0..MAX_WINDOWS {
+            if alive < self.min_tracks {
+                break;
+            }
             adaptive += alive * self.lambda;
-            alive = alive - (alive as f64 * self.rho) as usize;
+            alive -= (alive as f64 * self.rho) as usize;
         }
         let fixed = self.tracks_per_round * (1 + self.fixed_length);
         (adaptive, fixed)
@@ -204,11 +181,9 @@ impl HarlConfig {
             ("harl.min_tracks", self.min_tracks),
             ("harl.tracks_per_round", self.tracks_per_round),
             ("harl.fixed_length", self.fixed_length),
-            ("harl.train_interval", self.train_interval),
             ("harl.train_epochs", self.train_epochs),
             ("harl.action_samples", self.action_samples),
             ("harl.measure_per_round", self.measure_per_round),
-            ("harl.mab_tau", self.mab_tau),
         ] {
             if v == 0 {
                 return Err(ConfigError::new(field, "must be positive"));
@@ -223,14 +198,19 @@ impl HarlConfig {
                 "must be within [0, 1]",
             ));
         }
-        for (field, v) in [
-            ("harl.mab_c", self.mab_c),
-            ("harl.round_overhead", self.round_overhead),
-            ("harl.eval_cost", self.eval_cost),
-            ("harl.ppo_step_cost", self.ppo_step_cost),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(ConfigError::new(field, "must be finite and non-negative"));
+        // `SlidingWindowUcb::new` asserts τ > 0
+        if let BanditKind::SwUcb { c, tau } = self.mab_kind {
+            if tau == 0 {
+                return Err(ConfigError::new(
+                    "harl.mab_kind",
+                    "SW-UCB τ must be positive",
+                ));
+            }
+            if !c.is_finite() || c < 0.0 {
+                return Err(ConfigError::new(
+                    "harl.mab_kind",
+                    "SW-UCB c must be finite and non-negative",
+                ));
             }
         }
         self.ppo.validate()?;
@@ -250,14 +230,11 @@ mod tests {
         assert_eq!(c.min_tracks, 64);
         assert!((c.ppo.lr_actor - 3e-4).abs() < 1e-9);
         assert!((c.ppo.lr_critic - 1e-3).abs() < 1e-9);
-        assert_eq!(c.train_interval, 2);
+        assert_eq!(crate::episode::TRAIN_INTERVAL, 2);
         assert!((c.ppo.gamma - 0.9).abs() < 1e-9);
         assert!((c.ppo.value_weight - 0.5).abs() < 1e-9);
         assert!((c.ppo.entropy_weight - 0.01).abs() < 1e-9);
-        assert!((c.mab_c - 0.25).abs() < 1e-9);
-        assert_eq!(c.mab_tau, 256);
-        assert!((c.grad.alpha - 0.2).abs() < 1e-9);
-        assert!((c.grad.beta - 2.0).abs() < 1e-9);
+        assert_eq!(c.mab_kind, BanditKind::paper_default());
     }
 
     #[test]
@@ -270,9 +247,10 @@ mod tests {
         let bad = [
             ("harl.lambda", HarlConfig { lambda: 0, ..base() }),
             ("harl.measure_per_round", HarlConfig { measure_per_round: 0, ..base() }),
-            ("harl.mab_tau", HarlConfig { mab_tau: 0, ..base() }),
+            ("harl.mab_kind", HarlConfig { mab_kind: BanditKind::SwUcb { c: 0.25, tau: 0 }, ..base() }),
             ("harl.rho", HarlConfig { rho: 1.5, ..base() }),
-            ("harl.mab_c", HarlConfig { mab_c: f64::NAN, ..base() }),
+            ("harl.mab_kind", HarlConfig { mab_kind: BanditKind::SwUcb { c: f64::NAN, tau: 256 }, ..base() }),
+            ("harl.mab_kind", HarlConfig { mab_kind: BanditKind::SwUcb { c: -1.0, tau: 256 }, ..base() }),
             ("harl.elite_track_fraction", HarlConfig { elite_track_fraction: -0.1, ..base() }),
             ("ppo.minibatch", HarlConfig { ppo: PpoConfig { minibatch: 0, ..Default::default() }, ..base() }),
         ];
@@ -294,5 +272,20 @@ mod tests {
             adaptive * 2 > fixed,
             "counts should be comparable: {adaptive} vs {fixed}"
         );
+    }
+
+    #[test]
+    fn visit_counts_stop_after_max_windows_when_nobody_is_eliminated() {
+        // ⌊alive·ρ⌋ = 0 while alive ≥ p̂: at ρ = 0, and at ρ = 0.1 on
+        // tiny()'s 8 tracks
+        for rho in [0.0, 0.1] {
+            let c = HarlConfig {
+                rho,
+                ..HarlConfig::tiny()
+            };
+            assert!(c.validate().is_ok());
+            let (adaptive, _) = c.visit_counts();
+            assert_eq!(adaptive, c.tracks_per_round * (1 + c.lambda * MAX_WINDOWS));
+        }
     }
 }

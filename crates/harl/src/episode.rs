@@ -20,11 +20,14 @@ use harl_tensor_ir::{
 use harl_verify::{check_finite, Analyzer, LintCode, LintStats};
 
 use crate::adaptive::{critical_step_histogram, select_survivors, CriticalStep, TrackWindow};
-use crate::config::HarlConfig;
+use crate::config::{HarlConfig, MAX_WINDOWS};
 
 /// The actor's heads, one per modification type (Appendix A.1): tiling,
 /// compute-at, parallel loops, auto-unroll.
 const HEADS: usize = 4;
+
+/// Train the actor-critic every `T_rl` steps (Table 5: 2).
+pub(crate) const TRAIN_INTERVAL: usize = 2;
 
 /// One traversed schedule: an entry of Algorithm 1's heap `H`.
 #[derive(Debug)]
@@ -224,9 +227,7 @@ pub fn run_episode(
 
     let mut step = 0usize;
     let max_steps = if cfg.adaptive_stopping {
-        // safety bound: a full elimination cascade can't run longer than
-        // this many windows even with rho ≈ 0.
-        cfg.lambda * 64
+        cfg.lambda * MAX_WINDOWS
     } else {
         cfg.fixed_length
     };
@@ -428,7 +429,7 @@ pub fn run_episode(
         drop(update_span);
 
         // Train actor + critic every T_rl steps (lines 14–17).
-        if step.is_multiple_of(cfg.train_interval) {
+        if step.is_multiple_of(TRAIN_INTERVAL) {
             let _train_span = tracer.span("ppo_train");
             for _ in 0..cfg.train_epochs.max(1) {
                 agent.train_step(rng);
@@ -641,10 +642,7 @@ mod tests {
         let (g, sk, plan, mut agent, mut rng) = setup();
         let cost = CostModel::new(GbtParams::default());
         let an = Analyzer::for_target(Target::Cpu);
-        let cfg = HarlConfig {
-            train_interval: 2,
-            ..HarlConfig::tiny()
-        };
+        let cfg = HarlConfig::tiny();
         let before = agent.num_updates();
         run_episode(
             &g,

@@ -16,9 +16,11 @@
 //! * **Baselines** — Ansor and the Flextensor-like fixed-length tuner
 //!   ([`ansor`]), MCTS and coordinate descent ([`mcts`]).
 //!
-//! All Table 5 hyper-parameters live in [`config::HarlConfig`]; ablation
-//! toggles (`adaptive_stopping`, `subgraph_mab`, `sketch_mab`) reproduce the
-//! paper's §6 ablations.
+//! The Table 5 hyper-parameters a caller varies live in
+//! [`config::HarlConfig`], the rest are named constants (see its module
+//! doc); the toggles (`adaptive_stopping`, `subgraph_mab`) and `mab_kind`
+//! (`Uniform` for the sketch level's ablation) reproduce the paper's §6
+//! ablations.
 
 pub mod adaptive;
 pub mod ansor;

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use harl_store::MeasureRecord;
 use harl_tensor_ir::factorization::move_smallest_factor;
 use harl_tensor_ir::{Schedule, Sketch, Target};
-use harl_tensor_sim::{ConfigError, TuneTrace};
+use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
 use harl_verify::LintStats;
 
 use crate::search::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
@@ -30,8 +30,6 @@ pub struct FinetuneConfig {
     pub max_trials: usize,
     /// Full sweeps over all axes before declaring convergence.
     pub max_sweeps: usize,
-    /// Simulated seconds of bookkeeping charged per sweep.
-    pub sweep_overhead: f64,
 }
 
 impl Default for FinetuneConfig {
@@ -39,7 +37,6 @@ impl Default for FinetuneConfig {
         FinetuneConfig {
             max_trials: 64,
             max_sweeps: 4,
-            sweep_overhead: 0.5,
         }
     }
 }
@@ -49,12 +46,6 @@ impl FinetuneConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.max_sweeps == 0 {
             return Err(ConfigError::new("finetune.max_sweeps", "must be positive"));
-        }
-        if !self.sweep_overhead.is_finite() || self.sweep_overhead < 0.0 {
-            return Err(ConfigError::new(
-                "finetune.sweep_overhead",
-                "must be finite and non-negative",
-            ));
         }
         Ok(())
     }
@@ -212,12 +203,6 @@ pub fn coordinate_descent(
 pub struct CdConfig {
     /// Measurement budget per round (one restart per round).
     pub measure_per_round: usize,
-    /// Axis sweeps per restart.
-    pub max_sweeps: usize,
-    /// Simulated seconds of fixed overhead charged per round.
-    pub round_overhead: f64,
-    /// Simulated bookkeeping seconds charged per sweep.
-    pub sweep_overhead: f64,
     /// RNG seed (restart sampling only; the descent itself is RNG-free).
     pub seed: u64,
 }
@@ -226,9 +211,6 @@ impl Default for CdConfig {
     fn default() -> Self {
         CdConfig {
             measure_per_round: 16,
-            max_sweeps: 3,
-            round_overhead: 1.0,
-            sweep_overhead: 0.5,
             seed: 0xcd,
         }
     }
@@ -240,20 +222,13 @@ impl CdConfig {
         if self.measure_per_round == 0 {
             return Err(ConfigError::new("cd.measure_per_round", "must be positive"));
         }
-        if self.max_sweeps == 0 {
-            return Err(ConfigError::new("cd.max_sweeps", "must be positive"));
-        }
-        for (field, v) in [
-            ("cd.round_overhead", self.round_overhead),
-            ("cd.sweep_overhead", self.sweep_overhead),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(ConfigError::new(field, "must be finite and non-negative"));
-            }
-        }
         Ok(())
     }
 }
+
+/// Axis sweeps per restart (a fine-tune phase takes
+/// [`FinetuneConfig::max_sweeps`]).
+const CD_MAX_SWEEPS: usize = 3;
 
 /// Serializable snapshot of a [`CdTuner`]'s mutable search state (see
 /// [`Proposer::State`]).
@@ -330,8 +305,7 @@ impl Proposer for CdProposer {
 
         let descend_cfg = FinetuneConfig {
             max_trials: k,
-            max_sweeps: self.cfg.max_sweeps,
-            sweep_overhead: self.cfg.sweep_overhead,
+            max_sweeps: CD_MAX_SWEEPS,
         };
         let out = core.descend(&descend_cfg, start, f64::INFINITY);
         if out.trials == 0 {
@@ -339,7 +313,7 @@ impl Proposer for CdProposer {
         }
         self.restarts += 1;
         core.end_round(
-            self.cfg.round_overhead + self.cfg.sweep_overhead * out.sweeps as f64,
+            PRICES.cd_round_overhead + PRICES.sweep_overhead * out.sweeps as f64,
             out.trials as u64,
         );
         out.trials
@@ -525,7 +499,6 @@ mod tests {
         #[rustfmt::skip]
         let bad = [
             ("finetune.max_sweeps", FinetuneConfig { max_sweeps: 0, ..ft() }),
-            ("finetune.sweep_overhead", FinetuneConfig { sweep_overhead: -1.0, ..ft() }),
         ];
         for (field, cfg) in bad {
             assert_eq!(cfg.validate().unwrap_err().field, field);
@@ -535,7 +508,6 @@ mod tests {
         #[rustfmt::skip]
         let bad = [
             ("cd.measure_per_round", CdConfig { measure_per_round: 0, ..cd() }),
-            ("cd.round_overhead", CdConfig { round_overhead: f64::NAN, ..cd() }),
         ];
         for (field, cfg) in bad {
             assert_eq!(cfg.validate().unwrap_err().field, field);

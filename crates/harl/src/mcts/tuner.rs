@@ -17,7 +17,7 @@ use harl_gbt::{CostModel, GbtParams, ScoringPipeline};
 use harl_obs::Tracer;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::{mutate, Schedule};
-use harl_tensor_sim::{ConfigError, TuneTrace};
+use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
 use harl_verify::LintStats;
 
 use crate::search::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
@@ -29,20 +29,8 @@ pub struct MctsConfig {
     pub measure_per_round: usize,
     /// UCT playouts per round.
     pub playouts_per_round: usize,
-    /// Random modifications applied per rollout.
-    pub rollout_depth: usize,
-    /// UCB1 exploration constant `c`.
-    pub exploration: f64,
-    /// Progressive-widening cap: children per node.
-    pub max_children: usize,
-    /// Tree-size cap; expansion stops (rollouts continue) once reached.
-    pub max_nodes: usize,
     /// Cost-model parameters.
     pub gbt: GbtParams,
-    /// Simulated seconds of fixed algorithm overhead charged per round.
-    pub round_overhead: f64,
-    /// Simulated seconds per cost-model evaluation during playouts.
-    pub eval_cost: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -52,13 +40,7 @@ impl Default for MctsConfig {
         MctsConfig {
             measure_per_round: 64,
             playouts_per_round: 128,
-            rollout_depth: 4,
-            exploration: 1.4,
-            max_children: 8,
-            max_nodes: 4096,
             gbt: GbtParams::default(),
-            round_overhead: 2.0,
-            eval_cost: 5e-4,
             seed: 0x3c75,
         }
     }
@@ -70,33 +52,23 @@ impl MctsConfig {
         for (field, v) in [
             ("mcts.measure_per_round", self.measure_per_round),
             ("mcts.playouts_per_round", self.playouts_per_round),
-            ("mcts.rollout_depth", self.rollout_depth),
-            ("mcts.max_children", self.max_children),
         ] {
             if v == 0 {
                 return Err(ConfigError::new(field, "must be positive"));
             }
         }
-        if self.max_nodes < 2 {
-            return Err(ConfigError::new("mcts.max_nodes", "must be at least 2"));
-        }
-        if !self.exploration.is_finite() || self.exploration < 0.0 {
-            return Err(ConfigError::new(
-                "mcts.exploration",
-                "must be finite and non-negative",
-            ));
-        }
-        for (field, v) in [
-            ("mcts.round_overhead", self.round_overhead),
-            ("mcts.eval_cost", self.eval_cost),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(ConfigError::new(field, "must be finite and non-negative"));
-            }
-        }
         Ok(())
     }
 }
+
+/// Random modifications applied per rollout.
+const ROLLOUT_DEPTH: usize = 4;
+/// UCB1 exploration constant `c`.
+const EXPLORATION: f64 = 1.4;
+/// Progressive-widening cap: children per node.
+const MAX_CHILDREN: usize = 8;
+/// Tree-size cap; expansion stops (rollouts continue) once reached.
+const MAX_NODES: usize = 4096;
 
 /// One node of the modification tree: a complete schedule reached by a
 /// chain of single modifications from its sketch's root schedule.
@@ -210,7 +182,7 @@ impl MctsProposer {
         let grafts = std::mem::take(&mut self.warm_seeds);
         for s in grafts {
             let root = self.roots[s.sketch_id];
-            if self.nodes[root].children.len() >= self.cfg.max_children {
+            if self.nodes[root].children.len() >= MAX_CHILDREN {
                 continue;
             }
             let idx = self.nodes.len();
@@ -232,8 +204,7 @@ impl MctsProposer {
             return f64::INFINITY;
         }
         let mean = n.total_reward / n.visits as f64;
-        let bonus =
-            self.cfg.exploration * (((parent_visits.max(1)) as f64).ln() / n.visits as f64).sqrt();
+        let bonus = EXPLORATION * (((parent_visits.max(1)) as f64).ln() / n.visits as f64).sqrt();
         mean + bonus
     }
 
@@ -252,9 +223,9 @@ impl MctsProposer {
         }
         loop {
             let node = &self.nodes[cur];
-            let widen = node.children.len() < self.cfg.max_children
+            let widen = node.children.len() < MAX_CHILDREN
                 && node.children.len() as u64 <= node.visits
-                && self.nodes.len() < self.cfg.max_nodes;
+                && self.nodes.len() < MAX_NODES;
             if widen || node.children.is_empty() {
                 return cur;
             }
@@ -275,9 +246,7 @@ impl MctsProposer {
     /// child index, or `None` when every attempt was a lint reject, a
     /// sibling duplicate, or the tree is full.
     fn expand(&mut self, core: &mut SearchCore<'_>, at: usize) -> Option<usize> {
-        if self.nodes.len() >= self.cfg.max_nodes
-            || self.nodes[at].children.len() >= self.cfg.max_children
-        {
+        if self.nodes.len() >= MAX_NODES || self.nodes[at].children.len() >= MAX_CHILDREN {
             return None;
         }
         let sid = self.nodes[at].schedule.sketch_id;
@@ -361,7 +330,7 @@ impl Proposer for MctsProposer {
             // rollout: a short chain of random modifications from the leaf
             let sid = self.nodes[leaf].schedule.sketch_id;
             let mut path = vec![self.nodes[leaf].schedule.clone()];
-            for _ in 1..self.cfg.rollout_depth {
+            for _ in 1..ROLLOUT_DEPTH {
                 let cand = mutate(
                     &core.sketches[sid],
                     core.target(),
@@ -448,7 +417,7 @@ impl Proposer for MctsProposer {
 
         // simulated algorithm overhead: fixed + per-model-evaluation
         core.end_round(
-            self.cfg.round_overhead + scored_evals as f64 * self.cfg.eval_cost,
+            PRICES.round_overhead + scored_evals as f64 * PRICES.eval_cost,
             picks.len() as u64,
         );
         picks.len()
@@ -643,9 +612,6 @@ mod tests {
         let bad = [
             ("mcts.measure_per_round", MctsConfig { measure_per_round: 0, ..base() }),
             ("mcts.playouts_per_round", MctsConfig { playouts_per_round: 0, ..base() }),
-            ("mcts.exploration", MctsConfig { exploration: f64::NAN, ..base() }),
-            ("mcts.max_nodes", MctsConfig { max_nodes: 1, ..base() }),
-            ("mcts.eval_cost", MctsConfig { eval_cost: -1.0, ..base() }),
         ];
         for (field, cfg) in bad {
             assert_eq!(cfg.validate().unwrap_err().field, field);

@@ -16,8 +16,8 @@ use harl_tensor_ir::Subgraph;
 use harl_tensor_sim::{Measurer, TuneTrace};
 
 use crate::ansor::{
-    task_gradient, weighted_latency, AnsorConfig, AnsorProposer, GradientParams,
-    GreedyTaskScheduler, TaskInfo, TaskState,
+    task_gradient, weighted_latency, AnsorConfig, AnsorProposer, GreedyTaskScheduler, TaskInfo,
+    TaskState,
 };
 use crate::config::HarlConfig;
 use crate::search::{Proposer, Searcher};
@@ -40,11 +40,7 @@ enum TaskPolicy {
     Greedy(GreedyTaskScheduler),
     /// The subgraph-level bandit `π_t(n)`, rewarded with the pulled arm's
     /// normalized Eq. 3 gradient.
-    Bandit {
-        bandit: AnyBandit,
-        grad: GradientParams,
-        rng: StdRng,
-    },
+    Bandit { bandit: AnyBandit, rng: StdRng },
 }
 
 /// End-to-end network tuner: one `P` searcher per subgraph sharing a
@@ -83,11 +79,10 @@ impl<'m> HarlNetworkTuner<'m> {
         let policy = if cfg.subgraph_mab {
             TaskPolicy::Bandit {
                 bandit: cfg.bandit(subgraphs.len()),
-                grad: cfg.grad,
                 rng: StdRng::seed_from_u64(cfg.seed ^ NET_SEED),
             }
         } else {
-            TaskPolicy::Greedy(GreedyTaskScheduler::new(cfg.grad))
+            TaskPolicy::Greedy(GreedyTaskScheduler::new())
         };
         Self::with_policy(subgraphs, measurer, policy, |i| HarlConfig {
             seed: cfg.seed.wrapping_add(i * 0x51ed),
@@ -98,13 +93,8 @@ impl<'m> HarlNetworkTuner<'m> {
 
 impl<'m> AnsorNetworkTuner<'m> {
     /// Creates one Ansor tuner per subgraph sharing `measurer`.
-    pub fn new(
-        subgraphs: Vec<Subgraph>,
-        measurer: &'m Measurer,
-        cfg: AnsorConfig,
-        grad: GradientParams,
-    ) -> Self {
-        let policy = TaskPolicy::Greedy(GreedyTaskScheduler::new(grad));
+    pub fn new(subgraphs: Vec<Subgraph>, measurer: &'m Measurer, cfg: AnsorConfig) -> Self {
+        let policy = TaskPolicy::Greedy(GreedyTaskScheduler::new());
         Self::with_policy(subgraphs, measurer, policy, |i| AnsorConfig {
             seed: cfg.seed.wrapping_add(i * 0x9e37),
             ..cfg.clone()
@@ -184,9 +174,9 @@ impl<'m, P: Proposer> NetworkTuner<'m, P> {
         self.total_trials_used += used;
 
         // reward: the normalized Eq. 3 gradient of the pulled arm
-        if let TaskPolicy::Bandit { bandit, grad, .. } = &mut self.policy {
+        if let TaskPolicy::Bandit { bandit, .. } = &mut self.policy {
             let grads: Vec<f64> = (0..self.infos.len())
-                .map(|i| task_gradient(&self.infos, &self.states, i, grad))
+                .map(|i| task_gradient(&self.infos, &self.states, i))
                 .collect();
             let gmax = grads
                 .iter()
@@ -296,11 +286,10 @@ mod tests {
             evo: crate::ansor::EvoConfig {
                 population: 64,
                 generations: 2,
-                ..Default::default()
             },
             ..Default::default()
         };
-        let mut nt = AnsorNetworkTuner::new(graphs(), &measurer, cfg, GradientParams::default());
+        let mut nt = AnsorNetworkTuner::new(graphs(), &measurer, cfg);
         nt.tune(32 * 6);
         let alloc = nt.allocations();
         assert!(

@@ -26,7 +26,7 @@ use harl_obs::Tracer;
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::{generate_sketches, FeaturePlan, Schedule, Sketch, Subgraph, Target};
-use harl_tensor_sim::{ConfigError, Measurement, Measurer, TuneTrace};
+use harl_tensor_sim::{ConfigError, Measurement, Measurer, TuneTrace, PRICES};
 use harl_verify::{Analyzer, LintStats};
 
 use crate::mcts::{coordinate_descent, DescentOutcome, FinetuneConfig};
@@ -354,7 +354,7 @@ impl<'m> SearchCore<'m> {
         };
         let out = self.descend(cfg, start, self.best_time);
         self.measurer
-            .charge_search_time(cfg.sweep_overhead * out.sweeps as f64);
+            .charge_search_time(PRICES.sweep_overhead * out.sweeps as f64);
         self.trials_used += out.trials as u64;
         if out.trials > 0 {
             self.trace_point();

@@ -3,7 +3,7 @@
 //! training (Algorithm 1's outer loop, §4).
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::bandit::{AnyBandit, Bandit};
@@ -12,7 +12,7 @@ use harl_nnet::PpoAgent;
 use harl_obs::{FieldValue, Tracer};
 use harl_store::MeasureRecord;
 use harl_tensor_ir::{ActionSpace, Schedule};
-use harl_tensor_sim::{ConfigError, TuneTrace};
+use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
 use harl_verify::{check_finite, LintCode, LintStats};
 
 use crate::adaptive::CriticalStep;
@@ -151,11 +151,7 @@ impl Proposer for HarlProposer {
         // --- sketch selection (§4.1, Eq. 2) -------------------------------
         let sketch_id = {
             let _pick_span = core.tracer().span("sketch_pick");
-            if self.cfg.sketch_mab {
-                self.sketch_bandit.select(&mut self.rng)
-            } else {
-                self.rng.gen_range(0..core.sketches.len())
-            }
+            self.sketch_bandit.select(&mut self.rng)
         };
 
         // --- parameter modification phase (Algorithm 1) --------------------
@@ -235,9 +231,9 @@ impl Proposer for HarlProposer {
         });
         // simulated algorithm overhead: fixed + per-evaluation + per-RL-step
         core.end_round(
-            self.cfg.round_overhead
-                + episode.visited.len() as f64 * self.cfg.eval_cost
-                + episode.steps as f64 * self.cfg.ppo_step_cost,
+            PRICES.round_overhead
+                + episode.visited.len() as f64 * PRICES.eval_cost
+                + episode.steps as f64 * PRICES.ppo_step,
             picks.len() as u64,
         );
         picks.len()
@@ -434,6 +430,18 @@ mod tests {
         }
         let pulls = t.proposer().sketch_pulls();
         assert!(pulls.iter().all(|&p| p > 0.0), "sketch pulls {pulls:?}");
+    }
+
+    #[test]
+    fn the_sketch_bandit_is_the_configured_sw_ucb() {
+        let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        let cfg = HarlConfig {
+            mab_kind: crate::bandit::BanditKind::SwUcb { c: 0.5, tau: 64 },
+            ..HarlConfig::tiny()
+        };
+        let t = HarlOperatorTuner::new(workload::gemm(128, 128, 128), &measurer, cfg);
+        let bandit = serde_json::to_string(&t.checkpoint_state().sketch_bandit).unwrap();
+        assert!(bandit.contains(r#""c":0.5,"tau":64,"#), "{bandit}");
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! (`Measurer::new`, `PpoAgent::new`, `Searcher::new`,
 //! `SearchCore::finetune`) call it and panic with the error's `Display`,
 //! so a bad value stops at construction instead of mid-search.
+//!
+//! A config field exists only where two non-test callers set different
+//! values. A value that every caller leaves at its default is a named
+//! `const` beside the code that reads it, and a price of the simulated
+//! clock is an entry of [`crate::measure::PRICES`].
 
 use std::fmt;
 

@@ -14,6 +14,8 @@ pub mod trace;
 
 pub use config::ConfigError;
 pub use hardware::{CpuModel, GpuModel, Hardware};
-pub use measure::{MeasureConfig, MeasureEvent, Measurement, Measurer, MeasurerState, RecordSink};
+pub use measure::{
+    MeasureConfig, MeasureEvent, Measurement, Measurer, MeasurerState, RecordSink, PRICES,
+};
 pub use rugged::{mix64, rugged_factor, unit_hash};
 pub use trace::{TracePoint, TuneTrace};

@@ -30,10 +30,6 @@ fn trials_counter() -> &'static harl_obs::Counter {
 pub struct MeasureConfig {
     /// Relative noise (std-dev of the multiplicative lognormal term).
     pub noise: f64,
-    /// Minimum seconds of repeated execution per measurement (`r_min`).
-    pub r_min: f64,
-    /// Simulated compile + RPC overhead per measurement, seconds.
-    pub build_overhead: f64,
     /// RNG seed for the noise stream.
     pub seed: u64,
 }
@@ -42,8 +38,6 @@ impl Default for MeasureConfig {
     fn default() -> Self {
         MeasureConfig {
             noise: 0.02,
-            r_min: 1.0,
-            build_overhead: 0.5,
             seed: 0x4a11,
         }
     }
@@ -52,17 +46,11 @@ impl Default for MeasureConfig {
 impl MeasureConfig {
     /// Checks every field against its constraint.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        for (field, v) in [
-            ("measure.noise", self.noise),
-            ("measure.r_min", self.r_min),
-            ("measure.build_overhead", self.build_overhead),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(ConfigError::new(
-                    field,
-                    format!("must be finite and >= 0, got {v}"),
-                ));
-            }
+        if !self.noise.is_finite() || self.noise < 0.0 {
+            return Err(ConfigError::new(
+                "measure.noise",
+                format!("must be finite and >= 0, got {}", self.noise),
+            ));
         }
         Ok(())
     }
@@ -117,6 +105,48 @@ pub struct MeasurerState {
     /// Simulated seconds elapsed.
     pub sim_seconds: f64,
 }
+
+/// What the simulated search clock charges, in simulated seconds. A
+/// measurement costs `max(r_min, t) + build_overhead` for an execution
+/// time `t`; every other price reaches the clock through
+/// [`Measurer::charge_search_time`]. HARL, Ansor and MCTS pay the same
+/// round and evaluation prices because they read the same entries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClockPrices {
+    /// Minimum seconds of repeated execution per measurement (`r_min`,
+    /// Table 5).
+    pub r_min: f64,
+    /// Compile + RPC overhead per measurement.
+    pub build_overhead: f64,
+    /// Fixed overhead of one HARL, Ansor or MCTS round (cost-model
+    /// retrain, bookkeeping).
+    pub round_overhead: f64,
+    /// One cost-model evaluation during a HARL episode, an Ansor
+    /// evolution or an MCTS playout. Longer HARL episodes (larger λ,
+    /// lower ρ) therefore cost proportionally more search time, which is
+    /// what Tables 7–8 measure.
+    pub eval_cost: f64,
+    /// One step of a HARL episode (the actor-critic's share of it).
+    pub ppo_step: f64,
+    /// One training step of the Flextensor agent.
+    pub flextensor_train_step: f64,
+    /// Fixed overhead of one coordinate-descent restart.
+    pub cd_round_overhead: f64,
+    /// One coordinate-descent sweep, in a restart or a fine-tune phase.
+    pub sweep_overhead: f64,
+}
+
+/// The prices of the simulated clock (see [`ClockPrices`]).
+pub const PRICES: ClockPrices = ClockPrices {
+    r_min: 1.0,
+    build_overhead: 0.5,
+    round_overhead: 2.0,
+    eval_cost: 5e-4,
+    ppo_step: 0.02,
+    flextensor_train_step: 0.3,
+    cd_round_overhead: 1.0,
+    sweep_overhead: 0.5,
+};
 
 /// Measures schedules on a [`Hardware`] model while accounting simulated
 /// search time. Thread-safe: batch measurement fans out across threads.
@@ -202,7 +232,7 @@ impl Measurer {
     }
 
     /// Charges non-measurement search time (e.g. RL training, evolution)
-    /// to the simulated clock.
+    /// to the simulated clock, priced from [`PRICES`].
     pub fn charge_search_time(&self, seconds: f64) {
         self.state
             .lock()
@@ -224,7 +254,7 @@ impl Measurer {
         let noisy = t * lognormal_factor(&mut st.rng, self.cfg.noise);
         st.trials += 1;
         // repeated execution until r_min seconds have elapsed, plus build
-        st.sim_seconds += self.cfg.r_min.max(t) + self.cfg.build_overhead;
+        st.sim_seconds += PRICES.r_min.max(t) + PRICES.build_overhead;
         drop(st);
         trials_counter().inc();
         let flops_per_sec = graph.flops() / noisy;
@@ -264,7 +294,7 @@ impl Measurer {
         for (s, t) in schedules.iter().zip(times) {
             let noisy = t * lognormal_factor(&mut st.rng, self.cfg.noise);
             st.trials += 1;
-            st.sim_seconds += self.cfg.r_min.max(t) + self.cfg.build_overhead;
+            st.sim_seconds += PRICES.r_min.max(t) + PRICES.build_overhead;
             out.push(Measurement {
                 schedule: s.clone(),
                 time: noisy,
@@ -404,8 +434,6 @@ mod tests {
         #[rustfmt::skip]
         let bad = [
             ("measure.noise", MeasureConfig { noise: -0.1, ..base() }),
-            ("measure.r_min", MeasureConfig { r_min: f64::NAN, ..base() }),
-            ("measure.build_overhead", MeasureConfig { build_overhead: -1.0, ..base() }),
         ];
         for (field, cfg) in bad {
             assert_eq!(cfg.validate().unwrap_err().field, field);

@@ -216,8 +216,8 @@ fn a_bad_config_field_panics_at_construction_by_name_and_every_preset_constructs
         ("ansor.measure_per_round", Box::new(|| { AnsorTuner::new(g(), &m, AnsorConfig { measure_per_round: 0, ..Default::default() }); })),
         ("flextensor.tracks", Box::new(|| { FlextensorTuner::new(g(), &m, FlextensorConfig { tracks: 0, ..Default::default() }); })),
         ("ppo.lr_actor", Box::new(|| { FlextensorTuner::new(g(), &m, FlextensorConfig { ppo: bad_ppo(), ..Default::default() }); })),
-        ("mcts.max_nodes", Box::new(|| { MctsTuner::new(g(), &m, MctsConfig { max_nodes: 1, ..Default::default() }); })),
-        ("cd.max_sweeps", Box::new(|| { CdTuner::new(g(), &m, CdConfig { max_sweeps: 0, ..Default::default() }); })),
+        ("mcts.playouts_per_round", Box::new(|| { MctsTuner::new(g(), &m, MctsConfig { playouts_per_round: 0, ..Default::default() }); })),
+        ("cd.measure_per_round", Box::new(|| { CdTuner::new(g(), &m, CdConfig { measure_per_round: 0, ..Default::default() }); })),
         ("ppo.lr_actor", Box::new(|| { agent(bad_ppo()); })),
         ("ppo.minibatch", Box::new(|| { agent(PpoConfig { minibatch: 0, ..Default::default() }); })),
         ("measure.noise", Box::new(|| { Measurer::new(Hardware::cpu(), MeasureConfig { noise: -0.1, ..Default::default() }); })),

@@ -287,13 +287,11 @@ fn ansor_network_matches_golden() {
         evo: harl_repro::ansor::EvoConfig {
             population: 64,
             generations: 2,
-            ..Default::default()
         },
         ..Default::default()
     };
-    let grad = harl_repro::ansor::GradientParams::default();
     assert_eq!(
-        net_golden!(AnsorNetworkTuner::new(net_graphs(), &m, cfg, grad), m),
+        net_golden!(AnsorNetworkTuner::new(net_graphs(), &m, cfg), m),
         NetGolden {
             rounds: 9,
             digest: 1435409793717632684,
