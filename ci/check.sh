@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide quality gate, staged:
 #
-#   ci/check.sh                  run every stage (fmt -> lint -> test -> smoke -> tournament -> analyze)
+#   ci/check.sh                  run every stage (fmt -> lint -> test -> smoke -> analyze)
 #   ci/check.sh --stage lint     run one stage
 #
 #   fmt         cargo fmt --check
@@ -10,11 +10,10 @@
 #   smoke       benchmark gate (ci/bench_gate.sh), benchmark/run.sh --smoke +
 #               benchmark tests, lint-schedules, traced quickstart, serve
 #               (bench-load included) + federation runs
-#   tournament  five-searcher tournament self-checks
 #   analyze     --cfg harl_check tests and schedule explorations (+ miri/TSan if present)
 #
 # Stages live in their own scripts (ci/fmt.sh, ci/lint.sh, ci/test.sh,
-# ci/smoke.sh, ci/tournament.sh, ci/analyze.sh) so CI systems can run them
+# ci/smoke.sh, ci/analyze.sh) so CI systems can run them
 # as separate fail-fast jobs; this orchestrator adds per-stage timing lines
 # and a summary table, exiting non-zero when any stage failed. Pass
 # --offline (the default when the registry is unreachable) through
@@ -23,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: ci/check.sh [--stage fmt|lint|test|smoke|tournament|analyze|all]" >&2
+    echo "usage: ci/check.sh [--stage fmt|lint|test|smoke|analyze|all]" >&2
     exit 2
 }
 
@@ -36,8 +35,8 @@ elif [ $# -ge 1 ]; then
 fi
 
 case "$STAGE" in
-fmt | lint | test | smoke | tournament | analyze) STAGES=("$STAGE") ;;
-all) STAGES=(fmt lint test smoke tournament analyze) ;;
+fmt | lint | test | smoke | analyze) STAGES=("$STAGE") ;;
+all) STAGES=(fmt lint test smoke analyze) ;;
 *) usage ;;
 esac
 

@@ -172,6 +172,27 @@ if [ "$unused" -ne 0 ]; then
     exit 1
 fi
 
+echo "==> no stale example"
+# a command or path naming an example the tree no longer has is a recipe
+# that fails when someone follows it: every `--example <name>` and
+# `examples/<name>.rs` cited by the CI scripts and workflows, the top-level
+# docs, the benchmark's README and sources, and the skill notes must name a
+# file under examples/
+stale=0
+while IFS=: read -r file line name; do
+    if [ ! -f "examples/$name.rs" ]; then
+        echo "$file:$line: cites examples/$name.rs, which does not exist"
+        stale=1
+    fi
+done < <(grep -rnoE -- '--example +[a-z0-9_]+|examples/[a-z0-9_]+\.rs' \
+    ci/*.sh .github/workflows/*.yml README.md DESIGN.md benchmark/README.md \
+    benchmark/src .claude/skills/*/SKILL.md |
+    sed -E 's/--example +//; s#examples/([a-z0-9_]+)\.rs#\1#')
+if [ "$stale" -ne 0 ]; then
+    echo "FAIL: a stale example citation (point it at a file under examples/ or at the experiments binary)"
+    exit 1
+fi
+
 echo "==> shellcheck ci/*.sh"
 if command -v shellcheck >/dev/null 2>&1; then
     shellcheck ci/*.sh ci/github/*.sh

@@ -59,6 +59,7 @@ row ".rs files in crates src examples tests naming a pool or width setter:" \
 # bench-only code and committed micro-bench numbers
 row "*.rs lines under crates/bench/benches and shims/criterion:" \
     "$(find crates/bench/benches shims/criterion -name '*.rs' -exec cat {} + 2>/dev/null | wc -l)"
+row ".rs lines under examples/:" "$(find examples -name '*.rs' -exec cat {} + | wc -l)"
 row "BENCH_*.json files at the root and under ci/:" \
     "$(find . ci -maxdepth 1 -name 'BENCH_*.json' | wc -l)"
 

@@ -33,10 +33,7 @@ pub struct AblationSweep {
 }
 
 fn run_variant(scale: &Scale, cfg: HarlConfig, label: &str) -> (String, f64, u64) {
-    let g = operator_suite(OperatorClass::GemmM, 1)
-        .into_iter()
-        .next()
-        .expect("suite non-empty");
+    let g = operator_suite(OperatorClass::GemmM, 1).remove(0);
     let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
     let mut t = HarlOperatorTuner::new(g, &m, cfg);
     t.tune(scale.op_trials);

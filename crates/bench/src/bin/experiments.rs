@@ -1,70 +1,56 @@
-//! Regenerates every figure and table of the paper's evaluation.
+//! Regenerates every figure and table of the paper's evaluation, and the
+//! five-searcher tournament.
 //!
 //! ```text
 //! experiments [EXPERIMENTS...] [--paper] [--trials N] [--net-trials N]
 //!             [--seed S] [--out DIR]
-//!
-//! EXPERIMENTS: fig1a fig1b fig1c fig5 fig6 fig7a fig7b fig8 fig9 fig10
-//!              table4 table7 table8 all      (default: all)
-//! --paper       paper-scale budgets (1000 trials/operator, 12k-22k/network)
-//! --trials N    override trials per operator run
-//! --net-trials N  override trials per network run
-//! --seed S      RNG seed (default 2026)
-//! --out DIR     JSON output directory (default results/)
 //! ```
+//!
+//! `experiments --help` lists the experiments. A bad argument exits 2 with
+//! the usage text; a JSON file that cannot be written exits 1.
 
-use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::Path;
 
-use harl_bench::scale::Scale;
-use harl_bench::{ablation, fig1, networks, operators, save_json};
+use harl_bench::cli::{parse_args, Args, HELP};
+use harl_bench::{ablation, fig1, networks, operators, save_json, tournament, Scale};
 use harl_tensor_ir::models::bert;
 use harl_tensor_sim::Hardware;
+use serde::Serialize;
+
+/// Writes one result file, or exits 1 naming it.
+fn save<T: Serialize>(out_dir: &Path, name: &str, value: &T) {
+    if let Err(e) = save_json(out_dir, name, value) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Runs experiment `name` if it was asked for: its table to stdout, its
+/// result to `<out>/<name>.json`.
+fn run<T: Serialize>(
+    args: &Args,
+    name: &str,
+    go: impl FnOnce(&Scale) -> T,
+    render: impl FnOnce(&T) -> String,
+) {
+    if args.experiments.contains(name) {
+        eprintln!("# running {name}...");
+        let r = go(&args.scale);
+        println!("{}", render(&r));
+        save(&args.out_dir, name, &r);
+    }
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::fast();
-    let mut out_dir = PathBuf::from("results");
-    let mut wanted: BTreeSet<String> = BTreeSet::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--paper" => scale = Scale::paper(),
-            "--trials" => {
-                i += 1;
-                scale.op_trials = args[i].parse().expect("--trials N");
-            }
-            "--net-trials" => {
-                i += 1;
-                scale.net_trials = Some(args[i].parse().expect("--net-trials N"));
-            }
-            "--seed" => {
-                i += 1;
-                scale.seed = args[i].parse().expect("--seed S");
-            }
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(&args[i]);
-            }
-            "--help" | "-h" => {
-                println!("{}", HELP);
-                return;
-            }
-            other => {
-                wanted.insert(other.to_string());
-            }
-        }
-        i += 1;
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n\n{HELP}");
+        std::process::exit(2);
+    });
+    if args.help {
+        println!("{HELP}");
+        return;
     }
-    if wanted.is_empty() || wanted.contains("all") {
-        for e in [
-            "fig1a", "fig1b", "fig1c", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9", "fig10",
-            "table4", "table7", "table8", "ablation",
-        ] {
-            wanted.insert(e.to_string());
-        }
-    }
+    let (scale, out_dir, wanted) = (&args.scale, args.out_dir.as_path(), &args.experiments);
 
     eprintln!(
         "# scale: {} ({} trials/op, {:?} trials/net, {} shapes/class, batches {:?}, seed {})",
@@ -78,65 +64,50 @@ fn main() {
 
     let cpu = Hardware::cpu();
 
-    if wanted.contains("fig1a") {
-        eprintln!("# running fig1a (Ansor greedy allocation on BERT)...");
-        let r = fig1::fig1a(&scale);
-        println!("{}", fig1::render_fig1a(&r));
-        let _ = save_json(&out_dir, "fig1a", &r);
-    }
-    if wanted.contains("fig1b") {
-        eprintln!("# running fig1b (uniform schedule-selection improvements)...");
-        let r = fig1::fig1b(&scale);
-        println!("{}", fig1::render_fig1b(&r));
-        let _ = save_json(&out_dir, "fig1b", &r);
-    }
-    if wanted.contains("fig1c") {
-        eprintln!("# running fig1c (fixed-length critical steps)...");
-        let r = fig1::fig1c(&scale);
-        println!("{}", fig1::render_fig1c(&r));
-        let _ = save_json(&out_dir, "fig1c", &r);
-    }
+    run(&args, "fig1a", fig1::fig1a, fig1::render_fig1a);
+    run(&args, "fig1b", fig1::fig1b, fig1::render_fig1b);
+    run(&args, "fig1c", fig1::fig1c, fig1::render_fig1c);
 
     if wanted.contains("fig5") || wanted.contains("fig6") {
         eprintln!("# running fig5+fig6 (operator comparison, this is the long one)...");
-        let r = operators::operator_comparison(&scale, &cpu);
+        let r = operators::operator_comparison(scale, &cpu);
         if wanted.contains("fig5") {
             println!("{}", operators::render_fig5(&r));
         }
         if wanted.contains("fig6") {
             println!("{}", operators::render_fig6(&r));
         }
-        let _ = save_json(&out_dir, "fig5_fig6", &r);
+        save(out_dir, "fig5_fig6", &r);
     }
 
     if wanted.contains("fig7a") || wanted.contains("fig7b") {
         eprintln!("# running fig7 (ablation on GEMM-L)...");
-        let (a, b) = operators::fig7a(&scale, &cpu);
+        let (a, b) = operators::fig7a(scale, &cpu);
         if wanted.contains("fig7a") {
             println!("{}", operators::render_fig7a(&a));
         }
         if wanted.contains("fig7b") {
             println!("{}", operators::render_fig7b(&b));
         }
-        let _ = save_json(&out_dir, "fig7a", &a);
-        let _ = save_json(&out_dir, "fig7b", &b);
+        save(out_dir, "fig7a", &a);
+        save(out_dir, "fig7b", &b);
     }
 
     if wanted.contains("fig8") || wanted.contains("fig9") {
         eprintln!("# running fig8+fig9 (network comparison: 3 nets x CPU/GPU)...");
-        let r = networks::network_comparison(&scale);
+        let r = networks::network_comparison(scale);
         if wanted.contains("fig8") {
             println!("{}", networks::render_fig8(&r));
         }
         if wanted.contains("fig9") {
             println!("{}", networks::render_fig9(&r));
         }
-        let _ = save_json(&out_dir, "fig8_fig9", &r);
+        save(out_dir, "fig8_fig9", &r);
     }
 
     if wanted.contains("fig10") || wanted.contains("table4") {
         eprintln!("# running fig10+table4 (BERT study with subgraph-MAB ablation)...");
-        let r = networks::bert_study(&scale);
+        let r = networks::bert_study(scale);
         if wanted.contains("table4") {
             println!("{}", networks::render_table4(&r));
         }
@@ -144,55 +115,36 @@ fn main() {
             let names: Vec<String> = bert(1).iter().map(|g| g.name.clone()).collect();
             println!("{}", networks::render_fig10(&r, &names));
         }
-        let _ = save_json(&out_dir, "table4_fig10", &r);
+        save(out_dir, "table4_fig10", &r);
     }
 
-    if wanted.contains("table7") {
-        eprintln!("# running table7 (lambda sensitivity)...");
-        let r = operators::table7(&scale, &cpu);
-        println!(
-            "{}",
-            operators::render_sensitivity(&r, "Table 7: adaptive-stopping window size λ")
-        );
-        let _ = save_json(&out_dir, "table7", &r);
-    }
-    if wanted.contains("table8") {
-        eprintln!("# running table8 (rho sensitivity)...");
-        let r = operators::table8(&scale, &cpu);
-        println!(
-            "{}",
-            operators::render_sensitivity(&r, "Table 8: adaptive-stopping elimination ratio ρ")
-        );
-        let _ = save_json(&out_dir, "table8", &r);
-    }
-    if wanted.contains("ablation") {
-        eprintln!("# running ablation sweeps (elite fraction / proposals / bandit kind)...");
-        let sweeps = vec![
-            ablation::ablate_elite_fraction(&scale),
-            ablation::ablate_action_samples(&scale),
-            ablation::ablate_bandit_kind(&scale),
-        ];
-        for s in &sweeps {
-            println!("{}", ablation::render_sweep(s));
-        }
-        let _ = save_json(&out_dir, "ablation", &sweeps);
-    }
+    run(
+        &args,
+        "table7",
+        |s| operators::table7(s, &cpu),
+        |r| operators::render_sensitivity(r, "Table 7: adaptive-stopping window size λ"),
+    );
+    run(
+        &args,
+        "table8",
+        |s| operators::table8(s, &cpu),
+        |r| operators::render_sensitivity(r, "Table 8: adaptive-stopping elimination ratio ρ"),
+    );
+    let sweeps = |s: &Scale| {
+        vec![
+            ablation::ablate_elite_fraction(s),
+            ablation::ablate_action_samples(s),
+            ablation::ablate_bandit_kind(s),
+        ]
+    };
+    run(&args, "ablation", sweeps, |r| {
+        r.iter()
+            .map(ablation::render_sweep)
+            .collect::<Vec<_>>()
+            .join("\n")
+    });
+    run(&args, "tournament", tournament::tournament, |r| {
+        tournament::render_tournament(r)
+    });
     eprintln!("# done; JSON results in {}", out_dir.display());
 }
-
-const HELP: &str = "\
-experiments — regenerate the HARL paper's figures and tables
-
-USAGE:
-  experiments [EXPERIMENTS...] [--paper] [--trials N] [--net-trials N]
-              [--seed S] [--out DIR]
-
-EXPERIMENTS (default: all)
-  fig1a fig1b fig1c   motivating observations (Section 2.2)
-  fig5 fig6           tensor-operator performance / search time (Section 6.2)
-  fig7a fig7b         hierarchical-RL + adaptive-stopping ablation
-  fig8 fig9           end-to-end networks, CPU and GPU (Section 6.3)
-  fig10 table4        BERT subgraph study with subgraph-MAB ablation
-  table7 table8       lambda / rho sensitivity (Appendix A.4)
-  ablation            reproduction design-choice sweeps (DESIGN.md section 5)
-";

@@ -131,10 +131,7 @@ pub struct Fig1b {
 
 pub fn fig1b(scale: &Scale) -> Fig1b {
     let hw = Hardware::cpu();
-    let g = operators::operator_suite(operators::OperatorClass::GemmM, 1)
-        .into_iter()
-        .next()
-        .expect("gemm-m suite non-empty");
+    let g = operators::operator_suite(operators::OperatorClass::GemmM, 1).remove(0);
     let sketches = generate_sketches(&g, Target::Cpu);
     let mut rng = StdRng::seed_from_u64(scale.seed ^ 0x1b);
 

@@ -2,11 +2,11 @@
 
 use serde::Serialize;
 
-use harl_core::{AnsorNetworkTuner, HarlConfig, HarlNetworkTuner};
+use harl_core::{AnsorNetworkTuner, HarlConfig, HarlNetworkTuner, NetRound};
 use harl_tensor_ir::models::Network;
 use harl_tensor_sim::{Hardware, MeasureConfig, Measurer};
 
-use crate::report::{f3, fx, Table};
+use crate::report::{f3, fx, geomean, par_map, Table};
 use crate::scale::Scale;
 
 /// Relative overhead added to the estimated (sum of subgraphs) latency to
@@ -86,24 +86,25 @@ pub fn network_comparison(scale: &Scale) -> NetworkComparison {
             }
         }
     }
-    let mut pairs: Vec<Option<NetPair>> = Vec::new();
-    pairs.resize_with(jobs.len(), || None);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let chunk = jobs.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (job_chunk, out_chunk) in jobs.chunks(chunk).zip(pairs.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for ((net, hw, batch), slot) in job_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(run_net_pair(scale, *net, hw, *batch));
-                }
-            });
-        }
-    });
     NetworkComparison {
-        pairs: pairs.into_iter().flatten().collect(),
+        pairs: par_map(&jobs, |(net, hw, batch)| {
+            run_net_pair(scale, *net, hw, *batch)
+        }),
     }
+}
+
+/// Geomeans of `metric` over the CPU pairs and over the GPU pairs.
+fn per_target(c: &NetworkComparison, metric: fn(&NetPair) -> f64) -> (f64, f64) {
+    let on = |gpu: bool| {
+        let values: Vec<f64> = c
+            .pairs
+            .iter()
+            .filter(|p| p.gpu == gpu)
+            .map(metric)
+            .collect();
+        geomean(&values)
+    };
+    (on(false), on(true))
 }
 
 fn pair_label(p: &NetPair) -> String {
@@ -125,23 +126,12 @@ pub fn render_fig8(c: &NetworkComparison) -> String {
         let (a, h) = if r >= 1.0 { (1.0 / r, 1.0) } else { (1.0, r) };
         t.row(vec![pair_label(p), f3(a), f3(h), fx(r)]);
     }
-    let cpu: Vec<f64> = c
-        .pairs
-        .iter()
-        .filter(|p| !p.gpu)
-        .map(NetPair::perf_ratio)
-        .collect();
-    let gpu: Vec<f64> = c
-        .pairs
-        .iter()
-        .filter(|p| p.gpu)
-        .map(NetPair::perf_ratio)
-        .collect();
+    let (cpu, gpu) = per_target(c, NetPair::perf_ratio);
     format!(
         "{}\nmean HARL/Ansor performance: CPU {}, GPU {}\n",
         t.render(),
-        fx(crate::report::geomean(&cpu)),
-        fx(crate::report::geomean(&gpu))
+        fx(cpu),
+        fx(gpu)
     )
 }
 
@@ -159,23 +149,12 @@ pub fn render_fig9(c: &NetworkComparison) -> String {
             format!("-{:.0}%", (1.0 - s) * 100.0),
         ]);
     }
-    let cpu: Vec<f64> = c
-        .pairs
-        .iter()
-        .filter(|p| !p.gpu)
-        .map(NetPair::search_time_ratio)
-        .collect();
-    let gpu: Vec<f64> = c
-        .pairs
-        .iter()
-        .filter(|p| p.gpu)
-        .map(NetPair::search_time_ratio)
-        .collect();
+    let (cpu, gpu) = per_target(c, NetPair::search_time_ratio);
     format!(
         "{}\nmean HARL search time: CPU {} of Ansor, GPU {} of Ansor\n",
         t.render(),
-        f3(crate::report::geomean(&cpu)),
-        f3(crate::report::geomean(&gpu))
+        f3(cpu),
+        f3(gpu)
     )
 }
 
@@ -265,49 +244,24 @@ pub fn bert_study(scale: &Scale) -> BertStudy {
     let measured_speedup_no_mab =
         (ansor_latency + overhead) / (no_mab.network_latency() + overhead);
 
-    // --- Fig. 10 allocation split ------------------------------------------
-    let cut = |tuner_rounds: &[(usize, u64, f64)]| -> u64 {
-        tuner_rounds
+    // --- Fig. 10 allocation split: up to the round that reached Ansor's
+    // final latency, and in total
+    let split = |rounds: &[NetRound]| {
+        let cut = rounds
             .iter()
-            .find(|(_, _, lat)| *lat <= ansor_latency)
-            .map(|(_, after, _)| *after)
-            .unwrap_or(u64::MAX)
+            .find(|r| r.latency <= ansor_latency)
+            .map_or(u64::MAX, |r| r.trials_after);
+        let tasks: Vec<(usize, u64)> = rounds.iter().map(|r| (r.task, r.trials_after)).collect();
+        allocations_split(&tasks, harl.infos.len(), cut)
     };
-    let harl_rounds: Vec<(usize, u64, f64)> = harl
-        .rounds
-        .iter()
-        .map(|r| (r.task, r.trials_after, r.latency))
-        .collect();
-    let no_mab_rounds: Vec<(usize, u64, f64)> = no_mab
-        .rounds
-        .iter()
-        .map(|r| (r.task, r.trials_after, r.latency))
-        .collect();
-    let n = harl.infos.len();
-    let alloc_mab = allocations_split(
-        &harl_rounds
-            .iter()
-            .map(|&(t, a, _)| (t, a))
-            .collect::<Vec<_>>(),
-        n,
-        cut(&harl_rounds),
-    );
-    let alloc_no_mab = allocations_split(
-        &no_mab_rounds
-            .iter()
-            .map(|&(t, a, _)| (t, a))
-            .collect::<Vec<_>>(),
-        n,
-        cut(&no_mab_rounds),
-    );
 
     BertStudy {
         rows,
         estimated_speedup,
         measured_speedup,
         measured_speedup_no_mab,
-        alloc_mab,
-        alloc_no_mab,
+        alloc_mab: split(&harl.rounds),
+        alloc_no_mab: split(&no_mab.rounds),
     }
 }
 

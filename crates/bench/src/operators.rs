@@ -8,7 +8,7 @@ use harl_tensor_ir::models::operators::{operator_suite, OperatorClass};
 use harl_tensor_ir::Subgraph;
 use harl_tensor_sim::{Hardware, MeasureConfig, Measurer, TuneTrace};
 
-use crate::report::{f3, fx, geomean, pct, Table};
+use crate::report::{f3, fx, geomean, par_map, pct, Table};
 use crate::scale::Scale;
 
 /// One Ansor-vs-HARL run on a single workload.
@@ -92,7 +92,7 @@ pub struct ClassResult {
 }
 
 pub fn operator_comparison(scale: &Scale, hw: &Hardware) -> OperatorComparison {
-    // collect all independent runs, then fan out over threads
+    // collect all independent runs, then fan out over the cores
     struct Job {
         class_idx: usize,
         graph: Subgraph,
@@ -117,26 +117,14 @@ pub fn operator_comparison(scale: &Scale, hw: &Hardware) -> OperatorComparison {
         }
     }
 
-    let mut results: Vec<Option<(usize, PairResult)>> = Vec::new();
-    results.resize_with(jobs.len(), || None);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let chunk = jobs.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (job_chunk, out_chunk) in jobs.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (job, slot) in job_chunk.iter().zip(out_chunk.iter_mut()) {
-                    let mut ac = scale.ansor_config();
-                    ac.seed ^= (job.shape_idx as u64) << 16 | (job.batch as u64) << 24;
-                    let mut hc = scale.harl_config();
-                    hc.seed ^= (job.shape_idx as u64) << 16 | (job.batch as u64) << 24;
-                    let mut r = run_pair(&job.graph, hw, scale.op_trials, ac, hc);
-                    r.batch = job.batch;
-                    *slot = Some((job.class_idx, r));
-                }
-            });
-        }
+    let results = par_map(&jobs, |job| {
+        let mut ac = scale.ansor_config();
+        ac.seed ^= (job.shape_idx as u64) << 16 | (job.batch as u64) << 24;
+        let mut hc = scale.harl_config();
+        hc.seed ^= (job.shape_idx as u64) << 16 | (job.batch as u64) << 24;
+        let mut r = run_pair(&job.graph, hw, scale.op_trials, ac, hc);
+        r.batch = job.batch;
+        (job.class_idx, r)
     });
 
     let mut classes: Vec<ClassResult> = OperatorClass::ALL
@@ -148,8 +136,8 @@ pub fn operator_comparison(scale: &Scale, hw: &Hardware) -> OperatorComparison {
             search_time: f64::NAN,
         })
         .collect();
-    for r in results.into_iter().flatten() {
-        classes[r.0].runs.push(r.1);
+    for (class_idx, r) in results {
+        classes[class_idx].runs.push(r);
     }
     for cl in &mut classes {
         cl.perf_ratio = geomean(
@@ -231,10 +219,7 @@ fn normalize_curve(trace: &TuneTrace, best: f64) -> Vec<(u64, f64)> {
 }
 
 pub fn fig7a(scale: &Scale, hw: &Hardware) -> (Fig7a, Fig7b) {
-    let g = operator_suite(OperatorClass::GemmL, 1)
-        .into_iter()
-        .next()
-        .expect("GEMM-L suite non-empty"); // 1024x1024x1024
+    let g = operator_suite(OperatorClass::GemmL, 1).remove(0); // 1024x1024x1024
 
     let am = Measurer::new(hw.clone(), MeasureConfig::default());
     let mut ansor = AnsorTuner::new(g.clone(), &am, scale.ansor_config());
@@ -353,10 +338,7 @@ fn sensitivity_run(
     cfgs: Vec<(f64, HarlConfig)>,
     name: &str,
 ) -> Sensitivity {
-    let g = operator_suite(OperatorClass::GemmL, 1)
-        .into_iter()
-        .next()
-        .expect("GEMM-L suite non-empty");
+    let g = operator_suite(OperatorClass::GemmL, 1).remove(0);
     let mut raw = Vec::new();
     for (value, cfg) in cfgs {
         let m = Measurer::new(hw.clone(), MeasureConfig::default());

@@ -90,15 +90,32 @@ pub fn geomean(vals: &[f64]) -> f64 {
     (logs.iter().sum::<f64>() / logs.len() as f64).exp()
 }
 
-/// Writes a serializable result to `results/<name>.json` under `out_dir`.
-pub fn save_json<T: serde::Serialize>(
-    out_dir: &Path,
-    name: &str,
-    value: &T,
-) -> std::io::Result<()> {
-    fs::create_dir_all(out_dir)?;
+/// `f` over `jobs`, one contiguous chunk per core, results in job order.
+pub fn par_map<J: Sync, R: Send>(jobs: &[J], f: impl Fn(&J) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let chunk = jobs.len().div_ceil(workers).max(1);
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = jobs
+            .chunks(chunk)
+            .map(|c| scope.spawn(move || c.iter().map(f).collect::<Vec<_>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("an experiment worker panicked"))
+            .collect()
+    })
+}
+
+/// Writes a serializable result to `<out_dir>/<name>.json`; the error
+/// names that file.
+pub fn save_json<T: serde::Serialize>(out_dir: &Path, name: &str, value: &T) -> Result<(), String> {
     let path = out_dir.join(format!("{name}.json"));
-    fs::write(path, serde_json::to_string_pretty(value)?)
+    let write = || -> std::io::Result<()> {
+        fs::create_dir_all(out_dir)?;
+        fs::write(&path, serde_json::to_string_pretty(value)?)
+    };
+    write().map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -134,5 +151,18 @@ mod tests {
         save_json(&dir, "t", &vec![1, 2, 3]).unwrap();
         let s = std::fs::read_to_string(dir.join("t.json")).unwrap();
         assert!(s.contains('2'));
+    }
+
+    #[test]
+    fn save_json_into_a_regular_file_names_the_file() {
+        let file = std::env::temp_dir().join(format!("harl_report_file_{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let err = save_json(&file, "fig1c", &1).unwrap_err();
+        let _ = std::fs::remove_file(&file);
+        let target = file.join("fig1c.json");
+        assert!(
+            err.starts_with(&format!("cannot write {}: ", target.display())),
+            "{err}"
+        );
     }
 }
