@@ -50,6 +50,19 @@ row "pub fields of *Config/*Params/*Opts structs in crates/*/src:" \
         inside && /^    pub [a-z_0-9]+:/ { n++ }
         END { print n + 0 }
     ' "${crate_src[@]}")"
+# a pub fn that no program line names is a capability nothing uses. The
+# program is crates/*/src, src, examples and benchmark/src, each .rs file
+# read above its first `#[cfg(test` (`nextfile`, not `exit`, so one awk
+# reads them all) with blank and `//` lines skipped; a `fn NAME` is taken
+# out of each line before the names on it are collected, so a definition
+# is not its own use
+corpus() { awk '/^#\[cfg\((all\()?test/ { nextfile } !/^[[:space:]]*(\/\/|$)/' "$@"; }
+mapfile -t program_src < <(rs_in crates/*/src src examples benchmark/src)
+row "pub fns in crates/*/src no non-test line of the program names:" \
+    "$(comm -23 \
+        <(corpus "${crate_src[@]}" | grep -oE '\bpub fn [A-Za-z_0-9]+' | awk '{ print $3 }' | sort -u) \
+        <(corpus "${program_src[@]}" | sed -E 's/\bfn [A-Za-z_0-9]+//g' |
+            grep -oE '[A-Za-z_][A-Za-z_0-9]*' | sort -u) | wc -l)"
 row "*ConfigBuilder types in crates src examples tests:" \
     "$(grep -rhoE 'struct \w+ConfigBuilder' crates src examples tests | sort -u | wc -l)"
 # compatibility entries that only the benchmark still calls (ROADMAP item 7)

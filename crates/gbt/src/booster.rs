@@ -221,26 +221,9 @@ impl Gbt {
         n - n % 8
     }
 
-    /// Predicts a batch of samples via the flattened batch kernel.
-    pub fn predict_batch(&self, xs: &[Vec<f32>]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.predict_batch_into(xs, &mut out);
-        out
-    }
-
     /// Number of fitted trees.
     pub fn num_trees(&self) -> usize {
         self.trees.len()
-    }
-
-    /// Split-frequency feature importance over the whole ensemble:
-    /// `importance[f]` counts how many splits test feature `f`.
-    pub fn feature_importance(&self, n_features: usize) -> Vec<u64> {
-        let mut counts = vec![0u64; n_features];
-        for t in &self.trees {
-            t.accumulate_importance(&mut counts);
-        }
-        counts
     }
 
     /// Root-mean-squared error on a dataset.
@@ -513,22 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn ensemble_importance_finds_informative_features() {
-        // y depends on x0 and x1 only; x2/x3 are noise the trees may touch
-        // occasionally, but the informative features must dominate
-        let (xs, ys) = synthetic(400, 7);
-        let model = Gbt::fit(&xs, &ys, GbtParams::default());
-        let imp = model.feature_importance(4);
-        let informative = imp[0] + imp[1];
-        let rest = imp[2] + imp[3];
-        assert!(informative > 0);
-        assert!(
-            informative as f64 >= rest as f64 * 0.8,
-            "importance {imp:?} should favour informative features"
-        );
-    }
-
-    #[test]
     fn dataset_capacity_evicts_oldest() {
         let mut d = Dataset::with_capacity(3);
         for i in 0..5 {
@@ -542,7 +509,8 @@ mod tests {
     fn predict_batch_matches_predict() {
         let (xs, ys) = synthetic(100, 4);
         let model = Gbt::fit(&xs, &ys, GbtParams::default());
-        let batch = model.predict_batch(&xs);
+        let mut batch = Vec::new();
+        model.predict_batch_into(&xs, &mut batch);
         for (b, x) in batch.iter().zip(&xs) {
             assert_eq!(b.to_bits(), model.predict(x).to_bits());
         }

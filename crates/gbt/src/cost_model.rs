@@ -176,16 +176,6 @@ impl CostModel {
     pub fn scale(&self) -> f64 {
         self.scale
     }
-
-    /// Split-frequency feature importance of the current model (empty when
-    /// untrained). Useful for diagnosing which schedule features drive the
-    /// cost model's predictions.
-    pub fn feature_importance(&self, n_features: usize) -> Vec<u64> {
-        match &self.model {
-            Some(m) => m.feature_importance(n_features),
-            None => vec![0; n_features],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -239,12 +229,6 @@ mod tests {
         for i in 0..64 {
             assert!(cm.score(&feat(i as f32)) > 0.0);
         }
-    }
-
-    #[test]
-    fn untrained_importance_is_zero() {
-        let cm = CostModel::new(GbtParams::default());
-        assert!(cm.feature_importance(3).iter().all(|&c| c == 0));
     }
 
     #[test]

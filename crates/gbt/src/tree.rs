@@ -688,18 +688,6 @@ impl RegressionTree {
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
-
-    /// Accumulates split counts per feature into `counts`
-    /// (split-frequency feature importance).
-    pub fn accumulate_importance(&self, counts: &mut [u64]) {
-        for n in &self.nodes {
-            if let Node::Split { feature, .. } = n {
-                if let Some(c) = counts.get_mut(*feature) {
-                    *c += 1;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -951,21 +939,6 @@ mod tests {
     fn empty_input_predicts_zero() {
         let t = RegressionTree::fit(&[], &[], &TreeParams::default());
         assert_eq!(t.predict(&[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn importance_counts_split_features() {
-        let xs: Vec<Vec<f32>> = (0..100).map(|i| vec![i as f32, 0.0]).collect();
-        // target depends only on feature 0
-        let grad: Vec<f64> = xs
-            .iter()
-            .map(|x| if x[0] >= 50.0 { -1.0 } else { 1.0 })
-            .collect();
-        let t = RegressionTree::fit(&xs, &grad, &TreeParams::default());
-        let mut counts = vec![0u64; 2];
-        t.accumulate_importance(&mut counts);
-        assert!(counts[0] >= 1, "feature 0 must be split on");
-        assert_eq!(counts[1], 0, "constant feature never splits");
     }
 
     #[test]

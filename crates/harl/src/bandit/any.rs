@@ -99,18 +99,6 @@ impl Bandit for AnyBandit {
     }
 }
 
-impl AnyBandit {
-    /// Per-arm pull counts where the underlying policy tracks them
-    /// (window/discounted counts for the non-stationary policies).
-    pub fn pulls(&self, arm: usize) -> f64 {
-        match self {
-            AnyBandit::SwUcb(b) => b.n(arm) as f64,
-            AnyBandit::DUcb(b) => b.n(arm),
-            _ => f64::NAN,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

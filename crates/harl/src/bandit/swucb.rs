@@ -53,11 +53,6 @@ impl SlidingWindowUcb {
         }
     }
 
-    /// Paper defaults: `c = 0.25`, `τ = 256` (Table 5).
-    pub fn with_paper_defaults(arms: usize) -> Self {
-        Self::new(arms, 0.25, 256)
-    }
-
     /// Windowed mean reward `Q_t(τ, a)`; 0 when unvisited in the window.
     pub fn q(&self, arm: usize) -> f64 {
         if self.counts[arm] == 0 {
@@ -70,11 +65,6 @@ impl SlidingWindowUcb {
     /// Windowed pull count `N_t(τ, a)`.
     pub fn n(&self, arm: usize) -> u64 {
         self.counts[arm]
-    }
-
-    /// Total pulls so far.
-    pub fn total_pulls(&self) -> u64 {
-        self.t
     }
 
     /// NaN/infinite rewards caught by the V006 guard in [`Bandit::update`].
@@ -153,7 +143,7 @@ mod tests {
 
     #[test]
     fn prefers_higher_reward_arm() {
-        let mut b = SlidingWindowUcb::with_paper_defaults(3);
+        let mut b = SlidingWindowUcb::new(3, 0.25, 256);
         let mut rng = StdRng::seed_from_u64(2);
         let mut pulls = [0u64; 3];
         for _ in 0..1000 {
@@ -200,8 +190,7 @@ mod tests {
             let a = b.select(&mut rng);
             b.update(a, 0.5);
         }
-        assert!(b.n(0) + b.n(1) <= 10);
-        assert_eq!(b.total_pulls(), 100);
+        assert_eq!(b.n(0) + b.n(1), 10, "the window holds the last τ pulls");
     }
 
     #[test]

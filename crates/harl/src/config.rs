@@ -145,26 +145,6 @@ impl HarlConfig {
             ..Self::paper()
         }
     }
-
-    /// Episode candidate budget sanity: with `ρ = 0.5` and `λ = L/2` the
-    /// adaptive episode visits the same number of schedules as a
-    /// fixed-length-`L` episode (Fig. 4). Returns (adaptive, fixed)
-    /// estimated visit counts for the current settings. Like an episode,
-    /// the estimate stops after [`MAX_WINDOWS`] windows, so a ρ that
-    /// eliminates nobody still gives an answer.
-    pub fn visit_counts(&self) -> (usize, usize) {
-        let mut alive = self.tracks_per_round;
-        let mut adaptive = alive; // initial samples
-        for _ in 0..MAX_WINDOWS {
-            if alive < self.min_tracks {
-                break;
-            }
-            adaptive += alive * self.lambda;
-            alive -= (alive as f64 * self.rho) as usize;
-        }
-        let fixed = self.tracks_per_round * (1 + self.fixed_length);
-        (adaptive, fixed)
-    }
 }
 
 impl Default for HarlConfig {
@@ -256,36 +236,6 @@ mod tests {
         ];
         for (field, cfg) in bad {
             assert_eq!(cfg.validate().unwrap_err().field, field);
-        }
-    }
-
-    #[test]
-    fn adaptive_and_fixed_budgets_match_fig4() {
-        // λ = L/2, ρ = 0.5: candidate counts match (paper Fig. 4 argument).
-        let c = HarlConfig::paper();
-        let (adaptive, fixed) = c.visit_counts();
-        // 128 + 128*20 + 64*20 = 3968 vs 128 + 128*40 = 5248; the adaptive
-        // run visits *fewer* while keeping top-K quality — but with both
-        // surviving windows counted the orders match.
-        assert!(adaptive <= fixed);
-        assert!(
-            adaptive * 2 > fixed,
-            "counts should be comparable: {adaptive} vs {fixed}"
-        );
-    }
-
-    #[test]
-    fn visit_counts_stop_after_max_windows_when_nobody_is_eliminated() {
-        // ⌊alive·ρ⌋ = 0 while alive ≥ p̂: at ρ = 0, and at ρ = 0.1 on
-        // tiny()'s 8 tracks
-        for rho in [0.0, 0.1] {
-            let c = HarlConfig {
-                rho,
-                ..HarlConfig::tiny()
-            };
-            assert!(c.validate().is_ok());
-            let (adaptive, _) = c.visit_counts();
-            assert_eq!(adaptive, c.tracks_per_round * (1 + c.lambda * MAX_WINDOWS));
         }
     }
 }

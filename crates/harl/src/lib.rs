@@ -29,7 +29,6 @@ pub mod config;
 pub mod episode;
 pub mod mcts;
 pub mod network;
-pub mod report;
 pub mod search;
 pub mod session;
 pub mod tuner;
@@ -38,7 +37,6 @@ pub use adaptive::{critical_step_histogram, select_survivors, CriticalStep, Trac
 pub use config::HarlConfig;
 pub use episode::{run_episode, EpisodeResult, Visit};
 pub use network::{AnsorNetworkTuner, HarlNetworkTuner, NetRound, NetworkTuner};
-pub use report::{NetworkReport, OperatorReport, SubgraphSummary};
 pub use session::{
     FinetuneOutcome, RunOutcome, SessionBuilder, SessionCheckpoint, SessionControl,
     SessionProgress, Tuner, TunerState, TuningSession, CHECKPOINT_VERSION,

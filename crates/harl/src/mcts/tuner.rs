@@ -144,11 +144,6 @@ impl MctsProposer {
         &self.cost_model
     }
 
-    /// Nodes currently in the tree (diagnostics/tests).
-    pub fn tree_size(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Lazily builds one root per sketch (plus any warm-start grafts).
     /// Runs at most once; the whole tree lives in the checkpoint, so a
     /// restored tuner never re-enters this.
@@ -510,7 +505,7 @@ mod tests {
         assert!(t.best_schedule.is_some());
         assert!(t.trials_used >= 150, "used {}", t.trials_used);
         assert!(
-            t.proposer().tree_size() > t.sketches.len(),
+            t.checkpoint_state().nodes.len() > t.sketches.len(),
             "tree never expanded"
         );
         assert!(

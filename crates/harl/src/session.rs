@@ -109,23 +109,15 @@ pub trait Tuner {
     fn restore(&mut self, state: TunerState);
 
     /// Replays prior measurement records to seed the search without
-    /// spending trials; returns how many records were usable. Tuners
-    /// without a warm-startable component return 0.
-    fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
-        let _ = records;
-        0
-    }
+    /// spending trials; returns how many records were usable.
+    fn warm_start(&mut self, records: &[MeasureRecord]) -> usize;
 
     /// Coordinate-descent fine-tune pass over the tuner's current best
     /// schedule (arXiv 2406.20037): descend one parameter axis at a time,
     /// keeping only strictly-better measured neighbours, so
     /// [`Tuner::best_latency`] can never regress. Returns the trials
-    /// spent. The default is a no-op for tuners without a schedule-space
-    /// best to polish.
-    fn finetune(&mut self, cfg: &FinetuneConfig) -> u64 {
-        let _ = cfg;
-        0
-    }
+    /// spent.
+    fn finetune(&mut self, cfg: &FinetuneConfig) -> u64;
 
     /// The best-so-far trace (trials / sim-seconds / best time), one point
     /// per round. Drives per-job metrics in serving deployments.
@@ -136,16 +128,11 @@ pub trait Tuner {
     /// Counters of the tuner's batched scoring pipeline (cache hits, batch
     /// count, thread width), when it has one. Tuners that measure every
     /// candidate on hardware instead of model-scoring return `None`.
-    fn score_stats(&self) -> Option<&ScoreStats> {
-        None
-    }
+    fn score_stats(&self) -> Option<&ScoreStats>;
 
     /// Attaches a span tracer for phase-level observability. Observation
-    /// only: a traced run is bit-identical to an untraced one. The default
-    /// implementation discards the tracer (for tuners without spans).
-    fn set_tracer(&mut self, tracer: harl_obs::Tracer) {
-        let _ = tracer;
-    }
+    /// only: a traced run is bit-identical to an untraced one.
+    fn set_tracer(&mut self, tracer: harl_obs::Tracer);
 }
 
 // A mutable borrow drives the same way, so callers can keep ownership of
@@ -296,8 +283,6 @@ pub const CHECKPOINT_VERSION: u32 = 3;
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     checkpoint_every: u64,
-    warm_start: bool,
-    resume: bool,
     job_key: Option<String>,
     warm_pool: Vec<MeasureRecord>,
 }
@@ -306,8 +291,6 @@ impl Default for SessionBuilder {
     fn default() -> Self {
         SessionBuilder {
             checkpoint_every: 1,
-            warm_start: true,
-            resume: true,
             job_key: None,
             warm_pool: Vec::new(),
         }
@@ -319,19 +302,6 @@ impl SessionBuilder {
     /// periodic checkpoints; default 1).
     pub fn checkpoint_every(mut self, rounds: u64) -> Self {
         self.checkpoint_every = rounds;
-        self
-    }
-
-    /// Replay matching store records into the tuner before the first round
-    /// (default on; skipped when a checkpoint is resumed).
-    pub fn warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
-    }
-
-    /// Resume from the store's checkpoint when one exists (default on).
-    pub fn resume(mut self, on: bool) -> Self {
-        self.resume = on;
         self
     }
 
@@ -384,11 +354,7 @@ impl SessionBuilder {
         };
         let checkpoint = if let Some(store) = &session.store {
             measurer.set_sink(store.clone() as Arc<dyn harl_tensor_sim::RecordSink>);
-            if self.resume {
-                store.load_checkpoint()?
-            } else {
-                None
-            }
+            store.load_checkpoint()?
         } else {
             None
         };
@@ -428,7 +394,7 @@ impl SessionBuilder {
                 session.resumed = true;
                 session.saved = true;
             }
-            None if self.warm_start => {
+            None => {
                 let mut records = match &session.store {
                     Some(store) => store.snapshot(),
                     None => Vec::new(),
@@ -438,7 +404,6 @@ impl SessionBuilder {
                     session.warm_records = session.tuner.warm_start(&records);
                 }
             }
-            None => {}
         }
         Ok(session)
     }
@@ -472,9 +437,12 @@ pub enum SessionControl {
 pub struct RunOutcome {
     /// Fresh trials used by this call.
     pub trials: u64,
-    /// True when the controller stopped the run before the budget was
-    /// exhausted (the store's checkpoint holds the final state either
-    /// way).
+    /// True when the controller answered [`SessionControl::Stop`]. The
+    /// controller is consulted before the budget check, so a `Stop` at
+    /// the boundary after the last round still reports `true` with the
+    /// whole budget spent. The store keeps its checkpoint either way, so
+    /// a later session resumes from it; asked for the remaining budget,
+    /// as the daemon asks, it runs no further trials.
     pub stopped: bool,
 }
 
@@ -545,8 +513,7 @@ impl<'m> TuningSession<'m> {
         self.resumed
     }
 
-    /// Records replayed into the tuner by the warm-start (0 when resumed
-    /// or when warm-starting was disabled).
+    /// Records replayed into the tuner by the warm-start (0 when resumed).
     pub fn warm_records(&self) -> usize {
         self.warm_records
     }

@@ -72,14 +72,6 @@ impl HarlProposer {
         }
     }
 
-    /// Per-sketch windowed pull counts of the sketch bandit
-    /// (diagnostics/tests; NaN for policies without counts).
-    pub fn sketch_pulls(&self) -> Vec<f64> {
-        (0..self.sketch_bandit.num_arms())
-            .map(|a| self.sketch_bandit.pulls(a))
-            .collect()
-    }
-
     /// One `ppo_health` trace event for the PPO updates of the episode that
     /// just ran (observation only: the agent's running sums feed nothing,
     /// and are taken — reset — traced or not).
@@ -428,8 +420,10 @@ mod tests {
         for _ in 0..6 {
             t.round(8);
         }
-        let pulls = t.proposer().sketch_pulls();
-        assert!(pulls.iter().all(|&p| p > 0.0), "sketch pulls {pulls:?}");
+        let mut pulled: Vec<usize> = t.proposer().rounds.iter().map(|r| r.sketch).collect();
+        pulled.sort_unstable();
+        pulled.dedup();
+        assert_eq!(pulled.len(), t.sketches.len(), "sketches pulled {pulled:?}");
     }
 
     #[test]

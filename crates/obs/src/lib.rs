@@ -23,6 +23,4 @@ mod trace;
 pub use metrics::{
     global, Counter, Gauge, Histogram, MetricsRegistry, FINE_SECONDS_BOUNDS, SECONDS_BOUNDS,
 };
-pub use trace::{
-    FieldValue, Span, Tracer, DEFAULT_MAX_EVENTS, TRACE_ENV, TRACE_FILE_ENV, TRACE_MAX_ENV,
-};
+pub use trace::{FieldValue, Span, Tracer, DEFAULT_MAX_EVENTS, TRACE_ENV, TRACE_FILE_ENV};

@@ -20,10 +20,10 @@
 //! tracer would interleave parents arbitrarily (events still serialize
 //! safely through the internal mutex).
 //!
-//! Output is bounded: after [`Tracer::max_events`] records the tracer
+//! Output is bounded: after [`DEFAULT_MAX_EVENTS`] records the tracer
 //! stops writing (id/stack bookkeeping continues so nesting stays
 //! coherent) and counts the drops, emitting a final `trace_truncated`
-//! marker. `HARL_TRACE_MAX` overrides the default cap.
+//! marker.
 //!
 //! Determinism: the tracer only *observes*. It never feeds anything back
 //! into search state, RNG streams, or checkpoints, so a traced run is
@@ -32,15 +32,14 @@
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Once};
 use std::time::Instant;
 
-/// Environment variable toggling tracing (truthy: `1`, `true`, `on`).
+/// Environment variable toggling tracing (on: `1`, `true`, `on`; off:
+/// unset, `0`, `false`, `off`).
 pub const TRACE_ENV: &str = "HARL_TRACE";
 /// Environment variable overriding the trace output path.
 pub const TRACE_FILE_ENV: &str = "HARL_TRACE_FILE";
-/// Environment variable overriding the event cap.
-pub const TRACE_MAX_ENV: &str = "HARL_TRACE_MAX";
 
 /// Default cap on emitted records per trace file (~100 MB worst case).
 pub const DEFAULT_MAX_EVENTS: u64 = 1_000_000;
@@ -121,6 +120,17 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
+/// Parses a `HARL_TRACE` value (`None` when unset): `Ok(true)` for `1`,
+/// `true` or `on`, `Ok(false)` for unset, `0`, `false` or `off`, and
+/// `Err(())` for anything else, the empty value included.
+fn parse_trace_env(value: Option<&str>) -> Result<bool, ()> {
+    match value.map(str::trim) {
+        None | Some("0" | "false" | "off") => Ok(false),
+        Some("1" | "true" | "on") => Ok(true),
+        Some(_) => Err(()),
+    }
+}
+
 impl Tracer {
     /// The no-op tracer: every call is an `Option` check and a return.
     pub fn disabled() -> Self {
@@ -135,14 +145,10 @@ impl Tracer {
 
     /// A tracer writing to an arbitrary sink (used by tests).
     pub fn to_writer(out: Box<dyn Write + Send>) -> Self {
-        let max_events = std::env::var(TRACE_MAX_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_MAX_EVENTS);
         Tracer {
             inner: Some(Arc::new(Inner {
                 start: Instant::now(),
-                max_events,
+                max_events: DEFAULT_MAX_EVENTS,
                 state: Mutex::new(State {
                     out: BufWriter::new(out),
                     next_id: 1,
@@ -176,10 +182,21 @@ impl Tracer {
 
     /// Whether `HARL_TRACE` requests tracing. Services that pick their
     /// own per-run trace paths check this instead of [`Tracer::from_env`].
+    /// A value that is neither on nor off leaves tracing off and is named
+    /// on stderr, once per process.
     pub fn env_enabled() -> bool {
-        std::env::var(TRACE_ENV)
-            .map(|v| matches!(v.trim(), "1" | "true" | "on"))
-            .unwrap_or(false)
+        let value = std::env::var_os(TRACE_ENV).map(|v| v.to_string_lossy().into_owned());
+        parse_trace_env(value.as_deref()).unwrap_or_else(|()| {
+            static WARNED: Once = Once::new();
+            WARNED.call_once(|| {
+                eprintln!(
+                    "harl-obs: unrecognized {TRACE_ENV}={:?} \
+                     (expected 1|true|on or 0|false|off); tracing disabled",
+                    value.unwrap_or_default()
+                );
+            });
+            false
+        })
     }
 
     /// Whether this tracer writes anywhere.
@@ -454,10 +471,8 @@ mod tests {
 
     #[test]
     fn cap_drops_and_marks_truncation() {
-        // cap comes from env at construction; emulate by writing past
-        // DEFAULT via a tiny custom tracer: construct, then patch is not
-        // possible — instead exercise the write_record policy directly
-        // through a tracer with max_events forced low.
+        // the cap is `DEFAULT_MAX_EVENTS`; exercise the write_record
+        // policy through a tracer with max_events forced low
         let buf = SharedBuf::default();
         let t = Tracer {
             inner: Some(Arc::new(Inner {
@@ -494,5 +509,21 @@ mod tests {
             CALLS.fetch_add(1, Ordering::Relaxed);
         }
         assert_eq!(CALLS.load(Ordering::Relaxed), 100_000);
+    }
+
+    #[test]
+    fn trace_env_values_parse_strictly() {
+        #[rustfmt::skip]
+        let table: [(Option<&str>, Result<bool, ()>); 14] = [
+            (None, Ok(false)), (Some("0"), Ok(false)), (Some("false"), Ok(false)),
+            (Some("off"), Ok(false)), (Some(" off "), Ok(false)),
+            (Some("1"), Ok(true)), (Some("true"), Ok(true)), (Some("on"), Ok(true)),
+            (Some(" 1\n"), Ok(true)),
+            (Some(""), Err(())), (Some("  "), Err(())), (Some("yes"), Err(())),
+            (Some("TRUE"), Err(())), (Some("2"), Err(())),
+        ];
+        for (value, want) in table {
+            assert_eq!(parse_trace_env(value), want, "HARL_TRACE={value:?}");
+        }
     }
 }

@@ -20,6 +20,10 @@ use crate::error::ServeError;
 use crate::job::{JobOutcome, JobSpec, JobState, JobView};
 use crate::protocol::{read_message, write_message, Request, Response};
 
+/// First reconnect backoff of every [`ClientConfig`]; doubles per failed
+/// attempt up to [`ClientConfig::backoff_max`].
+const BACKOFF_BASE: Duration = Duration::from_millis(25);
+
 /// Reconnect/timeout policy for a [`Client`].
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -28,9 +32,7 @@ pub struct ClientConfig {
     /// Per-request reply deadline (a hung daemon surfaces as an error
     /// instead of blocking the caller forever).
     pub read_timeout: Duration,
-    /// First reconnect backoff; doubles per failed attempt.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
+    /// Backoff ceiling; the first backoff is 25 ms.
     pub backoff_max: Duration,
     /// Total time one request may spend on reconnect+retry before its
     /// last error is surfaced. Zero disables retrying entirely.
@@ -42,7 +44,6 @@ impl Default for ClientConfig {
         ClientConfig {
             connect_timeout: Duration::from_secs(2),
             read_timeout: Duration::from_secs(30),
-            backoff_base: Duration::from_millis(25),
             backoff_max: Duration::from_secs(1),
             retry_budget: Duration::from_secs(8),
         }
@@ -56,7 +57,6 @@ impl ClientConfig {
         ClientConfig {
             connect_timeout: Duration::from_millis(500),
             read_timeout: Duration::from_secs(5),
-            backoff_base: Duration::from_millis(25),
             backoff_max: Duration::from_millis(200),
             retry_budget: Duration::from_millis(600),
         }
@@ -159,7 +159,7 @@ impl Client {
     pub fn request(&self, req: &Request) -> Result<Response, ServeError> {
         let resend = !matches!(req, Request::Submit(_));
         let deadline = Instant::now() + self.cfg.retry_budget;
-        let mut backoff = self.cfg.backoff_base;
+        let mut backoff = BACKOFF_BASE;
         let mut guard = self.conn.lock().expect("client conn poisoned");
         if !resend {
             // fresh connection: a reply to a previous request can never

@@ -272,11 +272,6 @@ impl<S: Service> EventLoop<S> {
         })
     }
 
-    /// Connections currently registered.
-    pub fn connections(&self) -> usize {
-        self.conns.len()
-    }
-
     /// Runs until `stop()` turns true, then flushes pending replies
     /// (briefly, best-effort) and drops every connection.
     pub fn run(&mut self, stop: impl Fn() -> bool) {

@@ -159,24 +159,6 @@ pub fn gemm_scheduled(
     c
 }
 
-/// Elementwise map executed in schedule order over a 2-D stage.
-pub fn elementwise_scheduled(
-    sketch: &Sketch,
-    schedule: &Schedule,
-    rows: usize,
-    cols: usize,
-    x: &Tensor,
-    f: impl Fn(f32) -> f32,
-) -> Tensor {
-    assert_eq!(sketch.tiled_iters.len(), 2);
-    let mut out = Tensor::zeros(&[rows, cols]);
-    visit_schedule_order(sketch, schedule, |idx| {
-        let (r, c) = (idx[0] as usize, idx[1] as usize);
-        out.data[r * cols + c] = f(x.data[r * cols + c]);
-    });
-    out
-}
-
 /// Counts how many times each point of the iteration space is visited
 /// (coverage check helper).
 pub fn coverage_counts(sketch: &Sketch, schedule: &Schedule, stage: &Stage) -> Vec<u32> {
@@ -198,7 +180,7 @@ pub fn coverage_counts(sketch: &Sketch, schedule: &Schedule, stage: &Stage) -> V
 mod tests {
     use super::*;
     use crate::sketch::{generate_sketches, Target};
-    use crate::workload::{elementwise, gemm};
+    use crate::workload::gemm;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -252,21 +234,6 @@ mod tests {
         for _ in 0..10 {
             let s = Schedule::random(sk, Target::Gpu, &mut rng);
             assert_eq!(gemm_scheduled(sk, &s, m, k, n, &a, &b), reference);
-        }
-    }
-
-    #[test]
-    fn elementwise_in_any_order_matches() {
-        let (r, c) = (6, 10);
-        let g = elementwise(r as u32, c as u32, 1.0);
-        let x = Tensor::iota_mod(&[r, c], 11);
-        let mut rng = StdRng::seed_from_u64(4);
-        let sk = &generate_sketches(&g, Target::Cpu)[0];
-        let expect: Vec<f32> = x.data.iter().map(|v| v * 2.0 + 1.0).collect();
-        for _ in 0..10 {
-            let s = Schedule::random(sk, Target::Cpu, &mut rng);
-            let out = elementwise_scheduled(sk, &s, r, c, &x, |v| v * 2.0 + 1.0);
-            assert_eq!(out.data, expect);
         }
     }
 

@@ -279,51 +279,6 @@ impl Measurer {
             });
         }
     }
-
-    /// Measures a batch: noise and clock accounting in input order, exactly
-    /// as that many [`measure`](Self::measure) calls would.
-    pub fn measure_batch(
-        &self,
-        graph: &Subgraph,
-        sketch: &Sketch,
-        schedules: &[Schedule],
-    ) -> Vec<Measurement> {
-        let times = self.eval_batch(graph, sketch, schedules);
-        let mut st = self.state.lock().expect("measurer mutex poisoned");
-        let mut out = Vec::with_capacity(schedules.len());
-        for (s, t) in schedules.iter().zip(times) {
-            let noisy = t * lognormal_factor(&mut st.rng, self.cfg.noise);
-            st.trials += 1;
-            st.sim_seconds += PRICES.r_min.max(t) + PRICES.build_overhead;
-            out.push(Measurement {
-                schedule: s.clone(),
-                time: noisy,
-                flops_per_sec: graph.flops() / noisy,
-            });
-        }
-        drop(st);
-        trials_counter().add(out.len() as u64);
-        for m in &out {
-            self.notify_sink(graph, &m.schedule, m.time, m.flops_per_sec);
-        }
-        out
-    }
-
-    /// Noise-free batch evaluation without touching the clock (used by the
-    /// search internals and tests): `true_time` of each schedule, in order.
-    /// A plain map on the caller's thread — a round measures at most 64
-    /// schedules at 0.7–1.9 µs each, less than a scoped spawn costs.
-    pub fn eval_batch(
-        &self,
-        graph: &Subgraph,
-        sketch: &Sketch,
-        schedules: &[Schedule],
-    ) -> Vec<f64> {
-        schedules
-            .iter()
-            .map(|s| self.hw.execution_time(graph, sketch, s))
-            .collect()
-    }
 }
 
 /// Multiplicative lognormal noise factor with relative std-dev `sigma`.
@@ -364,16 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_equals_sequential_accounting() {
-        let (g, sk, scheds) = setup();
-        let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-        let res = m.measure_batch(&g, &sk, &scheds);
-        assert_eq!(res.len(), scheds.len());
-        assert_eq!(m.trials(), scheds.len() as u64);
-        assert!((m.sim_seconds() - 1.5 * scheds.len() as f64).abs() < 1e-6);
-    }
-
-    #[test]
     fn noise_is_bounded_and_centered() {
         let (g, sk, scheds) = setup();
         let m = Measurer::new(
@@ -408,23 +353,6 @@ mod tests {
         );
         let truth = m.true_time(&g, &sk, &scheds[3]);
         assert_eq!(m.measure(&g, &sk, &scheds[3]).time, truth);
-    }
-
-    #[test]
-    fn batch_eval_is_true_time_per_schedule() {
-        let (g, sk, scheds) = setup();
-        let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-        let batch: Vec<u64> = m
-            .eval_batch(&g, &sk, &scheds)
-            .iter()
-            .map(|t| t.to_bits())
-            .collect();
-        let each: Vec<u64> = scheds
-            .iter()
-            .map(|s| m.true_time(&g, &sk, s).to_bits())
-            .collect();
-        assert_eq!(batch, each);
-        assert_eq!(m.trials(), 0, "evaluation leaves the clock alone");
     }
 
     #[test]
@@ -479,15 +407,16 @@ mod tests {
         let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
         let sink = Arc::new(Collect(Mutex::new(Vec::new())));
         m.set_sink(sink.clone());
-        let r0 = m.measure(&g, &sk, &scheds[0]);
-        let batch = m.measure_batch(&g, &sk, &scheds[1..4]);
+        let measured: Vec<f64> = scheds[..4]
+            .iter()
+            .map(|s| m.measure(&g, &sk, s).time)
+            .collect();
         m.clear_sink();
         m.measure(&g, &sk, &scheds[4]);
         let seen = sink.0.lock().unwrap();
         assert_eq!(seen.len(), 4, "sink detached before the last measurement");
-        assert_eq!(seen[0], (g.similarity_key(), r0.time));
-        for (entry, m) in seen[1..].iter().zip(&batch) {
-            assert_eq!(entry.1, m.time);
+        for (entry, time) in seen.iter().zip(measured) {
+            assert_eq!(*entry, (g.similarity_key(), time));
         }
     }
 

@@ -51,14 +51,6 @@ impl TuneTrace {
         self.points.is_empty()
     }
 
-    /// Final best execution time (∞ when nothing recorded).
-    pub fn final_best(&self) -> f64 {
-        self.points
-            .last()
-            .map(|p| p.best_time)
-            .unwrap_or(f64::INFINITY)
-    }
-
     /// First checkpoint at which the best time is ≤ `target`; returns the
     /// `(trials, sim_seconds)` of that checkpoint.
     pub fn first_reaching(&self, target: f64) -> Option<(u64, f64)> {
@@ -66,15 +58,6 @@ impl TuneTrace {
             .iter()
             .find(|p| p.best_time <= target)
             .map(|p| (p.trials, p.sim_seconds))
-    }
-
-    /// Best time observed up to (and including) a trial count.
-    pub fn best_at_trial(&self, trials: u64) -> f64 {
-        self.points
-            .iter()
-            .take_while(|p| p.trials <= trials)
-            .map(|p| p.best_time)
-            .fold(f64::INFINITY, f64::min)
     }
 
     /// Total trials recorded.
@@ -99,7 +82,7 @@ mod tests {
         t.record(20, 30.0, 5.0); // regression attempt is clamped
         t.record(30, 45.0, 1.0);
         assert_eq!(t.points[1].best_time, 3.0);
-        assert_eq!(t.final_best(), 1.0);
+        assert_eq!(t.points[2].best_time, 1.0);
     }
 
     #[test]
@@ -113,19 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn best_at_trial_prefix() {
-        let mut t = TuneTrace::new();
-        t.record(10, 1.0, 3.0);
-        t.record(20, 2.0, 2.0);
-        assert_eq!(t.best_at_trial(15), 3.0);
-        assert_eq!(t.best_at_trial(20), 2.0);
-        assert!(t.best_at_trial(5).is_infinite());
-    }
-
-    #[test]
     fn empty_trace_defaults() {
         let t = TuneTrace::new();
-        assert!(t.final_best().is_infinite());
         assert_eq!(t.total_trials(), 0);
         assert!(t.is_empty());
     }

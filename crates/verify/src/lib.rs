@@ -703,14 +703,6 @@ impl LintStats {
         self.checked += other.checked;
         self.rejected += other.rejected;
     }
-
-    /// `(code, name, findings)` rows for every lint, in `V001..` order.
-    pub fn rows(&self) -> Vec<(&'static str, &'static str, u64)> {
-        LintCode::ALL
-            .iter()
-            .map(|&c| (c.code(), c.name(), self.count(c)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -850,7 +842,6 @@ mod tests {
         s.merge(&t);
         assert_eq!(s.count(LintCode::NonFiniteValue), 1);
         assert_eq!(s.total(), 4);
-        assert_eq!(s.rows().len(), LintCode::COUNT);
     }
 
     #[test]

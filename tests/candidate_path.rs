@@ -391,3 +391,35 @@ fn the_top_k_walk_picks_what_sorting_every_rebuilt_schedule_picked() {
     assert_eq!(second, eager(&core));
     assert!(second.iter().all(|s| !first.contains(s)));
 }
+
+// --- the episode's window bound -------------------------------------------
+
+#[test]
+fn an_episode_that_eliminates_nobody_stops_after_the_window_bound() {
+    // ρ = 0 drops no track at any elimination, so only the episode's cap
+    // of 64 windows of λ steps each (`MAX_WINDOWS`) ends it
+    let cfg = HarlConfig {
+        rho: 0.0,
+        ..HarlConfig::tiny()
+    };
+    assert!(cfg.validate().is_ok());
+    let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+    let core = SearchCore::new(harl_repro::ir::workload::gemm(256, 256, 256), &measurer);
+    let mut rng = StdRng::seed_from_u64(7);
+    let heads = [ActionSpace::of(&core.sketches[0]).tile_actions(), 3, 3, 3];
+    let mut agent = PpoAgent::new(FEATURE_DIM, &heads, cfg.ppo.clone(), &mut rng);
+    let episode = run_episode(
+        &core.graph,
+        &core.sketches[0],
+        &core.plans()[0],
+        &mut agent,
+        &CostModel::new(cfg.gbt.clone()),
+        &cfg,
+        &[],
+        core.analyzer(),
+        &mut ScoringPipeline::new(1, 1024),
+        &Tracer::disabled(),
+        &mut rng,
+    );
+    assert_eq!(episode.steps, cfg.lambda * 64);
+}

@@ -117,6 +117,27 @@ fn run_writes_each_state_once() {
     assert_eq!(on_disk(&dir), Some(text));
     std::fs::remove_file(&checkpoint).unwrap();
 
+    // a `Stop` at the boundary after the last round: the controller is
+    // asked before the budget is, so the run reports `stopped` with the
+    // whole budget spent and keeps its checkpoint. A relaunch resumes it
+    // and, asked for the remaining budget, runs nothing more
+    with_session(&dir, 1, |s, _| {
+        let out = s
+            .run_with(48, |p| match p.trials_used {
+                48 => SessionControl::Stop,
+                _ => SessionControl::Continue,
+            })
+            .unwrap();
+        assert!(out.stopped);
+        assert_eq!(out.trials, 48);
+    });
+    with_session(&dir, 1, |s, _| {
+        assert!(s.resumed());
+        assert_eq!(s.trials_used(), 48);
+        assert_eq!(s.run(48 - s.trials_used()).unwrap(), 0);
+    });
+    std::fs::remove_file(&checkpoint).unwrap();
+
     // cadence 2: round 2 checkpoints, round 3 does not, so the run ends
     // with a write of its own
     let (before, waited) = (writes(), waits());
