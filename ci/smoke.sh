@@ -140,14 +140,14 @@ if [ -z "$serve_tt" ] || [ "$serve_tt" -le 0 ] || [ "$serve_tt" -ge "$cold_tt" ]
 fi
 
 # live metrics: the daemon's registry must expose the job lifecycle,
-# request latencies, and the scoring cache hit rate
+# request latencies, and the scored-candidate count
 metrics=$("$CLI_BIN" --addr "$ADDR" metrics)
 for needle in \
     'harl_serve_jobs_total{state="submitted"}' \
     'harl_serve_jobs_total{state="completed"}' \
     'harl_serve_requests_total{verb="submit"}' \
     'harl_serve_request_seconds_count' \
-    'harl_scoring_cache_hits_total'; do
+    'harl_scoring_candidates_total'; do
     if ! printf '%s\n' "$metrics" | grep -qF "$needle"; then
         echo "FAIL: metrics dump is missing $needle"
         exit 1

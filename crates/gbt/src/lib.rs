@@ -14,5 +14,5 @@ pub mod tree;
 
 pub use booster::{Dataset, Gbt, GbtParams};
 pub use cost_model::CostModel;
-pub use scoring::{FeatureCache, ScoreStats, ScoringPipeline};
+pub use scoring::{ScoreStats, ScoringPipeline};
 pub use tree::{FlatTree, RegressionTree, TreeParams};

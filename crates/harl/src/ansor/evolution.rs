@@ -73,9 +73,6 @@ pub fn evolve_candidates<R: Rng + ?Sized>(
         !sketches.is_empty(),
         "subgraph must have at least one sketch"
     );
-    // cache keys are schedule fingerprints, valid only for this round's
-    // fixed (graph, sketch-set, target) context
-    pipeline.begin_episode();
     let extract = |s: &Schedule, buf: &mut Vec<f32>| plans[s.sketch_id].extract_into(s, buf);
 
     // --- initial population ---------------------------------------------
@@ -89,7 +86,7 @@ pub fn evolve_candidates<R: Rng + ?Sized>(
     // --- generations ------------------------------------------------------
     let mut scores: Vec<f64> = Vec::new();
     for _ in 0..cfg.generations {
-        pipeline.score_into(cost_model, &pop, |s| s.fingerprint(), extract, &mut scores);
+        pipeline.score(cost_model, &pop, extract, &mut scores);
         // fitness-proportional selection over positive scores
         let total: f64 = scores.iter().sum();
         let pick_parent = |rng: &mut R| -> usize {
@@ -136,7 +133,7 @@ pub fn evolve_candidates<R: Rng + ?Sized>(
     }
 
     // --- ε-greedy top-K selection ----------------------------------------
-    pipeline.score_into(cost_model, &pop, |s| s.fingerprint(), extract, &mut scores);
+    pipeline.score(cost_model, &pop, extract, &mut scores);
     let mut scored: Vec<(f64, Schedule)> = scores.iter().copied().zip(pop).collect();
     scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
 
@@ -199,7 +196,7 @@ mod tests {
             &HashSet::new(),
             32,
             &EvoConfig::default(),
-            &mut ScoringPipeline::new(1, 1024),
+            &mut ScoringPipeline::default(),
             &mut rng,
         );
         assert_eq!(cands.len(), 32);
@@ -224,7 +221,7 @@ mod tests {
             &HashSet::new(),
             16,
             &EvoConfig::default(),
-            &mut ScoringPipeline::new(1, 1024),
+            &mut ScoringPipeline::default(),
             &mut rng,
         );
         let seen: HashSet<u64> = first.iter().map(Schedule::dedup_key).collect();
@@ -237,7 +234,7 @@ mod tests {
             &seen,
             16,
             &EvoConfig::default(),
-            &mut ScoringPipeline::new(1, 1024),
+            &mut ScoringPipeline::default(),
             &mut rng,
         );
         for s in &second {
@@ -269,7 +266,7 @@ mod tests {
             &HashSet::new(),
             32,
             &EvoConfig::default(),
-            &mut ScoringPipeline::new(1, 1024),
+            &mut ScoringPipeline::default(),
             &mut rng,
         );
         let max_unroll = Target::Cpu.unroll_depths().len() - 1;

@@ -163,9 +163,6 @@ pub fn run_episode(
     let mut visited: Vec<Visit> = Vec::new();
     let mut critical: Vec<CriticalStep> = Vec::new();
     let mut lint_stats = LintStats::new();
-    // the cache key is a schedule fingerprint: valid only within this
-    // episode's fixed (graph, sketch, target) context
-    pipeline.begin_episode();
     let mut scores: Vec<f64> = Vec::new();
     // counts the findings; true when `s` must not be scored
     let lint_rejects = |stats: &mut LintStats, s: &Schedule| {
@@ -194,14 +191,12 @@ pub fn run_episode(
             (s, seeded)
         })
         .collect();
-    pipeline.score_into(
+    pipeline.score(
         cost,
         &initial,
-        |(s, _)| s.fingerprint(),
         |(s, _), buf| plan.extract_into(s, buf),
         &mut scores,
     );
-    let cache_hits_before = pipeline.stats().cache_hits;
     let mut tracks: Vec<Track> = initial
         .into_iter()
         .enumerate()
@@ -323,10 +318,9 @@ pub fn run_episode(
         // this step, in the same track-major order.
         {
             let _score_span = tracer.span("score");
-            pipeline.score_into(
+            pipeline.score(
                 cost,
                 &props[..n],
-                |p| p.cand.fingerprint(),
                 |p, buf| plan.extract_into(&p.cand, buf),
                 &mut scores,
             );
@@ -494,10 +488,6 @@ pub fn run_episode(
                 ("steps", step.into()),
                 ("proposals", proposed.into()),
                 ("lint_rejected", (proposed - legal).into()),
-                (
-                    "cache_hits",
-                    (pipeline.stats().cache_hits - cache_hits_before).into(),
-                ),
                 ("pruned_per_window", list(&pruned).into()),
                 (
                     "critical_step_deciles",
@@ -561,7 +551,7 @@ mod tests {
             &cfg,
             &[],
             &an,
-            &mut ScoringPipeline::new(1, 1024),
+            &mut ScoringPipeline::default(),
             &Tracer::disabled(),
             &mut rng,
         );
@@ -598,7 +588,7 @@ mod tests {
             &cfg,
             &[],
             &an,
-            &mut ScoringPipeline::new(1, 1024),
+            &mut ScoringPipeline::default(),
             &Tracer::disabled(),
             &mut rng,
         );
@@ -623,7 +613,7 @@ mod tests {
             &cfg,
             &[],
             &an,
-            &mut ScoringPipeline::new(1, 1024),
+            &mut ScoringPipeline::default(),
             &Tracer::disabled(),
             &mut rng,
         );
@@ -653,7 +643,7 @@ mod tests {
             &cfg,
             &[],
             &an,
-            &mut ScoringPipeline::new(1, 1024),
+            &mut ScoringPipeline::default(),
             &Tracer::disabled(),
             &mut rng,
         );
@@ -676,7 +666,7 @@ mod tests {
                 &HarlConfig::tiny(),
                 &[elite],
                 &Analyzer::for_target(Target::Cpu),
-                &mut ScoringPipeline::new(1, 1024),
+                &mut ScoringPipeline::default(),
                 &Tracer::disabled(),
                 &mut rng,
             );
@@ -750,7 +740,7 @@ mod tests {
             &cfg,
             &[],
             &an,
-            &mut ScoringPipeline::new(1, 1024),
+            &mut ScoringPipeline::default(),
             &Tracer::disabled(),
             &mut rng,
         );
@@ -856,7 +846,7 @@ mod tests {
             &cfg,
             &[],
             &an,
-            &mut ScoringPipeline::new(1, 1024),
+            &mut ScoringPipeline::default(),
             &Tracer::disabled(),
             &mut rng,
         );

@@ -308,9 +308,6 @@ impl Proposer for MctsProposer {
     fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize {
         let _round_span = core.tracer().span("mcts_round");
         self.init_tree(core);
-        // cached scores are stale the moment the model retrains, so each
-        // round starts with a cold cache like every other tuner
-        self.pipeline.begin_episode();
 
         let playout_span = core
             .tracer()
@@ -337,18 +334,11 @@ impl Proposer for MctsProposer {
                 }
                 path.push(cand);
             }
-            // the analyzer is not `Sync`, so the pool's extractor borrows
-            // the core's plans, not the core
             let plans = core.plans();
             let extract =
                 |s: &Schedule, buf: &mut Vec<f32>| plans[s.sketch_id].extract_into(s, buf);
-            self.pipeline.score_into(
-                &self.cost_model,
-                &path,
-                |s| s.fingerprint(),
-                extract,
-                &mut scores,
-            );
+            self.pipeline
+                .score(&self.cost_model, &path, extract, &mut scores);
             scored_evals += path.len();
             // reward: best normalized predicted throughput along the path
             // (the min-latency surrogate; scores are FLOP/s predictions)

@@ -465,9 +465,7 @@ impl<'m, P> Deref for Searcher<'m, P> {
 static NOTHING_SCORED: ScoreStats = ScoreStats {
     batch_count: 0,
     scored: 0,
-    cache_hits: 0,
     cache_misses: 0,
-    features_cached: 0,
 };
 
 impl<'m, P: Proposer> Searcher<'m, P> {
@@ -535,8 +533,8 @@ impl<'m, P: Proposer> Searcher<'m, P> {
         self.proposer.restore(&mut self.core, state);
     }
 
-    /// Counters of the proposer's scoring pipeline (cache hits, batches,
-    /// thread width); all zero for a proposer that scores nothing.
+    /// Counters of the proposer's scoring pipeline (batches, candidates
+    /// scored); all zero for a proposer that scores nothing.
     pub fn score_stats(&self) -> &ScoreStats {
         self.proposer
             .pipeline()

@@ -258,9 +258,8 @@ fn print_view(view: &JobView) {
     }
     if let Some(s) = &view.score_stats {
         line.push_str(&format!(
-            " score_batches={} cache_hit_rate={:.2}",
-            s.batch_count,
-            s.hit_rate()
+            " score_batches={} scored={}",
+            s.batch_count, s.scored
         ));
     }
     if let Some(err) = &view.error {

@@ -517,8 +517,8 @@ impl JobOutcome {
         ));
         if let Some(s) = &self.score_stats {
             line.push_str(&format!(
-                " score_batches={} cache_hits={} cache_misses={}",
-                s.batch_count, s.cache_hits, s.cache_misses
+                " score_batches={} scored={}",
+                s.batch_count, s.scored
             ));
         }
         if let Some(ft) = self.finetune_trials {
@@ -667,17 +667,15 @@ mod tests {
             score_stats: Some(ScoreStats {
                 batch_count: 12,
                 scored: 640,
-                cache_hits: 100,
-                cache_misses: 540,
-                features_cached: 540,
+                cache_misses: 640,
             }),
             finetune_trials: Some(9),
         };
         assert_eq!(
             out.metrics_line(),
             "metrics: best_ms=1.250000000 trials=64 trials_to_best=40 \
-             warm_records=0 resumed=false score_batches=12 cache_hits=100 \
-             cache_misses=540 finetune_trials=9"
+             warm_records=0 resumed=false score_batches=12 scored=640 \
+             finetune_trials=9"
         );
     }
 }

@@ -254,9 +254,7 @@ mod tests {
                 score_stats: Some(harl_gbt::ScoreStats {
                     batch_count: 3,
                     scored: 96,
-                    cache_hits: 10,
-                    cache_misses: 86,
-                    features_cached: 86,
+                    cache_misses: 96,
                 }),
                 error: None,
             }]),
@@ -284,13 +282,12 @@ mod tests {
     #[test]
     fn a_status_reply_that_still_carries_threads_reads() {
         // daemons before the pools were removed sent the scoring pool's
-        // width inside every job's `score_stats`
+        // width inside every job's `score_stats` (an unknown field, as are
+        // the feature cache's counters that daemons sent before it went)
         let stats = harl_gbt::ScoreStats {
             batch_count: 3,
             scored: 96,
-            cache_hits: 10,
-            cache_misses: 86,
-            features_cached: 86,
+            cache_misses: 96,
         };
         let want = Response::Jobs(vec![JobView {
             id: "j000001".into(),
@@ -310,11 +307,8 @@ mod tests {
         let mut buf = Vec::new();
         write_message(&mut buf, &want).unwrap();
         let line = String::from_utf8(buf).unwrap();
-        let old = line.replace(
-            "\"features_cached\":86",
-            "\"features_cached\":86,\"threads\":4",
-        );
-        assert_ne!(old, line, "the reply carries the cache counters");
+        let old = line.replace("\"cache_misses\":96", "\"cache_misses\":96,\"threads\":4");
+        assert_ne!(old, line, "the reply carries the scoring counters");
         let got: Response = read_message(&mut std::io::Cursor::new(old))
             .unwrap()
             .unwrap();

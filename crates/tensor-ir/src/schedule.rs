@@ -243,13 +243,11 @@ impl Schedule {
         self.param_hash(0xcbf29ce484222325)
     }
 
-    /// A stable key for the feature cache of the batched scoring pipeline.
-    ///
-    /// Hashes the same parameter stream as [`Schedule::dedup_key`] but from
-    /// a domain-separated seed, so population dedup and feature caching
-    /// cannot share collision patterns. Features are a pure function of
-    /// (graph, sketch, target, schedule); within one episode the first
-    /// three are fixed, so this key alone identifies a feature vector.
+    /// A second stable key over the same parameter stream as
+    /// [`Schedule::dedup_key`], from a domain-separated seed, so the two
+    /// cannot share collision patterns. No search path reads it: it keyed
+    /// the scoring pipeline's feature cache, and `benchmark/` still names
+    /// it (ROADMAP item 7).
     pub fn fingerprint(&self) -> u64 {
         // the offset basis perturbed by a scoring-domain tag ("SCORE")
         self.param_hash(0xcbf29ce484222325 ^ 0x5343_4f52_4500_0001)

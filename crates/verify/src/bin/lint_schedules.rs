@@ -9,7 +9,7 @@
 //! corrupted third — a quick end-to-end check that the lints fire on what
 //! they claim to catch and stay quiet otherwise.
 //!
-//! Usage: `lint-schedules [schedules-per-sketch]` (default 150).
+//! Usage: see [`LINT_SCHEDULES_USAGE`]; a malformed count exits 2.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,7 +18,9 @@ use harl_tensor_ir::models::{operator_suite, OperatorClass};
 use harl_tensor_ir::{
     generate_sketches, mutate, workload, FeaturePlan, Schedule, Sketch, Subgraph, Target,
 };
-use harl_verify::{check_finite, Analyzer, LintCode, LintStats, Severity};
+use harl_verify::{
+    check_finite, fuzz_count, Analyzer, LintCode, LintStats, Severity, LINT_SCHEDULES_USAGE,
+};
 
 /// One deliberate corruption of a legal schedule.
 fn corrupt(s: &Schedule, sketch: &Sketch, target: Target, rng: &mut StdRng) -> Schedule {
@@ -80,8 +82,8 @@ struct Population {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--explain") {
-        let Some(code) = args.get(1) else {
-            eprintln!("usage: lint-schedules --explain <V001..V006|C001..C005>");
+        let [_, code] = args.as_slice() else {
+            eprintln!("error: --explain takes one code\n\n{LINT_SCHEDULES_USAGE}");
             std::process::exit(2);
         };
         match LintCode::from_code(code) {
@@ -98,7 +100,10 @@ fn main() {
             }
         }
     }
-    let per_sketch: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(150);
+    let per_sketch = fuzz_count(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n\n{LINT_SCHEDULES_USAGE}");
+        std::process::exit(2);
+    });
     let target = Target::Cpu;
     let analyzer = Analyzer::for_target(target);
     let mut rng = StdRng::seed_from_u64(0x11f7);

@@ -335,7 +335,7 @@ fn the_top_k_walk_picks_what_sorting_every_rebuilt_schedule_picked() {
         &cfg,
         &[],
         core.analyzer(),
-        &mut ScoringPipeline::new(1, 1024),
+        &mut ScoringPipeline::default(),
         &Tracer::disabled(),
         &mut rng,
     );
@@ -417,7 +417,7 @@ fn an_episode_that_eliminates_nobody_stops_after_the_window_bound() {
         &cfg,
         &[],
         core.analyzer(),
-        &mut ScoringPipeline::new(1, 1024),
+        &mut ScoringPipeline::default(),
         &Tracer::disabled(),
         &mut rng,
     );

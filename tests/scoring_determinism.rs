@@ -1,9 +1,8 @@
 //! Bit-determinism of the batched stages.
 //!
-//! The scoring pipeline (fingerprint, cache, extract, batch-predict) and
-//! the batched `ppo_act` matrix pass over all live tracks must come out
-//! bit-equal to the seed's per-candidate loops, and the cache must really
-//! engage. The runtime-dispatched SIMD backends (`harl-simd`) are the
+//! The scoring pipeline (extract, batch-predict) and the batched
+//! `ppo_act` matrix pass over all live tracks must come out bit-equal to
+//! the seed's per-candidate loops, and a run must really score. The runtime-dispatched SIMD backends (`harl-simd`) are the
 //! other axis: scalar-forced, every supported vector backend, and
 //! auto-dispatched runs must all be bit-equal, and a checkpoint written
 //! under one backend must resume bit-equal under another.
@@ -227,8 +226,8 @@ fn batched_ppo_act_matches_per_sample_act() {
 
 #[test]
 fn scoring_pool_reports_cache_traffic() {
-    // the determinism above must not come from the cache never engaging:
-    // a real run has to show both batches and hits
+    // the determinism above must come from runs that really score: a real
+    // run has to show batches and candidates
     let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
     let mut t = HarlOperatorTuner::new(gemm(), &m, HarlConfig::tiny());
     {
@@ -239,36 +238,82 @@ fn scoring_pool_reports_cache_traffic() {
     }
     let stats = *t.score_stats();
     assert!(stats.batch_count > 0, "pipeline must have run batches");
-    assert!(stats.scored > 0);
-    assert_eq!(stats.scored, stats.cache_hits + stats.cache_misses);
-    assert!(
-        stats.cache_hits > 0,
-        "episodes revisit candidates: {stats:?}"
-    );
+    assert!(stats.scored > 0, "{stats:?}");
 }
 
 #[test]
 fn score_stats_match_golden_counts() {
-    // Best-latency bits cannot see the cache's eviction order (a score is
-    // the same on a hit or a miss); the hit/miss split can. Recorded at
-    // the last commit with the tick-scanned cache (64c4e83): any
-    // replacement must evict the same entries. HARL/fast visits 7744
-    // candidates per episode against 4096 slots, so both rounds run the
-    // cache full; the Ansor run never fills it (no-eviction control).
-    // Columns: scored, cache_hits, cache_misses, features_cached.
-    const HARL_GOLDEN: [u64; 4] = [15488, 1044, 14444, 14444];
-    const ANSOR_GOLDEN: [u64; 4] = [1280, 188, 1092, 1092];
-    let counts = |s: &harl_repro::gbt::ScoreStats| {
-        [s.scored, s.cache_hits, s.cache_misses, s.features_cached]
-    };
+    // How many candidates each searcher scores is part of its behaviour;
+    // these counts were recorded with the old feature cache in front of
+    // the pipeline, and deleting it did not move them.
+    const HARL_SCORED: u64 = 15488;
+    const ANSOR_SCORED: u64 = 1280;
     let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
     let big = harl_repro::ir::workload::gemm(1024, 1024, 1024);
     let mut t = HarlOperatorTuner::new(big, &m, HarlConfig::fast());
     t.tune(32);
-    assert_eq!(counts(t.score_stats()), HARL_GOLDEN, "HARL");
+    assert_eq!(t.score_stats().scored, HARL_SCORED, "HARL");
 
     let m = Measurer::new(Hardware::cpu(), MeasureConfig::default());
     let mut a = AnsorTuner::new(gemm(), &m, AnsorConfig::default());
     a.tune(64);
-    assert_eq!(counts(a.score_stats()), ANSOR_GOLDEN, "Ansor");
+    assert_eq!(a.score_stats().scored, ANSOR_SCORED, "Ansor");
+}
+
+#[test]
+fn a_repeated_candidate_scores_what_it_scores_alone() {
+    // Nothing is remembered between candidates: one met twice inside a
+    // batch and again in a later batch is extracted and predicted each
+    // time, at a different lane position of the tree kernel each time, and
+    // every occurrence must carry the bits of scoring it alone.
+    use harl_repro::gbt::{CostModel, ScoringPipeline};
+    use harl_repro::ir::FeaturePlan;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let g = gemm();
+    let target = Target::Cpu;
+    let sk = &generate_sketches(&g, target)[0];
+    let plan = FeaturePlan::new(&g, sk, target);
+    let extract = |s: &Schedule, buf: &mut Vec<f32>| plan.extract_into(s, buf);
+    let mut rng = StdRng::seed_from_u64(0x5c0e);
+    let mut cost = CostModel::new(HarlConfig::tiny().gbt);
+    cost.update_batch((0..64).map(|i| {
+        let mut row = Vec::new();
+        extract(&Schedule::random(sk, target, &mut rng), &mut row);
+        (row, 1e9 * (1 + i % 7) as f64)
+    }));
+    let alone = |s: &Schedule| {
+        let mut row = Vec::new();
+        extract(s, &mut row);
+        let mut out = Vec::new();
+        cost.score_batch_into(&[row.as_slice()], &mut out);
+        (bits(&row), out[0].to_bits())
+    };
+
+    let twice = Schedule::random(sk, target, &mut rng);
+    let others: Vec<Schedule> = (0..20)
+        .map(|_| Schedule::random(sk, target, &mut rng))
+        .collect();
+    let mut first = others[..5].to_vec();
+    first.push(twice.clone());
+    first.extend_from_slice(&others[5..13]);
+    first.push(twice.clone());
+    first.extend_from_slice(&others[13..17]);
+    let mut later = others[17..].to_vec();
+    later.push(twice);
+
+    let mut pipe = ScoringPipeline::default();
+    let mut scores = Vec::new();
+    for batch in [&first, &later] {
+        pipe.score(&cost, batch, extract, &mut scores);
+        assert_eq!(scores.len(), batch.len());
+        for (i, s) in batch.iter().enumerate() {
+            let (row, score) = alone(s);
+            assert_eq!(bits(pipe.row(i)), row, "row {i}");
+            assert_eq!(scores[i].to_bits(), score, "score {i}");
+        }
+    }
+    assert_eq!(pipe.stats().scored, (first.len() + later.len()) as u64);
 }
