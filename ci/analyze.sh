@@ -5,8 +5,9 @@
 #      harl-check wrappers, rebuilt under `--cfg harl_check`: every
 #      CMutex/CCondvar/CAtomic records lock order and fails fast on
 #      C001/C002/C004, and the schedule explorer (harl_check::model) runs
-#      the real JobQueue (crates/serve/tests/queue_explore.rs), the real
-#      DirLock steal (crates/store, `explore`) and the GBT fit's node queue
+#      the real JobQueue (crates/serve/tests/queue_explore.rs), store
+#      append order (two appenders through one RecordStore leave memory in
+#      the file's order: crates/store, `explore`) and the GBT fit's node queue
 #      (crates/gbt, `queue::tests::explore`) through every schedule up to
 #      two preemptions, plus harl-check's own fixtures that prove it still
 #      catches a lost update, a missing recheck, a remove-then-create steal

@@ -105,3 +105,16 @@ row "all lines in crates/simd/src (tests and tables included):" "$(cat crates/si
 row "non-test, non-comment lines in the seven config files:" \
     "$(code_lines crates/tensor-sim/src/measure.rs crates/nnet/src/{mlp,ppo}.rs \
         crates/harl/src/{ansor/tuner,mcts/tuner,mcts/finetune,config}.rs)"
+# the record store, and the locks and panics of the concurrent crates
+mapfile -t store_src < <(rs_in crates/store/src)
+row "non-test, non-comment lines in crates/store/src:" "$(code_lines "${store_src[@]}")"
+# a CMutex's class is the string literal it is created with, which may sit
+# on the line after `CMutex::new(`; harl-check's own fixtures not counted
+mapfile -t locking_src < <(rs_in crates/*/src | grep -v '^crates/check/')
+row "distinct CMutex classes in non-test crates/*/src outside crates/check:" \
+    "$(non_test "${locking_src[@]}" | tr '\n' ' ' |
+        grep -oE 'CMutex::new\( *"[^"]+"' | sort -u | wc -l)"
+mapfile -t serve_store_src < <(rs_in crates/serve/src crates/store/src)
+row "unwrap/expect calls in non-test crates/serve/src and crates/store/src:" \
+    "$(non_test "${serve_store_src[@]}" | grep -vE '^\s*//' |
+        grep -oE '\.(unwrap|expect)\(' | wc -l)"

@@ -24,8 +24,8 @@
 //!    and a depth-first search re-runs the body for every schedule up to
 //!    a preemption bound. A panic, a failed assertion or a deadlock is a
 //!    **C005** violation carrying the thread schedule that reproduces
-//!    it. `crates/serve` and `crates/store` check their `JobQueue` and
-//!    `DirLock` with it.
+//!    it. `crates/serve` checks its `JobQueue` with it, `crates/store`
+//!    its append order and `crates/gbt` its fit's node queue.
 //!
 //! Diagnostics flow through the `harl-verify` machinery (codes C001–C005,
 //! `lint-schedules --explain <code>`), counters through `harl-obs`

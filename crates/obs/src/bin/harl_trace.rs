@@ -18,6 +18,8 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 
+use harl_obs::{trace_args, TRACE_USAGE};
+
 #[derive(Default, Clone)]
 struct Phase {
     count: u64,
@@ -73,35 +75,14 @@ fn str_field(line: &str, key: &str) -> Option<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut path: Option<String> = None;
-    let mut min_coverage: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--min-coverage" => {
-                i += 1;
-                min_coverage = args.get(i).and_then(|v| v.parse().ok());
-                if min_coverage.is_none() {
-                    eprintln!("harl-trace: --min-coverage needs a numeric percentage");
-                    std::process::exit(2);
-                }
-            }
-            "-h" | "--help" => {
-                println!("usage: harl-trace <trace.jsonl> [--min-coverage PCT]");
-                return;
-            }
-            other if path.is_none() => path = Some(other.to_string()),
-            other => {
-                eprintln!("harl-trace: unexpected argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        println!("{TRACE_USAGE}");
+        return;
     }
-    let Some(path) = path else {
-        eprintln!("usage: harl-trace <trace.jsonl> [--min-coverage PCT]");
+    let (path, min_coverage) = trace_args(&args).unwrap_or_else(|e| {
+        eprintln!("harl-trace: {e}\n{TRACE_USAGE}");
         std::process::exit(2);
-    };
+    });
 
     let file = match std::fs::File::open(&path) {
         Ok(f) => f,

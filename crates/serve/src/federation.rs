@@ -13,6 +13,14 @@
 //! (plain `offset addr` lines, rewritten via tmp+rename) so a restarted
 //! daemon resumes pulling where it left off instead of re-paging
 //! everything through the dedup filter.
+//!
+//! A cursor is an offset into the peer's append order, and it is safe to
+//! keep only because that order is one order: the peer's `RecordStore`
+//! writes each line and pushes its record under one mutex, so the
+//! in-memory order `pool_sync` pages by is the order of the peer's
+//! `records.jsonl`, which a restarted peer reads back. Were the two to
+//! differ, a record appended concurrently could sit below a cursor after
+//! the restart without ever having been served, and be skipped for good.
 
 use std::collections::HashMap;
 use std::fs;

@@ -277,10 +277,11 @@ impl LintCode {
                 "C005 model-check-violation (error)\n\
                  The schedule explorer (harl_check::model, --cfg harl_check builds)\n\
                  found a schedule of the real code under test (the job queue, the\n\
-                 directory-lock steal) that fails: a panic or failed assertion in\n\
-                 any thread (a lost or duplicated job, two owners of one store\n\
-                 directory), a deadlock, or a livelock. The reported schedule\n\
-                 replays the failure deterministically (harl_check::model::replay)."
+                 record store's appends, the GBT fit's node queue) that fails: a\n\
+                 panic or failed assertion in any thread (a lost or duplicated job,\n\
+                 records held in another order than the file's), a deadlock, or a\n\
+                 livelock. The reported schedule replays the failure\n\
+                 deterministically (harl_check::model::replay)."
             }
         }
     }
