@@ -77,6 +77,8 @@ row "BENCH_*.json files at the root and under ci/:" \
     "$(find . ci -maxdepth 1 -name 'BENCH_*.json' | wc -l)"
 
 # the searchers, and how many times each piece of the tuner shell is spelled
+# (the last four: the learner's retrain, construction, pipeline hook and
+# retrain span, which the shell spells once)
 row "non-test, non-comment lines in crates/harl/src:" "$(code_lines "${searchers[@]}")"
 for pattern in \
     'Tuner for ' \
@@ -87,7 +89,11 @@ for pattern in \
     'cannot restore' \
     'struct NetRound' \
     'fn finetune\(' \
-    'fn checkpoint_state|fn restore_state'; do
+    'fn checkpoint_state|fn restore_state' \
+    'update_batch\(' \
+    'CostModel::new\(' \
+    'fn pipeline\(' \
+    'span\("gbt_retrain"\)'; do
     row "  lines matching /$pattern/ in them:" "$(non_test "${searchers[@]}" | grep -cE "$pattern" || true)"
 done
 

@@ -4,16 +4,15 @@
 //! Each round seeds a population from the best measured schedules plus
 //! fresh random samples, evolves it for a few generations under the cost
 //! model's fitness (selection is fitness-proportional; offspring are
-//! mutated and occasionally crossed over), and finally emits measurement
-//! candidates by ε-greedy top-K: mostly the model's best, with a small
-//! random fraction for exploration.
-
-use std::collections::HashSet;
+//! mutated and occasionally crossed over), and ranks the last generation
+//! by the model; the round then picks its measurement candidates from
+//! that ranking by ε-greedy top-K.
 
 use rand::Rng;
 
-use harl_gbt::{CostModel, ScoringPipeline};
 use harl_tensor_ir::{crossover, mutate, FeaturePlan, Schedule, Sketch, Target};
+
+use crate::search::Learner;
 
 /// Evolutionary-search hyper-parameters (defaults follow Ansor's published
 /// settings scaled to this simulator).
@@ -41,32 +40,27 @@ const ELITE_RATIO: f64 = 0.25;
 const CROSSOVER_PROB: f64 = 0.3;
 /// Mutations applied to every child.
 const MUTATIONS_PER_CHILD: usize = 2;
-/// Fraction of measurement candidates picked at random (ε-greedy).
-const EPS_GREEDY: f64 = 0.05;
 
-/// One evolutionary round: returns up to `num_candidates` distinct
-/// schedules to measure, avoiding anything whose dedup key is in `seen`.
+/// One evolutionary round: returns the last generation ranked by the
+/// model's score, best first (ties keep population order), duplicates
+/// and measured schedules included.
 ///
 /// `elites` are previously measured good schedules (best first); sketches
 /// are chosen uniformly for random seeding (Ansor's sketch policy).
 /// `plans[i]` is the feature plan of `sketches[i]`.
 ///
-/// Fitness evaluation goes through `pipeline`: each generation (and the
-/// final ε-greedy pass) scores the whole population in one batch, with
-/// surviving elites and duplicate offspring hitting the feature cache.
-/// Scores are bit-identical to per-candidate `extract → score`, so the
-/// RNG stream and selection are unchanged from the serial implementation.
-#[allow(clippy::too_many_arguments)]
+/// Fitness evaluation goes through the learner's pipeline: each
+/// generation (and the final ranking) scores the whole population in one
+/// batch. Scores are bit-identical to per-candidate `extract → score`, so
+/// the RNG stream and selection are unchanged from the serial
+/// implementation.
 pub fn evolve_candidates<R: Rng + ?Sized>(
     plans: &[FeaturePlan],
     sketches: &[Sketch],
     target: Target,
-    cost_model: &CostModel,
+    learner: &mut Learner,
     elites: &[Schedule],
-    seen: &HashSet<u64>,
-    num_candidates: usize,
     cfg: &EvoConfig,
-    pipeline: &mut ScoringPipeline,
     rng: &mut R,
 ) -> Vec<Schedule> {
     assert!(
@@ -86,7 +80,7 @@ pub fn evolve_candidates<R: Rng + ?Sized>(
     // --- generations ------------------------------------------------------
     let mut scores: Vec<f64> = Vec::new();
     for _ in 0..cfg.generations {
-        pipeline.score(cost_model, &pop, extract, &mut scores);
+        (learner.pipeline).score(&learner.model, &pop, extract, &mut scores);
         // fitness-proportional selection over positive scores
         let total: f64 = scores.iter().sum();
         let pick_parent = |rng: &mut R| -> usize {
@@ -132,37 +126,11 @@ pub fn evolve_candidates<R: Rng + ?Sized>(
         pop = next;
     }
 
-    // --- ε-greedy top-K selection ----------------------------------------
-    pipeline.score(cost_model, &pop, extract, &mut scores);
+    // --- the last generation, ranked ----------------------------------------
+    (learner.pipeline).score(&learner.model, &pop, extract, &mut scores);
     let mut scored: Vec<(f64, Schedule)> = scores.iter().copied().zip(pop).collect();
     scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-
-    let n_random = (num_candidates as f64 * EPS_GREEDY).round() as usize;
-    let mut out: Vec<Schedule> = Vec::with_capacity(num_candidates);
-    let mut local_seen: HashSet<u64> = HashSet::new();
-    for (_, s) in &scored {
-        if out.len() + n_random >= num_candidates {
-            break;
-        }
-        let key = s.dedup_key();
-        if seen.contains(&key) || !local_seen.insert(key) {
-            continue;
-        }
-        out.push(s.clone());
-    }
-    // random exploration tail (fresh samples, not just population members)
-    let mut guard = 0;
-    while out.len() < num_candidates && guard < num_candidates * 50 {
-        guard += 1;
-        let sk = &sketches[rng.gen_range(0..sketches.len())];
-        let s = Schedule::random(sk, target, rng);
-        let key = s.dedup_key();
-        if seen.contains(&key) || !local_seen.insert(key) {
-            continue;
-        }
-        out.push(s);
-    }
-    out
+    scored.into_iter().map(|(_, s)| s).collect()
 }
 
 #[cfg(test)]
@@ -183,71 +151,28 @@ mod tests {
     }
 
     #[test]
-    fn produces_requested_distinct_candidates() {
+    fn returns_the_whole_last_generation_valid_and_ranked() {
         let (_, sk, plans) = setup();
-        let cm = CostModel::new(GbtParams::default());
+        let mut learner = Learner::new(GbtParams::default());
         let mut rng = StdRng::seed_from_u64(1);
-        let cands = evolve_candidates(
-            &plans,
-            &sk,
-            Target::Cpu,
-            &cm,
-            &[],
-            &HashSet::new(),
-            32,
-            &EvoConfig::default(),
-            &mut ScoringPipeline::default(),
-            &mut rng,
-        );
-        assert_eq!(cands.len(), 32);
-        let keys: HashSet<u64> = cands.iter().map(Schedule::dedup_key).collect();
-        assert_eq!(keys.len(), 32, "candidates must be distinct");
-        for c in &cands {
+        let cfg = EvoConfig::default();
+        let ranked = evolve_candidates(&plans, &sk, Target::Cpu, &mut learner, &[], &cfg, &mut rng);
+        assert_eq!(ranked.len(), cfg.population);
+        for c in &ranked {
             c.validate(&sk[c.sketch_id], Target::Cpu).expect("valid");
         }
-    }
-
-    #[test]
-    fn avoids_already_measured() {
-        let (_, sk, plans) = setup();
-        let cm = CostModel::new(GbtParams::default());
-        let mut rng = StdRng::seed_from_u64(2);
-        let first = evolve_candidates(
-            &plans,
-            &sk,
-            Target::Cpu,
-            &cm,
-            &[],
-            &HashSet::new(),
-            16,
-            &EvoConfig::default(),
-            &mut ScoringPipeline::default(),
-            &mut rng,
-        );
-        let seen: HashSet<u64> = first.iter().map(Schedule::dedup_key).collect();
-        let second = evolve_candidates(
-            &plans,
-            &sk,
-            Target::Cpu,
-            &cm,
-            &first,
-            &seen,
-            16,
-            &EvoConfig::default(),
-            &mut ScoringPipeline::default(),
-            &mut rng,
-        );
-        for s in &second {
-            assert!(!seen.contains(&s.dedup_key()));
-        }
+        let extract = |s: &Schedule, buf: &mut Vec<f32>| plans[s.sketch_id].extract_into(s, buf);
+        let mut scores = Vec::new();
+        (learner.pipeline).score(&learner.model, &ranked, extract, &mut scores);
+        assert!(scores.windows(2).all(|w| w[0] >= w[1]), "best first");
     }
 
     #[test]
     fn trained_model_biases_selection() {
         // train the cost model to prefer high unroll_idx; evolution should
-        // then emit mostly high-unroll candidates.
+        // then rank mostly high-unroll schedules first.
         let (g, sk, plans) = setup();
-        let mut cm = CostModel::new(GbtParams::default());
+        let mut learner = Learner::new(GbtParams::default());
         let mut rng = StdRng::seed_from_u64(3);
         let mut batch = Vec::new();
         for _ in 0..200 {
@@ -256,21 +181,14 @@ mod tests {
             let y = 1e9 * (1.0 + s.unroll_idx as f64 * 10.0);
             batch.push((f, y));
         }
-        cm.update_batch(batch);
-        let cands = evolve_candidates(
-            &plans,
-            &sk,
-            Target::Cpu,
-            &cm,
-            &[],
-            &HashSet::new(),
-            32,
-            &EvoConfig::default(),
-            &mut ScoringPipeline::default(),
-            &mut rng,
-        );
+        learner.model.update_batch(batch);
+        let cfg = EvoConfig::default();
+        let ranked = evolve_candidates(&plans, &sk, Target::Cpu, &mut learner, &[], &cfg, &mut rng);
         let max_unroll = Target::Cpu.unroll_depths().len() - 1;
-        let high = cands.iter().filter(|c| c.unroll_idx == max_unroll).count();
+        let high = ranked[..32]
+            .iter()
+            .filter(|c| c.unroll_idx == max_unroll)
+            .count();
         assert!(
             high > 16,
             "evolution should exploit the model: {high}/32 high-unroll"

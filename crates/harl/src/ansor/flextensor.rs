@@ -11,6 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use harl_gbt::CostModel;
 use harl_nnet::{PpoAgent, PpoConfig};
 use harl_obs::Tracer;
 use harl_tensor_ir::{
@@ -21,7 +22,7 @@ use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
 use harl_verify::LintStats;
 
 use crate::adaptive::CriticalStep;
-use crate::search::{Proposer, SearchCore, Searcher};
+use crate::search::{Lent, Proposer, SearchCore, Searcher};
 
 /// Configuration of the fixed-length tuner.
 #[derive(Debug, Clone)]
@@ -159,7 +160,7 @@ impl Proposer for FlextensorProposer {
     }
 
     /// One fixed-length episode (a `flex_episode` span).
-    fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize {
+    fn round(&mut self, core: &mut SearchCore<'_>, _: Lent<'_>, budget: usize) -> usize {
         let _episode_span = core
             .tracer()
             .span_with("flex_episode", &[("tracks", self.cfg.tracks.into())]);
@@ -268,7 +269,7 @@ impl Proposer for FlextensorProposer {
         used
     }
 
-    fn checkpoint(&self, core: &SearchCore<'_>) -> FlextensorTunerState {
+    fn checkpoint(&self, core: &SearchCore<'_>, _: Option<&CostModel>) -> Self::State {
         FlextensorTunerState {
             agent: self.agent.clone(),
             best_time: core.best_time,
@@ -281,8 +282,9 @@ impl Proposer for FlextensorProposer {
         }
     }
 
-    fn restore(&mut self, core: &mut SearchCore<'_>, state: FlextensorTunerState) {
+    fn restore(&mut self, core: &mut SearchCore<'_>, state: Self::State) -> Option<CostModel> {
         core.restore(
+            Vec::new(),
             Vec::new(),
             state.best_time,
             state.best_schedule,
@@ -296,6 +298,7 @@ impl Proposer for FlextensorProposer {
         self.agent.set_tracer(core.tracer().clone());
         self.critical_steps = state.critical_steps;
         self.rng = StdRng::from_state(state.rng);
+        None
     }
 
     fn set_tracer(&mut self, tracer: &Tracer) {

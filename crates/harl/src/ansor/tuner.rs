@@ -3,18 +3,17 @@
 //! network loop under the greedy gradient task scheduler.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use harl_gbt::{CostModel, GbtParams, ScoringPipeline};
-use harl_obs::Tracer;
+use harl_gbt::{CostModel, GbtParams};
 use harl_store::MeasureRecord;
 use harl_tensor_ir::Schedule;
 use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
 use harl_verify::LintStats;
 
 use crate::ansor::evolution::{evolve_candidates, EvoConfig};
-use crate::search::{Proposer, SearchCore, Searcher};
+use crate::search::{Lent, Picks, Proposer, SearchCore, Searcher, HAS_LEARNER};
 
 /// Configuration shared by Ansor operator and network tuning.
 #[derive(Debug, Clone)]
@@ -65,6 +64,8 @@ impl AnsorConfig {
 
 /// Elite pool size carried between rounds.
 const ELITE_POOL: usize = 32;
+/// Fraction of measurement candidates picked at random (ε-greedy).
+const EPS_GREEDY: f64 = 0.05;
 
 /// Serializable snapshot of an [`AnsorTuner`]'s mutable search state (see
 /// [`Proposer::State`]).
@@ -96,23 +97,13 @@ pub type AnsorTuner<'m> = Searcher<'m, AnsorProposer>;
 /// The evolutionary proposer; lint-rejected candidates never reach the
 /// measurer.
 pub struct AnsorProposer {
-    cost_model: CostModel,
     /// `(measured time, schedule)` sorted best-first.
     elites: Vec<(f64, Schedule)>,
-    /// Batched fitness scoring (feature cache + counters). Runtime
-    /// machinery, deliberately outside [`AnsorTunerState`]: its counters
-    /// must not leak into checkpoints.
-    pipeline: ScoringPipeline,
     cfg: AnsorConfig,
     rng: StdRng,
 }
 
 impl AnsorProposer {
-    /// The on-line cost model (diagnostics; e.g. warm-start checks).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
-    }
-
     /// Re-sorts the elite pool best-first and cuts it to [`ELITE_POOL`].
     fn trim_elites(&mut self) {
         self.elites
@@ -130,12 +121,14 @@ impl Proposer for AnsorProposer {
         cfg.validate()
     }
 
+    fn gbt(cfg: &AnsorConfig) -> Option<GbtParams> {
+        Some(cfg.gbt.clone())
+    }
+
     fn new(core: &mut SearchCore<'_>, cfg: AnsorConfig) -> Self {
         let seed = cfg.seed ^ core.graph.name.len() as u64;
         AnsorProposer {
-            cost_model: CostModel::new(cfg.gbt.clone()),
             elites: Vec::new(),
-            pipeline: ScoringPipeline::default(),
             cfg,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -143,38 +136,48 @@ impl Proposer for AnsorProposer {
 
     /// One exploration round: an `ansor_round` span with `evolve`/
     /// `measure`/`gbt_retrain` children.
-    fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize {
+    fn round(&mut self, core: &mut SearchCore<'_>, learner: Lent<'_>, budget: usize) -> usize {
+        let learner = learner.expect(HAS_LEARNER);
         let _round_span = core.tracer().span("ansor_round");
         let k = budget.min(self.cfg.measure_per_round);
         let evolve_span = core.tracer().span_with("evolve", &[("k", k.into())]);
         let elite_scheds: Vec<Schedule> = self.elites.iter().map(|(_, s)| s.clone()).collect();
-        let mut cands = evolve_candidates(
+        let ranked = evolve_candidates(
             core.plans(),
             &core.sketches,
             core.target(),
-            &self.cost_model,
+            learner,
             &elite_scheds,
-            core.seen(),
-            k,
             &self.cfg.evo,
-            &mut self.pipeline,
             &mut self.rng,
         );
+        // ε-greedy top-K: the model's best, then a tail of fresh random
+        // samples for exploration
+        let n_random = (k as f64 * EPS_GREEDY).round() as usize;
+        let mut picks = Picks::new(k);
+        for s in &ranked {
+            if picks.schedules.len() + n_random >= k {
+                break;
+            }
+            core.pick(&mut picks, s);
+        }
+        let mut guard = 0;
+        while !picks.is_full() && guard < k * 50 {
+            guard += 1;
+            let sid = self.rng.gen_range(0..core.sketches.len());
+            let s = Schedule::random(&core.sketches[sid], core.target(), &mut self.rng);
+            core.pick(&mut picks, &s);
+        }
         // drop illegal candidates before they reach the measurer
+        let mut cands = picks.schedules;
         cands.retain(|s| !core.lint_rejects(s));
         drop(evolve_span);
         if cands.is_empty() {
             return 0;
         }
 
-        let mut updates = Vec::with_capacity(cands.len());
-        for (m, features) in core.measure_all(&cands) {
-            updates.push((features, m.flops_per_sec));
+        for m in learner.measure_and_learn(core, &cands) {
             self.elites.push((m.time, m.schedule));
-        }
-        {
-            let _retrain_span = core.tracer().span("gbt_retrain");
-            self.cost_model.update_batch(updates);
         }
         self.trim_elites();
 
@@ -187,9 +190,9 @@ impl Proposer for AnsorProposer {
         cands.len()
     }
 
-    fn checkpoint(&self, core: &SearchCore<'_>) -> AnsorTunerState {
+    fn checkpoint(&self, core: &SearchCore<'_>, model: Option<&CostModel>) -> AnsorTunerState {
         AnsorTunerState {
-            cost_model: self.cost_model.clone(),
+            cost_model: model.expect(HAS_LEARNER).clone(),
             seen: core.seen_sorted(),
             elites: self.elites.clone(),
             best_time: core.best_time,
@@ -201,36 +204,27 @@ impl Proposer for AnsorProposer {
         }
     }
 
-    fn restore(&mut self, core: &mut SearchCore<'_>, state: AnsorTunerState) {
+    fn restore(&mut self, core: &mut SearchCore<'_>, state: AnsorTunerState) -> Option<CostModel> {
         core.restore(
             state.seen,
+            Vec::new(),
             state.best_time,
             state.best_schedule,
             state.trials_used,
             state.trace,
             state.lint_stats,
         );
-        self.cost_model = state.cost_model;
         self.elites = state.elites;
         self.rng = StdRng::from_state(state.rng);
+        Some(state.cost_model)
     }
 
-    /// Pre-trains the cost model on the records' features and seeds the
-    /// elite pool with their schedules.
-    fn warm_start(&mut self, core: &SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
-        self.cost_model.update_batch(core.training_rows(usable));
+    /// Seeds the elite pool with the records' schedules.
+    fn warm_start(&mut self, _core: &mut SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
         self.elites
             .extend(usable.iter().map(|r| (r.time, r.schedule.clone())));
         self.trim_elites();
         usable.len()
-    }
-
-    fn pipeline(&self) -> Option<&ScoringPipeline> {
-        Some(&self.pipeline)
-    }
-
-    fn set_tracer(&mut self, tracer: &Tracer) {
-        self.pipeline.set_tracer(tracer.clone());
     }
 }
 
@@ -366,7 +360,7 @@ mod tests {
         let mut warm = AnsorTuner::new(g, &m2, small_cfg());
         let used = warm.warm_start(&records);
         assert!(used > 0, "no records were usable");
-        assert!(warm.proposer().cost_model.is_trained());
+        assert!(warm.learner().unwrap().model.is_trained());
         assert_eq!(warm.trials_used, 0);
         assert_eq!(m2.trials(), 0);
         assert!(!warm.proposer().elites.is_empty());
@@ -380,6 +374,6 @@ mod tests {
         let g3 = workload::gemm(256, 256, 256);
         let mut t3 = AnsorTuner::new(g3, &m3, small_cfg());
         assert_eq!(t3.warm_start(&bogus), 0);
-        assert!(!t3.proposer().cost_model.is_trained());
+        assert!(!t3.learner().unwrap().model.is_trained());
     }
 }

@@ -10,7 +10,6 @@
 
 use rand::rngs::StdRng;
 
-use harl_gbt::{CostModel, ScoringPipeline};
 use harl_nnet::PpoAgent;
 use harl_obs::Tracer;
 use harl_tensor_ir::{
@@ -21,6 +20,7 @@ use harl_verify::{check_finite, Analyzer, LintCode, LintStats};
 
 use crate::adaptive::{critical_step_histogram, select_survivors, CriticalStep, TrackWindow};
 use crate::config::{HarlConfig, MAX_WINDOWS};
+use crate::search::Learner;
 
 /// The actor's heads, one per modification type (Appendix A.1): tiling,
 /// compute-at, parallel loops, auto-unroll.
@@ -138,26 +138,30 @@ struct Track {
 /// are sampled randomly from the sketch's parameter space (Algorithm 1,
 /// line 5).
 ///
-/// Scoring is batched through `pipeline`: every step first collects the
-/// actor's legal proposals across all tracks (preserving the serial RNG
-/// stream), then scores the whole candidate set in one pass (feature
-/// cache and flattened GBT kernel), then applies results in the original
-/// track order — so visited order, rewards, and PPO transitions are
-/// identical to the seed's candidate-at-a-time loop at any thread count.
+/// Scoring is batched through the learner's pipeline: every step first
+/// collects the actor's legal proposals across all tracks (preserving the
+/// serial RNG stream), then scores the whole candidate set in one pass
+/// (per-sketch feature plan and flattened GBT kernel), then applies
+/// results in the original track order — so visited order, rewards, and
+/// PPO transitions are identical to the seed's candidate-at-a-time loop
+/// at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn run_episode(
     graph: &Subgraph,
     sketch: &Sketch,
     plan: &FeaturePlan,
     agent: &mut PpoAgent,
-    cost: &CostModel,
+    learner: &mut Learner,
     cfg: &HarlConfig,
     seeds: &[Schedule],
     analyzer: &Analyzer,
-    pipeline: &mut ScoringPipeline,
     tracer: &Tracer,
     rng: &mut StdRng,
 ) -> EpisodeResult {
+    let Learner {
+        model: cost,
+        pipeline,
+    } = learner;
     let target = plan.target();
     let space = ActionSpace::of(sketch);
     let mut visited: Vec<Visit> = Vec::new();
@@ -534,7 +538,7 @@ mod tests {
     #[test]
     fn adaptive_episode_ends_below_min_tracks() {
         let (g, sk, plan, mut agent, mut rng) = setup();
-        let cost = CostModel::new(GbtParams::default());
+        let mut learner = Learner::new(GbtParams::default());
         let an = Analyzer::for_target(Target::Cpu);
         let cfg = HarlConfig {
             lambda: 3,
@@ -547,11 +551,10 @@ mod tests {
             &sk,
             &plan,
             &mut agent,
-            &cost,
+            &mut learner,
             &cfg,
             &[],
             &an,
-            &mut ScoringPipeline::default(),
             &Tracer::disabled(),
             &mut rng,
         );
@@ -571,7 +574,7 @@ mod tests {
     #[test]
     fn fixed_episode_runs_exact_length() {
         let (g, sk, plan, mut agent, mut rng) = setup();
-        let cost = CostModel::new(GbtParams::default());
+        let mut learner = Learner::new(GbtParams::default());
         let an = Analyzer::for_target(Target::Cpu);
         let cfg = HarlConfig {
             adaptive_stopping: false,
@@ -584,11 +587,10 @@ mod tests {
             &sk,
             &plan,
             &mut agent,
-            &cost,
+            &mut learner,
             &cfg,
             &[],
             &an,
-            &mut ScoringPipeline::default(),
             &Tracer::disabled(),
             &mut rng,
         );
@@ -601,7 +603,7 @@ mod tests {
     #[test]
     fn visited_schedules_are_valid() {
         let (g, sk, plan, mut agent, mut rng) = setup();
-        let cost = CostModel::new(GbtParams::default());
+        let mut learner = Learner::new(GbtParams::default());
         let an = Analyzer::for_target(Target::Cpu);
         let cfg = HarlConfig::tiny();
         let res = run_episode(
@@ -609,11 +611,10 @@ mod tests {
             &sk,
             &plan,
             &mut agent,
-            &cost,
+            &mut learner,
             &cfg,
             &[],
             &an,
-            &mut ScoringPipeline::default(),
             &Tracer::disabled(),
             &mut rng,
         );
@@ -630,7 +631,7 @@ mod tests {
     #[test]
     fn episode_trains_the_agent() {
         let (g, sk, plan, mut agent, mut rng) = setup();
-        let cost = CostModel::new(GbtParams::default());
+        let mut learner = Learner::new(GbtParams::default());
         let an = Analyzer::for_target(Target::Cpu);
         let cfg = HarlConfig::tiny();
         let before = agent.num_updates();
@@ -639,11 +640,10 @@ mod tests {
             &sk,
             &plan,
             &mut agent,
-            &cost,
+            &mut learner,
             &cfg,
             &[],
             &an,
-            &mut ScoringPipeline::default(),
             &Tracer::disabled(),
             &mut rng,
         );
@@ -662,11 +662,10 @@ mod tests {
                 &sk,
                 &plan,
                 &mut agent,
-                &CostModel::new(GbtParams::default()),
+                &mut Learner::new(GbtParams::default()),
                 &HarlConfig::tiny(),
                 &[elite],
                 &Analyzer::for_target(Target::Cpu),
-                &mut ScoringPipeline::default(),
                 &Tracer::disabled(),
                 &mut rng,
             );
@@ -718,11 +717,11 @@ mod tests {
 
         let (g, sk, plan, mut agent, mut rng) = setup();
         // a trained cost model, so scores, rewards and winners differ
-        let mut cost = CostModel::new(GbtParams {
+        let mut learner = Learner::new(GbtParams {
             n_rounds: 8,
             ..Default::default()
         });
-        cost.update_batch((0..64).map(|_| {
+        learner.model.update_batch((0..64).map(|_| {
             let s = Schedule::random(&sk, Target::Cpu, &mut rng);
             let mut f = Vec::new();
             plan.extract_into(&s, &mut f);
@@ -736,11 +735,10 @@ mod tests {
             &sk,
             &plan,
             &mut agent,
-            &cost,
+            &mut learner,
             &cfg,
             &[],
             &an,
-            &mut ScoringPipeline::default(),
             &Tracer::disabled(),
             &mut rng,
         );
@@ -828,7 +826,7 @@ mod tests {
         }
 
         let (g, sk, plan, mut agent, mut rng) = setup();
-        let cost = CostModel::new(GbtParams::default());
+        let mut learner = Learner::new(GbtParams::default());
         let mut an = Analyzer::empty(harl_verify::CacheBudget::for_target(Target::Cpu));
         an.register(Box::new(RejectAll));
         let cfg = HarlConfig {
@@ -842,11 +840,10 @@ mod tests {
             &sk,
             &plan,
             &mut agent,
-            &cost,
+            &mut learner,
             &cfg,
             &[],
             &an,
-            &mut ScoringPipeline::default(),
             &Tracer::disabled(),
             &mut rng,
         );

@@ -15,13 +15,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use harl_gbt::CostModel;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::factorization::move_smallest_factor;
 use harl_tensor_ir::{Schedule, Sketch, Target};
 use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
 use harl_verify::LintStats;
 
-use crate::search::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
+use crate::search::{Lent, Picks, Proposer, SearchCore, Searcher};
 
 /// Configuration of a fine-tune phase ([`coordinate_descent`]).
 #[derive(Debug, Clone)]
@@ -261,10 +262,9 @@ pub struct CdTunerState {
 /// instead of a fresh restart.
 pub type CdTuner<'m> = Searcher<'m, CdProposer>;
 
-/// The raindrop proposer: where the next descent starts.
+/// The raindrop proposer: where the next descent starts (a queued
+/// warm-start seed of the core, or a random draw).
 pub struct CdProposer {
-    /// Queued restart points (warm-start bests, best last).
-    pending_seeds: Vec<Schedule>,
     /// Restarts (rounds) completed.
     pub restarts: u64,
     cfg: CdConfig,
@@ -283,7 +283,6 @@ impl Proposer for CdProposer {
     fn new(core: &mut SearchCore<'_>, cfg: CdConfig) -> Self {
         let seed = cfg.seed ^ core.graph.name.len() as u64;
         CdProposer {
-            pending_seeds: Vec::new(),
             restarts: 0,
             cfg,
             rng: StdRng::seed_from_u64(seed),
@@ -293,11 +292,11 @@ impl Proposer for CdProposer {
     /// One restart (a `cd_round` span): pick a starting schedule (queued
     /// warm-start best or a fresh lint-valid random draw), measure it,
     /// then descend with the rest of the round budget.
-    fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize {
+    fn round(&mut self, core: &mut SearchCore<'_>, _: Lent<'_>, budget: usize) -> usize {
         let _round_span = core.tracer().span("cd_round");
         let k = budget.min(self.cfg.measure_per_round);
         let mut start = Picks::new(1);
-        core.pick_seeds(&mut start, &mut self.pending_seeds);
+        core.pick_seeds(&mut start);
         core.pick_random(&mut start, None, k, &mut self.rng);
         let Some(start) = start.schedules.pop() else {
             return 0;
@@ -319,10 +318,10 @@ impl Proposer for CdProposer {
         out.trials
     }
 
-    fn checkpoint(&self, core: &SearchCore<'_>) -> CdTunerState {
+    fn checkpoint(&self, core: &SearchCore<'_>, _: Option<&CostModel>) -> CdTunerState {
         CdTunerState {
             seen: core.seen_sorted(),
-            pending_seeds: self.pending_seeds.clone(),
+            pending_seeds: core.seeds().to_vec(),
             restarts: self.restarts,
             best_time: core.best_time,
             best_schedule: core.best_schedule.clone(),
@@ -333,25 +332,25 @@ impl Proposer for CdProposer {
         }
     }
 
-    fn restore(&mut self, core: &mut SearchCore<'_>, state: CdTunerState) {
+    fn restore(&mut self, core: &mut SearchCore<'_>, state: CdTunerState) -> Option<CostModel> {
         core.restore(
             state.seen,
+            state.pending_seeds,
             state.best_time,
             state.best_schedule,
             state.trials_used,
             state.trace,
             state.lint_stats,
         );
-        self.pending_seeds = state.pending_seeds;
         self.restarts = state.restarts;
         self.rng = StdRng::from_state(state.rng);
+        None
     }
 
     /// Queues the best matching prior schedules as restart points (best
     /// popped first); there is no cost model to pre-train.
-    fn warm_start(&mut self, _core: &SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
-        self.pending_seeds
-            .extend(best_last_seeds(usable, self.cfg.measure_per_round));
+    fn warm_start(&mut self, core: &mut SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
+        core.queue_seeds(usable, self.cfg.measure_per_round);
         usable.len()
     }
 }

@@ -23,7 +23,7 @@ mod finetune;
 mod tuner;
 
 // the shell's path before it moved to `crate::search` (`harl_repro::mcts::SearchCore`, …)
-pub use crate::search::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
+pub use crate::search::{Learner, Picks, Proposer, SearchCore, Searcher};
 pub use finetune::{
     coordinate_descent, CdConfig, CdProposer, CdTuner, CdTunerState, DescentOutcome, FinetuneConfig,
 };

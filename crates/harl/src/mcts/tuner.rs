@@ -6,21 +6,19 @@
 //! GBT pipeline, and backing the best normalized score up the path.
 //! After `playouts_per_round` playouts the top-predicted unseen
 //! schedules are measured, the cost model is retrained, and the next
-//! round's playouts see the sharper model (the pipeline's score cache is
-//! cleared at the round boundary exactly like the other tuners).
+//! round's playouts see the sharper model.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use harl_gbt::{CostModel, GbtParams, ScoringPipeline};
-use harl_obs::Tracer;
+use harl_gbt::{CostModel, GbtParams};
 use harl_store::MeasureRecord;
 use harl_tensor_ir::{mutate, Schedule};
 use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
 use harl_verify::LintStats;
 
-use crate::search::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
+use crate::search::{Lent, Picks, Proposer, SearchCore, Searcher, HAS_LEARNER};
 
 /// Configuration of the [`MctsTuner`].
 #[derive(Debug, Clone)]
@@ -124,26 +122,15 @@ pub type MctsTuner<'m> = Searcher<'m, MctsProposer>;
 /// The UCT proposer: every sketch is one tree root, and lint rejects
 /// never enter the tree or reach the measurer.
 pub struct MctsProposer {
-    cost_model: CostModel,
     nodes: Vec<MctsNode>,
     roots: Vec<usize>,
-    pending_seeds: Vec<Schedule>,
     warm_seeds: Vec<Schedule>,
     reward_scale: f64,
-    /// Batched rollout scoring (feature cache + counters). Runtime
-    /// machinery, deliberately outside [`MctsTunerState`]: its counters
-    /// must not leak into checkpoints.
-    pipeline: ScoringPipeline,
     cfg: MctsConfig,
     rng: StdRng,
 }
 
 impl MctsProposer {
-    /// The on-line cost model (diagnostics; e.g. warm-start checks).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
-    }
-
     /// Lazily builds one root per sketch (plus any warm-start grafts).
     /// Runs at most once; the whole tree lives in the checkpoint, so a
     /// restored tuner never re-enters this.
@@ -287,16 +274,17 @@ impl Proposer for MctsProposer {
         cfg.validate()
     }
 
+    fn gbt(cfg: &MctsConfig) -> Option<GbtParams> {
+        Some(cfg.gbt.clone())
+    }
+
     fn new(core: &mut SearchCore<'_>, cfg: MctsConfig) -> Self {
         let seed = cfg.seed ^ core.graph.name.len() as u64;
         MctsProposer {
-            cost_model: CostModel::new(cfg.gbt.clone()),
             nodes: Vec::new(),
             roots: Vec::new(),
-            pending_seeds: Vec::new(),
             warm_seeds: Vec::new(),
             reward_scale: 0.0,
-            pipeline: ScoringPipeline::default(),
             cfg,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -305,7 +293,8 @@ impl Proposer for MctsProposer {
     /// One exploration round (an `mcts_round` span with `playouts`/
     /// `measure`/`gbt_retrain` children): playouts, top-K measurement,
     /// model retrain.
-    fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize {
+    fn round(&mut self, core: &mut SearchCore<'_>, learner: Lent<'_>, budget: usize) -> usize {
+        let learner = learner.expect(HAS_LEARNER);
         let _round_span = core.tracer().span("mcts_round");
         self.init_tree(core);
 
@@ -337,8 +326,7 @@ impl Proposer for MctsProposer {
             let plans = core.plans();
             let extract =
                 |s: &Schedule, buf: &mut Vec<f32>| plans[s.sketch_id].extract_into(s, buf);
-            self.pipeline
-                .score(&self.cost_model, &path, extract, &mut scores);
+            (learner.pipeline).score(&learner.model, &path, extract, &mut scores);
             scored_evals += path.len();
             // reward: best normalized predicted throughput along the path
             // (the min-latency surrogate; scores are FLOP/s predictions)
@@ -374,7 +362,7 @@ impl Proposer for MctsProposer {
         let mut picks = Picks::new(k);
         // forced warm-start seeds jump the queue: prior-run bests are
         // re-measured before any fresh candidates
-        core.pick_seeds(&mut picks, &mut self.pending_seeds);
+        core.pick_seeds(&mut picks);
         visited.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
         for (_, s) in &visited {
             if picks.is_full() {
@@ -390,15 +378,7 @@ impl Proposer for MctsProposer {
             return 0;
         }
 
-        let updates: Vec<(Vec<f32>, f64)> = core
-            .measure_all(&picks)
-            .into_iter()
-            .map(|(m, features)| (features, m.flops_per_sec))
-            .collect();
-        {
-            let _retrain_span = core.tracer().span("gbt_retrain");
-            self.cost_model.update_batch(updates);
-        }
+        learner.measure_and_learn(core, &picks);
 
         // simulated algorithm overhead: fixed + per-model-evaluation
         core.end_round(
@@ -408,13 +388,13 @@ impl Proposer for MctsProposer {
         picks.len()
     }
 
-    fn checkpoint(&self, core: &SearchCore<'_>) -> MctsTunerState {
+    fn checkpoint(&self, core: &SearchCore<'_>, model: Option<&CostModel>) -> MctsTunerState {
         MctsTunerState {
-            cost_model: self.cost_model.clone(),
+            cost_model: model.expect(HAS_LEARNER).clone(),
             nodes: self.nodes.clone(),
             roots: self.roots.clone(),
             seen: core.seen_sorted(),
-            pending_seeds: self.pending_seeds.clone(),
+            pending_seeds: core.seeds().to_vec(),
             warm_seeds: self.warm_seeds.clone(),
             reward_scale: self.reward_scale,
             best_time: core.best_time,
@@ -426,19 +406,18 @@ impl Proposer for MctsProposer {
         }
     }
 
-    fn restore(&mut self, core: &mut SearchCore<'_>, state: MctsTunerState) {
+    fn restore(&mut self, core: &mut SearchCore<'_>, state: MctsTunerState) -> Option<CostModel> {
         core.restore(
             state.seen,
+            state.pending_seeds,
             state.best_time,
             state.best_schedule,
             state.trials_used,
             state.trace,
             state.lint_stats,
         );
-        self.cost_model = state.cost_model;
         self.nodes = state.nodes;
         self.roots = state.roots;
-        self.pending_seeds = state.pending_seeds;
         self.warm_seeds = state.warm_seeds;
         self.reward_scale = if state.reward_scale.is_finite() {
             state.reward_scale
@@ -446,25 +425,16 @@ impl Proposer for MctsProposer {
             0.0
         };
         self.rng = StdRng::from_state(state.rng);
+        Some(state.cost_model)
     }
 
-    /// Pre-trains the cost model, grafts record schedules onto the sketch
-    /// roots (explored before fresh modifications), and queues the best
-    /// prior schedules for forced re-measurement.
-    fn warm_start(&mut self, core: &SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
-        self.cost_model.update_batch(core.training_rows(usable));
-        let seeds = best_last_seeds(usable, self.cfg.measure_per_round);
-        self.warm_seeds.extend(seeds.iter().rev().cloned());
-        self.pending_seeds.extend(seeds);
+    /// Queues the best prior schedules for forced re-measurement and
+    /// grafts them onto the sketch roots (explored before fresh
+    /// modifications), best first.
+    fn warm_start(&mut self, core: &mut SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
+        let queued = core.queue_seeds(usable, self.cfg.measure_per_round);
+        self.warm_seeds.extend(queued.iter().rev().cloned());
         usable.len()
-    }
-
-    fn pipeline(&self) -> Option<&ScoringPipeline> {
-        Some(&self.pipeline)
-    }
-
-    fn set_tracer(&mut self, tracer: &Tracer) {
-        self.pipeline.set_tracer(tracer.clone());
     }
 }
 
@@ -571,10 +541,10 @@ mod tests {
         let mut warm = MctsTuner::new(g, &m2, small_cfg());
         let used = warm.warm_start(&records);
         assert_eq!(used, 1);
-        assert!(warm.proposer().cost_model().is_trained());
+        assert!(warm.learner().unwrap().model.is_trained());
         assert_eq!(warm.trials_used, 0);
         assert_eq!(m2.trials(), 0);
-        assert!(!warm.proposer().pending_seeds.is_empty());
+        assert!(!warm.seeds().is_empty());
         // the first round measures the grafted seed before anything fresh
         warm.round(4);
         assert!(warm.best_time <= records[0].time * 1.05);
@@ -586,7 +556,7 @@ mod tests {
         let g3 = workload::gemm(256, 256, 256);
         let mut t3 = MctsTuner::new(g3, &m3, small_cfg());
         assert_eq!(t3.warm_start(&bogus), 0);
-        assert!(!t3.proposer().cost_model().is_trained());
+        assert!(!t3.learner().unwrap().model.is_trained());
     }
 
     #[test]

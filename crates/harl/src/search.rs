@@ -4,15 +4,18 @@
 //! best, retrain, charge search time — is the same loop in every searcher;
 //! only the *propose* step differs. [`SearchCore`] owns the state that loop
 //! shares (workload, sketches, measurer, analyzer, lint counters, the set
-//! of measured schedules, the best schedule, the trial count and the
-//! best-so-far trace) and the steps over it, each written once. A
-//! [`Proposer`] is the propose step and the state only it needs (cost
-//! model, agent, bandit, elites, tree, queued seeds, RNG, config);
-//! [`Searcher`] puts one on a core and is the whole tuner shell: budget
-//! guard, `tune` loop, fine-tune, warm-start filter, checkpoint/restore.
-//! Every `*Tuner` is an alias of it, and the erased, per-session side —
-//! the object-safe [`Tuner`](crate::Tuner) — is implemented once for
-//! every `Searcher`. A new searcher is one `impl Proposer` (the tests
+//! of measured schedules, the queued warm-start seeds, the best schedule,
+//! the trial count and the best-so-far trace) and the steps over it, each
+//! written once. A [`Learner`] is the on-line cost model and the pipeline
+//! that scores candidates with it, with the measure-and-retrain step. A
+//! [`Proposer`] is the propose step and the state only it needs (agent,
+//! bandit, elites, tree, RNG, config); [`Searcher`] puts one on a core,
+//! builds the learner from the proposer's GBT parameters (if it has any)
+//! and lends it to each round, and is the whole tuner shell: budget
+//! guard, `tune` loop, fine-tune, warm-start filter and pretrain,
+//! checkpoint/restore. Every `*Tuner` is an alias of it, and the erased,
+//! per-session side — the object-safe [`Tuner`](crate::Tuner) — is
+//! implemented once for every `Searcher`. A new searcher is one `impl Proposer` (the tests
 //! below hold a complete toy one).
 
 use std::collections::HashSet;
@@ -21,7 +24,7 @@ use std::ops::Deref;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use harl_gbt::{ScoreStats, ScoringPipeline};
+use harl_gbt::{CostModel, GbtParams, ScoreStats, ScoringPipeline};
 use harl_obs::Tracer;
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
@@ -60,6 +63,9 @@ pub struct SearchCore<'m> {
     analyzer: Analyzer,
     /// Dedup keys of every schedule measured so far.
     seen: HashSet<u64>,
+    /// Warm-start schedules queued for forced measurement, best last (see
+    /// [`SearchCore::queue_seeds`]).
+    seeds: Vec<Schedule>,
     /// Observation only: never serialized, never feeds back into the
     /// search, so traced and untraced runs are bit-identical.
     tracer: Tracer,
@@ -110,6 +116,7 @@ impl<'m> SearchCore<'m> {
             measurer,
             analyzer: Analyzer::for_hardware(measurer.hardware()),
             seen: HashSet::new(),
+            seeds: Vec::new(),
             tracer: Tracer::disabled(),
         }
     }
@@ -142,11 +149,6 @@ impl<'m> SearchCore<'m> {
     /// Attaches a tracer for the round/measure/fine-tune spans.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Dedup keys of every schedule measured so far.
-    pub fn seen(&self) -> &HashSet<u64> {
-        &self.seen
     }
 
     /// The measured keys in ascending order, as checkpoints store them.
@@ -190,19 +192,6 @@ impl<'m> SearchCore<'m> {
         m
     }
 
-    /// Measures `picks` in order under one `measure` span; each
-    /// measurement comes with its schedule's features, the cost-model
-    /// training row.
-    pub fn measure_all(&mut self, picks: &[Schedule]) -> Vec<(Measurement, Vec<f32>)> {
-        let _span = self
-            .tracer
-            .span_with("measure", &[("k", picks.len().into())]);
-        picks
-            .iter()
-            .map(|s| (self.measure(s), self.features(s)))
-            .collect()
-    }
-
     /// True when `s` has not been measured yet.
     pub fn is_fresh(&self, s: &Schedule) -> bool {
         !self.seen.contains(&s.dedup_key())
@@ -224,12 +213,30 @@ impl<'m> SearchCore<'m> {
         added
     }
 
+    /// Queues the schedules of the `limit` best distinct `usable` records
+    /// for forced measurement, best *last*, so [`SearchCore::pick_seeds`]
+    /// re-measures the best prior schedule first. Returns the ones just
+    /// queued.
+    pub fn queue_seeds(&mut self, usable: &[&MeasureRecord], limit: usize) -> &[Schedule] {
+        let owned: Vec<MeasureRecord> = usable.iter().map(|&r| r.clone()).collect();
+        let best = harl_store::best_records(&owned, limit);
+        let start = self.seeds.len();
+        self.seeds
+            .extend(best.into_iter().rev().map(|r| r.schedule));
+        &self.seeds[start..]
+    }
+
+    /// The queued warm-start seeds, best last, as checkpoints store them.
+    pub fn seeds(&self) -> &[Schedule] {
+        &self.seeds
+    }
+
     /// Moves queued warm-start seeds into `picks` until it is full or the
     /// queue is empty: the best seed sits last and is popped first;
     /// measured ones are dropped.
-    pub fn pick_seeds(&self, picks: &mut Picks, pending: &mut Vec<Schedule>) {
+    pub fn pick_seeds(&mut self, picks: &mut Picks) {
         while !picks.is_full() {
-            let Some(s) = pending.pop() else {
+            let Some(s) = self.seeds.pop() else {
                 break;
             };
             if self.admits(picks, &s) {
@@ -294,15 +301,6 @@ impl<'m> SearchCore<'m> {
             .collect()
     }
 
-    /// The cost-model training rows of `usable` records: features of each
-    /// schedule with the throughput it was measured at.
-    pub fn training_rows(&self, usable: &[&MeasureRecord]) -> Vec<(Vec<f32>, f64)> {
-        usable
-            .iter()
-            .map(|r| (self.features(&r.schedule), r.flops_per_sec))
-            .collect()
-    }
-
     /// Coordinate descent from `start` (see [`coordinate_descent`]) on
     /// real measurements, lint-gated; every measured neighbour is marked
     /// seen and a better end point becomes the best. `start_time` is
@@ -363,9 +361,11 @@ impl<'m> SearchCore<'m> {
     }
 
     /// Overwrites the checkpointed part of the core.
+    #[allow(clippy::too_many_arguments)]
     pub fn restore(
         &mut self,
         seen: Vec<u64>,
+        seeds: Vec<Schedule>,
         best_time: f64,
         best_schedule: Option<Schedule>,
         trials_used: u64,
@@ -373,6 +373,7 @@ impl<'m> SearchCore<'m> {
         lint_stats: LintStats,
     ) {
         self.seen = seen.into_iter().collect();
+        self.seeds = seeds;
         // JSON has no Infinity literal: the writer emits null, which
         // decodes to NaN, so "no best yet" is normalized back to +inf
         self.best_time = if best_time.is_finite() {
@@ -387,6 +388,58 @@ impl<'m> SearchCore<'m> {
     }
 }
 
+/// The on-line cost model and the pipeline that scores candidates with
+/// it. A [`Searcher`] whose proposer has GBT parameters owns one and lends
+/// it to every round; the pipeline's counters never reach a checkpoint.
+pub struct Learner {
+    /// The cost model (dataset + fitted booster).
+    pub model: CostModel,
+    /// Batched candidate scoring and its counters.
+    pub pipeline: ScoringPipeline,
+}
+
+impl Learner {
+    /// An untrained model with `params` and a fresh pipeline.
+    pub fn new(params: GbtParams) -> Self {
+        Learner {
+            model: CostModel::new(params),
+            pipeline: ScoringPipeline::default(),
+        }
+    }
+
+    /// Measures `picks` in order through `core` under one `measure` span,
+    /// then retrains the model on one row per pick (its features and
+    /// measured throughput) under a `gbt_retrain` span. Returns the
+    /// measurements in pick order.
+    pub fn measure_and_learn(
+        &mut self,
+        core: &mut SearchCore<'_>,
+        picks: &[Schedule],
+    ) -> Vec<Measurement> {
+        let mut measured = Vec::with_capacity(picks.len());
+        let mut rows = Vec::with_capacity(picks.len());
+        let span = core
+            .tracer()
+            .span_with("measure", &[("k", picks.len().into())]);
+        for s in picks {
+            let m = core.measure(s);
+            rows.push((core.features(s), m.flops_per_sec));
+            measured.push(m);
+        }
+        drop(span);
+        let _span = core.tracer().span("gbt_retrain");
+        self.model.update_batch(rows);
+        measured
+    }
+}
+
+/// The learner a round is lent: `Some` exactly when [`Proposer::gbt`] is.
+pub type Lent<'a> = Option<&'a mut Learner>;
+
+/// Why a proposer with GBT parameters may `expect` its learner and model.
+pub(crate) const HAS_LEARNER: &str =
+    "the shell builds a learner from every proposer's GBT parameters";
+
 /// The propose step of one searcher, and the state only that step needs.
 /// Everything else a tuner does is [`Searcher`], written once.
 pub trait Proposer: Sized {
@@ -395,10 +448,10 @@ pub trait Proposer: Sized {
     const NAME: &'static str;
     /// The searcher's configuration.
     type Config;
-    /// Serializable snapshot of the core's and the proposer's mutable
-    /// state. The graph, config and measurer are *not* captured: restoring
-    /// needs a searcher built from the identical workload, config and
-    /// seed.
+    /// Serializable snapshot of the core's, the learner's and the
+    /// proposer's mutable state. The graph, config and measurer are *not*
+    /// captured: restoring needs a searcher built from the identical
+    /// workload, config and seed.
     type State;
 
     /// The first field of `cfg` that is out of range, if any:
@@ -406,50 +459,59 @@ pub trait Proposer: Sized {
     /// sees it.
     fn validate(cfg: &Self::Config) -> Result<(), ConfigError>;
 
+    /// The cost-model parameters of a proposer that ranks candidates with
+    /// a model: the shell builds its [`Learner`] from them. The default,
+    /// `None`, is a proposer that measures without one.
+    fn gbt(cfg: &Self::Config) -> Option<GbtParams> {
+        let _ = cfg;
+        None
+    }
+
     /// Proposer state for a fresh search over `core` (which it may cut
     /// down, e.g. to one fixed sketch).
     fn new(core: &mut SearchCore<'_>, cfg: Self::Config) -> Self;
 
     /// One round: propose a measurement set of at most `budget > 0`
-    /// schedules, measure it through `core`, learn from the results and
-    /// close the round with [`SearchCore::end_round`]. Returns the trials
-    /// used; 0 means no progress is possible.
-    fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize;
+    /// schedules, measure it through `core` (and `learner`, when there is
+    /// one: see [`Learner::measure_and_learn`]) and close the round with
+    /// [`SearchCore::end_round`]. Returns the trials used; 0 means no
+    /// progress is possible.
+    fn round(&mut self, core: &mut SearchCore<'_>, learner: Lent<'_>, budget: usize) -> usize;
 
-    /// Snapshots the mutable search state.
-    fn checkpoint(&self, core: &SearchCore<'_>) -> Self::State;
+    /// Snapshots the mutable search state; `model` is the learner's.
+    fn checkpoint(&self, core: &SearchCore<'_>, model: Option<&CostModel>) -> Self::State;
 
     /// Overwrites the mutable search state, the core's through
-    /// [`SearchCore::restore`]. Runtime wiring (the tracer) is not part
-    /// of a checkpoint and must survive.
-    fn restore(&mut self, core: &mut SearchCore<'_>, state: Self::State);
+    /// [`SearchCore::restore`], and hands back the checkpointed cost model
+    /// (`None` without one) for the shell to put in its learner. Runtime
+    /// wiring (the tracer) is not part of a checkpoint and must survive.
+    fn restore(&mut self, core: &mut SearchCore<'_>, state: Self::State) -> Option<CostModel>;
 
     /// Seeds the search from `usable` (never empty: already filtered by
-    /// [`SearchCore::usable_records`]) without spending a trial; returns
-    /// how many records were used. The default uses none.
-    fn warm_start(&mut self, core: &SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
+    /// [`SearchCore::usable_records`]) without spending a trial, e.g. by
+    /// [`SearchCore::queue_seeds`]; returns how many records were used.
+    /// The shell has pretrained the learner on them already. The default
+    /// uses none.
+    fn warm_start(&mut self, core: &mut SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
         let _ = (core, usable);
         0
     }
 
-    /// The batched scoring pipeline, for proposers that rank candidates
-    /// with a cost model.
-    fn pipeline(&self) -> Option<&ScoringPipeline> {
-        None
-    }
-
-    /// Hands the proposer's own stages (pipeline, agent) the tracer the
-    /// core is about to get.
+    /// Hands the proposer's own stages (the agent) the tracer the core is
+    /// about to get.
     fn set_tracer(&mut self, tracer: &Tracer) {
         let _ = tracer;
     }
 }
 
-/// A tuner: one [`SearchCore`] and the [`Proposer`] that drives it. The
-/// core derefs read-only and the proposer is reachable only by `&`, so
-/// search state changes through rounds, fine-tunes and restores alone.
+/// A tuner: one [`SearchCore`], the [`Learner`] of a proposer that has a
+/// model, and the [`Proposer`] that drives them. The core derefs
+/// read-only and the learner and proposer are reachable only by `&`, so
+/// search state changes through rounds, fine-tunes, warm-starts and
+/// restores alone.
 pub struct Searcher<'m, P> {
     core: SearchCore<'m>,
+    learner: Option<Learner>,
     proposer: P,
 }
 
@@ -461,7 +523,7 @@ impl<'m, P> Deref for Searcher<'m, P> {
     }
 }
 
-/// What [`Searcher::score_stats`] reports without a pipeline.
+/// What [`Searcher::score_stats`] reports without a learner.
 static NOTHING_SCORED: ScoreStats = ScoreStats {
     batch_count: 0,
     scored: 0,
@@ -476,14 +538,26 @@ impl<'m, P: Proposer> Searcher<'m, P> {
     pub fn new(graph: Subgraph, measurer: &'m Measurer, cfg: P::Config) -> Self {
         P::validate(&cfg).unwrap_or_else(|e| panic!("{e}"));
         let mut core = SearchCore::new(graph, measurer);
+        let gbt = P::gbt(&cfg);
         let proposer = P::new(&mut core, cfg);
-        Searcher { core, proposer }
+        let learner = gbt.map(Learner::new);
+        Searcher {
+            core,
+            learner,
+            proposer,
+        }
     }
 
-    /// The proposer's own state and diagnostics (cost model, round log,
-    /// critical steps, tree size, …).
+    /// The proposer's own state and diagnostics (round log, critical
+    /// steps, restarts, …).
     pub fn proposer(&self) -> &P {
         &self.proposer
+    }
+
+    /// The cost model and its scoring pipeline; `None` for a proposer
+    /// without GBT parameters.
+    pub fn learner(&self) -> Option<&Learner> {
+        self.learner.as_ref()
     }
 
     /// One tuning round with up to `budget` measurements; returns the
@@ -492,7 +566,7 @@ impl<'m, P: Proposer> Searcher<'m, P> {
         if budget == 0 {
             return 0;
         }
-        self.proposer.round(&mut self.core, budget)
+        (self.proposer).round(&mut self.core, self.learner.as_mut(), budget)
     }
 
     /// Runs rounds until `total_trials` measurements have been used.
@@ -513,38 +587,49 @@ impl<'m, P: Proposer> Searcher<'m, P> {
     }
 
     /// Warm-starts from prior measurement records of similar workloads
-    /// without spending a trial; returns how many records were used.
+    /// without spending a trial: pretrains the learner, if there is one,
+    /// on the usable records and hands them to the proposer. Returns how
+    /// many records the proposer used.
     pub fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
         let usable = self.core.usable_records(records);
         if usable.is_empty() {
             return 0;
         }
-        self.proposer.warm_start(&self.core, &usable)
+        if let Some(learner) = &mut self.learner {
+            let rows = (usable.iter()).map(|r| (self.core.features(&r.schedule), r.flops_per_sec));
+            learner.model.update_batch(rows);
+        }
+        self.proposer.warm_start(&mut self.core, &usable)
     }
 
     /// Snapshots the mutable search state for checkpointing.
     pub fn checkpoint_state(&self) -> P::State {
-        self.proposer.checkpoint(&self.core)
+        let model = self.learner.as_ref().map(|l| &l.model);
+        self.proposer.checkpoint(&self.core, model)
     }
 
     /// Overwrites the mutable search state from a checkpoint. The searcher
     /// must have been built from the same graph, config and seed.
     pub fn restore_state(&mut self, state: P::State) {
-        self.proposer.restore(&mut self.core, state);
+        let model = self.proposer.restore(&mut self.core, state);
+        if let (Some(learner), Some(model)) = (&mut self.learner, model) {
+            learner.model = model;
+        }
     }
 
-    /// Counters of the proposer's scoring pipeline (batches, candidates
+    /// Counters of the learner's scoring pipeline (batches, candidates
     /// scored); all zero for a proposer that scores nothing.
     pub fn score_stats(&self) -> &ScoreStats {
-        self.proposer
-            .pipeline()
-            .map_or(&NOTHING_SCORED, ScoringPipeline::stats)
+        (self.learner.as_ref()).map_or(&NOTHING_SCORED, |l| l.pipeline.stats())
     }
 
-    /// Attaches a tracer: rounds, measurements, fine-tunes and the
-    /// proposer's stages become spans. Observation only — the search is
-    /// bit-identical with or without it.
+    /// Attaches a tracer: rounds, measurements, fine-tunes, scoring
+    /// batches and the proposer's stages become spans. Observation only —
+    /// the search is bit-identical with or without it.
     pub fn set_tracer(&mut self, tracer: Tracer) {
+        if let Some(learner) = &mut self.learner {
+            learner.pipeline.set_tracer(tracer.clone());
+        }
         self.proposer.set_tracer(&tracer);
         self.core.set_tracer(tracer);
     }
@@ -552,15 +637,6 @@ impl<'m, P: Proposer> Searcher<'m, P> {
     /// Accepted and ignored; the search runs on the caller's thread;
     /// removed with the benchmark re-baseline (ROADMAP item 7).
     pub fn set_parallelism(&mut self, _opts: ParallelismOpts) {}
-}
-
-/// The schedules of the `limit` best distinct `usable` records, best
-/// *last*: queued like this, `pop` (see [`SearchCore::pick_seeds`])
-/// re-measures the best prior schedule first.
-pub fn best_last_seeds(usable: &[&MeasureRecord], limit: usize) -> Vec<Schedule> {
-    let owned: Vec<MeasureRecord> = usable.iter().map(|&r| r.clone()).collect();
-    let best = harl_store::best_records(&owned, limit);
-    best.into_iter().rev().map(|r| r.schedule).collect()
 }
 
 #[cfg(test)]
@@ -571,18 +647,21 @@ mod tests {
     use rand::SeedableRng;
 
     /// The smallest searcher, and the template for a new one: each round
-    /// measures up to four random lint-clean schedules; no model, no
-    /// learning. It stops proposing after `max_rounds` calls, and counts
-    /// the calls that reached it.
+    /// measures up to four random lint-clean schedules, through the
+    /// learner when it has GBT parameters. It stops proposing after
+    /// `max_rounds` calls, and counts the calls that reached it.
     struct Toy {
         max_rounds: usize,
         round_calls: usize,
         warm_start_calls: usize,
+        /// Every measurement of every round, in order.
+        measured: Vec<Measurement>,
         rng: StdRng,
     }
 
     #[derive(serde::Serialize)]
     struct ToyState {
+        model: Option<CostModel>,
         seen: Vec<u64>,
         best_time: f64,
         best_schedule: Option<Schedule>,
@@ -594,24 +673,29 @@ mod tests {
 
     impl Proposer for Toy {
         const NAME: &'static str = "toy";
-        /// `(seed, max_rounds)`.
-        type Config = (u64, usize);
+        /// `(seed, max_rounds, cost-model parameters)`.
+        type Config = (u64, usize, Option<GbtParams>);
         type State = ToyState;
 
-        fn validate(_cfg: &(u64, usize)) -> Result<(), ConfigError> {
+        fn validate(_cfg: &Self::Config) -> Result<(), ConfigError> {
             Ok(())
         }
 
-        fn new(_core: &mut SearchCore<'_>, (seed, max_rounds): (u64, usize)) -> Self {
+        fn gbt(cfg: &Self::Config) -> Option<GbtParams> {
+            cfg.2.clone()
+        }
+
+        fn new(_core: &mut SearchCore<'_>, (seed, max_rounds, _): Self::Config) -> Self {
             Toy {
                 max_rounds,
                 round_calls: 0,
                 warm_start_calls: 0,
+                measured: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),
             }
         }
 
-        fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize {
+        fn round(&mut self, core: &mut SearchCore<'_>, learner: Lent<'_>, budget: usize) -> usize {
             self.round_calls += 1;
             if self.round_calls > self.max_rounds {
                 return 0;
@@ -619,13 +703,19 @@ mod tests {
             let k = budget.min(4);
             let mut picks = Picks::new(k);
             core.pick_random(&mut picks, None, k, &mut self.rng);
-            let measured = core.measure_all(&picks.schedules).len();
-            core.end_round(1.0, measured as u64);
-            measured
+            let measured = match learner {
+                Some(learner) => learner.measure_and_learn(core, &picks.schedules),
+                None => picks.schedules.iter().map(|s| core.measure(s)).collect(),
+            };
+            let n = measured.len();
+            self.measured.extend(measured);
+            core.end_round(1.0, n as u64);
+            n
         }
 
-        fn checkpoint(&self, core: &SearchCore<'_>) -> ToyState {
+        fn checkpoint(&self, core: &SearchCore<'_>, model: Option<&CostModel>) -> ToyState {
             ToyState {
+                model: model.cloned(),
                 seen: core.seen_sorted(),
                 best_time: core.best_time,
                 best_schedule: core.best_schedule.clone(),
@@ -636,9 +726,10 @@ mod tests {
             }
         }
 
-        fn restore(&mut self, core: &mut SearchCore<'_>, s: ToyState) {
+        fn restore(&mut self, core: &mut SearchCore<'_>, s: ToyState) -> Option<CostModel> {
             core.restore(
                 s.seen,
+                Vec::new(),
                 s.best_time,
                 s.best_schedule,
                 s.trials_used,
@@ -646,16 +737,33 @@ mod tests {
                 s.lint_stats,
             );
             self.rng = StdRng::from_state(s.rng);
+            s.model
         }
 
-        fn warm_start(&mut self, _core: &SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
+        fn warm_start(&mut self, _core: &mut SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
             self.warm_start_calls += 1;
             usable.len()
         }
     }
 
     fn toy<'m>(measurer: &'m Measurer, max_rounds: usize) -> Searcher<'m, Toy> {
-        Searcher::new(workload::gemm(128, 128, 128), measurer, (9, max_rounds))
+        Searcher::new(
+            workload::gemm(128, 128, 128),
+            measurer,
+            (9, max_rounds, None),
+        )
+    }
+
+    fn toy_gbt() -> GbtParams {
+        GbtParams {
+            n_rounds: 4,
+            ..GbtParams::default()
+        }
+    }
+
+    fn toy_with_model(measurer: &Measurer) -> Searcher<'_, Toy> {
+        let cfg = (9, usize::MAX, Some(toy_gbt()));
+        Searcher::new(workload::gemm(128, 128, 128), measurer, cfg)
     }
 
     #[test]
@@ -677,6 +785,68 @@ mod tests {
         assert_eq!(t.proposer().warm_start_calls, 1);
         assert_eq!((t.trials_used, measurer.trials()), (0, 0));
         assert_eq!(t.score_stats().scored, 0, "no pipeline, nothing scored");
+    }
+
+    /// The model's training rows as text: two models that learnt the same
+    /// rows in the same batches serialize identically.
+    fn model_json(model: &CostModel) -> String {
+        serde_json::to_string(model).unwrap()
+    }
+
+    #[test]
+    fn the_learner_is_pretrained_on_the_usable_rows_then_learns_each_measured_pick() {
+        let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        let mut t = toy_with_model(&measurer);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut distinct = Picks::new(3);
+        t.core.pick_random(&mut distinct, None, 3, &mut rng);
+        let mut records: Vec<MeasureRecord> = (distinct.schedules.into_iter())
+            .zip([1e-3, 2e-3, 3e-3])
+            .map(|(s, time)| record(&t, s, time))
+            .collect();
+        records[1].similarity_key ^= 1;
+        let usable = t.usable_records(&records);
+        assert_eq!(usable.len(), 2);
+        let mut reference = CostModel::new(toy_gbt());
+        reference.update_batch(
+            usable
+                .iter()
+                .map(|r| (t.features(&r.schedule), r.flops_per_sec)),
+        );
+
+        assert_eq!(t.warm_start(&records), 2);
+        let model = &t.learner().unwrap().model;
+        assert_eq!(
+            model.num_samples(),
+            2,
+            "the usable records' rows, no others"
+        );
+        assert_eq!(model_json(model), model_json(&reference));
+        assert_eq!((t.trials_used, measurer.trials()), (0, 0));
+
+        assert_eq!(t.round(4), 4);
+        let measured = &t.proposer().measured;
+        assert_eq!(measured.len(), 4);
+        reference
+            .update_batch((measured.iter()).map(|m| (t.features(&m.schedule), m.flops_per_sec)));
+        let model = &t.learner().unwrap().model;
+        assert_eq!(model.num_samples(), 2 + 4, "one row per measured pick");
+        assert_eq!(model_json(model), model_json(&reference));
+        assert_eq!(t.score_stats().scored, 0, "the toy scores nothing");
+    }
+
+    #[test]
+    fn a_proposer_without_a_model_has_no_learner_and_trains_nothing() {
+        let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        let mut t = toy(&measurer, usize::MAX);
+        let mut rng = StdRng::seed_from_u64(3);
+        let good = Schedule::random(&t.sketches[0], t.target(), &mut rng);
+        let good = record(&t, good, 1e-3);
+        assert_eq!(t.warm_start(&[good]), 1);
+        t.tune(8);
+        // `Tuner::score_stats` is `learner().map(…)`: `None` here
+        assert!(t.learner().is_none());
+        assert_eq!(*t.score_stats(), ScoreStats::default());
     }
 
     #[test]
@@ -779,21 +949,21 @@ mod tests {
             record(&core, middle.clone(), 2e-3),
         ];
         let usable = core.usable_records(&records);
-        let mut pending = best_last_seeds(&usable, 8);
-        assert_eq!(pending.len(), 3);
+        assert_eq!(core.queue_seeds(&usable, 8).len(), 3);
+        assert_eq!(core.seeds().last(), Some(&best), "best last");
 
         // the middle one was measured since it was queued
         core.measure(&middle);
         assert!(!core.is_fresh(&middle));
         let mut picks = Picks::new(1);
-        core.pick_seeds(&mut picks, &mut pending);
+        core.pick_seeds(&mut picks);
         assert_eq!(picks.schedules[0].dedup_key(), best.dedup_key());
-        assert_eq!(pending.len(), 2, "a full set stops the popping");
+        assert_eq!(core.seeds().len(), 2, "a full set stops the popping");
         let mut picks = Picks::new(4);
-        core.pick_seeds(&mut picks, &mut pending);
+        core.pick_seeds(&mut picks);
         assert_eq!(picks.schedules.len(), 1, "measured seeds are dropped");
         assert_eq!(picks.schedules[0].dedup_key(), worst.dedup_key());
-        assert!(pending.is_empty());
+        assert!(core.seeds().is_empty());
     }
 
     #[test]

@@ -125,8 +125,8 @@ pub trait Tuner {
         Some(&self.core().trace)
     }
 
-    /// Counters of the tuner's batched scoring pipeline (cache hits, batch
-    /// count, thread width), when it has one. Tuners that measure every
+    /// Counters of the tuner's batched scoring pipeline (batches,
+    /// candidates scored), when it has one. Tuners that measure every
     /// candidate on hardware instead of model-scoring return `None`.
     fn score_stats(&self) -> Option<&ScoreStats>;
 
@@ -244,7 +244,7 @@ where
     }
 
     fn score_stats(&self) -> Option<&ScoreStats> {
-        self.proposer().pipeline().map(|p| p.stats())
+        self.learner().map(|l| l.pipeline.stats())
     }
 
     fn set_tracer(&mut self, tracer: harl_obs::Tracer) {

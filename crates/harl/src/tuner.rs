@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::bandit::{AnyBandit, Bandit};
-use harl_gbt::{CostModel, ScoringPipeline};
+use harl_gbt::{CostModel, GbtParams};
 use harl_nnet::PpoAgent;
 use harl_obs::{FieldValue, Tracer};
 use harl_store::MeasureRecord;
@@ -18,7 +18,7 @@ use harl_verify::{check_finite, LintCode, LintStats};
 use crate::adaptive::CriticalStep;
 use crate::config::HarlConfig;
 use crate::episode::{run_episode, EpisodeResult};
-use crate::search::{best_last_seeds, Picks, Proposer, SearchCore, Searcher};
+use crate::search::{Lent, Picks, Proposer, SearchCore, Searcher, HAS_LEARNER};
 
 /// Log entry of one tuning round.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -37,33 +37,19 @@ pub type HarlOperatorTuner<'m> = Searcher<'m, HarlProposer>;
 /// The HARL proposer. The core's lint counters cover every candidate its
 /// episodes considered, across all rounds.
 pub struct HarlProposer {
-    cost_model: CostModel,
     agent: PpoAgent,
     sketch_bandit: AnyBandit,
     /// Best measured schedules per sketch, `(measured time, schedule)`
     /// sorted best-first — warm-start seeds for later episodes.
     elites: Vec<Vec<(f64, Schedule)>>,
-    /// Schedules queued for forced measurement in upcoming rounds — filled
-    /// by the warm-start with the best prior records so a warm run
-    /// re-establishes the old best immediately.
-    pending_seeds: Vec<Schedule>,
     /// Critical steps of every schedule track explored (Fig. 7(b)).
     pub critical_steps: Vec<CriticalStep>,
     pub rounds: Vec<RoundLog>,
-    /// Batched candidate scoring (feature cache + counters). Runtime
-    /// machinery, deliberately outside [`HarlTunerState`]: its counters
-    /// must not leak into checkpoints.
-    pipeline: ScoringPipeline,
     cfg: HarlConfig,
     rng: StdRng,
 }
 
 impl HarlProposer {
-    /// The on-line cost model (diagnostics; e.g. warm-start checks).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
-    }
-
     /// Re-sorts every elite pool best-first and cuts it to 32 entries.
     fn trim_elites(&mut self) {
         for pool in &mut self.elites {
@@ -112,6 +98,10 @@ impl Proposer for HarlProposer {
         cfg.validate()
     }
 
+    fn gbt(cfg: &HarlConfig) -> Option<GbtParams> {
+        Some(cfg.gbt.clone())
+    }
+
     fn new(core: &mut SearchCore<'_>, cfg: HarlConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ (core.graph.name.len() as u64) << 3);
         let space = ActionSpace::of(&core.sketches[0]);
@@ -122,14 +112,11 @@ impl Proposer for HarlProposer {
             &mut rng,
         );
         HarlProposer {
-            cost_model: CostModel::new(cfg.gbt.clone()),
             agent,
             sketch_bandit: cfg.bandit(core.sketches.len()),
             elites: vec![Vec::new(); core.sketches.len()],
-            pending_seeds: Vec::new(),
             critical_steps: Vec::new(),
             rounds: Vec::new(),
-            pipeline: ScoringPipeline::default(),
             cfg,
             rng,
         }
@@ -138,7 +125,8 @@ impl Proposer for HarlProposer {
     /// One tuning round (sketch selection → episode → top-K measurement):
     /// a `harl_round` span with `sketch_pick`/`episode`/`topk_select`/
     /// `measure`/`gbt_retrain` children.
-    fn round(&mut self, core: &mut SearchCore<'_>, budget: usize) -> usize {
+    fn round(&mut self, core: &mut SearchCore<'_>, learner: Lent<'_>, budget: usize) -> usize {
+        let learner = learner.expect(HAS_LEARNER);
         let _round_span = core.tracer().span("harl_round");
         // --- sketch selection (§4.1, Eq. 2) -------------------------------
         let sketch_id = {
@@ -159,11 +147,10 @@ impl Proposer for HarlProposer {
             &core.sketches[sketch_id],
             &core.plans()[sketch_id],
             &mut self.agent,
-            &self.cost_model,
+            learner,
             &self.cfg,
             &seeds,
             core.analyzer(),
-            &mut self.pipeline,
             core.tracer(),
             &mut self.rng,
         );
@@ -179,7 +166,7 @@ impl Proposer for HarlProposer {
         let mut picks = Picks::new(k);
         // forced warm-start seeds jump the queue: prior-run bests are
         // re-measured before any fresh candidates
-        core.pick_seeds(&mut picks, &mut self.pending_seeds);
+        core.pick_seeds(&mut picks);
         pick_top_k(core, &episode, sketch_id, &mut picks, (k / 8).max(2));
         // fall back to random sampling when the episode didn't yield enough
         // unseen schedules
@@ -190,23 +177,18 @@ impl Proposer for HarlProposer {
             return 0;
         }
 
+        // measure, and train the cost model with the measurements (line 22)
         let mut round_best_flops = 0.0f64;
-        let mut updates = Vec::with_capacity(picks.len());
-        for (m, features) in core.measure_all(&picks) {
+        for m in learner.measure_and_learn(core, &picks) {
             round_best_flops = round_best_flops.max(m.flops_per_sec);
-            updates.push((features, m.flops_per_sec));
             self.elites[m.schedule.sketch_id].push((m.time, m.schedule));
         }
         self.trim_elites();
-        // train the cost model with the measurements (line 22)
-        {
-            let _retrain_span = core.tracer().span("gbt_retrain");
-            self.cost_model.update_batch(updates);
-        }
 
         // --- sketch MAB reward: normalized maximal performance X_t ---------
-        let mut x_t = if self.cost_model.scale() > 0.0 {
-            round_best_flops / self.cost_model.scale()
+        let scale = learner.model.scale();
+        let mut x_t = if scale > 0.0 {
+            round_best_flops / scale
         } else {
             0.0
         };
@@ -231,14 +213,14 @@ impl Proposer for HarlProposer {
         picks.len()
     }
 
-    fn checkpoint(&self, core: &SearchCore<'_>) -> HarlTunerState {
+    fn checkpoint(&self, core: &SearchCore<'_>, model: Option<&CostModel>) -> HarlTunerState {
         HarlTunerState {
-            cost_model: self.cost_model.clone(),
+            cost_model: model.expect(HAS_LEARNER).clone(),
             agent: self.agent.clone(),
             sketch_bandit: self.sketch_bandit.clone(),
             seen: core.seen_sorted(),
             elites: self.elites.clone(),
-            pending_seeds: self.pending_seeds.clone(),
+            pending_seeds: core.seeds().to_vec(),
             best_time: core.best_time,
             best_schedule: core.best_schedule.clone(),
             trials_used: core.trials_used,
@@ -250,49 +232,42 @@ impl Proposer for HarlProposer {
         }
     }
 
-    fn restore(&mut self, core: &mut SearchCore<'_>, state: HarlTunerState) {
+    fn restore(&mut self, core: &mut SearchCore<'_>, state: HarlTunerState) -> Option<CostModel> {
         core.restore(
             state.seen,
+            state.pending_seeds,
             state.best_time,
             state.best_schedule,
             state.trials_used,
             state.trace,
             state.lint_stats,
         );
-        self.cost_model = state.cost_model;
         // the agent's tracer is runtime wiring outside the checkpoint
         self.agent = state.agent;
         self.agent.set_tracer(core.tracer().clone());
         self.sketch_bandit = state.sketch_bandit;
         self.elites = state.elites;
-        self.pending_seeds = state.pending_seeds;
         self.critical_steps = state.critical_steps;
         self.rounds = state.rounds;
         self.rng = StdRng::from_state(state.rng);
+        Some(state.cost_model)
     }
 
-    /// Pre-trains the cost model, seeds the per-sketch elite pools (episode
-    /// warm-start tracks), and queues the best prior schedules for forced
-    /// re-measurement in the next rounds.
-    fn warm_start(&mut self, core: &SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
-        self.cost_model.update_batch(core.training_rows(usable));
+    /// Seeds the per-sketch elite pools (episode warm-start tracks), and
+    /// queues the best prior schedules for forced re-measurement in the
+    /// next rounds, so a warm run re-establishes the old best immediately.
+    fn warm_start(&mut self, core: &mut SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
         for r in usable {
             self.elites[r.sketch_id].push((r.time, r.schedule.clone()));
         }
         self.trim_elites();
-        self.pending_seeds
-            .extend(best_last_seeds(usable, self.cfg.measure_per_round));
+        core.queue_seeds(usable, self.cfg.measure_per_round);
         usable.len()
     }
 
-    fn pipeline(&self) -> Option<&ScoringPipeline> {
-        Some(&self.pipeline)
-    }
-
     /// The agent then emits its `ppo_act_batch`/`gemm`/`ppo_backward`
-    /// spans and the pipeline its `score` spans.
+    /// spans.
     fn set_tracer(&mut self, tracer: &Tracer) {
-        self.pipeline.set_tracer(tracer.clone());
         self.agent.set_tracer(tracer.clone());
     }
 }
@@ -457,7 +432,7 @@ mod tests {
         let mut t = HarlOperatorTuner::new(g, &measurer, HarlConfig::tiny());
         t.tune(64);
         // `seen` is exactly the set of measured keys; sizes must agree
-        assert_eq!(t.seen().len() as u64, t.trials_used);
+        assert_eq!(t.seen_sorted().len() as u64, t.trials_used);
     }
 
     #[test]
@@ -516,10 +491,10 @@ mod tests {
         let mut warm = HarlOperatorTuner::new(g, &m2, HarlConfig::tiny());
         let used = warm.warm_start(&records);
         assert!(used > 0, "no records were usable");
-        assert!(warm.proposer().cost_model.is_trained());
+        assert!(warm.learner().unwrap().model.is_trained());
         assert_eq!(warm.trials_used, 0);
         assert_eq!(m2.trials(), 0);
-        assert!(!warm.proposer().pending_seeds.is_empty());
+        assert!(!warm.seeds().is_empty());
 
         // the queued seeds are measured first, so one round re-establishes
         // a best at least as good as the best prior record

@@ -373,8 +373,8 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// The process-global registry used by components that cannot thread a
-/// registry handle through their constructors (store I/O, scoring cache,
-/// serve dispatch). `harl-cli metrics` and the serve `metrics` verb render
+/// registry handle through their constructors (store I/O, GBT retrains
+/// and scored candidates, serve dispatch). `harl-cli metrics` and the serve `metrics` verb render
 /// this registry.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();

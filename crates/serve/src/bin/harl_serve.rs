@@ -11,64 +11,18 @@
 //! Each `--peer` names another daemon whose record pool this one pulls
 //! and merges into its own every `--sync-ms` milliseconds (federation).
 
-use harl_serve::{Daemon, ServeConfig};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: harl-serve --root DIR [--addr HOST:PORT] [--workers N] [--queue-cap N]\n\
-         \x20                [--peer HOST:PORT]... [--sync-ms N]"
-    );
-    std::process::exit(2);
-}
+use harl_serve::{serve_args, Daemon, SERVE_USAGE};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut root: Option<String> = None;
-    let mut cfg_addr: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut queue_cap: Option<usize> = None;
-    let mut peers: Vec<String> = Vec::new();
-    let mut sync_ms: Option<u64> = None;
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--root" => root = Some(value("--root")),
-            "--addr" => cfg_addr = Some(value("--addr")),
-            "--workers" => workers = Some(parse_num(&value("--workers"), "--workers")),
-            "--queue-cap" => queue_cap = Some(parse_num(&value("--queue-cap"), "--queue-cap")),
-            "--peer" => peers.push(value("--peer")),
-            "--sync-ms" => sync_ms = Some(parse_num(&value("--sync-ms"), "--sync-ms") as u64),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown flag `{other}`");
-                usage();
-            }
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        println!("{SERVE_USAGE}");
+        return;
     }
-    let Some(root) = root else {
-        eprintln!("error: --root is required");
-        usage();
-    };
-
-    let mut cfg = ServeConfig::new(root);
-    if let Some(addr) = cfg_addr {
-        cfg.addr = addr;
-    }
-    if let Some(w) = workers {
-        cfg.workers = w;
-    }
-    if let Some(c) = queue_cap {
-        cfg.queue_capacity = c;
-    }
-    cfg.peers = peers;
-    if let Some(ms) = sync_ms {
-        cfg.sync_interval = std::time::Duration::from_millis(ms);
-    }
+    let cfg = serve_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n\n{SERVE_USAGE}");
+        std::process::exit(2);
+    });
 
     let root_display = cfg.root.display().to_string();
     let daemon = match Daemon::start(cfg) {
@@ -84,11 +38,4 @@ fn main() {
     );
     daemon.wait();
     println!("harl-serve: shutdown complete");
-}
-
-fn parse_num(s: &str, flag: &str) -> usize {
-    s.parse().unwrap_or_else(|e| {
-        eprintln!("error: {flag}={s}: {e}");
-        std::process::exit(2);
-    })
 }

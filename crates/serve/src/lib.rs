@@ -48,4 +48,4 @@ pub use error::ServeError;
 pub use harl_core::ParallelismOpts;
 pub use job::{JobOutcome, JobSpec, JobState, JobView, Preset, TunerKind, WorkloadSpec};
 pub use protocol::{decode_request, ErrorCode, Request, Response};
-pub use server::{Daemon, ServeConfig};
+pub use server::{serve_args, Daemon, ServeConfig, SERVE_USAGE};

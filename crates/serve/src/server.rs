@@ -89,6 +89,63 @@ impl ServeConfig {
     }
 }
 
+/// The `harl-serve` command line.
+pub const SERVE_USAGE: &str =
+    "usage: harl-serve --root DIR [--addr HOST:PORT] [--workers N] [--queue-cap N]
+                  [--peer HOST:PORT]... [--sync-ms N]";
+
+/// The daemon configuration of `harl-serve`, from its arguments after the
+/// program name (`-h` / `--help` is handled before). `--root` is required;
+/// every flag but the repeatable `--peer` may be given once, each needs a
+/// value, and `--workers`, `--queue-cap` and `--sync-ms` must be positive
+/// integers: 0 workers or queue slots would serve nothing, and a 0 ms sync
+/// pause would re-pull every peer with no pause at all.
+pub fn serve_args(args: &[String]) -> Result<ServeConfig, String> {
+    let mut values: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut peers = Vec::new();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let name = match flag.as_str() {
+            name @ ("--root" | "--addr" | "--workers" | "--queue-cap" | "--peer" | "--sync-ms") => {
+                name
+            }
+            other => return Err(format!("unknown argument `{other}`")),
+        };
+        let value = args.next().ok_or_else(|| format!("{name} needs a value"))?;
+        if name == "--peer" {
+            peers.push(value.clone());
+        } else if values.insert(name, value).is_some() {
+            return Err(format!("{name} given twice (again as `{value}`)"));
+        }
+    }
+    let positive = |name: &str| -> Result<Option<usize>, String> {
+        values.get(name).map_or(Ok(None), |value| {
+            value
+                .parse::<usize>()
+                .ok()
+                .filter(|&n| n > 0)
+                .map(Some)
+                .ok_or_else(|| format!("{name} must be a positive integer, got `{value}`"))
+        })
+    };
+    let root = values.get("--root").ok_or("--root is required")?;
+    let mut cfg = ServeConfig::new(root);
+    if let Some(addr) = values.get("--addr") {
+        cfg.addr = addr.to_string();
+    }
+    if let Some(n) = positive("--workers")? {
+        cfg.workers = n;
+    }
+    if let Some(n) = positive("--queue-cap")? {
+        cfg.queue_capacity = n;
+    }
+    if let Some(ms) = positive("--sync-ms")? {
+        cfg.sync_interval = Duration::from_millis(ms as u64);
+    }
+    cfg.peers = peers;
+    Ok(cfg)
+}
+
 /// One job's registry entry.
 #[derive(Debug)]
 pub(crate) struct JobEntry {

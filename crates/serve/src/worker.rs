@@ -8,6 +8,8 @@
 //! the session's round-boundary controller sees the flag, checkpoints,
 //! and stops.
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -41,10 +43,24 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>) {
         if !claimed {
             continue;
         }
-        if let Err(e) = run_job(shared, &id) {
-            shared.mark_failed(&id, &e.to_string());
+        // a search that panics fails its job, not the worker: the reason
+        // lands in failed.txt and the worker takes the next job
+        let failure = match panic::catch_unwind(AssertUnwindSafe(|| run_job(shared, &id))) {
+            Ok(Ok(())) => None,
+            Ok(Err(e)) => Some(e.to_string()),
+            Err(payload) => Some(format!("search panicked: {}", panic_message(&*payload))),
+        };
+        if let Some(message) = failure {
+            shared.mark_failed(&id, &message);
         }
     }
+}
+
+/// The message a `panic!` carried (its payload is a `&str` or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    (payload.downcast_ref::<&str>().copied())
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a payload that is not a message")
 }
 
 fn run_job(shared: &Arc<Shared>, id: &str) -> Result<(), ServeError> {

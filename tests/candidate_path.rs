@@ -4,10 +4,9 @@
 //! asks for them. Every one of those is bit-neutral; this file holds the
 //! pre-change formulas as references and compares.
 
-use harl_repro::gbt::{CostModel, ScoringPipeline};
 use harl_repro::harl::{pick_top_k, run_episode};
 use harl_repro::ir::{fnv_eat, ActionSpace, FeaturePlan, IterKind, FEATURE_DIM, MAX_LOOPS};
-use harl_repro::mcts::{Picks, SearchCore};
+use harl_repro::mcts::{Learner, Picks, SearchCore};
 use harl_repro::nnet::PpoAgent;
 use harl_repro::obs::Tracer;
 use harl_repro::prelude::*;
@@ -321,8 +320,8 @@ fn the_top_k_walk_picks_what_sorting_every_rebuilt_schedule_picked() {
     let heads = [ActionSpace::of(&core.sketches[0]).tile_actions(), 3, 3, 3];
     let mut agent = PpoAgent::new(FEATURE_DIM, &heads, cfg.ppo.clone(), &mut rng);
     // a trained cost model, so scores differ and ranking means something
-    let mut cost = CostModel::new(cfg.gbt.clone());
-    cost.update_batch((0..64).map(|_| {
+    let mut learner = Learner::new(cfg.gbt.clone());
+    learner.model.update_batch((0..64).map(|_| {
         let s = Schedule::random(&core.sketches[0], core.target(), &mut rng);
         (core.features(&s), 1e9 * (1 + s.fingerprint() % 97) as f64)
     }));
@@ -331,11 +330,10 @@ fn the_top_k_walk_picks_what_sorting_every_rebuilt_schedule_picked() {
         &core.sketches[0],
         &core.plans()[0],
         &mut agent,
-        &cost,
+        &mut learner,
         &cfg,
         &[],
         core.analyzer(),
-        &mut ScoringPipeline::default(),
         &Tracer::disabled(),
         &mut rng,
     );
@@ -413,11 +411,10 @@ fn an_episode_that_eliminates_nobody_stops_after_the_window_bound() {
         &core.sketches[0],
         &core.plans()[0],
         &mut agent,
-        &CostModel::new(cfg.gbt.clone()),
+        &mut Learner::new(cfg.gbt.clone()),
         &cfg,
         &[],
         core.analyzer(),
-        &mut ScoringPipeline::default(),
         &Tracer::disabled(),
         &mut rng,
     );
