@@ -77,8 +77,10 @@ row "BENCH_*.json files at the root and under ci/:" \
     "$(find . ci -maxdepth 1 -name 'BENCH_*.json' | wc -l)"
 
 # the searchers, and how many times each piece of the tuner shell is spelled
-# (the last four: the learner's retrain, construction, pipeline hook and
-# retrain span, which the shell spells once)
+# (then the learner's retrain, construction, pipeline hook and retrain span,
+# which the shell spells once, and the checkpoint's shared half: the core
+# restore and model hand-offs the proposers no longer spell, and the
+# learner `expect`s left in their rounds)
 row "non-test, non-comment lines in crates/harl/src:" "$(code_lines "${searchers[@]}")"
 for pattern in \
     'Tuner for ' \
@@ -93,8 +95,12 @@ for pattern in \
     'update_batch\(' \
     'CostModel::new\(' \
     'fn pipeline\(' \
-    'span\("gbt_retrain"\)'; do
-    row "  lines matching /$pattern/ in them:" "$(non_test "${searchers[@]}" | grep -cE "$pattern" || true)"
+    'span\("gbt_retrain"\)' \
+    'core\.restore\(' \
+    'Option<&CostModel>' \
+    '-> Option<CostModel>' \
+    'expect\(HAS_LEARNER\)'; do
+    row "  lines matching /$pattern/ in them:" "$(non_test "${searchers[@]}" | grep -cE -e "$pattern" || true)"
 done
 
 # lines of code per crate or module

@@ -11,15 +11,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use harl_gbt::CostModel;
 use harl_nnet::{PpoAgent, PpoConfig};
 use harl_obs::Tracer;
 use harl_tensor_ir::{
     apply_action, compute_at_mask, parallel_mask, tile_action_mask, unroll_mask, Action,
     ActionSpace, Schedule, Sketch, StepDir, Target,
 };
-use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
-use harl_verify::LintStats;
+use harl_tensor_sim::{ConfigError, PRICES};
 
 use crate::adaptive::CriticalStep;
 use crate::search::{Lent, Proposer, SearchCore, Searcher};
@@ -75,24 +73,13 @@ struct Move {
     masks: Vec<Vec<bool>>,
 }
 
-/// Serializable snapshot of a [`FlextensorTuner`]'s mutable search state
-/// (see [`Proposer::State`]).
+/// What a [`FlextensorProposer`] checkpoints (see [`Proposer::State`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlextensorTunerState {
     /// PPO agent (networks, optimizer moments, replay buffer).
     pub agent: PpoAgent,
-    /// Best noise-free execution time found.
-    pub best_time: f64,
-    /// The schedule achieving `best_time`.
-    pub best_schedule: Option<Schedule>,
     /// Per-track critical steps.
     pub critical_steps: Vec<CriticalStep>,
-    /// Hardware measurements consumed.
-    pub trials_used: u64,
-    /// Best-so-far curve.
-    pub trace: TuneTrace,
-    /// Lint counters.
-    pub lint_stats: LintStats,
     /// Raw xoshiro256** state of the search RNG.
     pub rng: [u64; 4],
 }
@@ -102,7 +89,7 @@ pub type FlextensorTuner<'m> = Searcher<'m, FlextensorProposer>;
 
 /// The fixed-length episode over a core cut down to the fixed first
 /// sketch. Every visited schedule is measured, so the core's seen-set is
-/// never consulted (nor checkpointed), and there is no model to
+/// never consulted (only checkpointed), and there is no model to
 /// warm-start.
 pub struct FlextensorProposer {
     space: ActionSpace,
@@ -269,36 +256,18 @@ impl Proposer for FlextensorProposer {
         used
     }
 
-    fn checkpoint(&self, core: &SearchCore<'_>, _: Option<&CostModel>) -> Self::State {
+    fn checkpoint(&self) -> Self::State {
         FlextensorTunerState {
             agent: self.agent.clone(),
-            best_time: core.best_time,
-            best_schedule: core.best_schedule.clone(),
             critical_steps: self.critical_steps.clone(),
-            trials_used: core.trials_used,
-            trace: core.trace.clone(),
-            lint_stats: core.lint_stats.clone(),
             rng: self.rng.state(),
         }
     }
 
-    fn restore(&mut self, core: &mut SearchCore<'_>, state: Self::State) -> Option<CostModel> {
-        core.restore(
-            Vec::new(),
-            Vec::new(),
-            state.best_time,
-            state.best_schedule,
-            state.trials_used,
-            state.trace,
-            state.lint_stats,
-        );
-        // the agent's tracer is runtime config, not search state: carry it
-        // across the overwrite
+    fn restore(&mut self, state: Self::State) {
         self.agent = state.agent;
-        self.agent.set_tracer(core.tracer().clone());
         self.critical_steps = state.critical_steps;
         self.rng = StdRng::from_state(state.rng);
-        None
     }
 
     fn set_tracer(&mut self, tracer: &Tracer) {

@@ -6,11 +6,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use harl_gbt::{CostModel, GbtParams};
+use harl_gbt::GbtParams;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::Schedule;
-use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
-use harl_verify::LintStats;
+use harl_tensor_sim::{ConfigError, PRICES};
 
 use crate::ansor::evolution::{evolve_candidates, EvoConfig};
 use crate::search::{Lent, Picks, Proposer, SearchCore, Searcher, HAS_LEARNER};
@@ -67,26 +66,11 @@ const ELITE_POOL: usize = 32;
 /// Fraction of measurement candidates picked at random (ε-greedy).
 const EPS_GREEDY: f64 = 0.05;
 
-/// Serializable snapshot of an [`AnsorTuner`]'s mutable search state (see
-/// [`Proposer::State`]).
+/// What an [`AnsorProposer`] checkpoints (see [`Proposer::State`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AnsorTunerState {
-    /// On-line cost model (dataset + fitted booster).
-    pub cost_model: CostModel,
-    /// Dedup keys of every schedule measured so far (sorted).
-    pub seen: Vec<u64>,
     /// `(measured time, schedule)` elite pool, best-first.
     pub elites: Vec<(f64, Schedule)>,
-    /// Best noise-free execution time found.
-    pub best_time: f64,
-    /// The schedule achieving `best_time`.
-    pub best_schedule: Option<Schedule>,
-    /// Hardware measurements consumed.
-    pub trials_used: u64,
-    /// Best-so-far curve.
-    pub trace: TuneTrace,
-    /// Lint counters.
-    pub lint_stats: LintStats,
     /// Raw xoshiro256** state of the search RNG.
     pub rng: [u64; 4],
 }
@@ -190,33 +174,16 @@ impl Proposer for AnsorProposer {
         cands.len()
     }
 
-    fn checkpoint(&self, core: &SearchCore<'_>, model: Option<&CostModel>) -> AnsorTunerState {
+    fn checkpoint(&self) -> AnsorTunerState {
         AnsorTunerState {
-            cost_model: model.expect(HAS_LEARNER).clone(),
-            seen: core.seen_sorted(),
             elites: self.elites.clone(),
-            best_time: core.best_time,
-            best_schedule: core.best_schedule.clone(),
-            trials_used: core.trials_used,
-            trace: core.trace.clone(),
-            lint_stats: core.lint_stats.clone(),
             rng: self.rng.state(),
         }
     }
 
-    fn restore(&mut self, core: &mut SearchCore<'_>, state: AnsorTunerState) -> Option<CostModel> {
-        core.restore(
-            state.seen,
-            Vec::new(),
-            state.best_time,
-            state.best_schedule,
-            state.trials_used,
-            state.trace,
-            state.lint_stats,
-        );
+    fn restore(&mut self, state: AnsorTunerState) {
         self.elites = state.elites;
         self.rng = StdRng::from_state(state.rng);
-        Some(state.cost_model)
     }
 
     /// Seeds the elite pool with the records' schedules.

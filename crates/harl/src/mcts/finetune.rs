@@ -15,12 +15,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use harl_gbt::CostModel;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::factorization::move_smallest_factor;
 use harl_tensor_ir::{Schedule, Sketch, Target};
-use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
-use harl_verify::LintStats;
+use harl_tensor_sim::{ConfigError, PRICES};
 
 use crate::search::{Lent, Picks, Proposer, SearchCore, Searcher};
 
@@ -231,26 +229,11 @@ impl CdConfig {
 /// [`FinetuneConfig::max_sweeps`]).
 const CD_MAX_SWEEPS: usize = 3;
 
-/// Serializable snapshot of a [`CdTuner`]'s mutable search state (see
-/// [`Proposer::State`]).
+/// What a [`CdProposer`] checkpoints (see [`Proposer::State`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CdTunerState {
-    /// Dedup keys of every schedule measured so far (sorted).
-    pub seen: Vec<u64>,
-    /// Queued restart points (warm-start bests, best last).
-    pub pending_seeds: Vec<Schedule>,
     /// Restarts (rounds) completed.
     pub restarts: u64,
-    /// Best noise-free execution time found.
-    pub best_time: f64,
-    /// The schedule achieving `best_time`.
-    pub best_schedule: Option<Schedule>,
-    /// Hardware measurements consumed.
-    pub trials_used: u64,
-    /// Best-so-far curve.
-    pub trace: TuneTrace,
-    /// Lint counters.
-    pub lint_stats: LintStats,
     /// Raw xoshiro256** state of the restart RNG.
     pub rng: [u64; 4],
 }
@@ -318,33 +301,16 @@ impl Proposer for CdProposer {
         out.trials
     }
 
-    fn checkpoint(&self, core: &SearchCore<'_>, _: Option<&CostModel>) -> CdTunerState {
+    fn checkpoint(&self) -> CdTunerState {
         CdTunerState {
-            seen: core.seen_sorted(),
-            pending_seeds: core.seeds().to_vec(),
             restarts: self.restarts,
-            best_time: core.best_time,
-            best_schedule: core.best_schedule.clone(),
-            trials_used: core.trials_used,
-            trace: core.trace.clone(),
-            lint_stats: core.lint_stats.clone(),
             rng: self.rng.state(),
         }
     }
 
-    fn restore(&mut self, core: &mut SearchCore<'_>, state: CdTunerState) -> Option<CostModel> {
-        core.restore(
-            state.seen,
-            state.pending_seeds,
-            state.best_time,
-            state.best_schedule,
-            state.trials_used,
-            state.trace,
-            state.lint_stats,
-        );
+    fn restore(&mut self, state: CdTunerState) {
         self.restarts = state.restarts;
         self.rng = StdRng::from_state(state.rng);
-        None
     }
 
     /// Queues the best matching prior schedules as restart points (best

@@ -12,11 +12,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use harl_gbt::{CostModel, GbtParams};
+use harl_gbt::GbtParams;
 use harl_store::MeasureRecord;
 use harl_tensor_ir::{mutate, Schedule};
-use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
-use harl_verify::LintStats;
+use harl_tensor_sim::{ConfigError, PRICES};
 
 use crate::search::{Lent, Picks, Proposer, SearchCore, Searcher, HAS_LEARNER};
 
@@ -84,34 +83,18 @@ pub struct MctsNode {
     pub total_reward: f64,
 }
 
-/// Serializable snapshot of an [`MctsTuner`]'s mutable search state,
-/// the whole tree included (see [`Proposer::State`]).
+/// What an [`MctsProposer`] checkpoints, the whole tree included (see
+/// [`Proposer::State`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MctsTunerState {
-    /// On-line cost model (dataset + fitted booster).
-    pub cost_model: CostModel,
     /// The modification tree, index-addressed.
     pub nodes: Vec<MctsNode>,
     /// Node index of each sketch's root (empty before the first round).
     pub roots: Vec<usize>,
-    /// Dedup keys of every schedule measured so far (sorted).
-    pub seen: Vec<u64>,
-    /// Schedules queued for forced measurement (warm-start bests).
-    pub pending_seeds: Vec<Schedule>,
     /// Warm-start schedules to graft onto sketch roots at tree init.
     pub warm_seeds: Vec<Schedule>,
     /// Running maximum raw model score, the reward normalizer.
     pub reward_scale: f64,
-    /// Best noise-free execution time found.
-    pub best_time: f64,
-    /// The schedule achieving `best_time`.
-    pub best_schedule: Option<Schedule>,
-    /// Hardware measurements consumed.
-    pub trials_used: u64,
-    /// Best-so-far curve.
-    pub trace: TuneTrace,
-    /// Lint counters.
-    pub lint_stats: LintStats,
     /// Raw xoshiro256** state of the search RNG.
     pub rng: [u64; 4],
 }
@@ -388,34 +371,17 @@ impl Proposer for MctsProposer {
         picks.len()
     }
 
-    fn checkpoint(&self, core: &SearchCore<'_>, model: Option<&CostModel>) -> MctsTunerState {
+    fn checkpoint(&self) -> MctsTunerState {
         MctsTunerState {
-            cost_model: model.expect(HAS_LEARNER).clone(),
             nodes: self.nodes.clone(),
             roots: self.roots.clone(),
-            seen: core.seen_sorted(),
-            pending_seeds: core.seeds().to_vec(),
             warm_seeds: self.warm_seeds.clone(),
             reward_scale: self.reward_scale,
-            best_time: core.best_time,
-            best_schedule: core.best_schedule.clone(),
-            trials_used: core.trials_used,
-            trace: core.trace.clone(),
-            lint_stats: core.lint_stats.clone(),
             rng: self.rng.state(),
         }
     }
 
-    fn restore(&mut self, core: &mut SearchCore<'_>, state: MctsTunerState) -> Option<CostModel> {
-        core.restore(
-            state.seen,
-            state.pending_seeds,
-            state.best_time,
-            state.best_schedule,
-            state.trials_used,
-            state.trace,
-            state.lint_stats,
-        );
+    fn restore(&mut self, state: MctsTunerState) {
         self.nodes = state.nodes;
         self.roots = state.roots;
         self.warm_seeds = state.warm_seeds;
@@ -425,7 +391,6 @@ impl Proposer for MctsProposer {
             0.0
         };
         self.rng = StdRng::from_state(state.rng);
-        Some(state.cost_model)
     }
 
     /// Queues the best prior schedules for forced re-measurement and
@@ -465,7 +430,7 @@ mod tests {
         assert!(t.best_schedule.is_some());
         assert!(t.trials_used >= 150, "used {}", t.trials_used);
         assert!(
-            t.checkpoint_state().nodes.len() > t.sketches.len(),
+            t.checkpoint_state().proposer.nodes.len() > t.sketches.len(),
             "tree never expanded"
         );
         assert!(

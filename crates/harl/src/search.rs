@@ -23,6 +23,7 @@ use std::ops::Deref;
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 use harl_gbt::{CostModel, GbtParams, ScoreStats, ScoringPipeline};
 use harl_obs::Tracer;
@@ -359,33 +360,6 @@ impl<'m> SearchCore<'m> {
         }
         out.trials as u64
     }
-
-    /// Overwrites the checkpointed part of the core.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore(
-        &mut self,
-        seen: Vec<u64>,
-        seeds: Vec<Schedule>,
-        best_time: f64,
-        best_schedule: Option<Schedule>,
-        trials_used: u64,
-        trace: TuneTrace,
-        lint_stats: LintStats,
-    ) {
-        self.seen = seen.into_iter().collect();
-        self.seeds = seeds;
-        // JSON has no Infinity literal: the writer emits null, which
-        // decodes to NaN, so "no best yet" is normalized back to +inf
-        self.best_time = if best_time.is_finite() {
-            best_time
-        } else {
-            f64::INFINITY
-        };
-        self.best_schedule = best_schedule;
-        self.trials_used = trials_used;
-        self.trace = trace;
-        self.lint_stats = lint_stats;
-    }
 }
 
 /// The on-line cost model and the pipeline that scores candidates with
@@ -433,10 +407,38 @@ impl Learner {
     }
 }
 
+/// Serializable snapshot of a [`Searcher`]'s mutable state: the loop state
+/// the shell writes and restores for every searcher, and the proposer's
+/// own [`Proposer::State`]. The graph, config and measurer are *not*
+/// captured: restoring needs a searcher built from the identical
+/// workload, config and seed.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Snapshot<S> {
+    /// The learner's cost model (dataset + fitted booster); `None` exactly
+    /// when the proposer has no GBT parameters.
+    pub cost_model: Option<CostModel>,
+    /// Dedup keys of every schedule measured so far (sorted).
+    pub seen: Vec<u64>,
+    /// Warm-start schedules queued and not yet measured, best last.
+    pub pending_seeds: Vec<Schedule>,
+    /// Best noise-free execution time found (`null` before any).
+    pub best_time: f64,
+    /// The schedule achieving `best_time`.
+    pub best_schedule: Option<Schedule>,
+    /// Hardware measurements consumed.
+    pub trials_used: u64,
+    /// Best-so-far curve.
+    pub trace: TuneTrace,
+    /// Lint counters.
+    pub lint_stats: LintStats,
+    /// The proposer's own state.
+    pub proposer: S,
+}
+
 /// The learner a round is lent: `Some` exactly when [`Proposer::gbt`] is.
 pub type Lent<'a> = Option<&'a mut Learner>;
 
-/// Why a proposer with GBT parameters may `expect` its learner and model.
+/// Why a proposer with GBT parameters may `expect` the learner it is lent.
 pub(crate) const HAS_LEARNER: &str =
     "the shell builds a learner from every proposer's GBT parameters";
 
@@ -448,10 +450,8 @@ pub trait Proposer: Sized {
     const NAME: &'static str;
     /// The searcher's configuration.
     type Config;
-    /// Serializable snapshot of the core's, the learner's and the
-    /// proposer's mutable state. The graph, config and measurer are *not*
-    /// captured: restoring needs a searcher built from the identical
-    /// workload, config and seed.
+    /// Serializable snapshot of the state only the proposer owns; the
+    /// shell's [`Snapshot`] carries it next to the shared loop state.
     type State;
 
     /// The first field of `cfg` that is out of range, if any:
@@ -478,14 +478,13 @@ pub trait Proposer: Sized {
     /// progress is possible.
     fn round(&mut self, core: &mut SearchCore<'_>, learner: Lent<'_>, budget: usize) -> usize;
 
-    /// Snapshots the mutable search state; `model` is the learner's.
-    fn checkpoint(&self, core: &SearchCore<'_>, model: Option<&CostModel>) -> Self::State;
+    /// Snapshots the proposer's own mutable state.
+    fn checkpoint(&self) -> Self::State;
 
-    /// Overwrites the mutable search state, the core's through
-    /// [`SearchCore::restore`], and hands back the checkpointed cost model
-    /// (`None` without one) for the shell to put in its learner. Runtime
-    /// wiring (the tracer) is not part of a checkpoint and must survive.
-    fn restore(&mut self, core: &mut SearchCore<'_>, state: Self::State) -> Option<CostModel>;
+    /// Overwrites the proposer's own mutable state. The tracer is not part
+    /// of a checkpoint: the shell hands it back through
+    /// [`Proposer::set_tracer`] afterwards.
+    fn restore(&mut self, state: Self::State);
 
     /// Seeds the search from `usable` (never empty: already filtered by
     /// [`SearchCore::usable_records`]) without spending a trial, e.g. by
@@ -603,18 +602,44 @@ impl<'m, P: Proposer> Searcher<'m, P> {
     }
 
     /// Snapshots the mutable search state for checkpointing.
-    pub fn checkpoint_state(&self) -> P::State {
-        let model = self.learner.as_ref().map(|l| &l.model);
-        self.proposer.checkpoint(&self.core, model)
+    pub fn checkpoint_state(&self) -> Snapshot<P::State> {
+        let core = &self.core;
+        Snapshot {
+            cost_model: self.learner.as_ref().map(|l| l.model.clone()),
+            seen: core.seen_sorted(),
+            pending_seeds: core.seeds.clone(),
+            best_time: core.best_time,
+            best_schedule: core.best_schedule.clone(),
+            trials_used: core.trials_used,
+            trace: core.trace.clone(),
+            lint_stats: core.lint_stats.clone(),
+            proposer: self.proposer.checkpoint(),
+        }
     }
 
     /// Overwrites the mutable search state from a checkpoint. The searcher
-    /// must have been built from the same graph, config and seed.
-    pub fn restore_state(&mut self, state: P::State) {
-        let model = self.proposer.restore(&mut self.core, state);
-        if let (Some(learner), Some(model)) = (&mut self.learner, model) {
+    /// must have been built from the same graph, config and seed; a
+    /// snapshot without a model leaves the learner's as it is.
+    pub fn restore_state(&mut self, state: Snapshot<P::State>) {
+        let core = &mut self.core;
+        core.seen = state.seen.into_iter().collect();
+        core.seeds = state.pending_seeds;
+        // JSON has no Infinity literal: the writer emits null, which
+        // decodes to NaN, so "no best yet" is normalized back to +inf
+        core.best_time = if state.best_time.is_finite() {
+            state.best_time
+        } else {
+            f64::INFINITY
+        };
+        core.best_schedule = state.best_schedule;
+        core.trials_used = state.trials_used;
+        core.trace = state.trace;
+        core.lint_stats = state.lint_stats;
+        if let (Some(learner), Some(model)) = (&mut self.learner, state.cost_model) {
             learner.model = model;
         }
+        self.proposer.restore(state.proposer);
+        self.proposer.set_tracer(core.tracer());
     }
 
     /// Counters of the learner's scoring pipeline (batches, candidates
@@ -659,23 +684,11 @@ mod tests {
         rng: StdRng,
     }
 
-    #[derive(serde::Serialize)]
-    struct ToyState {
-        model: Option<CostModel>,
-        seen: Vec<u64>,
-        best_time: f64,
-        best_schedule: Option<Schedule>,
-        trials_used: u64,
-        trace: TuneTrace,
-        lint_stats: LintStats,
-        rng: [u64; 4],
-    }
-
     impl Proposer for Toy {
         const NAME: &'static str = "toy";
         /// `(seed, max_rounds, cost-model parameters)`.
         type Config = (u64, usize, Option<GbtParams>);
-        type State = ToyState;
+        type State = [u64; 4];
 
         fn validate(_cfg: &Self::Config) -> Result<(), ConfigError> {
             Ok(())
@@ -713,31 +726,12 @@ mod tests {
             n
         }
 
-        fn checkpoint(&self, core: &SearchCore<'_>, model: Option<&CostModel>) -> ToyState {
-            ToyState {
-                model: model.cloned(),
-                seen: core.seen_sorted(),
-                best_time: core.best_time,
-                best_schedule: core.best_schedule.clone(),
-                trials_used: core.trials_used,
-                trace: core.trace.clone(),
-                lint_stats: core.lint_stats.clone(),
-                rng: self.rng.state(),
-            }
+        fn checkpoint(&self) -> [u64; 4] {
+            self.rng.state()
         }
 
-        fn restore(&mut self, core: &mut SearchCore<'_>, s: ToyState) -> Option<CostModel> {
-            core.restore(
-                s.seen,
-                Vec::new(),
-                s.best_time,
-                s.best_schedule,
-                s.trials_used,
-                s.trace,
-                s.lint_stats,
-            );
-            self.rng = StdRng::from_state(s.rng);
-            s.model
+        fn restore(&mut self, rng: [u64; 4]) {
+            self.rng = StdRng::from_state(rng);
         }
 
         fn warm_start(&mut self, _core: &mut SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {

@@ -34,36 +34,41 @@ use harl_tensor_sim::{Measurer, MeasurerState, TuneTrace};
 
 use crate::ansor::{AnsorTunerState, FlextensorTunerState};
 use crate::mcts::{CdTunerState, FinetuneConfig, MctsTunerState};
-use crate::search::{Proposer, SearchCore, Searcher};
+use crate::search::{Proposer, SearchCore, Searcher, Snapshot};
 use crate::tuner::HarlTunerState;
 
-/// Serialized search state of any [`Tuner`]: one variant per
-/// [`Proposer::State`].
+/// Serialized search state of any [`Tuner`]: one variant per searcher,
+/// each the shell's [`Snapshot`] around that [`Proposer::State`].
 // checkpoints are created once per round, so variant-size skew is irrelevant
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum TunerState {
     /// State of a [`crate::HarlOperatorTuner`].
-    Harl(HarlTunerState),
+    Harl(Snapshot<HarlTunerState>),
     /// State of an [`crate::ansor::AnsorTuner`].
-    Ansor(AnsorTunerState),
+    Ansor(Snapshot<AnsorTunerState>),
     /// State of a [`crate::ansor::FlextensorTuner`].
-    Flextensor(FlextensorTunerState),
+    Flextensor(Snapshot<FlextensorTunerState>),
     /// State of an [`crate::mcts::MctsTuner`].
-    Mcts(MctsTunerState),
+    Mcts(Snapshot<MctsTunerState>),
     /// State of a [`crate::mcts::CdTuner`].
-    Cd(CdTunerState),
+    Cd(Snapshot<CdTunerState>),
 }
 
 impl TunerState {
     /// The tuner name this state belongs to.
     pub fn tuner_name(&self) -> &'static str {
+        self.parts().0
+    }
+
+    /// The tuner name, and whether the state carries a cost model.
+    fn parts(&self) -> (&'static str, bool) {
         match self {
-            TunerState::Harl(_) => "harl",
-            TunerState::Ansor(_) => "ansor",
-            TunerState::Flextensor(_) => "flextensor",
-            TunerState::Mcts(_) => "mcts",
-            TunerState::Cd(_) => "cd",
+            TunerState::Harl(s) => ("harl", s.cost_model.is_some()),
+            TunerState::Ansor(s) => ("ansor", s.cost_model.is_some()),
+            TunerState::Flextensor(s) => ("flextensor", s.cost_model.is_some()),
+            TunerState::Mcts(s) => ("mcts", s.cost_model.is_some()),
+            TunerState::Cd(s) => ("cd", s.cost_model.is_some()),
         }
     }
 }
@@ -184,7 +189,7 @@ trait Variant: Sized {
 
 macro_rules! variants {
     ($($variant:ident($state:ty)),*) => {$(
-        impl Variant for $state {
+        impl Variant for Snapshot<$state> {
             fn wrap(self) -> TunerState {
                 TunerState::$variant(self)
             }
@@ -210,7 +215,7 @@ variants!(
 // and the state crosses as its `TunerState` variant.
 impl<P: Proposer> Tuner for Searcher<'_, P>
 where
-    P::State: Variant,
+    Snapshot<P::State>: Variant,
 {
     fn name(&self) -> &str {
         P::NAME
@@ -229,7 +234,7 @@ where
     }
 
     fn restore(&mut self, state: TunerState) {
-        match P::State::unwrap(state) {
+        match Snapshot::unwrap(state) {
             Ok(s) => self.restore_state(s),
             Err(other) => panic!("cannot restore {other} state into {}", P::NAME),
         }
@@ -253,9 +258,11 @@ where
 }
 
 /// On-disk session checkpoint: tuner + measurer state plus bookkeeping.
+/// Every field is required; a file of another [`CHECKPOINT_VERSION`] is
+/// refused by its version before the rest is decoded.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
-    /// Checkpoint format version.
+    /// Checkpoint format version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
     /// Identity of the job spec that wrote the checkpoint (see
     /// [`SessionBuilder::job_key`]); `None` when the caller opted out.
@@ -263,9 +270,7 @@ pub struct SessionCheckpoint {
     /// Session rounds completed when the checkpoint was taken.
     pub rounds_done: u64,
     /// True once [`TuningSession::then_finetune`] has completed, so a
-    /// resumed session does not descend a second time. Defaults to `false`
-    /// for checkpoints written before the field existed.
-    #[serde(default)]
+    /// resumed session does not descend a second time.
     pub finetuned: bool,
     /// Simulated-measurer state (noise RNG, trial count, sim clock).
     pub measurer: MeasurerState,
@@ -273,11 +278,14 @@ pub struct SessionCheckpoint {
     pub tuner: TunerState,
 }
 
-/// Version of the [`SessionCheckpoint`] JSON payload. Version 3 packs the
-/// PPO agent's bulk fields (`harl_nnet`'s `Linear` and `Transition`) into
-/// hex strings; a version-2 file is rejected, not migrated — a checkpoint
-/// lives only as long as its job.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// Version of the [`SessionCheckpoint`] JSON payload. Version 4 writes the
+/// loop state every searcher shares (cost model, measured set, seed queue,
+/// best, trial count, trace, lint counters) once, beside a `proposer`
+/// object of the searcher's own fields; the PPO agent's bulk fields
+/// (`harl_nnet`'s `Linear` and `Transition`) stay hex strings, as in
+/// version 3. An older file is rejected, not migrated — a checkpoint lives
+/// only as long as its job.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Configures how a [`TuningSession`] uses its record store.
 #[derive(Debug, Clone)]
@@ -380,11 +388,19 @@ impl SessionBuilder {
                         )));
                     }
                 }
-                if ck.tuner.tuner_name() != session.tuner.name() {
+                let (name, has_model) = ck.tuner.parts();
+                if name != session.tuner.name() {
                     return Err(StoreError::Format(format!(
-                        "checkpoint holds {} state but the session tuner is {}",
-                        ck.tuner.tuner_name(),
+                        "checkpoint holds {name} state but the session tuner is {}",
                         session.tuner.name()
+                    )));
+                }
+                // a missing model must not resume as a fresh one
+                let wants_model = session.tuner.score_stats().is_some();
+                if has_model != wants_model {
+                    return Err(StoreError::Format(format!(
+                        "bad checkpoint: the {name} state {} a cost model",
+                        if has_model { "carries" } else { "lacks" }
                     )));
                 }
                 measurer.restore_state(&ck.measurer);

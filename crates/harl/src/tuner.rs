@@ -7,13 +7,13 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::bandit::{AnyBandit, Bandit};
-use harl_gbt::{CostModel, GbtParams};
+use harl_gbt::GbtParams;
 use harl_nnet::PpoAgent;
 use harl_obs::{FieldValue, Tracer};
 use harl_store::MeasureRecord;
 use harl_tensor_ir::{ActionSpace, Schedule};
-use harl_tensor_sim::{ConfigError, TuneTrace, PRICES};
-use harl_verify::{check_finite, LintCode, LintStats};
+use harl_tensor_sim::{ConfigError, PRICES};
+use harl_verify::{check_finite, LintCode};
 
 use crate::adaptive::CriticalStep;
 use crate::config::HarlConfig;
@@ -213,44 +213,24 @@ impl Proposer for HarlProposer {
         picks.len()
     }
 
-    fn checkpoint(&self, core: &SearchCore<'_>, model: Option<&CostModel>) -> HarlTunerState {
+    fn checkpoint(&self) -> HarlTunerState {
         HarlTunerState {
-            cost_model: model.expect(HAS_LEARNER).clone(),
             agent: self.agent.clone(),
             sketch_bandit: self.sketch_bandit.clone(),
-            seen: core.seen_sorted(),
             elites: self.elites.clone(),
-            pending_seeds: core.seeds().to_vec(),
-            best_time: core.best_time,
-            best_schedule: core.best_schedule.clone(),
-            trials_used: core.trials_used,
-            trace: core.trace.clone(),
             critical_steps: self.critical_steps.clone(),
             rounds: self.rounds.clone(),
-            lint_stats: core.lint_stats.clone(),
             rng: self.rng.state(),
         }
     }
 
-    fn restore(&mut self, core: &mut SearchCore<'_>, state: HarlTunerState) -> Option<CostModel> {
-        core.restore(
-            state.seen,
-            state.pending_seeds,
-            state.best_time,
-            state.best_schedule,
-            state.trials_used,
-            state.trace,
-            state.lint_stats,
-        );
-        // the agent's tracer is runtime wiring outside the checkpoint
+    fn restore(&mut self, state: HarlTunerState) {
         self.agent = state.agent;
-        self.agent.set_tracer(core.tracer().clone());
         self.sketch_bandit = state.sketch_bandit;
         self.elites = state.elites;
         self.critical_steps = state.critical_steps;
         self.rounds = state.rounds;
         self.rng = StdRng::from_state(state.rng);
-        Some(state.cost_model)
     }
 
     /// Seeds the per-sketch elite pools (episode warm-start tracks), and
@@ -312,36 +292,19 @@ pub fn pick_top_k(
     }
 }
 
-/// Serializable snapshot of a [`HarlOperatorTuner`]'s mutable search state
-/// (see [`Proposer::State`]).
+/// What a [`HarlProposer`] checkpoints (see [`Proposer::State`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HarlTunerState {
-    /// On-line cost model (dataset + fitted booster).
-    pub cost_model: CostModel,
     /// PPO agent (networks, optimizer moments, replay buffer).
     pub agent: PpoAgent,
     /// Sketch-level bandit state.
     pub sketch_bandit: AnyBandit,
-    /// Dedup keys of every schedule measured so far (sorted).
-    pub seen: Vec<u64>,
     /// Per-sketch elite pools, best-first.
     pub elites: Vec<Vec<(f64, Schedule)>>,
-    /// Warm-start schedules not yet measured.
-    pub pending_seeds: Vec<Schedule>,
-    /// Best noise-free execution time found.
-    pub best_time: f64,
-    /// The schedule achieving `best_time`.
-    pub best_schedule: Option<Schedule>,
-    /// Hardware measurements consumed.
-    pub trials_used: u64,
-    /// Best-so-far curve.
-    pub trace: TuneTrace,
     /// Critical steps of every explored track.
     pub critical_steps: Vec<CriticalStep>,
     /// Per-round log.
     pub rounds: Vec<RoundLog>,
-    /// Lint counters.
-    pub lint_stats: LintStats,
     /// Raw xoshiro256** state of the search RNG.
     pub rng: [u64; 4],
 }
@@ -409,7 +372,7 @@ mod tests {
             ..HarlConfig::tiny()
         };
         let t = HarlOperatorTuner::new(workload::gemm(128, 128, 128), &measurer, cfg);
-        let bandit = serde_json::to_string(&t.checkpoint_state().sketch_bandit).unwrap();
+        let bandit = serde_json::to_string(&t.checkpoint_state().proposer.sketch_bandit).unwrap();
         assert!(bandit.contains(r#""c":0.5,"tau":64,"#), "{bandit}");
     }
 

@@ -383,7 +383,10 @@ impl Daemon {
 }
 
 /// Rebuilds the job registry from `<root>/jobs/` and requeues everything
-/// that has not reached a terminal state.
+/// that has not reached a terminal state. A job whose spec is refused or
+/// whose `result.json` does not decode is registered failed, its reason in
+/// `failed.txt`; one whose `job.json` does not decode is left out with its
+/// reason there. Its number is still taken.
 fn recover_jobs(shared: &Arc<Shared>) -> Result<(), ServeError> {
     let mut ids: Vec<String> = Vec::new();
     for entry in fs::read_dir(shared.jobs_dir())? {
@@ -403,28 +406,53 @@ fn recover_jobs(shared: &Arc<Shared>) -> Result<(), ServeError> {
             Ok(s) => s,
             Err(_) => continue, // half-created dir from a crashed submit
         };
-        let spec: JobSpec = serde_json::from_str(&spec_json)
-            .map_err(|e| ServeError::Job(format!("{id}: bad job.json: {e}")))?;
+        // one damaged job is that job's failure, never the daemon's: a spec
+        // that does not decode has no entry to fail, so its reason is only
+        // left on disk
+        let spec: JobSpec = match serde_json::from_str(&spec_json) {
+            Ok(spec) => spec,
+            Err(e) => {
+                let reason = format!("bad job.json: {e}");
+                eprintln!("harl-serve: skipping job {id}: {reason}");
+                let _ = fs::write(dir.join("failed.txt"), &reason);
+                continue;
+            }
+        };
         let mut entry = JobEntry::new(spec);
-        if let Ok(outcome_json) = fs::read_to_string(dir.join("result.json")) {
-            let outcome: JobOutcome = serde_json::from_str(&outcome_json)
-                .map_err(|e| ServeError::Job(format!("{id}: bad result.json: {e}")))?;
-            entry.state = JobState::Done;
-            entry.trials_used = outcome.trials;
-            entry.best_latency = outcome.best_ms / 1e3;
-            entry.resumed = outcome.resumed;
-            entry.warm_records = outcome.warm_records;
-            entry.score_stats = outcome.score_stats;
-            entry.outcome = Some(outcome);
-        } else if dir.join("cancelled").exists() {
-            entry.state = JobState::Cancelled;
-        } else if let Ok(msg) = fs::read_to_string(dir.join("failed.txt")) {
+        let result = fs::read_to_string(dir.join("result.json")).ok();
+        let failure = match (entry.spec.validate(), result) {
+            (Err(e), _) => Some(format!("invalid job.json: {e}")),
+            (Ok(()), Some(json)) => match serde_json::from_str::<JobOutcome>(&json) {
+                Ok(outcome) => {
+                    entry.state = JobState::Done;
+                    entry.trials_used = outcome.trials;
+                    entry.best_latency = outcome.best_ms / 1e3;
+                    entry.resumed = outcome.resumed;
+                    entry.warm_records = outcome.warm_records;
+                    entry.score_stats = outcome.score_stats;
+                    entry.outcome = Some(outcome);
+                    None
+                }
+                Err(e) => Some(format!("bad result.json: {e}")),
+            },
+            (Ok(()), None) => {
+                if dir.join("cancelled").exists() {
+                    entry.state = JobState::Cancelled;
+                } else if let Ok(msg) = fs::read_to_string(dir.join("failed.txt")) {
+                    entry.state = JobState::Failed;
+                    entry.error = Some(msg);
+                } else {
+                    // unfinished: requeue. Recovery must never drop an
+                    // accepted job, so this bypasses the backpressure bound.
+                    shared.queue.push_unbounded(id.clone(), entry.spec.priority);
+                }
+                None
+            }
+        };
+        if let Some(reason) = failure {
+            let _ = fs::write(dir.join("failed.txt"), &reason);
             entry.state = JobState::Failed;
-            entry.error = Some(msg);
-        } else {
-            // unfinished: requeue. Recovery must never drop an accepted
-            // job, so this bypasses the backpressure bound.
-            shared.queue.push_unbounded(id.clone(), entry.spec.priority);
+            entry.error = Some(reason);
         }
         shared.jobs.lock().expect("jobs poisoned").insert(id, entry);
     }
@@ -565,7 +593,11 @@ fn submit(shared: &Arc<Shared>, spec: JobSpec) -> Response {
         .and_then(|()| {
             let json = serde_json::to_string_pretty(&spec)
                 .map_err(|e| ServeError::Protocol(e.to_string()))?;
-            fs::write(dir.join("job.json"), json).map_err(ServeError::from)
+            // tmp + rename, as `publish_addr`: recovery sees no job.json or
+            // the whole one, never a cut-short file
+            let tmp = dir.join("job.json.tmp");
+            fs::write(&tmp, json)?;
+            fs::rename(&tmp, dir.join("job.json")).map_err(ServeError::from)
         });
     if let Err(e) = persisted {
         return Response::error(ErrorCode::Internal, format!("persisting job: {e}"));

@@ -149,7 +149,8 @@ pub const PRICES: ClockPrices = ClockPrices {
 };
 
 /// Measures schedules on a [`Hardware`] model while accounting simulated
-/// search time. Thread-safe: batch measurement fans out across threads.
+/// search time. Shared by reference (the searchers of a network all
+/// charge one); its counters sit behind a mutex, so it is `Sync`.
 pub struct Measurer {
     hw: Hardware,
     cfg: MeasureConfig,

@@ -100,9 +100,10 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         }
     };
     let out = format!(
-        "impl ::serde::Serialize for {name} {{\n\
+        "impl<{params}> ::serde::Serialize for {ty} {{\n\
          fn serialize(&self, w: &mut ::serde::ser::JsonWriter) {{\n{body}\n}}\n}}\n",
-        name = item.name
+        params = item.params("::serde::Serialize"),
+        ty = item.ty()
     );
     out.parse().expect("generated Serialize impl parses")
 }
@@ -225,10 +226,11 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
         }
     };
     let out = format!(
-        "impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
+        "impl<'de, {params}> ::serde::Deserialize<'de> for {ty} {{\n\
          fn deserialize_value(v: &::serde::de::Value) \
          -> ::core::result::Result<Self, ::serde::de::DeError> {{\n{body}\n}}\n}}\n",
-        name = item.name
+        params = item.params("for<'a> ::serde::Deserialize<'a>"),
+        ty = item.ty()
     );
     out.parse().expect("generated Deserialize impl parses")
 }
@@ -258,7 +260,28 @@ enum Data {
 
 struct Item {
     name: String,
+    /// The item's type parameters, by name.
+    generics: Vec<String>,
     data: Data,
+}
+
+impl Item {
+    /// The type an impl is for: `Name`, or `Name<A, B>`.
+    fn ty(&self) -> String {
+        if self.generics.is_empty() {
+            self.name.clone()
+        } else {
+            format!("{}<{}>", self.name, self.generics.join(", "))
+        }
+    }
+
+    /// The impl's parameter list: every type parameter bounded by `bound`.
+    fn params(&self, bound: &str) -> String {
+        let params: Vec<String> = (self.generics.iter())
+            .map(|p| format!("{p}: {bound}"))
+            .collect();
+        params.join(", ")
+    }
 }
 
 /// True when the attribute group tokens are `serde(... skip ...)`.
@@ -426,13 +449,17 @@ fn parse_item(input: TokenStream) -> Item {
         other => panic!("expected item name, found {other:?}"),
     };
     pos += 1;
-    // generics are not supported by this shim (nothing in the workspace
-    // derives serde on a generic type); skip them if present so the error
-    // surfaces in the generated impl rather than here
+    // type parameters: the first identifier of each top-level entry of
+    // `<…>`. A bound written there is not repeated on the impl, which
+    // bounds each parameter by the derived trait alone.
+    let mut generics = Vec::new();
     if matches!(&toks.get(pos), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        let mut angle = 0i32;
+        let (mut angle, mut entry_start) = (0i32, true);
         while pos < toks.len() {
             match &toks[pos] {
+                TokenTree::Punct(p) if p.as_char() == '\'' => {
+                    panic!("serde shim: lifetime parameters are not supported")
+                }
                 TokenTree::Punct(p) if p.as_char() == '<' => angle += 1,
                 TokenTree::Punct(p) if p.as_char() == '>' => {
                     angle -= 1;
@@ -440,6 +467,11 @@ fn parse_item(input: TokenStream) -> Item {
                         pos += 1;
                         break;
                     }
+                }
+                TokenTree::Punct(p) if p.as_char() == ',' && angle == 1 => entry_start = true,
+                TokenTree::Ident(id) if angle == 1 && entry_start => {
+                    generics.push(id.to_string());
+                    entry_start = false;
                 }
                 _ => {}
             }
@@ -464,5 +496,9 @@ fn parse_item(input: TokenStream) -> Item {
             _ => Data::UnitStruct,
         }
     };
-    Item { name, data }
+    Item {
+        name,
+        generics,
+        data,
+    }
 }

@@ -5,10 +5,10 @@
 //! checkpoint that was written, lands on the bits the undamaged file
 //! leads to. It never panics.
 //!
-//! The inputs are a real version-3 HARL checkpoint (24 trials of the tiny
-//! preset: trained networks, a part-filled replay buffer) under
-//! truncations, bit flips, and the edits that make a replay-buffer row
-//! miss the agent's shapes — a state one value short, an action list one
+//! The inputs are a real HARL checkpoint of the current
+//! `CHECKPOINT_VERSION` (24 trials of the tiny preset: trained networks,
+//! a part-filled replay buffer) under truncations, bit flips, and the
+//! edits that make a replay-buffer row miss the agent's shapes — a state one value short, an action list one
 //! short or long, an action outside its head, a fifth mask, a mask one
 //! entry short, more rows than the capacity. Those used to decode and then
 //! index out of bounds in a worker's first update. Edits of the agent's
@@ -19,7 +19,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-use harl_repro::harl::{HarlOperatorTuner, SessionCheckpoint};
+use harl_repro::harl::{HarlOperatorTuner, SessionCheckpoint, CHECKPOINT_VERSION};
 use harl_repro::prelude::*;
 use harl_repro::store::StoreError;
 use proptest::prelude::*;
@@ -109,7 +109,11 @@ fn fixture() -> &'static Fixture {
         session.run(24).unwrap();
         drop(session);
         let good = harness.store.load_checkpoint().unwrap().expect("killed");
-        assert!(good.starts_with("{\"version\":3,"), "{}", &good[..40]);
+        assert!(
+            good.starts_with(&format!("{{\"version\":{CHECKPOINT_VERSION},")),
+            "{}",
+            &good[..40]
+        );
         assert!(good.contains(r#""state":""#), "empty replay buffer");
         let Outcome::Resumed(next_round) = harness.load(good.as_bytes()) else {
             panic!("the undamaged checkpoint must resume");

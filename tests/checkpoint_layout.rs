@@ -1,7 +1,8 @@
-//! The version-3 checkpoint layout: packed agent fields that round-trip
-//! to the bit, resumes that land where an uninterrupted run does, damaged
-//! or foreign files that fail with a reason instead of a panic, and the
-//! size the layout was introduced for.
+//! The checkpoint layout: packed agent fields (version 3 on) that
+//! round-trip to the bit, resumes that land where an uninterrupted run
+//! does, damaged or foreign files that fail with a reason instead of a
+//! panic (a shared half whose model does not match its searcher
+//! included), and the size the packed layout was introduced for.
 //!
 //! `ci/test.sh` reruns this file under `HARL_SIMD=0`; that the checkpoint
 //! bytes are the same across backends is `tests/scoring_determinism.rs`'s
@@ -10,6 +11,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use harl_repro::gbt::{CostModel, GbtParams};
 use harl_repro::harl::{HarlOperatorTuner, SessionCheckpoint, CHECKPOINT_VERSION};
 use harl_repro::nnet::{Mlp, Transition};
 use harl_repro::prelude::*;
@@ -31,6 +33,7 @@ fn tuner<'m>(which: &str, measurer: &'m Measurer) -> Box<dyn Tuner + 'm> {
     let graph = harl_repro::ir::workload::gemm(256, 256, 256);
     match which {
         "harl" => Box::new(HarlOperatorTuner::new(graph, measurer, HarlConfig::tiny())),
+        "cd" => Box::new(CdTuner::new(graph, measurer, CdConfig::default())),
         _ => Box::new(FlextensorTuner::new(graph, measurer, Default::default())),
     }
 }
@@ -192,18 +195,34 @@ fn damaged_checkpoints_fail_with_a_reason_never_a_panic() {
         text.replace_range(range, with);
         text
     };
-    let cases: [(&str, String, &str); 8] = [
+    // the shared half: a model where the searcher has none, none where
+    // it has one
+    let model = good.find(r#""cost_model":{"#).expect("a HARL model") + r#""cost_model":"#.len();
+    let no_model = edit(model..good.find(r#","seen":["#).unwrap(), "null");
+    let cd_dir = temp_store("damaged-cd");
+    let (_, cd_checkpoints) = lifetime(&cd_dir, "cd", &[24]);
+    let _ = std::fs::remove_dir_all(&cd_dir);
+    let mut cd_with_model: SessionCheckpoint = serde_json::from_str(&cd_checkpoints[0]).unwrap();
+    let TunerState::Cd(cd) = &mut cd_with_model.tuner else {
+        panic!("a CD session checkpoints a CD state");
+    };
+    cd.cost_model = Some(CostModel::new(GbtParams::default()));
+    let cd_with_model = serde_json::to_string(&cd_with_model).unwrap();
+    let cases: [(&str, &str, String, &str); 10] = [
         (
+            "harl",
             "odd length",
             edit(weights.start..weights.start + 1, ""),
             "8 hex digits each",
         ),
         (
+            "harl",
             "non-hex byte",
             edit(state.start + 3..state.start + 4, "g"),
             "not 8 lowercase hex digits",
         ),
         (
+            "harl",
             "uppercase digit",
             edit(
                 lowercase..lowercase + 1,
@@ -212,34 +231,55 @@ fn damaged_checkpoints_fail_with_a_reason_never_a_panic() {
             "not 8 lowercase hex digits",
         ),
         (
+            "harl",
             "one weight short of in_dim·out_dim",
             edit(weights.start..weights.start + 8, ""),
             "field `w`",
         ),
         (
+            "harl",
             "one weight too many",
             edit(weights.start..weights.start, "0000803f"),
             "field `w`",
         ),
         (
+            "harl",
             "truncated mid-string",
             good[..state.start + state.len() / 2].to_string(),
             "unterminated string",
         ),
         (
+            "harl",
             "mask digit",
             edit(mask.start..mask.start + mask.len().min(1), "2"),
             "neither 0 nor 1",
         ),
-        ("empty file", String::new(), "unexpected end of input"),
+        (
+            "harl",
+            "empty file",
+            String::new(),
+            "unexpected end of input",
+        ),
+        (
+            "harl",
+            "HARL state without a model",
+            no_model,
+            "lacks a cost model",
+        ),
+        (
+            "cd",
+            "CD state with a model",
+            cd_with_model,
+            "carries a cost model",
+        ),
     ];
 
     let store = Arc::new(RecordStore::open(&dir).unwrap());
-    for (what, text, reason) in cases {
+    for (which, what, text, reason) in cases {
         store.save_checkpoint(&text).unwrap();
         let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
         let launched = TuningSession::builder().launch(
-            tuner("harl", &measurer),
+            tuner(which, &measurer),
             &measurer,
             Some(store.clone()),
         );
@@ -292,6 +332,12 @@ fn a_version_2_checkpoint_is_rejected_by_its_version() {
         msg,
         format!("unsupported checkpoint version 2 (supported: {CHECKPOINT_VERSION})")
     );
+    // and the version before this one the same way
+    let msg = launch(&V2_CHECKPOINT.replacen("\"version\":2", "\"version\":3", 1));
+    assert_eq!(
+        msg,
+        format!("unsupported checkpoint version 3 (supported: {CHECKPOINT_VERSION})")
+    );
     // the version check is what caught it: relabelled as the current
     // version the same payload fails on its layout instead
     let relabelled = V2_CHECKPOINT.replacen(
@@ -301,7 +347,7 @@ fn a_version_2_checkpoint_is_rejected_by_its_version() {
     );
     let msg = launch(&relabelled);
     assert!(
-        msg.contains("bad checkpoint") && msg.contains("expected string, got array"),
+        msg.contains("bad checkpoint") && msg.contains("missing field `cost_model`"),
         "{msg}"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -347,7 +393,11 @@ fn full_replay_buffer_checkpoint_fits_the_size_budget() {
     let mut tuner = HarlOperatorTuner::new(graph, &measurer, HarlConfig::fast());
     tuner.tune(128);
     let state = tuner.checkpoint_state();
-    assert_eq!(state.agent.buffer.len(), 4096, "buffer is not full");
+    assert_eq!(
+        state.proposer.agent.buffer.len(),
+        4096,
+        "buffer is not full"
+    );
     let bytes = serde_json::to_string(&TunerState::Harl(state))
         .unwrap()
         .len();

@@ -143,13 +143,13 @@ fn resumed_tuner_forwards_through_fresh_transposes() {
     assert!(resumed, "checkpoint must be picked up");
     let _ = std::fs::remove_dir_all(&dir);
 
-    assert!(state.agent.num_updates() > 0);
-    let agent_json = serde_json::to_string(&state.agent).unwrap();
+    assert!(state.proposer.agent.num_updates() > 0);
+    let agent_json = serde_json::to_string(&state.proposer.agent).unwrap();
     let mut uncached: PpoAgent = serde_json::from_str(&agent_json).unwrap();
-    assert_eq!(probe(&mut state.agent), probe(&mut uncached));
+    assert_eq!(probe(&mut state.proposer.agent), probe(&mut uncached));
     assert_eq!(
         agent_json,
-        serde_json::to_string(&uninterrupted.agent).unwrap(),
+        serde_json::to_string(&uninterrupted.proposer.agent).unwrap(),
         "kill → resume must train the same agent as the uninterrupted run"
     );
 }

@@ -13,10 +13,15 @@ use harl_repro::prelude::*;
 /// What one searcher's two legs must reproduce.
 #[derive(Debug, PartialEq, Eq)]
 struct Golden {
-    /// FNV-1a of the tuner-state JSON after the cold `run(48)`.
+    /// FNV-1a of the tuner state after the cold `run(48)`, as the
+    /// version-3 JSON layout spelled it (see [`v3_text`]).
     cold_state: u64,
     /// Same after the warm-started `run(32)` + `then_finetune`.
     warm_state: u64,
+    /// FNV-1a of the tuner-state JSON after the cold leg, as written now.
+    cold_text: u64,
+    /// Same after the warm leg.
+    warm_text: u64,
     warm_records: usize,
     finetune_trials: u64,
     cold_best_bits: u64,
@@ -31,8 +36,84 @@ fn fnv(text: &str) -> u64 {
     })
 }
 
-fn state_digest(session: &TuningSession<'_>) -> u64 {
-    fnv(&serde_json::to_string(&session.tuner_state()).unwrap())
+/// `{"key":<json>,…}` of the named values, in the order given.
+macro_rules! object {
+    ($($key:ident: $value:expr),* $(,)?) => {{
+        let fields: Vec<String> = vec![$(
+            format!("\"{}\":{}", stringify!($key), serde_json::to_string(&$value).unwrap())
+        ),*];
+        format!("{{{}}}", fields.join(","))
+    }};
+}
+
+/// The tuner state in the version-3 layout the `*_state` digests were
+/// recorded on: one flat object per searcher, its keys in their old order
+/// and the shared ones among them, rebuilt from the typed fields.
+fn v3_text(state: &TunerState) -> String {
+    let (variant, body) = match state {
+        TunerState::Harl(s) => {
+            let p = &s.proposer;
+            let body = object! {
+                cost_model: s.cost_model, agent: p.agent, sketch_bandit: p.sketch_bandit,
+                seen: s.seen, elites: p.elites, pending_seeds: s.pending_seeds,
+                best_time: s.best_time, best_schedule: s.best_schedule,
+                trials_used: s.trials_used, trace: s.trace, critical_steps: p.critical_steps,
+                rounds: p.rounds, lint_stats: s.lint_stats, rng: p.rng,
+            };
+            ("Harl", body)
+        }
+        TunerState::Ansor(s) => {
+            let p = &s.proposer;
+            let body = object! {
+                cost_model: s.cost_model, seen: s.seen, elites: p.elites,
+                best_time: s.best_time, best_schedule: s.best_schedule,
+                trials_used: s.trials_used, trace: s.trace, lint_stats: s.lint_stats,
+                rng: p.rng,
+            };
+            ("Ansor", body)
+        }
+        TunerState::Flextensor(s) => {
+            let p = &s.proposer;
+            let body = object! {
+                agent: p.agent, best_time: s.best_time, best_schedule: s.best_schedule,
+                critical_steps: p.critical_steps, trials_used: s.trials_used,
+                trace: s.trace, lint_stats: s.lint_stats, rng: p.rng,
+            };
+            ("Flextensor", body)
+        }
+        TunerState::Mcts(s) => {
+            let p = &s.proposer;
+            let body = object! {
+                cost_model: s.cost_model, nodes: p.nodes, roots: p.roots, seen: s.seen,
+                pending_seeds: s.pending_seeds, warm_seeds: p.warm_seeds,
+                reward_scale: p.reward_scale, best_time: s.best_time,
+                best_schedule: s.best_schedule, trials_used: s.trials_used,
+                trace: s.trace, lint_stats: s.lint_stats, rng: p.rng,
+            };
+            ("Mcts", body)
+        }
+        TunerState::Cd(s) => {
+            let p = &s.proposer;
+            let body = object! {
+                seen: s.seen, pending_seeds: s.pending_seeds, restarts: p.restarts,
+                best_time: s.best_time, best_schedule: s.best_schedule,
+                trials_used: s.trials_used, trace: s.trace, lint_stats: s.lint_stats,
+                rng: p.rng,
+            };
+            ("Cd", body)
+        }
+    };
+    format!("{{\"{variant}\":{body}}}")
+}
+
+/// The digests of the session's tuner state: version-3 layout, then the
+/// text written now.
+fn state_digests(session: &TuningSession<'_>) -> (u64, u64) {
+    let state = session.tuner_state();
+    (
+        fnv(&v3_text(&state)),
+        fnv(&serde_json::to_string(&state).unwrap()),
+    )
 }
 
 fn tuner<'m>(searcher: &str, m: &'m Measurer) -> Box<dyn Tuner + 'm> {
@@ -60,7 +141,7 @@ fn run_both_legs(searcher: &str) -> Golden {
         .launch(tuner(searcher, &m_cold), &m_cold, Some(store.clone()))
         .unwrap();
     cold.run(48).unwrap();
-    let cold_state = state_digest(&cold);
+    let (cold_state, cold_text) = state_digests(&cold);
     let cold_best_bits = cold.best_latency().to_bits();
     cold.finish().unwrap();
     drop(store);
@@ -81,9 +162,12 @@ fn run_both_legs(searcher: &str) -> Golden {
         ..Default::default()
     };
     let finetune_trials = warm.then_finetune(&cfg).unwrap().trials;
+    let (warm_state, warm_text) = state_digests(&warm);
     let golden = Golden {
         cold_state,
-        warm_state: state_digest(&warm),
+        warm_state,
+        cold_text,
+        warm_text,
         warm_records,
         finetune_trials,
         cold_best_bits,
@@ -111,6 +195,8 @@ fn harl_matches_golden() {
         Golden {
             cold_state: 8434000507875368112,
             warm_state: 16603217682067428606,
+            cold_text: 6113152488073833744,
+            warm_text: 13967936011564026322,
             warm_records: 48,
             finetune_trials: 20,
             cold_best_bits: 4540693562351473055,
@@ -128,6 +214,8 @@ fn ansor_matches_golden() {
         Golden {
             cold_state: 17880452616377686579,
             warm_state: 2025425158932293958,
+            cold_text: 13875735624020482677,
+            warm_text: 13170185492942323310,
             warm_records: 48,
             finetune_trials: 24,
             cold_best_bits: 4540857462222645498,
@@ -145,6 +233,8 @@ fn flextensor_matches_golden() {
         Golden {
             cold_state: 14547903695931650898,
             warm_state: 16034392393894875052,
+            cold_text: 16820196959951228061,
+            warm_text: 10624085219020371740,
             warm_records: 0,
             finetune_trials: 24,
             cold_best_bits: 4541015405465065526,
@@ -162,6 +252,8 @@ fn mcts_matches_golden() {
         Golden {
             cold_state: 3562768788446349660,
             warm_state: 9301488877736406821,
+            cold_text: 16873470656954509198,
+            warm_text: 7898216517268343535,
             warm_records: 48,
             finetune_trials: 24,
             cold_best_bits: 4541409417537743652,
@@ -179,6 +271,8 @@ fn cd_matches_golden() {
         Golden {
             cold_state: 11721463622838020424,
             warm_state: 2660100204879998583,
+            cold_text: 8940041140924591064,
+            warm_text: 388373168183588613,
             warm_records: 48,
             finetune_trials: 16,
             cold_best_bits: 4544223540062720621,

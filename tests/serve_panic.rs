@@ -62,7 +62,7 @@ fn a_panicking_search_fails_its_job_and_the_worker_runs_the_next() {
     let TunerState::Harl(state) = &mut checkpoint.tuner else {
         panic!("a HARL job checkpoints a HARL state");
     };
-    state.elites.clear();
+    state.proposer.elites.clear();
     let damaged = serde_json::to_string(&checkpoint).unwrap();
     std::fs::write(job_dir.join("store").join("checkpoint.json"), damaged).unwrap();
 
