@@ -80,7 +80,8 @@ row "BENCH_*.json files at the root and under ci/:" \
 # (then the learner's retrain, construction, pipeline hook and retrain span,
 # which the shell spells once, and the checkpoint's shared half: the core
 # restore and model hand-offs the proposers no longer spell, and the
-# learner `expect`s left in their rounds)
+# learner `expect`s left in their rounds; then the elite pools: the fields
+# that hold one, their trims, and where the 32 they keep is spelled)
 row "non-test, non-comment lines in crates/harl/src:" "$(code_lines "${searchers[@]}")"
 for pattern in \
     'Tuner for ' \
@@ -99,9 +100,20 @@ for pattern in \
     'core\.restore\(' \
     'Option<&CostModel>' \
     '-> Option<CostModel>' \
-    'expect\(HAS_LEARNER\)'; do
+    'expect\(HAS_LEARNER\)' \
+    '^\s*(pub )?elites: Vec<' \
+    'fn trim_elites' \
+    'truncate\(32\)|const ELITE_POOL'; do
     row "  lines matching /$pattern/ in them:" "$(non_test "${searchers[@]}" | grep -cE -e "$pattern" || true)"
 done
+# what a searcher checkpoints beside the shell's shared half
+row "  pub fields of the *TunerState structs in them:" \
+    "$(non_test "${searchers[@]}" | awk '
+        /^pub struct [A-Za-z]+TunerState \{$/ { inside = 1; next }
+        inside && /^\}/ { inside = 0 }
+        inside && /^    pub [a-z_0-9]+:/ { n++ }
+        END { print n + 0 }
+    ')"
 
 # lines of code per crate or module
 mapfile -t bandit_src < <(rs_in crates/harl/src/bandit)

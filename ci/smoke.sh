@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Stage: end-to-end smoke runs — the benchmark gate (ci/bench_gate.sh), the
+# Stage: end-to-end smoke runs — a warning-free build of the frozen
+# benchmark, the benchmark gate (ci/bench_gate.sh), the
 # end-to-end benchmark's smoke mode and its own tests, schedule lints, traced
 # quickstart (trace parseable, >=95% coverage), warm-start via the record
 # store, and the serve daemon (warm-start across jobs, kill -9 resume).
@@ -24,6 +25,25 @@ cleanup() {
     done
 }
 trap cleanup EXIT
+
+echo "==> the frozen benchmark builds without a warning"
+# benchmark/ pins calls into the program's public API and is not edited
+# between the PRs that may edit it: a program change that makes one of
+# those calls warn (a new #[must_use] return dropped, a deprecation) would
+# otherwise pass unseen. Cargo replays the warnings of cached crates, so
+# this holds on a warm target directory too.
+# shellcheck disable=SC2086
+if ! bench_build=$(cargo build $CARGO_FLAGS --release --manifest-path benchmark/Cargo.toml 2>&1); then
+    printf '%s\n' "$bench_build"
+    echo "FAIL: benchmark/ does not build"
+    exit 1
+fi
+if printf '%s\n' "$bench_build" | grep -q 'warning:'; then
+    printf '%s\n' "$bench_build"
+    echo "FAIL: building benchmark/ printed a warning"
+    exit 1
+fi
+echo "benchmark build OK: no warning"
 
 echo "==> benchmark gate (benchmark/run.sh --trace 0 against ci/benchmark_gate.json)"
 ci/bench_gate.sh
@@ -181,10 +201,14 @@ if [ ! -f "$SERVE_ROOT/jobs/$job3/store/checkpoint.json" ]; then
     echo "FAIL: killed job left no checkpoint"
     exit 1
 fi
-# the survivor carries the current layout's version stamp
-ckpt_head=$(head -c 13 "$SERVE_ROOT/jobs/$job3/store/checkpoint.json")
-if [ "$ckpt_head" != '{"version":3,' ]; then
-    echo "FAIL: surviving checkpoint begins '$ckpt_head', expected '{\"version\":3,'"
+# the survivor carries the current layout's version stamp, read from the
+# constant so a layout change cannot leave this check behind
+ckpt_version=$(sed -nE 's/^pub const CHECKPOINT_VERSION: u32 = ([0-9]+);$/\1/p' \
+    crates/harl/src/session.rs)
+ckpt_want="{\"version\":$ckpt_version,"
+ckpt_head=$(head -c "${#ckpt_want}" "$SERVE_ROOT/jobs/$job3/store/checkpoint.json")
+if [ -z "$ckpt_version" ] || [ "$ckpt_head" != "$ckpt_want" ]; then
+    echo "FAIL: surviving checkpoint begins '$ckpt_head', expected '$ckpt_want'"
     exit 1
 fi
 

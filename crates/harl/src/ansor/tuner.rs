@@ -61,16 +61,12 @@ impl AnsorConfig {
     }
 }
 
-/// Elite pool size carried between rounds.
-const ELITE_POOL: usize = 32;
 /// Fraction of measurement candidates picked at random (ε-greedy).
 const EPS_GREEDY: f64 = 0.05;
 
 /// What an [`AnsorProposer`] checkpoints (see [`Proposer::State`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AnsorTunerState {
-    /// `(measured time, schedule)` elite pool, best-first.
-    pub elites: Vec<(f64, Schedule)>,
     /// Raw xoshiro256** state of the search RNG.
     pub rng: [u64; 4],
 }
@@ -81,19 +77,8 @@ pub type AnsorTuner<'m> = Searcher<'m, AnsorProposer>;
 /// The evolutionary proposer; lint-rejected candidates never reach the
 /// measurer.
 pub struct AnsorProposer {
-    /// `(measured time, schedule)` sorted best-first.
-    elites: Vec<(f64, Schedule)>,
     cfg: AnsorConfig,
     rng: StdRng,
-}
-
-impl AnsorProposer {
-    /// Re-sorts the elite pool best-first and cuts it to [`ELITE_POOL`].
-    fn trim_elites(&mut self) {
-        self.elites
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        self.elites.truncate(ELITE_POOL);
-    }
 }
 
 impl Proposer for AnsorProposer {
@@ -112,7 +97,6 @@ impl Proposer for AnsorProposer {
     fn new(core: &mut SearchCore<'_>, cfg: AnsorConfig) -> Self {
         let seed = cfg.seed ^ core.graph.name.len() as u64;
         AnsorProposer {
-            elites: Vec::new(),
             cfg,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -125,7 +109,10 @@ impl Proposer for AnsorProposer {
         let _round_span = core.tracer().span("ansor_round");
         let k = budget.min(self.cfg.measure_per_round);
         let evolve_span = core.tracer().span_with("evolve", &[("k", k.into())]);
-        let elite_scheds: Vec<Schedule> = self.elites.iter().map(|(_, s)| s.clone()).collect();
+        // the population starts from the best measured across all sketches
+        let elite_scheds: Vec<Schedule> = (core.best_elites().into_iter())
+            .map(|(_, s)| s.clone())
+            .collect();
         let ranked = evolve_candidates(
             core.plans(),
             &core.sketches,
@@ -160,10 +147,7 @@ impl Proposer for AnsorProposer {
             return 0;
         }
 
-        for m in learner.measure_and_learn(core, &cands) {
-            self.elites.push((m.time, m.schedule));
-        }
-        self.trim_elites();
+        learner.measure_and_learn(core, &cands);
 
         // simulated algorithm overhead: fixed + per-fitness-evaluation
         core.end_round(
@@ -176,21 +160,17 @@ impl Proposer for AnsorProposer {
 
     fn checkpoint(&self) -> AnsorTunerState {
         AnsorTunerState {
-            elites: self.elites.clone(),
             rng: self.rng.state(),
         }
     }
 
     fn restore(&mut self, state: AnsorTunerState) {
-        self.elites = state.elites;
         self.rng = StdRng::from_state(state.rng);
     }
 
-    /// Seeds the elite pool with the records' schedules.
+    /// Uses every record: the shell has put them in the elite pools the
+    /// evolution starts from.
     fn warm_start(&mut self, _core: &mut SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
-        self.elites
-            .extend(usable.iter().map(|r| (r.time, r.schedule.clone())));
-        self.trim_elites();
         usable.len()
     }
 }
@@ -309,9 +289,8 @@ mod tests {
         let mut cold = AnsorTuner::new(g.clone(), &m1, small_cfg());
         cold.tune(64);
         let records: Vec<MeasureRecord> = cold
-            .proposer()
-            .elites
-            .iter()
+            .best_elites()
+            .into_iter()
             .map(|(time, s)| MeasureRecord {
                 workload: cold.graph.name.clone(),
                 similarity_key: key,
@@ -330,7 +309,7 @@ mod tests {
         assert!(warm.learner().unwrap().model.is_trained());
         assert_eq!(warm.trials_used, 0);
         assert_eq!(m2.trials(), 0);
-        assert!(!warm.proposer().elites.is_empty());
+        assert!(!warm.best_elites().is_empty());
 
         // mismatched similarity keys are ignored
         let mut bogus = records.clone();

@@ -4,12 +4,13 @@
 //! best, retrain, charge search time — is the same loop in every searcher;
 //! only the *propose* step differs. [`SearchCore`] owns the state that loop
 //! shares (workload, sketches, measurer, analyzer, lint counters, the set
-//! of measured schedules, the queued warm-start seeds, the best schedule,
-//! the trial count and the best-so-far trace) and the steps over it, each
-//! written once. A [`Learner`] is the on-line cost model and the pipeline
-//! that scores candidates with it, with the measure-and-retrain step. A
-//! [`Proposer`] is the propose step and the state only it needs (agent,
-//! bandit, elites, tree, RNG, config); [`Searcher`] puts one on a core,
+//! of measured schedules, the queued warm-start seeds, the elite pools,
+//! the best schedule, the trial count and the best-so-far trace) and the
+//! steps over it, each written once. A [`Learner`] is the on-line cost
+//! model and the pipeline that scores candidates with it, with the
+//! measure-and-retrain step. A [`Proposer`] is the propose step and the
+//! state only it needs (agent, bandit, tree, RNG, config); [`Searcher`]
+//! puts one on a core,
 //! builds the learner from the proposer's GBT parameters (if it has any)
 //! and lends it to each round, and is the whole tuner shell: budget
 //! guard, `tune` loop, fine-tune, warm-start filter and pretrain,
@@ -67,9 +68,19 @@ pub struct SearchCore<'m> {
     /// Warm-start schedules queued for forced measurement, best last (see
     /// [`SearchCore::queue_seeds`]).
     seeds: Vec<Schedule>,
+    /// One elite pool per sketch (see [`SearchCore::elites`]).
+    elites: Vec<Vec<(f64, Schedule)>>,
     /// Observation only: never serialized, never feeds back into the
     /// search, so traced and untraced runs are bit-identical.
     tracer: Tracer,
+}
+
+/// Entries an elite pool keeps.
+pub const ELITE_POOL: usize = 32;
+
+/// Best first by time; a stable sort keeps equal times in their order.
+fn by_time(a: &(f64, Schedule), b: &(f64, Schedule)) -> std::cmp::Ordering {
+    a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal)
 }
 
 /// A round's measurement set while it is assembled: at most `cap`
@@ -103,6 +114,7 @@ impl<'m> SearchCore<'m> {
         let target = measurer.hardware().target();
         let sketches = generate_sketches(&graph, target);
         SearchCore {
+            elites: vec![Vec::new(); sketches.len()],
             plans: (sketches.iter())
                 .map(|sk| FeaturePlan::new(&graph, sk, target))
                 .collect(),
@@ -246,6 +258,38 @@ impl<'m> SearchCore<'m> {
         }
     }
 
+    /// The elite pools, one per sketch: the best measured schedules of
+    /// that sketch as `(measured time, schedule)`, best first, at most
+    /// [`ELITE_POOL`] each. They hold every pick measured through
+    /// [`Learner::measure_and_learn`] and every usable warm-start record,
+    /// nothing that [`SearchCore::descend`] or a fine-tune measures.
+    pub fn elites(&self) -> &[Vec<(f64, Schedule)>] {
+        &self.elites
+    }
+
+    /// The [`ELITE_POOL`] best entries across all pools, best first.
+    /// Equal times are ordered by sketch, then by position in their pool,
+    /// so while no two sketches hold the same time this is exactly one
+    /// pool over all sketches, fed and cut by the same rule.
+    pub fn best_elites(&self) -> Vec<&(f64, Schedule)> {
+        let mut all: Vec<&(f64, Schedule)> = self.elites.iter().flatten().collect();
+        all.sort_by(|a, b| by_time(a, b));
+        all.truncate(ELITE_POOL);
+        all
+    }
+
+    /// Adds each `(measured time, schedule)` to its sketch's pool, then
+    /// sorts every pool best first and cuts it to [`ELITE_POOL`].
+    fn add_elites(&mut self, entries: impl IntoIterator<Item = (f64, Schedule)>) {
+        for (time, s) in entries {
+            self.elites[s.sketch_id].push((time, s));
+        }
+        for pool in &mut self.elites {
+            pool.sort_by(by_time);
+            pool.truncate(ELITE_POOL);
+        }
+    }
+
     /// Fills `picks` with lint-clean random schedules of `sketch` (a
     /// uniformly drawn one per attempt when `None`), so a round always
     /// makes progress. Gives up after `50 * round_k` attempts, `round_k`
@@ -383,27 +427,28 @@ impl Learner {
 
     /// Measures `picks` in order through `core` under one `measure` span,
     /// then retrains the model on one row per pick (its features and
-    /// measured throughput) under a `gbt_retrain` span. Returns the
-    /// measurements in pick order.
-    pub fn measure_and_learn(
-        &mut self,
-        core: &mut SearchCore<'_>,
-        picks: &[Schedule],
-    ) -> Vec<Measurement> {
-        let mut measured = Vec::with_capacity(picks.len());
+    /// measured throughput) under a `gbt_retrain` span, and adds every
+    /// pick to the core's elite pools. Returns the measured throughputs
+    /// (FLOP/s) in pick order.
+    pub fn measure_and_learn(&mut self, core: &mut SearchCore<'_>, picks: &[Schedule]) -> Vec<f64> {
+        let mut flops = Vec::with_capacity(picks.len());
         let mut rows = Vec::with_capacity(picks.len());
+        let mut elites = Vec::with_capacity(picks.len());
         let span = core
             .tracer()
             .span_with("measure", &[("k", picks.len().into())]);
         for s in picks {
             let m = core.measure(s);
             rows.push((core.features(s), m.flops_per_sec));
-            measured.push(m);
+            flops.push(m.flops_per_sec);
+            elites.push((m.time, m.schedule));
         }
         drop(span);
-        let _span = core.tracer().span("gbt_retrain");
+        let span = core.tracer().span("gbt_retrain");
         self.model.update_batch(rows);
-        measured
+        drop(span);
+        core.add_elites(elites);
+        flops
     }
 }
 
@@ -421,6 +466,8 @@ pub struct Snapshot<S> {
     pub seen: Vec<u64>,
     /// Warm-start schedules queued and not yet measured, best last.
     pub pending_seeds: Vec<Schedule>,
+    /// The elite pools, one per sketch, best first.
+    pub elites: Vec<Vec<(f64, Schedule)>>,
     /// Best noise-free execution time found (`null` before any).
     pub best_time: f64,
     /// The schedule achieving `best_time`.
@@ -433,6 +480,50 @@ pub struct Snapshot<S> {
     pub lint_stats: LintStats,
     /// The proposer's own state.
     pub proposer: S,
+}
+
+impl<S> Snapshot<S> {
+    /// Whether the shared half can resume on `core`: one elite pool per
+    /// sketch, and every pooled schedule, queued seed and the best
+    /// schedule valid on its sketch. The error says what does not fit.
+    /// The proposer's own half is not checked.
+    pub fn fits(&self, core: &SearchCore<'_>) -> Result<(), String> {
+        let n = core.sketches.len();
+        if self.elites.len() != n {
+            return Err(format!(
+                "{} elite pools for {n} sketches",
+                self.elites.len()
+            ));
+        }
+        // why `s` is not a schedule of `sketch`, if it is not
+        let unfit = |s: &Schedule, sketch: usize| match core.sketches.get(sketch) {
+            None => Some(format!("names sketch {sketch} of {n}")),
+            Some(_) if s.sketch_id != sketch => Some(format!("names sketch {}", s.sketch_id)),
+            Some(sk) => s.validate(sk, core.target()).err(),
+        };
+        for (i, pool) in self.elites.iter().enumerate() {
+            for (j, (_, s)) in pool.iter().enumerate() {
+                if let Some(e) = unfit(s, i) {
+                    return Err(format!(
+                        "elite {j} of pool {i} is not valid on sketch {i}: {e}"
+                    ));
+                }
+            }
+        }
+        for (j, s) in self.pending_seeds.iter().enumerate() {
+            if let Some(e) = unfit(s, s.sketch_id) {
+                return Err(format!("queued seed {j} is not valid on its sketch: {e}"));
+            }
+        }
+        match self
+            .best_schedule
+            .as_ref()
+            .and_then(|s| unfit(s, s.sketch_id))
+        {
+            Some(e) => Err(format!("the best schedule is not valid on its sketch: {e}")),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The learner a round is lent: `Some` exactly when [`Proposer::gbt`] is.
@@ -539,6 +630,8 @@ impl<'m, P: Proposer> Searcher<'m, P> {
         let mut core = SearchCore::new(graph, measurer);
         let gbt = P::gbt(&cfg);
         let proposer = P::new(&mut core, cfg);
+        // one pool per sketch the proposer kept
+        core.elites.truncate(core.sketches.len());
         let learner = gbt.map(Learner::new);
         Searcher {
             core,
@@ -587,8 +680,8 @@ impl<'m, P: Proposer> Searcher<'m, P> {
 
     /// Warm-starts from prior measurement records of similar workloads
     /// without spending a trial: pretrains the learner, if there is one,
-    /// on the usable records and hands them to the proposer. Returns how
-    /// many records the proposer used.
+    /// on the usable records, adds them to the elite pools and hands them
+    /// to the proposer. Returns how many records the proposer used.
     pub fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
         let usable = self.core.usable_records(records);
         if usable.is_empty() {
@@ -598,6 +691,7 @@ impl<'m, P: Proposer> Searcher<'m, P> {
             let rows = (usable.iter()).map(|r| (self.core.features(&r.schedule), r.flops_per_sec));
             learner.model.update_batch(rows);
         }
+        (self.core).add_elites(usable.iter().map(|r| (r.time, r.schedule.clone())));
         self.proposer.warm_start(&mut self.core, &usable)
     }
 
@@ -608,6 +702,7 @@ impl<'m, P: Proposer> Searcher<'m, P> {
             cost_model: self.learner.as_ref().map(|l| l.model.clone()),
             seen: core.seen_sorted(),
             pending_seeds: core.seeds.clone(),
+            elites: core.elites.clone(),
             best_time: core.best_time,
             best_schedule: core.best_schedule.clone(),
             trials_used: core.trials_used,
@@ -624,6 +719,7 @@ impl<'m, P: Proposer> Searcher<'m, P> {
         let core = &mut self.core;
         core.seen = state.seen.into_iter().collect();
         core.seeds = state.pending_seeds;
+        core.elites = state.elites;
         // JSON has no Infinity literal: the writer emits null, which
         // decodes to NaN, so "no best yet" is normalized back to +inf
         core.best_time = if state.best_time.is_finite() {
@@ -679,8 +775,9 @@ mod tests {
         max_rounds: usize,
         round_calls: usize,
         warm_start_calls: usize,
-        /// Every measurement of every round, in order.
-        measured: Vec<Measurement>,
+        /// Every measured schedule of every round and its throughput, in
+        /// order.
+        measured: Vec<(Schedule, f64)>,
         rng: StdRng,
     }
 
@@ -716,12 +813,14 @@ mod tests {
             let k = budget.min(4);
             let mut picks = Picks::new(k);
             core.pick_random(&mut picks, None, k, &mut self.rng);
-            let measured = match learner {
+            let flops: Vec<f64> = match learner {
                 Some(learner) => learner.measure_and_learn(core, &picks.schedules),
-                None => picks.schedules.iter().map(|s| core.measure(s)).collect(),
+                None => (picks.schedules.iter())
+                    .map(|s| core.measure(s).flops_per_sec)
+                    .collect(),
             };
-            let n = measured.len();
-            self.measured.extend(measured);
+            let n = flops.len();
+            self.measured.extend(picks.schedules.into_iter().zip(flops));
             core.end_round(1.0, n as u64);
             n
         }
@@ -821,8 +920,7 @@ mod tests {
         assert_eq!(t.round(4), 4);
         let measured = &t.proposer().measured;
         assert_eq!(measured.len(), 4);
-        reference
-            .update_batch((measured.iter()).map(|m| (t.features(&m.schedule), m.flops_per_sec)));
+        reference.update_batch((measured.iter()).map(|(s, flops)| (t.features(s), *flops)));
         let model = &t.learner().unwrap().model;
         assert_eq!(model.num_samples(), 2 + 4, "one row per measured pick");
         assert_eq!(model_json(model), model_json(&reference));
@@ -958,6 +1056,54 @@ mod tests {
         assert_eq!(picks.schedules.len(), 1, "measured seeds are dropped");
         assert_eq!(picks.schedules[0].dedup_key(), worst.dedup_key());
         assert!(core.seeds().is_empty());
+    }
+
+    #[test]
+    fn elite_pools_keep_the_best_per_sketch_and_merge_ties_by_sketch_then_position() {
+        let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
+        let mut core = SearchCore::new(workload::gemm(256, 256, 256), &measurer);
+        assert_eq!(core.elites().len(), core.sketches.len());
+        assert!(core.sketches.len() >= 3, "needs three sketches");
+        let mut rng = StdRng::seed_from_u64(11);
+        let (sketches, target) = (core.sketches.clone(), core.target());
+        let mut on = |sketch: usize| Schedule::random(&sketches[sketch], target, &mut rng);
+        let (a1, a0, b0, c1) = (on(1), on(0), on(0), on(1));
+        // equal times on two sketches, sketch 1's fed first
+        core.add_elites([
+            (2.0, a1.clone()),
+            (2.0, a0.clone()),
+            (1.0, b0.clone()),
+            (2.0, c1.clone()),
+        ]);
+        assert_eq!(core.elites()[0], [(1.0, b0.clone()), (2.0, a0.clone())]);
+        assert_eq!(core.elites()[1], [(2.0, a1.clone()), (2.0, c1.clone())]);
+        let merged = |core: &SearchCore<'_>| -> Vec<(f64, Schedule)> {
+            core.best_elites().into_iter().cloned().collect()
+        };
+        assert_eq!(
+            merged(&core),
+            [(1.0, b0), (2.0, a0), (2.0, a1), (2.0, c1)],
+            "sketch 0's tie first, then sketch 1's in pool order"
+        );
+
+        // a pool is cut to its best `ELITE_POOL`, and so is the merged view
+        let pool: Vec<(f64, Schedule)> = (0..ELITE_POOL + 8)
+            .map(|i| ((ELITE_POOL + 8 - i) as f64, on(2)))
+            .collect();
+        core.add_elites(pool);
+        let times =
+            |entries: &[(f64, Schedule)]| -> Vec<f64> { entries.iter().map(|e| e.0).collect() };
+        let expected: Vec<f64> = (1..=ELITE_POOL).map(|t| t as f64).collect();
+        assert_eq!(times(&core.elites()[2]), expected);
+        let merged = merged(&core);
+        assert_eq!(merged.len(), ELITE_POOL);
+        assert_eq!(
+            times(&merged[..5]),
+            [1.0, 1.0, 2.0, 2.0, 2.0],
+            "sketch 0's 1.0 before sketch 2's; then sketches 0, 1, 2"
+        );
+        assert_eq!(merged[0].1, core.elites()[0][0].1);
+        assert_eq!(merged[1].1, core.elites()[2][0].1);
     }
 
     #[test]

@@ -71,6 +71,17 @@ impl TunerState {
             TunerState::Cd(s) => ("cd", s.cost_model.is_some()),
         }
     }
+
+    /// Whether the shared half can resume on `core` (see [`Snapshot::fits`]).
+    fn fits(&self, core: &SearchCore<'_>) -> Result<(), String> {
+        match self {
+            TunerState::Harl(s) => s.fits(core),
+            TunerState::Ansor(s) => s.fits(core),
+            TunerState::Flextensor(s) => s.fits(core),
+            TunerState::Mcts(s) => s.fits(core),
+            TunerState::Cd(s) => s.fits(core),
+        }
+    }
 }
 
 /// Object-safe interface shared by all tuners: what a session, the
@@ -278,14 +289,15 @@ pub struct SessionCheckpoint {
     pub tuner: TunerState,
 }
 
-/// Version of the [`SessionCheckpoint`] JSON payload. Version 4 writes the
+/// Version of the [`SessionCheckpoint`] JSON payload. Version 5 writes the
 /// loop state every searcher shares (cost model, measured set, seed queue,
-/// best, trial count, trace, lint counters) once, beside a `proposer`
-/// object of the searcher's own fields; the PPO agent's bulk fields
+/// elite pools, best, trial count, trace, lint counters) once, beside a
+/// `proposer` object of the searcher's own fields; version 4 kept HARL's
+/// and Ansor's elite pools in that object. The PPO agent's bulk fields
 /// (`harl_nnet`'s `Linear` and `Transition`) stay hex strings, as in
 /// version 3. An older file is rejected, not migrated — a checkpoint lives
 /// only as long as its job.
-pub const CHECKPOINT_VERSION: u32 = 4;
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Configures how a [`TuningSession`] uses its record store.
 #[derive(Debug, Clone)]
@@ -403,6 +415,9 @@ impl SessionBuilder {
                         if has_model { "carries" } else { "lacks" }
                     )));
                 }
+                // nor a shared half that would index past the workload
+                (ck.tuner.fits(session.tuner.core()))
+                    .map_err(|e| StoreError::Format(format!("bad checkpoint: {e}")))?;
                 measurer.restore_state(&ck.measurer);
                 session.tuner.restore(ck.tuner);
                 session.rounds_done = ck.rounds_done;

@@ -39,9 +39,6 @@ pub type HarlOperatorTuner<'m> = Searcher<'m, HarlProposer>;
 pub struct HarlProposer {
     agent: PpoAgent,
     sketch_bandit: AnyBandit,
-    /// Best measured schedules per sketch, `(measured time, schedule)`
-    /// sorted best-first — warm-start seeds for later episodes.
-    elites: Vec<Vec<(f64, Schedule)>>,
     /// Critical steps of every schedule track explored (Fig. 7(b)).
     pub critical_steps: Vec<CriticalStep>,
     pub rounds: Vec<RoundLog>,
@@ -50,14 +47,6 @@ pub struct HarlProposer {
 }
 
 impl HarlProposer {
-    /// Re-sorts every elite pool best-first and cuts it to 32 entries.
-    fn trim_elites(&mut self) {
-        for pool in &mut self.elites {
-            pool.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            pool.truncate(32);
-        }
-    }
-
     /// One `ppo_health` trace event for the PPO updates of the episode that
     /// just ran (observation only: the agent's running sums feed nothing,
     /// and are taken — reset — traced or not).
@@ -114,7 +103,6 @@ impl Proposer for HarlProposer {
         HarlProposer {
             agent,
             sketch_bandit: cfg.bandit(core.sketches.len()),
-            elites: vec![Vec::new(); core.sketches.len()],
             critical_steps: Vec::new(),
             rounds: Vec::new(),
             cfg,
@@ -135,7 +123,8 @@ impl Proposer for HarlProposer {
         };
 
         // --- parameter modification phase (Algorithm 1) --------------------
-        let seeds: Vec<Schedule> = self.elites[sketch_id]
+        // the sketch's elite pool seeds the episode's first tracks
+        let seeds: Vec<Schedule> = core.elites()[sketch_id]
             .iter()
             .map(|(_, s)| s.clone())
             .collect();
@@ -178,12 +167,8 @@ impl Proposer for HarlProposer {
         }
 
         // measure, and train the cost model with the measurements (line 22)
-        let mut round_best_flops = 0.0f64;
-        for m in learner.measure_and_learn(core, &picks) {
-            round_best_flops = round_best_flops.max(m.flops_per_sec);
-            self.elites[m.schedule.sketch_id].push((m.time, m.schedule));
-        }
-        self.trim_elites();
+        let round_best_flops =
+            (learner.measure_and_learn(core, &picks).into_iter()).fold(0.0f64, f64::max);
 
         // --- sketch MAB reward: normalized maximal performance X_t ---------
         let scale = learner.model.scale();
@@ -217,7 +202,6 @@ impl Proposer for HarlProposer {
         HarlTunerState {
             agent: self.agent.clone(),
             sketch_bandit: self.sketch_bandit.clone(),
-            elites: self.elites.clone(),
             critical_steps: self.critical_steps.clone(),
             rounds: self.rounds.clone(),
             rng: self.rng.state(),
@@ -227,20 +211,15 @@ impl Proposer for HarlProposer {
     fn restore(&mut self, state: HarlTunerState) {
         self.agent = state.agent;
         self.sketch_bandit = state.sketch_bandit;
-        self.elites = state.elites;
         self.critical_steps = state.critical_steps;
         self.rounds = state.rounds;
         self.rng = StdRng::from_state(state.rng);
     }
 
-    /// Seeds the per-sketch elite pools (episode warm-start tracks), and
-    /// queues the best prior schedules for forced re-measurement in the
-    /// next rounds, so a warm run re-establishes the old best immediately.
+    /// Queues the best prior schedules for forced re-measurement in the
+    /// next rounds, so a warm run re-establishes the old best immediately
+    /// (the shell has put them in the elite pools, which seed episodes).
     fn warm_start(&mut self, core: &mut SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
-        for r in usable {
-            self.elites[r.sketch_id].push((r.time, r.schedule.clone()));
-        }
-        self.trim_elites();
         core.queue_seeds(usable, self.cfg.measure_per_round);
         usable.len()
     }
@@ -299,8 +278,6 @@ pub struct HarlTunerState {
     pub agent: PpoAgent,
     /// Sketch-level bandit state.
     pub sketch_bandit: AnyBandit,
-    /// Per-sketch elite pools, best-first.
-    pub elites: Vec<Vec<(f64, Schedule)>>,
     /// Critical steps of every explored track.
     pub critical_steps: Vec<CriticalStep>,
     /// Per-round log.
@@ -436,8 +413,7 @@ mod tests {
         let mut cold = HarlOperatorTuner::new(g.clone(), &m1, HarlConfig::tiny());
         cold.tune(48);
         let records: Vec<MeasureRecord> = cold
-            .proposer()
-            .elites
+            .elites()
             .iter()
             .flatten()
             .map(|(time, s)| MeasureRecord {

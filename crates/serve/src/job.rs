@@ -333,13 +333,10 @@ pub struct JobSpec {
     /// removed with the benchmark re-baseline (ROADMAP item 7). Still on
     /// the wire and still validated (it is outside input), never part of
     /// [`JobSpec::job_key`].
-    #[serde(default)]
     pub parallelism: Option<ParallelismOpts>,
     /// Run a coordinate-descent fine-tuning phase after the search
     /// completes its budget. Unlike `parallelism`, this changes the search
-    /// result, so it is part of [`JobSpec::job_key`]. Defaults to off for
-    /// wire compatibility with older clients.
-    #[serde(default)]
+    /// result, so it is part of [`JobSpec::job_key`].
     pub finetune: bool,
 }
 
@@ -455,11 +452,9 @@ pub struct JobView {
     /// Records replayed from the shared pool before the first fresh
     /// trial (0 while queued; with federation on, this counts the whole
     /// fleet's matching history, not just this daemon's).
-    #[serde(default)]
     pub warm_records: u64,
     /// Batched-scoring pipeline counters (`None` while the job is queued,
     /// or for tuners without a cost model, e.g. flextensor).
-    #[serde(default)]
     pub score_stats: Option<ScoreStats>,
     /// Failure message, when [`JobView::state`] is [`JobState::Failed`].
     pub error: Option<String>,
@@ -493,11 +488,9 @@ pub struct JobOutcome {
     pub sim_seconds: f64,
     /// Batched-scoring pipeline counters (`None` for tuners without a
     /// cost model, e.g. flextensor).
-    #[serde(default)]
     pub score_stats: Option<ScoreStats>,
     /// Trials spent by the coordinate-descent fine-tuning phase (absent
     /// when the spec did not request fine-tuning).
-    #[serde(default)]
     pub finetune_trials: Option<u64>,
 }
 

@@ -456,3 +456,34 @@ fn oversized_request_line_is_dropped_and_the_daemon_keeps_serving() {
     daemon.wait();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn a_submit_line_without_finetune_is_a_bad_request_naming_it() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let root = temp_root("no-finetune");
+    let (daemon, client) = start(&root, 1, 8);
+    // every field of a spec is required on the wire: a client that leaves
+    // one out is told which, and no job is queued
+    let full = serde_json::to_string(&Request::Submit(gemm_spec(8))).unwrap();
+    let line = full.replacen(",\"finetune\":false", "", 1);
+    assert_ne!(line, full, "{full}");
+    let mut conn = std::net::TcpStream::connect(daemon.addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    conn.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(&conn).read_line(&mut reply).unwrap();
+    match serde_json::from_str::<Response>(&reply).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, harl_serve::ErrorCode::BadRequest, "{message}");
+            assert!(message.contains("missing field `finetune`"), "{message}");
+        }
+        other => panic!("unexpected reply: {other:?}"),
+    }
+    assert!(client.list().expect("list").is_empty(), "nothing queued");
+
+    client.shutdown().expect("shutdown");
+    daemon.wait();
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -14,6 +14,28 @@
 //! formats scalars straight into its output buffer, and the parser — which
 //! reads the wire, peers and disk — refuses nesting deeper than
 //! [`de::MAX_DEPTH`] instead of recursing until the stack overflows.
+//!
+//! `#[serde(skip)]` on a named field is the one attribute the derives
+//! honour; any other fails the build, so a decoder never quietly treats a
+//! field as optional:
+//!
+//! ```
+//! #[derive(serde::Deserialize)]
+//! struct Job {
+//!     trials: u64,
+//!     #[serde(skip)]
+//!     scratch: Vec<u8>,
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! struct Job {
+//!     trials: u64,
+//!     #[serde(default)]
+//!     finetune: bool,
+//! }
+//! ```
 
 pub use serde_derive::{Deserialize, Serialize};
 

@@ -6,7 +6,10 @@
 //! serializer's encoding exactly (named struct → object, 1-tuple struct →
 //! transparent, n-tuple struct → array, unit enum variant → string, data
 //! variant → single-key object). `#[serde(skip)]` fields are restored with
-//! `Default::default()`.
+//! `Default::default()`. That is the one `serde` attribute: any other
+//! (`default`, `rename`, …) and `skip` anywhere but on a named field fail
+//! the build instead of being ignored, so every field a type names is
+//! required on decode.
 //!
 //! The parser walks the raw token stream (no `syn` available offline): it
 //! only needs item kind, item name, field/variant names, and `#[serde(skip)]`
@@ -284,23 +287,25 @@ impl Item {
     }
 }
 
-/// True when the attribute group tokens are `serde(... skip ...)`.
+/// True when the attribute group tokens are `serde(skip)`, false when they
+/// are not a `serde` attribute.
+///
+/// # Panics
+/// On any other `serde(…)`: the shim would ignore it.
 fn attr_is_serde_skip(group: &proc_macro::Group) -> bool {
     let mut toks = group.stream().into_iter();
     match toks.next() {
         Some(TokenTree::Ident(id)) if id.to_string() == "serde" => {}
         _ => return false,
     }
-    match toks.next() {
-        Some(TokenTree::Group(inner)) => inner
-            .stream()
-            .into_iter()
-            .any(|t| matches!(&t, TokenTree::Ident(id) if id.to_string() == "skip")),
-        _ => false,
+    let args = toks.map(|t| t.to_string()).collect::<String>();
+    if args != "(skip)" {
+        panic!("serde shim: #[serde{args}] is not supported, only #[serde(skip)] on a field");
     }
+    true
 }
 
-/// Consumes leading `#[...]` attributes; returns true if any is
+/// Consumes leading `#[...]` attributes; returns true if one is
 /// `#[serde(skip)]`.
 fn eat_attrs(toks: &[TokenTree], pos: &mut usize) -> bool {
     let mut skip = false;
@@ -318,6 +323,13 @@ fn eat_attrs(toks: &[TokenTree], pos: &mut usize) -> bool {
         }
     }
     skip
+}
+
+/// [`eat_attrs`] before an item or a variant, where `skip` means nothing.
+fn eat_outer_attrs(toks: &[TokenTree], pos: &mut usize) {
+    if eat_attrs(toks, pos) {
+        panic!("serde shim: #[serde(skip)] is only supported on a named field");
+    }
 }
 
 /// Consumes an optional `pub` / `pub(crate)` visibility.
@@ -404,7 +416,7 @@ fn parse_variants(group: &proc_macro::Group) -> Vec<Variant> {
     let mut pos = 0usize;
     let mut variants = Vec::new();
     while pos < toks.len() {
-        eat_attrs(&toks, &mut pos);
+        eat_outer_attrs(&toks, &mut pos);
         let name = match &toks.get(pos) {
             Some(TokenTree::Ident(id)) => id.to_string(),
             _ => break,
@@ -437,7 +449,7 @@ fn parse_variants(group: &proc_macro::Group) -> Vec<Variant> {
 fn parse_item(input: TokenStream) -> Item {
     let toks: Vec<TokenTree> = input.into_iter().collect();
     let mut pos = 0usize;
-    eat_attrs(&toks, &mut pos);
+    eat_outer_attrs(&toks, &mut pos);
     eat_vis(&toks, &mut pos);
     let kind = match &toks.get(pos) {
         Some(TokenTree::Ident(id)) => id.to_string(),

@@ -1,7 +1,8 @@
 //! The checkpoint layout: packed agent fields (version 3 on) that
 //! round-trip to the bit, resumes that land where an uninterrupted run
 //! does, damaged or foreign files that fail with a reason instead of a
-//! panic (a shared half whose model does not match its searcher
+//! panic (a shared half whose model does not match its searcher, or whose
+//! elite pools, queued seeds or best schedule do not fit the workload,
 //! included), and the size the packed layout was introduced for.
 //!
 //! `ci/test.sh` reruns this file under `HARL_SIMD=0`; that the checkpoint
@@ -12,7 +13,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use harl_repro::gbt::{CostModel, GbtParams};
-use harl_repro::harl::{HarlOperatorTuner, SessionCheckpoint, CHECKPOINT_VERSION};
+use harl_repro::harl::search::Snapshot;
+use harl_repro::harl::{HarlOperatorTuner, HarlTunerState, SessionCheckpoint, CHECKPOINT_VERSION};
 use harl_repro::nnet::{Mlp, Transition};
 use harl_repro::prelude::*;
 use harl_repro::store::StoreError;
@@ -208,7 +210,44 @@ fn damaged_checkpoints_fail_with_a_reason_never_a_panic() {
     };
     cd.cost_model = Some(CostModel::new(GbtParams::default()));
     let cd_with_model = serde_json::to_string(&cd_with_model).unwrap();
-    let cases: [(&str, &str, String, &str); 10] = [
+    // the shared half against the workload: HARL's GEMM has three sketches
+    let harl_edit = |damage: &dyn Fn(&mut Snapshot<HarlTunerState>)| {
+        let mut ck: SessionCheckpoint = serde_json::from_str(good).unwrap();
+        let TunerState::Harl(state) = &mut ck.tuner else {
+            panic!("a HARL session checkpoints a HARL state");
+        };
+        damage(state);
+        serde_json::to_string(&ck).unwrap()
+    };
+    let unfit = |s: &Schedule| {
+        let mut s = s.clone();
+        s.tiles[0][0] += 1;
+        s
+    };
+    let too_few_pools = harl_edit(&|s| {
+        assert_eq!(s.elites.len(), 3);
+        s.elites.pop();
+    });
+    let unfit_elite = harl_edit(&|s| {
+        let pool = s.elites.iter_mut().find(|p| !p.is_empty()).unwrap();
+        pool[0].1 = unfit(&pool[0].1);
+    });
+    let foreign_elite = harl_edit(&|s| {
+        let (i, pool) = (s.elites.iter())
+            .enumerate()
+            .find(|(_, p)| !p.is_empty())
+            .unwrap();
+        let entry = pool[0].clone();
+        s.elites[(i + 1) % 3].push(entry);
+    });
+    let unfit_seed = harl_edit(&|s| {
+        let best = s.best_schedule.as_ref().unwrap();
+        s.pending_seeds.push(unfit(best));
+    });
+    let unfit_best = harl_edit(&|s| {
+        s.best_schedule = Some(unfit(s.best_schedule.as_ref().unwrap()));
+    });
+    let cases: [(&str, &str, String, &str); 15] = [
         (
             "harl",
             "odd length",
@@ -272,6 +311,36 @@ fn damaged_checkpoints_fail_with_a_reason_never_a_panic() {
             cd_with_model,
             "carries a cost model",
         ),
+        (
+            "harl",
+            "one elite pool short",
+            too_few_pools,
+            "2 elite pools for 3 sketches",
+        ),
+        (
+            "harl",
+            "a pooled schedule invalid on its sketch",
+            unfit_elite,
+            "factors multiply to",
+        ),
+        (
+            "harl",
+            "a pooled schedule of another sketch",
+            foreign_elite,
+            "names sketch",
+        ),
+        (
+            "harl",
+            "a queued seed invalid on its sketch",
+            unfit_seed,
+            "queued seed 0 is not valid on its sketch",
+        ),
+        (
+            "harl",
+            "a best schedule invalid on its sketch",
+            unfit_best,
+            "the best schedule is not valid on its sketch",
+        ),
     ];
 
     let store = Arc::new(RecordStore::open(&dir).unwrap());
@@ -332,12 +401,15 @@ fn a_version_2_checkpoint_is_rejected_by_its_version() {
         msg,
         format!("unsupported checkpoint version 2 (supported: {CHECKPOINT_VERSION})")
     );
-    // and the version before this one the same way
-    let msg = launch(&V2_CHECKPOINT.replacen("\"version\":2", "\"version\":3", 1));
-    assert_eq!(
-        msg,
-        format!("unsupported checkpoint version 3 (supported: {CHECKPOINT_VERSION})")
-    );
+    // and the versions between it and this one the same way
+    for old in 3..CHECKPOINT_VERSION {
+        let msg =
+            launch(&V2_CHECKPOINT.replacen("\"version\":2", &format!("\"version\":{old}"), 1));
+        assert_eq!(
+            msg,
+            format!("unsupported checkpoint version {old} (supported: {CHECKPOINT_VERSION})")
+        );
+    }
     // the version check is what caught it: relabelled as the current
     // version the same payload fails on its layout instead
     let relabelled = V2_CHECKPOINT.replacen(

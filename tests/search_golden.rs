@@ -18,7 +18,8 @@ struct Golden {
     cold_state: u64,
     /// Same after the warm-started `run(32)` + `then_finetune`.
     warm_state: u64,
-    /// FNV-1a of the tuner-state JSON after the cold leg, as written now.
+    /// FNV-1a of the tuner-state JSON after the cold leg, as written now
+    /// (checkpoint version 5).
     cold_text: u64,
     /// Same after the warm leg.
     warm_text: u64,
@@ -46,16 +47,27 @@ macro_rules! object {
     }};
 }
 
+/// Ansor's one elite pool as version 3 wrote it: the 32 best entries
+/// across the per-sketch pools, ties ordered by sketch, then position.
+fn merged_elites(pools: &[Vec<(f64, Schedule)>]) -> Vec<&(f64, Schedule)> {
+    let mut all: Vec<&(f64, Schedule)> = pools.iter().flatten().collect();
+    all.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    all.truncate(32);
+    all
+}
+
 /// The tuner state in the version-3 layout the `*_state` digests were
 /// recorded on: one flat object per searcher, its keys in their old order
-/// and the shared ones among them, rebuilt from the typed fields.
+/// and the shared ones among them, rebuilt from the typed fields (the
+/// elite pools, which HARL and Ansor kept in version 3, from the shared
+/// ones).
 fn v3_text(state: &TunerState) -> String {
     let (variant, body) = match state {
         TunerState::Harl(s) => {
             let p = &s.proposer;
             let body = object! {
                 cost_model: s.cost_model, agent: p.agent, sketch_bandit: p.sketch_bandit,
-                seen: s.seen, elites: p.elites, pending_seeds: s.pending_seeds,
+                seen: s.seen, elites: s.elites, pending_seeds: s.pending_seeds,
                 best_time: s.best_time, best_schedule: s.best_schedule,
                 trials_used: s.trials_used, trace: s.trace, critical_steps: p.critical_steps,
                 rounds: p.rounds, lint_stats: s.lint_stats, rng: p.rng,
@@ -65,7 +77,7 @@ fn v3_text(state: &TunerState) -> String {
         TunerState::Ansor(s) => {
             let p = &s.proposer;
             let body = object! {
-                cost_model: s.cost_model, seen: s.seen, elites: p.elites,
+                cost_model: s.cost_model, seen: s.seen, elites: merged_elites(&s.elites),
                 best_time: s.best_time, best_schedule: s.best_schedule,
                 trials_used: s.trials_used, trace: s.trace, lint_stats: s.lint_stats,
                 rng: p.rng,
@@ -195,8 +207,8 @@ fn harl_matches_golden() {
         Golden {
             cold_state: 8434000507875368112,
             warm_state: 16603217682067428606,
-            cold_text: 6113152488073833744,
-            warm_text: 13967936011564026322,
+            cold_text: 2279919485782951584,
+            warm_text: 10561995112553885496,
             warm_records: 48,
             finetune_trials: 20,
             cold_best_bits: 4540693562351473055,
@@ -214,8 +226,8 @@ fn ansor_matches_golden() {
         Golden {
             cold_state: 17880452616377686579,
             warm_state: 2025425158932293958,
-            cold_text: 13875735624020482677,
-            warm_text: 13170185492942323310,
+            cold_text: 1516758201941251441,
+            warm_text: 14163694987540250945,
             warm_records: 48,
             finetune_trials: 24,
             cold_best_bits: 4540857462222645498,
@@ -233,8 +245,8 @@ fn flextensor_matches_golden() {
         Golden {
             cold_state: 14547903695931650898,
             warm_state: 16034392393894875052,
-            cold_text: 16820196959951228061,
-            warm_text: 10624085219020371740,
+            cold_text: 2732716884313258003,
+            warm_text: 10126938540552956353,
             warm_records: 0,
             finetune_trials: 24,
             cold_best_bits: 4541015405465065526,
@@ -252,8 +264,8 @@ fn mcts_matches_golden() {
         Golden {
             cold_state: 3562768788446349660,
             warm_state: 9301488877736406821,
-            cold_text: 16873470656954509198,
-            warm_text: 7898216517268343535,
+            cold_text: 8012883134729285647,
+            warm_text: 14688179907326495708,
             warm_records: 48,
             finetune_trials: 24,
             cold_best_bits: 4541409417537743652,
@@ -271,8 +283,8 @@ fn cd_matches_golden() {
         Golden {
             cold_state: 11721463622838020424,
             warm_state: 2660100204879998583,
-            cold_text: 8940041140924591064,
-            warm_text: 388373168183588613,
+            cold_text: 11867620242431386006,
+            warm_text: 14533023461088343404,
             warm_records: 48,
             finetune_trials: 16,
             cold_best_bits: 4544223540062720621,

@@ -1,9 +1,10 @@
 //! A search that panics fails its job, not the daemon's worker: the job
 //! ends `failed` with the panic's message in `failed.txt`, and the same
 //! worker goes on to run the next job. The panic here comes from a
-//! checkpoint that decodes but does not fit its workload (a HARL state
-//! with no elite pools, where the workload has one per sketch), which
-//! nothing checks on restore.
+//! checkpoint whose proposer half decodes but does not fit its workload
+//! (a HARL sketch bandit with one arm more than the workload has
+//! sketches), which nothing checks on restore: a resume refuses a shared
+//! half that does not fit, not the proposer's own.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,7 +33,7 @@ fn a_panicking_search_fails_its_job_and_the_worker_runs_the_next() {
     let _ = std::fs::remove_dir_all(&root);
 
     // an unfinished job on disk, as a killed daemon leaves it, whose
-    // checkpoint has lost its elite pools
+    // checkpoint's sketch bandit has an arm for a sketch that is not there
     let bad = harl_job("gemm:256x256x256", 48);
     let job_dir = root.join("jobs").join("j000001");
     std::fs::create_dir_all(&job_dir).unwrap();
@@ -42,17 +43,19 @@ fn a_panicking_search_fails_its_job_and_the_worker_runs_the_next() {
     )
     .unwrap();
     let store = Arc::new(RecordStore::open(job_dir.join("store")).unwrap());
-    {
+    let sketches = {
         let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
         let tuner =
             HarlOperatorTuner::new(bad.workload.build(), &measurer, Preset::Tiny.harl_config());
+        let sketches = tuner.sketches.len();
         let mut session = TuningSession::builder()
             .job_key(bad.job_key())
             .launch(Box::new(tuner), &measurer, Some(store.clone()))
             .unwrap();
         session.round(8).unwrap();
         // dropped unfinished: the checkpoint stays
-    }
+        sketches
+    };
     let text = store
         .load_checkpoint()
         .unwrap()
@@ -62,7 +65,7 @@ fn a_panicking_search_fails_its_job_and_the_worker_runs_the_next() {
     let TunerState::Harl(state) = &mut checkpoint.tuner else {
         panic!("a HARL job checkpoints a HARL state");
     };
-    state.proposer.elites.clear();
+    state.proposer.sketch_bandit = Preset::Tiny.harl_config().mab_kind.build(sketches + 1);
     let damaged = serde_json::to_string(&checkpoint).unwrap();
     std::fs::write(job_dir.join("store").join("checkpoint.json"), damaged).unwrap();
 
