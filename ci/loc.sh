@@ -122,6 +122,20 @@ row "non-test, non-comment lines in crates/par/src/lib.rs:" "$(code_lines crates
 mapfile -t check_src < <(rs_in crates/check/src)
 row "non-test, non-comment lines in crates/check/src:" "$(code_lines "${check_src[@]}")"
 row "non-test, non-comment lines in crates/gbt/src:" "$(code_lines crates/gbt/src/*.rs)"
+# what a checkpoint's cost model carries: the fields of `struct CostModel`
+# not marked `#[serde(skip)]`, and where the program fits a booster
+row "serialized fields of struct CostModel:" \
+    "$(awk '
+        /^pub struct CostModel \{$/ { inside = 1; next }
+        inside && /^\}/ { inside = 0 }
+        inside && /#\[serde\(skip\)\]/ { skip = 1; next }
+        inside && /^    [a-z_0-9]+:/ { if (!skip) n++; skip = 0 }
+        END { print n + 0 }
+    ' crates/gbt/src/cost_model.rs)"
+mapfile -t fit_src < <(rs_in crates/*/src src examples)
+row "update_batch( and Gbt::fit( calls in non-test crates/*/src src examples:" \
+    "$(non_test "${fit_src[@]}" | grep -vE '^\s*//' | grep -vE '\bfn (update_batch|fit)\b' |
+        grep -oE 'update_batch\(|Gbt::fit\(' | wc -l)"
 row "non-test, non-comment lines in crates/nnet/src:" "$(code_lines crates/nnet/src/*.rs)"
 row "non-test, non-comment lines in crates/simd/src:" "$(code_lines crates/simd/src/*.rs)"
 row "all lines in crates/simd/src (tests and tables included):" "$(cat crates/simd/src/*.rs | wc -l)"

@@ -4,7 +4,8 @@
 //! throughput* (measured FLOP/s divided by a per-workload scale). It is the
 //! RL reward function `r(s_t, s_{t-1}) = (C(s_t) − C(s_{t-1})) / C(s_{t-1})`
 //! and the top-K filter before hardware measurements, retrained on the fly
-//! from measurement results (Algorithm 1, line 22).
+//! from measurement results (Algorithm 1, line 22): rows are absorbed as
+//! they are measured, and the booster is refitted when it is next read.
 
 use crate::booster::{Dataset, Gbt, GbtParams};
 use serde::{Deserialize, Serialize};
@@ -29,20 +30,27 @@ fn rejected_samples() -> &'static harl_obs::Counter {
     CELL.get_or_init(|| harl_obs::global().counter("harl_gbt_rejected_samples_total"))
 }
 
-/// On-line cost model over feature vectors.
+/// Prediction floor: scores are clamped to stay positive so the
+/// relative-improvement reward is well-defined.
+const FLOOR: f64 = 1e-3;
+
+/// On-line cost model over feature vectors: a dataset, and the booster
+/// fitted to it as a cache.
+///
+/// Absorbing rows ([`CostModel::absorb`]) makes a fitted model *stale*;
+/// [`CostModel::fit`] refits it. Reading a stale model panics, so a score
+/// is never the untrained constant of a model that has samples. The
+/// booster is a deterministic function of the dataset, so it is never
+/// serialized: a deserialized model with samples is stale until fitted.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CostModel {
     params: GbtParams,
     data: Dataset,
-    model: Option<Gbt>,
     /// Throughput scale so targets sit near [0, 1].
     scale: f64,
-    /// Retrain after this many new samples.
-    retrain_every: usize,
-    since_train: usize,
-    /// Prediction floor: scores are clamped to stay positive so the
-    /// relative-improvement reward is well-defined.
-    floor: f64,
+    /// `Gbt::fit` of `data / scale`; `None` while stale or empty.
+    #[serde(skip)]
+    model: Option<Gbt>,
 }
 
 impl CostModel {
@@ -51,11 +59,8 @@ impl CostModel {
         CostModel {
             params,
             data: Dataset::with_capacity(4096),
-            model: None,
             scale: 0.0,
-            retrain_every: 32,
-            since_train: 0,
-            floor: 1e-3,
+            model: None,
         }
     }
 
@@ -64,55 +69,48 @@ impl CostModel {
         self.data.len()
     }
 
-    /// True once at least one retrain has happened.
+    /// True once the model has samples (it may still be stale).
     pub fn is_trained(&self) -> bool {
-        self.model.is_some()
+        !self.data.is_empty()
     }
 
-    /// Stores one sample, unless its target or any feature is non-finite:
-    /// the split search orders keys with `partial_cmp`, which is a total
-    /// order (and safe to hand to std's sort) only without NaN, and an
-    /// infinite target would turn every gradient non-finite.
-    fn absorb(&mut self, features: Vec<f32>, flops_per_sec: f64) -> bool {
-        if !flops_per_sec.is_finite() || features.iter().any(|v| !v.is_finite()) {
-            rejected_samples().inc();
-            return false;
-        }
-        self.scale = self.scale.max(flops_per_sec);
-        self.data.push(features, flops_per_sec);
-        true
+    /// True when rows were absorbed since the last fit: the model must be
+    /// [fitted](CostModel::fit) before it is read.
+    pub fn is_stale(&self) -> bool {
+        self.model.is_none() && !self.data.is_empty()
     }
 
-    /// Records a measured `(features, flops_per_sec)` pair and retrains
-    /// periodically. Returns `true` when a retrain happened. A sample with
-    /// a non-finite value is dropped.
+    /// Stores a batch of measured `(features, flops_per_sec)` rows without
+    /// fitting, dropping any with a non-finite target or feature: the split
+    /// search orders keys with `partial_cmp`, which is a total order (and
+    /// safe to hand to std's sort) only without NaN, and an infinite target
+    /// would turn every gradient non-finite. The model is stale once a row
+    /// is stored.
     ///
     /// Raw throughputs are stored; normalization by the running maximum
-    /// happens at retrain time so early samples are rescaled consistently.
-    pub fn update(&mut self, features: Vec<f32>, flops_per_sec: f64) -> bool {
-        if !self.absorb(features, flops_per_sec) {
-            return false;
-        }
-        self.since_train += 1;
-        if self.since_train >= self.retrain_every || self.model.is_none() {
-            self.retrain();
-            true
-        } else {
-            false
+    /// happens at fit time so early samples are rescaled consistently.
+    pub fn absorb(&mut self, batch: impl IntoIterator<Item = (Vec<f32>, f64)>) {
+        for (features, flops_per_sec) in batch {
+            if !flops_per_sec.is_finite() || features.iter().any(|v| !v.is_finite()) {
+                rejected_samples().inc();
+                continue;
+            }
+            self.scale = self.scale.max(flops_per_sec);
+            self.data.push(features, flops_per_sec);
+            self.model = None;
         }
     }
 
-    /// Records a whole batch (dropping samples with a non-finite value),
-    /// then retrains once.
+    /// [Absorbs](CostModel::absorb) a batch, then [fits](CostModel::fit).
     pub fn update_batch(&mut self, batch: impl IntoIterator<Item = (Vec<f32>, f64)>) {
-        for (f, y) in batch {
-            self.absorb(f, y);
-        }
-        self.retrain();
+        self.absorb(batch);
+        self.fit();
     }
 
-    fn retrain(&mut self) {
-        if self.data.is_empty() {
+    /// Fits the booster to the dataset when the model is stale; a fitted
+    /// or empty model is left as it is.
+    pub fn fit(&mut self) {
+        if !self.is_stale() {
             return;
         }
         let t = std::time::Instant::now();
@@ -123,17 +121,55 @@ impl CostModel {
             &targets,
             self.params.clone(),
         ));
-        self.since_train = 0;
         retrain_metrics().0.inc();
         retrain_metrics().1.observe(t.elapsed().as_secs_f64());
+    }
+
+    /// Whether a restored dataset can be fitted: as many targets as
+    /// feature rows, every row `width` wide, every value finite (what
+    /// [`CostModel::absorb`] admits). The error says what does not fit.
+    pub fn check_rows(&self, width: usize) -> Result<(), String> {
+        let (rows, targets) = (self.data.features(), self.data.targets());
+        if rows.len() != targets.len() {
+            return Err(format!(
+                "the cost model holds {} feature rows for {} targets",
+                rows.len(),
+                targets.len()
+            ));
+        }
+        for (i, (row, y)) in rows.iter().zip(targets).enumerate() {
+            if row.len() != width {
+                return Err(format!(
+                    "cost-model row {i} has {} features, not {width}",
+                    row.len()
+                ));
+            }
+            if !y.is_finite() || row.iter().any(|v| !v.is_finite()) {
+                return Err(format!("cost-model row {i} holds a non-finite value"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The fitted booster, `None` for an empty model.
+    ///
+    /// # Panics
+    /// If the model is stale: rows absorbed since the last fit would be
+    /// scored as if they had never been measured.
+    fn booster(&self) -> Option<&Gbt> {
+        assert!(
+            !self.is_stale(),
+            "a stale cost model was read: fit it after absorbing rows"
+        );
+        self.model.as_ref()
     }
 
     /// Predicted score (normalized throughput, clamped positive). Before
     /// any training data exists, returns a neutral constant so rewards are
     /// zero rather than undefined.
     pub fn score(&self, features: &[f32]) -> f64 {
-        match &self.model {
-            Some(m) => m.predict(features).max(self.floor),
+        match self.booster() {
+            Some(m) => m.predict(features).max(FLOOR),
             None => 0.5,
         }
     }
@@ -142,11 +178,11 @@ impl CostModel {
     /// the flattened batch kernel, amortizing tree iteration over the
     /// whole candidate matrix. Bit-identical to mapping [`CostModel::score`].
     pub fn score_batch_into<X: AsRef<[f32]>>(&self, features: &[X], out: &mut Vec<f64>) {
-        match &self.model {
+        match self.booster() {
             Some(m) => {
                 m.predict_batch_into(features, out);
                 for v in out.iter_mut() {
-                    *v = v.max(self.floor);
+                    *v = v.max(FLOOR);
                 }
             }
             None => {
@@ -208,18 +244,49 @@ mod tests {
     }
 
     #[test]
-    fn retrains_periodically() {
+    fn absorbing_makes_the_model_stale_until_it_is_fitted() {
         let mut cm = CostModel::new(GbtParams {
             n_rounds: 5,
             ..Default::default()
         });
-        let mut retrains = 0;
-        for i in 0..100 {
-            if cm.update(feat(i as f32 / 100.0), 1e9 + i as f64) {
-                retrains += 1;
-            }
-        }
-        assert!(retrains >= 3, "expected periodic retrains, got {retrains}");
+        cm.absorb([(feat(0.5), f64::NAN)]);
+        assert!(!cm.is_stale(), "a refused row changes nothing");
+        cm.absorb((0..40).map(|i| (feat(i as f32 / 40.0), 1e9 + i as f64)));
+        assert!(cm.is_trained() && cm.is_stale());
+        cm.fit();
+        assert!(!cm.is_stale());
+        let fitted = cm.score(&feat(0.3));
+        cm.absorb([(feat(0.9), 2e9)]);
+        assert!(cm.is_stale());
+        cm.fit();
+        assert_ne!(cm.score(&feat(0.9)).to_bits(), fitted.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "a stale cost model was read")]
+    fn reading_a_stale_model_panics() {
+        let mut cm = CostModel::new(GbtParams::default());
+        cm.absorb([(feat(0.5), 1e9)]);
+        cm.score(&feat(0.5));
+    }
+
+    #[test]
+    fn check_rows_names_what_cannot_be_fitted() {
+        let mut cm = CostModel::new(GbtParams::default());
+        cm.absorb([(feat(0.5), 1e9), (feat(0.7), 2e9)]);
+        assert_eq!(cm.check_rows(3), Ok(()));
+        let err = cm.check_rows(4).unwrap_err();
+        assert!(err.contains("row 0 has 3 features, not 4"), "{err}");
+        let text = serde_json::to_string(&cm).unwrap();
+        let damaged = |from: &str, to: &str| -> CostModel {
+            serde_json::from_str(&text.replacen(from, to, 1)).unwrap()
+        };
+        let short = damaged(r#""targets":[1000000000,"#, r#""targets":["#);
+        let err = short.check_rows(3).unwrap_err();
+        assert!(err.contains("2 feature rows for 1 targets"), "{err}");
+        let nan = damaged(r#""targets":[1000000000,"#, r#""targets":[null,"#);
+        let err = nan.check_rows(3).unwrap_err();
+        assert!(err.contains("row 0 holds a non-finite value"), "{err}");
     }
 
     #[test]
@@ -236,9 +303,15 @@ mod tests {
         let mut cm = CostModel::new(GbtParams::default());
         cm.update_batch((0..100).map(|i| (feat(i as f32 / 100.0), 1e9 * (1.0 + i as f64))));
         let text = serde_json::to_string(&cm).unwrap();
-        let back: CostModel = serde_json::from_str(&text).unwrap();
+        assert!(!text.contains("trees"), "the booster is not serialized");
+        let mut back: CostModel = serde_json::from_str(&text).unwrap();
         assert_eq!(back.num_samples(), cm.num_samples());
         assert_eq!(back.scale(), cm.scale());
+        assert!(
+            back.is_stale(),
+            "a restored model is refitted before it is read"
+        );
+        back.fit();
         for i in 0..20 {
             let f = feat(i as f32 / 20.0);
             assert_eq!(back.score(&f).to_bits(), cm.score(&f).to_bits());
@@ -261,13 +334,15 @@ mod tests {
 
     #[test]
     fn serde_round_trip_preserves_batch_predictions() {
-        // the flat layout is rebuilt after deserialize; batch predictions
-        // must stay bit-identical to the pointer walk on both sides
+        // the refitted booster's batch predictions must stay bit-identical
+        // to the pointer walk on both sides
         let mut cm = CostModel::new(GbtParams::default());
         cm.update_batch((0..100).map(|i| (feat(i as f32 / 100.0), 1e9 * (1.0 + i as f64))));
         let rows: Vec<Vec<f32>> = (0..20).map(|i| feat(i as f32 / 20.0)).collect();
         let before = cm.score_batch(&rows);
-        let back: CostModel = serde_json::from_str(&serde_json::to_string(&cm).unwrap()).unwrap();
+        let mut back: CostModel =
+            serde_json::from_str(&serde_json::to_string(&cm).unwrap()).unwrap();
+        back.fit();
         let after = back.score_batch(&rows);
         for ((a, b), r) in before.iter().zip(&after).zip(&rows) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -278,8 +353,7 @@ mod tests {
     #[test]
     fn scale_tracks_max_throughput() {
         let mut cm = CostModel::new(GbtParams::default());
-        cm.update(feat(0.1), 5e9);
-        cm.update(feat(0.2), 2e9);
+        cm.absorb([(feat(0.1), 5e9), (feat(0.2), 2e9)]);
         assert_eq!(cm.scale(), 5e9);
     }
 }

@@ -103,7 +103,8 @@ impl Proposer for AnsorProposer {
     }
 
     /// One exploration round: an `ansor_round` span with `evolve`/
-    /// `measure`/`gbt_retrain` children.
+    /// `measure` children (the shell fits the model before it, under a
+    /// `gbt_retrain` span).
     fn round(&mut self, core: &mut SearchCore<'_>, learner: Lent<'_>, budget: usize) -> usize {
         let learner = learner.expect(HAS_LEARNER);
         let _round_span = core.tracer().span("ansor_round");

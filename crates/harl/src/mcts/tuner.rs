@@ -274,8 +274,8 @@ impl Proposer for MctsProposer {
     }
 
     /// One exploration round (an `mcts_round` span with `playouts`/
-    /// `measure`/`gbt_retrain` children): playouts, top-K measurement,
-    /// model retrain.
+    /// `measure` children): playouts, then top-K measurement, whose rows
+    /// the shell fits before the next round (a `gbt_retrain` span).
     fn round(&mut self, core: &mut SearchCore<'_>, learner: Lent<'_>, budget: usize) -> usize {
         let learner = learner.expect(HAS_LEARNER);
         let _round_span = core.tracer().span("mcts_round");

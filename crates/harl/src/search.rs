@@ -8,9 +8,10 @@
 //! the best schedule, the trial count and the best-so-far trace) and the
 //! steps over it, each written once. A [`Learner`] is the on-line cost
 //! model and the pipeline that scores candidates with it, with the
-//! measure-and-retrain step. A [`Proposer`] is the propose step and the
-//! state only it needs (agent, bandit, tree, RNG, config); [`Searcher`]
-//! puts one on a core,
+//! measure-and-absorb step; the model is fitted when a round is about to
+//! read it, never after the last measurement. A [`Proposer`] is the
+//! propose step and the state only it needs (agent, bandit, tree, RNG,
+//! config); [`Searcher`] puts one on a core,
 //! builds the learner from the proposer's GBT parameters (if it has any)
 //! and lends it to each round, and is the whole tuner shell: budget
 //! guard, `tune` loop, fine-tune, warm-start filter and pretrain,
@@ -30,7 +31,9 @@ use harl_gbt::{CostModel, GbtParams, ScoreStats, ScoringPipeline};
 use harl_obs::Tracer;
 use harl_par::ParallelismOpts;
 use harl_store::MeasureRecord;
-use harl_tensor_ir::{generate_sketches, FeaturePlan, Schedule, Sketch, Subgraph, Target};
+use harl_tensor_ir::{
+    generate_sketches, FeaturePlan, Schedule, Sketch, Subgraph, Target, FEATURE_DIM,
+};
 use harl_tensor_sim::{ConfigError, Measurement, Measurer, TuneTrace, PRICES};
 use harl_verify::{Analyzer, LintStats};
 
@@ -408,9 +411,10 @@ impl<'m> SearchCore<'m> {
 
 /// The on-line cost model and the pipeline that scores candidates with
 /// it. A [`Searcher`] whose proposer has GBT parameters owns one and lends
-/// it to every round; the pipeline's counters never reach a checkpoint.
+/// it to every round, fitted to every row so far (see
+/// [`Searcher::round`]); the pipeline's counters never reach a checkpoint.
 pub struct Learner {
-    /// The cost model (dataset + fitted booster).
+    /// The cost model (dataset + the booster fitted to it, a cache).
     pub model: CostModel,
     /// Batched candidate scoring and its counters.
     pub pipeline: ScoringPipeline,
@@ -426,10 +430,10 @@ impl Learner {
     }
 
     /// Measures `picks` in order through `core` under one `measure` span,
-    /// then retrains the model on one row per pick (its features and
-    /// measured throughput) under a `gbt_retrain` span, and adds every
-    /// pick to the core's elite pools. Returns the measured throughputs
-    /// (FLOP/s) in pick order.
+    /// then adds one row per pick (its features and measured throughput)
+    /// to the model, which leaves it stale until the next round fits it,
+    /// and adds every pick to the core's elite pools. Returns the measured
+    /// throughputs (FLOP/s) in pick order.
     pub fn measure_and_learn(&mut self, core: &mut SearchCore<'_>, picks: &[Schedule]) -> Vec<f64> {
         let mut flops = Vec::with_capacity(picks.len());
         let mut rows = Vec::with_capacity(picks.len());
@@ -444,9 +448,7 @@ impl Learner {
             elites.push((m.time, m.schedule));
         }
         drop(span);
-        let span = core.tracer().span("gbt_retrain");
-        self.model.update_batch(rows);
-        drop(span);
+        self.model.absorb(rows);
         core.add_elites(elites);
         flops
     }
@@ -459,8 +461,9 @@ impl Learner {
 /// workload, config and seed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Snapshot<S> {
-    /// The learner's cost model (dataset + fitted booster); `None` exactly
-    /// when the proposer has no GBT parameters.
+    /// The learner's cost model (its parameters, dataset and scale: the
+    /// booster is refitted, not stored); `None` exactly when the proposer
+    /// has no GBT parameters.
     pub cost_model: Option<CostModel>,
     /// Dedup keys of every schedule measured so far (sorted).
     pub seen: Vec<u64>,
@@ -483,11 +486,15 @@ pub struct Snapshot<S> {
 }
 
 impl<S> Snapshot<S> {
-    /// Whether the shared half can resume on `core`: one elite pool per
-    /// sketch, and every pooled schedule, queued seed and the best
+    /// Whether the shared half can resume on `core`: a cost model whose
+    /// rows can be fitted (see [`CostModel::check_rows`]), one elite pool
+    /// per sketch, and every pooled schedule, queued seed and the best
     /// schedule valid on its sketch. The error says what does not fit.
     /// The proposer's own half is not checked.
     pub fn fits(&self, core: &SearchCore<'_>) -> Result<(), String> {
+        if let Some(model) = &self.cost_model {
+            model.check_rows(FEATURE_DIM)?;
+        }
         let n = core.sketches.len();
         if self.elites.len() != n {
             return Err(format!(
@@ -580,7 +587,7 @@ pub trait Proposer: Sized {
     /// Seeds the search from `usable` (never empty: already filtered by
     /// [`SearchCore::usable_records`]) without spending a trial, e.g. by
     /// [`SearchCore::queue_seeds`]; returns how many records were used.
-    /// The shell has pretrained the learner on them already. The default
+    /// The shell has added them to the learner's rows already. The default
     /// uses none.
     fn warm_start(&mut self, core: &mut SearchCore<'_>, usable: &[&MeasureRecord]) -> usize {
         let _ = (core, usable);
@@ -654,9 +661,16 @@ impl<'m, P: Proposer> Searcher<'m, P> {
 
     /// One tuning round with up to `budget` measurements; returns the
     /// trials used (0 when the budget is spent or nothing is left to try).
+    /// A stale model is fitted first, under a `gbt_retrain` span: the only
+    /// fit site of a search, so rows measured in a search's last round are
+    /// never fitted.
     pub fn round(&mut self, budget: usize) -> usize {
         if budget == 0 {
             return 0;
+        }
+        if let Some(learner) = self.learner.as_mut().filter(|l| l.model.is_stale()) {
+            let _span = self.core.tracer().span("gbt_retrain");
+            learner.model.fit();
         }
         (self.proposer).round(&mut self.core, self.learner.as_mut(), budget)
     }
@@ -679,9 +693,10 @@ impl<'m, P: Proposer> Searcher<'m, P> {
     }
 
     /// Warm-starts from prior measurement records of similar workloads
-    /// without spending a trial: pretrains the learner, if there is one,
-    /// on the usable records, adds them to the elite pools and hands them
-    /// to the proposer. Returns how many records the proposer used.
+    /// without spending a trial: adds the usable records to the learner's
+    /// rows, if there is one (the first round fits them), and to the elite
+    /// pools, and hands them to the proposer. Returns how many records the
+    /// proposer used.
     pub fn warm_start(&mut self, records: &[MeasureRecord]) -> usize {
         let usable = self.core.usable_records(records);
         if usable.is_empty() {
@@ -689,13 +704,14 @@ impl<'m, P: Proposer> Searcher<'m, P> {
         }
         if let Some(learner) = &mut self.learner {
             let rows = (usable.iter()).map(|r| (self.core.features(&r.schedule), r.flops_per_sec));
-            learner.model.update_batch(rows);
+            learner.model.absorb(rows);
         }
         (self.core).add_elites(usable.iter().map(|r| (r.time, r.schedule.clone())));
         self.proposer.warm_start(&mut self.core, &usable)
     }
 
-    /// Snapshots the mutable search state for checkpointing.
+    /// Snapshots the mutable search state for checkpointing. Never fits:
+    /// a stale model is stored as its rows.
     pub fn checkpoint_state(&self) -> Snapshot<P::State> {
         let core = &self.core;
         Snapshot {
@@ -714,7 +730,8 @@ impl<'m, P: Proposer> Searcher<'m, P> {
 
     /// Overwrites the mutable search state from a checkpoint. The searcher
     /// must have been built from the same graph, config and seed; a
-    /// snapshot without a model leaves the learner's as it is.
+    /// snapshot without a model leaves the learner's as it is. A restored
+    /// model is stale until the next round fits it.
     pub fn restore_state(&mut self, state: Snapshot<P::State>) {
         let core = &mut self.core;
         core.seen = state.seen.into_iter().collect();
@@ -881,7 +898,7 @@ mod tests {
     }
 
     /// The model's training rows as text: two models that learnt the same
-    /// rows in the same batches serialize identically.
+    /// rows serialize identically.
     fn model_json(model: &CostModel) -> String {
         serde_json::to_string(model).unwrap()
     }
@@ -901,7 +918,7 @@ mod tests {
         let usable = t.usable_records(&records);
         assert_eq!(usable.len(), 2);
         let mut reference = CostModel::new(toy_gbt());
-        reference.update_batch(
+        reference.absorb(
             usable
                 .iter()
                 .map(|r| (t.features(&r.schedule), r.flops_per_sec)),
@@ -914,15 +931,17 @@ mod tests {
             2,
             "the usable records' rows, no others"
         );
+        assert!(model.is_stale(), "absorbed, fitted by the first round");
         assert_eq!(model_json(model), model_json(&reference));
         assert_eq!((t.trials_used, measurer.trials()), (0, 0));
 
         assert_eq!(t.round(4), 4);
         let measured = &t.proposer().measured;
         assert_eq!(measured.len(), 4);
-        reference.update_batch((measured.iter()).map(|(s, flops)| (t.features(s), *flops)));
+        reference.absorb((measured.iter()).map(|(s, flops)| (t.features(s), *flops)));
         let model = &t.learner().unwrap().model;
         assert_eq!(model.num_samples(), 2 + 4, "one row per measured pick");
+        assert!(model.is_stale(), "the round's rows wait for the next round");
         assert_eq!(model_json(model), model_json(&reference));
         assert_eq!(t.score_stats().scored, 0, "the toy scores nothing");
     }

@@ -289,15 +289,17 @@ pub struct SessionCheckpoint {
     pub tuner: TunerState,
 }
 
-/// Version of the [`SessionCheckpoint`] JSON payload. Version 5 writes the
+/// Version of the [`SessionCheckpoint`] JSON payload. Version 6 writes the
 /// loop state every searcher shares (cost model, measured set, seed queue,
 /// elite pools, best, trial count, trace, lint counters) once, beside a
-/// `proposer` object of the searcher's own fields; version 4 kept HARL's
-/// and Ansor's elite pools in that object. The PPO agent's bulk fields
-/// (`harl_nnet`'s `Linear` and `Transition`) stay hex strings, as in
-/// version 3. An older file is rejected, not migrated — a checkpoint lives
-/// only as long as its job.
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// `proposer` object of the searcher's own fields; its cost model is the
+/// GBT parameters, the dataset and the scale, without the fitted trees
+/// version 5 carried (a resumed search refits them at its next round).
+/// Version 4 kept HARL's and Ansor's elite pools in the `proposer`
+/// object. The PPO agent's bulk fields (`harl_nnet`'s `Linear` and
+/// `Transition`) stay hex strings, as in version 3. An older file is
+/// rejected, not migrated — a checkpoint lives only as long as its job.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// Configures how a [`TuningSession`] uses its record store.
 #[derive(Debug, Clone)]
@@ -576,7 +578,8 @@ impl<'m> TuningSession<'m> {
 
     /// A point-in-time snapshot of the tuner's serializable search state.
     /// Two runs that took the same measurements serialize bit-identically,
-    /// which is how kill/resume equivalence is asserted end to end.
+    /// which is how kill/resume equivalence is asserted end to end. It
+    /// never fits the cost model: a stale model is written as its rows.
     pub fn tuner_state(&self) -> TunerState {
         self.tuner.checkpoint()
     }

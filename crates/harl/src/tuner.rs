@@ -112,7 +112,8 @@ impl Proposer for HarlProposer {
 
     /// One tuning round (sketch selection → episode → top-K measurement):
     /// a `harl_round` span with `sketch_pick`/`episode`/`topk_select`/
-    /// `measure`/`gbt_retrain` children.
+    /// `measure` children (the shell fits the model before it, under a
+    /// `gbt_retrain` span).
     fn round(&mut self, core: &mut SearchCore<'_>, learner: Lent<'_>, budget: usize) -> usize {
         let learner = learner.expect(HAS_LEARNER);
         let _round_span = core.tracer().span("harl_round");

@@ -31,6 +31,7 @@
 //! a daemon with [`bench_load`] and reports per-verb p50/p99 latency.
 
 pub mod bench_load;
+mod cli;
 mod error;
 mod federation;
 pub mod job;
@@ -43,6 +44,7 @@ mod worker;
 pub mod client;
 
 pub use bench_load::{BenchLoadConfig, BenchLoadReport};
+pub use cli::{cli_args, CliArgs, CliCommand, CLI_USAGE};
 pub use client::{Client, ClientConfig};
 pub use error::ServeError;
 pub use harl_core::ParallelismOpts;

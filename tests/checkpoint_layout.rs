@@ -1,9 +1,10 @@
 //! The checkpoint layout: packed agent fields (version 3 on) that
 //! round-trip to the bit, resumes that land where an uninterrupted run
 //! does, damaged or foreign files that fail with a reason instead of a
-//! panic (a shared half whose model does not match its searcher, or whose
-//! elite pools, queued seeds or best schedule do not fit the workload,
-//! included), and the size the packed layout was introduced for.
+//! panic (a shared half whose model does not match its searcher, whose
+//! model rows cannot be fitted, or whose elite pools, queued seeds or best
+//! schedule do not fit the workload, included), and the size the packed
+//! layout was introduced for.
 //!
 //! `ci/test.sh` reruns this file under `HARL_SIMD=0`; that the checkpoint
 //! bytes are the same across backends is `tests/scoring_determinism.rs`'s
@@ -247,7 +248,30 @@ fn damaged_checkpoints_fail_with_a_reason_never_a_panic() {
     let unfit_best = harl_edit(&|s| {
         s.best_schedule = Some(unfit(s.best_schedule.as_ref().unwrap()));
     });
-    let cases: [(&str, &str, String, &str); 15] = [
+    // the cost model's rows, edited as text: the dataset's fields are
+    // private; `first` is the first value of the array that follows `open`
+    let model_edit = |open: &str, damage: &dyn Fn(&mut String, std::ops::Range<usize>)| {
+        harl_edit(&|s| {
+            let mut text = serde_json::to_string(&s.cost_model).unwrap();
+            let start = text.find(open).unwrap_or_else(|| panic!("no {open}")) + open.len();
+            let first = start..start + text[start..].find(',').expect("two values");
+            damage(&mut text, first);
+            s.cost_model = serde_json::from_str(&text).unwrap();
+        })
+    };
+    let target_missing = model_edit(r#""targets":["#, &|text, first| {
+        text.replace_range(first.start..first.end + 1, "")
+    });
+    let target_not_finite = model_edit(r#""targets":["#, &|text, first| {
+        text.replace_range(first, "null")
+    });
+    let feature_not_finite = model_edit(r#""features":[["#, &|text, first| {
+        text.replace_range(first, "null")
+    });
+    let row_too_wide = model_edit(r#""features":[["#, &|text, first| {
+        text.insert_str(first.start, "0,")
+    });
+    let cases: [(&str, &str, String, &str); 19] = [
         (
             "harl",
             "odd length",
@@ -340,6 +364,30 @@ fn damaged_checkpoints_fail_with_a_reason_never_a_panic() {
             "a best schedule invalid on its sketch",
             unfit_best,
             "the best schedule is not valid on its sketch",
+        ),
+        (
+            "harl",
+            "a cost model one target short",
+            target_missing,
+            "the cost model holds 24 feature rows for 23 targets",
+        ),
+        (
+            "harl",
+            "a cost-model target that is not finite",
+            target_not_finite,
+            "cost-model row 0 holds a non-finite value",
+        ),
+        (
+            "harl",
+            "a cost-model feature that is not finite",
+            feature_not_finite,
+            "cost-model row 0 holds a non-finite value",
+        ),
+        (
+            "harl",
+            "a cost-model row wider than the workload's features",
+            row_too_wide,
+            "cost-model row 0 has 65 features, not 64",
         ),
     ];
 

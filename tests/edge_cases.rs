@@ -168,15 +168,17 @@ fn cost_model_skips_non_finite_samples() {
     assert!(batched.is_trained());
 
     let mut single = CostModel::new(GbtParams::default());
-    for (x, y) in bad.iter().cloned() {
-        assert!(!single.update(x, y), "a dropped sample retrains nothing");
+    for row in bad.iter().cloned() {
+        single.absorb([row]);
+        assert!(!single.is_stale(), "a dropped sample leaves nothing to fit");
     }
     assert_eq!(single.num_samples(), 0);
     assert!(!single.is_trained());
-    for (x, y) in good.iter().cloned() {
-        single.update(x, y);
+    for row in good.iter().cloned() {
+        single.absorb([row]);
     }
     assert_eq!(single.num_samples(), 30);
+    single.fit();
 
     // the surviving rows train the model a clean run gets
     assert_eq!(batched.scale(), clean.scale());
@@ -184,6 +186,7 @@ fn cost_model_skips_non_finite_samples() {
         let score = batched.score(&row(i));
         assert!(score.is_finite());
         assert_eq!(score.to_bits(), clean.score(&row(i)).to_bits());
+        assert_eq!(single.score(&row(i)).to_bits(), score.to_bits());
     }
 }
 

@@ -17,6 +17,8 @@
 
 use harl_repro::gbt::{CostModel, Gbt, GbtParams};
 
+mod common;
+
 const SIZES: [usize; 8] = [5, 19, 20, 21, 32, 33, 257, 1000];
 
 const GOLDEN_FITS: [u64; 8] = [
@@ -29,6 +31,8 @@ const GOLDEN_FITS: [u64; 8] = [
     0xf4715d06426aa2de,
     0xe8a2a7b6ca080b6e,
 ];
+/// Digest of the cost model as checkpoint version 5 spelled it (see
+/// [`common::v5_cost_model_text`]).
 const GOLDEN_COST_MODEL: u64 = 0x1a0db4b37f540f41;
 
 const TOOLCHAIN_NOTE: &str = "the fit path must reproduce the recorded trees bit for bit; \
@@ -120,10 +124,20 @@ fn cost_model_matches_golden_after_three_batches() {
         cm.update_batch(xs.into_iter().zip(ys.into_iter().map(|y| 1e9 * (y + 2.0))));
     }
     assert_eq!(cm.num_samples(), 137);
-    let got = fnv(&serde_json::to_string(&cm).unwrap());
+    let got = fnv(&common::v5_cost_model_text(&cm));
     assert_eq!(
         got, GOLDEN_COST_MODEL,
         "CostModel digest after three update_batch calls (got {got:#018x}): {TOOLCHAIN_NOTE}"
+    );
+    // the booster is not serialized: the restored model's refit scores
+    // what the live one does, bit for bit
+    let mut back: CostModel = serde_json::from_str(&serde_json::to_string(&cm).unwrap()).unwrap();
+    assert!(back.is_stale());
+    back.fit();
+    let (rows, _) = dataset(64, 901);
+    assert_eq!(
+        (back.score_batch(&rows).iter().map(|v| v.to_bits())).collect::<Vec<_>>(),
+        (cm.score_batch(&rows).iter().map(|v| v.to_bits())).collect::<Vec<_>>()
     );
 }
 

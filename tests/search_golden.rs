@@ -8,7 +8,10 @@
 
 use std::sync::Arc;
 
+use harl_repro::gbt::CostModel;
 use harl_repro::prelude::*;
+
+mod common;
 
 /// What one searcher's two legs must reproduce.
 #[derive(Debug, PartialEq, Eq)]
@@ -19,7 +22,7 @@ struct Golden {
     /// Same after the warm-started `run(32)` + `then_finetune`.
     warm_state: u64,
     /// FNV-1a of the tuner-state JSON after the cold leg, as written now
-    /// (checkpoint version 5).
+    /// (checkpoint version 6).
     cold_text: u64,
     /// Same after the warm leg.
     warm_text: u64,
@@ -56,33 +59,43 @@ fn merged_elites(pools: &[Vec<(f64, Schedule)>]) -> Vec<&(f64, Schedule)> {
     all
 }
 
+/// `body` (an object) with `model` as its first key, spelled as version 3
+/// spelled it: its booster refitted (see [`common::v5_cost_model_text`]),
+/// or `null`.
+fn with_model(model: &Option<CostModel>, body: String) -> String {
+    let model = model
+        .as_ref()
+        .map_or("null".to_string(), common::v5_cost_model_text);
+    format!("{{\"cost_model\":{model},{}", &body[1..])
+}
+
 /// The tuner state in the version-3 layout the `*_state` digests were
 /// recorded on: one flat object per searcher, its keys in their old order
 /// and the shared ones among them, rebuilt from the typed fields (the
 /// elite pools, which HARL and Ansor kept in version 3, from the shared
-/// ones).
+/// ones; the cost model's booster by refitting its data).
 fn v3_text(state: &TunerState) -> String {
     let (variant, body) = match state {
         TunerState::Harl(s) => {
             let p = &s.proposer;
             let body = object! {
-                cost_model: s.cost_model, agent: p.agent, sketch_bandit: p.sketch_bandit,
+                agent: p.agent, sketch_bandit: p.sketch_bandit,
                 seen: s.seen, elites: s.elites, pending_seeds: s.pending_seeds,
                 best_time: s.best_time, best_schedule: s.best_schedule,
                 trials_used: s.trials_used, trace: s.trace, critical_steps: p.critical_steps,
                 rounds: p.rounds, lint_stats: s.lint_stats, rng: p.rng,
             };
-            ("Harl", body)
+            ("Harl", with_model(&s.cost_model, body))
         }
         TunerState::Ansor(s) => {
             let p = &s.proposer;
             let body = object! {
-                cost_model: s.cost_model, seen: s.seen, elites: merged_elites(&s.elites),
+                seen: s.seen, elites: merged_elites(&s.elites),
                 best_time: s.best_time, best_schedule: s.best_schedule,
                 trials_used: s.trials_used, trace: s.trace, lint_stats: s.lint_stats,
                 rng: p.rng,
             };
-            ("Ansor", body)
+            ("Ansor", with_model(&s.cost_model, body))
         }
         TunerState::Flextensor(s) => {
             let p = &s.proposer;
@@ -96,13 +109,13 @@ fn v3_text(state: &TunerState) -> String {
         TunerState::Mcts(s) => {
             let p = &s.proposer;
             let body = object! {
-                cost_model: s.cost_model, nodes: p.nodes, roots: p.roots, seen: s.seen,
+                nodes: p.nodes, roots: p.roots, seen: s.seen,
                 pending_seeds: s.pending_seeds, warm_seeds: p.warm_seeds,
                 reward_scale: p.reward_scale, best_time: s.best_time,
                 best_schedule: s.best_schedule, trials_used: s.trials_used,
                 trace: s.trace, lint_stats: s.lint_stats, rng: p.rng,
             };
-            ("Mcts", body)
+            ("Mcts", with_model(&s.cost_model, body))
         }
         TunerState::Cd(s) => {
             let p = &s.proposer;
@@ -207,8 +220,8 @@ fn harl_matches_golden() {
         Golden {
             cold_state: 8434000507875368112,
             warm_state: 16603217682067428606,
-            cold_text: 2279919485782951584,
-            warm_text: 10561995112553885496,
+            cold_text: 10108478804975306565,
+            warm_text: 941550864404805401,
             warm_records: 48,
             finetune_trials: 20,
             cold_best_bits: 4540693562351473055,
@@ -226,8 +239,8 @@ fn ansor_matches_golden() {
         Golden {
             cold_state: 17880452616377686579,
             warm_state: 2025425158932293958,
-            cold_text: 1516758201941251441,
-            warm_text: 14163694987540250945,
+            cold_text: 2502101777391606236,
+            warm_text: 10400256366847248222,
             warm_records: 48,
             finetune_trials: 24,
             cold_best_bits: 4540857462222645498,
@@ -264,8 +277,8 @@ fn mcts_matches_golden() {
         Golden {
             cold_state: 3562768788446349660,
             warm_state: 9301488877736406821,
-            cold_text: 8012883134729285647,
-            warm_text: 14688179907326495708,
+            cold_text: 2886022808628841019,
+            warm_text: 5689291960303711719,
             warm_records: 48,
             finetune_trials: 24,
             cold_best_bits: 4541409417537743652,
