@@ -194,6 +194,35 @@ if [ "$stale" -ne 0 ]; then
     exit 1
 fi
 
+echo "==> no stale binary"
+# likewise for binaries: every `--bin NAME` cited by the CI scripts and
+# workflows, the top-level docs and the skill notes must name a file under
+# src/bin/ (the root package's binaries), and with `-p CRATE` in front a
+# `[[bin]]` of that crate's manifest (the crates hold one, `experiments`)
+stale=0
+while IFS=: read -r file line cite; do
+    name=${cite##* }
+    crate=$(sed -nE 's/^-p +([a-z0-9-]+) .*/\1/p' <<<"$cite")
+    if [ -z "$crate" ] || [ "$crate" = harl-repro ]; then
+        [ -f "src/bin/$name.rs" ] && continue
+    elif manifest=$(grep -lx "name = \"$crate\"" crates/*/Cargo.toml) &&
+        awk -v want="name = \"$name\"" '
+            /^\[\[bin\]\]$/ { bin = 1; next }
+            /^\[/ { bin = 0 }
+            bin && $0 == want { found = 1 }
+            END { exit !found }
+        ' "$manifest"; then
+        continue
+    fi
+    echo "$file:$line: cites \`$cite\`, which names no binary of the tree"
+    stale=1
+done < <(grep -rnoE -- '(-p +[a-z0-9-]+ +)?--bin +[a-z0-9_-]+' \
+    ci/*.sh .github/workflows/*.yml README.md DESIGN.md .claude/skills/*/SKILL.md)
+if [ "$stale" -ne 0 ]; then
+    echo "FAIL: a stale binary citation (the binaries are src/bin/*.rs: cargo run --bin NAME)"
+    exit 1
+fi
+
 echo "==> shellcheck ci/*.sh"
 if command -v shellcheck >/dev/null 2>&1; then
     shellcheck ci/*.sh ci/github/*.sh

@@ -38,6 +38,15 @@ row "harl-* [dependencies] lines in the root and crates/* manifests:" \
 # knobs, and second spellings of a config or a thread width
 row "distinct HARL_* environment names in crates src examples tests ci:" \
     "$(comm -23 <(harl_names '') <(harl_names '(const|static) ') | wc -l)"
+# the command lines: binaries the library crates hold, the places that
+# read the process's arguments, and command-line items the crates export
+row "[[bin]] sections in crates/*/Cargo.toml:" \
+    "$(cat crates/*/Cargo.toml | grep -c '^\[\[bin\]\]$' || true)"
+row "std::env::args( and args_os( call sites in crates src examples:" \
+    "$(grep -rhoE --include='*.rs' 'env::args(_os)?\(' crates src examples | wc -l)"
+row "pub *_args, fuzz_count and *_USAGE items in crates/*/src:" \
+    "$(grep -rhoE --include='*.rs' 'pub (fn|const|static) ([a-z_]+_args|fuzz_count|[A-Z_]+_USAGE)\b' \
+        crates/*/src | wc -l)"
 # a config field is a knob some caller turns: count the `    pub name:`
 # lines of every top-level `pub struct …Config|…Params|…Opts {` (a nested
 # config is one field of its parent)
@@ -115,7 +124,10 @@ row "  pub fields of the *TunerState structs in them:" \
         END { print n + 0 }
     ')"
 
-# lines of code per crate or module
+# lines of code: the whole program (moved code nets to zero), then per
+# crate or module
+mapfile -t program_rs < <(rs_in crates/*/src src examples)
+row "non-test, non-comment lines in crates/*/src, src and examples:" "$(code_lines "${program_rs[@]}")"
 mapfile -t bandit_src < <(rs_in crates/harl/src/bandit)
 row "non-test, non-comment lines in crates/harl/src/bandit:" "$(code_lines "${bandit_src[@]}")"
 row "non-test, non-comment lines in crates/par/src/lib.rs:" "$(code_lines crates/par/src/lib.rs)"

@@ -81,7 +81,7 @@ fi
 
 echo "==> lint-schedules smoke run"
 # shellcheck disable=SC2086
-cargo run $CARGO_FLAGS -q -p harl-verify --bin lint-schedules -- 40
+cargo run $CARGO_FLAGS -q --bin lint-schedules -- 40
 
 echo "==> record-store warm-start smoke (quickstart x2, shared store)"
 STORE_DIR="$SMOKE_TMP/store"
@@ -89,13 +89,13 @@ TRACE_FILE="$SMOKE_TMP/trace.jsonl"
 # the cold run doubles as the tracing smoke: HARL_TRACE=1 through the env
 # path, summarized below
 # shellcheck disable=SC2086
-out1=$(HARL_STORE_DIR="$STORE_DIR" HARL_TRACE=1 HARL_TRACE_FILE="$TRACE_FILE" \
-    cargo run $CARGO_FLAGS -q --release --example quickstart)
+out1=$(HARL_TRACE=1 HARL_TRACE_FILE="$TRACE_FILE" \
+    cargo run $CARGO_FLAGS -q --release --example quickstart -- --store "$STORE_DIR")
 best1=$(printf '%s\n' "$out1" | sed -n 's/^metrics: best_ms=\([0-9.]*\).*/\1/p')
 cold_tt=$(printf '%s\n' "$out1" | sed -n 's/.*trials_to_best=\(-\{0,1\}[0-9]*\).*/\1/p')
 # shellcheck disable=SC2086
-out2=$(HARL_STORE_DIR="$STORE_DIR" HARL_TARGET_MS="$best1" \
-    cargo run $CARGO_FLAGS -q --release --example quickstart)
+out2=$(cargo run $CARGO_FLAGS -q --release --example quickstart -- \
+    --store "$STORE_DIR" --target-ms "$best1")
 warm_records=$(printf '%s\n' "$out2" | sed -n 's/.*warm_records=\([0-9]*\).*/\1/p')
 warm_tt=$(printf '%s\n' "$out2" | sed -n 's/.*trials_to_target=\(-\{0,1\}[0-9]*\).*/\1/p')
 if [ -z "$warm_records" ] || [ "$warm_records" -le 0 ]; then
@@ -114,11 +114,11 @@ if [ ! -s "$TRACE_FILE" ]; then
     exit 1
 fi
 # shellcheck disable=SC2086
-cargo run $CARGO_FLAGS -q -p harl-obs --bin harl-trace -- "$TRACE_FILE" --min-coverage 95
+cargo run $CARGO_FLAGS -q --bin harl-trace -- "$TRACE_FILE" --min-coverage 95
 
 echo "==> serve smoke (daemon + CLI: warm-start across jobs, kill -9 resume)"
 # shellcheck disable=SC2086
-cargo build $CARGO_FLAGS -q --release -p harl-serve
+cargo build $CARGO_FLAGS -q --release --bin harl-serve --bin harl-cli
 SERVE_BIN=target/release/harl-serve
 CLI_BIN=target/release/harl-cli
 SERVE_ROOT="$SMOKE_TMP/serve"

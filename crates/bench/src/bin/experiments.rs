@@ -6,13 +6,14 @@
 //!             [--seed S] [--out DIR]
 //! ```
 //!
-//! `experiments --help` lists the experiments. A bad argument exits 2 with
-//! the usage text; a JSON file that cannot be written exits 1.
+//! `experiments --help` lists the experiments. The arguments are read by
+//! [`harl_repro::cli::EXPERIMENTS`]: a bad one exits 2 with the usage text
+//! before anything runs; a JSON file that cannot be written exits 1.
 
 use std::path::Path;
 
-use harl_bench::cli::{parse_args, Args, HELP};
 use harl_bench::{ablation, fig1, networks, operators, save_json, tournament, Scale};
+use harl_repro::cli;
 use harl_tensor_ir::models::bert;
 use harl_tensor_sim::Hardware;
 use serde::Serialize;
@@ -28,29 +29,32 @@ fn save<T: Serialize>(out_dir: &Path, name: &str, value: &T) {
 /// Runs experiment `name` if it was asked for: its table to stdout, its
 /// result to `<out>/<name>.json`.
 fn run<T: Serialize>(
-    args: &Args,
+    args: &cli::Experiments,
+    scale: &Scale,
     name: &str,
     go: impl FnOnce(&Scale) -> T,
     render: impl FnOnce(&T) -> String,
 ) {
-    if args.experiments.contains(name) {
+    if args.names.contains(name) {
         eprintln!("# running {name}...");
-        let r = go(&args.scale);
+        let r = go(scale);
         println!("{}", render(&r));
-        save(&args.out_dir, name, &r);
+        save(&args.out, name, &r);
     }
 }
 
 fn main() {
-    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("error: {e}\n\n{HELP}");
-        std::process::exit(2);
-    });
-    if args.help {
-        println!("{HELP}");
-        return;
-    }
-    let (scale, out_dir, wanted) = (&args.scale, args.out_dir.as_path(), &args.experiments);
+    let args = cli::EXPERIMENTS.args();
+    // --paper picks the base scale; the other options adjust it
+    let mut scale = if args.paper {
+        Scale::paper()
+    } else {
+        Scale::fast()
+    };
+    scale.op_trials = args.trials.unwrap_or(scale.op_trials);
+    scale.net_trials = args.net_trials.or(scale.net_trials);
+    scale.seed = args.seed.unwrap_or(scale.seed);
+    let (scale, out_dir, wanted) = (&scale, args.out.as_path(), &args.names);
 
     eprintln!(
         "# scale: {} ({} trials/op, {:?} trials/net, {} shapes/class, batches {:?}, seed {})",
@@ -64,9 +68,9 @@ fn main() {
 
     let cpu = Hardware::cpu();
 
-    run(&args, "fig1a", fig1::fig1a, fig1::render_fig1a);
-    run(&args, "fig1b", fig1::fig1b, fig1::render_fig1b);
-    run(&args, "fig1c", fig1::fig1c, fig1::render_fig1c);
+    run(&args, scale, "fig1a", fig1::fig1a, fig1::render_fig1a);
+    run(&args, scale, "fig1b", fig1::fig1b, fig1::render_fig1b);
+    run(&args, scale, "fig1c", fig1::fig1c, fig1::render_fig1c);
 
     if wanted.contains("fig5") || wanted.contains("fig6") {
         eprintln!("# running fig5+fig6 (operator comparison, this is the long one)...");
@@ -120,12 +124,14 @@ fn main() {
 
     run(
         &args,
+        scale,
         "table7",
         |s| operators::table7(s, &cpu),
         |r| operators::render_sensitivity(r, "Table 7: adaptive-stopping window size λ"),
     );
     run(
         &args,
+        scale,
         "table8",
         |s| operators::table8(s, &cpu),
         |r| operators::render_sensitivity(r, "Table 8: adaptive-stopping elimination ratio ρ"),
@@ -137,13 +143,13 @@ fn main() {
             ablation::ablate_bandit_kind(s),
         ]
     };
-    run(&args, "ablation", sweeps, |r| {
+    run(&args, scale, "ablation", sweeps, |r| {
         r.iter()
             .map(ablation::render_sweep)
             .collect::<Vec<_>>()
             .join("\n")
     });
-    run(&args, "tournament", tournament::tournament, |r| {
+    run(&args, scale, "tournament", tournament::tournament, |r| {
         tournament::render_tournament(r)
     });
     eprintln!("# done; JSON results in {}", out_dir.display());

@@ -4,11 +4,10 @@
 //! evaluation (§2.2 Observations, §6.2 operators, §6.3 networks, Appendix
 //! A.4 sensitivity), plus the five-searcher tournament, each returning
 //! serializable results with a text renderer. The `experiments` binary
-//! parses its arguments with [`cli::parse_args`] and dispatches them;
-//! DESIGN.md maps each experiment to its implementing modules.
+//! reads its arguments with `harl_repro::cli::EXPERIMENTS` and dispatches
+//! them; DESIGN.md maps each experiment to its implementing modules.
 
 pub mod ablation;
-pub mod cli;
 pub mod fig1;
 pub mod networks;
 pub mod operators;

@@ -26,12 +26,11 @@
 //! * **Cooperative cancellation & graceful shutdown** — both take effect
 //!   at the next round boundary; shutdown checkpoints in-flight jobs.
 //!
-//! Binaries: `harl-serve` (the daemon) and `harl-cli` (submit / watch /
-//! cancel / list / metrics / bench-load / shutdown). `bench-load` drives
-//! a daemon with [`bench_load`] and reports per-verb p50/p99 latency.
+//! The daemon and its client are the root package's `harl-serve` and
+//! `harl-cli` binaries. `harl-cli bench-load` drives a daemon with
+//! [`bench_load`] and reports per-verb p50/p99 latency.
 
 pub mod bench_load;
-mod cli;
 mod error;
 mod federation;
 pub mod job;
@@ -44,10 +43,9 @@ mod worker;
 pub mod client;
 
 pub use bench_load::{BenchLoadConfig, BenchLoadReport};
-pub use cli::{cli_args, CliArgs, CliCommand, CLI_USAGE};
 pub use client::{Client, ClientConfig};
 pub use error::ServeError;
 pub use harl_core::ParallelismOpts;
 pub use job::{JobOutcome, JobSpec, JobState, JobView, Preset, TunerKind, WorkloadSpec};
 pub use protocol::{decode_request, ErrorCode, Request, Response};
-pub use server::{serve_args, Daemon, ServeConfig, SERVE_USAGE};
+pub use server::{Daemon, ServeConfig};

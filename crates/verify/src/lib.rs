@@ -706,29 +706,6 @@ impl LintStats {
     }
 }
 
-/// The `lint-schedules` fuzzer's command line.
-pub const LINT_SCHEDULES_USAGE: &str = "\
-usage: lint-schedules [SCHEDULES]     fuzz SCHEDULES per sketch per population
-                                      (a positive integer, default 150)
-       lint-schedules --explain CODE  describe a V001..V006 or C001..C005 code";
-
-/// Schedules per sketch per population of the `lint-schedules` fuzzer,
-/// from its arguments after the program name (`--explain` is handled
-/// before): none gives 150 and one positive integer gives itself. Zero, a
-/// negative or non-numeric value and a second argument are errors.
-pub fn fuzz_count(args: &[String]) -> Result<usize, String> {
-    match args {
-        [] => Ok(150),
-        [n] => match n.parse::<usize>() {
-            Ok(count) if count > 0 => Ok(count),
-            _ => Err(format!(
-                "schedules per sketch must be a positive integer, got `{n}`"
-            )),
-        },
-        [_, extra, ..] => Err(format!("unexpected argument `{extra}`")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

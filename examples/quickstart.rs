@@ -2,33 +2,26 @@
 //! print what the auto-scheduler found.
 //!
 //! ```text
-//! cargo run --release --example quickstart
+//! cargo run --release --example quickstart [-- [--store DIR] [--target-ms MS]]
 //! ```
 //!
-//! Set `HARL_STORE_DIR=/some/dir` to persist measurement records and the
-//! session checkpoint there: a second run against the same directory
-//! warm-starts from the first run's measurements (or resumes, if the first
-//! run was interrupted). `HARL_TARGET_MS=<ms>` additionally reports how
-//! many trials it took to reach that latency — the hook the CI warm-start
-//! smoke test uses. `HARL_TRACE=1` writes a span trace of the whole run to
-//! `trace.jsonl` (`HARL_TRACE_FILE` overrides the path); summarize it with
-//! `harl-trace trace.jsonl`. Tracing never changes the search.
+//! `--store DIR` persists measurement records and the session checkpoint
+//! there: a second run against the same directory warm-starts from the
+//! first run's measurements (or resumes, if the first run was
+//! interrupted). `--target-ms MS` additionally reports how many trials it
+//! took to reach that latency — what the CI warm-start smoke test reads.
+//! `HARL_TRACE=1` writes a span trace of the whole run to `trace.jsonl`
+//! (`HARL_TRACE_FILE` overrides the path); summarize it with `harl-trace
+//! trace.jsonl`. Tracing never changes the search.
 
 use std::sync::Arc;
 
-use harl_repro::envopts;
+use harl_repro::cli;
 use harl_repro::prelude::*;
 
-/// Aborts with a clear message when a `HARL_*` env hook is set to garbage —
-/// silently ignoring it would make downstream scripts lie.
-fn env_or_die<T>(parsed: Result<T, String>) -> T {
-    parsed.unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    })
-}
-
 fn main() {
+    let args = cli::QUICKSTART.args();
+
     // 1. Pick a workload: the paper's flagship 1024x1024x1024 GEMM.
     let gemm = harl_repro::ir::workload::gemm(1024, 1024, 1024);
     println!("workload: {} ({:.2} GFLOPs)", gemm.name, gemm.flops() / 1e9);
@@ -48,9 +41,8 @@ fn main() {
     //    setup; `fast()` scales the track counts down so this example
     //    finishes in seconds. With a store attached, every measurement is
     //    persisted and the tuner warm-starts from prior runs.
-    let store = env_or_die(envopts::store_dir_from_env())
-        .map(|dir| Arc::new(RecordStore::open(&dir).expect("open record store")));
-    let target_ms = env_or_die(envopts::target_ms_from_env());
+    let store =
+        (args.store).map(|dir| Arc::new(RecordStore::open(&dir).expect("open record store")));
     let tracer = harl_repro::obs::Tracer::from_env();
     let quickstart_span = tracer.span("quickstart");
     let mut tuner = HarlOperatorTuner::new(gemm.clone(), &measurer, HarlConfig::fast());
@@ -101,7 +93,7 @@ fn main() {
         tuner.trials_used,
         trials_to_best
     );
-    if let Some(target) = target_ms {
+    if let Some(target) = args.target_ms {
         // tiny relative tolerance absorbs the decimal truncation of best_ms
         let to_target = tuner
             .trace

@@ -3,16 +3,14 @@
 //! — a miniature of §6.3 / Table 4 / Figure 10.
 //!
 //! ```text
-//! cargo run --release --example tune_bert [-- trials]
+//! cargo run --release --example tune_bert [-- --trials N]
 //! ```
 
+use harl_repro::cli;
 use harl_repro::prelude::*;
 
 fn main() {
-    let trials: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(640);
+    let trials = cli::TUNE_BERT.args();
 
     let subgraphs = Network::Bert.subgraphs(1);
     println!(

@@ -1,35 +1,28 @@
 //! Client for a running harl-serve daemon.
 //!
 //! ```text
-//! harl-cli [--addr HOST:PORT] submit WORKLOAD [--searcher T] [--finetune]
+//! harl-cli --addr HOST:PORT submit WORKLOAD [--searcher T] [--finetune]
 //!          [--preset P] [--hardware H] [--trials N] [--priority P]
 //!          [--target-ms MS] [--watch]
-//! harl-cli [--addr HOST:PORT] status|result|cancel|watch JOB_ID
-//! harl-cli [--addr HOST:PORT] list
-//! harl-cli [--addr HOST:PORT] metrics
-//! harl-cli [--addr HOST:PORT] bench-load [--clients N] [--requests N]
+//! harl-cli --addr HOST:PORT status|result|cancel|watch JOB_ID
+//! harl-cli --addr HOST:PORT list
+//! harl-cli --addr HOST:PORT metrics
+//! harl-cli --addr HOST:PORT bench-load [--clients N] [--requests N]
 //!          [--submit-every N] [--list-every N] [--smoke] [--out FILE]
-//! harl-cli [--addr HOST:PORT] shutdown
+//! harl-cli --addr HOST:PORT shutdown
 //! ```
 //!
-//! The daemon address comes from `--addr` (anywhere on the line) or
-//! `HARL_SERVE_ADDR` (e.g. read from the daemon root's `serve.addr` file).
-//! `result` and `watch` print the quickstart-compatible `metrics:` line
-//! for scripts. Arguments are parsed by [`harl_serve::cli_args`]: any
-//! fault in them prints `error: …` and the usage text and exits 2; a
-//! request the daemon answers with an error exits 1.
+//! `--addr` (the daemon root's `serve.addr` file holds it) may stand
+//! anywhere on the line. `result` and `watch` print the
+//! quickstart-compatible `metrics:` line for scripts. Arguments are read
+//! by [`harl_repro::cli::CLIENT`]: any fault in them prints `error: …`
+//! and the usage text and exits 2; a request the daemon answers with an
+//! error exits 1.
 
 use std::time::Duration;
 
-use harl_serve::{
-    bench_load, cli_args, BenchLoadConfig, CliCommand, Client, JobSpec, JobState, JobView,
-    CLI_USAGE,
-};
-
-fn usage_error(msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg}\n\n{CLI_USAGE}");
-    std::process::exit(2);
-}
+use harl_repro::cli::{self, CliCommand};
+use harl_serve::{bench_load, BenchLoadConfig, Client, JobSpec, JobState, JobView};
 
 fn die(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
@@ -37,23 +30,9 @@ fn die(msg: impl std::fmt::Display) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "-h" || a == "--help") {
-        println!("{CLI_USAGE}");
-        return;
-    }
-    let parsed = cli_args(&args).unwrap_or_else(|e| usage_error(e));
-    let addr = match parsed
-        .addr
-        .or_else(|| std::env::var("HARL_SERVE_ADDR").ok())
-    {
-        Some(addr) if !addr.trim().is_empty() => addr,
-        // a blank `--addr` is refused by `cli_args`
-        Some(_) => usage_error("HARL_SERVE_ADDR is set but empty"),
-        None => usage_error("no daemon address: pass --addr or set HARL_SERVE_ADDR"),
-    };
+    let cli::Cli { addr, command } = cli::CLIENT.args();
     let client = Client::new(addr.clone());
-    match parsed.command {
+    match command {
         CliCommand::Submit { spec, watch } => submit(&client, &spec, watch),
         CliCommand::Status(id) => {
             let view = client.status(&id).unwrap_or_else(|e| die(e));

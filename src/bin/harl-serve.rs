@@ -10,19 +10,13 @@
 //! `<root>/serve.addr`) and serves until a `shutdown` request arrives.
 //! Each `--peer` names another daemon whose record pool this one pulls
 //! and merges into its own every `--sync-ms` milliseconds (federation).
+//! The flags are read by [`harl_repro::cli::SERVE`].
 
-use harl_serve::{serve_args, Daemon, SERVE_USAGE};
+use harl_repro::cli;
+use harl_serve::Daemon;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "-h" || a == "--help") {
-        println!("{SERVE_USAGE}");
-        return;
-    }
-    let cfg = serve_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}\n\n{SERVE_USAGE}");
-        std::process::exit(2);
-    });
+    let cfg = cli::SERVE.args();
 
     let root_display = cfg.root.display().to_string();
     let daemon = match Daemon::start(cfg) {

@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 
-use harl_obs::{trace_args, TRACE_USAGE};
+use harl_repro::cli;
 
 #[derive(Default, Clone)]
 struct Phase {
@@ -74,15 +74,7 @@ fn str_field(line: &str, key: &str) -> Option<String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "-h" || a == "--help") {
-        println!("{TRACE_USAGE}");
-        return;
-    }
-    let (path, min_coverage) = trace_args(&args).unwrap_or_else(|e| {
-        eprintln!("harl-trace: {e}\n{TRACE_USAGE}");
-        std::process::exit(2);
-    });
+    let cli::Trace { path, min_coverage } = cli::TRACE.args();
 
     let file = match std::fs::File::open(&path) {
         Ok(f) => f,

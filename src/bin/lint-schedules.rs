@@ -9,18 +9,17 @@
 //! corrupted third — a quick end-to-end check that the lints fire on what
 //! they claim to catch and stay quiet otherwise.
 //!
-//! Usage: see [`LINT_SCHEDULES_USAGE`]; a malformed count exits 2.
+//! Usage: see [`harl_repro::cli::LINT_SCHEDULES`]; a malformed count exits 2.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use harl_repro::cli::{self, LintSchedules};
 use harl_tensor_ir::models::{operator_suite, OperatorClass};
 use harl_tensor_ir::{
     generate_sketches, mutate, workload, FeaturePlan, Schedule, Sketch, Subgraph, Target,
 };
-use harl_verify::{
-    check_finite, fuzz_count, Analyzer, LintCode, LintStats, Severity, LINT_SCHEDULES_USAGE,
-};
+use harl_verify::{check_finite, Analyzer, LintCode, LintStats, Severity};
 
 /// One deliberate corruption of a legal schedule.
 fn corrupt(s: &Schedule, sketch: &Sketch, target: Target, rng: &mut StdRng) -> Schedule {
@@ -80,30 +79,13 @@ struct Population {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--explain") {
-        let [_, code] = args.as_slice() else {
-            eprintln!("error: --explain takes one code\n\n{LINT_SCHEDULES_USAGE}");
-            std::process::exit(2);
-        };
-        match LintCode::from_code(code) {
-            Some(c) => {
-                println!("{}", c.explain());
-                return;
-            }
-            None => {
-                eprintln!("unknown lint code `{code}`; known codes:");
-                for c in LintCode::ALL {
-                    eprintln!("  {} {}", c.code(), c.name());
-                }
-                std::process::exit(2);
-            }
+    let per_sketch = match cli::LINT_SCHEDULES.args() {
+        LintSchedules::Explain(code) => {
+            println!("{}", code.explain());
+            return;
         }
-    }
-    let per_sketch = fuzz_count(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}\n\n{LINT_SCHEDULES_USAGE}");
-        std::process::exit(2);
-    });
+        LintSchedules::Fuzz(per_sketch) => per_sketch,
+    };
     let target = Target::Cpu;
     let analyzer = Analyzer::for_target(target);
     let mut rng = StdRng::seed_from_u64(0x11f7);

@@ -24,12 +24,15 @@
 //!   every hardware measurement and the latest session checkpoint.
 //! * [`serve`] — the tuning service: a TCP daemon with a priority job
 //!   queue, worker pool, per-job persistent sessions, and cross-job
-//!   warm-starting, plus the `harl-serve` / `harl-cli` binaries.
+//!   warm-starting; this package's `harl-serve` / `harl-cli` binaries
+//!   drive it.
 //! * [`models`] — BERT / ResNet-50 / MobileNet-V2 workloads and the
 //!   Table 6 operator suite.
 //! * [`verify`] — the schedule lint framework (V001–V006): structured
 //!   diagnostics over tensor programs, consumed by every tuner to reject
 //!   illegal candidates before cost-model scoring.
+//! * [`cli`] — the command line of every program: the binaries under
+//!   `src/bin/`, `experiments` and the examples, one grammar for all.
 //!
 //! ## Quickstart
 //!
@@ -44,7 +47,7 @@
 //! assert!(tuner.best_time.is_finite());
 //! ```
 
-pub mod envopts;
+pub mod cli;
 
 pub use harl_core as harl;
 pub use harl_core::{ansor, bandit, mcts};
