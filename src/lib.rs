@@ -75,3 +75,79 @@ pub mod prelude {
     pub use harl_tensor_sim::{ConfigError, Hardware, MeasureConfig, Measurer, TuneTrace};
     pub use harl_verify::{Analyzer, Diagnostic, LintCode, LintStats, Severity};
 }
+
+/// The quickstart's record store and target latency, once two environment
+/// hooks read by a module of this name and now its `--store DIR` and
+/// `--target-ms MS` flags, read by [`cli::QUICKSTART`]. A blank or
+/// malformed value must abort the run: a silently ignored `--target-ms 0,5`
+/// would make a warm-start check pass or fail for the wrong reason.
+#[cfg(test)]
+mod envopts {
+    mod tests {
+        use std::path::PathBuf;
+
+        use crate::cli::{Quickstart, QUICKSTART};
+
+        fn quickstart(list: &[&str]) -> Result<Quickstart, String> {
+            let args: Vec<String> = list.iter().map(|a| a.to_string()).collect();
+            QUICKSTART.parse(&args)
+        }
+
+        #[test]
+        fn store_dir_accepts_unset_and_paths() {
+            assert_eq!(quickstart(&[]).unwrap().store, None);
+            assert_eq!(
+                quickstart(&["--store", "/tmp/x"]).unwrap().store,
+                Some(PathBuf::from("/tmp/x"))
+            );
+        }
+
+        #[test]
+        fn store_dir_rejects_empty() {
+            for bad in ["", "   "] {
+                let err = quickstart(&["--store", bad]).unwrap_err();
+                assert!(
+                    err.contains("--store needs a value, got a blank"),
+                    "`{bad}`: {err}"
+                );
+            }
+            let err = quickstart(&["--store", "a", "--store", "b"]).unwrap_err();
+            assert!(err.contains("--store given twice"), "{err}");
+        }
+
+        #[test]
+        fn target_ms_accepts_unset_and_positive_numbers() {
+            assert_eq!(quickstart(&[]).unwrap().target_ms, None);
+            for (ms, want) in [("1.5", 1.5), ("42", 42.0), ("0.123456789", 0.123456789)] {
+                assert_eq!(
+                    quickstart(&["--target-ms", ms]).unwrap().target_ms,
+                    Some(want),
+                    "{ms}"
+                );
+            }
+        }
+
+        #[test]
+        fn target_ms_rejects_malformed_values() {
+            for bad in ["", "  "] {
+                let err = quickstart(&["--target-ms", bad]).unwrap_err();
+                assert!(
+                    err.contains("--target-ms needs a value, got a blank"),
+                    "`{bad}`: {err}"
+                );
+            }
+            // A value is taken as given: " 42 " is not trimmed into 42.
+            for bad in [" 42 ", "abc", "0,5", "1.5ms", "NaN", "inf", "-1", "0"] {
+                let err = quickstart(&["--target-ms", bad]).unwrap_err();
+                assert!(
+                    err.contains("--target-ms must be a finite number > 0"),
+                    "`{bad}`: {err}"
+                );
+            }
+            let err = quickstart(&["--target-ms"]).unwrap_err();
+            assert!(err.contains("--target-ms needs a value"), "{err}");
+            let err = quickstart(&["dir"]).unwrap_err();
+            assert!(err.contains("unexpected argument `dir`"), "{err}");
+        }
+    }
+}

@@ -10,8 +10,8 @@ use std::process::Command;
 use std::time::Duration;
 
 use harl_repro::cli::{
-    CliCommand, Experiments, LintSchedules, Program, Quickstart, Trace, CLIENT, EXPERIMENTS,
-    EXPERIMENT_NAMES, LINT_SCHEDULES, QUICKSTART, SERVE, TRACE, TUNE_BERT,
+    CliCommand, Experiments, LintSchedules, Program, Trace, CLIENT, EXPERIMENTS, EXPERIMENT_NAMES,
+    LINT_SCHEDULES, SERVE, TRACE, TUNE_BERT,
 };
 use harl_repro::serve::{Preset, TunerKind, WorkloadSpec};
 use harl_repro::verify::LintCode;
@@ -659,42 +659,10 @@ fn experiments_arguments_are_taken_as_given_or_refused() {
     );
 }
 
+/// The quickstart's `--store` and `--target-ms` rows are the unit tests of
+/// `src/lib.rs`' `envopts` module.
 #[test]
-fn quickstart_and_tune_bert_flags_are_taken_as_given_or_refused() {
-    let none = Quickstart {
-        store: None,
-        target_ms: None,
-    };
-    assert_eq!(QUICKSTART.parse(&[]), Ok(none.clone()));
-    let store = QUICKSTART.parse(&args(&["--store", "/tmp/x"])).unwrap();
-    assert_eq!(store.store, Some(PathBuf::from("/tmp/x")));
-    for (ms, want) in [("1.5", 1.5), ("42", 42.0), ("0.123456789", 0.123456789)] {
-        let parsed = QUICKSTART.parse(&args(&["--target-ms", ms])).unwrap();
-        assert_eq!(parsed.target_ms, Some(want), "{ms}");
-    }
-    let mut rows: Vec<(Vec<&str>, &str)> = vec![
-        (vec!["--store", ""], "--store needs a value, got a blank"),
-        (vec!["--store", "   "], "--store needs a value, got a blank"),
-        (vec!["--store", "a", "--store", "b"], "--store given twice"),
-        (
-            vec!["--target-ms", ""],
-            "--target-ms needs a value, got a blank",
-        ),
-        (
-            vec!["--target-ms", "  "],
-            "--target-ms needs a value, got a blank",
-        ),
-        (vec!["--target-ms"], "--target-ms needs a value"),
-        (vec!["dir"], "unexpected argument `dir`"),
-    ];
-    for ms in [" 42 ", "abc", "0,5", "1.5ms", "NaN", "inf", "-1", "0"] {
-        rows.push((
-            vec!["--target-ms", ms],
-            "--target-ms must be a finite number > 0",
-        ));
-    }
-    refuses(&QUICKSTART, &slices(&rows));
-
+fn tune_bert_trials_are_taken_as_given_or_refused() {
     assert_eq!(TUNE_BERT.parse(&[]), Ok(640), "the default budget");
     assert_eq!(TUNE_BERT.parse(&args(&["--trials", "8"])), Ok(8));
     refuses(
