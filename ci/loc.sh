@@ -149,6 +149,10 @@ row "update_batch( and Gbt::fit( calls in non-test crates/*/src src examples:" \
     "$(non_test "${fit_src[@]}" | grep -vE '^\s*//' | grep -vE '\bfn (update_batch|fit)\b' |
         grep -oE 'update_batch\(|Gbt::fit\(' | wc -l)"
 row "non-test, non-comment lines in crates/nnet/src:" "$(code_lines crates/nnet/src/*.rs)"
+# the replay buffer's second layout: the mask kinds and the per-row writer
+# and reader it kept to write rows back as the transitions pushed
+row "lines in crates/nnet/src matching /RowMasks|mask_kinds|SCALARS_AT|fn write_json|fn read_masks/:" \
+    "$(cat crates/nnet/src/*.rs | grep -cE 'RowMasks|mask_kinds|SCALARS_AT|fn write_json|fn read_masks' || true)"
 row "non-test, non-comment lines in crates/simd/src:" "$(code_lines crates/simd/src/*.rs)"
 row "all lines in crates/simd/src (tests and tables included):" "$(cat crates/simd/src/*.rs | wc -l)"
 # the files that held the eight *ConfigBuilder types and `MlpConfig`

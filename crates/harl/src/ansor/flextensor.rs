@@ -15,12 +15,23 @@ use harl_nnet::{PpoAgent, PpoConfig};
 use harl_obs::Tracer;
 use harl_tensor_ir::{
     apply_action, compute_at_mask, parallel_mask, tile_action_mask, unroll_mask, Action,
-    ActionSpace, Schedule, Sketch, StepDir, Target,
+    ActionSpace, Schedule, Sketch, StepDir, Target, FEATURE_DIM,
 };
 use harl_tensor_sim::{ConfigError, PRICES};
 
 use crate::adaptive::CriticalStep;
 use crate::search::{Lent, Proposer, SearchCore, Searcher};
+
+/// The agent's heads: the tile actions of `space`, then one step
+/// direction for each of compute-at, parallel and unroll.
+fn head_sizes(space: &ActionSpace) -> [usize; 4] {
+    [
+        space.tile_actions(),
+        StepDir::COUNT,
+        StepDir::COUNT,
+        StepDir::COUNT,
+    ]
+}
 
 /// Configuration of the fixed-length tuner.
 #[derive(Debug, Clone)]
@@ -125,18 +136,7 @@ impl Proposer for FlextensorProposer {
         core.sketches.truncate(1);
         let space = ActionSpace::of(&core.sketches[0]);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ core.graph.name.len() as u64);
-        let head_sizes = [
-            space.tile_actions(),
-            StepDir::COUNT,
-            StepDir::COUNT,
-            StepDir::COUNT,
-        ];
-        let agent = PpoAgent::new(
-            harl_tensor_ir::FEATURE_DIM,
-            &head_sizes,
-            cfg.ppo.clone(),
-            &mut rng,
-        );
+        let agent = PpoAgent::new(FEATURE_DIM, &head_sizes(&space), cfg.ppo.clone(), &mut rng);
         FlextensorProposer {
             space,
             agent,
@@ -262,6 +262,12 @@ impl Proposer for FlextensorProposer {
             critical_steps: self.critical_steps.clone(),
             rng: self.rng.state(),
         }
+    }
+
+    /// The agent [`Proposer::new`] builds for the fixed sketch.
+    fn fits(state: &Self::State, core: &SearchCore<'_>) -> Result<(), String> {
+        let space = ActionSpace::of(&core.sketches[0]);
+        state.agent.check_shape(FEATURE_DIM, &head_sizes(&space))
     }
 
     fn restore(&mut self, state: Self::State) {

@@ -486,12 +486,12 @@ pub struct Snapshot<S> {
 }
 
 impl<S> Snapshot<S> {
-    /// Whether the shared half can resume on `core`: a cost model whose
-    /// rows can be fitted (see [`CostModel::check_rows`]), one elite pool
-    /// per sketch, and every pooled schedule, queued seed and the best
-    /// schedule valid on its sketch. The error says what does not fit.
-    /// The proposer's own half is not checked.
-    pub fn fits(&self, core: &SearchCore<'_>) -> Result<(), String> {
+    /// Whether the snapshot can resume on `core`: a cost model whose rows
+    /// can be fitted (see [`CostModel::check_rows`]), one elite pool per
+    /// sketch, every pooled schedule, queued seed and the best schedule
+    /// valid on its sketch, and then the proposer's own half as
+    /// [`Proposer::fits`] checks it. The error says what does not fit.
+    pub fn fits<P: Proposer<State = S>>(&self, core: &SearchCore<'_>) -> Result<(), String> {
         if let Some(model) = &self.cost_model {
             model.check_rows(FEATURE_DIM)?;
         }
@@ -522,14 +522,10 @@ impl<S> Snapshot<S> {
                 return Err(format!("queued seed {j} is not valid on its sketch: {e}"));
             }
         }
-        match self
-            .best_schedule
-            .as_ref()
-            .and_then(|s| unfit(s, s.sketch_id))
-        {
-            Some(e) => Err(format!("the best schedule is not valid on its sketch: {e}")),
-            None => Ok(()),
+        if let Some(e) = (self.best_schedule.as_ref()).and_then(|s| unfit(s, s.sketch_id)) {
+            return Err(format!("the best schedule is not valid on its sketch: {e}"));
         }
+        P::fits(&self.proposer, core)
     }
 }
 
@@ -578,6 +574,14 @@ pub trait Proposer: Sized {
 
     /// Snapshots the proposer's own mutable state.
     fn checkpoint(&self) -> Self::State;
+
+    /// Why `state` cannot resume on `core` (a search whose own half would
+    /// index past the workload or feed its networks the wrong shapes), if
+    /// it cannot. The default checks nothing.
+    fn fits(state: &Self::State, core: &SearchCore<'_>) -> Result<(), String> {
+        let _ = (state, core);
+        Ok(())
+    }
 
     /// Overwrites the proposer's own mutable state. The tracer is not part
     /// of a checkpoint: the shell hands it back through

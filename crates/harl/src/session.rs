@@ -32,10 +32,10 @@ use harl_par::ParallelismOpts;
 use harl_store::{MeasureRecord, RecordStore, StoreError};
 use harl_tensor_sim::{Measurer, MeasurerState, TuneTrace};
 
-use crate::ansor::{AnsorTunerState, FlextensorTunerState};
-use crate::mcts::{CdTunerState, FinetuneConfig, MctsTunerState};
+use crate::ansor::{AnsorProposer, AnsorTunerState, FlextensorProposer, FlextensorTunerState};
+use crate::mcts::{CdProposer, CdTunerState, FinetuneConfig, MctsProposer, MctsTunerState};
 use crate::search::{Proposer, SearchCore, Searcher, Snapshot};
-use crate::tuner::HarlTunerState;
+use crate::tuner::{HarlProposer, HarlTunerState};
 
 /// Serialized search state of any [`Tuner`]: one variant per searcher,
 /// each the shell's [`Snapshot`] around that [`Proposer::State`].
@@ -72,14 +72,14 @@ impl TunerState {
         }
     }
 
-    /// Whether the shared half can resume on `core` (see [`Snapshot::fits`]).
+    /// Whether the state can resume on `core` (see [`Snapshot::fits`]).
     fn fits(&self, core: &SearchCore<'_>) -> Result<(), String> {
         match self {
-            TunerState::Harl(s) => s.fits(core),
-            TunerState::Ansor(s) => s.fits(core),
-            TunerState::Flextensor(s) => s.fits(core),
-            TunerState::Mcts(s) => s.fits(core),
-            TunerState::Cd(s) => s.fits(core),
+            TunerState::Harl(s) => s.fits::<HarlProposer>(core),
+            TunerState::Ansor(s) => s.fits::<AnsorProposer>(core),
+            TunerState::Flextensor(s) => s.fits::<FlextensorProposer>(core),
+            TunerState::Mcts(s) => s.fits::<MctsProposer>(core),
+            TunerState::Cd(s) => s.fits::<CdProposer>(core),
         }
     }
 }
@@ -289,17 +289,22 @@ pub struct SessionCheckpoint {
     pub tuner: TunerState,
 }
 
-/// Version of the [`SessionCheckpoint`] JSON payload. Version 6 writes the
-/// loop state every searcher shares (cost model, measured set, seed queue,
-/// elite pools, best, trial count, trace, lint counters) once, beside a
-/// `proposer` object of the searcher's own fields; its cost model is the
-/// GBT parameters, the dataset and the scale, without the fitted trees
-/// version 5 carried (a resumed search refits them at its next round).
-/// Version 4 kept HARL's and Ansor's elite pools in the `proposer`
-/// object. The PPO agent's bulk fields (`harl_nnet`'s `Linear` and
-/// `Transition`) stay hex strings, as in version 3. An older file is
-/// rejected, not migrated — a checkpoint lives only as long as its job.
-pub const CHECKPOINT_VERSION: u32 = 6;
+/// Version of the [`SessionCheckpoint`] JSON payload. Version 7 writes a
+/// PPO agent's replay buffer as its arrays, oldest row first: one packed
+/// string per `f32` array (`states`, then the four `scalars` of each row),
+/// a number array of `actions`, and one `0`/`1` digit per action of every
+/// head in `valid`. Version 6 wrote the buffer as a list of transitions.
+/// Since version 6 the loop state every searcher shares (cost model,
+/// measured set, seed queue, elite pools, best, trial count, trace, lint
+/// counters) is written once, beside a `proposer` object of the
+/// searcher's own fields; its cost model is the GBT parameters, the
+/// dataset and the scale, without the fitted trees version 5 carried (a
+/// resumed search refits them at its next round). Version 4 kept HARL's
+/// and Ansor's elite pools in the `proposer` object. The networks' bulk
+/// fields (`harl_nnet`'s `Linear`) stay hex strings, as in version 3. An
+/// older file is rejected, not migrated — a checkpoint lives only as long
+/// as its job.
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 /// Configures how a [`TuningSession`] uses its record store.
 #[derive(Debug, Clone)]
@@ -417,7 +422,7 @@ impl SessionBuilder {
                         if has_model { "carries" } else { "lacks" }
                     )));
                 }
-                // nor a shared half that would index past the workload
+                // nor a state that would index past the workload
                 (ck.tuner.fits(session.tuner.core()))
                     .map_err(|e| StoreError::Format(format!("bad checkpoint: {e}")))?;
                 measurer.restore_state(&ck.measurer);

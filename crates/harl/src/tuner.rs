@@ -11,7 +11,7 @@ use harl_gbt::GbtParams;
 use harl_nnet::PpoAgent;
 use harl_obs::{FieldValue, Tracer};
 use harl_store::MeasureRecord;
-use harl_tensor_ir::{ActionSpace, Schedule};
+use harl_tensor_ir::{ActionSpace, Schedule, FEATURE_DIM};
 use harl_tensor_sim::{ConfigError, PRICES};
 use harl_verify::{check_finite, LintCode};
 
@@ -19,6 +19,12 @@ use crate::adaptive::CriticalStep;
 use crate::config::HarlConfig;
 use crate::episode::{run_episode, EpisodeResult};
 use crate::search::{Lent, Picks, Proposer, SearchCore, Searcher, HAS_LEARNER};
+
+/// The agent's heads: the tile actions of the first sketch, then three
+/// for each of compute-at, parallel and unroll.
+fn head_sizes(core: &SearchCore<'_>) -> [usize; 4] {
+    [ActionSpace::of(&core.sketches[0]).tile_actions(), 3, 3, 3]
+}
 
 /// Log entry of one tuning round.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -93,13 +99,7 @@ impl Proposer for HarlProposer {
 
     fn new(core: &mut SearchCore<'_>, cfg: HarlConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ (core.graph.name.len() as u64) << 3);
-        let space = ActionSpace::of(&core.sketches[0]);
-        let agent = PpoAgent::new(
-            harl_tensor_ir::FEATURE_DIM,
-            &[space.tile_actions(), 3, 3, 3],
-            cfg.ppo.clone(),
-            &mut rng,
-        );
+        let agent = PpoAgent::new(FEATURE_DIM, &head_sizes(core), cfg.ppo.clone(), &mut rng);
         HarlProposer {
             agent,
             sketch_bandit: cfg.bandit(core.sketches.len()),
@@ -207,6 +207,18 @@ impl Proposer for HarlProposer {
             rounds: self.rounds.clone(),
             rng: self.rng.state(),
         }
+    }
+
+    /// A sketch bandit of one arm per sketch, and the agent
+    /// [`Proposer::new`] builds for the workload.
+    fn fits(state: &HarlTunerState, core: &SearchCore<'_>) -> Result<(), String> {
+        let (arms, sketches) = (state.sketch_bandit.num_arms(), core.sketches.len());
+        if arms != sketches {
+            return Err(format!(
+                "a sketch bandit of {arms} arms for {sketches} sketches"
+            ));
+        }
+        state.agent.check_shape(FEATURE_DIM, &head_sizes(core))
     }
 
     fn restore(&mut self, state: HarlTunerState) {

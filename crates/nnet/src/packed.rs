@@ -1,13 +1,13 @@
 //! Packed checkpoint fields: how [`crate::Linear`] and
-//! [`crate::Transition`] spell their bulk data.
+//! [`crate::ReplayBuffer`] spell their bulk data.
 //!
 //! An `f32` slice is one JSON string, eight lowercase hex digits per value:
 //! the bytes of `f32::to_bits` in little-endian order, on every host. That
 //! is a fifth of the tokens of a decimal array, needs no shortest-decimal
 //! search to write or parse, and is exact for NaN payloads, ±inf and
-//! `-0.0`, which the decimal path spells `null`. A mask row is a string of
-//! `0`/`1`, one character per entry. Decoding rejects anything else with a
-//! [`DeError`] naming the field; it never panics.
+//! `-0.0`, which the decimal path spells `null`. A `bool` slice is a string
+//! of `0`/`1`, one character per entry. Decoding rejects anything else with
+//! a [`DeError`] naming the field; it never panics.
 //!
 //! Writing goes straight into the output through a two-digit table, with no
 //! escape pass: hex and binary digits never need one.
@@ -47,7 +47,7 @@ const UNHEX: [u8; 256] = {
 };
 
 /// `v`'s eight hex digits.
-pub(crate) fn hex8(v: f32) -> [u8; 8] {
+fn hex8(v: f32) -> [u8; 8] {
     let [a, b, c, d] = v
         .to_bits()
         .to_le_bytes()
@@ -141,39 +141,19 @@ pub(crate) fn read_f32s(v: &Value, name: &str) -> Result<Vec<f32>, DeError> {
     decode_f32s(text).map_err(|e| in_field(name, e))
 }
 
-/// Reads a one-value [`write_f32s`] entry.
-pub(crate) fn read_f32(v: &Value, name: &str) -> Result<f32, DeError> {
-    match read_f32s(v, name)?[..] {
-        [value] => Ok(value),
-        ref other => Err(in_field(
-            name,
-            format!("expected one packed f32, got {}", other.len()),
-        )),
-    }
-}
-
-/// Reads an object entry `name` holding one [`push_bits`] string per mask
-/// row.
-pub(crate) fn read_masks(v: &Value, name: &str) -> Result<Vec<Vec<bool>>, DeError> {
-    let rows = entry(v, name)?
-        .as_array()
-        .map_err(|e| in_field(name, e.0))?;
-    rows.iter()
-        .map(|row| {
-            row.as_str()?
-                .bytes()
-                .map(|digit| match digit {
-                    b'0' => Ok(false),
-                    b'1' => Ok(true),
-                    other => Err(DeError::new(format!(
-                        "mask digit `{}` is neither 0 nor 1",
-                        other.escape_ascii()
-                    ))),
-                })
-                .collect()
+/// Reads an object entry `name` holding one [`push_bits`] string.
+pub(crate) fn read_bits(v: &Value, name: &str) -> Result<Vec<bool>, DeError> {
+    let text = entry(v, name)?.as_str().map_err(|e| in_field(name, e.0))?;
+    text.bytes()
+        .map(|digit| match digit {
+            b'0' => Ok(false),
+            b'1' => Ok(true),
+            other => Err(in_field(
+                name,
+                format!("digit `{}` is neither 0 nor 1", other.escape_ascii()),
+            )),
         })
-        .collect::<Result<_, DeError>>()
-        .map_err(|e| in_field(name, e.0))
+        .collect()
 }
 
 /// The writers as they were before the table, kept as the oracle of the
@@ -235,19 +215,10 @@ pub(crate) mod reference {
         w.collect_str(&HexF32s(values));
     }
 
-    /// Writes the object entry `name` holding one mask row per string.
-    pub(crate) fn write_masks<'a>(
-        w: &mut JsonWriter,
-        name: &str,
-        masks: impl Iterator<Item = &'a [bool]>,
-    ) {
+    /// Writes the object entry `name` holding `bits`.
+    pub(crate) fn write_bits(w: &mut JsonWriter, name: &str, bits: &[bool]) {
         w.key(name);
-        w.begin_array();
-        for mask in masks {
-            w.elem();
-            w.collect_str(&Bits(mask));
-        }
-        w.end_array();
+        w.collect_str(&Bits(bits));
     }
 }
 
@@ -315,29 +286,22 @@ mod tests {
     }
 
     #[test]
-    fn masks_round_trip_including_empty_rows() {
-        let masks = vec![
-            vec![],
-            vec![true, false, false, true],
-            (0..5 * CHUNK + 3).map(|i| i % 3 == 0).collect(),
-        ];
-        let text = object(|w| {
-            w.key("m");
-            w.begin_array();
-            for mask in &masks {
-                w.elem();
-                w.unescaped_str(|out| push_bits(out, mask));
-            }
-            w.end_array();
-        });
-        assert!(text.starts_with(r#"{"m":["","1001","1001001"#), "{text}");
+    fn bits_round_trip_including_none() {
+        let long: Vec<bool> = (0..5 * CHUNK + 3).map(|i| i % 3 == 0).collect();
+        for cells in [&[][..], &[true, false, false, true][..], &long[..]] {
+            let text = object(|w| {
+                w.key("m");
+                w.unescaped_str(|out| push_bits(out, cells));
+            });
+            assert_eq!(text, object(|w| reference::write_bits(w, "m", cells)));
+            assert_eq!(
+                read_bits(&Value::parse(&text).unwrap(), "m").unwrap(),
+                cells
+            );
+        }
         assert_eq!(
-            text,
-            object(|w| reference::write_masks(w, "m", masks.iter().map(Vec::as_slice)))
-        );
-        assert_eq!(
-            read_masks(&Value::parse(&text).unwrap(), "m").unwrap(),
-            masks
+            object(|w| reference::write_bits(w, "m", &long[..7])),
+            r#"{"m":"1001001"}"#
         );
     }
 
@@ -354,16 +318,15 @@ mod tests {
         assert!(err(r#"{"x":"0000803F"}"#).contains("`0000803F`"));
         assert!(err(r#"{"x":"0000803g"}"#).contains("value 0"));
         assert!(err(r#"{"x":"0000803f000é800"}"#).contains("value 1"));
-        let v = Value::parse(r#"{"x":["01","0 1"],"y":"0000803f00000000","z":"01"}"#).unwrap();
-        let msg = read_masks(&v, "x").unwrap_err().0;
+        let v = Value::parse(r#"{"x":"0 1","z":["01"]}"#).unwrap();
+        let msg = read_bits(&v, "x").unwrap_err().0;
         assert!(
             msg.contains("`x`") && msg.contains("neither 0 nor 1"),
             "{msg}"
         );
-        assert!(read_masks(&v, "z")
+        assert!(read_bits(&v, "z")
             .unwrap_err()
             .0
-            .contains("expected array"));
-        assert!(read_f32(&v, "y").unwrap_err().0.contains("got 2"));
+            .contains("expected string"));
     }
 }

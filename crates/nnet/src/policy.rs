@@ -295,7 +295,7 @@ impl MultiHeadPolicy {
     }
 
     /// Samples one action per head; returns `(actions, total logp)`.
-    /// `masks[h]` may be empty to mean "all valid".
+    /// `masks[h]` may be missing or empty to mean "all valid".
     pub fn sample<R: Rng + ?Sized>(
         &self,
         x: &[f32],
@@ -307,8 +307,7 @@ impl MultiHeadPolicy {
         let mut actions = Vec::with_capacity(self.heads.len());
         let mut logp = 0.0f32;
         for h in 0..self.heads.len() {
-            let mask = masks.get(h).filter(|m| !m.is_empty()).map(|m| m.as_slice());
-            let probs = masked_softmax(ws.head_logits(h, 0), mask);
+            let probs = masked_softmax(ws.head_logits(h, 0), head_mask(masks, h));
             let a = sample_categorical(&probs, rng);
             actions.push(a);
             logp += harl_simd::ln_lane(probs[a].max(1e-12));
@@ -321,8 +320,7 @@ impl MultiHeadPolicy {
         self.forward_batch(x, 1, ws);
         (0..self.heads.len())
             .map(|h| {
-                let mask = masks.get(h).filter(|m| !m.is_empty()).map(|m| m.as_slice());
-                let probs = masked_softmax(ws.head_logits(h, 0), mask);
+                let probs = masked_softmax(ws.head_logits(h, 0), head_mask(masks, h));
                 probs
                     .iter()
                     .enumerate()
@@ -346,6 +344,12 @@ impl MultiHeadPolicy {
             .chain(self.heads.iter().flat_map(Linear::state_bits))
             .chain([self.adam_t])
     }
+}
+
+/// Head `h`'s mask in a per-head mask list; `None` — all valid — for a
+/// missing or empty entry.
+pub(crate) fn head_mask(masks: &[Vec<bool>], h: usize) -> Option<&[bool]> {
+    masks.get(h).filter(|m| !m.is_empty()).map(Vec::as_slice)
 }
 
 /// Samples an index from a probability vector.

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::mlp::{normalize, shift_logits, Mlp, Workspace};
 use crate::packed;
-use crate::policy::{sample_categorical, MultiHeadPolicy, PolicyWorkspace};
+use crate::policy::{head_mask, sample_categorical, MultiHeadPolicy, PolicyWorkspace};
 
 /// PPO hyper-parameters (defaults = Table 5).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -130,12 +130,9 @@ impl PpoConfig {
 }
 
 /// One recorded `(S, M, S', R, Y)` tuple (Algorithm 1, line 12): the owned
-/// form, for handing transitions in and out of the crate. The replay
-/// buffer stores rows, not these.
-///
-/// Serialized by hand, a full replay buffer being four fifths of a
-/// checkpoint: every `f32` and every mask row is a [`crate::packed`]
-/// string, `actions` stays an array of numbers.
+/// form, for handing transitions to the [`ReplayBuffer`] and to
+/// [`PpoAgent::train_minibatch`]. The buffer stores its rows as arrays,
+/// not these.
 #[derive(Debug, Clone)]
 pub struct Transition {
     /// Feature vector of the state the action was taken in.
@@ -150,154 +147,37 @@ pub struct Transition {
     pub advantage: f32,
     /// Critic target `r + γ V(s')`.
     pub value_target: f32,
-    /// Per-head masks at the time of action (empty vec = all valid).
+    /// Per-head masks at the time of action; a missing or empty entry is
+    /// all valid.
     pub masks: Vec<Vec<bool>>,
 }
 
 impl Transition {
-    fn row(&self) -> Row<'_> {
-        Row {
-            state: &self.state,
-            actions: &self.actions,
-            logp: self.logp,
-            reward: self.reward,
-            advantage: self.advantage,
-            value_target: self.value_target,
-            masks: RowMasks::Lists(&self.masks),
-        }
+    fn scalars(&self) -> [f32; 4] {
+        [self.logp, self.reward, self.advantage, self.value_target]
     }
 }
 
-impl Serialize for Transition {
-    fn serialize(&self, w: &mut JsonWriter) {
-        self.row().serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for Transition {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Transition {
-            state: packed::read_f32s(v, "state")?,
-            actions: de::field(v, "actions")?,
-            logp: packed::read_f32(v, "logp")?,
-            reward: packed::read_f32(v, "reward")?,
-            advantage: packed::read_f32(v, "advantage")?,
-            value_target: packed::read_f32(v, "value_target")?,
-            masks: packed::read_masks(v, "masks")?,
-        })
-    }
-}
-
-/// One recorded tuple, borrowed: how a [`Transition`], a row of the
-/// [`ReplayBuffer`] and a step's record all reach the buffer, the update
-/// and the checkpoint writer.
+/// One row of the [`ReplayBuffer`], borrowed: what a minibatch gathers.
 #[derive(Debug, Clone, Copy)]
 struct Row<'a> {
     state: &'a [f32],
     actions: &'a [usize],
-    logp: f32,
-    reward: f32,
-    advantage: f32,
-    value_target: f32,
-    masks: RowMasks<'a>,
+    /// `[logp, reward, advantage, value_target]`.
+    scalars: [f32; 4],
+    /// Whether each action was valid, laid out like a row of logits.
+    valid: &'a [bool],
 }
 
-/// A row's text from the end of `actions` to the start of `masks`, with
-/// the digits of its four packed scalars zeroed; they go at [`SCALARS_AT`].
-const SCALARS: [u8; 98] = *br#"],"logp":"00000000","reward":"00000000","advantage":"00000000","value_target":"00000000","masks":["#;
-const SCALARS_AT: [usize; 4] = [10, 30, 53, 79];
-
-impl Row<'_> {
-    /// Appends the row's compact JSON object to `out` in one pass: the
-    /// keys as literals, the fields straight from the row's slices. The
-    /// text is what a writer call per field made of it, byte for byte.
-    fn write_json(&self, out: &mut String) {
-        out.push_str(r#"{"state":""#);
-        packed::push_f32s(out, self.state);
-        out.push_str(r#"","actions":["#);
-        for (i, &action) in self.actions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            packed::push_usize(out, action);
-        }
-        let mut scalars = SCALARS;
-        let values = [self.logp, self.reward, self.advantage, self.value_target];
-        for (at, value) in SCALARS_AT.into_iter().zip(values) {
-            scalars[at..at + 8].copy_from_slice(&packed::hex8(value));
-        }
-        out.push_str(std::str::from_utf8(&scalars).expect("the row text is ASCII"));
-        for (i, mask) in self.masks.entries().enumerate() {
-            out.push_str(if i > 0 { r#",""# } else { r#"""# });
-            packed::push_bits(out, mask);
-            out.push('"');
-        }
-        out.push_str("]}");
-    }
-}
-
-impl Serialize for Row<'_> {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.raw(|out| self.write_json(out));
-    }
-}
-
-/// A row's masks: a list with an entry for each of its first few heads
-/// ([`RowMasks::entries`]), an entry being empty ("all valid") or one
-/// `bool` per action of its head.
-#[derive(Debug, Clone, Copy)]
-enum RowMasks<'a> {
-    /// One `Vec` per entry: a [`Transition`]'s, or a schedule track's.
-    Lists(&'a [Vec<bool>]),
-    /// A replay-buffer row: one byte per head ([`UNLISTED`], [`EMPTY`] or
-    /// [`FULL`]) and the mask cells of all heads side by side, head `h` at
-    /// `offsets[h]..offsets[h + 1]`.
-    Flat {
-        kinds: &'a [u8],
-        cells: &'a [bool],
-        offsets: &'a [usize],
-    },
-}
-
-/// What a replay-buffer row holds of one head's mask: nothing, because
-/// the row's list ends before this head; an empty entry (all valid); or
-/// the entry, in the head's cells.
-const UNLISTED: u8 = 0;
-const EMPTY: u8 = 1;
-const FULL: u8 = 2;
-
-impl<'a> RowMasks<'a> {
-    /// Number of list entries.
-    fn listed(self) -> usize {
-        match self {
-            RowMasks::Lists(lists) => lists.len(),
-            RowMasks::Flat { kinds, .. } => kinds.iter().take_while(|&&k| k != UNLISTED).count(),
-        }
-    }
-
-    /// The list, entry by entry.
-    fn entries(self) -> impl Iterator<Item = &'a [bool]> {
-        (0..self.listed()).map(move |h| self.entry(h))
-    }
-
-    /// Entry `h < listed()` of the list.
-    fn entry(self, h: usize) -> &'a [bool] {
-        match self {
-            RowMasks::Lists(lists) => &lists[h],
-            RowMasks::Flat {
-                kinds,
-                cells,
-                offsets,
-            } if kinds[h] == FULL => &cells[offsets[h]..offsets[h + 1]],
-            RowMasks::Flat { .. } => &[],
-        }
-    }
-
-    /// Head `h`'s mask; `None` — all valid — for a missing or empty entry.
-    fn head(self, h: usize) -> Option<&'a [bool]> {
-        match self {
-            RowMasks::Lists(lists) => lists.get(h).filter(|m| !m.is_empty()).map(Vec::as_slice),
-            RowMasks::Flat { kinds, .. } => (kinds[h] == FULL).then(|| self.entry(h)),
+/// Writes the validity of every action under `masks` into `cells`, head
+/// `h` at `offsets[h]..offsets[h + 1]`: its mask, or all `true` where
+/// [`head_mask`] finds none.
+fn fill_valid(masks: &[Vec<bool>], offsets: &[usize], cells: &mut [bool]) {
+    for (h, at) in offsets.windows(2).enumerate() {
+        let head = &mut cells[at[0]..at[1]];
+        match head_mask(masks, h) {
+            Some(mask) => head.copy_from_slice(mask),
+            None => head.fill(true),
         }
     }
 }
@@ -306,18 +186,18 @@ impl<'a> RowMasks<'a> {
 ///
 /// A ring of structure-of-arrays rows for an agent of one shape
 /// (`state_dim` inputs, the heads' sizes): states, actions, the four
-/// scalars and the masks each in one allocation that grows with the rows
-/// recorded until the buffer is full, after which the oldest row's slot is
-/// overwritten. A row's masks are a fixed-stride run of `bool`s plus one
-/// kind byte per head, so a minibatch touches four arrays instead of
-/// seven heap blocks per transition. Serialized as the list of
-/// transitions it stands for, oldest first.
+/// scalars and the validity cells each in one allocation that grows with
+/// the rows recorded until the buffer is full, after which the oldest
+/// row's slot is overwritten. A row's validity cells hold one `bool` per
+/// action of every head, laid out like a row of logits, so a minibatch
+/// gathers them with one copy. Serialized as those four arrays, oldest
+/// row first.
 #[derive(Debug, Clone)]
 pub struct ReplayBuffer {
     cap: usize,
     state_dim: usize,
-    /// Head `h`'s mask cells are `offsets[h]..offsets[h + 1]` of a row's;
-    /// one entry more than there are heads.
+    /// Head `h`'s cells are `offsets[h]..offsets[h + 1]` of a row's; one
+    /// entry more than there are heads.
     offsets: Vec<usize>,
     /// Slot of the oldest row. Rows are appended until the buffer is full,
     /// so this leaves 0 only once every slot exists.
@@ -328,8 +208,7 @@ pub struct ReplayBuffer {
     actions: Vec<usize>,
     /// `[logp, reward, advantage, value_target]` per row.
     scalars: Vec<[f32; 4]>,
-    mask_kinds: Vec<u8>,
-    mask_cells: Vec<bool>,
+    valid: Vec<bool>,
 }
 
 impl ReplayBuffer {
@@ -349,13 +228,12 @@ impl ReplayBuffer {
             states: Vec::new(),
             actions: Vec::new(),
             scalars: Vec::new(),
-            mask_kinds: Vec::new(),
-            mask_cells: Vec::new(),
+            valid: Vec::new(),
         }
     }
 
-    /// Where each head's cells sit in a row of masks — and of logits:
-    /// head `h` at `offsets[h]..offsets[h + 1]`, the layout of
+    /// Where each head's cells sit in a row of validity cells — and of
+    /// logits: head `h` at `offsets[h]..offsets[h + 1]`, the layout of
     /// [`MultiHeadPolicy::head_offsets`] for the agent the buffer belongs to.
     fn head_offsets(&self) -> &[usize] {
         &self.offsets
@@ -365,7 +243,7 @@ impl ReplayBuffer {
         self.offsets.len() - 1
     }
 
-    /// Mask cells per row.
+    /// Validity cells per row.
     fn cells(&self) -> usize {
         *self.offsets.last().expect("starts at 0")
     }
@@ -377,11 +255,17 @@ impl ReplayBuffer {
     /// state values, one action per head and inside it, at most one mask
     /// per head, each empty or as long as its head.
     pub fn push(&mut self, t: Transition) {
-        self.push_row(t.row());
+        self.push_row(&t.state, &t.actions, t.scalars(), &t.masks);
     }
 
-    fn push_row(&mut self, row: Row<'_>) {
-        if let Err(misfit) = self.fit(&row) {
+    fn push_row(
+        &mut self,
+        state: &[f32],
+        actions: &[usize],
+        scalars: [f32; 4],
+        masks: &[Vec<bool>],
+    ) {
+        if let Err(misfit) = self.fit(state, actions, masks) {
             panic!("replay buffer: {misfit}");
         }
         let slot = if self.cap > 0 && self.len() == self.cap {
@@ -394,62 +278,49 @@ impl ReplayBuffer {
             self.states.resize(rows * self.state_dim, 0.0);
             self.actions.resize(rows * self.heads(), 0);
             self.scalars.push([0.0; 4]);
-            self.mask_kinds.resize(rows * self.heads(), 0);
-            self.mask_cells.resize(rows * self.cells(), false);
+            self.valid.resize(rows * self.cells(), false);
             rows - 1
         };
         let (dim, heads, cells) = (self.state_dim, self.heads(), self.cells());
-        self.states[slot * dim..][..dim].copy_from_slice(row.state);
-        self.actions[slot * heads..][..heads].copy_from_slice(row.actions);
-        self.scalars[slot] = [row.logp, row.reward, row.advantage, row.value_target];
-        let kinds = &mut self.mask_kinds[slot * heads..][..heads];
-        let row_cells = &mut self.mask_cells[slot * cells..][..cells];
-        let mut entries = row.masks.entries();
-        for (kind, at) in kinds.iter_mut().zip(self.offsets.windows(2)) {
-            *kind = match entries.next() {
-                None => UNLISTED,
-                Some([]) => EMPTY,
-                Some(mask) => {
-                    // the cells of the other kinds are never read
-                    row_cells[at[0]..at[1]].copy_from_slice(mask);
-                    FULL
-                }
-            };
-        }
+        self.states[slot * dim..][..dim].copy_from_slice(state);
+        self.actions[slot * heads..][..heads].copy_from_slice(actions);
+        self.scalars[slot] = scalars;
+        fill_valid(
+            masks,
+            &self.offsets,
+            &mut self.valid[slot * cells..][..cells],
+        );
     }
 
-    /// Why `row` cannot be stored here, naming the field; `Ok` if it can.
-    fn fit(&self, row: &Row<'_>) -> Result<(), String> {
-        if row.state.len() != self.state_dim {
+    /// Why a transition of these fields cannot be stored here, naming the
+    /// field; `Ok` if it can.
+    fn fit(&self, state: &[f32], actions: &[usize], masks: &[Vec<bool>]) -> Result<(), String> {
+        if state.len() != self.state_dim {
             return Err(format!(
                 "field `state`: {} values, the agent takes {}",
-                row.state.len(),
+                state.len(),
                 self.state_dim
             ));
         }
-        if row.actions.len() != self.heads() {
+        if actions.len() != self.heads() {
             return Err(format!(
                 "field `actions`: {} actions, the agent has {} heads",
-                row.actions.len(),
+                actions.len(),
+                self.heads()
+            ));
+        }
+        if let Some(misfit) = self.outside_its_head(actions) {
+            return Err(format!("field `actions`: {misfit}"));
+        }
+        if masks.len() > self.heads() {
+            return Err(format!(
+                "field `masks`: {} masks, the agent has {} heads",
+                masks.len(),
                 self.heads()
             ));
         }
         let sizes = self.offsets.windows(2).map(|at| at[1] - at[0]);
-        if let Some(h) = (row.actions.iter().zip(sizes.clone())).position(|(a, size)| *a >= size) {
-            return Err(format!(
-                "field `actions`: action {} of head {h}, which has {}",
-                row.actions[h],
-                self.offsets[h + 1] - self.offsets[h]
-            ));
-        }
-        if row.masks.listed() > self.heads() {
-            return Err(format!(
-                "field `masks`: {} masks, the agent has {} heads",
-                row.masks.listed(),
-                self.heads()
-            ));
-        }
-        for (h, (mask, size)) in row.masks.entries().zip(sizes).enumerate() {
+        for (h, (mask, size)) in masks.iter().zip(sizes).enumerate() {
             if !mask.is_empty() && mask.len() != size {
                 return Err(format!(
                     "field `masks`: mask {h} has {} entries, its head {size} actions",
@@ -458,6 +329,21 @@ impl ReplayBuffer {
             }
         }
         Ok(())
+    }
+
+    /// The first of `actions` (one per head, row after row) that lies
+    /// outside its head, described; `None` if every one is inside.
+    fn outside_its_head(&self, actions: &[usize]) -> Option<String> {
+        let sizes = self.offsets.windows(2).map(|at| at[1] - at[0]);
+        let i = (actions.iter().zip(sizes.cycle())).position(|(&a, size)| a >= size)?;
+        // a head exists: the zip yielded an action
+        let h = i % self.heads();
+        Some(format!(
+            "action {} of head {h} in row {}, which has {}",
+            actions[i],
+            i / self.heads(),
+            self.offsets[h + 1] - self.offsets[h]
+        ))
     }
 
     /// Number of stored transitions.
@@ -485,37 +371,29 @@ impl ReplayBuffer {
         // `head` is 0 until the buffer is full
         let slot = (self.head + position) % self.len();
         let (dim, heads, cells) = (self.state_dim, self.heads(), self.cells());
-        let [logp, reward, advantage, value_target] = self.scalars[slot];
         Row {
             state: &self.states[slot * dim..][..dim],
             actions: &self.actions[slot * heads..][..heads],
+            scalars: self.scalars[slot],
+            valid: &self.valid[slot * cells..][..cells],
+        }
+    }
+
+    /// The transition at `position` (0 = oldest), copied out of its row:
+    /// one full mask per head.
+    pub fn get(&self, position: usize) -> Transition {
+        let row = self.row(position);
+        let [logp, reward, advantage, value_target] = row.scalars;
+        Transition {
+            state: row.state.to_vec(),
+            actions: row.actions.to_vec(),
             logp,
             reward,
             advantage,
             value_target,
-            masks: RowMasks::Flat {
-                kinds: &self.mask_kinds[slot * heads..][..heads],
-                cells: &self.mask_cells[slot * cells..][..cells],
-                offsets: &self.offsets,
-            },
-        }
-    }
-
-    fn rows(&self) -> impl Iterator<Item = Row<'_>> {
-        (0..self.len()).map(|position| self.row(position))
-    }
-
-    /// The transition at `position` (0 = oldest), copied out of its row.
-    pub fn get(&self, position: usize) -> Transition {
-        let row = self.row(position);
-        Transition {
-            state: row.state.to_vec(),
-            actions: row.actions.to_vec(),
-            logp: row.logp,
-            reward: row.reward,
-            advantage: row.advantage,
-            value_target: row.value_target,
-            masks: row.masks.entries().map(<[bool]>::to_vec).collect(),
+            masks: (self.offsets.windows(2))
+                .map(|at| row.valid[at[0]..at[1]].to_vec())
+                .collect(),
         }
     }
 
@@ -525,8 +403,7 @@ impl ReplayBuffer {
         self.states.clear();
         self.actions.clear();
         self.scalars.clear();
-        self.mask_kinds.clear();
-        self.mask_cells.clear();
+        self.valid.clear();
     }
 
     /// Transitions overwritten by newer ones since the last call.
@@ -534,48 +411,92 @@ impl ReplayBuffer {
         std::mem::take(&mut self.evicted)
     }
 
+    /// `values`, `width` per row in slot order, as the two runs that hold
+    /// them oldest row first.
+    fn oldest_first<'a, T>(&self, values: &'a [T], width: usize) -> [&'a [T]; 2] {
+        let (newer, older) = values.split_at(self.head * width);
+        [older, newer]
+    }
+
     /// Decodes what [`Serialize`] wrote into a buffer of the given shape,
-    /// checking every transition against it: a checkpoint whose rows the
-    /// agent's networks cannot take is an error that names the row and
-    /// the field, not a panic in the next update.
+    /// checking every array against it: a checkpoint whose rows the
+    /// agent's networks cannot take is an error that names the field, not
+    /// a panic in the next update.
     fn decode(v: &Value, state_dim: usize, head_sizes: &[usize]) -> Result<Self, DeError> {
-        let cap: usize = de::field(v, "cap")?;
-        let items = v
-            .get("items")
-            .ok_or_else(|| DeError::new("missing field `items`"))?
-            .as_array()
-            .map_err(|e| DeError::new(format!("field `items`: {}", e.0)))?;
-        if cap > 0 && items.len() > cap {
-            return Err(DeError::new(format!(
-                "field `items`: {} transitions in a buffer of capacity {cap}",
-                items.len()
-            )));
+        let mut buffer = ReplayBuffer::new(de::field(v, "cap")?, state_dim, head_sizes);
+        let scalars = packed::read_f32s(v, "scalars")?;
+        let rows = scalars.len() / 4;
+        let misfit = |name: &str, e: String| DeError::new(format!("field `{name}`: {e}"));
+        if scalars.len() % 4 != 0 {
+            let e = format!("{} values, not 4 per row", scalars.len());
+            return Err(misfit("scalars", e));
         }
-        let mut buffer = ReplayBuffer::new(cap, state_dim, head_sizes);
-        for (i, item) in items.iter().enumerate() {
-            let t = Transition::deserialize_value(item)
-                .map_err(|e| e.0)
-                .and_then(|t| buffer.fit(&t.row()).map(|()| t))
-                .map_err(|e| DeError::new(format!("transition {i}: {e}")))?;
-            buffer.push_row(t.row());
+        if buffer.cap > 0 && rows > buffer.cap {
+            let e = format!("{rows} rows in a buffer of capacity {}", buffer.cap);
+            return Err(misfit("cap", e));
         }
+        let per_row = |name: &str, len: usize, width: usize| {
+            if len == rows * width {
+                return Ok(());
+            }
+            let e = format!("{len} values for {rows} rows of {width}");
+            Err(misfit(name, e))
+        };
+        let states = packed::read_f32s(v, "states")?;
+        per_row("states", states.len(), state_dim)?;
+        let actions: Vec<usize> = de::field(v, "actions")?;
+        per_row("actions", actions.len(), buffer.heads())?;
+        if let Some(e) = buffer.outside_its_head(&actions) {
+            return Err(misfit("actions", e));
+        }
+        let valid = packed::read_bits(v, "valid")?;
+        per_row("valid", valid.len(), buffer.cells())?;
+        buffer.states = states;
+        buffer.actions = actions;
+        buffer.scalars = (scalars.chunks_exact(4))
+            .map(|s| [s[0], s[1], s[2], s[3]])
+            .collect();
+        buffer.valid = valid;
         Ok(buffer)
     }
 }
 
 impl Serialize for ReplayBuffer {
     fn serialize(&self, w: &mut JsonWriter) {
+        let (dim, heads, cells) = (self.state_dim, self.heads(), self.cells());
         w.begin_object();
-        w.key("items");
+        w.key("states");
+        w.unescaped_str(|out| {
+            for run in self.oldest_first(&self.states, dim) {
+                packed::push_f32s(out, run);
+            }
+        });
+        w.key("actions");
         w.raw(|out| {
             out.push('[');
-            for (i, row) in self.rows().enumerate() {
+            let actions = self
+                .oldest_first(&self.actions, heads)
+                .into_iter()
+                .flatten();
+            for (i, &action) in actions.enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                row.write_json(out);
+                packed::push_usize(out, action);
             }
             out.push(']');
+        });
+        w.key("scalars");
+        w.unescaped_str(|out| {
+            for run in self.oldest_first(&self.scalars, 1) {
+                packed::push_f32s(out, run.as_flattened());
+            }
+        });
+        w.key("valid");
+        w.unescaped_str(|out| {
+            for run in self.oldest_first(&self.valid, cells) {
+                packed::push_bits(out, run);
+            }
         });
         w.key("cap");
         self.cap.serialize(w);
@@ -595,35 +516,53 @@ struct Minibatch {
     advantage: Vec<f32>,
     value_target: Vec<f32>,
     /// Batch-major validity of every action, laid out like a row of
-    /// logits; a head without a mask is all `true`.
+    /// logits.
     valid: Vec<bool>,
 }
 
 impl Minibatch {
-    /// Refills the arrays from `rows`, for heads at `offsets`.
-    fn gather<'a>(&mut self, rows: impl Iterator<Item = Row<'a>>, offsets: &[usize]) {
-        let heads = offsets.len() - 1;
-        let total = offsets[heads];
+    fn clear(&mut self) {
         self.x.clear();
         self.actions.clear();
         self.logp.clear();
         self.advantage.clear();
         self.value_target.clear();
         self.valid.clear();
+    }
+
+    /// Appends a sample's arrays, all but its validity cells.
+    fn push(&mut self, state: &[f32], actions: &[usize], scalars: [f32; 4]) {
+        let [logp, _, advantage, value_target] = scalars;
+        self.x.extend_from_slice(state);
+        self.actions.extend_from_slice(actions);
+        self.logp.push(logp);
+        self.advantage.push(advantage);
+        self.value_target.push(value_target);
+    }
+
+    /// Refills the arrays from replay-buffer rows.
+    fn gather<'a>(&mut self, rows: impl Iterator<Item = Row<'a>>) {
+        self.clear();
         for row in rows {
-            self.x.extend_from_slice(row.state);
-            self.actions.extend_from_slice(&row.actions[..heads]);
-            self.logp.push(row.logp);
-            self.advantage.push(row.advantage);
-            self.value_target.push(row.value_target);
-            let first = self.valid.len();
-            self.valid.resize(first + total, true);
-            for (h, at) in offsets.windows(2).enumerate() {
-                if let Some(mask) = row.masks.head(h) {
-                    self.valid[first + at[0]..first + at[1]]
-                        .copy_from_slice(&mask[..at[1] - at[0]]);
-                }
+            self.push(row.state, row.actions, row.scalars);
+            self.valid.extend_from_slice(row.valid);
+        }
+    }
+
+    /// Refills the arrays from transitions of `buffer`'s shape.
+    ///
+    /// # Panics
+    /// If one does not fit the buffer (see [`ReplayBuffer::push`]).
+    fn gather_transitions(&mut self, batch: &[Transition], buffer: &ReplayBuffer) {
+        self.clear();
+        for t in batch {
+            if let Err(misfit) = buffer.fit(&t.state, &t.actions, &t.masks) {
+                panic!("minibatch: {misfit}");
             }
+            self.push(&t.state, &t.actions, t.scalars());
+            let first = self.valid.len();
+            self.valid.resize(first + buffer.cells(), false);
+            fill_valid(&t.masks, buffer.head_offsets(), &mut self.valid[first..]);
         }
     }
 
@@ -830,6 +769,20 @@ impl PpoAgent {
         }
     }
 
+    /// Why the agent is not one [`PpoAgent::new`] builds for `state_dim`
+    /// inputs and heads of `head_sizes` actions, if it is not. (A decoded
+    /// agent's networks and replay buffer already fit each other.)
+    pub fn check_shape(&self, state_dim: usize, head_sizes: &[usize]) -> Result<(), String> {
+        let (dim, heads) = (self.policy.state_dim(), self.policy.head_sizes());
+        if dim != state_dim || heads != head_sizes {
+            return Err(format!(
+                "the PPO agent maps {dim} inputs to heads of {heads:?} actions, \
+                 the search builds one of {state_dim} inputs and {head_sizes:?}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Accepted and ignored; the search runs on the caller's thread; removed
     /// with the benchmark re-baseline (ROADMAP item 7).
     pub fn set_threads(&mut self, _threads: usize) {}
@@ -904,7 +857,7 @@ impl PpoAgent {
             draws,
             ..
         } = &mut self.scratch;
-        let mask_of = |b: usize, h: usize| RowMasks::Lists(&masks[b]).head(h);
+        let mask_of = |b: usize, h: usize| head_mask(&masks[b], h);
         let logits = self.ws_policy.all_logits();
         softmax_rows(logits, offsets, mask_of, probs, ln_probs);
         // every slot keeps its action list's allocation across calls
@@ -970,15 +923,8 @@ impl PpoAgent {
     ) -> f32 {
         let advantage = reward + self.cfg.gamma * v_next - v;
         let value_target = reward + self.cfg.gamma * v_next;
-        self.buffer.push_row(Row {
-            state,
-            actions,
-            logp,
-            reward,
-            advantage,
-            value_target,
-            masks: RowMasks::Lists(masks),
-        });
+        let scalars = [logp, reward, advantage, value_target];
+        self.buffer.push_row(state, actions, scalars, masks);
         advantage
     }
 
@@ -1019,8 +965,7 @@ impl PpoAgent {
         }
         let Scratch { sample, batch, .. } = &mut self.scratch;
         self.buffer.sample_into(self.cfg.minibatch, rng, sample);
-        let rows = sample.iter().map(|&position| self.buffer.row(position));
-        batch.gather(rows, self.buffer.head_offsets());
+        batch.gather(sample.iter().map(|&position| self.buffer.row(position)));
         // rows are oldest first: `len − 1 − position` pushes came after
         let newest = self.buffer.len() - 1;
         self.health.drawn += sample.len() as u64;
@@ -1031,10 +976,12 @@ impl PpoAgent {
     /// One PPO update on an explicit minibatch; see [`PpoAgent::train_step`]
     /// for the sampled one. An empty minibatch is no update: `(0.0, 0.0)`
     /// and not a weight, moment or counter moves.
+    ///
+    /// # Panics
+    /// If a transition does not have the agent's shape (see
+    /// [`ReplayBuffer::push`]).
     pub fn train_minibatch(&mut self, batch: &[Transition]) -> (f32, f32) {
-        let rows = batch.iter().map(Transition::row);
-        let offsets = self.buffer.head_offsets();
-        self.scratch.batch.gather(rows, offsets);
+        self.scratch.batch.gather_transitions(batch, &self.buffer);
         self.update()
     }
 
@@ -1516,8 +1463,7 @@ mod tests {
     }
 
     /// The replay buffer this crate shipped before the ring, kept as its
-    /// oracle: a deque of owned transitions, serialized by the derive.
-    #[derive(Serialize)]
+    /// oracle: a deque of owned transitions.
     struct DequeBuffer {
         items: std::collections::VecDeque<Transition>,
         cap: usize,
@@ -1563,16 +1509,28 @@ mod tests {
         }
     }
 
-    fn transition_text(t: &Transition) -> String {
-        serde_json::to_string(t).unwrap()
+    /// `t` with one full mask per head: a missing or empty entry all
+    /// `true`, as the buffer stores it.
+    fn normalized(t: &Transition, heads: &[usize]) -> Transition {
+        let masks = (heads.iter().enumerate())
+            .map(|(h, &n)| head_mask(&t.masks, h).map_or(vec![true; n], <[bool]>::to_vec))
+            .collect();
+        Transition { masks, ..t.clone() }
+    }
+
+    /// Every field of `t`, the floats as bits.
+    fn fields(t: &Transition) -> (Vec<u32>, Vec<usize>, [u32; 4], Vec<Vec<bool>>) {
+        let bits = t.state.iter().map(|v| v.to_bits()).collect();
+        let scalars = t.scalars().map(f32::to_bits);
+        (bits, t.actions.clone(), scalars, t.masks.clone())
     }
 
     #[test]
     fn the_ring_is_the_deque_it_replaced() {
         // random pushes through eviction and wrap-around, a `clear`, and
-        // samples in between: same rows in the same order, same serialized
-        // text, same sampled positions from the same RNG stream, and a
-        // decode of that text is the same buffer again
+        // samples in between: the same rows in the same order, each with
+        // one full mask per head, the same sampled positions from the same
+        // RNG stream, and a decode of the ring's text is the same buffer
         const STATE_DIM: usize = 3;
         const HEADS: [usize; 3] = [5, 1, 3];
         for cap in [1usize, 2, 3, 4096, 0] {
@@ -1598,15 +1556,16 @@ mod tests {
                 }
                 assert_eq!(ring.len(), deque.items.len(), "cap {cap}, round {round}");
                 assert_eq!(ring.is_empty(), deque.items.is_empty());
-                for (i, want) in deque.items.iter().enumerate() {
-                    let got = transition_text(&ring.get(i));
-                    assert_eq!(got, transition_text(want), "cap {cap}, row {i}");
-                }
                 let text = serde_json::to_string(&ring).unwrap();
-                assert_eq!(text, serde_json::to_string(&deque).unwrap(), "cap {cap}");
                 let back = ReplayBuffer::decode(&Value::parse(&text).unwrap(), STATE_DIM, &HEADS)
                     .expect("its own text decodes");
                 assert_eq!(serde_json::to_string(&back).unwrap(), text, "cap {cap}");
+                assert_eq!(back.len(), ring.len());
+                for (i, want) in deque.items.iter().enumerate() {
+                    let want = fields(&normalized(want, &HEADS));
+                    assert_eq!(fields(&ring.get(i)), want, "cap {cap}, row {i}");
+                    assert_eq!(fields(&back.get(i)), want, "cap {cap}, decoded row {i}");
+                }
                 ring.sample_into(4, &mut rng_r, &mut picked_r);
                 deque.sample_into(4, &mut rng_d, &mut picked_d);
                 assert_eq!(picked_r, picked_d, "cap {cap}, round {round}");
@@ -1616,185 +1575,144 @@ mod tests {
         }
     }
 
-    /// The row writer before the one-pass one, kept as its oracle: a
-    /// generic writer call per field.
-    fn reference_row(row: &Row<'_>, w: &mut JsonWriter) {
-        w.begin_object();
-        packed::reference::write_f32s(w, "state", row.state);
-        w.key("actions");
-        row.actions.serialize(w);
-        packed::reference::write_f32s(w, "logp", &[row.logp]);
-        packed::reference::write_f32s(w, "reward", &[row.reward]);
-        packed::reference::write_f32s(w, "advantage", &[row.advantage]);
-        packed::reference::write_f32s(w, "value_target", &[row.value_target]);
-        packed::reference::write_masks(w, "masks", row.masks.entries());
-        w.end_object();
-    }
-
-    /// What the buffer's text was before the one-pass writer.
-    fn reference_buffer(buffer: &ReplayBuffer) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("items");
-        w.begin_array();
-        for row in buffer.rows() {
-            w.elem();
-            reference_row(&row, &mut w);
-        }
-        w.end_array();
-        w.key("cap");
-        buffer.cap.serialize(&mut w);
-        w.end_object();
-        w.finish()
-    }
-
-    /// An `f32` from the classes a text encoding gets wrong: NaN payloads
-    /// of either sign, ±0, ±inf, subnormals, or any bits at all.
-    fn awkward_f32(rng: &mut StdRng) -> f32 {
-        let sign = rng.gen::<u32>() & 0x8000_0000;
-        let mantissa = rng.gen::<u32>() & 0x007f_ffff;
-        f32::from_bits(match rng.gen_range(0..5) {
-            0 => sign | 0x7f80_0000 | mantissa.max(1),
-            1 => sign,
-            2 => sign | 0x7f80_0000,
-            3 => sign | mantissa,
-            _ => rng.gen(),
-        })
-    }
-
     #[test]
-    fn the_one_pass_writer_is_the_field_by_field_one_byte_for_byte() {
-        for cap in [1usize, 2, 3, 64] {
-            for case in 0..40u64 {
-                let mut rng = StdRng::seed_from_u64(cap as u64 * 1000 + case);
-                // widths on both sides of the writers' staging chunks
-                let state_dim = rng.gen_range(0..40);
-                let heads: Vec<usize> = (0..rng.gen_range(0..4))
-                    .map(|_| rng.gen_range(1..150))
-                    .collect();
-                let mut buffer = ReplayBuffer::new(cap, state_dim, &heads);
-                // none, some, or enough to wrap the ring more than once
-                for _ in 0..rng.gen_range(0..3 * cap + 2) {
-                    let mut t = random_transition(&mut rng, state_dim, &heads);
-                    for v in t.state.iter_mut().chain([
-                        &mut t.logp,
-                        &mut t.reward,
-                        &mut t.advantage,
-                        &mut t.value_target,
-                    ]) {
-                        *v = awkward_f32(&mut rng);
-                    }
-                    let mut w = JsonWriter::new();
-                    reference_row(&t.row(), &mut w);
-                    assert_eq!(transition_text(&t), w.finish(), "cap {cap}, case {case}");
-                    buffer.push(t);
-                }
-                let text = serde_json::to_string(&buffer).unwrap();
-                assert_eq!(text, reference_buffer(&buffer), "cap {cap}, case {case}");
-            }
+    fn the_ring_is_written_as_its_arrays_oldest_row_first() {
+        // two heads of 2 and 1 actions; the third push overwrites the
+        // first row's slot, so the oldest row sits in slot 1
+        let mut ring = ReplayBuffer::new(2, 1, &[2, 1]);
+        for (i, masks) in [vec![], vec![vec![false, true]], vec![vec![], vec![false]]]
+            .into_iter()
+            .enumerate()
+        {
+            ring.push(Transition {
+                state: vec![i as f32],
+                actions: vec![i % 2, 0],
+                logp: 1.0,
+                reward: -0.0,
+                advantage: 0.0,
+                value_target: 0.0,
+                masks,
+            });
         }
+        let scalars = "0000803f000000800000000000000000";
+        assert_eq!(
+            serde_json::to_string(&ring).unwrap(),
+            format!(
+                r#"{{"states":"0000803f00000040","actions":[1,0,0,0],"scalars":"{scalars}{scalars}","valid":"011110","cap":2}}"#
+            )
+        );
     }
 
     #[test]
     fn a_minibatch_gathers_the_same_arrays_from_rows_and_from_transitions() {
+        // short and empty mask lists gather the cells of their all-true form
         let mut rng = StdRng::seed_from_u64(41);
         let heads = [4usize, 3];
-        let offsets = [0usize, 4, 7];
         let mut ring = ReplayBuffer::new(5, 6, &heads);
         let mut owned = std::collections::VecDeque::new();
-        for _ in 0..12 {
-            let t = random_transition(&mut rng, 6, &heads);
+        for i in 0..12 {
+            let mut t = random_transition(&mut rng, 6, &heads);
+            // the last rows: no list, then one empty entry
+            if i >= 10 {
+                t.masks = vec![Vec::new(); i - 10];
+            }
             owned.push_back(t.clone());
             if owned.len() > 5 {
                 owned.pop_front();
             }
             ring.push(t);
         }
-        let (mut from_rows, mut from_owned) = (Minibatch::default(), Minibatch::default());
-        from_rows.gather(ring.rows(), &offsets);
-        from_owned.gather(owned.iter().map(Transition::row), &offsets);
+        assert!(owned.iter().any(|t| t.masks.len() < heads.len()));
+        assert!(owned.iter().flat_map(|t| &t.masks).any(Vec::is_empty));
+        let owned = Vec::from(owned);
+        let full: Vec<Transition> = owned.iter().map(|t| normalized(t, &heads)).collect();
+        let mut from_rows = Minibatch::default();
+        from_rows.gather((0..ring.len()).map(|position| ring.row(position)));
         assert_eq!(from_rows.len(), 5);
-        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        for (a, b) in [
-            (&from_rows.x, &from_owned.x),
-            (&from_rows.logp, &from_owned.logp),
-            (&from_rows.advantage, &from_owned.advantage),
-            (&from_rows.value_target, &from_owned.value_target),
-        ] {
-            assert_eq!(bits(a), bits(b));
-        }
-        assert_eq!(from_rows.actions, from_owned.actions);
-        assert_eq!(from_rows.valid, from_owned.valid);
-        // a missing or empty entry is all valid, a full one itself
-        for (s, t) in owned.iter().enumerate() {
-            for (h, at) in offsets.windows(2).enumerate() {
-                let got = &from_rows.valid[s * 7 + at[0]..s * 7 + at[1]];
-                match t.masks.get(h).filter(|m| !m.is_empty()) {
-                    Some(mask) => assert_eq!(got, &mask[..]),
-                    None => assert!(got.iter().all(|&v| v)),
-                }
+        for transitions in [&owned, &full] {
+            let mut from_owned = Minibatch::default();
+            from_owned.gather_transitions(transitions, &ring);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            for (a, b) in [
+                (&from_rows.x, &from_owned.x),
+                (&from_rows.logp, &from_owned.logp),
+                (&from_rows.advantage, &from_owned.advantage),
+                (&from_rows.value_target, &from_owned.value_target),
+            ] {
+                assert_eq!(bits(a), bits(b));
             }
+            assert_eq!(from_rows.actions, from_owned.actions);
+            assert_eq!(from_rows.valid, from_owned.valid);
         }
+        let cells: Vec<bool> = full.iter().flat_map(|t| t.masks.concat()).collect();
+        assert_eq!(from_rows.valid, cells);
     }
 
     #[test]
-    fn transitions_that_do_not_fit_the_agent_are_decode_errors() {
-        // a checkpoint is outside input: every way a row can miss the
-        // networks' shapes is refused with the row and the field named,
-        // where it used to panic in the first update
+    fn rings_that_do_not_fit_the_agent_are_decode_errors() {
+        // a checkpoint is outside input: every way the ring's arrays can
+        // miss the networks' shapes is refused with the field named, where
+        // it used to panic in the first update
         let (agent, _) = corridor_agent(&[3, 2], 6, 47);
         let good = serde_json::to_string(&agent).unwrap();
         assert!(serde_json::from_str::<PpoAgent>(&good).is_ok());
-        let row = |state: &str, actions: &str, masks: &str| {
-            format!(
-                r#"{{"state":"{state}","actions":{actions},"logp":"00000000","reward":"00000000","advantage":"00000000","value_target":"00000000","masks":{masks}}}"#
-            )
-        };
+        // two rows of 5 state values, 2 actions and 3 + 2 validity cells
         let state = "0000803f".repeat(5);
-        let ok = row(&state, "[2,1]", r#"["101",""]"#);
-        let with_buffer = |items: &str, cap: usize| {
+        let scalars = "00000000".repeat(4);
+        let ring = |states: &str, actions: &str, scalars: &str, valid: &str, cap: usize| {
             let at = good.find(r#""buffer":"#).unwrap();
             let end = good[at..].find(r#","updates""#).unwrap() + at;
             let capacity = format!(r#""buffer_capacity":{cap}"#);
             format!(
-                r#"{}"buffer":{{"items":[{items}],"cap":{cap}}}{}"#,
+                r#"{}"buffer":{{"states":"{states}","actions":{actions},"scalars":"{scalars}","valid":"{valid}","cap":{cap}}}{}"#,
                 good[..at].replace(r#""buffer_capacity":4096"#, &capacity),
                 &good[end..]
             )
         };
-        let decoded = serde_json::from_str::<PpoAgent>(&with_buffer(&ok, 4)).unwrap();
-        assert_eq!(decoded.buffer.len(), 1);
-        let two = format!("{ok},{ok}");
+        let (states, two_scalars) = (state.repeat(2), scalars.repeat(2));
+        let ok = |cap| ring(&states, "[2,1,0,0]", &two_scalars, "1011111111", cap);
+        let decoded = serde_json::from_str::<PpoAgent>(&ok(4)).unwrap();
+        assert_eq!(decoded.buffer.len(), 2);
+        let row = decoded.buffer.get(0);
+        assert_eq!(
+            (row.actions, row.masks),
+            (vec![2, 1], vec![vec![true, false, true], vec![true; 2]])
+        );
         for (what, text, reasons) in [
             (
-                "short state",
-                with_buffer(&row(&state[8..], "[2,1]", "[]"), 4),
-                ["transition 0", "`state`"],
+                "a short state",
+                ring(&states[8..], "[2,1,0,0]", &two_scalars, "1011111111", 4),
+                ["`states`", "9 values for 2 rows of 5"],
             ),
             (
                 "too few actions",
-                with_buffer(&format!("{ok},{}", row(&state, "[2]", "[]")), 4),
-                ["transition 1", "`actions`"],
+                ring(&states, "[2,1,0]", &two_scalars, "1011111111", 4),
+                ["`actions`", "3 values for 2 rows of 2"],
             ),
             (
-                "action outside its head",
-                with_buffer(&row(&state, "[2,2]", "[]"), 4),
-                ["transition 0", "`actions`"],
+                "an action outside its head",
+                ring(&states, "[2,1,0,2]", &two_scalars, "1011111111", 4),
+                ["`actions`", "action 2 of head 1 in row 1, which has 2"],
             ),
             (
-                "more masks than heads",
-                with_buffer(&row(&state, "[0,0]", r#"["","",""]"#), 4),
-                ["transition 0", "`masks`"],
+                "a scalar short",
+                ring(&states, "[2,1,0,0]", &two_scalars[8..], "1011111111", 4),
+                ["`scalars`", "7 values, not 4 per row"],
             ),
             (
-                "a mask of the wrong length",
-                with_buffer(&row(&state, "[0,0]", r#"["","101"]"#), 4),
-                ["transition 0", "`masks`"],
+                "a validity cell short",
+                ring(&states, "[2,1,0,0]", &two_scalars, "101111111", 4),
+                ["`valid`", "9 values for 2 rows of 5"],
             ),
             (
-                "more items than the capacity",
-                with_buffer(&two, 1),
-                ["`items`", "capacity 1"],
+                "a validity digit that is not 0 or 1",
+                ring(&states, "[2,1,0,0]", &two_scalars, "1021111111", 4),
+                ["`valid`", "neither 0 nor 1"],
+            ),
+            (
+                "more rows than the capacity",
+                ok(1),
+                ["`cap`", "2 rows in a buffer of capacity 1"],
             ),
         ] {
             let err = serde_json::from_str::<PpoAgent>(&text).unwrap_err();
@@ -1819,7 +1737,7 @@ mod tests {
         }
         // an unbounded buffer takes any number of rows
         assert_eq!(
-            serde_json::from_str::<PpoAgent>(&with_buffer(&two, 0))
+            serde_json::from_str::<PpoAgent>(&ok(0))
                 .unwrap()
                 .buffer
                 .len(),

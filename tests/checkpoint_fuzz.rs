@@ -8,10 +8,12 @@
 //! The inputs are a real HARL checkpoint of the current
 //! `CHECKPOINT_VERSION` (24 trials of the tiny preset: trained networks,
 //! a part-filled replay buffer) under truncations, bit flips, and the
-//! edits that make a replay-buffer row miss the agent's shapes — a state one value short, an action list one
-//! short or long, an action outside its head, a fifth mask, a mask one
-//! entry short, more rows than the capacity. Those used to decode and then
-//! index out of bounds in a worker's first update. Edits of the agent's
+//! edits that make the replay buffer's arrays miss the agent's shapes — a
+//! `states` string one value short or long, an `actions` array one short
+//! or long, an action outside its head, a `valid` string one cell short or
+//! holding a `2`, more rows than the capacity. Such rows used to decode and
+//! then index out of bounds in a worker's first update. The same file
+//! labelled version 6 is refused by its version. Edits of the agent's
 //! `cfg` (a zero minibatch, a negative learning rate, a width or a
 //! capacity the decoded networks and ring do not have) used to resume
 //! into a learner other than the one that was saved.
@@ -114,7 +116,7 @@ fn fixture() -> &'static Fixture {
             "{}",
             &good[..40]
         );
-        assert!(good.contains(r#""state":""#), "empty replay buffer");
+        assert!(!good.contains(r#""states":"""#), "empty replay buffer");
         let Outcome::Resumed(next_round) = harness.load(good.as_bytes()) else {
             panic!("the undamaged checkpoint must resume");
         };
@@ -155,65 +157,91 @@ fn edit(text: &str, from: &str, find: &str, with: &str) -> String {
 }
 
 #[test]
-fn rows_that_miss_the_agents_shapes_are_refused_with_row_and_field() {
+fn rings_that_miss_the_agents_shapes_are_refused_by_field() {
     let good = &fixture().good;
     let harness = Harness::new("shapes");
-    // the first transition's fields, as the writer spelled them
-    let items = good.find(r#""items":[{"#).expect("a replay buffer");
-    let field = |name: &str, close: char| {
-        let open = format!("\"{name}\":");
-        let at = items + good[items..].find(&open).unwrap() + open.len();
-        let len = good[at..].find(close).unwrap() + 1;
-        good[at..at + len].to_string()
+    // the ring's arrays, as the writer spelled them
+    let ring = good.find(r#""buffer":{"#).expect("a replay buffer");
+    let field = |open: &str, close: char| {
+        let at = ring + good[ring..].find(open).unwrap() + open.len();
+        at..at + good[at..].find(close).unwrap()
     };
-    let (actions, masks) = (field("actions", ']'), field("masks", ']'));
-    let first_action_end = actions.find(',').expect("four heads");
-    let one_action_less = format!("[{}", &actions[first_action_end + 1..]);
-    let one_action_more = format!("{},0]", &actions[..actions.len() - 1]);
-    let far_action = format!("[4096{}", &actions[first_action_end..]);
-    let fifth_mask = format!("{},\"\"]", &masks[..masks.len() - 1]);
-    // the first full mask row, one entry short
-    let short_mask = {
-        let at = masks.find(['0', '1']).expect("a full mask");
-        format!("{}{}", &masks[..at], &masks[at + 1..])
+    let (states, actions, valid) = (
+        field(r#""states":""#, '"'),
+        field(r#""actions":["#, ']'),
+        field(r#""valid":""#, '"'),
+    );
+    let first_action = actions.start..actions.start + good[actions.clone()].find(',').unwrap();
+    let replaced = |at: std::ops::Range<usize>, with: &str| {
+        format!("{}{with}{}", &good[..at.start], &good[at.end..])
     };
-    let from = r#""items":[{"#;
-    let state = items + good[items..].find(r#""state":""#).unwrap() + r#""state":""#.len();
     let cases = [
-        ("state", format!("{}{}", &good[..state], &good[state + 8..])),
         (
-            "state",
-            format!("{}0000803f{}", &good[..state], &good[state..]),
+            "states",
+            replaced(states.start..states.start + 8, ""),
+            "values for",
         ),
-        ("actions", edit(good, from, &actions, &one_action_less)),
-        ("actions", edit(good, from, &actions, &one_action_more)),
-        ("actions", edit(good, from, &actions, &far_action)),
-        ("masks", edit(good, from, &masks, &fifth_mask)),
-        ("masks", edit(good, from, &masks, &short_mask)),
+        (
+            "states",
+            replaced(states.start..states.start, "0000803f"),
+            "values for",
+        ),
+        (
+            "actions",
+            replaced(first_action.start..first_action.end + 1, ""),
+            "values for",
+        ),
+        (
+            "actions",
+            replaced(actions.end..actions.end, ",0"),
+            "values for",
+        ),
+        (
+            "actions",
+            replaced(first_action, "4096"),
+            "action 4096 of head 0 in row 0",
+        ),
+        (
+            "valid",
+            replaced(valid.start..valid.start + 1, ""),
+            "values for",
+        ),
+        (
+            "valid",
+            replaced(valid.start..valid.start + 1, "2"),
+            "neither 0 nor 1",
+        ),
+        (
+            "cap",
+            replaced(field(r#""cap":"#, '}'), "3"),
+            "rows in a buffer of capacity 3",
+        ),
     ];
-    for (named, text) in cases {
+    for (named, text, reason) in cases {
         match check(&harness, text.as_bytes()) {
             Outcome::Refused(msg) => {
-                for part in ["bad checkpoint", "`buffer`", "transition 0", named] {
+                for part in ["bad checkpoint", "`buffer`", &format!("`{named}`"), reason] {
                     assert!(msg.contains(part), "`{named}` edit: {msg}");
                 }
             }
             Outcome::Resumed(_) => panic!("a `{named}` edit was resumed"),
         }
     }
-    // more rows than the capacity admits
-    match check(
-        &harness,
-        edit(good, from, r#""cap":4096"#, r#""cap":3"#).as_bytes(),
-    ) {
-        Outcome::Refused(msg) => assert!(msg.contains("capacity 3"), "{msg}"),
-        Outcome::Resumed(_) => panic!("an overfull buffer was resumed"),
-    }
     // ... while whitespace between tokens is the same checkpoint
     let spaced = good.replacen(r#","actions":["#, " ,\n\"actions\" : [ ", 1);
     match check(&harness, spaced.as_bytes()) {
         Outcome::Resumed(state) => assert!(state == fixture().next_round),
         Outcome::Refused(msg) => panic!("whitespace was refused: {msg}"),
+    }
+    // and the same file under the version before this layout is refused
+    // by its version, not by a field
+    let version = format!("{{\"version\":{CHECKPOINT_VERSION},");
+    let v6 = good.replacen(&version, r#"{"version":6,"#, 1);
+    match check(&harness, v6.as_bytes()) {
+        Outcome::Refused(msg) => {
+            assert!(msg.starts_with("unsupported checkpoint version 6"), "{msg}")
+        }
+        Outcome::Resumed(_) => panic!("a version-6 file was resumed"),
     }
 }
 
@@ -244,7 +272,7 @@ fn a_config_that_is_not_the_saved_learners_is_refused_by_field() {
         ),
         (
             "ppo.buffer_capacity",
-            r#""items":[{"#,
+            r#""buffer":{"#,
             r#""cap":4096"#,
             r#""cap":0"#,
         ),

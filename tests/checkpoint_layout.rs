@@ -3,7 +3,8 @@
 //! does, damaged or foreign files that fail with a reason instead of a
 //! panic (a shared half whose model does not match its searcher, whose
 //! model rows cannot be fitted, or whose elite pools, queued seeds or best
-//! schedule do not fit the workload, included), and the size the packed
+//! schedule do not fit the workload, and a HARL or Flextensor half whose
+//! sketch bandit or PPO agent does not, included), and the size the packed
 //! layout was introduced for.
 //!
 //! `ci/test.sh` reruns this file under `HARL_SIMD=0`; that the checkpoint
@@ -16,7 +17,8 @@ use std::sync::Arc;
 use harl_repro::gbt::{CostModel, GbtParams};
 use harl_repro::harl::search::Snapshot;
 use harl_repro::harl::{HarlOperatorTuner, HarlTunerState, SessionCheckpoint, CHECKPOINT_VERSION};
-use harl_repro::nnet::{Mlp, Transition};
+use harl_repro::ir::FEATURE_DIM;
+use harl_repro::nnet::{Mlp, PpoAgent, PpoConfig, ReplayBuffer, Transition};
 use harl_repro::prelude::*;
 use harl_repro::store::StoreError;
 use proptest::prelude::*;
@@ -83,45 +85,58 @@ fn packed_f32s_round_trip_bit_exactly() {
         f32::MAX,
         0.1,
     ];
-    for state in [awkward.clone(), Vec::new()] {
-        let t = Transition {
-            state,
-            actions: vec![7, 0, 2],
-            logp: f32::NEG_INFINITY,
-            reward: f32::from_bits(0x7fc0_00aa),
-            advantage: -0.0,
-            value_target: f32::from_bits(3),
-            masks: vec![vec![], vec![true, false, false, true], vec![false]],
-        };
-        let text = serde_json::to_string(&t).unwrap();
-        assert!(!text.contains("null"), "{text}");
-        let back: Transition = serde_json::from_str(&text).unwrap();
-        assert_eq!(bits(&back.state), bits(&t.state));
-        assert_eq!(back.actions, t.actions);
-        assert_eq!(
-            bits(&[back.logp, back.reward, back.advantage, back.value_target]),
-            bits(&[t.logp, t.reward, t.advantage, t.value_target])
-        );
-        assert_eq!(back.masks, t.masks);
-        assert_eq!(serde_json::to_string(&back).unwrap(), text);
-    }
+    // a replay-buffer row, through an agent whose state is those values
+    let heads = [8, 4, 1];
+    let mut agent = PpoAgent::new(
+        awkward.len(),
+        &heads,
+        PpoConfig::default(),
+        &mut StdRng::seed_from_u64(5),
+    );
+    let t = Transition {
+        state: awkward.clone(),
+        actions: vec![7, 0, 0],
+        logp: f32::NEG_INFINITY,
+        reward: f32::from_bits(0x7fc0_00aa),
+        advantage: -0.0,
+        value_target: f32::from_bits(3),
+        masks: vec![vec![], vec![true, false, false, true], vec![false]],
+    };
+    agent.buffer.push(t.clone());
+    let text = serde_json::to_string(&agent).unwrap();
+    assert!(!text.contains("null"), "{text}");
+    let back: PpoAgent = serde_json::from_str(&text).unwrap();
+    let row = back.buffer.get(0);
+    assert_eq!(bits(&row.state), bits(&t.state));
+    assert_eq!(row.actions, t.actions);
+    assert_eq!(
+        bits(&[row.logp, row.reward, row.advantage, row.value_target]),
+        bits(&[t.logp, t.reward, t.advantage, t.value_target])
+    );
+    // the empty entry comes back as its head's cells, all valid
+    assert_eq!(
+        row.masks,
+        [vec![true; 8], vec![true, false, false, true], vec![false]]
+    );
+    assert_eq!(serde_json::to_string(&back).unwrap(), text);
 
     // fixed little-endian: 1.0 is 0x3f800000
-    let one = Transition {
+    let mut one = ReplayBuffer::new(4096, 1, &[4]);
+    one.push(Transition {
         state: vec![1.0],
-        actions: vec![],
+        actions: vec![1],
         logp: 0.0,
         reward: 0.0,
         advantage: 0.0,
         value_target: 0.0,
         masks: vec![vec![false, true, true, false]],
-    };
+    });
     let text = serde_json::to_string(&one).unwrap();
     assert!(
-        text.starts_with(r#"{"state":"0000803f","actions":[],"#),
+        text.starts_with(r#"{"states":"0000803f","actions":[1],"#),
         "{text}"
     );
-    assert!(text.ends_with(r#""masks":["0110"]}"#), "{text}");
+    assert!(text.ends_with(r#""valid":"0110","cap":4096}"#), "{text}");
 
     // layers: weights, biases, gradients and moments, through an MLP
     let net = Mlp::new(&[5, 3, 2], &mut StdRng::seed_from_u64(9));
@@ -158,7 +173,7 @@ fn checkpoints_reencode_to_the_same_text_and_resumes_match_uninterrupted_runs() 
                 &text[..text.len().min(40)]
             );
             assert!(
-                text.contains(r#""state":""#),
+                !text.contains(r#""states":"""#),
                 "{which}: empty replay buffer"
             );
             let decoded: SessionCheckpoint = serde_json::from_str(text).unwrap();
@@ -184,9 +199,8 @@ fn damaged_checkpoints_fail_with_a_reason_never_a_panic() {
     let (_, checkpoints) = lifetime(&dir, "harl", &[24]);
     let good = &checkpoints[0];
     let weights = string_body(good, r#""w":""#);
-    let state = string_body(good, r#""state":""#);
-    // the first mask row; empty (= all valid) rows gain a digit instead
-    let mask = string_body(good, r#""masks":[""#);
+    let state = string_body(good, r#""states":""#);
+    let valid = string_body(good, r#""valid":""#);
     assert!(weights.len() > 64 && state.len() > 64);
     let lowercase = weights.start
         + good[weights.clone()]
@@ -271,7 +285,45 @@ fn damaged_checkpoints_fail_with_a_reason_never_a_panic() {
     let row_too_wide = model_edit(r#""features":[["#, &|text, first| {
         text.insert_str(first.start, "0,")
     });
-    let cases: [(&str, &str, String, &str); 19] = [
+    // the proposer's own half against the workload: HARL's sketch bandit
+    // and agent, Flextensor's agent
+    let other_agent = |state_dim: usize, heads: &[usize]| {
+        let cfg = HarlConfig::tiny().ppo;
+        PpoAgent::new(state_dim, heads, cfg, &mut StdRng::seed_from_u64(3))
+    };
+    let extra_arm = harl_edit(&|s| {
+        s.proposer.sketch_bandit = HarlConfig::tiny().mab_kind.build(4);
+    });
+    let wide_agent = harl_edit(&|s| {
+        let heads = s.proposer.agent.policy.head_sizes();
+        s.proposer.agent = other_agent(FEATURE_DIM + 1, &heads);
+    });
+    let mut harl_heads = match serde_json::from_str::<SessionCheckpoint>(good)
+        .unwrap()
+        .tuner
+    {
+        TunerState::Harl(s) => s.proposer.agent.policy.head_sizes(),
+        _ => panic!("a HARL session checkpoints a HARL state"),
+    };
+    harl_heads[1] += 1;
+    let wrong_heads = harl_edit(&|s| s.proposer.agent = other_agent(FEATURE_DIM, &harl_heads));
+    let flex_dir = temp_store("damaged-flextensor");
+    let (_, flex_checkpoints) = lifetime(&flex_dir, "flextensor", &[24]);
+    let _ = std::fs::remove_dir_all(&flex_dir);
+    let mut flex_wrong_heads: SessionCheckpoint =
+        serde_json::from_str(&flex_checkpoints[0]).unwrap();
+    let TunerState::Flextensor(flex) = &mut flex_wrong_heads.tuner else {
+        panic!("a Flextensor session checkpoints a Flextensor state");
+    };
+    let mut flex_heads = flex.proposer.agent.policy.head_sizes();
+    flex_heads[0] -= 1;
+    flex.proposer.agent = other_agent(FEATURE_DIM, &flex_heads);
+    let flex_wrong_heads = serde_json::to_string(&flex_wrong_heads).unwrap();
+    let (harl_heads, flex_heads) = (
+        format!("to heads of {harl_heads:?} actions"),
+        format!("to heads of {flex_heads:?} actions"),
+    );
+    let cases: [(&str, &str, String, &str); 23] = [
         (
             "harl",
             "odd length",
@@ -313,8 +365,8 @@ fn damaged_checkpoints_fail_with_a_reason_never_a_panic() {
         ),
         (
             "harl",
-            "mask digit",
-            edit(mask.start..mask.start + mask.len().min(1), "2"),
+            "validity digit",
+            edit(valid.start..valid.start + 1, "2"),
             "neither 0 nor 1",
         ),
         (
@@ -388,6 +440,30 @@ fn damaged_checkpoints_fail_with_a_reason_never_a_panic() {
             "a cost-model row wider than the workload's features",
             row_too_wide,
             "cost-model row 0 has 65 features, not 64",
+        ),
+        (
+            "harl",
+            "a sketch bandit with an arm for a sketch the workload lacks",
+            extra_arm,
+            "a sketch bandit of 4 arms for 3 sketches",
+        ),
+        (
+            "harl",
+            "an agent over a wider state",
+            wide_agent,
+            "the PPO agent maps 65 inputs",
+        ),
+        (
+            "harl",
+            "an agent with another head",
+            wrong_heads,
+            &harl_heads,
+        ),
+        (
+            "flextensor",
+            "an agent with another head",
+            flex_wrong_heads,
+            &flex_heads,
         ),
     ];
 
@@ -507,7 +583,8 @@ proptest! {
 fn full_replay_buffer_checkpoint_fits_the_size_budget() {
     // the `served_jobs` cold job: 128 trials of GEMM-1024³ under `fast`
     // fill the 4096-slot replay buffer, the largest a checkpoint gets;
-    // the decimal layout took 5.34 MB
+    // the decimal layout took 5.34 MB, the list of packed transitions
+    // (version 6) 3 961 901 bytes, the ring's arrays (version 7) 3 544 147
     let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
     let graph = harl_repro::ir::workload::gemm(1024, 1024, 1024);
     let mut tuner = HarlOperatorTuner::new(graph, &measurer, HarlConfig::fast());
@@ -521,5 +598,5 @@ fn full_replay_buffer_checkpoint_fits_the_size_budget() {
     let bytes = serde_json::to_string(&TunerState::Harl(state))
         .unwrap()
         .len();
-    assert!(bytes <= 4_200_000, "checkpoint is {bytes} bytes");
+    assert!(bytes <= 3_600_000, "checkpoint is {bytes} bytes");
 }

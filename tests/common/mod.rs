@@ -1,6 +1,12 @@
 //! Helpers shared by the golden tests.
 
+// each test crate that includes this module uses part of it
+#![allow(dead_code)]
+
 use harl_repro::gbt::{CostModel, Dataset, Gbt, GbtParams};
+use harl_repro::nnet::PpoAgent;
+use serde::ser::JsonWriter;
+use serde::Serialize;
 
 /// The fields a cost model serializes (checkpoint version 6).
 #[derive(serde::Deserialize)]
@@ -35,4 +41,53 @@ pub fn v5_cost_model_text(model: &CostModel) -> String {
         serde_json::to_string(&booster).unwrap(),
         serde_json::to_string(&scale).unwrap(),
     )
+}
+
+/// A PPO agent that serializes as checkpoint versions 3 to 6 spelled it:
+/// the networks, the config, then the replay buffer as a list of
+/// transitions, oldest first, each with its masks, then the update count.
+/// Rebuilt from [`ReplayBuffer::get`](harl_repro::nnet::ReplayBuffer::get),
+/// which gives one full mask per head: exact for every agent whose rows
+/// were all recorded with one full mask per head, as the searchers record
+/// them.
+pub struct V6Agent<'a>(pub &'a PpoAgent);
+
+impl Serialize for V6Agent<'_> {
+    fn serialize(&self, w: &mut JsonWriter) {
+        let agent = self.0;
+        let hex = |values: &[f32]| -> String {
+            let bytes = values.iter().flat_map(|v| v.to_bits().to_le_bytes());
+            bytes.map(|b| format!("{b:02x}")).collect()
+        };
+        let rows: Vec<String> = (0..agent.buffer.len())
+            .map(|i| {
+                let t = agent.buffer.get(i);
+                let masks: Vec<String> = (t.masks.iter())
+                    .map(|m| m.iter().map(|&v| if v { '1' } else { '0' }).collect())
+                    .collect();
+                format!(
+                    "{{\"state\":\"{}\",\"actions\":{},\"logp\":\"{}\",\"reward\":\"{}\",\
+                     \"advantage\":\"{}\",\"value_target\":\"{}\",\"masks\":{}}}",
+                    hex(&t.state),
+                    serde_json::to_string(&t.actions).unwrap(),
+                    hex(&[t.logp]),
+                    hex(&[t.reward]),
+                    hex(&[t.advantage]),
+                    hex(&[t.value_target]),
+                    serde_json::to_string(&masks).unwrap(),
+                )
+            })
+            .collect();
+        let text = format!(
+            "{{\"policy\":{},\"critic\":{},\"cfg\":{},\"buffer\":{{\"items\":[{}],\"cap\":{}}},\
+             \"updates\":{}}}",
+            serde_json::to_string(&agent.policy).unwrap(),
+            serde_json::to_string(&agent.critic).unwrap(),
+            serde_json::to_string(&agent.cfg).unwrap(),
+            rows.join(","),
+            agent.cfg.buffer_capacity,
+            agent.num_updates(),
+        );
+        w.raw(|out| out.push_str(&text));
+    }
 }

@@ -7,9 +7,12 @@
 //!
 //! * the replay buffer — random pushes through eviction and wrap-around at
 //!   capacities 1, 2, 3, 4096 and 0 (unbounded), with sampled updates in
-//!   between: the serialized text of the buffer (oldest first), the loss
-//!   bits of every update (so the sampler's RNG stream) and the trained
-//!   networks;
+//!   between: the buffer's length after each burst, the loss bits of every
+//!   update (so the sampler's RNG stream) and the trained networks
+//!   (`GOLDEN_RING`, recorded before the buffer kept one validity cell per
+//!   action); and apart from them the buffer's serialized text, oldest row
+//!   first, with a decode of it that writes the same text
+//!   (`GOLDEN_RING_TEXT`, checkpoint version 7);
 //! * the heads — `act_batch` draws and log-probabilities, then the losses
 //!   and every network bit of explicit-minibatch updates, for batches
 //!   1…65 and heads `[101, 3, 3, 3]`, `[1, 3]` and `[257]`, on every SIMD
@@ -24,11 +27,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const GOLDEN_RING: [(usize, u64); 5] = [
-    (1, 0x4a2bf44c0cc4e926),
-    (2, 0xb06f25b993d60872),
-    (3, 0x347d4fcf8ea49265),
-    (4096, 0x62394002c05bc343),
-    (0, 0x264e722e32363e23),
+    (1, 0x2550d2df11c84bef),
+    (2, 0xa85e5f4f34ff741f),
+    (3, 0xc5afd7d281056484),
+    (4096, 0x283cd02331bc42cd),
+    (0, 0xbb1b6636bf81246d),
+];
+const GOLDEN_RING_TEXT: [(usize, u64); 5] = [
+    (1, 0x73d06974c5a088d4),
+    (2, 0x90656f7cd4b745e6),
+    (3, 0x9f02ed39759a6a4b),
+    (4096, 0x17f8a511dc578e12),
+    (0, 0xc37232bd6effb5e4),
 ];
 const GOLDEN_HEADS: [(&[usize], u64); 3] = [
     (&[101, 3, 3, 3], 0x43dffde322c90729),
@@ -105,8 +115,9 @@ fn transition(rng: &mut StdRng, state_dim: usize, heads: &[usize]) -> Transition
     }
 }
 
-/// Pushes, sampled updates and buffer texts of one capacity, digested.
-fn ring_digest(cap: usize) -> u64 {
+/// Pushes and sampled updates of one capacity, digested, and apart from
+/// them the buffer's texts.
+fn ring_digests(cap: usize) -> (u64, u64) {
     const STATE_DIM: usize = 5;
     const HEADS: [usize; 2] = [4, 3];
     let mut rng = StdRng::seed_from_u64(0x72696e67 ^ cap as u64);
@@ -117,14 +128,20 @@ fn ring_digest(cap: usize) -> u64 {
         ..Default::default()
     };
     let mut agent = PpoAgent::new(STATE_DIM, &HEADS, cfg, &mut rng);
-    let mut digest = Fnv::new();
+    let (mut digest, mut texts) = (Fnv::new(), Fnv::new());
     // bursts long enough to wrap the small rings many times over
     for burst in 0..24 {
         for _ in 0..rng.gen_range(1..12usize) {
             agent.buffer.push(transition(&mut rng, STATE_DIM, &HEADS));
         }
         digest.word(agent.buffer.len() as u64);
-        digest.bytes(serde_json::to_string(&agent.buffer).unwrap().as_bytes());
+        let text = serde_json::to_string(&agent).unwrap();
+        let decoded: PpoAgent = serde_json::from_str(&text).unwrap();
+        assert!(
+            serde_json::to_string(&decoded).unwrap() == text,
+            "cap {cap}"
+        );
+        texts.bytes(serde_json::to_string(&agent.buffer).unwrap().as_bytes());
         for _ in 0..2 {
             let (p, v) = agent.train_step(&mut rng).expect("buffer is not empty");
             digest.word(u64::from(p.to_bits()));
@@ -136,14 +153,17 @@ fn ring_digest(cap: usize) -> u64 {
         }
     }
     digest.agent(&agent);
-    digest.0
+    (digest.0, texts.0)
 }
 
 #[test]
 fn replay_buffer_text_sampling_and_updates_match_golden() {
     // compared whole, so a failure prints every capacity's digest
-    let got = GOLDEN_RING.map(|(cap, _)| (cap, ring_digest(cap)));
+    let digests = GOLDEN_RING.map(|(cap, _)| (cap, ring_digests(cap)));
+    let got = digests.map(|(cap, (updates, _))| (cap, updates));
     assert_eq!(got, GOLDEN_RING, "{got:#x?}");
+    let got = digests.map(|(cap, (_, text))| (cap, text));
+    assert_eq!(got, GOLDEN_RING_TEXT, "{got:#x?}");
 }
 
 /// Draws and explicit-minibatch updates of one head shape at batches

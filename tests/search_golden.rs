@@ -22,7 +22,7 @@ struct Golden {
     /// Same after the warm-started `run(32)` + `then_finetune`.
     warm_state: u64,
     /// FNV-1a of the tuner-state JSON after the cold leg, as written now
-    /// (checkpoint version 6).
+    /// (checkpoint version 7).
     cold_text: u64,
     /// Same after the warm leg.
     warm_text: u64,
@@ -79,7 +79,7 @@ fn v3_text(state: &TunerState) -> String {
         TunerState::Harl(s) => {
             let p = &s.proposer;
             let body = object! {
-                agent: p.agent, sketch_bandit: p.sketch_bandit,
+                agent: common::V6Agent(&p.agent), sketch_bandit: p.sketch_bandit,
                 seen: s.seen, elites: s.elites, pending_seeds: s.pending_seeds,
                 best_time: s.best_time, best_schedule: s.best_schedule,
                 trials_used: s.trials_used, trace: s.trace, critical_steps: p.critical_steps,
@@ -100,7 +100,7 @@ fn v3_text(state: &TunerState) -> String {
         TunerState::Flextensor(s) => {
             let p = &s.proposer;
             let body = object! {
-                agent: p.agent, best_time: s.best_time, best_schedule: s.best_schedule,
+                agent: common::V6Agent(&p.agent), best_time: s.best_time, best_schedule: s.best_schedule,
                 critical_steps: p.critical_steps, trials_used: s.trials_used,
                 trace: s.trace, lint_stats: s.lint_stats, rng: p.rng,
             };
@@ -220,8 +220,8 @@ fn harl_matches_golden() {
         Golden {
             cold_state: 8434000507875368112,
             warm_state: 16603217682067428606,
-            cold_text: 10108478804975306565,
-            warm_text: 941550864404805401,
+            cold_text: 3396844436755016635,
+            warm_text: 268167989239690723,
             warm_records: 48,
             finetune_trials: 20,
             cold_best_bits: 4540693562351473055,
@@ -258,8 +258,8 @@ fn flextensor_matches_golden() {
         Golden {
             cold_state: 14547903695931650898,
             warm_state: 16034392393894875052,
-            cold_text: 2732716884313258003,
-            warm_text: 10126938540552956353,
+            cold_text: 2221919573402176789,
+            warm_text: 841743074943701923,
             warm_records: 0,
             finetune_trials: 24,
             cold_best_bits: 4541015405465065526,

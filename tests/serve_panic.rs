@@ -1,10 +1,10 @@
 //! A search that panics fails its job, not the daemon's worker: the job
 //! ends `failed` with the panic's message in `failed.txt`, and the same
 //! worker goes on to run the next job. The panic here comes from a
-//! checkpoint whose proposer half decodes but does not fit its workload
-//! (a HARL sketch bandit with one arm more than the workload has
-//! sketches), which nothing checks on restore: a resume refuses a shared
-//! half that does not fit, not the proposer's own.
+//! checkpoint whose proposer half decodes but does not fit its workload:
+//! an MCTS tree whose nodes name a sketch the workload lacks. A resume
+//! refuses a shared half that does not fit, and a HARL or Flextensor half
+//! (their sketch bandit and agent), but nothing checks an MCTS tree yet.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,10 +13,10 @@ use harl_repro::harl::{SessionCheckpoint, TunerState};
 use harl_repro::prelude::*;
 use harl_repro::serve::{Client, Daemon, JobSpec, Preset, ServeConfig, TunerKind, WorkloadSpec};
 
-fn harl_job(workload: &str, trials: u64) -> JobSpec {
+fn job(workload: &str, tuner: TunerKind, trials: u64) -> JobSpec {
     JobSpec {
         workload: WorkloadSpec::parse(workload).unwrap(),
-        tuner: TunerKind::Harl,
+        tuner,
         preset: Preset::Tiny,
         hardware: "cpu".into(),
         trials,
@@ -33,8 +33,8 @@ fn a_panicking_search_fails_its_job_and_the_worker_runs_the_next() {
     let _ = std::fs::remove_dir_all(&root);
 
     // an unfinished job on disk, as a killed daemon leaves it, whose
-    // checkpoint's sketch bandit has an arm for a sketch that is not there
-    let bad = harl_job("gemm:256x256x256", 48);
+    // checkpoint's search tree names a sketch that is not there
+    let bad = job("gemm:256x256x256", TunerKind::Mcts, 48);
     let job_dir = root.join("jobs").join("j000001");
     std::fs::create_dir_all(&job_dir).unwrap();
     std::fs::write(
@@ -45,8 +45,7 @@ fn a_panicking_search_fails_its_job_and_the_worker_runs_the_next() {
     let store = Arc::new(RecordStore::open(job_dir.join("store")).unwrap());
     let sketches = {
         let measurer = Measurer::new(Hardware::cpu(), MeasureConfig::default());
-        let tuner =
-            HarlOperatorTuner::new(bad.workload.build(), &measurer, Preset::Tiny.harl_config());
+        let tuner = MctsTuner::new(bad.workload.build(), &measurer, MctsConfig::default());
         let sketches = tuner.sketches.len();
         let mut session = TuningSession::builder()
             .job_key(bad.job_key())
@@ -62,10 +61,13 @@ fn a_panicking_search_fails_its_job_and_the_worker_runs_the_next() {
         .expect("an unfinished session's checkpoint");
     drop(store);
     let mut checkpoint: SessionCheckpoint = serde_json::from_str(&text).unwrap();
-    let TunerState::Harl(state) = &mut checkpoint.tuner else {
-        panic!("a HARL job checkpoints a HARL state");
+    let TunerState::Mcts(state) = &mut checkpoint.tuner else {
+        panic!("an MCTS job checkpoints an MCTS state");
     };
-    state.proposer.sketch_bandit = Preset::Tiny.harl_config().mab_kind.build(sketches + 1);
+    assert!(!state.proposer.nodes.is_empty(), "a round grows the tree");
+    for node in &mut state.proposer.nodes {
+        node.schedule.sketch_id = sketches;
+    }
     let damaged = serde_json::to_string(&checkpoint).unwrap();
     std::fs::write(job_dir.join("store").join("checkpoint.json"), damaged).unwrap();
 
@@ -84,7 +86,9 @@ fn a_panicking_search_fails_its_job_and_the_worker_runs_the_next() {
     assert!(reason.starts_with("search panicked: "), "{reason}");
     assert!(reason.contains("out of bounds"), "{reason}");
 
-    let next = client.submit(&harl_job("gemm:128x128x128", 16)).unwrap();
+    let next = client
+        .submit(&job("gemm:128x128x128", TunerKind::Harl, 16))
+        .unwrap();
     let outcome = client
         .wait(&next, poll, |_| {})
         .expect("the next job completes");
