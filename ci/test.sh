@@ -40,13 +40,15 @@ echo "==> kernel-dispatch crates with HARL_SIMD=0 (forced-scalar dispatch)"
 # shellcheck disable=SC2086
 HARL_SIMD=0 cargo test $CARGO_FLAGS -q -p harl-simd -p harl-nnet -p harl-gbt -p harl-tensor-ir
 # the golden PPO update was recorded under vector dispatch: the scalar
-# kernels must reproduce its bits, and a checkpoint written under them must
+# kernels must reproduce its bits, the agent that computes its live logit
+# columns alone must train the bits of one that computes every column, and
+# a checkpoint written under them must
 # round-trip, resume and fit its size budget like any other; the five
 # searchers' pinned state digests, the pinned tree fits and the pinned
 # activation, exp and ln bits must hold under them too, and the feature
 # plan must equal its reference with the scalar `log2p_int`
 # shellcheck disable=SC2086
-HARL_SIMD=0 cargo test $CARGO_FLAGS -q --test ppo_golden --test checkpoint_layout \
+HARL_SIMD=0 cargo test $CARGO_FLAGS -q --test ppo_golden --test live_columns --test checkpoint_layout \
     --test search_golden --test gbt_golden --test tanh_golden --test explog_golden \
     --test candidate_path --test minibatch_golden --test checkpoint_fuzz
 
@@ -56,5 +58,5 @@ echo "==> PPO, search, tanh and exp/ln goldens with HARL_SIMD=avx2"
 # searches must come out of them too (on a host without AVX2 the request
 # clamps to the best tier with a warning, and this repeats the run above)
 # shellcheck disable=SC2086
-HARL_SIMD=avx2 cargo test $CARGO_FLAGS -q --test ppo_golden --test search_golden \
+HARL_SIMD=avx2 cargo test $CARGO_FLAGS -q --test ppo_golden --test live_columns --test search_golden \
     --test tanh_golden --test explog_golden --test minibatch_golden --test checkpoint_fuzz

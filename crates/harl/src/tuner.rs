@@ -54,8 +54,9 @@ pub struct HarlProposer {
 
 impl HarlProposer {
     /// One `ppo_health` trace event for the PPO updates of the episode that
-    /// just ran (observation only: the agent's running sums feed nothing,
-    /// and are taken — reset — traced or not).
+    /// just ran, and each head's live columns beside its width (observation
+    /// only: the agent's running sums feed nothing, and are taken — reset —
+    /// traced or not).
     fn trace_ppo_health(&mut self, tracer: &Tracer) {
         let health = self.agent.take_health();
         if !tracer.is_enabled() {
@@ -63,6 +64,9 @@ impl HarlProposer {
         }
         let heads: Vec<String> = (0..health.entropy_per_head.len())
             .map(|h| format!("entropy_head{h}"))
+            .collect();
+        let columns: Vec<[String; 2]> = (0..health.head_sizes.len())
+            .map(|h| [format!("live_head{h}"), format!("width_head{h}")])
             .collect();
         let mut fields: Vec<(&str, FieldValue)> = vec![
             ("updates", health.updates.into()),
@@ -80,6 +84,10 @@ impl HarlProposer {
             (heads.iter().map(String::as_str))
                 .zip(health.entropy_per_head.iter().map(|&e| e.into())),
         );
+        let sizes = health.live_per_head.iter().zip(&health.head_sizes);
+        for ([live, width], (&l, &w)) in columns.iter().zip(sizes) {
+            fields.extend([(live.as_str(), l.into()), (width.as_str(), w.into())]);
+        }
         tracer.event("ppo_health", &fields);
     }
 }

@@ -9,7 +9,7 @@
 //! batched backward whose per-parameter reductions keep one fixed
 //! summation order no matter the batch size.
 
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::OnceLock;
 
 use rand::Rng;
@@ -278,17 +278,24 @@ impl Linear {
     }
 
     /// [`Linear::backward_batch`]'s parameter half for a caller that
-    /// computed the layer's `dW` (`out × in`) and `db` as rows of a larger
-    /// product: `gw += dw` — a plain copy right after
-    /// [`Linear::zero_grad`], which leaves the same bits — and `gb += db`.
-    pub(crate) fn add_grads(&mut self, dw: &[f32], db: &[f32]) {
-        debug_assert_eq!(dw.len(), self.gw.len());
-        if std::mem::take(&mut self.zeroed) {
-            self.gw.copy_from_slice(dw);
-        } else {
-            add_into(&mut self.gw, dw);
+    /// computed the `dW` rows and `db` cells of the output units `rows`
+    /// (ascending) as rows of a larger product: `gw[o] += dw[i]` — a plain
+    /// copy right after [`Linear::zero_grad`], which leaves the same bits —
+    /// and `gb[o] += db[i]` for the `i`-th unit `o` of `rows`. The other
+    /// rows keep their gradients.
+    pub(crate) fn add_grads(&mut self, rows: &[usize], dw: &[f32], db: &[f32]) {
+        let k = self.in_dim;
+        debug_assert_eq!((dw.len(), db.len()), (rows.len() * k, rows.len()));
+        let zeroed = std::mem::take(&mut self.zeroed);
+        for ((&o, dw), &db) in rows.iter().zip(dw.chunks_exact(k.max(1))).zip(db) {
+            let gw = &mut self.gw[o * k..(o + 1) * k];
+            if zeroed {
+                gw.copy_from_slice(dw);
+            } else {
+                add_into(gw, dw);
+            }
+            self.gb[o] += db;
         }
-        add_into(&mut self.gb, db);
     }
 
     /// `∂L/∂X = gy·W` into `gx` (`batch × in`), `gy` read through its
@@ -317,27 +324,44 @@ impl Linear {
     /// `scale` divides accumulated gradients (e.g. by the minibatch size).
     /// Refreshes the cached weight transpose.
     pub fn adam_step(&mut self, lr: f32, t: u64, scale: f32) {
-        adam(
-            &mut self.w.0,
-            &self.gw,
-            &mut self.mw,
-            &mut self.vw,
-            lr,
-            t,
-            scale,
-        );
-        adam(
-            &mut self.b,
-            &self.gb,
-            &mut self.mb,
-            &mut self.vb,
-            lr,
-            t,
-            scale,
-        );
+        self.adam_step_rows(lr, t, scale, std::iter::once(0..self.out_dim));
+    }
+
+    /// [`Linear::adam_step`] over the weight rows and bias cells of the
+    /// output units in `runs` alone. Every other unit keeps its bits: what
+    /// the full step does to a unit whose gradient and moments are all
+    /// `+0.0` (its step is `+0.0`, and so are its new moments).
+    pub(crate) fn adam_step_rows(
+        &mut self,
+        lr: f32,
+        t: u64,
+        scale: f32,
+        runs: impl IntoIterator<Item = Range<usize>>,
+    ) {
+        let k = self.in_dim;
+        for units in runs {
+            let cells = units.start * k..units.end * k;
+            let (w, gw) = (&mut self.w.0[cells.clone()], &self.gw[cells.clone()]);
+            let (mw, vw) = (&mut self.mw[cells.clone()], &mut self.vw[cells]);
+            adam(w, gw, mw, vw, lr, t, scale);
+            let (b, gb) = (&mut self.b[units.clone()], &self.gb[units.clone()]);
+            let (mb, vb) = (&mut self.mb[units.clone()], &mut self.vb[units]);
+            adam(b, gb, mb, vb, lr, t, scale);
+        }
         if let Some(wt) = self.wt.get_mut() {
             transpose_into(&self.w, self.out_dim, self.in_dim, wt);
         }
+    }
+
+    /// Whether any Adam moment of output unit `o` — of its weight row or
+    /// its bias — has a bit set: a unit whose moments are all `+0.0` and
+    /// whose gradient is `+0.0` is one an Adam step leaves alone.
+    pub(crate) fn has_moments(&self, o: usize) -> bool {
+        let k = self.in_dim;
+        let row = o * k..(o + 1) * k;
+        (self.mw[row.clone()].iter().chain(&self.vw[row]))
+            .chain([&self.mb[o], &self.vb[o]])
+            .any(|v| v.to_bits() != 0)
     }
 
     /// Trainable parameter count.

@@ -21,5 +21,5 @@ pub mod ppo;
 
 pub use layers::{GradScratch, Linear, Weights};
 pub use mlp::{masked_softmax, masked_softmax_into, Mlp, Workspace};
-pub use policy::{sample_categorical, MultiHeadPolicy, PolicyWorkspace};
+pub use policy::{MultiHeadPolicy, PolicyWorkspace};
 pub use ppo::{Draws, PpoAgent, PpoConfig, PpoHealth, ReplayBuffer, Transition};

@@ -10,7 +10,14 @@
 //! per-pass state lives in a caller-owned [`PolicyWorkspace`], and the
 //! forward path is batch-major so one matrix-matrix pass serves every
 //! live schedule track of an episode step.
+//!
+//! A policy inside a [`crate::PpoAgent`] computes its *live* columns
+//! alone: the logits a mask it acted or trained on has allowed, and those
+//! whose Adam moments have moved. The tiling head's masks never allow most
+//! of its `num_iters² + 1` pairs, and a column no mask allows cannot reach
+//! a bit of anything else (DESIGN §12), so skipping it changes nothing.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use harl_simd::Strided;
@@ -28,11 +35,11 @@ use crate::mlp::{masked_softmax, Mlp, Workspace};
 pub struct PolicyWorkspace {
     trunk: Workspace,
     trunk_out: Vec<f32>,
-    /// `batch × Σ head sizes`: head `h` is columns
-    /// `offsets[h]..offsets[h + 1]` of every row.
+    /// `batch × columns`: head `h` is columns `offsets[h]..offsets[h + 1]`
+    /// of every row.
     logits: Vec<f32>,
     offsets: Vec<usize>,
-    /// `dW` of all heads, `Σ head sizes × hidden`.
+    /// `dW` of all columns, `columns × hidden`.
     dw: Vec<f32>,
     gx: Vec<f32>,
     g_trunk: Vec<f32>,
@@ -51,8 +58,10 @@ impl PolicyWorkspace {
     }
 
     /// The logits of the last forward pass, batch-major, each row holding
-    /// every head's logits side by side (see
-    /// [`MultiHeadPolicy::head_offsets`]).
+    /// the columns that pass computed of every head side by side: every
+    /// column after [`MultiHeadPolicy::forward_batch`] (see
+    /// [`MultiHeadPolicy::head_offsets`]), the live ones, in ascending
+    /// action order within each head, after an agent's forward.
     pub fn all_logits(&self) -> &[f32] {
         &self.logits
     }
@@ -67,64 +76,148 @@ impl PolicyWorkspace {
 
     /// Logits of head `h` for batch row `b` from the last forward pass.
     pub fn head_logits(&self, h: usize, b: usize) -> &[f32] {
-        let total = self.offsets.last().copied().unwrap_or(0);
-        &self.logits[b * total + self.offsets[h]..b * total + self.offsets[h + 1]]
+        let columns = self.offsets.last().copied().unwrap_or(0);
+        &self.logits[b * columns + self.offsets[h]..b * columns + self.offsets[h + 1]]
     }
 }
 
-/// The heads' weights as the one matrix the forward GEMM reads: the
-/// k-major `hidden × Σ head sizes` block whose column range
-/// `offsets[h]..offsets[h + 1]` is head `h`'s transposed weights, and the
-/// heads' biases side by side.
+/// The heads' selected columns as the one matrix the forward GEMM reads:
+/// the k-major `hidden × columns` block whose column range
+/// `offsets[h]..offsets[h + 1]` is head `h`'s selected weight rows,
+/// transposed, the same rows row-major (the k-major operand of `dX`), the
+/// selected biases side by side, and which action of its head each column
+/// is. Every column is the selection of a policy of its own; an agent's
+/// policy selects its live columns.
 #[derive(Debug, Clone, Default)]
-struct HeadBlock {
-    wt: Vec<f32>,
-    bias: Vec<f32>,
+pub(crate) struct HeadBlock {
+    /// Where each head sits in a row of every column: head `h` is
+    /// `all[h]..all[h + 1]`.
+    all: Vec<usize>,
+    /// Where each head's selected columns sit in a row of the block.
     offsets: Vec<usize>,
+    /// The action of each selected column, ascending within its head.
+    actions: Vec<usize>,
+    wt: Vec<f32>,
+    w: Vec<f32>,
+    bias: Vec<f32>,
 }
 
 impl HeadBlock {
-    fn of(heads: &[Linear]) -> Self {
-        let mut block = HeadBlock::default();
-        block.offsets.push(0);
+    /// The block of the columns `live` flags (one flag per column of a row
+    /// of every column), or of every column.
+    fn of(heads: &[Linear], live: Option<&[bool]>) -> Self {
+        let mut block = HeadBlock {
+            all: vec![0],
+            offsets: vec![0],
+            ..HeadBlock::default()
+        };
         for head in heads {
-            block
-                .offsets
-                .push(block.offsets.last().expect("starts at 0") + head.out_dim);
+            let first = *block.all.last().expect("starts at 0");
+            block.all.push(first + head.out_dim);
+            let selected = (0..head.out_dim).filter(|&a| live.is_none_or(|live| live[first + a]));
+            block.actions.extend(selected);
+            block.offsets.push(block.actions.len());
         }
         block.refill(heads);
         block
     }
 
-    /// Re-reads every head's weights and biases.
+    /// Re-reads the selected rows of every head's weights and biases.
     fn refill(&mut self, heads: &[Linear]) {
-        let total = *self.offsets.last().expect("starts at 0");
+        let columns = self.columns();
         let hidden = heads.first().map_or(0, |h| h.in_dim);
-        self.wt.resize(hidden * total, 0.0);
+        self.wt.resize(hidden * columns, 0.0);
+        self.w.clear();
         self.bias.clear();
-        for (head, &first) in heads.iter().zip(&self.offsets) {
-            for (o, row) in head.w.chunks_exact(hidden.max(1)).enumerate() {
+        for (h, head) in heads.iter().enumerate() {
+            let at = self.offsets[h]..self.offsets[h + 1];
+            for (c, &a) in at.clone().zip(&self.actions[at]) {
+                let row = &head.w[a * hidden..(a + 1) * hidden];
                 for (k, &v) in row.iter().enumerate() {
-                    self.wt[k * total + first + o] = v;
+                    self.wt[k * columns + c] = v;
                 }
+                self.w.extend_from_slice(row);
+                self.bias.push(head.b[a]);
             }
-            self.bias.extend_from_slice(&head.b);
         }
     }
+
+    /// Selected columns per row.
+    pub(crate) fn columns(&self) -> usize {
+        self.actions.len()
+    }
+
+    /// Where each head's selected columns sit in a row of the block: head
+    /// `h` at `offsets[h]..offsets[h + 1]`.
+    pub(crate) fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// Head `h`'s selected actions, ascending.
+    pub(crate) fn actions(&self, h: usize) -> &[usize] {
+        &self.actions[self.offsets[h]..self.offsets[h + 1]]
+    }
+
+    /// Where action `a` of head `h` sits among the head's selected
+    /// columns; `None` if it is not selected.
+    pub(crate) fn position(&self, h: usize, a: usize) -> Option<usize> {
+        self.actions(h).binary_search(&a).ok()
+    }
+
+    /// Head `h`'s action at `position` among its selected columns, or —
+    /// for `None` — its last action.
+    pub(crate) fn action(&self, h: usize, position: Option<usize>) -> usize {
+        position.map_or(self.all[h + 1] - self.all[h] - 1, |i| self.actions(h)[i])
+    }
+
+    /// The validity of every selected column of `rows` rows into `valid`
+    /// (batch-major, laid out like a row of the block): head `h` of row `b`
+    /// reads `mask_of(b, h)`, a mask over every action of the head, and is
+    /// all valid where there is none.
+    pub(crate) fn select_masks<'m>(
+        &self,
+        rows: usize,
+        mask_of: impl Fn(usize, usize) -> Option<&'m [bool]>,
+        valid: &mut Vec<bool>,
+    ) {
+        valid.clear();
+        for b in 0..rows {
+            for h in 0..self.offsets.len() - 1 {
+                let actions = self.actions(h);
+                match mask_of(b, h) {
+                    // a head selected whole reads its mask as it is
+                    Some(mask) if actions.len() == mask.len() => valid.extend_from_slice(mask),
+                    Some(mask) => valid.extend(actions.iter().map(|&a| mask[a])),
+                    None => valid.resize(valid.len() + actions.len(), true),
+                }
+            }
+        }
+    }
+}
+
+/// The runs of consecutive values in ascending `values`.
+fn runs(values: &[usize]) -> impl Iterator<Item = Range<usize>> + '_ {
+    (values.chunk_by(|a, b| a + 1 == *b)).map(|run| run[0]..run[run.len() - 1] + 1)
 }
 
 /// Shared-trunk, multi-head categorical policy.
 ///
 /// The heads are stored (and serialized) as one [`Linear`] each, but run
-/// as one matrix: a cached [`HeadBlock`] — built on first use and rebuilt
-/// by [`MultiHeadPolicy::adam_step`], like a layer's own transpose — gives
-/// all logits in one GEMM, and the backward takes `dW` and `db` of all
-/// heads from one product and one pass of column sums.
+/// as one matrix: a cached [`HeadBlock`] of the policy's columns — built
+/// on first use, rebuilt when the live columns grow, refilled by
+/// [`MultiHeadPolicy::adam_step`] like a layer's own transpose — gives
+/// their logits in one GEMM, and the backward takes their `dW` and `db`
+/// from one product and one pass of column sums.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MultiHeadPolicy {
     trunk: Mlp,
     heads: Vec<Linear>,
     adam_t: u64,
+    /// The live columns, one flag per column of a row of every column,
+    /// once an agent tracks them; `None` — a policy of its own — computes
+    /// every column. Only grows; an agent rebuilds it on decode.
+    #[serde(skip)]
+    live: Option<Vec<bool>>,
     #[serde(skip)]
     block: OnceLock<HeadBlock>,
 }
@@ -146,12 +239,82 @@ impl MultiHeadPolicy {
             trunk,
             heads,
             adam_t: 0,
+            live: None,
             block: OnceLock::new(),
         }
     }
 
-    fn block(&self) -> &HeadBlock {
-        self.block.get_or_init(|| HeadBlock::of(&self.heads))
+    /// The block of the policy's columns: its live ones, or every one.
+    pub(crate) fn block(&self) -> &HeadBlock {
+        self.block
+            .get_or_init(|| HeadBlock::of(&self.heads, self.live.as_deref()))
+    }
+
+    /// Starts tracking live columns: a column is live from now on if any
+    /// of its Adam moments has a bit set, or once [`Self::widen`] makes it
+    /// so. (A fresh agent's policy starts with none.)
+    pub(crate) fn track_live(&mut self) {
+        let live = (self.heads.iter())
+            .flat_map(|head| (0..head.out_dim).map(|o| head.has_moments(o)))
+            .collect();
+        self.live = Some(live);
+        self.block = OnceLock::new();
+    }
+
+    /// Makes live every column that `rows` rows of masks allow: head `h`
+    /// of row `b` reads `mask_of(b, h)`, a mask over every action of the
+    /// head. A head without a mask, or whose mask allows nothing (which the
+    /// softmax reads as uniform over the whole head), goes live whole.
+    /// Nothing for a policy that computes every column.
+    pub(crate) fn widen<'m>(
+        &mut self,
+        rows: usize,
+        mask_of: impl Fn(usize, usize) -> Option<&'m [bool]>,
+    ) {
+        let Some(live) = &mut self.live else {
+            return;
+        };
+        let mut grew = false;
+        for b in 0..rows {
+            let mut first = 0;
+            for (h, head) in self.heads.iter().enumerate() {
+                let cells = &mut live[first..first + head.out_dim];
+                first += head.out_dim;
+                if !cells.contains(&false) {
+                    // a head live whole stays so
+                    continue;
+                }
+                match mask_of(b, h).filter(|mask| mask.contains(&true)) {
+                    Some(mask) => {
+                        for (live, &valid) in cells.iter_mut().zip(mask) {
+                            grew |= valid & !*live;
+                            *live |= valid;
+                        }
+                    }
+                    None => {
+                        grew = true;
+                        cells.fill(true);
+                    }
+                }
+            }
+        }
+        if grew {
+            self.block = OnceLock::new();
+        }
+    }
+
+    /// Columns the policy computes, per head: its live ones, or all.
+    pub(crate) fn live_per_head(&self) -> Vec<usize> {
+        let mut first = 0;
+        (self.heads.iter())
+            .map(|head| {
+                let cells = first..first + head.out_dim;
+                first = cells.end;
+                self.live.as_ref().map_or(head.out_dim, |live| {
+                    live[cells].iter().filter(|&&l| l).count()
+                })
+            })
+            .collect()
     }
 
     /// [`Mlp::check_shapes`] of the trunk, and every head — of at least one
@@ -188,83 +351,102 @@ impl MultiHeadPolicy {
         self.heads.iter().map(|h| h.out_dim).collect()
     }
 
-    /// Where each head sits in a row of logits: head `h` is columns
-    /// `offsets[h]..offsets[h + 1]`, the last entry the row length.
+    /// Where each head sits in a row of every column's logits: head `h` is
+    /// columns `offsets[h]..offsets[h + 1]`, the last entry the row length.
     pub fn head_offsets(&self) -> &[usize] {
-        &self.block().offsets
+        &self.block().all
     }
 
-    /// Batch-major forward pass: `x` is `batch × state_dim` row-major.
-    /// Leaves the logits (and everything a subsequent
-    /// [`Self::backward_batch`] needs) in `ws`. Each logit is its head's
-    /// bias plus an ascending-`k` chain over the trunk output, whichever
-    /// columns stand next to it: the bits of a GEMM per head.
+    /// Batch-major forward pass of every column: `x` is `batch ×
+    /// state_dim` row-major. Leaves the logits (and everything a
+    /// subsequent [`Self::backward_batch`] of a policy of its own needs)
+    /// in `ws`. Each logit is its head's bias plus an ascending-`k` chain
+    /// over the trunk output, whichever columns stand next to it: the bits
+    /// of a GEMM per head. An agent's policy builds every column's block
+    /// for the call (a probe's cost: the agent itself forwards through
+    /// [`Self::forward_live`]).
     pub fn forward_batch(&self, x: &[f32], batch: usize, ws: &mut PolicyWorkspace) {
+        if self.live.is_some() {
+            self.forward_block(&HeadBlock::of(&self.heads, None), x, batch, ws);
+        } else {
+            self.forward_block(self.block(), x, batch, ws);
+        }
+    }
+
+    /// [`Self::forward_batch`] of the policy's own columns: the live ones
+    /// of an agent's policy. Same bits in every column it computes.
+    pub(crate) fn forward_live(&self, x: &[f32], batch: usize, ws: &mut PolicyWorkspace) {
+        self.forward_block(self.block(), x, batch, ws);
+    }
+
+    fn forward_block(&self, block: &HeadBlock, x: &[f32], batch: usize, ws: &mut PolicyWorkspace) {
         ws.batch = batch;
         let t = self.trunk.forward_batch(x, batch, &mut ws.trunk);
         ws.trunk_out.clear();
         ws.trunk_out.extend_from_slice(t);
         tanh_forward(&mut ws.trunk_out);
-        let block = self.block();
         ws.offsets.clone_from(&block.offsets);
-        let (hidden, total) = (self.trunk.out_dim(), block.bias.len());
         gemm_bias_into(
             &ws.trunk_out,
             &block.wt,
             &block.bias,
             batch,
-            hidden,
-            total,
+            self.trunk.out_dim(),
+            block.columns(),
             &mut ws.logits,
         );
     }
 
-    /// Batched backward for the most recent [`Self::forward_batch`]
-    /// through the same workspace: `grad_logits` is the batch-major logit
-    /// gradient laid out like [`PolicyWorkspace::all_logits`]. `dW` of all
-    /// heads is one product over `grad_logits` read through its strides
-    /// and `db` one pass of column sums, each cell the chain a backward
-    /// per head gives it. `dX` stays one `+0.0`-seeded product per head,
-    /// added into the trunk gradient in ascending head order: that order
-    /// is the per-sample loop's, whatever the batch size (head 0's
+    /// Batched backward for the most recent forward of the policy's own
+    /// columns through the same workspace: `grad_logits` is the
+    /// batch-major logit gradient laid out like
+    /// [`PolicyWorkspace::all_logits`]. `dW` of those columns is one
+    /// product over `grad_logits` read through its strides and `db` one
+    /// pass of column sums, each cell the chain a backward per head gives
+    /// it; the rows of the other columns keep what
+    /// [`Self::zero_grad`] left. `dX` stays one `+0.0`-seeded product per
+    /// head, added into the trunk gradient in ascending head order: that
+    /// order is the per-sample loop's, whatever the batch size (head 0's
     /// product is the first term, so it is written, not added).
     pub fn backward_batch(&mut self, grad_logits: &[f32], ws: &mut PolicyWorkspace) {
         let batch = ws.batch;
         let hidden = self.trunk.out_dim();
-        let offsets = &ws.offsets;
-        let total = offsets.last().copied().unwrap_or(0);
+        let block = (self.block).get_or_init(|| HeadBlock::of(&self.heads, self.live.as_deref()));
         assert_eq!(
-            offsets.len(),
-            self.heads.len() + 1,
-            "backward without forward"
+            ws.offsets, block.offsets,
+            "backward without a forward of the policy's columns"
         );
-        assert_eq!(grad_logits.len(), batch * total);
+        let columns = block.columns();
+        assert_eq!(grad_logits.len(), batch * columns);
         let scratch = &mut ws.trunk.grad;
 
-        ws.dw.resize(total * hidden, 0.0);
+        ws.dw.resize(columns * hidden, 0.0);
         gemm_from_zero(
-            Strided::columns(grad_logits, total),
+            Strided::columns(grad_logits, columns),
             &ws.trunk_out,
             &mut scratch.zeros,
             batch,
             hidden,
             &mut ws.dw,
         );
-        column_sums(grad_logits, total, &mut scratch.sums);
-        for (head, at) in self.heads.iter_mut().zip(offsets.windows(2)) {
+        column_sums(grad_logits, columns, &mut scratch.sums);
+        for (h, head) in self.heads.iter_mut().enumerate() {
+            let at = block.offsets[h]..block.offsets[h + 1];
             head.add_grads(
-                &ws.dw[at[0] * hidden..at[1] * hidden],
-                &scratch.sums[at[0]..at[1]],
+                block.actions(h),
+                &ws.dw[at.start * hidden..at.end * hidden],
+                &scratch.sums[at],
             );
         }
 
         ws.g_trunk.resize(batch * hidden, 0.0);
-        for (h, (head, &first)) in self.heads.iter().zip(offsets).enumerate() {
-            let gy = Strided::rows(grad_logits, total).from_k(first);
-            if h == 0 {
-                head.input_grad(gy, batch, &mut scratch.zeros, &mut ws.g_trunk);
-            } else {
-                head.input_grad(gy, batch, &mut scratch.zeros, &mut ws.gx);
+        ws.gx.resize(batch * hidden, 0.0);
+        for (h, at) in block.offsets.windows(2).enumerate() {
+            let gy = Strided::rows(grad_logits, columns).from_k(at[0]);
+            let w = &block.w[at[0] * hidden..at[1] * hidden];
+            let gx = if h == 0 { &mut ws.g_trunk } else { &mut ws.gx };
+            gemm_from_zero(gy, w, &mut scratch.zeros, at[1] - at[0], hidden, gx);
+            if h > 0 {
                 for (a, b) in ws.g_trunk.iter_mut().zip(&ws.gx) {
                     *a += *b;
                 }
@@ -282,37 +464,19 @@ impl MultiHeadPolicy {
         }
     }
 
-    /// Applies an Adam update with the accumulated gradients.
+    /// Applies an Adam update with the accumulated gradients: the trunk
+    /// whole, the heads' rows of the policy's columns alone (a column
+    /// outside them has a `+0.0` gradient and `+0.0` moments, which a step
+    /// leaves as they are).
     pub fn adam_step(&mut self, lr: f32, scale: f32) {
         self.adam_t += 1;
         self.trunk.adam_step(lr, scale);
-        for h in &mut self.heads {
-            h.adam_step(lr, self.adam_t, scale);
+        let block = (self.block).get_or_init(|| HeadBlock::of(&self.heads, self.live.as_deref()));
+        for (h, head) in self.heads.iter_mut().enumerate() {
+            head.adam_step_rows(lr, self.adam_t, scale, runs(block.actions(h)));
         }
-        if let Some(block) = self.block.get_mut() {
-            block.refill(&self.heads);
-        }
-    }
-
-    /// Samples one action per head; returns `(actions, total logp)`.
-    /// `masks[h]` may be missing or empty to mean "all valid".
-    pub fn sample<R: Rng + ?Sized>(
-        &self,
-        x: &[f32],
-        masks: &[Vec<bool>],
-        ws: &mut PolicyWorkspace,
-        rng: &mut R,
-    ) -> (Vec<usize>, f32) {
-        self.forward_batch(x, 1, ws);
-        let mut actions = Vec::with_capacity(self.heads.len());
-        let mut logp = 0.0f32;
-        for h in 0..self.heads.len() {
-            let probs = masked_softmax(ws.head_logits(h, 0), head_mask(masks, h));
-            let a = sample_categorical(&probs, rng);
-            actions.push(a);
-            logp += harl_simd::ln_lane(probs[a].max(1e-12));
-        }
-        (actions, logp)
+        let block = self.block.get_mut().expect("built above");
+        block.refill(&self.heads);
     }
 
     /// Greedy (argmax) action per head.
@@ -352,21 +516,44 @@ pub(crate) fn head_mask(masks: &[Vec<bool>], h: usize) -> Option<&[bool]> {
     masks.get(h).filter(|m| !m.is_empty()).map(Vec::as_slice)
 }
 
-/// Samples an index from a probability vector.
-pub fn sample_categorical<R: Rng + ?Sized>(probs: &[f32], rng: &mut R) -> usize {
-    let r: f32 = rng.gen();
+/// The first index of `probs` whose running sum exceeds `r`.
+fn first_above(probs: &[f32], r: f32) -> Option<usize> {
     let mut acc = 0.0f32;
-    for (i, &p) in probs.iter().enumerate() {
+    probs.iter().position(|&p| {
         acc += p;
-        if r < acc {
-            return i;
-        }
+        r < acc
+    })
+}
+
+/// The numeric tail: the last positive index.
+fn last_positive(probs: &[f32]) -> Option<usize> {
+    probs.iter().rposition(|&p| p > 0.0)
+}
+
+/// `sums[i]` = the running sum `acc += p` (from `+0.0`) of `probs[..=i]`,
+/// for a row drawn from again and again ([`draw_from_sums`]).
+pub(crate) fn running_sums(probs: &[f32], sums: &mut [f32]) {
+    let mut acc = 0.0f32;
+    for (s, &p) in sums.iter_mut().zip(probs) {
+        acc += p;
+        *s = acc;
     }
-    // numeric tail: last valid index
-    probs
-        .iter()
-        .rposition(|&p| p > 0.0)
-        .unwrap_or(probs.len().saturating_sub(1))
+}
+
+/// The categorical draw `r` out of `probs`, given their [`running_sums`]:
+/// the first cell whose running sum exceeds `r`, else the last positive
+/// one, found by bisection (the sums of non-negative cells never fall). A
+/// row whose sums hold a NaN (every one after it is NaN too) is scanned.
+/// `None` where the draw is the row's last cell for want of a positive
+/// one, which a caller of a row of selected columns maps to the head's
+/// last action.
+pub(crate) fn draw_from_sums(probs: &[f32], sums: &[f32], r: f32) -> Option<usize> {
+    let found = if sums.last().is_some_and(|s| s.is_nan()) {
+        first_above(probs, r)
+    } else {
+        Some(sums.partition_point(|&s| s <= r)).filter(|&i| i < sums.len())
+    };
+    found.or_else(|| last_positive(probs))
 }
 
 #[cfg(test)]
@@ -491,22 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_respects_masks() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let p = MultiHeadPolicy::new(4, 8, &[5, 3], &mut rng);
-        let mut ws = PolicyWorkspace::new();
-        let masks = vec![
-            vec![false, false, true, false, false],
-            vec![true, true, true],
-        ];
-        for _ in 0..50 {
-            let (a, logp) = p.sample(&[0.1, 0.2, 0.3, 0.4], &masks, &mut ws, &mut rng);
-            assert_eq!(a[0], 2, "masked sampling must pick the only valid action");
-            assert!(logp.is_finite());
-        }
-    }
-
-    #[test]
     fn backward_changes_sampled_probability() {
         // pushing gradient toward an action should raise its probability
         let mut rng = StdRng::seed_from_u64(10);
@@ -532,12 +703,65 @@ mod tests {
         assert!(probs[target] > 0.9, "target prob {}", probs[target]);
     }
 
+    /// The sampler this crate shipped before the running sums, kept as
+    /// their oracle: one scan of the running sum per draw.
+    fn sample_categorical(probs: &[f32], r: f32) -> usize {
+        let mut acc = 0.0f32;
+        for (i, &p) in probs.iter().enumerate() {
+            acc += p;
+            if r < acc {
+                return i;
+            }
+        }
+        // numeric tail: last valid index
+        probs
+            .iter()
+            .rposition(|&p| p > 0.0)
+            .unwrap_or(probs.len().saturating_sub(1))
+    }
+
     #[test]
-    fn sample_categorical_degenerate() {
-        let mut rng = StdRng::seed_from_u64(11);
-        assert_eq!(sample_categorical(&[0.0, 1.0, 0.0], &mut rng), 1);
-        // all-mass-on-last with fp dust
-        assert_eq!(sample_categorical(&[0.0, 0.0, 1.0], &mut rng), 2);
+    fn draws_from_running_sums_are_the_scan_s_picks() {
+        // rows with masked zeros, rows whose sum falls short of 1, NaN
+        // rows and a NaN after finite cells, all-zero rows; draws at the
+        // sums themselves and between them
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut rows: Vec<Vec<f32>> = vec![
+            vec![0.0, 0.0, 0.0],
+            vec![f32::NAN; 4],
+            vec![0.25, f32::NAN, 0.5],
+            vec![0.0, 1.0, 0.0],
+            vec![0.0, 0.0, 1.0],
+            vec![0.3, 0.3, 0.3],
+        ];
+        for n in [1usize, 2, 7, 101] {
+            for _ in 0..20 {
+                let mut row: Vec<f32> = (0..n)
+                    .map(|_| {
+                        if rng.gen_range(0..3) == 0 {
+                            0.0
+                        } else {
+                            rng.gen()
+                        }
+                    })
+                    .collect();
+                let sum: f32 = row.iter().sum();
+                row.iter_mut()
+                    .for_each(|p| *p /= sum.max(f32::MIN_POSITIVE));
+                rows.push(row);
+            }
+        }
+        for probs in &rows {
+            let mut sums = vec![0.0; probs.len()];
+            running_sums(probs, &mut sums);
+            let draws = (sums.iter().copied())
+                .chain((0..50).map(|_| rng.gen::<f32>()))
+                .chain([0.0, 0.999_999_9]);
+            for r in draws {
+                let got = draw_from_sums(probs, &sums, r).unwrap_or(probs.len() - 1);
+                assert_eq!(got, sample_categorical(probs, r), "{probs:?} at {r}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! the whole minibatch; the softmax, the log-probabilities and the ratios
 //! go through `harl-simd`'s lane `exp` and `ln` a head at a time, never
 //! through the host's libm. Both are bit-identical to their per-sample
-//! equivalents at any batch size.
+//! equivalents at any batch size, and both compute the policy's live
+//! logit columns alone — those a mask the agent saw allowed — which is
+//! bit-identical to computing every column (see [`PpoAgent::update`]).
 
 use harl_obs::Tracer;
 use harl_tensor_sim::ConfigError;
@@ -25,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::mlp::{normalize, shift_logits, Mlp, Workspace};
 use crate::packed;
-use crate::policy::{head_mask, sample_categorical, MultiHeadPolicy, PolicyWorkspace};
+use crate::policy::{draw_from_sums, head_mask, running_sums, MultiHeadPolicy, PolicyWorkspace};
 
 /// PPO hyper-parameters (defaults = Table 5).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -573,18 +575,23 @@ impl Minibatch {
 
 /// Reused rows of [`PpoAgent::act_batch`] and the PPO update: nothing here
 /// outlives a call, it only keeps its allocations. Every per-action array
-/// is batch-major and laid out like a row of logits — the heads side by
-/// side at the policy's [`MultiHeadPolicy::head_offsets`].
+/// is batch-major and laid out like a row of the policy's live logits —
+/// the heads side by side, each head's live columns in action order.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// Buffer positions of the sampled minibatch.
     sample: Vec<usize>,
     /// The minibatch itself.
     batch: Minibatch,
+    /// The validity of each live column in each row.
+    valid: Vec<bool>,
     /// Softmax rows of the minibatch (or tracks).
     probs: Vec<f32>,
     /// `ln` of each of those cells (`-inf` where `p` is masked to 0).
     ln_probs: Vec<f32>,
+    /// The running sums of each head's cells of each track's row, which
+    /// every draw of the track bisects.
+    sums: Vec<f32>,
     /// `−p·ln p` per cell.
     entropy_terms: Vec<f32>,
     /// Per sample: `logp_new − logp_old`, then the probability ratio.
@@ -653,6 +660,11 @@ pub struct PpoHealth {
     /// transitions were recorded after the sampled one before it was used:
     /// how far off-policy the minibatches are.
     pub sample_age_mean: f64,
+    /// Actions of each head.
+    pub head_sizes: Vec<u64>,
+    /// Live columns of each head now: the logits the policy computes, those
+    /// a mask it acted or trained on allowed (DESIGN §12).
+    pub live_per_head: Vec<u64>,
 }
 
 /// The running sums behind [`PpoHealth`].
@@ -725,7 +737,7 @@ impl<'de> Deserialize<'de> for PpoAgent {
         (cfg.validate().map_err(|e| e.to_string()))
             .and_then(|()| cfg.agrees_with(&policy, &buffer))
             .map_err(|e| DeError::new(format!("field `cfg`: {e}")))?;
-        Ok(PpoAgent {
+        let mut agent = PpoAgent {
             cfg,
             updates: de::field(v, "updates")?,
             policy,
@@ -736,7 +748,9 @@ impl<'de> Deserialize<'de> for PpoAgent {
             scratch: Scratch::default(),
             health: HealthSums::default(),
             tracer: Tracer::default(),
-        })
+        };
+        agent.track_live();
+        Ok(agent)
     }
 }
 
@@ -755,7 +769,7 @@ impl PpoAgent {
         let policy = MultiHeadPolicy::new(state_dim, cfg.hidden, head_sizes, rng);
         let critic = Mlp::new(&[state_dim, cfg.hidden, cfg.hidden, 1], rng);
         let buffer = ReplayBuffer::new(cfg.buffer_capacity, state_dim, head_sizes);
-        PpoAgent {
+        let mut agent = PpoAgent {
             policy,
             critic,
             cfg,
@@ -766,7 +780,20 @@ impl PpoAgent {
             scratch: Scratch::default(),
             health: HealthSums::default(),
             tracer: Tracer::default(),
-        }
+        };
+        agent.track_live();
+        agent
+    }
+
+    /// Starts the policy's live columns over (they are not serialized):
+    /// those whose Adam moments have moved, and every column a row of the
+    /// replay buffer allows. A fresh agent has none.
+    fn track_live(&mut self) {
+        self.policy.track_live();
+        let buffer = &self.buffer;
+        let (all, cells) = (buffer.head_offsets(), buffer.cells());
+        let row_mask = |b: usize, h: usize| Some(&buffer.valid[b * cells..][all[h]..all[h + 1]]);
+        self.policy.widen(buffer.len(), row_mask);
     }
 
     /// Why the agent is not one [`PpoAgent::new`] builds for `state_dim`
@@ -805,14 +832,18 @@ impl PpoAgent {
             .forward_batch(states, batch, &mut self.ws_critic)
     }
 
-    /// Samples actions for a single state; returns `(actions, logp)`.
+    /// Samples actions for a single state; returns `(actions, logp)`: the
+    /// one draw of an [`PpoAgent::act_batch`] of one row.
     pub fn act<R: Rng + ?Sized>(
         &mut self,
         state: &[f32],
         masks: &[Vec<bool>],
         rng: &mut R,
     ) -> (Vec<usize>, f32) {
-        self.policy.sample(state, masks, &mut self.ws_policy, rng)
+        let mask_of = |_: usize, h: usize| head_mask(masks, h);
+        self.policy.widen(1, mask_of);
+        self.policy.forward_live(state, 1, &mut self.ws_policy);
+        self.draw(1, mask_of, 1, rng)[0][0].clone()
     }
 
     /// Batched action sampling: one policy forward for `batch` states
@@ -838,6 +869,8 @@ impl PpoAgent {
             "ppo_act_batch",
             &[("tracks", batch.into()), ("samples", samples.into())],
         );
+        let mask_of = |b: usize, h: usize| head_mask(&masks[b], h);
+        self.policy.widen(batch, mask_of);
         {
             let _gemm = self.tracer.span_with(
                 "gemm",
@@ -846,31 +879,57 @@ impl PpoAgent {
                     ("backend", harl_simd::backend_name().into()),
                 ],
             );
-            self.policy
-                .forward_batch(states, batch, &mut self.ws_policy);
+            self.policy.forward_live(states, batch, &mut self.ws_policy);
         }
-        let offsets = self.policy.head_offsets();
-        let total = *offsets.last().expect("starts at 0");
+        self.draw(batch, mask_of, samples, rng)
+    }
+
+    /// `samples` draws per row of the live forward just run over `rows`
+    /// rows, row `b`'s head `h` masked by `mask_of(b, h)` (over every
+    /// action of the head; all valid for none). Each head's running sums
+    /// are taken once per row and bisected per draw, which picks what a
+    /// scan of the running sum per draw picks — over every column too: a
+    /// column left out holds `p = +0.0`, which no running sum notices.
+    fn draw<'m, R: Rng + ?Sized>(
+        &mut self,
+        rows: usize,
+        mask_of: impl Fn(usize, usize) -> Option<&'m [bool]>,
+        samples: usize,
+        rng: &mut R,
+    ) -> Draws<'_> {
+        let block = self.policy.block();
+        let (offsets, columns) = (block.offsets(), block.columns());
         let Scratch {
+            valid,
             probs,
             ln_probs,
+            sums,
             draws,
             ..
         } = &mut self.scratch;
-        let mask_of = |b: usize, h: usize| head_mask(&masks[b], h);
+        block.select_masks(rows, mask_of, valid);
+        let live_mask =
+            |b: usize, h: usize| Some(&valid[b * columns..][offsets[h]..offsets[h + 1]]);
         let logits = self.ws_policy.all_logits();
-        softmax_rows(logits, offsets, mask_of, probs, ln_probs);
+        softmax_rows(logits, offsets, live_mask, probs, ln_probs);
+        sums.resize(probs.len(), 0.0);
+        let cells = |b: usize, at: &[usize]| b * columns + at[0]..b * columns + at[1];
+        for b in 0..rows {
+            for at in offsets.windows(2) {
+                running_sums(&probs[cells(b, at)], &mut sums[cells(b, at)]);
+            }
+        }
         // every slot keeps its action list's allocation across calls
-        draws.resize_with(batch * samples, Default::default);
+        draws.resize_with(rows * samples, Default::default);
         for (i, (actions, logp)) in draws.iter_mut().enumerate() {
             let b = i / samples;
             actions.clear();
             *logp = 0.0;
-            for at in offsets.windows(2) {
-                let row = b * total + at[0]..b * total + at[1];
-                let a = sample_categorical(&probs[row.clone()], rng);
-                actions.push(a);
-                *logp += ln_prob(&probs[row.clone()], &ln_probs[row], a);
+            for (h, at) in offsets.windows(2).enumerate() {
+                let (p, row) = (&probs[cells(b, at)], cells(b, at));
+                let position = draw_from_sums(p, &sums[row.clone()], rng.gen());
+                actions.push(block.action(h, position));
+                *logp += ln_prob(p, &ln_probs[row], position);
             }
         }
         Draws {
@@ -925,6 +984,7 @@ impl PpoAgent {
         let value_target = reward + self.cfg.gamma * v_next;
         let scalars = [logp, reward, advantage, value_target];
         self.buffer.push_row(state, actions, scalars, masks);
+        self.policy.widen(1, |_, h| head_mask(masks, h));
         advantage
     }
 
@@ -952,6 +1012,12 @@ impl PpoAgent {
             buffer_len: self.buffer.len() as u64,
             evicted: self.buffer.take_evicted(),
             sample_age_mean: sums.age as f64 / sums.drawn.max(1) as f64,
+            head_sizes: (self.policy.head_sizes().into_iter())
+                .map(|size| size as u64)
+                .collect(),
+            live_per_head: (self.policy.live_per_head().into_iter())
+                .map(|live| live as u64)
+                .collect(),
         }
     }
 
@@ -1000,6 +1066,18 @@ impl PpoAgent {
     /// gradients accumulate per cell in ascending sample order inside
     /// [`crate::layers::Linear::backward_batch`]; and the policy-then-critic phase split is exact because the
     /// two networks share no accumulator.
+    ///
+    /// Every array of the policy's side holds its live columns alone
+    /// (DESIGN §12): the minibatch's masks make their allowed columns live
+    /// first, so a column left out is masked in every row. Its `p` is
+    /// `+0.0`, which the `-0.0`-seeded denominator of a head that keeps a
+    /// live column never notices; its entropy term would be `-0.0`, which
+    /// no sum notices; its logit gradient would be `+0.0`, leaving the
+    /// `+0.0` of `dW`/`db` that `zero_grad` wrote and adding `±0.0` to
+    /// `dX`'s `+0.0`-seeded chains, which are never `-0.0`; and with a
+    /// `+0.0` gradient and moments Adam leaves its row alone. A chosen
+    /// action outside the live columns reads `p = 0`, as a masked one
+    /// does: the `ln` floor and no gradient.
     fn update(&mut self) -> (f32, f32) {
         let n_samples = self.scratch.batch.len();
         if n_samples == 0 {
@@ -1013,11 +1091,12 @@ impl PpoAgent {
         let mut policy_loss_acc = 0.0f32;
         let mut value_loss_acc = 0.0f32;
 
-        // the row layout the buffer shares with the policy, from the side
-        // the backward does not borrow
-        let offsets = self.buffer.head_offsets();
+        // the buffer's row layout — every action of every head — from the
+        // side the backward does not borrow
+        let all = self.buffer.head_offsets();
         let Scratch {
             batch,
+            valid,
             probs,
             ln_probs,
             entropy_terms,
@@ -1027,8 +1106,10 @@ impl PpoAgent {
             grad_v,
             ..
         } = &mut self.scratch;
-        let heads = offsets.len() - 1;
-        let total = offsets[heads];
+        let heads = all.len() - 1;
+        let total = all[heads];
+        let row_mask = |s: usize, h: usize| Some(&batch.valid[s * total..][all[h]..all[h + 1]]);
+        self.policy.widen(n_samples, row_mask);
 
         // advantage normalisation stabilises small batches
         let mean_a: f32 = batch.advantage.iter().sum::<f32>() / n;
@@ -1049,10 +1130,14 @@ impl PpoAgent {
                 ],
             );
             self.policy
-                .forward_batch(&batch.x, n_samples, &mut self.ws_policy);
+                .forward_live(&batch.x, n_samples, &mut self.ws_policy);
         }
-        let chosen =
-            |s: usize, h: usize| batch.actions[s * heads + h].min(offsets[h + 1] - offsets[h] - 1);
+        let block = self.policy.block();
+        let (offsets, columns) = (block.offsets(), block.columns());
+        let chosen = |s: usize, h: usize| {
+            let a = batch.actions[s * heads + h].min(all[h + 1] - all[h] - 1);
+            block.position(h, a)
+        };
         let health = &mut self.health;
         health.updates += 1;
         health.samples += n_samples as u64;
@@ -1060,18 +1145,18 @@ impl PpoAgent {
 
         // every probability and logarithm of the minibatch: one `exp` and
         // one `ln` call, whole vectors even for a 3-wide head
-        let valid = &batch.valid;
-        let mask_of = |s: usize, h: usize| {
-            Some(&valid[s * total + offsets[h]..][..offsets[h + 1] - offsets[h]])
-        };
+        block.select_masks(n_samples, row_mask, valid);
+        let live_mask =
+            |s: usize, h: usize| Some(&valid[s * columns..][offsets[h]..offsets[h + 1]]);
         let logits = self.ws_policy.all_logits();
-        softmax_rows(logits, offsets, mask_of, probs, ln_probs);
+        softmax_rows(logits, offsets, live_mask, probs, ln_probs);
+        let cells = |s: usize, at: &[usize]| s * columns + at[0]..s * columns + at[1];
         // the ratios, through one `exp` call
         ratios.clear();
         for (s, &logp_old) in batch.logp.iter().enumerate() {
             let mut logp_new = 0.0f32;
             for (h, at) in offsets.windows(2).enumerate() {
-                let row = s * total + at[0]..s * total + at[1];
+                let row = cells(s, at);
                 logp_new += ln_prob(&probs[row.clone()], &ln_probs[row], chosen(s, h));
             }
             let log_ratio = logp_new - logp_old;
@@ -1108,10 +1193,10 @@ impl PpoAgent {
             }
         }));
         grad_logits.clear();
-        grad_logits.resize(n_samples * total, 0.0);
+        grad_logits.resize(n_samples * columns, 0.0);
         for (s, &dlogp) in dlogp.iter().enumerate() {
             for (h, at) in offsets.windows(2).enumerate() {
-                let row = s * total + at[0]..s * total + at[1];
+                let row = cells(s, at);
                 let entropy: f32 = entropy_terms[row.clone()].iter().sum();
                 health.entropy[h] += f64::from(entropy);
                 let cell = |p: f32, ln_p: f32, onehot: f32| {
@@ -1124,8 +1209,7 @@ impl PpoAgent {
                 for ((&p, &ln_p), slot) in p.iter().zip(ln_p).zip(grad.iter_mut()) {
                     *slot = if p > 0.0 { cell(p, ln_p, 0.0) } else { 0.0 };
                 }
-                let a = chosen(s, h);
-                if p[a] > 0.0 {
+                if let Some(a) = chosen(s, h).filter(|&a| p[a] > 0.0) {
                     grad[a] = cell(p[a], ln_p[a], 1.0);
                 }
             }
@@ -1173,7 +1257,12 @@ impl PpoAgent {
 /// holding the heads side by side at `offsets`, head `h` of row `b` masked
 /// by `mask_of(b, h)`) into `p`, and their logarithms into `ln_p`: one lane
 /// `exp` and one lane `ln` call for the whole batch, each head's cells of
-/// each row bit-equal to [`crate::mlp::masked_softmax_into`] of them.
+/// each row bit-equal to [`crate::mlp::masked_softmax_into`] of them. A row
+/// of the live columns alone gives each of them the bits of the row of
+/// every column, when every column left out is masked in the row and
+/// every head keeps a column: a left-out cell's `exp` is the `+0.0` the
+/// `-0.0`-seeded denominator takes no notice of once its head's first
+/// kept cell, never `-0.0`, is added.
 fn softmax_rows<'m>(
     logits: &[f32],
     offsets: &[usize],
@@ -1204,14 +1293,14 @@ fn softmax_rows<'m>(
     harl_simd::ln_inplace(ln_p);
 }
 
-/// `ln(max(p[a], 1e-12))`, read from the row's logarithms.
-fn ln_prob(p: &[f32], ln_p: &[f32], a: usize) -> f32 {
+/// `ln(max(p[a], 1e-12))`, read from the row's logarithms; the floor for
+/// an action whose column the row does not hold (`None`), whose `p` is 0.
+fn ln_prob(p: &[f32], ln_p: &[f32], a: Option<usize>) -> f32 {
     const FLOOR: f32 = 1e-12;
-    // a NaN probability takes the floor, as `f32::max` made it
-    if p[a] >= FLOOR {
-        ln_p[a]
-    } else {
-        harl_simd::ln_lane(FLOOR)
+    match a {
+        // a NaN probability takes the floor, as `f32::max` made it
+        Some(a) if p[a] >= FLOOR => ln_p[a],
+        _ => harl_simd::ln_lane(FLOOR),
     }
 }
 
@@ -1354,6 +1443,21 @@ mod tests {
         }
         // both agents must have drawn the same stream length
         assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+    }
+
+    #[test]
+    fn act_respects_masks() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut agent = PpoAgent::new(4, &[5, 3], PpoConfig::default(), &mut rng);
+        let masks = vec![
+            vec![false, false, true, false, false],
+            vec![true, true, true],
+        ];
+        for _ in 0..50 {
+            let (a, logp) = agent.act(&[0.1, 0.2, 0.3, 0.4], &masks, &mut rng);
+            assert_eq!(a[0], 2, "masked sampling must pick the only valid action");
+            assert!(logp.is_finite());
+        }
     }
 
     #[test]
@@ -1830,8 +1934,11 @@ mod tests {
         assert!(agent.critic.state_bits().eq(critic), "critic state moved");
         assert_eq!(agent.num_updates(), updates);
         assert_eq!(agent.value(&corridor_state(2)).to_bits(), probe);
+        // the agent acted without masks: every column is live
         let idle = PpoHealth {
             buffer_len: 12,
+            head_sizes: vec![3, 3],
+            live_per_head: vec![3, 3],
             ..Default::default()
         };
         assert_eq!(agent.take_health(), idle);
@@ -1844,6 +1951,8 @@ mod tests {
         let mut rng_u = rng.clone();
         let idle = PpoHealth {
             buffer_len: 40,
+            head_sizes: vec![3, 2],
+            live_per_head: vec![3, 2],
             ..Default::default()
         };
         assert_eq!(watched.take_health(), idle);

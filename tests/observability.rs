@@ -295,6 +295,16 @@ fn every_harl_round_reports_ppo_health() {
         // leaves one action)
         let h = f64_field(line, "entropy_head1").unwrap();
         assert!((0.0..=3f64.ln() + 1e-6).contains(&h), "entropy {h}");
+        // each head's live columns beside its width: a GEMM's tiling masks
+        // allow pairs inside one iterator alone, never all of its head
+        for h in 0..4 {
+            let live = num_field(line, &format!("live_head{h}")).expect("live columns");
+            let width = num_field(line, &format!("width_head{h}")).expect("head width");
+            assert!(live >= 1 && live <= width, "head {h}: {live} of {width}");
+            if h == 0 {
+                assert!(live < width, "the tiling head computes {live} of {width}");
+            }
+        }
         updates += n;
     }
     assert!(updates > 0, "the run must have trained");
